@@ -5,7 +5,7 @@
 GO ?= go
 
 .PHONY: all build test race vet lint vulncheck help \
-	bench bench-baseline bench-compare \
+	bench bench-baseline bench-compare bench-suite \
 	soak soak-race soak-crash soak-telemetry soak-chaos cover cover-update fuzz bench-ci
 
 all: lint build test ## Lint, build, and test: the local pre-push gate
@@ -77,6 +77,16 @@ BENCH_GATE_OVER ?= 400
 bench-ci:
 	$(MAKE) bench-baseline BENCH_OUT=BENCH_ci.json
 	$(GO) run ./cmd/benchdiff -old $(BENCH_GATE_BASE) -new BENCH_ci.json -fail-over $(BENCH_GATE_OVER)
+
+# The end-to-end suite in benchmark/ (its own module; see
+# benchmark/README.md): five workloads, ~1 min, results as JSON for
+# `go run -C benchmark . -compare`. The path is relative to benchmark/.
+# CI runs the suite's 1/50-size smoke (`go test -C benchmark .`) instead,
+# so a core API change that stops it compiling fails there.
+BENCH_SUITE_OUT ?= out/suite.json
+bench-suite: ## Run the five-workload end-to-end benchmark, JSON to benchmark/$(BENCH_SUITE_OUT)
+	mkdir -p benchmark/out
+	$(GO) run -C benchmark . -out $(BENCH_SUITE_OUT)
 
 # Scenario soak: every catalog scenario on both backends, with the
 # shared invariant kernel checked after every epoch. Exit code 2 means

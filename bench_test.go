@@ -131,7 +131,7 @@ func BenchmarkMigration(b *testing.B) {
 }
 
 // runSynthetic runs one synthetic pure market to convergence.
-func runSynthetic(b *testing.B, seed int64, users, pools int, parallel bool) *core.Result {
+func runSynthetic(b *testing.B, seed int64, users, pools int) *core.Result {
 	b.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	reg, bids := sim.SyntheticMarket(rng, users, pools)
@@ -140,9 +140,8 @@ func runSynthetic(b *testing.B, seed int64, users, pools int, parallel bool) *co
 		start[i] = 0.5
 	}
 	a, err := core.NewAuction(reg, bids, core.Config{
-		Start:    start,
-		Policy:   core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-		Parallel: parallel,
+		Start:  start,
+		Policy: core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -162,7 +161,7 @@ func BenchmarkClockAuctionPaperScale(b *testing.B) {
 	b.ReportAllocs()
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res := runSynthetic(b, 42, 100, 100, false)
+		res := runSynthetic(b, 42, 100, 100)
 		rounds = res.Rounds
 	}
 	b.ReportMetric(float64(rounds), "rounds")
@@ -175,7 +174,7 @@ func BenchmarkClockAuctionUsers(b *testing.B) {
 		b.Run(benchName("U", users), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				runSynthetic(b, 42, users, 100, false)
+				runSynthetic(b, 42, users, 100)
 			}
 		})
 	}
@@ -188,7 +187,7 @@ func BenchmarkClockAuctionPools(b *testing.B) {
 		b.Run(benchName("R", pools), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				runSynthetic(b, 42, 100, pools, false)
+				runSynthetic(b, 42, 100, pools)
 			}
 		})
 	}
@@ -502,23 +501,6 @@ func BenchmarkAblationReserveCurves(b *testing.B) {
 				hot, _ = d.CongestionPriceCorrelation(0.75, 0.4)
 			}
 			b.ReportMetric(hot, "hotRatio")
-		})
-	}
-}
-
-// BenchmarkAblationParallelProxies measures serial vs worker-pool proxy
-// evaluation on a large market.
-func BenchmarkAblationParallelProxies(b *testing.B) {
-	b.ReportAllocs()
-	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"serial", false}, {"parallel", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runSynthetic(b, 42, 1200, 100, mode.parallel)
-			}
 		})
 	}
 }
@@ -1072,6 +1054,119 @@ func BenchmarkFederatedSubmit(b *testing.B) {
 			b.ReportMetric(float64(st.Failovers), "failovers")
 			b.ReportMetric(float64(won)/b.Elapsed().Seconds(), "settled/s")
 		})
+	}
+}
+
+// The wide planet of the two layer benchmarks below: 8 regions × 8
+// one-machine clusters, R = 192 pools, while an order names 1–3 clusters
+// of one region — nine non-zero components at most. It is the
+// benchmark/ suite's clock-sparse shape, where every per-order O(R)
+// pass is twenty times the order's real size.
+const (
+	wideRegions  = 8
+	wideClusters = 8
+	wideBook     = 4096
+)
+
+func wideExchange(b *testing.B) *market.Exchange {
+	b.Helper()
+	f := cluster.NewFleet()
+	for r := 0; r < wideRegions; r++ {
+		for c := 0; c < wideClusters; c++ {
+			cl := cluster.New(benchName("w", r)+benchName("c", c), nil)
+			cl.AddMachines(1, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+			if err := f.AddCluster(cl); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ex.OpenAccount("wide"); err != nil {
+		b.Fatal(err)
+	}
+	return ex
+}
+
+// wideOrders pre-draws a book's worth of order shapes so the timed loop
+// submits and does nothing else.
+func wideOrders() (clusters [][]string, limits []float64) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < wideBook; i++ {
+		region, first := rng.Intn(wideRegions), rng.Intn(wideClusters)
+		cs := make([]string, 1+rng.Intn(3))
+		for j := range cs {
+			cs[j] = benchName("w", region) + benchName("c", (first+j)%wideClusters)
+		}
+		clusters = append(clusters, cs)
+		limits = append(limits, float64(5+rng.Intn(60)))
+	}
+	return clusters, limits
+}
+
+// BenchmarkSubmitProductWide is the admission layer of an order's life
+// at R = 192: catalog lookup, bundle build, pack, validate, budget
+// check, book insert. The book is replaced (untimed) every 4096 orders
+// so memory stays flat at any -benchtime.
+func BenchmarkSubmitProductWide(b *testing.B) {
+	b.ReportAllocs()
+	clusters, limits := wideOrders()
+	var ex *market.Exchange
+	for i := 0; i < b.N; i++ {
+		k := i % wideBook
+		if k == 0 {
+			b.StopTimer()
+			ex = wideExchange(b)
+			b.StartTimer()
+		}
+		if _, err := ex.SubmitProduct("wide", "batch-compute", 1, clusters[k], limits[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewAuctionFromBook is the stage between the book and round 0
+// of the clock: core.NewAuction over 4096 already-booked bids plus the
+// operator's 64 supply bids at R = 192 (validate every bid, build the
+// proxies), then Components, which forces the sub-market decomposition
+// and its pool remap.
+func BenchmarkNewAuctionFromBook(b *testing.B) {
+	b.ReportAllocs()
+	ex := wideExchange(b)
+	clusters, limits := wideOrders()
+	for k := range clusters {
+		if _, err := ex.SubmitProduct("wide", "batch-compute", 1, clusters[k], limits[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reg := ex.Registry()
+	var bids []*core.Bid
+	for _, o := range ex.OpenOrders() {
+		bids = append(bids, o.Bid)
+	}
+	free := ex.Fleet().FreeVector(reg)
+	for _, cl := range reg.Clusters() {
+		supply := reg.Zero()
+		for _, i := range reg.ClusterPools(cl) {
+			supply[i] = -free[i] * 0.8
+		}
+		bids = append(bids, &core.Bid{User: market.OperatorAccount, Bundles: []resource.Vector{supply}, Limit: -0.000001})
+	}
+	start, err := ex.ReservePrices()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a, err := core.NewAuction(reg, bids, core.Config{Start: start})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if a.Components() != wideRegions {
+			b.Fatalf("decomposed into %d components, want %d", a.Components(), wideRegions)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@ func main() {
 	machines := flag.Int("machines", 40, "machines per cluster")
 	teams := flag.Int("teams", 100, "engineering teams")
 	auctions := flag.Int("auctions", 3, "sequential auctions for fig7/table1/migration")
-	parallel := flag.Bool("parallel", false, "parallel proxy evaluation")
+	parallel := flag.Bool("parallel", false, "clear independent sub-markets on all CPUs")
 	flag.Parse()
 
 	cfg := sim.Config{

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"clustermarket/internal/resource"
 )
@@ -61,8 +59,8 @@ type Config struct {
 	Epsilon float64
 	// MaxRounds bounds the clock. Zero selects a generous default.
 	MaxRounds int
-	// Parallel evaluates bidder proxies on all CPUs each round. The
-	// reduction order is fixed, so results are identical to serial runs.
+	// Parallel clears the independent sub-markets (see Partition) on all
+	// CPUs; they share no state, so results match serial runs.
 	Parallel bool
 	// RecordHistory retains per-round snapshots in Result.History.
 	RecordHistory bool
@@ -234,12 +232,17 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 	if !cfg.Start.AllNonNegative(0) {
 		return nil, errors.New("core: start prices must be nonnegative")
 	}
+	// A pre-packed bid (Bid.Pack) is validated and read in place; any other
+	// is packed into its proxy only — shared bids are never written.
 	proxies := make([]*Proxy, len(bids))
+	slab := make([]Proxy, len(bids))
 	for i, b := range bids {
-		if err := b.Validate(reg.Len()); err != nil {
+		pk := b.pack()
+		if err := b.validate(reg.Len(), pk); err != nil {
 			return nil, err
 		}
-		proxies[i] = NewProxy(b)
+		slab[i] = Proxy{bid: b, lastChoice: -1, sparse: pk.bundles}
+		proxies[i] = &slab[i]
 	}
 	return &Auction{reg: reg, bids: bids, proxies: proxies, cfg: cfg}, nil
 }
@@ -250,8 +253,8 @@ func (a *Auction) Bids() []*Bid { return a.bids }
 // Classes tallies the bidder classes, used to predict convergence per
 // Section III.C.3.
 func (a *Auction) Classes() (buyers, sellers, traders int) {
-	for _, b := range a.bids {
-		switch b.Class() {
+	for _, px := range a.proxies {
+		switch classOf(px.sparse) {
 		case PureBuyer:
 			buyers++
 		case PureSeller:
@@ -405,68 +408,17 @@ func (a *Auction) runDense(res *Result) (*Result, error) {
 	return res, ErrNoConvergence
 }
 
-// parallelThreshold is the smallest evaluation batch worth fanning out
-// over worker goroutines; below it, spawn overhead dominates.
-const parallelThreshold = 64
-
 // collect evaluates every proxy at prices p into choices, returning the
-// number of active bidders. With cfg.Parallel it fans the loop out over
-// GOMAXPROCS workers; the choices slice is indexed by bidder so the
-// result is deterministic either way.
+// number of active bidders.
 //
 //marketlint:allocfree
 func (a *Auction) collect(p resource.Vector, choices []int) int {
-	if !a.cfg.Parallel || len(a.proxies) < parallelThreshold {
-		active := 0
-		for i, px := range a.proxies {
-			choices[i] = px.choose(p)
-			if choices[i] >= 0 {
-				active++
-			}
-		}
-		return active
-	}
-	//marketlint:allow allocfree opt-in parallel fan-out; spawn cost is amortized over ≥64 evaluations
-	return a.collectParallel(p, choices)
-}
-
-// collectParallel is collect's goroutine fan-out over GOMAXPROCS
-// workers; choices slots are disjoint per worker, so the result matches
-// the serial loop.
-func (a *Auction) collectParallel(p resource.Vector, choices []int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(a.proxies) {
-		workers = len(a.proxies)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(a.proxies) + workers - 1) / workers
-	counts := make([]int, workers)
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(a.proxies) {
-			hi = len(a.proxies)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			n := 0
-			for i := lo; i < hi; i++ {
-				choices[i] = a.proxies[i].choose(p)
-				if choices[i] >= 0 {
-					n++
-				}
-			}
-			counts[w] = n
-		}(w, lo, hi)
-	}
-	wg.Wait()
 	active := 0
-	for _, n := range counts {
-		active += n
+	for i, px := range a.proxies {
+		choices[i] = px.choose(p)
+		if choices[i] >= 0 {
+			active++
+		}
 	}
 	return active
 }
@@ -520,7 +472,7 @@ func PriceCeiling(bids []*Bid, start resource.Vector) float64 {
 		if b.Class() != PureBuyer {
 			continue
 		}
-		for _, q := range b.Bundles {
+		for i, q := range b.Bundles {
 			minQty := 0.0
 			for _, x := range q {
 				if x > 0 && (minQty == 0 || x < minQty) {
@@ -528,7 +480,7 @@ func PriceCeiling(bids []*Bid, start resource.Vector) float64 {
 				}
 			}
 			if minQty > 0 {
-				if c := b.Limit / minQty; c > ceiling {
+				if c := b.LimitFor(i) / minQty; c > ceiling {
 					ceiling = c
 				}
 			}

@@ -431,4 +431,12 @@ func TestPriceCeiling(t *testing.T) {
 	if got := PriceCeiling(bids, start); got != 11 {
 		t.Errorf("PriceCeiling = %v", got)
 	}
+	// A vector-π buyer is bounded by each bundle's own limit; its scalar
+	// Limit is ignored by the proxy and must be ignored here too (it used
+	// to set the ceiling: 1/2 + 1 would be far below the real 60/2 + 1).
+	bids = append(bids, &Bid{User: "v", Limit: 1, BundleLimits: []float64{40, 60},
+		Bundles: []resource.Vector{{4, 0}, {0, 2}}})
+	if got := PriceCeiling(bids, start); got != 31 {
+		t.Errorf("PriceCeiling with bundle limits = %v, want 31", got)
+	}
 }

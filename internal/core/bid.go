@@ -39,6 +39,41 @@ type Bid struct {
 	// largest surplus π_i − q_iᵀp instead of the globally cheapest one.
 	// Limit is ignored in that case.
 	BundleLimits []float64
+
+	// packed is the bundles' packed form, built once by Pack before the
+	// bid is shared and immutable afterwards; nil until then.
+	packed *packedBid
+}
+
+// Pack builds the packed form of the bundles — ascending pool index, ±0
+// skipped — that Validate, Class, NewProxy and NewAuction then read
+// instead of scanning the R-length vectors again. It writes the bid, so
+// only the bid's sole owner may call it, before the bid is published;
+// Bundles must not change afterwards.
+func (b *Bid) Pack() { b.packed = packBundles(b.Bundles) }
+
+// Packed reports whether the bid carries a packed form.
+func (b *Bid) Packed() bool { return b.packed != nil }
+
+// Unpacked returns the bid without its packed form: b itself when it has
+// none, else a shallow copy — b may be mid-read by a clock and is never
+// written. Holders of settled bids swap this in to release the form.
+func (b *Bid) Unpacked() *Bid {
+	if b.packed == nil {
+		return b
+	}
+	c := *b
+	c.packed = nil
+	return &c
+}
+
+// pack returns the packed form every stage reads: the one Pack built, or
+// a private one when there is none (or Bundles were replaced since).
+func (b *Bid) pack() *packedBid {
+	if pk := b.packed; pk != nil && pk.of(b.Bundles) {
+		return pk
+	}
+	return packBundles(b.Bundles)
 }
 
 // LimitFor returns the limit governing bundle i: BundleLimits[i] when
@@ -98,10 +133,12 @@ func (c Class) String() string {
 
 // Class classifies the bid. A bid whose bundles disagree in direction is a
 // Trader even if each individual bundle is pure.
-func (b *Bid) Class() Class {
+func (b *Bid) Class() Class { return classOf(b.pack().bundles) }
+
+func classOf(bundles []sparseBundle) Class {
 	dir := 0
-	for _, q := range b.Bundles {
-		d := q.PureDirection()
+	for _, sb := range bundles {
+		d := resource.Vector(sb.val).PureDirection() // skipped zeros carry no sign
 		switch {
 		case d == 0:
 			return Trader
@@ -118,7 +155,10 @@ func (b *Bid) Class() Class {
 }
 
 // Validate checks the bid against registry size r.
-func (b *Bid) Validate(r int) error {
+func (b *Bid) Validate(r int) error { return b.validate(r, b.pack()) }
+
+// validate is every check of the dense scan at O(non-zero components).
+func (b *Bid) validate(r int, pk *packedBid) error {
 	if b.User == "" {
 		return errors.New("core: bid has empty user")
 	}
@@ -139,20 +179,21 @@ func (b *Bid) Validate(r int) error {
 			}
 		}
 	}
-	for i, q := range b.Bundles {
-		if len(q) != r {
-			return fmt.Errorf("core: bid %q bundle %d has %d components, want %d", b.User, i, len(q), r)
+	for i, sb := range pk.bundles {
+		if n := len(b.Bundles[i]); n != r {
+			return fmt.Errorf("core: bid %q bundle %d has %d components, want %d", b.User, i, n, r)
 		}
-		if err := q.Validate(); err != nil {
-			return fmt.Errorf("core: bid %q bundle %d: %v", b.User, i, err)
+		if resource.Vector(sb.val).Validate() != nil { // a skipped zero is finite
+			// Rejection only: the dense scan words the error (pool index).
+			return fmt.Errorf("core: bid %q bundle %d: %v", b.User, i, b.Bundles[i].Validate())
 		}
-		if q.IsZero() {
+		if len(sb.idx) == 0 {
 			return fmt.Errorf("core: bid %q bundle %d is empty", b.User, i)
 		}
 	}
 	// Sanity-check limit direction: a pure seller asking to be *paid* a
 	// positive amount must use a negative limit.
-	if b.Class() == PureSeller {
+	if classOf(pk.bundles) == PureSeller {
 		for i := range b.Bundles {
 			if b.LimitFor(i) > 0 {
 				return fmt.Errorf("core: pure seller %q has positive limit %g (minimum receipt is encoded as a negative limit)", b.User, b.LimitFor(i))
@@ -185,8 +226,8 @@ func (b *Bid) BestAffordable(p resource.Vector) (idx int, ok bool) {
 
 // Proxy is the automated bidder proxy of Section III.C: it maps the
 // current clock prices to the user's revealed demand via Equations (1)
-// and (2). Bundles are pre-packed into sparse form so each round costs
-// O(non-zero components) instead of O(R) per bundle.
+// and (2). It reads the bid's packed bundles (Bid.pack) so each round
+// costs O(non-zero components) instead of O(R) per bundle.
 type Proxy struct {
 	bid    *Bid
 	sparse []sparseBundle
@@ -197,11 +238,7 @@ type Proxy struct {
 
 // NewProxy wraps a bid.
 func NewProxy(b *Bid) *Proxy {
-	px := &Proxy{bid: b, lastChoice: -1, sparse: make([]sparseBundle, len(b.Bundles))}
-	for i, q := range b.Bundles {
-		px.sparse[i] = newSparseBundle(q)
-	}
-	return px
+	return &Proxy{bid: b, lastChoice: -1, sparse: b.pack().bundles}
 }
 
 // choose returns the index of the bundle the proxy demands at prices p,

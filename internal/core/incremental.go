@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"clustermarket/internal/resource"
 )
@@ -60,7 +58,7 @@ func (a *Auction) buildIncrementalIndex() *incrementalIndex {
 				}
 			}
 		}
-		ix.pureBuyer[i] = a.bids[i].Class() == PureBuyer
+		ix.pureBuyer[i] = classOf(px.sparse) == PureBuyer
 	}
 	return ix
 }
@@ -303,10 +301,7 @@ func (a *Auction) advance(st *incrementalState, p resource.Vector, choices []int
 
 // collectSubset evaluates the affected proxies at prices p, writing each
 // result to out aligned with affected (out is grown as needed and
-// returned). It is the affected-subset form of collect: the same
-// parallel fan-out applies when the subset is large enough, and results
-// are written to disjoint slots, so serial and parallel runs are
-// identical.
+// returned). It is the affected-subset form of collect.
 //
 //marketlint:allocfree
 func (a *Auction) collectSubset(p resource.Vector, affected []int32, out []int) []int {
@@ -314,46 +309,8 @@ func (a *Auction) collectSubset(p resource.Vector, affected []int32, out []int) 
 		out = make([]int, len(affected))
 	}
 	out = out[:len(affected)]
-	if !a.cfg.Parallel || len(affected) < parallelThreshold {
-		for k, i := range affected {
-			out[k] = a.proxies[i].choose(p)
-		}
-		return out
+	for k, i := range affected {
+		out[k] = a.proxies[i].choose(p)
 	}
-	// The goroutine fan-out lives in its own function so its closure
-	// cannot capture this function's reassigned `out` variable — that
-	// capture would heap-box the slice header on every call, putting an
-	// allocation on the serial path's steady-state rounds too.
-	//marketlint:allow allocfree opt-in parallel fan-out; spawn cost is amortized over ≥64 evaluations
-	a.collectSubsetParallel(p, affected, out)
 	return out
-}
-
-// collectSubsetParallel evaluates the affected proxies over all CPUs,
-// writing to disjoint slots of out.
-func (a *Auction) collectSubsetParallel(p resource.Vector, affected []int32, out []int) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(affected) {
-		workers = len(affected)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(affected) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(affected) {
-			hi = len(affected)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for k := lo; k < hi; k++ {
-				out[k] = a.proxies[affected[k]].choose(p)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -290,24 +290,32 @@ func (a *Auction) buildPartition() *partitionState {
 			subStart[j] = a.cfg.Start[g]
 		}
 		pol, _ := remapPolicy(a.cfg.Policy, c.pools)
+		// Remap the packed bundles onto local pool ids in O(nnz): three
+		// slabs a component, the (immutable) value slices shared.
+		nb, nnz := 0, 0
+		for _, bi := range c.bids {
+			for _, sb := range a.proxies[bi].sparse {
+				nb++
+				nnz += len(sb.idx)
+			}
+		}
 		bids := make([]*Bid, len(c.bids))
 		proxies := make([]*Proxy, len(c.bids))
+		pxSlab := make([]Proxy, len(c.bids))
+		sbSlab := make([]sparseBundle, 0, nb)
+		idxSlab := make([]int32, 0, nnz)
 		for k, bi := range c.bids {
-			b := a.bids[bi]
-			bids[k] = b
-			src := a.proxies[bi]
-			px := &Proxy{bid: b, lastChoice: -1, sparse: make([]sparseBundle, len(src.sparse))}
-			for si, sb := range src.sparse {
-				idx := make([]int32, len(sb.idx))
-				for n, g := range sb.idx {
-					idx[n] = localPool[g]
+			bids[k] = a.bids[bi]
+			lo := len(sbSlab)
+			for _, sb := range a.proxies[bi].sparse {
+				ilo := len(idxSlab)
+				for _, g := range sb.idx {
+					idxSlab = append(idxSlab, localPool[g])
 				}
-				// The value slice is shared: bundle values are frozen
-				// after NewAuction, and sharing keeps the remap O(nnz)
-				// in fresh memory.
-				px.sparse[si] = sparseBundle{idx: idx, val: sb.val}
+				sbSlab = append(sbSlab, sparseBundle{idx: idxSlab[ilo:], val: sb.val})
 			}
-			proxies[k] = px
+			pxSlab[k] = Proxy{bid: bids[k], lastChoice: -1, sparse: sbSlab[lo:]}
+			proxies[k] = &pxSlab[k]
 		}
 		c.auc = &Auction{
 			reg:     subReg,

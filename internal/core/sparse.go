@@ -11,16 +11,52 @@ type sparseBundle struct {
 	val []float64
 }
 
-// newSparseBundle packs the non-zero components of q.
-func newSparseBundle(q resource.Vector) sparseBundle {
-	var s sparseBundle
-	for i, v := range q {
-		if v != 0 {
-			s.idx = append(s.idx, int32(i))
-			s.val = append(s.val, v)
+// packedBid is the packed form of a bid's whole indifference set: one
+// sparseBundle per bundle, each in ascending pool order with ±0 skipped,
+// all sharing one index slab and one value slab. It is immutable once
+// built, so any number of auctions may read it concurrently.
+type packedBid struct {
+	bundles []sparseBundle
+	// src is the Bundles slice the form was packed from: a Bid copy whose
+	// Bundles were replaced since fails the identity test in of.
+	src []resource.Vector
+	// few backs bundles for the usual few-cluster XOR: one allocation less.
+	few [4]sparseBundle
+}
+
+// packBundles packs qs in two passes — count, then fill exact-size
+// slabs — so a bid costs three allocations (four beyond len(few) bundles).
+func packBundles(qs []resource.Vector) *packedBid {
+	pk := &packedBid{src: qs}
+	if pk.bundles = pk.few[:0]; len(qs) > len(pk.few) {
+		pk.bundles = make([]sparseBundle, 0, len(qs))
+	}
+	nnz := 0
+	for _, q := range qs {
+		for _, v := range q {
+			if v != 0 {
+				nnz++
+			}
 		}
 	}
-	return s
+	idx, val := make([]int32, nnz), make([]float64, nnz)
+	n := 0
+	for _, q := range qs {
+		lo := n
+		for j, v := range q {
+			if v != 0 {
+				idx[n], val[n] = int32(j), v
+				n++
+			}
+		}
+		pk.bundles = append(pk.bundles, sparseBundle{idx: idx[lo:n], val: val[lo:n]})
+	}
+	return pk
+}
+
+// of reports whether pk was packed from exactly this Bundles slice.
+func (pk *packedBid) of(qs []resource.Vector) bool {
+	return len(qs) == len(pk.src) && (len(qs) == 0 || &qs[0] == &pk.src[0])
 }
 
 // dot computes qᵀp touching only non-zero components.

@@ -10,7 +10,7 @@ import (
 
 func TestSparseBundlePacking(t *testing.T) {
 	q := resource.Vector{0, 3, 0, -2, 0}
-	s := newSparseBundle(q)
+	s := packBundles([]resource.Vector{q}).bundles[0]
 	if len(s.idx) != 2 || s.idx[0] != 1 || s.idx[1] != 3 {
 		t.Fatalf("idx = %v", s.idx)
 	}
@@ -29,7 +29,7 @@ func TestSparseBundlePacking(t *testing.T) {
 }
 
 func TestSparseEmptyBundle(t *testing.T) {
-	s := newSparseBundle(resource.Vector{0, 0})
+	s := packBundles([]resource.Vector{{0, 0}}).bundles[0]
 	if len(s.idx) != 0 {
 		t.Fatalf("idx = %v", s.idx)
 	}
@@ -53,7 +53,7 @@ func TestQuickSparseMatchesDense(t *testing.T) {
 			}
 			p[i] = rng.Float64() * 5
 		}
-		s := newSparseBundle(q)
+		s := packBundles([]resource.Vector{q}).bundles[0]
 		if d1, d2 := s.dot(p), q.Dot(p); d1 != d2 {
 			return false
 		}

@@ -700,7 +700,7 @@ func (j *Journal) Close() error {
 	j.dead = true
 	var first error
 	if j.unsynced > 0 {
-		if err := j.wal.Sync(); err != nil && first == nil {
+		if err := j.syncWALLocked(); err != nil && first == nil {
 			first = fmt.Errorf("journal: fsync on close: %w", err)
 		}
 	}

@@ -334,6 +334,28 @@ func TestGroupCommitSyncOnDemand(t *testing.T) {
 	j.Close()
 }
 
+// TestCloseFsyncIsCounted: the flush Close issues for records still
+// inside the group-commit window goes through the one timed fsync path,
+// so Metrics sees it — counter and latency histogram both.
+func TestCloseFsyncIsCounted(t *testing.T) {
+	j, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: 64})
+	appendAll(t, j, "a", "b")
+	if got := j.Metrics().Fsyncs; got != 0 {
+		t.Fatalf("Fsyncs before Close = %d, want 0 (window not reached)", got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	m := j.Metrics()
+	samples := m.FsyncLatency.Inf
+	for _, c := range m.FsyncLatency.Counts {
+		samples += c
+	}
+	if m.Fsyncs != 1 || samples != 1 {
+		t.Fatalf("after Close: Fsyncs = %d, latency samples = %d, want 1 and 1", m.Fsyncs, samples)
+	}
+}
+
 // TestTornTailAfterSnapshot combines both repair paths: snapshot intact,
 // tail torn — recovery is snapshot + the durable prefix of the tail.
 func TestTornTailAfterSnapshot(t *testing.T) {

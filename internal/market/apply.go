@@ -70,6 +70,10 @@ func (e *Exchange) applyOrderSubmitted(ev *Event) error {
 	if ev.Bid == nil {
 		return fmt.Errorf("market: replay: order %d has no bid", ev.OrderID)
 	}
+	// The decoded bid is this replay's alone until it is booked: pack it
+	// here, as submitOwned does live, so the recovered book equals the
+	// live one and no clock ever packs a shared bid.
+	ev.Bid.Pack()
 	o := &Order{ID: ev.OrderID, Team: ev.Team, Bid: ev.Bid, Status: Open, Auction: -1}
 	n := len(e.orderShards)
 	os := e.orderShardFor(o.ID)
@@ -120,6 +124,7 @@ func (e *Exchange) applyOrderCancelled(ev *Event) error {
 		return fmt.Errorf("market: replay: cancelling order %d in state %s", o.ID, o.Status)
 	}
 	o.Status = Cancelled
+	o.Bid = o.Bid.Unpacked()
 	os.openCount--
 	os.mu.Unlock()
 	e.releaseCommitment(o)
@@ -156,6 +161,9 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 		o.Attempts = ev.Attempts
 	}
 	o.Status = ev.Status
+	// No clock runs over a terminal order again: drop the packed form
+	// (a concurrent PreliminaryPrices may still hold the old pointer).
+	o.Bid = o.Bid.Unpacked()
 	os.openCount--
 	if ev.Status == Won {
 		o.Allocation = ev.Allocation

@@ -101,9 +101,10 @@ func (o *Order) Side() int {
 
 // snapshot copies the order, including a copy of the Bid struct so a
 // caller scribbling on snapshot.Bid fields cannot reach the booked bid.
-// The bundle vectors and Allocation remain shared: both are frozen —
-// bundles at submit time, the allocation at settlement — and must be
-// treated as read-only by callers.
+// The bundle vectors (with their packed form, while the order is open)
+// and Allocation remain shared: both are frozen — bundles at submit
+// time, the allocation at settlement — and must be treated as read-only
+// by callers.
 func (o *Order) snapshot() *Order {
 	c := *o
 	if o.Bid != nil {
@@ -401,9 +402,20 @@ func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 		b.Bundles[i] = v.Clone()
 	}
 	b.BundleLimits = append([]float64(nil), bid.BundleLimits...)
+	return e.submitOwned(team, &b)
+}
+
+// submitOwned books a bid the exchange owns outright — Submit's private
+// copy, or the vectors SubmitProduct just built — and nobody else can
+// see yet. That is the one moment the bid may be written, so its
+// bundles are packed here, once; validation, every later clock and the
+// partition remap read the packed form instead of the R-length vectors,
+// and the terminal transitions drop it (Bid.Unpacked).
+func (e *Exchange) submitOwned(team string, b *core.Bid) (*Order, error) {
 	if b.User == "" {
 		b.User = team
 	}
+	b.Pack()
 	if err := b.Validate(e.reg.Len()); err != nil {
 		return nil, e.rejected(err)
 	}
@@ -457,9 +469,9 @@ func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 		os.mu.Unlock()
 		return nil, e.rejected(err)
 	}
-	o := &Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: &b, Status: Open, Auction: -1}
+	o := &Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1}
 	if e.materializing() {
-		if err := e.emitEvent(&Event{Kind: EvOrderSubmitted, OrderID: o.ID, Team: team, Bid: &b}); err != nil {
+		if err := e.emitEvent(&Event{Kind: EvOrderSubmitted, OrderID: o.ID, Team: team, Bid: b}); err != nil {
 			// Un-consume the round-robin slot so a post-heal resubmit
 			// lands on the same stripe with the same ID (replay's
 			// applyOrderSubmitted advances the counter once per *logged*
@@ -551,7 +563,7 @@ func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []s
 		return nil, e.rejected(errors.New("market: no clusters named"))
 	}
 	cover := p.Cover(qty)
-	var bundles []resource.Vector
+	bundles := make([]resource.Vector, 0, len(clusters))
 	for _, cl := range clusters {
 		v := e.reg.Zero()
 		found := false
@@ -566,8 +578,12 @@ func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []s
 		}
 		bundles = append(bundles, v)
 	}
-	bid := &core.Bid{User: team + "/" + product, Bundles: bundles, Limit: limit}
-	return e.Submit(team, bid)
+	if err := e.rejectIfDegraded(); err != nil {
+		return nil, e.rejected(err)
+	}
+	// The vectors were built here and are handed over as they are: no
+	// caller holds them, so Submit's defensive clone would be a second copy.
+	return e.submitOwned(team, &core.Bid{User: team + "/" + product, Bundles: bundles, Limit: limit})
 }
 
 // Cancel withdraws an open order. An order whose batch is currently
@@ -598,6 +614,7 @@ func (e *Exchange) Cancel(id int) error {
 		}
 	}
 	o.Status = Cancelled
+	o.Bid = o.Bid.Unpacked()
 	os.openCount--
 	os.mu.Unlock()
 	e.releaseCommitment(o)
@@ -854,30 +871,35 @@ func (e *Exchange) operatorSupply() []*core.Bid {
 
 // assemble snapshots the open batch and maps it, plus operator supply,
 // into clock-auction bids without claiming the batch (the non-binding
-// path used by PreliminaryPrices). Bids are frozen, so reading them
-// lock-free afterwards is safe.
-func (e *Exchange) assemble() ([]*core.Bid, []*Order, error) {
-	var open []*Order
+// path used by PreliminaryPrices). Each order's Bid pointer is read under
+// its stripe lock — an unclaimed order can go terminal, which swaps the
+// pointer, at any time — but the bid behind it is frozen, so the clock
+// reads it lock-free afterwards.
+func (e *Exchange) assemble() ([]*core.Bid, error) {
+	type openBid struct {
+		id  int
+		bid *core.Bid
+	}
+	var open []openBid
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
 		for _, o := range os.open {
 			if o.Status == Open {
-				open = append(open, o)
+				open = append(open, openBid{o.ID, o.Bid})
 			}
 		}
 		os.mu.RUnlock()
 	}
 	if len(open) == 0 {
-		return nil, nil, ErrNoOpenOrders
+		return nil, ErrNoOpenOrders
 	}
-	sortOrdersByID(open)
+	sort.Slice(open, func(i, j int) bool { return open[i].id < open[j].id })
 	bids := make([]*core.Bid, 0, len(open)+1)
-	for _, o := range open {
-		bids = append(bids, o.Bid)
+	for _, ob := range open {
+		bids = append(bids, ob.bid)
 	}
-	bids = append(bids, e.operatorSupply()...)
-	return bids, open, nil
+	return append(bids, e.operatorSupply()...), nil
 }
 
 // claimBatch assembles the open batch for a binding auction and marks
@@ -943,7 +965,7 @@ func (e *Exchange) releaseBatch(open []*Order) {
 // is exactly where in-progress prices are useful feedback, so display
 // paths should render them marked preliminary rather than fail.
 func (e *Exchange) PreliminaryPrices() (prices resource.Vector, converged bool, err error) {
-	bids, _, err := e.assemble()
+	bids, err := e.assemble()
 	if err != nil {
 		return nil, false, err
 	}

@@ -912,6 +912,114 @@ func TestConcurrentTraffic(t *testing.T) {
 	}
 }
 
+// TestPackedFormUnderConcurrentClocks is the publication contract of the
+// packed bid form (run with -race): SubmitProduct packs on a bid nobody
+// else can see, the terminal transitions swap in an unpacked copy rather
+// than write a bid a clock may be reading, and no clock — binding,
+// preliminary, or a caller's own core.NewAuction over order snapshots —
+// writes a bid at all. Afterwards exactly the open orders hold a packed
+// form, and submitting a caller's bid has left the caller's value alone.
+func TestPackedFormUnderConcurrentClocks(t *testing.T) {
+	e := newTestExchange(t)
+	const traders = 4
+	for g := 0; g < traders; g++ {
+		if err := e.OpenAccount(fmt.Sprintf("team%d", g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var clocks, submitters sync.WaitGroup
+	clock := func(run func() error) {
+		clocks.Add(1)
+		go func() {
+			defer clocks.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := run(); err != nil && !errors.Is(err, ErrNoOpenOrders) && !errors.Is(err, core.ErrNoConvergence) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	clock(func() error { _, _, err := e.RunAuction(); return err })
+	clock(func() error { _, _, err := e.PreliminaryPrices(); return err })
+	// The benchmark's replay: an outside clock over order snapshots, which
+	// share the book's packed form.
+	clock(func() error {
+		var bids []*core.Bid
+		for _, o := range e.OpenOrders() {
+			bids = append(bids, o.Bid)
+		}
+		if len(bids) == 0 {
+			return nil
+		}
+		start, err := e.ReservePrices()
+		if err != nil {
+			return err
+		}
+		a, err := core.NewAuction(e.Registry(), bids, core.Config{Start: start, MaxRounds: 50})
+		if err != nil {
+			return err
+		}
+		_, err = a.Run()
+		return err
+	})
+	for g := 0; g < traders; g++ {
+		submitters.Add(1)
+		go func(g int) {
+			defer submitters.Done()
+			team := fmt.Sprintf("team%d", g)
+			for i := 0; i < 60; i++ {
+				o, err := e.SubmitProduct(team, "batch-compute", 1, []string{"r1", "r2"}[:1+i%2], float64(2+(i+g)%7))
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				if i%3 == 0 {
+					_ = e.Cancel(o.ID) // may lose the race with a settling clock
+				}
+			}
+		}(g)
+	}
+	submitters.Wait()
+	close(stop)
+	clocks.Wait()
+
+	// Leave one order open, then audit the book itself, not snapshots.
+	mine := &core.Bid{Bundles: []resource.Vector{e.Registry().Zero()}, Limit: 5}
+	mine.Bundles[0][e.Registry().MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 1
+	if _, _, err := e.RunAuction(); err != nil && !errors.Is(err, ErrNoOpenOrders) {
+		t.Fatal(err)
+	}
+	last, err := e.Submit("team0", mine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mine.Packed() {
+		t.Error("Submit packed the caller's bid instead of its private copy")
+	}
+	open, terminal := 0, 0
+	for id := 0; id <= last.ID; id++ {
+		o := e.liveOrder(id)
+		if o.Status == Open {
+			open++
+		} else {
+			terminal++
+		}
+		if o.Bid.Packed() != (o.Status == Open) {
+			t.Errorf("order %d is %s but Packed() = %v", id, o.Status, o.Bid.Packed())
+		}
+	}
+	if open != 1 || terminal != traders*60 {
+		t.Errorf("audited %d open and %d terminal orders, want 1 and %d", open, terminal, traders*60)
+	}
+}
+
 // TestVectorPiBidBudgetEnforced is the regression test for the budget
 // check only looking at the scalar Limit: a vector-π bid's exposure is
 // its largest per-bundle limit, which must be covered by the balance.

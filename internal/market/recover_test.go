@@ -133,6 +133,27 @@ func marketImage(t *testing.T, e *market.Exchange) map[string]any {
 	}
 }
 
+// checkPackedForms asserts the packed-form lifecycle on every order: an
+// open order carries the packed bundles its clocks will read, a terminal
+// one has dropped them. (That a replayed order's packed form equals the
+// live one's is part of marketImage's DeepEqual over Orders, which
+// compares unexported fields too.)
+func checkPackedForms(t *testing.T, who string, e *market.Exchange) {
+	t.Helper()
+	open := 0
+	for _, o := range e.Orders() {
+		if o.Status == market.Open {
+			open++
+		}
+		if o.Bid.Packed() != (o.Status == market.Open) {
+			t.Errorf("%s: order %d is %s but Bid.Packed() = %v", who, o.ID, o.Status, o.Bid.Packed())
+		}
+	}
+	if open == 0 {
+		t.Errorf("%s: no open order left to check", who)
+	}
+}
+
 func marketCfg(j *journal.Journal, snapEvery int) market.Config {
 	return market.Config{InitialBudget: 10000, MaxRounds: 4000, Journal: j, SnapshotEvery: snapEvery}
 }
@@ -195,6 +216,8 @@ func testCrashRecoverMarket(t *testing.T, snapEvery int, snapshotMidway bool) {
 		}
 		t.FailNow()
 	}
+	checkPackedForms(t, "in-memory", ref)
+	checkPackedForms(t, "recovered", recovered)
 
 	// The recovered exchange must continue in lockstep.
 	driveMarketMore(t, ref)

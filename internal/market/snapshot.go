@@ -226,6 +226,7 @@ func (e *Exchange) restoreState(raw []byte) error {
 		}
 		os.orders = append(os.orders, o)
 		if o.Status == Open {
+			o.Bid.Pack()
 			os.open = append(os.open, o)
 			os.openCount++
 		}

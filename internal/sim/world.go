@@ -36,7 +36,7 @@ type Config struct {
 	Policy core.IncrementPolicy
 	// Scheduler packs tasks onto machines (default first-fit).
 	Scheduler cluster.Scheduler
-	// Parallel enables parallel proxy evaluation in the auctions.
+	// Parallel clears independent sub-markets on all CPUs (core.Config.Parallel).
 	Parallel bool
 }
 
