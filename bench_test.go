@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1168,6 +1169,82 @@ func BenchmarkNewAuctionFromBook(b *testing.B) {
 			b.Fatalf("decomposed into %d components, want %d", a.Components(), wideRegions)
 		}
 	}
+}
+
+// BenchmarkBookRetention is what the append-only book keeps of an order:
+// heap bytes and heap objects an order, read from HeapAlloc and
+// HeapObjects after a full collection, once with 4096 one-to-three
+// cluster XOR orders booked and open and once more after an auction has
+// settled them (a winner adds its allocation vector and two ledger
+// entries). The planet has 13 or 64 clusters, R = 39 or 192; a booked
+// order is one object holding order and bid plus two pointer-free row
+// slabs whatever R is.
+func BenchmarkBookRetention(b *testing.B) {
+	for _, clusters := range []int{13, 64} {
+		b.Run(benchName("R", 3*clusters), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			targets := make([][]string, wideBook)
+			for k := range targets {
+				first := rng.Intn(clusters)
+				for j := 1 + rng.Intn(3); j > 0; j-- {
+					targets[k] = append(targets[k], benchName("k", (first+j)%clusters))
+				}
+			}
+			var open, settled [2]float64 // bytes, objects an order
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f := cluster.NewFleet()
+				for c := 0; c < clusters; c++ {
+					cl := cluster.New(benchName("k", c), nil)
+					cl.AddMachines(1, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+					if err := f.AddCluster(cl); err != nil {
+						b.Fatal(err)
+					}
+				}
+				ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e12})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := ex.OpenAccount("wide"); err != nil {
+					b.Fatal(err)
+				}
+				base := heapAfterGC()
+				b.StartTimer()
+				for k, cs := range targets {
+					if _, err := ex.SubmitProduct("wide", "batch-compute", 1, cs, float64(5+k%60)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				booked := heapAfterGC()
+				if _, _, err := ex.RunAuction(); err != nil {
+					b.Fatal(err)
+				}
+				archived := heapAfterGC()
+				for m := range open {
+					open[m] = (booked[m] - base[m]) / wideBook
+					settled[m] = (archived[m] - base[m]) / wideBook
+				}
+				if n := len(ex.OrdersTail(1)); n != 1 { // the book is live until here
+					b.Fatal("empty book")
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(open[0], "open-B/order")
+			b.ReportMetric(open[1], "open-objects/order")
+			b.ReportMetric(settled[0], "settled-B/order")
+			b.ReportMetric(settled[1], "settled-objects/order")
+		})
+	}
+}
+
+// heapAfterGC returns the live heap's bytes and object count after a
+// full collection.
+func heapAfterGC() [2]float64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return [2]float64{float64(m.HeapAlloc), float64(m.HeapObjects)}
 }
 
 // openAcrossRegions sums the open orders over every regional book.

@@ -150,6 +150,8 @@ func (r *Result) TotalTraded() resource.Vector {
 // on first use, reused afterwards) so a steady-state round performs zero
 // heap allocations. Concurrent auctions each need their own Auction.
 type Auction struct {
+	// reg names the pools; nil on a sub-market's private auction, which
+	// like every stage past NewAuction sizes itself by len(cfg.Start).
 	reg     *resource.Registry
 	bids    []*Bid
 	proxies []*Proxy
@@ -232,16 +234,25 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 	if !cfg.Start.AllNonNegative(0) {
 		return nil, errors.New("core: start prices must be nonnegative")
 	}
-	// A pre-packed bid (Bid.Pack) is validated and read in place; any other
-	// is packed into its proxy only — shared bids are never written.
+	// A booked bid's rows are validated and read in place; a bid that
+	// still carries Bundles is packed privately — bids are never written.
+	// One pass over the (scattered) bids lays every bundle view into
+	// per-auction slabs: a fresh chunk, sized for the bids still to come,
+	// whenever the current one is full, so nothing is ever copied.
 	proxies := make([]*Proxy, len(bids))
 	slab := make([]Proxy, len(bids))
+	var views []sparseBundle
 	for i, b := range bids {
-		pk := b.pack()
-		if err := b.validate(reg.Len(), pk); err != nil {
+		rw := b.view()
+		if n := int(rw.n); cap(views)-len(views) < n {
+			views = make([]sparseBundle, 0, n+len(bids)-i-1)
+		}
+		lo := len(views)
+		views = rw.appendBundles(views)
+		if err := b.validate(reg.Len(), &rw, views[lo:]); err != nil {
 			return nil, err
 		}
-		slab[i] = Proxy{bid: b, lastChoice: -1, sparse: pk.bundles}
+		slab[i] = Proxy{bid: b, lastChoice: -1, sparse: views[lo:len(views):len(views)]}
 		proxies[i] = &slab[i]
 	}
 	return &Auction{reg: reg, bids: bids, proxies: proxies, cfg: cfg}, nil
@@ -454,8 +465,10 @@ func (a *Auction) settle(res *Result, p resource.Vector, choices []int) {
 			res.Losers = append(res.Losers, i)
 			continue
 		}
-		q := a.bids[i].Bundles[c]
-		res.Allocations[i] = res.Allocations[i].CopyFrom(q)
+		x := res.Allocations[i].Resize(len(p))
+		x.SetZero()
+		a.proxies[i].sparse[c].scatter(x)
+		res.Allocations[i] = x
 		res.Payments[i] = a.proxies[i].sparse[c].dot(p)
 		res.Winners = append(res.Winners, i)
 	}
@@ -472,9 +485,10 @@ func PriceCeiling(bids []*Bid, start resource.Vector) float64 {
 		if b.Class() != PureBuyer {
 			continue
 		}
-		for i, q := range b.Bundles {
+		rw := b.view()
+		for i := 0; i < int(rw.n); i++ {
 			minQty := 0.0
-			for _, x := range q {
+			for _, x := range rw.bundle(i).val {
 				if x > 0 && (minQty == 0 || x < minQty) {
 					minQty = x
 				}

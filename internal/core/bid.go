@@ -11,6 +11,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -40,40 +41,109 @@ type Bid struct {
 	// Limit is ignored in that case.
 	BundleLimits []float64
 
-	// packed is the bundles' packed form, built once by Pack before the
-	// bid is shared and immutable afterwards; nil until then.
-	packed *packedBid
+	// rows is the bundles' packed form — the one form a booked bid keeps
+	// (Bundles is then nil). A bid with Bundles set is read from them.
+	rows bidRows
 }
 
-// Pack builds the packed form of the bundles — ascending pool index, ±0
-// skipped — that Validate, Class, NewProxy and NewAuction then read
-// instead of scanning the R-length vectors again. It writes the bid, so
-// only the bid's sole owner may call it, before the bid is published;
-// Bundles must not change afterwards.
-func (b *Bid) Pack() { b.packed = packBundles(b.Bundles) }
-
-// Packed reports whether the bid carries a packed form.
-func (b *Bid) Packed() bool { return b.packed != nil }
-
-// Unpacked returns the bid without its packed form: b itself when it has
-// none, else a shallow copy — b may be mid-read by a clock and is never
-// written. Holders of settled bids swap this in to release the form.
-func (b *Bid) Unpacked() *Bid {
-	if b.packed == nil {
-		return b
+// Pack replaces Bundles by their packed rows — ascending pool index, ±0
+// skipped, so a −0 component is booked as absent — which is the only
+// form a booked bid carries from the door to the archive. It reads the
+// vectors and keeps nothing of them, so packing a struct copy of a
+// caller's bid is the defensive copy. It writes the bid: only the sole
+// owner may call it, before the bid is shared.
+func (b *Bid) Pack() {
+	if len(b.Bundles) > 0 {
+		b.rows, b.Bundles = packRows(b.Bundles), nil
 	}
-	c := *b
-	c.packed = nil
-	return &c
 }
 
-// pack returns the packed form every stage reads: the one Pack built, or
-// a private one when there is none (or Bundles were replaced since).
-func (b *Bid) pack() *packedBid {
-	if pk := b.packed; pk != nil && pk.of(b.Bundles) {
-		return pk
+// PackSparse is Pack for bundles given as (pool, quantity) pairs rather
+// than width-component vectors: bundle i is pairs ends[i−1]:ends[i], its
+// pools distinct and below width, in any order; zero quantities are
+// dropped. The arguments are copied.
+func (b *Bid) PackSparse(width int, ends []int, pools []int32, qty []float64) {
+	nnz := 0
+	for _, v := range qty {
+		if v != 0 {
+			nnz++
+		}
 	}
-	return packBundles(b.Bundles)
+	r := newRows(len(ends), nnz, int32(width))
+	k, lo := 0, 0
+	for i, hi := range ends {
+		start := k
+		for j := lo; j < hi; j++ {
+			if qty[j] == 0 {
+				continue
+			}
+			m := k // insertion keeps the row in ascending pool order
+			for ; m > start && r.idx[m-1] > pools[j]; m-- {
+				r.idx[m], r.val[m] = r.idx[m-1], r.val[m-1]
+			}
+			r.idx[m], r.val[m] = pools[j], qty[j]
+			k++
+		}
+		r.idx[nnz+i] = int32(k)
+		lo = hi
+	}
+	b.rows, b.Bundles = r, nil
+}
+
+// view returns the rows every stage reads: the booked form, or a private
+// packing of Bundles when the bid still carries them.
+func (b *Bid) view() bidRows {
+	if len(b.Bundles) > 0 {
+		return packRows(b.Bundles)
+	}
+	return b.rows
+}
+
+// NumBundles returns the size of the indifference set Q_u.
+func (b *Bid) NumBundles() int {
+	if len(b.Bundles) > 0 {
+		return len(b.Bundles)
+	}
+	return int(b.rows.n)
+}
+
+// Bundle returns bundle i as an R-component vector: Bundles[i] itself
+// while the bid carries them, a fresh vector rebuilt from the rows once
+// it is booked. Treat it as read-only.
+func (b *Bid) Bundle(i int) resource.Vector {
+	if len(b.Bundles) > 0 {
+		return b.Bundles[i]
+	}
+	return b.rows.dense(i)
+}
+
+// Row returns bundle i's non-zero components — pool indices ascending
+// and the quantities beside them. The slices are shared: read-only. It
+// is meant for booked bids; a bid that still carries Bundles is packed
+// afresh on every call.
+func (b *Bid) Row(i int) (pools []int32, qty []float64) {
+	rw := b.view()
+	sb := rw.bundle(i)
+	return sb.idx, sb.val
+}
+
+// MarshalJSON writes the bid in its dense wire form — the exported
+// fields, Bundles rebuilt from the rows when the bid is booked — so
+// events, snapshots and their consumers see the bytes they always did.
+func (b Bid) MarshalJSON() ([]byte, error) {
+	w := struct {
+		User         string
+		Bundles      []resource.Vector
+		Limit        float64
+		BundleLimits []float64
+	}{b.User, b.Bundles, b.Limit, b.BundleLimits}
+	if n := b.NumBundles(); len(b.Bundles) == 0 && n > 0 {
+		w.Bundles = make([]resource.Vector, n)
+		for i := range w.Bundles {
+			w.Bundles[i] = b.Bundle(i)
+		}
+	}
+	return json.Marshal(w)
 }
 
 // LimitFor returns the limit governing bundle i: BundleLimits[i] when
@@ -133,7 +203,11 @@ func (c Class) String() string {
 
 // Class classifies the bid. A bid whose bundles disagree in direction is a
 // Trader even if each individual bundle is pure.
-func (b *Bid) Class() Class { return classOf(b.pack().bundles) }
+func (b *Bid) Class() Class {
+	rw := b.view()
+	var few [4]sparseBundle // keeps the usual few-cluster XOR off the heap
+	return classOf(rw.appendBundles(few[:0]))
+}
 
 func classOf(bundles []sparseBundle) Class {
 	dir := 0
@@ -155,23 +229,28 @@ func classOf(bundles []sparseBundle) Class {
 }
 
 // Validate checks the bid against registry size r.
-func (b *Bid) Validate(r int) error { return b.validate(r, b.pack()) }
+func (b *Bid) Validate(r int) error {
+	rw := b.view()
+	var few [4]sparseBundle
+	return b.validate(r, &rw, rw.appendBundles(few[:0]))
+}
 
-// validate is every check of the dense scan at O(non-zero components).
-func (b *Bid) validate(r int, pk *packedBid) error {
+// validate is every check of the dense scan at O(non-zero components),
+// over the rows rw and their per-bundle views.
+func (b *Bid) validate(r int, rw *bidRows, bundles []sparseBundle) error {
 	if b.User == "" {
 		return errors.New("core: bid has empty user")
 	}
-	if len(b.Bundles) == 0 {
+	if len(bundles) == 0 {
 		return fmt.Errorf("core: bid %q has no bundles", b.User)
 	}
 	if math.IsNaN(b.Limit) || math.IsInf(b.Limit, 0) {
 		return fmt.Errorf("core: bid %q has non-finite limit", b.User)
 	}
 	if len(b.BundleLimits) > 0 {
-		if len(b.BundleLimits) != len(b.Bundles) {
+		if len(b.BundleLimits) != len(bundles) {
 			return fmt.Errorf("core: bid %q has %d bundle limits for %d bundles",
-				b.User, len(b.BundleLimits), len(b.Bundles))
+				b.User, len(b.BundleLimits), len(bundles))
 		}
 		for i, l := range b.BundleLimits {
 			if math.IsNaN(l) || math.IsInf(l, 0) {
@@ -179,13 +258,13 @@ func (b *Bid) validate(r int, pk *packedBid) error {
 			}
 		}
 	}
-	for i, sb := range pk.bundles {
-		if n := len(b.Bundles[i]); n != r {
+	for i, sb := range bundles {
+		if n := rw.widthOf(i); n != r {
 			return fmt.Errorf("core: bid %q bundle %d has %d components, want %d", b.User, i, n, r)
 		}
 		if resource.Vector(sb.val).Validate() != nil { // a skipped zero is finite
 			// Rejection only: the dense scan words the error (pool index).
-			return fmt.Errorf("core: bid %q bundle %d: %v", b.User, i, b.Bundles[i].Validate())
+			return fmt.Errorf("core: bid %q bundle %d: %v", b.User, i, rw.dense(i).Validate())
 		}
 		if len(sb.idx) == 0 {
 			return fmt.Errorf("core: bid %q bundle %d is empty", b.User, i)
@@ -193,8 +272,8 @@ func (b *Bid) validate(r int, pk *packedBid) error {
 	}
 	// Sanity-check limit direction: a pure seller asking to be *paid* a
 	// positive amount must use a negative limit.
-	if classOf(pk.bundles) == PureSeller {
-		for i := range b.Bundles {
+	if classOf(bundles) == PureSeller {
+		for i := range bundles {
 			if b.LimitFor(i) > 0 {
 				return fmt.Errorf("core: pure seller %q has positive limit %g (minimum receipt is encoded as a negative limit)", b.User, b.LimitFor(i))
 			}
@@ -211,8 +290,8 @@ func (b *Bid) validate(r int, pk *packedBid) error {
 func (b *Bid) BestAffordable(p resource.Vector) (idx int, ok bool) {
 	best := -1
 	bestSurplus := math.Inf(-1)
-	for i, q := range b.Bundles {
-		cost := q.Dot(p)
+	for i, n := 0, b.NumBundles(); i < n; i++ {
+		cost := b.cost(i, p)
 		lim := b.LimitFor(i)
 		if cost > lim {
 			continue
@@ -226,8 +305,8 @@ func (b *Bid) BestAffordable(p resource.Vector) (idx int, ok bool) {
 
 // Proxy is the automated bidder proxy of Section III.C: it maps the
 // current clock prices to the user's revealed demand via Equations (1)
-// and (2). It reads the bid's packed bundles (Bid.pack) so each round
-// costs O(non-zero components) instead of O(R) per bundle.
+// and (2). It reads the bid's rows (Bid.view) so each round costs
+// O(non-zero components) instead of O(R) per bundle.
 type Proxy struct {
 	bid    *Bid
 	sparse []sparseBundle
@@ -238,7 +317,8 @@ type Proxy struct {
 
 // NewProxy wraps a bid.
 func NewProxy(b *Bid) *Proxy {
-	return &Proxy{bid: b, lastChoice: -1, sparse: b.pack().bundles}
+	rw := b.view()
+	return &Proxy{bid: b, lastChoice: -1, sparse: rw.appendBundles(nil)}
 }
 
 // choose returns the index of the bundle the proxy demands at prices p,
@@ -272,7 +352,7 @@ func (px *Proxy) Bid() *Bid { return px.bid }
 // affordable bundle with the largest surplus instead.
 func (px *Proxy) Demand(p resource.Vector) resource.Vector {
 	if best := px.choose(p); best >= 0 {
-		return px.bid.Bundles[best]
+		return px.bid.Bundle(best)
 	}
 	return nil
 }
@@ -285,12 +365,20 @@ func (px *Proxy) ChosenBundle() int { return px.lastChoice }
 // conditions (4) and (5) in SYSTEM.
 func (b *Bid) CheapestCost(p resource.Vector) float64 {
 	cost := math.Inf(1)
-	for _, q := range b.Bundles {
-		if c := q.Dot(p); c < cost {
+	for i, n := 0, b.NumBundles(); i < n; i++ {
+		if c := b.cost(i, p); c < cost {
 			cost = c
 		}
 	}
 	return cost
+}
+
+// cost returns q_iᵀp for bundle i.
+func (b *Bid) cost(i int, p resource.Vector) float64 {
+	if len(b.Bundles) > 0 {
+		return b.Bundles[i].Dot(p)
+	}
+	return b.rows.bundle(i).dot(p)
 }
 
 // Premium returns γ_u from Equation (5) of Section V.C: the relative gap

@@ -63,14 +63,15 @@ func CheckSystem(bids []*Bid, res *Result, eps float64) []SystemViolation {
 			if j, ok := b.BestAffordable(res.Prices); ok {
 				out = append(out, SystemViolation{5, i,
 					fmt.Sprintf("bundle %d (cost %g) is affordable within limit %g",
-						j, b.Bundles[j].Dot(res.Prices), b.LimitFor(j))})
+						j, b.cost(j, res.Prices), b.LimitFor(j))})
 			}
 			continue
 		}
 		// (1) allocation is one of the bid's bundles; remember which.
 		chosen := -1
-		for j, q := range b.Bundles {
-			if q.Equal(x, eps) {
+		n := b.NumBundles()
+		for j := 0; j < n; j++ {
+			if b.Bundle(j).Equal(x, eps) {
 				chosen = j
 				break
 			}
@@ -86,7 +87,7 @@ func CheckSystem(bids []*Bid, res *Result, eps float64) []SystemViolation {
 				fmt.Sprintf("payment %g exceeds limit %g", pay, b.LimitFor(chosen))})
 		}
 		// Payment must equal the chosen bundle's cost at final prices.
-		cost := b.Bundles[chosen].Dot(res.Prices)
+		cost := b.cost(chosen, res.Prices)
 		if math.Abs(pay-cost) > eps {
 			out = append(out, SystemViolation{4, i,
 				fmt.Sprintf("payment %g differs from chosen bundle cost %g", pay, cost)})
@@ -95,8 +96,8 @@ func CheckSystem(bids []*Bid, res *Result, eps float64) []SystemViolation {
 		// affordable bundle offers strictly more surplus (for scalar
 		// limits this is exactly "the cheapest bundle").
 		surplus := b.LimitFor(chosen) - cost
-		for j, q := range b.Bundles {
-			c := q.Dot(res.Prices)
+		for j := 0; j < n; j++ {
+			c := b.cost(j, res.Prices)
 			if c > b.LimitFor(j) {
 				continue
 			}

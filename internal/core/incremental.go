@@ -44,10 +44,10 @@ type incrementalIndex struct {
 // ascending — the order the determinism contract depends on.
 func (a *Auction) buildIncrementalIndex() *incrementalIndex {
 	ix := &incrementalIndex{
-		poolProxies: make([][]int32, a.reg.Len()),
+		poolProxies: make([][]int32, len(a.cfg.Start)),
 		pureBuyer:   make([]bool, len(a.proxies)),
 	}
-	seen := make([]int, a.reg.Len())
+	seen := make([]int, len(a.cfg.Start))
 	for i, px := range a.proxies {
 		stamp := i + 1
 		for _, sb := range px.sparse {
@@ -108,7 +108,7 @@ func (a *Auction) newIncrementalState() *incrementalState {
 			incrementalIndex: a.incIndex,
 			retired:          make([]bool, len(a.proxies)),
 			proxyMark:        make([]int32, len(a.proxies)),
-			poolMark:         make([]int32, a.reg.Len()),
+			poolMark:         make([]int32, len(a.cfg.Start)),
 		}
 		a.incState = st
 		return st

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,10 +13,9 @@ import (
 	"clustermarket/internal/resource"
 )
 
-// denseClass and denseValidate are the dense-vector Class and Validate
-// that Bid carried before the packed form existed, kept verbatim as the
-// reference the packed implementations must agree with: same verdict,
-// same error text, including the offending component's index.
+// denseClass and denseValidate are Class and Validate over the R-length
+// vectors, the reference the row implementations must agree with: same
+// verdict, same error text, including the offending component's index.
 func denseClass(b *Bid) Class {
 	dir := 0
 	for _, q := range b.Bundles {
@@ -134,10 +135,22 @@ func hostileBid(rng *rand.Rand, r int) *Bid {
 	return b
 }
 
-// TestPackedValidateAndClassMatchDense: over random hostile bids the
-// packed Validate and Class return exactly what the dense reference
-// does, whether the bid was packed at the door or is packed privately by
-// the call, and NewAuction rejects with the same text.
+// wireBid is the dense wire form a Bid has always had: its exported
+// fields under the default encoding.
+type wireBid struct {
+	User         string
+	Bundles      []resource.Vector
+	Limit        float64
+	BundleLimits []float64
+}
+
+// TestPackedValidateAndClassMatchDense: over random hostile bids a
+// rows-only bid (Pack dropped its vectors) and its dense twin return
+// exactly what the dense reference does from Validate and Class, are
+// rejected by NewAuction with the same text or clear to the same Result,
+// and the rows-only bid marshals to the bytes the dense one always did —
+// except that a −0 component, which the clock ignores, is booked as
+// absent and comes back as 0.
 func TestPackedValidateAndClassMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const r = 7
@@ -145,94 +158,163 @@ func TestPackedValidateAndClassMatchDense(t *testing.T) {
 	for i := 0; i < r; i++ {
 		reg.Add(resource.Pool{Cluster: fmt.Sprint("c", i), Dim: resource.CPU})
 	}
+	seller := &Bid{User: "op", Limit: -0.001, Bundles: []resource.Vector{{-6, -6, -6, -6, -6, -6, -6}}}
 	text := func(err error) string {
 		if err == nil {
 			return "<nil>"
 		}
 		return err.Error()
 	}
-	rejected := 0
+	rejected, cleared := 0, 0
 	for i := 0; i < 20000; i++ {
 		b := hostileBid(rng, r)
 		wantClass, wantErr := denseClass(b), text(denseValidate(b, r))
 		if wantErr != "<nil>" {
 			rejected++
 		}
-		packed := *b
-		packed.Pack()
-		for _, c := range []struct {
+		rows := *b
+		rows.Pack()
+		if len(b.Bundles) > 0 && (rows.Bundles != nil || rows.NumBundles() != len(b.Bundles)) {
+			t.Fatalf("bid %d: Pack left Bundles %v, NumBundles %d of %d", i, rows.Bundles, rows.NumBundles(), len(b.Bundles))
+		}
+		var results [2]*Result
+		for k, c := range []struct {
 			name string
 			bid  *Bid
-		}{{"unpacked", b}, {"packed", &packed}} {
+		}{{"dense", b}, {"rows", &rows}} {
 			if got := c.bid.Class(); got != wantClass {
 				t.Fatalf("bid %d (%s) %+v: Class = %v, dense reference %v", i, c.name, b, got, wantClass)
 			}
 			if got := text(c.bid.Validate(r)); got != wantErr {
 				t.Fatalf("bid %d (%s) %+v:\n Validate = %s\n dense    = %s", i, c.name, b, got, wantErr)
 			}
-			_, err := NewAuction(reg, []*Bid{c.bid}, Config{Start: reg.Zero()})
+			a, err := NewAuction(reg, []*Bid{c.bid, seller}, Config{Start: reg.Zero(), MaxRounds: 40})
 			if got := text(err); got != wantErr {
 				t.Fatalf("bid %d (%s) %+v:\n NewAuction = %s\n dense      = %s", i, c.name, b, got, wantErr)
+			}
+			if err == nil {
+				res, runErr := a.Run()
+				if runErr != nil && !errors.Is(runErr, ErrNoConvergence) {
+					t.Fatalf("bid %d (%s): Run: %v", i, c.name, runErr)
+				}
+				results[k] = res
+			}
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Fatalf("bid %d %+v: rows-only and dense bids cleared differently:\n%+v\n%+v", i, b, results[1], results[0])
+		}
+		if results[0] != nil && results[0].Converged {
+			cleared++
+		}
+
+		ref := wireBid{b.User, make([]resource.Vector, len(b.Bundles)), b.Limit, b.BundleLimits}
+		if b.Bundles == nil {
+			ref.Bundles = nil
+		}
+		for j, q := range b.Bundles {
+			ref.Bundles[j] = q.Clone()
+			for m, v := range q {
+				if v == 0 {
+					ref.Bundles[j][m] = 0 // the documented −0 → absent
+				}
+			}
+		}
+		want, wantJSONErr := json.Marshal(ref)
+		got, gotJSONErr := json.Marshal(&rows)
+		if (wantJSONErr == nil) != (gotJSONErr == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("bid %d: rows-only bid marshals to\n %s (%v)\ndense wire form\n %s (%v)", i, got, gotJSONErr, want, wantJSONErr)
+		}
+		if wantJSONErr == nil {
+			var back Bid
+			if err := json.Unmarshal(got, &back); err != nil {
+				t.Fatalf("bid %d: decode: %v", i, err)
+			}
+			back.Pack()
+			if !reflect.DeepEqual(back, rows) {
+				t.Fatalf("bid %d: decode + Pack = %+v, want %+v", i, back, rows)
 			}
 		}
 	}
 	if rejected < 2000 || rejected > 18000 {
 		t.Fatalf("%d of 20000 bids rejected; the generator no longer covers both verdicts", rejected)
 	}
+	if cleared < 1000 {
+		t.Fatalf("only %d of 20000 auctions cleared; the Result comparison is vacuous", cleared)
+	}
 }
 
-// TestPackedFormLifecycle pins what Pack, Unpacked and the identity
-// guard promise: the packed form is in ascending pool index with ±0
-// skipped, NewAuction reads a packed bid without writing it,
-// Unpacked never writes the original, and a copy whose Bundles were
-// replaced is packed afresh instead of trusting the stale form.
+// TestPackedFormLifecycle pins the single form: Pack and PackSparse lay
+// the rows out in ascending pool index with ±0 skipped and drop Bundles,
+// neither keeps or writes the vectors it was given, NewAuction writes no
+// bid it is handed, the accessors rebuild what was packed, and a struct
+// copy that is given Bundles again is read from them.
 func TestPackedFormLifecycle(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	b := &Bid{User: "u", Limit: 50, Bundles: []resource.Vector{{0, 3, negZero, 2}, {4, 0, 0, 0}}}
-	if b.Packed() {
-		t.Fatal("fresh bid reports a packed form")
-	}
+	mine := []resource.Vector{{0, 3, negZero, 2}, {4, 0, 0, 0}}
+	caller := &Bid{User: "u", Limit: 50, Bundles: mine}
+	b := *caller
 	b.Pack()
-	want := []sparseBundle{
-		{idx: []int32{1, 3}, val: []float64{3, 2}},
-		{idx: []int32{0}, val: []float64{4}},
+	want := bidRows{idx: []int32{1, 3, 0 /* ends: */, 2, 3}, val: []float64{3, 2, 4}, n: 2, width: 4}
+	if b.Bundles != nil || !reflect.DeepEqual(b.rows, want) {
+		t.Fatalf("Pack: Bundles %v rows %+v, want nil and %+v", b.Bundles, b.rows, want)
 	}
-	if !reflect.DeepEqual(b.packed.bundles, want) {
-		t.Fatalf("packed = %+v, want %+v", b.packed.bundles, want)
+	if len(caller.Bundles) != 2 || caller.rows.n != 0 || !math.Signbit(mine[0][2]) {
+		t.Fatal("Pack of a struct copy wrote the caller's bid or vectors")
 	}
-	if px := NewProxy(b); &px.sparse[0] != &b.packed.bundles[0] {
-		t.Error("NewProxy re-packed a bid that carries its packed form")
+	mine[0][1], mine[1][0] = 99, 99 // the caller reuses its vectors
+	if !reflect.DeepEqual(b.rows, want) {
+		t.Fatal("packed rows alias the caller's vectors")
+	}
+	mine[0][1], mine[1][0] = 3, 4
+
+	if b.NumBundles() != 2 || !reflect.DeepEqual(b.Bundle(0), resource.Vector{0, 3, 0, 2}) || !reflect.DeepEqual(b.Bundle(1), mine[1]) {
+		t.Errorf("accessors: %d bundles, %v, %v", b.NumBundles(), b.Bundle(0), b.Bundle(1))
+	}
+	if pools, qty := b.Row(0); !reflect.DeepEqual(pools, []int32{1, 3}) || !reflect.DeepEqual(qty, []float64{3, 2}) {
+		t.Errorf("Row(0) = %v %v", pools, qty)
+	}
+	if pools, qty := caller.Row(1); !reflect.DeepEqual(pools, []int32{0}) || !reflect.DeepEqual(qty, []float64{4}) {
+		t.Errorf("Row(1) of the dense bid = %v %v", pools, qty)
+	}
+	if px := NewProxy(&b); &px.sparse[0].val[0] != &b.rows.val[0] {
+		t.Error("NewProxy re-packed a booked bid")
+	}
+
+	// Pairs in any order, a zero quantity among them: same rows as Pack.
+	var s Bid
+	s.PackSparse(4, []int{3, 4}, []int32{3, 2, 1, 0}, []float64{2, 0, 3, 4})
+	if !reflect.DeepEqual(s.rows, want) {
+		t.Errorf("PackSparse rows %+v, want %+v", s.rows, want)
+	}
+
+	// Bundles of different widths keep each one's width behind the ends.
+	ragged := Bid{User: "u", Limit: 1, Bundles: []resource.Vector{{1, 0}, {0, 0, 2}}}
+	ragged.Pack()
+	if w := (bidRows{idx: []int32{0, 2, 1, 2, 2, 3}, val: []float64{1, 2}, n: 2, width: -1}); !reflect.DeepEqual(ragged.rows, w) {
+		t.Errorf("ragged rows %+v, want %+v", ragged.rows, w)
+	}
+	if err := ragged.Validate(2); err == nil || err.Error() != `core: bid "u" bundle 1 has 3 components, want 2` {
+		t.Errorf("ragged Validate = %v", err)
 	}
 
 	reg := resource.NewStandardRegistry("c")
 	reg.Add(resource.Pool{Cluster: "d", Dim: resource.CPU})
-	before := *b
-	if _, err := NewAuction(reg, []*Bid{b}, Config{Start: reg.Zero()}); err != nil {
+	before, beforeCaller := b, *caller
+	if _, err := NewAuction(reg, []*Bid{&b, caller}, Config{Start: reg.Zero()}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before, *b) {
-		t.Error("NewAuction wrote into the bid it was handed")
+	if !reflect.DeepEqual(before, b) || !reflect.DeepEqual(beforeCaller, *caller) {
+		t.Error("NewAuction wrote into a bid it was handed")
 	}
 
-	u := b.Unpacked()
-	if u == b || u.Packed() || !b.Packed() {
-		t.Errorf("Unpacked: same pointer %v, copy packed %v, original packed %v", u == b, u.Packed(), b.Packed())
+	// A copy of a booked bid that is given Bundles again is read from them.
+	again := b
+	again.Bundles = []resource.Vector{{-1, 0, 0, 0}}
+	again.Limit = -1
+	if got := again.Class(); got != PureSeller {
+		t.Errorf("booked rows trusted over Bundles: Class = %v, want seller", got)
 	}
-	if u.Unpacked() != u {
-		t.Error("Unpacked of an unpacked bid should be the bid itself")
-	}
-	if u.User != b.User || &u.Bundles[0] != &b.Bundles[0] {
-		t.Error("Unpacked must share everything but the packed form")
-	}
-
-	// A struct copy with replaced Bundles carries a stale packed pointer.
-	stale := *b
-	stale.Bundles = []resource.Vector{{-1, 0, 0, 0}}
-	stale.Limit = -1
-	if got := stale.Class(); got != PureSeller {
-		t.Errorf("stale packed form trusted: Class = %v, want seller", got)
-	}
-	if px := NewProxy(&stale); len(px.sparse) != 1 || px.sparse[0].val[0] != -1 {
-		t.Errorf("stale packed form trusted by NewProxy: %+v", px.sparse)
+	if px := NewProxy(&again); len(px.sparse) != 1 || px.sparse[0].val[0] != -1 {
+		t.Errorf("booked rows trusted over Bundles by NewProxy: %+v", px.sparse)
 	}
 }

@@ -283,10 +283,8 @@ func (a *Auction) buildPartition() *partitionState {
 	}
 
 	for _, c := range comps {
-		subReg := resource.NewRegistry()
 		subStart := make(resource.Vector, len(c.pools))
 		for j, g := range c.pools {
-			subReg.Add(a.reg.Pool(int(g)))
 			subStart[j] = a.cfg.Start[g]
 		}
 		pol, _ := remapPolicy(a.cfg.Policy, c.pools)
@@ -318,7 +316,6 @@ func (a *Auction) buildPartition() *partitionState {
 			proxies[k] = &pxSlab[k]
 		}
 		c.auc = &Auction{
-			reg:     subReg,
 			bids:    bids,
 			proxies: proxies,
 			cfg: Config{

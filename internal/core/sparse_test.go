@@ -10,7 +10,8 @@ import (
 
 func TestSparseBundlePacking(t *testing.T) {
 	q := resource.Vector{0, 3, 0, -2, 0}
-	s := packBundles([]resource.Vector{q}).bundles[0]
+	rw := packRows([]resource.Vector{q})
+	s := rw.bundle(0)
 	if len(s.idx) != 2 || s.idx[0] != 1 || s.idx[1] != 3 {
 		t.Fatalf("idx = %v", s.idx)
 	}
@@ -29,7 +30,8 @@ func TestSparseBundlePacking(t *testing.T) {
 }
 
 func TestSparseEmptyBundle(t *testing.T) {
-	s := packBundles([]resource.Vector{{0, 0}}).bundles[0]
+	rw := packRows([]resource.Vector{{0, 0}})
+	s := rw.bundle(0)
 	if len(s.idx) != 0 {
 		t.Fatalf("idx = %v", s.idx)
 	}
@@ -53,7 +55,8 @@ func TestQuickSparseMatchesDense(t *testing.T) {
 			}
 			p[i] = rng.Float64() * 5
 		}
-		s := packBundles([]resource.Vector{q}).bundles[0]
+		rw := packRows([]resource.Vector{q})
+		s := rw.bundle(0)
 		if d1, d2 := s.dot(p), q.Dot(p); d1 != d2 {
 			return false
 		}

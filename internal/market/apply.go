@@ -70,11 +70,11 @@ func (e *Exchange) applyOrderSubmitted(ev *Event) error {
 	if ev.Bid == nil {
 		return fmt.Errorf("market: replay: order %d has no bid", ev.OrderID)
 	}
-	// The decoded bid is this replay's alone until it is booked: pack it
-	// here, as submitOwned does live, so the recovered book equals the
-	// live one and no clock ever packs a shared bid.
-	ev.Bid.Pack()
-	o := &Order{ID: ev.OrderID, Team: ev.Team, Bid: ev.Bid, Status: Open, Auction: -1}
+	// The decoded vectors are packed and dropped, as the live submit
+	// paths do, so the recovered book equals the live one.
+	bo := newBookedOrder(Order{ID: ev.OrderID, Team: ev.Team, Status: Open, Auction: -1}, ev.Bid)
+	bo.bid.Pack()
+	o := &bo.Order
 	n := len(e.orderShards)
 	os := e.orderShardFor(o.ID)
 	if os == nil {
@@ -124,7 +124,6 @@ func (e *Exchange) applyOrderCancelled(ev *Event) error {
 		return fmt.Errorf("market: replay: cancelling order %d in state %s", o.ID, o.Status)
 	}
 	o.Status = Cancelled
-	o.Bid = o.Bid.Unpacked()
 	os.openCount--
 	os.mu.Unlock()
 	e.releaseCommitment(o)
@@ -161,9 +160,6 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 		o.Attempts = ev.Attempts
 	}
 	o.Status = ev.Status
-	// No clock runs over a terminal order again: drop the packed form
-	// (a concurrent PreliminaryPrices may still hold the old pointer).
-	o.Bid = o.Bid.Unpacked()
 	os.openCount--
 	if ev.Status == Won {
 		o.Allocation = ev.Allocation

@@ -99,19 +99,31 @@ func (o *Order) Side() int {
 	}
 }
 
+// bookedOrder is an order and its bid in one allocation: with the bid's
+// two pointer-free row slabs that is all a booked order keeps.
+type bookedOrder struct {
+	Order
+	bid core.Bid
+}
+
+// newBookedOrder co-allocates an order with a copy of bid.
+func newBookedOrder(o Order, bid *core.Bid) *bookedOrder {
+	bo := &bookedOrder{Order: o, bid: *bid}
+	bo.Bid = &bo.bid
+	return bo
+}
+
 // snapshot copies the order, including a copy of the Bid struct so a
 // caller scribbling on snapshot.Bid fields cannot reach the booked bid.
-// The bundle vectors (with their packed form, while the order is open)
-// and Allocation remain shared: both are frozen — bundles at submit
-// time, the allocation at settlement — and must be treated as read-only
-// by callers.
+// The bid's rows and the Allocation remain shared: both are frozen — the
+// rows at submit time, the allocation at settlement — and must be
+// treated as read-only by callers.
 func (o *Order) snapshot() *Order {
-	c := *o
-	if o.Bid != nil {
-		b := *o.Bid
-		c.Bid = &b
+	if o.Bid == nil {
+		c := *o
+		return &c
 	}
-	return &c
+	return &newBookedOrder(*o, o.Bid).Order
 }
 
 // LedgerEntry is one double-entry billing record.
@@ -254,7 +266,7 @@ func (c *Config) applyDefaults() {
 //
 // Read accessors (Orders, OpenOrders, Ledger, History, …) return
 // snapshots rather than aliases of internal slices; the frozen,
-// write-once data a snapshot carries (bid bundle vectors, allocations,
+// write-once data a snapshot carries (bid rows, allocations,
 // auction records) is shared and must be treated as read-only.
 type Exchange struct {
 	cfg     Config
@@ -327,6 +339,7 @@ func NewExchange(fleet *cluster.Fleet, cfg Config) (*Exchange, error) {
 	for i := range e.accountShards {
 		e.accountShards[i].balances = make(map[string]float64)
 		e.accountShards[i].openBuy = make(map[string]float64)
+		e.accountShards[i].labels = make(map[labelKey]orderLabel)
 	}
 	op := e.accountShardFor(OperatorAccount)
 	op.balances[OperatorAccount] = 0
@@ -383,10 +396,12 @@ func (e *Exchange) Balance(team string) (float64, error) {
 }
 
 // Submit places an order for team with the given bid. Buy-side limits
-// must be covered by the team's balance. The bid is cloned before entry
-// — core.NewAuction holds bids by reference, so the caller's value must
-// stay untouched by the exchange — and the returned Order is a snapshot;
-// poll Order/Orders for settlement status.
+// must be covered by the team's balance. The bid and its vectors are
+// only read: the booked order carries the bundles' packed rows (a −0
+// component is booked as absent), built here, so the caller is free to
+// reuse both once Submit returns. The returned Order is a snapshot —
+// its Bid has no Bundles; read them with Bid.Bundle or Bid.Row — poll
+// Order/Orders for settlement status.
 func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 	if err := e.rejectIfDegraded(); err != nil {
 		return nil, e.rejected(err)
@@ -394,31 +409,19 @@ func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 	if bid == nil {
 		return nil, e.rejected(errors.New("market: nil bid"))
 	}
-	b := *bid
-	// Deep-copy the bundles: the clock reads booked bids lock-free, so
-	// the caller must be free to reuse its vectors after Submit returns.
-	b.Bundles = make([]resource.Vector, len(bid.Bundles))
-	for i, v := range bid.Bundles {
-		b.Bundles[i] = v.Clone()
-	}
-	b.BundleLimits = append([]float64(nil), bid.BundleLimits...)
-	return e.submitOwned(team, &b)
+	bo := newBookedOrder(Order{}, bid)
+	bo.bid.Pack() // packing is the defensive copy of the vectors
+	bo.bid.BundleLimits = append([]float64(nil), bid.BundleLimits...)
+	return e.submitOwned(team, "", bo)
 }
 
-// submitOwned books a bid the exchange owns outright — Submit's private
-// copy, or the vectors SubmitProduct just built — and nobody else can
-// see yet. That is the one moment the bid may be written, so its
-// bundles are packed here, once; validation, every later clock and the
-// partition remap read the packed form instead of the R-length vectors,
-// and the terminal transitions drop it (Bid.Unpacked).
-func (e *Exchange) submitOwned(team string, b *core.Bid) (*Order, error) {
-	if b.User == "" {
-		b.User = team
-	}
-	b.Pack()
-	if err := b.Validate(e.reg.Len()); err != nil {
-		return nil, e.rejected(err)
-	}
+// submitOwned books an order whose bid the exchange owns outright and
+// nobody else can see yet: rows only, the one form the bid has from
+// here to the archive — validation, every clock, the partition remap,
+// events and snapshots all read it. A bid without a user is named after
+// the team, or team/product when product is set.
+func (e *Exchange) submitOwned(team, product string, bo *bookedOrder) (*Order, error) {
+	b := &bo.bid
 
 	// Budget pre-check on the team's account stripe, without committing.
 	// MaxLimit is the bid's worst-case payment exposure: the scalar
@@ -442,10 +445,18 @@ func (e *Exchange) submitOwned(team string, b *core.Bid) (*Order, error) {
 		return nil
 	}
 	as.mu.Lock()
-	err := budgetOK()
+	team, user := as.labelLocked(team, product)
+	budgetErr := budgetOK()
 	as.mu.Unlock()
-	if err != nil {
+	if b.User == "" {
+		b.User = user
+	}
+	// A malformed bid is reported before an unfunded one.
+	if err := b.Validate(e.reg.Len()); err != nil {
 		return nil, e.rejected(err)
+	}
+	if budgetErr != nil {
+		return nil, e.rejected(budgetErr)
 	}
 
 	// Book the order into the next stripe round-robin. The ID is
@@ -469,7 +480,8 @@ func (e *Exchange) submitOwned(team string, b *core.Bid) (*Order, error) {
 		os.mu.Unlock()
 		return nil, e.rejected(err)
 	}
-	o := &Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1}
+	bo.Order = Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1}
+	o := &bo.Order
 	if e.materializing() {
 		if err := e.emitEvent(&Event{Kind: EvOrderSubmitted, OrderID: o.ID, Team: team, Bid: b}); err != nil {
 			// Un-consume the round-robin slot so a post-heal resubmit
@@ -543,7 +555,10 @@ func (e *Exchange) appendLedger(entries []LedgerEntry) {
 
 // SubmitProduct is the two-step bid entry path of Figure 4: the team
 // requests qty units of a catalog product, deployable in any of the named
-// clusters (XOR), with a limit price.
+// clusters (XOR), with a limit price. The order's bid is user
+// team/product with one bundle per named cluster, held as rows: what an
+// order costs in time and memory depends on the clusters it names, not on
+// the size of the planet.
 func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (*Order, error) {
 	p, err := e.catalog.Lookup(product)
 	if err != nil {
@@ -562,28 +577,33 @@ func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []s
 	if len(clusters) == 0 {
 		return nil, e.rejected(errors.New("market: no clusters named"))
 	}
+	// One bundle per cluster, built as (pool, quantity) rows straight
+	// from the registry indices: no R-length vector exists at any point.
+	// The buffers cover a four-cluster XOR without touching the heap.
 	cover := p.Cover(qty)
-	bundles := make([]resource.Vector, 0, len(clusters))
+	var endBuf [4]int
+	var poolBuf [12]int32
+	var qtyBuf [12]float64
+	ends, pools, qtys := endBuf[:0], poolBuf[:0], qtyBuf[:0]
 	for _, cl := range clusters {
-		v := e.reg.Zero()
 		found := false
 		for _, d := range resource.StandardDimensions {
 			if i, ok := e.reg.Index(resource.Pool{Cluster: cl, Dim: d}); ok {
-				v[i] = cover.Get(d)
+				pools, qtys = append(pools, int32(i)), append(qtys, cover.Get(d))
 				found = true
 			}
 		}
 		if !found {
 			return nil, e.rejected(fmt.Errorf("market: unknown cluster %q", cl))
 		}
-		bundles = append(bundles, v)
+		ends = append(ends, len(pools))
 	}
 	if err := e.rejectIfDegraded(); err != nil {
 		return nil, e.rejected(err)
 	}
-	// The vectors were built here and are handed over as they are: no
-	// caller holds them, so Submit's defensive clone would be a second copy.
-	return e.submitOwned(team, &core.Bid{User: team + "/" + product, Bundles: bundles, Limit: limit})
+	bo := newBookedOrder(Order{}, &core.Bid{Limit: limit})
+	bo.bid.PackSparse(e.reg.Len(), ends, pools, qtys)
+	return e.submitOwned(team, product, bo)
 }
 
 // Cancel withdraws an open order. An order whose batch is currently
@@ -614,7 +634,6 @@ func (e *Exchange) Cancel(id int) error {
 		}
 	}
 	o.Status = Cancelled
-	o.Bid = o.Bid.Unpacked()
 	os.openCount--
 	os.mu.Unlock()
 	e.releaseCommitment(o)
@@ -852,18 +871,19 @@ func (e *Exchange) ReservePrices() (resource.Vector, error) {
 func (e *Exchange) operatorSupply() []*core.Bid {
 	free := e.fleet.FreeVector(e.reg)
 	var out []*core.Bid
+	var pools []int32
+	var supply []float64
 	for _, cluster := range e.reg.Clusters() {
-		var supply resource.Vector
+		pools, supply = pools[:0], supply[:0]
 		for _, i := range e.reg.ClusterPools(cluster) {
 			if q := free[i] * e.cfg.MarketableFraction; q > 0 {
-				if supply == nil {
-					supply = e.reg.Zero()
-				}
-				supply[i] = -q
+				pools, supply = append(pools, int32(i)), append(supply, -q)
 			}
 		}
-		if supply != nil {
-			out = append(out, &core.Bid{User: OperatorAccount, Bundles: []resource.Vector{supply}, Limit: -0.000001})
+		if len(pools) > 0 {
+			b := &core.Bid{User: OperatorAccount, Limit: -0.000001}
+			b.PackSparse(len(free), []int{len(pools)}, pools, supply)
+			out = append(out, b)
 		}
 	}
 	return out
@@ -871,10 +891,10 @@ func (e *Exchange) operatorSupply() []*core.Bid {
 
 // assemble snapshots the open batch and maps it, plus operator supply,
 // into clock-auction bids without claiming the batch (the non-binding
-// path used by PreliminaryPrices). Each order's Bid pointer is read under
-// its stripe lock — an unclaimed order can go terminal, which swaps the
-// pointer, at any time — but the bid behind it is frozen, so the clock
-// reads it lock-free afterwards.
+// path used by PreliminaryPrices). An unclaimed order can go terminal at
+// any time, so its status is read under the stripe lock; the bid behind
+// it is frozen from booking on, so the clock reads it lock-free
+// afterwards.
 func (e *Exchange) assemble() ([]*core.Bid, error) {
 	type openBid struct {
 		id  int

@@ -146,12 +146,12 @@ func TestSubmitProductTwoStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o.Bid.Bundles) != 2 {
-		t.Fatalf("bundles = %d, want one per cluster", len(o.Bid.Bundles))
+	if o.Bid.NumBundles() != 2 || o.Bid.Bundles != nil {
+		t.Fatalf("bundles = %d (dense %v), want one row set per cluster and no vectors", o.Bid.NumBundles(), o.Bid.Bundles)
 	}
 	reg := e.Registry()
 	// 10 TB of gfs-storage covers 2 CPU, 5 RAM, 30 Disk.
-	b := o.Bid.Bundles[0]
+	b := o.Bid.Bundle(0)
 	if got := b[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.Disk})]; got != 30 {
 		t.Errorf("disk covering = %v", got)
 	}
@@ -520,7 +520,7 @@ func TestOperatorSupplyRespectsMarketableFraction(t *testing.T) {
 			t.Fatalf("supply bid user = %q", b.User)
 		}
 		clusters := map[string]bool{}
-		for i, q := range b.Bundles[0] {
+		for i, q := range b.Bundle(0) {
 			if q == 0 {
 				continue
 			}
@@ -732,8 +732,8 @@ func TestSubmitDoesNotMutateCallerBid(t *testing.T) {
 	// The clone must be deep: the caller may reuse its vectors after
 	// Submit returns while the clock reads the booked bid lock-free.
 	v[0] = 999
-	if got, _ := e.Order(o.ID); got.Bid.Bundles[0][0] != 5 {
-		t.Errorf("booked bundle aliases caller's vector: %v", got.Bid.Bundles[0])
+	if got, _ := e.Order(o.ID); got.Bid.Bundle(0)[0] != 5 {
+		t.Errorf("booked bundle aliases caller's vector: %v", got.Bid.Bundle(0))
 	}
 }
 
@@ -913,15 +913,19 @@ func TestConcurrentTraffic(t *testing.T) {
 }
 
 // TestPackedFormUnderConcurrentClocks is the publication contract of the
-// packed bid form (run with -race): SubmitProduct packs on a bid nobody
-// else can see, the terminal transitions swap in an unpacked copy rather
-// than write a bid a clock may be reading, and no clock — binding,
-// preliminary, or a caller's own core.NewAuction over order snapshots —
-// writes a bid at all. Afterwards exactly the open orders hold a packed
-// form, and submitting a caller's bid has left the caller's value alone.
+// single bid form (run with -race): SubmitProduct and Submit build the
+// rows on a bid nobody else can see, nothing writes a booked bid again —
+// not a cancel, not a settlement, not a clock, binding, preliminary or a
+// caller's own core.NewAuction over order snapshots — and Submit only
+// reads the caller's bid: the submitters below keep rewriting the very
+// vectors they just submitted while the clocks read the book, which the
+// race detector would flag if a booked bid aliased them. Afterwards no
+// order in the book, open or terminal, holds an R-length vector, and
+// each still yields the bundles it was submitted with.
 func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 	e := newTestExchange(t)
-	const traders = 4
+	reg := e.Registry()
+	const traders, perTrader = 4, 60
 	for g := 0; g < traders; g++ {
 		if err := e.OpenAccount(fmt.Sprintf("team%d", g)); err != nil {
 			t.Fatal(err)
@@ -949,7 +953,7 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 	clock(func() error { _, _, err := e.RunAuction(); return err })
 	clock(func() error { _, _, err := e.PreliminaryPrices(); return err })
 	// The benchmark's replay: an outside clock over order snapshots, which
-	// share the book's packed form.
+	// share the book's rows.
 	clock(func() error {
 		var bids []*core.Bid
 		for _, o := range e.OpenOrders() {
@@ -962,24 +966,45 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		a, err := core.NewAuction(e.Registry(), bids, core.Config{Start: start, MaxRounds: 50})
+		a, err := core.NewAuction(reg, bids, core.Config{Start: start, MaxRounds: 50})
 		if err != nil {
 			return err
 		}
 		_, err = a.Run()
 		return err
 	})
+	r2cpu := reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})
+	// wantCPU[id] is the r2/CPU quantity order id was submitted with.
+	var mu sync.Mutex
+	wantCPU := map[int]float64{}
 	for g := 0; g < traders; g++ {
 		submitters.Add(1)
 		go func(g int) {
 			defer submitters.Done()
 			team := fmt.Sprintf("team%d", g)
-			for i := 0; i < 60; i++ {
-				o, err := e.SubmitProduct(team, "batch-compute", 1, []string{"r1", "r2"}[:1+i%2], float64(2+(i+g)%7))
+			// One bid value and one vector, reused for every Submit.
+			mine := &core.Bid{Bundles: []resource.Vector{reg.Zero()}, BundleLimits: []float64{0}}
+			for i := 0; i < perTrader; i++ {
+				var o *Order
+				var err error
+				qty := 0.0
+				if i%2 == 0 {
+					o, err = e.SubmitProduct(team, "batch-compute", 1, []string{"r1", "r2"}[:1+i%4/2], float64(2+(i+g)%7))
+				} else {
+					qty = float64(1 + i%5)
+					mine.Bundles[0][r2cpu], mine.BundleLimits[0] = qty, float64(2+(i+g)%7)
+					o, err = e.Submit(team, mine)
+					if mine.User != "" || len(mine.Bundles) != 1 || mine.NumBundles() != 1 || mine.Bundles[0][r2cpu] != qty {
+						t.Errorf("Submit wrote the caller's bid: %+v", mine)
+					}
+				}
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
 				}
+				mu.Lock()
+				wantCPU[o.ID] = qty
+				mu.Unlock()
 				if i%3 == 0 {
 					_ = e.Cancel(o.ID) // may lose the race with a settling clock
 				}
@@ -991,17 +1016,12 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 	clocks.Wait()
 
 	// Leave one order open, then audit the book itself, not snapshots.
-	mine := &core.Bid{Bundles: []resource.Vector{e.Registry().Zero()}, Limit: 5}
-	mine.Bundles[0][e.Registry().MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 1
 	if _, _, err := e.RunAuction(); err != nil && !errors.Is(err, ErrNoOpenOrders) {
 		t.Fatal(err)
 	}
-	last, err := e.Submit("team0", mine)
+	last, err := e.SubmitProduct("team0", "batch-compute", 1, []string{"r2"}, 5)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if mine.Packed() {
-		t.Error("Submit packed the caller's bid instead of its private copy")
 	}
 	open, terminal := 0, 0
 	for id := 0; id <= last.ID; id++ {
@@ -1011,12 +1031,17 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 		} else {
 			terminal++
 		}
-		if o.Bid.Packed() != (o.Status == Open) {
-			t.Errorf("order %d is %s but Packed() = %v", id, o.Status, o.Bid.Packed())
+		if o.Bid.Bundles != nil {
+			t.Errorf("order %d (%s) holds R-length vectors", id, o.Status)
+		}
+		if qty, byBid := wantCPU[id]; byBid && qty > 0 {
+			if pools, qtys := o.Bid.Row(0); o.Bid.NumBundles() != 1 || len(pools) != 1 || int(pools[0]) != r2cpu || qtys[0] != qty {
+				t.Errorf("order %d (%s): rows %v %v, submitted %v of pool %d", id, o.Status, pools, qtys, qty, r2cpu)
+			}
 		}
 	}
-	if open != 1 || terminal != traders*60 {
-		t.Errorf("audited %d open and %d terminal orders, want 1 and %d", open, terminal, traders*60)
+	if open != 1 || terminal != traders*perTrader {
+		t.Errorf("audited %d open and %d terminal orders, want 1 and %d", open, terminal, traders*perTrader)
 	}
 }
 

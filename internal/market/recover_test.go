@@ -133,24 +133,26 @@ func marketImage(t *testing.T, e *market.Exchange) map[string]any {
 	}
 }
 
-// checkPackedForms asserts the packed-form lifecycle on every order: an
-// open order carries the packed bundles its clocks will read, a terminal
-// one has dropped them. (That a replayed order's packed form equals the
-// live one's is part of marketImage's DeepEqual over Orders, which
-// compares unexported fields too.)
-func checkPackedForms(t *testing.T, who string, e *market.Exchange) {
+// checkRowsOnly asserts the single bid form on every order of the book,
+// open and terminal: no R-length vector, the bundles still readable from
+// the rows. (That a replayed or restored order's rows equal the live
+// one's is part of marketImage's DeepEqual over Orders, which compares
+// unexported fields too.)
+func checkRowsOnly(t *testing.T, who string, e *market.Exchange) {
 	t.Helper()
-	open := 0
+	open, terminal := 0, 0
 	for _, o := range e.Orders() {
 		if o.Status == market.Open {
 			open++
+		} else {
+			terminal++
 		}
-		if o.Bid.Packed() != (o.Status == market.Open) {
-			t.Errorf("%s: order %d is %s but Bid.Packed() = %v", who, o.ID, o.Status, o.Bid.Packed())
+		if o.Bid.Bundles != nil || o.Bid.NumBundles() == 0 || len(o.Bid.Bundle(0)) != e.Registry().Len() {
+			t.Errorf("%s: order %d (%s) holds vectors %v, %d bundles", who, o.ID, o.Status, o.Bid.Bundles, o.Bid.NumBundles())
 		}
 	}
-	if open == 0 {
-		t.Errorf("%s: no open order left to check", who)
+	if open == 0 || terminal == 0 {
+		t.Errorf("%s: %d open and %d terminal orders; need both to check", who, open, terminal)
 	}
 }
 
@@ -216,8 +218,8 @@ func testCrashRecoverMarket(t *testing.T, snapEvery int, snapshotMidway bool) {
 		}
 		t.FailNow()
 	}
-	checkPackedForms(t, "in-memory", ref)
-	checkPackedForms(t, "recovered", recovered)
+	checkRowsOnly(t, "in-memory", ref)
+	checkRowsOnly(t, "recovered", recovered)
 
 	// The recovered exchange must continue in lockstep.
 	driveMarketMore(t, ref)

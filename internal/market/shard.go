@@ -38,6 +38,33 @@ type accountShard struct {
 	// openBuy is each team's summed positive limits over open orders —
 	// maintained incrementally so Submit's budget check is O(1).
 	openBuy map[string]float64
+	// labels holds, per account and product, the one copy of the team
+	// name and of the bid user every order of that pair shares — an order
+	// would otherwise carry two strings of its own.
+	labels map[labelKey]orderLabel
+}
+
+type labelKey struct{ team, product string }
+
+type orderLabel struct{ team, user string }
+
+// labelLocked returns the shared team name and bid user — team/product,
+// or the team itself without a product — for an order of the account.
+// Only existing accounts are remembered, so a stream of unknown team
+// names cannot grow the map. The caller holds mu.
+func (as *accountShard) labelLocked(team, product string) (string, string) {
+	key := labelKey{team, product}
+	if l, ok := as.labels[key]; ok {
+		return l.team, l.user
+	}
+	user := team
+	if product != "" {
+		user = team + "/" + product
+	}
+	if _, ok := as.balances[team]; ok {
+		as.labels[key] = orderLabel{team, user}
+	}
+	return team, user
 }
 
 // orderShardFor returns the stripe holding order id, or nil for a

@@ -218,15 +218,16 @@ func (e *Exchange) restoreState(raw []byte) error {
 		if s.Bid == nil {
 			return fmt.Errorf("order %d has no bid", s.ID)
 		}
-		o := &Order{ID: s.ID, Team: s.Team, Bid: s.Bid, Status: s.Status, Auction: s.Auction,
-			Attempts: s.Attempts, Allocation: s.Allocation, Payment: s.Payment}
+		bo := newBookedOrder(Order{ID: s.ID, Team: s.Team, Status: s.Status, Auction: s.Auction,
+			Attempts: s.Attempts, Allocation: s.Allocation, Payment: s.Payment}, s.Bid)
+		bo.bid.Pack()
+		o := &bo.Order
 		os := e.orderShardFor(o.ID)
 		if os == nil || o.ID/n != len(os.orders) {
 			return fmt.Errorf("order %d out of sequence", o.ID)
 		}
 		os.orders = append(os.orders, o)
 		if o.Status == Open {
-			o.Bid.Pack()
 			os.open = append(os.open, o)
 			os.openCount++
 		}

@@ -22,9 +22,9 @@ type ClusterSummary struct {
 // reserve prices before the first auction.
 func (e *Exchange) Summary() ([]ClusterSummary, error) {
 	prices := e.lastClearingPrices()
-	// Count open interest per cluster, stripe by stripe. Bids are frozen
-	// at submit time, so reading bundles under the stripe's read lock is
-	// safe.
+	// Count open interest per cluster, stripe by stripe, over the bids'
+	// rows: O(non-zero components), not O(R), under each stripe's read
+	// lock. Bids are frozen at submit time, so reading them is safe.
 	bidCount := make(map[string]int)
 	offerCount := make(map[string]int)
 	touched := make(map[string]bool)
@@ -37,12 +37,10 @@ func (e *Exchange) Summary() ([]ClusterSummary, error) {
 			}
 			side := o.Side()
 			clear(touched)
-			for _, b := range o.Bid.Bundles {
-				for i, q := range b {
-					if q == 0 {
-						continue
-					}
-					touched[e.reg.Pool(i).Cluster] = true
+			for i, n := 0, o.Bid.NumBundles(); i < n; i++ {
+				pools, _ := o.Bid.Row(i)
+				for _, g := range pools {
+					touched[e.reg.Pool(int(g)).Cluster] = true
 				}
 			}
 			for c := range touched {

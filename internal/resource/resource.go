@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Dimension identifies one measurable resource type within a cluster.
@@ -98,6 +99,41 @@ func (p Pool) String() string { return p.Cluster + "/" + p.Dim.String() }
 type Registry struct {
 	pools []Pool
 	index map[Pool]int
+	// clusters caches the by-cluster view of pools, so the per-tick
+	// readers never scan the pools. It is derived on first use rather than
+	// in Add, which keeps building a registry as cheap as it was; Add
+	// drops it.
+	clusters atomic.Pointer[clusterIndex]
+}
+
+// clusterIndex lists the distinct cluster names in first-seen order and,
+// beside each, the indices of its pools, ascending.
+type clusterIndex struct {
+	names  []string
+	pools  [][]int
+	byName map[string]int
+}
+
+// byCluster returns the cached cluster view, building it if Add has run
+// since it was last used. Concurrent first readers may each build it;
+// the results are identical and either may be kept.
+func (r *Registry) byCluster() *clusterIndex {
+	if ix := r.clusters.Load(); ix != nil {
+		return ix
+	}
+	ix := &clusterIndex{byName: make(map[string]int)}
+	for i, p := range r.pools {
+		k, ok := ix.byName[p.Cluster]
+		if !ok {
+			k = len(ix.names)
+			ix.byName[p.Cluster] = k
+			ix.names = append(ix.names, p.Cluster)
+			ix.pools = append(ix.pools, nil)
+		}
+		ix.pools[k] = append(ix.pools[k], i)
+	}
+	r.clusters.Store(ix)
+	return ix
 }
 
 // NewRegistry returns a registry pre-populated with the given pools, in
@@ -134,6 +170,7 @@ func (r *Registry) Add(p Pool) int {
 	i := len(r.pools)
 	r.pools = append(r.pools, p)
 	r.index[p] = i
+	r.clusters.Store(nil)
 	return i
 }
 
@@ -169,27 +206,18 @@ func (r *Registry) Pools() []Pool {
 
 // Clusters returns the distinct cluster names in first-seen order.
 func (r *Registry) Clusters() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range r.pools {
-		if !seen[p.Cluster] {
-			seen[p.Cluster] = true
-			out = append(out, p.Cluster)
-		}
-	}
-	return out
+	return append([]string(nil), r.byCluster().names...)
 }
 
-// ClusterPools returns the indices of all pools belonging to the cluster,
-// in dimension order.
+// ClusterPools returns a copy of the indices of all pools belonging to
+// the cluster, ascending (registration order).
 func (r *Registry) ClusterPools(cluster string) []int {
-	var out []int
-	for i, p := range r.pools {
-		if p.Cluster == cluster {
-			out = append(out, i)
-		}
+	ix := r.byCluster()
+	k, ok := ix.byName[cluster]
+	if !ok {
+		return nil
 	}
-	return out
+	return append([]int(nil), ix.pools[k]...)
 }
 
 // DimensionPools returns the indices of all pools with dimension d.
@@ -209,7 +237,7 @@ func (r *Registry) Zero() Vector { return make(Vector, len(r.pools)) }
 // String renders a compact description such as
 // "Registry(6 pools, 2 clusters)".
 func (r *Registry) String() string {
-	return fmt.Sprintf("Registry(%d pools, %d clusters)", r.Len(), len(r.Clusters()))
+	return fmt.Sprintf("Registry(%d pools, %d clusters)", r.Len(), len(r.byCluster().names))
 }
 
 // Format renders a non-zero vector against this registry as a sorted,

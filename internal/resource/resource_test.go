@@ -126,6 +126,29 @@ func TestNewStandardRegistry(t *testing.T) {
 	}
 }
 
+// TestRegistryClusterViewFollowsAdd: the cached by-cluster view is
+// dropped by Add, hands out copies, and knows no cluster it was not given.
+func TestRegistryClusterViewFollowsAdd(t *testing.T) {
+	r := NewStandardRegistry("r1")
+	r.Clusters()[0] = "scribbled"
+	r.ClusterPools("r1")[0] = 99
+	if got := r.ClusterPools("r1"); len(got) != 3 || got[0] != 0 || r.Clusters()[0] != "r1" {
+		t.Fatalf("accessors alias the cache: %v %v", r.Clusters(), got)
+	}
+	if got := r.ClusterPools("nope"); got != nil {
+		t.Errorf("ClusterPools of an unknown cluster = %v", got)
+	}
+	// Pools of one cluster need not be registered next to each other.
+	r.Add(Pool{Cluster: "r2", Dim: CPU})
+	r.Add(Pool{Cluster: "r1", Dim: Network})
+	if got := r.Clusters(); len(got) != 2 || got[1] != "r2" {
+		t.Errorf("Clusters after Add = %v", got)
+	}
+	if got := r.ClusterPools("r1"); len(got) != 4 || got[3] != 4 {
+		t.Errorf("ClusterPools(r1) after Add = %v", got)
+	}
+}
+
 func TestRegistryZeroAndFormat(t *testing.T) {
 	r := NewStandardRegistry("r1")
 	v := r.Zero()

@@ -498,7 +498,7 @@ func Baseline(cfg Config) ([]BaselineRow, error) {
 		}
 		reqs = append(reqs, baseline.Request{
 			Team:     gb.Team.Name,
-			Demand:   gb.Bid.Bundles[0].PositivePart(),
+			Demand:   gb.Bid.Bundle(0).PositivePart(),
 			Priority: gb.Team.Budget,
 		})
 	}
@@ -560,7 +560,7 @@ func marketBaselineRow(w *World, out *AuctionOutcome) BaselineRow {
 			bought.AddInto(o.Allocation.PositivePart())
 			continue
 		}
-		unmet.AddInto(o.Bid.Bundles[0].PositivePart())
+		unmet.AddInto(o.Bid.Bundle(0).PositivePart())
 	}
 	// Marketable operator supply as of the pre-auction snapshot.
 	capacity := w.Fleet.CapacityVector(w.Reg)
