@@ -250,57 +250,67 @@ func sparsePlanetMarket(seed int64, users, pools int) (*resource.Registry, []*co
 	return reg, bids
 }
 
-// BenchmarkSparsePlanetEngines is the PR 3 headline, now measured in its
-// steady state: the per-round cost of the dense reference engine vs the
-// incremental engine on the sparse-planet workload (256 pools × 2048
-// bidders, a handful of non-zero components each). Both engines produce
-// bit-identical results (enforced by TestIncrementalMatchesDenseDifferential);
-// ns/round is the comparison metric, since the engines run the identical
-// number of rounds by construction.
-//
-// A warm-up run outside the timed window sizes the auction's scratch
-// buffers and the recycled Result, so the timed RunReusing iterations
-// measure the pure round loop — allocs/op must read 0: a steady-state
-// clock round performs no heap allocations at all.
-func BenchmarkSparsePlanetEngines(b *testing.B) {
-	for _, eng := range []core.Engine{core.EngineDense, core.EngineIncremental} {
-		b.Run(eng.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			reg, bids := sparsePlanetMarket(9, 2048, 256)
-			start := reg.Zero()
-			for i := range start {
-				start[i] = 0.5
-			}
-			// Bid validation and proxy construction are one-time,
-			// engine-independent costs; the auction is built outside the
-			// timed loop so ns/round measures the round loop itself.
-			a, err := core.NewAuction(reg, bids, core.Config{
-				Start:  start,
-				Policy: core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-				Engine: eng,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := a.Run() // warm-up: scratch + Result sized here
-			if err != nil {
-				b.Fatal(err)
-			}
-			var rounds, totalRounds int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err = a.RunReusing(res)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = res.Rounds
-				totalRounds += res.Rounds
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(rounds), "rounds")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(totalRounds), "ns/round")
-		})
+// benchClockVsReference times one market on the production clock — a
+// prebuilt auction re-run through RunReusing, so after the warm-up that
+// sizes its scratch and the recycled Result allocs/op must read 0 on the
+// serial sweep (the fan-out taken with ≥ 2 lanes at -cpu ≥ 2 spawns its
+// workers per run) — and on core.ReferenceRun, which validates and builds
+// its auction inside every call. The two run the identical number of
+// rounds by construction, so ns/round is the comparison metric.
+func benchClockVsReference(b *testing.B, reg *resource.Registry, bids []*core.Bid, wantLanes int) {
+	start := reg.Zero()
+	for i := range start {
+		start[i] = 0.5
 	}
+	cfg := core.Config{Start: start, Policy: core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01}}
+	report := func(b *testing.B, rounds, lanes int) {
+		b.StopTimer()
+		b.ReportMetric(float64(rounds), "rounds")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds*b.N), "ns/round")
+		b.ReportMetric(float64(lanes), "components")
+	}
+	b.Run("production", func(b *testing.B) {
+		b.ReportAllocs()
+		a, err := core.NewAuction(reg, bids, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if a.Components() != wantLanes {
+			b.Fatalf("decomposed into %d components, want %d", a.Components(), wantLanes)
+		}
+		res, err := a.Run() // warm-up: scratch + Result sized here
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res, err = a.RunReusing(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b, res.Rounds, wantLanes)
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		var res *core.Result
+		for i := 0; i < b.N; i++ {
+			var err error
+			if res, err = core.ReferenceRun(reg, bids, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		report(b, res.Rounds, 1)
+	})
+}
+
+// BenchmarkSparsePlanetEngines is the PR 3 headline: the per-round cost
+// of the production clock's incremental demand revelation vs the dense
+// reference on the sparse-planet workload (256 pools × 2048 bidders, a
+// handful of non-zero components each, one connected component). Results
+// are bit-identical (TestIncrementalMatchesDenseDifferential).
+func BenchmarkSparsePlanetEngines(b *testing.B) {
+	reg, bids := sparsePlanetMarket(9, 2048, 256)
+	benchClockVsReference(b, reg, bids, 1)
 }
 
 // sparseRegionalPlanetMarket is the sparse-planet workload sharded into
@@ -367,75 +377,17 @@ func sparseRegionalPlanetMarket(seed int64, users, pools, k int) (*resource.Regi
 }
 
 // BenchmarkPartitionedPlanetEngines is the PR 10 headline: the
-// sparse-planet workload with k independent hot components, cleared
-// merged (PartitionOff) vs decomposed (PartitionAuto, serial) vs
-// decomposed with the component clocks fanned out (PartitionAuto +
-// Parallel). Results are bit-identical across all three by the
-// decomposition equivalence contract (TestPartitionedMatchesMergedDifferential);
-// the win is wall-clock: a decomposed component stops when *it* clears,
-// so cold components exit after a few dozen rounds instead of being
-// dragged through every hot component's full price-war tail, and under
-// Parallel the k tails overlap.
-//
-// Caveat as in the PR 4 shard benchmarks: this container pins
-// GOMAXPROCS to 1, so the parallel variant measures goroutine overhead
-// here and only shows its speedup on multi-core hardware. The
-// serial-decomposed variant's gain (early exit for cleared components)
-// is visible regardless. allocs/op must read 0 for the off and serial
-// variants; the parallel fan-out allocates its goroutine stacks.
+// sparse-planet workload with k independent hot components, cleared as k
+// lanes by the production clock vs as one merged market by the reference.
+// Results are bit-identical (TestPartitionedMatchesMergedDifferential);
+// the win on top of incremental revelation is wall-clock: a lane stops
+// when *it* freezes, so cold components exit after a few dozen rounds
+// instead of being dragged through every hot component's full price-war
+// tail, and at -cpu ≥ 2 the k tails overlap on the driver's fan-out.
 func BenchmarkPartitionedPlanetEngines(b *testing.B) {
 	const kComponents = 8
-	type variant struct {
-		name     string
-		mode     core.PartitionMode
-		parallel bool
-	}
-	variants := []variant{
-		{"off", core.PartitionOff, false},
-		{"auto", core.PartitionAuto, false},
-		{"auto-parallel", core.PartitionAuto, true},
-	}
-	for _, eng := range []core.Engine{core.EngineDense, core.EngineIncremental} {
-		for _, v := range variants {
-			b.Run(eng.String()+"/"+v.name, func(b *testing.B) {
-				b.ReportAllocs()
-				reg, bids := sparseRegionalPlanetMarket(9, 2048, 256, kComponents)
-				start := reg.Zero()
-				for i := range start {
-					start[i] = 0.5
-				}
-				a, err := core.NewAuction(reg, bids, core.Config{
-					Start:     start,
-					Policy:    core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-					Engine:    eng,
-					Partition: v.mode,
-					Parallel:  v.parallel,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := a.Run() // warm-up: scratch + Result sized here
-				if err != nil {
-					b.Fatal(err)
-				}
-				if v.mode == core.PartitionAuto && a.Components() != kComponents {
-					b.Fatalf("decomposed into %d components, want %d", a.Components(), kComponents)
-				}
-				var rounds int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err = a.RunReusing(res)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rounds = res.Rounds
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(rounds), "rounds")
-				b.ReportMetric(float64(a.Components()), "components")
-			})
-		}
-	}
+	reg, bids := sparseRegionalPlanetMarket(9, 2048, 256, kComponents)
+	benchClockVsReference(b, reg, bids, kComponents)
 }
 
 // BenchmarkAblationIncrementPolicies compares the Section III.C.2 price

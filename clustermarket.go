@@ -93,30 +93,6 @@ type (
 	IncrementPolicy = core.IncrementPolicy
 	// SystemViolation is one violated SYSTEM constraint.
 	SystemViolation = core.SystemViolation
-	// AuctionEngine selects the clock's demand-revelation strategy.
-	AuctionEngine = core.Engine
-	// PartitionMode selects the sub-market decomposition policy: whether
-	// the clock partitions the book into independent bidder–pool
-	// components and clears them concurrently (bit-identical to the
-	// merged run) or always runs the merged single clock.
-	PartitionMode = core.PartitionMode
-)
-
-// Clock engines. EngineIncremental (the default) re-evaluates only the
-// bidders touching a pool whose price moved — O(affected bidders) per
-// round; EngineDense is the dense reference path. Results are
-// bit-identical either way.
-const (
-	EngineIncremental = core.EngineIncremental
-	EngineDense       = core.EngineDense
-)
-
-// Partition modes. PartitionAuto (the default) decomposes each run into
-// connected components of the bidder–pool graph; PartitionOff pins the
-// merged single-clock path. Results are bit-identical either way.
-const (
-	PartitionAuto = core.PartitionAuto
-	PartitionOff  = core.PartitionOff
 )
 
 // Increment policies from Section III.C.2.

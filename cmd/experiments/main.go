@@ -27,7 +27,6 @@ func main() {
 	machines := flag.Int("machines", 40, "machines per cluster")
 	teams := flag.Int("teams", 100, "engineering teams")
 	auctions := flag.Int("auctions", 3, "sequential auctions for fig7/table1/migration")
-	parallel := flag.Bool("parallel", false, "clear independent sub-markets on all CPUs")
 	flag.Parse()
 
 	cfg := sim.Config{
@@ -35,7 +34,6 @@ func main() {
 		Clusters:           *clusters,
 		MachinesPerCluster: *machines,
 		Teams:              *teams,
-		Parallel:           *parallel,
 	}
 	if err := run(os.Stdout, *runWhat, cfg, *auctions); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -87,7 +85,7 @@ func run(w io.Writer, what string, cfg sim.Config, auctions int) error {
 	if all || what == "scaling" {
 		matched = true
 		fmt.Fprintln(w, "== SCALING (Section III.C.4) ==")
-		d, err := sim.Scaling(cfg.Seed, cfg.Parallel)
+		d, err := sim.Scaling(cfg.Seed)
 		if err != nil {
 			return err
 		}

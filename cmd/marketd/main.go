@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"clustermarket/internal/cluster"
-	"clustermarket/internal/core"
 	"clustermarket/internal/federation"
 	"clustermarket/internal/invariant"
 	"clustermarket/internal/journal"
@@ -76,10 +75,6 @@ func main() {
 		"number of federated regions (0 = single exchange, ≥2 = federated market)")
 	shards := flag.Int("shards", 0,
 		"order/account book stripes per exchange (0 selects the default); submits in different stripes never share a lock")
-	engineName := flag.String("engine", "incremental",
-		"clock-auction engine: incremental (O(affected bidders) per round) or dense (reference path)")
-	partition := flag.Bool("partition", true,
-		"decompose each clock auction into independent bidder–pool components and clear them concurrently (bit-identical to the merged run); false pins the merged single-clock path")
 	journalDir := flag.String("journal-dir", "",
 		"durable journal directory: state changes hit the WAL before taking effect, and a restart recovers the books (world flags must match the previous run)")
 	fsyncEvery := flag.Int("fsync-every", 1,
@@ -88,20 +83,10 @@ func main() {
 		"how long to retry opening a journal directory locked by another live process (0 fails immediately); covers the restart race where the previous marketd is still draining")
 	flag.Parse()
 
-	if err := validateFlags(*clusters, *machines, *regions, *shards, *budget, *epoch, *lockWait); err != nil {
+	if err := validateFlags(*clusters, *machines, *regions, *shards, *fsyncEvery, *budget, *epoch, *lockWait); err != nil {
 		fmt.Fprintf(os.Stderr, "marketd: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
-	}
-	engine, err := parseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "marketd: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	partMode := core.PartitionAuto
-	if !*partition {
-		partMode = core.PartitionOff
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -118,7 +103,7 @@ func main() {
 	// HTTP server has drained — the durability half of graceful shutdown.
 	closeJournal := func() error { return nil }
 	if *regions > 0 {
-		fed, closer, err := buildFederatedDemo(*regions, *clusters, *machines, *seed, *budget, engine, partMode, *shards, *journalDir, *fsyncEvery, *lockWait, fire)
+		fed, closer, err := buildFederatedDemo(*regions, *clusters, *machines, *seed, *budget, *shards, *journalDir, *fsyncEvery, *lockWait, fire)
 		if err != nil {
 			log.Fatal("marketd: ", err)
 		}
@@ -142,7 +127,7 @@ func main() {
 		handler = s
 		log.Printf("marketd: serving federated market (%d regions) on %s", *regions, *addr)
 	} else {
-		ex, closer, err := buildDemo(*clusters, *machines, *seed, *budget, engine, partMode, *shards, *journalDir, *fsyncEvery, *lockWait, fire)
+		ex, closer, err := buildDemo(*clusters, *machines, *seed, *budget, *shards, *journalDir, *fsyncEvery, *lockWait, fire)
 		if err != nil {
 			log.Fatal("marketd: ", err)
 		}
@@ -266,7 +251,7 @@ func healthLoop(ctx context.Context, health *telemetry.Health, every time.Durati
 
 // validateFlags rejects demo-world parameters that would panic or build
 // a silently broken market.
-func validateFlags(clusters, machines, regions, shards int, budget float64, epoch, lockWait time.Duration) error {
+func validateFlags(clusters, machines, regions, shards, fsyncEvery int, budget float64, epoch, lockWait time.Duration) error {
 	if clusters < 1 {
 		return fmt.Errorf("-clusters must be at least 1, got %d", clusters)
 	}
@@ -287,6 +272,9 @@ func validateFlags(clusters, machines, regions, shards int, budget float64, epoc
 	}
 	if shards < 0 {
 		return fmt.Errorf("-shards must not be negative, got %d", shards)
+	}
+	if fsyncEvery < 1 {
+		return fmt.Errorf("-fsync-every must be at least 1, got %d", fsyncEvery)
 	}
 	if lockWait < 0 {
 		return fmt.Errorf("-lock-wait must not be negative, got %s", lockWait)
@@ -341,18 +329,6 @@ func logRecoveryTruncation(dir string, rec *journal.Recovery) {
 	}
 	log.Printf("marketd: journal %s: torn tail truncated (%s): discarded frame %d, %s event",
 		dir, rec.TruncReason, rec.TruncFrame, kind)
-}
-
-// parseEngine maps the -engine flag onto the core engine selector.
-func parseEngine(name string) (core.Engine, error) {
-	switch name {
-	case "incremental":
-		return core.EngineIncremental, nil
-	case "dense":
-		return core.EngineDense, nil
-	default:
-		return 0, fmt.Errorf("unknown -engine %q (want incremental or dense)", name)
-	}
 }
 
 // regionNames is the palette of demo region names; beyond it, regions
@@ -411,13 +387,13 @@ func noClose() error { return nil }
 // is rebuilt deterministically from the seed, not journaled). Recovery
 // runs the shared invariant kernel before serving. The returned closer
 // flushes and unlocks the journal on shutdown.
-func buildDemo(clusters, machines int, seed int64, budget float64, engine core.Engine, partition core.PartitionMode, shards int, journalDir string, fsyncEvery int, lockWait time.Duration, fire *telemetry.Firehose) (*market.Exchange, func() error, error) {
+func buildDemo(clusters, machines int, seed int64, budget float64, shards int, journalDir string, fsyncEvery int, lockWait time.Duration, fire *telemetry.Firehose) (*market.Exchange, func() error, error) {
 	rng := rand.New(rand.NewSource(seed))
 	fleet, err := buildRegionFleet(rng, "", clusters, machines, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := market.Config{InitialBudget: budget, Engine: engine, Partition: partition, Shards: shards, Telemetry: fire}
+	cfg := market.Config{InitialBudget: budget, Shards: shards, Telemetry: fire}
 	if journalDir == "" {
 		ex, err := market.NewExchange(fleet, cfg)
 		if err != nil {
@@ -485,7 +461,7 @@ const fedSnapshotEvery = 64
 // journalDir/fed; a directory holding a previous run recovers every
 // member to the same cut — all-or-nothing, since a half-recovered
 // federation would desynchronize routing state from the regional books.
-func buildFederatedDemo(regions, clusters, machines int, seed int64, budget float64, engine core.Engine, partition core.PartitionMode, shards int, journalDir string, fsyncEvery int, lockWait time.Duration, fire *telemetry.Firehose) (*federation.Federation, func() error, error) {
+func buildFederatedDemo(regions, clusters, machines int, seed int64, budget float64, shards int, journalDir string, fsyncEvery int, lockWait time.Duration, fire *telemetry.Firehose) (*federation.Federation, func() error, error) {
 	rng := rand.New(rand.NewSource(seed))
 	rs := make([]*federation.Region, 0, regions)
 	var journals []*journal.Journal
@@ -506,7 +482,7 @@ func buildFederatedDemo(regions, clusters, machines int, seed int64, budget floa
 			closeAll()
 			return nil, nil, err
 		}
-		cfg := market.Config{InitialBudget: budget, Engine: engine, Partition: partition, Shards: shards, Telemetry: fire}
+		cfg := market.Config{InitialBudget: budget, Shards: shards, Telemetry: fire}
 		var rec *journal.Recovery
 		if journalDir != "" {
 			var j *journal.Journal

@@ -10,14 +10,13 @@ import (
 	"testing"
 	"time"
 
-	"clustermarket/internal/core"
 	"clustermarket/internal/journal"
 	"clustermarket/internal/telemetry"
 	"clustermarket/internal/webui"
 )
 
 func TestBuildDemo(t *testing.T) {
-	ex, _, err := buildDemo(4, 6, 42, 5000, core.EngineIncremental, core.PartitionAuto, 0, "", 1, 0, nil)
+	ex, _, err := buildDemo(4, 6, 42, 5000, 0, "", 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,45 +65,47 @@ func TestBuildDemo(t *testing.T) {
 
 func TestBuildDemoBadInputs(t *testing.T) {
 	// Zero clusters yields an exchange error (no pools).
-	if _, _, err := buildDemo(0, 4, 1, 100, core.EngineIncremental, core.PartitionAuto, 0, "", 1, 0, nil); err == nil {
+	if _, _, err := buildDemo(0, 4, 1, 100, 0, "", 1, 0, nil); err == nil {
 		t.Error("zero clusters accepted")
 	}
 }
 
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(8, 20, 0, 0, 10000, 30*time.Second, 0); err != nil {
+	if err := validateFlags(8, 20, 0, 0, 1, 10000, 30*time.Second, 0); err != nil {
 		t.Errorf("default flags rejected: %v", err)
 	}
-	if err := validateFlags(4, 10, 3, 4, 5000, 0, 2*time.Second); err != nil {
+	if err := validateFlags(4, 10, 3, 4, 64, 5000, 0, 2*time.Second); err != nil {
 		t.Errorf("federated flags rejected: %v", err)
 	}
 	bad := []struct {
-		name                                string
-		clusters, machines, regions, shards int
-		budget                              float64
-		epoch                               time.Duration
-		lockWait                            time.Duration
+		name                                            string
+		clusters, machines, regions, shards, fsyncEvery int
+		budget                                          float64
+		epoch                                           time.Duration
+		lockWait                                        time.Duration
 	}{
-		{"zero clusters", 0, 20, 0, 0, 10000, time.Second, 0},
-		{"negative clusters", -3, 20, 0, 0, 10000, time.Second, 0},
-		{"zero machines", 8, 0, 0, 0, 10000, time.Second, 0},
-		{"zero budget", 8, 20, 0, 0, 0, time.Second, 0},
-		{"negative budget", 8, 20, 0, 0, -5, time.Second, 0},
-		{"negative epoch", 8, 20, 0, 0, 10000, -time.Second, 0},
-		{"negative regions", 8, 20, -1, 0, 10000, time.Second, 0},
-		{"one region", 8, 20, 1, 0, 10000, time.Second, 0},
-		{"negative shards", 8, 20, 0, -2, 10000, time.Second, 0},
-		{"negative lock-wait", 8, 20, 0, 0, 10000, time.Second, -time.Second},
+		{"zero clusters", 0, 20, 0, 0, 1, 10000, time.Second, 0},
+		{"negative clusters", -3, 20, 0, 0, 1, 10000, time.Second, 0},
+		{"zero machines", 8, 0, 0, 0, 1, 10000, time.Second, 0},
+		{"zero budget", 8, 20, 0, 0, 1, 0, time.Second, 0},
+		{"negative budget", 8, 20, 0, 0, 1, -5, time.Second, 0},
+		{"negative epoch", 8, 20, 0, 0, 1, 10000, -time.Second, 0},
+		{"negative regions", 8, 20, -1, 0, 1, 10000, time.Second, 0},
+		{"one region", 8, 20, 1, 0, 1, 10000, time.Second, 0},
+		{"negative shards", 8, 20, 0, -2, 1, 10000, time.Second, 0},
+		{"negative lock-wait", 8, 20, 0, 0, 1, 10000, time.Second, -time.Second},
+		{"zero fsync-every", 8, 20, 0, 0, 0, 10000, time.Second, 0},
+		{"negative fsync-every", 8, 20, 0, 0, -4, 10000, time.Second, 0},
 	}
 	for _, tc := range bad {
-		if err := validateFlags(tc.clusters, tc.machines, tc.regions, tc.shards, tc.budget, tc.epoch, tc.lockWait); err == nil {
+		if err := validateFlags(tc.clusters, tc.machines, tc.regions, tc.shards, tc.fsyncEvery, tc.budget, tc.epoch, tc.lockWait); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
 }
 
 func TestBuildFederatedDemo(t *testing.T) {
-	fed, _, err := buildFederatedDemo(3, 2, 6, 42, 5000, core.EngineIncremental, core.PartitionAuto, 2, "", 1, 0, nil)
+	fed, _, err := buildFederatedDemo(3, 2, 6, 42, 5000, 2, "", 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestBuildFederatedDemo(t *testing.T) {
 // accepts traffic, then drains cleanly once the context is cancelled —
 // the SIGINT/SIGTERM flow without the signal.
 func TestServeGracefulShutdown(t *testing.T) {
-	ex, _, err := buildDemo(2, 4, 7, 1000, core.EngineIncremental, core.PartitionAuto, 0, "", 1, 0, nil)
+	ex, _, err := buildDemo(2, 4, 7, 1000, 0, "", 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,25 +190,9 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	if e, err := parseEngine("incremental"); err != nil || e != core.EngineIncremental {
-		t.Errorf("incremental = %v, %v", e, err)
-	}
-	if e, err := parseEngine("dense"); err != nil || e != core.EngineDense {
-		t.Errorf("dense = %v, %v", e, err)
-	}
-	if _, err := parseEngine("warp"); err == nil {
-		t.Error("unknown engine accepted")
-	}
-}
-
-// TestJournaledDemoRecovers restarts the journaled demo world and
-// requires the books to come back exactly: same auctions, same teams,
-// same balances. It also pins the startup refusal on a locked journal
-// directory — the flock a live marketd holds.
 func TestJournaledDemoRecovers(t *testing.T) {
 	dir := t.TempDir()
-	ex, closer, err := buildDemo(3, 6, 11, 8000, core.EngineIncremental, core.PartitionAuto, 0, dir, 1, 0, nil)
+	ex, closer, err := buildDemo(3, 6, 11, 8000, 0, dir, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +212,7 @@ func TestJournaledDemoRecovers(t *testing.T) {
 	}
 
 	// While the first process holds the directory, a second must refuse.
-	if _, _, err := buildDemo(3, 6, 11, 8000, core.EngineIncremental, core.PartitionAuto, 0, dir, 1, 0, nil); err == nil {
+	if _, _, err := buildDemo(3, 6, 11, 8000, 0, dir, 1, 0, nil); err == nil {
 		t.Fatal("second marketd opened a locked journal dir")
 	}
 
@@ -235,7 +220,7 @@ func TestJournaledDemoRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ex2, closer2, err := buildDemo(3, 6, 11, 8000, core.EngineIncremental, core.PartitionAuto, 0, dir, 1, 0, nil)
+	ex2, closer2, err := buildDemo(3, 6, 11, 8000, 0, dir, 1, 0, nil)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -259,7 +244,7 @@ func TestJournaledDemoRecovers(t *testing.T) {
 // demo: every region and the router recover to the same cut.
 func TestJournaledFederatedDemoRecovers(t *testing.T) {
 	dir := t.TempDir()
-	fed, closer, err := buildFederatedDemo(2, 2, 6, 11, 8000, core.EngineIncremental, core.PartitionAuto, 0, dir, 1, 0, nil)
+	fed, closer, err := buildFederatedDemo(2, 2, 6, 11, 8000, 0, dir, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +258,7 @@ func TestJournaledFederatedDemoRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fed2, closer2, err := buildFederatedDemo(2, 2, 6, 11, 8000, core.EngineIncremental, core.PartitionAuto, 0, dir, 1, 0, nil)
+	fed2, closer2, err := buildFederatedDemo(2, 2, 6, 11, 8000, 0, dir, 1, 0, nil)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -292,7 +277,7 @@ func TestJournaledFederatedDemoRecovers(t *testing.T) {
 // /api/events — the same wiring main() performs.
 func TestDemoOpsEndpoints(t *testing.T) {
 	fire := telemetry.NewFirehose()
-	ex, _, err := buildDemo(2, 4, 7, 5000, core.EngineIncremental, core.PartitionAuto, 0, "", 1, 0, fire)
+	ex, _, err := buildDemo(2, 4, 7, 5000, 0, "", 1, 0, fire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,13 +336,13 @@ func TestDemoOpsEndpoints(t *testing.T) {
 // the holder releases it.
 func TestLockWaitRetries(t *testing.T) {
 	dir := t.TempDir()
-	_, closer, err := buildDemo(2, 4, 7, 1000, core.EngineIncremental, core.PartitionAuto, 0, dir, 1, 0, nil)
+	_, closer, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Without a wait budget the held lock is a hard startup failure.
-	if _, _, err := buildDemo(2, 4, 7, 1000, core.EngineIncremental, core.PartitionAuto, 0, dir, 1, 0, nil); !errors.Is(err, journal.ErrLocked) {
+	if _, _, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil); !errors.Is(err, journal.ErrLocked) {
 		t.Fatalf("locked open without wait = %v, want ErrLocked", err)
 	}
 
@@ -367,7 +352,7 @@ func TestLockWaitRetries(t *testing.T) {
 		time.Sleep(150 * time.Millisecond)
 		closer()
 	}()
-	ex2, closer2, err := buildDemo(2, 4, 7, 1000, core.EngineIncremental, core.PartitionAuto, 0, dir, 1, 5*time.Second, nil)
+	ex2, closer2, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 5*time.Second, nil)
 	if err != nil {
 		t.Fatalf("open with lock-wait: %v", err)
 	}

@@ -67,6 +67,7 @@ const resourcePkg = "clustermarket/internal/resource"
 var vouchedFuncs = map[string]bool{
 	"clustermarket/internal/core.MaxLimit": true, // pure fold over BundleLimits
 	"clustermarket/internal/core.LimitFor": true, // slice index or scalar field read
+	"runtime.GOMAXPROCS":                   true, // reads or sets a scheduler word
 }
 
 func run(pass *analysis.Pass) error {

@@ -12,38 +12,6 @@ import (
 // converts that theoretical hazard into a reportable error.
 var ErrNoConvergence = errors.New("core: clock auction did not converge")
 
-// Engine selects the demand-revelation strategy Run uses to drive the
-// clock. Both engines produce bit-identical results (prices, allocations,
-// payments, drop rounds, history) because the incremental engine
-// recomputes stale excess-demand components in the same fixed reduction
-// order the dense engine uses; the differential property test enforces
-// this.
-type Engine int
-
-const (
-	// EngineIncremental, the default, re-evaluates only the proxies whose
-	// bundles touch a pool whose price moved last round, updating the
-	// excess-demand vector by recomputing just the affected components.
-	// Each round costs O(affected bidders) instead of O(all bidders) —
-	// the planet-scale fast path.
-	EngineIncremental Engine = iota
-	// EngineDense re-scores every proxy against every bundle and rebuilds
-	// the excess-demand vector from scratch each round — the literal
-	// Algorithm 1 transcription, kept as the reference implementation.
-	EngineDense
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineIncremental:
-		return "incremental"
-	case EngineDense:
-		return "dense"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
 // Config parameterizes one clock auction run.
 type Config struct {
 	// Start is p̃, the starting/reserve price vector. Section IV derives
@@ -59,22 +27,8 @@ type Config struct {
 	Epsilon float64
 	// MaxRounds bounds the clock. Zero selects a generous default.
 	MaxRounds int
-	// Parallel clears the independent sub-markets (see Partition) on all
-	// CPUs; they share no state, so results match serial runs.
-	Parallel bool
 	// RecordHistory retains per-round snapshots in Result.History.
 	RecordHistory bool
-	// Engine selects the demand-revelation strategy; the zero value is
-	// EngineIncremental.
-	Engine Engine
-	// Partition controls the sub-market decomposition (see partition.go):
-	// when the bidder–pool graph splits into independent connected
-	// components, each component's clock runs on its own scratch —
-	// concurrently under Parallel — and the per-component outcomes are
-	// merged back in global order, bit-identical to the merged
-	// single-clock run. The zero value PartitionAuto enables it;
-	// PartitionOff forces the merged loop.
-	Partition PartitionMode
 }
 
 // DefaultMaxRounds bounds auctions that were not given an explicit limit.
@@ -150,27 +104,23 @@ func (r *Result) TotalTraded() resource.Vector {
 // on first use, reused afterwards) so a steady-state round performs zero
 // heap allocations. Concurrent auctions each need their own Auction.
 type Auction struct {
-	// reg names the pools; nil on a sub-market's private auction, which
-	// like every stage past NewAuction sizes itself by len(cfg.Start).
-	reg     *resource.Registry
 	bids    []*Bid
 	proxies []*Proxy
 	cfg     Config
-	// incIndex caches the incremental engine's inverted pool→proxies
-	// index; bids are frozen after NewAuction, so it is built once and
-	// shared across Run calls.
+	// incIndex caches the round loop's inverted pool→proxies index; bids
+	// are frozen after NewAuction, so it is built once and shared across
+	// Run calls.
 	incIndex *incrementalIndex
-	// incState is the incremental engine's reusable working set (dirty
-	// sets, epoch marks); reset at the top of each run.
+	// incState is the round loop's reusable working set (dirty sets,
+	// epoch marks); reset at the top of each run.
 	incState *incrementalState
-	// part caches the sub-market decomposition (nil when partitioning is
-	// off, unsupported, or the market is one connected component); like
-	// incIndex it is derived from the frozen bid set, built once on first
-	// use, and shared across Run calls. partBuilt distinguishes "not yet
-	// decided" from a cached nil decision.
-	part      *partitionState
-	partBuilt bool
-	// sc holds the round loop's scratch vectors, shared by both engines.
+	// lanes caches the component lanes Run clocks (see partition.go): at
+	// least one, derived from the frozen bid set, built on first use and
+	// shared across Run calls. A lane's private auction has none; it is
+	// what runs the round loop, so incIndex and incState live there.
+	lanes []*lane
+	// sc holds the scratch vectors: a lane's round-loop working set, or
+	// the parent's merged settle state.
 	sc runScratch
 }
 
@@ -222,9 +172,6 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 	if cfg.Epsilon < 0 {
 		return nil, errors.New("core: negative epsilon")
 	}
-	if cfg.Partition != PartitionAuto && cfg.Partition != PartitionOff {
-		return nil, fmt.Errorf("core: unknown partition mode %d", int(cfg.Partition))
-	}
 	if len(cfg.Start) != reg.Len() {
 		return nil, fmt.Errorf("core: start prices have %d components, registry has %d pools", len(cfg.Start), reg.Len())
 	}
@@ -255,7 +202,7 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 		slab[i] = Proxy{bid: b, lastChoice: -1, sparse: views[lo:len(views):len(views)]}
 		proxies[i] = &slab[i]
 	}
-	return &Auction{reg: reg, bids: bids, proxies: proxies, cfg: cfg}, nil
+	return &Auction{bids: bids, proxies: proxies, cfg: cfg}, nil
 }
 
 // Bids returns the auction's bids in input order.
@@ -287,9 +234,9 @@ func (a *Auction) ConvergenceGuaranteed() bool {
 // Run executes Algorithm 1: collect proxy demands, stop when excess
 // demand is nonpositive, otherwise raise prices and repeat. On
 // non-convergence it returns ErrNoConvergence together with the partial
-// Result for diagnosis. Config.Engine selects between the incremental
-// engine (the default; see incremental.go) and the dense reference
-// implementation; their results are bit-identical.
+// Result for diagnosis. The market is clocked as independent component
+// lanes (see partition.go), each on the incremental round loop (see
+// incremental.go); the outcome is bit-identical to ReferenceRun's.
 func (a *Auction) Run() (*Result, error) { return a.RunReusing(nil) }
 
 // RunReusing is Run with Result recycling: when res is non-nil (typically
@@ -301,24 +248,7 @@ func (a *Auction) Run() (*Result, error) { return a.RunReusing(nil) }
 //
 //marketlint:allocfree
 func (a *Auction) RunReusing(res *Result) (*Result, error) {
-	res = a.resetResult(res)
-	if ps := a.partition(); ps != nil {
-		return a.runPartitioned(ps, res)
-	}
-	return a.runMerged(res)
-}
-
-// runMerged dispatches the classic single-clock engines. It is both the
-// non-partitioned path and the fallback the partitioned driver uses to
-// reproduce globally-coupled error semantics exactly.
-//
-//marketlint:allocfree
-func (a *Auction) runMerged(res *Result) (*Result, error) {
-	res = a.resetResult(res)
-	if a.cfg.Engine == EngineDense {
-		return a.runDense(res)
-	}
-	return a.runIncremental(res)
+	return a.runLanes(a.laneList(), a.resetResult(res))
 }
 
 // resetResult prepares res for (re)use: slices are truncated in place
@@ -360,63 +290,6 @@ func appendRound(h []Round, t int, p, z resource.Vector, active int) []Round {
 	}
 	//marketlint:allow allocfree history growth: runs once per new history depth, then the rounds above are recycled
 	return append(h, Round{T: t, Prices: p.Clone(), ExcessDemand: z.Clone(), ActiveBidders: active})
-}
-
-// runDense is the literal Algorithm 1 loop: every proxy is re-scored at
-// the new prices each round and the excess-demand vector is rebuilt from
-// scratch. It is quadratic in practice and kept as the reference the
-// incremental engine is differentially tested against.
-//
-//marketlint:allocfree
-func (a *Auction) runDense(res *Result) (*Result, error) {
-	// choices[i] is the bundle index demanded by proxy i this round, or
-	// −1 when priced out. Working with indices keeps the round loop on
-	// the sparse fast path; all four working buffers are per-auction
-	// scratch, so a steady-state round allocates nothing.
-	p, z, choices := a.prepare()
-	step := a.sc.step
-
-	for t := 0; t < a.cfg.MaxRounds; t++ {
-		active := a.collect(p, choices)
-		z.SetZero()
-		for i, c := range choices {
-			if c >= 0 {
-				a.proxies[i].sparse[c].addInto(z)
-				// An active bidder is not dropped — clear any stale drop
-				// round from an earlier priced-out stretch (sellers and
-				// traders re-enter as prices rise).
-				res.DropRound[i] = -1
-			} else if res.DropRound[i] < 0 {
-				res.DropRound[i] = t
-			}
-		}
-		if a.cfg.RecordHistory {
-			res.History = appendRound(res.History, t, p, z, active)
-		}
-		if z.AllNonPositive(a.cfg.Epsilon) {
-			res.Converged = true
-			res.Rounds = t + 1
-			a.settle(res, p, choices)
-			return res, nil
-		}
-		a.cfg.Policy.StepInto(step, z, p)
-		if !step.AllNonNegative(0) {
-			//marketlint:allow allocfree error path; the run is abandoned
-			return nil, fmt.Errorf("core: policy %s produced a negative step", a.cfg.Policy.Name())
-		}
-		if step.MaxAbs() == 0 {
-			// The policy refused to move despite excess demand; without
-			// progress the loop would spin forever.
-			//marketlint:allow allocfree error path; the run is abandoned
-			return nil, fmt.Errorf("core: policy %s stalled with positive excess demand at round %d", a.cfg.Policy.Name(), t)
-		}
-		p.AddInto(step)
-	}
-
-	res.Converged = false
-	res.Rounds = a.cfg.MaxRounds
-	a.settle(res, p, choices)
-	return res, ErrNoConvergence
 }
 
 // collect evaluates every proxy at prices p into choices, returning the

@@ -297,37 +297,32 @@ func TestAuctionDetectsStalledPolicy(t *testing.T) {
 	}
 }
 
+// TestAuctionParallelMatchesSerial runs one multi-lane market on the
+// driver's serial sweep (GOMAXPROCS 1) and on its worker fan-out
+// (GOMAXPROCS 4): the lanes share no state, so the outcomes are
+// bit-identical.
 func TestAuctionParallelMatchesSerial(t *testing.T) {
-	reg := resource.NewStandardRegistry("r1", "r2", "r3", "r4")
-	rng := rand.New(rand.NewSource(7))
-	bids := randomPureMarket(rng, reg, 300)
-
-	run := func(parallel bool) *Result {
-		start := make(resource.Vector, reg.Len())
-		for i := range start {
-			start[i] = 0.5
-		}
-		a, err := NewAuction(reg, bids, Config{Start: start, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
+	reg, bids := randomRegionalMarket(rand.New(rand.NewSource(7)), 4)
+	start := make(resource.Vector, reg.Len())
+	for i := range start {
+		start[i] = 0.5
+	}
+	a, err := NewAuction(reg, bids, Config{Start: start, MaxRounds: 300, RecordHistory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Components() < 2 {
+		t.Fatalf("market did not decompose: %d components", a.Components())
+	}
+	run := func(procs int) *Result {
+		withProcs(t, procs)
 		res, err := a.Run()
-		if err != nil {
+		if res == nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	serial := run(false)
-	parallel := run(true)
-	if serial.Rounds != parallel.Rounds {
-		t.Fatalf("rounds differ: %d vs %d", serial.Rounds, parallel.Rounds)
-	}
-	if !serial.Prices.Equal(parallel.Prices, 0) {
-		t.Fatalf("prices differ:\n%v\n%v", serial.Prices, parallel.Prices)
-	}
-	if len(serial.Winners) != len(parallel.Winners) {
-		t.Fatalf("winners differ: %d vs %d", len(serial.Winners), len(parallel.Winners))
-	}
+	mustEqualResults(t, "serial vs fan-out", run(1), run(4))
 }
 
 func TestTotalTraded(t *testing.T) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,8 +10,8 @@ import (
 
 // randomMixedMarket builds a random market over reg mixing pure buyers,
 // pure sellers, and traders, with both scalar and vector (per-bundle)
-// limits — the full input space the incremental engine must match the
-// dense engine over.
+// limits — the full input space the production clock must match the
+// reference over.
 func randomMixedMarket(rng *rand.Rand, reg *resource.Registry) []*Bid {
 	n := rng.Intn(40) + 4
 	bids := make([]*Bid, 0, n)
@@ -59,13 +58,13 @@ func randomMixedMarket(rng *rand.Rand, reg *resource.Registry) []*Bid {
 	return bids
 }
 
-// mustEqualResults requires the two engines' outcomes to be bit-identical
+// mustEqualResults requires the two clocks' outcomes to be bit-identical
 // across every Result field, including per-round history.
-func mustEqualResults(t *testing.T, tag string, dense, inc *Result) {
+func mustEqualResults(t *testing.T, tag string, ref, got *Result) {
 	t.Helper()
-	if dense.Converged != inc.Converged || dense.Rounds != inc.Rounds {
+	if ref.Converged != got.Converged || ref.Rounds != got.Rounds {
 		t.Fatalf("%s: converged/rounds = %v/%d vs %v/%d",
-			tag, dense.Converged, dense.Rounds, inc.Converged, inc.Rounds)
+			tag, ref.Converged, ref.Rounds, got.Converged, got.Rounds)
 	}
 	exact := func(name string, a, b resource.Vector) {
 		t.Helper()
@@ -78,7 +77,7 @@ func mustEqualResults(t *testing.T, tag string, dense, inc *Result) {
 			}
 		}
 	}
-	exact("prices", dense.Prices, inc.Prices)
+	exact("prices", ref.Prices, got.Prices)
 	exactInts := func(name string, a, b []int) {
 		t.Helper()
 		if len(a) != len(b) {
@@ -90,15 +89,15 @@ func mustEqualResults(t *testing.T, tag string, dense, inc *Result) {
 			}
 		}
 	}
-	exactInts("winners", dense.Winners, inc.Winners)
-	exactInts("losers", dense.Losers, inc.Losers)
-	exactInts("chosenBundle", dense.ChosenBundle, inc.ChosenBundle)
-	exactInts("dropRound", dense.DropRound, inc.DropRound)
-	for i := range dense.Payments {
-		if dense.Payments[i] != inc.Payments[i] {
-			t.Fatalf("%s: payment[%d] = %v vs %v", tag, i, dense.Payments[i], inc.Payments[i])
+	exactInts("winners", ref.Winners, got.Winners)
+	exactInts("losers", ref.Losers, got.Losers)
+	exactInts("chosenBundle", ref.ChosenBundle, got.ChosenBundle)
+	exactInts("dropRound", ref.DropRound, got.DropRound)
+	for i := range ref.Payments {
+		if ref.Payments[i] != got.Payments[i] {
+			t.Fatalf("%s: payment[%d] = %v vs %v", tag, i, ref.Payments[i], got.Payments[i])
 		}
-		dx, ix := dense.Allocations[i], inc.Allocations[i]
+		dx, ix := ref.Allocations[i], got.Allocations[i]
 		if (dx == nil) != (ix == nil) {
 			t.Fatalf("%s: allocation[%d] nil mismatch", tag, i)
 		}
@@ -106,11 +105,11 @@ func mustEqualResults(t *testing.T, tag string, dense, inc *Result) {
 			exact(fmt.Sprintf("allocation[%d]", i), dx, ix)
 		}
 	}
-	if len(dense.History) != len(inc.History) {
-		t.Fatalf("%s: history length %d vs %d", tag, len(dense.History), len(inc.History))
+	if len(ref.History) != len(got.History) {
+		t.Fatalf("%s: history length %d vs %d", tag, len(ref.History), len(got.History))
 	}
-	for r := range dense.History {
-		dh, ih := dense.History[r], inc.History[r]
+	for r := range ref.History {
+		dh, ih := ref.History[r], got.History[r]
 		if dh.T != ih.T || dh.ActiveBidders != ih.ActiveBidders {
 			t.Fatalf("%s: round %d T/active = %d/%d vs %d/%d",
 				tag, r, dh.T, dh.ActiveBidders, ih.T, ih.ActiveBidders)
@@ -120,14 +119,37 @@ func mustEqualResults(t *testing.T, tag string, dense, inc *Result) {
 	}
 }
 
+// mustMatchReference runs one market through the production clock and
+// through ReferenceRun and requires bit-identical outcomes: every Result
+// field, error presence and error text. It returns the production
+// auction's lane count.
+func mustMatchReference(t *testing.T, tag string, reg *resource.Registry, bids []*Bid, cfg Config) int {
+	t.Helper()
+	a, err := NewAuction(reg, bids, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	got, gotErr := a.Run()
+	ref, refErr := ReferenceRun(reg, bids, cfg)
+	if (refErr == nil) != (gotErr == nil) || gotErr != nil && gotErr.Error() != refErr.Error() {
+		t.Fatalf("%s: errors differ: reference=%v production=%v", tag, refErr, gotErr)
+	}
+	if (ref == nil) != (got == nil) {
+		t.Fatalf("%s: nil result mismatch: reference=%v production=%v", tag, refErr, gotErr)
+	}
+	if ref != nil {
+		mustEqualResults(t, tag, ref, got)
+	}
+	return a.Components()
+}
+
 // TestIncrementalMatchesDenseDifferential is the determinism contract of
-// the incremental engine: over randomized registries and markets of
+// the production round loop: over randomized registries and markets of
 // buyers, sellers, and traders (scalar and vector limits, converging and
-// non-converging clocks, serial and parallel evaluation), its results
-// are bit-identical to the dense reference engine — same prices, same
-// allocations and payments, same winners and drop rounds, same per-round
-// history. The reduction order is fixed, so exact float equality is the
-// assertion, not a tolerance.
+// non-converging clocks), its results are bit-identical to the dense
+// ReferenceRun — same prices, same allocations and payments, same
+// winners and drop rounds, same per-round history. The reduction order
+// is fixed, so exact float equality is the assertion, not a tolerance.
 func TestIncrementalMatchesDenseDifferential(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -141,7 +163,7 @@ func TestIncrementalMatchesDenseDifferential(t *testing.T) {
 		for i := range start {
 			start[i] = rng.Float64() * 2
 		}
-		cfg := Config{
+		mustMatchReference(t, fmt.Sprintf("seed %d", seed), reg, bids, Config{
 			Start: start,
 			Policy: Capped{
 				Alpha:   0.01 + rng.Float64()*0.1,
@@ -150,28 +172,8 @@ func TestIncrementalMatchesDenseDifferential(t *testing.T) {
 			},
 			Epsilon:       float64(rng.Intn(2)) * 0.01,
 			MaxRounds:     300,
-			Parallel:      seed%3 == 0,
 			RecordHistory: true,
-		}
-
-		run := func(engine Engine) (*Result, error) {
-			c := cfg
-			c.Engine = engine
-			a, err := NewAuction(reg, bids, c)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			return a.Run()
-		}
-		dense, denseErr := run(EngineDense)
-		inc, incErr := run(EngineIncremental)
-		if (denseErr == nil) != (incErr == nil) || !errors.Is(incErr, denseErr) && incErr != nil && denseErr != nil {
-			t.Fatalf("seed %d: errors differ: dense=%v incremental=%v", seed, denseErr, incErr)
-		}
-		if dense == nil || inc == nil {
-			t.Fatalf("seed %d: nil result: dense=%v incremental=%v", seed, denseErr, incErr)
-		}
-		mustEqualResults(t, fmt.Sprintf("seed %d", seed), dense, inc)
+		})
 	}
 }
 
@@ -187,47 +189,41 @@ func TestDropRoundClearedOnReEntry(t *testing.T) {
 		{User: "seller", Limit: -50, Bundles: []resource.Vector{{-10}}},
 		{User: "buyer", Limit: 1000, Bundles: []resource.Vector{{10}}},
 	}
-	for _, engine := range []Engine{EngineDense, EngineIncremental} {
-		a, err := NewAuction(reg, bids, Config{
+	for _, clk := range clocks {
+		res, err := clk.run(reg, bids, Config{
 			Start:         resource.Vector{1},
 			Policy:        Capped{Alpha: 0.5, Delta: 1, MinStep: 0.1},
 			RecordHistory: true,
-			Engine:        engine,
 		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := a.Run()
-		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%v: %v", clk.name, err)
 		}
 		if !res.Converged {
-			t.Fatalf("%v: did not converge", engine)
+			t.Fatalf("%v: did not converge", clk.name)
 		}
 		if !res.IsWinner(0) || !res.IsWinner(1) {
-			t.Fatalf("%v: winners = %v", engine, res.Winners)
+			t.Fatalf("%v: winners = %v", clk.name, res.Winners)
 		}
 		// The seller was inactive in round 0 (one active bidder) and
 		// active at the end — DropRound must agree with the history.
 		if res.History[0].ActiveBidders != 1 {
-			t.Fatalf("%v: round 0 active = %d, want 1", engine, res.History[0].ActiveBidders)
+			t.Fatalf("%v: round 0 active = %d, want 1", clk.name, res.History[0].ActiveBidders)
 		}
 		if last := res.History[len(res.History)-1].ActiveBidders; last != 2 {
-			t.Fatalf("%v: final active = %d, want 2", engine, last)
+			t.Fatalf("%v: final active = %d, want 2", clk.name, last)
 		}
 		if res.DropRound[0] != -1 {
-			t.Errorf("%v: re-entered seller DropRound = %d, want -1", engine, res.DropRound[0])
+			t.Errorf("%v: re-entered seller DropRound = %d, want -1", clk.name, res.DropRound[0])
 		}
 		if res.DropRound[1] != -1 {
-			t.Errorf("%v: always-active buyer DropRound = %d, want -1", engine, res.DropRound[1])
+			t.Errorf("%v: always-active buyer DropRound = %d, want -1", clk.name, res.DropRound[1])
 		}
 	}
 }
 
-// TestPureBuyerRetirementIsFinal checks the incremental engine's
-// retirement rule at the Result level: a priced-out pure buyer never
-// reappears (its drop round sticks), while the engine still settles the
-// rest of the market identically to the dense path.
+// TestPureBuyerRetirementIsFinal checks the round loop's retirement
+// rule at the Result level: a priced-out pure buyer never reappears (its
+// drop round sticks).
 func TestPureBuyerRetirementIsFinal(t *testing.T) {
 	reg := resource.NewRegistry(resource.Pool{Cluster: "r1", Dim: resource.CPU})
 	bids := []*Bid{
@@ -239,7 +235,6 @@ func TestPureBuyerRetirementIsFinal(t *testing.T) {
 		Start:         resource.Vector{1},
 		Policy:        Capped{Alpha: 0.05, Delta: 0.2, MinStep: 0.05},
 		RecordHistory: true,
-		Engine:        EngineIncremental,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,9 +260,8 @@ func TestPureBuyerRetirementIsFinal(t *testing.T) {
 }
 
 // TestRunReusingMatchesFreshRun pins RunReusing's recycling contract:
-// re-running an auction into a recycled Result — including one recycled
-// across engines and history modes — yields outcomes bit-identical to a
-// fresh Run.
+// re-running an auction into a recycled Result — with and without
+// history — yields outcomes bit-identical to a fresh Run.
 func TestRunReusingMatchesFreshRun(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
@@ -281,38 +275,37 @@ func TestRunReusingMatchesFreshRun(t *testing.T) {
 		for i := range start {
 			start[i] = rng.Float64() * 2
 		}
-		for _, engine := range []Engine{EngineDense, EngineIncremental} {
-			a, err := NewAuction(reg, bids, Config{
-				Start:         start,
-				Policy:        Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-				MaxRounds:     300,
-				RecordHistory: seed%2 == 0,
-				Engine:        engine,
-			})
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+		a, err := NewAuction(reg, bids, Config{
+			Start:         start,
+			Policy:        Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
+			MaxRounds:     300,
+			RecordHistory: seed%2 == 0,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fresh, freshErr := a.Run()
+		if fresh == nil {
+			t.Fatalf("seed %d: nil result (%v)", seed, freshErr)
+		}
+		// Recycle twice: the second pass exercises fully warmed scratch.
+		reused, reusedErr := a.RunReusing(&Result{})
+		for pass := 0; pass < 2; pass++ {
+			if (freshErr == nil) != (reusedErr == nil) {
+				t.Fatalf("seed %d: errors differ: %v vs %v", seed, freshErr, reusedErr)
 			}
-			fresh, freshErr := a.Run()
-			if fresh == nil {
-				t.Fatalf("seed %d: nil result (%v)", seed, freshErr)
-			}
-			// Recycle twice: the second pass exercises fully warmed scratch.
-			reused, reusedErr := a.RunReusing(&Result{})
-			for pass := 0; pass < 2; pass++ {
-				if (freshErr == nil) != (reusedErr == nil) {
-					t.Fatalf("seed %d %v: errors differ: %v vs %v", seed, engine, freshErr, reusedErr)
-				}
-				mustEqualResults(t, fmt.Sprintf("seed %d %v pass %d", seed, engine, pass), fresh, reused)
-				reused, reusedErr = a.RunReusing(reused)
-			}
+			mustEqualResults(t, fmt.Sprintf("seed %d pass %d", seed, pass), fresh, reused)
+			reused, reusedErr = a.RunReusing(reused)
 		}
 	}
 }
 
 // TestSteadyStateRoundsAllocationFree pins the zero-allocation contract
-// of the refactored round loop: once an auction's scratch buffers are
-// warm, re-running it through RunReusing performs no heap allocations at
-// all — with and without history recording, on both engines.
+// of the round loop: once an auction's scratch buffers are warm,
+// re-running it through RunReusing performs no heap allocations at all,
+// with and without history recording. testing.AllocsPerRun pins
+// GOMAXPROCS to 1 while it measures, so should this market split into
+// lanes it is still the driver's serial sweep that is counted.
 func TestSteadyStateRoundsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	reg := resource.NewRegistry(
@@ -323,27 +316,24 @@ func TestSteadyStateRoundsAllocationFree(t *testing.T) {
 	bids := randomMixedMarket(rng, reg)
 	start := resource.Vector{0.5, 0.5, 0.5}
 	for _, history := range []bool{false, true} {
-		for _, engine := range []Engine{EngineDense, EngineIncremental} {
-			a, err := NewAuction(reg, bids, Config{
-				Start:         start,
-				Policy:        Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-				MaxRounds:     300,
-				RecordHistory: history,
-				Engine:        engine,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := a.Run() // warm the scratch and the Result
-			if res == nil {
-				t.Fatalf("%v: nil result (%v)", engine, err)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				res, _ = a.RunReusing(res)
-			})
-			if allocs != 0 {
-				t.Errorf("%v (history=%v): %.1f allocs per steady-state run, want 0", engine, history, allocs)
-			}
+		a, err := NewAuction(reg, bids, Config{
+			Start:         start,
+			Policy:        Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
+			MaxRounds:     300,
+			RecordHistory: history,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run() // warm the scratch and the Result
+		if res == nil {
+			t.Fatalf("nil result (%v)", err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			res, _ = a.RunReusing(res)
+		})
+		if allocs != 0 {
+			t.Errorf("history=%v: %.1f allocs per steady-state run, want 0", history, allocs)
 		}
 	}
 }

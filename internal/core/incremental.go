@@ -1,33 +1,30 @@
 package core
 
-import (
-	"fmt"
+import "clustermarket/internal/resource"
 
-	"clustermarket/internal/resource"
-)
-
-// This file implements EngineIncremental, the planet-scale fast path of
-// Algorithm 1. The dense engine re-scores every proxy every round, but a
-// round's price step only raises the over-demanded pools: a proxy none of
-// whose bundles touches a raised pool sees identical bundle costs and
-// provably repeats its previous choice. The incremental engine therefore
-// maintains an inverted index from pool to the proxies touching it,
-// derives the dirty-pool set from the step's positive components,
-// re-evaluates only the affected proxies, and refreshes only the
-// excess-demand components those proxies' old and new bundles touch.
+// This file implements incremental demand revelation, what makes the
+// production round loop (runClock, partition.go) the planet-scale fast
+// path of Algorithm 1. The reference loop re-scores every proxy every
+// round, but a round's price step only raises the over-demanded pools: a
+// proxy none of whose bundles touches a raised pool sees identical
+// bundle costs and provably repeats its previous choice. The clock
+// therefore maintains an inverted index from pool to the proxies
+// touching it, derives the dirty-pool set from the step's positive
+// components, re-evaluates only the affected proxies, and refreshes only
+// the excess-demand components those proxies' old and new bundles touch.
 //
-// Determinism contract: results are bit-identical to the dense engine.
+// Determinism contract: results are bit-identical to ReferenceRun.
 // Excess demand is never updated by adding/subtracting deltas — floating
 // point addition is not associative, so delta updates would drift in the
-// low bits and the two engines' clocks would diverge. Instead each stale
-// pool's component is re-summed from zero over the pool's proxy list in
+// low bits and the two clocks would diverge. Instead each stale pool's
+// component is re-summed from zero over the pool's proxy list in
 // ascending proxy order, which replays the exact addition sequence the
-// dense rebuild performs for that pool (the dense loop visits proxies in
-// input order and sparse addInto touches only non-zero components).
+// reference rebuild performs for that pool (it visits proxies in input
+// order and sparse addInto touches only non-zero components).
 // Components of untouched pools are carried over unchanged, which is
-// likewise exactly what the dense re-sum would reproduce for them.
+// likewise exactly what the reference re-sum would reproduce for them.
 
-// incrementalIndex is the immutable, bids-derived half of the engine:
+// incrementalIndex is the immutable, bids-derived half of the clock:
 // the inverted pool→proxies index and the bidder classes. It is built
 // once per Auction (bids are frozen after NewAuction) and shared across
 // Run calls.
@@ -63,9 +60,9 @@ func (a *Auction) buildIncrementalIndex() *incrementalIndex {
 	return ix
 }
 
-// incrementalState carries the per-run working set of the incremental
-// engine: the shared index plus epoch-stamped scratch buffers, so the
-// round loop allocates nothing.
+// incrementalState carries the per-run working set of incremental
+// revelation: the shared index plus epoch-stamped scratch buffers, so
+// the round loop allocates nothing.
 type incrementalState struct {
 	*incrementalIndex
 	// retired marks pure buyers that have been priced out of every
@@ -144,74 +141,6 @@ func (st *incrementalState) markStalePool(r int32) {
 	}
 }
 
-// runIncremental executes Algorithm 1 with incremental demand revelation.
-// The control flow mirrors runDense exactly — same round structure, same
-// stopping test, same error paths — so the two engines settle the same
-// choices at the same prices, bit for bit.
-//
-//marketlint:allocfree
-func (a *Auction) runIncremental(res *Result) (*Result, error) {
-	p, z, choices := a.prepare()
-	step := a.sc.step
-	st := a.newIncrementalState()
-
-	// Round 0 is a full evaluation: every proxy is affected by the jump
-	// from "no prices" to the reserve prices, and z is built from scratch
-	// in the dense engine's proxy order.
-	active := a.collect(p, choices)
-	for i, c := range choices {
-		if c >= 0 {
-			a.proxies[i].sparse[c].addInto(z)
-		} else {
-			res.DropRound[i] = 0
-			if st.pureBuyer[i] {
-				st.retired[i] = true
-			}
-		}
-	}
-
-	for t := 0; t < a.cfg.MaxRounds; t++ {
-		if t > 0 {
-			active = a.advance(st, p, choices, res, z, t, active)
-		}
-		if a.cfg.RecordHistory {
-			res.History = appendRound(res.History, t, p, z, active)
-		}
-		if z.AllNonPositive(a.cfg.Epsilon) {
-			res.Converged = true
-			res.Rounds = t + 1
-			a.settle(res, p, choices)
-			return res, nil
-		}
-		a.cfg.Policy.StepInto(step, z, p)
-		if !step.AllNonNegative(0) {
-			//marketlint:allow allocfree error path; the run is abandoned
-			return nil, fmt.Errorf("core: policy %s produced a negative step", a.cfg.Policy.Name())
-		}
-		if step.MaxAbs() == 0 {
-			// The policy refused to move despite excess demand; without
-			// progress the loop would spin forever.
-			//marketlint:allow allocfree error path; the run is abandoned
-			return nil, fmt.Errorf("core: policy %s stalled with positive excess demand at round %d", a.cfg.Policy.Name(), t)
-		}
-		p.AddInto(step)
-		// The dirty pools for next round's re-evaluation are exactly the
-		// components the step moved.
-		st.dirty = st.dirty[:0]
-		for r, s := range step {
-			if s > 0 {
-				//marketlint:allow allocfree dirty-pool scratch is cached on the Auction; growth is amortized across runs
-				st.dirty = append(st.dirty, int32(r))
-			}
-		}
-	}
-
-	res.Converged = false
-	res.Rounds = a.cfg.MaxRounds
-	a.settle(res, p, choices)
-	return res, ErrNoConvergence
-}
-
 // advance applies one round of incremental demand revelation at round t:
 // gather the proxies touching a dirty pool, re-evaluate them, and
 // recompute the excess-demand components their changed choices touch. It
@@ -283,7 +212,7 @@ func (a *Auction) advance(st *incrementalState, p resource.Vector, choices []int
 		return active
 	}
 	// Re-sum each stale component from zero over the pool's proxy list in
-	// ascending order — the dense rebuild's exact addition sequence for
+	// ascending order — the reference rebuild's exact addition sequence for
 	// that pool (see the determinism contract above).
 	for _, r := range st.stale {
 		var sum float64

@@ -64,13 +64,28 @@ func randomIntegerMarket(rng *rand.Rand, pools, bidders int) (*resource.Registry
 	return reg, bids, start
 }
 
-func mustRun(t *testing.T, reg *resource.Registry, bids []*Bid, cfg Config) *Result {
-	t.Helper()
+// productionRun is Auction.Run in ReferenceRun's shape.
+func productionRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, error) {
 	a, err := NewAuction(reg, bids, cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	res, err := a.Run()
+	return a.Run()
+}
+
+// clocks are the two implementations of Algorithm 1: the properties
+// below are the algorithm's, so the oracle is held to them too.
+var clocks = []struct {
+	name string
+	run  func(*resource.Registry, []*Bid, Config) (*Result, error)
+}{
+	{"production", productionRun},
+	{"reference", ReferenceRun},
+}
+
+func mustRun(t *testing.T, run func(*resource.Registry, []*Bid, Config) (*Result, error), reg *resource.Registry, bids []*Bid, cfg Config) *Result {
+	t.Helper()
+	res, err := run(reg, bids, cfg)
 	if err != nil && !errors.Is(err, ErrNoConvergence) {
 		t.Fatal(err)
 	}
@@ -91,13 +106,12 @@ func TestScalingCovariance(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		reg, bids, start := randomIntegerMarket(rng, 12, 24)
 		for _, k := range []float64{0.25, 0.5, 2, 8} {
-			for _, engine := range []Engine{EngineIncremental, EngineDense} {
+			for _, clk := range clocks {
 				base := Config{
 					Start:  start,
 					Policy: Capped{Alpha: 0.02, Delta: 0.25, MinStep: 0.001},
-					Engine: engine,
 				}
-				res := mustRun(t, reg, bids, base)
+				res := mustRun(t, clk.run, reg, bids, base)
 
 				scaledBids := make([]*Bid, len(bids))
 				for i, b := range bids {
@@ -113,30 +127,29 @@ func TestScalingCovariance(t *testing.T) {
 				scaled := Config{
 					Start:  scaledStart,
 					Policy: Capped{Alpha: 0.02 * k, Delta: 0.25 * k, MinStep: 0.001 * k},
-					Engine: engine,
 				}
-				sres := mustRun(t, reg, scaledBids, scaled)
+				sres := mustRun(t, clk.run, reg, scaledBids, scaled)
 
 				if sres.Converged != res.Converged || sres.Rounds != res.Rounds {
 					t.Fatalf("seed %d k=%g %v: converged/rounds (%v,%d) vs (%v,%d)",
-						seed, k, engine, sres.Converged, sres.Rounds, res.Converged, res.Rounds)
+						seed, k, clk.name, sres.Converged, sres.Rounds, res.Converged, res.Rounds)
 				}
 				for i := range start {
 					if sres.Prices[i] != res.Prices[i]*k {
 						t.Fatalf("seed %d k=%g %v: pool %d price %g, want %g·%g",
-							seed, k, engine, i, sres.Prices[i], res.Prices[i], k)
+							seed, k, clk.name, i, sres.Prices[i], res.Prices[i], k)
 					}
 				}
 				for i := range bids {
 					if sres.IsWinner(i) != res.IsWinner(i) || sres.ChosenBundle[i] != res.ChosenBundle[i] {
-						t.Fatalf("seed %d k=%g %v: bid %d outcome changed under scaling", seed, k, engine, i)
+						t.Fatalf("seed %d k=%g %v: bid %d outcome changed under scaling", seed, k, clk.name, i)
 					}
 					if sres.Payments[i] != res.Payments[i]*k {
 						t.Fatalf("seed %d k=%g %v: bid %d payment %g, want %g·%g",
-							seed, k, engine, i, sres.Payments[i], res.Payments[i], k)
+							seed, k, clk.name, i, sres.Payments[i], res.Payments[i], k)
 					}
 					if res.IsWinner(i) && !vectorsExactlyEqual(sres.Allocations[i], res.Allocations[i]) {
-						t.Fatalf("seed %d k=%g %v: bid %d allocation changed under scaling", seed, k, engine, i)
+						t.Fatalf("seed %d k=%g %v: bid %d allocation changed under scaling", seed, k, clk.name, i)
 					}
 				}
 			}
@@ -162,26 +175,26 @@ func TestPermutationInvariance(t *testing.T) {
 			b := *bids[p]
 			permBids[i] = &b
 		}
-		for _, engine := range []Engine{EngineIncremental, EngineDense} {
-			cfg := Config{Start: start, Engine: engine}
-			res := mustRun(t, reg, bids, cfg)
-			pres := mustRun(t, reg, permBids, cfg)
+		for _, clk := range clocks {
+			cfg := Config{Start: start}
+			res := mustRun(t, clk.run, reg, bids, cfg)
+			pres := mustRun(t, clk.run, reg, permBids, cfg)
 
 			if pres.Converged != res.Converged || pres.Rounds != res.Rounds {
-				t.Fatalf("seed %d %v: converged/rounds changed under permutation", seed, engine)
+				t.Fatalf("seed %d %v: converged/rounds changed under permutation", seed, clk.name)
 			}
 			if !vectorsExactlyEqual(pres.Prices, res.Prices) {
 				t.Fatalf("seed %d %v: prices changed under permutation:\n%v\nvs\n%v",
-					seed, engine, pres.Prices, res.Prices)
+					seed, clk.name, pres.Prices, res.Prices)
 			}
 			for i, p := range perm {
 				if pres.IsWinner(i) != res.IsWinner(p) ||
 					pres.Payments[i] != res.Payments[p] ||
 					pres.ChosenBundle[i] != res.ChosenBundle[p] {
-					t.Fatalf("seed %d %v: bid %d(→%d) outcome changed under permutation", seed, engine, p, i)
+					t.Fatalf("seed %d %v: bid %d(→%d) outcome changed under permutation", seed, clk.name, p, i)
 				}
 				if res.IsWinner(p) && !vectorsExactlyEqual(pres.Allocations[i], res.Allocations[p]) {
-					t.Fatalf("seed %d %v: bid %d(→%d) allocation changed under permutation", seed, engine, p, i)
+					t.Fatalf("seed %d %v: bid %d(→%d) allocation changed under permutation", seed, clk.name, p, i)
 				}
 			}
 		}
@@ -209,16 +222,16 @@ func TestZeroDemandBidderNeutral(t *testing.T) {
 		augmented = append(augmented, inert)
 		augmented = append(augmented, bids[insertAt:]...)
 
-		for _, engine := range []Engine{EngineIncremental, EngineDense} {
-			cfg := Config{Start: start, Engine: engine}
-			res := mustRun(t, reg, bids, cfg)
-			ares := mustRun(t, reg, augmented, cfg)
+		for _, clk := range clocks {
+			cfg := Config{Start: start}
+			res := mustRun(t, clk.run, reg, bids, cfg)
+			ares := mustRun(t, clk.run, reg, augmented, cfg)
 
 			if ares.Converged != res.Converged || ares.Rounds != res.Rounds {
-				t.Fatalf("seed %d %v: converged/rounds changed by inert bidder", seed, engine)
+				t.Fatalf("seed %d %v: converged/rounds changed by inert bidder", seed, clk.name)
 			}
 			if !vectorsExactlyEqual(ares.Prices, res.Prices) {
-				t.Fatalf("seed %d %v: prices changed by inert bidder", seed, engine)
+				t.Fatalf("seed %d %v: prices changed by inert bidder", seed, clk.name)
 			}
 			for i := range bids {
 				j := i
@@ -228,17 +241,17 @@ func TestZeroDemandBidderNeutral(t *testing.T) {
 				if ares.IsWinner(j) != res.IsWinner(i) ||
 					ares.Payments[j] != res.Payments[i] ||
 					ares.ChosenBundle[j] != res.ChosenBundle[i] {
-					t.Fatalf("seed %d %v: bid %d outcome changed by inert bidder", seed, engine, i)
+					t.Fatalf("seed %d %v: bid %d outcome changed by inert bidder", seed, clk.name, i)
 				}
 				if res.IsWinner(i) && !vectorsExactlyEqual(ares.Allocations[j], res.Allocations[i]) {
-					t.Fatalf("seed %d %v: bid %d allocation changed by inert bidder", seed, engine, i)
+					t.Fatalf("seed %d %v: bid %d allocation changed by inert bidder", seed, clk.name, i)
 				}
 			}
 			if ares.IsWinner(insertAt) {
-				t.Fatalf("seed %d %v: inert bidder won", seed, engine)
+				t.Fatalf("seed %d %v: inert bidder won", seed, clk.name)
 			}
 			if ares.DropRound[insertAt] != 0 {
-				t.Fatalf("seed %d %v: inert bidder drop round = %d, want 0", seed, engine, ares.DropRound[insertAt])
+				t.Fatalf("seed %d %v: inert bidder drop round = %d, want 0", seed, clk.name, ares.DropRound[insertAt])
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"clustermarket/internal/resource"
@@ -97,72 +99,51 @@ func randomPartitionPolicy(rng *rand.Rand, r int) IncrementPolicy {
 	}
 }
 
-// TestPartitionedMatchesMergedDifferential is the decomposition's
-// determinism contract, the three-way extension of the dense/incremental
-// differential: over randomized regional markets — multiple connected
-// components, all four built-in policies, scalar and vector limits,
-// ε = 0 and ε > 0, converging and non-converging clocks, serial and
-// parallel — the partitioned path's results are bit-identical to the
-// merged single-clock run on both engines. Exact float equality on every
-// Result field, including per-round history, is the assertion.
+// withProcs sets GOMAXPROCS for the test's duration: 1 pins the driver's
+// serial sweep, 2 or more its worker fan-out, whatever the runner has.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestPartitionedMatchesMergedDifferential is the lane driver's
+// determinism contract: over randomized regional markets — multiple
+// connected components, all four built-in policies, scalar and vector
+// limits, ε = 0 and ε > 0, converging and non-converging clocks — the
+// production run's results are bit-identical to ReferenceRun's merged
+// single clock, on the serial sweep and on the fan-out (GOMAXPROCS raised
+// so a 1-CPU runner exercises, and races, it too). Exact float equality
+// on every Result field, including per-round history, is the assertion.
 func TestPartitionedMatchesMergedDifferential(t *testing.T) {
-	decomposed := 0
-	for seed := int64(0); seed < 120; seed++ {
-		rng := rand.New(rand.NewSource(9000 + seed))
-		registry, bids := randomRegionalMarket(rng, rng.Intn(5)+2)
-		start := make(resource.Vector, registry.Len())
-		for i := range start {
-			start[i] = rng.Float64() * 2
-		}
-		cfg := Config{
-			Start:         start,
-			Policy:        randomPartitionPolicy(rng, registry.Len()),
-			Epsilon:       float64(rng.Intn(2)) * 0.01,
-			MaxRounds:     300,
-			Parallel:      seed%3 == 0,
-			RecordHistory: true,
-		}
-
-		run := func(engine Engine, mode PartitionMode) (*Result, error, int) {
-			c := cfg
-			c.Engine = engine
-			c.Partition = mode
-			a, err := NewAuction(registry, bids, c)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			res, runErr := a.Run()
-			return res, runErr, a.Components()
-		}
-
-		ref, refErr, _ := run(EngineDense, PartitionOff)
-		for _, engine := range []Engine{EngineDense, EngineIncremental} {
-			for _, mode := range []PartitionMode{PartitionOff, PartitionAuto} {
-				if engine == EngineDense && mode == PartitionOff {
-					continue
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			decomposed := 0
+			for seed := int64(0); seed < 120; seed++ {
+				rng := rand.New(rand.NewSource(9000 + seed))
+				registry, bids := randomRegionalMarket(rng, rng.Intn(5)+2)
+				start := make(resource.Vector, registry.Len())
+				for i := range start {
+					start[i] = rng.Float64() * 2
 				}
-				got, gotErr, comps := run(engine, mode)
-				if mode == PartitionAuto && engine == EngineDense && comps > 1 {
+				comps := mustMatchReference(t, fmt.Sprintf("seed %d", seed), registry, bids, Config{
+					Start:         start,
+					Policy:        randomPartitionPolicy(rng, registry.Len()),
+					Epsilon:       float64(rng.Intn(2)) * 0.01,
+					MaxRounds:     300,
+					RecordHistory: true,
+				})
+				if comps > 1 {
 					decomposed++
 				}
-				tag := fmt.Sprintf("seed %d %v/partition=%v (%d components)", seed, engine, mode, comps)
-				if (refErr == nil) != (gotErr == nil) || gotErr != nil && !errors.Is(gotErr, refErr) {
-					t.Fatalf("%s: errors differ: ref=%v got=%v", tag, refErr, gotErr)
-				}
-				if (ref == nil) != (got == nil) {
-					t.Fatalf("%s: nil result mismatch: ref=%v got=%v", tag, refErr, gotErr)
-				}
-				if ref == nil {
-					continue
-				}
-				mustEqualResults(t, tag, ref, got)
 			}
-		}
-	}
-	// The generator must actually exercise the decomposition, not just
-	// single-component fallbacks.
-	if decomposed < 60 {
-		t.Fatalf("only %d/120 seeds decomposed into multiple components", decomposed)
+			// The generator must actually exercise the decomposition,
+			// not just whole-market lanes.
+			if decomposed < 60 {
+				t.Fatalf("only %d/120 seeds decomposed into multiple components", decomposed)
+			}
+		})
 	}
 }
 
@@ -177,18 +158,10 @@ func TestPartitionComponents(t *testing.T) {
 		v[idx] = q
 		return v
 	}
-	newAuction := func(t *testing.T, bids []*Bid, mode PartitionMode) *Auction {
-		t.Helper()
-		a, err := NewAuction(registry, bids, Config{
-			Start:     resource.Vector{1, 1, 1, 1},
-			Policy:    Capped{Alpha: 0.1, Delta: 0.5, MinStep: 0.01},
-			MaxRounds: 5000,
-			Partition: mode,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
+	cfg := Config{
+		Start:     resource.Vector{1, 1, 1, 1},
+		Policy:    Capped{Alpha: 0.1, Delta: 0.5, MinStep: 0.01},
+		MaxRounds: 5000,
 	}
 
 	t.Run("DisjointRegions", func(t *testing.T) {
@@ -197,25 +170,14 @@ func TestPartitionComponents(t *testing.T) {
 			{User: "b1", Limit: 50, Bundles: []resource.Vector{bundle(1, 5)}},
 			{User: "b2", Limit: 50, Bundles: []resource.Vector{bundle(2, 5)}},
 		}
-		if got := newAuction(t, bids, PartitionAuto).Components(); got != 3 {
+		if got := mustMatchReference(t, "disjoint", registry, bids, cfg); got != 3 {
 			t.Fatalf("Components = %d, want 3", got)
-		}
-	})
-
-	t.Run("PartitionOffForcesOne", func(t *testing.T) {
-		bids := []*Bid{
-			{User: "b0", Limit: 50, Bundles: []resource.Vector{bundle(0, 5)}},
-			{User: "b1", Limit: 50, Bundles: []resource.Vector{bundle(1, 5)}},
-		}
-		if got := newAuction(t, bids, PartitionOff).Components(); got != 1 {
-			t.Fatalf("Components = %d, want 1", got)
 		}
 	})
 
 	t.Run("SingleGiantComponent", func(t *testing.T) {
 		// Every bid shares pool 0, so the graph is one component and the
-		// merged path runs: the partitioned and non-partitioned runs are
-		// the same code path, byte for byte.
+		// market runs as one whole lane.
 		var bids []*Bid
 		for i := 0; i < 4; i++ {
 			v := make(resource.Vector, registry.Len())
@@ -223,16 +185,9 @@ func TestPartitionComponents(t *testing.T) {
 			v[i] = 2
 			bids = append(bids, &Bid{User: fmt.Sprintf("b%d", i), Limit: 80, Bundles: []resource.Vector{v}})
 		}
-		a := newAuction(t, bids, PartitionAuto)
-		if got := a.Components(); got != 1 {
+		if got := mustMatchReference(t, "giant", registry, bids, cfg); got != 1 {
 			t.Fatalf("Components = %d, want 1", got)
 		}
-		on, errOn := a.Run()
-		off, errOff := newAuction(t, bids, PartitionOff).Run()
-		if (errOn == nil) != (errOff == nil) {
-			t.Fatalf("errors differ: %v vs %v", errOn, errOff)
-		}
-		mustEqualResults(t, "giant", off, on)
 	})
 
 	t.Run("XORBundleBridges", func(t *testing.T) {
@@ -247,26 +202,16 @@ func TestPartitionComponents(t *testing.T) {
 			{User: "b3", Limit: 50, Bundles: []resource.Vector{bundle(3, 5)}},
 			{User: "bridge23", Limit: 50, Bundles: []resource.Vector{bundle(2, 1), bundle(3, 1)}},
 		}
-		a := newAuction(t, bids, PartitionAuto)
-		if got := a.Components(); got != 2 {
+		if got := mustMatchReference(t, "bridge", registry, bids, cfg); got != 2 {
 			t.Fatalf("Components = %d, want 2", got)
 		}
-		on, errOn := a.Run()
-		off, errOff := newAuction(t, bids, PartitionOff).Run()
-		if errOn != nil || errOff != nil {
-			t.Fatalf("errors: %v vs %v", errOn, errOff)
-		}
-		mustEqualResults(t, "bridge", off, on)
 	})
 
 	t.Run("EmptyBookRejected", func(t *testing.T) {
-		// An empty book never reaches the partitioner: NewAuction
-		// rejects it identically in both modes, so there is no
-		// zero-component state to diverge on.
-		for _, mode := range []PartitionMode{PartitionOff, PartitionAuto} {
-			if _, err := NewAuction(registry, nil, Config{Partition: mode}); err == nil {
-				t.Errorf("mode %v: empty book accepted", mode)
-			}
+		// An empty book never reaches the lane builder: NewAuction
+		// rejects it, so there is no zero-lane state.
+		if _, err := NewAuction(registry, nil, cfg); err == nil {
+			t.Error("empty book accepted")
 		}
 	})
 
@@ -275,23 +220,39 @@ func TestPartitionComponents(t *testing.T) {
 			{User: "b0", Limit: 50, Bundles: []resource.Vector{bundle(0, 5)}},
 			{User: "b1", Limit: 50, Bundles: []resource.Vector{bundle(1, 5)}},
 		}
-		a, err := NewAuction(registry, bids, Config{
-			Start:     resource.Vector{1, 1, 1, 1},
-			Policy:    opaquePolicy{},
-			MaxRounds: 500,
-		})
-		if err != nil {
-			t.Fatal(err)
+		foreign := cfg
+		foreign.Policy = opaquePolicy{}
+		if got := mustMatchReference(t, "foreign", registry, bids, foreign); got != 1 {
+			t.Fatalf("Components = %d with a foreign policy, want 1 (whole-market lane)", got)
 		}
-		if got := a.Components(); got != 1 {
-			t.Fatalf("Components = %d with a foreign policy, want 1 (merged fallback)", got)
+	})
+
+	t.Run("NegativeZeroReserveStaysWhole", func(t *testing.T) {
+		// The clock normalizes a −0 reserve price to +0 the first time
+		// it adds a zero step; only a lane covering every pool, touched
+		// or not, reproduces that sign bit.
+		bids := []*Bid{
+			{User: "b0", Limit: 50, Bundles: []resource.Vector{bundle(0, 5)}},
+			{User: "b1", Limit: 50, Bundles: []resource.Vector{bundle(1, 5)}},
+		}
+		negZero := cfg
+		negZero.Start = resource.Vector{1, 1, 1, math.Copysign(0, -1)}
+		negZero.RecordHistory = true
+		if got := mustMatchReference(t, "-0", registry, bids, negZero); got != 1 {
+			t.Fatalf("Components = %d with a −0 reserve price, want 1", got)
+		}
+		// −0 == +0 under mustEqualResults' comparison; check the bit.
+		got, _ := productionRun(registry, bids, negZero)
+		ref, _ := ReferenceRun(registry, bids, negZero)
+		if math.Signbit(got.Prices[3]) != math.Signbit(ref.Prices[3]) {
+			t.Fatalf("untouched −0 pool settled at %v, reference %v", got.Prices[3], ref.Prices[3])
 		}
 	})
 }
 
 // opaquePolicy is a syntactically valid foreign IncrementPolicy the
-// decomposition cannot prove per-pool-local, so it must keep the merged
-// path.
+// decomposition cannot prove per-pool-local, so the market must stay one
+// whole lane.
 type opaquePolicy struct{}
 
 func (opaquePolicy) Name() string { return "opaque" }
@@ -305,10 +266,76 @@ func (opaquePolicy) StepInto(dst, z, p resource.Vector) {
 	}
 }
 
-// TestPartitionedReEntryMidClock pins the re-entry path inside a
-// component: a priced-out seller re-enters and re-dirties its component
-// mid-clock while an unrelated component clears instantly, and the
-// partitioned outcome — drop rounds included — matches the merged run.
+// negativePolicy is a foreign policy that breaks the contract: it steps
+// over-demanded pools down once prices have left the reserve.
+type negativePolicy struct{}
+
+func (negativePolicy) Name() string { return "negative" }
+func (negativePolicy) StepInto(dst, z, p resource.Vector) {
+	for i, zi := range z {
+		switch {
+		case zi <= 0:
+			dst[i] = 0
+		case p[i] > 1:
+			dst[i] = -0.1
+		default:
+			dst[i] = 0.5
+		}
+	}
+}
+
+// TestLaneErrorsMatchReference pins the two error endings the driver
+// decides or passes through: the stall, which is global (every lane
+// frozen, no common cleared round, reported at the last freeze round),
+// and a foreign policy's negative step or stall on its one lane. Error
+// text and round must be the reference's.
+func TestLaneErrorsMatchReference(t *testing.T) {
+	registry := resource.NewRegistry(
+		resource.Pool{Cluster: "a", Dim: resource.CPU},
+		resource.Pool{Cluster: "b", Dim: resource.CPU},
+	)
+	mustFail := func(t *testing.T, bids []*Bid, cfg Config, lanes int, want string) {
+		t.Helper()
+		if got := mustMatchReference(t, want, registry, bids, cfg); got != lanes {
+			t.Fatalf("Components = %d, want %d", got, lanes)
+		}
+		if _, err := productionRun(registry, bids, cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("error = %v, want it to contain %q", err, want)
+		}
+	}
+
+	t.Run("MultiLaneStall", func(t *testing.T) {
+		// α is the smallest denormal: against 0.5 units of unsupplied
+		// demand the step α·z underflows to 0, so lane a freezes
+		// uncleared at round 0. Lane b steps once (α·2 is representable),
+		// prices its limit-0 buyer out and freezes cleared at round 1 —
+		// the round the whole step vector is first zero.
+		bids := []*Bid{
+			{User: "stuck", Limit: 100, Bundles: []resource.Vector{{0.5, 0}}},
+			{User: "leaves", Limit: 0, Bundles: []resource.Vector{{0, 2}}},
+		}
+		cfg := Config{Start: resource.Vector{1, 0}, Policy: Capped{Alpha: 5e-324, Delta: 1}}
+		mustFail(t, bids, cfg, 2, "stalled with positive excess demand at round 1")
+	})
+
+	bids := []*Bid{
+		{User: "b0", Limit: 100, Bundles: []resource.Vector{{5, 0}}},
+		{User: "b1", Limit: 100, Bundles: []resource.Vector{{0, 5}}},
+	}
+	t.Run("ForeignNegativeStep", func(t *testing.T) {
+		cfg := Config{Start: resource.Vector{1, 1}, Policy: negativePolicy{}}
+		mustFail(t, bids, cfg, 1, "policy negative produced a negative step")
+	})
+	t.Run("ForeignStall", func(t *testing.T) {
+		cfg := Config{Start: resource.Vector{1, 1}, Policy: stallPolicy{}}
+		mustFail(t, bids, cfg, 1, "policy stall stalled with positive excess demand at round 0")
+	})
+}
+
+// TestPartitionedReEntryMidClock pins the re-entry path inside a lane: a
+// priced-out seller re-enters and re-dirties its component mid-clock
+// while an unrelated component clears instantly, and the outcome — drop
+// rounds included — matches the reference.
 func TestPartitionedReEntryMidClock(t *testing.T) {
 	registry := resource.NewRegistry(
 		resource.Pool{Cluster: "hot", Dim: resource.CPU},
@@ -322,55 +349,33 @@ func TestPartitionedReEntryMidClock(t *testing.T) {
 		// The second component clears in round 0.
 		{User: "idle-op", Limit: -0.000001, Bundles: []resource.Vector{{0, -5}}},
 	}
-	for _, engine := range []Engine{EngineDense, EngineIncremental} {
-		run := func(mode PartitionMode) *Result {
-			a, err := NewAuction(registry, bids, Config{
-				Start:         resource.Vector{1, 1},
-				Policy:        Capped{Alpha: 0.5, Delta: 1, MinStep: 0.1},
-				RecordHistory: true,
-				Engine:        engine,
-				Partition:     mode,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mode == PartitionAuto {
-				if got := a.Components(); got != 2 {
-					t.Fatalf("Components = %d, want 2", got)
-				}
-			}
-			res, err := a.Run()
-			if err != nil {
-				t.Fatalf("%v/%v: %v", engine, mode, err)
-			}
-			return res
-		}
-		off, on := run(PartitionOff), run(PartitionAuto)
-		mustEqualResults(t, fmt.Sprintf("%v re-entry", engine), off, on)
-		if on.DropRound[0] != -1 {
-			t.Errorf("%v: re-entered seller DropRound = %d, want -1", engine, on.DropRound[0])
-		}
-		if !on.IsWinner(0) {
-			t.Errorf("%v: re-entered seller lost", engine)
-		}
+	cfg := Config{
+		Start:         resource.Vector{1, 1},
+		Policy:        Capped{Alpha: 0.5, Delta: 1, MinStep: 0.1},
+		RecordHistory: true,
 	}
-}
-
-// TestPartitionModeValidation rejects out-of-range modes up front.
-func TestPartitionModeValidation(t *testing.T) {
-	registry := resource.NewRegistry(resource.Pool{Cluster: "c", Dim: resource.CPU})
-	bids := []*Bid{{User: "b", Limit: 10, Bundles: []resource.Vector{{1}}}}
-	_, err := NewAuction(registry, bids, Config{Start: resource.Vector{0}, Partition: PartitionMode(7)})
-	if err == nil {
-		t.Fatal("PartitionMode(7) accepted")
+	if got := mustMatchReference(t, "re-entry", registry, bids, cfg); got != 2 {
+		t.Fatalf("Components = %d, want 2", got)
+	}
+	on, err := productionRun(registry, bids, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.DropRound[0] != -1 {
+		t.Errorf("re-entered seller DropRound = %d, want -1", on.DropRound[0])
+	}
+	if !on.IsWinner(0) {
+		t.Error("re-entered seller lost")
 	}
 }
 
 // TestPartitionedSteadyStateAllocationFree extends the zero-allocation
-// contract to the decomposed serial path: once a multi-component
-// auction's scratch — per-component sub-auctions included — is warm,
-// RunReusing performs no heap allocations on either engine, with and
-// without history.
+// contract to a multi-lane auction: once its scratch — per-lane private
+// auctions included — is warm, RunReusing performs no heap allocations,
+// with and without history. What is measured is the driver's serial
+// sweep: testing.AllocsPerRun pins GOMAXPROCS to 1, and the fan-out
+// taken at GOMAXPROCS ≥ 2 spawns its workers per run (4 allocations),
+// the one marketlint:allow in sweep.
 func TestPartitionedSteadyStateAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	registry, bids := randomRegionalMarket(rng, 4)
@@ -379,30 +384,27 @@ func TestPartitionedSteadyStateAllocationFree(t *testing.T) {
 		start[i] = 0.5
 	}
 	for _, history := range []bool{false, true} {
-		for _, engine := range []Engine{EngineDense, EngineIncremental} {
-			a, err := NewAuction(registry, bids, Config{
-				Start:         start,
-				Policy:        Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-				MaxRounds:     300,
-				RecordHistory: history,
-				Engine:        engine,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Components() < 2 {
-				t.Fatalf("market did not decompose: %d components", a.Components())
-			}
-			res, err := a.Run() // warm the scratch and the Result
-			if res == nil {
-				t.Fatalf("%v: nil result (%v)", engine, err)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				res, _ = a.RunReusing(res)
-			})
-			if allocs != 0 {
-				t.Errorf("%v (history=%v): %.1f allocs per steady-state partitioned run, want 0", engine, history, allocs)
-			}
+		a, err := NewAuction(registry, bids, Config{
+			Start:         start,
+			Policy:        Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
+			MaxRounds:     300,
+			RecordHistory: history,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Components() < 2 {
+			t.Fatalf("market did not decompose: %d components", a.Components())
+		}
+		res, err := a.Run() // warm the scratch and the Result
+		if res == nil {
+			t.Fatalf("nil result (%v)", err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			res, _ = a.RunReusing(res)
+		})
+		if allocs != 0 {
+			t.Errorf("history=%v: %.1f allocs per steady-state multi-lane run, want 0", history, allocs)
 		}
 	}
 }

@@ -1,0 +1,66 @@
+package core
+
+import (
+	"fmt"
+
+	"clustermarket/internal/resource"
+)
+
+// ReferenceRun is the oracle the production clock is held to: the
+// literal Algorithm 1 loop on the whole market, one price vector, every
+// proxy re-scored at the new prices each round and the excess-demand
+// vector rebuilt from scratch in input order. It is quadratic in
+// practice and nothing selects it at run time; the differential tests
+// and invariant.CheckEngineEquivalence compare Auction.Run against it,
+// bit for bit, on every Result field and on the error.
+func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, error) {
+	a, err := NewAuction(reg, bids, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := a.resetResult(nil)
+	// choices[i] is the bundle index demanded by proxy i this round, or
+	// −1 when priced out.
+	p, z, choices := a.prepare()
+	step := a.sc.step
+
+	for t := 0; t < a.cfg.MaxRounds; t++ {
+		active := a.collect(p, choices)
+		z.SetZero()
+		for i, c := range choices {
+			if c >= 0 {
+				a.proxies[i].sparse[c].addInto(z)
+				// An active bidder is not dropped — clear any stale drop
+				// round from an earlier priced-out stretch (sellers and
+				// traders re-enter as prices rise).
+				res.DropRound[i] = -1
+			} else if res.DropRound[i] < 0 {
+				res.DropRound[i] = t
+			}
+		}
+		if a.cfg.RecordHistory {
+			res.History = appendRound(res.History, t, p, z, active)
+		}
+		if z.AllNonPositive(a.cfg.Epsilon) {
+			res.Converged = true
+			res.Rounds = t + 1
+			a.settle(res, p, choices)
+			return res, nil
+		}
+		a.cfg.Policy.StepInto(step, z, p)
+		if !step.AllNonNegative(0) {
+			return nil, fmt.Errorf("core: policy %s produced a negative step", a.cfg.Policy.Name())
+		}
+		if step.MaxAbs() == 0 {
+			// The policy refused to move despite excess demand; without
+			// progress the loop would spin forever.
+			return nil, fmt.Errorf("core: policy %s stalled with positive excess demand at round %d", a.cfg.Policy.Name(), t)
+		}
+		p.AddInto(step)
+	}
+
+	res.Converged = false
+	res.Rounds = a.cfg.MaxRounds
+	a.settle(res, p, choices)
+	return res, ErrNoConvergence
+}

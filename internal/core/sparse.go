@@ -136,8 +136,8 @@ func (s sparseBundle) addInto(z resource.Vector) {
 }
 
 // valueAt returns the bundle's component in pool r and whether the bundle
-// touches it at all. The miss/hit distinction matters to the incremental
-// engine's determinism contract: a stale-pool re-sum must skip untouched
+// touches it at all. The miss/hit distinction matters to the round
+// loop's determinism contract: a stale-pool re-sum must skip untouched
 // bundles entirely, exactly as addInto never visits them, rather than
 // add a 0.0 (which is not always a bit-level no-op in IEEE arithmetic).
 // Bundles hold a handful of non-zero components, so the linear scan is

@@ -36,14 +36,9 @@ type Region struct {
 // NewRegion wires a regional exchange to its fleet. The region name must
 // be non-empty; the fleet must have at least one cluster. The
 // market.Config applies to the region's exchange verbatim — including
-// the clock engine selector (Config.Engine), so a federation can run
-// every regional auctioneer on the incremental engine or pin one to the
-// dense reference path for ablation; the sub-market decomposition mode
-// (Config.Partition), so each regional clock clears its independent
-// bidder–pool components concurrently (or is pinned to the merged
-// single-clock run with core.PartitionOff); and the book stripe count
-// (Config.Shards), so every regional intake pipeline is itself
-// contention-free under the federation router's concurrent leg routing.
+// the book stripe count (Config.Shards), so every regional intake
+// pipeline is itself contention-free under the federation router's
+// concurrent leg routing.
 func NewRegion(name string, fleet *cluster.Fleet, cfg market.Config) (*Region, error) {
 	if name == "" {
 		return nil, errors.New("federation: empty region name")

@@ -248,23 +248,19 @@ func CheckLegsAtMostOneWin(orders []*federation.FedOrder) []Violation {
 	return vs
 }
 
-// CheckEngineEquivalence runs the same bid set through the incremental
-// and dense clock engines and verifies the results are bit-identical —
-// the spot form of the differential property the incremental engine's
-// design guarantees. Non-convergence must agree too: both engines must
-// stop at the same round with the same partial state.
+// CheckEngineEquivalence runs the same bid set through the production
+// clock (incremental lanes) and through core.ReferenceRun (the dense
+// literal Algorithm 1) and verifies the results are bit-identical — the
+// spot form of the differential property the production clock's design
+// guarantees. Non-convergence must agree too: both must stop at the same
+// round with the same partial state.
 func CheckEngineEquivalence(reg *resource.Registry, bids []*core.Bid, cfg core.Config) []Violation {
-	run := func(engine core.Engine) (*core.Result, error) {
-		c := cfg
-		c.Engine = engine
-		a, err := core.NewAuction(reg, bids, c)
-		if err != nil {
-			return nil, err
-		}
-		return a.Run()
+	var inc *core.Result
+	a, incErr := core.NewAuction(reg, bids, cfg)
+	if incErr == nil {
+		inc, incErr = a.Run()
 	}
-	inc, incErr := run(core.EngineIncremental)
-	den, denErr := run(core.EngineDense)
+	den, denErr := core.ReferenceRun(reg, bids, cfg)
 	if (incErr == nil) != (denErr == nil) {
 		return []Violation{violatef("engine-equivalence",
 			"incremental err=%v, dense err=%v", incErr, denErr)}

@@ -187,16 +187,6 @@ type Config struct {
 	Policy    core.IncrementPolicy
 	Epsilon   float64
 	MaxRounds int
-	Parallel  bool
-	// Engine selects the clock's demand-revelation engine; the zero value
-	// is core.EngineIncremental (the O(affected bidders) fast path).
-	Engine core.Engine
-	// Partition selects the clock's sub-market decomposition; the zero
-	// value is core.PartitionAuto, which clears independent connected
-	// components of the bidder–pool graph on separate clocks (concurrently
-	// under Parallel) with results bit-identical to the merged run.
-	// core.PartitionOff forces the single merged clock.
-	Partition core.PartitionMode
 	// Journal, when non-nil, makes the exchange durable: every state
 	// change is appended to the write-ahead log before it is applied, and
 	// a snapshot is written every SnapshotEvery auctions. Nil keeps the
@@ -974,6 +964,17 @@ func (e *Exchange) releaseBatch(open []*Order) {
 	}
 }
 
+// clockConfig is the clock configuration of every auction this exchange
+// runs, binding or preliminary, from the reserve prices start.
+func (e *Exchange) clockConfig(start resource.Vector) core.Config {
+	return core.Config{
+		Start:     start,
+		Policy:    e.cfg.Policy,
+		Epsilon:   e.cfg.Epsilon,
+		MaxRounds: e.cfg.MaxRounds,
+	}
+}
+
 // PreliminaryPrices runs a non-binding simulation of the clock auction
 // over the current open orders, as the platform does "at periodic
 // intervals during the bid collection phase" (Section V.A), and returns
@@ -993,15 +994,7 @@ func (e *Exchange) PreliminaryPrices() (prices resource.Vector, converged bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	a, err := core.NewAuction(e.reg, bids, core.Config{
-		Start:     start,
-		Policy:    e.cfg.Policy,
-		Epsilon:   e.cfg.Epsilon,
-		MaxRounds: e.cfg.MaxRounds,
-		Parallel:  e.cfg.Parallel,
-		Engine:    e.cfg.Engine,
-		Partition: e.cfg.Partition,
-	})
+	a, err := core.NewAuction(e.reg, bids, e.clockConfig(start))
 	if err != nil {
 		return nil, false, err
 	}
@@ -1052,15 +1045,7 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		e.releaseBatch(open)
 		return nil, nil, err
 	}
-	a, err := core.NewAuction(e.reg, bids, core.Config{
-		Start:     start,
-		Policy:    e.cfg.Policy,
-		Epsilon:   e.cfg.Epsilon,
-		MaxRounds: e.cfg.MaxRounds,
-		Parallel:  e.cfg.Parallel,
-		Engine:    e.cfg.Engine,
-		Partition: e.cfg.Partition,
-	})
+	a, err := core.NewAuction(e.reg, bids, e.clockConfig(start))
 	if err != nil {
 		e.releaseBatch(open)
 		return nil, nil, err

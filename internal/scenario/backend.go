@@ -150,7 +150,6 @@ func marketConfig(cfg Config) market.Config {
 		InitialBudget: cfg.InitialBudget,
 		MaxRounds:     cfg.MaxRounds,
 		Shards:        cfg.Shards,
-		Partition:     cfg.Partition,
 		SnapshotEvery: cfg.SnapshotEvery,
 		Telemetry:     cfg.Telemetry,
 	}

@@ -51,13 +51,7 @@ type Config struct {
 	MaxRounds int
 	// Shards is the exchange book stripe count (0 selects the default).
 	Shards int
-	// Partition selects each exchange clock's sub-market decomposition;
-	// the zero value core.PartitionAuto clears independent bidder–pool
-	// components on separate clocks, bit-identical to the merged run —
-	// the catalog fingerprint contract holds in either mode.
-	// core.PartitionOff pins the merged single-clock path.
-	Partition core.PartitionMode
-	// SpotEvery runs the dense≡incremental engine-equivalence spot check
+	// SpotEvery runs the production≡reference clock-equivalence spot check
 	// on one region's fresh bid stream every SpotEvery epochs (default 3;
 	// negative disables).
 	SpotEvery int

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -79,29 +80,51 @@ func TestSameSeedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPartitionModeFingerprintInvariant pins the sub-market
-// decomposition's equivalence contract at the system level: every
-// catalog scenario, on both backends, fingerprints bit-identically
-// whether the clock runs merged (core.PartitionOff) or decomposed into
-// independent bidder–pool components (core.PartitionAuto, the
-// default). Prices, premiums, settlement order, and every epoch
-// summary field must survive the partitioned path unchanged — any
-// map-order or float-accumulation divergence it introduces breaks this
-// immediately.
-func TestPartitionModeFingerprintInvariant(t *testing.T) {
-	for _, sc := range Catalog() {
-		for _, kind := range backendKinds {
-			t.Run(sc.Name+"/"+kind, func(t *testing.T) {
-				off := runNamed(t, sc.Name, kind, Config{Seed: 97, Partition: core.PartitionOff})
-				auto := runNamed(t, sc.Name, kind, Config{Seed: 97, Partition: core.PartitionAuto})
-				if off.Fingerprint() != auto.Fingerprint() {
-					t.Errorf("partition modes diverged: off %s vs auto %s", off.Fingerprint(), auto.Fingerprint())
-				}
-				if !reflect.DeepEqual(off.Epochs, auto.Epochs) {
-					t.Errorf("partition modes diverged in epoch summaries:\n%+v\nvs\n%+v", off.Epochs, auto.Epochs)
-				}
-			})
-		}
+// goldenFingerprints are Report.Fingerprint() of every catalog scenario on
+// both backends at seed 97, captured on amd64 at the commit before the
+// clock's merged/partitioned and dense/incremental modes were collapsed
+// into one production path.
+var goldenFingerprints = []struct{ scenario, kind, fingerprint string }{
+	{"adaptive-learning", "exchange", "fb210b63be26baeb6f17dbb3cd2d4cdbe789a24a0e91150481fc223fe5c136ef"},
+	{"adaptive-learning", "federation", "4f50b54df769574b895e7c13be32b5ce4b5795cd1e13af4524936fca326b1d8f"},
+	{"churn", "exchange", "dc601b187e70f39ba490968223e3faf9e3cd73cc1593dcad6ebc4113f3d4a801"},
+	{"churn", "federation", "ff7191024484910c2f547ff1c2404897efe87cbf2e82b1baed4d8588e0046c53"},
+	{"crash-recovery", "exchange", "13f28282585e07e57508951e3149e8fdae79bba41df4d0b0fcb4fbeb7eefa7f1"},
+	{"crash-recovery", "federation", "0851d82fa01b02bed10b7b7ceaeced330217a43ababc6b70758e2d0720663e98"},
+	{"disk-fault", "exchange", "e148e6d9889ddfcd52c4176d88d73eb880f81af5e9040fc218743402f696b151"},
+	{"disk-fault", "federation", "a9db3aeeb689aa4f5bae1f7d826d64918795292d442500fec379ddfdc083688a"},
+	{"diurnal", "exchange", "d8ba7553eda1c6190ad1fdaa2434671eaba1438a4d7a68f7a7b174900fe2fd82"},
+	{"diurnal", "federation", "6dac146795d184bd1ac1c932334ddb133a75ca9f3f3549fe35370f2e8fc318c6"},
+	{"flash-crowd", "exchange", "57980c7d5e3bf1f8dc4a6dcfeb2e5e83b0975331a667e7e1c79e7df8b0434c1a"},
+	{"flash-crowd", "federation", "f7d9f78fd0b948c8e799628a014cdb58be09bd5c465546eb8675169ad086579f"},
+	{"partition-storm", "exchange", "deac9cddb1ca011c4c40e227b581338038e2166b9a067646c6e92fb792626c48"},
+	{"partition-storm", "federation", "6dd7651791ca778ffdc32037610be948f98019f1032c0ec5b33385205ef527a2"},
+	{"region-outage", "exchange", "d0d7039cff15ac952fc66c895b6982284d257a2efcd1161f550fe75a5512e79f"},
+	{"region-outage", "federation", "da3751001db9533638fc018de07d48ebcc3aaf36a73d6e53f7e9861af1980cc6"},
+	{"trader-storm", "exchange", "894aba85b3fdf18435c54298173fcc55126dad9fc4c514de8b1c61edfbc53dd2"},
+	{"trader-storm", "federation", "dd88139952e05f67a6a9897269b0f325b4570f9ab2fcc8be53a87655013ec46c"},
+}
+
+// TestGoldenFingerprints pins the market's outcomes absolutely, not
+// just run against run: prices, premiums, settlement order and every
+// epoch summary field of every catalog scenario must hash to the recorded
+// value, so a refactor of the clock, the exchange or the federation that
+// changes any settled bit fails here. Off amd64 the compiler may fuse
+// multiply-adds and legitimately produce different low bits.
+func TestGoldenFingerprints(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden fingerprints were captured on amd64")
+	}
+	if len(goldenFingerprints) != len(Catalog())*len(backendKinds) {
+		t.Fatalf("%d golden fingerprints for %d scenarios × %d backends", len(goldenFingerprints), len(Catalog()), len(backendKinds))
+	}
+	for _, g := range goldenFingerprints {
+		t.Run(g.scenario+"/"+g.kind, func(t *testing.T) {
+			rep := runNamed(t, g.scenario, g.kind, Config{Seed: 97})
+			if got := rep.Fingerprint(); got != g.fingerprint {
+				t.Errorf("fingerprint %s, golden %s", got, g.fingerprint)
+			}
+		})
 	}
 }
 

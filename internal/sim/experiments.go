@@ -352,7 +352,7 @@ const scalingReps = 3
 // timeAuction runs one synthetic auction for exactly scalingRounds rounds
 // (buyer limits are made effectively unbounded, so demand never clears)
 // and reports its wall time.
-func timeAuction(seed int64, users, pools int, parallel bool) (ScalingPoint, error) {
+func timeAuction(seed int64, users, pools int) (ScalingPoint, error) {
 	rng := rand.New(rand.NewSource(seed))
 	reg, bids := SyntheticMarket(rng, users, pools)
 	for _, b := range bids {
@@ -370,7 +370,6 @@ func timeAuction(seed int64, users, pools int, parallel bool) (ScalingPoint, err
 			Start:     start.Clone(),
 			Policy:    core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
 			MaxRounds: scalingRounds,
-			Parallel:  parallel,
 		})
 		if err != nil {
 			return ScalingPoint{}, err
@@ -391,17 +390,17 @@ func timeAuction(seed int64, users, pools int, parallel bool) (ScalingPoint, err
 
 // Scaling sweeps user count (at fixed 100 pools) and pool count (at fixed
 // 100 users) and fits lines, verifying the paper's linear-scaling claim.
-func Scaling(seed int64, parallel bool) (*ScalingData, error) {
+func Scaling(seed int64) (*ScalingData, error) {
 	d := &ScalingData{}
 	for _, u := range []int{25, 50, 100, 200, 400, 800} {
-		p, err := timeAuction(seed, u, 100, parallel)
+		p, err := timeAuction(seed, u, 100)
 		if err != nil {
 			return nil, err
 		}
 		d.UserSweep = append(d.UserSweep, p)
 	}
 	for _, r := range []int{12, 25, 50, 100, 200, 384} {
-		p, err := timeAuction(seed, 100, r, parallel)
+		p, err := timeAuction(seed, 100, r)
 		if err != nil {
 			return nil, err
 		}

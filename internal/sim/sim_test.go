@@ -206,7 +206,7 @@ func TestScalingLinear(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling sweep is slow")
 	}
-	d, err := Scaling(11, false)
+	d, err := Scaling(11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,6 @@ type Config struct {
 	Policy core.IncrementPolicy
 	// Scheduler packs tasks onto machines (default first-fit).
 	Scheduler cluster.Scheduler
-	// Parallel clears independent sub-markets on all CPUs (core.Config.Parallel).
-	Parallel bool
 }
 
 func (c *Config) applyDefaults() {
@@ -145,7 +143,6 @@ func NewWorld(cfg Config) (*World, error) {
 		InitialBudget: 50000,
 		Weight:        cfg.Weight,
 		Policy:        cfg.Policy,
-		Parallel:      cfg.Parallel,
 	})
 	if err != nil {
 		return nil, err
