@@ -140,3 +140,4 @@ fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run 'xxx' ./internal/bidlang
 	$(GO) test -fuzz 'FuzzQueryParams$$' -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzEventsQueryParams -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
+	$(GO) test -fuzz FuzzSettledEventReplay -fuzztime $(FUZZTIME) -run 'xxx' ./internal/market

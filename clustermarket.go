@@ -338,9 +338,10 @@ func OptimizeExact(reg *Registry, bids []*Bid, reserve Vector, obj Objective) (*
 }
 
 // EvaluateWelfare scores any allocation (for instance a clock auction's)
-// under an optimizer objective.
-func EvaluateWelfare(bids []*Bid, allocations []Vector, reserve Vector, obj Objective) (float64, error) {
-	return optimize.EvaluateWelfare(bids, allocations, reserve, obj)
+// under an optimizer objective. chosen[i] is the index of the bundle
+// bids[i] was granted (AuctionResult.ChosenBundle), −1 for none.
+func EvaluateWelfare(bids []*Bid, chosen []int, reserve Vector, obj Objective) (float64, error) {
+	return optimize.EvaluateWelfare(bids, chosen, reserve, obj)
 }
 
 // UnfairnessReport counts the SYSTEM fairness constraints (3)–(5) an

@@ -135,7 +135,7 @@ func run(alpha, delta, minStep, epsilon, startPrice float64, maxRounds int, hist
 		alloc, pay := "-", "-"
 		if res.IsWinner(i) {
 			status = "won"
-			alloc = reg.Format(res.Allocations[i])
+			alloc = reg.Format(res.Allocation(i))
 			pay = fmt.Sprintf("%.4f", res.Payments[i])
 		}
 		rows = append(rows, []string{b.User, b.Class().String(), status, pay, alloc})

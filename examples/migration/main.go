@@ -85,8 +85,8 @@ func main() {
 	fmt.Printf("auction settled in %d rounds\n", rec.Rounds)
 	for _, o := range ex.Orders() {
 		where := "nothing"
-		if o.Allocation != nil {
-			where = reg.Format(o.Allocation)
+		if alloc := o.Allocation(); alloc != nil {
+			where = reg.Format(alloc)
 		}
 		fmt.Printf("  %-9s %-5s -> %s (paid %.2f)\n", o.Team, o.Status, where, o.Payment)
 	}

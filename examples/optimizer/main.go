@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	clockWelfare, err := cm.EvaluateWelfare(bids, clock.Allocations, reserve, cm.TotalSurplus)
+	clockWelfare, err := cm.EvaluateWelfare(bids, clock.ChosenBundle, reserve, cm.TotalSurplus)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -66,8 +66,8 @@ func main() {
 	// 5. Inspect the outcome.
 	for _, o := range ex.Orders() {
 		fmt.Printf("  order %d (%s): %s", o.ID, o.Team, o.Status)
-		if o.Allocation != nil {
-			fmt.Printf(", paid %.2f for %s", o.Payment, ex.Registry().Format(o.Allocation))
+		if alloc := o.Allocation(); alloc != nil {
+			fmt.Printf(", paid %.2f for %s", o.Payment, ex.Registry().Format(alloc))
 		}
 		fmt.Println()
 	}

@@ -67,6 +67,7 @@ const resourcePkg = "clustermarket/internal/resource"
 var vouchedFuncs = map[string]bool{
 	"clustermarket/internal/core.MaxLimit": true, // pure fold over BundleLimits
 	"clustermarket/internal/core.LimitFor": true, // slice index or scalar field read
+	"clustermarket/internal/core.Row":      true, // a booked bid's row is two sub-slices of its slabs
 	"runtime.GOMAXPROCS":                   true, // reads or sets a scheduler word
 }
 

@@ -142,21 +142,22 @@ func (f *Fleet) TaskSeq() int { return f.nextTask }
 func (f *Fleet) SetTaskSeq(n int) { f.nextTask = n }
 
 // PlaceAllocationChunked schedules the positive part of a settled
-// allocation onto the fleet as machine-sized chunks — the placement
-// model every market driver shares (sim worlds, federated migration,
-// the scenario engine). Clusters are visited in sorted name order so
+// allocation — given sparse, as the winning bundle's (pool, quantity)
+// pairs in ascending pool order — onto the fleet as machine-sized chunks:
+// the placement model every market driver shares (sim worlds, federated
+// migration, the scenario engine). Clusters are visited in sorted name order so
 // placement, and therefore future utilization and reserve prices, is a
 // deterministic function of the allocation. onPlace, when non-nil, is
 // invoked for every scheduled task (so callers can evict later);
 // scheduling stops per cluster at the first failure (the cluster is
 // genuinely full).
-func (f *Fleet) PlaceAllocationChunked(reg *resource.Registry, team string, alloc resource.Vector, onPlace func(clusterName, taskID string)) {
+func (f *Fleet) PlaceAllocationChunked(reg *resource.Registry, team string, pools []int32, qty []float64, onPlace func(clusterName, taskID string)) {
 	perCluster := make(map[string]Usage)
-	for i, q := range alloc {
+	for k, q := range qty {
 		if q <= 0 {
 			continue
 		}
-		p := reg.Pool(i)
+		p := reg.Pool(int(pools[k]))
 		u := perCluster[p.Cluster]
 		perCluster[p.Cluster] = u.Set(p.Dim, u.Get(p.Dim)+q)
 	}
@@ -332,15 +333,16 @@ func (l *QuotaLedger) TotalGranted(cluster string) Usage {
 	return total
 }
 
-// ApplyAllocation translates a settled auction allocation vector into
-// quota adjustments: positive components grant quota, negative components
-// (sold resources) remove it.
-func (l *QuotaLedger) ApplyAllocation(reg *resource.Registry, team string, alloc resource.Vector) {
-	for i, q := range alloc {
+// ApplyAllocation translates a settled auction allocation — given sparse,
+// as the winning bundle's (pool, quantity) pairs — into quota adjustments:
+// positive components grant quota, negative components (sold resources)
+// remove it.
+func (l *QuotaLedger) ApplyAllocation(reg *resource.Registry, team string, pools []int32, qty []float64) {
+	for k, q := range qty {
 		if q == 0 {
 			continue
 		}
-		p := reg.Pool(i)
+		p := reg.Pool(int(pools[k]))
 		var delta Usage
 		delta = delta.Set(p.Dim, q)
 		l.Grant(team, p.Cluster, delta)

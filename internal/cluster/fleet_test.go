@@ -131,14 +131,15 @@ func TestQuotaLedger(t *testing.T) {
 func TestApplyAllocation(t *testing.T) {
 	f := newTestFleet(t)
 	reg := f.Registry()
-	alloc := reg.Zero()
-	alloc[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})] = 8
-	alloc[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.RAM})] = 16
-	alloc[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.Disk})] = -2
+	pools := []int32{
+		int32(reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})),
+		int32(reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.RAM})),
+		int32(reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.Disk})),
+	}
 
 	l := f.Quotas()
 	l.Grant("team", "r2", Usage{Disk: 5})
-	l.ApplyAllocation(reg, "team", alloc)
+	l.ApplyAllocation(reg, "team", pools, []float64{8, 16, -2})
 
 	if g := l.Granted("team", "r1"); g.CPU != 8 || g.RAM != 16 {
 		t.Errorf("r1 quota = %v", g)

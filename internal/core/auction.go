@@ -42,8 +42,10 @@ type Round struct {
 	ActiveBidders int
 }
 
-// Result is the auction outcome: final uniform prices, per-bid
-// allocations x_u, and payments x_uᵀp.
+// Result is the auction outcome: final uniform prices, each bid's settled
+// bundle, and payments x_uᵀp. A win is recorded as the index of the bundle
+// that won — the allocation x_u is that bundle of the bid's own rows — so
+// the outcome holds nothing that grows with the registry but Prices.
 type Result struct {
 	// Converged is false only when MaxRounds was hit; in that case the
 	// remaining fields describe the state at the final round.
@@ -51,18 +53,17 @@ type Result struct {
 	Rounds    int
 	// Prices is the final price vector p.
 	Prices resource.Vector
-	// Allocations[i] is x_u for bids[i]; nil when the bid lost.
-	Allocations []resource.Vector
 	// Payments[i] is x_uᵀp; negative values are amounts received by
 	// sellers. Zero for losers.
 	Payments []float64
 	// Winners and Losers are bid indices, in input order.
 	Winners []int
 	Losers  []int
-	// ChosenBundle[i] is the index into bids[i].Bundles of the settled
-	// bundle, or −1 when the bid lost. Premium statistics for vector-limit
-	// bids must be computed against this bundle's limit (Bid.LimitFor),
-	// not the scalar Limit, which is ignored when BundleLimits is set.
+	// ChosenBundle[i] is the index of bids[i]'s settled bundle — x_u is
+	// that bundle (Bid.Row sparse, Bid.Bundle dense) — or −1 when the bid
+	// lost. Premium statistics for vector-limit bids must be computed
+	// against this bundle's limit (Bid.LimitFor), not the scalar Limit,
+	// which is ignored when BundleLimits is set.
 	ChosenBundle []int
 	// DropRound[i] is the round at which bid i last left the auction, or
 	// −1 if it was active at the end. A bidder that is priced out and
@@ -72,27 +73,44 @@ type Result struct {
 	DropRound []int
 	// History holds per-round snapshots when Config.RecordHistory is set.
 	History []Round
+
+	// bids are the auction's bids, which ChosenBundle indexes into.
+	bids []*Bid
 }
 
 // IsWinner reports whether bid i won.
-func (r *Result) IsWinner(i int) bool { return r.Allocations[i] != nil }
+func (r *Result) IsWinner(i int) bool { return r.ChosenBundle[i] >= 0 }
+
+// Allocation returns x_u for bid i as an R-component vector, nil when
+// the bid lost. It is built on demand (Bid.Bundle), for callers that
+// want the dense form; Bid.Row of ChosenBundle[i] is the same allocation
+// without the vector.
+func (r *Result) Allocation(i int) resource.Vector {
+	if !r.IsWinner(i) {
+		return nil
+	}
+	return r.bids[i].Bundle(r.ChosenBundle[i])
+}
 
 // TotalTraded returns the sum over winners of the positive parts of their
 // allocations: the gross quantity of resources that changed hands (the
-// "total value of trade" numerator in Section III.B, in units).
+// "total value of trade" numerator in Section III.B, in units). It is nil
+// when nobody won.
 func (r *Result) TotalTraded() resource.Vector {
-	if len(r.Allocations) == 0 {
-		return nil
-	}
 	var out resource.Vector
-	for _, x := range r.Allocations {
-		if x == nil {
+	for i, c := range r.ChosenBundle {
+		if c < 0 {
 			continue
 		}
 		if out == nil {
-			out = make(resource.Vector, len(x))
+			out = make(resource.Vector, len(r.Prices))
 		}
-		out.AddInto(x.PositivePart())
+		pools, qty := r.bids[i].Row(c)
+		for k, pool := range pools {
+			if qty[k] > 0 {
+				out[pool] += qty[k]
+			}
+		}
 	}
 	return out
 }
@@ -241,10 +259,10 @@ func (a *Auction) Run() (*Result, error) { return a.RunReusing(nil) }
 
 // RunReusing is Run with Result recycling: when res is non-nil (typically
 // the outcome of an earlier run of this auction), its slices — including
-// per-winner allocation vectors and recorded history rounds — are
-// overwritten in place instead of reallocated, so a steady-state re-run
-// performs zero heap allocations. The returned Result is res itself; the
-// previous outcome it carried is destroyed. Pass nil for a fresh Result.
+// recorded history rounds — are overwritten in place instead of
+// reallocated, so a steady-state re-run performs zero heap allocations.
+// The returned Result is res itself; the previous outcome it carried is
+// destroyed. Pass nil for a fresh Result.
 //
 //marketlint:allocfree
 func (a *Auction) RunReusing(res *Result) (*Result, error) {
@@ -308,19 +326,16 @@ func (a *Auction) collect(p resource.Vector, choices []int) int {
 }
 
 // settle freezes the outcome at final prices: winners receive their
-// demanded bundle and pay its cost; everyone else loses. The Result's
-// slices (and per-winner allocation vectors) are reused in place when
-// RunReusing recycled them, so the settled outcome never aliases the
-// auction's scratch buffers.
+// demanded bundle — recorded as its index, never copied out of the bid —
+// and pay its cost; everyone else loses. The Result's slices are reused
+// in place when RunReusing recycled them, so the settled outcome never
+// aliases the auction's scratch buffers.
 //
 //marketlint:allocfree
 func (a *Auction) settle(res *Result, p resource.Vector, choices []int) {
 	n := len(a.bids)
+	res.bids = a.bids
 	res.Prices = res.Prices.CopyFrom(p)
-	if cap(res.Allocations) < n {
-		res.Allocations = make([]resource.Vector, n)
-	}
-	res.Allocations = res.Allocations[:n]
 	if cap(res.Payments) < n {
 		res.Payments = make([]float64, n)
 	}
@@ -333,15 +348,10 @@ func (a *Auction) settle(res *Result, p resource.Vector, choices []int) {
 	for i, c := range choices {
 		res.ChosenBundle[i] = c
 		if c < 0 {
-			res.Allocations[i] = nil
 			res.Payments[i] = 0
 			res.Losers = append(res.Losers, i)
 			continue
 		}
-		x := res.Allocations[i].Resize(len(p))
-		x.SetZero()
-		a.proxies[i].sparse[c].scatter(x)
-		res.Allocations[i] = x
 		res.Payments[i] = a.proxies[i].sparse[c].dot(p)
 		res.Winners = append(res.Winners, i)
 	}

@@ -153,7 +153,7 @@ func TestAuctionSubstitutionMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := res.Allocations[1]
+	x := res.Allocation(1)
 	if x == nil || x[1] != 50 || x[0] != 0 {
 		t.Fatalf("mobile buyer allocated %v, want the idle cluster", x)
 	}
@@ -184,10 +184,10 @@ func TestAuctionMidClockSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x := res.Allocations[2]; x == nil || x[1] != 10 {
+	if x := res.Allocation(2); x == nil || x[1] != 10 {
 		t.Fatalf("flexible buyer allocated %v, want r2", x)
 	}
-	if x := res.Allocations[1]; x == nil || x[0] != 10 {
+	if x := res.Allocation(1); x == nil || x[0] != 10 {
 		t.Fatalf("anchored buyer allocated %v, want r1", x)
 	}
 	if v := CheckSystem(bids, res, 1e-9); len(v) != 0 {

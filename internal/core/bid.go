@@ -119,9 +119,12 @@ func (b *Bid) Bundle(i int) resource.Vector {
 
 // Row returns bundle i's non-zero components — pool indices ascending
 // and the quantities beside them. The slices are shared: read-only. It
-// is meant for booked bids; a bid that still carries Bundles is packed
-// afresh on every call.
+// is meant for booked bids, which it reads in place; a bid that still
+// carries Bundles is packed afresh on every call.
+//
+//marketlint:allocfree
 func (b *Bid) Row(i int) (pools []int32, qty []float64) {
+	//marketlint:allow allocfree view packs only a bid not yet booked; booked rows are read in place
 	rw := b.view()
 	sb := rw.bundle(i)
 	return sb.idx, sb.val
@@ -291,7 +294,7 @@ func (b *Bid) BestAffordable(p resource.Vector) (idx int, ok bool) {
 	best := -1
 	bestSurplus := math.Inf(-1)
 	for i, n := 0, b.NumBundles(); i < n; i++ {
-		cost := b.cost(i, p)
+		cost := b.Cost(i, p)
 		lim := b.LimitFor(i)
 		if cost > lim {
 			continue
@@ -366,15 +369,16 @@ func (px *Proxy) ChosenBundle() int { return px.lastChoice }
 func (b *Bid) CheapestCost(p resource.Vector) float64 {
 	cost := math.Inf(1)
 	for i, n := 0, b.NumBundles(); i < n; i++ {
-		if c := b.cost(i, p); c < cost {
+		if c := b.Cost(i, p); c < cost {
 			cost = c
 		}
 	}
 	return cost
 }
 
-// cost returns q_iᵀp for bundle i.
-func (b *Bid) cost(i int, p resource.Vector) float64 {
+// Cost returns q_iᵀp for bundle i — for a booked bid the sum over its
+// row in ascending pool order, the arithmetic settlement's payment is.
+func (b *Bid) Cost(i int, p resource.Vector) float64 {
 	if len(b.Bundles) > 0 {
 		return b.Bundles[i].Dot(p)
 	}

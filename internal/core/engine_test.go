@@ -97,7 +97,7 @@ func mustEqualResults(t *testing.T, tag string, ref, got *Result) {
 		if ref.Payments[i] != got.Payments[i] {
 			t.Fatalf("%s: payment[%d] = %v vs %v", tag, i, ref.Payments[i], got.Payments[i])
 		}
-		dx, ix := ref.Allocations[i], got.Allocations[i]
+		dx, ix := ref.Allocation(i), got.Allocation(i)
 		if (dx == nil) != (ix == nil) {
 			t.Fatalf("%s: allocation[%d] nil mismatch", tag, i)
 		}

@@ -27,6 +27,7 @@ func (v SystemViolation) Error() string {
 // point of the SYSTEM optimization from Section III.B:
 //
 //	(1) x_u ∈ {0 ∪ Q_u}           allocations are whole bundles or nothing
+//	                              (ChosenBundle[u] is −1 or indexes Q_u)
 //	(2) Σ_u x_u ≤ 0               no shortage is created
 //	(3) π_u ≥ x_uᵀp   ∀u ∈ W      winners bid enough
 //	(4) x_uᵀp = min_q qᵀp ∀u ∈ W  winners get their cheapest bundle
@@ -43,42 +44,30 @@ func CheckSystem(bids []*Bid, res *Result, eps float64) []SystemViolation {
 		out = append(out, SystemViolation{6, -1, fmt.Sprintf("prices %v", res.Prices)})
 	}
 
-	// (2) total excess nonpositive.
 	total := make(resource.Vector, len(res.Prices))
-	for _, x := range res.Allocations {
-		if x != nil {
-			total.AddInto(x)
-		}
-	}
-	if !total.AllNonPositive(eps) {
-		out = append(out, SystemViolation{2, -1, fmt.Sprintf("aggregate allocation %v has positive components", total)})
-	}
-
 	for i, b := range bids {
-		x := res.Allocations[i]
-		if x == nil {
+		chosen := res.ChosenBundle[i]
+		if chosen < 0 {
 			// (5) losers must be priced out of every bundle. For scalar
 			// limits this is the paper's π_u < min_q qᵀp; for vector
 			// limits each bundle is tested against its own limit.
 			if j, ok := b.BestAffordable(res.Prices); ok {
 				out = append(out, SystemViolation{5, i,
 					fmt.Sprintf("bundle %d (cost %g) is affordable within limit %g",
-						j, b.cost(j, res.Prices), b.LimitFor(j))})
+						j, b.Cost(j, res.Prices), b.LimitFor(j))})
 			}
 			continue
 		}
-		// (1) allocation is one of the bid's bundles; remember which.
-		chosen := -1
+		// (1) the allocation is one of the bid's bundles.
 		n := b.NumBundles()
-		for j := 0; j < n; j++ {
-			if b.Bundle(j).Equal(x, eps) {
-				chosen = j
-				break
-			}
-		}
-		if chosen < 0 {
-			out = append(out, SystemViolation{1, i, "allocation is not one of the bid bundles"})
+		if chosen >= n {
+			out = append(out, SystemViolation{1, i,
+				fmt.Sprintf("chosen bundle %d is not one of the bid's %d bundles", chosen, n)})
 			continue
+		}
+		pools, qty := b.Row(chosen)
+		for k, pool := range pools {
+			total[pool] += qty[k]
 		}
 		pay := res.Payments[i]
 		// (3) winners afford their payment under the governing limit.
@@ -87,7 +76,7 @@ func CheckSystem(bids []*Bid, res *Result, eps float64) []SystemViolation {
 				fmt.Sprintf("payment %g exceeds limit %g", pay, b.LimitFor(chosen))})
 		}
 		// Payment must equal the chosen bundle's cost at final prices.
-		cost := b.cost(chosen, res.Prices)
+		cost := b.Cost(chosen, res.Prices)
 		if math.Abs(pay-cost) > eps {
 			out = append(out, SystemViolation{4, i,
 				fmt.Sprintf("payment %g differs from chosen bundle cost %g", pay, cost)})
@@ -97,7 +86,7 @@ func CheckSystem(bids []*Bid, res *Result, eps float64) []SystemViolation {
 		// limits this is exactly "the cheapest bundle").
 		surplus := b.LimitFor(chosen) - cost
 		for j := 0; j < n; j++ {
-			c := b.cost(j, res.Prices)
+			c := b.Cost(j, res.Prices)
 			if c > b.LimitFor(j) {
 				continue
 			}
@@ -108,6 +97,10 @@ func CheckSystem(bids []*Bid, res *Result, eps float64) []SystemViolation {
 				break
 			}
 		}
+	}
+	// (2) total excess nonpositive.
+	if !total.AllNonPositive(eps) {
+		out = append(out, SystemViolation{2, -1, fmt.Sprintf("aggregate allocation %v has positive components", total)})
 	}
 	return out
 }

@@ -14,12 +14,12 @@ func feasibleFixture() ([]*Bid, *Result) {
 		{User: "s", Limit: -1, Bundles: []resource.Vector{{-10}}},
 	}
 	res := &Result{
-		Converged:   true,
-		Prices:      resource.Vector{2},
-		Allocations: []resource.Vector{{10}, nil, {-10}},
-		Payments:    []float64{20, 0, -20},
-		Winners:     []int{0, 2},
-		Losers:      []int{1},
+		Converged:    true,
+		Prices:       resource.Vector{2},
+		ChosenBundle: []int{0, -1, 0},
+		Payments:     []float64{20, 0, -20},
+		Winners:      []int{0, 2},
+		Losers:       []int{1},
 	}
 	return bids, res
 }
@@ -33,8 +33,7 @@ func TestCheckSystemAccepts(t *testing.T) {
 
 func TestCheckSystemConstraint1(t *testing.T) {
 	bids, res := feasibleFixture()
-	res.Allocations[0] = resource.Vector{7} // not one of the bundles
-	res.Payments[0] = 14
+	res.ChosenBundle[0] = 1 // not one of the bundles
 	found := false
 	for _, v := range CheckSystem(bids, res, 1e-9) {
 		if v.Constraint == 1 && v.BidIndex == 0 {
@@ -48,7 +47,7 @@ func TestCheckSystemConstraint1(t *testing.T) {
 
 func TestCheckSystemConstraint2(t *testing.T) {
 	bids, res := feasibleFixture()
-	res.Allocations[2] = nil // drop the seller: aggregate becomes +10
+	res.ChosenBundle[2] = -1 // drop the seller: aggregate becomes +10
 	res.Payments[2] = 0
 	found := false
 	for _, v := range CheckSystem(bids, res, 1e-9) {

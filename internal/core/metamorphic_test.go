@@ -148,7 +148,7 @@ func TestScalingCovariance(t *testing.T) {
 						t.Fatalf("seed %d k=%g %v: bid %d payment %g, want %g·%g",
 							seed, k, clk.name, i, sres.Payments[i], res.Payments[i], k)
 					}
-					if res.IsWinner(i) && !vectorsExactlyEqual(sres.Allocations[i], res.Allocations[i]) {
+					if res.IsWinner(i) && !vectorsExactlyEqual(sres.Allocation(i), res.Allocation(i)) {
 						t.Fatalf("seed %d k=%g %v: bid %d allocation changed under scaling", seed, k, clk.name, i)
 					}
 				}
@@ -193,7 +193,7 @@ func TestPermutationInvariance(t *testing.T) {
 					pres.ChosenBundle[i] != res.ChosenBundle[p] {
 					t.Fatalf("seed %d %v: bid %d(→%d) outcome changed under permutation", seed, clk.name, p, i)
 				}
-				if res.IsWinner(p) && !vectorsExactlyEqual(pres.Allocations[i], res.Allocations[p]) {
+				if res.IsWinner(p) && !vectorsExactlyEqual(pres.Allocation(i), res.Allocation(p)) {
 					t.Fatalf("seed %d %v: bid %d(→%d) allocation changed under permutation", seed, clk.name, p, i)
 				}
 			}
@@ -243,7 +243,7 @@ func TestZeroDemandBidderNeutral(t *testing.T) {
 					ares.ChosenBundle[j] != res.ChosenBundle[i] {
 					t.Fatalf("seed %d %v: bid %d outcome changed by inert bidder", seed, clk.name, i)
 				}
-				if res.IsWinner(i) && !vectorsExactlyEqual(ares.Allocations[j], res.Allocations[i]) {
+				if res.IsWinner(i) && !vectorsExactlyEqual(ares.Allocation(j), res.Allocation(i)) {
 					t.Fatalf("seed %d %v: bid %d allocation changed by inert bidder", seed, clk.name, i)
 				}
 			}

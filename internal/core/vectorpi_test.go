@@ -111,7 +111,7 @@ func TestVectorPiAuctionSatisfiesSystem(t *testing.T) {
 	// priced out of both — and if it won bundle b, its payment respects
 	// the lower 30 limit.
 	if res.IsWinner(1) {
-		x := res.Allocations[1]
+		x := res.Allocation(1)
 		if x[1] == 10 && res.Payments[1] > 30 {
 			t.Errorf("paid %v for the low-value bundle", res.Payments[1])
 		}
@@ -127,11 +127,11 @@ func TestVectorPiCheckSystemCatchesWrongChoice(t *testing.T) {
 	// At p = (1,1) both bundles cost 5; surpluses 1 and 15. Allocating
 	// bundle 0 violates optimality (4).
 	res := &Result{
-		Converged:   true,
-		Prices:      resource.Vector{1, 1},
-		Allocations: []resource.Vector{{5, 0}},
-		Payments:    []float64{5},
-		Winners:     []int{0},
+		Converged:    true,
+		Prices:       resource.Vector{1, 1},
+		ChosenBundle: []int{0},
+		Payments:     []float64{5},
+		Winners:      []int{0},
 	}
 	var found bool
 	for _, v := range CheckSystem(bids, res, 1e-9) {
@@ -152,11 +152,11 @@ func TestVectorPiCheckSystemLoserPerBundleLimits(t *testing.T) {
 	}}
 	// Bundle 1 is easily affordable at p=(1,1): a "loser" here is wrong.
 	res := &Result{
-		Converged:   true,
-		Prices:      resource.Vector{1, 1},
-		Allocations: []resource.Vector{nil},
-		Payments:    []float64{0},
-		Losers:      []int{0},
+		Converged:    true,
+		Prices:       resource.Vector{1, 1},
+		ChosenBundle: []int{-1},
+		Payments:     []float64{0},
+		Losers:       []int{0},
 	}
 	var found bool
 	for _, v := range CheckSystem(bids, res, 1e-9) {

@@ -58,15 +58,27 @@ type FedOrder struct {
 	// Active indexes the leg currently in a regional book, or −1 once the
 	// order is terminal.
 	Active int
-	// Region, Payment, and Allocation describe the winning leg; the
-	// allocation is indexed by the winning region's registry.
-	Region     string
-	Payment    float64
-	Allocation resource.Vector
+	// Region and Payment describe the winning leg. The allocation is not
+	// copied here: it is the winning leg's regional order's (WonLeg, then
+	// that region's Exchange.Order and market.Order.Grant).
+	Region  string
+	Payment float64
 }
 
-// snapshot deep-copies the routing state; the Allocation vector is frozen
-// at settlement and shared read-only, as in market.Order snapshots.
+// WonLeg returns the leg that won the order, nil unless the order is Won.
+func (o *FedOrder) WonLeg() *Leg {
+	if o.Status != market.Won {
+		return nil
+	}
+	for _, l := range o.Legs {
+		if l.Status == market.Won {
+			return l
+		}
+	}
+	return nil
+}
+
+// snapshot deep-copies the routing state.
 func (o *FedOrder) snapshot() *FedOrder {
 	c := *o
 	c.Legs = make([]*Leg, len(o.Legs))
@@ -472,7 +484,6 @@ func (f *Federation) advanceRegion(name string) {
 			fo.Active = -1
 			fo.Region = leg.Region
 			fo.Payment = o.Payment
-			fo.Allocation = o.Allocation
 			f.stats.Won++
 			delete(f.open[name], id)
 		case market.Lost, market.Unsettled:

@@ -146,10 +146,25 @@ func TestCrossRegionRoutesCheapestFirst(t *testing.T) {
 	if fo.Legs[1].OrderID != -1 {
 		t.Error("second leg submitted before the first lost")
 	}
+	if fo.WonLeg() != nil {
+		t.Error("an open order names a winning leg")
+	}
 	f.Tick()
 	got, _ := f.Order(fo.ID)
 	if got.Status != market.Won || got.Region != "cold" {
 		t.Fatalf("order = %s in %q, want won in cold", got.Status, got.Region)
+	}
+	// The grant is the winning leg's regional order's, not a copy.
+	leg := got.WonLeg()
+	if leg == nil || leg.Region != "cold" {
+		t.Fatalf("winning leg = %+v, want the cold one", leg)
+	}
+	o, err := f.Region("cold").Exchange().Order(leg.OrderID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pools, qty := o.Grant(); len(pools) == 0 || len(pools) != len(qty) || o.Payment != got.Payment {
+		t.Errorf("regional order %d: grant %v %v, payment %g vs federated %g", o.ID, pools, qty, o.Payment, got.Payment)
 	}
 	st := f.Stats()
 	if st.CrossRegion != 1 || st.Won != 1 || st.Failovers != 0 {

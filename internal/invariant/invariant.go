@@ -2,7 +2,8 @@
 // invariants. Every property the exchange's books must never violate —
 // double-entry conservation, non-negative balances, commitment/exposure
 // agreement, capacity-bounded settlement, reserve-floored clearing
-// prices, at-most-one-leg XOR wins, and dense≡incremental engine
+// prices, winners paying their bundle's cost within their limit,
+// at-most-one-leg XOR wins, and dense≡incremental engine
 // equivalence — lives here exactly once, as a data-level check returning
 // violations, plus convenience wrappers over a live Exchange or
 // Federation.
@@ -156,9 +157,10 @@ func CheckWinsWithinCapacity(reg *resource.Registry, capacity resource.Vector, o
 			v = reg.Zero()
 			won[o.Auction] = v
 		}
-		for i, q := range o.Allocation {
+		pools, qty := o.Grant()
+		for k, q := range qty {
 			if q > 0 {
-				v[i] += q
+				v[pools[k]] += q
 			}
 		}
 	}
@@ -195,6 +197,61 @@ func CheckClearingAboveReserve(history []*market.AuctionRecord, eps float64) []V
 					"auction %d pool %d cleared at %g below reserve %g",
 					rec.Number, i, rec.Prices[i], rec.Reserve[i]))
 			}
+		}
+	}
+	return vs
+}
+
+// CheckSettlementEconomics verifies the paper's settlement rule on the
+// archive (SYSTEM constraints (3) and (4), Section III.B): every Won
+// order names one of its own bundles, paid no more than the limit that
+// governs that bundle, and paid exactly that bundle's cost at the uniform
+// clearing prices of its auction — bit for bit, since the payment was
+// computed as the same sum over the same row.
+//
+// The price check is per auction: of the orders Won under number N, at
+// least the record's Settled count must match its prices. The slack is
+// the crash-consistency contract's — a settlement wave interrupted by a
+// journal failure leaves its durable prefix of winners in the book, and
+// the clock that next claims number N clears at other prices — so only
+// mismatches no interrupted wave can account for are reported. Orders
+// whose auction has no record (the wave never completed) are checked
+// against their limit alone.
+func CheckSettlementEconomics(orders []*market.Order, history []*market.AuctionRecord, eps float64) []Violation {
+	var vs []Violation
+	records := make(map[int]*market.AuctionRecord, len(history))
+	for _, rec := range history {
+		records[rec.Number] = rec
+	}
+	won := make(map[int]int)
+	offPrice := make(map[int][]int)
+	for _, o := range orders {
+		if o.Status != market.Won {
+			continue
+		}
+		if n := o.Bid.NumBundles(); o.Bundle < 0 || o.Bundle >= n {
+			vs = append(vs, violatef("won-bundle-of-bid", "order %d won bundle %d, bid has %d", o.ID, o.Bundle, n))
+			continue
+		}
+		if lim := o.Bid.LimitFor(o.Bundle); o.Payment > lim+eps {
+			vs = append(vs, violatef("payment-within-limit",
+				"order %d paid %g for bundle %d, limit %g", o.ID, o.Payment, o.Bundle, lim))
+		}
+		won[o.Auction]++
+		if rec := records[o.Auction]; rec != nil && o.Payment != o.Bid.Cost(o.Bundle, rec.Prices) {
+			offPrice[o.Auction] = append(offPrice[o.Auction], o.ID)
+		}
+	}
+	auctions := make([]int, 0, len(offPrice))
+	for a := range offPrice {
+		auctions = append(auctions, a)
+	}
+	sort.Ints(auctions)
+	for _, a := range auctions {
+		if slack := won[a] - records[a].Settled; len(offPrice[a]) > slack {
+			vs = append(vs, violatef("payment-at-clearing-prices",
+				"auction %d settled %d orders, but of its %d winners orders %v did not pay their bundle's cost at its prices",
+				a, records[a].Settled, won[a], offPrice[a]))
 		}
 	}
 	return vs
@@ -294,9 +351,6 @@ func CheckEngineEquivalence(reg *resource.Registry, bids []*core.Bid, cfg core.C
 		if inc.ChosenBundle[i] != den.ChosenBundle[i] {
 			fail("bid %d: chosen bundle %d vs %d", i, inc.ChosenBundle[i], den.ChosenBundle[i])
 		}
-		if !vectorsEqual(inc.Allocations[i], den.Allocations[i]) {
-			fail("bid %d: allocations differ: %v vs %v", i, inc.Allocations[i], den.Allocations[i])
-		}
 	}
 	return vs
 }
@@ -334,7 +388,9 @@ func CheckExchange(ex *market.Exchange) []Violation {
 	vs = append(vs, CheckBalancesNonNegative(balances, Eps)...)
 	vs = append(vs, CheckCommitmentsMatchExposure(ex.BuyCommitments(), orders, Eps)...)
 	vs = append(vs, CheckWinsWithinCapacity(ex.Registry(), ex.Fleet().CapacityVector(ex.Registry()), orders, Eps)...)
-	vs = append(vs, CheckClearingAboveReserve(ex.History(), Eps)...)
+	history := ex.History()
+	vs = append(vs, CheckClearingAboveReserve(history, Eps)...)
+	vs = append(vs, CheckSettlementEconomics(orders, history, Eps)...)
 	vs = append(vs, CheckOpenCount(ex.OpenOrderCount(), orders)...)
 	return vs
 }

@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func TestCheckBalancesNonNegative(t *testing.T) {
 func TestCheckCommitmentsMatchExposure(t *testing.T) {
 	orders := []*market.Order{
 		{ID: 0, Team: "a", Status: market.Open, Bid: &core.Bid{Limit: 40}},
-		{ID: 1, Team: "a", Status: market.Won, Bid: &core.Bid{Limit: 99}}, // settled: no exposure
+		{ID: 1, Team: "a", Status: market.Won, Bid: &core.Bid{Limit: 99}},  // settled: no exposure
 		{ID: 2, Team: "b", Status: market.Open, Bid: &core.Bid{Limit: -5}}, // seller: no exposure
 	}
 	if vs := CheckCommitmentsMatchExposure(map[string]float64{"a": 40}, orders, Eps); len(vs) != 0 {
@@ -90,20 +91,22 @@ func TestCheckWinsWithinCapacity(t *testing.T) {
 	for i := range capacity {
 		capacity[i] = 100
 	}
-	alloc := reg.Zero()
-	alloc[0] = 60
+	// Bundle 1 won: the 500 of bundle 0 must not be counted.
+	bid := func(q float64) *core.Bid {
+		losing, winning := reg.Zero(), reg.Zero()
+		losing[0], winning[0] = 500, q
+		return &core.Bid{Bundles: []resource.Vector{losing, winning}}
+	}
 	orders := []*market.Order{
-		{ID: 0, Team: "a", Status: market.Won, Auction: 1, Allocation: alloc},
-		{ID: 1, Team: "b", Status: market.Won, Auction: 2, Allocation: alloc},
+		{ID: 0, Team: "a", Status: market.Won, Auction: 1, Bid: bid(60), Bundle: 1},
+		{ID: 1, Team: "b", Status: market.Won, Auction: 2, Bid: bid(60), Bundle: 1},
 	}
 	// 60 per auction is fine even though the two auctions sum to 120:
 	// capacity bounds each settlement wave, not the market's lifetime.
 	if vs := CheckWinsWithinCapacity(reg, capacity, orders, Eps); len(vs) != 0 {
 		t.Errorf("clean wins flagged: %v", vs)
 	}
-	over := reg.Zero()
-	over[0] = 50
-	orders = append(orders, &market.Order{ID: 2, Team: "c", Status: market.Won, Auction: 2, Allocation: over})
+	orders = append(orders, &market.Order{ID: 2, Team: "c", Status: market.Won, Auction: 2, Bid: bid(50), Bundle: 1})
 	vs := CheckWinsWithinCapacity(reg, capacity, orders, Eps)
 	wantViolation(t, vs, "wins-within-capacity")
 }
@@ -123,6 +126,56 @@ func TestCheckClearingAboveReserve(t *testing.T) {
 	})
 	vs := CheckClearingAboveReserve(recs, Eps)
 	wantViolation(t, vs, "clearing-above-reserve")
+}
+
+func TestCheckSettlementEconomics(t *testing.T) {
+	prices := resource.Vector{2, 0.5, 3}
+	bid := &core.Bid{
+		Bundles:      []resource.Vector{{10, 0, 0}, {0, 4, 1}},
+		BundleLimits: []float64{25, 6},
+	}
+	won := func(id, auction, bundle int, payment float64) *market.Order {
+		return &market.Order{ID: id, Status: market.Won, Auction: auction, Bid: bid, Bundle: bundle, Payment: payment}
+	}
+	history := []*market.AuctionRecord{{Number: 1, Converged: true, Prices: prices, Settled: 2}}
+	clean := []*market.Order{
+		won(0, 1, 0, bid.Cost(0, prices)),
+		won(1, 1, 1, bid.Cost(1, prices)),
+		{ID: 2, Status: market.Lost, Auction: 1, Bid: bid, Bundle: -1},
+		// No record for auction 7 (its settlement wave never completed):
+		// only the limit can be checked.
+		won(3, 7, 1, 5.75),
+	}
+	if vs := CheckSettlementEconomics(clean, history, Eps); len(vs) != 0 {
+		t.Errorf("clean settlement flagged: %v", vs)
+	}
+	for _, tc := range []struct {
+		name, want string
+		doctor     func(o *market.Order)
+	}{
+		{"payment off by an ulp", "payment-at-clearing-prices", func(o *market.Order) { o.Payment = math.Nextafter(o.Payment, 0) }},
+		{"other bundle, same payment", "payment-at-clearing-prices", func(o *market.Order) { o.Bundle = 0 }},
+		{"payment above the bundle's limit", "payment-within-limit", func(o *market.Order) { o.Payment = 6.5 }},
+		{"bundle past the bid", "won-bundle-of-bid", func(o *market.Order) { o.Bundle = 2 }},
+		{"negative bundle", "won-bundle-of-bid", func(o *market.Order) { o.Bundle = -1 }},
+	} {
+		orders := append([]*market.Order(nil), clean...)
+		doctored := *orders[1]
+		tc.doctor(&doctored)
+		orders[1] = &doctored
+		wantViolation(t, CheckSettlementEconomics(orders, history, Eps), tc.want)
+	}
+	// An interrupted wave's winner keeps auction number 1 but paid other
+	// prices: one more winner than the record settled, so it is accounted
+	// for — a second stray is not.
+	orphan := won(4, 1, 0, 23)
+	if vs := CheckSettlementEconomics(append(clean, orphan), history, Eps); len(vs) != 0 {
+		t.Errorf("interrupted wave's winner flagged: %v", vs)
+	}
+	doctored := *clean[0]
+	doctored.Payment = 21
+	wantViolation(t, CheckSettlementEconomics([]*market.Order{&doctored, clean[1], orphan}, history, Eps),
+		"payment-at-clearing-prices")
 }
 
 func TestCheckOpenCount(t *testing.T) {
@@ -235,6 +288,19 @@ func TestCheckExchangeCleanMarket(t *testing.T) {
 		t.Fatal(err)
 	}
 	RequireExchange(t, "after disbursement", ex)
+	if won := countWon(ex); won == 0 {
+		t.Fatal("nobody won: the economics checks had nothing to check")
+	}
+}
+
+func countWon(ex *market.Exchange) int {
+	n := 0
+	for _, o := range ex.Orders() {
+		if o.Status == market.Won {
+			n++
+		}
+	}
+	return n
 }
 
 func TestCheckFederationCleanMarket(t *testing.T) {

@@ -1,8 +1,31 @@
 package market
 
 import (
+	"errors"
 	"fmt"
+
+	"clustermarket/internal/core"
 )
+
+// ErrCorruptSettlement marks a Won record — a journaled order-settled
+// event or a snapshot's order — whose winning-bundle index is absent or
+// names no bundle of the order's bid. The index is the whole of a
+// winner's allocation, so such a record cannot be applied: replaying it
+// would grant nothing, or something the order never bid for.
+var ErrCorruptSettlement = errors.New("market: won record does not name one of the order's bundles")
+
+// wonBundle checks the winning-bundle index a Won record carries against
+// the order's bid. On replay and restore the index is bytes from disk.
+func wonBundle(id int, bid *core.Bid, idx *int) (int, error) {
+	if idx == nil {
+		return -1, fmt.Errorf("%w: order %d has no bundle index (records that carry the allocation as a vector predate this format)",
+			ErrCorruptSettlement, id)
+	}
+	if n := bid.NumBundles(); *idx < 0 || *idx >= n {
+		return -1, fmt.Errorf("%w: order %d won bundle %d of %d", ErrCorruptSettlement, id, *idx, n)
+	}
+	return *idx, nil
+}
 
 // The apply layer: one deterministic mutator per event kind. Recovery
 // replays the journal tail through applyEvent; the live mutation paths
@@ -72,7 +95,7 @@ func (e *Exchange) applyOrderSubmitted(ev *Event) error {
 	}
 	// The decoded vectors are packed and dropped, as the live submit
 	// paths do, so the recovered book equals the live one.
-	bo := newBookedOrder(Order{ID: ev.OrderID, Team: ev.Team, Status: Open, Auction: -1}, ev.Bid)
+	bo := newBookedOrder(Order{ID: ev.OrderID, Team: ev.Team, Status: Open, Auction: -1, Bundle: -1}, ev.Bid)
 	bo.bid.Pack()
 	o := &bo.Order
 	n := len(e.orderShards)
@@ -148,6 +171,13 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 	if o == nil {
 		return fmt.Errorf("market: replay: no order %d", ev.OrderID)
 	}
+	bundle := -1
+	if ev.Status == Won {
+		var err error
+		if bundle, err = wonBundle(o.ID, o.Bid, ev.Bundle); err != nil {
+			return err
+		}
+	}
 	os := e.orderShardFor(o.ID)
 	os.mu.Lock()
 	if o.Status != Open {
@@ -162,7 +192,7 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 	o.Status = ev.Status
 	os.openCount--
 	if ev.Status == Won {
-		o.Allocation = ev.Allocation
+		o.Bundle = bundle
 		o.Payment = ev.Payment
 	}
 	os.mu.Unlock()
@@ -177,7 +207,8 @@ func (e *Exchange) applyOrderSettled(ev *Event) error {
 			{Auction: ev.Auction, Team: OperatorAccount, Amount: o.Payment,
 				Memo: fmt.Sprintf("counterparty for order %d", o.ID)},
 		})
-		e.fleet.Quotas().ApplyAllocation(e.reg, o.Team, o.Allocation)
+		pools, qty := o.Grant()
+		e.fleet.Quotas().ApplyAllocation(e.reg, o.Team, pools, qty)
 	case Lost, Unsettled:
 		e.releaseCommitment(o)
 	default:
@@ -233,7 +264,8 @@ func (e *Exchange) applyOrderPlaced(ev *Event) ([]PlacedTask, error) {
 		return nil, fmt.Errorf("market: placing order %d in state %s", o.ID, o.Status)
 	}
 	var placed []PlacedTask
-	e.fleet.PlaceAllocationChunked(e.reg, o.Team, o.Allocation, func(clusterName, taskID string) {
+	pools, qty := o.Grant()
+	e.fleet.PlaceAllocationChunked(e.reg, o.Team, pools, qty, func(clusterName, taskID string) {
 		placed = append(placed, PlacedTask{Cluster: clusterName, TaskID: taskID})
 		e.delta.recordPlace(clusterName, taskID)
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"clustermarket/internal/core"
-	"clustermarket/internal/resource"
 )
 
 // Event kinds. Every externally visible state change of an Exchange is
@@ -27,9 +26,11 @@ const (
 	// (Attempts carries the new count).
 	EvOrderAttempted = "order-attempted"
 	// EvOrderSettled moves an order to a terminal status. Won carries the
-	// allocation and payment and implies the settlement money movement
-	// (commitment release, payment debit, operator credit, ledger pair,
-	// quota grant); Lost and Unsettled release the commitment.
+	// index of the winning bundle — the allocation is that bundle of the
+	// order's own journaled bid — and the payment, and implies the
+	// settlement money movement (commitment release, payment debit,
+	// operator credit, ledger pair, quota grant); Lost and Unsettled
+	// release the commitment.
 	EvOrderSettled = "order-settled"
 	// EvAuctionCleared appends the completed AuctionRecord to history —
 	// always after the batch's per-order settlement events.
@@ -74,18 +75,21 @@ type Event struct {
 	Auction int         `json:"auction,omitempty"`
 	Status  OrderStatus `json:"status,omitempty"`
 	// Attempts is the order's non-convergence count after this event.
-	Attempts   int             `json:"attempts,omitempty"`
-	Bid        *core.Bid       `json:"bid,omitempty"`
-	Allocation resource.Vector `json:"alloc,omitempty"`
-	Payment    float64         `json:"payment,omitempty"`
-	Amount     float64         `json:"amount,omitempty"`
-	Balance    float64         `json:"balance,omitempty"`
-	Memo       string          `json:"memo,omitempty"`
-	Record     *AuctionRecord  `json:"record,omitempty"`
-	Policy     string          `json:"policy,omitempty"`
-	Credits    []Credit        `json:"credits,omitempty"`
-	Cluster    string          `json:"cluster,omitempty"`
-	TaskID     string          `json:"task,omitempty"`
+	Attempts int       `json:"attempts,omitempty"`
+	Bid      *core.Bid `json:"bid,omitempty"`
+	// Bundle is the winning bundle's index on a Won order-settled event.
+	// It is a pointer because bundle 0 is a valid winner: omitted means
+	// absent, never zero.
+	Bundle  *int           `json:"bundle,omitempty"`
+	Payment float64        `json:"payment,omitempty"`
+	Amount  float64        `json:"amount,omitempty"`
+	Balance float64        `json:"balance,omitempty"`
+	Memo    string         `json:"memo,omitempty"`
+	Record  *AuctionRecord `json:"record,omitempty"`
+	Policy  string         `json:"policy,omitempty"`
+	Credits []Credit       `json:"credits,omitempty"`
+	Cluster string         `json:"cluster,omitempty"`
+	TaskID  string         `json:"task,omitempty"`
 }
 
 // EventSource is the firehose Source value the exchange publishes

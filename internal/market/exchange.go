@@ -74,9 +74,11 @@ type Order struct {
 	// Attempts counts non-convergent clock runs the order survived
 	// while open.
 	Attempts int
-	// Allocation and Payment are set when the order wins.
-	Allocation resource.Vector
-	Payment    float64
+	// Bundle is the index of the bundle that won — the order's allocation
+	// is that bundle of its own bid, read with Grant (sparse) or Allocation
+	// (dense) — and −1 unless the order is Won. Payment is what it paid.
+	Bundle  int
+	Payment float64
 
 	// inAuction marks an order whose batch is being settled by an
 	// in-flight clock. Such orders cannot be cancelled: a winner that
@@ -99,6 +101,28 @@ func (o *Order) Side() int {
 	}
 }
 
+// Grant returns the order's allocation in sparse form: the winning
+// bundle's pool indices, ascending, and the quantities beside them
+// (negative where the order sold). The slices are the bid's own rows —
+// shared, read-only — and nil unless the order is Won.
+//
+//marketlint:allocfree
+func (o *Order) Grant() (pools []int32, qty []float64) {
+	if o.Status != Won {
+		return nil, nil
+	}
+	return o.Bid.Row(o.Bundle)
+}
+
+// Allocation returns the order's allocation as an R-component vector,
+// built on demand from the winning bundle; nil unless the order is Won.
+func (o *Order) Allocation() resource.Vector {
+	if o.Status != Won {
+		return nil
+	}
+	return o.Bid.Bundle(o.Bundle)
+}
+
 // bookedOrder is an order and its bid in one allocation: with the bid's
 // two pointer-free row slabs that is all a booked order keeps.
 type bookedOrder struct {
@@ -115,9 +139,9 @@ func newBookedOrder(o Order, bid *core.Bid) *bookedOrder {
 
 // snapshot copies the order, including a copy of the Bid struct so a
 // caller scribbling on snapshot.Bid fields cannot reach the booked bid.
-// The bid's rows and the Allocation remain shared: both are frozen — the
-// rows at submit time, the allocation at settlement — and must be
-// treated as read-only by callers.
+// The bid's rows remain shared: they are frozen at submit time — the
+// allocation of a won order is one of them — and must be treated as
+// read-only by callers.
 func (o *Order) snapshot() *Order {
 	if o.Bid == nil {
 		c := *o
@@ -470,7 +494,7 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder) (*Order, e
 		os.mu.Unlock()
 		return nil, e.rejected(err)
 	}
-	bo.Order = Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1}
+	bo.Order = Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1, Bundle: -1}
 	o := &bo.Order
 	if e.materializing() {
 		if err := e.emitEvent(&Event{Kind: EvOrderSubmitted, OrderID: o.ID, Team: team, Bid: b}); err != nil {
@@ -1132,14 +1156,15 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	for i, o := range open {
 		var ev *Event
 		if res.IsWinner(i) {
+			bundle := res.ChosenBundle[i]
 			ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Won,
-				Allocation: res.Allocations[i], Payment: res.Payments[i]}
+				Bundle: &bundle, Payment: res.Payments[i]}
 			rec.Settled++
 			e.metrics.won.Add(1)
 			// γ_u is measured against the limit that governed the *winning*
 			// bundle: for vector-limit bids the scalar Limit is ignored by the
 			// proxy, so using it here would corrupt the Table I statistics.
-			rec.Premiums = append(rec.Premiums, core.Premium(o.Bid.LimitFor(res.ChosenBundle[i]), res.Payments[i]))
+			rec.Premiums = append(rec.Premiums, core.Premium(o.Bid.LimitFor(bundle), res.Payments[i]))
 		} else {
 			ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Lost}
 			e.metrics.lost.Add(1)

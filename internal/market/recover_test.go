@@ -8,8 +8,13 @@ package market_test
 // continued run must stay in lockstep.
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"clustermarket/internal/cluster"
@@ -20,7 +25,7 @@ import (
 
 // recoverFleet builds a small two-cluster fleet with a fixed background
 // load — fully deterministic, so the recovery path can rebuild it.
-func recoverFleet(t *testing.T) *cluster.Fleet {
+func recoverFleet(t testing.TB) *cluster.Fleet {
 	t.Helper()
 	f := cluster.NewFleet()
 	for _, name := range []string{"alpha", "beta"} {
@@ -249,5 +254,162 @@ func TestJournalNilIsInert(t *testing.T) {
 	driveMarket(t, e)
 	if vs := invariant.CheckExchange(e); len(vs) > 0 {
 		t.Fatalf("invariants: %v", vs)
+	}
+}
+
+// recoveryOf journals driveMarket's script, kills the process and returns
+// what the directory recovers to: the whole WAL, or a snapshot of the
+// final state when snapshot is set.
+func recoveryOf(t *testing.T, snapshot bool) *journal.Recovery {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "wal")
+	j, _, err := journal.Open(dir, journal.Options{FsyncEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := market.NewExchange(recoverFleet(t), marketCfg(j, -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveMarket(t, e)
+	if snapshot {
+		if err := e.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Crash()
+	j2, rec, err := journal.Open(dir, journal.Options{FsyncEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// jsonObject decodes raw with its numbers kept as written, so an edited
+// object re-encodes every untouched value bit for bit.
+func jsonObject(t *testing.T, raw []byte) map[string]any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var obj map[string]any
+	if err := dec.Decode(&obj); err != nil {
+		t.Fatal(err)
+	}
+	return obj
+}
+
+func jsonBytes(t *testing.T, obj map[string]any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// corruptWins are the ways a Won record's bundle index — the whole of a
+// winner's allocation, and bytes from disk once journaled — can be wrong.
+// Every one must be answered with ErrCorruptSettlement: never a panic
+// indexing the bid's rows, never a winner recovered without its grant.
+var corruptWins = []struct {
+	name   string
+	doctor func(won map[string]any)
+}{
+	{"past the bid's bundles", func(won map[string]any) { won["bundle"] = 7 }},
+	{"negative", func(won map[string]any) { won["bundle"] = -1 }},
+	{"absent", func(won map[string]any) { delete(won, "bundle") }},
+	{"the allocation vector older journals carried", func(won map[string]any) {
+		delete(won, "bundle")
+		won["alloc"] = []float64{0, 0, 0, 2, 8, 1}
+	}},
+}
+
+// TestRecoverRejectsCorruptWonEvent doctors the journaled order-settled
+// event of a winner and replays the WAL.
+func TestRecoverRejectsCorruptWonEvent(t *testing.T) {
+	rec := recoveryOf(t, false)
+	won, first := -1, true
+	for i, raw := range rec.Records {
+		ev := jsonObject(t, raw)
+		if ev["k"] != market.EvOrderSettled || ev["status"] != json.Number(strconv.Itoa(int(market.Won))) {
+			continue
+		}
+		won = i
+		// omitempty must not eat a winner of bundle 0: "ads" bid one bundle.
+		if _, ok := ev["bundle"]; !ok {
+			t.Fatalf("journaled Won event carries no bundle index: %s", raw)
+		}
+		if first && ev["bundle"] != json.Number("0") {
+			t.Errorf("the single-bundle order won bundle %v, want 0: %s", ev["bundle"], raw)
+		}
+		first = false
+		if strings.Contains(string(raw), "alloc") {
+			t.Errorf("journaled Won event still carries a vector: %s", raw)
+		}
+	}
+	if won < 0 {
+		t.Fatal("no Won event in the WAL; the script needs a winner")
+	}
+	if _, err := market.Recover(recoverFleet(t), marketCfg(nil, -1), rec); err != nil {
+		t.Fatalf("the undoctored WAL does not replay: %v", err)
+	}
+	for _, tc := range corruptWins {
+		t.Run(tc.name, func(t *testing.T) {
+			ev := jsonObject(t, rec.Records[won])
+			tc.doctor(ev)
+			doctored := *rec
+			doctored.Records = append([][]byte(nil), rec.Records...)
+			doctored.Records[won] = jsonBytes(t, ev)
+			_, err := market.Recover(recoverFleet(t), marketCfg(nil, -1), &doctored)
+			if !errors.Is(err, market.ErrCorruptSettlement) {
+				t.Fatalf("Recover = %v, want ErrCorruptSettlement", err)
+			}
+		})
+	}
+}
+
+// TestRecoverRejectsCorruptWonSnapshot does the same to a Won order of a
+// snapshot image.
+func TestRecoverRejectsCorruptWonSnapshot(t *testing.T) {
+	rec := recoveryOf(t, true)
+	if rec.SnapshotSeq == 0 {
+		t.Fatal("snapshot was not durable")
+	}
+	if _, err := market.Recover(recoverFleet(t), marketCfg(nil, -1), rec); err != nil {
+		t.Fatalf("the undoctored snapshot does not restore: %v", err)
+	}
+	for _, tc := range corruptWins {
+		t.Run(tc.name, func(t *testing.T) {
+			st := jsonObject(t, rec.Snapshot)
+			doctored := false
+			for _, o := range st["orders"].([]any) {
+				order := o.(map[string]any)
+				if order["status"] != json.Number(strconv.Itoa(int(market.Won))) {
+					if _, ok := order["bundle"]; ok {
+						t.Errorf("order %v is not Won but carries a bundle index", order["id"])
+					}
+					continue
+				}
+				if _, ok := order["bundle"]; !ok {
+					t.Fatalf("Won order %v carries no bundle index in the snapshot", order["id"])
+				}
+				if !doctored {
+					tc.doctor(order)
+					doctored = true
+				}
+			}
+			if !doctored {
+				t.Fatal("no Won order in the snapshot; the script needs a winner")
+			}
+			bad := *rec
+			bad.Snapshot = jsonBytes(t, st)
+			_, err := market.Recover(recoverFleet(t), marketCfg(nil, -1), &bad)
+			if !errors.Is(err, market.ErrCorruptSettlement) {
+				t.Fatalf("Recover = %v, want ErrCorruptSettlement", err)
+			}
+		})
 	}
 }

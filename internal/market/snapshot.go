@@ -7,7 +7,6 @@ import (
 
 	"clustermarket/internal/cluster"
 	"clustermarket/internal/core"
-	"clustermarket/internal/resource"
 )
 
 // exchangeState is the JSON snapshot of everything an Exchange would
@@ -43,14 +42,16 @@ type machineState struct {
 }
 
 type orderState struct {
-	ID         int             `json:"id"`
-	Team       string          `json:"team"`
-	Bid        *core.Bid       `json:"bid"`
-	Status     OrderStatus     `json:"status"`
-	Auction    int             `json:"auction"`
-	Attempts   int             `json:"attempts,omitempty"`
-	Allocation resource.Vector `json:"alloc,omitempty"`
-	Payment    float64         `json:"payment,omitempty"`
+	ID       int         `json:"id"`
+	Team     string      `json:"team"`
+	Bid      *core.Bid   `json:"bid"`
+	Status   OrderStatus `json:"status"`
+	Auction  int         `json:"auction"`
+	Attempts int         `json:"attempts,omitempty"`
+	// Bundle is the winning bundle's index, present exactly on Won orders
+	// (a pointer: bundle 0 is a valid winner).
+	Bundle  *int    `json:"bundle,omitempty"`
+	Payment float64 `json:"payment,omitempty"`
 }
 
 type grantState struct {
@@ -157,7 +158,10 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 	st.Orders = make([]orderState, len(orders))
 	for i, o := range orders {
 		st.Orders[i] = orderState{ID: o.ID, Team: o.Team, Bid: o.Bid, Status: o.Status,
-			Auction: o.Auction, Attempts: o.Attempts, Allocation: o.Allocation, Payment: o.Payment}
+			Auction: o.Auction, Attempts: o.Attempts, Payment: o.Payment}
+		if o.Status == Won {
+			st.Orders[i].Bundle = &o.Bundle
+		}
 	}
 	for s := range e.accountShards {
 		as := &e.accountShards[s]
@@ -219,9 +223,15 @@ func (e *Exchange) restoreState(raw []byte) error {
 			return fmt.Errorf("order %d has no bid", s.ID)
 		}
 		bo := newBookedOrder(Order{ID: s.ID, Team: s.Team, Status: s.Status, Auction: s.Auction,
-			Attempts: s.Attempts, Allocation: s.Allocation, Payment: s.Payment}, s.Bid)
+			Attempts: s.Attempts, Bundle: -1, Payment: s.Payment}, s.Bid)
 		bo.bid.Pack()
 		o := &bo.Order
+		if o.Status == Won {
+			var err error
+			if o.Bundle, err = wonBundle(o.ID, o.Bid, s.Bundle); err != nil {
+				return err
+			}
+		}
 		os := e.orderShardFor(o.ID)
 		if os == nil || o.ID/n != len(os.orders) {
 			return fmt.Errorf("order %d out of sequence", o.ID)

@@ -61,12 +61,27 @@ func (o Objective) String() string {
 type Result struct {
 	// Allocations[i] is the bundle granted to bids[i], nil if rejected.
 	Allocations []resource.Vector
+	// ChosenBundle[i] is that bundle's index into bids[i], −1 if rejected.
+	ChosenBundle []int
 	// Payments[i] is p̃ᵀx_i (reserve-price settlement).
 	Payments []float64
 	// Welfare is the achieved objective value.
 	Welfare float64
 	// Accepted lists winning bid indices in input order.
 	Accepted []int
+}
+
+// newResult returns the empty outcome for n bids: everyone rejected.
+func newResult(n int) *Result {
+	res := &Result{
+		Allocations:  make([]resource.Vector, n),
+		ChosenBundle: make([]int, n),
+		Payments:     make([]float64, n),
+	}
+	for i := range res.ChosenBundle {
+		res.ChosenBundle[i] = -1
+	}
+	return res
 }
 
 // candidate is one (bid, bundle) pair under consideration.
@@ -143,16 +158,14 @@ func Greedy(reg *resource.Registry, bids []*core.Bid, reserve resource.Vector, o
 
 	// Headroom h = −Σx: available supply per pool.
 	h := reg.Zero()
-	res := &Result{
-		Allocations: make([]resource.Vector, len(bids)),
-		Payments:    make([]float64, len(bids)),
-	}
+	res := newResult(len(bids))
 	accept := func(c candidate) {
 		q := bids[c.bid].Bundles[c.bundle]
 		for k, v := range q {
 			h[k] -= v
 		}
 		res.Allocations[c.bid] = q.Clone()
+		res.ChosenBundle[c.bid] = c.bundle
 		res.Payments[c.bid] = q.Dot(reserve)
 		res.Welfare += c.value
 		res.Accepted = append(res.Accepted, c.bid)
@@ -277,17 +290,15 @@ func Exact(reg *resource.Registry, bids []*core.Bid, reserve resource.Vector, ob
 	if math.IsInf(bestWelfare, -1) {
 		return nil, errors.New("optimize: no feasible allocation (not even the empty one?)")
 	}
-	res := &Result{
-		Allocations: make([]resource.Vector, len(bids)),
-		Payments:    make([]float64, len(bids)),
-		Welfare:     bestWelfare,
-	}
+	res := newResult(len(bids))
+	res.Welfare = bestWelfare
 	for i, j := range bestChoice {
 		if j < 0 {
 			continue
 		}
 		q := bids[i].Bundles[j]
 		res.Allocations[i] = q.Clone()
+		res.ChosenBundle[i] = j
 		res.Payments[i] = q.Dot(reserve)
 		res.Accepted = append(res.Accepted, i)
 	}
@@ -298,33 +309,24 @@ func optimisticAt(suffix []float64, i int) float64 { return suffix[i] }
 
 // EvaluateWelfare scores an arbitrary allocation (for instance the clock
 // auction's) under the objective, making clock-vs-optimizer comparisons
-// possible.
-func EvaluateWelfare(bids []*core.Bid, allocations []resource.Vector, reserve resource.Vector, obj Objective) (float64, error) {
-	if len(bids) != len(allocations) {
-		return 0, fmt.Errorf("optimize: %d bids but %d allocations", len(bids), len(allocations))
+// possible. chosen[i] is the index of the bundle bids[i] was granted —
+// core.Result.ChosenBundle, or this package's Result.ChosenBundle — and
+// −1 where the bid got nothing.
+func EvaluateWelfare(bids []*core.Bid, chosen []int, reserve resource.Vector, obj Objective) (float64, error) {
+	if len(bids) != len(chosen) {
+		return 0, fmt.Errorf("optimize: %d bids but %d allocations", len(bids), len(chosen))
 	}
 	var welfare float64
-	for i, x := range allocations {
-		if x == nil {
+	for i, j := range chosen {
+		if j < 0 {
 			continue
 		}
-		// Identify the bundle to find its governing limit.
-		matched := false
-		for j, q := range bids[i].Bundles {
-			if q.Equal(x, 1e-9) {
-				lim := bids[i].Limit
-				if len(bids[i].BundleLimits) > 0 {
-					lim = bids[i].BundleLimits[j]
-				}
-				surplus := lim - q.Dot(reserve)
-				welfare += bundleValue(obj, surplus, q, reserve)
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		if j >= bids[i].NumBundles() {
 			return 0, fmt.Errorf("optimize: allocation %d is not one of the bid's bundles", i)
 		}
+		q := bids[i].Bundle(j)
+		surplus := bids[i].LimitFor(j) - q.Dot(reserve)
+		welfare += bundleValue(obj, surplus, q, reserve)
 	}
 	return welfare, nil
 }
@@ -336,10 +338,10 @@ func EvaluateWelfare(bids []*core.Bid, allocations []resource.Vector, reserve re
 // paper's fairness argument.
 func UnfairnessReport(bids []*core.Bid, res *Result, prices resource.Vector) int {
 	cr := &core.Result{
-		Converged:   true,
-		Prices:      prices,
-		Allocations: res.Allocations,
-		Payments:    res.Payments,
+		Converged:    true,
+		Prices:       prices,
+		ChosenBundle: res.ChosenBundle,
+		Payments:     res.Payments,
 	}
 	count := 0
 	for _, v := range core.CheckSystem(bids, cr, 1e-9) {

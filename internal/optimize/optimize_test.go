@@ -232,7 +232,7 @@ func TestEvaluateWelfareMatchesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := EvaluateWelfare(bids, g.Allocations, reserve, TotalSurplus)
+	w, err := EvaluateWelfare(bids, g.ChosenBundle, reserve, TotalSurplus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestEvaluateWelfareMatchesResults(t *testing.T) {
 	if _, err := EvaluateWelfare(bids, nil, reserve, TotalSurplus); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	alien := []resource.Vector{{1, 1}, nil}
+	alien := []int{1, -1}
 	if _, err := EvaluateWelfare(bids, alien, reserve, TotalSurplus); err == nil {
 		t.Error("foreign allocation accepted")
 	}
@@ -273,7 +273,7 @@ func TestOptimizerBeatsClockOnWelfareButNotFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clockWelfare, err := EvaluateWelfare(bids, clock.Allocations, reserve, TotalSurplus)
+	clockWelfare, err := EvaluateWelfare(bids, clock.ChosenBundle, reserve, TotalSurplus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestOptimizerBeatsClockOnWelfareButNotFairness(t *testing.T) {
 		t.Errorf("greedy welfare %v far below clock %v", greedy.Welfare, clockWelfare)
 	}
 	// The clock outcome is fair at its own prices.
-	if n := UnfairnessReport(bids, &Result{Allocations: clock.Allocations, Payments: clock.Payments}, clock.Prices); n != 0 {
+	if n := UnfairnessReport(bids, &Result{ChosenBundle: clock.ChosenBundle, Payments: clock.Payments}, clock.Prices); n != 0 {
 		t.Errorf("clock outcome unfair: %d violations", n)
 	}
 	// The optimizer's outcome, settled at reserve prices, is not.

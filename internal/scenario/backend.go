@@ -357,9 +357,10 @@ func (b *exchangeBackend) Outcome(id int) (Outcome, error) {
 	if o.Status == market.Won {
 		// Attribute the win to the region owning the settled bundle's
 		// first positive pool.
-		for i, q := range o.Allocation {
+		pools, qty := o.Grant()
+		for k, q := range qty {
 			if q > 0 {
-				out.Region = b.owner[b.ex.Registry().Pool(i).Cluster]
+				out.Region = b.owner[b.ex.Registry().Pool(int(pools[k])).Cluster]
 				break
 			}
 		}

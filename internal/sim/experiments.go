@@ -547,8 +547,9 @@ func marketBaselineRow(w *World, out *AuctionOutcome) BaselineRow {
 	unmet := make(resource.Vector, r)
 	buyOrders, buyWins := 0, 0
 	for _, o := range w.Exchange.Orders() {
-		if o.Status == market.Won && o.Allocation != nil {
-			teamSold.AddInto(o.Allocation.NegativePart().Neg())
+		alloc := o.Allocation() // nil unless the order won
+		if alloc != nil {
+			teamSold.AddInto(alloc.NegativePart().Neg())
 		}
 		if o.Side() <= 0 {
 			continue
@@ -556,7 +557,7 @@ func marketBaselineRow(w *World, out *AuctionOutcome) BaselineRow {
 		buyOrders++
 		if o.Status == market.Won {
 			buyWins++
-			bought.AddInto(o.Allocation.PositivePart())
+			bought.AddInto(alloc.PositivePart())
 			continue
 		}
 		unmet.AddInto(o.Bid.Bundle(0).PositivePart())

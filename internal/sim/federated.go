@@ -217,6 +217,15 @@ func placeFederatedWin(fed *federation.Federation, fo *federation.FedOrder) {
 	if region == nil {
 		return
 	}
+	leg := fo.WonLeg()
+	if leg == nil {
+		return
+	}
 	ex := region.Exchange()
-	ex.Fleet().PlaceAllocationChunked(ex.Registry(), fo.Team, fo.Allocation, nil)
+	o, err := ex.Order(leg.OrderID)
+	if err != nil {
+		return
+	}
+	pools, qty := o.Grant()
+	ex.Fleet().PlaceAllocationChunked(ex.Registry(), fo.Team, pools, qty, nil)
 }

@@ -283,7 +283,8 @@ func (w *World) RunAuction() (*AuctionOutcome, error) {
 			continue
 		}
 		tradeQty := make(map[int]float64)
-		for pi, q := range res.Allocations[i] {
+		alloc := gb.Bid.Bundle(res.ChosenBundle[i])
+		for pi, q := range alloc {
 			if q != 0 {
 				tradeQty[pi] = q
 			}
@@ -293,7 +294,7 @@ func (w *World) RunAuction() (*AuctionOutcome, error) {
 			Side:    gb.Side,
 			PoolQty: tradeQty,
 		})
-		w.applyToFleet(gb.Team.Name, res.Allocations[i])
+		w.applyToFleet(gb.Team.Name, alloc)
 	}
 	return out, nil
 }

@@ -438,7 +438,7 @@ func (g *Generator) ApplySettlement(gbs []*GeneratedBid, result *core.Result, bi
 		if !ok || !result.IsWinner(i) {
 			continue
 		}
-		alloc := result.Allocations[i]
+		alloc := gb.Bid.Bundle(result.ChosenBundle[i])
 		// Work out where the positive part landed.
 		for _, clusterName := range g.cfg.Clusters {
 			var got cluster.Usage

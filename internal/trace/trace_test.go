@@ -273,11 +273,11 @@ func TestApplySettlementMovesTeam(t *testing.T) {
 	bid := &core.Bid{User: team.Name + "/buy", Bundles: []resource.Vector{alloc}, Limit: 100}
 	gb := &GeneratedBid{Team: team, Bid: bid, Side: Buy}
 	res := &core.Result{
-		Converged:   true,
-		Prices:      reg.Zero(),
-		Allocations: []resource.Vector{alloc},
-		Payments:    []float64{10},
-		Winners:     []int{0},
+		Converged:    true,
+		Prices:       reg.Zero(),
+		ChosenBundle: []int{0},
+		Payments:     []float64{10},
+		Winners:      []int{0},
 	}
 	gen.ApplySettlement([]*GeneratedBid{gb}, res, map[*core.Bid]int{bid: 0})
 	if team.Home != "r2" {
@@ -305,18 +305,18 @@ func TestApplySettlementSellsHoldings(t *testing.T) {
 	bid := &core.Bid{User: team.Name + "/sell", Bundles: []resource.Vector{alloc}, Limit: -1}
 	gb := &GeneratedBid{Team: team, Bid: bid, Side: Sell}
 	res := &core.Result{
-		Converged:   true,
-		Prices:      reg.Zero(),
-		Allocations: []resource.Vector{alloc},
-		Payments:    []float64{-5},
-		Winners:     []int{0},
+		Converged:    true,
+		Prices:       reg.Zero(),
+		ChosenBundle: []int{0},
+		Payments:     []float64{-5},
+		Winners:      []int{0},
 	}
 	gen.ApplySettlement([]*GeneratedBid{gb}, res, map[*core.Bid]int{bid: 0})
 	if got := team.Holdings.CPU; got != startCPU-5 {
 		t.Errorf("holdings CPU = %v, want %v", got, startCPU-5)
 	}
 	// Losing bids change nothing.
-	res.Allocations[0] = nil
+	res.ChosenBundle[0] = -1
 	gen.ApplySettlement([]*GeneratedBid{gb}, res, map[*core.Bid]int{bid: 0})
 	if got := team.Holdings.CPU; got != startCPU-5 {
 		t.Errorf("losing settlement mutated holdings: %v", got)
