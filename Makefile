@@ -135,9 +135,12 @@ cover-update:
 
 # Native fuzz smoke: each target briefly, as in CI. Longer local runs:
 # go test -fuzz FuzzParse ./internal/bidlang
+# (The clock differential's inputs are byte strings the fuzzer would
+# otherwise spend the whole smoke minimizing: its budget is capped.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run 'xxx' ./internal/bidlang
 	$(GO) test -fuzz 'FuzzQueryParams$$' -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzEventsQueryParams -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzSettledEventReplay -fuzztime $(FUZZTIME) -run 'xxx' ./internal/market
+	$(GO) test -fuzz FuzzClockMatchesReference -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/core

@@ -73,6 +73,9 @@ type Result struct {
 	DropRound []int
 	// History holds per-round snapshots when Config.RecordHistory is set.
 	History []Round
+	// Clock counts what the round loops did to get here (ReferenceRun
+	// leaves it zero). It is a diagnostic, not part of the outcome.
+	Clock ClockStats
 
 	// bids are the auction's bids, which ChosenBundle indexes into.
 	bids []*Bid
@@ -118,59 +121,31 @@ func (r *Result) TotalTraded() resource.Vector {
 // Auction couples a registry, the sealed bids, and a configuration.
 //
 // An Auction may be run repeatedly, but its runs must not overlap: the
-// clock's working vectors live in per-auction scratch buffers (allocated
-// on first use, reused afterwards) so a steady-state round performs zero
+// clock's working vectors live in per-lane scratch buffers (allocated
+// with the lane, reused afterwards) so a steady-state round performs zero
 // heap allocations. Concurrent auctions each need their own Auction.
 type Auction struct {
-	bids    []*Bid
-	proxies []*Proxy
-	cfg     Config
-	// incIndex caches the round loop's inverted pool→proxies index; bids
-	// are frozen after NewAuction, so it is built once and shared across
-	// Run calls.
-	incIndex *incrementalIndex
-	// incState is the round loop's reusable working set (dirty sets,
-	// epoch marks); reset at the top of each run.
-	incState *incrementalState
+	bids []*Bid
+	cfg  Config
+	// priv[i] is the private packing of a bid that still carries Bundles
+	// (bids are never written); nil when every bid is booked.
+	priv []bidRows
 	// lanes caches the component lanes Run clocks (see partition.go): at
 	// least one, derived from the frozen bid set, built on first use and
-	// shared across Run calls. A lane's private auction has none; it is
-	// what runs the round loop, so incIndex and incState live there.
+	// shared across Run calls. Each owns its kernel and round-loop scratch.
 	lanes []*lane
-	// sc holds the scratch vectors: a lane's round-loop working set, or
-	// the parent's merged settle state.
-	sc runScratch
 }
 
-// runScratch is the per-auction working set of one clock run: the price
-// vector, the excess-demand accumulator, the policy step, and the
-// per-proxy bundle choices. All four are sized on first use and reused
-// across runs so the round loop never allocates.
-type runScratch struct {
-	p, z, step resource.Vector
-	choices    []int
-}
-
-// prepare sizes the scratch for a run: p starts at the reserve prices, z
-// zeroed, step left for StepInto's full overwrite, choices ready for the
-// round-0 full evaluation.
-//
-//marketlint:allocfree
-func (a *Auction) prepare() (p, z resource.Vector, choices []int) {
-	r := len(a.cfg.Start)
-	a.sc.p = a.sc.p.CopyFrom(a.cfg.Start)
-	a.sc.z = a.sc.z.Resize(r)
-	a.sc.z.SetZero()
-	a.sc.step = a.sc.step.Resize(r)
-	if cap(a.sc.choices) < len(a.proxies) {
-		a.sc.choices = make([]int, len(a.proxies))
+// rowsOf returns the rows of bid i: a booked bid's own, read in place, or
+// the packing NewAuction made of its Bundles.
+func (a *Auction) rowsOf(i int) bidRows {
+	if a.priv != nil && len(a.bids[i].Bundles) > 0 {
+		return a.priv[i]
 	}
-	a.sc.choices = a.sc.choices[:len(a.proxies)]
-	return a.sc.p, a.sc.z, a.sc.choices
+	return a.bids[i].rows
 }
 
-// NewAuction validates the inputs and prepares proxies. Bids are held by
-// reference; they must not be mutated during Run.
+// NewAuction validates the inputs. Bids are held by reference; they must not be mutated during Run.
 func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, error) {
 	if reg == nil || reg.Len() == 0 {
 		return nil, errors.New("core: auction needs a non-empty registry")
@@ -200,27 +175,24 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 		return nil, errors.New("core: start prices must be nonnegative")
 	}
 	// A booked bid's rows are validated and read in place; a bid that
-	// still carries Bundles is packed privately — bids are never written.
-	// One pass over the (scattered) bids lays every bundle view into
-	// per-auction slabs: a fresh chunk, sized for the bids still to come,
-	// whenever the current one is full, so nothing is ever copied.
-	proxies := make([]*Proxy, len(bids))
-	slab := make([]Proxy, len(bids))
-	var views []sparseBundle
+	// still carries Bundles is packed privately, once — bids are never
+	// written. Nothing else is built here: the lanes copy the rows into
+	// their kernels on first use.
+	a := &Auction{bids: bids, cfg: cfg}
+	var few [4]sparseBundle // keeps the usual few-cluster XOR off the heap
 	for i, b := range bids {
 		rw := b.view()
-		if n := int(rw.n); cap(views)-len(views) < n {
-			views = make([]sparseBundle, 0, n+len(bids)-i-1)
+		if len(b.Bundles) > 0 {
+			if a.priv == nil {
+				a.priv = make([]bidRows, len(bids))
+			}
+			a.priv[i] = rw
 		}
-		lo := len(views)
-		views = rw.appendBundles(views)
-		if err := b.validate(reg.Len(), &rw, views[lo:]); err != nil {
+		if err := b.validate(reg.Len(), &rw, rw.appendBundles(few[:0])); err != nil {
 			return nil, err
 		}
-		slab[i] = Proxy{bid: b, lastChoice: -1, sparse: views[lo:len(views):len(views)]}
-		proxies[i] = &slab[i]
 	}
-	return &Auction{bids: bids, proxies: proxies, cfg: cfg}, nil
+	return a, nil
 }
 
 // Bids returns the auction's bids in input order.
@@ -229,8 +201,10 @@ func (a *Auction) Bids() []*Bid { return a.bids }
 // Classes tallies the bidder classes, used to predict convergence per
 // Section III.C.3.
 func (a *Auction) Classes() (buyers, sellers, traders int) {
-	for _, px := range a.proxies {
-		switch classOf(px.sparse) {
+	var few [4]sparseBundle
+	for i := range a.bids {
+		rw := a.rowsOf(i)
+		switch classOf(rw.appendBundles(few[:0])) {
 		case PureBuyer:
 			buyers++
 		case PureSeller:
@@ -269,8 +243,10 @@ func (a *Auction) RunReusing(res *Result) (*Result, error) {
 	return a.runLanes(a.laneList(), a.resetResult(res))
 }
 
-// resetResult prepares res for (re)use: slices are truncated in place
-// with capacity kept, and the drop-round diagnostics reset.
+// resetResult prepares res for (re)use: the per-bid slices sized in place
+// with capacity kept, prices at the reserve, drop rounds and the rest
+// reset. The clock writes its outcome straight into them, so a settled
+// Result never aliases the auction's scratch.
 //
 //marketlint:allocfree
 func (a *Auction) resetResult(res *Result) *Result {
@@ -281,15 +257,24 @@ func (a *Auction) resetResult(res *Result) *Result {
 	if cap(res.DropRound) < n {
 		res.DropRound = make([]int, n)
 	}
-	res.DropRound = res.DropRound[:n]
+	if cap(res.ChosenBundle) < n {
+		res.ChosenBundle = make([]int, n)
+	}
+	if cap(res.Payments) < n {
+		res.Payments = make([]float64, n)
+	}
+	res.DropRound, res.ChosenBundle, res.Payments = res.DropRound[:n], res.ChosenBundle[:n], res.Payments[:n]
 	for i := range res.DropRound {
 		res.DropRound[i] = -1
 	}
+	res.Prices = res.Prices.CopyFrom(a.cfg.Start)
+	res.bids = a.bids
 	res.Converged = false
 	res.Rounds = 0
 	res.Winners = res.Winners[:0]
 	res.Losers = res.Losers[:0]
 	res.History = res.History[:0]
+	res.Clock = ClockStats{}
 	return res
 }
 
@@ -310,50 +295,31 @@ func appendRound(h []Round, t int, p, z resource.Vector, active int) []Round {
 	return append(h, Round{T: t, Prices: p.Clone(), ExcessDemand: z.Clone(), ActiveBidders: active})
 }
 
-// collect evaluates every proxy at prices p into choices, returning the
-// number of active bidders.
+// settle freezes the outcome the clock wrote into res — final prices,
+// each bid's chosen bundle (a win is recorded as the bundle's index, never
+// copied out of the bid) and its payment — by listing winners and losers
+// in input order, each list sized exactly.
 //
 //marketlint:allocfree
-func (a *Auction) collect(p resource.Vector, choices []int) int {
-	active := 0
-	for i, px := range a.proxies {
-		choices[i] = px.choose(p)
-		if choices[i] >= 0 {
-			active++
+func (a *Auction) settle(res *Result) {
+	won := 0
+	for _, c := range res.ChosenBundle {
+		if c >= 0 {
+			won++
 		}
 	}
-	return active
-}
-
-// settle freezes the outcome at final prices: winners receive their
-// demanded bundle — recorded as its index, never copied out of the bid —
-// and pay its cost; everyone else loses. The Result's slices are reused
-// in place when RunReusing recycled them, so the settled outcome never
-// aliases the auction's scratch buffers.
-//
-//marketlint:allocfree
-func (a *Auction) settle(res *Result, p resource.Vector, choices []int) {
-	n := len(a.bids)
-	res.bids = a.bids
-	res.Prices = res.Prices.CopyFrom(p)
-	if cap(res.Payments) < n {
-		res.Payments = make([]float64, n)
+	if cap(res.Winners) < won {
+		res.Winners = make([]int, 0, won)
 	}
-	res.Payments = res.Payments[:n]
-	if cap(res.ChosenBundle) < n {
-		res.ChosenBundle = make([]int, n)
+	if lost := len(a.bids) - won; cap(res.Losers) < lost {
+		res.Losers = make([]int, 0, lost)
 	}
-	res.ChosenBundle = res.ChosenBundle[:n]
-	res.Winners, res.Losers = res.Winners[:0], res.Losers[:0]
-	for i, c := range choices {
-		res.ChosenBundle[i] = c
+	for i, c := range res.ChosenBundle {
 		if c < 0 {
-			res.Payments[i] = 0
 			res.Losers = append(res.Losers, i)
-			continue
+		} else {
+			res.Winners = append(res.Winners, i)
 		}
-		res.Payments[i] = a.proxies[i].sparse[c].dot(p)
-		res.Winners = append(res.Winners, i)
 	}
 }
 

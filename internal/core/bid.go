@@ -325,7 +325,9 @@ func NewProxy(b *Bid) *Proxy {
 }
 
 // choose returns the index of the bundle the proxy demands at prices p,
-// or −1 when priced out — the sparse fast path of Bid.BestAffordable.
+// or −1 when priced out — the sparse fast path of Bid.BestAffordable. It
+// is pure; the production clock runs the same scan over cached costs
+// (lane.choose).
 //
 //marketlint:allocfree
 func (px *Proxy) choose(p resource.Vector) int {
@@ -341,7 +343,6 @@ func (px *Proxy) choose(p resource.Vector) int {
 			best, bestSurplus = i, s
 		}
 	}
-	px.lastChoice = best
 	return best
 }
 
@@ -354,8 +355,9 @@ func (px *Proxy) Bid() *Bid { return px.bid }
 // deterministic. With vector limits (BundleLimits) the proxy demands the
 // affordable bundle with the largest surplus instead.
 func (px *Proxy) Demand(p resource.Vector) resource.Vector {
-	if best := px.choose(p); best >= 0 {
-		return px.bid.Bundle(best)
+	px.lastChoice = px.choose(p)
+	if px.lastChoice >= 0 {
+		return px.bid.Bundle(px.lastChoice)
 	}
 	return nil
 }

@@ -152,28 +152,35 @@ func mustMatchReference(t *testing.T, tag string, reg *resource.Registry, bids [
 // is fixed, so exact float equality is the assertion, not a tolerance.
 func TestIncrementalMatchesDenseDifferential(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		pools := make([]resource.Pool, rng.Intn(7)+2)
-		for i := range pools {
-			pools[i] = resource.Pool{Cluster: fmt.Sprintf("c%d", i), Dim: resource.CPU}
-		}
-		reg := resource.NewRegistry(pools...)
-		bids := randomMixedMarket(rng, reg)
-		start := make(resource.Vector, reg.Len())
-		for i := range start {
-			start[i] = rng.Float64() * 2
-		}
-		mustMatchReference(t, fmt.Sprintf("seed %d", seed), reg, bids, Config{
-			Start: start,
-			Policy: Capped{
-				Alpha:   0.01 + rng.Float64()*0.1,
-				Delta:   0.2 + rng.Float64(),
-				MinStep: 0.005,
-			},
-			Epsilon:       float64(rng.Intn(2)) * 0.01,
-			MaxRounds:     300,
-			RecordHistory: true,
-		})
+		reg, bids, cfg := mixedCase(rand.New(rand.NewSource(seed)))
+		mustMatchReference(t, fmt.Sprintf("seed %d", seed), reg, bids, cfg)
+	}
+}
+
+// mixedCase draws one case of the differential above — registry, mixed
+// market and clock configuration — from rng; FuzzClockMatchesReference
+// draws its cases the same way.
+func mixedCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
+	pools := make([]resource.Pool, rng.Intn(7)+2)
+	for i := range pools {
+		pools[i] = resource.Pool{Cluster: fmt.Sprintf("c%d", i), Dim: resource.CPU}
+	}
+	reg := resource.NewRegistry(pools...)
+	bids := randomMixedMarket(rng, reg)
+	start := make(resource.Vector, reg.Len())
+	for i := range start {
+		start[i] = rng.Float64() * 2
+	}
+	return reg, bids, Config{
+		Start: start,
+		Policy: Capped{
+			Alpha:   0.01 + rng.Float64()*0.1,
+			Delta:   0.2 + rng.Float64(),
+			MinStep: 0.005,
+		},
+		Epsilon:       float64(rng.Intn(2)) * 0.01,
+		MaxRounds:     300,
+		RecordHistory: true,
 	}
 }
 

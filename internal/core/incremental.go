@@ -1,245 +1,362 @@
 package core
 
-import "clustermarket/internal/resource"
+import "math"
 
 // This file implements incremental demand revelation, what makes the
 // production round loop (runClock, partition.go) the planet-scale fast
-// path of Algorithm 1. The reference loop re-scores every proxy every
-// round, but a round's price step only raises the over-demanded pools: a
-// proxy none of whose bundles touches a raised pool sees identical
-// bundle costs and provably repeats its previous choice. The clock
-// therefore maintains an inverted index from pool to the proxies
-// touching it, derives the dirty-pool set from the step's positive
-// components, re-evaluates only the affected proxies, and refreshes only
-// the excess-demand components those proxies' old and new bundles touch.
+// path of Algorithm 1. The reference loop re-prices every bundle and
+// re-scores every proxy every round, but a round's price step only raises
+// the over-demanded pools: a bundle touching no raised pool costs exactly
+// what it did, and a proxy none of whose bundles was re-priced provably
+// repeats its previous choice. Each lane therefore owns a flat,
+// pointer-free kernel — its bids' rows copied once, pool ids remapped,
+// plus a pool→bundle index — and on it a round re-prices only the bundles
+// on a moved pool, re-chooses only their owners from the cached costs,
+// and refreshes only the excess-demand components those owners' old and
+// new bundles touch.
 //
 // Determinism contract: results are bit-identical to ReferenceRun.
-// Excess demand is never updated by adding/subtracting deltas — floating
-// point addition is not associative, so delta updates would drift in the
-// low bits and the two clocks would diverge. Instead each stale pool's
-// component is re-summed from zero over the pool's proxy list in
-// ascending proxy order, which replays the exact addition sequence the
-// reference rebuild performs for that pool (it visits proxies in input
-// order and sparse addInto touches only non-zero components).
-// Components of untouched pools are carried over unchanged, which is
-// likewise exactly what the reference re-sum would reproduce for them.
+//
+//   - A cached cost is the same from-zero dot over the bundle's ascending
+//     rows the reference computes, at prices that have not changed on any
+//     of those rows since; the choice scan over the cached costs is the
+//     reference's (cost > limit skipped, strictly larger surplus wins).
+//   - Excess demand is never updated by adding/subtracting deltas —
+//     floating point addition is not associative, so delta updates would
+//     drift in the low bits. Each stale pool's component is re-summed from
+//     zero over the pool's bundle list, which is in ascending proxy order
+//     and adds a proxy's value only for its chosen bundle: the exact
+//     addition sequence of the reference rebuild for that pool. When an
+//     eighth of the pools are stale the whole vector is rebuilt in proxy
+//     order, which is the reference order itself; untouched components
+//     carry over, which is what the reference re-sum would reproduce.
+//   - A priced-out pure buyer is retired: price steps are nonnegative and
+//     its bundle costs nondecreasing in prices, so it can never re-enter
+//     and its choice is −1 forever — it contributes to no sum. Its entries
+//     are dropped, order preserved, from the pool lists and the proxy list
+//     by the walk that meets them. Sellers and traders carry negative components (rising
+//     prices improve their receipts), so they stay listed and evaluated.
 
-// incrementalIndex is the immutable, bids-derived half of the clock:
-// the inverted pool→proxies index and the bidder classes. It is built
-// once per Auction (bids are frozen after NewAuction) and shared across
-// Run calls.
-type incrementalIndex struct {
-	// poolProxies[r] lists, in ascending order, the proxies any of whose
-	// bundles has a non-zero component in pool r.
-	poolProxies [][]int32
-	pureBuyer   []bool
+// kernel is the immutable, bids-derived half of a lane, built once
+// (bids are frozen after NewAuction) and shared by every run. Bundles are
+// numbered proxy-major, so ascending bundle order is ascending bid order.
+type kernel struct {
+	first []int32   // proxy k owns bundles first[k] .. first[k+1]-1
+	row   []int32   // bundle b owns rows row[b] .. row[b+1]-1
+	idx   []int32   // row → lane-local pool, ascending within a bundle
+	val   []float64 // row → quantity
+	lim   []float64 // bundle → its limit (Bid.LimitFor, resolved once)
+	owner []int32   // bundle → proxy
+	buyer []bool    // proxy → pure buyer
+	at    []int32   // pool r's list of bundles starts at at[r], ends before at[r+1]
 }
 
-// buildIncrementalIndex makes one pass over the sparse bundles; seen
-// dedups pools within a proxy so each proxy appears at most once per
-// pool list, and iterating proxies in input order keeps every list
-// ascending — the order the determinism contract depends on.
-func (a *Auction) buildIncrementalIndex() *incrementalIndex {
-	ix := &incrementalIndex{
-		poolProxies: make([][]int32, len(a.cfg.Start)),
-		pureBuyer:   make([]bool, len(a.proxies)),
-	}
-	seen := make([]int, len(a.cfg.Start))
-	for i, px := range a.proxies {
-		stamp := i + 1
-		for _, sb := range px.sparse {
-			for _, r := range sb.idx {
-				if seen[r] != stamp {
-					seen[r] = stamp
-					ix.poolProxies[r] = append(ix.poolProxies[r], int32(i))
-				}
-			}
-		}
-		ix.pureBuyer[i] = classOf(px.sparse) == PureBuyer
-	}
-	return ix
+// ClockStats counts the work of one Run's round loops, summed over its
+// lanes (capped re-runs included): whether the incremental reductions
+// engaged is read off these, not inferred from timings.
+type ClockStats struct {
+	// Lanes is the number of component lanes, Reruns how many of them
+	// were replayed to the stop round, LaneRounds the rounds they ran.
+	Lanes, Reruns, LaneRounds int
+	// Repriced bundles and Rechosen proxies past round 0, and how many of
+	// those proxies Switched bundle.
+	Repriced, Rechosen, Switched int
+	// Rebuilds counts rounds that rebuilt z whole, Resums single pools
+	// re-summed in the other rounds.
+	Rebuilds, Resums int
 }
 
-// incrementalState carries the per-run working set of incremental
-// revelation: the shared index plus epoch-stamped scratch buffers, so
-// the round loop allocates nothing.
-type incrementalState struct {
-	*incrementalIndex
-	// retired marks pure buyers that have been priced out of every
-	// bundle. Price steps are nonnegative and a pure buyer's bundle costs
-	// are nondecreasing in prices, so its surplus can only shrink: once
-	// priced out it can never re-enter and is dropped from the index
-	// walk permanently. Sellers and traders carry negative components —
-	// rising prices improve their receipts — so they stay evaluated.
-	retired []bool
-
-	// Epoch-stamped dedup marks: a mark equal to the current epoch means
-	// "already gathered this round", so clearing between rounds is O(1).
-	epoch     int32
-	proxyMark []int32
-	poolMark  []int32
-
-	// Reused gather buffers.
-	affected   []int32
-	stale      []int32
-	dirty      []int32
-	newChoices []int
-}
-
-// newIncrementalState returns the auction's cached working set, reset
-// for a fresh run. The epoch-stamped marks survive across runs (a mark
-// below the current epoch already reads as "unseen"), so a reset only
-// clears the retirement flags and truncates the gather buffers — no
-// allocation in the steady state.
+// Add accumulates another run's (or lane's) counters.
 //
 //marketlint:allocfree
-func (a *Auction) newIncrementalState() *incrementalState {
-	if a.incIndex == nil {
-		//marketlint:allow allocfree one-time index build, cached on the Auction across runs
-		a.incIndex = a.buildIncrementalIndex()
+func (s *ClockStats) Add(o ClockStats) {
+	s.Lanes += o.Lanes
+	s.Reruns += o.Reruns
+	s.LaneRounds += o.LaneRounds
+	s.Repriced += o.Repriced
+	s.Rechosen += o.Rechosen
+	s.Switched += o.Switched
+	s.Rebuilds += o.Rebuilds
+	s.Resums += o.Resums
+}
+
+// carve cuts the next n elements off a slab.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// newLane builds the lane of bids (ascending global indices) over pools
+// (ascending global ids; local maps a global id back to its position):
+// the kernel in one pass over the bids' rows, and every scratch vector of
+// the round loop, carved from one slab per element type.
+func (a *Auction) newLane(pools, bids, local []int32, cfg Config) *lane {
+	nP, nB, nnz, r := len(bids), 0, 0, len(pools)
+	for _, bi := range bids {
+		rw := a.rowsOf(int(bi))
+		nB += int(rw.n)
+		nnz += len(rw.val)
 	}
-	st := a.incState
-	if st == nil {
-		//marketlint:allow allocfree one-time state construction, cached on the Auction across runs
-		st = &incrementalState{
-			incrementalIndex: a.incIndex,
-			retired:          make([]bool, len(a.proxies)),
-			proxyMark:        make([]int32, len(a.proxies)),
-			poolMark:         make([]int32, len(a.cfg.Start)),
+	i32 := make([]int32, 6*nP+3*nB+2*nnz+5*r+3)
+	f64 := make([]float64, 2*nnz+2*nB+3*r)
+	flags := make([]bool, 2*nP)
+	// cleared grows a bit a round; most clocks fit the first kilobyte.
+	c := &lane{pools: pools, bids: bids, cfg: cfg, cleared: make([]bool, 0, 1024)}
+	c.first, c.row, c.at = carve(&i32, nP+1), carve(&i32, nB+1), carve(&i32, r+1)
+	c.idx, c.liveB = carve(&i32, nnz), carve(&i32, nnz)
+	c.owner, c.bundleMark = carve(&i32, nB), carve(&i32, nB)
+	c.chosen, c.drop, c.liveP = carve(&i32, nP), carve(&i32, nP), carve(&i32, nP)
+	c.proxyMark, c.affected = carve(&i32, nP), carve(&i32, nP)[:0]
+	c.liveEnd, c.poolMark = carve(&i32, r), carve(&i32, r)
+	c.stale, c.dirty = carve(&i32, r)[:0], carve(&i32, r)[:0]
+	c.val, c.liveV = carve(&f64, nnz), carve(&f64, nnz)
+	c.lim, c.cost = carve(&f64, nB), carve(&f64, nB)
+	c.p, c.z, c.step = carve(&f64, r), carve(&f64, r), carve(&f64, r)
+	c.buyer, c.retired = carve(&flags, nP), carve(&flags, nP)
+
+	b, j := int32(0), int32(0)
+	for k, bi := range bids {
+		bid, rw := a.bids[bi], a.rowsOf(int(bi))
+		c.first[k], c.buyer[k] = b, true
+		for i := 0; i < int(rw.n); i++ {
+			sb := rw.bundle(i)
+			c.row[b], c.lim[b], c.owner[b] = j, bid.LimitFor(i), int32(k)
+			for x, g := range sb.idx {
+				c.idx[j], c.val[j] = local[g], sb.val[x]
+				c.at[local[g]+1]++
+				if sb.val[x] < 0 {
+					c.buyer[k] = false
+				}
+				j++
+			}
+			b++
 		}
-		a.incState = st
-		return st
 	}
-	for i := range st.retired {
-		st.retired[i] = false
+	c.first[nP], c.row[nB] = b, j
+	for g := 0; g < r; g++ {
+		c.at[g+1] += c.at[g]
 	}
-	st.affected = st.affected[:0]
-	st.stale = st.stale[:0]
-	st.dirty = st.dirty[:0]
+	return c
+}
+
+// reset readies the scratch for a run from the reserve prices: nobody
+// retired, and the pool→bundle index laid out whole — pool r's list
+// liveB/liveV[at[r]:liveEnd[r]] holds the bundles touching r with their
+// quantity there, filled bundle by bundle so each list is ascending. The
+// epoch-stamped marks survive across runs (a mark below the current epoch
+// reads as "unseen").
+//
+//marketlint:allocfree
+func (c *lane) reset() {
+	copy(c.p, c.cfg.Start)
+	c.z.SetZero()
+	clear(c.retired)
+	for k := range c.drop {
+		c.drop[k] = -1
+	}
+	copy(c.liveEnd, c.at)
+	for b := range c.owner {
+		for j := c.row[b]; j < c.row[b+1]; j++ {
+			e := c.liveEnd[c.idx[j]]
+			c.liveB[e], c.liveV[e] = int32(b), c.val[j]
+			c.liveEnd[c.idx[j]]++
+		}
+	}
+	c.liveP = c.liveP[:cap(c.liveP)]
+	for k := range c.liveP {
+		c.liveP[k] = int32(k)
+	}
+	c.hist = c.hist[:0]
 	// Guard the epoch stamps against int32 wraparound across very many
 	// reuses: restart the epoch clock with cleared marks.
-	if st.epoch > 1<<30 {
-		st.epoch = 0
-		for i := range st.proxyMark {
-			st.proxyMark[i] = 0
-		}
-		for i := range st.poolMark {
-			st.poolMark[i] = 0
-		}
+	if c.epoch > 1<<30 {
+		c.epoch = 0
+		clear(c.bundleMark)
+		clear(c.proxyMark)
+		clear(c.poolMark)
 	}
-	return st
 }
 
-// markStalePool records pool r for excess-demand recomputation, at most
-// once per round.
+// price computes bundle b's cost qᵀp from zero over its ascending rows —
+// sparseBundle.dot's arithmetic on the lane's slabs.
 //
 //marketlint:allocfree
-func (st *incrementalState) markStalePool(r int32) {
-	if st.poolMark[r] != st.epoch {
-		st.poolMark[r] = st.epoch
-		st.stale = append(st.stale, r)
+func (c *lane) price(b int32) float64 {
+	lo, hi, p := c.row[b], c.row[b+1], c.p
+	val, sum := c.val[lo:hi], 0.0
+	for j, r := range c.idx[lo:hi] {
+		sum += val[j] * p[r]
 	}
+	return sum
+}
+
+// demand adds bundle b into the excess-demand vector.
+//
+//marketlint:allocfree
+func (c *lane) demand(b int32) {
+	lo, hi, z := c.row[b], c.row[b+1], c.z
+	val := c.val[lo:hi]
+	for j, r := range c.idx[lo:hi] {
+		z[r] += val[j]
+	}
+}
+
+// choose returns the bundle proxy k demands at the cached costs, or −1
+// when priced out: Proxy.choose's scan, bundle for bundle.
+//
+//marketlint:allocfree
+func (c *lane) choose(k int32) int32 {
+	best, bestSurplus := int32(-1), math.Inf(-1)
+	for b, hi := c.first[k], c.first[k+1]; b < hi; b++ {
+		cost, lim := c.cost[b], c.lim[b]
+		if cost > lim {
+			continue
+		}
+		if s := lim - cost; s > bestSurplus {
+			best, bestSurplus = b, s
+		}
+	}
+	return best
+}
+
+// open is round 0, a full evaluation: every bundle is priced at the
+// reserve prices, every proxy chooses, and z is built from scratch in
+// proxy order, exactly as the reference round does. It returns the
+// active-bidder count.
+//
+//marketlint:allocfree
+func (c *lane) open() int {
+	for b := range c.cost {
+		c.cost[b] = c.price(int32(b))
+	}
+	active := 0
+	for k := range c.chosen {
+		b := c.choose(int32(k))
+		c.chosen[k] = b
+		if b >= 0 {
+			active++
+			c.demand(b)
+		} else {
+			c.drop[k] = 0
+			c.retired[k] = c.buyer[k]
+		}
+	}
+	return active
+}
+
+// markStale records the pools of bundle b (none when b is −1) for
+// excess-demand recomputation, each at most once per round, and reports
+// whether enough are stale that the round rebuilds z whole.
+//
+//marketlint:allocfree
+func (c *lane) markStale(b int32) bool {
+	if b >= 0 {
+		for _, r := range c.idx[c.row[b]:c.row[b+1]] {
+			if c.poolMark[r] != c.epoch {
+				c.poolMark[r] = c.epoch
+				c.stale = append(c.stale, r)
+			}
+		}
+	}
+	return len(c.stale)*8 > len(c.at)-1
 }
 
 // advance applies one round of incremental demand revelation at round t:
-// gather the proxies touching a dirty pool, re-evaluate them, and
-// recompute the excess-demand components their changed choices touch. It
+// re-price the live bundles on a dirty pool, re-choose their owners, and
+// recompute the excess-demand components the changed choices touch. It
 // returns the updated active-bidder count.
 //
 //marketlint:allocfree
-func (a *Auction) advance(st *incrementalState, p resource.Vector, choices []int, res *Result, z resource.Vector, t, active int) int {
-	st.epoch++
-	st.affected = st.affected[:0]
-	for _, r := range st.dirty {
-		for _, i := range st.poolProxies[r] {
-			if st.retired[i] || st.proxyMark[i] == st.epoch {
+func (c *lane) advance(t, active int) int {
+	c.epoch++
+	c.affected = c.affected[:0]
+	for _, r := range c.dirty {
+		lo, w := c.at[r], 0
+		list, qty := c.liveB[lo:c.liveEnd[r]], c.liveV[lo:c.liveEnd[r]]
+		for e, b := range list {
+			k := c.owner[b]
+			if c.retired[k] {
+				continue // dropped from the list: w stays behind
+			}
+			if w < e {
+				list[w], qty[w] = b, qty[e]
+			}
+			w++
+			if c.bundleMark[b] == c.epoch {
 				continue
 			}
-			st.proxyMark[i] = st.epoch
-			st.affected = append(st.affected, i)
+			c.bundleMark[b] = c.epoch
+			c.cost[b] = c.price(b)
+			c.stats.Repriced++
+			if c.proxyMark[k] != c.epoch {
+				c.proxyMark[k] = c.epoch
+				c.affected = append(c.affected, k)
+			}
 		}
+		c.liveEnd[r] = lo + int32(w)
 	}
 
-	st.newChoices = a.collectSubset(p, st.affected, st.newChoices)
-
-	st.stale = st.stale[:0]
-	for k, i := range st.affected {
-		old, c := choices[i], st.newChoices[k]
-		if c == old {
+	// Stale pools are listed only until the whole-rebuild rule is met:
+	// the count only grows, so stopping there decides the same branch.
+	c.stale = c.stale[:0]
+	c.stats.Rechosen += len(c.affected)
+	rebuild := false
+	for _, k := range c.affected {
+		old, b := c.chosen[k], c.choose(k)
+		if b == old {
 			continue
 		}
-		choices[i] = c
-		if old >= 0 {
-			for _, r := range a.proxies[i].sparse[old].idx {
-				st.markStalePool(r)
-			}
-		}
-		if c >= 0 {
-			for _, r := range a.proxies[i].sparse[c].idx {
-				st.markStalePool(r)
-			}
-		}
+		c.chosen[k] = b
+		c.stats.Switched++
+		rebuild = rebuild || c.markStale(old) || c.markStale(b)
 		switch {
-		case c < 0:
+		case b < 0:
 			// Dropped out this round.
 			active--
-			res.DropRound[i] = t
-			if st.pureBuyer[i] {
-				st.retired[i] = true
-			}
+			c.drop[k] = int32(t)
+			c.retired[k] = c.buyer[k]
 		case old < 0:
 			// Re-entered: rising prices lifted a seller/trader bundle
 			// back over its limit. Clear the stale drop round so the
 			// diagnostic matches History.ActiveBidders.
 			active++
-			res.DropRound[i] = -1
+			c.drop[k] = -1
 		}
 	}
 
 	// When a large share of the pools went stale (the clock's opening
-	// rounds, before demand localizes), a full rebuild in input order is
+	// rounds, before demand localizes), a full rebuild in proxy order is
 	// cheaper than per-pool re-summation — and is trivially bit-identical,
 	// being the reference order itself.
-	if len(st.stale)*8 > len(st.poolProxies) {
-		for r := range z {
-			z[r] = 0
-		}
-		for i, c := range choices {
-			if c >= 0 {
-				a.proxies[i].sparse[c].addInto(z)
+	if rebuild {
+		c.stats.Rebuilds++
+		c.z.SetZero()
+		live, w := c.liveP, 0
+		for i, k := range live {
+			if c.retired[k] {
+				continue
+			}
+			if w < i {
+				live[w] = k
+			}
+			w++
+			if b := c.chosen[k]; b >= 0 {
+				c.demand(b)
 			}
 		}
+		c.liveP = live[:w]
 		return active
 	}
-	// Re-sum each stale component from zero over the pool's proxy list in
-	// ascending order — the reference rebuild's exact addition sequence for
-	// that pool (see the determinism contract above).
-	for _, r := range st.stale {
+	c.stats.Resums += len(c.stale)
+	for _, r := range c.stale {
 		var sum float64
-		for _, i := range st.poolProxies[r] {
-			if c := choices[i]; c >= 0 {
-				if v, ok := a.proxies[i].sparse[c].valueAt(r); ok {
-					sum += v
-				}
+		for e := c.at[r]; e < c.liveEnd[r]; e++ {
+			if b := c.liveB[e]; c.chosen[c.owner[b]] == b {
+				sum += c.liveV[e]
 			}
 		}
-		z[r] = sum
+		c.z[r] = sum
 	}
 	return active
-}
-
-// collectSubset evaluates the affected proxies at prices p, writing each
-// result to out aligned with affected (out is grown as needed and
-// returned). It is the affected-subset form of collect.
-//
-//marketlint:allocfree
-func (a *Auction) collectSubset(p resource.Vector, affected []int32, out []int) []int {
-	if cap(out) < len(affected) {
-		out = make([]int, len(affected))
-	}
-	out = out[:len(affected)]
-	for k, i := range affected {
-		out[k] = a.proxies[i].choose(p)
-	}
-	return out
 }

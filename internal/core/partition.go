@@ -54,32 +54,56 @@ import (
 //   - A negative step is a lane's own error: validated built-in policies
 //     cannot produce one, and a foreign policy always runs as one lane.
 //
-// Settlement runs the auction's settle() against the scattered global
-// price vector and choices, so payments are the same sparse dot products
-// over the same global prices, bit for bit. The differential tests
-// enforce production ≡ ReferenceRun equality on every Result field.
+// Settlement scatters the lanes' prices and choices into the Result; a
+// payment is the chosen bundle's dot over its lane's prices — the same
+// values in the same ascending pool order as over the global vector, so
+// the same bits. The differential tests enforce production ≡ ReferenceRun
+// equality on every Result field.
 
 // lane is one independently clocked slice of the market: an ascending
 // slice of global pool ids, the ascending global indices of the bids
-// touching them, and a private Auction over the compacted vectors whose
-// scratch, incremental state, and Result are recycled across runs.
+// touching them, those bids' flat kernel over the compacted pool ids, and
+// the round loop's whole working set, recycled across runs.
 type lane struct {
 	// pools holds the lane's global pool ids in ascending order; local
 	// pool j is global pool pools[j].
 	pools []int32
 	// bids holds the lane's global bid indices in ascending order; local
-	// bid k is global bid bids[k].
+	// proxy k is global bid bids[k].
 	bids []int32
-	// auc runs the lane's clock. Its bids are the original *Bid pointers
-	// (limits and classes are remap-invariant); a component lane's
-	// proxies carry index-remapped sparse bundles sharing the original
-	// value slices, the whole-market lane shares the parent's proxies.
-	auc *Auction
-	// res receives the lane clock's DropRound bookkeeping and per-round
-	// history snapshots; recycled across runs.
-	res *Result
+	// cfg is the auction's configuration with Start and the policy's
+	// per-pool parameters gathered onto the lane's pools.
+	cfg Config
+	kernel
+
+	// One run's state (see incremental.go): prices, excess demand and
+	// step; each bundle's cached cost; each proxy's demanded bundle (−1
+	// when priced out), drop round and retirement flag.
+	p, z, step resource.Vector
+	cost       []float64
+	chosen     []int32
+	drop       []int32
+	retired    []bool
+	// The pool→bundle index, live: pool r's list liveB/liveV[at[r]:liveEnd[r]]
+	// holds the bundles touching r, ascending, with their quantity at r,
+	// and liveP the proxies, ascending — both without retired buyers.
+	liveB   []int32
+	liveV   []float64
+	liveEnd []int32
+	liveP   []int32
+	// Epoch-stamped dedup marks: a mark equal to the current epoch means
+	// "already gathered this round", so clearing between rounds is O(1).
+	epoch                           int32
+	bundleMark, proxyMark, poolMark []int32
+	// Gather buffers: the proxies to re-choose, the pools to re-sum, and
+	// the pools the last step moved.
+	affected, stale, dirty []int32
+	stats                  ClockStats
+
+	// hist holds the lane's per-round history snapshots.
+	hist []Round
 	// cleared[t] records whether the lane's excess demand passed z ≤ ε
-	// at round t of the autonomous run; recycled across runs.
+	// at round t of the autonomous run.
 	cleared []bool
 	// end is the round whose state the scratch holds pre-step — the
 	// freeze round, a sole lane's cleared round, or a re-run's cap — or
@@ -162,23 +186,19 @@ func remapPolicy(pol IncrementPolicy, pools []int32) (IncrementPolicy, bool) {
 	return nil, false
 }
 
-// wholeLane is the one-lane list of a market that is not decomposed:
-// identity pool and bid maps over the parent's own proxies, start prices
-// and policy, so the lane's clock is Algorithm 1 on the whole market.
+// wholeLane is the one-lane list of a market that is not decomposed: the
+// same kernel build through identity pool and bid maps, on the auction's
+// own start prices and policy, so the lane's clock is Algorithm 1 on the
+// whole market.
 func (a *Auction) wholeLane() []*lane {
-	c := &lane{
-		pools: make([]int32, len(a.cfg.Start)),
-		bids:  make([]int32, len(a.bids)),
-		auc:   &Auction{bids: a.bids, proxies: a.proxies, cfg: a.cfg},
-		res:   &Result{},
+	pools, bids := make([]int32, len(a.cfg.Start)), make([]int32, len(a.bids))
+	for g := range pools {
+		pools[g] = int32(g)
 	}
-	for g := range c.pools {
-		c.pools[g] = int32(g)
+	for i := range bids {
+		bids[i] = int32(i)
 	}
-	for i := range c.bids {
-		c.bids[i] = int32(i)
-	}
-	return []*lane{c}
+	return []*lane{a.newLane(pools, bids, pools, a.cfg)}
 }
 
 // buildLanes computes the connected components of the bidder–pool graph
@@ -206,113 +226,72 @@ func (a *Auction) buildLanes() []*lane {
 		uf[g] = int32(g)
 	}
 	touched := make([]bool, r)
-	for _, px := range a.proxies {
-		first := int32(-1)
-		for _, sb := range px.sparse {
-			for _, g := range sb.idx {
-				touched[g] = true
-				if first < 0 {
-					first = g
-				} else {
-					uf.union(first, g)
-				}
-			}
+	for i := range a.bids {
+		rw := a.rowsOf(i)
+		for _, g := range rw.idx[:len(rw.val)] {
+			touched[g] = true
+			uf.union(rw.idx[0], g)
 		}
 	}
 
 	// Assign component ids in ascending smallest-pool order — the
 	// deterministic lane order every later merge loop follows — and
-	// gather each component's pools ascending. Pools no bid touches stay
-	// out of every component: their excess demand is identically zero,
-	// so the clock never moves them off the reserve price.
-	compOf := make([]int32, r)
-	for g := range compOf {
-		compOf[g] = -1
-	}
-	var comps []*lane
+	// gather each component's pools ascending, local[g] being pool g's
+	// position among them. Pools no bid touches stay out of every
+	// component: their excess demand is identically zero, so the clock
+	// never moves them off the reserve price.
+	compOf, local := make([]int32, r), make([]int32, r)
+	var pools [][]int32
 	for g := 0; g < r; g++ {
 		if !touched[g] {
 			continue
 		}
 		root := uf.find(int32(g))
-		if compOf[root] < 0 {
-			compOf[root] = int32(len(comps))
-			comps = append(comps, &lane{res: &Result{}})
+		if root == int32(g) {
+			compOf[root] = int32(len(pools))
+			pools = append(pools, nil)
 		}
-		c := comps[compOf[root]]
-		c.pools = append(c.pools, int32(g))
+		c := compOf[root]
+		local[g] = int32(len(pools[c]))
+		pools[c] = append(pools[c], int32(g))
 	}
-	if len(comps) < 2 {
+	if len(pools) < 2 {
 		return a.wholeLane()
-	}
-
-	// Global pool id → local index within its component.
-	localPool := make([]int32, r)
-	for _, c := range comps {
-		for j, g := range c.pools {
-			localPool[g] = int32(j)
-		}
 	}
 
 	// Every validated bid has a non-empty first bundle, so its component
 	// is the one owning that bundle's first pool. Visiting bids in input
 	// order keeps each lane's bid list ascending — the order that
 	// preserves the whole-market run's per-pool float addition sequence.
-	for i, px := range a.proxies {
-		c := comps[compOf[uf.find(px.sparse[0].idx[0])]]
-		c.bids = append(c.bids, int32(i))
+	// Counted first, so each list is one exact allocation.
+	of, count := make([]int32, len(a.bids)), make([]int, len(pools))
+	for i := range a.bids {
+		of[i] = compOf[uf.find(a.rowsOf(i).idx[0])]
+		count[of[i]]++
+	}
+	bids := make([][]int32, len(pools))
+	for c := range bids {
+		bids[c] = make([]int32, 0, count[c])
+	}
+	for i, c := range of {
+		bids[c] = append(bids[c], int32(i))
 	}
 
-	for _, c := range comps {
-		subStart := make(resource.Vector, len(c.pools))
-		for j, g := range c.pools {
-			subStart[j] = a.cfg.Start[g]
+	lanes := make([]*lane, len(pools))
+	for c := range lanes {
+		cfg := a.cfg
+		cfg.Start = make(resource.Vector, len(pools[c]))
+		for j, g := range pools[c] {
+			cfg.Start[j] = a.cfg.Start[g]
 		}
-		pol, _ := remapPolicy(a.cfg.Policy, c.pools)
-		// Remap the packed bundles onto local pool ids in O(nnz): three
-		// slabs a component, the (immutable) value slices shared.
-		nb, nnz := 0, 0
-		for _, bi := range c.bids {
-			for _, sb := range a.proxies[bi].sparse {
-				nb++
-				nnz += len(sb.idx)
-			}
-		}
-		bids := make([]*Bid, len(c.bids))
-		proxies := make([]*Proxy, len(c.bids))
-		pxSlab := make([]Proxy, len(c.bids))
-		sbSlab := make([]sparseBundle, 0, nb)
-		idxSlab := make([]int32, 0, nnz)
-		for k, bi := range c.bids {
-			bids[k] = a.bids[bi]
-			lo := len(sbSlab)
-			for _, sb := range a.proxies[bi].sparse {
-				ilo := len(idxSlab)
-				for _, g := range sb.idx {
-					idxSlab = append(idxSlab, localPool[g])
-				}
-				sbSlab = append(sbSlab, sparseBundle{idx: idxSlab[ilo:], val: sb.val})
-			}
-			pxSlab[k] = Proxy{bid: bids[k], lastChoice: -1, sparse: sbSlab[lo:]}
-			proxies[k] = &pxSlab[k]
-		}
-		c.auc = &Auction{
-			bids:    bids,
-			proxies: proxies,
-			cfg: Config{
-				Start:         subStart,
-				Policy:        pol,
-				Epsilon:       a.cfg.Epsilon,
-				MaxRounds:     a.cfg.MaxRounds,
-				RecordHistory: a.cfg.RecordHistory,
-			},
-		}
+		cfg.Policy, _ = remapPolicy(a.cfg.Policy, pools[c])
+		lanes[c] = a.newLane(pools[c], bids[c], local, cfg)
 	}
-	return comps
+	return lanes
 }
 
 // runClock is the production round loop: Algorithm 1 with incremental
-// demand revelation (see incremental.go) on one lane's vectors. Its
+// demand revelation (see incremental.go) on one lane's kernel. Its
 // arithmetic is the reference loop's, round for round; what it leaves to
 // the driver is the global control flow:
 //
@@ -330,42 +309,25 @@ func (a *Auction) buildLanes() []*lane {
 //     scratch holding the post-step prices and the final round's choices,
 //     Algorithm 1's non-convergent settle state.
 //
-// Per-round cleared bits are appended to *clearedOut when non-nil, and
-// history is recorded only on uncapped runs (a capped re-run replays a
-// prefix already recorded).
+// Per-round cleared bits and history are recorded only on uncapped runs
+// (a capped re-run replays a prefix already recorded).
 //
 //marketlint:allocfree
-func (a *Auction) runClock(res *Result, capT int, clearedOut *[]bool, sole bool) (int, bool, error) {
-	p, z, choices := a.prepare()
-	step := a.sc.step
-	st := a.newIncrementalState()
-
-	// Round 0 is a full evaluation: every proxy is affected by the jump
-	// from "no prices" to the reserve prices, and z is built from scratch
-	// in proxy order, exactly as the reference round does.
-	active := a.collect(p, choices)
-	for i, c := range choices {
-		if c >= 0 {
-			a.proxies[i].sparse[c].addInto(z)
-		} else {
-			res.DropRound[i] = 0
-			if st.pureBuyer[i] {
-				st.retired[i] = true
-			}
-		}
-	}
-
-	for t := 0; t < a.cfg.MaxRounds; t++ {
+func (c *lane) runClock(capT int, sole bool) (int, bool, error) {
+	c.reset()
+	active := c.open()
+	for t := 0; t < c.cfg.MaxRounds; t++ {
 		if t > 0 {
-			active = a.advance(st, p, choices, res, z, t, active)
+			active = c.advance(t, active)
 		}
-		if a.cfg.RecordHistory && capT < 0 {
-			res.History = appendRound(res.History, t, p, z, active)
-		}
-		if clearedOut != nil {
-			cleared := z.AllNonPositive(a.cfg.Epsilon)
+		c.stats.LaneRounds++
+		if capT < 0 {
+			if c.cfg.RecordHistory {
+				c.hist = appendRound(c.hist, t, c.p, c.z, active)
+			}
+			cleared := c.z.AllNonPositive(c.cfg.Epsilon)
 			//marketlint:allow allocfree cleared-bit scratch is cached on the lane; growth is amortized across runs
-			*clearedOut = append(*clearedOut, cleared)
+			c.cleared = append(c.cleared, cleared)
 			if cleared && sole {
 				return t, false, nil
 			}
@@ -373,26 +335,25 @@ func (a *Auction) runClock(res *Result, capT int, clearedOut *[]bool, sole bool)
 		if t == capT {
 			return t, false, nil
 		}
-		a.cfg.Policy.StepInto(step, z, p)
-		if !step.AllNonNegative(0) {
+		c.cfg.Policy.StepInto(c.step, c.z, c.p)
+		if !c.step.AllNonNegative(0) {
 			//marketlint:allow allocfree error path; the run is abandoned
-			return t, false, fmt.Errorf("core: policy %s produced a negative step", a.cfg.Policy.Name())
+			return t, false, fmt.Errorf("core: policy %s produced a negative step", c.cfg.Policy.Name())
 		}
-		if step.MaxAbs() == 0 {
+		if c.step.MaxAbs() == 0 {
 			return t, true, nil
 		}
-		p.AddInto(step)
+		c.p.AddInto(c.step)
 		// The dirty pools for next round's re-evaluation are exactly the
 		// components the step moved.
-		st.dirty = st.dirty[:0]
-		for r, s := range step {
+		c.dirty = c.dirty[:0]
+		for r, s := range c.step {
 			if s > 0 {
-				//marketlint:allow allocfree dirty-pool scratch is cached on the Auction; growth is amortized across runs
-				st.dirty = append(st.dirty, int32(r))
+				c.dirty = append(c.dirty, int32(r))
 			}
 		}
 	}
-	return a.cfg.MaxRounds, false, nil
+	return c.cfg.MaxRounds, false, nil
 }
 
 // runAutonomous runs the lane clock to its natural end — frozen, out of
@@ -401,9 +362,8 @@ func (a *Auction) runClock(res *Result, capT int, clearedOut *[]bool, sole bool)
 //
 //marketlint:allocfree
 func (c *lane) runAutonomous(sole bool) {
-	c.res = c.auc.resetResult(c.res)
-	c.cleared = c.cleared[:0]
-	c.end, c.frozen, c.err = c.auc.runClock(c.res, -1, &c.cleared, sole)
+	c.cleared, c.stats = c.cleared[:0], ClockStats{}
+	c.end, c.frozen, c.err = c.runClock(-1, sole)
 }
 
 // rerunCapped deterministically replays the lane clock to exactly round
@@ -413,8 +373,8 @@ func (c *lane) runAutonomous(sole bool) {
 //
 //marketlint:allocfree
 func (c *lane) rerunCapped(capT int) {
-	c.res = c.auc.resetResult(c.res)
-	c.end, c.frozen, _ = c.auc.runClock(c.res, capT, nil, false)
+	c.stats.Reruns++
+	c.end, c.frozen, _ = c.runClock(capT, false)
 }
 
 // sweep drives every lane clock. Lanes share no state at all, so with
@@ -492,26 +452,29 @@ func findStopRound(lanes []*lane) (int, bool) {
 	return 0, false
 }
 
-// scatterState assembles the global settle state from the lane
-// scratches: prices scattered over the reserve vector (pools outside
-// every lane never move off it), choices and drop rounds scattered by
-// global bid index, into the parent's own scratch.
+// scatterState writes the global settle state from the lanes into res:
+// prices scattered over the reserve vector (pools outside every lane
+// never move off it); chosen bundles, drop rounds and each winner's
+// payment — its bundle's cost at the final prices, the same ascending-row
+// dot on the lane's slabs — scattered by global bid index; and the lanes'
+// work counters summed.
 //
 //marketlint:allocfree
-func (a *Auction) scatterState(lanes []*lane, res *Result) (resource.Vector, []int) {
-	p, _, choices := a.prepare()
+func scatterState(lanes []*lane, res *Result) {
+	res.Clock.Lanes = len(lanes)
 	for _, c := range lanes {
-		sp := c.auc.sc.p
-		sch := c.auc.sc.choices
 		for j, g := range c.pools {
-			p[g] = sp[j]
+			res.Prices[g] = c.p[j]
 		}
 		for k, bi := range c.bids {
-			choices[bi] = sch[k]
-			res.DropRound[bi] = c.res.DropRound[k]
+			res.ChosenBundle[bi], res.Payments[bi] = -1, 0
+			if b := c.chosen[k]; b >= 0 {
+				res.ChosenBundle[bi], res.Payments[bi] = int(b-c.first[k]), c.price(b)
+			}
+			res.DropRound[bi] = int(c.drop[k])
 		}
+		res.Clock.Add(c.stats)
 	}
-	return p, choices
 }
 
 // mergeHistory assembles the per-round history from the lane histories,
@@ -546,10 +509,10 @@ func appendMergedRound(h []Round, lanes []*lane, t int, start resource.Vector) [
 	active := 0
 	for _, c := range lanes {
 		i := t
-		if i >= len(c.res.History) {
-			i = len(c.res.History) - 1
+		if i >= len(c.hist) {
+			i = len(c.hist) - 1
 		}
-		src := &c.res.History[i]
+		src := &c.hist[i]
 		for j, g := range c.pools {
 			r.Prices[g] = src.Prices[j]
 			r.ExcessDemand[g] = src.ExcessDemand[j]
@@ -595,10 +558,10 @@ func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 		if a.cfg.RecordHistory {
 			a.mergeHistory(lanes, res, a.cfg.MaxRounds)
 		}
-		p, choices := a.scatterState(lanes, res)
 		res.Converged = false
 		res.Rounds = a.cfg.MaxRounds
-		a.settle(res, p, choices)
+		scatterState(lanes, res)
+		a.settle(res)
 		return res, ErrNoConvergence
 	}
 	if a.cfg.RecordHistory {
@@ -611,9 +574,9 @@ func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 			c.rerunCapped(T)
 		}
 	}
-	p, choices := a.scatterState(lanes, res)
 	res.Converged = true
 	res.Rounds = T + 1
-	a.settle(res, p, choices)
+	scatterState(lanes, res)
+	a.settle(res)
 	return res, nil
 }

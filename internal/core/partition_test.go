@@ -121,19 +121,8 @@ func TestPartitionedMatchesMergedDifferential(t *testing.T) {
 			withProcs(t, procs)
 			decomposed := 0
 			for seed := int64(0); seed < 120; seed++ {
-				rng := rand.New(rand.NewSource(9000 + seed))
-				registry, bids := randomRegionalMarket(rng, rng.Intn(5)+2)
-				start := make(resource.Vector, registry.Len())
-				for i := range start {
-					start[i] = rng.Float64() * 2
-				}
-				comps := mustMatchReference(t, fmt.Sprintf("seed %d", seed), registry, bids, Config{
-					Start:         start,
-					Policy:        randomPartitionPolicy(rng, registry.Len()),
-					Epsilon:       float64(rng.Intn(2)) * 0.01,
-					MaxRounds:     300,
-					RecordHistory: true,
-				})
+				registry, bids, cfg := regionalCase(rand.New(rand.NewSource(9000 + seed)))
+				comps := mustMatchReference(t, fmt.Sprintf("seed %d", seed), registry, bids, cfg)
 				if comps > 1 {
 					decomposed++
 				}
@@ -144,6 +133,24 @@ func TestPartitionedMatchesMergedDifferential(t *testing.T) {
 				t.Fatalf("only %d/120 seeds decomposed into multiple components", decomposed)
 			}
 		})
+	}
+}
+
+// regionalCase draws one case of the differential above — a regional
+// market, one of the four built-in policies, ε = 0 or ε > 0 — from rng;
+// FuzzClockMatchesReference draws its cases the same way.
+func regionalCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
+	registry, bids := randomRegionalMarket(rng, rng.Intn(5)+2)
+	start := make(resource.Vector, registry.Len())
+	for i := range start {
+		start[i] = rng.Float64() * 2
+	}
+	return registry, bids, Config{
+		Start:         start,
+		Policy:        randomPartitionPolicy(rng, registry.Len()),
+		Epsilon:       float64(rng.Intn(2)) * 0.01,
+		MaxRounds:     300,
+		RecordHistory: true,
 	}
 }
 

@@ -18,18 +18,36 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 	if err != nil {
 		return nil, err
 	}
+	// Its own proxies and vectors: the oracle shares nothing with the
+	// production clock but validation and the Result's bookkeeping. It
+	// clocks res.Prices (reset to the reserve) and res.ChosenBundle —
+	// the bundle each proxy demands this round, −1 when priced out —
+	// in place.
+	proxies := make([]*Proxy, len(bids))
+	for i, b := range bids {
+		proxies[i] = NewProxy(b)
+	}
 	res := a.resetResult(nil)
-	// choices[i] is the bundle index demanded by proxy i this round, or
-	// −1 when priced out.
-	p, z, choices := a.prepare()
-	step := a.sc.step
-
-	for t := 0; t < a.cfg.MaxRounds; t++ {
-		active := a.collect(p, choices)
-		z.SetZero()
+	p, choices := res.Prices, res.ChosenBundle
+	z, step := make(resource.Vector, len(p)), make(resource.Vector, len(p))
+	settle := func() {
 		for i, c := range choices {
 			if c >= 0 {
-				a.proxies[i].sparse[c].addInto(z)
+				res.Payments[i] = proxies[i].sparse[c].dot(p)
+			}
+		}
+		a.settle(res)
+	}
+
+	for t := 0; t < a.cfg.MaxRounds; t++ {
+		active := 0
+		z.SetZero()
+		for i, px := range proxies {
+			c := px.choose(p)
+			choices[i] = c
+			if c >= 0 {
+				active++
+				px.sparse[c].addInto(z)
 				// An active bidder is not dropped — clear any stale drop
 				// round from an earlier priced-out stretch (sellers and
 				// traders re-enter as prices rise).
@@ -44,7 +62,7 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 		if z.AllNonPositive(a.cfg.Epsilon) {
 			res.Converged = true
 			res.Rounds = t + 1
-			a.settle(res, p, choices)
+			settle()
 			return res, nil
 		}
 		a.cfg.Policy.StepInto(step, z, p)
@@ -61,6 +79,6 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 
 	res.Converged = false
 	res.Rounds = a.cfg.MaxRounds
-	a.settle(res, p, choices)
+	settle()
 	return res, ErrNoConvergence
 }

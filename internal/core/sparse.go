@@ -134,21 +134,3 @@ func (s sparseBundle) addInto(z resource.Vector) {
 		z[i] += s.val[k]
 	}
 }
-
-// valueAt returns the bundle's component in pool r and whether the bundle
-// touches it at all. The miss/hit distinction matters to the round
-// loop's determinism contract: a stale-pool re-sum must skip untouched
-// bundles entirely, exactly as addInto never visits them, rather than
-// add a 0.0 (which is not always a bit-level no-op in IEEE arithmetic).
-// Bundles hold a handful of non-zero components, so the linear scan is
-// cheaper than any index structure.
-//
-//marketlint:allocfree
-func (s sparseBundle) valueAt(r int32) (float64, bool) {
-	for k, i := range s.idx {
-		if i == r {
-			return s.val[k], true
-		}
-	}
-	return 0, false
-}

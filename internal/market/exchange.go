@@ -910,17 +910,13 @@ func (e *Exchange) operatorSupply() []*core.Bid {
 // it is frozen from booking on, so the clock reads it lock-free
 // afterwards.
 func (e *Exchange) assemble() ([]*core.Bid, error) {
-	type openBid struct {
-		id  int
-		bid *core.Bid
-	}
-	var open []openBid
+	var open []*Order
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
 		for _, o := range os.open {
 			if o.Status == Open {
-				open = append(open, openBid{o.ID, o.Bid})
+				open = append(open, o)
 			}
 		}
 		os.mu.RUnlock()
@@ -928,10 +924,10 @@ func (e *Exchange) assemble() ([]*core.Bid, error) {
 	if len(open) == 0 {
 		return nil, ErrNoOpenOrders
 	}
-	sort.Slice(open, func(i, j int) bool { return open[i].id < open[j].id })
+	sortOrdersByID(open)
 	bids := make([]*core.Bid, 0, len(open)+1)
-	for _, ob := range open {
-		bids = append(bids, ob.bid)
+	for _, o := range open {
+		bids = append(bids, o.Bid)
 	}
 	return append(bids, e.operatorSupply()...), nil
 }
@@ -1140,9 +1136,8 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		if err := e.applyEvent(recEv); err != nil {
 			return nil, nil, err
 		}
-		e.metrics.auctions.Add(1)
+		e.metrics.auctionRun(res)
 		e.metrics.noConvergence.Add(1)
-		e.metrics.rounds.Add(uint64(res.Rounds))
 		if err := e.maybeSnapshotLocked(num); err != nil {
 			return rec, res, err
 		}
@@ -1193,9 +1188,8 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	if err := e.applyEvent(recEv); err != nil {
 		return nil, nil, err
 	}
-	e.metrics.auctions.Add(1)
+	e.metrics.auctionRun(res)
 	e.metrics.converged.Add(1)
-	e.metrics.rounds.Add(uint64(res.Rounds))
 	if err := e.maybeSnapshotLocked(num); err != nil {
 		return rec, res, err
 	}

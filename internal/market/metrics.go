@@ -2,8 +2,10 @@ package market
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 
+	"clustermarket/internal/core"
 	"clustermarket/internal/journal"
 	"clustermarket/internal/telemetry"
 )
@@ -24,6 +26,19 @@ type exchangeMetrics struct {
 	converged     atomic.Uint64
 	noConvergence atomic.Uint64
 	rounds        atomic.Uint64
+	// clock sums core.Result.Clock over the binding auctions: one short
+	// lock an auction and a scrape, nothing in the round loop.
+	clockMu sync.Mutex
+	clock   core.ClockStats
+}
+
+// auctionRun counts one binding clock run and what its round loops did.
+func (m *exchangeMetrics) auctionRun(res *core.Result) {
+	m.auctions.Add(1)
+	m.rounds.Add(uint64(res.Rounds))
+	m.clockMu.Lock()
+	m.clock.Add(res.Clock)
+	m.clockMu.Unlock()
 }
 
 // rejected counts one rejected submission and passes the error
@@ -43,13 +58,22 @@ type Metrics struct {
 	// Clock auctions: total runs, convergence split, and the cumulative
 	// round count (rate(Rounds)/rate(Auctions) is the mean clock length).
 	Auctions, Converged, NoConvergence, Rounds uint64
+	// Clock is the round loops' work over those auctions — lanes, rounds
+	// per lane, bundles re-priced, proxies re-chosen, full rebuilds against
+	// single-pool re-sums — which shows whether the incremental
+	// reductions engaged.
+	Clock core.ClockStats
 }
 
 // Metrics snapshots the counters. Each field is read atomically; the
 // set is not one consistent cut, which is exactly a Prometheus
 // scrape's contract.
 func (e *Exchange) Metrics() Metrics {
+	e.metrics.clockMu.Lock()
+	clock := e.metrics.clock
+	e.metrics.clockMu.Unlock()
 	return Metrics{
+		Clock:         clock,
 		Submitted:     e.metrics.submitted.Load(),
 		Rejected:      e.metrics.rejectedCount.Load(),
 		Cancelled:     e.metrics.cancelled.Load(),

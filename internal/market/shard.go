@@ -1,7 +1,8 @@
 package market
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -107,7 +108,9 @@ func (e *Exchange) liveOrder(id int) *Order {
 
 // sortOrdersByID puts a cross-shard gather back into global ID order —
 // for serial traffic, exactly the submission order the unsharded book
-// used, which keeps batch assembly and display paths deterministic.
+// used, which keeps batch assembly and display paths deterministic. IDs
+// are unique and never change, and the sort is typed: no reflection on
+// the paths bidders poll.
 func sortOrdersByID(out []*Order) {
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *Order) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -106,6 +106,21 @@ func collectExchange(m *families, ex *market.Exchange, region string) {
 	m.add("market_auctions_converged_total", "counter", "Clock auctions that converged to clearing prices.", labels("region", region), float64(mt.Converged))
 	m.add("market_auctions_nonconverged_total", "counter", "Clock auctions that hit the round cap.", labels("region", region), float64(mt.NoConvergence))
 	m.add("market_auction_rounds_total", "counter", "Cumulative clock rounds across all auctions.", labels("region", region), float64(mt.Rounds))
+	for _, ck := range []struct {
+		name, help string
+		v          int
+	}{
+		{"lanes", "Component lanes clocked.", mt.Clock.Lanes},
+		{"reruns", "Lanes replayed to the stop round.", mt.Clock.Reruns},
+		{"lane_rounds", "Rounds run, summed over lanes.", mt.Clock.LaneRounds},
+		{"bundles_repriced", "Bundles re-priced past round 0 (they touch a moved pool).", mt.Clock.Repriced},
+		{"proxies_rechosen", "Proxies re-scored past round 0.", mt.Clock.Rechosen},
+		{"choices_switched", "Re-scored proxies that changed bundle.", mt.Clock.Switched},
+		{"z_rebuilds", "Rounds that rebuilt excess demand whole.", mt.Clock.Rebuilds},
+		{"pool_resums", "Single pools re-summed in the other rounds.", mt.Clock.Resums},
+	} {
+		m.add("market_clock_"+ck.name+"_total", "counter", ck.help, labels("region", region), float64(ck.v))
+	}
 	m.add("market_open_orders", "gauge", "Orders currently awaiting settlement.", labels("region", region), float64(ex.OpenOrderCount()))
 	for s, n := range ex.OpenOrdersPerStripe() {
 		m.add("market_open_orders_stripe", "gauge", "Open orders per book stripe (hot-stripe visibility).",

@@ -115,6 +115,9 @@ func TestMetricsExposition(t *testing.T) {
 		"market_orders_submitted_total 1",
 		`market_orders_settled_total{outcome="won"}`,
 		"market_auctions_total 1",
+		"# TYPE market_clock_lanes_total counter",
+		"market_clock_bundles_repriced_total",
+		"market_clock_z_rebuilds_total",
 		"# TYPE market_open_orders gauge",
 		`market_open_orders_stripe{stripe="0"}`,
 		"market_pool_price{",
@@ -124,6 +127,11 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// The clock counters come from the run itself: one auction clocked at
+	// least one lane for at least one round.
+	if mt := ex.Metrics(); mt.Clock.Lanes < 1 || mt.Clock.LaneRounds < mt.Clock.Lanes {
+		t.Errorf("clock counters after one auction = %+v", mt.Clock)
 	}
 	// One header per family even with per-stripe members.
 	if n := strings.Count(text, "# TYPE market_open_orders_stripe gauge"); n != 1 {
