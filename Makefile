@@ -135,8 +135,9 @@ cover-update:
 
 # Native fuzz smoke: each target briefly, as in CI. Longer local runs:
 # go test -fuzz FuzzParse ./internal/bidlang
-# (The clock differential's inputs are byte strings the fuzzer would
-# otherwise spend the whole smoke minimizing: its budget is capped.)
+# (The clock differential's and the router replay's inputs are byte
+# strings the fuzzer would otherwise spend the whole smoke minimizing:
+# their budget is capped.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run 'xxx' ./internal/bidlang
@@ -144,3 +145,4 @@ fuzz:
 	$(GO) test -fuzz FuzzEventsQueryParams -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzSettledEventReplay -fuzztime $(FUZZTIME) -run 'xxx' ./internal/market
 	$(GO) test -fuzz FuzzClockMatchesReference -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/core
+	$(GO) test -fuzz FuzzFedEventReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/federation

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"clustermarket/internal/journal"
-	"clustermarket/internal/market"
 	"clustermarket/internal/telemetry"
 )
 
@@ -33,9 +32,10 @@ const (
 const EventSource = "fed"
 
 // FedEvent is the single flat record type for the federation journal
-// and the telemetry firehose. Order snapshots are deep copies, so
-// adopting a decoded one at replay — or reading a published one from a
-// firehose subscription — shares nothing with live routing state.
+// and the telemetry firehose. Order is a view built for the event, so
+// reading a published one from a firehose subscription shares nothing
+// with live routing state; replay validates a decoded one and copies it
+// into the table (table.store).
 // Stats rides along as the full post-mutation counter set — carrying
 // the absolute values instead of deltas keeps replay idempotent per
 // event.
@@ -106,8 +106,8 @@ func (f *Federation) appendRetryLocked(raw []byte) error {
 // all: a journal is attached (and healthy) or a firehose subscriber is
 // listening. Call sites check it before building a FedEvent so that
 // the unwatched in-memory federation pays two branches on its hot
-// paths — not an order deep-copy, a stats copy, and an event
-// allocation that emitLocked would immediately discard. Callers must
+// paths — not an order view, a stats copy, and an event allocation
+// that emitLocked would immediately discard. Callers must
 // hold f.mu.
 func (f *Federation) materializingLocked() bool {
 	return (f.journal != nil && f.journalErr == nil) || f.fire.Active()
@@ -119,38 +119,16 @@ func (f *Federation) materializingLocked() bool {
 // its own history.
 func (f *Federation) applyEvent(ev *FedEvent) error {
 	switch ev.Kind {
-	case EvFedOrderSubmitted:
+	case EvFedOrderSubmitted, EvFedOrderUpdated:
 		if ev.Order == nil || ev.Stats == nil {
 			return fmt.Errorf("federation: replay: malformed %s event", ev.Kind)
 		}
-		fo := ev.Order
-		if fo.ID != f.nextID {
-			return fmt.Errorf("federation: replay: order %d out of sequence (next is %d)", fo.ID, f.nextID)
-		}
-		f.nextID = fo.ID + 1
-		f.orders = append(f.orders, fo)
-		f.byID[fo.ID] = fo
-		if fo.Status == market.Open && fo.Active >= 0 {
-			f.trackLocked(fo)
+		// The record enters the table through the one validating seam; a
+		// rejected record has written nothing.
+		if err := f.table.store(ev.Order, ev.Kind == EvFedOrderSubmitted); err != nil {
+			return err
 		}
 		f.stats = *ev.Stats
-		return nil
-	case EvFedOrderUpdated:
-		if ev.Order == nil || ev.Stats == nil {
-			return fmt.Errorf("federation: replay: malformed %s event", ev.Kind)
-		}
-		fo, ok := f.byID[ev.Order.ID]
-		if !ok {
-			return fmt.Errorf("federation: replay: no order %d", ev.Order.ID)
-		}
-		*fo = *ev.Order
-		f.stats = *ev.Stats
-		for _, byID := range f.open {
-			delete(byID, fo.ID)
-		}
-		if fo.Status == market.Open && fo.Active >= 0 {
-			f.trackLocked(fo)
-		}
 		return nil
 	case EvFedGossip:
 		if ev.Tick > f.gossipTick {

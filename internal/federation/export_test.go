@@ -1,6 +1,13 @@
 package federation
 
-import "testing"
+import (
+	"encoding/json"
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"testing"
+)
 
 // TestingRegion exposes the in-package testRegion helper to the external
 // federation_test package (the conservation tests, which live outside
@@ -8,4 +15,60 @@ import "testing"
 // Region test topology lives in exactly one place.
 func TestingRegion(t testing.TB, name string, clusters int, util float64) *Region {
 	return testRegion(t, name, clusters, util)
+}
+
+// TestingApplyEvent decodes one journal record and replays it, as Restore
+// does for each record of the WAL tail.
+func TestingApplyEvent(f *Federation, raw []byte) error {
+	var ev FedEvent
+	if err := json.Unmarshal(raw, &ev); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.applyEvent(&ev)
+}
+
+// TableImage is a copy of the router's table — every slab, the Err side
+// table and the interned names; the open lists are left out, since they
+// may hold stale ids — for comparing a live federation with a recovered
+// one record for record.
+type TableImage struct {
+	Routes   []route
+	Legs     []routeLeg
+	Clusters []uint32
+	Errs     map[uint32]string
+	Names    []string
+}
+
+// TestingTableImage copies the table.
+func TestingTableImage(f *Federation) TableImage {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t := &f.table
+	img := TableImage{slices.Clone(t.routes), slices.Clone(t.legs), slices.Clone(t.clusters), nil, slices.Clone(t.names)}
+	if len(t.errs) > 0 {
+		img.Errs = maps.Clone(t.errs)
+	}
+	return img
+}
+
+// TestingRestoreViews re-stores every order's own view over its record
+// (store ∘ view, which must change nothing) and reports the first record
+// it changed. Each store lists the order again on its region's open list,
+// so afterwards the lists hold duplicates.
+func TestingRestoreViews(f *Federation) error {
+	before := TestingTableImage(f)
+	f.mu.Lock()
+	for id := range f.table.routes {
+		if err := f.table.store(f.table.view(id), false); err != nil {
+			f.mu.Unlock()
+			return err
+		}
+	}
+	f.mu.Unlock()
+	if after := TestingTableImage(f); !reflect.DeepEqual(before, after) {
+		return fmt.Errorf("store(view(id)) changed the table:\nbefore %+v\nafter  %+v", before, after)
+	}
+	return nil
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,7 +39,9 @@ type Leg struct {
 	Err string
 }
 
-// FedOrder is one order as the federation sees it. A region-local order
+// FedOrder is one order as the federation shows it: the view of a routing
+// record (see table.go), built afresh for every caller, event and
+// snapshot. A region-local order
 // carries a single leg; a cross-region XOR order ("40 cores in EU or US")
 // carries one leg per region, ordered cheapest-first by the price board.
 //
@@ -78,18 +80,6 @@ func (o *FedOrder) WonLeg() *Leg {
 	return nil
 }
 
-// snapshot deep-copies the routing state.
-func (o *FedOrder) snapshot() *FedOrder {
-	c := *o
-	c.Legs = make([]*Leg, len(o.Legs))
-	for i, l := range o.Legs {
-		lc := *l
-		lc.Clusters = append([]string(nil), l.Clusters...)
-		c.Legs[i] = &lc
-	}
-	return &c
-}
-
 // Stats counts what the federation's router has done.
 type Stats struct {
 	// Submitted counts accepted federated orders.
@@ -100,6 +90,28 @@ type Stats struct {
 	Failovers int
 	// Won, Lost, and Unsettled count terminal order outcomes.
 	Won, Lost, Unsettled int
+}
+
+// RouterStats are gauges of the router's table and of its last advance
+// pass (the serial step after a region settles). They describe this
+// process, not the market: they are not journaled and start from what
+// recovery rebuilt.
+type RouterStats struct {
+	// Routes and Legs are the table's record counts.
+	Routes, Legs int
+	// Regions holds one row a region, in registration order.
+	Regions []RouterRegion
+}
+
+// RouterRegion is one region's row of RouterStats.
+type RouterRegion struct {
+	Region string
+	// OpenIDs is the length of the region's open-order list, stale ids
+	// included until its next advance drops them.
+	OpenIDs int
+	// Visited and Failovers count the legs the region's last advance read
+	// an outcome for and the failover legs it booked.
+	Visited, Failovers int
 }
 
 // RegionTick is one region's outcome from a federation-wide Tick.
@@ -122,27 +134,18 @@ type RegionTick struct {
 // parallel.
 type Federation struct {
 	regions []*Region
-	byName  map[string]*Region
-	owner   map[string]string // cluster → region name
 	catalog *market.Catalog
 
-	mu     sync.Mutex
-	orders []*FedOrder
-	// byID indexes every order for O(1) lookup. Order and Cancel are on
-	// the router's polling path (every leg advance re-reads order state),
-	// so a linear scan of every order ever submitted would make routing
-	// quadratic in book age, exactly as Exchange.Order was before its
-	// indexed lookup.
-	byID       map[int]*FedOrder
-	nextID     int
+	mu sync.Mutex
+	// table holds every order ever routed and, per region, the ids of the
+	// open ones waiting on it, so advancing a region after its settlement
+	// touches only those.
+	table      table
 	board      map[string]Quote
 	gossipTick int
 	stats      Stats
-	// open indexes the non-terminal orders by the region holding their
-	// active leg, so advancing a region after its settlement touches only
-	// the orders actually waiting on it rather than every order ever
-	// routed.
-	open map[string]map[int]*FedOrder
+	// advanced keeps each region's last advance for RouterStats.
+	advanced []RouterRegion
 
 	// journal, when attached, receives every routing state change as an
 	// event (see event.go); the regions journal their own books
@@ -168,25 +171,38 @@ func NewFederation(regions ...*Region) (*Federation, error) {
 	if len(regions) == 0 {
 		return nil, errors.New("federation: no regions")
 	}
-	f := &Federation{
-		regions: regions,
-		byName:  make(map[string]*Region, len(regions)),
-		owner:   make(map[string]string),
-		catalog: market.StandardCatalog(),
-		board:   make(map[string]Quote),
-		byID:    make(map[int]*FedOrder),
-		open:    make(map[string]map[int]*FedOrder, len(regions)),
+	if len(regions) > maxRegions {
+		return nil, fmt.Errorf("federation: %d regions, the router indexes at most %d", len(regions), maxRegions)
 	}
-	for _, r := range regions {
-		if _, ok := f.byName[r.name]; ok {
+	f := &Federation{
+		regions:  regions,
+		catalog:  market.StandardCatalog(),
+		board:    make(map[string]Quote),
+		advanced: make([]RouterRegion, len(regions)),
+		table: table{
+			regions:   regions,
+			regionIdx: make(map[string]int, len(regions)),
+			cluster:   make(map[string]clusterRef),
+			nameIdx:   make(map[string]uint32),
+			open:      make([][]uint32, len(regions)),
+			maxIndex:  math.MaxUint32,
+		},
+	}
+	t := &f.table
+	for i, r := range regions {
+		if _, ok := t.regionIdx[r.name]; ok {
 			return nil, fmt.Errorf("federation: duplicate region %q", r.name)
 		}
-		f.byName[r.name] = r
+		t.regionIdx[r.name], f.advanced[i].Region = i, r.name
 		for _, cl := range r.Clusters() {
-			if prev, ok := f.owner[cl]; ok {
-				return nil, fmt.Errorf("federation: cluster %q in both %q and %q", cl, prev, r.name)
+			if prev, ok := t.cluster[cl]; ok {
+				return nil, fmt.Errorf("federation: cluster %q in both %q and %q", cl, regions[prev.region].name, r.name)
 			}
-			f.owner[cl] = r.name
+			if !t.fits(len(t.clusterNames), 1) {
+				return nil, ErrTableFull
+			}
+			t.cluster[cl] = clusterRef{id: uint32(len(t.clusterNames)), region: uint8(i)}
+			t.clusterNames = append(t.clusterNames, cl)
 		}
 	}
 	f.breakers = newBreakerSet(regions)
@@ -208,10 +224,20 @@ func (f *Federation) Regions() []*Region {
 }
 
 // Region returns the named region, or nil.
-func (f *Federation) Region(name string) *Region { return f.byName[name] }
+func (f *Federation) Region(name string) *Region {
+	if i, ok := f.table.regionIdx[name]; ok {
+		return f.regions[i]
+	}
+	return nil
+}
 
 // RegionOf returns the region owning the cluster, or "".
-func (f *Federation) RegionOf(cluster string) string { return f.owner[cluster] }
+func (f *Federation) RegionOf(cluster string) string {
+	if ref, ok := f.table.cluster[cluster]; ok {
+		return f.regions[ref.region].name
+	}
+	return ""
+}
 
 // Catalog returns the federation-wide product catalog.
 func (f *Federation) Catalog() *market.Catalog { return f.catalog }
@@ -272,54 +298,83 @@ func (f *Federation) SubmitProduct(team, product string, qty float64, clusters [
 	if len(clusters) == 0 {
 		return nil, errors.New("federation: no clusters named")
 	}
-	// Group the acceptable clusters by owning region, preserving order
-	// (f.owner is immutable after NewFederation).
-	groups := make(map[string][]string)
-	var regionOrder []string
+	// Group the acceptable clusters by owning region, preserving order (the
+	// topology is immutable after NewFederation): one leg per region in
+	// order of first mention, its clusters in the caller's order. The
+	// buffers cover a four-region XOR of sixteen clusters on the stack.
+	t := &f.table
+	var refBuf [16]clusterRef
+	var clBuf [16]uint32
+	var legBuf [4]routeLeg
+	refs, cls, legs := refBuf[:0], clBuf[:0], legBuf[:0]
 	for _, cl := range clusters {
-		rn, ok := f.owner[cl]
+		ref, ok := t.cluster[cl]
 		if !ok {
 			return nil, fmt.Errorf("federation: unknown cluster %q", cl)
 		}
-		if _, seen := groups[rn]; !seen {
-			regionOrder = append(regionOrder, rn)
+		refs = append(refs, ref)
+	}
+grouping:
+	for i, first := range refs {
+		for k := range legs {
+			if legs[k].region == first.region {
+				continue grouping
+			}
 		}
-		groups[rn] = append(groups[rn], cl)
+		leg := routeLeg{region: first.region, clOff: uint32(len(cls)), est: inf, order: -1}
+		for _, ref := range refs[i:] {
+			if ref.region == first.region {
+				cls = append(cls, ref.id)
+			}
+		}
+		n := len(cls) - int(leg.clOff)
+		if n > maxLegClusters {
+			return nil, fmt.Errorf("federation: %d clusters named in region %q, at most %d", n, f.regions[leg.region].name, maxLegClusters)
+		}
+		leg.clN = uint16(n)
+		legs = append(legs, leg)
 	}
 	cover := p.Cover(qty)
 
-	legs := make([]*Leg, 0, len(regionOrder))
 	f.mu.Lock()
 	inj := f.inj
-	for _, rn := range regionOrder {
-		leg := &Leg{Region: rn, Clusters: groups[rn], Est: inf, OrderID: -1}
-		if q, ok := f.quoteLocked(f.byName[rn]); ok {
-			leg.Est = f.byName[rn].legCost(q, cover, leg.Clusters)
+	for i := range legs {
+		leg := &legs[i]
+		r := f.regions[leg.region]
+		if q, ok := f.quoteLocked(r); ok {
+			leg.est = r.legCost(q, cover, leg.of(cls), t.clusterNames)
 			// A quote past the staleness bound may be pricing a partition
 			// survivor's last gossip from before the cut: the leg is still
 			// routable, but only after every fresh-quoted leg.
-			leg.Suspect = f.gossipTick-q.Tick > staleQuoteBound
+			leg.suspect = f.gossipTick-q.Tick > staleQuoteBound
 		}
-		legs = append(legs, leg)
 	}
 	f.mu.Unlock()
 	// Cheapest region first, with suspect (stale-quoted) legs deprioritized
 	// behind every fresh-quoted one: the price board steers substitutable
 	// demand toward cold regions, but not on numbers a partition may have
 	// frozen. Ties keep the caller's cluster order.
-	sort.SliceStable(legs, func(i, j int) bool {
-		if legs[i].Suspect != legs[j].Suspect {
-			return !legs[i].Suspect
+	slices.SortStableFunc(legs, func(a, b routeLeg) int {
+		switch {
+		case a.suspect != b.suspect && b.suspect:
+			return -1
+		case a.suspect != b.suspect:
+			return 1
+		case a.est < b.est:
+			return -1
+		case b.est < a.est:
+			return 1
 		}
-		return legs[i].Est < legs[j].Est
+		return 0
 	})
 
 	// Fault seam: a partitioned target region fails the routing call here,
 	// before any state has moved, so a caller retry after the partition
 	// heals replays the identical operation. Injected failures feed the
 	// region's breaker; organic rejections below (budget, product) do not.
-	if err := inj.Region(fault.OpRegionOrder, legs[0].Region); err != nil {
-		f.breakers.failure(legs[0].Region)
+	first := f.regions[legs[0].region].name
+	if err := inj.Region(fault.OpRegionOrder, first); err != nil {
+		f.breakers.failure(first)
 		return nil, err
 	}
 
@@ -330,50 +385,51 @@ func (f *Federation) SubmitProduct(team, product string, qty float64, clusters [
 	// this submit and the registration below cannot strand the order.
 	active := -1
 	auctionsBefore := 0
+	var errs []string // Leg.Err by leg, nil until a leg is refused
 	var lastErr error
-	for i, leg := range legs {
-		if !f.breakers.allow(leg.Region) {
-			leg.Err = "federation: region breaker open"
-			if lastErr == nil {
-				lastErr = fmt.Errorf("federation: region %q breaker open", leg.Region)
+	for i := range legs {
+		r := f.regions[legs[i].region]
+		auctionsBefore = r.ex.AuctionCount()
+		if err := f.bookLeg(t, &legs[i], cls, team, product, qty, limit); err != nil {
+			if errs == nil {
+				errs = make([]string, len(legs))
+			}
+			errs[i] = legErrText(err)
+			if lastErr == nil || !errors.Is(err, errBreakerOpen) {
+				lastErr = err
 			}
 			continue
 		}
-		r := f.byName[leg.Region]
-		auctionsBefore = r.ex.AuctionCount()
-		o, err := r.ex.SubmitProduct(team, product, qty, leg.Clusters, limit)
-		if err != nil {
-			leg.Err = err.Error()
-			lastErr = err
-			continue
-		}
-		leg.OrderID = o.ID
-		leg.Status = market.Open
 		active = i
 		break
 	}
 	if active < 0 {
 		return nil, lastErr
 	}
-	f.breakers.success(legs[active].Region)
+	target := f.regions[legs[active].region]
+	f.breakers.success(target.name)
 
 	f.mu.Lock()
-	fo := &FedOrder{
-		ID: f.nextID, Team: team, Product: product, Qty: qty, Limit: limit,
-		Status: market.Open, Legs: legs, Active: active,
+	id, err := t.add(route{qty: qty, limit: limit, active: int16(active), status: uint8(market.Open), won: noRegion},
+		team, product, legs, cls)
+	if err != nil {
+		f.mu.Unlock()
+		// The leg is booked but cannot be routed: withdraw it. (A clock that
+		// already holds it refuses, and settles it as any regional order.)
+		_ = target.ex.Cancel(int(legs[active].order))
+		return nil, err
 	}
-	f.nextID++
-	f.orders = append(f.orders, fo)
-	f.byID[fo.ID] = fo
-	f.trackLocked(fo)
+	for i, text := range errs {
+		t.setErr(t.routes[id].legOff+uint32(i), text)
+	}
 	f.stats.Submitted++
 	if len(legs) > 1 {
 		f.stats.CrossRegion++
 	}
-	snap := fo.snapshot()
+	fo := t.view(id)
 	if f.materializingLocked() {
 		stats := f.stats
-		f.emitLocked(&FedEvent{Kind: EvFedOrderSubmitted, Order: snap, Stats: &stats})
+		f.emitLocked(&FedEvent{Kind: EvFedOrderSubmitted, Order: fo, Stats: &stats})
 	}
 	logErr := f.journalErr
 	f.mu.Unlock()
@@ -384,135 +440,161 @@ func (f *Federation) SubmitProduct(team, product string, qty float64, clusters [
 	// Reconcile the submit/settle race: if the region settled while the
 	// order was being registered, the normal OnTick advance ran too early
 	// to see it — run it again now that the order is visible.
-	if f.byName[legs[active].Region].ex.AuctionCount() != auctionsBefore {
-		f.advanceRegion(legs[active].Region)
+	if target.ex.AuctionCount() != auctionsBefore {
+		f.advanceRegion(int(legs[active].region))
 		f.mu.Lock()
-		snap = fo.snapshot()
+		fo = t.view(id)
 		f.mu.Unlock()
 	}
-	return snap, nil
+	return fo, nil
 }
 
-// trackLocked indexes an order under the region of its active leg.
-// Callers must hold f.mu.
-func (f *Federation) trackLocked(fo *FedOrder) {
-	rn := fo.Legs[fo.Active].Region
-	byID, ok := f.open[rn]
-	if !ok {
-		byID = make(map[int]*FedOrder)
-		f.open[rn] = byID
+// errBreakerOpen ends the error of a leg skipped because its region's
+// breaker is open: an organic rejection of another leg outranks it as the
+// error a caller sees.
+var errBreakerOpen = errors.New("open")
+
+// errNoLegLeft is a sentinel so that retiring an order whose last leg lost
+// allocates nothing.
+var errNoLegLeft = errors.New("federation: no leg to submit")
+
+// legErrText is what Leg.Err keeps of a leg's booking failure.
+func legErrText(err error) string {
+	if errors.Is(err, errBreakerOpen) {
+		return "federation: region breaker open"
 	}
-	byID[fo.ID] = fo
+	return err.Error()
 }
 
-// submitNextLegLocked books the next unsubmitted leg after fo.Active,
-// skipping legs whose regional submission is rejected, and re-indexes
-// the order under the new leg's region. It returns an error only when no
-// leg could be booked. Callers must hold f.mu and must have removed the
-// order from its previous region's index.
-func (f *Federation) submitNextLegLocked(fo *FedOrder) error {
+// bookLeg submits one leg to its region (cls holds its clusters at the
+// leg's range) and records the regional order in it. It reads no routing
+// state, so the first leg is booked without f.mu.
+func (f *Federation) bookLeg(t *table, leg *routeLeg, cls []uint32, team, product string, qty, limit float64) error {
+	r := f.regions[leg.region]
+	if !f.breakers.allow(r.name) {
+		return fmt.Errorf("federation: region %q breaker %w", r.name, errBreakerOpen)
+	}
+	var nameBuf [8]string
+	names := nameBuf[:0]
+	for _, c := range leg.of(cls) {
+		names = append(names, t.clusterNames[c])
+	}
+	id, err := r.ex.SubmitProductID(team, product, qty, names, limit)
+	if err == nil && id > math.MaxInt32 {
+		// The record cannot hold the id; withdraw the order rather than wrap.
+		_ = r.ex.Cancel(id)
+		err = ErrTableFull
+	}
+	if err != nil {
+		return err
+	}
+	leg.order, leg.status = int32(id), uint8(market.Open)
+	return nil
+}
+
+// submitNextLegLocked books the next unsubmitted leg after the active
+// one, skipping legs whose regional submission is rejected, and lists the
+// order under the new leg's region. It returns an error only when no leg
+// could be booked. Callers must hold f.mu.
+func (f *Federation) submitNextLegLocked(id int) error {
+	t := &f.table
+	rt := &t.routes[id]
 	var lastErr error
-	for next := fo.Active + 1; next < len(fo.Legs); next++ {
-		leg := fo.Legs[next]
-		if !f.breakers.allow(leg.Region) {
-			leg.Err = "federation: region breaker open"
-			if lastErr == nil {
-				lastErr = fmt.Errorf("federation: region %q breaker open", leg.Region)
+	for next := int(rt.active) + 1; next < int(rt.legN); next++ {
+		k := rt.legOff + uint32(next)
+		if err := f.bookLeg(t, &t.legs[k], t.clusters, t.names[rt.team], t.names[rt.product], rt.qty, rt.limit); err != nil {
+			t.setErr(k, legErrText(err))
+			if lastErr == nil || !errors.Is(err, errBreakerOpen) {
+				lastErr = err
 			}
 			continue
 		}
-		o, err := f.byName[leg.Region].ex.SubmitProduct(fo.Team, fo.Product, fo.Qty, leg.Clusters, fo.Limit)
-		if err != nil {
-			leg.Err = err.Error()
-			lastErr = err
-			continue
-		}
-		leg.OrderID = o.ID
-		leg.Status = market.Open
-		fo.Active = next
-		f.trackLocked(fo)
+		rt.active = int16(next)
+		t.track(id)
 		return nil
 	}
 	if lastErr == nil {
-		lastErr = errors.New("federation: no leg to submit")
+		lastErr = errNoLegLeft
 	}
 	return lastErr
 }
 
-// advanceRegion reconciles routing state after the named region settled
-// an auction: winning legs conclude their orders, losing legs fail over
-// to the next-cheapest region. Only orders whose active leg is in the
-// region are visited, via the open-order index — in ascending order ID,
-// not map order: failover submissions book orders into the next region's
-// book, so the visit order decides both the IDs those legs get and which
-// legs a near-exhausted budget can still cover. Sorting makes a
-// settlement wave a deterministic function of the routing state, which
-// the scenario engine's seed-reproducibility contract depends on.
-func (f *Federation) advanceRegion(name string) {
-	r, ok := f.byName[name]
-	if !ok {
-		return
-	}
+// advanceRegion reconciles routing state after region ri settled an
+// auction: winning legs conclude their orders, losing legs fail over to
+// the next-cheapest region. Only orders whose active leg is in the region
+// are visited, from its open list — sorted first, so in ascending order
+// ID whatever order the ids were listed in: failover submissions book
+// orders into the next region's book, so the visit order decides both the
+// IDs those legs get and which legs a near-exhausted budget can still
+// cover. That makes a settlement wave a deterministic function of the
+// routing state, which the scenario engine's seed-reproducibility
+// contract depends on. Ids the list still holds for orders that are no
+// longer waiting here are dropped unvisited.
+func (f *Federation) advanceRegion(ri int) {
+	r := f.regions[ri]
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ids := make([]int, 0, len(f.open[name]))
-	for id := range f.open[name] {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fo := f.open[name][id]
-		if fo.Status != market.Open || fo.Active < 0 {
-			delete(f.open[name], id)
+	t := &f.table
+	ids := t.open[ri]
+	// A failover lists its order under another region, never this one (an
+	// order has one leg a region); whatever is listed here meanwhile is
+	// kept behind the survivors.
+	t.open[ri] = nil
+	slices.Sort(ids)
+	kept, visited, failovers := 0, 0, 0
+	for i, id32 := range ids {
+		if i > 0 && id32 == ids[i-1] || t.waitingIn(id32) != ri {
 			continue
 		}
-		leg := fo.Legs[fo.Active]
-		o, err := r.ex.Order(leg.OrderID)
-		if err != nil {
+		id := int(id32)
+		rt := &t.routes[id]
+		leg := &t.legs[rt.legOff+uint32(rt.active)]
+		status, payment, ok := r.ex.Outcome(int(leg.order))
+		if !ok {
+			ids[kept] = id32
+			kept++
 			continue
 		}
-		leg.Status = o.Status
-		changed := true
-		switch o.Status {
+		visited++
+		leg.status = uint8(status)
+		switch status {
 		case market.Open:
 			// The region's clock did not converge; the leg stays booked
 			// for the region's next epoch. Nothing moved, so nothing is
 			// journaled.
-			changed = false
+			ids[kept] = id32
+			kept++
+			continue
 		case market.Won:
-			fo.Status = market.Won
-			fo.Active = -1
-			fo.Region = leg.Region
-			fo.Payment = o.Payment
+			rt.status, rt.active = uint8(market.Won), -1
+			rt.won, rt.payment = uint8(ri), payment
 			f.stats.Won++
-			delete(f.open[name], id)
 		case market.Lost, market.Unsettled:
-			delete(f.open[name], id)
-			if err := f.submitNextLegLocked(fo); err != nil {
-				fo.Status = o.Status
-				fo.Active = -1
-				if o.Status == market.Lost {
+			if err := f.submitNextLegLocked(id); err != nil {
+				rt.status, rt.active = uint8(status), -1
+				if status == market.Lost {
 					f.stats.Lost++
 				} else {
 					f.stats.Unsettled++
 				}
 			} else {
 				f.stats.Failovers++
+				failovers++
 			}
 		case market.Cancelled:
-			fo.Status = market.Cancelled
-			fo.Active = -1
-			delete(f.open[name], id)
+			rt.status, rt.active = uint8(market.Cancelled), -1
 		}
-		if changed && f.materializingLocked() {
+		if f.materializingLocked() {
 			// The event carries the wholesale post-advance order state (a
 			// failover's new leg booking included) plus the absolute router
 			// counters, so replay reproduces this advance without touching
 			// the region.
 			stats := f.stats
-			f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: fo.snapshot(), Stats: &stats})
+			f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: t.view(id), Stats: &stats})
 		}
 	}
+	t.open[ri] = append(ids[:kept], t.open[ri]...)
+	f.advanced[ri].Visited, f.advanced[ri].Failovers = visited, failovers
 }
 
 // Cancel withdraws a federated order by cancelling its active leg. Like
@@ -521,50 +603,46 @@ func (f *Federation) advanceRegion(name string) {
 func (f *Federation) Cancel(id int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fo, ok := f.byID[id]
-	if !ok {
+	t := &f.table
+	if id < 0 || id >= len(t.routes) {
 		return fmt.Errorf("federation: no order %d", id)
 	}
-	if fo.Status != market.Open {
-		return fmt.Errorf("federation: order %d is %s", id, fo.Status)
+	rt := &t.routes[id]
+	if status := market.OrderStatus(rt.status); status != market.Open {
+		return fmt.Errorf("federation: order %d is %s", id, status)
 	}
-	leg := fo.Legs[fo.Active]
-	if err := f.byName[leg.Region].ex.Cancel(leg.OrderID); err != nil {
+	leg := &t.legs[rt.legOff+uint32(rt.active)]
+	if err := f.regions[leg.region].ex.Cancel(int(leg.order)); err != nil {
 		return err
 	}
-	leg.Status = market.Cancelled
-	fo.Status = market.Cancelled
-	fo.Active = -1
-	delete(f.open[leg.Region], fo.ID)
+	// The id stays on the region's open list until its next advance.
+	leg.status = uint8(market.Cancelled)
+	rt.status, rt.active = uint8(market.Cancelled), -1
 	if f.materializingLocked() {
 		stats := f.stats
-		f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: fo.snapshot(), Stats: &stats})
+		f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: t.view(id), Stats: &stats})
 	}
 	return f.journalErr
 }
 
-// Order returns a snapshot of one federated order.
+// Order returns a view of one federated order.
 func (f *Federation) Order(id int) (*FedOrder, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if fo, ok := f.byID[id]; ok {
-		return fo.snapshot(), nil
+	if id < 0 || id >= len(f.table.routes) {
+		return nil, fmt.Errorf("federation: no order %d", id)
 	}
-	return nil, fmt.Errorf("federation: no order %d", id)
+	return f.table.view(id), nil
 }
 
-// Orders returns snapshots of every federated order.
+// Orders returns views of every federated order.
 func (f *Federation) Orders() []*FedOrder {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]*FedOrder, len(f.orders))
-	for i, fo := range f.orders {
-		out[i] = fo.snapshot()
-	}
-	return out
+	return f.table.views(0)
 }
 
-// OrdersTail returns snapshots of the limit most recently routed orders
+// OrdersTail returns views of the limit most recently routed orders
 // in routing order — the bounded read path for display pollers, which
 // copies O(limit) instead of every order ever routed. A non-positive
 // limit returns nil.
@@ -574,15 +652,7 @@ func (f *Federation) OrdersTail(limit int) []*FedOrder {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	start := len(f.orders) - limit
-	if start < 0 {
-		start = 0
-	}
-	out := make([]*FedOrder, 0, len(f.orders)-start)
-	for _, fo := range f.orders[start:] {
-		out = append(out, fo.snapshot())
-	}
-	return out
+	return f.table.views(max(0, len(f.table.routes)-limit))
 }
 
 // Stats returns a snapshot of the router counters.
@@ -592,16 +662,28 @@ func (f *Federation) Stats() Stats {
 	return f.stats
 }
 
+// RouterStats returns the router's table and advance gauges.
+func (f *Federation) RouterStats() RouterStats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	rs := RouterStats{Routes: len(f.table.routes), Legs: len(f.table.legs), Regions: slices.Clone(f.advanced)}
+	for i, ids := range f.table.open {
+		rs.Regions[i].OpenIDs = len(ids)
+	}
+	return rs
+}
+
 // SettleRegion runs one binding auction in the named region, then
 // gossips its prices and advances any cross-region orders waiting on it
 // — the manual-settlement counterpart of one Serve tick. Settling a
 // region through its Exchange directly would bypass the router, so
 // federated front ends must settle through this method (or Tick/Serve).
 func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
-	r, ok := f.byName[name]
+	ri, ok := f.table.regionIdx[name]
 	if !ok {
 		return nil, fmt.Errorf("federation: no region %q", name)
 	}
+	r := f.regions[ri]
 	f.mu.Lock()
 	inj := f.inj
 	f.mu.Unlock()
@@ -631,7 +713,7 @@ func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
 		f.gossipRegionLocked(r)
 	}
 	f.mu.Unlock()
-	f.advanceRegion(name)
+	f.advanceRegion(ri)
 
 	f.mu.Lock()
 	f.settleCount++
@@ -669,8 +751,8 @@ func (f *Federation) Tick() []RegionTick {
 	}
 	wg.Wait()
 	f.Gossip()
-	for _, r := range f.regions {
-		f.advanceRegion(r.name)
+	for ri := range f.regions {
+		f.advanceRegion(ri)
 	}
 	return out
 }
@@ -685,12 +767,12 @@ func (f *Federation) Serve(ctx context.Context, epoch time.Duration) error {
 		return errors.New("federation: epoch must be positive")
 	}
 	var wg sync.WaitGroup
-	for _, r := range f.regions {
+	for ri, r := range f.regions {
 		loop, err := market.NewLoop(r.ex, epoch)
 		if err != nil {
 			return err
 		}
-		region := r
+		ri, region := ri, r
 		loop.OnTick = func(rec *market.AuctionRecord, err error) {
 			f.mu.Lock()
 			f.gossipTick++
@@ -699,7 +781,7 @@ func (f *Federation) Serve(ctx context.Context, epoch time.Duration) error {
 			}
 			f.gossipRegionLocked(region)
 			f.mu.Unlock()
-			f.advanceRegion(region.name)
+			f.advanceRegion(ri)
 		}
 		wg.Add(1)
 		go func() {
@@ -738,10 +820,7 @@ func (f *Federation) Summary() ([]RegionSummary, error) {
 			Clusters:   rows,
 			OpenOrders: r.ex.OpenOrderCount(),
 		}
-		for _, rec := range r.ex.History() {
-			rs.Auctions++
-			rs.Settled += rec.Settled
-		}
+		rs.Auctions, rs.Settled = r.ex.AuctionTotals()
 		var cpu float64
 		for _, row := range rows {
 			cpu += row.Price.CPU
@@ -794,9 +873,9 @@ func (f *Federation) LedgerBalanced(eps float64) bool {
 // PriceHistory returns one pool's settlement prices in its owning
 // region, oldest first.
 func (f *Federation) PriceHistory(pool resource.Pool) []float64 {
-	rn, ok := f.owner[pool.Cluster]
+	ref, ok := f.table.cluster[pool.Cluster]
 	if !ok {
 		return nil
 	}
-	return f.byName[rn].ex.PriceHistory(pool)
+	return f.regions[ref.region].ex.PriceHistory(pool)
 }

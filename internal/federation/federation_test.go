@@ -178,7 +178,7 @@ func TestFailoverAfterLosingLeg(t *testing.T) {
 	// free, so the router books the hot leg first even though the bid's
 	// limit cannot cover the hot region's true reserve prices.
 	f.mu.Lock()
-	hot := f.byName["hot"]
+	hot := f.Region("hot")
 	cheap := hot.ex.Registry().Zero()
 	f.board["hot"] = Quote{Region: "hot", Prices: cheap, Tick: 1}
 	f.mu.Unlock()

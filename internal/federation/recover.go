@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"clustermarket/internal/journal"
-	"clustermarket/internal/market"
 )
 
 // fedState is the JSON snapshot of the federation's routing state: the
@@ -47,17 +46,14 @@ func (f *Federation) Snapshot() error {
 	if f.journal == nil {
 		return nil
 	}
-	st := &fedState{NextID: f.nextID, GossipTick: f.gossipTick, Stats: f.stats}
+	st := &fedState{NextID: len(f.table.routes), GossipTick: f.gossipTick, Stats: f.stats}
 	for _, q := range f.board {
 		c := q
 		c.Prices = append([]float64(nil), q.Prices...)
 		st.Board = append(st.Board, c)
 	}
 	sort.Slice(st.Board, func(i, j int) bool { return st.Board[i].Region < st.Board[j].Region })
-	st.Orders = make([]*FedOrder, len(f.orders))
-	for i, fo := range f.orders {
-		st.Orders[i] = fo.snapshot()
-	}
+	st.Orders = f.table.views(0)
 	raw, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("federation: encode snapshot: %w", err)
@@ -78,7 +74,7 @@ func (f *Federation) Restore(rec *journal.Recovery) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.orders) != 0 || f.nextID != 0 {
+	if len(f.table.routes) != 0 {
 		return errors.New("federation: Restore: federation already has routing state")
 	}
 	if len(rec.Snapshot) > 0 {
@@ -86,17 +82,18 @@ func (f *Federation) Restore(rec *journal.Recovery) error {
 		if err := json.Unmarshal(rec.Snapshot, &st); err != nil {
 			return fmt.Errorf("federation: decode snapshot: %w", err)
 		}
-		f.nextID = st.NextID
 		f.gossipTick = st.GossipTick
 		f.stats = st.Stats
 		for _, q := range st.Board {
 			f.board[q.Region] = q
 		}
-		f.orders = st.Orders
-		for _, fo := range f.orders {
-			f.byID[fo.ID] = fo
-			if fo.Status == market.Open && fo.Active >= 0 {
-				f.trackLocked(fo)
+		if st.NextID != len(st.Orders) {
+			return fmt.Errorf("federation: load snapshot at seq %d: %w: next id %d over %d orders",
+				rec.SnapshotSeq, ErrCorruptRoute, st.NextID, len(st.Orders))
+		}
+		for _, fo := range st.Orders {
+			if err := f.table.store(fo, true); err != nil {
+				return fmt.Errorf("federation: load snapshot at seq %d: %w", rec.SnapshotSeq, err)
 			}
 		}
 	}

@@ -96,11 +96,13 @@ func (r *Region) quote(tick int) (Quote, error) {
 
 // legCost prices a product cover in this region at the quoted prices:
 // the cheapest acceptable cluster's cost (the same min the bidder proxy
-// would take). Unknown clusters cost +Inf.
-func (r *Region) legCost(q Quote, cover cluster.Usage, clusters []string) float64 {
+// would take). The clusters are indices into names; unknown clusters cost
+// +Inf.
+func (r *Region) legCost(q Quote, cover cluster.Usage, clusters []uint32, names []string) float64 {
 	reg := r.ex.Registry()
 	best := -1.0
-	for _, cl := range clusters {
+	for _, c := range clusters {
+		cl := names[c]
 		cost, found := 0.0, false
 		for _, d := range resource.StandardDimensions {
 			if i, ok := reg.Index(resource.Pool{Cluster: cl, Dim: d}); ok && i < len(q.Prices) {

@@ -1,0 +1,232 @@
+package federation
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"clustermarket/internal/market"
+)
+
+// TestRouterTableIsPointerFree walks the record types: the collector
+// skips a slab only while its element holds nothing it must follow, so a
+// later field may not quietly bring scanning back.
+func TestRouterTableIsPointerFree(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: the collector would scan every record", path, ty.Kind())
+		}
+	}
+	walk("route", reflect.TypeOf(route{}))
+	walk("routeLeg", reflect.TypeOf(routeLeg{}))
+	walk("clusterIndex", reflect.TypeOf(table{}.clusters).Elem())
+	walk("openID", reflect.TypeOf(table{}.open).Elem().Elem())
+	if got := reflect.TypeOf(route{}).Size(); got > 48 {
+		t.Errorf("route is %d bytes, was 48", got)
+	}
+	if got := reflect.TypeOf(routeLeg{}).Size(); got > 24 {
+		t.Errorf("routeLeg is %d bytes, was 24", got)
+	}
+}
+
+// fourRegions is a federation of regions a..d, two idle clusters each,
+// with one funded team.
+func fourRegions(t testing.TB) *Federation {
+	t.Helper()
+	var rs []*Region
+	for _, name := range []string{"a", "b", "c", "d"} {
+		rs = append(rs, testRegion(t, name, 2, 0.1))
+	}
+	f, err := NewFederation(rs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.OpenAccount("team"); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// fedSubmitAllocBudget is what routing one four-region XOR may allocate
+// with nobody watching: the regional order with its two row slabs, and
+// the four pieces of the view handed back. Slab growth is amortized.
+const fedSubmitAllocBudget = 7
+
+// TestFedSubmitAllocBudget bounds a routed submit's allocations and
+// requires that none of what the router itself allocates stays live per
+// order: the table's slabs grow by doubling (a handful of live objects
+// however many orders), the view is the caller's. The regional book's
+// own order is the region's, budgeted by market's TestSubmitAllocBudget.
+func TestFedSubmitAllocBudget(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	f := fourRegions(t)
+	xor := []string{"a-r1", "b-r2", "c-r1", "d-r2"}
+	const runs = 500
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := f.SubmitProduct("team", "batch-compute", 1, xor, 40); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > fedSubmitAllocBudget {
+		t.Errorf("a routed submit allocates %.0f times, budget %d", allocs, fedSubmitAllocBudget)
+	}
+
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		t.Fatal("memory profile grew while it was read")
+	}
+	var seen, retained int64
+	for _, rec := range recs[:n] {
+		if !under(rec.Stack(), "federation.(*Federation).SubmitProduct") || under(rec.Stack(), "market.(*Exchange).SubmitProductID") {
+			continue
+		}
+		seen += rec.AllocObjects
+		retained += rec.InUseObjects()
+	}
+	runtime.KeepAlive(f) // the table is live while the profile is read
+	if seen < runs {
+		t.Errorf("the profile saw %d router allocations under SubmitProduct for %d orders: the retention check is vacuous", seen, runs)
+	}
+	// One live backing array per slab and open list, a few more while the
+	// profile lags a cycle: nothing that scales with the orders routed.
+	if retained > 32 {
+		t.Errorf("%d router objects stay live after %d routed orders: the table should retain none per order", retained, runs)
+	}
+}
+
+// under reports whether fn (a function-name suffix) is on the stack.
+func under(stack []uintptr, fn string) bool {
+	frames := runtime.CallersFrames(stack)
+	for {
+		fr, more := frames.Next()
+		if strings.HasSuffix(fr.Function, fn) {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestAdvanceAllocBudget settles N single-leg orders — winners and
+// losers, all terminal after one leg — and requires the advance pass over
+// them to allocate the same handful whatever N is: no id list, no order
+// copies, no error per retired order.
+func TestAdvanceAllocBudget(t *testing.T) {
+	var got []uint64
+	for _, n := range []int{100, 1600} {
+		f := fourRegions(t)
+		for i := 0; i < n; i++ {
+			// Limits straddle the clearing price, so the batch splits.
+			if _, err := f.SubmitProduct("team", "batch-compute", 1, []string{"a-r1"}, float64(1+i%40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := f.regions[0].ex.RunAuction(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f.advanceRegion(0)
+		runtime.ReadMemStats(&after)
+		st, rs := f.Stats(), f.RouterStats()
+		if st.Won == 0 || st.Lost == 0 || st.Won+st.Lost != n || rs.Regions[0].Visited != n || rs.Regions[0].OpenIDs != 0 {
+			t.Fatalf("N = %d: advance left %+v %+v; want every order terminal, some won, some lost", n, st, rs)
+		}
+		got = append(got, after.Mallocs-before.Mallocs)
+	}
+	// The count is the process's, so a background allocation or two may
+	// land in the window; one per leg cannot hide.
+	if got[0] > 16 || got[1] > 16 {
+		t.Errorf("advance allocated %d times over 100 legs and %d over 1600; want O(1)", got[0], got[1])
+	}
+}
+
+// TestNarrowedIndicesAreGuarded covers the guards on the table's narrowed
+// integers: the region index, the slab offsets and the per-leg cluster
+// count are refused with an error, never wrapped.
+func TestNarrowedIndicesAreGuarded(t *testing.T) {
+	regions := make([]*Region, maxRegions+1)
+	for i := range regions {
+		regions[i] = &Region{name: fmt.Sprintf("r%d", i)}
+	}
+	if _, err := NewFederation(regions...); err == nil || !strings.Contains(err.Error(), "at most") {
+		t.Errorf("NewFederation(%d regions) = %v, want a refusal", len(regions), err)
+	}
+
+	f := hotCold(t)
+	if !f.table.fits(math.MaxUint32-4, 4) || f.table.fits(math.MaxUint32-4, 5) || f.table.fits(math.MaxUint32, 1) {
+		t.Error("fits does not stop at the last uint32 index")
+	}
+	many := make([]string, maxLegClusters+1)
+	for i := range many {
+		many[i] = "cold-r1"
+	}
+	if _, err := f.SubmitProduct("team", "batch-compute", 1, many, 50); err == nil || !strings.Contains(err.Error(), "at most") {
+		t.Errorf("a leg of %d clusters: %v, want a refusal", len(many), err)
+	}
+
+	// A full slab refuses the route with the typed error and withdraws the
+	// leg already booked; the table is as it was.
+	xor := []string{"hot-r1", "cold-r1"}
+	if _, err := f.SubmitProduct("team", "batch-compute", 1, xor, 50); err != nil {
+		t.Fatal(err)
+	}
+	f.mu.Lock()
+	f.table.maxIndex = 3 // two legs booked: room for one more, not two
+	f.mu.Unlock()
+	if _, err := f.SubmitProduct("team", "batch-compute", 1, xor, 50); !errors.Is(err, ErrTableFull) {
+		t.Errorf("submit into a full leg slab = %v, want ErrTableFull", err)
+	}
+	if rs := f.RouterStats(); rs.Routes != 1 || rs.Legs != 2 {
+		t.Errorf("the refused route left %+v", rs)
+	}
+	open := 0
+	for _, r := range f.regions {
+		open += r.ex.OpenOrderCount()
+	}
+	if open != 1 {
+		t.Errorf("%d regional orders open, want only the first order's leg", open)
+	}
+}
+
+// TestStoreRejectsWonLegTheRegionDenies pins the one check that reads a
+// region: a record may only say Won what the regional book says it won.
+func TestStoreRejectsWonLegTheRegionDenies(t *testing.T) {
+	f := hotCold(t)
+	fo, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Tick()
+	won, _ := f.Order(fo.ID)
+	if won.Status != market.Won {
+		t.Fatalf("order is %s, want won", won.Status)
+	}
+	if err := f.table.store(won, false); err != nil {
+		t.Fatalf("re-storing the order's own view: %v", err)
+	}
+	won.Payment++
+	if err := f.table.store(won, false); !errors.Is(err, ErrCorruptRoute) {
+		t.Errorf("a payment the region never took: %v, want ErrCorruptRoute", err)
+	}
+}

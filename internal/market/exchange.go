@@ -310,6 +310,9 @@ type Exchange struct {
 
 	histMu  sync.RWMutex
 	history []*AuctionRecord
+	// settledTotal sums Settled over history, kept by appendHistory so a
+	// dashboard's totals do not cost a walk of every epoch ever run.
+	settledTotal int
 
 	// journal, when non-nil, receives every state change as an event
 	// before it is applied (see event.go); fire (possibly nil) receives
@@ -426,15 +429,18 @@ func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 	bo := newBookedOrder(Order{}, bid)
 	bo.bid.Pack() // packing is the defensive copy of the vectors
 	bo.bid.BundleLimits = append([]float64(nil), bid.BundleLimits...)
-	return e.submitOwned(team, "", bo)
+	_, snap, err := e.submitOwned(team, "", bo, true)
+	return snap, err
 }
 
 // submitOwned books an order whose bid the exchange owns outright and
 // nobody else can see yet: rows only, the one form the bid has from
 // here to the archive — validation, every clock, the partition remap,
 // events and snapshots all read it. A bid without a user is named after
-// the team, or team/product when product is set.
-func (e *Exchange) submitOwned(team, product string, bo *bookedOrder) (*Order, error) {
+// the team, or team/product when product is set. It returns the booked
+// order's id and, when snap is set, a snapshot taken under the stripe lock
+// that booked it.
+func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool) (int, *Order, error) {
 	b := &bo.bid
 
 	// Budget pre-check on the team's account stripe, without committing.
@@ -467,10 +473,10 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder) (*Order, e
 	}
 	// A malformed bid is reported before an unfunded one.
 	if err := b.Validate(e.reg.Len()); err != nil {
-		return nil, e.rejected(err)
+		return -1, nil, e.rejected(err)
 	}
 	if budgetErr != nil {
-		return nil, e.rejected(budgetErr)
+		return -1, nil, e.rejected(budgetErr)
 	}
 
 	// Book the order into the next stripe round-robin. The ID is
@@ -492,7 +498,7 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder) (*Order, e
 		// (IDs derive from stripe lengths, not the rotation counter).
 		as.mu.Unlock()
 		os.mu.Unlock()
-		return nil, e.rejected(err)
+		return -1, nil, e.rejected(err)
 	}
 	bo.Order = Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1, Bundle: -1}
 	o := &bo.Order
@@ -505,15 +511,19 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder) (*Order, e
 			e.submitSeq.Add(^uint64(0))
 			as.mu.Unlock()
 			os.mu.Unlock()
-			return nil, err
+			return -1, nil, err
 		}
 	}
 	e.bookOrderLocked(os, as, o)
 	as.mu.Unlock()
-	snap := o.snapshot()
+	id := o.ID
+	var out *Order
+	if snap {
+		out = o.snapshot()
+	}
 	os.mu.Unlock()
 	e.metrics.submitted.Add(1)
-	return snap, nil
+	return id, out, nil
 }
 
 // releaseCommitment removes an order leaving the Open state from its
@@ -574,22 +584,35 @@ func (e *Exchange) appendLedger(entries []LedgerEntry) {
 // order costs in time and memory depends on the clusters it names, not on
 // the size of the planet.
 func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (*Order, error) {
+	_, snap, err := e.submitProduct(team, product, qty, clusters, limit, true)
+	return snap, err
+}
+
+// SubmitProductID is SubmitProduct for a caller that keeps only the
+// order's id and polls Outcome — the federation's router, once per leg:
+// the same admission path, without the snapshot.
+func (e *Exchange) SubmitProductID(team, product string, qty float64, clusters []string, limit float64) (int, error) {
+	id, _, err := e.submitProduct(team, product, qty, clusters, limit, false)
+	return id, err
+}
+
+func (e *Exchange) submitProduct(team, product string, qty float64, clusters []string, limit float64, snap bool) (int, *Order, error) {
 	p, err := e.catalog.Lookup(product)
 	if err != nil {
-		return nil, e.rejected(err)
+		return -1, nil, e.rejected(err)
 	}
 	// qty <= 0 alone would wave NaN through (every comparison with NaN
 	// is false) and let it poison the cover vector; a non-positive or
 	// non-finite limit would book an order that can never win but still
 	// sits in every clock.
 	if math.IsNaN(qty) || math.IsInf(qty, 0) || qty <= 0 {
-		return nil, e.rejected(fmt.Errorf("market: quantity must be positive, got %g", qty))
+		return -1, nil, e.rejected(fmt.Errorf("market: quantity must be positive, got %g", qty))
 	}
 	if math.IsNaN(limit) || math.IsInf(limit, 0) || limit <= 0 {
-		return nil, e.rejected(fmt.Errorf("market: limit must be a positive, finite number, got %g", limit))
+		return -1, nil, e.rejected(fmt.Errorf("market: limit must be a positive, finite number, got %g", limit))
 	}
 	if len(clusters) == 0 {
-		return nil, e.rejected(errors.New("market: no clusters named"))
+		return -1, nil, e.rejected(errors.New("market: no clusters named"))
 	}
 	// One bundle per cluster, built as (pool, quantity) rows straight
 	// from the registry indices: no R-length vector exists at any point.
@@ -608,16 +631,16 @@ func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []s
 			}
 		}
 		if !found {
-			return nil, e.rejected(fmt.Errorf("market: unknown cluster %q", cl))
+			return -1, nil, e.rejected(fmt.Errorf("market: unknown cluster %q", cl))
 		}
 		ends = append(ends, len(pools))
 	}
 	if err := e.rejectIfDegraded(); err != nil {
-		return nil, e.rejected(err)
+		return -1, nil, e.rejected(err)
 	}
 	bo := newBookedOrder(Order{}, &core.Bid{Limit: limit})
 	bo.bid.PackSparse(e.reg.Len(), ends, pools, qtys)
-	return e.submitOwned(team, product, bo)
+	return e.submitOwned(team, product, bo, snap)
 }
 
 // Cancel withdraws an open order. An order whose batch is currently
@@ -670,6 +693,26 @@ func (e *Exchange) Order(id int) (*Order, error) {
 		os.mu.RUnlock()
 	}
 	return nil, fmt.Errorf("market: no order %d", id)
+}
+
+// Outcome reads the two fields of an order a poller waits on — its status
+// and, once Won, what it paid — without copying the order; ok is false
+// when there is no such order.
+//
+//marketlint:allocfree
+func (e *Exchange) Outcome(id int) (status OrderStatus, payment float64, ok bool) {
+	os := e.orderShardFor(id)
+	if os == nil {
+		return 0, 0, false
+	}
+	j := id / len(e.orderShards)
+	os.mu.RLock()
+	if j < len(os.orders) {
+		o := os.orders[j]
+		status, payment, ok = o.Status, o.Payment, true
+	}
+	os.mu.RUnlock()
+	return status, payment, ok
 }
 
 // OpenOrderCount returns the number of orders awaiting the next auction,
@@ -857,10 +900,20 @@ func (e *Exchange) AuctionCount() int {
 	return len(e.history)
 }
 
-// appendHistory publishes a settled auction record.
+// AuctionTotals returns AuctionCount and the orders settled as Won over
+// all of them, in O(1).
+func (e *Exchange) AuctionTotals() (auctions, settled int) {
+	e.histMu.RLock()
+	defer e.histMu.RUnlock()
+	return len(e.history), e.settledTotal
+}
+
+// appendHistory publishes a settled auction record. Replay and the
+// snapshot loader come through here too, so the totals are rebuilt.
 func (e *Exchange) appendHistory(rec *AuctionRecord) {
 	e.histMu.Lock()
 	e.history = append(e.history, rec)
+	e.settledTotal += rec.Settled
 	e.histMu.Unlock()
 }
 

@@ -253,7 +253,12 @@ func (e *Exchange) restoreState(raw []byte) error {
 		e.accountShardFor(team).openBuy[team] = exp
 	}
 	e.ledger = st.Ledger
-	e.history = st.History
+	for i, rec := range st.History {
+		if rec == nil {
+			return fmt.Errorf("history record %d is null", i)
+		}
+		e.appendHistory(rec)
+	}
 	for _, g := range st.Quotas {
 		e.fleet.Quotas().Grant(g.Team, g.Cluster, g.Quota)
 	}

@@ -391,10 +391,17 @@ func (b *exchangeBackend) Settle(map[string]bool) error {
 }
 
 func (b *exchangeBackend) EpochRecords() []*market.AuctionRecord {
-	hist := b.ex.History()
-	out := hist[b.seen:]
-	b.seen = len(hist)
+	var out []*market.AuctionRecord
+	out, b.seen = recordsSince(b.ex, b.seen)
 	return out
+}
+
+// recordsSince returns the auction records ex appended past the first
+// seen, copying only those, and the new count (the engine calls it
+// between settlements, so nothing is appended between count and tail).
+func recordsSince(ex *market.Exchange, seen int) ([]*market.AuctionRecord, int) {
+	n := ex.AuctionCount()
+	return ex.HistoryTail(n - seen), n
 }
 
 func (b *exchangeBackend) Place(id int) {
@@ -722,9 +729,9 @@ func (b *federationBackend) Settle(down map[string]bool) error {
 func (b *federationBackend) EpochRecords() []*market.AuctionRecord {
 	var out []*market.AuctionRecord
 	for _, rn := range b.regions {
-		hist := b.fed.Region(rn).Exchange().History()
-		out = append(out, hist[b.seen[rn]:]...)
-		b.seen[rn] = len(hist)
+		recs, n := recordsSince(b.fed.Region(rn).Exchange(), b.seen[rn])
+		out = append(out, recs...)
+		b.seen[rn] = n
 	}
 	return out
 }

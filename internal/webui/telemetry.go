@@ -230,6 +230,17 @@ func (s *FedServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			labels("outcome", oc.outcome), float64(oc.v))
 	}
 	m.add("fed_gossip_ticks_total", "counter", "Price-board gossip passes.", nil, float64(s.fed.GossipTick()))
+	rs := s.fed.RouterStats()
+	m.add("fed_router_routes", "gauge", "Orders in the router's table.", nil, float64(rs.Routes))
+	m.add("fed_router_legs", "gauge", "Legs in the router's table.", nil, float64(rs.Legs))
+	for _, rr := range rs.Regions {
+		m.add("fed_router_open_ids", "gauge", "Ids on the region's open-order list (stale ones until its next advance).",
+			labels("region", rr.Region), float64(rr.OpenIDs))
+		m.add("fed_router_last_advance_visited", "gauge", "Legs the region's last advance pass read an outcome for.",
+			labels("region", rr.Region), float64(rr.Visited))
+		m.add("fed_router_last_advance_failovers", "gauge", "Failover legs the region's last advance pass booked.",
+			labels("region", rr.Region), float64(rr.Failovers))
+	}
 	for _, bs := range s.fed.BreakerStates() {
 		m.add("fed_breaker_state", "gauge", "Region circuit-breaker state (0 closed, 1 half-open, 2 open).",
 			labels("region", bs.Region), breakerStateValue(bs.State))

@@ -157,6 +157,11 @@ func TestFedMetricsExposition(t *testing.T) {
 		"fed_orders_cross_region_total 1",
 		`fed_orders_settled_total{outcome="won"}`,
 		"fed_gossip_ticks_total",
+		"fed_router_routes 1",
+		"fed_router_legs 2",
+		"# TYPE fed_router_last_advance_visited gauge",
+		`fed_router_open_ids{region="hot"}`,
+		`fed_router_open_ids{region="cold"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("federated exposition missing %q", want)
