@@ -135,14 +135,16 @@ cover-update:
 
 # Native fuzz smoke: each target briefly, as in CI. Longer local runs:
 # go test -fuzz FuzzParse ./internal/bidlang
-# (The clock differential's and the router replay's inputs are byte
-# strings the fuzzer would otherwise spend the whole smoke minimizing:
-# their budget is capped.)
+# (The clock differential's, the router replay's and the snapshot
+# loader's inputs are byte strings the fuzzer would otherwise spend the
+# whole smoke minimizing: their budget is capped.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run 'xxx' ./internal/bidlang
 	$(GO) test -fuzz 'FuzzQueryParams$$' -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzEventsQueryParams -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
+	$(GO) test -fuzz FuzzBidSubmit -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzSettledEventReplay -fuzztime $(FUZZTIME) -run 'xxx' ./internal/market
+	$(GO) test -fuzz FuzzRestoreState -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/market
 	$(GO) test -fuzz FuzzClockMatchesReference -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/core
 	$(GO) test -fuzz FuzzFedEventReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/federation

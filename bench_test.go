@@ -1127,14 +1127,15 @@ func BenchmarkNewAuctionFromBook(b *testing.B) {
 // heap bytes and heap objects an order, read from HeapAlloc and
 // HeapObjects after a full collection, once with 4096 one-to-three
 // cluster XOR orders booked and open and once more after an auction has
-// settled them (a winner adds the index of its bundle, inside the order,
-// and two ledger entries). The planet has 13 or 64 clusters, R = 39 or
-// 192, and the demand is the same on both — it names the first 13
-// clusters only, so the same orders win — which leaves R itself as the
-// one difference: a booked order is one object holding order and bid plus
-// two pointer-free row slabs, open or settled, whatever R is. (The bytes
-// that still differ, 0.6 an order here, are the auction record's two
-// price vectors: 16·R bytes an auction, not an order.)
+// settled them and the next epoch's claim has let go of the wave (a
+// settled order is a record and its rows in the stripe's archive chunks,
+// a winner two ledger records more). The planet has 13 or 64 clusters,
+// R = 39 or 192, and the demand is the same on both — it names the first
+// 13 clusters only, so the same orders win — which leaves R itself as the
+// one difference: an open order is one object holding order and bid plus
+// two pointer-free row slabs, a settled one no object at all, whatever R
+// is. (The bytes that still differ, 0.6 an order here, are the auction
+// record's two price vectors: 16·R bytes an auction, not an order.)
 func BenchmarkBookRetention(b *testing.B) {
 	for _, clusters := range []int{13, 64} {
 		b.Run(benchName("R", 3*clusters), func(b *testing.B) {
@@ -1176,6 +1177,11 @@ func BenchmarkBookRetention(b *testing.B) {
 				booked := heapAfterGC()
 				if _, _, err := ex.RunAuction(); err != nil {
 					b.Fatal(err)
+				}
+				// The next epoch's claim, which drops the settled wave's
+				// objects from the lazily compacted claim list.
+				if _, _, err := ex.RunAuction(); !errors.Is(err, market.ErrNoOpenOrders) {
+					b.Fatalf("the book should be empty: %v", err)
 				}
 				archived := heapAfterGC()
 				for m := range open {

@@ -65,10 +65,12 @@ const resourcePkg = "clustermarket/internal/resource"
 // Annotations don't travel through export data, so hot paths calling
 // across package lines register their callees here.
 var vouchedFuncs = map[string]bool{
-	"clustermarket/internal/core.MaxLimit": true, // pure fold over BundleLimits
-	"clustermarket/internal/core.LimitFor": true, // slice index or scalar field read
-	"clustermarket/internal/core.Row":      true, // a booked bid's row is two sub-slices of its slabs
-	"runtime.GOMAXPROCS":                   true, // reads or sets a scheduler word
+	"clustermarket/internal/core.MaxLimit":   true, // pure fold over BundleLimits
+	"clustermarket/internal/core.LimitFor":   true, // slice index or scalar field read
+	"clustermarket/internal/core.Row":        true, // a booked bid's row is two sub-slices of its slabs
+	"clustermarket/internal/core.PackedRows": true, // returns the bid's two slab headers and shape
+	"clustermarket/internal/core.AdoptRows":  true, // stores two slab headers and a shape
+	"runtime.GOMAXPROCS":                     true, // reads or sets a scheduler word
 }
 
 func run(pass *analysis.Pass) error {
@@ -460,7 +462,9 @@ func (c *checker) callee(call *ast.CallExpr) {
 	case pkg.Path() == "fmt":
 		c.pass.Reportf(call.Pos(), "%s is annotated allocfree but calls fmt.%s, which allocates its argument pack", c.fn, fn.Name())
 	case pkg == c.pass.Pkg:
-		if !c.annotated[fn] {
+		// A method of a generic type is called through its instantiation;
+		// the annotation sits on the declaration it originates from.
+		if !c.annotated[fn.Origin()] {
 			c.pass.Reportf(call.Pos(), "%s is annotated allocfree but calls %s, which is not; annotate %s //marketlint:allocfree or restructure", c.fn, fn.Name(), fn.Name())
 		}
 	case pkg.Path() == resourcePkg:

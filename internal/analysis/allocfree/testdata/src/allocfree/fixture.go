@@ -130,6 +130,24 @@ func (l *logging) StepInto(x int) int {
 	return x
 }
 
+// A generic type's annotated method is called through an instantiation:
+// the annotation on the declaration it originates from must carry.
+type ring[T any] struct{ buf []T }
+
+// at returns slot i.
+//
+//marketlint:allocfree
+func (r *ring[T]) at(i int) T { return r.buf[i%len(r.buf)] }
+
+func (r *ring[T]) sorted() []T { return append([]T(nil), r.buf...) }
+
+// ringSum reads a ring in place.
+//
+//marketlint:allocfree
+func ringSum(r *ring[int]) int {
+	return r.at(0) + r.at(1) + len(r.sorted()) // want "calls sorted, which is not"
+}
+
 // Unannotated functions may allocate freely.
 func coldPath(n int) []string {
 	out := make([]string, 0, n)
@@ -140,4 +158,4 @@ func coldPath(n int) []string {
 }
 
 var _ = []any{gauge{}, stepPolicy(nil), additive{}, (*logging)(nil),
-	report, gather, push, fused, quadruple, accumulate, stash, raw, index, grow, coldPath}
+	report, gather, push, fused, quadruple, accumulate, stash, raw, index, grow, coldPath, ringSum}

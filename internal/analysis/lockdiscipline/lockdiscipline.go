@@ -13,7 +13,7 @@
 //  2. Ordering: within a function, locks must be acquired in
 //     nondecreasing rank order per the documented hierarchy
 //     (exchange.go): auctionMu → settleMu → order stripes → account
-//     stripes → ledgerMu → histMu. Acquiring a lower-ranked lock
+//     stripes → the ledger's mu → histMu. Acquiring a lower-ranked lock
 //     while holding a higher-ranked one inverts the hierarchy and can
 //     deadlock against a thread locking in the documented order.
 //
@@ -43,15 +43,15 @@ var Hierarchy = map[string]map[string]int{
 	"clustermarket/internal/market": {
 		// Documented in exchange.go ("Lock order: auctionMu before
 		// settleMu; shard locks are leaves") and apply.go ("account
-		// stripes are always the inner lock"). ledgerMu and histMu sit
-		// below the stripes: settlement batches ledger appends after
-		// releasing its stripe, and nothing may grab a stripe while
-		// appending.
+		// stripes are always the inner lock"). The ledger's lock and
+		// histMu sit below the stripes: settlement posts a ledger pair
+		// after releasing its stripe, and nothing may grab a stripe while
+		// posting.
 		"Exchange.auctionMu": 10,
 		"Exchange.settleMu":  20,
 		"orderShard.mu":      30,
 		"accountShard.mu":    40,
-		"Exchange.ledgerMu":  50,
+		"ledgerBook.mu":      50,
 		"Exchange.histMu":    60,
 	},
 }

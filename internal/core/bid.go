@@ -130,6 +130,24 @@ func (b *Bid) Row(i int) (pools []int32, qty []float64) {
 	return sb.idx, sb.val
 }
 
+// PackedRows exposes a booked bid's packed form — the index slab (pool
+// indices, then the bundle boundaries), the value slab, the bundle count
+// and the common width — so a book can copy it into storage of its own.
+// Read-only; all zero for a bid that still carries Bundles.
+//
+//marketlint:allocfree
+func (b *Bid) PackedRows() (idx []int32, val []float64, n, width int32) {
+	return b.rows.idx, b.rows.val, b.rows.n, b.rows.width
+}
+
+// AdoptRows is the inverse of PackedRows: the bid reads its bundles from
+// the given slabs from now on, aliasing them — they must never change.
+//
+//marketlint:allocfree
+func (b *Bid) AdoptRows(idx []int32, val []float64, n, width int32) {
+	b.rows, b.Bundles = bidRows{idx: idx, val: val, n: n, width: width}, nil
+}
+
 // MarshalJSON writes the bid in its dense wire form — the exported
 // fields, Bundles rebuilt from the rows when the bid is booked — so
 // events, snapshots and their consumers see the bytes they always did.

@@ -58,7 +58,7 @@ func (f *Federation) Snapshot() error {
 	if err != nil {
 		return fmt.Errorf("federation: encode snapshot: %w", err)
 	}
-	return f.journal.Snapshot(raw)
+	return f.journal.Snapshot(raw, f.journal.Seq())
 }
 
 // Restore loads a routing journal recovery into a freshly assembled

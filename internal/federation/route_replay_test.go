@@ -90,12 +90,7 @@ func openSeamWorld(t *testing.T, dir string, snapshotEvery int) *seamWorld {
 			t.Fatal(err)
 		}
 		w.journals = append(w.journals, j)
-		// The regions replay their whole WAL: a regional snapshot taken while
-		// a submit races the settlement can lose that submit (Exchange.
-		// snapshotLocked drops the stripe locks before the journal stamps the
-		// image's sequence number — ROADMAP item 6), which is the region's
-		// defect to fix, not this seam's to hide or to trip over.
-		cfg := market.Config{InitialBudget: 150, Journal: j, SnapshotEvery: -1, MaxRounds: tp.maxRounds}
+		cfg := market.Config{InitialBudget: 150, Journal: j, SnapshotEvery: 4, MaxRounds: tp.maxRounds}
 		fleet := seamFleet(t, tp.name, tp.machines, tp.util)
 		var r *federation.Region
 		if rec.Empty() {
@@ -317,6 +312,55 @@ func TestViewTableSeamDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFederationSnapshotHoldsItsCut states why the router's snapshot never
+// had the defect the exchange's did: Federation.Snapshot holds f.mu from
+// building the image to the journal's return, and every routing append
+// happens under f.mu, so no record can land between the image and its
+// stamp. Routed submits race router snapshots (and, through Tick, the
+// regions' own cadence snapshots, which release their locks before they
+// write); everything acknowledged is there after recovery.
+func TestFederationSnapshotHoldsItsCut(t *testing.T) {
+	dir := t.TempDir()
+	live := openSeamWorld(t, filepath.Join(dir, "live"), 0)
+	defer live.close()
+	f := live.fed
+	var wg sync.WaitGroup
+	var acked []int
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 300; i++ {
+			fo, err := f.SubmitProduct(seamTeams[i%2], "batch-compute", 1, []string{"cold-r1", "hot-r2"}, float64(2+i%9))
+			if err == nil {
+				acked = append(acked, fo.ID)
+			}
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		if err := f.Snapshot(); err != nil {
+			t.Error(err)
+		}
+		f.Tick()
+	}
+	wg.Wait()
+	if len(acked) == 0 {
+		t.Fatal("no routed submit was acknowledged")
+	}
+	rdir := filepath.Join(dir, "rec")
+	copyTree(t, filepath.Join(dir, "live"), rdir)
+	rec := openSeamWorld(t, rdir, 0)
+	defer rec.close()
+	for _, id := range acked {
+		if _, err := rec.fed.Order(id); err != nil {
+			t.Fatalf("acknowledged routed order %d is gone after recovery: %v", id, err)
+		}
+	}
+	if got, want := rec.fed.Orders(), f.Orders(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered orders diverge:\nlive      %s\nrecovered %s", dump(want), dump(got))
+	}
+	invariant.RequireFederation(t, "recovered", rec.fed)
 }
 
 func openIDs(orders []*federation.FedOrder) []int {

@@ -180,7 +180,7 @@ func TestSnapshotRenameFailureIsSafe(t *testing.T) {
 			appendAll(t, j, `{"k":"a"}`, `{"k":"b"}`)
 
 			fs.failRenameTo = target
-			if err := j.Snapshot([]byte(`{"state":1}`)); err == nil {
+			if err := j.Snapshot([]byte(`{"state":1}`), j.Seq()); err == nil {
 				t.Fatal("snapshot with failed rename succeeded")
 			}
 			appendAll(t, j, `{"k":"c"}`)

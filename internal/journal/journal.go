@@ -127,6 +127,7 @@ type Journal struct {
 	wal      File
 	lock     *os.File
 	seq      uint64 // last assigned sequence number
+	first    uint64 // sequence number of the attached WAL's first record
 	unsynced int    // appends since the last fsync
 	good     int64  // byte length of the fully-framed WAL prefix
 	torn     bool   // a failed write left a tail past good that must be cut
@@ -259,6 +260,7 @@ func (j *Journal) recover() (*Recovery, error) {
 		}
 		j.seq = snapSeq
 		j.good = walHeaderSize
+		j.first = snapSeq + 1
 	case err != nil:
 		return nil, fmt.Errorf("journal: read wal: %w", err)
 	default:
@@ -278,6 +280,7 @@ func (j *Journal) recover() (*Recovery, error) {
 			}
 			j.seq = snapSeq
 			j.good = walHeaderSize
+			j.first = snapSeq + 1
 			break
 		}
 		if reason != "" {
@@ -317,6 +320,7 @@ func (j *Journal) recover() (*Recovery, error) {
 			j.seq = snapSeq
 		}
 		j.good = goodLen
+		j.first = firstSeq
 	}
 
 	f, err := j.fs.OpenFile(j.walPath(), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -603,23 +607,35 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Snapshot durably stores state as covering every record appended so
-// far, then rotates the WAL so replay restarts from the snapshot. The
-// caller must guarantee state reflects exactly the events up to the
-// current sequence (i.e. no concurrent appends are in flight).
+// Snapshot durably stores state as covering every record up to and
+// including sequence at, then rotates the WAL so replay restarts from the
+// snapshot. The caller reads at (Seq) under whatever excludes appends
+// while it builds state, and may release that before calling: records
+// appended since carry sequence numbers past at, are not in state, and
+// are carried into the replacement WAL — they were acknowledged, so
+// rotation must not drop them.
 //
 // The rotation is failure-safe: the current WAL file and descriptor
 // are not touched until the replacement is durably written and renamed
 // into place, so a Snapshot that fails at any step leaves the journal
-// exactly as it was — fully appendable, with the old (longer) replay
-// tail — and the caller may simply retry later.
-func (j *Journal) Snapshot(state []byte) error {
+// appendable with every record past at still in its WAL, and the caller
+// may simply retry with the same state and stamp.
+func (j *Journal) Snapshot(state []byte, at uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.dead {
 		return ErrClosed
 	}
-	raw, err := json.Marshal(snapshotFile{Seq: j.seq, State: state})
+	if at > j.seq || at+1 < j.first {
+		return fmt.Errorf("journal: snapshot at seq %d, but the wal holds %d..%d", at, j.first, j.seq)
+	}
+	// The tail past the stamp is read before anything is written: a
+	// failure here leaves no trace.
+	tail, err := j.tailAfterLocked(at)
+	if err != nil {
+		return err
+	}
+	raw, err := json.Marshal(snapshotFile{Seq: at, State: state})
 	if err != nil {
 		return fmt.Errorf("journal: marshal snapshot: %w", err)
 	}
@@ -646,19 +662,21 @@ func (j *Journal) Snapshot(state []byte) error {
 		return err
 	}
 	// The snapshot is durable; rotate the WAL so the replay tail is
-	// bounded. Build the replacement completely — written, synced, and
-	// reopened for append — before renaming it over the old WAL, and
-	// only then swap descriptors: a failure anywhere leaves the old WAL
-	// (whose records the snapshot now covers) still attached and valid.
-	var hdr [walHeaderSize]byte
-	copy(hdr[:], walMagic)
-	binary.LittleEndian.PutUint64(hdr[len(walMagic):], j.seq+1)
+	// bounded. Build the replacement completely — header and the records
+	// past the stamp written, synced, and reopened for append — before
+	// renaming it over the old WAL, and only then swap descriptors: a
+	// failure anywhere leaves the old WAL (whose records up to the stamp
+	// the snapshot now covers) still attached and valid.
+	head := make([]byte, walHeaderSize, walHeaderSize+len(tail))
+	copy(head, walMagic)
+	binary.LittleEndian.PutUint64(head[len(walMagic):], at+1)
+	head = append(head, tail...)
 	walTmp := j.walPath() + ".tmp"
 	tf, err := j.fs.Create(walTmp)
 	if err != nil {
 		return fmt.Errorf("journal: create wal: %w", err)
 	}
-	if _, err := tf.Write(hdr[:]); err != nil {
+	if _, err := tf.Write(head); err != nil {
 		tf.Close()
 		return fmt.Errorf("journal: write wal header: %w", err)
 	}
@@ -682,12 +700,43 @@ func (j *Journal) Snapshot(state []byte) error {
 	}
 	old := j.wal
 	j.wal = nf
-	j.good = walHeaderSize
+	j.good = int64(len(head))
+	j.first = at + 1
 	j.torn = false
 	j.unsynced = 0
 	old.Close()
 	j.snapshots.Add(1)
 	return j.syncDir()
+}
+
+// tailAfterLocked returns the framed bytes of the attached WAL's records
+// past sequence at — empty when at is the current sequence, the common
+// case, which reads nothing.
+func (j *Journal) tailAfterLocked(at uint64) ([]byte, error) {
+	if at == j.seq {
+		return nil, nil
+	}
+	if err := j.repairIfTornLocked(); err != nil {
+		return nil, err
+	}
+	data, err := j.fs.ReadFile(j.walPath())
+	if err != nil {
+		return nil, fmt.Errorf("journal: read wal tail: %w", err)
+	}
+	if int64(len(data)) < j.good {
+		return nil, fmt.Errorf("journal: wal holds %d bytes, %d were acknowledged", len(data), j.good)
+	}
+	off := int64(walHeaderSize)
+	for k := j.first; k <= at; k++ {
+		if off+8 > j.good {
+			return nil, fmt.Errorf("journal: wal ends before record seq %d", k)
+		}
+		off += 8 + int64(binary.LittleEndian.Uint32(data[off:]))
+	}
+	if off > j.good {
+		return nil, fmt.Errorf("journal: record seq %d runs past the acknowledged wal", at)
+	}
+	return data[off:j.good], nil
 }
 
 // Close fsyncs and closes the journal, releasing the directory lock.

@@ -187,7 +187,7 @@ func TestSnapshotRotatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{})
 	appendAll(t, j, "a", "b")
-	if err := j.Snapshot([]byte(`{"world":"at-2"}`)); err != nil {
+	if err := j.Snapshot([]byte(`{"world":"at-2"}`), j.Seq()); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	appendAll(t, j, "c")
@@ -210,11 +210,53 @@ func TestSnapshotRotatesWAL(t *testing.T) {
 	}
 }
 
+// TestSnapshotCarriesRecordsPastItsStamp: a caller builds its image, notes
+// the sequence, lets go of its locks, and only then snapshots. Records
+// appended in between were acknowledged and are not in the image, so the
+// rotation must carry them into the replacement WAL — and keep doing so
+// when the snapshot is retried with the same stamp after the journal has
+// already rotated once, and for stamps the journal cannot honour.
+func TestSnapshotCarriesRecordsPastItsStamp(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir, Options{FsyncEvery: 4})
+	appendAll(t, j, "a", "b")
+	at := j.Seq()
+	appendAll(t, j, "c", "d")
+	fsyncs := j.Metrics().Fsyncs
+	for try := 0; try < 2; try++ { // the second is the retry of a rotated attempt
+		if err := j.Snapshot([]byte(`{"world":"at-2"}`), at); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+	}
+	if got := j.Metrics().Fsyncs; got != fsyncs {
+		t.Errorf("carrying the tail cost %d WAL fsyncs; it rides the replacement's own sync", got-fsyncs)
+	}
+	if err := j.Snapshot(nil, at+9); err == nil {
+		t.Error("a stamp past the journal's sequence was accepted")
+	}
+	if err := j.Snapshot(nil, at-1); err == nil {
+		t.Error("a stamp before the rotated WAL's first record was accepted")
+	}
+	appendAll(t, j, "e")
+	j.Crash()
+
+	_, rec := mustOpen(t, dir, Options{})
+	if rec.SnapshotSeq != at || string(rec.Snapshot) != `{"world":"at-2"}` {
+		t.Fatalf("recovered snapshot seq %d state %s, want seq %d", rec.SnapshotSeq, rec.Snapshot, at)
+	}
+	if got, want := fmt.Sprint(recordsAsStrings(rec)), "[c d e]"; got != want {
+		t.Fatalf("replay tail %s, want %s: records past the stamp were acknowledged", got, want)
+	}
+	if rec.LastSeq() != 5 {
+		t.Fatalf("LastSeq = %d, want 5", rec.LastSeq())
+	}
+}
+
 func TestCorruptSnapshotWithRotatedWALFailsHard(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{})
 	appendAll(t, j, "a", "b")
-	if err := j.Snapshot([]byte(`{}`)); err != nil {
+	if err := j.Snapshot([]byte(`{}`), j.Seq()); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, "c")
@@ -235,7 +277,7 @@ func TestTornWALHeaderRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{})
 	appendAll(t, j, "a")
-	if err := j.Snapshot([]byte(`{"n":1}`)); err != nil {
+	if err := j.Snapshot([]byte(`{"n":1}`), j.Seq()); err != nil {
 		t.Fatal(err)
 	}
 	j.Crash()
@@ -298,7 +340,7 @@ func TestClosedJournalErrors(t *testing.T) {
 	if err := j.Sync(); err != ErrClosed {
 		t.Fatalf("Sync after Close: %v, want ErrClosed", err)
 	}
-	if err := j.Snapshot(nil); err != ErrClosed {
+	if err := j.Snapshot(nil, j.Seq()); err != ErrClosed {
 		t.Fatalf("Snapshot after Close: %v, want ErrClosed", err)
 	}
 	if err := j.Close(); err != nil {
@@ -362,7 +404,7 @@ func TestTornTailAfterSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{})
 	appendAll(t, j, "a", "b")
-	if err := j.Snapshot([]byte(`{"n":2}`)); err != nil {
+	if err := j.Snapshot([]byte(`{"n":2}`), j.Seq()); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, "c", "d")
@@ -398,7 +440,7 @@ func TestSeqEncodingIsLittleEndian(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{})
 	appendAll(t, j, "a", "b", "c")
-	if err := j.Snapshot([]byte(`{}`)); err != nil {
+	if err := j.Snapshot([]byte(`{}`), j.Seq()); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

@@ -1,6 +1,7 @@
 package market_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -71,9 +72,13 @@ func TestSubmitAllocBudget(t *testing.T) {
 }
 
 // settleAllocBudget is what one winner may allocate under RunAuction,
-// whatever the planet's size: its settlement event and the bundle index
-// it points at, the two ledger memos and what formatting them boxes.
-const settleAllocBudget = 8
+// whatever the planet's size: its settlement event, with room for the
+// losers' events the same sites are charged with (1.4 a winner here). The
+// bundle index an event points at is one slice a wave; the ledger pair is
+// two records in a chunk — its memos are
+// a kind and the order id, rendered on read — and the archive copy lands
+// in chunks too, so nothing a winner allocates outlives the wave.
+const settleAllocBudget = 3
 
 // TestSettleAllocBudget is TestSubmitAllocBudget for the other end of an
 // order's life. The same demand — 600 one-to-three cluster XOR orders
@@ -84,7 +89,8 @@ const settleAllocBudget = 8
 // price vectors, a slice's amortized doubling — runs a handful of times);
 // those sites must allocate the same small count a winner at both sizes,
 // nothing of 8·R bytes or more, which is what an R-length allocation
-// vector costs, and must leave the same bytes live a winner at both.
+// vector costs, and must leave nothing live: a settled order is a record
+// in a chunk, and chunks are not allocated once a winner.
 func TestSettleAllocBudget(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -116,10 +122,7 @@ func TestSettleAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := make(map[profileSite]runtime.MemProfileRecord)
-		for _, rec := range memProfile(t) {
-			before[siteOf(rec)] = rec
-		}
+		before := profileBySite(t)
 		if _, _, err := ex.RunAuction(); err != nil {
 			t.Fatal(err)
 		}
@@ -151,11 +154,174 @@ func TestSettleAllocBudget(t *testing.T) {
 		if max := settleAllocBudget * pw.winners; pw.allocs > max {
 			t.Errorf("R = %d: %d allocations for %d winners, budget %d a winner", r, pw.allocs, pw.winners, settleAllocBudget)
 		}
+		if pw.retained != 0 {
+			t.Errorf("R = %d: %d bytes stay live at per-winner allocation sites under RunAuction, want none", r, pw.retained)
+		}
+		t.Logf("R = %d: %+v", r, pw)
 		got = append(got, pw)
 	}
 	if got[0] != got[1] {
 		t.Errorf("per-winner cost depends on the planet's size: R = 39 %+v, R = 192 %+v", got[0], got[1])
 	}
+}
+
+// retainedPerOrderCeiling is what a terminal order may keep on the heap,
+// chunk slack and slot included: a 64 B record, its rows (one to three
+// clusters of three pools: 32 B of indices and boundaries, 48 B of
+// quantities on average), a 4 B slot, and a winner's 48 B ledger pair.
+const retainedPerOrderCeiling = 240
+
+// bookSites reports whether a profile record was allocated building the
+// book: under an admission or under an order's terminal transition.
+func bookSites(stack []uintptr) bool {
+	return under(stack, "market.(*Exchange).submitOwned") || under(stack, "market.(*Exchange).SubmitProduct") ||
+		under(stack, "market.(*Exchange).applyOrderSettled") || under(stack, "market.(*Exchange).Cancel")
+}
+
+// retained sums what the book-building sites hold live, over the profile
+// taken before the book was built.
+func retained(t *testing.T, before map[profileSite]runtime.MemProfileRecord) (bytes, objects int64) {
+	t.Helper()
+	for _, rec := range memProfile(t) {
+		if !bookSites(rec.Stack()) {
+			continue
+		}
+		was := before[siteOf(rec)]
+		bytes += rec.InUseBytes() - was.InUseBytes()
+		objects += rec.InUseObjects() - was.InUseObjects()
+	}
+	return bytes, objects
+}
+
+// TestSettledOrderRetainedCeiling measures what TestSettleAllocBudget
+// cannot see — allocations that run once a chunk, not once a winner: the
+// whole of what 4 800 settled orders (eight waves of the same 600) leave
+// live at the sites that built the book, on one stripe so a half-empty
+// chunk tail is paid once. It must be under the ceiling, the same at
+// R = 39 and R = 192, and chunks, not orders: the order objects, their row
+// slabs and the ledger memos are gone.
+func TestSettledOrderRetainedCeiling(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	const waves, perWave = 8, 600
+	var got [][2]int64
+	for _, clusters := range []int{13, 64} {
+		f := cluster.NewFleet()
+		for c := 0; c < clusters; c++ {
+			cl := cluster.New(fmt.Sprintf("k%dc%d", clusters, c), nil)
+			cl.AddMachines(3, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+			if err := f.AddCluster(cl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e12, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.OpenAccount("team"); err != nil {
+			t.Fatal(err)
+		}
+		before := profileBySite(t)
+		for w := 0; w < waves; w++ {
+			for k := 0; k < perWave; k++ {
+				var xor []string
+				for j := 0; j <= k%3; j++ {
+					xor = append(xor, fmt.Sprintf("k%dc%d", clusters, (k+5*j)%13))
+				}
+				if _, err := ex.SubmitProduct("team", "batch-compute", 1, xor, float64(5+k%60)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := ex.RunAuction(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The next claim drops the last wave from the claim list.
+		if _, _, err := ex.RunAuction(); !errors.Is(err, market.ErrNoOpenOrders) {
+			t.Fatalf("the book should be empty: %v", err)
+		}
+		r := ex.Registry().Len()
+		m := ex.Metrics()
+		if m.Won < perWave/10 || m.LiveOrders != 0 || m.ArchivedOrders != waves*perWave {
+			t.Fatalf("R = %d: %d won, %d live and %d archived orders: want every order settled and some winners",
+				r, m.Won, m.LiveOrders, m.ArchivedOrders)
+		}
+		bytes, objects := retained(t, before)
+		runtime.KeepAlive(ex)
+		if per := bytes / (waves * perWave); per > retainedPerOrderCeiling {
+			t.Errorf("R = %d: %d bytes retained a settled order, ceiling %d", r, per, retainedPerOrderCeiling)
+		}
+		if objects*8 > waves*perWave { // a few-KB chunk holds tens of orders
+			t.Errorf("R = %d: %d objects retained for %d settled orders: orders are still objects", r, objects, waves*perWave)
+		}
+		t.Logf("R = %d: %d bytes and %d objects retained for %d settled orders (%d B an order)", r, bytes, objects, waves*perWave, bytes/(waves*perWave))
+		got = append(got, [2]int64{bytes, objects})
+	}
+	// To the byte an order; a stray runtime object either way is not R.
+	if db, do := got[0][0]-got[1][0], got[0][1]-got[1][1]; max(db, -db) >= waves*perWave || max(do, -do) > 2 {
+		t.Errorf("a settled order's cost depends on the planet's size: R = 39 %v, R = 192 %v (bytes, objects)", got[0], got[1])
+	}
+}
+
+// TestCancelAllocBudget is the budget for the third way out of the book.
+// A cancel archives, as a settlement does: it may allocate a chunk now
+// and then — nothing per order — and once the claim list is compacted
+// the cancelled orders' objects and row slabs are gone.
+func TestCancelAllocBudget(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	const orders = 600
+	ex, err := market.NewExchange(recoverFleet(t), market.Config{InitialBudget: 1e12, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.OpenAccount("team"); err != nil {
+		t.Fatal(err)
+	}
+	before := profileBySite(t)
+	for k := 0; k <= orders; k++ {
+		if _, err := ex.SubmitProduct("team", "batch-compute", 1, []string{"alpha", "beta"}[:1+k%2], float64(5+k%60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(orders-1, func() { // and one warm-up run
+		if err := ex.Cancel(next); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("Cancel allocates %.0f times an order, want only the occasional chunk", allocs)
+	}
+	if err := ex.Cancel(orders); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ex.RunAuction(); !errors.Is(err, market.ErrNoOpenOrders) {
+		t.Fatalf("the book should be empty: %v", err)
+	}
+	bytes, objects := retained(t, before)
+	runtime.KeepAlive(ex)
+	t.Logf("%d bytes and %d objects retained for %d cancelled orders", bytes, objects, orders)
+	if per := bytes / orders; per > retainedPerOrderCeiling {
+		t.Errorf("%d bytes retained a cancelled order, ceiling %d", per, retainedPerOrderCeiling)
+	}
+	if objects*8 > orders {
+		t.Errorf("%d objects retained for %d cancelled orders: orders are still objects", objects, orders)
+	}
+}
+
+// profileBySite is the memory profile as a baseline to subtract: the
+// profile is the process's, a test counts its own share.
+func profileBySite(t *testing.T) map[profileSite]runtime.MemProfileRecord {
+	t.Helper()
+	by := make(map[profileSite]runtime.MemProfileRecord)
+	for _, rec := range memProfile(t) {
+		by[siteOf(rec)] = rec
+	}
+	return by
 }
 
 // profileSite identifies a memory profile record: the runtime keeps one

@@ -103,12 +103,15 @@ func (e *Exchange) applyOrderSubmitted(ev *Event) error {
 	if os == nil {
 		return fmt.Errorf("market: replay: invalid order id %d", ev.OrderID)
 	}
+	if err := fitsRecord(o.ID, o.Auction, 0, o.Bid); err != nil {
+		return err
+	}
 	as := e.accountShardFor(o.Team)
 	os.mu.Lock()
-	if o.ID/n != len(os.orders) {
+	if o.ID/n != len(os.slots) || len(os.slots) >= maxStripeOrders {
 		os.mu.Unlock()
 		return fmt.Errorf("market: replay: order %d out of sequence (stripe holds %d orders)",
-			o.ID, len(os.orders))
+			o.ID, len(os.slots))
 	}
 	as.mu.Lock()
 	e.bookOrderLocked(os, as, o)
@@ -130,90 +133,123 @@ func (e *Exchange) bookOrderLocked(os *orderShard, as *accountShard, o *Order) {
 	if exp := o.Bid.MaxLimit(); exp > 0 {
 		as.openBuy[o.Team] += exp
 	}
-	os.orders = append(os.orders, o)
+	os.bookLocked(o)
 	os.open = append(os.open, o)
 	os.openCount++
 }
 
+// openOrderLocked resolves the open order a replayed or live event
+// names; an archived order is reported with the state it ended in. The
+// caller holds the stripe lock.
+func (os *orderShard) openOrderLocked(id, j int, doing string) (*Order, error) {
+	o, rec := os.lookupLocked(j)
+	switch {
+	case rec != nil:
+		return nil, fmt.Errorf("market: replay: %s order %d in state %s", doing, id, OrderStatus(rec.status))
+	case o == nil:
+		return nil, fmt.Errorf("market: replay: no order %d", id)
+	}
+	return o, nil
+}
+
 func (e *Exchange) applyOrderCancelled(ev *Event) error {
-	o := e.liveOrder(ev.OrderID)
-	if o == nil {
+	os := e.orderShardFor(ev.OrderID)
+	if os == nil {
 		return fmt.Errorf("market: replay: no order %d", ev.OrderID)
 	}
-	os := e.orderShardFor(o.ID)
+	j := ev.OrderID / len(e.orderShards)
 	os.mu.Lock()
-	if o.Status != Open {
+	o, err := os.openOrderLocked(ev.OrderID, j, "cancelling")
+	if err != nil {
 		os.mu.Unlock()
-		return fmt.Errorf("market: replay: cancelling order %d in state %s", o.ID, o.Status)
+		return err
 	}
-	o.Status = Cancelled
-	os.openCount--
+	os.cancelLocked(j, o)
 	os.mu.Unlock()
 	e.releaseCommitment(o)
 	return nil
 }
 
 func (e *Exchange) applyOrderAttempted(ev *Event) error {
-	o := e.liveOrder(ev.OrderID)
-	if o == nil {
+	os := e.orderShardFor(ev.OrderID)
+	if os == nil {
 		return fmt.Errorf("market: replay: no order %d", ev.OrderID)
 	}
-	os := e.orderShardFor(o.ID)
 	os.mu.Lock()
+	defer os.mu.Unlock()
+	o, err := os.openOrderLocked(ev.OrderID, ev.OrderID/len(e.orderShards), "attempting")
+	if err != nil {
+		return err
+	}
+	if err := fitsRecord(o.ID, o.Auction, ev.Attempts, o.Bid); err != nil {
+		return err
+	}
 	o.inAuction = false
 	o.Attempts = ev.Attempts
-	os.mu.Unlock()
 	return nil
 }
 
+// applyOrderSettled is an order's terminal transition. Everything the
+// event carries is checked before anything is mutated — on replay it is
+// bytes from disk — and the stripe lock that flips the status also writes
+// the archive record, so no reader ever finds a terminal order that is
+// still an object and the settlement wave pays no second lock.
 func (e *Exchange) applyOrderSettled(ev *Event) error {
-	o := e.liveOrder(ev.OrderID)
-	if o == nil {
+	os := e.orderShardFor(ev.OrderID)
+	if os == nil {
 		return fmt.Errorf("market: replay: no order %d", ev.OrderID)
 	}
-	bundle := -1
-	if ev.Status == Won {
-		var err error
-		if bundle, err = wonBundle(o.ID, o.Bid, ev.Bundle); err != nil {
-			return err
-		}
-	}
-	os := e.orderShardFor(o.ID)
+	j := ev.OrderID / len(e.orderShards)
 	os.mu.Lock()
-	if o.Status != Open {
+	o, err := os.openOrderLocked(ev.OrderID, j, "settling")
+	if err != nil {
 		os.mu.Unlock()
-		return fmt.Errorf("market: replay: settling order %d in state %s", o.ID, o.Status)
+		return err
+	}
+	attempts, bundle := o.Attempts, -1
+	if ev.Attempts > 0 {
+		attempts = ev.Attempts
+	}
+	switch ev.Status {
+	case Won:
+		bundle, err = wonBundle(o.ID, o.Bid, ev.Bundle)
+	case Lost, Unsettled:
+	default:
+		err = fmt.Errorf("market: replay: order %d settled to non-terminal state %s", o.ID, ev.Status)
+	}
+	if err == nil {
+		err = fitsRecord(o.ID, ev.Auction, attempts, o.Bid)
+	}
+	if err == nil && ev.Status == Won {
+		err = fitsLedger(ev.Auction)
+	}
+	if err != nil {
+		os.mu.Unlock()
+		return err
 	}
 	o.inAuction = false
 	o.Auction = ev.Auction
-	if ev.Attempts > 0 {
-		o.Attempts = ev.Attempts
-	}
+	o.Attempts = attempts
 	o.Status = ev.Status
 	os.openCount--
 	if ev.Status == Won {
 		o.Bundle = bundle
 		o.Payment = ev.Payment
 	}
+	os.archiveLocked(j, o)
 	os.mu.Unlock()
 
-	switch ev.Status {
-	case Won:
-		e.settleWin(o)
-		e.creditBalance(OperatorAccount, o.Payment)
-		e.appendLedger([]LedgerEntry{
-			{Auction: ev.Auction, Team: o.Team, Amount: -o.Payment,
-				Memo: fmt.Sprintf("order %d settlement", o.ID)},
-			{Auction: ev.Auction, Team: OperatorAccount, Amount: o.Payment,
-				Memo: fmt.Sprintf("counterparty for order %d", o.ID)},
-		})
-		pools, qty := o.Grant()
-		e.fleet.Quotas().ApplyAllocation(e.reg, o.Team, pools, qty)
-	case Lost, Unsettled:
+	// o is off the book now — the archive holds the order — but still a
+	// whole object in this goroutine's hands for the money movement.
+	if ev.Status != Won {
 		e.releaseCommitment(o)
-	default:
-		return fmt.Errorf("market: replay: order %d settled to non-terminal state %s", o.ID, ev.Status)
+		return nil
 	}
+	e.settleWin(o)
+	e.creditBalance(OperatorAccount, o.Payment)
+	e.postSettlement(ev.Auction, o.Team, o.ID, o.Payment)
+	pools, qty := o.Grant()
+	e.fleet.Quotas().ApplyAllocation(e.reg, o.Team, pools, qty)
 	return nil
 }
 
@@ -226,26 +262,24 @@ func (e *Exchange) applyAuctionCleared(ev *Event) error {
 }
 
 func (e *Exchange) applyBalanceCredited(ev *Event) error {
+	if err := fitsLedger(ev.Auction); err != nil {
+		return err
+	}
 	e.creditBalance(ev.Team, ev.Amount)
 	e.creditBalance(OperatorAccount, -ev.Amount)
-	e.appendLedger([]LedgerEntry{
-		{Auction: ev.Auction, Team: ev.Team, Amount: ev.Amount, Memo: ev.Memo},
-		{Auction: ev.Auction, Team: OperatorAccount, Amount: -ev.Amount,
-			Memo: fmt.Sprintf("counterparty for credit to %s", ev.Team)},
-	})
+	e.postCredit(ev.Auction, ev.Team, ev.Amount, ev.Memo, "counterparty for credit to "+ev.Team)
 	return nil
 }
 
 func (e *Exchange) applyDisbursed(ev *Event) error {
+	if err := fitsLedger(ev.Auction); err != nil {
+		return err
+	}
+	memo := "budget disbursement (" + ev.Policy + ")"
 	for _, cr := range ev.Credits {
 		e.creditBalance(cr.Team, cr.Amount)
 		e.creditBalance(OperatorAccount, -cr.Amount)
-		e.appendLedger([]LedgerEntry{
-			{Auction: ev.Auction, Team: cr.Team, Amount: cr.Amount,
-				Memo: fmt.Sprintf("budget disbursement (%s)", ev.Policy)},
-			{Auction: ev.Auction, Team: OperatorAccount, Amount: -cr.Amount,
-				Memo: fmt.Sprintf("budget disbursement to %s", cr.Team)},
-		})
+		e.postCredit(ev.Auction, cr.Team, cr.Amount, memo, "budget disbursement to "+cr.Team)
 	}
 	return nil
 }
@@ -256,8 +290,8 @@ func (e *Exchange) applyDisbursed(ev *Event) error {
 // scheduling, so replay reproduces the original task IDs and machine
 // assignments exactly.
 func (e *Exchange) applyOrderPlaced(ev *Event) ([]PlacedTask, error) {
-	o := e.liveOrder(ev.OrderID)
-	if o == nil {
+	o, err := e.Order(ev.OrderID) // a won order is archived: read it through the view
+	if err != nil {
 		return nil, fmt.Errorf("market: replay: no order %d", ev.OrderID)
 	}
 	if o.Status != Won {

@@ -260,9 +260,12 @@ func (c *Config) applyDefaults() {
 //     status polls, and balance reads in different stripes never touch
 //     the same lock, and every stripe's critical section is O(1).
 //   - The billing ledger and the auction history each have their own
-//     lock; settlement appends a whole auction's ledger entries in one
-//     critical section, so LedgerBalanced holds at every observable
-//     instant.
+//     lock; a ledger pair is posted in one critical section, so
+//     LedgerBalanced holds at every observable instant.
+//   - An order is a Go object only while it is open. The stripe lock
+//     that flips it terminal also copies it into the stripe's
+//     pointer-free archive (archive.go); from then on Order, Orders and
+//     the snapshot builder materialise it from the record on demand.
 //   - auctionMu serializes binding auctions (one auctioneer at a time).
 //     The clock itself runs without any book lock: RunAuction claims the
 //     open batch stripe by stripe, iterates the clock lock-free, then
@@ -305,8 +308,9 @@ type Exchange struct {
 	orderShards   []orderShard
 	accountShards []accountShard
 
-	ledgerMu sync.RWMutex
-	ledger   []LedgerEntry
+	// ledger is the billing ledger, pointer-free records behind its own
+	// lock (archive.go).
+	ledger ledgerBook
 
 	histMu  sync.RWMutex
 	history []*AuctionRecord
@@ -492,7 +496,11 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool)
 	os := &e.orderShards[sIdx]
 	os.mu.Lock()
 	as.mu.Lock()
-	if err := budgetOK(); err != nil {
+	err := budgetOK()
+	if err == nil && len(os.slots) >= maxStripeOrders {
+		err = fmt.Errorf("market: order stripe %d is full", sIdx)
+	}
+	if err != nil {
 		// Only a concurrent drain of the account between the pre-check and
 		// here lands in this branch; the consumed stripe slot is harmless
 		// (IDs derive from stripe lengths, not the rotation counter).
@@ -500,7 +508,7 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool)
 		os.mu.Unlock()
 		return -1, nil, e.rejected(err)
 	}
-	bo.Order = Order{ID: len(os.orders)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1, Bundle: -1}
+	bo.Order = Order{ID: len(os.slots)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1, Bundle: -1}
 	o := &bo.Order
 	if e.materializing() {
 		if err := e.emitEvent(&Event{Kind: EvOrderSubmitted, OrderID: o.ID, Team: team, Bid: b}); err != nil {
@@ -561,20 +569,6 @@ func (e *Exchange) creditBalance(team string, amount float64) {
 	as.mu.Lock()
 	as.balances[team] += amount
 	as.mu.Unlock()
-}
-
-// appendLedger assigns sequence numbers and appends a batch of entries in
-// one critical section, so the ledger never exposes a half-posted trade.
-func (e *Exchange) appendLedger(entries []LedgerEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	e.ledgerMu.Lock()
-	for i := range entries {
-		entries[i].Seq = len(e.ledger)
-		e.ledger = append(e.ledger, entries[i])
-	}
-	e.ledgerMu.Unlock()
 }
 
 // SubmitProduct is the two-step bid entry path of Figure 4: the team
@@ -647,17 +641,21 @@ func (e *Exchange) submitProduct(team, product string, qty float64, clusters []s
 // being settled by an in-flight auction cannot be withdrawn — its bid
 // is already in the clock, and counterparty allocations depend on it.
 func (e *Exchange) Cancel(id int) error {
-	o := e.liveOrder(id)
-	if o == nil {
+	os := e.orderShardFor(id)
+	if os == nil {
 		return fmt.Errorf("market: no order %d", id)
 	}
-	os := e.orderShardFor(id)
+	j := id / len(e.orderShards)
 	os.mu.Lock()
-	if o.Status != Open {
+	o, rec := os.lookupLocked(j)
+	switch {
+	case rec != nil:
 		os.mu.Unlock()
-		return fmt.Errorf("market: order %d is %s", id, o.Status)
-	}
-	if o.inAuction {
+		return fmt.Errorf("market: order %d is %s", id, OrderStatus(rec.status))
+	case o == nil:
+		os.mu.Unlock()
+		return fmt.Errorf("market: no order %d", id)
+	case o.inAuction:
 		os.mu.Unlock()
 		return fmt.Errorf("market: order %d is in a settling auction", id)
 	}
@@ -670,34 +668,41 @@ func (e *Exchange) Cancel(id int) error {
 			return err
 		}
 	}
-	o.Status = Cancelled
-	os.openCount--
+	os.cancelLocked(j, o)
 	os.mu.Unlock()
 	e.releaseCommitment(o)
 	e.metrics.cancelled.Add(1)
 	return nil
 }
 
+// cancelLocked is the cancellation itself, shared with replay: the order
+// goes terminal and into the archive under the one stripe lock.
+//
+//marketlint:allocfree
+func (os *orderShard) cancelLocked(j int, o *Order) {
+	o.Status = Cancelled
+	os.openCount--
+	os.archiveLocked(j, o)
+}
+
 // Order returns a snapshot of the order with the given id. Striped IDs
 // make this O(1): shard k%N, slot k/N.
 func (e *Exchange) Order(id int) (*Order, error) {
-	os := e.orderShardFor(id)
-	if os != nil {
-		j := id / len(e.orderShards)
+	if os := e.orderShardFor(id); os != nil {
 		os.mu.RLock()
-		if j < len(os.orders) {
-			snap := os.orders[j].snapshot()
-			os.mu.RUnlock()
+		snap := os.viewLocked(id, id/len(e.orderShards))
+		os.mu.RUnlock()
+		if snap != nil {
 			return snap, nil
 		}
-		os.mu.RUnlock()
 	}
 	return nil, fmt.Errorf("market: no order %d", id)
 }
 
 // Outcome reads the two fields of an order a poller waits on — its status
-// and, once Won, what it paid — without copying the order; ok is false
-// when there is no such order.
+// and, once Won, what it paid — in place, from the live order or its
+// archived record, without materialising it; ok is false when there is no
+// such order.
 //
 //marketlint:allocfree
 func (e *Exchange) Outcome(id int) (status OrderStatus, payment float64, ok bool) {
@@ -705,11 +710,11 @@ func (e *Exchange) Outcome(id int) (status OrderStatus, payment float64, ok bool
 	if os == nil {
 		return 0, 0, false
 	}
-	j := id / len(e.orderShards)
 	os.mu.RLock()
-	if j < len(os.orders) {
-		o := os.orders[j]
+	if o, rec := os.lookupLocked(id / len(e.orderShards)); o != nil {
 		status, payment, ok = o.Status, o.Payment, true
+	} else if rec != nil {
+		status, payment, ok = OrderStatus(rec.status), rec.payment, true
 	}
 	os.mu.RUnlock()
 	return status, payment, ok
@@ -769,11 +774,12 @@ func (e *Exchange) LastClearingPrices() resource.Vector { return e.lastClearingP
 // pollers should prefer OrdersTail, which bounds the copy.
 func (e *Exchange) Orders() []*Order {
 	var out []*Order
+	n := len(e.orderShards)
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
-		for _, o := range os.orders {
-			out = append(out, o.snapshot())
+		for j := range os.slots {
+			out = append(out, os.viewLocked(j*n+s, j))
 		}
 		os.mu.RUnlock()
 	}
@@ -798,7 +804,7 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
-		size := len(os.orders)
+		size := len(os.slots)
 		os.mu.RUnlock()
 		start := size - limit
 		if start < 0 {
@@ -836,8 +842,8 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 		}
 		os := &e.orderShards[s]
 		os.mu.RLock()
-		for j := sp.lo; j <= sp.hi && j < len(os.orders); j++ {
-			out = append(out, os.orders[j].snapshot())
+		for j := sp.lo; j <= sp.hi; j++ {
+			out = append(out, os.viewLocked(j*n+s, j))
 		}
 		os.mu.RUnlock()
 	}
@@ -845,12 +851,12 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 	return out
 }
 
-// Ledger returns a copy of the billing entries — the full-dump path.
+// Ledger materialises the billing entries — the full-dump path.
 // Display pollers should prefer LedgerTail.
 func (e *Exchange) Ledger() []LedgerEntry {
-	e.ledgerMu.RLock()
-	defer e.ledgerMu.RUnlock()
-	return append([]LedgerEntry(nil), e.ledger...)
+	e.ledger.mu.RLock()
+	defer e.ledger.mu.RUnlock()
+	return e.ledger.entriesLocked(0, e.ledger.recs.count())
 }
 
 // LedgerTail returns the most recent limit billing entries, oldest
@@ -859,13 +865,10 @@ func (e *Exchange) LedgerTail(limit int) []LedgerEntry {
 	if limit <= 0 {
 		return nil
 	}
-	e.ledgerMu.RLock()
-	defer e.ledgerMu.RUnlock()
-	start := len(e.ledger) - limit
-	if start < 0 {
-		start = 0
-	}
-	return append([]LedgerEntry(nil), e.ledger[start:]...)
+	e.ledger.mu.RLock()
+	defer e.ledger.mu.RUnlock()
+	n := e.ledger.recs.count()
+	return e.ledger.entriesLocked(max(n-limit, 0), n)
 }
 
 // History returns the settled auction records — the full-dump path.
@@ -1201,12 +1204,15 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	// cancellation while the clock runs. Each winner's ledger pair is
 	// posted atomically by the applier, so LedgerBalanced holds at every
 	// observable instant.
+	// The events' bundle indices point into one copy a wave, not one
+	// allocation a winner (and not into res, which the caller gets).
+	bundles := append([]int(nil), res.ChosenBundle[:len(open)]...)
 	for i, o := range open {
 		var ev *Event
 		if res.IsWinner(i) {
-			bundle := res.ChosenBundle[i]
+			bundle := bundles[i]
 			ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Won,
-				Bundle: &bundle, Payment: res.Payments[i]}
+				Bundle: &bundles[i], Payment: res.Payments[i]}
 			rec.Settled++
 			e.metrics.won.Add(1)
 			// γ_u is measured against the limit that governed the *winning*
@@ -1250,13 +1256,17 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 }
 
 // LedgerBalanced reports whether all ledger entries sum to zero (every
-// debit has a matching credit).
+// debit has a matching credit). It reads the records in place.
+//
+//marketlint:allocfree
 func (e *Exchange) LedgerBalanced(eps float64) bool {
-	e.ledgerMu.RLock()
-	defer e.ledgerMu.RUnlock()
+	e.ledger.mu.RLock()
+	defer e.ledger.mu.RUnlock()
 	var s float64
-	for _, le := range e.ledger {
-		s += le.Amount
+	for _, chunk := range e.ledger.recs.chunks {
+		for i := range chunk {
+			s += chunk[i].amount
+		}
 	}
 	return s < eps && s > -eps
 }

@@ -1,6 +1,7 @@
 package market_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -98,6 +99,97 @@ func FuzzSettledEventReplay(f *testing.F) {
 			}
 			if alloc := o.Allocation(); (o.Status == market.Won) != (alloc != nil) {
 				t.Fatalf("%s: order %d is %s with allocation %v", record, o.ID, o.Status, alloc)
+			}
+		}
+	})
+}
+
+// FuzzRestoreState hands the snapshot loader arbitrary bytes — seeded
+// with the real image driveMarket's script leaves (orders won, cancelled
+// and open; placements, an eviction, credits), and with that image doctored
+// the ways TestRestoreRejectsCorruptImage doctors it. Whatever they are, Recover must not panic and must end in
+// one of two ways: ErrCorruptSnapshot, or the book the image describes —
+// every order it lists readable under its id with the status, auction,
+// attempts and payment it states, no order that is neither open nor
+// terminal, the open count and the ledger's sequence numbers in step, and
+// the whole invariant kernel able to run over it. What the kernel then
+// says about the image's money (a doctored balance, a payment above its
+// limit) is the image's to answer for, not the loader's: the loader's
+// contract is that nothing is silently different from what was written.
+func FuzzRestoreState(f *testing.F) {
+	base := recoveryOf(f, true)
+	f.Add([]byte(base.Snapshot))
+	for _, edit := range [][2]string{
+		{`"status":3`, `"status":7`}, {`"status":3`, `"status":-1`}, {`"status":1`, `"status":0`},
+		{`"auction":1`, `"auction":1099511627776`}, {`"Seq":1`, `"Seq":5`}, {`"bundle":0`, `"bundle":4`},
+		{`"id":2`, `"id":5`}, {`"bid":{`, `"bid":null,"was":{`}, {`"Memo":"order 0 settlement"`, `"Memo":"order 00 settlement"`},
+	} {
+		if !bytes.Contains(base.Snapshot, []byte(edit[0])) {
+			f.Fatalf("the seed image has no %s to doctor", edit[0])
+		}
+		f.Add(bytes.Replace(base.Snapshot, []byte(edit[0]), []byte(edit[1]), 1))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return // no snapshot at all: Recover starts an empty book
+		}
+		ex, err := market.Recover(recoverFleet(t), marketCfg(nil, -1), &journal.Recovery{SnapshotSeq: base.SnapshotSeq, Snapshot: raw})
+		if err != nil {
+			if !errors.Is(err, market.ErrCorruptSnapshot) {
+				t.Fatalf("Recover = %v, want ErrCorruptSnapshot", err)
+			}
+			return
+		}
+		var image struct {
+			Orders []struct {
+				ID       int                `json:"id"`
+				Team     string             `json:"team"`
+				Status   market.OrderStatus `json:"status"`
+				Auction  int                `json:"auction"`
+				Attempts int                `json:"attempts"`
+				Payment  float64            `json:"payment"`
+			} `json:"orders"`
+			Ledger []market.LedgerEntry `json:"ledger"`
+		}
+		if err := json.Unmarshal(raw, &image); err != nil {
+			t.Fatalf("restored an image that does not decode: %v", err)
+		}
+		orders := ex.Orders()
+		if len(orders) != len(image.Orders) {
+			t.Fatalf("the image lists %d orders, the book holds %d", len(image.Orders), len(orders))
+		}
+		open := 0
+		for _, want := range image.Orders {
+			got, err := ex.Order(want.ID)
+			if err != nil {
+				t.Fatalf("order %d of the image is not in the book: %v", want.ID, err)
+			}
+			if got.Team != want.Team || got.Status != want.Status || got.Auction != want.Auction ||
+				got.Attempts != want.Attempts || got.Payment != want.Payment && want.Payment == want.Payment {
+				t.Fatalf("order %d restored as %+v, the image says %+v", want.ID, got, want)
+			}
+			if got.Status < market.Open || got.Status > market.Unsettled {
+				t.Fatalf("order %d restored with status %d: neither open nor terminal", got.ID, got.Status)
+			}
+			if got.Status == market.Open {
+				open++
+			}
+		}
+		if n := ex.OpenOrderCount(); n != open {
+			t.Fatalf("open count %d, the book holds %d open orders", n, open)
+		}
+		ledger := ex.Ledger()
+		if len(ledger) != len(image.Ledger) {
+			t.Fatalf("the image lists %d ledger entries, the book holds %d", len(image.Ledger), len(ledger))
+		}
+		for i, le := range ledger {
+			if le.Seq != i || le.Memo != image.Ledger[i].Memo || le.Team != image.Ledger[i].Team {
+				t.Fatalf("ledger entry %d restored as %+v, the image says %+v", i, le, image.Ledger[i])
+			}
+		}
+		for _, v := range invariant.CheckExchange(ex) {
+			if v.Invariant == "open-count" {
+				t.Fatalf("restored book: %s", v)
 			}
 		}
 	})

@@ -1025,7 +1025,10 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 	}
 	open, terminal := 0, 0
 	for id := 0; id <= last.ID; id++ {
-		o := e.liveOrder(id)
+		o, err := e.Order(id) // terminal orders exist only as records: read the view
+		if err != nil {
+			t.Fatal(err)
+		}
 		if o.Status == Open {
 			open++
 		} else {

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"clustermarket/internal/core"
 	"clustermarket/internal/journal"
@@ -63,6 +64,11 @@ type Metrics struct {
 	// single-pool re-sums — which shows whether the incremental
 	// reductions engaged.
 	Clock core.ClockStats
+	// The book's size right now — gauges, the slope an operator watches on
+	// a long-running daemon: orders that are still objects (open), orders
+	// archived as records, the bytes of archive chunks allocated (order
+	// records and both row slabs), and ledger entries.
+	LiveOrders, ArchivedOrders, ArchiveBytes, LedgerEntries int
 }
 
 // Metrics snapshots the counters. Each field is read atomically; the
@@ -72,7 +78,20 @@ func (e *Exchange) Metrics() Metrics {
 	e.metrics.clockMu.Lock()
 	clock := e.metrics.clock
 	e.metrics.clockMu.Unlock()
+	var live, archived, bytes int
+	for s := range e.orderShards {
+		os := &e.orderShards[s]
+		os.mu.RLock()
+		live += os.openCount
+		archived += os.recs.count()
+		bytes += os.recs.held*int(unsafe.Sizeof(orderRec{})) + os.idx.held*4 + os.val.held*8
+		os.mu.RUnlock()
+	}
+	e.ledger.mu.RLock()
+	entries := e.ledger.recs.count()
+	e.ledger.mu.RUnlock()
 	return Metrics{
+		LiveOrders: live, ArchivedOrders: archived, ArchiveBytes: bytes, LedgerEntries: entries,
 		Clock:         clock,
 		Submitted:     e.metrics.submitted.Load(),
 		Rejected:      e.metrics.rejectedCount.Load(),

@@ -16,14 +16,10 @@ import (
 func (e *Exchange) PlaceOrder(id int) ([]PlacedTask, error) {
 	e.settleMu.Lock()
 	defer e.settleMu.Unlock()
-	o := e.liveOrder(id)
-	if o == nil {
+	status, _, ok := e.Outcome(id)
+	if !ok {
 		return nil, fmt.Errorf("market: no order %d", id)
 	}
-	os := e.orderShardFor(id)
-	os.mu.RLock()
-	status := o.Status
-	os.mu.RUnlock()
 	if status != Won {
 		return nil, fmt.Errorf("market: placing order %d in state %s", id, status)
 	}

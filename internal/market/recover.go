@@ -34,7 +34,7 @@ func Recover(fleet *cluster.Fleet, cfg Config, rec *journal.Recovery) (*Exchange
 	}
 	if len(rec.Snapshot) > 0 {
 		if err := e.restoreState(rec.Snapshot); err != nil {
-			return nil, fmt.Errorf("market: restore snapshot (seq %d): %w", rec.SnapshotSeq, err)
+			return nil, fmt.Errorf("market: restore snapshot (seq %d): %w: %w", rec.SnapshotSeq, ErrCorruptSnapshot, err)
 		}
 	}
 	for i, raw := range rec.Records {

@@ -47,7 +47,7 @@ func recoverFleet(t testing.TB) *cluster.Fleet {
 
 // driveMarket exercises every mutation path. Both the reference and the
 // journaled exchange run exactly this script.
-func driveMarket(t *testing.T, e *market.Exchange) {
+func driveMarket(t testing.TB, e *market.Exchange) {
 	t.Helper()
 	for _, team := range []string{"ads", "maps", "search"} {
 		if err := e.OpenAccount(team); err != nil {
@@ -260,7 +260,7 @@ func TestJournalNilIsInert(t *testing.T) {
 // recoveryOf journals driveMarket's script, kills the process and returns
 // what the directory recovers to: the whole WAL, or a snapshot of the
 // final state when snapshot is set.
-func recoveryOf(t *testing.T, snapshot bool) *journal.Recovery {
+func recoveryOf(t testing.TB, snapshot bool) *journal.Recovery {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "wal")
 	j, _, err := journal.Open(dir, journal.Options{FsyncEvery: 8})

@@ -17,19 +17,83 @@ const DefaultShards = 8
 // lookups are O(1) and submits in different stripes never contend.
 type orderShard struct {
 	mu sync.RWMutex
-	// orders[j] holds the order with ID j*nshards + shardIndex. IDs are
-	// allocated under mu from the append position, so slots are dense and
-	// never nil.
-	orders []*Order
+	// slots[j] names the order with ID j*nshards + shardIndex: an index
+	// into live while it is open, archivedBit and a position in recs once
+	// it is terminal. IDs are allocated under mu from the append position,
+	// so slots are dense.
+	slots []uint32
+	// live holds the open orders — the only ones that are Go objects —
+	// and is O(open orders): a terminal transition nils the entry and
+	// puts its index on free for the next booking.
+	live []*Order
+	free []uint32
+	// The archive (archive.go): terminal orders as pointer-free records,
+	// their rows in two chunked slabs, team and bid user interned.
+	recs       slab[orderRec]
+	idx        slab[int32]
+	val        slab[float64]
+	labels     []orderLabel
+	labelIndex map[orderLabel]uint32
 	// open is the stripe's claim list: a lazily compacted superset of the
 	// stripe's Status==Open orders, in ID order. Submit appends; cancels
-	// and settlements leave their terminal orders in place to be dropped
-	// by the next claimBatch compaction — so neither path pays a scan.
+	// and settlements leave their terminal — by then archived — orders in
+	// place to be dropped by the next claimBatch compaction, so neither
+	// path pays a scan. An order object is never reused, so a stale entry
+	// can only ever read as terminal.
 	open []*Order
 	// openCount is the exact number of Status==Open orders in the stripe,
 	// maintained on every status transition so OpenOrderCount is O(shards)
 	// instead of a book scan.
 	openCount int
+}
+
+// lookupLocked resolves slot j: the live order, or the archived record,
+// or neither when the stripe has no such slot.
+//
+//marketlint:allocfree
+func (os *orderShard) lookupLocked(j int) (*Order, *orderRec) {
+	if j >= len(os.slots) {
+		return nil, nil
+	}
+	if w := os.slots[j]; w&archivedBit != 0 {
+		return nil, os.recs.rec(int(w &^ archivedBit))
+	} else {
+		return os.live[w], nil
+	}
+}
+
+// bookLocked enters an open order's object into the next slot.
+//
+//marketlint:allocfree
+func (os *orderShard) bookLocked(o *Order) {
+	var li uint32
+	if n := len(os.free); n > 0 {
+		li, os.free = os.free[n-1], os.free[:n-1]
+		os.live[li] = o
+	} else {
+		li = uint32(len(os.live))
+		//marketlint:allow allocfree amortized growth of the live table, bounded by the open orders
+		os.live = append(os.live, o)
+	}
+	//marketlint:allow allocfree amortized growth of the slot table, four bytes an order
+	os.slots = append(os.slots, li)
+}
+
+// viewLocked returns a snapshot of the order in slot j — a copy of the
+// live object, or a view materialised from the archive whose rows alias
+// the immutable slabs, exactly as a live order's snapshot shares its
+// bid's — or nil without such a slot.
+func (os *orderShard) viewLocked(id, j int) *Order {
+	o, r := os.lookupLocked(j)
+	if o != nil {
+		return o.snapshot()
+	}
+	if r == nil {
+		return nil
+	}
+	bo := new(bookedOrder)
+	os.fillLocked(id, r, &bo.Order, &bo.bid)
+	return &bo.Order
 }
 
 // accountShard is one stripe of the account book, striped by team name.
@@ -89,21 +153,6 @@ func (e *Exchange) accountShardFor(team string) *accountShard {
 		h = (h ^ uint32(team[i])) * 16777619
 	}
 	return &e.accountShards[h%uint32(len(e.accountShards))]
-}
-
-// liveOrder returns the live (internal) order with the given id, or nil.
-func (e *Exchange) liveOrder(id int) *Order {
-	os := e.orderShardFor(id)
-	if os == nil {
-		return nil
-	}
-	j := id / len(e.orderShards)
-	os.mu.RLock()
-	defer os.mu.RUnlock()
-	if j >= len(os.orders) {
-		return nil
-	}
-	return os.orders[j]
 }
 
 // sortOrdersByID puts a cross-shard gather back into global ID order —

@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -161,5 +162,37 @@ func TestOrdersSortedAcrossShards(t *testing.T) {
 			t.Fatalf("Orders() out of ID order: %d after %d", o.ID, prev)
 		}
 		prev = o.ID
+	}
+}
+
+// TestBookArchiveIsPointerFree walks what a terminal order and a ledger
+// entry are kept as — TestRouterTableIsPointerFree's twin. The collector
+// skips a chunk only while its element holds nothing it must follow, so a
+// later field may not quietly bring the marking back.
+func TestBookArchiveIsPointerFree(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: the collector would scan every record", path, ty.Kind())
+		}
+	}
+	walk("orderRec", reflect.TypeOf(orderRec{}))
+	walk("ledgerRec", reflect.TypeOf(ledgerRec{}))
+	walk("slot", reflect.TypeOf(orderShard{}.slots).Elem())
+	walk("rowIndex", reflect.TypeOf(orderShard{}.idx.chunks).Elem().Elem())
+	walk("rowValue", reflect.TypeOf(orderShard{}.val.chunks).Elem().Elem())
+	if got := reflect.TypeOf(orderRec{}).Size(); got > 64 {
+		t.Errorf("orderRec is %d bytes, was 64", got)
+	}
+	if got := reflect.TypeOf(ledgerRec{}).Size(); got > 24 {
+		t.Errorf("ledgerRec is %d bytes, was 24", got)
 	}
 }

@@ -100,8 +100,11 @@ func (e *Exchange) maybeSnapshotLocked(num int) error {
 // snapshotLocked builds the state image and hands it to the journal.
 // The caller holds settleMu; taking every order and account stripe on
 // top excludes every event-logging path (settlement and book entry
-// alike), so the image corresponds exactly to the journal's current
-// sequence number.
+// alike), so the image corresponds exactly to the journal sequence read
+// under those same locks. The locks are released before the image is
+// encoded and written, so submits journaled meanwhile carry sequence
+// numbers past that stamp: the journal is told the stamp, not asked for
+// its then-current sequence, and its rotation keeps every record past it.
 func (e *Exchange) snapshotLocked() error {
 	for s := range e.orderShards {
 		e.orderShards[s].mu.Lock()
@@ -109,11 +112,12 @@ func (e *Exchange) snapshotLocked() error {
 	for s := range e.accountShards {
 		e.accountShards[s].mu.Lock()
 	}
-	e.ledgerMu.RLock()
+	e.ledger.mu.RLock()
 	e.histMu.RLock()
+	at := e.journal.Seq()
 	st, err := e.buildStateLocked()
 	e.histMu.RUnlock()
-	e.ledgerMu.RUnlock()
+	e.ledger.mu.RUnlock()
 	for s := range e.accountShards {
 		e.accountShards[s].mu.Unlock()
 	}
@@ -129,7 +133,7 @@ func (e *Exchange) snapshotLocked() error {
 	}
 	// Same bounded heal loop as event appends: rotation is failure-safe,
 	// so each retry starts from an intact WAL.
-	if err = e.journal.Snapshot(raw); err == nil {
+	if err = e.journal.Snapshot(raw, at); err == nil {
 		return nil
 	}
 	backoff := appendRetryBase
@@ -137,7 +141,7 @@ func (e *Exchange) snapshotLocked() error {
 		time.Sleep(backoff)
 		backoff *= 2
 		_ = e.journal.Probe()
-		if err = e.journal.Snapshot(raw); err == nil {
+		if err = e.journal.Snapshot(raw, at); err == nil {
 			return nil
 		}
 	}
@@ -150,17 +154,37 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 		Balances:  make(map[string]float64),
 		TaskSeq:   e.fleet.TaskSeq(),
 	}
-	var orders []*Order
+	// Every stripe is locked, so walking slot-major visits the orders in
+	// ID order. Archived orders are read from their records into one
+	// backing array of bids and one of winning-bundle indices, not
+	// materialised one view at a time.
+	total, deepest, n := 0, 0, len(e.orderShards)
 	for s := range e.orderShards {
-		orders = append(orders, e.orderShards[s].orders...)
+		total += len(e.orderShards[s].slots)
+		deepest = max(deepest, len(e.orderShards[s].slots))
 	}
-	sortOrdersByID(orders)
-	st.Orders = make([]orderState, len(orders))
-	for i, o := range orders {
-		st.Orders[i] = orderState{ID: o.ID, Team: o.Team, Bid: o.Bid, Status: o.Status,
-			Auction: o.Auction, Attempts: o.Attempts, Payment: o.Payment}
-		if o.Status == Won {
-			st.Orders[i].Bundle = &o.Bundle
+	st.Orders = make([]orderState, 0, total)
+	bids, bundles := make([]core.Bid, total), make([]int, total)
+	var o Order
+	for j := 0; j < deepest; j++ {
+		for s := range e.orderShards {
+			os := &e.orderShards[s]
+			live, rec := os.lookupLocked(j)
+			if live == nil && rec == nil {
+				continue
+			}
+			i := len(st.Orders)
+			if live != nil {
+				o, bids[i] = *live, *live.Bid
+			} else {
+				os.fillLocked(j*n+s, rec, &o, &bids[i])
+			}
+			st.Orders = append(st.Orders, orderState{ID: o.ID, Team: o.Team, Bid: &bids[i], Status: o.Status,
+				Auction: o.Auction, Attempts: o.Attempts, Payment: o.Payment})
+			if o.Status == Won {
+				bundles[i] = o.Bundle
+				st.Orders[i].Bundle = &bundles[i]
+			}
 		}
 	}
 	for s := range e.accountShards {
@@ -178,7 +202,7 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 			}
 		}
 	}
-	st.Ledger = append([]LedgerEntry(nil), e.ledger...)
+	st.Ledger = e.ledger.entriesLocked(0, e.ledger.recs.count())
 	st.History = append([]*AuctionRecord(nil), e.history...)
 	for _, g := range e.fleet.Quotas().Grants() {
 		if g.Quota.IsZero() {
@@ -210,7 +234,11 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 
 // restoreState loads a snapshot image into a freshly constructed
 // exchange whose fleet has been rebuilt to its as-built state. Runs
-// single-threaded, before the exchange is shared.
+// single-threaded, before the exchange is shared. The image is bytes from
+// disk: what the book's records cannot hold or explain — a status that is
+// none of the five, a field wider than its record, a ledger entry out of
+// position — is refused here, at the seam where it would be archived
+// (Recover reports every refusal as ErrCorruptSnapshot).
 func (e *Exchange) restoreState(raw []byte) error {
 	var st exchangeState
 	if err := json.Unmarshal(raw, &st); err != nil {
@@ -226,20 +254,35 @@ func (e *Exchange) restoreState(raw []byte) error {
 			Attempts: s.Attempts, Bundle: -1, Payment: s.Payment}, s.Bid)
 		bo.bid.Pack()
 		o := &bo.Order
+		if o.Status < Open || o.Status > Unsettled {
+			return fmt.Errorf("order %d has unknown status %d", o.ID, int(o.Status))
+		}
+		// Every booked bid passed this at the door, against this registry.
+		if err := o.Bid.Validate(e.reg.Len()); err != nil {
+			return fmt.Errorf("order %d: %w", o.ID, err)
+		}
 		if o.Status == Won {
 			var err error
 			if o.Bundle, err = wonBundle(o.ID, o.Bid, s.Bundle); err != nil {
 				return err
 			}
 		}
+		if err := fitsRecord(o.ID, o.Auction, o.Attempts, o.Bid); err != nil {
+			return err
+		}
 		os := e.orderShardFor(o.ID)
-		if os == nil || o.ID/n != len(os.orders) {
+		if os == nil || o.ID/n != len(os.slots) || len(os.slots) >= maxStripeOrders {
 			return fmt.Errorf("order %d out of sequence", o.ID)
 		}
-		os.orders = append(os.orders, o)
+		// An open order is booked as the object the live path would have
+		// made; a terminal one goes straight to the archive, through the
+		// same copy a live transition makes.
 		if o.Status == Open {
+			os.bookLocked(o)
 			os.open = append(os.open, o)
 			os.openCount++
+		} else {
+			os.slots = append(os.slots, os.recordLocked(o))
 		}
 	}
 	// Balances and commitments are restored verbatim (not re-derived from
@@ -252,10 +295,22 @@ func (e *Exchange) restoreState(raw []byte) error {
 	for team, exp := range st.OpenBuy {
 		e.accountShardFor(team).openBuy[team] = exp
 	}
-	e.ledger = st.Ledger
+	for i, le := range st.Ledger {
+		if le.Seq != i {
+			return fmt.Errorf("ledger entry %d carries sequence number %d", i, le.Seq)
+		}
+		if err := fitsLedger(le.Auction); err != nil {
+			return err
+		}
+		kind, arg := e.ledger.memoLocked(le.Memo)
+		e.ledger.postLocked(le.Auction, le.Team, le.Amount, kind, arg)
+	}
 	for i, rec := range st.History {
 		if rec == nil {
 			return fmt.Errorf("history record %d is null", i)
+		}
+		if r := e.reg.Len(); len(rec.Reserve) != r || len(rec.Prices) != r {
+			return fmt.Errorf("history record %d prices %d pools and reserves %d, the registry has %d", i, len(rec.Prices), len(rec.Reserve), r)
 		}
 		e.appendHistory(rec)
 	}

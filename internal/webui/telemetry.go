@@ -121,6 +121,17 @@ func collectExchange(m *families, ex *market.Exchange, region string) {
 	} {
 		m.add("market_clock_"+ck.name+"_total", "counter", ck.help, labels("region", region), float64(ck.v))
 	}
+	// The book's slope: what a long-running daemon accumulates.
+	for _, st := range []struct {
+		state string
+		n     int
+	}{{"live", mt.LiveOrders}, {"archived", mt.ArchivedOrders}} {
+		m.add("market_book_orders", "gauge", "Orders in the book: live (open, Go objects) or archived (terminal, pointer-free records).",
+			labels("region", region, "state", st.state), float64(st.n))
+	}
+	m.add("market_book_archive_bytes", "gauge", "Bytes of archive chunks allocated: order records and both row slabs.",
+		labels("region", region), float64(mt.ArchiveBytes))
+	m.add("market_ledger_entries", "gauge", "Billing ledger entries.", labels("region", region), float64(mt.LedgerEntries))
 	m.add("market_open_orders", "gauge", "Orders currently awaiting settlement.", labels("region", region), float64(ex.OpenOrderCount()))
 	for s, n := range ex.OpenOrdersPerStripe() {
 		m.add("market_open_orders_stripe", "gauge", "Open orders per book stripe (hot-stripe visibility).",

@@ -118,6 +118,10 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE market_clock_lanes_total counter",
 		"market_clock_bundles_repriced_total",
 		"market_clock_z_rebuilds_total",
+		`market_book_orders{state="live"} 0`,
+		`market_book_orders{state="archived"} 1`,
+		"# TYPE market_book_archive_bytes gauge",
+		"market_ledger_entries 2",
 		"# TYPE market_open_orders gauge",
 		`market_open_orders_stripe{stripe="0"}`,
 		"market_pool_price{",
