@@ -144,6 +144,8 @@ fuzz:
 	$(GO) test -fuzz 'FuzzQueryParams$$' -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzEventsQueryParams -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzBidSubmit -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
+	$(GO) test -fuzz FuzzAckPage -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
+	$(GO) test -fuzz FuzzOrdersJSON -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzSettledEventReplay -fuzztime $(FUZZTIME) -run 'xxx' ./internal/market
 	$(GO) test -fuzz FuzzRestoreState -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/market
 	$(GO) test -fuzz FuzzClockMatchesReference -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/core

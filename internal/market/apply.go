@@ -27,6 +27,23 @@ func wonBundle(id int, bid *core.Bid, idx *int) (int, error) {
 	return *idx, nil
 }
 
+// ReplayedOrderError is a journaled order-submitted event the live
+// ingress would have refused: its bid fails validation against the
+// registry (a non-finite limit, a bundle of the wrong width, no user),
+// or its team has no account. Replay stops there instead of booking an
+// order no live path could have booked.
+type ReplayedOrderError struct {
+	OrderID int
+	Team    string
+	Err     error
+}
+
+func (e *ReplayedOrderError) Error() string {
+	return fmt.Sprintf("market: replay: order %d for team %q fails ingress: %v", e.OrderID, e.Team, e.Err)
+}
+
+func (e *ReplayedOrderError) Unwrap() error { return e.Err }
+
 // The apply layer: one deterministic mutator per event kind. Recovery
 // replays the journal tail through applyEvent; the live mutation paths
 // share the same appliers wherever the decision and the mutation can be
@@ -98,6 +115,12 @@ func (e *Exchange) applyOrderSubmitted(ev *Event) error {
 	bo := newBookedOrder(Order{ID: ev.OrderID, Team: ev.Team, Status: Open, Auction: -1, Bundle: -1}, ev.Bid)
 	bo.bid.Pack()
 	o := &bo.Order
+	// The live submit validated the bid against this registry before it
+	// logged the event; a record that would not pass the door is refused
+	// rather than booked.
+	if err := o.Bid.Validate(e.reg.Len()); err != nil {
+		return &ReplayedOrderError{OrderID: o.ID, Team: o.Team, Err: err}
+	}
 	n := len(e.orderShards)
 	os := e.orderShardFor(o.ID)
 	if os == nil {
@@ -114,6 +137,11 @@ func (e *Exchange) applyOrderSubmitted(ev *Event) error {
 			o.ID, len(os.slots))
 	}
 	as.mu.Lock()
+	if _, ok := as.balances[o.Team]; !ok {
+		as.mu.Unlock()
+		os.mu.Unlock()
+		return &ReplayedOrderError{OrderID: o.ID, Team: o.Team, Err: fmt.Errorf("market: no account %q", o.Team)}
+	}
 	e.bookOrderLocked(os, as, o)
 	as.mu.Unlock()
 	os.mu.Unlock()

@@ -795,59 +795,57 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 	if limit <= 0 {
 		return nil
 	}
-	// Stripe slots are dense (slot j holds ID j*n + s), so each stripe's
-	// candidate tail IDs follow from its length alone — no order is
-	// touched, let alone snapshotted, until the global top-limit IDs are
-	// known.
+	// Stripe slots are dense (slot j of stripe s holds ID j*n + s), so
+	// whether an ID is booked follows from the stripe lengths alone: walk
+	// down from the highest booked ID counting each stripe's share of the
+	// tail. A stripe can only trail its neighbours by a rejected submit's
+	// slot, so the walk visits O(limit) IDs and touches no order.
 	n := len(e.orderShards)
-	var ids []int
+	counts := make([]int, 3*n)
+	size, take, next := counts[:n], counts[n:2*n], counts[2*n:]
+	top := -1
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
-		size := len(os.slots)
+		size[s] = len(os.slots)
 		os.mu.RUnlock()
-		start := size - limit
-		if start < 0 {
-			start = 0
-		}
-		for j := start; j < size; j++ {
-			ids = append(ids, j*n+s)
+		if size[s] > 0 {
+			top = max(top, (size[s]-1)*n+s)
 		}
 	}
-	sort.Ints(ids)
-	if len(ids) > limit {
-		ids = ids[len(ids)-limit:]
-	}
-	// The selected IDs form a contiguous slot tail per stripe (they are
-	// the globally largest), so each stripe is snapshotted as one range
-	// under a single lock acquisition.
-	type span struct{ lo, hi int }
-	spans := make([]span, n)
-	for s := range spans {
-		spans[s] = span{lo: -1, hi: -1}
-	}
-	for _, id := range ids {
-		s, j := id%n, id/n
-		if spans[s].lo < 0 || j < spans[s].lo {
-			spans[s].lo = j
-		}
-		if j > spans[s].hi {
-			spans[s].hi = j
+	total, low := 0, top+1
+	for id := top; id >= 0 && total < limit; id-- {
+		if s := id % n; id/n < size[s] {
+			take[s]++
+			total++
+			low = id
 		}
 	}
-	out := make([]*Order, 0, len(ids))
-	for s, sp := range spans {
-		if sp.lo < 0 {
+	// Each stripe's share is a contiguous slot tail, snapshotted under a
+	// single lock acquisition into its own run of byStripe; the runs are
+	// then merged by walking the IDs up from the lowest one taken.
+	byStripe := make([]*Order, total)
+	at := 0
+	for s := range e.orderShards {
+		next[s] = at
+		if take[s] == 0 {
 			continue
 		}
 		os := &e.orderShards[s]
 		os.mu.RLock()
-		for j := sp.lo; j <= sp.hi; j++ {
-			out = append(out, os.viewLocked(j*n+s, j))
+		for j := size[s] - take[s]; j < size[s]; j++ {
+			byStripe[at] = os.viewLocked(j*n+s, j)
+			at++
 		}
 		os.mu.RUnlock()
 	}
-	sortOrdersByID(out)
+	out := make([]*Order, 0, total)
+	for id := low; len(out) < total; id++ {
+		if s := id % n; id/n < size[s] {
+			out = append(out, byStripe[next[s]])
+			next[s]++
+		}
+	}
 	return out
 }
 

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"clustermarket/internal/core"
+	"clustermarket/internal/resource"
 )
 
 // TestShardedSerialIDsSequential pins the sharded book's compatibility
@@ -194,5 +197,52 @@ func TestBookArchiveIsPointerFree(t *testing.T) {
 	}
 	if got := reflect.TypeOf(ledgerRec{}).Size(); got > 24 {
 		t.Errorf("ledgerRec is %d bytes, was 24", got)
+	}
+}
+
+// TestOrdersTailUnevenStripes holds OrdersTail to the tail of Orders()
+// on a book whose stripes have different lengths — the shape a replayed
+// journal or a rejected submit's consumed slot leaves — so booked IDs
+// have gaps: every limit from 1 to past the book's size, with open and
+// archived orders mixed.
+func TestOrdersTailUnevenStripes(t *testing.T) {
+	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.OpenAccount("a"); err != nil {
+		t.Fatal(err)
+	}
+	reg := e.Registry()
+	// Stripe lengths 5, 2, 0, 3: IDs 0 4 8 12 16 | 1 5 | - | 3 7 11.
+	for _, id := range []int{0, 1, 3, 4, 5, 7, 8, 11, 12, 16} {
+		v := reg.Zero()
+		v[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 1
+		ev := &Event{Kind: EvOrderSubmitted, OrderID: id, Team: "a",
+			Bid: &core.Bid{User: "a/x", Bundles: []resource.Vector{v}, Limit: float64(1 + id)}}
+		if err := e.applyEvent(ev); err != nil {
+			t.Fatalf("book %d: %v", id, err)
+		}
+	}
+	for _, id := range []int{4, 11} {
+		if err := e.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := e.Orders()
+	if len(all) != 10 {
+		t.Fatalf("Orders() has %d orders, want 10", len(all))
+	}
+	for limit := 1; limit <= len(all)+3; limit++ {
+		want := all[max(0, len(all)-limit):]
+		if got := e.OrdersTail(limit); !reflect.DeepEqual(got, want) {
+			ids := func(os []*Order) (out []int) {
+				for _, o := range os {
+					out = append(out, o.ID)
+				}
+				return out
+			}
+			t.Fatalf("OrdersTail(%d) = %v, want %v", limit, ids(got), ids(want))
+		}
 	}
 }

@@ -1,0 +1,84 @@
+package webui
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+)
+
+// allocsNetOfHarness counts the allocations one request to h makes,
+// less what building the request and recorder and dispatching to a
+// handler that does nothing cost.
+func allocsNetOfHarness(h http.Handler, method, target, form string) float64 {
+	run := func(h http.Handler) func() {
+		return func() {
+			var req *http.Request
+			if form != "" {
+				req = httptest.NewRequest(method, target, strings.NewReader(form))
+				req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			} else {
+				req = httptest.NewRequest(method, target, nil)
+			}
+			h.ServeHTTP(httptest.NewRecorder(), req)
+		}
+	}
+	const runs = 200
+	harness := testing.AllocsPerRun(runs, run(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})))
+	return testing.AllocsPerRun(runs, run(h)) - harness
+}
+
+// TestBidSubmitAllocBudget bounds the allocations of one accepted bid
+// through /bid/submit: form parsing, the exchange's booking and the
+// acknowledgement page. The page is written from fragments rendered once
+// at construction, so no template executes per request (the template
+// path cost 174 allocations).
+func TestBidSubmitAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count")
+	}
+	s, ex := newTestServer(t)
+	if err := ex.Credit("web-team", 1e12, "allocation budget"); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 40
+	got := allocsNetOfHarness(s, "POST", "/bid/submit",
+		"team=web-team&product=batch-compute&qty=1&clusters=r1,r2&limit=50")
+	if n := ex.OpenOrderCount(); n < 200 {
+		t.Fatalf("only %d bids booked: the runs were not accepted submits", n)
+	}
+	t.Logf("/bid/submit: %.1f allocations net of the harness", got)
+	if got > budget {
+		t.Fatalf("/bid/submit allocates %.1f per request, budget %d", got, budget)
+	}
+}
+
+// TestOrdersJSONAllocBudget bounds the allocations of one
+// /api/orders.json?limit=50 poll over a book of settled and open orders:
+// the tail's order views and little else. The reflection encoder and the
+// sorting tail it replaced made 71 on this book.
+func TestOrdersJSONAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count")
+	}
+	_, ex := newTestServer(t)
+	if err := ex.Credit("web-team", 1e12, "allocation budget"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 120; i++ {
+		if _, err := ex.SubmitProduct("web-team", "batch-compute", 1, []string{"r2"}, float64(5+i%7)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 80 {
+			if _, _, err := ex.RunAuction(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const budget = 71
+	got := allocsNetOfHarness(New(ex), "GET", "/api/orders.json?limit=50", "")
+	t.Logf("/api/orders.json?limit=50: %.1f allocations net of the harness", got)
+	if got > budget {
+		t.Fatalf("/api/orders.json?limit=50 allocates %.1f per request, budget %d", got, budget)
+	}
+}

@@ -34,20 +34,19 @@ type Server struct {
 	// a federation front end) behind http.StripPrefix.
 	prefix string
 
-	mux       *http.ServeMux
-	summary   *template.Template
-	bidStep1  *template.Template
-	bidStep2  *template.Template
-	bidDone   *template.Template
-	orders    *template.Template
-	teamsPage *template.Template
+	mux   *http.ServeMux
+	pages *pageSet
+	// ack is the bid acknowledgement (the bidDone page) pre-rendered
+	// around its per-request values.
+	ack ackPage
 
 	// The preliminary-prices endpoint runs a full clock simulation per
 	// call; this single-flight cache keeps N polling browser tabs from
-	// running N simulations over the same book.
-	pricesMu  sync.Mutex
-	pricesAt  time.Time
-	pricesVal *pricesView
+	// running N simulations over the same book. It holds the encoded
+	// response body, so a hit is one Write.
+	pricesMu   sync.Mutex
+	pricesAt   time.Time
+	pricesBody []byte
 
 	// health backs /healthz; nil serves a bare always-healthy snapshot.
 	health *telemetry.Health
@@ -75,28 +74,43 @@ const (
 // "periodic intervals during the bid collection phase" of Section V.A.
 const pricesTTL = time.Second
 
+// pageSet holds the page templates. They are constants, parsed once —
+// on the first Server's construction, so a program that never serves
+// the front end never holds them — and shared by every Server:
+// html/template is safe for concurrent use, and a server's prefix is
+// data, not markup.
+type pageSet struct {
+	summary, bidStep1, bidStep2, bidDone, orders, teams *template.Template
+}
+
+var pages = sync.OnceValue(func() *pageSet {
+	return &pageSet{
+		summary: template.Must(template.New("summary").Funcs(template.FuncMap{
+			"pct": func(x float64) float64 { return 100 * x },
+		}).Parse(summaryTmpl)),
+		bidStep1: template.Must(template.New("bid1").Parse(bidStep1Tmpl)),
+		bidStep2: template.Must(template.New("bid2").Parse(bidStep2Tmpl)),
+		bidDone:  template.Must(template.New("bidDone").Parse(bidDoneTmpl)),
+		orders:   template.Must(template.New("orders").Parse(ordersTmpl)),
+		teams:    template.Must(template.New("teams").Parse(teamsTmpl)),
+	}
+})
+
 // New builds a Server around the exchange, serving from the root path.
 func New(ex *market.Exchange) *Server { return NewWithPrefix(ex, "") }
 
 // NewWithPrefix builds a Server whose generated links and redirects are
 // rooted at prefix (e.g. "/region/eu"). Mount it behind
 // http.StripPrefix(prefix, s) so incoming paths still match the bare
-// routes.
+// routes. It panics if the bid acknowledgement cannot be split into
+// fragments, as it would on a template that fails to parse.
 func NewWithPrefix(ex *market.Exchange, prefix string) *Server {
-	funcs := template.FuncMap{
-		"pct": func(x float64) float64 { return 100 * x },
+	ps := pages()
+	ack, err := newAckPage(ps.bidDone, prefix)
+	if err != nil {
+		panic(err)
 	}
-	s := &Server{
-		ex:        ex,
-		prefix:    prefix,
-		mux:       http.NewServeMux(),
-		summary:   template.Must(template.New("summary").Funcs(funcs).Parse(summaryTmpl)),
-		bidStep1:  template.Must(template.New("bid1").Parse(bidStep1Tmpl)),
-		bidStep2:  template.Must(template.New("bid2").Parse(bidStep2Tmpl)),
-		bidDone:   template.Must(template.New("bidDone").Parse(bidDoneTmpl)),
-		orders:    template.Must(template.New("orders").Parse(ordersTmpl)),
-		teamsPage: template.Must(template.New("teams").Parse(teamsTmpl)),
-	}
+	s := &Server{ex: ex, prefix: prefix, mux: http.NewServeMux(), pages: ps, ack: ack}
 	s.mux.HandleFunc("/", s.handleSummary)
 	s.mux.HandleFunc("/bid", s.handleBidStep1)
 	s.mux.HandleFunc("/bid/preview", s.handleBidPreview)
@@ -187,7 +201,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		sr.Spark = sparkline(hist)
 		view.Rows = append(view.Rows, sr)
 	}
-	render(w, s.summary, view)
+	render(w, s.pages.summary, view)
 }
 
 // sparklineWindow bounds the price points behind each summary-page
@@ -235,7 +249,7 @@ func (s *Server) handleBidStep1(w http.ResponseWriter, r *http.Request) {
 		Products: s.ex.Catalog().Names(),
 		Clusters: strings.Join(s.ex.Fleet().ClusterNames(), ","),
 	}
-	render(w, s.bidStep1, view)
+	render(w, s.pages.bidStep1, view)
 }
 
 // bidOption is one cluster alternative on the step-2 page.
@@ -309,7 +323,7 @@ func (s *Server) handleBidPreview(w http.ResponseWriter, r *http.Request) {
 		ClustersCSV:    strings.Join(clusters, ","),
 		SuggestedLimit: suggested * 1.1,
 	}
-	render(w, s.bidStep2, view)
+	render(w, s.pages.bidStep2, view)
 }
 
 func (s *Server) handleBidSubmit(w http.ResponseWriter, r *http.Request) {
@@ -334,13 +348,8 @@ func (s *Server) handleBidSubmit(w http.ResponseWriter, r *http.Request) {
 		s.redirectErr(w, r, err.Error())
 		return
 	}
-	view := struct {
-		Prefix string
-		ID     int
-		Team   string
-		Limit  float64
-	}{Prefix: s.prefix, ID: order.ID, Team: team, Limit: limit}
-	render(w, s.bidDone, view)
+	bp := getBuf()
+	writeBody(w, "text/html; charset=utf-8", bp, s.ack.appendTo(*bp, order.ID, team, limit))
 }
 
 func (s *Server) handleOrders(w http.ResponseWriter, r *http.Request) {
@@ -353,7 +362,7 @@ func (s *Server) handleOrders(w http.ResponseWriter, r *http.Request) {
 		Prefix string
 		Orders []*market.Order
 	}{Prefix: s.prefix, Orders: s.ex.OrdersTail(limit)}
-	render(w, s.orders, view)
+	render(w, s.pages.orders, view)
 }
 
 func (s *Server) handleTeams(w http.ResponseWriter, r *http.Request) {
@@ -373,7 +382,7 @@ func (s *Server) handleTeams(w http.ResponseWriter, r *http.Request) {
 		}
 		view.Teams = append(view.Teams, teamRow{Name: t, Balance: bal})
 	}
-	render(w, s.teamsPage, view)
+	render(w, s.pages.teams, view)
 }
 
 func (s *Server) handleRunAuction(w http.ResponseWriter, r *http.Request) {
@@ -407,12 +416,24 @@ func (s *Server) handleSummaryJSON(w http.ResponseWriter, r *http.Request) {
 // instead of each running their own.
 func (s *Server) handlePricesJSON(w http.ResponseWriter, r *http.Request) {
 	s.pricesMu.Lock()
-	if s.pricesVal != nil && time.Since(s.pricesAt) < pricesTTL {
-		out := s.pricesVal
-		s.pricesMu.Unlock()
-		writeJSON(w, out)
-		return
+	body := s.pricesBody
+	if body == nil || time.Since(s.pricesAt) >= pricesTTL {
+		var err error
+		if body, err = s.encodePrices(); err != nil {
+			s.pricesMu.Unlock()
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		s.pricesBody, s.pricesAt = body, time.Now()
 	}
+	s.pricesMu.Unlock()
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+}
+
+// encodePrices runs the preliminary clock (or the reserve fallback) and
+// returns the /api/prices.json body. The caller holds pricesMu.
+func (s *Server) encodePrices() ([]byte, error) {
 	view := &pricesView{}
 	prices, converged, err := s.ex.PreliminaryPrices()
 	switch {
@@ -426,29 +447,25 @@ func (s *Server) handlePricesJSON(w http.ResponseWriter, r *http.Request) {
 		}
 	case errors.Is(err, market.ErrNoOpenOrders):
 		// Empty book: reserve prices are the honest answer.
-		prices, err = s.ex.ReservePrices()
-		if err != nil {
-			s.pricesMu.Unlock()
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		if prices, err = s.ex.ReservePrices(); err != nil {
+			return nil, err
 		}
 		view.Note = noteReserve
 	default:
 		// A real failure (broken policy, reserve pricer error) must not
 		// be dressed up as an empty book.
-		s.pricesMu.Unlock()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return nil, err
 	}
 	reg := s.ex.Registry()
 	view.Prices = make(map[string]float64, reg.Len())
 	for i := 0; i < reg.Len(); i++ {
 		view.Prices[reg.Pool(i).String()] = prices[i]
 	}
-	s.pricesVal = view
-	s.pricesAt = time.Now()
-	s.pricesMu.Unlock()
-	writeJSON(w, view)
+	body, err := json.Marshal(view)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
 }
 
 func (s *Server) handleHistoryJSON(w http.ResponseWriter, r *http.Request) {
@@ -518,7 +535,9 @@ func (s *Server) handleAuctionsJSON(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// orderView is the wire form of one order on the polling API.
+// orderView is the wire form of one order on the polling API, written by
+// its appendJSON; the tags are the field names encoding/json would use,
+// which the tests hold the encoder to.
 type orderView struct {
 	ID      int     `json:"id"`
 	Team    string  `json:"team"`
@@ -541,9 +560,13 @@ func (s *Server) handleOrdersJSON(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	orders := s.ex.OrdersTail(limit)
-	out := make([]orderView, 0, len(orders))
-	for _, o := range orders {
-		out = append(out, orderView{
+	bp := getBuf()
+	b := append(*bp, '[')
+	for i, o := range orders {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		v := orderView{
 			ID:      o.ID,
 			Team:    o.Team,
 			User:    o.Bid.User,
@@ -551,9 +574,14 @@ func (s *Server) handleOrdersJSON(w http.ResponseWriter, r *http.Request) {
 			Auction: o.Auction,
 			Payment: o.Payment,
 			Limit:   o.Bid.MaxLimit(),
-		})
+		}
+		var err error
+		if b, err = v.appendJSON(b); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
-	writeJSON(w, out)
+	writeBody(w, "application/json", bp, append(b, ']', '\n'))
 }
 
 func render(w http.ResponseWriter, t *template.Template, view any) {

@@ -313,6 +313,55 @@ func TestPricesJSONCached(t *testing.T) {
 	}
 }
 
+// TestPricesJSONCachedBytes pins what the cache holds: the encoded body,
+// equal to encoding/json's rendering of the view the endpoint describes
+// (plus the Encoder's newline), and served as is on a hit.
+func TestPricesJSONCachedBytes(t *testing.T) {
+	s, ex := newTestServer(t)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	wantBody := func(view pricesView, prices []float64) string {
+		reg := ex.Registry()
+		view.Prices = map[string]float64{}
+		for i := 0; i < reg.Len(); i++ {
+			view.Prices[reg.Pool(i).String()] = prices[i]
+		}
+		raw, err := json.Marshal(view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw) + "\n"
+	}
+	reserve, err := ex.ReservePrices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, body := get(t, ts, "/api/prices.json"); body != wantBody(pricesView{Note: noteReserve}, reserve) {
+		t.Fatalf("empty-book body:\n%s", body)
+	}
+	if _, err := ex.SubmitProduct("web-team", "batch-compute", 1, []string{"r2"}, 100); err != nil {
+		t.Fatal(err)
+	}
+	// A hit serves the cached bytes, whatever the book did since.
+	s.pricesMu.Lock()
+	cached := string(s.pricesBody)
+	s.pricesMu.Unlock()
+	if _, body := get(t, ts, "/api/prices.json"); body != cached {
+		t.Fatalf("cache hit served %q, cache holds %q", body, cached)
+	}
+	// A fresh server over the open order runs the preliminary clock.
+	ts2 := httptest.NewServer(New(ex))
+	defer ts2.Close()
+	prices, converged, err := ex.PreliminaryPrices()
+	if err != nil || !converged {
+		t.Fatalf("preliminary clock: converged=%v err=%v", converged, err)
+	}
+	if _, body := get(t, ts2, "/api/prices.json"); body != wantBody(pricesView{Converged: true}, prices) {
+		t.Fatalf("open-book body:\n%s", body)
+	}
+}
+
 func TestSparkline(t *testing.T) {
 	if got := sparkline(nil); got != "-" {
 		t.Errorf("empty sparkline = %q", got)
