@@ -1,12 +1,11 @@
 # clustermarket build entry points. `make help` lists the targets;
 # `make all` is the local pre-push gate (lint + build + test), and the
 # remaining targets are the CI legs (race, soaks, coverage, fuzz,
-# bench gate) runnable individually.
+# layer benchmarks) runnable individually.
 GO ?= go
 
-.PHONY: all build test race vet lint vulncheck help \
-	bench bench-baseline bench-compare bench-suite \
-	soak soak-race soak-crash soak-telemetry soak-chaos cover cover-update fuzz bench-ci
+.PHONY: all build test race vet lint vulncheck help bench bench-suite \
+	soak soak-race soak-crash soak-telemetry soak-chaos cover cover-update fuzz
 
 all: lint build test ## Lint, build, and test: the local pre-push gate
 
@@ -43,40 +42,13 @@ lint: vet ## go vet + marketlint (+ staticcheck when installed)
 vulncheck: ## govulncheck against the checked-in ignore list
 	./scripts/vulncheck.sh
 
-# One pass over every benchmark; doubles as a smoke check of the
-# reproduced paper results (shape metrics are reported alongside timing).
-bench:
+# The layer benchmarks in bench_test.go, one pass each: the clock
+# against its reference, admission and the auction build at R = 192,
+# and what the book retains an order. No baseline, no comparison — the
+# pass is a smoke check of each benchmark's own shape assertions. Speed
+# claims come from bench-suite.
+bench: ## One pass over the layer benchmarks (a smoke check, not a gate)
 	$(GO) test -run 'xxx' -bench . -benchtime 1x ./...
-
-# Record the current benchmark output as a baseline for comparison:
-# one pass over the full suite, then the sharded-intake scaling sweep
-# (BenchmarkParallelSubmit across worker counts) appended to the same
-# file. Parametrized so re-running for a new PR cannot silently clobber
-# an earlier baseline: make bench-baseline BENCH_OUT=BENCH_prN.json
-BENCH_OUT ?= BENCH_pr10.json
-bench-baseline:
-	$(GO) test -run 'xxx' -bench . -benchtime 1x ./... | tee $(BENCH_OUT)
-	$(GO) test -run 'xxx' -bench 'ParallelSubmit|ConcurrentSubmit' -benchtime 2000x -cpu 1,4,8 . | tee -a $(BENCH_OUT)
-
-# Compare two recorded baselines (default: the previous PR's against
-# this PR's). Informational by default — single-iteration CI timings are
-# noise — pass BENCH_FAIL_OVER=N to fail on a >N% ns/op regression.
-BENCH_OLD ?= BENCH_pr9.json
-BENCH_NEW ?= BENCH_pr10.json
-BENCH_FAIL_OVER ?= 0
-bench-compare:
-	$(GO) run ./cmd/benchdiff -old $(BENCH_OLD) -new $(BENCH_NEW) -fail-over $(BENCH_FAIL_OVER)
-
-# Regression gate for CI: record a fresh single-pass baseline on the CI
-# machine and compare it against the last committed baseline with a
-# tolerant threshold. Single-iteration timings swing wildly, so only a
-# blowup (accidental quadratic, lost fast path) trips the gate — real
-# perf work still uses bench-baseline on quiet hardware.
-BENCH_GATE_BASE ?= BENCH_pr10.json
-BENCH_GATE_OVER ?= 400
-bench-ci:
-	$(MAKE) bench-baseline BENCH_OUT=BENCH_ci.json
-	$(GO) run ./cmd/benchdiff -old $(BENCH_GATE_BASE) -new BENCH_ci.json -fail-over $(BENCH_GATE_OVER)
 
 # The end-to-end suite in benchmark/ (its own module; see
 # benchmark/README.md): five workloads, ~1 min, results as JSON for

@@ -41,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -258,8 +259,8 @@ func validateFlags(clusters, machines, regions, shards, fsyncEvery int, budget f
 	if machines < 1 {
 		return fmt.Errorf("-machines must be at least 1, got %d", machines)
 	}
-	if budget <= 0 {
-		return fmt.Errorf("-budget must be positive, got %g", budget)
+	if budget <= 0 || math.IsNaN(budget) || math.IsInf(budget, 0) {
+		return fmt.Errorf("-budget must be positive and finite, got %g", budget)
 	}
 	if epoch < 0 {
 		return fmt.Errorf("-epoch must not be negative, got %s", epoch)

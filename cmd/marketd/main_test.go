@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -89,6 +90,8 @@ func TestValidateFlags(t *testing.T) {
 		{"zero machines", 8, 0, 0, 0, 1, 10000, time.Second, 0},
 		{"zero budget", 8, 20, 0, 0, 1, 0, time.Second, 0},
 		{"negative budget", 8, 20, 0, 0, 1, -5, time.Second, 0},
+		{"NaN budget", 8, 20, 0, 0, 1, math.NaN(), time.Second, 0},
+		{"+Inf budget", 8, 20, 0, 0, 1, math.Inf(1), time.Second, 0},
 		{"negative epoch", 8, 20, 0, 0, 1, 10000, -time.Second, 0},
 		{"negative regions", 8, 20, -1, 0, 1, 10000, time.Second, 0},
 		{"one region", 8, 20, 1, 0, 1, 10000, time.Second, 0},

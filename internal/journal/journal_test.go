@@ -362,6 +362,32 @@ func TestAppendBatch(t *testing.T) {
 	}
 }
 
+// appendAllocBudget is what one Append may allocate: the framed buffer
+// handed to write(2). Nothing else on the write, fsync and metrics path
+// touches the heap.
+const appendAllocBudget = 1
+
+// TestAppendAllocBudget gates Append's allocations exactly, with the
+// fsync taken on every record (the durable default) and with it
+// deferred to a group-commit window.
+func TestAppendAllocBudget(t *testing.T) {
+	payload := make([]byte, 256)
+	for _, every := range []int{1, 64} {
+		j, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: every})
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := j.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != appendAllocBudget {
+			t.Errorf("FsyncEvery %d: Append allocates %.0f times a record, budget %d", every, allocs, appendAllocBudget)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestGroupCommitSyncOnDemand(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := mustOpen(t, dir, Options{FsyncEvery: 64})

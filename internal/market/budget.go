@@ -53,8 +53,8 @@ func usageWeight(u cluster.Usage) float64 {
 // shares. Every credit lands in the billing ledger against the operator
 // account, so the ledger stays balanced.
 func (e *Exchange) Disburse(policy DisbursementPolicy, total float64) error {
-	if total <= 0 {
-		return errors.New("market: disbursement must be positive")
+	if !positiveFinite(total) {
+		return fmt.Errorf("market: disbursement must be positive and finite, got %g", total)
 	}
 	// Exclude the settlement phase only: the weight scan reads the quota
 	// ledger, which RunAuction's settlement writes. Taking settleMu (not

@@ -52,7 +52,7 @@ const (
 )
 
 // rejectIfDegraded is the submit-path fault-seam check: one atomic load
-// and a predictable branch (BenchmarkEpochLoopDegradedCheck pins it at
+// and a predictable branch (TestRejectIfDegradedZeroAlloc pins it at
 // zero allocations).
 //
 //marketlint:allocfree

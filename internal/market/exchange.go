@@ -344,6 +344,9 @@ func NewExchange(fleet *cluster.Fleet, cfg Config) (*Exchange, error) {
 		return nil, errors.New("market: nil fleet")
 	}
 	cfg.applyDefaults()
+	if !positiveFinite(cfg.InitialBudget) {
+		return nil, fmt.Errorf("market: initial budget must be positive and finite, got %g", cfg.InitialBudget)
+	}
 	reg := fleet.Registry()
 	if reg.Len() == 0 {
 		return nil, errors.New("market: fleet has no clusters")
@@ -368,6 +371,11 @@ func NewExchange(fleet *cluster.Fleet, cfg Config) (*Exchange, error) {
 	e.fire = cfg.Telemetry
 	return e, nil
 }
+
+// positiveFinite reports whether x is a usable amount of money: above
+// zero, and neither NaN nor +Inf, either of which would poison every
+// balance and ledger sum it reached.
+func positiveFinite(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
 
 // Registry returns the exchange's pool registry.
 func (e *Exchange) Registry() *resource.Registry { return e.reg }
@@ -461,7 +469,8 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool)
 			return fmt.Errorf("market: no account %q", team)
 		}
 		if exp > 0 {
-			if committed := as.openBuy[team]; exp+committed > bal {
+			// Negated so that a NaN balance refuses every bid.
+			if committed := as.openBuy[team]; !(exp+committed <= bal) {
 				return fmt.Errorf("market: %q limit %.2f exceeds available budget %.2f",
 					team, exp, bal-committed)
 			}

@@ -45,11 +45,53 @@ func newTestExchange(t *testing.T) *Exchange {
 }
 
 func TestNewExchangeValidation(t *testing.T) {
-	if _, err := NewExchange(nil, Config{}); err == nil {
-		t.Error("nil fleet accepted")
+	bad := []struct {
+		name  string
+		fleet *cluster.Fleet
+		cfg   Config
+	}{
+		{"nil fleet", nil, Config{}},
+		{"empty fleet", cluster.NewFleet(), Config{}},
+		{"negative budget", testFleet(t), Config{InitialBudget: -5}},
+		{"NaN budget", testFleet(t), Config{InitialBudget: math.NaN()}},
+		{"+Inf budget", testFleet(t), Config{InitialBudget: math.Inf(1)}},
+		{"-Inf budget", testFleet(t), Config{InitialBudget: math.Inf(-1)}},
 	}
-	if _, err := NewExchange(cluster.NewFleet(), Config{}); err == nil {
-		t.Error("empty fleet accepted")
+	for _, tc := range bad {
+		if _, err := NewExchange(tc.fleet, tc.cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// TestNonFiniteMoneyRejected: Disburse and Credit refuse amounts that
+// are not finite — NaN or +Inf would reach every balance and the
+// ledger — and a NaN balance admits no bid, whatever its limit.
+func TestNonFiniteMoneyRejected(t *testing.T) {
+	for _, amount := range []float64{math.NaN(), math.Inf(1)} {
+		e := newTestExchange(t)
+		if err := e.OpenAccount("team-a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Disburse(EqualShares, amount); err == nil {
+			t.Errorf("Disburse(%v) accepted", amount)
+		}
+		if err := e.Credit("team-a", amount, "grant"); err == nil {
+			t.Errorf("Credit(%v) accepted", amount)
+		}
+		if b, _ := e.Balance("team-a"); b != 1000 || !e.LedgerBalanced(1e-9) {
+			t.Errorf("after a rejected %v: balance %v, ledger balanced %v", amount, b, e.LedgerBalanced(1e-9))
+		}
+	}
+
+	e := newTestExchange(t)
+	if err := e.OpenAccount("team-a"); err != nil {
+		t.Fatal(err)
+	}
+	as := e.accountShardFor("team-a")
+	as.balances["team-a"] = math.NaN()
+	if _, err := e.SubmitProduct("team-a", "batch-compute", 1, []string{"r2"}, 5); err == nil {
+		t.Error("a NaN balance admitted a bid")
 	}
 }
 

@@ -66,8 +66,8 @@ func (e *Exchange) PlacedTasks() []PlacedTask {
 // Credit posts an off-auction credit (grant, refund, manual adjustment)
 // to a team against the operator account, with a balanced ledger pair.
 func (e *Exchange) Credit(team string, amount float64, memo string) error {
-	if amount <= 0 {
-		return errors.New("market: credit must be positive")
+	if !positiveFinite(amount) {
+		return fmt.Errorf("market: credit must be positive and finite, got %g", amount)
 	}
 	if team == OperatorAccount {
 		return errors.New("market: cannot credit the operator account")
