@@ -395,8 +395,9 @@ type (
 	ScenarioReport = scenario.Report
 	// MarketScenario is one scripted multi-epoch event timeline.
 	MarketScenario = scenario.Scenario
-	// MarketBackend abstracts the market under test (single exchange or
-	// federation) behind one topology.
+	// MarketBackend is the market under test: a federation of one
+	// planet-wide market ("exchange") or of one market per region
+	// ("federation"), behind one topology of regions r1…rN.
 	MarketBackend = scenario.Backend
 	// InvariantViolation is one broken market invariant.
 	InvariantViolation = invariant.Violation
@@ -409,15 +410,16 @@ func Scenarios() []*MarketScenario { return scenario.Catalog() }
 // LookupScenario returns one catalog scenario by name.
 func LookupScenario(name string) (*MarketScenario, error) { return scenario.Lookup(name) }
 
-// NewScenarioBackend builds the "exchange" or "federation" backend for
+// NewScenarioBackend builds the "exchange" kind (one market holding
+// every cluster) or the "federation" kind (one market per region) for
 // the config. Use the same config with RunScenario.
-func NewScenarioBackend(kind string, cfg ScenarioConfig) (MarketBackend, error) {
+func NewScenarioBackend(kind string, cfg ScenarioConfig) (*MarketBackend, error) {
 	return scenario.NewBackend(kind, cfg)
 }
 
 // RunScenario drives a backend through a scenario: seed-reproducible
 // epochs, with the shared invariant kernel checked after every one.
-func RunScenario(sc *MarketScenario, b MarketBackend, cfg ScenarioConfig) (*ScenarioReport, error) {
+func RunScenario(sc *MarketScenario, b *MarketBackend, cfg ScenarioConfig) (*ScenarioReport, error) {
 	return scenario.Run(sc, b, cfg)
 }
 

@@ -28,7 +28,9 @@
 // process left them, verifying the shared invariant kernel before
 // serving. A directory already held by a live process is refused at
 // startup (the journal's lockfile), so two marketds cannot interleave
-// writes to one WAL.
+// writes to one WAL. So is a directory written in the other mode: a
+// single exchange's root wal under -regions ≥ 2, or a federation's fed/
+// under -regions 0.
 //
 // marketd shuts down cleanly on SIGINT/SIGTERM: the epoch loops are
 // cancelled, the HTTP server drains in-flight requests, and the journal
@@ -402,6 +404,9 @@ func buildDemo(clusters, machines int, seed int64, budget float64, shards int, j
 		}
 		return ex, noClose, openDemoAccounts(ex.OpenAccount)
 	}
+	if err := checkJournalMode(journalDir, false); err != nil {
+		return nil, nil, err
+	}
 	// A directory locked by a live marketd refuses to open — startup
 	// fails rather than interleaving two processes' writes in one WAL.
 	// -lock-wait bounds a retry loop over exactly that refusal, for the
@@ -454,6 +459,29 @@ func openDemoAccounts(open func(team string) error) error {
 // settlements) for the federated demo.
 const fedSnapshotEvery = 64
 
+// fedJournalDir is the router journal's subdirectory of -journal-dir.
+const fedJournalDir = "fed"
+
+// checkJournalMode refuses a journal directory written in the other
+// mode. A single exchange journals to the directory itself (wal,
+// snapshot.json); a federation journals each region and the router to
+// subdirectories. Opening one as the other would silently start fresh
+// books beside the old ones.
+func checkJournalMode(dir string, federated bool) error {
+	if federated {
+		for _, name := range []string{"wal", "snapshot.json"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+				return fmt.Errorf("journal dir %s holds %s, written by a single exchange (-regions 0); refusing to start a federated market on it", dir, name)
+			}
+		}
+		return nil
+	}
+	if _, err := os.Stat(filepath.Join(dir, fedJournalDir)); err == nil {
+		return fmt.Errorf("journal dir %s holds %s/, written by a federated market (-regions >= 2); refusing to start a single exchange on it", dir, fedJournalDir)
+	}
+	return nil
+}
+
 // buildFederatedDemo assembles N regional markets behind one federation.
 // The first region runs hot and the rest cold, so the global view shows
 // price contrast between regions and cross-region bids route away from
@@ -474,6 +502,11 @@ func buildFederatedDemo(regions, clusters, machines int, seed int64, budget floa
 			}
 		}
 		return first
+	}
+	if journalDir != "" {
+		if err := checkJournalMode(journalDir, true); err != nil {
+			return nil, nil, err
+		}
 	}
 	recovered := 0
 	for i := 0; i < regions; i++ {
@@ -515,7 +548,7 @@ func buildFederatedDemo(regions, clusters, machines int, seed int64, budget floa
 	}
 	fed.AttachTelemetry(fire)
 	if journalDir != "" {
-		fj, frec, err := openJournal(filepath.Join(journalDir, "fed"), journal.Options{FsyncEvery: fsyncEvery}, lockWait)
+		fj, frec, err := openJournal(filepath.Join(journalDir, fedJournalDir), journal.Options{FsyncEvery: fsyncEvery}, lockWait)
 		if err != nil {
 			closeAll()
 			return nil, nil, err

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -271,6 +273,77 @@ func TestJournaledFederatedDemoRecovers(t *testing.T) {
 	}
 	if got := len(fed2.Orders()); got != wantOrders {
 		t.Errorf("recovered %d orders, want %d", got, wantOrders)
+	}
+}
+
+// TestFederatedRefusesSingleJournal pins one direction of the
+// journal-mode check: a directory a single exchange journaled to is
+// refused by a federated restart, which names the mode it was written
+// with and creates nothing, and a matching restart still recovers.
+func TestFederatedRefusesSingleJournal(t *testing.T) {
+	dir := t.TempDir()
+	ex, closer, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.SubmitProduct("search", "batch-compute", 1, []string{"r1"}, 500); err != nil {
+		t.Fatal(err)
+	}
+	if err := closer(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, err = buildFederatedDemo(2, 2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), "-regions 0") {
+		t.Fatalf("federated open of a single-exchange journal = %v, want a refusal naming -regions 0", err)
+	}
+	for _, sub := range []string{"us", fedJournalDir} {
+		if _, err := os.Stat(filepath.Join(dir, sub)); err == nil {
+			t.Errorf("refused start created %s/", sub)
+		}
+	}
+
+	ex2, closer2, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	if err != nil {
+		t.Fatalf("matching restart: %v", err)
+	}
+	defer closer2()
+	if got := ex2.OpenOrderCount(); got != 1 {
+		t.Errorf("recovered %d open orders, want 1", got)
+	}
+}
+
+// TestSingleRefusesFederatedJournal pins the other direction: a
+// directory a federation journaled to is refused by a single-exchange
+// restart, and a matching federated restart still recovers.
+func TestSingleRefusesFederatedJournal(t *testing.T) {
+	dir := t.TempDir()
+	fed, closer, err := buildFederatedDemo(2, 2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fed.SubmitProduct("search", "batch-compute", 1, []string{"us-r1", "eu-r1"}, 500); err != nil {
+		t.Fatal(err)
+	}
+	if err := closer(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, err = buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	if err == nil || !strings.Contains(err.Error(), "federated") {
+		t.Fatalf("single-exchange open of a federated journal = %v, want a refusal naming the federated mode", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "wal")); err == nil {
+		t.Error("refused start created a root wal")
+	}
+
+	fed2, closer2, err := buildFederatedDemo(2, 2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	if err != nil {
+		t.Fatalf("matching restart: %v", err)
+	}
+	defer closer2()
+	if got := len(fed2.Orders()); got != 1 {
+		t.Errorf("recovered %d routed orders, want 1", got)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package scenario is the planet-scale scenario engine: a deterministic,
-// seed-reproducible multi-epoch driver that pushes either a single
-// market.Exchange or a full federation.Federation through scripted event
-// timelines — diurnal demand waves, flash crowds on hot pools, bidder
-// churn with budget refresh cycles, regions going dark and rejoining,
-// adaptive bidders that shade their premiums from past results
-// (reproducing the Table I learning curve), and clock non-convergence
-// storms from hostile trader mixes — and runs the shared invariant
-// kernel (internal/invariant) after every epoch.
+// seed-reproducible multi-epoch driver that pushes a
+// federation.Federation — one planet-wide market, or one market per
+// region — through scripted event timelines — diurnal demand waves,
+// flash crowds on hot pools, bidder churn with budget refresh cycles,
+// regions going dark and rejoining, adaptive bidders that shade their
+// premiums from past results (reproducing the Table I learning curve),
+// and clock non-convergence storms from hostile trader mixes — and runs
+// the shared invariant kernel (internal/invariant) after every epoch.
 //
 // The paper's Section V evidence is longitudinal: premiums fall and
 // prices track congestion only across successive auctions with
@@ -31,85 +31,79 @@ import (
 	"clustermarket/internal/resource"
 )
 
-// Outcome is the backend-neutral view of one order's fate.
-type Outcome struct {
-	Status  market.OrderStatus
-	Payment float64
-	// Region is the sub-market that settled the order ("" while open).
-	Region string
-}
-
-// Backend abstracts the market under test so every scenario runs
-// unchanged against a single exchange and a federation. Both backends
-// expose the same topology — Regions() named r1…rN, each owning
-// ClustersOf(region) clusters named rK-cJ — so a scenario's event
-// timeline (which region is dark, where the flash crowd lands) is
-// backend-independent. On the exchange backend the regions are virtual
-// groupings over one fleet and one auctioneer; on the federation backend
-// they are autonomous regional markets behind the price-board router.
+// Backend is the market under test: a federation.Federation behind one
+// fixed topology. Scenario regions are named r1…rN, each owning
+// ClustersOf(region) clusters named rK-cJ, so a scenario's event timeline
+// (which region is dark, where the flash crowd lands) is the same on both
+// kinds. The kinds differ only in how regions map onto markets:
 //
-// Backends are not safe for concurrent use: the engine is deliberately
+//   - "exchange": one market, named planet, holds every cluster behind one
+//     order book and one clock; regions are groupings of its clusters.
+//   - "federation": one autonomous market per region, behind the
+//     price-board router.
+//
+// A Backend is not safe for concurrent use: the engine is deliberately
 // single-threaded so same-seed runs are bit-identical. Concurrency is
 // soaked separately by the -race stress tests.
-type Backend interface {
-	// Kind names the backend ("exchange" or "federation").
-	Kind() string
-	// Regions lists the sub-market names in fixed order.
-	Regions() []string
-	// ClustersOf lists a region's cluster names in fixed order.
-	ClustersOf(region string) []string
-	// RegistryFor returns the pool registry governing the cluster's
-	// sub-market (the global registry on the exchange backend).
-	RegistryFor(clusterName string) *resource.Registry
-	// OpenAccount creates a team account (in every region, on the
-	// federation backend).
-	OpenAccount(team string) error
-	// SubmitProduct routes one product order and returns its reference.
-	SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (int, error)
-	// SubmitBid books a raw clock bid into the sub-market owning the
-	// cluster — the path scenarios use to inject hostile trader mixes the
-	// product catalog cannot express. It returns the regional order ID,
-	// usable only with CancelBid against the same cluster.
-	SubmitBid(clusterName, team string, bid *core.Bid) (int, error)
-	// CancelBid withdraws a raw bid booked by SubmitBid, so a partially
-	// injected multi-bid event (one leg rejected) can roll back.
-	CancelBid(clusterName string, id int) error
-	// Outcome reports the order's current status.
-	Outcome(id int) (Outcome, error)
-	// Settle runs one settlement wave over every region not in down.
-	// Non-convergence and empty books are normal epoch outcomes, not
-	// errors.
-	Settle(down map[string]bool) error
-	// EpochRecords returns the auction records appended since the last
-	// call, in deterministic region order.
-	EpochRecords() []*market.AuctionRecord
-	// Place reflects a won order's allocation onto the owning fleet as
-	// scheduled tasks, so settled demand congests future reserve prices.
-	Place(id int)
-	// EvictFraction removes the given fraction of the scenario-placed
-	// tasks in the region, oldest first — the demand ebb of a diurnal
-	// trough.
-	EvictFraction(region string, frac float64)
-	// Disburse credits new budget across all team accounts, equal shares
-	// (split across regions on the federation backend).
-	Disburse(total float64) error
-	// ReservePrices returns the region's current reserve price vector.
-	ReservePrices(region string) (resource.Vector, error)
-	// MeanCPUPrice averages the region's CPU pool prices: clearing prices
-	// once an auction has converged, reserve prices before.
-	MeanCPUPrice(region string) float64
-	// OpenOrderCount counts orders awaiting settlement across regions.
-	OpenOrderCount() int
-	// Check runs the shared invariant kernel over the whole market.
-	Check() []invariant.Violation
-	// CrashRecover kills the backend's journals without flushing (the
-	// scripted power loss) and rebuilds the whole market from disk:
-	// deterministic fleet reconstruction, snapshot load, WAL replay, and
-	// the invariant kernel before serving resumes. It errors on an
-	// un-journaled backend.
-	CrashRecover() error
-	// Close releases the backend's journals (and their directory locks).
-	Close() error
+type Backend struct {
+	kind string
+	fed  *federation.Federation
+	// markets names the federation's markets in registration order.
+	markets  []string
+	regions  []string
+	clusters map[string][]string            // region → clusters
+	owner    map[string]string              // cluster → region
+	seen     map[string]int                 // market → auction records already reported
+	placed   map[string][]market.PlacedTask // region → placed tasks, oldest first
+	// cfg (rng detached) backs CrashRecover's deterministic rebuild;
+	// journals maps each market, and fedJournalName the router, to its
+	// journal on a durable backend.
+	cfg      Config
+	journals map[string]*journal.Journal
+}
+
+// planetMarket names the exchange kind's one market. It is no scenario
+// region, so region-scoped fault windows and dark-region sets never
+// reach it.
+const planetMarket = "planet"
+
+// fedJournalName names the router journal's subdirectory under
+// Config.JournalDir.
+const fedJournalName = "fed"
+
+// NewBackend builds the named backend kind ("exchange" or "federation")
+// for the config.
+func NewBackend(kind string, cfg Config) (*Backend, error) {
+	if kind != "exchange" && kind != "federation" {
+		return nil, fmt.Errorf("scenario: unknown backend %q (want exchange or federation)", kind)
+	}
+	cfg.applyDefaults()
+	b := &Backend{
+		kind:     kind,
+		clusters: make(map[string][]string),
+		owner:    make(map[string]string),
+		seen:     make(map[string]int),
+		placed:   make(map[string][]market.PlacedTask),
+	}
+	for k := 0; k < cfg.Regions; k++ {
+		rn := regionName(k)
+		b.regions = append(b.regions, rn)
+		for j := 0; j < cfg.ClustersPerRegion; j++ {
+			cn := clusterName(rn, j)
+			b.clusters[rn] = append(b.clusters[rn], cn)
+			b.owner[cn] = rn
+		}
+	}
+	b.markets = b.regions
+	if kind == "exchange" {
+		b.markets = []string{planetMarket}
+	}
+	if err := b.open(cfg, false); err != nil {
+		return nil, err
+	}
+	cfg.rng = nil
+	b.cfg = cfg
+	return b, nil
 }
 
 // regionName and clusterName fix the shared topology naming.
@@ -145,6 +139,35 @@ func regionUtil(k, regions int) float64 {
 	return 0.78 - 0.6*float64(k)/float64(regions-1)
 }
 
+// fleets builds each market's fleet, in market order, drawing every
+// region from cfg's rng in region order. The federation kind keeps each
+// region's fleet exactly as buildFleet returned it: a fleet numbers the
+// tasks it places, so moving a region's clusters into a fresh fleet would
+// renumber every placement. The exchange kind merges every region into
+// one fleet.
+func (b *Backend) fleets(cfg Config) ([]*cluster.Fleet, error) {
+	var out []*cluster.Fleet
+	for k, rn := range b.regions {
+		rf, err := buildFleet(cfg, rn, regionUtil(k, len(b.regions)))
+		if err != nil {
+			return nil, err
+		}
+		if b.kind == "federation" {
+			out = append(out, rf)
+			continue
+		}
+		if out == nil {
+			out = []*cluster.Fleet{cluster.NewFleet()}
+		}
+		for _, cn := range rf.ClusterNames() {
+			if err := out[0].AddCluster(rf.Cluster(cn)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
+}
+
 func marketConfig(cfg Config) market.Config {
 	return market.Config{
 		InitialBudget: cfg.InitialBudget,
@@ -178,363 +201,116 @@ func faultRetryable(err error) bool {
 	return errors.Is(err, market.ErrDegraded) || errors.Is(err, fault.ErrInjected)
 }
 
-// openFreshJournal opens a journal directory that must hold no prior
-// state: scenario backends always build fresh worlds, and recovery goes
-// through CrashRecover against the same directory.
-func openFreshJournal(dir string, cfg Config) (*journal.Journal, error) {
+// retryFaults runs op and, while it fails with the fault machinery
+// speaking, force-probes the named markets out of degraded quiesce and
+// replays it, at most faultRetries times.
+func (b *Backend) retryFaults(markets []string, op func() error) error {
+	err := op()
+	for attempt := 0; attempt < faultRetries && err != nil && faultRetryable(err); attempt++ {
+		for _, m := range markets {
+			_ = b.fed.Region(m).Exchange().TryResume(true)
+		}
+		err = op()
+	}
+	return err
+}
+
+// openJournal opens the named journal under cfg.JournalDir. A fresh
+// build refuses a directory that already holds one: scenario backends
+// always build fresh worlds, and recovery goes through CrashRecover
+// against the same directory.
+func openJournal(cfg Config, name string, recovering bool) (*journal.Journal, *journal.Recovery, error) {
+	dir := filepath.Join(cfg.JournalDir, name)
 	j, rec, err := journal.Open(dir, journal.Options{FsyncEvery: cfg.FsyncEvery, FS: faultFS(cfg)})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if !rec.Empty() {
+	if !recovering && !rec.Empty() {
 		j.Close()
-		return nil, fmt.Errorf("scenario: journal dir %s already holds a journal", dir)
+		return nil, nil, fmt.Errorf("scenario: journal dir %s already holds a journal", dir)
 	}
-	return j, nil
+	return j, rec, nil
 }
 
-// placedTask remembers one scheduled task for later eviction.
-type placedTask struct {
-	cluster string
-	id      string
-}
-
-// ---------------------------------------------------------------------
-// Exchange backend: one fleet, one auctioneer, regions as groupings.
-// ---------------------------------------------------------------------
-
-type exchangeBackend struct {
-	ex       *market.Exchange
-	regions  []string
-	clusters map[string][]string // region → clusters
-	owner    map[string]string   // cluster → region
-	seen     int                 // history records already reported
-	placed   map[string][]placedTask
-	// cfg (with its rng detached) is kept so CrashRecover can rebuild the
-	// fleet exactly as the original build did; journal is non-nil on the
-	// durable variant.
-	cfg     Config
-	journal *journal.Journal
-}
-
-// NewExchangeBackend builds the single-exchange backend: every region's
-// clusters live in one fleet behind one order book and one clock.
-func NewExchangeBackend(cfg Config) (Backend, error) {
-	cfg.applyDefaults()
-	b := &exchangeBackend{
-		clusters: make(map[string][]string),
-		owner:    make(map[string]string),
-		placed:   make(map[string][]placedTask),
-	}
-	fleet := cluster.NewFleet()
-	for k := 0; k < cfg.Regions; k++ {
-		rn := regionName(k)
-		b.regions = append(b.regions, rn)
-		rf, err := buildFleet(cfg, rn, regionUtil(k, cfg.Regions))
-		if err != nil {
-			return nil, err
-		}
-		for _, cn := range rf.ClusterNames() {
-			if err := fleet.AddCluster(rf.Cluster(cn)); err != nil {
-				return nil, err
-			}
-			b.clusters[rn] = append(b.clusters[rn], cn)
-			b.owner[cn] = rn
-		}
-	}
-	mcfg := marketConfig(cfg)
-	if cfg.JournalDir != "" {
-		j, err := openFreshJournal(cfg.JournalDir, cfg)
-		if err != nil {
-			return nil, err
-		}
-		mcfg.Journal = j
-		b.journal = j
-	}
-	ex, err := market.NewExchange(fleet, mcfg)
-	if err != nil {
-		return nil, err
-	}
-	b.ex = ex
-	cfg.rng = nil
-	b.cfg = cfg
-	return b, nil
-}
-
-func (b *exchangeBackend) CrashRecover() error {
-	if b.journal == nil {
-		return errors.New("scenario: exchange backend has no journal to recover from")
-	}
-	b.journal.Crash()
-	j, rec, err := journal.Open(b.cfg.JournalDir, journal.Options{FsyncEvery: b.cfg.FsyncEvery, FS: faultFS(b.cfg)})
+// open assembles the markets behind one router. Fresh, it builds them
+// new; recovering, it rebuilds the crashed world from the journals under
+// cfg.JournalDir — the same fleets from the same seed, then each
+// market's snapshot load and WAL replay, then the router's — and runs the
+// invariant kernel before serving resumes.
+func (b *Backend) open(cfg Config, recovering bool) error {
+	fleets, err := b.fleets(cfg)
 	if err != nil {
 		return err
-	}
-	// Rebuild the fleet exactly as the crashed build did: same seed, same
-	// region order, a fresh rng stream.
-	cfg := b.cfg
-	cfg.applyDefaults()
-	fleet := cluster.NewFleet()
-	for k := 0; k < cfg.Regions; k++ {
-		rf, err := buildFleet(cfg, regionName(k), regionUtil(k, cfg.Regions))
-		if err != nil {
-			j.Close()
-			return err
-		}
-		for _, cn := range rf.ClusterNames() {
-			if err := fleet.AddCluster(rf.Cluster(cn)); err != nil {
-				j.Close()
-				return err
-			}
-		}
-	}
-	mcfg := marketConfig(cfg)
-	mcfg.Journal = j
-	ex, err := market.Recover(fleet, mcfg, rec)
-	if err != nil {
-		j.Close()
-		return err
-	}
-	if vs := invariant.CheckExchange(ex); len(vs) > 0 {
-		j.Close()
-		return fmt.Errorf("scenario: recovered exchange fails invariants: %s", vs[0])
-	}
-	b.ex = ex
-	b.journal = j
-	// The placed lists come back from the recovered exchange's own fleet
-	// delta, in original placement order (EvictFraction depends on it).
-	b.placed = make(map[string][]placedTask)
-	for _, pt := range ex.PlacedTasks() {
-		rn := b.owner[pt.Cluster]
-		b.placed[rn] = append(b.placed[rn], placedTask{cluster: pt.Cluster, id: pt.TaskID})
-	}
-	return nil
-}
-
-func (b *exchangeBackend) Close() error {
-	if b.journal == nil {
-		return nil
-	}
-	return b.journal.Close()
-}
-
-func (b *exchangeBackend) Kind() string                          { return "exchange" }
-func (b *exchangeBackend) Regions() []string                     { return b.regions }
-func (b *exchangeBackend) ClustersOf(region string) []string     { return b.clusters[region] }
-func (b *exchangeBackend) RegistryFor(string) *resource.Registry { return b.ex.Registry() }
-func (b *exchangeBackend) OpenAccount(team string) error         { return b.ex.OpenAccount(team) }
-
-func (b *exchangeBackend) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (int, error) {
-	o, err := b.ex.SubmitProduct(team, product, qty, clusters, limit)
-	for attempt := 0; attempt < faultRetries && err != nil && faultRetryable(err); attempt++ {
-		// A rejected-for-degraded submit left no trace (the stripe slot is
-		// rolled back), so force a resume probe and replay it verbatim.
-		_ = b.ex.TryResume(true)
-		o, err = b.ex.SubmitProduct(team, product, qty, clusters, limit)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return o.ID, nil
-}
-
-func (b *exchangeBackend) SubmitBid(_, team string, bid *core.Bid) (int, error) {
-	o, err := b.ex.Submit(team, bid)
-	if err != nil {
-		return 0, err
-	}
-	return o.ID, nil
-}
-
-func (b *exchangeBackend) CancelBid(_ string, id int) error { return b.ex.Cancel(id) }
-
-func (b *exchangeBackend) Outcome(id int) (Outcome, error) {
-	o, err := b.ex.Order(id)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out := Outcome{Status: o.Status, Payment: o.Payment}
-	if o.Status == market.Won {
-		// Attribute the win to the region owning the settled bundle's
-		// first positive pool.
-		pools, qty := o.Grant()
-		for k, q := range qty {
-			if q > 0 {
-				out.Region = b.owner[b.ex.Registry().Pool(int(pools[k])).Cluster]
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
-func (b *exchangeBackend) Settle(map[string]bool) error {
-	// One auctioneer clears the whole book; a virtual region being dark
-	// only means no new demand names its clusters. A fault burst deep
-	// enough to quiesce the exchange is answered with a forced resume
-	// probe and a replay — settlement aborts release the unprocessed
-	// batch, so the retried auction claims the identical order set.
-	var err error
-	for attempt := 0; attempt <= faultRetries; attempt++ {
-		if attempt > 0 {
-			_ = b.ex.TryResume(true)
-		}
-		_, _, err = b.ex.RunAuction()
-		if err == nil || errors.Is(err, market.ErrNoOpenOrders) || errors.Is(err, core.ErrNoConvergence) {
-			return nil
-		}
-		if !faultRetryable(err) {
-			return err
-		}
-	}
-	return err
-}
-
-func (b *exchangeBackend) EpochRecords() []*market.AuctionRecord {
-	var out []*market.AuctionRecord
-	out, b.seen = recordsSince(b.ex, b.seen)
-	return out
-}
-
-// recordsSince returns the auction records ex appended past the first
-// seen, copying only those, and the new count (the engine calls it
-// between settlements, so nothing is appended between count and tail).
-func recordsSince(ex *market.Exchange, seen int) ([]*market.AuctionRecord, int) {
-	n := ex.AuctionCount()
-	return ex.HistoryTail(n - seen), n
-}
-
-func (b *exchangeBackend) Place(id int) {
-	// Placement goes through the exchange's journaled op, so a recovered
-	// process re-materializes the same tasks on the same machines.
-	tasks, err := b.ex.PlaceOrder(id)
-	if err != nil {
-		return
-	}
-	for _, pt := range tasks {
-		rn := b.owner[pt.Cluster]
-		b.placed[rn] = append(b.placed[rn], placedTask{cluster: pt.Cluster, id: pt.TaskID})
-	}
-}
-
-func (b *exchangeBackend) EvictFraction(region string, frac float64) {
-	b.placed[region] = evictFraction(b.ex.EvictTask, b.placed[region], frac)
-}
-
-func (b *exchangeBackend) Disburse(total float64) error {
-	// Disburse is one event, so a journal-failure abort leaves nothing to
-	// undo and the whole operation retries cleanly.
-	err := b.ex.Disburse(market.EqualShares, total)
-	for attempt := 0; attempt < faultRetries && err != nil && faultRetryable(err); attempt++ {
-		_ = b.ex.TryResume(true)
-		err = b.ex.Disburse(market.EqualShares, total)
-	}
-	return err
-}
-
-func (b *exchangeBackend) ReservePrices(string) (resource.Vector, error) {
-	return b.ex.ReservePrices()
-}
-
-func (b *exchangeBackend) MeanCPUPrice(region string) float64 {
-	return meanCPUPrice(b.ex, b.clusters[region])
-}
-
-func (b *exchangeBackend) OpenOrderCount() int { return b.ex.OpenOrderCount() }
-
-func (b *exchangeBackend) Check() []invariant.Violation { return invariant.CheckExchange(b.ex) }
-
-// ---------------------------------------------------------------------
-// Federation backend: one autonomous regional market per region.
-// ---------------------------------------------------------------------
-
-type federationBackend struct {
-	fed     *federation.Federation
-	regions []string
-	seen    map[string]int
-	placed  map[string][]placedTask
-	// cfg (rng detached) backs CrashRecover's deterministic rebuild;
-	// journals maps region name (plus "fed" for the router) to its
-	// journal on the durable variant.
-	cfg      Config
-	journals map[string]*journal.Journal
-}
-
-// fedJournalName keys the router's own journal in the journals map and
-// names its subdirectory under Config.JournalDir.
-const fedJournalName = "fed"
-
-// NewFederationBackend builds the federated backend: one Region per
-// scenario region, fronted by the price-board router.
-func NewFederationBackend(cfg Config) (Backend, error) {
-	cfg.applyDefaults()
-	b := &federationBackend{
-		seen:   make(map[string]int),
-		placed: make(map[string][]placedTask),
 	}
 	journals := make(map[string]*journal.Journal)
-	closeAll := func() {
+	fail := func(err error) error {
 		//marketlint:orderfree each journal is closed exactly once; close order is immaterial
 		for _, j := range journals {
 			j.Close()
 		}
+		return err
 	}
-	var members []*federation.Region
-	for k := 0; k < cfg.Regions; k++ {
-		rn := regionName(k)
-		fleet, err := buildFleet(cfg, rn, regionUtil(k, cfg.Regions))
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
+	members := make([]*federation.Region, len(b.markets))
+	for i, name := range b.markets {
 		mcfg := marketConfig(cfg)
+		var rec *journal.Recovery
 		if cfg.JournalDir != "" {
-			j, err := openFreshJournal(filepath.Join(cfg.JournalDir, rn), cfg)
+			j, r, err := openJournal(cfg, name, recovering)
 			if err != nil {
-				closeAll()
-				return nil, err
+				return fail(err)
 			}
-			journals[rn] = j
-			mcfg.Journal = j
+			journals[name], mcfg.Journal, rec = j, j, r
 		}
-		r, err := federation.NewRegion(rn, fleet, mcfg)
+		if recovering {
+			members[i], err = federation.RecoverRegion(name, fleets[i], mcfg, rec)
+		} else {
+			members[i], err = federation.NewRegion(name, fleets[i], mcfg)
+		}
 		if err != nil {
-			closeAll()
-			return nil, err
+			return fail(err)
 		}
-		members = append(members, r)
-		b.regions = append(b.regions, rn)
 	}
 	fed, err := federation.NewFederation(members...)
 	if err != nil {
-		closeAll()
-		return nil, err
+		return fail(err)
 	}
-	// The router publishes its routing events to the same firehose the
-	// regional exchanges got through marketConfig, so one subscription
-	// sees the whole federated stream. The fault injector (possibly nil)
-	// interposes on its region calls and gossip.
-	fed.AttachTelemetry(cfg.Telemetry)
-	fed.AttachFaults(cfg.Injector)
 	if cfg.JournalDir != "" {
-		fj, err := openFreshJournal(filepath.Join(cfg.JournalDir, fedJournalName), cfg)
+		fj, frec, err := openJournal(cfg, fedJournalName, recovering)
 		if err != nil {
-			closeAll()
-			return nil, err
+			return fail(err)
 		}
 		journals[fedJournalName] = fj
+		if recovering {
+			if err := fed.Restore(frec); err != nil {
+				return fail(err)
+			}
+		}
 		fed.AttachJournal(fj, cfg.SnapshotEvery)
-		b.journals = journals
 	}
-	b.fed = fed
-	cfg.rng = nil
-	b.cfg = cfg
-	return b, nil
+	// The router publishes its routing events to the same firehose the
+	// markets got through marketConfig, so one subscription sees the whole
+	// stream. Replay published nothing (recovery dispatches straight to
+	// applyEvent): a resurrected router rejoins the live stream here — and
+	// the fault seam, which a partition may still be arming.
+	fed.AttachTelemetry(cfg.Telemetry)
+	fed.AttachFaults(cfg.Injector)
+	if recovering {
+		if vs := invariant.CheckFederation(fed); len(vs) > 0 {
+			return fail(fmt.Errorf("scenario: recovered federation fails invariants: %s", vs[0]))
+		}
+	}
+	b.fed, b.journals = fed, journals
+	return nil
 }
 
-func (b *federationBackend) CrashRecover() error {
+// CrashRecover kills the backend's journals without flushing (the
+// scripted power loss) and rebuilds the whole market from disk:
+// deterministic fleet reconstruction, snapshot load, WAL replay, and the
+// invariant kernel before serving resumes. It errors on an un-journaled
+// backend.
+func (b *Backend) CrashRecover() error {
 	if len(b.journals) == 0 {
-		return errors.New("scenario: federation backend has no journals to recover from")
+		return errors.New("scenario: backend has no journal to recover from")
 	}
 	//marketlint:orderfree each journal is crashed exactly once; crash order is immaterial
 	for _, j := range b.journals {
@@ -542,73 +318,20 @@ func (b *federationBackend) CrashRecover() error {
 	}
 	cfg := b.cfg
 	cfg.applyDefaults()
-	journals := make(map[string]*journal.Journal)
-	closeAll := func() {
-		//marketlint:orderfree each journal is closed exactly once; close order is immaterial
-		for _, j := range journals {
-			j.Close()
-		}
-	}
-	var members []*federation.Region
-	for k := 0; k < cfg.Regions; k++ {
-		rn := regionName(k)
-		fleet, err := buildFleet(cfg, rn, regionUtil(k, cfg.Regions))
-		if err != nil {
-			closeAll()
-			return err
-		}
-		j, rec, err := journal.Open(filepath.Join(cfg.JournalDir, rn), journal.Options{FsyncEvery: cfg.FsyncEvery, FS: faultFS(cfg)})
-		if err != nil {
-			closeAll()
-			return err
-		}
-		journals[rn] = j
-		mcfg := marketConfig(cfg)
-		mcfg.Journal = j
-		r, err := federation.RecoverRegion(rn, fleet, mcfg, rec)
-		if err != nil {
-			closeAll()
-			return err
-		}
-		members = append(members, r)
-	}
-	fj, frec, err := journal.Open(filepath.Join(cfg.JournalDir, fedJournalName), journal.Options{FsyncEvery: cfg.FsyncEvery, FS: faultFS(cfg)})
-	if err != nil {
-		closeAll()
+	if err := b.open(cfg, true); err != nil {
 		return err
 	}
-	journals[fedJournalName] = fj
-	fed, err := federation.NewFederation(members...)
-	if err != nil {
-		closeAll()
-		return err
-	}
-	if err := fed.Restore(frec); err != nil {
-		closeAll()
-		return err
-	}
-	fed.AttachJournal(fj, cfg.SnapshotEvery)
-	// Replay itself published nothing (recovery dispatches straight to
-	// applyEvent); the resurrected router rejoins the live stream here —
-	// and the fault seam, which the partition may still be arming.
-	fed.AttachTelemetry(cfg.Telemetry)
-	fed.AttachFaults(cfg.Injector)
-	if vs := invariant.CheckFederation(fed); len(vs) > 0 {
-		closeAll()
-		return fmt.Errorf("scenario: recovered federation fails invariants: %s", vs[0])
-	}
-	b.fed = fed
-	b.journals = journals
-	b.placed = make(map[string][]placedTask)
-	for _, rn := range b.regions {
-		for _, pt := range fed.Region(rn).Exchange().PlacedTasks() {
-			b.placed[rn] = append(b.placed[rn], placedTask{cluster: pt.Cluster, id: pt.TaskID})
-		}
+	// The placed lists come back from the recovered markets' own fleet
+	// deltas, in original placement order (EvictFraction depends on it).
+	b.placed = make(map[string][]market.PlacedTask)
+	for _, m := range b.markets {
+		b.track(b.fed.Region(m).Exchange().PlacedTasks())
 	}
 	return nil
 }
 
-func (b *federationBackend) Close() error {
+// Close releases the backend's journals (and their directory locks).
+func (b *Backend) Close() error {
 	var first error
 	//marketlint:orderfree map order only picks which close error is surfaced; callers check err != nil
 	for _, j := range b.journals {
@@ -619,106 +342,123 @@ func (b *federationBackend) Close() error {
 	return first
 }
 
-func (b *federationBackend) Kind() string      { return "federation" }
-func (b *federationBackend) Regions() []string { return b.regions }
+// Kind names the backend ("exchange" or "federation").
+func (b *Backend) Kind() string { return b.kind }
 
-func (b *federationBackend) ClustersOf(region string) []string {
-	r := b.fed.Region(region)
-	if r == nil {
-		return nil
-	}
-	return r.Clusters()
-}
+// Regions lists the scenario regions in fixed order.
+func (b *Backend) Regions() []string { return b.regions }
 
-func (b *federationBackend) RegistryFor(clusterName string) *resource.Registry {
+// ClustersOf lists a region's cluster names in fixed order.
+func (b *Backend) ClustersOf(region string) []string { return b.clusters[region] }
+
+// marketOf returns the exchange of the market holding the cluster, or
+// nil.
+func (b *Backend) marketOf(clusterName string) *market.Exchange {
 	r := b.fed.Region(b.fed.RegionOf(clusterName))
 	if r == nil {
 		return nil
 	}
-	return r.Exchange().Registry()
+	return r.Exchange()
 }
 
-func (b *federationBackend) OpenAccount(team string) error { return b.fed.OpenAccount(team) }
-
-func (b *federationBackend) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (int, error) {
-	fo, err := b.fed.SubmitProduct(team, product, qty, clusters, limit)
-	for attempt := 0; attempt < faultRetries && err != nil && faultRetryable(err); attempt++ {
-		// The router's fault seam fails routing before any state moves, and
-		// a degraded regional submit rolls its stripe slot back, so the
-		// replayed call is operation-identical — which is what lets a
-		// partition that heals leave no fingerprint.
-		b.forceResume()
-		fo, err = b.fed.SubmitProduct(team, product, qty, clusters, limit)
+// exchangeOf returns the exchange of the market holding the region's
+// clusters, or nil for an unknown region.
+func (b *Backend) exchangeOf(region string) *market.Exchange {
+	cs := b.clusters[region]
+	if len(cs) == 0 {
+		return nil
 	}
+	return b.marketOf(cs[0])
+}
+
+// RegistryFor returns the pool registry of the market holding the
+// cluster.
+func (b *Backend) RegistryFor(clusterName string) *resource.Registry {
+	ex := b.marketOf(clusterName)
+	if ex == nil {
+		return nil
+	}
+	return ex.Registry()
+}
+
+// OpenAccount creates a team account in every market.
+func (b *Backend) OpenAccount(team string) error { return b.fed.OpenAccount(team) }
+
+// SubmitProduct routes one product order and returns its router ID.
+func (b *Backend) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (int, error) {
+	var fo *federation.FedOrder
+	// The router's fault seam fails routing before any state moves, and a
+	// degraded market's submit rolls its stripe slot back, so the replayed
+	// call is operation-identical — which is what lets a partition that
+	// heals leave no fingerprint.
+	err := b.retryFaults(b.markets, func() (err error) {
+		fo, err = b.fed.SubmitProduct(team, product, qty, clusters, limit)
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
 	return fo.ID, nil
 }
 
-// forceResume force-probes every region's exchange out of degraded
-// quiesce — the backend-level heal step between fault retries.
-func (b *federationBackend) forceResume() {
-	for _, rn := range b.regions {
-		_ = b.fed.Region(rn).Exchange().TryResume(true)
+// SubmitBid books a raw clock bid into the market holding the cluster —
+// the path scenarios use to inject hostile trader mixes the product
+// catalog cannot express. Region-local traffic legitimately enters
+// through the market's book; settlement still goes through SettleRegion
+// so the router gossips. It returns the market's order ID, usable only
+// with CancelBid against the same cluster.
+func (b *Backend) SubmitBid(clusterName, team string, bid *core.Bid) (int, error) {
+	ex := b.marketOf(clusterName)
+	if ex == nil {
+		return 0, fmt.Errorf("scenario: no market holds cluster %q", clusterName)
 	}
-}
-
-func (b *federationBackend) SubmitBid(clusterName, team string, bid *core.Bid) (int, error) {
-	r := b.fed.Region(b.fed.RegionOf(clusterName))
-	if r == nil {
-		return 0, fmt.Errorf("scenario: no region owns cluster %q", clusterName)
-	}
-	// Region-local traffic legitimately enters through the regional book;
-	// settlement still goes through SettleRegion so the router gossips.
-	o, err := r.Exchange().Submit(team, bid)
+	o, err := ex.Submit(team, bid)
 	if err != nil {
 		return 0, err
 	}
 	return o.ID, nil
 }
 
-func (b *federationBackend) CancelBid(clusterName string, id int) error {
-	r := b.fed.Region(b.fed.RegionOf(clusterName))
-	if r == nil {
-		return fmt.Errorf("scenario: no region owns cluster %q", clusterName)
+// CancelBid withdraws a raw bid booked by SubmitBid, so a partially
+// injected multi-bid event (one leg rejected) can roll back.
+func (b *Backend) CancelBid(clusterName string, id int) error {
+	ex := b.marketOf(clusterName)
+	if ex == nil {
+		return fmt.Errorf("scenario: no market holds cluster %q", clusterName)
 	}
-	return r.Exchange().Cancel(id)
+	return ex.Cancel(id)
 }
 
-func (b *federationBackend) Outcome(id int) (Outcome, error) {
+// Status reports a product order's current status.
+func (b *Backend) Status(id int) (market.OrderStatus, error) {
 	fo, err := b.fed.Order(id)
 	if err != nil {
-		return Outcome{}, err
+		return 0, err
 	}
-	return Outcome{Status: fo.Status, Payment: fo.Payment, Region: fo.Region}, nil
+	return fo.Status, nil
 }
 
-func (b *federationBackend) Settle(down map[string]bool) error {
-	// Regions settle sequentially in registration order — the
-	// deterministic counterpart of Federation.Tick's concurrent wave —
-	// and dark regions are skipped entirely: their books, clocks, and
-	// gossip go silent until the region rejoins. An injected settlement
-	// fault fails the round before any state moves, so the retry replays
-	// the identical round once the partition window is consumed.
-	for _, rn := range b.regions {
-		if down[rn] {
+// Settle runs one settlement wave. Markets settle sequentially in
+// registration order — the deterministic counterpart of
+// Federation.Tick's concurrent wave — and a dark market is skipped
+// entirely: its book, clock and gossip go silent until it rejoins. The
+// exchange kind's one market is never dark; a dark region there only
+// means no new demand names its clusters. Non-convergence and empty books
+// are normal epoch outcomes, not errors. An injected settlement fault
+// fails the round before any state moves, and a settlement abort releases
+// the unprocessed batch, so the retry replays the identical round.
+func (b *Backend) Settle(down map[string]bool) error {
+	for _, m := range b.markets {
+		if down[m] {
 			continue
 		}
-		var err error
-		for attempt := 0; attempt <= faultRetries; attempt++ {
-			if attempt > 0 {
-				_ = b.fed.Region(rn).Exchange().TryResume(true)
+		err := b.retryFaults([]string{m}, func() error {
+			_, err := b.fed.SettleRegion(m)
+			if errors.Is(err, market.ErrNoOpenOrders) || errors.Is(err, core.ErrNoConvergence) {
+				return nil
 			}
-			_, err = b.fed.SettleRegion(rn)
-			if err == nil || errors.Is(err, market.ErrNoOpenOrders) || errors.Is(err, core.ErrNoConvergence) {
-				err = nil
-				break
-			}
-			if !faultRetryable(err) {
-				return err
-			}
-		}
+			return err
+		})
 		if err != nil {
 			return err
 		}
@@ -726,59 +466,68 @@ func (b *federationBackend) Settle(down map[string]bool) error {
 	return nil
 }
 
-func (b *federationBackend) EpochRecords() []*market.AuctionRecord {
+// EpochRecords returns the auction records appended since the last call,
+// in market order. The engine calls it between settlements, so nothing is
+// appended between a market's count and its tail.
+func (b *Backend) EpochRecords() []*market.AuctionRecord {
 	var out []*market.AuctionRecord
-	for _, rn := range b.regions {
-		recs, n := recordsSince(b.fed.Region(rn).Exchange(), b.seen[rn])
-		out = append(out, recs...)
-		b.seen[rn] = n
+	for _, m := range b.markets {
+		ex := b.fed.Region(m).Exchange()
+		n := ex.AuctionCount()
+		out = append(out, ex.HistoryTail(n-b.seen[m])...)
+		b.seen[m] = n
 	}
 	return out
 }
 
-func (b *federationBackend) Place(id int) {
+// Place reflects a won order's allocation onto the owning fleet as
+// scheduled tasks, so settled demand congests future reserve prices.
+// Placement goes through the winning leg's market, so that market's
+// journal carries the placement event and a recovered process
+// re-materializes the same tasks on the same machines.
+func (b *Backend) Place(id int) {
 	fo, err := b.fed.Order(id)
-	if err != nil || fo.Status != market.Won {
+	if err != nil {
 		return
 	}
-	r := b.fed.Region(fo.Region)
-	if r == nil {
+	leg := fo.WonLeg()
+	if leg == nil {
 		return
 	}
-	// Placement goes through the winning leg's regional order, so the
-	// region's own journal carries the placement event.
-	for _, leg := range fo.Legs {
-		if leg.Region != fo.Region || leg.Status != market.Won {
-			continue
-		}
-		tasks, err := r.Exchange().PlaceOrder(leg.OrderID)
-		if err != nil {
-			return
-		}
-		for _, pt := range tasks {
-			b.placed[fo.Region] = append(b.placed[fo.Region], placedTask{cluster: pt.Cluster, id: pt.TaskID})
-		}
+	tasks, err := b.fed.Region(leg.Region).Exchange().PlaceOrder(leg.OrderID)
+	if err != nil {
 		return
+	}
+	b.track(tasks)
+}
+
+// track appends placed tasks to their regions' eviction queues.
+func (b *Backend) track(tasks []market.PlacedTask) {
+	for _, pt := range tasks {
+		rn := b.owner[pt.Cluster]
+		b.placed[rn] = append(b.placed[rn], pt)
 	}
 }
 
-func (b *federationBackend) EvictFraction(region string, frac float64) {
-	r := b.fed.Region(region)
-	if r == nil {
+// EvictFraction removes the given fraction of the scenario-placed tasks
+// in the region, oldest first — the demand ebb of a diurnal trough.
+func (b *Backend) EvictFraction(region string, frac float64) {
+	ex := b.exchangeOf(region)
+	if ex == nil {
 		return
 	}
-	b.placed[region] = evictFraction(r.Exchange().EvictTask, b.placed[region], frac)
+	b.placed[region] = evictFraction(ex.EvictTask, b.placed[region], frac)
 }
 
-func (b *federationBackend) Disburse(total float64) error {
-	share := total / float64(len(b.regions))
-	for _, rn := range b.regions {
-		ex := b.fed.Region(rn).Exchange()
-		err := ex.Disburse(market.EqualShares, share)
-		for attempt := 0; attempt < faultRetries && err != nil && faultRetryable(err); attempt++ {
-			_ = ex.TryResume(true)
-			err = ex.Disburse(market.EqualShares, share)
-		}
+// Disburse credits new budget across all team accounts, equal shares,
+// split evenly across the markets.
+func (b *Backend) Disburse(total float64) error {
+	share := total / float64(len(b.markets))
+	for _, m := range b.markets {
+		ex := b.fed.Region(m).Exchange()
+		// Disburse is one event, so a journal-failure abort leaves nothing
+		// to undo and the whole operation retries cleanly.
+		err := b.retryFaults([]string{m}, func() error { return ex.Disburse(market.EqualShares, share) })
 		if err != nil {
 			return err
 		}
@@ -786,40 +535,23 @@ func (b *federationBackend) Disburse(total float64) error {
 	return nil
 }
 
-func (b *federationBackend) ReservePrices(region string) (resource.Vector, error) {
-	r := b.fed.Region(region)
-	if r == nil {
+// ReservePrices returns the current reserve price vector of the market
+// holding the region.
+func (b *Backend) ReservePrices(region string) (resource.Vector, error) {
+	ex := b.exchangeOf(region)
+	if ex == nil {
 		return nil, fmt.Errorf("scenario: no region %q", region)
 	}
-	return r.Exchange().ReservePrices()
+	return ex.ReservePrices()
 }
 
-func (b *federationBackend) MeanCPUPrice(region string) float64 {
-	r := b.fed.Region(region)
-	if r == nil {
+// MeanCPUPrice averages the region's CPU pool prices: clearing prices
+// once its market has converged an auction, reserve prices before.
+func (b *Backend) MeanCPUPrice(region string) float64 {
+	ex := b.exchangeOf(region)
+	if ex == nil {
 		return 0
 	}
-	return meanCPUPrice(r.Exchange(), r.Clusters())
-}
-
-func (b *federationBackend) OpenOrderCount() int {
-	n := 0
-	for _, rn := range b.regions {
-		n += b.fed.Region(rn).Exchange().OpenOrderCount()
-	}
-	return n
-}
-
-func (b *federationBackend) Check() []invariant.Violation { return invariant.CheckFederation(b.fed) }
-
-// ---------------------------------------------------------------------
-// Shared helpers.
-// ---------------------------------------------------------------------
-
-// meanCPUPrice averages the CPU pool prices of the named clusters:
-// clearing prices once the exchange has a converged auction, reserve
-// prices before.
-func meanCPUPrice(ex *market.Exchange, clusters []string) float64 {
 	reg := ex.Registry()
 	prices := ex.LastClearingPrices()
 	if prices == nil {
@@ -831,7 +563,7 @@ func meanCPUPrice(ex *market.Exchange, clusters []string) float64 {
 	}
 	var sum float64
 	n := 0
-	for _, cn := range clusters {
+	for _, cn := range b.clusters[region] {
 		if i, ok := reg.Index(resource.Pool{Cluster: cn, Dim: resource.CPU}); ok {
 			sum += prices[i]
 			n++
@@ -843,9 +575,21 @@ func meanCPUPrice(ex *market.Exchange, clusters []string) float64 {
 	return sum / float64(n)
 }
 
+// OpenOrderCount counts orders awaiting settlement across markets.
+func (b *Backend) OpenOrderCount() int {
+	n := 0
+	for _, m := range b.markets {
+		n += b.fed.Region(m).Exchange().OpenOrderCount()
+	}
+	return n
+}
+
+// Check runs the shared invariant kernel over the whole market.
+func (b *Backend) Check() []invariant.Violation { return invariant.CheckFederation(b.fed) }
+
 // evictFraction evicts the oldest frac of the placed tasks through the
 // owning exchange's journaled eviction op and returns the survivors.
-func evictFraction(evict func(clusterName, taskID string) error, placed []placedTask, frac float64) []placedTask {
+func evictFraction(evict func(clusterName, taskID string) error, placed []market.PlacedTask, frac float64) []market.PlacedTask {
 	if frac <= 0 || len(placed) == 0 {
 		return placed
 	}
@@ -859,7 +603,7 @@ func evictFraction(evict func(clusterName, taskID string) error, placed []placed
 	for _, pt := range placed[:n] {
 		// The tracked task can only be missing if the scenario itself is
 		// inconsistent; the invariant kernel would flag the fallout.
-		_ = evict(pt.cluster, pt.id)
+		_ = evict(pt.Cluster, pt.TaskID)
 	}
-	return append([]placedTask(nil), placed[n:]...)
+	return append([]market.PlacedTask(nil), placed[n:]...)
 }

@@ -55,9 +55,9 @@ type Config struct {
 	// on one region's fresh bid stream every SpotEvery epochs (default 3;
 	// negative disables).
 	SpotEvery int
-	// JournalDir, when non-empty, makes the backend durable: the exchange
-	// backend journals to the directory itself; the federation backend
-	// journals each region to JournalDir/<region> and the router to
+	// JournalDir, when non-empty, makes the backend durable: each market
+	// journals to JournalDir/<market> (JournalDir/planet on the exchange
+	// kind, JournalDir/rK on the federation kind) and the router to
 	// JournalDir/fed. The directory must hold no prior journal — scenarios
 	// always build fresh worlds and recover only through CrashRecover.
 	JournalDir string
@@ -74,17 +74,17 @@ type Config struct {
 	// scenario's fingerprint check enforces it). Requires JournalDir.
 	CrashEpoch int
 	// Telemetry, when non-nil, streams the run onto the firehose: the
-	// backend's exchanges (and the federation router) publish their event
-	// streams, and the engine adds scenario-source epoch markers —
-	// epoch-start, submit-rejected, epoch-end — so a subscriber can
-	// reconstruct the run's fingerprint from the stream alone (see
-	// ReconstructReport). Telemetry is independent of JournalDir: either,
-	// both, or neither may be set. Pass the same Config to NewBackend and
-	// Run so backend and engine publish to the same firehose.
+	// backend's markets and its router publish their event streams, and
+	// the engine adds scenario-source epoch markers — epoch-start,
+	// submit-rejected, epoch-end — so a subscriber can reconstruct the
+	// run's fingerprint from the stream alone (see ReconstructReport).
+	// Telemetry is independent of JournalDir: either, both, or neither
+	// may be set. Pass the same Config to NewBackend and Run so backend
+	// and engine publish to the same firehose.
 	Telemetry *telemetry.Firehose
 	// Injector, when non-nil, threads the deterministic fault injector
 	// through the run: under every journal the backend opens (disk
-	// faults), into the federation router's region calls and gossip, and
+	// faults), into the router's region calls and gossip, and
 	// armed each epoch from the scenario's Faults schedule (plus random
 	// windows in chaos mode). Scripted schedules keep fault counts within
 	// the bounded inline retries, so a run whose faults all heal must
@@ -122,19 +122,6 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// NewBackend builds the named backend kind ("exchange" or "federation")
-// for the config.
-func NewBackend(kind string, cfg Config) (Backend, error) {
-	switch kind {
-	case "exchange":
-		return NewExchangeBackend(cfg)
-	case "federation":
-		return NewFederationBackend(cfg)
-	default:
-		return nil, fmt.Errorf("scenario: unknown backend %q (want exchange or federation)", kind)
-	}
-}
-
 // Scenario is one scripted event timeline. Every hook is optional; nil
 // means "no such events". Hooks must be pure functions of their inputs —
 // the engine owns all randomness — so a scenario is replayable from a
@@ -162,7 +149,8 @@ type Scenario struct {
 	// not just the live bidders.
 	BudgetRefresh func(epoch int) float64
 	// Down lists the regions dark this epoch: no new demand names their
-	// clusters and (on the federation backend) their auctions are skipped.
+	// clusters and (on the federation kind) their markets' auctions are
+	// skipped.
 	Down func(epoch int, regions []string) []string
 	// TraderPairs injects that many hostile cycling trader pairs into the
 	// first live region — clock non-convergence storms.
@@ -332,7 +320,7 @@ var products = []string{"batch-compute", "serving-frontend", "bigtable-node", "g
 // report. It returns an error only for engine-breaking failures; broken
 // invariants are collected in Report.Violations (and counted per epoch),
 // so a soak can report exactly which epoch corrupted which book.
-func Run(sc *Scenario, b Backend, cfg Config) (*Report, error) {
+func Run(sc *Scenario, b *Backend, cfg Config) (*Report, error) {
 	cfg.applyDefaults()
 	epochs := sc.Epochs
 	if cfg.Epochs > 0 {
@@ -373,7 +361,7 @@ func Run(sc *Scenario, b Backend, cfg Config) (*Report, error) {
 type engine struct {
 	cfg      Config
 	rng      *rand.Rand
-	b        Backend
+	b        *Backend
 	clusters []string
 
 	teams   []*simTeam
@@ -528,7 +516,7 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 			clusters = []string{tm.home}
 			if e.rng.Float64() < tm.mobility {
 				// Up to two substitutable alternatives elsewhere — the
-				// cross-region XOR path on the federation backend.
+				// cross-region XOR path on the federation kind.
 				for _, alt := range e.pickAlternates(tm.home, live, 2) {
 					clusters = append(clusters, alt)
 				}
@@ -586,11 +574,11 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 	// orders from tracking.
 	kept := e.open[:0]
 	for _, tr := range e.open {
-		o, err := e.b.Outcome(tr.id)
+		st, err := e.b.Status(tr.id)
 		if err != nil {
 			return nil, err
 		}
-		switch o.Status {
+		switch st {
 		case market.Open:
 			kept = append(kept, tr)
 			continue

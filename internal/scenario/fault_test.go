@@ -37,9 +37,10 @@ func TestFaultScenariosFingerprintMatchFaultFree(t *testing.T) {
 	cases := []struct {
 		scenario string
 		kind     string
-		// seam reports whether this backend exposes a seam for the
-		// scenario's scripted ops: region ops have none on the bare
-		// exchange, so partition-storm/exchange must inject nothing.
+		// seam reports whether this kind exposes a seam for the
+		// scenario's scripted ops: the exchange kind's one market is
+		// named outside r1…rN, so partition-storm's region-scoped windows
+		// never reach it and partition-storm/exchange must inject nothing.
 		seam bool
 	}{
 		{"disk-fault", "exchange", true},
@@ -95,7 +96,7 @@ func TestChaosSameSeedBitIdentical(t *testing.T) {
 			if injected[0] != injected[1] {
 				t.Errorf("chaos legs injected %d vs %d faults", injected[0], injected[1])
 			}
-			// The federated backend has a seam for every op the chaos
+			// The federation kind has a seam for every op the chaos
 			// schedule can arm, so a whole run without one injection means
 			// the schedule is not firing.
 			if kind == "federation" && injected[0] == 0 {

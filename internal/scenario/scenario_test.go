@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -132,10 +134,12 @@ func TestGoldenFingerprints(t *testing.T) {
 // with different seeds hash identically, the fingerprint is not actually
 // covering the summaries.
 func TestDifferentSeedsDiverge(t *testing.T) {
-	a := runNamed(t, "diurnal", "exchange", Config{Seed: 1})
-	b := runNamed(t, "diurnal", "exchange", Config{Seed: 2})
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Error("different seeds produced identical fingerprints")
+	for _, kind := range backendKinds {
+		a := runNamed(t, "diurnal", kind, Config{Seed: 1})
+		b := runNamed(t, "diurnal", kind, Config{Seed: 2})
+		if a.Fingerprint() == b.Fingerprint() {
+			t.Errorf("%s: different seeds produced identical fingerprints", kind)
+		}
 	}
 }
 
@@ -175,11 +179,13 @@ func TestFlashCrowdHeatsHotPool(t *testing.T) {
 // TestDiurnalDemandFollowsWave asserts the wave actually modulates the
 // submitted order flow: peak epochs carry more demand than troughs.
 func TestDiurnalDemandFollowsWave(t *testing.T) {
-	rep := runNamed(t, "diurnal", "exchange", Config{Seed: 42})
-	peak := rep.Epochs[1].Submitted + rep.Epochs[2].Submitted
-	trough := rep.Epochs[5].Submitted + rep.Epochs[6].Submitted
-	if peak <= trough {
-		t.Errorf("demand did not follow the wave: peak epochs %d orders, trough epochs %d", peak, trough)
+	for _, kind := range backendKinds {
+		rep := runNamed(t, "diurnal", kind, Config{Seed: 42})
+		peak := rep.Epochs[1].Submitted + rep.Epochs[2].Submitted
+		trough := rep.Epochs[5].Submitted + rep.Epochs[6].Submitted
+		if peak <= trough {
+			t.Errorf("%s: demand did not follow the wave: peak epochs %d orders, trough epochs %d", kind, peak, trough)
+		}
 	}
 }
 
@@ -269,10 +275,10 @@ func TestLookupAndNames(t *testing.T) {
 	}
 }
 
-// TestSubmitCancelBidRoundTrip exercises the raw-bid path both backends
+// TestSubmitCancelBidRoundTrip exercises the raw-bid path both kinds
 // expose for event injection: a booked bid can be withdrawn (the
 // rollback injectTraderPair uses when a pair's second leg is rejected),
-// and bad clusters are rejected.
+// and clusters no market holds are rejected.
 func TestSubmitCancelBidRoundTrip(t *testing.T) {
 	for _, kind := range backendKinds {
 		cfg := Config{Seed: 11}
@@ -301,13 +307,66 @@ func TestSubmitCancelBidRoundTrip(t *testing.T) {
 		if err := b.CancelBid(cn, id); err == nil {
 			t.Errorf("%s: double cancel accepted", kind)
 		}
-		if kind == "federation" {
-			if _, err := b.SubmitBid("mars-c1", "raw", &core.Bid{User: "raw/y", Bundles: []resource.Vector{v}, Limit: 5}); err == nil {
-				t.Error("federation: bid for unknown cluster accepted")
+		if _, err := b.SubmitBid("mars-c1", "raw", &core.Bid{User: "raw/y", Bundles: []resource.Vector{v}, Limit: 5}); err == nil {
+			t.Errorf("%s: bid for unknown cluster accepted", kind)
+		}
+		if err := b.CancelBid("mars-c1", 0); err == nil {
+			t.Errorf("%s: cancel for unknown cluster accepted", kind)
+		}
+	}
+}
+
+// TestExchangeKindIsOneMarket pins the two kinds' shapes: the exchange
+// kind is a federation of one market holding every region's clusters,
+// named outside r1…rN so region-scoped faults and dark sets never reach
+// it, while the federation kind has one market per region. Both journal
+// each market to JournalDir/<market> and the router to JournalDir/fed.
+func TestExchangeKindIsOneMarket(t *testing.T) {
+	cfg := Config{Seed: 5, Regions: 4, ClustersPerRegion: 3}
+	for _, kind := range backendKinds {
+		cfg.JournalDir = t.TempDir()
+		b, err := NewBackend(kind, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		markets := b.fed.Regions()
+		var want []string
+		switch kind {
+		case "exchange":
+			if len(markets) != 1 {
+				t.Fatalf("exchange kind has %d markets, want 1", len(markets))
 			}
-			if err := b.CancelBid("mars-c1", 0); err == nil {
-				t.Error("federation: cancel for unknown cluster accepted")
+			m := markets[0]
+			if got := len(m.Clusters()); got != cfg.Regions*cfg.ClustersPerRegion {
+				t.Errorf("exchange market holds %d clusters, want %d", got, cfg.Regions*cfg.ClustersPerRegion)
 			}
+			for _, rn := range b.Regions() {
+				if m.Name() == rn {
+					t.Errorf("exchange market is named after scenario region %q", rn)
+				}
+				for _, cn := range b.ClustersOf(rn) {
+					if b.fed.RegionOf(cn) != m.Name() {
+						t.Errorf("cluster %s not in the exchange market", cn)
+					}
+				}
+			}
+			want = []string{m.Name()}
+		case "federation":
+			for _, m := range markets {
+				want = append(want, m.Name())
+			}
+			if !reflect.DeepEqual(want, b.Regions()) {
+				t.Errorf("federation markets %v, want one per region %v", want, b.Regions())
+			}
+		}
+		for _, name := range append(want, fedJournalName) {
+			if _, err := os.Stat(filepath.Join(cfg.JournalDir, name, "wal")); err != nil {
+				t.Errorf("%s: no journal for %s: %v", kind, name, err)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(cfg.JournalDir, "wal")); err == nil {
+			t.Errorf("%s: a journal sits at the JournalDir root", kind)
 		}
 	}
 }

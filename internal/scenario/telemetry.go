@@ -66,24 +66,21 @@ func stormTeam(team string) bool { return team == "storm-a" || team == "storm-b"
 // The reconstruction reads three sources. Scenario markers delimit
 // epochs and carry the engine-side observations (team population, dark
 // regions, rejections, open orders, prices, violations). Market events
-// supply order intake, settlement outcomes, and auction records — on
-// the exchange backend they are the whole story; on the federation
-// backend they additionally carry the injected storm bids, which enter
-// through a regional book and never reach the router. Fed events supply
-// the federation backend's product-order lifecycle, whose IDs and
-// terminal states live at the router, not in any one region.
+// supply auction records and the injected storm bids, which enter
+// through a market's book and never reach the router. Fed events supply
+// the product-order lifecycle, whose IDs and terminal states live at the
+// router, not in any one market.
 //
 // Events must be in stream order (ascending Seq) and complete: a
 // subscriber that dropped events cannot reconstruct the run —
 // fingerprint tests size their buffers and assert Dropped()==0.
 func ReconstructReport(scenarioName, backendKind string, seed int64, events []telemetry.Event) (*Report, error) {
 	rep := &Report{Scenario: scenarioName, Backend: backendKind, Seed: seed}
-	federated := backendKind == "federation"
 
 	var cur *EpochSummary
-	// tracked holds the product orders still open, by backend order ID
-	// (fed IDs on the federation backend), mapped to their latest status
-	// — the reconstruction's mirror of the engine's `open` slice.
+	// tracked holds the product orders still open, by router order ID,
+	// mapped to their latest status — the reconstruction's mirror of the
+	// engine's `open` slice.
 	tracked := make(map[int]market.OrderStatus)
 	// stormIDs holds the regional order IDs of injected storm bids, so a
 	// later order-cancelled event (only ever the pair rollback) can be
@@ -156,16 +153,11 @@ func ReconstructReport(scenarioName, backendKind string, seed int64, events []te
 				if cur == nil {
 					return nil, fmt.Errorf("scenario: order %d submitted outside any epoch", p.OrderID)
 				}
-				switch {
-				case stormTeam(p.Team):
+				// A non-storm submit is a routed leg of an order the router
+				// already counted.
+				if stormTeam(p.Team) {
 					stormIDs[p.OrderID] = true
 					stormBids++
-				case !federated:
-					// On the federation backend a non-storm regional submit is
-					// a routed leg of a fed order already counted at the
-					// router; only the exchange backend counts it here.
-					cur.Submitted++
-					tracked[p.OrderID] = market.Open
 				}
 			case market.EvOrderCancelled:
 				// The engine cancels exactly one thing: the booked first leg
@@ -173,10 +165,6 @@ func ReconstructReport(scenarioName, backendKind string, seed int64, events []te
 				if stormIDs[p.OrderID] {
 					delete(stormIDs, p.OrderID)
 					stormBids--
-				}
-			case market.EvOrderSettled:
-				if _, ok := tracked[p.OrderID]; ok && !federated {
-					tracked[p.OrderID] = p.Status
 				}
 			case market.EvAuctionCleared:
 				if cur == nil || p.Record == nil {
@@ -191,9 +179,6 @@ func ReconstructReport(scenarioName, backendKind string, seed int64, events []te
 			}
 
 		case federation.EventSource:
-			if !federated {
-				return nil, fmt.Errorf("scenario: fed event on %s backend", backendKind)
-			}
 			p, ok := ev.Payload.(*federation.FedEvent)
 			if !ok {
 				return nil, fmt.Errorf("scenario: fed event has payload %T", ev.Payload)
