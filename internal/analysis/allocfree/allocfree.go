@@ -71,6 +71,10 @@ var vouchedFuncs = map[string]bool{
 	"clustermarket/internal/core.PackedRows": true, // returns the bid's two slab headers and shape
 	"clustermarket/internal/core.AdoptRows":  true, // stores two slab headers and a shape
 	"runtime.GOMAXPROCS":                     true, // reads or sets a scheduler word
+	// The append-style encoders grow only the buffer the caller passes
+	// in — its amortized scratch — exactly as `s = append(s, ...)` does.
+	"encoding/binary.AppendUvarint": true,
+	"encoding/binary.AppendUint64":  true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -166,10 +166,10 @@ func TestSettleAllocBudget(t *testing.T) {
 }
 
 // retainedPerOrderCeiling is what a terminal order may keep on the heap,
-// chunk slack and slot included: a 64 B record, its rows (one to three
-// clusters of three pools: 32 B of indices and boundaries, 48 B of
-// quantities on average), a 4 B slot, and a winner's 48 B ledger pair.
-const retainedPerOrderCeiling = 240
+// chunk slack and slot included: a 48 B record, its run (one to three
+// clusters of three pools, the quantities written once: 30 to 38 B), a
+// 4 B slot, and a winner's 48 B ledger pair.
+const retainedPerOrderCeiling = 130
 
 // bookSites reports whether a profile record was allocated building the
 // book: under an admission or under an order's terminal transition.

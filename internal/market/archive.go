@@ -13,22 +13,23 @@ import (
 
 // Terminal state leaves the pointer graph. An order is a Go object only
 // while it is open; the transition that makes it terminal copies it into
-// a pointer-free orderRec plus its packed rows in the stripe's chunked
-// slabs, and a billing entry is a ledgerRec from the start. Order and
-// LedgerEntry are views built from the records on demand. What a market
-// daemon accumulates is therefore chunks of plain bytes the collector
-// never scans, and retiring it below a watermark is dropping chunks.
+// a pointer-free orderRec plus one compact run of bytes holding its rows
+// in the stripe's chunked row slab, and a billing entry is a ledgerRec
+// from the start. Order and LedgerEntry are views built from the records
+// on demand. What a market daemon accumulates is therefore chunks of
+// plain bytes the collector never scans, and retiring it below a
+// watermark is dropping chunks.
 
 // Chunk sizes. A chunk is allocated under the stripe lock in the middle
-// of a settlement wave, so it is a few KB — 4 KB of order records or
-// values, 2 KB of indices, 1.5 KB of ledger records — which the allocator
-// serves from its per-P cache: 16–64 KB chunks were zeroed, swept for and
-// assisted for under that lock, and a 3 500-order wave on a busy machine
-// ran ≈0.8 ms longer for it. The half-empty tail, the archive's only
-// slack, is small for the same reason.
+// of a settlement wave, so it is a few KB — 3 KB of order records, 4 KB
+// of runs, 1.5 KB of ledger records — which the allocator serves from its
+// per-P cache: 16–64 KB chunks were zeroed, swept for and assisted for
+// under that lock, and a 3 500-order wave on a busy machine ran ≈0.8 ms
+// longer for it. The half-empty tail, the archive's only slack, is small
+// for the same reason.
 const (
-	recChunk = 64  // order or ledger records a chunk
-	rowChunk = 512 // row entries (pool indices, quantities) a chunk
+	recChunk = 64   // order or ledger records a chunk
+	runChunk = 4096 // bytes of runs a chunk
 )
 
 // maxStripeOrders bounds a stripe's slot table: a slot is 31 bits of
@@ -72,7 +73,7 @@ func (s *slab[T]) alloc(n, chunk int) (at uint64, run []T) {
 		return uint64(k) << 32, s.chunks[k]
 	}
 	if len(s.chunks) == 0 || len(s.chunks[s.open])+n > chunk {
-		//marketlint:allow allocfree one chunk per rowChunk entries or recChunk records, not per order
+		//marketlint:allow allocfree one chunk per runChunk bytes or recChunk records, not per order
 		s.chunks = append(s.chunks, make([]T, 0, chunk))
 		s.open = len(s.chunks) - 1
 		s.held += chunk
@@ -83,13 +84,14 @@ func (s *slab[T]) alloc(n, chunk int) (at uint64, run []T) {
 	return uint64(s.open)<<32 | uint64(off), c[off : off+n : off+n]
 }
 
-// run returns the n entries at address at. The entries are immutable, so
-// the slice may outlive the lock it was taken under.
+// from returns the entries from address at to the end of its chunk's
+// filled part: the run alloc put there and the runs after it. Entries
+// are immutable, so the slice may outlive the lock it was taken under.
 //
 //marketlint:allocfree
-func (s *slab[T]) run(at uint64, n int) []T {
-	off := int(uint32(at))
-	return s.chunks[at>>32][off : off+n : off+n]
+func (s *slab[T]) from(at uint64) []T {
+	c := s.chunks[at>>32]
+	return c[int(uint32(at)):len(c):len(c)]
 }
 
 // push appends one zero record, for the caller to fill in place, to a
@@ -117,22 +119,18 @@ func (s *slab[T]) count() int {
 	return (len(s.chunks)-1)*recChunk + len(s.chunks[len(s.chunks)-1])
 }
 
-// orderRec is a terminal order: 64 bytes, no pointers. Its id is the slot
-// that names it; team and bid user are one interned label; its rows are
-// two runs in the stripe's slabs — nnz pool indices then the bundle
-// boundaries (core.Bid.PackedRows' index slab, whole), and nnz quantities
-// then, for a vector-π bid, the n bundle limits.
+// orderRec is a terminal order: 48 bytes, no pointers. Its id is the slot
+// that names it; team and bid user are one interned label; its rows — and
+// a vector-π bid's bundle limits — are one run in the stripe's row slab,
+// at address run (run.go has the layout).
 type orderRec struct {
 	payment, limit float64
-	idxAt, valAt   uint64
-	nnz            uint32
+	run            uint64
 	label          uint32
 	auction        int32
 	attempts       int32
 	bundle         int32
-	n, width       int32
 	status         uint8
-	vecLimits      bool
 }
 
 // fitsRecord refuses what orderRec's narrowed fields cannot hold. Every
@@ -181,20 +179,15 @@ func (os *orderShard) labelLocked(team, user string) uint32 {
 //
 //marketlint:allocfree
 func (os *orderShard) recordLocked(o *Order) uint32 {
-	idx, val, n, width := o.Bid.PackedRows()
-	lim := o.Bid.BundleLimits
-	idxAt, idxRun := os.idx.alloc(len(idx), rowChunk)
-	copy(idxRun, idx)
-	valAt, valRun := os.val.alloc(len(val)+len(lim), rowChunk)
-	copy(valRun, val)
-	copy(valRun[len(val):], lim)
+	os.enc = appendRun(os.enc[:0], o.Bid, os.width)
+	at, run := os.rows.alloc(len(os.enc), runChunk)
+	copy(run, os.enc)
 	label := os.labelLocked(o.Team, o.Bid.User)
 	pos, r := os.recs.push()
 	*r = orderRec{
-		payment: o.Payment, limit: o.Bid.Limit,
-		idxAt: idxAt, valAt: valAt, nnz: uint32(len(val)), label: label,
+		payment: o.Payment, limit: o.Bid.Limit, run: at, label: label,
 		auction: int32(o.Auction), attempts: int32(o.Attempts), bundle: int32(o.Bundle),
-		n: n, width: width, status: uint8(o.Status), vecLimits: len(lim) > 0,
+		status: uint8(o.Status),
 	}
 	return archivedBit | uint32(pos)
 }
@@ -214,22 +207,11 @@ func (os *orderShard) archiveLocked(j int, o *Order) {
 }
 
 // fillLocked materialises the record's order into o and its bid into b,
-// whose rows alias the immutable slabs.
-func (os *orderShard) fillLocked(id int, r *orderRec, o *Order, b *core.Bid) {
+// and hands b's rows to d to decode from the record's run.
+func (os *orderShard) fillLocked(id int, r *orderRec, o *Order, b *core.Bid, d *rowDecode) {
 	l := os.labels[r.label]
-	nnz, tail, limits := int(r.nnz), int(r.n), 0
-	if r.width < 0 {
-		tail *= 2
-	}
-	if r.vecLimits {
-		limits = int(r.n)
-	}
-	val := os.val.run(r.valAt, nnz+limits)
 	*b = core.Bid{User: l.user, Limit: r.limit}
-	b.AdoptRows(os.idx.run(r.idxAt, nnz+tail), val[:nnz:nnz], r.n, r.width)
-	if limits > 0 {
-		b.BundleLimits = val[nnz:]
-	}
+	d.add(b, os.rows.from(r.run), os.width)
 	*o = Order{ID: id, Team: l.team, Bid: b, Status: OrderStatus(r.status), Auction: int(r.auction),
 		Attempts: int(r.attempts), Bundle: int(r.bundle), Payment: r.payment}
 }

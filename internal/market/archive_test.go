@@ -642,3 +642,76 @@ func TestSubmitRacesSnapshot(t *testing.T) {
 		t.Errorf("recovered book differs from the live one")
 	}
 }
+
+// TestArchiveBytesPerOrder is the archive's retention budget, read off the
+// gauge an operator watches — Metrics().ArchiveBytes / ArchivedOrders: an
+// order's record, its run and its share of the chunks' slack — over 2 048
+// orders of one shape on one stripe. The planet's 4-cluster product order
+// is a 48-byte record and a 42-byte run: within 100 bytes, slot included.
+func TestArchiveBytesPerOrder(t *testing.T) {
+	const orders = 2048
+	f := cluster.NewFleet()
+	for c := 0; c < 13; c++ {
+		cl := cluster.New(fmt.Sprintf("p%d", c), nil)
+		cl.AddMachines(3, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+		if err := f.AddCluster(cl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		budget int // bytes an order, slot included
+		submit func(e *market.Exchange, k int) (int, error)
+	}{
+		{"planet 4-cluster product order", 100, func(e *market.Exchange, k int) (int, error) {
+			window := []string{fmt.Sprintf("p%d", k%12), fmt.Sprintf("p%d", (k+1)%12), fmt.Sprintf("p%d", (k+2)%12), fmt.Sprintf("p%d", (k+3)%12)}
+			return e.SubmitProductID("team", "batch-compute", 1, window, float64(5+k%60))
+		}},
+		{"1-cluster federation leg", 88, func(e *market.Exchange, k int) (int, error) {
+			return e.SubmitProductID("team", "batch-compute", 1, []string{fmt.Sprintf("p%d", k%12)}, float64(5+k%60))
+		}},
+		{"vector-π seller", 100, func(e *market.Exchange, k int) (int, error) {
+			reg := e.Registry()
+			offer := func(c int) resource.Vector {
+				v := reg.Zero()
+				v[reg.MustIndex(resource.Pool{Cluster: fmt.Sprintf("p%d", c), Dim: resource.CPU})] = -8
+				v[reg.MustIndex(resource.Pool{Cluster: fmt.Sprintf("p%d", c), Dim: resource.RAM})] = -32
+				return v
+			}
+			o, err := e.Submit("team", &core.Bid{Bundles: []resource.Vector{offer(k % 12), offer((k + 5) % 12)},
+				BundleLimits: []float64{-float64(1 + k%9), -float64(2 + k%7)}})
+			if err != nil {
+				return 0, err
+			}
+			return o.ID, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := market.NewExchange(f, market.Config{InitialBudget: 1e12, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.OpenAccount("team"); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < orders; k++ {
+				id, err := tc.submit(e, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Cancel(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m := e.Metrics()
+			if m.ArchivedOrders != orders {
+				t.Fatalf("%d orders archived, want %d", m.ArchivedOrders, orders)
+			}
+			kept := m.ArchiveBytes/m.ArchivedOrders + 4 // and the order's slot
+			t.Logf("%d archive bytes for %d orders: %d B an order, slot included", m.ArchiveBytes, m.ArchivedOrders, kept)
+			if kept > tc.budget {
+				t.Errorf("an archived order keeps %d bytes, budget %d", kept, tc.budget)
+			}
+		})
+	}
+}

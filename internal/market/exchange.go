@@ -360,6 +360,9 @@ func NewExchange(fleet *cluster.Fleet, cfg Config) (*Exchange, error) {
 		orderShards:   make([]orderShard, cfg.Shards),
 		accountShards: make([]accountShard, cfg.Shards),
 	}
+	for i := range e.orderShards {
+		e.orderShards[i].width = int32(reg.Len())
+	}
 	for i := range e.accountShards {
 		e.accountShards[i].balances = make(map[string]float64)
 		e.accountShards[i].openBuy = make(map[string]float64)
@@ -698,9 +701,11 @@ func (os *orderShard) cancelLocked(j int, o *Order) {
 // make this O(1): shard k%N, slot k/N.
 func (e *Exchange) Order(id int) (*Order, error) {
 	if os := e.orderShardFor(id); os != nil {
+		var d rowDecode
 		os.mu.RLock()
-		snap := os.viewLocked(id, id/len(e.orderShards))
+		snap := os.viewLocked(id, id/len(e.orderShards), &d)
 		os.mu.RUnlock()
+		d.decode()
 		if snap != nil {
 			return snap, nil
 		}
@@ -745,19 +750,23 @@ func (e *Exchange) OpenOrderCount() int {
 // OpenOrders returns snapshots of the orders awaiting the next auction,
 // in ID order.
 func (e *Exchange) OpenOrders() []*Order {
-	var out []*Order
+	var open []*Order
+	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
 		for _, o := range os.open {
 			if o.Status == Open {
-				out = append(out, o.snapshot())
+				open = append(open, o.snapshot())
 			}
 		}
 		os.mu.RUnlock()
+		ends[s] = len(open)
 	}
-	sortOrdersByID(out)
-	return out
+	if len(open) == 0 {
+		return nil
+	}
+	return mergeByID(make([]*Order, 0, len(open)), open, ends)
 }
 
 // lastClearingPrices returns the prices of the most recent converged
@@ -782,18 +791,10 @@ func (e *Exchange) LastClearingPrices() resource.Vector { return e.lastClearingP
 // the full-dump path used by tests and batch consumers. Interactive
 // pollers should prefer OrdersTail, which bounds the copy.
 func (e *Exchange) Orders() []*Order {
-	var out []*Order
-	n := len(e.orderShards)
-	for s := range e.orderShards {
-		os := &e.orderShards[s]
-		os.mu.RLock()
-		for j := range os.slots {
-			out = append(out, os.viewLocked(j*n+s, j))
-		}
-		os.mu.RUnlock()
+	if out := e.OrdersTail(math.MaxInt); len(out) > 0 {
+		return out
 	}
-	sortOrdersByID(out)
-	return out
+	return nil
 }
 
 // OrdersTail returns snapshots of the limit highest-ID (most recent)
@@ -834,6 +835,7 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 	// single lock acquisition into its own run of byStripe; the runs are
 	// then merged by walking the IDs up from the lowest one taken.
 	byStripe := make([]*Order, total)
+	d := rowDecode{views: make([]pendingRows, 0, total)}
 	at := 0
 	for s := range e.orderShards {
 		next[s] = at
@@ -843,11 +845,12 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 		os := &e.orderShards[s]
 		os.mu.RLock()
 		for j := size[s] - take[s]; j < size[s]; j++ {
-			byStripe[at] = os.viewLocked(j*n+s, j)
+			byStripe[at] = os.viewLocked(j*n+s, j, &d)
 			at++
 		}
 		os.mu.RUnlock()
 	}
+	d.decode()
 	out := make([]*Order, 0, total)
 	for id := low; len(out) < total; id++ {
 		if s := id % n; id/n < size[s] {
@@ -974,6 +977,7 @@ func (e *Exchange) operatorSupply() []*core.Bid {
 // afterwards.
 func (e *Exchange) assemble() ([]*core.Bid, error) {
 	var open []*Order
+	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
@@ -983,16 +987,22 @@ func (e *Exchange) assemble() ([]*core.Bid, error) {
 			}
 		}
 		os.mu.RUnlock()
+		ends[s] = len(open)
 	}
 	if len(open) == 0 {
 		return nil, ErrNoOpenOrders
 	}
-	sortOrdersByID(open)
-	bids := make([]*core.Bid, 0, len(open)+1)
-	for _, o := range open {
+	return e.batchBids(mergeByID(make([]*Order, 0, len(open)), open, ends)), nil
+}
+
+// batchBids is the clock's input for a batch in ID order: the orders'
+// bids, then the operator's supply.
+func (e *Exchange) batchBids(batch []*Order) []*core.Bid {
+	bids := make([]*core.Bid, 0, len(batch)+1)
+	for _, o := range batch {
 		bids = append(bids, o.Bid)
 	}
-	return append(bids, e.operatorSupply()...), nil
+	return append(bids, e.operatorSupply()...)
 }
 
 // claimBatch assembles the open batch for a binding auction and marks
@@ -1000,11 +1010,12 @@ func (e *Exchange) assemble() ([]*core.Bid, error) {
 // clock runs. Each stripe is claimed under its own lock and compacted in
 // the same pass (terminal orders left behind by earlier settlements are
 // dropped from the claim list here, so settlement itself never scans);
-// the merged batch is then sorted back into global ID order, preserving
+// the stripes' claims are then merged into global ID order, preserving
 // the unsharded book's batch semantics. The batch must later be released
 // — by settlement or by releaseBatch on an error path.
 func (e *Exchange) claimBatch() ([]*core.Bid, []*Order, error) {
 	var open []*Order
+	ends := make([]int, len(e.orderShards))
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.Lock()
@@ -1023,17 +1034,13 @@ func (e *Exchange) claimBatch() ([]*core.Bid, []*Order, error) {
 		}
 		os.open = kept
 		os.mu.Unlock()
+		ends[s] = len(open)
 	}
 	if len(open) == 0 {
 		return nil, nil, ErrNoOpenOrders
 	}
-	sortOrdersByID(open)
-	bids := make([]*core.Bid, 0, len(open)+1)
-	for _, o := range open {
-		bids = append(bids, o.Bid)
-	}
-	bids = append(bids, e.operatorSupply()...)
-	return bids, open, nil
+	batch := mergeByID(make([]*Order, 0, len(open)), open, ends)
+	return e.batchBids(batch), batch, nil
 }
 
 // releaseBatch clears the in-auction marks after an auction that never

@@ -67,7 +67,7 @@ type Metrics struct {
 	// The book's size right now — gauges, the slope an operator watches on
 	// a long-running daemon: orders that are still objects (open), orders
 	// archived as records, the bytes of archive chunks allocated (order
-	// records and both row slabs), and ledger entries.
+	// records and the slab of their rows' byte runs), and ledger entries.
 	LiveOrders, ArchivedOrders, ArchiveBytes, LedgerEntries int
 }
 
@@ -84,7 +84,7 @@ func (e *Exchange) Metrics() Metrics {
 		os.mu.RLock()
 		live += os.openCount
 		archived += os.recs.count()
-		bytes += os.recs.held*int(unsafe.Sizeof(orderRec{})) + os.idx.held*4 + os.val.held*8
+		bytes += os.recs.held*int(unsafe.Sizeof(orderRec{})) + os.rows.held
 		os.mu.RUnlock()
 	}
 	e.ledger.mu.RLock()

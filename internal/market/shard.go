@@ -1,8 +1,7 @@
 package market
 
 import (
-	"cmp"
-	"slices"
+	"math"
 	"sync"
 )
 
@@ -28,10 +27,13 @@ type orderShard struct {
 	live []*Order
 	free []uint32
 	// The archive (archive.go): terminal orders as pointer-free records,
-	// their rows in two chunked slabs, team and bid user interned.
+	// each one's rows a run of bytes in one chunked slab (run.go), team
+	// and bid user interned. enc is the scratch a run is encoded in, and
+	// width the registry's pool count, which runs are written against.
 	recs       slab[orderRec]
-	idx        slab[int32]
-	val        slab[float64]
+	rows       slab[byte]
+	enc        []byte
+	width      int32
 	labels     []orderLabel
 	labelIndex map[orderLabel]uint32
 	// open is the stripe's claim list: a lazily compacted superset of the
@@ -80,10 +82,9 @@ func (os *orderShard) bookLocked(o *Order) {
 }
 
 // viewLocked returns a snapshot of the order in slot j — a copy of the
-// live object, or a view materialised from the archive whose rows alias
-// the immutable slabs, exactly as a live order's snapshot shares its
-// bid's — or nil without such a slot.
-func (os *orderShard) viewLocked(id, j int) *Order {
+// live object, or a view materialised from the archive whose rows d
+// decodes — or nil without such a slot.
+func (os *orderShard) viewLocked(id, j int, d *rowDecode) *Order {
 	o, r := os.lookupLocked(j)
 	if o != nil {
 		return o.snapshot()
@@ -92,7 +93,7 @@ func (os *orderShard) viewLocked(id, j int) *Order {
 		return nil
 	}
 	bo := new(bookedOrder)
-	os.fillLocked(id, r, &bo.Order, &bo.bid)
+	os.fillLocked(id, r, &bo.Order, &bo.bid, d)
 	return &bo.Order
 }
 
@@ -155,11 +156,37 @@ func (e *Exchange) accountShardFor(team string) *accountShard {
 	return &e.accountShards[h%uint32(len(e.accountShards))]
 }
 
-// sortOrdersByID puts a cross-shard gather back into global ID order —
-// for serial traffic, exactly the submission order the unsharded book
-// used, which keeps batch assembly and display paths deterministic. IDs
-// are unique and never change, and the sort is typed: no reflection on
-// the paths bidders poll.
-func sortOrdersByID(out []*Order) {
-	slices.SortFunc(out, func(a, b *Order) int { return cmp.Compare(a.ID, b.ID) })
+// mergeByID appends to dst the orders of src in global ID order — for
+// serial traffic, exactly the submission order the unsharded book used,
+// which keeps batch assembly and display paths deterministic. src is one
+// run a stripe, run s ending at ends[s], each ascending by ID as every
+// claim list is: a stripe books IDs in append order and compaction keeps
+// that order. Each order's ID is read once, when it heads its run.
+func mergeByID(dst, src []*Order, ends []int) []*Order {
+	n := len(ends)
+	at := make([]int, 2*n)
+	pos, head := at[:n], at[n:]
+	lo := 0
+	for s, hi := range ends {
+		pos[s], head[s] = lo, math.MaxInt
+		if lo < hi {
+			head[s] = src[lo].ID
+		}
+		lo = hi
+	}
+	for range src {
+		s := 0
+		for k := 1; k < n; k++ {
+			if head[k] < head[s] {
+				s = k
+			}
+		}
+		dst = append(dst, src[pos[s]])
+		if pos[s]++; pos[s] < ends[s] {
+			head[s] = src[pos[s]].ID
+		} else {
+			head[s] = math.MaxInt
+		}
+	}
+	return dst
 }

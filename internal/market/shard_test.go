@@ -1,11 +1,16 @@
 package market
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"clustermarket/internal/core"
+	"clustermarket/internal/journal"
 	"clustermarket/internal/resource"
 )
 
@@ -190,22 +195,19 @@ func TestBookArchiveIsPointerFree(t *testing.T) {
 	walk("orderRec", reflect.TypeOf(orderRec{}))
 	walk("ledgerRec", reflect.TypeOf(ledgerRec{}))
 	walk("slot", reflect.TypeOf(orderShard{}.slots).Elem())
-	walk("rowIndex", reflect.TypeOf(orderShard{}.idx.chunks).Elem().Elem())
-	walk("rowValue", reflect.TypeOf(orderShard{}.val.chunks).Elem().Elem())
-	if got := reflect.TypeOf(orderRec{}).Size(); got > 64 {
-		t.Errorf("orderRec is %d bytes, was 64", got)
+	walk("rowRun", reflect.TypeOf(orderShard{}.rows.chunks).Elem().Elem())
+	if got := reflect.TypeOf(orderRec{}).Size(); got > 48 {
+		t.Errorf("orderRec is %d bytes, was 48", got)
 	}
 	if got := reflect.TypeOf(ledgerRec{}).Size(); got > 24 {
 		t.Errorf("ledgerRec is %d bytes, was 24", got)
 	}
 }
 
-// TestOrdersTailUnevenStripes holds OrdersTail to the tail of Orders()
-// on a book whose stripes have different lengths — the shape a replayed
-// journal or a rejected submit's consumed slot leaves — so booked IDs
-// have gaps: every limit from 1 to past the book's size, with open and
-// archived orders mixed.
-func TestOrdersTailUnevenStripes(t *testing.T) {
+// unevenBook books ten orders on four stripes of lengths 5, 2, 0 and 3 —
+// IDs 0 4 8 12 16 | 1 5 | - | 3 7 11 — and cancels 4 and 11.
+func unevenBook(t *testing.T) *Exchange {
+	t.Helper()
 	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +216,6 @@ func TestOrdersTailUnevenStripes(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := e.Registry()
-	// Stripe lengths 5, 2, 0, 3: IDs 0 4 8 12 16 | 1 5 | - | 3 7 11.
 	for _, id := range []int{0, 1, 3, 4, 5, 7, 8, 11, 12, 16} {
 		v := reg.Zero()
 		v[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 1
@@ -229,6 +230,16 @@ func TestOrdersTailUnevenStripes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return e
+}
+
+// TestOrdersTailUnevenStripes holds OrdersTail to the tail of Orders()
+// on a book whose stripes have different lengths — the shape a replayed
+// journal or a rejected submit's consumed slot leaves — so booked IDs
+// have gaps: every limit from 1 to past the book's size, with open and
+// archived orders mixed.
+func TestOrdersTailUnevenStripes(t *testing.T) {
+	e := unevenBook(t)
 	all := e.Orders()
 	if len(all) != 10 {
 		t.Fatalf("Orders() has %d orders, want 10", len(all))
@@ -245,4 +256,140 @@ func TestOrdersTailUnevenStripes(t *testing.T) {
 			t.Fatalf("OrdersTail(%d) = %v, want %v", limit, ids(got), ids(want))
 		}
 	}
+}
+
+// requireClaimInIDOrder holds the stripe merge behind OpenOrders,
+// assemble and claimBatch to the sort it replaced: every open order of
+// every claim list, sorted by ID, is the batch each of them returns, in
+// that order, and the clock's bids are those orders' bids.
+func requireClaimInIDOrder(t *testing.T, who string, e *Exchange) {
+	t.Helper()
+	var want []*Order
+	for s := range e.orderShards {
+		for _, o := range e.orderShards[s].open {
+			if o.Status == Open {
+				want = append(want, o)
+			}
+		}
+	}
+	slices.SortFunc(want, func(a, b *Order) int { return cmp.Compare(a.ID, b.ID) })
+	if len(want) < 2 {
+		t.Fatalf("%s: %d open orders: nothing to merge", who, len(want))
+	}
+	ids := func(os []*Order) (out []int) {
+		for _, o := range os {
+			out = append(out, o.ID)
+		}
+		return out
+	}
+	sameBids := func(path string, bids []*core.Bid) {
+		t.Helper()
+		if len(bids) < len(want) {
+			t.Fatalf("%s: %s built %d bids for %d open orders", who, path, len(bids), len(want))
+		}
+		for i, o := range want {
+			if bids[i] != o.Bid {
+				t.Fatalf("%s: %s's bid %d is not order %d's", who, path, i, o.ID)
+			}
+		}
+	}
+	if got := e.OpenOrders(); !slices.Equal(ids(got), ids(want)) {
+		t.Fatalf("%s: OpenOrders = %v, sorted %v", who, ids(got), ids(want))
+	}
+	bids, err := e.assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBids("assemble", bids)
+	bids, batch, err := e.claimBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.releaseBatch(batch)
+	if !slices.Equal(batch, want) {
+		t.Fatalf("%s: claimBatch = %v, sorted %v", who, ids(batch), ids(want))
+	}
+	sameBids("claimBatch", bids)
+}
+
+// TestClaimMergeMatchesSort runs requireClaimInIDOrder over the books the
+// merge has to get right: stripes of uneven length with holes in the IDs
+// (a replayed journal's shape), cancelled orders still in the claim lists,
+// a failed clock's batch carried into the next claim beside newer orders,
+// and the same book recovered from its journal.
+func TestClaimMergeMatchesSort(t *testing.T) {
+	t.Run("holes", func(t *testing.T) { requireClaimInIDOrder(t, "holes", unevenBook(t)) })
+
+	t.Run("carried and recovered", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "wal")
+		j, _, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{InitialBudget: 1e15, MaxRounds: 100, MaxAuctionAttempts: 5, Shards: 5, SnapshotEvery: -1}
+		cfg.Journal = j
+		e, err := NewExchange(testFleet(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, team := range []string{"a", "t1", "t2"} {
+			if err := e.OpenAccount(team); err != nil {
+				t.Fatal(err)
+			}
+		}
+		product := func(k int) {
+			t.Helper()
+			if _, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2", "r1"}[:1+k%2], float64(5+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 11; k++ {
+			product(k)
+		}
+		// Two opposed traders: no clock over this book converges.
+		reg := e.Registry()
+		for _, tr := range [][3]string{{"t1", "r1", "r2"}, {"t2", "r2", "r1"}} {
+			v := reg.Zero()
+			v[reg.MustIndex(resource.Pool{Cluster: tr[1], Dim: resource.CPU})] = 2000
+			v[reg.MustIndex(resource.Pool{Cluster: tr[2], Dim: resource.CPU})] = -1000
+			if _, err := e.Submit(tr[0], &core.Bid{Bundles: []resource.Vector{v}, Limit: 1e12}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, id := range []int{2, 7} {
+			if err := e.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		requireClaimInIDOrder(t, "13 orders on 5 stripes, 2 cancelled", e)
+
+		if _, _, err := e.RunAuction(); !errors.Is(err, core.ErrNoConvergence) {
+			t.Fatalf("RunAuction = %v, want ErrNoConvergence", err)
+		}
+		for k := 11; k < 17; k++ {
+			product(k)
+		}
+		for _, id := range []int{3, 14} {
+			if err := e.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if o, _ := e.Order(0); o.Attempts != 1 {
+			t.Fatalf("order 0 has %d attempts; the failed clock's batch should carry one", o.Attempts)
+		}
+		requireClaimInIDOrder(t, "a failed clock's batch and newer orders", e)
+
+		j.Crash()
+		j2, rec, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		cfg.Journal = nil
+		recovered, err := Recover(testFleet(t), cfg, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireClaimInIDOrder(t, "recovered", recovered)
+	})
 }

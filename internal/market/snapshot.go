@@ -156,8 +156,8 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 	}
 	// Every stripe is locked, so walking slot-major visits the orders in
 	// ID order. Archived orders are read from their records into one
-	// backing array of bids and one of winning-bundle indices, not
-	// materialised one view at a time.
+	// backing array of bids, one of winning-bundle indices and one pair
+	// of row slabs, not materialised one view at a time.
 	total, deepest, n := 0, 0, len(e.orderShards)
 	for s := range e.orderShards {
 		total += len(e.orderShards[s].slots)
@@ -165,6 +165,7 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 	}
 	st.Orders = make([]orderState, 0, total)
 	bids, bundles := make([]core.Bid, total), make([]int, total)
+	d := rowDecode{views: make([]pendingRows, 0, total)}
 	var o Order
 	for j := 0; j < deepest; j++ {
 		for s := range e.orderShards {
@@ -177,7 +178,7 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 			if live != nil {
 				o, bids[i] = *live, *live.Bid
 			} else {
-				os.fillLocked(j*n+s, rec, &o, &bids[i])
+				os.fillLocked(j*n+s, rec, &o, &bids[i], &d)
 			}
 			st.Orders = append(st.Orders, orderState{ID: o.ID, Team: o.Team, Bid: &bids[i], Status: o.Status,
 				Auction: o.Auction, Attempts: o.Attempts, Payment: o.Payment})
@@ -187,6 +188,7 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 			}
 		}
 	}
+	d.decode()
 	for s := range e.accountShards {
 		as := &e.accountShards[s]
 		for team, bal := range as.balances {

@@ -129,7 +129,7 @@ func collectExchange(m *families, ex *market.Exchange, region string) {
 		m.add("market_book_orders", "gauge", "Orders in the book: live (open, Go objects) or archived (terminal, pointer-free records).",
 			labels("region", region, "state", st.state), float64(st.n))
 	}
-	m.add("market_book_archive_bytes", "gauge", "Bytes of archive chunks allocated: order records and both row slabs.",
+	m.add("market_book_archive_bytes", "gauge", "Bytes of archive chunks allocated: order records and the byte runs of their rows.",
 		labels("region", region), float64(mt.ArchiveBytes))
 	m.add("market_ledger_entries", "gauge", "Billing ledger entries.", labels("region", region), float64(mt.LedgerEntries))
 	m.add("market_open_orders", "gauge", "Orders currently awaiting settlement.", labels("region", region), float64(ex.OpenOrderCount()))
