@@ -108,9 +108,9 @@ cover-update:
 # Native fuzz smoke: each target briefly, as in CI. Longer local runs:
 # go test -fuzz FuzzParse ./internal/bidlang
 # (The clock differential's, the router replay's, the snapshot loader's,
-# the archive codec's and the WAL decoder's inputs are byte strings the
-# fuzzer would otherwise spend the whole smoke minimizing: their budget is
-# capped.)
+# the archive codec's, the WAL decoder's and the WAL recovery's inputs are
+# byte strings the fuzzer would otherwise spend the whole smoke
+# minimizing: their budget is capped.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run 'xxx' ./internal/bidlang
@@ -122,6 +122,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSettledEventReplay -fuzztime $(FUZZTIME) -run 'xxx' ./internal/market
 	$(GO) test -fuzz FuzzRestoreState -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/market
 	$(GO) test -fuzz FuzzArchiveRows -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/market
+	$(GO) test -fuzz FuzzRecoverWAL -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/market
 	$(GO) test -fuzz FuzzParseWAL -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/journal
 	$(GO) test -fuzz FuzzClockMatchesReference -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/core
 	$(GO) test -fuzz FuzzFedEventReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/federation

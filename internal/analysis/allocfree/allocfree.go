@@ -71,6 +71,12 @@ var vouchedFuncs = map[string]bool{
 	"clustermarket/internal/core.PackedRows": true, // returns the bid's two slab headers and shape
 	"clustermarket/internal/core.AdoptRows":  true, // stores two slab headers and a shape
 	"runtime.GOMAXPROCS":                     true, // reads or sets a scheduler word
+	// The chunked slab allocates one chunk of a few KB per chunk's worth
+	// of records or runs, never per entry; its reads are index arithmetic.
+	"clustermarket/internal/slab.Alloc":  true,
+	"clustermarket/internal/slab.Push":   true,
+	"clustermarket/internal/slab.At":     true,
+	"clustermarket/internal/slab.Chunks": true,
 	// The append-style encoders grow only the buffer the caller passes
 	// in — its amortized scratch — exactly as `s = append(s, ...)` does.
 	"encoding/binary.AppendUvarint": true,

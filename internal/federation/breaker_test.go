@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"clustermarket/internal/fault"
+	"clustermarket/internal/market"
 	"clustermarket/internal/telemetry"
 )
 
@@ -308,5 +309,15 @@ func TestStaleQuoteSuspectDeprioritized(t *testing.T) {
 	// the fresh-quoted hot leg must outrank it.
 	if got := fo.Legs[fo.Active].Region; got != "hot" {
 		t.Errorf("order routed to stale-quoted %q, want fresh hot", got)
+	}
+	// The mark outlives a booking: a cold-only order's one leg is booked
+	// and still suspect, and it still is once a settlement wrote its status.
+	solo, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settleTolerant(t, f, "cold")
+	if got, _ := f.Order(solo.ID); got.Legs[0].OrderID < 0 || !got.Legs[0].Suspect || got.Legs[0].Status == market.Open {
+		t.Errorf("cold-only leg after its settlement: %+v, want booked, settled and suspect", got.Legs[0])
 	}
 }

@@ -29,16 +29,22 @@ func TestingApplyEvent(f *Federation, raw []byte) error {
 	return f.applyEvent(&ev)
 }
 
-// TableImage is a copy of the router's table — every slab, the Err side
-// table and the interned names; the open lists are left out, since they
-// may hold stale ids — for comparing a live federation with a recovered
-// one record for record.
+// TableImage is a copy of the router's table — every order's records, the
+// Err side table and the interned names; the open lists are left out,
+// since they may hold stale ids — for comparing a live federation with a
+// recovered one record for record, whatever chunks the slabs are in.
 type TableImage struct {
-	Routes   []route
+	Orders []OrderImage
+	Errs   map[uint32]string
+	Names  []string
+}
+
+// OrderImage is one order's records: its route, its legs and their
+// clusters.
+type OrderImage struct {
+	Route    route
 	Legs     []routeLeg
 	Clusters []uint32
-	Errs     map[uint32]string
-	Names    []string
 }
 
 // TestingTableImage copies the table.
@@ -46,7 +52,20 @@ func TestingTableImage(f *Federation) TableImage {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	t := &f.table
-	img := TableImage{slices.Clone(t.routes), slices.Clone(t.legs), slices.Clone(t.clusters), nil, slices.Clone(t.names)}
+	img := TableImage{Names: slices.Clone(t.names)}
+	for id := range t.routed() {
+		o := OrderImage{Route: *t.routeAt(id)}
+		off := o.Route.clOff
+		for k := range uint32(o.Route.legN) {
+			l := *t.legAt(o.Route.legOff + k)
+			o.Legs = append(o.Legs, l)
+			for range l.clN {
+				o.Clusters = append(o.Clusters, t.clusterAt(off))
+				off++
+			}
+		}
+		img.Orders = append(img.Orders, o)
+	}
 	if len(t.errs) > 0 {
 		img.Errs = maps.Clone(t.errs)
 	}
@@ -60,7 +79,7 @@ func TestingTableImage(f *Federation) TableImage {
 func TestingRestoreViews(f *Federation) error {
 	before := TestingTableImage(f)
 	f.mu.Lock()
-	for id := range f.table.routes {
+	for id := range f.table.routed() {
 		if err := f.table.store(f.table.view(id), false); err != nil {
 			f.mu.Unlock()
 			return err

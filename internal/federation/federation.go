@@ -97,8 +97,9 @@ type Stats struct {
 // process, not the market: they are not journaled and start from what
 // recovery rebuilt.
 type RouterStats struct {
-	// Routes and Legs are the table's record counts.
-	Routes, Legs int
+	// Routes and Legs are the table's record counts; Bytes is what its
+	// slabs hold, the empty tails of their last chunks included.
+	Routes, Legs, Bytes int
 	// Regions holds one row a region, in registration order.
 	Regions []RouterRegion
 }
@@ -305,7 +306,7 @@ func (f *Federation) SubmitProduct(team, product string, qty float64, clusters [
 	t := &f.table
 	var refBuf [16]clusterRef
 	var clBuf [16]uint32
-	var legBuf [4]routeLeg
+	var legBuf [4]legDraft
 	refs, cls, legs := refBuf[:0], clBuf[:0], legBuf[:0]
 	for _, cl := range clusters {
 		ref, ok := t.cluster[cl]
@@ -321,7 +322,7 @@ grouping:
 				continue grouping
 			}
 		}
-		leg := routeLeg{region: first.region, clOff: uint32(len(cls)), est: inf, order: -1}
+		leg := legDraft{routeLeg{region: first.region, est: inf, order: -1}, uint32(len(cls))}
 		for _, ref := range refs[i:] {
 			if ref.region == first.region {
 				cls = append(cls, ref.id)
@@ -346,7 +347,9 @@ grouping:
 			// A quote past the staleness bound may be pricing a partition
 			// survivor's last gossip from before the cut: the leg is still
 			// routable, but only after every fresh-quoted leg.
-			leg.suspect = f.gossipTick-q.Tick > staleQuoteBound
+			if f.gossipTick-q.Tick > staleQuoteBound {
+				leg.status |= suspectBit
+			}
 		}
 	}
 	f.mu.Unlock()
@@ -354,11 +357,11 @@ grouping:
 	// behind every fresh-quoted one: the price board steers substitutable
 	// demand toward cold regions, but not on numbers a partition may have
 	// frozen. Ties keep the caller's cluster order.
-	slices.SortStableFunc(legs, func(a, b routeLeg) int {
+	slices.SortStableFunc(legs, func(a, b legDraft) int {
 		switch {
-		case a.suspect != b.suspect && b.suspect:
+		case a.suspect() != b.suspect() && b.suspect():
 			return -1
-		case a.suspect != b.suspect:
+		case a.suspect() != b.suspect():
 			return 1
 		case a.est < b.est:
 			return -1
@@ -387,10 +390,15 @@ grouping:
 	auctionsBefore := 0
 	var errs []string // Leg.Err by leg, nil until a leg is refused
 	var lastErr error
+	var nameBuf [8]string
 	for i := range legs {
 		r := f.regions[legs[i].region]
 		auctionsBefore = r.ex.AuctionCount()
-		if err := f.bookLeg(t, &legs[i], cls, team, product, qty, limit); err != nil {
+		names := nameBuf[:0]
+		for _, c := range legs[i].of(cls) {
+			names = append(names, t.clusterNames[c])
+		}
+		if err := f.bookLeg(&legs[i].routeLeg, names, team, product, qty, limit); err != nil {
 			if errs == nil {
 				errs = make([]string, len(legs))
 			}
@@ -420,7 +428,7 @@ grouping:
 		return nil, err
 	}
 	for i, text := range errs {
-		t.setErr(t.routes[id].legOff+uint32(i), text)
+		t.setErr(t.routeAt(id).legOff+uint32(i), text)
 	}
 	f.stats.Submitted++
 	if len(legs) > 1 {
@@ -466,18 +474,13 @@ func legErrText(err error) string {
 	return err.Error()
 }
 
-// bookLeg submits one leg to its region (cls holds its clusters at the
-// leg's range) and records the regional order in it. It reads no routing
-// state, so the first leg is booked without f.mu.
-func (f *Federation) bookLeg(t *table, leg *routeLeg, cls []uint32, team, product string, qty, limit float64) error {
+// bookLeg submits one leg, over the named clusters, to its region and
+// records the regional order in it. It reads no routing state, so the
+// first leg is booked without f.mu.
+func (f *Federation) bookLeg(leg *routeLeg, names []string, team, product string, qty, limit float64) error {
 	r := f.regions[leg.region]
 	if !f.breakers.allow(r.name) {
 		return fmt.Errorf("federation: region %q breaker %w", r.name, errBreakerOpen)
-	}
-	var nameBuf [8]string
-	names := nameBuf[:0]
-	for _, c := range leg.of(cls) {
-		names = append(names, t.clusterNames[c])
 	}
 	id, err := r.ex.SubmitProductID(team, product, qty, names, limit)
 	if err == nil && id > math.MaxInt32 {
@@ -488,7 +491,8 @@ func (f *Federation) bookLeg(t *table, leg *routeLeg, cls []uint32, team, produc
 	if err != nil {
 		return err
 	}
-	leg.order, leg.status = int32(id), uint8(market.Open)
+	leg.order = int32(id)
+	leg.setState(market.Open)
 	return nil
 }
 
@@ -498,11 +502,16 @@ func (f *Federation) bookLeg(t *table, leg *routeLeg, cls []uint32, team, produc
 // could be booked. Callers must hold f.mu.
 func (f *Federation) submitNextLegLocked(id int) error {
 	t := &f.table
-	rt := &t.routes[id]
+	rt := t.routeAt(id)
 	var lastErr error
+	var nameBuf [8]string
+	off := t.clOff(rt, int(rt.active)+1)
 	for next := int(rt.active) + 1; next < int(rt.legN); next++ {
 		k := rt.legOff + uint32(next)
-		if err := f.bookLeg(t, &t.legs[k], t.clusters, t.names[rt.team], t.names[rt.product], rt.qty, rt.limit); err != nil {
+		leg := t.legAt(k)
+		names := t.appendNames(nameBuf[:0], off, leg.clN)
+		off += uint32(leg.clN)
+		if err := f.bookLeg(leg, names, t.names[rt.team], t.names[rt.product], rt.qty, rt.limit); err != nil {
 			t.setErr(k, legErrText(err))
 			if lastErr == nil || !errors.Is(err, errBreakerOpen) {
 				lastErr = err
@@ -547,8 +556,8 @@ func (f *Federation) advanceRegion(ri int) {
 			continue
 		}
 		id := int(id32)
-		rt := &t.routes[id]
-		leg := &t.legs[rt.legOff+uint32(rt.active)]
+		rt := t.routeAt(id)
+		leg := t.legAt(rt.legOff + uint32(rt.active))
 		status, payment, ok := r.ex.Outcome(int(leg.order))
 		if !ok {
 			ids[kept] = id32
@@ -556,7 +565,7 @@ func (f *Federation) advanceRegion(ri int) {
 			continue
 		}
 		visited++
-		leg.status = uint8(status)
+		leg.setState(status)
 		switch status {
 		case market.Open:
 			// The region's clock did not converge; the leg stays booked
@@ -604,19 +613,19 @@ func (f *Federation) Cancel(id int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	t := &f.table
-	if id < 0 || id >= len(t.routes) {
+	if id < 0 || id >= t.routed() {
 		return fmt.Errorf("federation: no order %d", id)
 	}
-	rt := &t.routes[id]
+	rt := t.routeAt(id)
 	if status := market.OrderStatus(rt.status); status != market.Open {
 		return fmt.Errorf("federation: order %d is %s", id, status)
 	}
-	leg := &t.legs[rt.legOff+uint32(rt.active)]
+	leg := t.legAt(rt.legOff + uint32(rt.active))
 	if err := f.regions[leg.region].ex.Cancel(int(leg.order)); err != nil {
 		return err
 	}
 	// The id stays on the region's open list until its next advance.
-	leg.status = uint8(market.Cancelled)
+	leg.setState(market.Cancelled)
 	rt.status, rt.active = uint8(market.Cancelled), -1
 	if f.materializingLocked() {
 		stats := f.stats
@@ -629,7 +638,7 @@ func (f *Federation) Cancel(id int) error {
 func (f *Federation) Order(id int) (*FedOrder, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if id < 0 || id >= len(f.table.routes) {
+	if id < 0 || id >= f.table.routed() {
 		return nil, fmt.Errorf("federation: no order %d", id)
 	}
 	return f.table.view(id), nil
@@ -652,7 +661,7 @@ func (f *Federation) OrdersTail(limit int) []*FedOrder {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.table.views(max(0, len(f.table.routes)-limit))
+	return f.table.views(max(0, f.table.routed()-limit))
 }
 
 // Stats returns a snapshot of the router counters.
@@ -666,8 +675,9 @@ func (f *Federation) Stats() Stats {
 func (f *Federation) RouterStats() RouterStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	rs := RouterStats{Routes: len(f.table.routes), Legs: len(f.table.legs), Regions: slices.Clone(f.advanced)}
-	for i, ids := range f.table.open {
+	t := &f.table
+	rs := RouterStats{Routes: t.routed(), Legs: t.legs.Len(legChunk), Bytes: t.bytes(), Regions: slices.Clone(f.advanced)}
+	for i, ids := range t.open {
 		rs.Regions[i].OpenIDs = len(ids)
 	}
 	return rs

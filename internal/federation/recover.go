@@ -46,7 +46,7 @@ func (f *Federation) Snapshot() error {
 	if f.journal == nil {
 		return nil
 	}
-	st := &fedState{NextID: len(f.table.routes), GossipTick: f.gossipTick, Stats: f.stats}
+	st := &fedState{NextID: f.table.routed(), GossipTick: f.gossipTick, Stats: f.stats}
 	for _, q := range f.board {
 		c := q
 		c.Prices = append([]float64(nil), q.Prices...)
@@ -74,7 +74,7 @@ func (f *Federation) Restore(rec *journal.Recovery) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.table.routes) != 0 {
+	if f.table.routed() != 0 {
 		return errors.New("federation: Restore: federation already has routing state")
 	}
 	if len(rec.Snapshot) > 0 {

@@ -5,17 +5,20 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"clustermarket/internal/market"
+	"clustermarket/internal/slab"
 )
 
 // The router's table. A federated order is kept as pointer-free records
-// in three slabs — one route, one routeLeg per leg, and the legs' cluster
-// indices — so what the router retains for every order ever routed is
-// memory the collector never scans, and an order's id is its index: no
-// lookup map. FedOrder and Leg are the view of a record, built for
-// callers, events and snapshots (view) and read back at replay (store);
-// store(view(id)) is the identity.
+// in three chunked slabs (internal/slab, the market archive's) — one route,
+// one routeLeg per leg, and the legs' cluster indices — so what the router
+// retains for every order ever routed is memory the collector never scans,
+// growth copies nothing, and an order's id is its index: no lookup map.
+// FedOrder and Leg are the view of a record, built for callers, events and
+// snapshots (view) and read back at replay (store); store(view(id)) is the
+// identity.
 
 // ErrCorruptRoute marks a replayed routing record (a WAL event's order or
 // a snapshot's) that does not describe a route this federation could have
@@ -33,14 +36,27 @@ const (
 	// maxLegClusters is what routeLeg.clN holds.
 	maxLegClusters = math.MaxUint16
 	maxStatus      = market.Unsettled
+	// suspectBit is the bit of routeLeg.status above every status.
+	suspectBit = 0x80
 )
 
-// route is one federated order. team and product index table.names; the
-// legs are table.legs[legOff : legOff+legN], cheapest first.
+// Chunk sizes: a few KB each, as in the market archive, so a chunk comes
+// from the allocator's per-P cache and the last chunk's empty tail, the
+// table's only slack, stays small.
+const (
+	routeChunk   = 64   // 3 KB of routes
+	legChunk     = 256  // 4 KB of legs
+	clusterChunk = 1024 // 4 KB of cluster indices
+)
+
+// route is one federated order. team and product index table.names; its
+// legs are the legN from position legOff of table.legs, cheapest first,
+// and their clusters follow one another, in leg order, from position
+// clOff of table.clusters.
 type route struct {
 	qty, limit, payment float64
 	team, product       uint32
-	legOff              uint32
+	legOff, clOff       uint32
 	// active is the leg in a regional book, −1 once the order is terminal.
 	active int16
 	legN   uint8
@@ -49,17 +65,33 @@ type route struct {
 	won uint8
 }
 
-// routeLeg is one leg; its clusters are table.clusters[clOff : clOff+clN].
+// routeLeg is one leg, holding clN of its route's clusters.
 type routeLeg struct {
 	est float64
 	// order is the regional order id, −1 while the leg is unsubmitted.
-	order   int32
-	clOff   uint32
-	clN     uint16
-	region  uint8
-	status  uint8
-	suspect bool
+	order  int32
+	clN    uint16
+	region uint8
+	// status is the leg's market.OrderStatus; suspectBit marks a leg priced
+	// from a quote past the staleness bound.
+	status uint8
 }
+
+func (l *routeLeg) state() market.OrderStatus { return market.OrderStatus(l.status &^ suspectBit) }
+func (l *routeLeg) suspect() bool             { return l.status&suspectBit != 0 }
+
+// setState sets the leg's status and keeps its suspect mark.
+func (l *routeLeg) setState(s market.OrderStatus) { l.status = l.status&suspectBit | uint8(s) }
+
+// legDraft is a leg before the table holds it: its record, and where its
+// clusters start in the draft's own cluster list.
+type legDraft struct {
+	routeLeg
+	clOff uint32
+}
+
+// of returns the draft's clusters out of the cluster list it was built in.
+func (d *legDraft) of(cls []uint32) []uint32 { return cls[d.clOff : d.clOff+uint32(d.clN)] }
 
 // clusterRef places a cluster: its owning region and its index in
 // table.clusterNames.
@@ -75,9 +107,9 @@ type table struct {
 	cluster      map[string]clusterRef
 	clusterNames []string
 
-	routes   []route
-	legs     []routeLeg
-	clusters []uint32
+	routes   slab.Slab[route]
+	legs     slab.Slab[routeLeg]
+	clusters slab.Slab[uint32]
 	// errs holds the rare Leg.Err texts by leg index; names interns team
 	// and product names.
 	errs    map[uint32]string
@@ -95,6 +127,25 @@ type table struct {
 	maxIndex uint64
 }
 
+// routed returns the number of orders routed: the next order's id.
+func (t *table) routed() int { return t.routes.Len(routeChunk) }
+
+// routeAt returns order id's record. Chunks never move, so the pointer
+// stays good while the table grows.
+func (t *table) routeAt(id int) *route { return t.routes.At(id, routeChunk) }
+
+// legAt returns the leg record at position k.
+func (t *table) legAt(k uint32) *routeLeg { return t.legs.At(int(k), legChunk) }
+
+// clusterAt returns the cluster index at position k of table.clusters.
+func (t *table) clusterAt(k uint32) uint32 { return *t.clusters.At(int(k), clusterChunk) }
+
+// bytes returns the bytes of chunks the three slabs hold, tails included.
+func (t *table) bytes() int {
+	return t.routes.Held()*int(unsafe.Sizeof(route{})) + t.legs.Held()*int(unsafe.Sizeof(routeLeg{})) +
+		t.clusters.Held()*int(unsafe.Sizeof(uint32(0)))
+}
+
 // fits reports whether a slab of have entries can take add more and still
 // be indexed by the records' uint32 offsets.
 func (t *table) fits(have, add int) bool { return uint64(have)+uint64(add) <= t.maxIndex }
@@ -109,23 +160,25 @@ func (t *table) intern(s string) uint32 {
 	return i
 }
 
-// add appends a route with its legs; legs' clOff index cls. It returns
+// add appends a route with its legs, whose clusters cls holds. It returns
 // the new order's id, or ErrTableFull with nothing written.
-func (t *table) add(rt route, team, product string, legs []routeLeg, cls []uint32) (int, error) {
-	if !t.fits(len(t.routes), 1) || !t.fits(len(t.legs), len(legs)) ||
-		!t.fits(len(t.clusters), len(cls)) || !t.fits(len(t.names), 2) {
+func (t *table) add(rt route, team, product string, legs []legDraft, cls []uint32) (int, error) {
+	id, nLegs, nCls := t.routed(), t.legs.Len(legChunk), t.clusters.Len(clusterChunk)
+	if !t.fits(id, 1) || !t.fits(nLegs, len(legs)) || !t.fits(nCls, len(cls)) || !t.fits(len(t.names), 2) {
 		return 0, ErrTableFull
 	}
-	id := len(t.routes)
 	rt.team, rt.product = t.intern(team), t.intern(product)
-	rt.legOff, rt.legN = uint32(len(t.legs)), uint8(len(legs))
-	for _, l := range legs {
-		off := uint32(len(t.clusters))
-		t.clusters = append(t.clusters, l.of(cls)...)
-		l.clOff = off
-		t.legs = append(t.legs, l)
+	rt.legOff, rt.clOff, rt.legN = uint32(nLegs), uint32(nCls), uint8(len(legs))
+	for i := range legs {
+		_, l := t.legs.Push(legChunk)
+		*l = legs[i].routeLeg
+		for _, c := range legs[i].of(cls) {
+			_, p := t.clusters.Push(clusterChunk)
+			*p = c
+		}
 	}
-	t.routes = append(t.routes, rt)
+	_, r := t.routes.Push(routeChunk)
+	*r = rt
 	t.track(id)
 	return id, nil
 }
@@ -142,19 +195,14 @@ func (t *table) setErr(leg uint32, text string) {
 	t.errs[leg] = text
 }
 
-// legsOf returns the order's leg records.
-func (t *table) legsOf(rt *route) []routeLeg {
-	return t.legs[rt.legOff : rt.legOff+uint32(rt.legN)]
-}
-
 // waitingIn returns the region holding order id's active leg, −1 when the
 // order is not open.
 func (t *table) waitingIn(id uint32) int {
-	rt := &t.routes[id]
+	rt := t.routeAt(int(id))
 	if rt.status != uint8(market.Open) || rt.active < 0 {
 		return -1
 	}
-	return int(t.legs[rt.legOff+uint32(rt.active)].region)
+	return int(t.legAt(rt.legOff + uint32(rt.active)).region)
 }
 
 // track lists an open order under its active leg's region.
@@ -164,54 +212,69 @@ func (t *table) track(id int) {
 	}
 }
 
-// of returns the leg's clusters (indices into clusterNames) out of the
-// slab its clOff points into: table.clusters, or a draft's own.
-func (l *routeLeg) of(cls []uint32) []uint32 { return cls[l.clOff : l.clOff+uint32(l.clN)] }
+// clOff returns where leg k of rt has its clusters in table.clusters.
+func (t *table) clOff(rt *route, k int) uint32 {
+	off := rt.clOff
+	for i := 0; i < k; i++ {
+		off += uint32(t.legAt(rt.legOff + uint32(i)).clN)
+	}
+	return off
+}
+
+// appendNames appends the names of the n clusters from position off of
+// table.clusters.
+func (t *table) appendNames(dst []string, off uint32, n uint16) []string {
+	for k := off; k < off+uint32(n); k++ {
+		dst = append(dst, t.clusterNames[t.clusterAt(k)])
+	}
+	return dst
+}
 
 // view materialises order id. The result shares nothing with the table.
 func (t *table) view(id int) *FedOrder {
-	rt := &t.routes[id]
-	legs := t.legsOf(rt)
+	rt := t.routeAt(id)
 	fo := &FedOrder{
 		ID: id, Team: t.names[rt.team], Product: t.names[rt.product],
 		Qty: rt.qty, Limit: rt.limit, Status: market.OrderStatus(rt.status),
-		Legs: make([]*Leg, len(legs)), Active: int(rt.active), Payment: rt.payment,
+		Legs: make([]*Leg, rt.legN), Active: int(rt.active), Payment: rt.payment,
 	}
 	if rt.won != noRegion {
 		fo.Region = t.regions[rt.won].name
 	}
 	n := 0
-	for i := range legs {
-		n += int(legs[i].clN)
+	for i := range fo.Legs {
+		n += int(t.legAt(rt.legOff + uint32(i)).clN)
 	}
-	slab, names := make([]Leg, len(legs)), make([]string, 0, n)
+	legs, names := make([]Leg, len(fo.Legs)), make([]string, 0, n)
+	off := rt.clOff
 	for i := range legs {
-		l := &legs[i]
+		k := rt.legOff + uint32(i)
+		l := t.legAt(k)
 		start := len(names)
-		for _, c := range l.of(t.clusters) {
-			names = append(names, t.clusterNames[c])
-		}
-		slab[i] = Leg{
+		names = t.appendNames(names, off, l.clN)
+		off += uint32(l.clN)
+		legs[i] = Leg{
 			Region: t.regions[l.region].name, Clusters: names[start:len(names):len(names)],
-			Est: l.est, Suspect: l.suspect, OrderID: int(l.order), Status: market.OrderStatus(l.status),
-			Err: t.errs[rt.legOff+uint32(i)],
+			Est: l.est, Suspect: l.suspect(), OrderID: int(l.order), Status: l.state(),
+			Err: t.errs[k],
 		}
-		fo.Legs[i] = &slab[i]
+		fo.Legs[i] = &legs[i]
 	}
 	return fo
 }
 
 // views materialises the orders from id start on, in routing order.
 func (t *table) views(start int) []*FedOrder {
-	out := make([]*FedOrder, 0, len(t.routes)-start)
-	for id := start; id < len(t.routes); id++ {
+	n := t.routed()
+	out := make([]*FedOrder, 0, n-start)
+	for id := start; id < n; id++ {
 		out = append(out, t.view(id))
 	}
 	return out
 }
 
 // store is view's inverse, the one way a decoded record enters the table:
-// a submitted record appends order len(routes), an updated one overwrites
+// a submitted record appends order routed(), an updated one overwrites
 // the routing state of an order it must otherwise agree with (same legs,
 // same clusters). The record is validated whole before anything is
 // written; one that no router could have written is an ErrCorruptRoute.
@@ -222,10 +285,10 @@ func (t *table) store(fo *FedOrder, submitted bool) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: order %d: %s", ErrCorruptRoute, fo.ID, fmt.Sprintf(format, args...))
 	}
-	open := fo.Status == market.Open
+	open, n := fo.Status == market.Open, t.routed()
 	switch {
-	case submitted && fo.ID != len(t.routes), !submitted && (fo.ID < 0 || fo.ID >= len(t.routes)):
-		return bad("out of sequence (%d orders routed)", len(t.routes))
+	case submitted && fo.ID != n, !submitted && (fo.ID < 0 || fo.ID >= n):
+		return bad("out of sequence (%d orders routed)", n)
 	case fo.Status < 0 || fo.Status > maxStatus:
 		return bad("unknown status %d", int(fo.Status))
 	case len(fo.Legs) == 0 || len(fo.Legs) > len(t.regions):
@@ -241,13 +304,13 @@ func (t *table) store(fo *FedOrder, submitted bool) error {
 	} else if fo.Region != "" {
 		return bad("unknown winning region %q", fo.Region)
 	}
-	legs, cls, won := make([]routeLeg, 0, len(fo.Legs)), []uint32(nil), -1
+	legs, cls, won := make([]legDraft, 0, len(fo.Legs)), []uint32(nil), -1
 	for i, l := range fo.Legs {
 		if l == nil {
 			return bad("leg %d is null", i)
 		}
 		ri, ok := t.regionIdx[l.Region]
-		if !ok || slices.ContainsFunc(legs, func(p routeLeg) bool { return int(p.region) == ri }) {
+		if !ok || slices.ContainsFunc(legs, func(p legDraft) bool { return int(p.region) == ri }) {
 			return bad("leg %d names region %q (unknown, or twice)", i, l.Region)
 		}
 		if len(l.Clusters) == 0 || len(l.Clusters) > maxLegClusters {
@@ -262,8 +325,12 @@ func (t *table) store(fo *FedOrder, submitted bool) error {
 		if l.Status == market.Won {
 			won = i
 		}
-		legs = append(legs, routeLeg{est: l.Est, order: int32(l.OrderID), clOff: uint32(len(cls)), clN: uint16(len(l.Clusters)),
-			region: uint8(ri), status: uint8(l.Status), suspect: l.Suspect})
+		d := legDraft{routeLeg{est: l.Est, order: int32(l.OrderID), clN: uint16(len(l.Clusters)),
+			region: uint8(ri), status: uint8(l.Status)}, uint32(len(cls))}
+		if l.Suspect {
+			d.status |= suspectBit
+		}
+		legs = append(legs, d)
 		for _, name := range l.Clusters {
 			ref, ok := t.cluster[name]
 			if !ok || int(ref.region) != ri {
@@ -290,27 +357,34 @@ func (t *table) store(fo *FedOrder, submitted bool) error {
 			return err
 		}
 	} else {
-		cur := &t.routes[fo.ID]
-		old := t.legsOf(cur)
-		if len(old) != len(legs) {
-			return bad("update changes %d legs to %d", len(old), len(legs))
+		cur := t.routeAt(fo.ID)
+		if int(cur.legN) != len(legs) {
+			return bad("update changes %d legs to %d", cur.legN, len(legs))
 		}
+		off := cur.clOff
 		for i := range legs {
-			l := &legs[i]
-			if old[i].region != l.region || !slices.Equal(old[i].of(t.clusters), l.of(cls)) {
+			old, want := t.legAt(cur.legOff+uint32(i)), legs[i].of(cls)
+			same := old.region == legs[i].region && int(old.clN) == len(want)
+			for j := 0; same && j < len(want); j++ {
+				same = t.clusterAt(off+uint32(j)) == want[j]
+			}
+			if !same {
 				return bad("update changes leg %d's region or clusters", i)
 			}
-			l.clOff = old[i].clOff
+			off += uint32(old.clN)
 		}
 		if !t.fits(len(t.names), 2) {
 			return ErrTableFull
 		}
-		rt.team, rt.product, rt.legOff, rt.legN = t.intern(fo.Team), t.intern(fo.Product), cur.legOff, cur.legN
+		rt.team, rt.product = t.intern(fo.Team), t.intern(fo.Product)
+		rt.legOff, rt.clOff, rt.legN = cur.legOff, cur.clOff, cur.legN
 		*cur = rt
-		copy(old, legs)
+		for i := range legs {
+			*t.legAt(cur.legOff + uint32(i)) = legs[i].routeLeg
+		}
 		t.track(fo.ID)
 	}
-	off := t.routes[fo.ID].legOff
+	off := t.routeAt(fo.ID).legOff
 	for i, l := range fo.Legs {
 		t.setErr(off+uint32(i), l.Err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestRouterTableIsPointerFree walks the record types: the collector
-// skips a slab only while its element holds nothing it must follow, so a
+// skips a chunk only while its element holds nothing it must follow, so a
 // later field may not quietly bring scanning back.
 func TestRouterTableIsPointerFree(t *testing.T) {
 	var walk func(path string, ty reflect.Type)
@@ -32,13 +32,44 @@ func TestRouterTableIsPointerFree(t *testing.T) {
 	}
 	walk("route", reflect.TypeOf(route{}))
 	walk("routeLeg", reflect.TypeOf(routeLeg{}))
-	walk("clusterIndex", reflect.TypeOf(table{}.clusters).Elem())
+	walk("clusterIndex", reflect.TypeOf(new(table).clusters.Chunks()).Elem().Elem())
 	walk("openID", reflect.TypeOf(table{}.open).Elem().Elem())
 	if got := reflect.TypeOf(route{}).Size(); got > 48 {
 		t.Errorf("route is %d bytes, was 48", got)
 	}
-	if got := reflect.TypeOf(routeLeg{}).Size(); got > 24 {
-		t.Errorf("routeLeg is %d bytes, was 24", got)
+	if got := reflect.TypeOf(routeLeg{}).Size(); got > 16 {
+		t.Errorf("routeLeg is %d bytes, was 16", got)
+	}
+}
+
+// TestRouterBytesPerOrder is the router's retention budget: what its
+// slabs hold per routed order, chunk tails included, read from the gauge
+// an operator sees. A route is 48 bytes, a leg 16 and a cluster index 4,
+// so a four-region XOR of one cluster a leg keeps 128 and a one-cluster
+// regional order 68.
+func TestRouterBytesPerOrder(t *testing.T) {
+	const orders = 2048
+	for _, tc := range []struct {
+		name     string
+		clusters []string
+		budget   int
+	}{
+		{"four-region XOR", []string{"a-r1", "b-r2", "c-r1", "d-r2"}, 132},
+		{"one region, one cluster", []string{"a-r1"}, 72},
+	} {
+		f := fourRegions(t)
+		for i := 0; i < orders; i++ {
+			if _, err := f.SubmitProduct("team", "batch-compute", 1, tc.clusters, 40); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs := f.RouterStats()
+		if rs.Routes != orders || rs.Legs != orders*len(tc.clusters) {
+			t.Fatalf("%s: the table holds %d routes and %d legs after %d orders", tc.name, rs.Routes, rs.Legs, orders)
+		}
+		if per := rs.Bytes / rs.Routes; per > tc.budget {
+			t.Errorf("%s: the router keeps %d B an order (%d B over %d routes), budget %d", tc.name, per, rs.Bytes, rs.Routes, tc.budget)
+		}
 	}
 }
 
@@ -67,9 +98,10 @@ const fedSubmitAllocBudget = 7
 
 // TestFedSubmitAllocBudget bounds a routed submit's allocations and
 // requires that none of what the router itself allocates stays live per
-// order: the table's slabs grow by doubling (a handful of live objects
-// however many orders), the view is the caller's. The regional book's
-// own order is the region's, budgeted by market's TestSubmitAllocBudget.
+// order: the table's slabs grow a chunk of a few KB at a time (one live
+// object a chunk, and the chunk lists), the view is the caller's. The
+// regional book's own order is the region's, budgeted by market's
+// TestSubmitAllocBudget.
 func TestFedSubmitAllocBudget(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -102,14 +134,18 @@ func TestFedSubmitAllocBudget(t *testing.T) {
 		seen += rec.AllocObjects
 		retained += rec.InUseObjects()
 	}
-	runtime.KeepAlive(f) // the table is live while the profile is read
+	f.mu.Lock()
+	tb := &f.table
+	chunks := len(tb.routes.Chunks()) + len(tb.legs.Chunks()) + len(tb.clusters.Chunks())
+	f.mu.Unlock()
 	if seen < runs {
 		t.Errorf("the profile saw %d router allocations under SubmitProduct for %d orders: the retention check is vacuous", seen, runs)
 	}
-	// One live backing array per slab and open list, a few more while the
-	// profile lags a cycle: nothing that scales with the orders routed.
-	if retained > 32 {
-		t.Errorf("%d router objects stay live after %d routed orders: the table should retain none per order", retained, runs)
+	// One live object a chunk, plus the three chunk lists and the open
+	// lists, a few more while the profile lags a cycle: nothing that scales
+	// with the orders routed but the chunks.
+	if retained > 16+int64(chunks) {
+		t.Errorf("%d router objects stay live after %d routed orders in %d chunks: the table should retain none per order", retained, runs, chunks)
 	}
 }
 

@@ -69,6 +69,12 @@ var ErrClosed = errors.New("journal: closed")
 // from real damage. Test with errors.Is.
 var ErrLocked = errors.New("journal: directory locked")
 
+// ErrCorruptWAL is wrapped into Open's error when the WAL has no prefix to
+// recover: a foreign header, or a first record past what the snapshot
+// covers, so the records between are lost. A torn or corrupt tail is not
+// one: Open truncates it and recovers the records before it.
+var ErrCorruptWAL = errors.New("journal: corrupt wal")
+
 // Options tunes a Journal.
 type Options struct {
 	// FsyncEvery is the group-commit window: the WAL is fsynced after
@@ -266,7 +272,7 @@ func (j *Journal) recover() (*Recovery, error) {
 	default:
 		firstSeq, payloads, goodLen, reason, tornTail, perr := parseWAL(data)
 		if perr != nil {
-			return nil, fmt.Errorf("journal: wal %s: %w", j.walPath(), perr)
+			return nil, fmt.Errorf("%w: %s: %w", ErrCorruptWAL, j.walPath(), perr)
 		}
 		if goodLen < walHeaderSize {
 			// The header itself is torn (empty or partial file): nothing in
@@ -302,8 +308,8 @@ func (j *Journal) recover() (*Recovery, error) {
 		}
 		if firstSeq > snapSeq+1 {
 			return nil, fmt.Errorf(
-				"journal: wal %s starts at seq %d but the latest durable snapshot covers only seq %d — records %d..%d are lost",
-				j.walPath(), firstSeq, snapSeq, snapSeq+1, firstSeq-1)
+				"%w: %s starts at seq %d but the latest durable snapshot covers only seq %d — records %d..%d are lost",
+				ErrCorruptWAL, j.walPath(), firstSeq, snapSeq, snapSeq+1, firstSeq-1)
 		}
 		last := firstSeq + uint64(len(payloads)) - 1
 		if len(payloads) == 0 {

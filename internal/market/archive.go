@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"clustermarket/internal/core"
+	"clustermarket/internal/slab"
 )
 
 // Terminal state leaves the pointer graph. An order is a Go object only
@@ -20,13 +21,15 @@ import (
 // plain bytes the collector never scans, and retiring it below a
 // watermark is dropping chunks.
 
-// Chunk sizes. A chunk is allocated under the stripe lock in the middle
-// of a settlement wave, so it is a few KB — 3 KB of order records, 4 KB
-// of runs, 1.5 KB of ledger records — which the allocator serves from its
-// per-P cache: 16–64 KB chunks were zeroed, swept for and assisted for
-// under that lock, and a 3 500-order wave on a busy machine ran ≈0.8 ms
-// longer for it. The half-empty tail, the archive's only slack, is small
-// for the same reason.
+// Chunk sizes of the archive's slabs (internal/slab: order and ledger
+// records pushed one at a time, row runs allocated whole). A chunk is
+// allocated under the stripe lock in the middle of a settlement wave, so
+// it is a few KB — 3 KB of order records, 4 KB of runs, 1.5 KB of ledger
+// records — which the allocator serves from its per-P cache: 16–64 KB
+// chunks were zeroed, swept for and assisted for under that lock, and a
+// 3 500-order wave on a busy machine ran ≈0.8 ms longer for it. The
+// half-empty tail, the archive's only slack, is small for the same
+// reason.
 const (
 	recChunk = 64   // order or ledger records a chunk
 	runChunk = 4096 // bytes of runs a chunk
@@ -50,74 +53,6 @@ var ErrRecordOverflow = errors.New("market: value does not fit the book's record
 // status or fields its record cannot hold, a ledger entry whose sequence
 // number is not its position. Recover wraps every restore failure in it.
 var ErrCorruptSnapshot = errors.New("market: corrupt snapshot")
-
-// slab is an append-only store of runs of T in fixed-size chunks: a run
-// is contiguous in one chunk and never moves, growth allocates a chunk
-// and copies nothing, and a run longer than a chunk gets a chunk of its
-// own. A run's address is its chunk number and offset in one word.
-type slab[T any] struct {
-	chunks [][]T
-	open   int // the chunk being filled; a private chunk is born full
-	held   int // entries of capacity allocated so far
-}
-
-// alloc reserves a run of n entries in chunks of the given size.
-//
-//marketlint:allocfree
-func (s *slab[T]) alloc(n, chunk int) (at uint64, run []T) {
-	if n > chunk {
-		//marketlint:allow allocfree one private chunk for a run wider than a chunk
-		s.chunks = append(s.chunks, make([]T, n))
-		s.held += n
-		k := len(s.chunks) - 1
-		return uint64(k) << 32, s.chunks[k]
-	}
-	if len(s.chunks) == 0 || len(s.chunks[s.open])+n > chunk {
-		//marketlint:allow allocfree one chunk per runChunk bytes or recChunk records, not per order
-		s.chunks = append(s.chunks, make([]T, 0, chunk))
-		s.open = len(s.chunks) - 1
-		s.held += chunk
-	}
-	c := s.chunks[s.open]
-	off := len(c)
-	s.chunks[s.open] = c[:off+n]
-	return uint64(s.open)<<32 | uint64(off), c[off : off+n : off+n]
-}
-
-// from returns the entries from address at to the end of its chunk's
-// filled part: the run alloc put there and the runs after it. Entries
-// are immutable, so the slice may outlive the lock it was taken under.
-//
-//marketlint:allocfree
-func (s *slab[T]) from(at uint64) []T {
-	c := s.chunks[at>>32]
-	return c[int(uint32(at)):len(c):len(c)]
-}
-
-// push appends one zero record, for the caller to fill in place, to a
-// slab used only through push — whose chunks therefore all hold recChunk
-// records — and returns it with its position.
-//
-//marketlint:allocfree
-func (s *slab[T]) push() (int, *T) {
-	at, run := s.alloc(1, recChunk)
-	return int(at>>32)*recChunk + int(uint32(at)), &run[0]
-}
-
-// rec returns the record push put at position i.
-//
-//marketlint:allocfree
-func (s *slab[T]) rec(i int) *T { return &s.chunks[i/recChunk][i%recChunk] }
-
-// count returns the number of records pushed.
-//
-//marketlint:allocfree
-func (s *slab[T]) count() int {
-	if len(s.chunks) == 0 {
-		return 0
-	}
-	return (len(s.chunks)-1)*recChunk + len(s.chunks[len(s.chunks)-1])
-}
 
 // orderRec is a terminal order: 48 bytes, no pointers. Its id is the slot
 // that names it; team and bid user are one interned label; its rows — and
@@ -180,10 +115,10 @@ func (os *orderShard) labelLocked(team, user string) uint32 {
 //marketlint:allocfree
 func (os *orderShard) recordLocked(o *Order) uint32 {
 	os.enc = appendRun(os.enc[:0], o.Bid, os.width)
-	at, run := os.rows.alloc(len(os.enc), runChunk)
+	at, run := os.rows.Alloc(len(os.enc), runChunk)
 	copy(run, os.enc)
 	label := os.labelLocked(o.Team, o.Bid.User)
-	pos, r := os.recs.push()
+	pos, r := os.recs.Push(recChunk)
 	*r = orderRec{
 		payment: o.Payment, limit: o.Bid.Limit, run: at, label: label,
 		auction: int32(o.Auction), attempts: int32(o.Attempts), bundle: int32(o.Bundle),
@@ -211,7 +146,7 @@ func (os *orderShard) archiveLocked(j int, o *Order) {
 func (os *orderShard) fillLocked(id int, r *orderRec, o *Order, b *core.Bid, d *rowDecode) {
 	l := os.labels[r.label]
 	*b = core.Bid{User: l.user, Limit: r.limit}
-	d.add(b, os.rows.from(r.run), os.width)
+	d.add(b, os.rows.From(r.run), os.width)
 	*o = Order{ID: id, Team: l.team, Bid: b, Status: OrderStatus(r.status), Auction: int(r.auction),
 		Attempts: int(r.attempts), Bundle: int(r.bundle), Payment: r.payment}
 }
@@ -242,7 +177,7 @@ const (
 // free-text memos interned.
 type ledgerBook struct {
 	mu    sync.RWMutex
-	recs  slab[ledgerRec]
+	recs  slab.Slab[ledgerRec]
 	text  []string
 	index map[string]uint32
 }
@@ -307,7 +242,7 @@ func renderOrderMemo(kind uint8, id uint64) string {
 //marketlint:allocfree
 func (l *ledgerBook) postLocked(auction int, team string, amount float64, kind uint8, arg uint32) {
 	id := l.internLocked(team)
-	_, r := l.recs.push()
+	_, r := l.recs.Push(recChunk)
 	*r = ledgerRec{amount: amount, auction: int32(auction), team: id, arg: arg, kind: kind}
 }
 
@@ -318,7 +253,7 @@ func (l *ledgerBook) entriesLocked(lo, hi int) []LedgerEntry {
 	}
 	out := make([]LedgerEntry, hi-lo)
 	for i := range out {
-		r := l.recs.rec(lo + i)
+		r := l.recs.At(lo+i, recChunk)
 		out[i] = LedgerEntry{Seq: lo + i, Auction: int(r.auction), Team: l.text[r.team], Amount: r.amount}
 		if r.kind == memoText {
 			out[i].Memo = l.text[r.arg]

@@ -866,7 +866,7 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 func (e *Exchange) Ledger() []LedgerEntry {
 	e.ledger.mu.RLock()
 	defer e.ledger.mu.RUnlock()
-	return e.ledger.entriesLocked(0, e.ledger.recs.count())
+	return e.ledger.entriesLocked(0, e.ledger.recs.Len(recChunk))
 }
 
 // LedgerTail returns the most recent limit billing entries, oldest
@@ -877,7 +877,7 @@ func (e *Exchange) LedgerTail(limit int) []LedgerEntry {
 	}
 	e.ledger.mu.RLock()
 	defer e.ledger.mu.RUnlock()
-	n := e.ledger.recs.count()
+	n := e.ledger.recs.Len(recChunk)
 	return e.ledger.entriesLocked(max(n-limit, 0), n)
 }
 
@@ -1277,7 +1277,7 @@ func (e *Exchange) LedgerBalanced(eps float64) bool {
 	e.ledger.mu.RLock()
 	defer e.ledger.mu.RUnlock()
 	var s float64
-	for _, chunk := range e.ledger.recs.chunks {
+	for _, chunk := range e.ledger.recs.Chunks() {
 		for i := range chunk {
 			s += chunk[i].amount
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -193,4 +194,81 @@ func FuzzRestoreState(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRecoverWAL recovers the checked-in parent journal with its WAL
+// replaced by arbitrary bytes, seeded with that WAL truncated and
+// bit-flipped along its length. Whatever the bytes, journal.Open and
+// Recover must not panic and must end in one of two ways: a typed error —
+// a WAL with no prefix to recover (journal.ErrCorruptWAL) or a record the
+// book cannot replay (ErrCorruptRecord) — or an exchange the whole
+// invariant kernel passes. A truncated WAL is what a crash leaves: it
+// must recover, to a prefix, by id, of the orders the whole WAL books.
+func FuzzRecoverWAL(f *testing.F) {
+	snap, err := os.ReadFile(filepath.Join(fixtureDir, "snapshot.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(fixtureDir, "wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	full, err := recoverWAL(f, snap, wal)
+	if err != nil {
+		f.Fatal(err)
+	}
+	all := full.Orders()
+	f.Add(wal)
+	for cut := 0; cut < len(wal); cut += 13 {
+		f.Add(wal[:cut])
+	}
+	for bit := 0; bit < 8*len(wal); bit += 97 {
+		flipped := bytes.Clone(wal)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		truncated := bytes.HasPrefix(wal, data)
+		ex, err := recoverWAL(t, snap, data)
+		if err != nil {
+			if truncated || !errors.Is(err, journal.ErrCorruptWAL) && !errors.Is(err, market.ErrCorruptRecord) {
+				t.Fatalf("recovery = %v; want a book from a truncated WAL, a typed error from any other", err)
+			}
+			return
+		}
+		if vs := invariant.CheckExchange(ex); len(vs) > 0 {
+			t.Fatalf("recovered a book that breaks invariants: %v", vs)
+		}
+		if !truncated {
+			return
+		}
+		got := ex.Orders()
+		if len(got) > len(all) {
+			t.Fatalf("a truncated WAL recovered %d orders, the whole WAL %d", len(got), len(all))
+		}
+		for i, o := range got {
+			if w := all[i]; o.ID != w.ID || o.Team != w.Team || o.Bid.User != w.Bid.User || o.Bid.Limit != w.Bid.Limit {
+				t.Fatalf("a truncated WAL recovered order %d as %s/%s limit %g; the whole WAL has order %d as %s/%s limit %g",
+					o.ID, o.Team, o.Bid.User, o.Bid.Limit, w.ID, w.Team, w.Bid.User, w.Bid.Limit)
+			}
+		}
+	})
+}
+
+// recoverWAL opens a journal directory holding the snapshot and the WAL
+// given and recovers a book from it, detached from the journal.
+func recoverWAL(t testing.TB, snap, wal []byte) (*market.Exchange, error) {
+	t.Helper()
+	dir := t.TempDir()
+	for name, raw := range map[string][]byte{"snapshot.json": snap, "wal": wal} {
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, rec, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		return nil, err
+	}
+	defer j.Close()
+	return market.Recover(recoverFleet(t), marketCfg(nil, -1), rec)
 }

@@ -83,12 +83,12 @@ func (e *Exchange) Metrics() Metrics {
 		os := &e.orderShards[s]
 		os.mu.RLock()
 		live += os.openCount
-		archived += os.recs.count()
-		bytes += os.recs.held*int(unsafe.Sizeof(orderRec{})) + os.rows.held
+		archived += os.recs.Len(recChunk)
+		bytes += os.recs.Held()*int(unsafe.Sizeof(orderRec{})) + os.rows.Held()
 		os.mu.RUnlock()
 	}
 	e.ledger.mu.RLock()
-	entries := e.ledger.recs.count()
+	entries := e.ledger.recs.Len(recChunk)
 	e.ledger.mu.RUnlock()
 	return Metrics{
 		LiveOrders: live, ArchivedOrders: archived, ArchiveBytes: bytes, LedgerEntries: entries,

@@ -9,6 +9,11 @@ import (
 	"clustermarket/internal/journal"
 )
 
+// ErrCorruptRecord marks a WAL record Recover cannot replay: one that does
+// not decode, or that the book recovered so far could not have written.
+// Recover's error wrapping it names the record's sequence number.
+var ErrCorruptRecord = errors.New("market: corrupt journal record")
+
 // Recover rebuilds an exchange from a journal recovery: it constructs a
 // fresh exchange over the caller's rebuilt fleet, loads the snapshot
 // (if any), replays the WAL tail through the apply layer, and attaches
@@ -41,10 +46,10 @@ func Recover(fleet *cluster.Fleet, cfg Config, rec *journal.Recovery) (*Exchange
 		seq := rec.SnapshotSeq + uint64(i) + 1
 		var ev Event
 		if err := json.Unmarshal(raw, &ev); err != nil {
-			return nil, fmt.Errorf("market: decode journal record seq %d: %w", seq, err)
+			return nil, fmt.Errorf("market: decode journal record seq %d: %w: %w", seq, ErrCorruptRecord, err)
 		}
 		if err := e.applyEvent(&ev); err != nil {
-			return nil, fmt.Errorf("market: replay seq %d (%s): %w", seq, ev.Kind, err)
+			return nil, fmt.Errorf("market: replay seq %d (%s): %w: %w", seq, ev.Kind, ErrCorruptRecord, err)
 		}
 	}
 	e.journal = j

@@ -3,6 +3,8 @@ package market
 import (
 	"math"
 	"sync"
+
+	"clustermarket/internal/slab"
 )
 
 // DefaultShards is the stripe count an Exchange uses when Config.Shards
@@ -30,8 +32,8 @@ type orderShard struct {
 	// each one's rows a run of bytes in one chunked slab (run.go), team
 	// and bid user interned. enc is the scratch a run is encoded in, and
 	// width the registry's pool count, which runs are written against.
-	recs       slab[orderRec]
-	rows       slab[byte]
+	recs       slab.Slab[orderRec]
+	rows       slab.Slab[byte]
 	enc        []byte
 	width      int32
 	labels     []orderLabel
@@ -58,7 +60,7 @@ func (os *orderShard) lookupLocked(j int) (*Order, *orderRec) {
 		return nil, nil
 	}
 	if w := os.slots[j]; w&archivedBit != 0 {
-		return nil, os.recs.rec(int(w &^ archivedBit))
+		return nil, os.recs.At(int(w&^archivedBit), recChunk)
 	} else {
 		return os.live[w], nil
 	}

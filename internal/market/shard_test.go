@@ -195,7 +195,7 @@ func TestBookArchiveIsPointerFree(t *testing.T) {
 	walk("orderRec", reflect.TypeOf(orderRec{}))
 	walk("ledgerRec", reflect.TypeOf(ledgerRec{}))
 	walk("slot", reflect.TypeOf(orderShard{}.slots).Elem())
-	walk("rowRun", reflect.TypeOf(orderShard{}.rows.chunks).Elem().Elem())
+	walk("rowRun", reflect.TypeOf(new(orderShard).rows.Chunks()).Elem().Elem())
 	if got := reflect.TypeOf(orderRec{}).Size(); got > 48 {
 		t.Errorf("orderRec is %d bytes, was 48", got)
 	}

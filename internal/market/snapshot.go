@@ -204,7 +204,7 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 			}
 		}
 	}
-	st.Ledger = e.ledger.entriesLocked(0, e.ledger.recs.count())
+	st.Ledger = e.ledger.entriesLocked(0, e.ledger.recs.Len(recChunk))
 	st.History = append([]*AuctionRecord(nil), e.history...)
 	for _, g := range e.fleet.Quotas().Grants() {
 		if g.Quota.IsZero() {

@@ -244,6 +244,7 @@ func (s *FedServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rs := s.fed.RouterStats()
 	m.add("fed_router_routes", "gauge", "Orders in the router's table.", nil, float64(rs.Routes))
 	m.add("fed_router_legs", "gauge", "Legs in the router's table.", nil, float64(rs.Legs))
+	m.add("fed_router_bytes", "gauge", "Bytes of router table chunks allocated: routes, legs and their cluster indices.", nil, float64(rs.Bytes))
 	for _, rr := range rs.Regions {
 		m.add("fed_router_open_ids", "gauge", "Ids on the region's open-order list (stale ones until its next advance).",
 			labels("region", rr.Region), float64(rr.OpenIDs))

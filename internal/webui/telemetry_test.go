@@ -163,6 +163,7 @@ func TestFedMetricsExposition(t *testing.T) {
 		"fed_gossip_ticks_total",
 		"fed_router_routes 1",
 		"fed_router_legs 2",
+		"# TYPE fed_router_bytes gauge",
 		"# TYPE fed_router_last_advance_visited gauge",
 		`fed_router_open_ids{region="hot"}`,
 		`fed_router_open_ids{region="cold"}`,
