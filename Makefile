@@ -110,7 +110,8 @@ cover-update:
 # (The clock differential's, the router replay's, the snapshot loader's,
 # the archive codec's, the WAL decoder's and the WAL recovery's inputs are
 # byte strings the fuzzer would otherwise spend the whole smoke
-# minimizing: their budget is capped.)
+# minimizing: their budget is capped, and so is the clock-vs-Exact
+# target's, whose every input solves a branch and bound.)
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run 'xxx' ./internal/bidlang
@@ -125,4 +126,5 @@ fuzz:
 	$(GO) test -fuzz FuzzRecoverWAL -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/market
 	$(GO) test -fuzz FuzzParseWAL -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/journal
 	$(GO) test -fuzz FuzzClockMatchesReference -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/core
+	$(GO) test -fuzz FuzzClockVsExact -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/optimize
 	$(GO) test -fuzz FuzzFedEventReplay -fuzztime $(FUZZTIME) -fuzzminimizetime 2s -run 'xxx' ./internal/federation

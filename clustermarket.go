@@ -7,7 +7,7 @@
 // packages:
 //
 //   - the ascending clock auction (Section III): Bid, Auction,
-//     AuctionConfig, Result, the increment policies, and feasibility
+//     AuctionConfig, Result, the Capped price step, and feasibility
 //     checking against the SYSTEM constraints;
 //   - congestion-weighted reserve pricing (Section IV): the weighting
 //     curves and Pricer;
@@ -86,25 +86,11 @@ type (
 	AuctionConfig = core.Config
 	// AuctionResult is the settled outcome.
 	AuctionResult = core.Result
-	// IncrementPolicy is the price update rule g(x, p). The contract is
-	// allocation-free: implementations write the step into a
-	// caller-provided vector (StepInto); use PolicyStep for the
-	// allocating convenience form.
-	IncrementPolicy = core.IncrementPolicy
+	// Capped is the clock's price update rule, the paper's Equation (3):
+	// g = min(α·z⁺, δe). The zero value selects the default step.
+	Capped = core.Capped
 	// SystemViolation is one violated SYSTEM constraint.
 	SystemViolation = core.SystemViolation
-)
-
-// Increment policies from Section III.C.2.
-type (
-	// Additive is g = α·z⁺.
-	Additive = core.Additive
-	// Capped is the paper's Equation (3): g = min(α·z⁺, δe).
-	Capped = core.Capped
-	// Proportional caps steps at a fraction of the current price.
-	Proportional = core.Proportional
-	// CostNormalized scales steps by each pool's base cost.
-	CostNormalized = core.CostNormalized
 )
 
 // ErrNoConvergence reports a clock auction that hit its round limit.
@@ -123,11 +109,6 @@ func CheckSystem(bids []*Bid, res *AuctionResult, eps float64) []SystemViolation
 
 // Premium computes γ_u (Equation 5, Section V.C).
 func Premium(limit, payment float64) float64 { return core.Premium(limit, payment) }
-
-// PolicyStep applies an increment policy into a freshly allocated step
-// vector — the convenience form of the allocation-free StepInto
-// contract.
-func PolicyStep(pol IncrementPolicy, z, p Vector) Vector { return core.PolicyStep(pol, z, p) }
 
 // Reserve pricing (Section IV).
 type (

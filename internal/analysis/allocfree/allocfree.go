@@ -2,8 +2,7 @@
 // claims (TestSteadyStateRoundsAllocationFree, the firehose
 // no-subscriber fast path, the O(1) budget check+commit) into a
 // compile-time gate. A function annotated `//marketlint:allocfree` in
-// its doc comment — or an interface method so annotated, which binds
-// every implementation — must not contain:
+// its doc comment must not contain:
 //
 //   - fmt.* calls (the argument pack boxes and escapes);
 //   - append that may grow, or make/new/map/slice literals, outside an
@@ -29,7 +28,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"clustermarket/internal/analysis"
 )
@@ -88,13 +86,8 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || pass.FuncAnnotation(fd, "allocfree") == nil {
 				continue
-			}
-			if pass.FuncAnnotation(fd, "allocfree") == nil {
-				if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); !ok || !annotated[obj] {
-					continue
-				}
 			}
 			c := &checker{pass: pass, annotated: annotated, fn: fd.Name.Name, decl: fd,
 				vouched: map[*ast.CallExpr]bool{}}
@@ -104,94 +97,22 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// annotatedFuncs collects the *types.Func objects carrying an
-// allocfree annotation: package-level functions and methods (via their
-// doc comments) and interface methods (via the method field's doc —
-// annotating an interface method binds every same-package
-// implementation and blesses calls through the interface).
+// annotatedFuncs collects the *types.Func objects of the functions and
+// methods whose doc comments carry an allocfree annotation.
 func annotatedFuncs(pass *analysis.Pass) map[*types.Func]bool {
 	ann := map[*types.Func]bool{}
-	var ifaceMethods []*types.Func
 	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if pass.FuncAnnotation(n, "allocfree") != nil {
-					if obj, ok := pass.TypesInfo.Defs[n.Name].(*types.Func); ok {
-						ann[obj] = true
-					}
-				}
-				return false
-			case *ast.InterfaceType:
-				for _, f := range n.Methods.List {
-					if len(f.Names) == 0 {
-						continue
-					}
-					for _, a := range parseFieldAnnotations(f) {
-						if a != "allocfree" {
-							continue
-						}
-						for _, name := range f.Names {
-							if obj, ok := pass.TypesInfo.Defs[name].(*types.Func); ok {
-								ann[obj] = true
-								ifaceMethods = append(ifaceMethods, obj)
-							}
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	// An annotated interface method obligates every same-package
-	// implementation: mark each concrete method with a matching name
-	// whose receiver type implements the interface.
-	for _, im := range ifaceMethods {
-		sig, ok := im.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			continue
-		}
-		iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
-		if !ok {
-			continue
-		}
-		scope := pass.Pkg.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
+		for _, d := range file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || pass.FuncAnnotation(fd, "allocfree") == nil {
 				continue
 			}
-			t := tn.Type()
-			for _, typ := range []types.Type{t, types.NewPointer(t)} {
-				if !types.Implements(typ, iface) {
-					continue
-				}
-				obj, _, _ := types.LookupFieldOrMethod(typ, true, pass.Pkg, im.Name())
-				if m, ok := obj.(*types.Func); ok {
-					ann[m] = true
-				}
+			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+				ann[obj] = true
 			}
 		}
 	}
 	return ann
-}
-
-// parseFieldAnnotations extracts marketlint annotation names from an
-// interface method field's doc or line comment.
-func parseFieldAnnotations(f *ast.Field) []string {
-	var names []string
-	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if rest, ok := strings.CutPrefix(c.Text, analysis.AnnotationPrefix); ok {
-				name, _, _ := strings.Cut(rest, " ")
-				names = append(names, name)
-			}
-		}
-	}
-	return names
 }
 
 type checker struct {

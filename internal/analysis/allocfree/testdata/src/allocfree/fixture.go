@@ -1,6 +1,5 @@
 // Package fixture exercises every allocating construct allocfree
-// flags, the amortized-growth idioms it must keep accepting, and
-// annotation propagation through interface methods.
+// flags and the amortized-growth idioms it must keep accepting.
 package fixture
 
 import (
@@ -110,26 +109,6 @@ func grow(n int) []int {
 	return buf
 }
 
-// stepPolicy mirrors the core IncrementPolicy contract: annotating the
-// interface method binds every same-package implementation.
-type stepPolicy interface {
-	// StepInto advances the bid one round.
-	//
-	//marketlint:allocfree
-	StepInto(x int) int
-}
-
-type additive struct{ delta int }
-
-func (a additive) StepInto(x int) int { return x + a.delta }
-
-type logging struct{ last string }
-
-func (l *logging) StepInto(x int) int {
-	l.last = fmt.Sprint(x) // want "calls fmt.Sprint" "boxes a int"
-	return x
-}
-
 // A generic type's annotated method is called through an instantiation:
 // the annotation on the declaration it originates from must carry.
 type ring[T any] struct{ buf []T }
@@ -157,5 +136,5 @@ func coldPath(n int) []string {
 	return out
 }
 
-var _ = []any{gauge{}, stepPolicy(nil), additive{}, (*logging)(nil),
+var _ = []any{gauge{},
 	report, gather, push, fused, quadruple, accumulate, stash, raw, index, grow, coldPath, ringSum}

@@ -17,9 +17,9 @@ type Config struct {
 	// Start is p̃, the starting/reserve price vector. Section IV derives
 	// it from utilization; it must be componentwise ≥ 0.
 	Start resource.Vector
-	// Policy is the price update function g(x, p). Nil selects
+	// Policy is the price update function g(x, p). The zero value selects
 	// DefaultPolicy.
-	Policy IncrementPolicy
+	Policy Capped
 	// Epsilon is the tolerance for the stopping test z(t) ≤ ε. Markets
 	// with divisible supply rarely clear exactly; a small positive ε
 	// mirrors the paper's observation that supplies and demands rarely
@@ -153,7 +153,7 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 	if len(bids) == 0 {
 		return nil, errors.New("core: auction needs at least one bid")
 	}
-	if cfg.Policy == nil {
+	if cfg.Policy == (Capped{}) {
 		cfg.Policy = DefaultPolicy()
 	}
 	if err := validatePolicy(cfg.Policy); err != nil {

@@ -266,7 +266,7 @@ func TestNewAuctionValidation(t *testing.T) {
 		{"negative start", reg, okBid, Config{Start: resource.Vector{-1}}},
 		{"negative epsilon", reg, okBid, Config{Start: resource.Vector{1}, Epsilon: -1}},
 		{"invalid bid", reg, []*Bid{{User: "", Limit: 1, Bundles: []resource.Vector{{1}}}}, Config{Start: resource.Vector{1}}},
-		{"bad policy", reg, okBid, Config{Start: resource.Vector{1}, Policy: Additive{Alpha: -1}}},
+		{"bad policy", reg, okBid, Config{Start: resource.Vector{1}, Policy: Capped{Alpha: -1, Delta: 1}}},
 	}
 	for _, c := range cases {
 		if _, err := NewAuction(c.reg, c.bids, c.cfg); err == nil {
@@ -275,20 +275,15 @@ func TestNewAuctionValidation(t *testing.T) {
 	}
 }
 
-// stallPolicy returns a zero step, which must be detected as a stall.
-type stallPolicy struct{}
-
-func (stallPolicy) Name() string { return "stall" }
-func (stallPolicy) StepInto(dst, z, p resource.Vector) {
-	for i := range dst {
-		dst[i] = 0
-	}
-}
+// stallPolicy is a valid Capped whose step underflows: α is the smallest
+// denormal and MinStep 0, so against less than half a unit of excess
+// demand α·z rounds to 0 and the clock cannot move.
+var stallPolicy = Capped{Alpha: 5e-324, Delta: 1}
 
 func TestAuctionDetectsStalledPolicy(t *testing.T) {
 	reg := onePool()
-	bids := []*Bid{{User: "b", Limit: 100, Bundles: []resource.Vector{{10}}}}
-	a, err := NewAuction(reg, bids, Config{Start: resource.Vector{1}, Policy: stallPolicy{}})
+	bids := []*Bid{{User: "b", Limit: 100, Bundles: []resource.Vector{{0.25}}}}
+	a, err := NewAuction(reg, bids, Config{Start: resource.Vector{1}, Policy: stallPolicy})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,65 +2,18 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"clustermarket/internal/resource"
 )
 
-// IncrementPolicy is the price update function g(x, p) of Algorithm 1: it
-// maps the excess demand vector z and current prices p into a nonnegative
-// additive price step. Section III.C.2 discusses the design space; each
-// implementation below is one of the paper's suggestions and is exercised
-// by the ablation benchmarks.
+// Capped is the clock's price update function g(x, p) of Algorithm 1: the
+// paper's preferred Equation (3), g = min(α·z⁺, δ·e), where e is the
+// all-ones vector, so no price moves by more than δ per round. A MinStep
+// floor guarantees progress when excess demand is tiny. Section III.C.2
+// discusses other choices; DESIGN.md, Section III, records the
+// measurement that kept only this one.
 //
-// The contract is allocation-free: StepInto writes the step into a
-// caller-provided vector, so the clock's round loop can evaluate the
-// policy thousands of times without touching the heap. One-shot callers
-// can use the PolicyStep helper instead.
-type IncrementPolicy interface {
-	// Name identifies the policy in reports.
-	Name() string
-	// StepInto writes g(x, p) ≥ 0 into dst, which has len(z). Every
-	// component must be written (zero where z ≤ 0): dst is scratch and may
-	// hold a previous round's step on entry. Only pools with z > 0 may
-	// move.
-	//marketlint:allocfree
-	StepInto(dst, z, p resource.Vector)
-}
-
-// PolicyStep allocates a fresh vector and applies p.StepInto — the
-// convenience form of the policy contract for tests and one-shot callers
-// off the clock's hot path.
-func PolicyStep(pol IncrementPolicy, z, p resource.Vector) resource.Vector {
-	dst := make(resource.Vector, len(z))
-	pol.StepInto(dst, z, p)
-	return dst
-}
-
-// Additive is the simplest choice g(x, p) = α·z⁺. The paper notes it moves
-// too fast early and too slow late.
-type Additive struct {
-	// Alpha is the small positive scalar α.
-	Alpha float64
-}
-
-// Name implements IncrementPolicy.
-func (a Additive) Name() string { return fmt.Sprintf("additive(α=%g)", a.Alpha) }
-
-// StepInto implements IncrementPolicy.
-func (a Additive) StepInto(dst, z, p resource.Vector) {
-	for i, zi := range z {
-		if zi > 0 {
-			dst[i] = a.Alpha * zi
-		} else {
-			dst[i] = 0
-		}
-	}
-}
-
-// Capped is the paper's preferred Equation (3): g = min(α·z⁺, δ·e), where
-// e is the all-ones vector, so no price moves by more than δ per round. A
-// MinStep floor guarantees progress when excess demand is tiny.
+// The zero Capped selects DefaultPolicy in a Config.
 type Capped struct {
 	Alpha, Delta float64
 	// MinStep, when positive, is the smallest increment applied to a pool
@@ -68,13 +21,14 @@ type Capped struct {
 	MinStep float64
 }
 
-// Name implements IncrementPolicy.
-func (c Capped) Name() string {
-	return fmt.Sprintf("capped(α=%g, δ=%g, min=%g)", c.Alpha, c.Delta, c.MinStep)
-}
-
-// StepInto implements IncrementPolicy.
-func (c Capped) StepInto(dst, z, p resource.Vector) {
+// StepInto writes g(z) ≥ 0 into dst, which has len(z). Every component
+// is written (zero where z ≤ 0): dst is scratch and may hold a previous
+// round's step on entry. Only pools with z > 0 move, each by its own
+// z[i] alone, which is what lets the clock run a market's components as
+// independent lanes.
+//
+//marketlint:allocfree
+func (c Capped) StepInto(dst, z resource.Vector) {
 	for i, zi := range z {
 		if zi <= 0 {
 			dst[i] = 0
@@ -91,104 +45,20 @@ func (c Capped) StepInto(dst, z, p resource.Vector) {
 	}
 }
 
-// Proportional caps each step at a fraction of the pool's current price,
-// the "no price changes by more than some fixed fraction" reading of
-// Section III.C.2. Base avoids stalling at p = 0.
-type Proportional struct {
-	Alpha, Frac, Base float64
-}
-
-// Name implements IncrementPolicy.
-func (pr Proportional) Name() string {
-	return fmt.Sprintf("proportional(α=%g, frac=%g)", pr.Alpha, pr.Frac)
-}
-
-// StepInto implements IncrementPolicy.
-func (pr Proportional) StepInto(dst, z, p resource.Vector) {
-	for i, zi := range z {
-		if zi <= 0 {
-			dst[i] = 0
-			continue
-		}
-		lim := pr.Frac * p[i]
-		if base := pr.Frac * pr.Base; lim < base {
-			lim = base
-		}
-		s := pr.Alpha * zi
-		if s > lim {
-			s = lim
-		}
-		dst[i] = s
-	}
-}
-
-// CostNormalized scales increments by each pool's base cost, the paper's
-// "normalization for differences in the base resource prices": a pool
-// whose unit cost is 100× smaller moves 100× more slowly, keeping final
-// prices in proportion.
-type CostNormalized struct {
-	Alpha float64
-	// Cost holds the per-pool base costs c(r); pools with nonpositive
-	// cost fall back to 1.
-	Cost resource.Vector
-	// DeltaFrac caps each step at DeltaFrac·Cost[i].
-	DeltaFrac float64
-}
-
-// Name implements IncrementPolicy.
-func (cn CostNormalized) Name() string {
-	return fmt.Sprintf("cost-normalized(α=%g, δ=%g)", cn.Alpha, cn.DeltaFrac)
-}
-
-// StepInto implements IncrementPolicy.
-func (cn CostNormalized) StepInto(dst, z, p resource.Vector) {
-	for i, zi := range z {
-		if zi <= 0 {
-			dst[i] = 0
-			continue
-		}
-		c := 1.0
-		if i < len(cn.Cost) && cn.Cost[i] > 0 {
-			c = cn.Cost[i]
-		}
-		s := cn.Alpha * zi * c
-		if cap := cn.DeltaFrac * c; s > cap {
-			s = cap
-		}
-		dst[i] = s
-	}
-}
-
-// DefaultPolicy returns the increment policy used across the experiments:
-// the paper's capped rule with a small floor for guaranteed progress.
-func DefaultPolicy() IncrementPolicy {
+// DefaultPolicy returns the step rule production and every experiment
+// use: the paper's capped rule with a small floor for guaranteed progress.
+func DefaultPolicy() Capped {
 	return Capped{Alpha: 0.02, Delta: 0.25, MinStep: 0.001}
 }
 
-// validatePolicy rejects obviously broken parameterizations early.
-func validatePolicy(p IncrementPolicy) error {
-	switch v := p.(type) {
-	case Additive:
-		if v.Alpha <= 0 {
-			return errors.New("core: Additive.Alpha must be positive")
-		}
-	case Capped:
-		if v.Alpha <= 0 || v.Delta <= 0 {
-			return errors.New("core: Capped.Alpha and Delta must be positive")
-		}
-		if v.MinStep < 0 || v.MinStep > v.Delta {
-			return errors.New("core: Capped.MinStep must be in [0, Delta]")
-		}
-	case Proportional:
-		if v.Alpha <= 0 || v.Frac <= 0 || v.Base <= 0 {
-			return errors.New("core: Proportional parameters must be positive")
-		}
-	case CostNormalized:
-		if v.Alpha <= 0 || v.DeltaFrac <= 0 {
-			return errors.New("core: CostNormalized parameters must be positive")
-		}
-	case nil:
-		return errors.New("core: nil increment policy")
+// validatePolicy rejects broken parameterizations early, NaN included. A
+// validated Capped never writes a negative component.
+func validatePolicy(c Capped) error {
+	if !(c.Alpha > 0) || !(c.Delta > 0) {
+		return errors.New("core: Capped.Alpha and Delta must be positive")
+	}
+	if !(c.MinStep >= 0) || c.MinStep > c.Delta {
+		return errors.New("core: Capped.MinStep must be in [0, Delta]")
 	}
 	return nil
 }

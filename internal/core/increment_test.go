@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,20 +9,17 @@ import (
 	"clustermarket/internal/resource"
 )
 
-func TestAdditiveStep(t *testing.T) {
-	p := Additive{Alpha: 0.1}
-	z := resource.Vector{10, -5, 0}
-	got := PolicyStep(p, z, resource.Vector{1, 1, 1})
-	want := resource.Vector{1, 0, 0}
-	if !got.Equal(want, 1e-12) {
-		t.Errorf("Step = %v, want %v", got, want)
-	}
+// step allocates a fresh vector and applies c.StepInto.
+func step(c Capped, z resource.Vector) resource.Vector {
+	dst := make(resource.Vector, len(z))
+	c.StepInto(dst, z)
+	return dst
 }
 
 func TestCappedStep(t *testing.T) {
 	p := Capped{Alpha: 0.1, Delta: 0.5, MinStep: 0.05}
 	z := resource.Vector{100, 1, 0.1, -3}
-	got := PolicyStep(p, z, resource.Vector{1, 1, 1, 1})
+	got := step(p, z)
 	// 100·0.1=10 capped at 0.5; 1·0.1=0.1; 0.1·0.1=0.01 floored to 0.05;
 	// negative excess leaves the price alone.
 	want := resource.Vector{0.5, 0.1, 0.05, 0}
@@ -30,76 +28,24 @@ func TestCappedStep(t *testing.T) {
 	}
 }
 
-func TestProportionalStep(t *testing.T) {
-	p := Proportional{Alpha: 1, Frac: 0.1, Base: 1}
-	z := resource.Vector{100, 100}
-	got := PolicyStep(p, z, resource.Vector{50, 0})
-	// Pool 0: cap 0.1·50 = 5. Pool 1: price 0 falls back to base cap 0.1.
-	want := resource.Vector{5, 0.1}
-	if !got.Equal(want, 1e-12) {
-		t.Errorf("Step = %v, want %v", got, want)
-	}
-}
-
-func TestCostNormalizedStep(t *testing.T) {
-	p := CostNormalized{Alpha: 0.01, Cost: resource.Vector{100, 1, 0}, DeltaFrac: 0.05}
-	z := resource.Vector{1, 1, 1}
-	got := PolicyStep(p, z, resource.Vector{0, 0, 0})
-	// Pool 0: 0.01·1·100 = 1 capped at 0.05·100 = 5 → 1.
-	// Pool 1: 0.01·1·1 = 0.01.
-	// Pool 2: zero cost falls back to 1 → 0.01.
-	want := resource.Vector{1, 0.01, 0.01}
-	if !got.Equal(want, 1e-12) {
-		t.Errorf("Step = %v, want %v", got, want)
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	policies := []IncrementPolicy{
-		Additive{Alpha: 1},
-		Capped{Alpha: 1, Delta: 1},
-		Proportional{Alpha: 1, Frac: 1, Base: 1},
-		CostNormalized{Alpha: 1, DeltaFrac: 1},
-		DefaultPolicy(),
-	}
-	seen := map[string]bool{}
-	for _, p := range policies {
-		n := p.Name()
-		if n == "" {
-			t.Errorf("%T has empty name", p)
-		}
-		seen[n] = true
-	}
-	if len(seen) < 4 {
-		t.Error("policy names collide")
-	}
-}
-
 func TestValidatePolicy(t *testing.T) {
-	bad := []IncrementPolicy{
-		nil,
-		Additive{Alpha: 0},
-		Capped{Alpha: 0, Delta: 1},
-		Capped{Alpha: 1, Delta: 0},
-		Capped{Alpha: 1, Delta: 1, MinStep: 2},
-		Capped{Alpha: 1, Delta: 1, MinStep: -1},
-		Proportional{Alpha: 0, Frac: 1, Base: 1},
-		Proportional{Alpha: 1, Frac: 0, Base: 1},
-		Proportional{Alpha: 1, Frac: 1, Base: 0},
-		CostNormalized{Alpha: 0, DeltaFrac: 1},
-		CostNormalized{Alpha: 1, DeltaFrac: 0},
+	bad := []Capped{
+		{Alpha: 0, Delta: 1},
+		{Alpha: 1, Delta: 0},
+		{Alpha: 1, Delta: 1, MinStep: 2},
+		{Alpha: 1, Delta: 1, MinStep: -1},
+		{Alpha: math.NaN(), Delta: 1},
+		{Alpha: 1, Delta: 1, MinStep: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := validatePolicy(p); err == nil {
 			t.Errorf("case %d (%v): accepted", i, p)
 		}
 	}
-	good := []IncrementPolicy{
-		Additive{Alpha: 0.1},
-		Capped{Alpha: 0.1, Delta: 1, MinStep: 0.5},
-		Proportional{Alpha: 1, Frac: 0.1, Base: 1},
-		CostNormalized{Alpha: 1, DeltaFrac: 0.1},
-		stallPolicy{}, // unknown types pass validation; Run detects stalls
+	good := []Capped{
+		{Alpha: 0.1, Delta: 1, MinStep: 0.5},
+		DefaultPolicy(),
+		stallPolicy, // valid; Run detects the stall its underflow causes
 	}
 	for i, p := range good {
 		if err := validatePolicy(p); err != nil {
@@ -108,35 +54,26 @@ func TestValidatePolicy(t *testing.T) {
 	}
 }
 
-// TestQuickPolicyStepsNonNegativeAndTargeted: every policy must return a
-// nonnegative step that only moves pools with positive excess demand.
+// TestQuickPolicyStepsNonNegativeAndTargeted: the step must be
+// nonnegative and move exactly the pools with positive excess demand.
 func TestQuickPolicyStepsNonNegativeAndTargeted(t *testing.T) {
-	policies := []IncrementPolicy{
-		Additive{Alpha: 0.3},
-		Capped{Alpha: 0.3, Delta: 0.7, MinStep: 0.01},
-		Proportional{Alpha: 0.3, Frac: 0.2, Base: 1},
-		CostNormalized{Alpha: 0.3, Cost: resource.Vector{1, 10, 100, 5}, DeltaFrac: 0.2},
-	}
+	pol := Capped{Alpha: 0.3, Delta: 0.7, MinStep: 0.01}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		z := make(resource.Vector, 4)
-		p := make(resource.Vector, 4)
 		for i := range z {
 			z[i] = rng.Float64()*40 - 20
-			p[i] = rng.Float64() * 10
 		}
-		for _, pol := range policies {
-			step := PolicyStep(pol, z, p)
-			if !step.AllNonNegative(0) {
+		s := step(pol, z)
+		if !s.AllNonNegative(0) {
+			return false
+		}
+		for i := range s {
+			if s[i] > 0 && z[i] <= 0 {
 				return false
 			}
-			for i := range step {
-				if step[i] > 0 && z[i] <= 0 {
-					return false
-				}
-				if z[i] > 0 && step[i] == 0 {
-					return false // positive excess demand must move
-				}
+			if z[i] > 0 && s[i] == 0 {
+				return false // positive excess demand must move
 			}
 		}
 		return true
@@ -147,28 +84,19 @@ func TestQuickPolicyStepsNonNegativeAndTargeted(t *testing.T) {
 }
 
 // TestStepIntoOverwritesScratch pins the StepInto contract: dst is
-// scratch that may carry a previous round's step, and the policy must
+// scratch that may carry a previous round's step, and the step must
 // overwrite every component — a stale positive entry left behind for a
 // pool with nonpositive excess demand would move a price that must not
 // move.
 func TestStepIntoOverwritesScratch(t *testing.T) {
-	policies := []IncrementPolicy{
-		Additive{Alpha: 0.3},
-		Capped{Alpha: 0.3, Delta: 0.7, MinStep: 0.01},
-		Proportional{Alpha: 0.3, Frac: 0.2, Base: 1},
-		CostNormalized{Alpha: 0.3, Cost: resource.Vector{1, 10, 100}, DeltaFrac: 0.2},
-	}
+	pol := Capped{Alpha: 0.3, Delta: 0.7, MinStep: 0.01}
 	z := resource.Vector{5, -5, 0}
-	p := resource.Vector{1, 2, 3}
-	for _, pol := range policies {
-		dst := resource.Vector{99, 99, 99} // poisoned scratch
-		pol.StepInto(dst, z, p)
-		want := PolicyStep(pol, z, p)
-		if !dst.Equal(want, 0) {
-			t.Errorf("%s: StepInto over poisoned scratch = %v, want %v", pol.Name(), dst, want)
-		}
-		if dst[1] != 0 || dst[2] != 0 {
-			t.Errorf("%s: stale scratch survived for nonpositive z: %v", pol.Name(), dst)
-		}
+	dst := resource.Vector{99, 99, 99} // poisoned scratch
+	pol.StepInto(dst, z)
+	if want := step(pol, z); !dst.Equal(want, 0) {
+		t.Errorf("StepInto over poisoned scratch = %v, want %v", dst, want)
+	}
+	if dst[1] != 0 || dst[2] != 0 {
+		t.Errorf("stale scratch survived for nonpositive z: %v", dst)
 	}
 }

@@ -396,7 +396,7 @@ func (s *fuzzSource) Int63() int64 {
 // choosing the market: the production clock and ReferenceRun must agree
 // bit for bit on every Result field and on the error, over buyers,
 // sellers and traders, one to four bundles a bid, scalar and vector
-// limits, ε = 0 and ε > 0 and all four built-in policies. The corpus
+// limits, ε = 0 and ε > 0 and random Capped steps. The corpus
 // starts from the 2 × 120 seeds the differential tests pin.
 func FuzzClockMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 120; seed++ {

@@ -19,10 +19,9 @@ import (
 // prices of the pools its bundles touch, so Algorithm 1's dynamics factor
 // exactly across components:
 //
-//   - Every built-in IncrementPolicy is per-pool-local (StepInto writes
-//     dst[i] from z[i], p[i] and per-pool parameters only), so the price
-//     path of a component's pools depends only on that component's excess
-//     demand.
+//   - The step rule is per-pool-local (Capped.StepInto writes dst[i] from
+//     z[i] alone), so the price path of a component's pools depends only
+//     on that component's excess demand.
 //   - Excess demand on a component's pools is summed from that
 //     component's proxies alone, and the lane keeps them in the same
 //     ascending order, so each pool sees the identical float addition
@@ -51,8 +50,6 @@ import (
 //     global vector test: the whole step is zero exactly when every lane
 //     has frozen, so a market whose lanes all freeze without a common
 //     cleared round stalls at the last lane's freeze round.
-//   - A negative step is a lane's own error: validated built-in policies
-//     cannot produce one, and a foreign policy always runs as one lane.
 //
 // Settlement scatters the lanes' prices and choices into the Result; a
 // payment is the chosen bundle's dot over its lane's prices — the same
@@ -71,8 +68,8 @@ type lane struct {
 	// bids holds the lane's global bid indices in ascending order; local
 	// proxy k is global bid bids[k].
 	bids []int32
-	// cfg is the auction's configuration with Start and the policy's
-	// per-pool parameters gathered onto the lane's pools.
+	// cfg is the auction's configuration with Start gathered onto the
+	// lane's pools.
 	cfg Config
 	kernel
 
@@ -112,8 +109,6 @@ type lane struct {
 	// frozen reports that the autonomous run ended with a zero step, so
 	// the lane's state is constant from round end onward.
 	frozen bool
-	// err is the lane clock's negative-step error.
-	err error
 }
 
 // unionFind is a union-find forest over global pool ids with path
@@ -153,43 +148,13 @@ func (a *Auction) laneList() []*lane {
 
 // Components returns the number of lanes Run clocks independently: the
 // connected components of the bidder–pool graph, or 1 for a market the
-// decomposition keeps whole (a single component, a foreign increment
-// policy, a −0 reserve price).
+// decomposition keeps whole (a single component, a −0 reserve price).
 func (a *Auction) Components() int { return len(a.laneList()) }
-
-// remapPolicy compacts a built-in increment policy's per-pool parameters
-// onto a component's pools (ascending global ids). Policies carrying no
-// per-pool state pass through unchanged; CostNormalized gets its Cost
-// vector gathered so that local pool j reads exactly what global pool
-// pools[j] read (missing entries stay zero, which falls back to the same
-// unit cost the original would use). Unknown policy implementations
-// return false and keep the market whole: the analyzer cannot prove a
-// foreign policy is per-pool-local.
-func remapPolicy(pol IncrementPolicy, pools []int32) (IncrementPolicy, bool) {
-	switch v := pol.(type) {
-	case Additive:
-		return v, true
-	case Capped:
-		return v, true
-	case Proportional:
-		return v, true
-	case CostNormalized:
-		sub := make(resource.Vector, len(pools))
-		for j, g := range pools {
-			if int(g) < len(v.Cost) {
-				sub[j] = v.Cost[g]
-			}
-		}
-		v.Cost = sub
-		return v, true
-	}
-	return nil, false
-}
 
 // wholeLane is the one-lane list of a market that is not decomposed: the
 // same kernel build through identity pool and bid maps, on the auction's
-// own start prices and policy, so the lane's clock is Algorithm 1 on the
-// whole market.
+// own start prices, so the lane's clock is Algorithm 1 on the whole
+// market.
 func (a *Auction) wholeLane() []*lane {
 	pools, bids := make([]int32, len(a.cfg.Start)), make([]int32, len(a.bids))
 	for g := range pools {
@@ -203,20 +168,17 @@ func (a *Auction) wholeLane() []*lane {
 
 // buildLanes computes the connected components of the bidder–pool graph
 // and assembles one lane per component. The market stays one whole lane
-// when it has fewer than two components, a policy that cannot be
-// remapped, or a −0 reserve price (the whole-market clock normalizes −0
-// to +0 the first time it adds a zero step; a scattered reconstruction
-// that skips untouched pools would preserve the sign bit and break
-// bit-identity of the formatted fingerprints).
+// when it has fewer than two components or a −0 reserve price (the
+// whole-market clock normalizes −0 to +0 the first time it adds a zero
+// step; a scattered reconstruction that skips untouched pools would
+// preserve the sign bit and break bit-identity of the formatted
+// fingerprints).
 func (a *Auction) buildLanes() []*lane {
 	r := len(a.cfg.Start)
 	for _, v := range a.cfg.Start {
 		if v == 0 && math.Signbit(v) {
 			return a.wholeLane()
 		}
-	}
-	if _, ok := remapPolicy(a.cfg.Policy, nil); !ok {
-		return a.wholeLane()
 	}
 
 	// Union the pools of each bid across all its bundles: an XOR set
@@ -284,7 +246,6 @@ func (a *Auction) buildLanes() []*lane {
 		for j, g := range pools[c] {
 			cfg.Start[j] = a.cfg.Start[g]
 		}
-		cfg.Policy, _ = remapPolicy(a.cfg.Policy, pools[c])
 		lanes[c] = a.newLane(pools[c], bids[c], local, cfg)
 	}
 	return lanes
@@ -298,14 +259,14 @@ func (a *Auction) buildLanes() []*lane {
 //   - a lane that is not the sole one does not stop on its local z ≤ ε
 //     test (a cleared lane can keep stepping while the clock runs for
 //     others); it stops when the step vector is zero — frozen, state
-//     constant from round t onward — returning (t, true, nil). A sole
-//     lane's test is the global one, so it stops there: (t, false, nil);
+//     constant from round t onward — returning (t, true). A sole lane's
+//     test is the global one, so it stops there: (t, false);
 //   - a zero step is not an error here: whether the clock stalls is a
 //     global question the driver answers;
 //   - with capT ≥ 0 it stops at exactly round capT right after the
 //     round's demand revelation, pre-step — where Algorithm 1 stands
 //     when the global stopping test passes at capT;
-//   - when the rounds run out it returns (MaxRounds, false, nil) with the
+//   - when the rounds run out it returns (MaxRounds, false) with the
 //     scratch holding the post-step prices and the final round's choices,
 //     Algorithm 1's non-convergent settle state.
 //
@@ -313,7 +274,7 @@ func (a *Auction) buildLanes() []*lane {
 // (a capped re-run replays a prefix already recorded).
 //
 //marketlint:allocfree
-func (c *lane) runClock(capT int, sole bool) (int, bool, error) {
+func (c *lane) runClock(capT int, sole bool) (int, bool) {
 	c.reset()
 	active := c.open()
 	for t := 0; t < c.cfg.MaxRounds; t++ {
@@ -329,19 +290,15 @@ func (c *lane) runClock(capT int, sole bool) (int, bool, error) {
 			//marketlint:allow allocfree cleared-bit scratch is cached on the lane; growth is amortized across runs
 			c.cleared = append(c.cleared, cleared)
 			if cleared && sole {
-				return t, false, nil
+				return t, false
 			}
 		}
 		if t == capT {
-			return t, false, nil
+			return t, false
 		}
-		c.cfg.Policy.StepInto(c.step, c.z, c.p)
-		if !c.step.AllNonNegative(0) {
-			//marketlint:allow allocfree error path; the run is abandoned
-			return t, false, fmt.Errorf("core: policy %s produced a negative step", c.cfg.Policy.Name())
-		}
+		c.cfg.Policy.StepInto(c.step, c.z)
 		if c.step.MaxAbs() == 0 {
-			return t, true, nil
+			return t, true
 		}
 		c.p.AddInto(c.step)
 		// The dirty pools for next round's re-evaluation are exactly the
@@ -353,7 +310,7 @@ func (c *lane) runClock(capT int, sole bool) (int, bool, error) {
 			}
 		}
 	}
-	return c.cfg.MaxRounds, false, nil
+	return c.cfg.MaxRounds, false
 }
 
 // runAutonomous runs the lane clock to its natural end — frozen, out of
@@ -363,18 +320,17 @@ func (c *lane) runClock(capT int, sole bool) (int, bool, error) {
 //marketlint:allocfree
 func (c *lane) runAutonomous(sole bool) {
 	c.cleared, c.stats = c.cleared[:0], ClockStats{}
-	c.end, c.frozen, c.err = c.runClock(-1, sole)
+	c.end, c.frozen = c.runClock(-1, sole)
 }
 
 // rerunCapped deterministically replays the lane clock to exactly round
-// capT: identical arithmetic, so identical states (and no error the
-// autonomous run did not already meet past capT), with the scratch left
+// capT: identical arithmetic, so identical states, with the scratch left
 // holding round capT's prices and choices pre-step.
 //
 //marketlint:allocfree
 func (c *lane) rerunCapped(capT int) {
 	c.stats.Reruns++
-	c.end, c.frozen, _ = c.runClock(capT, false)
+	c.end, c.frozen = c.runClock(capT, false)
 }
 
 // sweep drives every lane clock. Lanes share no state at all, so with
@@ -530,11 +486,6 @@ func appendMergedRound(h []Round, lanes []*lane, t int, start resource.Vector) [
 //marketlint:allocfree
 func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 	sweep(lanes)
-	for _, c := range lanes {
-		if c.err != nil {
-			return nil, c.err
-		}
-	}
 	T, ok := findStopRound(lanes)
 	if !ok {
 		last, allFrozen := 0, true
@@ -550,7 +501,7 @@ func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 			// with positive excess demand. Without progress the clock
 			// would spin forever.
 			//marketlint:allow allocfree error path; the run is abandoned
-			return nil, fmt.Errorf("core: policy %s stalled with positive excess demand at round %d", a.cfg.Policy.Name(), last)
+			return nil, fmt.Errorf("core: clock stalled with positive excess demand at round %d", last)
 		}
 		// At least one lane stepped through every round and the global
 		// stopping test never passed: the clock runs out of rounds and

@@ -79,24 +79,15 @@ func randomRegionalMarket(rng *rand.Rand, nRegions int) (*resource.Registry, []*
 	return registry, bids
 }
 
-// randomPartitionPolicy draws one of the four built-in policies so the
-// differential exercises every remapPolicy arm, including the per-pool
-// Cost vector gather.
-func randomPartitionPolicy(rng *rand.Rand, r int) IncrementPolicy {
-	switch rng.Intn(4) {
-	case 0:
-		return Additive{Alpha: 0.01 + rng.Float64()*0.05}
-	case 1:
-		return Proportional{Alpha: 0.02 + rng.Float64()*0.05, Frac: 0.5, Base: 0.5}
-	case 2:
-		cost := make(resource.Vector, r)
-		for i := range cost {
-			cost[i] = 0.5 + rng.Float64()*4
-		}
-		return CostNormalized{Alpha: 0.05, Cost: cost, DeltaFrac: 0.5}
-	default:
-		return Capped{Alpha: 0.01 + rng.Float64()*0.1, Delta: 0.2 + rng.Float64(), MinStep: 0.005}
+// randomPartitionPolicy draws a Capped step with random α, δ and
+// MinStep, MinStep = 0 included, so the differential covers steps the
+// floor decides, steps the cap decides and steps proportional to z.
+func randomPartitionPolicy(rng *rand.Rand) Capped {
+	p := Capped{Alpha: 0.01 + rng.Float64()*0.1, Delta: 0.2 + rng.Float64()}
+	if rng.Intn(2) == 0 {
+		p.MinStep = rng.Float64() * 0.02
 	}
+	return p
 }
 
 // withProcs sets GOMAXPROCS for the test's duration: 1 pins the driver's
@@ -109,7 +100,7 @@ func withProcs(t *testing.T, n int) {
 
 // TestPartitionedMatchesMergedDifferential is the lane driver's
 // determinism contract: over randomized regional markets — multiple
-// connected components, all four built-in policies, scalar and vector
+// connected components, random Capped steps, scalar and vector
 // limits, ε = 0 and ε > 0, converging and non-converging clocks — the
 // production run's results are bit-identical to ReferenceRun's merged
 // single clock, on the serial sweep and on the fan-out (GOMAXPROCS raised
@@ -137,7 +128,7 @@ func TestPartitionedMatchesMergedDifferential(t *testing.T) {
 }
 
 // regionalCase draws one case of the differential above — a regional
-// market, one of the four built-in policies, ε = 0 or ε > 0 — from rng;
+// market, a random Capped step, ε = 0 or ε > 0 — from rng;
 // FuzzClockMatchesReference draws its cases the same way.
 func regionalCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
 	registry, bids := randomRegionalMarket(rng, rng.Intn(5)+2)
@@ -147,7 +138,7 @@ func regionalCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
 	}
 	return registry, bids, Config{
 		Start:         start,
-		Policy:        randomPartitionPolicy(rng, registry.Len()),
+		Policy:        randomPartitionPolicy(rng),
 		Epsilon:       float64(rng.Intn(2)) * 0.01,
 		MaxRounds:     300,
 		RecordHistory: true,
@@ -222,18 +213,6 @@ func TestPartitionComponents(t *testing.T) {
 		}
 	})
 
-	t.Run("UnknownPolicyFallsBack", func(t *testing.T) {
-		bids := []*Bid{
-			{User: "b0", Limit: 50, Bundles: []resource.Vector{bundle(0, 5)}},
-			{User: "b1", Limit: 50, Bundles: []resource.Vector{bundle(1, 5)}},
-		}
-		foreign := cfg
-		foreign.Policy = opaquePolicy{}
-		if got := mustMatchReference(t, "foreign", registry, bids, foreign); got != 1 {
-			t.Fatalf("Components = %d with a foreign policy, want 1 (whole-market lane)", got)
-		}
-	})
-
 	t.Run("NegativeZeroReserveStaysWhole", func(t *testing.T) {
 		// The clock normalizes a −0 reserve price to +0 the first time
 		// it adds a zero step; only a lane covering every pool, touched
@@ -257,45 +236,10 @@ func TestPartitionComponents(t *testing.T) {
 	})
 }
 
-// opaquePolicy is a syntactically valid foreign IncrementPolicy the
-// decomposition cannot prove per-pool-local, so the market must stay one
-// whole lane.
-type opaquePolicy struct{}
-
-func (opaquePolicy) Name() string { return "opaque" }
-func (opaquePolicy) StepInto(dst, z, p resource.Vector) {
-	for i, zi := range z {
-		if zi > 0 {
-			dst[i] = 0.1
-		} else {
-			dst[i] = 0
-		}
-	}
-}
-
-// negativePolicy is a foreign policy that breaks the contract: it steps
-// over-demanded pools down once prices have left the reserve.
-type negativePolicy struct{}
-
-func (negativePolicy) Name() string { return "negative" }
-func (negativePolicy) StepInto(dst, z, p resource.Vector) {
-	for i, zi := range z {
-		switch {
-		case zi <= 0:
-			dst[i] = 0
-		case p[i] > 1:
-			dst[i] = -0.1
-		default:
-			dst[i] = 0.5
-		}
-	}
-}
-
-// TestLaneErrorsMatchReference pins the two error endings the driver
-// decides or passes through: the stall, which is global (every lane
-// frozen, no common cleared round, reported at the last freeze round),
-// and a foreign policy's negative step or stall on its one lane. Error
-// text and round must be the reference's.
+// TestLaneErrorsMatchReference pins the clock's one error ending, the
+// stall, which is global (every lane frozen, no common cleared round,
+// reported at the last freeze round), on several lanes and on a sole
+// one. Error text and round must be the reference's.
 func TestLaneErrorsMatchReference(t *testing.T) {
 	registry := resource.NewRegistry(
 		resource.Pool{Cluster: "a", Dim: resource.CPU},
@@ -325,17 +269,12 @@ func TestLaneErrorsMatchReference(t *testing.T) {
 		mustFail(t, bids, cfg, 2, "stalled with positive excess demand at round 1")
 	})
 
-	bids := []*Bid{
-		{User: "b0", Limit: 100, Bundles: []resource.Vector{{5, 0}}},
-		{User: "b1", Limit: 100, Bundles: []resource.Vector{{0, 5}}},
-	}
-	t.Run("ForeignNegativeStep", func(t *testing.T) {
-		cfg := Config{Start: resource.Vector{1, 1}, Policy: negativePolicy{}}
-		mustFail(t, bids, cfg, 1, "policy negative produced a negative step")
-	})
-	t.Run("ForeignStall", func(t *testing.T) {
-		cfg := Config{Start: resource.Vector{1, 1}, Policy: stallPolicy{}}
-		mustFail(t, bids, cfg, 1, "policy stall stalled with positive excess demand at round 0")
+	t.Run("SoleLaneStall", func(t *testing.T) {
+		// One bid spans both pools, so the market is one lane, and its
+		// step underflows on both at round 0.
+		bids := []*Bid{{User: "b", Limit: 100, Bundles: []resource.Vector{{0.25, 0.25}}}}
+		cfg := Config{Start: resource.Vector{1, 1}, Policy: stallPolicy}
+		mustFail(t, bids, cfg, 1, "core: clock stalled with positive excess demand at round 0")
 	})
 }
 

@@ -65,14 +65,11 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 			settle()
 			return res, nil
 		}
-		a.cfg.Policy.StepInto(step, z, p)
-		if !step.AllNonNegative(0) {
-			return nil, fmt.Errorf("core: policy %s produced a negative step", a.cfg.Policy.Name())
-		}
+		a.cfg.Policy.StepInto(step, z)
 		if step.MaxAbs() == 0 {
-			// The policy refused to move despite excess demand; without
+			// The step underflowed to zero despite excess demand; without
 			// progress the loop would spin forever.
-			return nil, fmt.Errorf("core: policy %s stalled with positive excess demand at round %d", a.cfg.Policy.Name(), t)
+			return nil, fmt.Errorf("core: clock stalled with positive excess demand at round %d", t)
 		}
 		p.AddInto(step)
 	}

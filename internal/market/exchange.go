@@ -207,9 +207,7 @@ type Config struct {
 	// different stripes never share a lock, so order entry scales with
 	// CPUs instead of serializing on one book mutex.
 	Shards int
-	// Auction tuning; zero values select core defaults.
-	Policy    core.IncrementPolicy
-	Epsilon   float64
+	// MaxRounds bounds each clock; zero selects core.DefaultMaxRounds.
 	MaxRounds int
 	// Journal, when non-nil, makes the exchange durable: every state
 	// change is appended to the write-ahead log before it is applied, and
@@ -1059,8 +1057,6 @@ func (e *Exchange) releaseBatch(open []*Order) {
 func (e *Exchange) clockConfig(start resource.Vector) core.Config {
 	return core.Config{
 		Start:     start,
-		Policy:    e.cfg.Policy,
-		Epsilon:   e.cfg.Epsilon,
 		MaxRounds: e.cfg.MaxRounds,
 	}
 }

@@ -248,8 +248,20 @@ func Exact(reg *resource.Registry, bids []*core.Bid, reserve resource.Vector, ob
 		options[i] = opts
 		optimistic[i] = best
 	}
+	// ahead[i][k] is the most supply bids i.. can still add to pool k:
+	// the sum of each one's deepest negative quantity there.
+	ahead := make([]resource.Vector, len(bids)+1)
+	ahead[len(bids)] = reg.Zero()
 	for i := len(bids) - 1; i >= 0; i-- {
 		optimistic[i] += optimistic[i+1]
+		ahead[i] = ahead[i+1].Clone()
+		for k := range ahead[i] {
+			deepest := 0.0
+			for _, q := range bids[i].Bundles {
+				deepest = math.Min(deepest, q[k])
+			}
+			ahead[i][k] -= deepest
+		}
 	}
 
 	bestWelfare := math.Inf(-1)
@@ -261,6 +273,15 @@ func Exact(reg *resource.Registry, bids []*core.Bid, reserve resource.Vector, ob
 	dfs = func(i int, welfare float64) {
 		if welfare+optimisticAt(optimistic, i) <= bestWelfare {
 			return // bound: even taking every remaining best option loses
+		}
+		for k, v := range total {
+			// No completion can repair this shortage. The relative margin
+			// is far above rounding, so no leaf the feasibility test below
+			// would accept is cut, and the search finds what it would
+			// find without the cut.
+			if a := ahead[i][k]; v-a > 1e-6*(1+math.Abs(v)+a) {
+				return
+			}
 		}
 		if i == len(bids) {
 			if total.AllNonPositive(1e-9) && welfare > bestWelfare {
@@ -274,10 +295,8 @@ func Exact(reg *resource.Registry, bids []*core.Bid, reserve resource.Vector, ob
 			if opt.bundle >= 0 {
 				q := bids[i].Bundles[opt.bundle]
 				total.AddInto(q)
-				// Prune infeasible prefixes only when no future seller
-				// could repair them; conservatively always recurse —
-				// sellers later in the order can add supply. Feasibility
-				// is enforced at the leaves.
+				// Feasibility is enforced at the leaves; the shortage cut
+				// above drops only prefixes no later seller can repair.
 				dfs(i+1, welfare+opt.value)
 				total.AddInto(q.Neg())
 			} else {

@@ -77,7 +77,6 @@ func ClockProgression(cfg Config, top int) (*ClockProgressionData, error) {
 	}
 	a, err := core.NewAuction(w.Reg, bids, core.Config{
 		Start:         start,
-		Policy:        w.Cfg.Policy,
 		RecordHistory: true,
 	})
 	if err != nil {

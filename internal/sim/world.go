@@ -32,8 +32,6 @@ type Config struct {
 	HotFraction, WarmFraction float64
 	// Weight is the reserve curve (default reserve.ExpSteep, φ₁).
 	Weight reserve.WeightFn
-	// Policy is the clock increment rule (default core.DefaultPolicy).
-	Policy core.IncrementPolicy
 	// Scheduler packs tasks onto machines (default first-fit).
 	Scheduler cluster.Scheduler
 }
@@ -142,7 +140,6 @@ func NewWorld(cfg Config) (*World, error) {
 	ex, err := market.NewExchange(fleet, market.Config{
 		InitialBudget: 50000,
 		Weight:        cfg.Weight,
-		Policy:        cfg.Policy,
 	})
 	if err != nil {
 		return nil, err
