@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzQueryParams$$' -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzEventsQueryParams -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzBidSubmit -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
+	$(GO) test -fuzz FuzzBidForm -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzAckPage -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzOrdersJSON -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzSettledEventReplay -fuzztime $(FUZZTIME) -run 'xxx' ./internal/market

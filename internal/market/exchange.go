@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -803,60 +804,117 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 	if limit <= 0 {
 		return nil
 	}
-	// Stripe slots are dense (slot j of stripe s holds ID j*n + s), so
-	// whether an ID is booked follows from the stripe lengths alone: walk
-	// down from the highest booked ID counting each stripe's share of the
-	// tail. A stripe can only trail its neighbours by a rejected submit's
-	// slot, so the walk visits O(limit) IDs and touches no order.
+	var scratch [2 * DefaultShards]int
+	t := e.planTail(limit, scratch[:0])
+	out := make([]*Order, t.total)
+	d := rowDecode{views: make([]pendingRows, 0, t.total)}
+	e.readTail(&t, func(os *orderShard, at, id, j int) { out[at] = os.viewLocked(id, j, &d) })
+	d.decode()
+	return out
+}
+
+// OrderRow is what a display poller shows of an order: its identity,
+// state and outcome, and the bid's MaxLimit — no rows.
+type OrderRow struct {
+	ID       int
+	Team     string
+	User     string
+	Status   OrderStatus
+	Auction  int
+	Payment  float64
+	MaxLimit float64
+}
+
+// AppendOrderRows appends to dst the rows of the limit highest-ID orders
+// in ID order, as OrdersTail(limit) would show them, each read in place
+// from the live order or its archived record: no order is snapshotted and
+// no bid's rows are decoded. A non-positive limit appends nothing.
+func (e *Exchange) AppendOrderRows(dst []OrderRow, limit int) []OrderRow {
+	if limit <= 0 {
+		return dst
+	}
+	var scratch [2 * DefaultShards]int
+	t := e.planTail(limit, scratch[:0])
+	base := len(dst)
+	dst = slices.Grow(dst, t.total)[:base+t.total]
+	rows := dst[base:]
+	e.readTail(&t, func(os *orderShard, at, id, j int) { rows[at] = os.rowLocked(id, j) })
+	return dst
+}
+
+// orderTail is a read of the limit highest-ID orders: stripe s's share is
+// its slots [from[s], size[s]).
+type orderTail struct {
+	size, from []int
+	total      int
+}
+
+// planTail sizes a tail read. Stripe slots are dense (slot j of stripe s
+// holds ID j*n + s), so whether an ID is booked follows from the stripe
+// lengths alone: walk down from the highest booked ID counting each
+// stripe's share of the tail. A stripe can only trail its neighbours by a
+// rejected submit's slot, so the walk visits O(limit) IDs and touches no
+// order. scratch, when large enough, holds the plan's counts.
+func (e *Exchange) planTail(limit int, scratch []int) orderTail {
 	n := len(e.orderShards)
-	counts := make([]int, 3*n)
-	size, take, next := counts[:n], counts[n:2*n], counts[2*n:]
+	if cap(scratch) < 2*n {
+		scratch = make([]int, 0, 2*n)
+	}
+	counts := scratch[:2*n]
+	clear(counts)
+	t := orderTail{size: counts[:n], from: counts[n:]}
 	top := -1
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
 		os.mu.RLock()
-		size[s] = len(os.slots)
+		t.size[s] = len(os.slots)
 		os.mu.RUnlock()
-		if size[s] > 0 {
-			top = max(top, (size[s]-1)*n+s)
+		if t.size[s] > 0 {
+			top = max(top, (t.size[s]-1)*n+s)
 		}
 	}
-	total, low := 0, top+1
-	for id := top; id >= 0 && total < limit; id-- {
-		if s := id % n; id/n < size[s] {
-			take[s]++
-			total++
-			low = id
+	copy(t.from, t.size)
+	for id := top; id >= 0 && t.total < limit; id-- {
+		if s := id % n; id/n < t.size[s] {
+			t.from[s]--
+			t.total++
 		}
 	}
-	// Each stripe's share is a contiguous slot tail, snapshotted under a
-	// single lock acquisition into its own run of byStripe; the runs are
-	// then merged by walking the IDs up from the lowest one taken.
-	byStripe := make([]*Order, total)
-	d := rowDecode{views: make([]pendingRows, 0, total)}
-	at := 0
+	return t
+}
+
+// readTail calls read for every order of the plan, each stripe's share
+// under a single lock acquisition, with at the order's position in ID
+// order among the tail's.
+func (e *Exchange) readTail(t *orderTail, read func(os *orderShard, at, id, j int)) {
+	n := len(e.orderShards)
 	for s := range e.orderShards {
-		next[s] = at
-		if take[s] == 0 {
+		if t.from[s] == t.size[s] {
 			continue
 		}
 		os := &e.orderShards[s]
 		os.mu.RLock()
-		for j := size[s] - take[s]; j < size[s]; j++ {
-			byStripe[at] = os.viewLocked(j*n+s, j, &d)
-			at++
+		for j := t.from[s]; j < t.size[s]; j++ {
+			read(os, t.rank(s, j), j*n+s, j)
 		}
 		os.mu.RUnlock()
 	}
-	d.decode()
-	out := make([]*Order, 0, total)
-	for id := low; len(out) < total; id++ {
-		if s := id % n; id/n < size[s] {
-			out = append(out, byStripe[next[s]])
-			next[s]++
+}
+
+// rank is the number of the plan's IDs below slot j of stripe s: in
+// stripe u, the slots of its share below j, and slot j too when u < s.
+func (t *orderTail) rank(s, j int) int {
+	r := 0
+	for u, from := range t.from {
+		below := j
+		if u < s {
+			below++
+		}
+		if below = min(below, t.size[u]); below > from {
+			r += below - from
 		}
 	}
-	return out
+	return r
 }
 
 // Ledger materialises the billing entries — the full-dump path.

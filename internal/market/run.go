@@ -115,23 +115,35 @@ func (r *runReader) head(base int32) (n int, width int32, vec bool) {
 	return int(h >> 1), base + int32(uint32(r.uvarint())), h&1 != 0
 }
 
+// skipBundles walks past the run's n bundles and, when width < 0, their
+// widths, and returns the bundles' row entries.
+func (r *runReader) skipBundles(n int, width int32) (rows int) {
+	for i := 0; i < n; i++ {
+		word := r.uvarint()
+		k := int(word >> 1)
+		for j := 0; j < k; j++ {
+			r.uvarint()
+		}
+		if word&1 == 0 {
+			r.off += 8 * k
+		}
+		rows += k
+	}
+	if width < 0 {
+		for i := 0; i < n; i++ {
+			r.uvarint()
+		}
+	}
+	return rows
+}
+
 // runShape returns the lengths of the two slabs the run decodes to: the
 // index slab PackedRows returns, and its value slab followed by the
 // limits.
 func runShape(run []byte, base int32) (ni, nv int) {
 	r := runReader{b: run}
 	n, width, vec := r.head(base)
-	for i := 0; i < n; i++ {
-		word := r.uvarint()
-		rows := int(word >> 1)
-		for k := 0; k < rows; k++ {
-			r.uvarint()
-		}
-		if word&1 == 0 {
-			r.off += 8 * rows
-		}
-		nv += rows
-	}
+	nv = r.skipBundles(n, width)
 	ni = nv + n
 	if width < 0 {
 		ni += n
@@ -140,6 +152,25 @@ func runShape(run []byte, base int32) (ni, nv int) {
 		nv += n
 	}
 	return ni, nv
+}
+
+// runMaxLimit returns the archived bid's MaxLimit: the largest of the
+// vector-π limits at the run's tail, read without decoding a row, or
+// limit, the scalar one, when the bid has none.
+func runMaxLimit(run []byte, base int32, limit float64) float64 {
+	r := runReader{b: run}
+	n, width, vec := r.head(base)
+	if !vec {
+		return limit
+	}
+	r.skipBundles(n, width)
+	m := r.float()
+	for i := 1; i < n; i++ {
+		if l := r.float(); l > m {
+			m = l
+		}
+	}
+	return m
 }
 
 // decodeRun decodes the run into idx and val, sized by runShape, and

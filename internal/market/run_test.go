@@ -113,7 +113,8 @@ func sameRowBits(a, b *core.Bid) bool {
 // FuzzArchiveRows archives an order with arbitrary packed rows beside two
 // others and reads every one back, all three decoded into one pair of
 // slabs as Orders and the snapshot decode them, and each on its own as
-// Order does: PackedRows and BundleLimits must come back bit for bit —
+// Order does: PackedRows and BundleLimits must come back bit for bit, and
+// the max limit a display row reads off the run must be the bid's —
 // negative (seller) quantities, NaN, ±Inf and subnormal bits, bundles
 // repeating their neighbour's quantities, up to 64 bundles, any width, and
 // bundles of unequal width.
@@ -153,6 +154,10 @@ func FuzzArchiveRows(f *testing.F) {
 					t.Fatalf("order %d's rows came back as %v %v %d %d limits %v, booked %v %v %d %d limits %v",
 						j, gi, gv, gn, gw, got.Bid.BundleLimits, wi, wv, wn, ww, want.BundleLimits)
 				}
+			}
+			// The display row reads the max limit off the run's tail.
+			if got := os.rowLocked(j, j).MaxLimit; math.Float64bits(got) != math.Float64bits(want.MaxLimit()) {
+				t.Fatalf("order %d's row has max limit %v, the bid %v", j, got, want.MaxLimit())
 			}
 		}
 	})

@@ -99,6 +99,19 @@ func (os *orderShard) viewLocked(id, j int, d *rowDecode) *Order {
 	return &bo.Order
 }
 
+// rowLocked reads the display row of the order in slot j, which the
+// stripe holds, in place: from the live object or the archived record.
+func (os *orderShard) rowLocked(id, j int) OrderRow {
+	o, r := os.lookupLocked(j)
+	if o != nil {
+		return OrderRow{ID: o.ID, Team: o.Team, User: o.Bid.User, Status: o.Status, Auction: o.Auction,
+			Payment: o.Payment, MaxLimit: o.Bid.MaxLimit()}
+	}
+	l := os.labels[r.label]
+	return OrderRow{ID: id, Team: l.team, User: l.user, Status: OrderStatus(r.status), Auction: int(r.auction),
+		Payment: r.payment, MaxLimit: runMaxLimit(os.rows.From(r.run), os.width, r.limit)}
+}
+
 // accountShard is one stripe of the account book, striped by team name.
 type accountShard struct {
 	mu       sync.RWMutex

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -255,6 +257,99 @@ func TestOrdersTailUnevenStripes(t *testing.T) {
 			}
 			t.Fatalf("OrdersTail(%d) = %v, want %v", limit, ids(got), ids(want))
 		}
+	}
+}
+
+// TestOrderRowsMatchOrdersTail holds AppendOrderRows to the snapshots
+// OrdersTail takes, field for field and MaxLimit bit for bit, on random
+// books: open, won, lost and cancelled orders, vector-π bids, the stripe
+// slot a submit rejected under the stripe lock consumes, and limits 0, 1,
+// around every multiple of the stripe count, and past the book.
+func TestOrderRowsMatchOrdersTail(t *testing.T) {
+	seen := make(map[OrderStatus]int)
+	vectors := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		shards := []int{1, 3, 4, 8}[seed%4]
+		e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		teams := []string{"a", "b"}
+		for _, team := range teams {
+			if err := e.OpenAccount(team); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg := e.Registry()
+		cpu := func(cl string) int { return reg.MustIndex(resource.Pool{Cluster: cl, Dim: resource.CPU}) }
+		price := func() float64 { return float64(1+rng.Intn(90)) + 0.25*float64(rng.Intn(4)) }
+		for round := 0; round < 4; round++ {
+			for k := 0; k < 8+rng.Intn(24); k++ {
+				team := teams[rng.Intn(len(teams))]
+				var err error
+				switch rng.Intn(6) {
+				case 0:
+					v1, v2 := reg.Zero(), reg.Zero()
+					v1[cpu("r1")], v2[cpu("r2")] = float64(1+rng.Intn(3)), float64(1+rng.Intn(3))
+					_, err = e.Submit(team, &core.Bid{Bundles: []resource.Vector{v1, v2}, BundleLimits: []float64{price(), price()}})
+					vectors++
+				case 1:
+					e.submitSeq.Add(1)
+				default:
+					clusters := [][]string{{"r1"}, {"r2"}, {"r1", "r2"}}[rng.Intn(3)]
+					_, err = e.SubmitProduct(team, "batch-compute", float64(1+rng.Intn(3)), clusters, price())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, o := range e.OpenOrders() {
+				if rng.Intn(5) == 0 {
+					if err := e.Cancel(o.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if round < 3 {
+				if _, _, err := e.RunAuction(); err != nil && !errors.Is(err, core.ErrNoConvergence) {
+					t.Fatal(err)
+				}
+			}
+		}
+		all := e.Orders()
+		for _, o := range all {
+			seen[o.Status]++
+		}
+		limits := []int{-1, 0, 1, len(all) - 1, len(all), len(all) + 1, len(all) + 50}
+		for m := shards; m <= len(all)+shards; m += shards {
+			limits = append(limits, m-1, m, m+1)
+		}
+		head := OrderRow{ID: -7, Team: "kept"}
+		for _, limit := range limits {
+			want := e.OrdersTail(limit)
+			got := e.AppendOrderRows([]OrderRow{head}, limit)
+			if len(got) != 1+len(want) || got[0] != head {
+				t.Fatalf("seed %d limit %d: %d rows after the kept one, OrdersTail has %d", seed, limit, len(got)-1, len(want))
+			}
+			for i, o := range want {
+				w := OrderRow{ID: o.ID, Team: o.Team, User: o.Bid.User, Status: o.Status, Auction: o.Auction,
+					Payment: o.Payment, MaxLimit: o.Bid.MaxLimit()}
+				g := got[1+i]
+				if g.ID != w.ID || g.Team != w.Team || g.User != w.User || g.Status != w.Status || g.Auction != w.Auction ||
+					math.Float64bits(g.Payment) != math.Float64bits(w.Payment) || math.Float64bits(g.MaxLimit) != math.Float64bits(w.MaxLimit) {
+					t.Fatalf("seed %d limit %d row %d:\n got %+v\nwant %+v", seed, limit, i, g, w)
+				}
+			}
+		}
+	}
+	for _, st := range []OrderStatus{Open, Won, Lost, Cancelled} {
+		if seen[st] == 0 {
+			t.Errorf("no order ended %s: the books do not cover that state", st)
+		}
+	}
+	if vectors == 0 {
+		t.Error("no vector-π bid was booked")
 	}
 }
 

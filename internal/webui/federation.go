@@ -155,18 +155,19 @@ func (s *FedServer) handleGlobalBid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fail := func(msg string) { errRedirect(w, r, "/", msg) }
-	team := strings.TrimSpace(r.FormValue("team"))
-	qty, err := strconv.ParseFloat(r.FormValue("qty"), 64)
+	f := readBidForm(r)
+	team := strings.TrimSpace(f.team)
+	qty, err := strconv.ParseFloat(f.qty, 64)
 	if err != nil || !finitePositive(qty) {
 		http.Error(w, "quantity must be a positive, finite number", http.StatusBadRequest)
 		return
 	}
-	limit, err := strconv.ParseFloat(r.FormValue("limit"), 64)
+	limit, err := strconv.ParseFloat(f.limit, 64)
 	if err != nil || !finitePositive(limit) {
 		http.Error(w, "limit must be a positive, finite number", http.StatusBadRequest)
 		return
 	}
-	if _, err := s.fed.SubmitProduct(team, r.FormValue("product"), qty, splitCSV(r.FormValue("clusters")), limit); err != nil {
+	if _, err := s.fed.SubmitProduct(team, f.product, qty, splitCSV(nil, f.clusters), limit); err != nil {
 		fail(err.Error())
 		return
 	}

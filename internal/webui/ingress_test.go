@@ -1,6 +1,8 @@
 package webui
 
 import (
+	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"clustermarket/internal/cluster"
 	"clustermarket/internal/federation"
@@ -178,4 +181,85 @@ func FuzzBidSubmit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// formRequest builds a bid-form request from a raw body, a raw query and
+// a Content-Type ("" sends none).
+func formRequest(method string, body io.Reader, query, contentType string) *http.Request {
+	r := &http.Request{Method: method, URL: &url.URL{Path: "/bid/submit", RawQuery: query},
+		Header: http.Header{}, Body: io.NopCloser(body)}
+	if contentType != "" {
+		r.Header.Set("Content-Type", contentType)
+	}
+	return r
+}
+
+// FuzzBidForm differentially checks the in-place form reader against
+// r.FormValue on the five bid fields, for any body, raw query and
+// Content-Type — parameters, a missing type and multipart included — and
+// the query scan behind pollLimit against url.ParseQuery.
+func FuzzBidForm(f *testing.F) {
+	f.Add("team=web-team&product=batch-compute&qty=1&clusters=r1,r2&limit=50", "", formType)
+	f.Add("te%61m=%41%42+c&qty=1%2E5&limit=+5+&%63lusters=r1%2C%20r2", "", formType)
+	f.Add("team=a;b&team=c&qty=1;2&limit=7", "qty=3&limit=;", formType)
+	f.Add("team=&team=x&=y&&qty&clusters==r1&limit=1=2", "team=q&limit=9&product=p", formType)
+	f.Add("team=%zz&team=%4&team=ok&limit=%&qty=%2", "limit=%41&qty=%zz&qty=8", formType)
+	f.Add("qty=1", "qty=2&team=from+query&clusters=%72%31", formType)
+	f.Add("team=a", "", "application/x-www-form-urlencoded; charset=utf-8")
+	f.Add("team=a", "team=b", "Application/X-WWW-Form-URLENCODED ; charset=\"utf-8\"")
+	f.Add("team=a", "team=b", "application/x-www-form-urlencoded; =bad")
+	f.Add("team=a", "team=b", "application/x-www-form-urlencoded;;")
+	f.Add("team=a", "team=b", "")
+	f.Add("team=a", "team=b", "text/plain")
+	f.Add("--X\r\nContent-Disposition: form-data; name=\"team\"\r\n\r\nmultipart\r\n--X--\r\n", "team=q&qty=1",
+		"multipart/form-data; boundary=X")
+	f.Add("t+eam=1&team+=2&%74%65%61%6D=\xff%00&product=%E2%82%AC", "", formType)
+	f.Fuzz(func(t *testing.T, body, query, contentType string) {
+		got := readBidForm(formRequest("POST", strings.NewReader(body), query, contentType))
+		if want := formValues(formRequest("POST", strings.NewReader(body), query, contentType)); got != want {
+			t.Fatalf("body %q query %q type %q:\n got %+v\nwant %+v", body, query, contentType, got, want)
+		}
+		vals, _ := url.ParseQuery(query)
+		for _, k := range bidFields {
+			if got, want := queryValue(query, k), vals.Get(k); got != want {
+				t.Fatalf("query %q: %s = %q, url.ParseQuery says %q", query, k, got, want)
+			}
+		}
+	})
+}
+
+// TestBidFormMatchesFormValue covers what FuzzBidForm's inputs cannot
+// reach: a body over and at net/http's 10 MB cap, a body whose read
+// fails, a form parsed before the handler, and methods whose body
+// ParseForm does not read.
+func TestBidFormMatchesFormValue(t *testing.T) {
+	const query = "team=query&limit=5"
+	const head = "team=body&qty=2&clusters="
+	big := func(n int) string { return head + strings.Repeat("r", n-len(head)) }
+	cases := []struct {
+		name, method string
+		body         func() io.Reader
+		parsed       bool
+	}{
+		{"over the cap", "POST", func() io.Reader { return strings.NewReader(big(maxFormBody + 1)) }, false},
+		{"at the cap", "POST", func() io.Reader { return strings.NewReader(big(maxFormBody)) }, false},
+		{"read fails", "POST", func() io.Reader {
+			return io.MultiReader(strings.NewReader("team=body&qty=2"), iotest.ErrReader(errors.New("connection reset")))
+		}, false},
+		{"parsed before", "POST", func() io.Reader { return strings.NewReader("team=body&qty=2") }, true},
+		{"PUT", "PUT", func() io.Reader { return strings.NewReader("team=body&qty=2") }, false},
+		{"GET", "GET", func() io.Reader { return strings.NewReader("team=body&qty=2") }, false},
+	}
+	for _, tc := range cases {
+		r := formRequest(tc.method, tc.body(), query, formType)
+		want := formValues(formRequest(tc.method, tc.body(), query, formType))
+		if tc.parsed {
+			if err := r.ParseForm(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := readBidForm(r); got != want {
+			t.Errorf("%s: got %.80q, want %.80q", tc.name, got, want)
+		}
+	}
 }

@@ -43,10 +43,12 @@ type Server struct {
 	// The preliminary-prices endpoint runs a full clock simulation per
 	// call; this single-flight cache keeps N polling browser tabs from
 	// running N simulations over the same book. It holds the encoded
-	// response body, so a hit is one Write.
-	pricesMu   sync.Mutex
-	pricesAt   time.Time
-	pricesBody []byte
+	// response body, so a hit is one Write. pricesRefreshing marks a
+	// recompute in flight outside pricesMu (pricesJSON).
+	pricesMu         sync.Mutex
+	pricesAt         time.Time
+	pricesBody       []byte
+	pricesRefreshing bool
 
 	// health backs /healthz; nil serves a bare always-healthy snapshot.
 	health *telemetry.Health
@@ -143,7 +145,7 @@ const (
 // pollLimit parses the request's limit parameter, falling back to def
 // and clamping to [1, maxPollLimit]. ok is false on a malformed value.
 func pollLimit(r *http.Request, def int) (limit int, ok bool) {
-	raw := r.URL.Query().Get("limit")
+	raw := queryValue(r.URL.RawQuery, "limit")
 	if raw == "" {
 		return def, true
 	}
@@ -265,14 +267,15 @@ func (s *Server) handleBidPreview(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	team := strings.TrimSpace(r.FormValue("team"))
-	productName := r.FormValue("product")
-	qty, err := strconv.ParseFloat(r.FormValue("qty"), 64)
+	f := readBidForm(r)
+	team := strings.TrimSpace(f.team)
+	productName := f.product
+	qty, err := strconv.ParseFloat(f.qty, 64)
 	if err != nil || !finitePositive(qty) {
 		s.redirectErr(w, r, "quantity must be a positive number")
 		return
 	}
-	clusters := splitCSV(r.FormValue("clusters"))
+	clusters := splitCSV(nil, f.clusters)
 	if team == "" || len(clusters) == 0 {
 		s.redirectErr(w, r, "team and clusters are required")
 		return
@@ -332,24 +335,26 @@ func (s *Server) handleBidSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	team := strings.TrimSpace(r.FormValue("team"))
-	qty, err := strconv.ParseFloat(r.FormValue("qty"), 64)
+	f := readBidForm(r)
+	team := strings.TrimSpace(f.team)
+	qty, err := strconv.ParseFloat(f.qty, 64)
 	if err != nil || !finitePositive(qty) {
 		http.Error(w, "quantity must be a positive, finite number", http.StatusBadRequest)
 		return
 	}
-	limit, err := strconv.ParseFloat(r.FormValue("limit"), 64)
+	limit, err := strconv.ParseFloat(f.limit, 64)
 	if err != nil || !finitePositive(limit) {
 		http.Error(w, "limit must be a positive, finite number", http.StatusBadRequest)
 		return
 	}
-	order, err := s.ex.SubmitProduct(team, r.FormValue("product"), qty, splitCSV(r.FormValue("clusters")), limit)
+	var clusters [8]string
+	id, err := s.ex.SubmitProductID(team, f.product, qty, splitCSV(clusters[:0], f.clusters), limit)
 	if err != nil {
 		s.redirectErr(w, r, err.Error())
 		return
 	}
 	bp := getBuf()
-	writeBody(w, "text/html; charset=utf-8", bp, s.ack.appendTo(*bp, order.ID, team, limit))
+	writeBody(w, htmlType, bp, s.ack.appendTo(*bp, id, team, limit))
 }
 
 func (s *Server) handleOrders(w http.ResponseWriter, r *http.Request) {
@@ -411,28 +416,51 @@ func (s *Server) handleSummaryJSON(w http.ResponseWriter, r *http.Request) {
 // open orders — the Figure 5 feedback loop during the bid window. A
 // non-clearing clock's final prices are still returned, marked
 // "preliminary, not converged"; with no open orders it falls back to
-// reserve prices. Results are cached for pricesTTL and computed under a
-// single-flight lock: concurrent pollers share one clock simulation
-// instead of each running their own.
+// reserve prices. Results are cached for pricesTTL, and concurrent
+// pollers share one clock simulation instead of each running their own.
 func (s *Server) handlePricesJSON(w http.ResponseWriter, r *http.Request) {
-	s.pricesMu.Lock()
-	body := s.pricesBody
-	if body == nil || time.Since(s.pricesAt) >= pricesTTL {
-		var err error
-		if body, err = s.encodePrices(); err != nil {
-			s.pricesMu.Unlock()
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.pricesBody, s.pricesAt = body, time.Now()
+	body, err := s.pricesJSON()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	s.pricesMu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.Write(body)
 }
 
+// pricesJSON returns the cached /api/prices.json body. The first one is
+// computed under pricesMu, so the first pollers wait for one clock. Once
+// it is pricesTTL old, one caller computes the next outside the lock,
+// and every other caller is served the previous body meanwhile.
+func (s *Server) pricesJSON() (body []byte, err error) {
+	s.pricesMu.Lock()
+	if s.pricesBody == nil {
+		defer s.pricesMu.Unlock()
+		if body, err = s.encodePrices(); err == nil {
+			s.pricesBody, s.pricesAt = body, time.Now()
+		}
+		return body, err
+	}
+	if s.pricesRefreshing || time.Since(s.pricesAt) < pricesTTL {
+		body = s.pricesBody
+		s.pricesMu.Unlock()
+		return body, nil
+	}
+	s.pricesRefreshing = true
+	s.pricesMu.Unlock()
+	defer func() {
+		s.pricesMu.Lock()
+		s.pricesRefreshing = false
+		if err == nil && body != nil {
+			s.pricesBody, s.pricesAt = body, time.Now()
+		}
+		s.pricesMu.Unlock()
+	}()
+	return s.encodePrices()
+}
+
 // encodePrices runs the preliminary clock (or the reserve fallback) and
-// returns the /api/prices.json body. The caller holds pricesMu.
+// returns the /api/prices.json body.
 func (s *Server) encodePrices() ([]byte, error) {
 	view := &pricesView{}
 	prices, converged, err := s.ex.PreliminaryPrices()
@@ -559,30 +587,46 @@ func (s *Server) handleOrdersJSON(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "limit must be a positive integer", http.StatusBadRequest)
 		return
 	}
-	orders := s.ex.OrdersTail(limit)
+	rp := rowPool.Get().(*[]market.OrderRow)
+	rows := s.ex.AppendOrderRows((*rp)[:0], limit)
 	bp := getBuf()
 	b := append(*bp, '[')
-	for i, o := range orders {
+	var err error
+	for i := range rows {
 		if i > 0 {
 			b = append(b, ',')
 		}
+		o := &rows[i]
 		v := orderView{
 			ID:      o.ID,
 			Team:    o.Team,
-			User:    o.Bid.User,
+			User:    o.User,
 			Status:  o.Status.String(),
 			Auction: o.Auction,
 			Payment: o.Payment,
-			Limit:   o.Bid.MaxLimit(),
+			Limit:   o.MaxLimit,
 		}
-		var err error
 		if b, err = v.appendJSON(b); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			break
 		}
 	}
-	writeBody(w, "application/json", bp, append(b, ']', '\n'))
+	clear(rows) // the pool must not pin the rows' strings
+	if cap(rows) <= maxPooledRows {
+		*rp = rows[:0]
+		rowPool.Put(rp)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, jsonType, bp, append(b, ']', '\n'))
 }
+
+// rowPool recycles the orders poll's row slices; one grown past
+// maxPooledRows by a large ?limit= is left to the collector.
+var rowPool = sync.Pool{New: func() any { return new([]market.OrderRow) }}
+
+const maxPooledRows = 1024
 
 func render(w http.ResponseWriter, t *template.Template, view any) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -616,12 +660,15 @@ func finitePositive(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0
 }
 
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
+// splitCSV appends to dst the comma-separated items of s, trimmed, less
+// the empty ones.
+func splitCSV(dst []string, s string) []string {
+	for s != "" {
+		var part string
+		part, s, _ = strings.Cut(s, ",")
 		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }

@@ -362,6 +362,45 @@ func TestPricesJSONCachedBytes(t *testing.T) {
 	}
 }
 
+// TestPricesRefreshServesCachedBody pins the refresh that parks no
+// poller: while one caller recomputes an expired body outside pricesMu,
+// every other poll is answered with the cached bytes, whatever the book
+// did since; once no refresh is in flight, an expired body is recomputed.
+func TestPricesRefreshServesCachedBody(t *testing.T) {
+	s, ex := newTestServer(t)
+	poll := func() string {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/api/prices.json", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("prices.json answered %d", rec.Code)
+		}
+		return rec.Body.String()
+	}
+	reserve := poll()
+	if _, err := ex.SubmitProduct("web-team", "batch-compute", 1, []string{"r2"}, 100); err != nil {
+		t.Fatal(err)
+	}
+	expire := func(refreshing bool) {
+		s.pricesMu.Lock()
+		s.pricesAt, s.pricesRefreshing = time.Now().Add(-time.Hour), refreshing
+		s.pricesMu.Unlock()
+	}
+	expire(true)
+	if got := poll(); got != reserve {
+		t.Fatalf("a poll during a refresh got %q, the cache holds %q", got, reserve)
+	}
+	expire(false)
+	if got := poll(); got == reserve || !strings.Contains(got, `"converged":true`) {
+		t.Fatalf("an expired body with no refresh in flight was not recomputed over the open order: %q", got)
+	}
+	s.pricesMu.Lock()
+	refreshing := s.pricesRefreshing
+	s.pricesMu.Unlock()
+	if refreshing {
+		t.Fatal("the refresh left its in-flight mark behind")
+	}
+}
+
 func TestSparkline(t *testing.T) {
 	if got := sparkline(nil); got != "-" {
 		t.Errorf("empty sparkline = %q", got)
@@ -381,12 +420,17 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestSplitCSV(t *testing.T) {
-	got := splitCSV(" a, b ,, c ")
+	got := splitCSV(nil, " a, b ,, c ")
 	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Errorf("splitCSV = %v", got)
 	}
-	if got := splitCSV(""); got != nil {
-		t.Errorf("splitCSV empty = %v", got)
+	for _, s := range []string{"", ",", " , ,"} {
+		if got := splitCSV(nil, s); got != nil {
+			t.Errorf("splitCSV(%q) = %v", s, got)
+		}
+	}
+	if got := splitCSV([]string{"kept"}, "x,"); len(got) != 2 || got[0] != "kept" || got[1] != "x" {
+		t.Errorf("splitCSV appended %v", got)
 	}
 }
 

@@ -379,13 +379,13 @@ type eventParams struct {
 func parseEventParams(r *http.Request) (eventParams, error) {
 	p := eventParams{buf: defaultEventBuf}
 	q := r.URL.Query()
-	if csv := splitCSV(q.Get("kinds")); len(csv) > 0 {
+	if csv := splitCSV(nil, q.Get("kinds")); len(csv) > 0 {
 		p.kinds = make(map[string]bool, len(csv))
 		for _, k := range csv {
 			p.kinds[k] = true
 		}
 	}
-	if csv := splitCSV(q.Get("source")); len(csv) > 0 {
+	if csv := splitCSV(nil, q.Get("source")); len(csv) > 0 {
 		p.sources = make(map[string]bool, len(csv))
 		for _, s := range csv {
 			p.sources[s] = true
