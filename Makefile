@@ -65,18 +65,18 @@ bench-suite: ## Run the five-workload end-to-end benchmark, JSON to benchmark/$(
 # an invariant broke. soak-race runs the same under the race detector —
 # the CI smoke configuration.
 SOAK_FLAGS ?= -scenario all -backend both -seed 42
-soak:
-	$(GO) run ./cmd/marketsim $(SOAK_FLAGS)
-soak-race:
-	$(GO) run -race ./cmd/marketsim $(SOAK_FLAGS) -epochs 6
+soak: ## Soak every catalog scenario on both backends (exit 2: an invariant broke)
+	$(GO) run ./cmd/marketsim soak $(SOAK_FLAGS)
+soak-race: ## The scenario soak for 6 epochs under the race detector (the CI smoke)
+	$(GO) run -race ./cmd/marketsim soak $(SOAK_FLAGS) -epochs 6
 
 # Crash-recovery soak: the crash-recovery scenario on both backends,
 # journaled, killed without flushing before epoch 4's settlement wave,
 # and resurrected from the WAL — exit code 3 if the recovered run's
 # fingerprint diverges from the in-memory baseline by even one bit.
 SOAK_CRASH_FLAGS ?= -scenario crash-recovery -backend both -seed 42 -crash-epoch 4
-soak-crash:
-	$(GO) run -race ./cmd/marketsim $(SOAK_CRASH_FLAGS) -journal-dir "$$(mktemp -d)"
+soak-crash: ## Kill-and-resurrect soak under -race (exit 3: the recovered run diverged)
+	$(GO) run -race ./cmd/marketsim soak $(SOAK_CRASH_FLAGS) -journal-dir "$$(mktemp -d)"
 
 # Chaos soak: every catalog scenario on both backends, journaled, each
 # with two extra legs under a seeded-random fault schedule (disk faults,
@@ -86,23 +86,23 @@ soak-crash:
 # additionally verify faults-heal fingerprint identity against the
 # fault-free baseline on every soak run.
 SOAK_CHAOS_FLAGS ?= -scenario all -backend both -seed 42 -chaos -chaos-seed 7
-soak-chaos:
-	$(GO) run -race ./cmd/marketsim $(SOAK_CHAOS_FLAGS) -epochs 6 -journal-dir "$$(mktemp -d)"
+soak-chaos: ## Seeded fault-storm soak under -race (exit 2: invariant, 3: legs diverged)
+	$(GO) run -race ./cmd/marketsim soak $(SOAK_CHAOS_FLAGS) -epochs 6 -journal-dir "$$(mktemp -d)"
 
 # Telemetry soak: every catalog scenario on both backends with a
 # firehose subscriber attached, requiring each run's report to be
 # reconstructible bit-identically from the event stream alone — exit
 # code 3 if the stream reconstruction's fingerprint diverges.
 SOAK_TELEMETRY_FLAGS ?= -scenario all -backend both -seed 42 -telemetry
-soak-telemetry:
-	$(GO) run -race ./cmd/marketsim $(SOAK_TELEMETRY_FLAGS) -epochs 6
+soak-telemetry: ## Event-stream reconstruction soak under -race (exit 3: stream diverged)
+	$(GO) run -race ./cmd/marketsim soak $(SOAK_TELEMETRY_FLAGS) -epochs 6
 
 # Coverage with a checked-in floor (COVERAGE_FLOOR) and per-package
 # deltas against COVERAGE_baseline.txt. cover-update rewrites the
 # baseline after intentional changes.
-cover:
+cover: ## Test coverage against COVERAGE_FLOOR, with deltas against the baseline
 	./scripts/cover.sh
-cover-update:
+cover-update: ## Rewrite COVERAGE_baseline.txt after an intentional change
 	./scripts/cover.sh -update
 
 # Native fuzz smoke: each target briefly, as in CI. Longer local runs:
@@ -113,7 +113,7 @@ cover-update:
 # minimizing: their budget is capped, and so is the clock-vs-Exact
 # target's, whose every input solves a branch and bound.)
 FUZZTIME ?= 10s
-fuzz:
+fuzz: ## Run every native fuzz target for FUZZTIME each, as in CI
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run 'xxx' ./internal/bidlang
 	$(GO) test -fuzz 'FuzzQueryParams$$' -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzEventsQueryParams -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui

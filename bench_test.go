@@ -4,7 +4,7 @@ package clustermarket_test
 // suite in benchmark/ does not time on their own — the production clock
 // against its dense oracle core.ReferenceRun, admission at R = 192, the
 // auction build from a booked book, and what the book retains an order.
-// The paper figures are regenerated by cmd/experiments and their shapes
+// The paper figures are regenerated by `marketsim figures` and their shapes
 // asserted by internal/sim's tests. Run with:
 //
 //	make bench

@@ -369,7 +369,8 @@ func NewHealth(start time.Time) *Health { return telemetry.NewHealth(start) }
 // Scenario engine & invariant kernel (beyond the paper; DESIGN.md).
 
 type (
-	// ScenarioConfig parameterizes a scenario run (seed, topology, epochs).
+	// ScenarioConfig parameterizes a scenario run (seed, epochs, and the
+	// journal, telemetry and fault layers it attaches).
 	ScenarioConfig = scenario.Config
 	// ScenarioReport is a completed run: per-epoch summaries plus any
 	// invariant violations; Fingerprint() is bit-stable per seed.

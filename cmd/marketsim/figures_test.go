@@ -17,7 +17,7 @@ func smallCfg() sim.Config {
 	}
 }
 
-func TestRunSingleExperiments(t *testing.T) {
+func TestFiguresSingle(t *testing.T) {
 	cases := []struct {
 		what string
 		want string
@@ -32,7 +32,7 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
-		if err := run(&buf, c.what, smallCfg(), 2); err != nil {
+		if err := figures(&buf, c.what, smallCfg(), 2); err != nil {
 			t.Fatalf("%s: %v", c.what, err)
 		}
 		if !strings.Contains(buf.String(), c.want) {
@@ -41,12 +41,12 @@ func TestRunSingleExperiments(t *testing.T) {
 	}
 }
 
-func TestRunScalingExperiment(t *testing.T) {
+func TestFiguresScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling sweep")
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, "scaling", smallCfg(), 1); err != nil {
+	if err := figures(&buf, "scaling", smallCfg(), 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "linear fit") {
@@ -54,24 +54,36 @@ func TestRunScalingExperiment(t *testing.T) {
 	}
 }
 
-func TestRunUnknownExperiment(t *testing.T) {
+func TestFiguresUnknown(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "nope", smallCfg(), 1); err == nil {
+	if err := figures(&buf, "nope", smallCfg(), 1); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
-func TestRunAll(t *testing.T) {
+// TestFiguresAll also pins that the figures sharing one auction sequence
+// print what each prints alone.
+func TestFiguresAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite")
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, "all", smallCfg(), 2); err != nil {
+	if err := figures(&buf, "all", smallCfg(), 2); err != nil {
 		t.Fatal(err)
 	}
+	all := buf.String()
 	for _, want := range []string{"FIG2", "FIG6", "FIG7", "TABLE I", "SCALING", "BASELINE", "MIGRATION", "CLOCK"} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(all, want) {
 			t.Errorf("all output missing %q", want)
+		}
+	}
+	for _, what := range []string{"fig6", "fig7", "table1", "migration"} {
+		var one bytes.Buffer
+		if err := figures(&one, what, smallCfg(), 2); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(all, one.String()) {
+			t.Errorf("%s alone differs from its section of -run all:\n%s", what, one.String())
 		}
 	}
 }

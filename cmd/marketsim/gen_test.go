@@ -9,7 +9,7 @@ import (
 	"clustermarket/internal/resource"
 )
 
-func TestRenderBidRoundTripsThroughParser(t *testing.T) {
+func TestBidTreeRoundTripsThroughParser(t *testing.T) {
 	reg := resource.NewStandardRegistry("r1", "r2")
 	bid := &core.Bid{
 		User:  "team-x/buy",
@@ -19,7 +19,7 @@ func TestRenderBidRoundTripsThroughParser(t *testing.T) {
 			{0, 0, 0, 10, 20, 1},
 		},
 	}
-	text := renderBid(reg, bid)
+	text := bidTree(reg, bid).String()
 	parsed, err := bidlang.Parse(text)
 	if err != nil {
 		t.Fatalf("rendered bid does not parse: %v\n%s", err, text)
@@ -41,10 +41,10 @@ func TestRenderBidRoundTripsThroughParser(t *testing.T) {
 	}
 }
 
-func TestRenderBidSingleBundleHasNoOneof(t *testing.T) {
+func TestBidTreeSingleBundleHasNoOneof(t *testing.T) {
 	reg := resource.NewStandardRegistry("r1")
 	bid := &core.Bid{User: "s", Limit: -5, Bundles: []resource.Vector{{-3, 0, 0}}}
-	text := renderBid(reg, bid)
+	text := bidTree(reg, bid).String()
 	if strings.Contains(text, "oneof") {
 		t.Errorf("single-bundle bid rendered with oneof:\n%s", text)
 	}
@@ -53,10 +53,10 @@ func TestRenderBidSingleBundleHasNoOneof(t *testing.T) {
 	}
 }
 
-func TestRunProducesParseableOutput(t *testing.T) {
+func TestGenProducesParseableOutput(t *testing.T) {
 	var buf strings.Builder
-	if err := run(&buf, 3, 12, 4, 0.5, 2); err != nil {
-		t.Fatalf("run: %v", err)
+	if err := gen(&buf, 3, 2); err != nil {
+		t.Fatalf("gen: %v", err)
 	}
 	// Strip comment lines and reparse everything.
 	var lines []string

@@ -1,115 +1,59 @@
 package main
 
 import (
-	"os"
+	"bytes"
+	"strings"
 	"testing"
 )
 
-func TestRunAllScenarios(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestUsageExitCodes pins what the dispatcher and the new subcommands
+// refuse: each case exits 1 with a message on stderr and writes nothing
+// to stdout.
+func TestUsageExitCodes(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string // substring of stderr
+	}{
+		{"no subcommand", nil, "usage: marketsim"},
+		{"unknown subcommand", []string{"experiments"}, `unknown subcommand "experiments"`},
+		{"figures zero auctions", []string{"figures", "-auctions", "0"}, "-auctions must be at least 1"},
+		{"figures negative auctions", []string{"figures", "-run", "table1", "-auctions", "-2"}, "-auctions must be at least 1"},
+		{"figures unknown experiment", []string{"figures", "-run", "nope"}, `unknown experiment "nope"`},
+		{"figures stray argument", []string{"figures", "fig2"}, `unexpected argument "fig2"`},
+		{"gen zero rounds", []string{"gen", "-rounds", "0"}, "-rounds must be at least 1"},
+		{"gen removed flag", []string{"gen", "-clusters", "4"}, "flag provided but not defined"},
+		{"clear removed flag", []string{"clear", "-alpha", "0.1"}, "flag provided but not defined"},
+		{"soak removed flag", []string{"soak", "-regions", "4"}, "flag provided but not defined"},
 	}
-	defer devnull.Close()
-	if code := run([]string{"-scenario", "all", "-backend", "both", "-epochs", "4", "-v"}, devnull, devnull); code != exitOK {
-		t.Fatalf("exit code = %d, want %d", code, exitOK)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, strings.NewReader(""), &stdout, &stderr); code != exitUsage {
+				t.Errorf("exit code = %d, want %d", code, exitUsage)
+			}
+			if !strings.Contains(stderr.String(), c.want) {
+				t.Errorf("stderr %q does not mention %q", stderr.String(), c.want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout not empty: %q", stdout.String())
+			}
+		})
 	}
 }
 
-func TestRunSingleScenario(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
+// TestGenPipesIntoClear runs the documented pipeline in process.
+func TestGenPipesIntoClear(t *testing.T) {
+	var bids, out, stderr bytes.Buffer
+	if code := run([]string{"gen", "-seed", "7"}, nil, &bids, &stderr); code != exitOK {
+		t.Fatalf("gen: exit code = %d: %s", code, stderr.String())
 	}
-	defer devnull.Close()
-	if code := run([]string{"-scenario", "trader-storm", "-backend", "exchange", "-seed", "7"}, devnull, devnull); code != exitOK {
-		t.Fatalf("exit code = %d, want %d", code, exitOK)
+	if code := run([]string{"clear"}, &bids, &out, &stderr); code != exitOK {
+		t.Fatalf("clear: exit code = %d: %s", code, stderr.String())
 	}
-}
-
-func TestUsageErrors(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	cases := [][]string{
-		{"-scenario", "no-such"},
-		{"-backend", "no-such"},
-		{"-bogus-flag"},
-	}
-	for _, args := range cases {
-		if code := run(args, devnull, devnull); code != exitUsage {
-			t.Errorf("run(%v) = %d, want %d", args, code, exitUsage)
+	for _, want := range []string{"Final uniform prices", "Settlement", "SYSTEM constraints (1)-(6) verified."} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("clear output missing %q", want)
 		}
-	}
-}
-
-func TestCrashRecoverySoak(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	args := []string{"-scenario", "crash-recovery", "-backend", "both", "-seed", "42",
-		"-journal-dir", t.TempDir(), "-crash-epoch", "4"}
-	if code := run(args, devnull, devnull); code != exitOK {
-		t.Fatalf("exit code = %d, want %d", code, exitOK)
-	}
-}
-
-func TestChaosSoak(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	// The scripted fault scenarios under a seeded chaos schedule: both
-	// chaos legs must fingerprint-match each other and the invariant
-	// kernel must hold under fire, on both backends.
-	for _, sc := range []string{"disk-fault", "partition-storm"} {
-		args := []string{"-scenario", sc, "-backend", "both", "-seed", "42",
-			"-chaos", "-chaos-seed", "7", "-epochs", "4", "-journal-dir", t.TempDir()}
-		if code := run(args, devnull, devnull); code != exitOK {
-			t.Fatalf("%s: exit code = %d, want %d", sc, code, exitOK)
-		}
-	}
-}
-
-func TestChaosRequiresJournalDir(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	if code := run([]string{"-chaos"}, devnull, devnull); code != exitUsage {
-		t.Fatalf("exit code = %d, want %d", code, exitUsage)
-	}
-}
-
-func TestCrashEpochRequiresJournalDir(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	if code := run([]string{"-crash-epoch", "3"}, devnull, devnull); code != exitUsage {
-		t.Fatalf("exit code = %d, want %d", code, exitUsage)
-	}
-}
-
-func TestTelemetrySoak(t *testing.T) {
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	// Telemetry on top of the journaled crash run: the stream
-	// reconstruction must match for the in-memory baseline, the journaled
-	// rerun, and the crash-recovered rerun alike.
-	args := []string{"-scenario", "crash-recovery", "-backend", "both", "-seed", "42",
-		"-telemetry", "-journal-dir", t.TempDir(), "-crash-epoch", "3"}
-	if code := run(args, devnull, devnull); code != exitOK {
-		t.Fatalf("exit code = %d, want %d", code, exitOK)
 	}
 }

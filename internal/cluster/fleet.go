@@ -143,11 +143,11 @@ func (f *Fleet) SetTaskSeq(n int) { f.nextTask = n }
 
 // PlaceAllocationChunked schedules the positive part of a settled
 // allocation — given sparse, as the winning bundle's (pool, quantity)
-// pairs in ascending pool order — onto the fleet as machine-sized chunks:
-// the placement model every market driver shares (sim worlds, federated
-// migration, the scenario engine). Clusters are visited in sorted name order so
-// placement, and therefore future utilization and reserve prices, is a
-// deterministic function of the allocation. onPlace, when non-nil, is
+// pairs in ascending pool order — onto the fleet as machine-sized chunks.
+// Exchange.PlaceOrder is its one caller, so the figure generator and the
+// scenario engine place won demand alike. Clusters are visited in sorted
+// name order so placement, and therefore future utilization and reserve
+// prices, is a deterministic function of the allocation. onPlace is
 // invoked for every scheduled task (so callers can evict later);
 // scheduling stops per cluster at the first failure (the cluster is
 // genuinely full).
@@ -190,9 +190,7 @@ func (f *Fleet) PlaceAllocationChunked(reg *resource.Registry, team string, pool
 			if err != nil {
 				break
 			}
-			if onPlace != nil {
-				onPlace(cn, id)
-			}
+			onPlace(cn, id)
 			total = total.Sub(req)
 			total = Usage{CPU: clamp(total.CPU), RAM: clamp(total.RAM), Disk: clamp(total.Disk)}
 		}

@@ -220,17 +220,6 @@ func (r *Registry) ClusterPools(cluster string) []int {
 	return append([]int(nil), ix.pools[k]...)
 }
 
-// DimensionPools returns the indices of all pools with dimension d.
-func (r *Registry) DimensionPools(d Dimension) []int {
-	var out []int
-	for i, p := range r.pools {
-		if p.Dim == d {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Zero returns a zero vector sized for this registry.
 func (r *Registry) Zero() Vector { return make(Vector, len(r.pools)) }
 

@@ -115,15 +115,6 @@ func TestNewStandardRegistry(t *testing.T) {
 			t.Errorf("pool %d = %v not in r2", i, r.Pool(i))
 		}
 	}
-	dp := r.DimensionPools(RAM)
-	if len(dp) != 2 {
-		t.Fatalf("DimensionPools(RAM) = %v", dp)
-	}
-	for _, i := range dp {
-		if r.Pool(i).Dim != RAM {
-			t.Errorf("pool %d = %v not RAM", i, r.Pool(i))
-		}
-	}
 }
 
 // TestRegistryClusterViewFollowsAdd: the cached by-cluster view is

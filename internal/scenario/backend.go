@@ -19,6 +19,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 
 	"clustermarket/internal/cluster"
@@ -55,7 +56,7 @@ type Backend struct {
 	owner    map[string]string              // cluster → region
 	seen     map[string]int                 // market → auction records already reported
 	placed   map[string][]market.PlacedTask // region → placed tasks, oldest first
-	// cfg (rng detached) backs CrashRecover's deterministic rebuild;
+	// cfg backs CrashRecover's deterministic rebuild;
 	// journals maps each market, and fedJournalName the router, to its
 	// journal on a durable backend.
 	cfg      Config
@@ -77,7 +78,6 @@ func NewBackend(kind string, cfg Config) (*Backend, error) {
 	if kind != "exchange" && kind != "federation" {
 		return nil, fmt.Errorf("scenario: unknown backend %q (want exchange or federation)", kind)
 	}
-	cfg.applyDefaults()
 	b := &Backend{
 		kind:     kind,
 		clusters: make(map[string][]string),
@@ -85,10 +85,10 @@ func NewBackend(kind string, cfg Config) (*Backend, error) {
 		seen:     make(map[string]int),
 		placed:   make(map[string][]market.PlacedTask),
 	}
-	for k := 0; k < cfg.Regions; k++ {
+	for k := 0; k < numRegions; k++ {
 		rn := regionName(k)
 		b.regions = append(b.regions, rn)
-		for j := 0; j < cfg.ClustersPerRegion; j++ {
+		for j := 0; j < clustersPerRegion; j++ {
 			cn := clusterName(rn, j)
 			b.clusters[rn] = append(b.clusters[rn], cn)
 			b.owner[cn] = rn
@@ -101,7 +101,6 @@ func NewBackend(kind string, cfg Config) (*Backend, error) {
 	if err := b.open(cfg, false); err != nil {
 		return nil, err
 	}
-	cfg.rng = nil
 	b.cfg = cfg
 	return b, nil
 }
@@ -111,19 +110,18 @@ func regionName(k int) string                 { return fmt.Sprintf("r%d", k+1) }
 func clusterName(region string, j int) string { return fmt.Sprintf("%s-c%d", region, j+1) }
 
 // buildFleet assembles one region's clusters, utilization-skewed by the
-// config's seeded rng so every region starts with a distinct hot/cold
-// profile.
-func buildFleet(cfg Config, region string, util float64) (*cluster.Fleet, error) {
+// seeded rng so every region starts with a distinct hot/cold profile.
+func buildFleet(rng *rand.Rand, region string, util float64) (*cluster.Fleet, error) {
 	fleet := cluster.NewFleet()
-	for j := 0; j < cfg.ClustersPerRegion; j++ {
+	for j := 0; j < clustersPerRegion; j++ {
 		cn := clusterName(region, j)
 		c := cluster.New(cn, nil)
-		c.UnitCost = cluster.Usage{CPU: unitCostCPU, RAM: unitCostRAM, Disk: unitCostDisk}
-		c.AddMachines(cfg.MachinesPerCluster, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+		c.UnitCost = cluster.OperatorUnitCost
+		c.AddMachines(machinesPerCluster, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
 		if err := fleet.AddCluster(c); err != nil {
 			return nil, err
 		}
-		if err := fleet.FillToUtilization(cfg.rng, cn, cluster.Usage{CPU: util, RAM: util, Disk: util}); err != nil {
+		if err := fleet.FillToUtilization(rng, cn, cluster.Usage{CPU: util, RAM: util, Disk: util}); err != nil {
 			return nil, err
 		}
 	}
@@ -132,23 +130,22 @@ func buildFleet(cfg Config, region string, util float64) (*cluster.Fleet, error)
 
 // regionUtil picks region k's starting utilization: r1 hot, the rest
 // cooling linearly — the skew the paper's Figure 6 worlds start from.
-func regionUtil(k, regions int) float64 {
-	if regions == 1 {
-		return 0.55
-	}
-	return 0.78 - 0.6*float64(k)/float64(regions-1)
+func regionUtil(k int) float64 {
+	return 0.78 - 0.6*float64(k)/float64(numRegions-1)
 }
 
 // fleets builds each market's fleet, in market order, drawing every
-// region from cfg's rng in region order. The federation kind keeps each
+// region in region order from one rng seeded by cfg.Seed, so a recovering
+// backend rebuilds the fleets it crashed with. The federation kind keeps each
 // region's fleet exactly as buildFleet returned it: a fleet numbers the
 // tasks it places, so moving a region's clusters into a fresh fleet would
 // renumber every placement. The exchange kind merges every region into
 // one fleet.
 func (b *Backend) fleets(cfg Config) ([]*cluster.Fleet, error) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	var out []*cluster.Fleet
 	for k, rn := range b.regions {
-		rf, err := buildFleet(cfg, rn, regionUtil(k, len(b.regions)))
+		rf, err := buildFleet(rng, rn, regionUtil(k))
 		if err != nil {
 			return nil, err
 		}
@@ -170,10 +167,9 @@ func (b *Backend) fleets(cfg Config) ([]*cluster.Fleet, error) {
 
 func marketConfig(cfg Config) market.Config {
 	return market.Config{
-		InitialBudget: cfg.InitialBudget,
-		MaxRounds:     cfg.MaxRounds,
-		Shards:        cfg.Shards,
-		SnapshotEvery: cfg.SnapshotEvery,
+		InitialBudget: initialBudget,
+		MaxRounds:     maxRounds,
+		SnapshotEvery: snapshotEvery,
 		Telemetry:     cfg.Telemetry,
 	}
 }
@@ -221,7 +217,7 @@ func (b *Backend) retryFaults(markets []string, op func() error) error {
 // against the same directory.
 func openJournal(cfg Config, name string, recovering bool) (*journal.Journal, *journal.Recovery, error) {
 	dir := filepath.Join(cfg.JournalDir, name)
-	j, rec, err := journal.Open(dir, journal.Options{FsyncEvery: cfg.FsyncEvery, FS: faultFS(cfg)})
+	j, rec, err := journal.Open(dir, journal.Options{FS: faultFS(cfg)})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -285,7 +281,7 @@ func (b *Backend) open(cfg Config, recovering bool) error {
 				return fail(err)
 			}
 		}
-		fed.AttachJournal(fj, cfg.SnapshotEvery)
+		fed.AttachJournal(fj, snapshotEvery)
 	}
 	// The router publishes its routing events to the same firehose the
 	// markets got through marketConfig, so one subscription sees the whole
@@ -316,9 +312,7 @@ func (b *Backend) CrashRecover() error {
 	for _, j := range b.journals {
 		j.Crash()
 	}
-	cfg := b.cfg
-	cfg.applyDefaults()
-	if err := b.open(cfg, true); err != nil {
+	if err := b.open(b.cfg, true); err != nil {
 		return err
 	}
 	// The placed lists come back from the recovered markets' own fleet

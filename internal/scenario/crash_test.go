@@ -38,7 +38,6 @@ func TestCrashRecoveryFingerprintMatch(t *testing.T) {
 
 			durable := base
 			durable.JournalDir = t.TempDir()
-			durable.SnapshotEvery = 3
 			fpDurable := run("journaled", durable)
 
 			crashed := durable

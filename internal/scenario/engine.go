@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"clustermarket/internal/cluster"
 	"clustermarket/internal/core"
 	"clustermarket/internal/fault"
 	"clustermarket/internal/invariant"
@@ -19,55 +20,45 @@ import (
 	"clustermarket/internal/telemetry"
 )
 
-// The operator's real unit costs — the pre-market fixed prices bidders
-// value against (the Figure 6 denominators, same constants as
-// internal/sim).
+// The scenario world is fixed: every run has the same topology,
+// population and clock bounds, and differs only by seed, length and the
+// durability, telemetry and fault layers its Config attaches.
 const (
-	unitCostCPU  = 1.0
-	unitCostRAM  = 0.25
-	unitCostDisk = 2.0
+	// numRegions scenario regions, each a fleet of clustersPerRegion
+	// clusters of machinesPerCluster machines.
+	numRegions         = 3
+	clustersPerRegion  = 2
+	machinesPerCluster = 10
+	// numTeams is the initial bidder population.
+	numTeams = 18
+	// initialBudget is each account's opening balance.
+	initialBudget = 2.5e5
+	// maxRounds bounds each clock low enough that a hostile trader mix
+	// hits the cap — a non-convergence storm — instead of grinding 100k
+	// rounds.
+	maxRounds = 1500
+	// spotEvery runs the production≡reference clock-equivalence spot
+	// check on one region's fresh bid stream every spotEvery epochs.
+	spotEvery = 3
+	// snapshotEvery bounds a journaled run's recovery replay: each
+	// exchange snapshots every snapshotEvery auctions, and the router
+	// every snapshotEvery settlements. Journals fsync every record.
+	snapshotEvery = 3
 )
 
 // Config parameterizes one scenario run. The same Config must be used to
-// build the Backend and to Run the scenario: topology (regions,
-// clusters) and determinism (seed) both flow from it.
+// build the Backend and to Run the scenario: determinism (seed) and the
+// attached layers flow from it.
 type Config struct {
 	Seed int64
 	// Epochs overrides the scenario's default epoch count when positive.
 	Epochs int
-	// Regions is the number of sub-markets (default 3).
-	Regions int
-	// ClustersPerRegion (default 2) and MachinesPerCluster (default 10)
-	// size each region's fleet.
-	ClustersPerRegion  int
-	MachinesPerCluster int
-	// Teams is the bidder population size (default 18).
-	Teams int
-	// InitialBudget per account (default 2.5e5).
-	InitialBudget float64
-	// MaxRounds bounds each clock. Scenario worlds keep it low enough
-	// (default 1500) that a hostile trader mix hits the cap — a
-	// non-convergence storm — instead of grinding 100k rounds.
-	MaxRounds int
-	// Shards is the exchange book stripe count (0 selects the default).
-	Shards int
-	// SpotEvery runs the production≡reference clock-equivalence spot check
-	// on one region's fresh bid stream every SpotEvery epochs (default 3;
-	// negative disables).
-	SpotEvery int
 	// JournalDir, when non-empty, makes the backend durable: each market
 	// journals to JournalDir/<market> (JournalDir/planet on the exchange
 	// kind, JournalDir/rK on the federation kind) and the router to
 	// JournalDir/fed. The directory must hold no prior journal — scenarios
 	// always build fresh worlds and recover only through CrashRecover.
 	JournalDir string
-	// FsyncEvery is the journal group-commit window (default 1: fsync
-	// every record).
-	FsyncEvery int
-	// SnapshotEvery bounds recovery replay: each exchange snapshots every
-	// SnapshotEvery auctions (0 selects the market default), and the
-	// federation router snapshots every SnapshotEvery settlements.
-	SnapshotEvery int
 	// CrashEpoch, when positive, kills the journaled backend without
 	// flushing just before that epoch's settlement wave and resurrects it
 	// from disk — the run must continue bit-identically (the crash-recovery
@@ -91,35 +82,6 @@ type Config struct {
 	// fingerprint-match the fault-free run — the disk-fault and
 	// partition-storm scenarios enforce exactly that.
 	Injector *fault.Injector
-
-	rng *rand.Rand
-}
-
-func (c *Config) applyDefaults() {
-	if c.Regions <= 0 {
-		c.Regions = 3
-	}
-	if c.ClustersPerRegion <= 0 {
-		c.ClustersPerRegion = 2
-	}
-	if c.MachinesPerCluster <= 0 {
-		c.MachinesPerCluster = 10
-	}
-	if c.Teams <= 0 {
-		c.Teams = 18
-	}
-	if c.InitialBudget == 0 {
-		c.InitialBudget = 2.5e5
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 1500
-	}
-	if c.SpotEvery == 0 {
-		c.SpotEvery = 3
-	}
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.Seed))
-	}
 }
 
 // Scenario is one scripted event timeline. Every hook is optional; nil
@@ -321,7 +283,6 @@ var products = []string{"batch-compute", "serving-frontend", "bigtable-node", "g
 // invariants are collected in Report.Violations (and counted per epoch),
 // so a soak can report exactly which epoch corrupted which book.
 func Run(sc *Scenario, b *Backend, cfg Config) (*Report, error) {
-	cfg.applyDefaults()
 	epochs := sc.Epochs
 	if cfg.Epochs > 0 {
 		epochs = cfg.Epochs
@@ -373,7 +334,7 @@ type engine struct {
 
 // populate opens the initial team population plus the storm accounts.
 func (e *engine) populate() error {
-	for i := 0; i < e.cfg.Teams; i++ {
+	for i := 0; i < numTeams; i++ {
 		if err := e.addTeam(nil); err != nil {
 			return err
 		}
@@ -415,7 +376,8 @@ func fairCost(product string, qty float64) (float64, error) {
 		return 0, err
 	}
 	cover := p.Cover(qty)
-	return cover.CPU*unitCostCPU + cover.RAM*unitCostRAM + cover.Disk*unitCostDisk, nil
+	c := cluster.OperatorUnitCost
+	return cover.CPU*c.CPU + cover.RAM*c.RAM + cover.Disk*c.Disk, nil
 }
 
 func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
@@ -633,7 +595,7 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 	// 11. The shared invariant kernel, every epoch — plus the periodic
 	// dense≡incremental spot check over this epoch's fresh bid stream.
 	vs := e.b.Check()
-	if e.cfg.SpotEvery > 0 && epoch%e.cfg.SpotEvery == e.cfg.SpotEvery-1 {
+	if epoch%spotEvery == spotEvery-1 {
 		vs = append(vs, e.spotCheck(spotRegion, spots)...)
 	}
 	for i, v := range vs {
@@ -731,7 +693,7 @@ func (e *engine) injectTraderPair(region string) (injected bool, err error) {
 		}
 		v[bi] = 300
 		v[si] = -150
-		return &core.Bid{User: "storm/" + buy, Bundles: []resource.Vector{v}, Limit: 0.3 * e.cfg.InitialBudget}, nil
+		return &core.Bid{User: "storm/" + buy, Bundles: []resource.Vector{v}, Limit: 0.3 * initialBudget}, nil
 	}
 	b1, err := mk(c1, c2)
 	if err != nil {
@@ -803,6 +765,6 @@ func (e *engine) spotCheck(region string, spots []spotBid) []invariant.Violation
 	}
 	return invariant.CheckEngineEquivalence(reg, bids, core.Config{
 		Start:     start,
-		MaxRounds: e.cfg.MaxRounds,
+		MaxRounds: maxRounds,
 	})
 }

@@ -52,7 +52,7 @@ func TestFaultScenariosFingerprintMatchFaultFree(t *testing.T) {
 		t.Run(tc.scenario+"/"+tc.kind, func(t *testing.T) {
 			base := runNamed(t, tc.scenario, tc.kind, Config{Seed: 42})
 			inj := fault.New()
-			cfg := Config{Seed: 42, JournalDir: t.TempDir(), FsyncEvery: 1, SnapshotEvery: 3, Injector: inj}
+			cfg := Config{Seed: 42, JournalDir: t.TempDir(), Injector: inj}
 			rep := runFaulted(t, tc.scenario, tc.kind, cfg)
 			for _, v := range rep.Violations {
 				t.Errorf("invariant violated: %s", v)
@@ -82,7 +82,7 @@ func TestChaosSameSeedBitIdentical(t *testing.T) {
 			var injected [2]uint64
 			for i := 0; i < 2; i++ {
 				inj := fault.NewChaos(99)
-				cfg := Config{Seed: 42, JournalDir: t.TempDir(), FsyncEvery: 1, SnapshotEvery: 3, Injector: inj}
+				cfg := Config{Seed: 42, JournalDir: t.TempDir(), Injector: inj}
 				rep := runFaulted(t, "churn", kind, cfg)
 				for _, v := range rep.Violations {
 					t.Errorf("leg %d: invariant violated: %s", i, v)

@@ -322,7 +322,7 @@ func TestSubmitCancelBidRoundTrip(t *testing.T) {
 // it, while the federation kind has one market per region. Both journal
 // each market to JournalDir/<market> and the router to JournalDir/fed.
 func TestExchangeKindIsOneMarket(t *testing.T) {
-	cfg := Config{Seed: 5, Regions: 4, ClustersPerRegion: 3}
+	cfg := Config{Seed: 5}
 	for _, kind := range backendKinds {
 		cfg.JournalDir = t.TempDir()
 		b, err := NewBackend(kind, cfg)
@@ -338,8 +338,8 @@ func TestExchangeKindIsOneMarket(t *testing.T) {
 				t.Fatalf("exchange kind has %d markets, want 1", len(markets))
 			}
 			m := markets[0]
-			if got := len(m.Clusters()); got != cfg.Regions*cfg.ClustersPerRegion {
-				t.Errorf("exchange market holds %d clusters, want %d", got, cfg.Regions*cfg.ClustersPerRegion)
+			if got := len(m.Clusters()); got != numRegions*clustersPerRegion {
+				t.Errorf("exchange market holds %d clusters, want %d", got, numRegions*clustersPerRegion)
 			}
 			for _, rn := range b.Regions() {
 				if m.Name() == rn {

@@ -31,13 +31,14 @@ type ClockProgressionData struct {
 	Excess []float64
 }
 
+// clockTop is the number of most-moved pools the clock progression
+// plots.
+const clockTop = 3
+
 // ClockProgression builds a world, runs its first auction with history
-// recording, and extracts price trajectories for the `top` pools with the
-// largest total movement plus the least-moved pool.
-func ClockProgression(cfg Config, top int) (*ClockProgressionData, error) {
-	if top < 1 {
-		top = 3
-	}
+// recording, and extracts price trajectories for the clockTop pools with
+// the largest total movement plus the least-moved pool.
+func ClockProgression(cfg Config) (*ClockProgressionData, error) {
 	w, err := NewWorld(cfg)
 	if err != nil {
 		return nil, err
@@ -70,7 +71,7 @@ func ClockProgression(cfg Config, top int) (*ClockProgressionData, error) {
 	}
 	bids = append(bids, &core.Bid{User: "operator", Limit: -0.000001, Bundles: []resource.Vector{supply}})
 
-	pricer := reserve.NewPricer(w.Cfg.Weight)
+	pricer := reserve.NewPricer(reserve.ExpSteep)
 	start, err := pricer.Prices(w.Reg, util, w.Fleet.CostVector(w.Reg))
 	if err != nil {
 		return nil, err
@@ -103,7 +104,7 @@ func ClockProgression(cfg Config, top int) (*ClockProgressionData, error) {
 	}
 	sort.Slice(moves, func(a, b int) bool { return moves[a].delta > moves[b].delta })
 
-	pick := moves[:min(top, len(moves))]
+	pick := moves[:min(clockTop, len(moves))]
 	pick = append(pick, moves[len(moves)-1]) // least-moved pool for contrast
 	for _, m := range pick {
 		s := ClockSeries{Pool: w.Reg.Pool(m.pool)}

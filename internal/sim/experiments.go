@@ -67,24 +67,16 @@ type Fig6Row struct {
 	PreUtilization float64
 }
 
-// Fig6Data holds the full figure plus the world it came from.
+// Fig6Data holds the full figure.
 type Fig6Data struct {
-	Rows    []Fig6Row
-	Outcome *AuctionOutcome
+	Rows []Fig6Row
 }
 
-// Fig6 builds a fresh world, runs the first market auction, and reports
-// every pool's settlement price as a ratio over the former fixed price.
-func Fig6(cfg Config) (*Fig6Data, error) {
-	w, err := NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out, err := w.RunAuction()
-	if err != nil {
-		return nil, err
-	}
-	d := &Fig6Data{Outcome: out}
+// Fig6 reports every pool's settlement price in the first auction as a
+// ratio over the former fixed price.
+func (s *Sequence) Fig6() *Fig6Data {
+	w, out := s.World, s.Outcomes[0]
+	d := &Fig6Data{}
 	for i := 0; i < w.Reg.Len(); i++ {
 		p := w.Reg.Pool(i)
 		if p.Dim == resource.Network {
@@ -97,7 +89,7 @@ func Fig6(cfg Config) (*Fig6Data, error) {
 			PreUtilization: out.PreUtilization[i],
 		})
 	}
-	return d, nil
+	return d
 }
 
 // CongestionPriceCorrelation returns the correlation evidence behind the
@@ -139,10 +131,9 @@ func RenderFig6(w io.Writer, d *Fig6Data) {
 
 // Fig7Group is one boxplot column: a dimension × side combination.
 type Fig7Group struct {
-	Dim         resource.Dimension
-	Side        trace.Side
-	Percentiles []float64
-	Box         stats.Boxplot
+	Dim  resource.Dimension
+	Side trace.Side
+	Box  stats.Boxplot
 }
 
 // Fig7Data carries the six groups of the figure.
@@ -150,27 +141,16 @@ type Fig7Data struct {
 	Groups []Fig7Group
 }
 
-// Fig7 runs `auctions` sequential market auctions on a fresh world and
-// computes, for every settled trade and dimension, the utilization
+// Fig7 computes, for every settled trade and dimension, the utilization
 // percentile (among same-dimension pools, pre-auction) of the pool where
 // the trade landed — bids and offers separately, as in Figure 7.
-func Fig7(cfg Config, auctions int) (*Fig7Data, error) {
-	if auctions < 1 {
-		auctions = 1
-	}
-	w, err := NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
+func (s *Sequence) Fig7() (*Fig7Data, error) {
+	w := s.World
 	perc := map[resource.Dimension]map[trace.Side][]float64{}
 	for _, dim := range resource.StandardDimensions {
 		perc[dim] = map[trace.Side][]float64{}
 	}
-	for a := 0; a < auctions; a++ {
-		out, err := w.RunAuction()
-		if err != nil {
-			return nil, err
-		}
+	for _, out := range s.Outcomes {
 		// Population per dimension: utilization of same-dimension pools.
 		pop := map[resource.Dimension][]float64{}
 		for i := 0; i < w.Reg.Len(); i++ {
@@ -204,7 +184,7 @@ func Fig7(cfg Config, auctions int) (*Fig7Data, error) {
 			if err != nil {
 				return nil, err
 			}
-			d.Groups = append(d.Groups, Fig7Group{Dim: dim, Side: side, Percentiles: vals, Box: box})
+			d.Groups = append(d.Groups, Fig7Group{Dim: dim, Side: side, Box: box})
 		}
 	}
 	return d, nil
@@ -245,19 +225,10 @@ type Table1Row struct {
 	SettledPct float64
 }
 
-// Table1 runs `auctions` sequential auctions and reports the γ_u premium
-// statistics per auction.
-func Table1(cfg Config, auctions int) ([]Table1Row, error) {
-	w, err := NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
+// Table1 reports the γ_u premium statistics per auction.
+func (s *Sequence) Table1() []Table1Row {
 	var rows []Table1Row
-	for a := 0; a < auctions; a++ {
-		out, err := w.RunAuction()
-		if err != nil {
-			return nil, err
-		}
+	for _, out := range s.Outcomes {
 		rows = append(rows, Table1Row{
 			Auction:    out.Record.Number,
 			Median:     out.Record.PremiumMedian(),
@@ -265,7 +236,7 @@ func Table1(cfg Config, auctions int) ([]Table1Row, error) {
 			SettledPct: 100 * out.Record.SettledFraction(),
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderTable1 writes the table in the paper's format.
@@ -524,15 +495,11 @@ func Baseline(cfg Config) ([]BaselineRow, error) {
 
 	// The market serves the same world (rebuilt so the bid RNG stream
 	// matches) through the clock auction.
-	w2, err := NewWorld(cfg)
+	seq, err := NewSequence(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	out, err := w2.RunAuction()
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, marketBaselineRow(w2, out))
+	rows = append(rows, marketBaselineRow(seq.World, seq.Outcomes[0]))
 	return rows, nil
 }
 
@@ -579,7 +546,7 @@ func marketBaselineRow(w *World, out *AuctionOutcome) BaselineRow {
 		surplus = math.Max(0, supply.Sum()-bought.Sum()) / s
 	}
 	// Post-trade utilization spread across pools.
-	spread := stats.CoefficientOfVariation(w.Fleet.UtilizationVector(w.Reg))
+	spread := stats.CoefficientOfVariation(out.PostUtilization)
 	settledPct := 0.0
 	if buyOrders > 0 {
 		settledPct = 100 * float64(buyWins) / float64(buyOrders)
@@ -627,23 +594,10 @@ type MigrationRow struct {
 	Movers int
 }
 
-// Migration runs sequential auctions and reports the demand-shift
-// pattern.
-func Migration(cfg Config, auctions int) ([]MigrationRow, error) {
-	w, err := NewWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	homes := make(map[string]string)
-	for _, tm := range w.Gen.Teams() {
-		homes[tm.Name] = tm.Home
-	}
+// Migration reports the demand-shift pattern across the auctions.
+func (s *Sequence) Migration() []MigrationRow {
 	var rows []MigrationRow
-	for a := 0; a < auctions; a++ {
-		out, err := w.RunAuction()
-		if err != nil {
-			return nil, err
-		}
+	for _, out := range s.Outcomes {
 		var cold, hot, total float64
 		movers := 0
 		for _, tr := range out.Trades {
@@ -664,25 +618,24 @@ func Migration(cfg Config, auctions int) ([]MigrationRow, error) {
 				if u >= 0.8 {
 					hot += q
 				}
-				movedTo = w.Reg.Pool(pi).Cluster
+				movedTo = s.World.Reg.Pool(pi).Cluster
 			}
-			if tr.Side == trace.Buy && movedTo != "" && movedTo != homes[tr.Team] {
+			if tr.Side == trace.Buy && movedTo != "" && movedTo != tr.Home {
 				movers++
 			}
 		}
-		for _, tm := range w.Gen.Teams() {
-			homes[tm.Name] = tm.Home
+		row := MigrationRow{
+			Auction:    out.Record.Number,
+			Movers:     movers,
+			UtilSpread: stats.CoefficientOfVariation(out.PostUtilization),
 		}
-		row := MigrationRow{Auction: out.Record.Number, Movers: movers}
 		if total > 0 {
 			row.ColdShare = cold / total
 			row.HotShare = hot / total
 		}
-		utils := w.Fleet.UtilizationVector(w.Reg)
-		row.UtilSpread = stats.CoefficientOfVariation(utils)
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderMigration writes the migration table.
@@ -709,22 +662,5 @@ func sortedPoolQtyIndices(pq map[int]float64) []int {
 		idx = append(idx, pi)
 	}
 	sort.Ints(idx)
-	return idx
-}
-
-// sortedPoolIndices returns pool indices sorted by cluster then dimension
-// (shared helper for deterministic iteration in reports).
-func sortedPoolIndices(reg *resource.Registry) []int {
-	idx := make([]int, reg.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		pa, pb := reg.Pool(idx[a]), reg.Pool(idx[b])
-		if pa.Cluster != pb.Cluster {
-			return pa.Cluster < pb.Cluster
-		}
-		return pa.Dim < pb.Dim
-	})
 	return idx
 }

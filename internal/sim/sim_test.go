@@ -29,6 +29,9 @@ func TestNewWorldValidation(t *testing.T) {
 	if _, err := NewWorld(Config{Clusters: 4, Teams: -1}); err == nil {
 		t.Error("negative teams accepted")
 	}
+	if _, err := NewSequence(smallConfig(1), 0); err == nil {
+		t.Error("empty auction sequence accepted")
+	}
 }
 
 func TestNewWorldSkewedUtilization(t *testing.T) {
@@ -110,10 +113,11 @@ func TestFig2CurvesShape(t *testing.T) {
 }
 
 func TestFig6CongestedPoolsPriceAboveFixed(t *testing.T) {
-	d, err := Fig6(smallConfig(5))
+	seq, err := NewSequence(smallConfig(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := seq.Fig6()
 	if len(d.Rows) != 8*3 {
 		t.Fatalf("rows = %d", len(d.Rows))
 	}
@@ -139,7 +143,11 @@ func TestFig6CongestedPoolsPriceAboveFixed(t *testing.T) {
 }
 
 func TestFig7BidsLowOffersHigh(t *testing.T) {
-	d, err := Fig7(smallConfig(6), 2)
+	seq, err := NewSequence(smallConfig(6), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := seq.Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +180,11 @@ func TestFig7BidsLowOffersHigh(t *testing.T) {
 }
 
 func TestTable1PremiumsDecline(t *testing.T) {
-	rows, err := Table1(smallConfig(7), 3)
+	seq, err := NewSequence(smallConfig(7), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := seq.Table1()
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -267,10 +276,11 @@ func TestBaselineComparison(t *testing.T) {
 }
 
 func TestMigrationTowardColdPools(t *testing.T) {
-	rows, err := Migration(smallConfig(9), 3)
+	seq, err := NewSequence(smallConfig(9), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := seq.Migration()
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -308,22 +318,11 @@ func TestSyntheticMarketShape(t *testing.T) {
 	}
 }
 
-func TestSortedPoolIndices(t *testing.T) {
-	reg := resource.NewStandardRegistry("b", "a")
-	idx := sortedPoolIndices(reg)
-	if reg.Pool(idx[0]).Cluster != "a" {
-		t.Errorf("first pool = %v", reg.Pool(idx[0]))
-	}
-	if reg.Pool(idx[len(idx)-1]).Cluster != "b" {
-		t.Errorf("last pool = %v", reg.Pool(idx[len(idx)-1]))
-	}
-}
-
 // newRand is a helper for tests needing an explicit source.
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func TestClockProgression(t *testing.T) {
-	d, err := ClockProgression(smallConfig(13), 3)
+	d, err := ClockProgression(smallConfig(13))
 	if err != nil {
 		t.Fatal(err)
 	}

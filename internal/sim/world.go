@@ -12,9 +12,7 @@ import (
 	"math/rand"
 
 	"clustermarket/internal/cluster"
-	"clustermarket/internal/core"
 	"clustermarket/internal/market"
-	"clustermarket/internal/reserve"
 	"clustermarket/internal/resource"
 	"clustermarket/internal/trace"
 )
@@ -27,13 +25,6 @@ type Config struct {
 	Clusters           int
 	MachinesPerCluster int
 	Teams              int
-	// HotFraction of clusters start congested; WarmFraction moderately
-	// loaded; the rest idle.
-	HotFraction, WarmFraction float64
-	// Weight is the reserve curve (default reserve.ExpSteep, φ₁).
-	Weight reserve.WeightFn
-	// Scheduler packs tasks onto machines (default first-fit).
-	Scheduler cluster.Scheduler
 }
 
 func (c *Config) applyDefaults() {
@@ -46,30 +37,15 @@ func (c *Config) applyDefaults() {
 	if c.Teams == 0 {
 		c.Teams = 100
 	}
-	if c.HotFraction == 0 {
-		c.HotFraction = 0.35
-	}
-	if c.WarmFraction == 0 {
-		c.WarmFraction = 0.3
-	}
-	if c.Weight == nil {
-		c.Weight = reserve.ExpSteep
-	}
 }
 
-// FixedPriceCPU etc. are the "former fixed prices" per unit that predate
-// the market (the denominators of Figure 6). They equal the operator's
-// real unit costs c(r).
-const (
-	FixedPriceCPU  = 1.0
-	FixedPriceRAM  = 0.25
-	FixedPriceDisk = 2.0
-)
+// A world's clusters start hot (hotFraction of them), warm
+// (warmFraction) or idle (the rest). The constants are typed so their sum
+// is the float64 sum.
+const hotFraction, warmFraction float64 = 0.35, 0.3
 
 // World is one fully assembled scenario.
 type World struct {
-	Cfg      Config
-	Rng      *rand.Rand
 	Fleet    *cluster.Fleet
 	Reg      *resource.Registry
 	Exchange *market.Exchange
@@ -79,9 +55,6 @@ type World struct {
 	// LastPrices is the most recent settlement price vector (nil before
 	// the first auction).
 	LastPrices resource.Vector
-	// PreUtilization snapshots ψ(r) as of the start of the latest
-	// auction (the basis of the Figure 7 percentiles).
-	PreUtilization resource.Vector
 }
 
 // NewWorld builds the scenario: clusters with skewed initial load, the
@@ -101,8 +74,8 @@ func NewWorld(cfg Config) (*World, error) {
 	for i := 1; i <= cfg.Clusters; i++ {
 		name := fmt.Sprintf("r%d", i)
 		names = append(names, name)
-		c := cluster.New(name, cfg.Scheduler)
-		c.UnitCost = cluster.Usage{CPU: FixedPriceCPU, RAM: FixedPriceRAM, Disk: FixedPriceDisk}
+		c := cluster.New(name, nil)
+		c.UnitCost = cluster.OperatorUnitCost
 		c.AddMachines(cfg.MachinesPerCluster, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
 		if err := fleet.AddCluster(c); err != nil {
 			return nil, err
@@ -113,13 +86,13 @@ func NewWorld(cfg Config) (*World, error) {
 		var target cluster.Usage
 		x := rng.Float64()
 		switch {
-		case x < cfg.HotFraction:
+		case x < hotFraction:
 			target = cluster.Usage{
 				CPU:  0.75 + rng.Float64()*0.2,
 				RAM:  0.75 + rng.Float64()*0.2,
 				Disk: 0.7 + rng.Float64()*0.25,
 			}
-		case x < cfg.HotFraction+cfg.WarmFraction:
+		case x < hotFraction+warmFraction:
 			target = cluster.Usage{
 				CPU:  0.45 + rng.Float64()*0.2,
 				RAM:  0.45 + rng.Float64()*0.2,
@@ -137,10 +110,7 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 	}
 
-	ex, err := market.NewExchange(fleet, market.Config{
-		InitialBudget: 50000,
-		Weight:        cfg.Weight,
-	})
+	ex, err := market.NewExchange(fleet, market.Config{InitialBudget: 50000})
 	if err != nil {
 		return nil, err
 	}
@@ -159,34 +129,21 @@ func NewWorld(cfg Config) (*World, error) {
 			return nil, err
 		}
 	}
-
-	fixed := reg.Zero()
-	for i := 0; i < reg.Len(); i++ {
-		switch reg.Pool(i).Dim {
-		case resource.CPU:
-			fixed[i] = FixedPriceCPU
-		case resource.RAM:
-			fixed[i] = FixedPriceRAM
-		case resource.Disk:
-			fixed[i] = FixedPriceDisk
-		}
-	}
 	return &World{
-		Cfg:         cfg,
-		Rng:         rng,
 		Fleet:       fleet,
 		Reg:         reg,
 		Exchange:    ex,
 		Gen:         gen,
-		FixedPrices: fixed,
+		FixedPrices: fleet.CostVector(reg),
 	}, nil
 }
 
 // SettledTrade records where one settled order's resources landed, for
-// the Figure 7 analysis.
+// the Figure 7 and migration analyses.
 type SettledTrade struct {
-	Team string
 	Side trace.Side
+	// Home is the team's home cluster when it bid.
+	Home string
 	// PoolQty maps pool index → settled quantity (positive bought,
 	// negative sold).
 	PoolQty map[int]float64
@@ -195,26 +152,22 @@ type SettledTrade struct {
 // AuctionOutcome bundles everything one auction produced.
 type AuctionOutcome struct {
 	Record *market.AuctionRecord
-	Result *core.Result
-	// PreUtilization is ψ(r) right before the auction.
-	PreUtilization resource.Vector
+	// PreUtilization is ψ(r) right before the auction, PostUtilization
+	// right after its trades reached the fleet.
+	PreUtilization, PostUtilization resource.Vector
 	// Trades lists the settled orders.
 	Trades []SettledTrade
-	// SkippedBids counts generated bids rejected at submission (over
-	// budget etc.).
-	SkippedBids int
 }
 
 // RunAuction executes one full market cycle: generate bids from the
-// current market state, submit them, run the binding auction, settle
-// teams, and reflect trades onto the physical clusters.
+// current market state, submit them, run the binding auction, reflect
+// trades onto the physical clusters, and settle teams.
 func (w *World) RunAuction() (*AuctionOutcome, error) {
 	ref := w.FixedPrices
 	if w.LastPrices != nil {
 		ref = w.LastPrices
 	}
 	util := w.Fleet.UtilizationVector(w.Reg)
-	w.PreUtilization = util
 
 	gbs, err := w.Gen.Generate(trace.RoundInput{
 		Utilization:     util,
@@ -225,13 +178,14 @@ func (w *World) RunAuction() (*AuctionOutcome, error) {
 	}
 
 	var submitted []*trace.GeneratedBid
-	skipped := 0
+	var ids []int
 	for _, gb := range gbs {
-		if _, err := w.Exchange.Submit(gb.Team.Name, gb.Bid); err != nil {
-			skipped++
+		o, err := w.Exchange.Submit(gb.Team.Name, gb.Bid)
+		if err != nil {
 			continue
 		}
 		submitted = append(submitted, gb)
+		ids = append(ids, o.ID)
 	}
 	if len(submitted) == 0 {
 		return nil, errors.New("sim: every generated bid was rejected")
@@ -241,6 +195,7 @@ func (w *World) RunAuction() (*AuctionOutcome, error) {
 	if err != nil && res == nil {
 		return nil, err
 	}
+	out := &AuctionOutcome{Record: rec, PreUtilization: util}
 	if err != nil {
 		// Non-convergent round: the exchange settled nothing and left
 		// the round's orders open, so nothing may be applied to the
@@ -252,29 +207,15 @@ func (w *World) RunAuction() (*AuctionOutcome, error) {
 		for _, o := range w.Exchange.OpenOrders() {
 			_ = w.Exchange.Cancel(o.ID)
 		}
-		return &AuctionOutcome{
-			Record:         rec,
-			Result:         res,
-			PreUtilization: util,
-			SkippedBids:    skipped,
-		}, nil
+		out.PostUtilization = util
+		return out, nil
 	}
 	w.LastPrices = rec.Prices
 
-	// Update the bidder population (migration, sold holdings,
-	// sophistication) and the physical clusters.
-	bidIndex := make(map[*core.Bid]int, len(submitted))
-	for i, gb := range submitted {
-		bidIndex[gb.Bid] = i
-	}
-	w.Gen.ApplySettlement(submitted, res, bidIndex)
-
-	out := &AuctionOutcome{
-		Record:         rec,
-		Result:         res,
-		PreUtilization: util,
-		SkippedBids:    skipped,
-	}
+	// Reflect the trades onto the physical clusters through the
+	// exchange: a sale evicts load, a purchase is placed as chunked
+	// tasks. Then update the bidder population (migration, sold
+	// holdings, sophistication).
 	for i, gb := range submitted {
 		if !res.IsWinner(i) {
 			continue
@@ -287,120 +228,76 @@ func (w *World) RunAuction() (*AuctionOutcome, error) {
 			}
 		}
 		out.Trades = append(out.Trades, SettledTrade{
-			Team:    gb.Team.Name,
 			Side:    gb.Side,
+			Home:    gb.Team.Home,
 			PoolQty: tradeQty,
 		})
-		w.applyToFleet(gb.Team.Name, alloc)
+		if err := w.evictSold(alloc); err != nil {
+			return nil, err
+		}
+		if _, err := w.Exchange.PlaceOrder(ids[i]); err != nil {
+			return nil, err
+		}
 	}
+	w.Gen.ApplySettlement(submitted, res)
+	out.PostUtilization = w.Fleet.UtilizationVector(w.Reg)
 	return out, nil
 }
 
-// applyToFleet reflects a settled allocation onto the physical clusters:
-// purchases are placed as (chunked) tasks, sales evict load.
-func (w *World) applyToFleet(team string, alloc resource.Vector) {
-	type delta struct {
-		buy  cluster.Usage
-		sell cluster.Usage
-	}
-	perCluster := make(map[string]*delta)
+// evictSold frees at least the sold part of an allocation from the fleet,
+// evicting tasks through the exchange machine by machine, each machine's
+// in ID order. A bid sells only from its team's home, so the sold part
+// lies in one cluster.
+func (w *World) evictSold(alloc resource.Vector) error {
+	var home string
+	var sold, freed cluster.Usage
 	for pi, q := range alloc {
-		if q == 0 {
-			continue
-		}
-		p := w.Reg.Pool(pi)
-		d, ok := perCluster[p.Cluster]
-		if !ok {
-			d = &delta{}
-			perCluster[p.Cluster] = d
-		}
-		if q > 0 {
-			d.buy = d.buy.Set(p.Dim, q)
-		} else {
-			d.sell = d.sell.Set(p.Dim, -q)
+		if q < 0 {
+			p := w.Reg.Pool(pi)
+			home = p.Cluster
+			sold = sold.Set(p.Dim, -q)
 		}
 	}
-	for _, name := range w.Fleet.ClusterNames() {
-		d, ok := perCluster[name]
-		if !ok {
-			continue
-		}
-		if !d.sell.IsZero() {
-			w.evictLoad(name, d.sell)
-		}
-		if !d.buy.IsZero() {
-			w.placeLoad(team, name, d.buy)
-		}
+	if home == "" {
+		return nil
 	}
-}
-
-// placeLoad schedules the bought usage as machine-sized chunks, dropping
-// the remainder when the cluster genuinely cannot host it.
-func (w *World) placeLoad(team, clusterName string, total cluster.Usage) {
-	chunk := cluster.Usage{CPU: 8, RAM: 32, Disk: 5}
-	for i := 0; i < 10000; i++ {
-		if total.IsZero() {
-			return
-		}
-		req := total
-		if req.CPU > chunk.CPU {
-			req.CPU = chunk.CPU
-		}
-		if req.RAM > chunk.RAM {
-			req.RAM = chunk.RAM
-		}
-		if req.Disk > chunk.Disk {
-			req.Disk = chunk.Disk
-		}
-		if _, err := w.Fleet.ScheduleTask(team, clusterName, req); err != nil {
-			return
-		}
-		total = total.Sub(req)
-		if total.CPU < 0 {
-			total.CPU = 0
-		}
-		if total.RAM < 0 {
-			total.RAM = 0
-		}
-		if total.Disk < 0 {
-			total.Disk = 0
-		}
-	}
-}
-
-// evictLoad removes background/team tasks until roughly the sold usage is
-// freed.
-func (w *World) evictLoad(clusterName string, sold cluster.Usage) {
-	c := w.Fleet.Cluster(clusterName)
-	if c == nil {
-		return
-	}
-	var freed cluster.Usage
-	for _, m := range c.Machines() {
-		if freed.CPU >= sold.CPU && freed.RAM >= sold.RAM && freed.Disk >= sold.Disk {
-			return
-		}
-		var ids []string
-		var reqs []cluster.Usage
-		for _, t := range tasksOf(m) {
-			ids = append(ids, t.ID)
-			reqs = append(reqs, t.Req)
-		}
-		for i, id := range ids {
+	for _, m := range w.Fleet.Cluster(home).Machines() {
+		for _, t := range m.Tasks() {
 			if freed.CPU >= sold.CPU && freed.RAM >= sold.RAM && freed.Disk >= sold.Disk {
-				return
+				return nil
 			}
-			if c.Evict(id) {
-				freed = freed.Add(reqs[i])
+			if err := w.Exchange.EvictTask(home, t.ID); err != nil {
+				return err
 			}
+			freed = freed.Add(t.Req)
 		}
 	}
+	return nil
 }
 
-// tasksOf returns a machine's tasks in deterministic (ID-sorted) order.
-func tasksOf(m *cluster.Machine) []cluster.Task {
-	// Machines do not expose their task map directly; reconstruct from
-	// the public API via TeamUsage would lose IDs, so we walk the
-	// exported accessor.
-	return m.Tasks()
+// Sequence is one world's run of sequential auctions: the one outcome
+// sequence that Figures 6 and 7, Table I and the migration table read.
+type Sequence struct {
+	World    *World
+	Outcomes []*AuctionOutcome
+}
+
+// NewSequence builds a world and runs auctions sequential auctions on it.
+func NewSequence(cfg Config, auctions int) (*Sequence, error) {
+	if auctions < 1 {
+		return nil, fmt.Errorf("sim: need at least 1 auction, got %d", auctions)
+	}
+	w, err := NewWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := &Sequence{World: w}
+	for a := 0; a < auctions; a++ {
+		out, err := w.RunAuction()
+		if err != nil {
+			return nil, err
+		}
+		s.Outcomes = append(s.Outcomes, out)
+	}
+	return s, nil
 }

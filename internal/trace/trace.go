@@ -81,35 +81,23 @@ type Config struct {
 	Clusters []string
 	// Teams is the number of teams to synthesize.
 	Teams int
-	// SellerFraction of teams in congested clusters offer resources each
-	// round (default 0.5).
-	SellerFraction float64
-	// CongestionThreshold is the utilization above which a cluster counts
-	// as congested (default 0.7).
-	CongestionThreshold float64
-	// SophisticationGain is the per-auction reduction of (1 − s)
-	// (default 0.5, i.e. the gap to full sophistication halves each
-	// auction).
-	SophisticationGain float64
-	// OutlierFraction of buyers pay extreme premiums regardless of
-	// sophistication (default 0.08).
-	OutlierFraction float64
 }
 
-func (c *Config) applyDefaults() {
-	if c.SellerFraction == 0 {
-		c.SellerFraction = 0.5
-	}
-	if c.CongestionThreshold == 0 {
-		c.CongestionThreshold = 0.7
-	}
-	if c.SophisticationGain == 0 {
-		c.SophisticationGain = 0.5
-	}
-	if c.OutlierFraction == 0 {
-		c.OutlierFraction = 0.08
-	}
-}
+// The population's fixed behaviour.
+const (
+	// sellerFraction of teams in congested clusters offer resources each
+	// round.
+	sellerFraction = 0.5
+	// congestionThreshold is the utilization above which a cluster counts
+	// as congested.
+	congestionThreshold = 0.7
+	// sophisticationGain is the per-auction reduction of (1 − s): the gap
+	// to full sophistication halves each auction.
+	sophisticationGain = 0.5
+	// outlierFraction of buyers pay extreme premiums regardless of
+	// sophistication.
+	outlierFraction = 0.08
+)
 
 // Generator produces bid populations round after round.
 type Generator struct {
@@ -129,7 +117,6 @@ type GeneratedBid struct {
 
 // New builds a generator with a synthesized team population.
 func New(cfg Config, reg *resource.Registry) (*Generator, error) {
-	cfg.applyDefaults()
 	if len(cfg.Clusters) == 0 {
 		return nil, errors.New("trace: no clusters")
 	}
@@ -165,9 +152,6 @@ func (g *Generator) newTeam(i int) *Team {
 // Teams exposes the generated population.
 func (g *Generator) Teams() []*Team { return g.teams }
 
-// Round returns the number of completed generation rounds.
-func (g *Generator) Round() int { return g.round }
-
 // RoundInput carries the market state the bidders react to.
 type RoundInput struct {
 	// Utilization is ψ(r) per pool.
@@ -200,7 +184,7 @@ func (g *Generator) Generate(in RoundInput) ([]*GeneratedBid, error) {
 	}
 	g.round++
 	for _, team := range g.teams {
-		team.Sophistication = 1 - (1-team.Sophistication)*(1-g.cfg.SophisticationGain)
+		team.Sophistication = 1 - (1-team.Sophistication)*(1-sophisticationGain)
 	}
 	if len(out) == 0 {
 		return nil, errors.New("trace: round generated no bids")
@@ -288,7 +272,7 @@ func (g *Generator) buyBid(team *Team, in RoundInput) *GeneratedBid {
 func (g *Generator) premium(team *Team) float64 {
 	spread := 0.5*(1-team.Sophistication) + 0.005
 	p := math.Abs(g.rng.NormFloat64()) * spread
-	if g.rng.Float64() < g.cfg.OutlierFraction {
+	if g.rng.Float64() < outlierFraction {
 		p = p*6 + 0.5
 	}
 	return p
@@ -296,10 +280,10 @@ func (g *Generator) premium(team *Team) float64 {
 
 // sellBid lets teams in congested clusters offer part of their holdings.
 func (g *Generator) sellBid(team *Team, in RoundInput) *GeneratedBid {
-	if g.clusterUtil(in, team.Home) < g.cfg.CongestionThreshold {
+	if g.clusterUtil(in, team.Home) < congestionThreshold {
 		return nil
 	}
-	if g.rng.Float64() > g.cfg.SellerFraction {
+	if g.rng.Float64() > sellerFraction {
 		return nil
 	}
 	fraction := 0.2 + g.rng.Float64()*0.5
@@ -339,7 +323,7 @@ func (g *Generator) tradeBid(team *Team, in RoundInput) *GeneratedBid {
 		return nil
 	}
 	homeUtil := g.clusterUtil(in, team.Home)
-	if homeUtil < g.cfg.CongestionThreshold {
+	if homeUtil < congestionThreshold {
 		return nil
 	}
 	target := g.cheapestCluster(team.Home, in)
@@ -429,13 +413,13 @@ func (g *Generator) cheapestCluster(exclude string, in RoundInput) string {
 	return best
 }
 
-// ApplySettlement updates team holdings and homes from a settled auction:
-// purchased quantities join holdings (relocating the team when it bought
-// into another cluster), sold quantities leave.
-func (g *Generator) ApplySettlement(gbs []*GeneratedBid, result *core.Result, bidIndex map[*core.Bid]int) {
-	for _, gb := range gbs {
-		i, ok := bidIndex[gb.Bid]
-		if !ok || !result.IsWinner(i) {
+// ApplySettlement updates team holdings and homes from a settled auction
+// whose i-th bid was gbs[i]: purchased quantities join holdings
+// (relocating the team when it bought into another cluster), sold
+// quantities leave.
+func (g *Generator) ApplySettlement(gbs []*GeneratedBid, result *core.Result) {
+	for i, gb := range gbs {
+		if !result.IsWinner(i) {
 			continue
 		}
 		alloc := gb.Bid.Bundle(result.ChosenBundle[i])

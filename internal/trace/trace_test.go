@@ -279,7 +279,7 @@ func TestApplySettlementMovesTeam(t *testing.T) {
 		Payments:     []float64{10},
 		Winners:      []int{0},
 	}
-	gen.ApplySettlement([]*GeneratedBid{gb}, res, map[*core.Bid]int{bid: 0})
+	gen.ApplySettlement([]*GeneratedBid{gb}, res)
 	if team.Home != "r2" {
 		t.Errorf("team did not migrate: home = %s", team.Home)
 	}
@@ -311,13 +311,13 @@ func TestApplySettlementSellsHoldings(t *testing.T) {
 		Payments:     []float64{-5},
 		Winners:      []int{0},
 	}
-	gen.ApplySettlement([]*GeneratedBid{gb}, res, map[*core.Bid]int{bid: 0})
+	gen.ApplySettlement([]*GeneratedBid{gb}, res)
 	if got := team.Holdings.CPU; got != startCPU-5 {
 		t.Errorf("holdings CPU = %v, want %v", got, startCPU-5)
 	}
 	// Losing bids change nothing.
 	res.ChosenBundle[0] = -1
-	gen.ApplySettlement([]*GeneratedBid{gb}, res, map[*core.Bid]int{bid: 0})
+	gen.ApplySettlement([]*GeneratedBid{gb}, res)
 	if got := team.Holdings.CPU; got != startCPU-5 {
 		t.Errorf("losing settlement mutated holdings: %v", got)
 	}
