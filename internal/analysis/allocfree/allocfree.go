@@ -11,10 +11,11 @@
 //     to interface parameters, interface assignments and returns);
 //   - closures that capture variables, and go statements;
 //   - string concatenation or string<->[]byte/[]rune conversions;
-//   - calls to functions the analyzer cannot vouch for: same-package
-//     callees must themselves be annotated allocfree; cross-package
-//     calls are restricted to an allowlist (math, sync/atomic, the
-//     resource vector kernel, ...).
+//   - calls to functions the analyzer cannot vouch for: a callee in
+//     the module, in this package or another, must itself be
+//     annotated allocfree (and so has its body checked in turn); a
+//     standard-library callee must be on a short allowlist (math,
+//     sync/atomic, ...).
 //
 // Escape analysis is out of scope: stack-allocatable constructs
 // (struct literals, &T{} that does not escape) are deliberately not
@@ -35,11 +36,10 @@ import (
 // Analyzer is the allocfree check.
 var Analyzer = &analysis.Analyzer{
 	Name: "allocfree",
-	Doc:  "functions annotated //marketlint:allocfree must contain no allocating constructs",
 	Run:  run,
 }
 
-// allowedPackages are cross-package callees vouched alloc-free in
+// allowedPackages are standard-library callees vouched alloc-free in
 // their entirety (value-kernel math, lock/atomic primitives).
 var allowedPackages = map[string]bool{
 	"math":        true,
@@ -48,33 +48,11 @@ var allowedPackages = map[string]bool{
 	"sync/atomic": true,
 }
 
-// deniedInAllowed lists per-package exceptions to allowedPackages and
-// to the resource vector kernel: methods that allocate by contract.
-var deniedMethods = map[string]bool{
-	"Clone": true,
-}
-
-// resourcePkg is the repo's vector kernel: every method mutates in
-// place or reduces to a scalar, except the explicit Clone constructor.
-const resourcePkg = "clustermarket/internal/resource"
-
-// vouchedFuncs lists individual cross-package callees vouched
+// vouchedFuncs lists individual standard-library callees vouched
 // alloc-free where a package-wide allowlist would be far too broad.
-// Annotations don't travel through export data, so hot paths calling
-// across package lines register their callees here.
+// Module callees are vouched by their own allocfree annotation instead.
 var vouchedFuncs = map[string]bool{
-	"clustermarket/internal/core.MaxLimit":   true, // pure fold over BundleLimits
-	"clustermarket/internal/core.LimitFor":   true, // slice index or scalar field read
-	"clustermarket/internal/core.Row":        true, // a booked bid's row is two sub-slices of its slabs
-	"clustermarket/internal/core.PackedRows": true, // returns the bid's two slab headers and shape
-	"clustermarket/internal/core.AdoptRows":  true, // stores two slab headers and a shape
-	"runtime.GOMAXPROCS":                     true, // reads or sets a scheduler word
-	// The chunked slab allocates one chunk of a few KB per chunk's worth
-	// of records or runs, never per entry; its reads are index arithmetic.
-	"clustermarket/internal/slab.Alloc":  true,
-	"clustermarket/internal/slab.Push":   true,
-	"clustermarket/internal/slab.At":     true,
-	"clustermarket/internal/slab.Chunks": true,
+	"runtime.GOMAXPROCS": true, // reads or sets a scheduler word
 	// The append-style encoders grow only the buffer the caller passes
 	// in — its amortized scratch — exactly as `s = append(s, ...)` does.
 	"encoding/binary.AppendUvarint": true,
@@ -82,44 +60,23 @@ var vouchedFuncs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	annotated := annotatedFuncs(pass)
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || pass.FuncAnnotation(fd, "allocfree") == nil {
 				continue
 			}
-			c := &checker{pass: pass, annotated: annotated, fn: fd.Name.Name, decl: fd,
-				vouched: map[*ast.CallExpr]bool{}}
+			c := &checker{pass: pass, fn: fd.Name.Name, decl: fd, vouched: map[*ast.CallExpr]bool{}}
 			c.stmts(fd.Body.List, false)
 		}
 	}
 	return nil
 }
 
-// annotatedFuncs collects the *types.Func objects of the functions and
-// methods whose doc comments carry an allocfree annotation.
-func annotatedFuncs(pass *analysis.Pass) map[*types.Func]bool {
-	ann := map[*types.Func]bool{}
-	for _, file := range pass.Files {
-		for _, d := range file.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || pass.FuncAnnotation(fd, "allocfree") == nil {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				ann[obj] = true
-			}
-		}
-	}
-	return ann
-}
-
 type checker struct {
-	pass      *analysis.Pass
-	annotated map[*types.Func]bool
-	fn        string
-	decl      *ast.FuncDecl
+	pass *analysis.Pass
+	fn   string
+	decl *ast.FuncDecl
 	// vouched marks append calls recognized as caller-owned scratch
 	// growth (see scratchAppend).
 	vouched map[*ast.CallExpr]bool
@@ -190,7 +147,9 @@ func (c *checker) stmt(s ast.Stmt, guarded bool) {
 	case *ast.AssignStmt:
 		c.assign(s, guarded)
 	case *ast.ReturnStmt:
-		c.returns(s, guarded)
+		for _, r := range s.Results {
+			c.expr(r, guarded)
+		}
 	case *ast.ExprStmt:
 		c.expr(s.X, guarded)
 	case *ast.SendStmt:
@@ -233,7 +192,7 @@ func (c *checker) assign(s *ast.AssignStmt, guarded bool) {
 			c.expr(ix, guarded)
 		}
 	}
-	if s.Tok == token.ADD_ASSIGN && len(s.Lhs) == 1 && isString(c.pass, s.Lhs[0]) {
+	if s.Tok == token.ADD_ASSIGN && len(s.Lhs) == 1 && isStringType(c.pass.TypesInfo.Types[s.Lhs[0]].Type) {
 		c.pass.Reportf(s.Pos(), "%s is annotated allocfree but concatenates strings", c.fn)
 	}
 	// Interface assignment boxing: x (interface) = y (concrete non-pointer).
@@ -247,17 +206,6 @@ func (c *checker) assign(s *ast.AssignStmt, guarded bool) {
 			}
 		}
 	}
-}
-
-func (c *checker) returns(s *ast.ReturnStmt, guarded bool) {
-	for _, r := range s.Results {
-		c.expr(r, guarded)
-	}
-	// Boxing into interface-typed results is caught via the expression
-	// type recorded for the return operand (types.Info records the
-	// value's own type, so compare against the enclosing signature).
-	// The signature is not tracked here; conversions and call-site
-	// boxing cover the common cases.
 }
 
 // expr walks one expression tree.
@@ -275,7 +223,7 @@ func (c *checker) expr(e ast.Expr, guarded bool) {
 		case *ast.CompositeLit:
 			c.composite(n, guarded)
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isString(c.pass, n) {
+			if n.Op == token.ADD && isStringType(c.pass.TypesInfo.Types[n].Type) {
 				c.pass.Reportf(n.Pos(), "%s is annotated allocfree but concatenates strings", c.fn)
 			}
 		}
@@ -392,20 +340,12 @@ func (c *checker) callee(call *ast.CallExpr) {
 	switch {
 	case pkg.Path() == "fmt":
 		c.pass.Reportf(call.Pos(), "%s is annotated allocfree but calls fmt.%s, which allocates its argument pack", c.fn, fn.Name())
-	case pkg == c.pass.Pkg:
-		// A method of a generic type is called through its instantiation;
-		// the annotation sits on the declaration it originates from.
-		if !c.annotated[fn.Origin()] {
-			c.pass.Reportf(call.Pos(), "%s is annotated allocfree but calls %s, which is not; annotate %s //marketlint:allocfree or restructure", c.fn, fn.Name(), fn.Name())
-		}
-	case pkg.Path() == resourcePkg:
-		if deniedMethods[fn.Name()] {
-			c.pass.Reportf(call.Pos(), "%s is annotated allocfree but calls %s.%s, which allocates by contract", c.fn, pkg.Name(), fn.Name())
-		}
-	case allowedPackages[pkg.Path()]:
+	case c.pass.FuncAnnotated(fn, "allocfree"):
+		// checked at its own declaration
+	case allowedPackages[pkg.Path()], vouchedFuncs[pkg.Path()+"."+fn.Name()]:
 		// vouched
-	case vouchedFuncs[pkg.Path()+"."+fn.Name()]:
-		// individually vouched
+	case pkg == c.pass.Pkg:
+		c.pass.Reportf(call.Pos(), "%s is annotated allocfree but calls %s, which is not; annotate %s //marketlint:allocfree or restructure", c.fn, fn.Name(), fn.Name())
 	default:
 		c.pass.Reportf(call.Pos(), "%s is annotated allocfree but calls %s.%s, which the analyzer cannot vouch for", c.fn, pkg.Name(), fn.Name())
 	}
@@ -539,15 +479,6 @@ func mentionsLenCap(pass *analysis.Pass, cond ast.Expr) bool {
 	return found
 }
 
-func isString(pass *analysis.Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.Types[e].Type
-	if t == nil {
-		return false
-	}
-	b, ok := types.Unalias(t).Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
 func stringBytesConversion(from, to types.Type) bool {
 	if from == nil || to == nil {
 		return false
@@ -556,6 +487,9 @@ func stringBytesConversion(from, to types.Type) bool {
 }
 
 func isStringType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
 	b, ok := types.Unalias(t).Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
 }

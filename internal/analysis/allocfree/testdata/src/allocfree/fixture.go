@@ -5,6 +5,8 @@ package fixture
 import (
 	"fmt"
 	"sync/atomic"
+
+	"clustermarket/internal/resource"
 )
 
 type gauge struct {
@@ -127,6 +129,18 @@ func ringSum(r *ring[int]) int {
 	return r.at(0) + r.at(1) + len(r.sorted()) // want "calls sorted, which is not"
 }
 
+// A module callee is vouched by its own allocfree annotation, and its
+// body is checked at its declaration: Vector.SetZero and AddInto work
+// in place, while Registry.Zero and Vector.Add allocate and carry none.
+//
+//marketlint:allocfree
+func reuse(reg *resource.Registry, v, w resource.Vector) {
+	v.SetZero()
+	v.AddInto(w)
+	_ = reg.Zero() // want "calls resource.Zero, which the analyzer cannot vouch for"
+	_ = v.Add(w)   // want "calls resource.Add, which the analyzer cannot vouch for"
+}
+
 // Unannotated functions may allocate freely.
 func coldPath(n int) []string {
 	out := make([]string, 0, n)
@@ -137,4 +151,4 @@ func coldPath(n int) []string {
 }
 
 var _ = []any{gauge{},
-	report, gather, push, fused, quadruple, accumulate, stash, raw, index, grow, coldPath, ringSum}
+	report, gather, push, fused, quadruple, accumulate, stash, raw, index, grow, coldPath, ringSum, reuse}

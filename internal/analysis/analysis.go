@@ -1,25 +1,24 @@
 // Package analysis is a small, dependency-free static-analysis
 // framework in the spirit of golang.org/x/tools/go/analysis, sized to
-// what marketlint needs. The container this repo builds in has no
-// module proxy, so the framework is implemented on the standard
-// library alone: go/ast + go/types for the analyses, `go list -export`
-// supplied export data for type-checking, and the `go vet -vettool`
-// unit protocol for driving (see vettool.go).
+// the repo's four contract analyzers. It is built on the standard
+// library alone: `go list -export` supplies export data, go/parser and
+// go/types load each package (load.go), and RunAnalyzers runs the
+// analyzers over the loaded packages. The contracts test in this
+// directory runs them over the whole module inside `go test ./...`.
 //
 // An Analyzer inspects one type-checked package at a time and reports
-// diagnostics. Cross-package facts are deliberately out of scope: every
-// contract marketlint enforces (map-iteration order, replay purity,
-// allocation-free hot paths, lock ordering) is phrased so it can be
-// checked package-locally, with annotations carrying intent across
-// package boundaries.
+// diagnostics. Annotations carry intent across package boundaries: a
+// Pass can ask whether any loaded function, in its own package or
+// another, carries a given annotation (FuncAnnotated).
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -27,11 +26,8 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, e.g. "maporder".
 	Name string
-	// Doc is a short description shown by `marketlint -help`.
-	Doc string
 	// Packages, when non-nil, restricts the analyzer to import paths
-	// for which it returns true. The drivers honor it; tests running an
-	// analyzer directly bypass it.
+	// for which it returns true.
 	Packages func(importPath string) bool
 	// Run performs the analysis, reporting findings via pass.Reportf.
 	Run func(*Pass) error
@@ -47,6 +43,7 @@ type Pass struct {
 
 	diags []Diagnostic
 	cmaps map[*ast.File]ast.CommentMap
+	funcs map[string][]Annotation
 }
 
 // A Diagnostic is one reported finding, with a resolved position.
@@ -54,6 +51,8 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
+
+	pos token.Pos
 }
 
 func (d Diagnostic) String() string {
@@ -69,6 +68,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
+		pos:      pos,
 	})
 }
 
@@ -95,51 +95,60 @@ func (p *Pass) commentMap(file *ast.File) ast.CommentMap {
 	return cm
 }
 
-// RunAnalyzers executes each analyzer over one loaded package and
+// RunAnalyzers executes each analyzer over each package in pkgs and
 // returns the combined findings sorted by position. Findings in
 // _test.go files are dropped (test code may range maps, allocate, and
 // sleep at will), as are findings suppressed by a marketlint:allow
-// annotation. Analyzer package filters are applied against importPath.
-func RunAnalyzers(importPath string, analyzers []*Analyzer, fset *token.FileSet,
-	files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-
-	var all []Diagnostic
-	for _, a := range analyzers {
-		if a.Packages != nil && !a.Packages(importPath) {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %v", a.Name, err)
-		}
-		for _, d := range pass.diags {
-			if strings.HasSuffix(d.Pos.Filename, "_test.go") {
-				continue
+// annotation. Analyzer package filters are applied against each
+// package's path. The functions of deps are not analyzed, but their
+// annotations are known to FuncAnnotated, as are those of pkgs.
+func RunAnalyzers(analyzers []*Analyzer, pkgs, deps []*Package) ([]Diagnostic, error) {
+	funcs := map[string][]Annotation{}
+	for _, pkg := range slices.Concat(pkgs, deps) {
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Doc == nil {
+					continue
+				}
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					funcs[fn.FullName()] = parseAnnotations(fd.Doc)
+				}
 			}
-			if pass.suppressed(d) {
-				continue
-			}
-			all = append(all, d)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		di, dj := all[i], all[j]
-		if di.Pos.Filename != dj.Pos.Filename {
-			return di.Pos.Filename < dj.Pos.Filename
+	var all []Diagnostic
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			if a.Packages != nil && !a.Packages(pkg.Path) {
+				continue
+			}
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				funcs:     funcs,
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %v", pkg.Path, a.Name, err)
+			}
+			for _, d := range pass.diags {
+				if strings.HasSuffix(d.Pos.Filename, "_test.go") {
+					continue
+				}
+				if pass.suppressed(d) {
+					continue
+				}
+				all = append(all, d)
+			}
 		}
-		if di.Pos.Line != dj.Pos.Line {
-			return di.Pos.Line < dj.Pos.Line
-		}
-		if di.Pos.Column != dj.Pos.Column {
-			return di.Pos.Column < dj.Pos.Column
-		}
-		return di.Message < dj.Message
+	}
+	slices.SortFunc(all, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Message, b.Message))
 	})
 	return all, nil
 }

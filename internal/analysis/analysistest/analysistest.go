@@ -1,6 +1,6 @@
-// Package analysistest is the golden-test driver for marketlint
-// analyzers: it parses and type-checks a fixture package under
-// testdata/src, runs the analyzers over it, and compares every
+// Package analysistest is the golden-test harness for the contract
+// analyzers: it loads a fixture package under testdata/src with
+// analysis.LoadFixture, runs the analyzers over it, and compares every
 // diagnostic against the fixture's `// want "regexp"` comments.
 //
 // Expectation grammar: a line comment anywhere on the offending line
@@ -12,17 +12,13 @@
 // that line matching each regexp. Diagnostics on lines with no want
 // comment — and want regexps matched by no diagnostic — fail the test.
 //
-// Fixtures import only the standard library, so type-checking uses the
-// source importer and needs no export data or network.
+// Fixtures may import module packages; the analyzers know those
+// packages' annotations as they do in the contracts test.
 package analysistest
 
 import (
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -50,44 +46,16 @@ type expectation struct {
 func Run(t *testing.T, dir, importPath string, analyzers []*analysis.Analyzer) {
 	t.Helper()
 
-	entries, err := os.ReadDir(dir)
+	fixture, deps, err := analysis.LoadFixture(dir, importPath)
 	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
+		t.Fatalf("loading fixture: %v", err)
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no fixture files in %s", dir)
-	}
-
-	var tcErrs []error
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
-		Error:    func(err error) { tcErrs = append(tcErrs, err) },
-	}
-	info := analysis.NewTypesInfo()
-	pkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		t.Fatalf("fixture does not type-check: %v (all: %v)", err, tcErrs)
-	}
-
-	diags, err := analysis.RunAnalyzers(importPath, analyzers, fset, files, pkg, info)
+	diags, err := analysis.RunAnalyzers(analyzers, []*analysis.Package{fixture}, deps)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
 
-	wants := collectWants(t, fset, files)
+	wants := collectWants(t, fixture.Fset, fixture.Files)
 
 	// Set-match per line: every diagnostic needs a matching want on its
 	// line; every want needs a matching diagnostic.

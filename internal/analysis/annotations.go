@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -27,7 +27,6 @@ const AnnotationPrefix = "//marketlint:"
 type Annotation struct {
 	Name string // e.g. "orderfree", "allocfree", "allow"
 	Args string // remainder of the line, trimmed; the reason text
-	Pos  token.Pos
 }
 
 // parseAnnotations extracts marketlint directives from a comment group.
@@ -45,7 +44,6 @@ func parseAnnotations(cg *ast.CommentGroup) []Annotation {
 		anns = append(anns, Annotation{
 			Name: strings.TrimSpace(name),
 			Args: strings.TrimSpace(args),
-			Pos:  c.Pos(),
 		})
 	}
 	return anns
@@ -59,6 +57,20 @@ func (p *Pass) FuncAnnotation(fn *ast.FuncDecl, name string) *Annotation {
 		}
 	}
 	return nil
+}
+
+// FuncAnnotated reports whether fn carries the named annotation in its
+// doc comment. fn may be declared in any package RunAnalyzers was
+// given, this one or another: it is matched on the full name of its
+// generic origin, so an imported function or an instantiated method
+// resolves to its declaration.
+func (p *Pass) FuncAnnotated(fn *types.Func, name string) bool {
+	for _, a := range p.funcs[fn.Origin().FullName()] {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // NodeAnnotation returns the named annotation attached to node: a
@@ -91,18 +103,7 @@ func (p *Pass) NodeAnnotation(node ast.Node, name string) *Annotation {
 // nothing (and maporder/allocfree report reasonless annotations of
 // their own kinds as findings).
 func (p *Pass) suppressed(d Diagnostic) bool {
-	var pos token.Pos
-	for _, f := range p.Files {
-		tf := p.Fset.File(f.FileStart)
-		if tf != nil && tf.Name() == d.Pos.Filename {
-			pos = tf.Pos(d.Pos.Offset)
-			break
-		}
-	}
-	if !pos.IsValid() {
-		return false
-	}
-	file := p.FileFor(pos)
+	file := p.FileFor(d.pos)
 	if file == nil {
 		return false
 	}
@@ -111,7 +112,7 @@ func (p *Pass) suppressed(d Diagnostic) bool {
 		if n == nil || suppressed {
 			return false
 		}
-		if n.Pos() > pos || n.End() <= pos {
+		if n.Pos() > d.pos || n.End() <= d.pos {
 			// Not an ancestor of the diagnostic site. (File nodes keep
 			// descending: doc comments sit outside Decls' extents.)
 			_, isFile := n.(*ast.File)

@@ -8,6 +8,7 @@ import "strings"
 // or scheduling nondeterminism become divergent fingerprints. PR 5's
 // three map-order bugs all lived in these packages.
 var determinismCritical = []string{
+	"clustermarket/internal/cluster",
 	"clustermarket/internal/core",
 	"clustermarket/internal/market",
 	"clustermarket/internal/federation",

@@ -32,7 +32,6 @@ import (
 // Analyzer is the lockdiscipline check.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockdiscipline",
-	Doc:  "mutex acquisition must follow the documented hierarchy, and every Lock needs a same-function Unlock",
 	Run:  run,
 }
 

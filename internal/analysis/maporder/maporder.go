@@ -34,7 +34,6 @@ import (
 // Analyzer is the maporder check.
 var Analyzer = &analysis.Analyzer{
 	Name:     "maporder",
-	Doc:      "flag nondeterministic map iteration in determinism-critical packages",
 	Packages: analysis.DeterminismCritical,
 	Run:      run,
 }

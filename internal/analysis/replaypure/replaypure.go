@@ -35,7 +35,6 @@ import (
 // Analyzer is the replaypure check.
 var Analyzer = &analysis.Analyzer{
 	Name:     "replaypure",
-	Doc:      "the event-apply layer must stay deterministic: no clocks, randomness, channel receives, or global writes",
 	Packages: analysis.DeterminismCritical,
 	Run:      run,
 }

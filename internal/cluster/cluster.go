@@ -358,11 +358,13 @@ func (c *Cluster) Stranding() Usage {
 	}
 }
 
-// TeamUsage sums the requirements of every placed task per team.
+// TeamUsage sums the requirements of every placed task per team,
+// machine by machine and each machine's tasks in ID order, so the float
+// sums do not depend on map iteration order.
 func (c *Cluster) TeamUsage() map[string]Usage {
 	out := make(map[string]Usage)
 	for _, m := range c.machines {
-		for _, t := range m.tasks {
+		for _, t := range m.Tasks() {
 			out[t.Team] = out[t.Team].Add(t.Req)
 		}
 	}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -184,6 +186,25 @@ func TestStranding(t *testing.T) {
 	}
 	if s.CPU != 0 {
 		t.Errorf("CPU stranding = %v (no free CPU is stranded)", s.CPU)
+	}
+}
+
+// TeamUsage's float sums must not depend on map iteration order:
+// 0.1+0.2+0.3 and 0.3+0.2+0.1 differ in the last bit, so a map-order sum
+// yields different bits across calls.
+func TestTeamUsageBitsStable(t *testing.T) {
+	c := New("r1", nil)
+	c.AddMachines(1, Usage{CPU: 100, RAM: 100, Disk: 100})
+	for i, cpu := range []float64{0.1, 0.2, 0.3} {
+		if err := c.Place(Task{ID: fmt.Sprint(i), Team: "alpha", Req: Usage{CPU: cpu}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := math.Float64bits(c.TeamUsage()["alpha"].CPU)
+	for i := 0; i < 200; i++ {
+		if got := math.Float64bits(c.TeamUsage()["alpha"].CPU); got != want {
+			t.Fatalf("call %d: TeamUsage CPU bits %#x, first call %#x", i, got, want)
+		}
 	}
 }
 

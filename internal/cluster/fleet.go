@@ -306,7 +306,9 @@ func (l *QuotaLedger) Grants() []GrantRow {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	var out []GrantRow
+	//marketlint:orderfree collect-then-sort: the rows are sorted by team then cluster below
 	for team, byCluster := range l.grants {
+		//marketlint:orderfree collect-then-sort, as above
 		for cl, q := range byCluster {
 			out = append(out, GrantRow{Team: team, Cluster: cl, Quota: q})
 		}
@@ -318,17 +320,6 @@ func (l *QuotaLedger) Grants() []GrantRow {
 		return out[i].Cluster < out[j].Cluster
 	})
 	return out
-}
-
-// TotalGranted sums quotas across teams for one cluster.
-func (l *QuotaLedger) TotalGranted(cluster string) Usage {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var total Usage
-	for _, byCluster := range l.grants {
-		total = total.Add(byCluster[cluster])
-	}
-	return total
 }
 
 // ApplyAllocation translates a settled auction allocation — given sparse,

@@ -122,10 +122,6 @@ func TestQuotaLedger(t *testing.T) {
 	if len(teams) != 2 || teams[0] != "a" || teams[1] != "b" {
 		t.Errorf("Teams = %v", teams)
 	}
-	tot := l.TotalGranted("r1")
-	if tot.RAM != 2 || tot.Disk != 3 {
-		t.Errorf("TotalGranted = %v", tot)
-	}
 }
 
 func TestApplyAllocation(t *testing.T) {

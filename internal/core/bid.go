@@ -183,6 +183,8 @@ func (b *Bid) LimitFor(i int) float64 {
 
 // MaxLimit returns the largest limit across bundles (the scalar Limit
 // when no vector is set). It is the budget-relevant exposure of the bid.
+//
+//marketlint:allocfree
 func (b *Bid) MaxLimit() float64 {
 	if len(b.BundleLimits) == 0 {
 		return b.Limit

@@ -24,6 +24,8 @@ func (v Vector) Clone() Vector {
 // result, reusing v's backing array whenever capacity allows. It is the
 // allocation-free form of src.Clone() used by the clock's scratch
 // buffers; calling it on a nil vector behaves exactly like Clone.
+//
+//marketlint:allocfree
 func (v Vector) CopyFrom(src Vector) Vector {
 	if cap(v) < len(src) {
 		v = make(Vector, len(src))
@@ -36,6 +38,8 @@ func (v Vector) CopyFrom(src Vector) Vector {
 // Resize returns v with length n, reusing the backing array when
 // capacity allows. The contents are unspecified — callers must
 // overwrite every component (scratch buffers on the auction hot path).
+//
+//marketlint:allocfree
 func (v Vector) Resize(n int) Vector {
 	if cap(v) < n {
 		return make(Vector, n)
@@ -45,6 +49,8 @@ func (v Vector) Resize(n int) Vector {
 
 // SetZero clears every component in place, the reuse form of
 // Registry.Zero for scratch vectors on the auction hot path.
+//
+//marketlint:allocfree
 func (v Vector) SetZero() {
 	for i := range v {
 		v[i] = 0
@@ -63,6 +69,8 @@ func (v Vector) Add(w Vector) Vector {
 
 // AddInto accumulates w into v in place, avoiding an allocation. It is the
 // hot path of excess-demand computation in the clock auction.
+//
+//marketlint:allocfree
 func (v Vector) AddInto(w Vector) {
 	mustSameLen(v, w)
 	for i := range v {
@@ -128,6 +136,8 @@ func (v Vector) NegativePart() Vector {
 
 // AllNonPositive reports whether every component is ≤ eps. With eps = 0 it
 // is the auction stopping test z(t) ≤ 0.
+//
+//marketlint:allocfree
 func (v Vector) AllNonPositive(eps float64) bool {
 	for _, x := range v {
 		if x > eps {
@@ -159,6 +169,8 @@ func (v Vector) IsZero() bool {
 }
 
 // MaxAbs returns the largest absolute component value (L∞ norm).
+//
+//marketlint:allocfree
 func (v Vector) MaxAbs() float64 {
 	var m float64
 	for _, x := range v {
@@ -248,8 +260,12 @@ func (v Vector) Validate() error {
 	return nil
 }
 
+// mustSameLen panics unless v and w have equal length.
+//
+//marketlint:allocfree
 func mustSameLen(v, w Vector) {
 	if len(v) != len(w) {
+		//marketlint:allow allocfree the message is built only on the way to a panic
 		panic(fmt.Sprintf("resource: vector length mismatch %d vs %d", len(v), len(w)))
 	}
 }
