@@ -78,6 +78,7 @@ type BreakerStatus struct {
 // breaker is one region's state. All fields are guarded by the owning
 // breakerSet's mutex.
 type breaker struct {
+	region  string
 	state   string
 	fails   int
 	opens   int
@@ -85,19 +86,20 @@ type breaker struct {
 	quota   int
 }
 
-// breakerSet owns every region's breaker behind one leaf mutex —
-// nothing is called while it is held; state-change events are published
-// after release, like the fault injector's.
+// breakerSet owns every region's breaker, by region index, behind one
+// leaf mutex — nothing is called while it is held; state-change events
+// are published after release, like the fault injector's.
 type breakerSet struct {
 	mu       sync.Mutex
-	byRegion map[string]*breaker
+	byRegion []breaker
 	fire     *telemetry.Firehose
 }
 
 func newBreakerSet(regions []*Region) *breakerSet {
-	bs := &breakerSet{byRegion: make(map[string]*breaker, len(regions))}
-	for _, r := range regions {
-		bs.byRegion[r.name] = &breaker{state: BreakerClosed}
+	bs := &breakerSet{byRegion: make([]breaker, len(regions))}
+	for i, r := range regions {
+		b := &bs.byRegion[i]
+		b.region, b.state = r.name, BreakerClosed
 	}
 	return bs
 }
@@ -123,18 +125,14 @@ func quotaFor(region string, opens int) int {
 	return breakerBaseQuota<<uint(shift) + int(h.Sum32()%breakerJitterSpan)
 }
 
-// allow reports whether a call to the region may proceed. An open
+// allow reports whether a call to region ri may proceed. An open
 // breaker denies and counts the denial; once the denials reach the
 // quota the breaker moves to half-open and lets exactly one probe
 // through (further calls are denied until the probe reports back via
 // success or failure).
-func (bs *breakerSet) allow(region string) bool {
+func (bs *breakerSet) allow(ri int) bool {
 	bs.mu.Lock()
-	b, ok := bs.byRegion[region]
-	if !ok {
-		bs.mu.Unlock()
-		return true
-	}
+	b := &bs.byRegion[ri]
 	var change *BreakerChange
 	allowed := true
 	switch b.state {
@@ -142,7 +140,7 @@ func (bs *breakerSet) allow(region string) bool {
 		b.denials++
 		if b.denials >= b.quota {
 			b.state = BreakerHalfOpen
-			change = &BreakerChange{Region: region, From: BreakerOpen, To: BreakerHalfOpen, Fails: b.fails, Opens: b.opens}
+			change = &BreakerChange{Region: b.region, From: BreakerOpen, To: BreakerHalfOpen, Fails: b.fails, Opens: b.opens}
 		} else {
 			allowed = false
 		}
@@ -156,50 +154,46 @@ func (bs *breakerSet) allow(region string) bool {
 	return allowed
 }
 
-// success reports a healthy region call: any breaker state collapses
-// back to closed.
-func (bs *breakerSet) success(region string) {
+// success reports a healthy call to region ri: any breaker state
+// collapses back to closed.
+func (bs *breakerSet) success(ri int) {
 	bs.mu.Lock()
-	b, ok := bs.byRegion[region]
+	b := &bs.byRegion[ri]
 	var change *BreakerChange
-	if ok {
-		if b.state != BreakerClosed {
-			change = &BreakerChange{Region: region, From: b.state, To: BreakerClosed, Opens: b.opens}
-		}
-		b.state = BreakerClosed
-		b.fails = 0
-		b.denials = 0
+	if b.state != BreakerClosed {
+		change = &BreakerChange{Region: b.region, From: b.state, To: BreakerClosed, Opens: b.opens}
 	}
+	b.state = BreakerClosed
+	b.fails = 0
+	b.denials = 0
 	fire := bs.fire
 	bs.mu.Unlock()
 	bs.publish(fire, change)
 }
 
-// failure reports a failed region call. Threshold consecutive failures
-// open a closed breaker; a failed half-open probe reopens with a
-// doubled quota.
-func (bs *breakerSet) failure(region string) {
+// failure reports a failed call to region ri. Threshold consecutive
+// failures open a closed breaker; a failed half-open probe reopens with
+// a doubled quota.
+func (bs *breakerSet) failure(ri int) {
 	bs.mu.Lock()
-	b, ok := bs.byRegion[region]
+	b := &bs.byRegion[ri]
 	var change *BreakerChange
-	if ok {
-		b.fails++
-		switch b.state {
-		case BreakerClosed:
-			if b.fails >= breakerThreshold {
-				b.opens++
-				b.denials = 0
-				b.quota = quotaFor(region, b.opens)
-				b.state = BreakerOpen
-				change = &BreakerChange{Region: region, From: BreakerClosed, To: BreakerOpen, Fails: b.fails, Opens: b.opens}
-			}
-		case BreakerHalfOpen:
+	b.fails++
+	switch b.state {
+	case BreakerClosed:
+		if b.fails >= breakerThreshold {
 			b.opens++
 			b.denials = 0
-			b.quota = quotaFor(region, b.opens)
+			b.quota = quotaFor(b.region, b.opens)
 			b.state = BreakerOpen
-			change = &BreakerChange{Region: region, From: BreakerHalfOpen, To: BreakerOpen, Fails: b.fails, Opens: b.opens}
+			change = &BreakerChange{Region: b.region, From: BreakerClosed, To: BreakerOpen, Fails: b.fails, Opens: b.opens}
 		}
+	case BreakerHalfOpen:
+		b.opens++
+		b.denials = 0
+		b.quota = quotaFor(b.region, b.opens)
+		b.state = BreakerOpen
+		change = &BreakerChange{Region: b.region, From: BreakerHalfOpen, To: BreakerOpen, Fails: b.fails, Opens: b.opens}
 	}
 	fire := bs.fire
 	bs.mu.Unlock()
@@ -216,9 +210,10 @@ func (bs *breakerSet) publish(fire *telemetry.Firehose, change *BreakerChange) {
 func (bs *breakerSet) snapshot() []BreakerStatus {
 	bs.mu.Lock()
 	out := make([]BreakerStatus, 0, len(bs.byRegion))
-	for name, b := range bs.byRegion {
+	for i := range bs.byRegion {
+		b := &bs.byRegion[i]
 		out = append(out, BreakerStatus{
-			Region: name, State: b.state, Fails: b.fails,
+			Region: b.region, State: b.state, Fails: b.fails,
 			Opens: b.opens, Denials: b.denials, Quota: b.quota,
 		})
 	}

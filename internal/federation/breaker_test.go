@@ -40,16 +40,16 @@ func breakerOf(t *testing.T, f *Federation, region string) BreakerStatus {
 // after the denial quota, half-open → open (doubled quota) on a failed
 // probe, half-open → closed on a successful one.
 func TestBreakerStateMachine(t *testing.T) {
-	bs := &breakerSet{byRegion: map[string]*breaker{"eu": {state: BreakerClosed}}}
-	b := bs.byRegion["eu"]
+	bs := newBreakerSet([]*Region{{name: "eu"}})
+	b := &bs.byRegion[0]
 
 	for n := 0; n < breakerThreshold-1; n++ {
-		bs.failure("eu")
+		bs.failure(0)
 	}
 	if b.state != BreakerClosed {
 		t.Fatalf("state below threshold = %s", b.state)
 	}
-	bs.failure("eu")
+	bs.failure(0)
 	if b.state != BreakerOpen || b.opens != 1 {
 		t.Fatalf("state at threshold = %s (opens %d)", b.state, b.opens)
 	}
@@ -60,11 +60,11 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// quota-1 denials, then the quota-th attempt is the half-open probe.
 	for n := 0; n < quota1-1; n++ {
-		if bs.allow("eu") {
+		if bs.allow(0) {
 			t.Fatalf("denial %d allowed", n)
 		}
 	}
-	if !bs.allow("eu") {
+	if !bs.allow(0) {
 		t.Fatal("probe attempt denied")
 	}
 	if b.state != BreakerHalfOpen {
@@ -72,7 +72,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Failed probe: reopen with a doubled quota.
-	bs.failure("eu")
+	bs.failure(0)
 	if b.state != BreakerOpen || b.opens != 2 {
 		t.Fatalf("state after failed probe = %s (opens %d)", b.state, b.opens)
 	}
@@ -81,17 +81,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Walk to half-open again; a successful probe closes.
-	for bs.byRegion["eu"].state == BreakerOpen {
-		bs.allow("eu")
+	for b.state == BreakerOpen {
+		bs.allow(0)
 	}
-	bs.success("eu")
+	bs.success(0)
 	if b.state != BreakerClosed || b.fails != 0 {
 		t.Fatalf("state after successful probe = %s (fails %d)", b.state, b.fails)
-	}
-
-	// Unknown regions are always allowed.
-	if !bs.allow("mars") {
-		t.Error("unknown region denied")
 	}
 }
 
@@ -184,10 +179,11 @@ func TestRouterSkipsOpenRegion(t *testing.T) {
 	// cold is nearly idle, so it is the cheapest leg by a wide margin.
 	openBreaker(t, f, inj, "cold")
 
-	fo, err := f.SubmitProduct("team", "batch-compute", 1, []string{"hot-r1", "cold-r1"}, 1000)
+	id, err := f.SubmitProduct("team", "batch-compute", 1, []string{"hot-r1", "cold-r1"}, 1000)
 	if err != nil {
 		t.Fatalf("submit with one open breaker: %v", err)
 	}
+	fo, _ := f.Order(id)
 	if got := fo.Legs[fo.Active].Region; got != "hot" {
 		t.Fatalf("order routed to %q, want the healthy hot region", got)
 	}
@@ -292,10 +288,11 @@ func TestStaleQuoteSuspectDeprioritized(t *testing.T) {
 	// from before the cut.
 	settleTolerant(t, f, "hot")
 
-	fo, err := f.SubmitProduct("team", "batch-compute", 1, []string{"hot-r1", "cold-r1"}, 1000)
+	id, err := f.SubmitProduct("team", "batch-compute", 1, []string{"hot-r1", "cold-r1"}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fo, _ := f.Order(id)
 	var coldLeg *Leg
 	for _, leg := range fo.Legs {
 		if leg.Region == "cold" {
@@ -317,7 +314,7 @@ func TestStaleQuoteSuspectDeprioritized(t *testing.T) {
 		t.Fatal(err)
 	}
 	settleTolerant(t, f, "cold")
-	if got, _ := f.Order(solo.ID); got.Legs[0].OrderID < 0 || !got.Legs[0].Suspect || got.Legs[0].Status == market.Open {
+	if got, _ := f.Order(solo); got.Legs[0].OrderID < 0 || !got.Legs[0].Suspect || got.Legs[0].Status == market.Open {
 		t.Errorf("cold-only leg after its settlement: %+v, want booked, settled and suspect", got.Legs[0])
 	}
 }

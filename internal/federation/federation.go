@@ -195,6 +195,7 @@ func NewFederation(regions ...*Region) (*Federation, error) {
 			return nil, fmt.Errorf("federation: duplicate region %q", r.name)
 		}
 		t.regionIdx[r.name], f.advanced[i].Region = i, r.name
+		reg := r.ex.Registry()
 		for _, cl := range r.Clusters() {
 			if prev, ok := t.cluster[cl]; ok {
 				return nil, fmt.Errorf("federation: cluster %q in both %q and %q", cl, regions[prev.region].name, r.name)
@@ -203,7 +204,8 @@ func NewFederation(regions ...*Region) (*Federation, error) {
 				return nil, ErrTableFull
 			}
 			t.cluster[cl] = clusterRef{id: uint32(len(t.clusterNames)), region: uint8(i)}
-			t.clusterNames = append(t.clusterNames, cl)
+			row, _ := reg.Row(cl)
+			t.clusterNames, t.clusterRows = append(t.clusterNames, cl), append(t.clusterRows, row)
 		}
 	}
 	f.breakers = newBreakerSet(regions)
@@ -271,33 +273,34 @@ func (f *Federation) Balance(team string) (float64, error) {
 // Teams lists the non-operator accounts (identical in every region).
 func (f *Federation) Teams() []string { return f.regions[0].ex.Teams() }
 
-// SubmitProduct routes one product order. Clusters from a single region
-// go straight to that region's book; clusters spanning regions are split
-// into per-region legs, ordered cheapest-first by the price board, and
-// only the first leg is submitted — later legs enter a book only after
-// the earlier ones lose, so at most one leg ever wins.
+// SubmitProduct routes one product order and returns its id. Clusters
+// from a single region go straight to that region's book; clusters
+// spanning regions are split into per-region legs, ordered cheapest-first
+// by the price board, and only the first leg is submitted — later legs
+// enter a book only after the earlier ones lose, so at most one leg ever
+// wins. It builds no view of the order: Order(id) does.
 //
 // Routing runs outside the federation lock: the regional submit is the
 // expensive step, and holding f.mu across it would serialize order entry
 // federation-wide. The lock is taken only to read the board and to
 // register the order; a settlement racing the registration is
 // reconciled immediately afterwards (see the auction-count check).
-func (f *Federation) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (*FedOrder, error) {
+func (f *Federation) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (int, error) {
 	p, err := f.catalog.Lookup(product)
 	if err != nil {
-		return nil, err
+		return -1, err
 	}
 	// qty <= 0 alone would wave NaN through (every comparison with NaN
 	// is false) into the per-region leg routing; reject non-finite and
 	// non-positive values before any leg is attempted.
 	if math.IsNaN(qty) || math.IsInf(qty, 0) || qty <= 0 {
-		return nil, fmt.Errorf("federation: quantity must be positive, got %g", qty)
+		return -1, fmt.Errorf("federation: quantity must be positive, got %g", qty)
 	}
 	if math.IsNaN(limit) || math.IsInf(limit, 0) || limit <= 0 {
-		return nil, fmt.Errorf("federation: limit must be a positive, finite number, got %g", limit)
+		return -1, fmt.Errorf("federation: limit must be a positive, finite number, got %g", limit)
 	}
 	if len(clusters) == 0 {
-		return nil, errors.New("federation: no clusters named")
+		return -1, errors.New("federation: no clusters named")
 	}
 	// Group the acceptable clusters by owning region, preserving order (the
 	// topology is immutable after NewFederation): one leg per region in
@@ -311,7 +314,7 @@ func (f *Federation) SubmitProduct(team, product string, qty float64, clusters [
 	for _, cl := range clusters {
 		ref, ok := t.cluster[cl]
 		if !ok {
-			return nil, fmt.Errorf("federation: unknown cluster %q", cl)
+			return -1, fmt.Errorf("federation: unknown cluster %q", cl)
 		}
 		refs = append(refs, ref)
 	}
@@ -330,7 +333,7 @@ grouping:
 		}
 		n := len(cls) - int(leg.clOff)
 		if n > maxLegClusters {
-			return nil, fmt.Errorf("federation: %d clusters named in region %q, at most %d", n, f.regions[leg.region].name, maxLegClusters)
+			return -1, fmt.Errorf("federation: %d clusters named in region %q, at most %d", n, f.regions[leg.region].name, maxLegClusters)
 		}
 		leg.clN = uint16(n)
 		legs = append(legs, leg)
@@ -343,7 +346,7 @@ grouping:
 		leg := &legs[i]
 		r := f.regions[leg.region]
 		if q, ok := f.quoteLocked(r); ok {
-			leg.est = r.legCost(q, cover, leg.of(cls), t.clusterNames)
+			leg.est = legCost(q, cover, leg.of(cls), t.clusterRows)
 			// A quote past the staleness bound may be pricing a partition
 			// survivor's last gossip from before the cut: the leg is still
 			// routable, but only after every fresh-quoted leg.
@@ -375,10 +378,9 @@ grouping:
 	// before any state has moved, so a caller retry after the partition
 	// heals replays the identical operation. Injected failures feed the
 	// region's breaker; organic rejections below (budget, product) do not.
-	first := f.regions[legs[0].region].name
-	if err := inj.Region(fault.OpRegionOrder, first); err != nil {
-		f.breakers.failure(first)
-		return nil, err
+	if err := inj.Region(fault.OpRegionOrder, f.regions[legs[0].region].name); err != nil {
+		f.breakers.failure(int(legs[0].region))
+		return -1, err
 	}
 
 	// Book the first acceptable leg, lock-free. Regions whose breaker is
@@ -390,15 +392,14 @@ grouping:
 	auctionsBefore := 0
 	var errs []string // Leg.Err by leg, nil until a leg is refused
 	var lastErr error
-	var nameBuf [8]string
+	var rowBuf [8]resource.PoolRow
 	for i := range legs {
-		r := f.regions[legs[i].region]
-		auctionsBefore = r.ex.AuctionCount()
-		names := nameBuf[:0]
+		auctionsBefore = f.regions[legs[i].region].ex.AuctionCount()
+		rows := rowBuf[:0]
 		for _, c := range legs[i].of(cls) {
-			names = append(names, t.clusterNames[c])
+			rows = append(rows, t.clusterRows[c])
 		}
-		if err := f.bookLeg(&legs[i].routeLeg, names, team, product, qty, limit); err != nil {
+		if err := f.bookLeg(&legs[i].routeLeg, rows, team, product, qty, limit); err != nil {
 			if errs == nil {
 				errs = make([]string, len(legs))
 			}
@@ -412,10 +413,10 @@ grouping:
 		break
 	}
 	if active < 0 {
-		return nil, lastErr
+		return -1, lastErr
 	}
 	target := f.regions[legs[active].region]
-	f.breakers.success(target.name)
+	f.breakers.success(int(legs[active].region))
 
 	f.mu.Lock()
 	id, err := t.add(route{qty: qty, limit: limit, active: int16(active), status: uint8(market.Open), won: noRegion},
@@ -425,7 +426,7 @@ grouping:
 		// The leg is booked but cannot be routed: withdraw it. (A clock that
 		// already holds it refuses, and settles it as any regional order.)
 		_ = target.ex.Cancel(int(legs[active].order))
-		return nil, err
+		return -1, err
 	}
 	for i, text := range errs {
 		t.setErr(t.routeAt(id).legOff+uint32(i), text)
@@ -434,15 +435,14 @@ grouping:
 	if len(legs) > 1 {
 		f.stats.CrossRegion++
 	}
-	fo := t.view(id)
 	if f.materializingLocked() {
 		stats := f.stats
-		f.emitLocked(&FedEvent{Kind: EvFedOrderSubmitted, Order: fo, Stats: &stats})
+		f.emitLocked(&FedEvent{Kind: EvFedOrderSubmitted, Order: t.view(id), Stats: &stats})
 	}
 	logErr := f.journalErr
 	f.mu.Unlock()
 	if logErr != nil {
-		return nil, logErr
+		return -1, logErr
 	}
 
 	// Reconcile the submit/settle race: if the region settled while the
@@ -450,11 +450,8 @@ grouping:
 	// to see it — run it again now that the order is visible.
 	if target.ex.AuctionCount() != auctionsBefore {
 		f.advanceRegion(int(legs[active].region))
-		f.mu.Lock()
-		fo = t.view(id)
-		f.mu.Unlock()
 	}
-	return fo, nil
+	return id, nil
 }
 
 // errBreakerOpen ends the error of a leg skipped because its region's
@@ -474,15 +471,15 @@ func legErrText(err error) string {
 	return err.Error()
 }
 
-// bookLeg submits one leg, over the named clusters, to its region and
-// records the regional order in it. It reads no routing state, so the
-// first leg is booked without f.mu.
-func (f *Federation) bookLeg(leg *routeLeg, names []string, team, product string, qty, limit float64) error {
+// bookLeg submits one leg, over the clusters whose pool rows it is given,
+// to its region and records the regional order in it. It reads no routing
+// state, so the first leg is booked without f.mu.
+func (f *Federation) bookLeg(leg *routeLeg, rows []resource.PoolRow, team, product string, qty, limit float64) error {
 	r := f.regions[leg.region]
-	if !f.breakers.allow(r.name) {
+	if !f.breakers.allow(int(leg.region)) {
 		return fmt.Errorf("federation: region %q breaker %w", r.name, errBreakerOpen)
 	}
-	id, err := r.ex.SubmitProductID(team, product, qty, names, limit)
+	id, err := r.ex.SubmitProductRows(team, product, qty, rows, limit)
 	if err == nil && id > math.MaxInt32 {
 		// The record cannot hold the id; withdraw the order rather than wrap.
 		_ = r.ex.Cancel(id)
@@ -504,14 +501,14 @@ func (f *Federation) submitNextLegLocked(id int) error {
 	t := &f.table
 	rt := t.routeAt(id)
 	var lastErr error
-	var nameBuf [8]string
+	var rowBuf [8]resource.PoolRow
 	off := t.clOff(rt, int(rt.active)+1)
 	for next := int(rt.active) + 1; next < int(rt.legN); next++ {
 		k := rt.legOff + uint32(next)
 		leg := t.legAt(k)
-		names := t.appendNames(nameBuf[:0], off, leg.clN)
+		rows := t.appendRows(rowBuf[:0], off, leg.clN)
 		off += uint32(leg.clN)
-		if err := f.bookLeg(leg, names, t.names[rt.team], t.names[rt.product], rt.qty, rt.limit); err != nil {
+		if err := f.bookLeg(leg, rows, t.names[rt.team], t.names[rt.product], rt.qty, rt.limit); err != nil {
 			t.setErr(k, legErrText(err))
 			if lastErr == nil || !errors.Is(err, errBreakerOpen) {
 				lastErr = err
@@ -705,24 +702,55 @@ func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
 	// deliberately does not feed the breaker: stale prices degrade routing
 	// quality, not region health.
 	if err := inj.Region(fault.OpRegionSettle, name); err != nil {
-		f.breakers.failure(name)
+		f.breakers.failure(ri)
 		return nil, err
 	}
-	f.breakers.success(name)
-	gossipLost := inj.Region(fault.OpRegionGossip, name) != nil
+	f.breakers.success(ri)
+	g := gossipQuote
+	if inj.Region(fault.OpRegionGossip, name) != nil {
+		g = gossipTick
+	}
 
 	rec, _, err := r.ex.RunAuction()
-	f.mu.Lock()
-	f.gossipTick++
-	// The bare tick event keeps the recovered gossip clock in step even
-	// when the quote itself cannot be refreshed.
-	if f.materializingLocked() {
-		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: f.gossipTick})
+	if serr := f.settled(ri, g); serr != nil {
+		return rec, serr
 	}
-	if !gossipLost {
-		f.gossipRegionLocked(r)
+	return rec, err
+}
+
+// gossipKind is how much of a gossip pass settled runs for its region.
+type gossipKind uint8
+
+const (
+	// gossipDone: the caller has gossiped already (Tick's whole-board pass).
+	gossipDone gossipKind = iota
+	// gossipTick: advance the gossip clock only; the region's quote is lost.
+	gossipTick
+	// gossipQuote: advance the gossip clock and refresh the region's quote.
+	gossipQuote
+)
+
+// settled is the router's side of one regional settlement, the one tail
+// of SettleRegion, Tick and Serve: it gossips as g says, advances the
+// orders waiting on region ri, counts the settlement and, with a journal
+// attached, writes a router snapshot every snapshotEvery settlements, so
+// that the router's WAL and its recovery replay stay bounded whichever
+// of them settles. It returns the router's latched journal error, else the
+// snapshot's.
+func (f *Federation) settled(ri int, g gossipKind) error {
+	if g != gossipDone {
+		f.mu.Lock()
+		f.gossipTick++
+		// The bare tick event keeps the recovered gossip clock in step even
+		// when the quote itself cannot be refreshed.
+		if f.materializingLocked() {
+			f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: f.gossipTick})
+		}
+		if g == gossipQuote {
+			f.gossipRegionLocked(f.regions[ri])
+		}
+		f.mu.Unlock()
 	}
-	f.mu.Unlock()
 	f.advanceRegion(ri)
 
 	f.mu.Lock()
@@ -731,22 +759,23 @@ func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
 	logErr := f.journalErr
 	f.mu.Unlock()
 	if logErr != nil {
-		return rec, logErr
+		return logErr
 	}
 	if snapshotDue {
-		if serr := f.Snapshot(); serr != nil {
-			return rec, serr
-		}
+		return f.Snapshot()
 	}
-	return rec, err
+	return nil
 }
 
 // Tick settles every region's accumulated batch concurrently — one clock
 // auction per region, run in parallel — then gossips prices and advances
 // cross-region routing. Idle regions (empty books) report a nil record
-// and nil error.
+// and nil error, and like Serve's idle ticks do not count toward the
+// snapshot cadence; a region's Err also carries the router's journal or
+// snapshot error from its advance.
 func (f *Federation) Tick() []RegionTick {
 	out := make([]RegionTick, len(f.regions))
+	idle := make([]bool, len(f.regions))
 	var wg sync.WaitGroup
 	for i, r := range f.regions {
 		wg.Add(1)
@@ -754,7 +783,7 @@ func (f *Federation) Tick() []RegionTick {
 			defer wg.Done()
 			rec, _, err := r.ex.RunAuction()
 			if errors.Is(err, market.ErrNoOpenOrders) {
-				rec, err = nil, nil
+				rec, err, idle[i] = nil, nil, true
 			}
 			out[i] = RegionTick{Region: r.name, Record: rec, Err: err}
 		}(i, r)
@@ -762,16 +791,22 @@ func (f *Federation) Tick() []RegionTick {
 	wg.Wait()
 	f.Gossip()
 	for ri := range f.regions {
-		f.advanceRegion(ri)
+		if idle[ri] {
+			f.advanceRegion(ri)
+			continue
+		}
+		if err := f.settled(ri, gossipDone); err != nil && out[ri].Err == nil {
+			out[ri].Err = err
+		}
 	}
 	return out
 }
 
 // Serve runs one epoch loop per region until ctx is cancelled. The loops
 // are independent goroutines, so regional auctions settle concurrently;
-// after each regional settlement the federation gossips that region's
-// prices and advances any cross-region orders waiting on it. It returns
-// ctx.Err().
+// after each regional settlement (an idle tick is none) the federation
+// gossips that region's prices, advances any cross-region orders waiting
+// on it and keeps the journal's snapshot cadence. It returns ctx.Err().
 func (f *Federation) Serve(ctx context.Context, epoch time.Duration) error {
 	if epoch <= 0 {
 		return errors.New("federation: epoch must be positive")
@@ -782,16 +817,11 @@ func (f *Federation) Serve(ctx context.Context, epoch time.Duration) error {
 		if err != nil {
 			return err
 		}
-		ri, region := ri, r
-		loop.OnTick = func(rec *market.AuctionRecord, err error) {
-			f.mu.Lock()
-			f.gossipTick++
-			if f.materializingLocked() {
-				f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: f.gossipTick})
-			}
-			f.gossipRegionLocked(region)
-			f.mu.Unlock()
-			f.advanceRegion(ri)
+		loop.OnTick = func(*market.AuctionRecord, error) {
+			// A journal error stays latched for the next SubmitProduct or
+			// Cancel to return; a failed snapshot leaves the WAL whole, and
+			// the next one due retries.
+			_ = f.settled(ri, gossipQuote)
 		}
 		wg.Add(1)
 		go func() {

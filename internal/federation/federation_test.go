@@ -86,10 +86,11 @@ func TestNewFederationValidation(t *testing.T) {
 
 func TestRegionLocalRouting(t *testing.T) {
 	f := hotCold(t)
-	fo, err := f.SubmitProduct("team", "batch-compute", 2, []string{"cold-r1", "cold-r2"}, 500)
+	id, err := f.SubmitProduct("team", "batch-compute", 2, []string{"cold-r1", "cold-r2"}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fo, _ := f.Order(id)
 	if len(fo.Legs) != 1 || fo.Legs[0].Region != "cold" {
 		t.Fatalf("legs = %+v, want one cold leg", fo.Legs)
 	}
@@ -107,7 +108,7 @@ func TestRegionLocalRouting(t *testing.T) {
 			t.Errorf("hot region settled %d orders for a cold-only bid", tk.Record.Submitted)
 		}
 	}
-	got, err := f.Order(fo.ID)
+	got, err := f.Order(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +128,11 @@ func TestRegionLocalRouting(t *testing.T) {
 
 func TestCrossRegionRoutesCheapestFirst(t *testing.T) {
 	f := hotCold(t)
-	fo, err := f.SubmitProduct("team", "batch-compute", 2, []string{"hot-r1", "cold-r1"}, 1000)
+	id, err := f.SubmitProduct("team", "batch-compute", 2, []string{"hot-r1", "cold-r1"}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fo, _ := f.Order(id)
 	if len(fo.Legs) != 2 {
 		t.Fatalf("legs = %d, want 2", len(fo.Legs))
 	}
@@ -150,7 +152,7 @@ func TestCrossRegionRoutesCheapestFirst(t *testing.T) {
 		t.Error("an open order names a winning leg")
 	}
 	f.Tick()
-	got, _ := f.Order(fo.ID)
+	got, _ := f.Order(id)
 	if got.Status != market.Won || got.Region != "cold" {
 		t.Fatalf("order = %s in %q, want won in cold", got.Status, got.Region)
 	}
@@ -186,10 +188,11 @@ func TestFailoverAfterLosingLeg(t *testing.T) {
 	// limit 12: covers 2 batch-compute workers in the cold region (~5.5
 	// at idle reserve prices) but not in the hot region, where congestion
 	// weights push the same cover past 24.
-	fo, err := f.SubmitProduct("team", "batch-compute", 2, []string{"hot-r1", "cold-r1"}, 12)
+	id, err := f.SubmitProduct("team", "batch-compute", 2, []string{"hot-r1", "cold-r1"}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fo, _ := f.Order(id)
 	if fo.Legs[0].Region != "hot" {
 		t.Fatalf("stale board ignored: first leg %q", fo.Legs[0].Region)
 	}
@@ -197,7 +200,7 @@ func TestFailoverAfterLosingLeg(t *testing.T) {
 	// Epoch 1: the hot leg is priced out and loses; the router must fail
 	// over to the cold region within the same tick.
 	f.Tick()
-	got, _ := f.Order(fo.ID)
+	got, _ := f.Order(id)
 	if got.Legs[0].Status != market.Lost {
 		t.Fatalf("hot leg = %s, want lost", got.Legs[0].Status)
 	}
@@ -210,7 +213,7 @@ func TestFailoverAfterLosingLeg(t *testing.T) {
 
 	// Epoch 2: the cold leg settles and wins. Exactly one leg won.
 	f.Tick()
-	got, _ = f.Order(fo.ID)
+	got, _ = f.Order(id)
 	if got.Status != market.Won || got.Region != "cold" {
 		t.Fatalf("order = %s in %q, want won in cold", got.Status, got.Region)
 	}
@@ -235,13 +238,13 @@ func TestFailoverAfterLosingLeg(t *testing.T) {
 func TestOrderExhaustsAllLegs(t *testing.T) {
 	f := hotCold(t)
 	// A limit below even the cold region's cost loses everywhere.
-	fo, err := f.SubmitProduct("team", "batch-compute", 2, []string{"hot-r1", "cold-r1"}, 0.001)
+	id, err := f.SubmitProduct("team", "batch-compute", 2, []string{"hot-r1", "cold-r1"}, 0.001)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Tick() // cold leg loses, failover books hot
 	f.Tick() // hot leg loses, no legs left
-	got, _ := f.Order(fo.ID)
+	got, _ := f.Order(id)
 	if got.Status != market.Lost {
 		t.Fatalf("order = %s, want lost after exhausting legs", got.Status)
 	}
@@ -257,7 +260,7 @@ func TestOrderExhaustsAllLegs(t *testing.T) {
 
 func TestSettleRegionAdvancesRouting(t *testing.T) {
 	f := hotCold(t)
-	fo, err := f.SubmitProduct("team", "batch-compute", 1, []string{"hot-r1", "cold-r1"}, 100)
+	id, err := f.SubmitProduct("team", "batch-compute", 1, []string{"hot-r1", "cold-r1"}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +275,7 @@ func TestSettleRegionAdvancesRouting(t *testing.T) {
 		t.Fatalf("record = %+v", rec)
 	}
 	// The manual settlement advanced the router and gossiped prices.
-	got, _ := f.Order(fo.ID)
+	got, _ := f.Order(id)
 	if got.Status != market.Won || got.Region != "cold" {
 		t.Fatalf("order = %s in %q after SettleRegion", got.Status, got.Region)
 	}
@@ -289,18 +292,18 @@ func TestSettleRegionAdvancesRouting(t *testing.T) {
 
 func TestCancelWithdrawsActiveLeg(t *testing.T) {
 	f := hotCold(t)
-	fo, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 100)
+	id, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Cancel(fo.ID); err != nil {
+	if err := f.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := f.Order(fo.ID)
+	got, _ := f.Order(id)
 	if got.Status != market.Cancelled {
 		t.Fatalf("status = %s", got.Status)
 	}
-	if err := f.Cancel(fo.ID); err == nil {
+	if err := f.Cancel(id); err == nil {
 		t.Error("double cancel accepted")
 	}
 	if err := f.Cancel(9999); err == nil {
@@ -462,11 +465,11 @@ func TestOrderLookupIsIndexed(t *testing.T) {
 	f := hotCold(t)
 	var ids []int
 	for i := 0; i < 20; i++ {
-		fo, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 100+float64(i))
+		id, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 100+float64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, fo.ID)
+		ids = append(ids, id)
 	}
 	for i, id := range ids {
 		fo, err := f.Order(id)

@@ -70,19 +70,19 @@ func settleIgnoringIdle(t *testing.T, f *federation.Federation, region string) {
 func driveFed(t *testing.T, f *federation.Federation) {
 	t.Helper()
 	xor := []string{"hot-r1", "hot-r2", "cold-r1", "cold-r2"}
-	submit := func(qty, limit float64, clusters []string) *federation.FedOrder {
+	submit := func(qty, limit float64, clusters []string) int {
 		t.Helper()
-		fo, err := f.SubmitProduct("team", "batch-compute", qty, clusters, limit)
+		id, err := f.SubmitProduct("team", "batch-compute", qty, clusters, limit)
 		if err != nil {
 			t.Fatalf("submit: %v", err)
 		}
-		return fo
+		return id
 	}
 	submit(8, 4000, xor)
 	submit(4, 2500, []string{"hot-r1"})
 	submit(6, 3000, xor)
 	victim := submit(2, 1500, []string{"cold-r2"})
-	if err := f.Cancel(victim.ID); err != nil {
+	if err := f.Cancel(victim); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
 	settleIgnoringIdle(t, f, "hot")

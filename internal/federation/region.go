@@ -94,19 +94,18 @@ func (r *Region) quote(tick int) (Quote, error) {
 	return q, nil
 }
 
-// legCost prices a product cover in this region at the quoted prices:
-// the cheapest acceptable cluster's cost (the same min the bidder proxy
-// would take). The clusters are indices into names; unknown clusters cost
-// +Inf.
-func (r *Region) legCost(q Quote, cover cluster.Usage, clusters []uint32, names []string) float64 {
-	reg := r.ex.Registry()
+// legCost prices a product cover at a region's quoted prices: the
+// cheapest acceptable cluster's cost (the same min the bidder proxy would
+// take). The clusters index rows, each a cluster's pools in the region's
+// registry; a cluster with no quoted pool is not acceptable, and a leg with
+// none costs +Inf.
+func legCost(q Quote, cover cluster.Usage, clusters []uint32, rows []resource.PoolRow) float64 {
 	best := -1.0
 	for _, c := range clusters {
-		cl := names[c]
 		cost, found := 0.0, false
-		for _, d := range resource.StandardDimensions {
-			if i, ok := reg.Index(resource.Pool{Cluster: cl, Dim: d}); ok && i < len(q.Prices) {
-				cost += cover.Get(d) * q.Prices[i]
+		for d, i := range rows[c] {
+			if i >= 0 && int(i) < len(q.Prices) {
+				cost += cover.Get(resource.StandardDimensions[d]) * q.Prices[i]
 				found = true
 			}
 		}

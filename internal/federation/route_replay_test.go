@@ -4,6 +4,7 @@
 package federation_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"clustermarket/internal/cluster"
 	"clustermarket/internal/core"
@@ -332,9 +334,9 @@ func TestFederationSnapshotHoldsItsCut(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
-			fo, err := f.SubmitProduct(seamTeams[i%2], "batch-compute", 1, []string{"cold-r1", "hot-r2"}, float64(2+i%9))
+			id, err := f.SubmitProduct(seamTeams[i%2], "batch-compute", 1, []string{"cold-r1", "hot-r2"}, float64(2+i%9))
 			if err == nil {
-				acked = append(acked, fo.ID)
+				acked = append(acked, id)
 			}
 		}
 	}()
@@ -361,6 +363,75 @@ func TestFederationSnapshotHoldsItsCut(t *testing.T) {
 		t.Fatalf("recovered orders diverge:\nlive      %s\nrecovered %s", dump(want), dump(got))
 	}
 	invariant.RequireFederation(t, "recovered", rec.fed)
+}
+
+// TestServeKeepsSnapshotCadence runs a journaled federation the way
+// marketd -regions N -journal-dir does, settled by Serve's per-region
+// loops, with a router snapshot due every two settlements: the router
+// journal must write one, and the federation restored from it and its
+// tail must be the live one and pass the invariant kernel.
+func TestServeKeepsSnapshotCadence(t *testing.T) {
+	dir := t.TempDir()
+	live := openSeamWorld(t, filepath.Join(dir, "live"), 2)
+	defer live.close()
+	f, fj := live.fed, live.journals[len(live.journals)-1]
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- f.Serve(ctx, time.Millisecond) }()
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; fj.Metrics().Snapshots == 0 && time.Now().Before(deadline); i++ {
+		// Budget refusals are expected once the tight budgets run out.
+		_, _ = f.SubmitProduct(seamTeams[i%2], "batch-compute", 1, []string{"cold-r1", "hot-r2"}, float64(2+i%9))
+		time.Sleep(200 * time.Microsecond)
+	}
+	cancel()
+	if err := <-served; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Serve returned %v", err)
+	}
+	if fj.Metrics().Snapshots == 0 {
+		t.Fatal("Serve settled for 20 s without a router snapshot")
+	}
+
+	rdir := filepath.Join(dir, "rec")
+	copyTree(t, filepath.Join(dir, "live"), rdir)
+	j, frec, err := journal.Open(filepath.Join(rdir, "fed"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if frec.SnapshotSeq == 0 {
+		t.Fatal("the router journal recovers without a snapshot")
+	}
+	rec := openSeamWorld(t, rdir, 0)
+	defer rec.close()
+	if got, want := rec.fed.Orders(), f.Orders(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored orders diverge:\nlive      %s\nrestored  %s", dump(want), dump(got))
+	}
+	invariant.RequireFederation(t, "restored", rec.fed)
+}
+
+// TestTickKeepsSnapshotCadence is the cadence under Tick: a region that
+// settled counts, an idle one does not, so idle ticks write no router
+// snapshot of an unchanged table.
+func TestTickKeepsSnapshotCadence(t *testing.T) {
+	w := openSeamWorld(t, t.TempDir(), 2)
+	defer w.close()
+	f, fj := w.fed, w.journals[len(w.journals)-1]
+	for i := 0; i < 4; i++ {
+		f.Tick()
+	}
+	if n := fj.Metrics().Snapshots; n != 0 {
+		t.Fatalf("four idle ticks wrote %d router snapshots, want none", n)
+	}
+	for _, c := range []string{"hot-r1", "cold-r1"} {
+		if _, err := f.SubmitProduct(seamTeams[0], "batch-compute", 1, []string{c}, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Tick()
+	if n := fj.Metrics().Snapshots; n != 1 {
+		t.Fatalf("a tick that settled two regions (every 2) wrote %d router snapshots, want 1", n)
+	}
 }
 
 func openIDs(orders []*federation.FedOrder) []int {

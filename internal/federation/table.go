@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"clustermarket/internal/market"
+	"clustermarket/internal/resource"
 	"clustermarket/internal/slab"
 )
 
@@ -94,18 +95,21 @@ type legDraft struct {
 func (d *legDraft) of(cls []uint32) []uint32 { return cls[d.clOff : d.clOff+uint32(d.clN)] }
 
 // clusterRef places a cluster: its owning region and its index in
-// table.clusterNames.
+// table.clusterNames and table.clusterRows.
 type clusterRef struct {
 	id     uint32
 	region uint8
 }
 
 type table struct {
-	// The topology, fixed by NewFederation.
+	// The topology, fixed by NewFederation. clusterRows holds, beside each
+	// cluster's name, its pools in its region's registry, so that the
+	// router prices and books a leg without hashing a cluster name.
 	regions      []*Region
 	regionIdx    map[string]int
 	cluster      map[string]clusterRef
 	clusterNames []string
+	clusterRows  []resource.PoolRow
 
 	routes   slab.Slab[route]
 	legs     slab.Slab[routeLeg]
@@ -219,6 +223,15 @@ func (t *table) clOff(rt *route, k int) uint32 {
 		off += uint32(t.legAt(rt.legOff + uint32(i)).clN)
 	}
 	return off
+}
+
+// appendRows appends the pool rows of the n clusters from position off of
+// table.clusters.
+func (t *table) appendRows(dst []resource.PoolRow, off uint32, n uint16) []resource.PoolRow {
+	for k := off; k < off+uint32(n); k++ {
+		dst = append(dst, t.clusterRows[t.clusterAt(k)])
+	}
+	return dst
 }
 
 // appendNames appends the names of the n clusters from position off of

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"clustermarket/internal/market"
+	"clustermarket/internal/resource"
 )
 
 // TestRouterTableIsPointerFree walks the record types: the collector
@@ -92,16 +94,16 @@ func fourRegions(t testing.TB) *Federation {
 }
 
 // fedSubmitAllocBudget is what routing one four-region XOR may allocate
-// with nobody watching: the regional order with its two row slabs, and
-// the four pieces of the view handed back. Slab growth is amortized.
-const fedSubmitAllocBudget = 7
+// with nobody watching: the regional order with its two row slabs, the
+// regional booking's own. The router's table grows a chunk at a time.
+const fedSubmitAllocBudget = 3
 
 // TestFedSubmitAllocBudget bounds a routed submit's allocations and
-// requires that none of what the router itself allocates stays live per
-// order: the table's slabs grow a chunk of a few KB at a time (one live
-// object a chunk, and the chunk lists), the view is the caller's. The
-// regional book's own order is the region's, budgeted by market's
-// TestSubmitAllocBudget.
+// requires that the router itself allocate nothing per order: a rate-1
+// memory profile finds, under SubmitProduct and outside the regional
+// booking, only the table's chunks and the amortized growth of the chunk
+// lists and the open lists. The regional booking is the region's,
+// budgeted by market's TestSubmitAllocBudget.
 func TestFedSubmitAllocBudget(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -109,6 +111,11 @@ func TestFedSubmitAllocBudget(t *testing.T) {
 	f := fourRegions(t)
 	xor := []string{"a-r1", "b-r2", "c-r1", "d-r2"}
 	const runs = 500
+	// The first order gossips the board on demand; the profile starts after.
+	if _, err := f.SubmitProduct("team", "batch-compute", 1, xor, 40); err != nil {
+		t.Fatal(err)
+	}
+	router0, booking0 := submitProfile(t)
 	allocs := testing.AllocsPerRun(runs, func() {
 		if _, err := f.SubmitProduct("team", "batch-compute", 1, xor, 40); err != nil {
 			t.Fatal(err)
@@ -118,6 +125,29 @@ func TestFedSubmitAllocBudget(t *testing.T) {
 		t.Errorf("a routed submit allocates %.0f times, budget %d", allocs, fedSubmitAllocBudget)
 	}
 
+	router, booking := submitProfile(t)
+	router, booking = router-router0, booking-booking0
+	f.mu.Lock()
+	tb := &f.table
+	chunks := len(tb.routes.Chunks()) + len(tb.legs.Chunks()) + len(tb.clusters.Chunks())
+	f.mu.Unlock()
+	if booking < runs {
+		t.Errorf("the profile saw %d regional booking allocations for %d orders: the check is vacuous", booking, runs)
+	}
+	// One allocation a chunk, and the log₂ growths of four doubling lists
+	// (three chunk lists, an open list): nothing that scales with the
+	// orders routed but the chunks.
+	if router > int64(chunks+4*bits.Len(runs)) {
+		t.Errorf("the router allocated %d times over %d routed orders in %d chunks: want none an order", router, runs, chunks)
+	}
+}
+
+// submitProfile collects the memory profile and sums, over allocation
+// sites under Federation.SubmitProduct, the objects the router allocated
+// and those the regional booking (Exchange.SubmitProductRows) did.
+func submitProfile(t *testing.T) (router, booking int64) {
+	t.Helper()
+	// The profile is as of the last completed cycle.
 	runtime.GC()
 	runtime.GC()
 	n, _ := runtime.MemProfile(nil, true)
@@ -126,27 +156,16 @@ func TestFedSubmitAllocBudget(t *testing.T) {
 	if !ok {
 		t.Fatal("memory profile grew while it was read")
 	}
-	var seen, retained int64
 	for _, rec := range recs[:n] {
-		if !under(rec.Stack(), "federation.(*Federation).SubmitProduct") || under(rec.Stack(), "market.(*Exchange).SubmitProductID") {
-			continue
+		switch {
+		case !under(rec.Stack(), "federation.(*Federation).SubmitProduct"):
+		case under(rec.Stack(), "market.(*Exchange).SubmitProductRows"):
+			booking += rec.AllocObjects
+		default:
+			router += rec.AllocObjects
 		}
-		seen += rec.AllocObjects
-		retained += rec.InUseObjects()
 	}
-	f.mu.Lock()
-	tb := &f.table
-	chunks := len(tb.routes.Chunks()) + len(tb.legs.Chunks()) + len(tb.clusters.Chunks())
-	f.mu.Unlock()
-	if seen < runs {
-		t.Errorf("the profile saw %d router allocations under SubmitProduct for %d orders: the retention check is vacuous", seen, runs)
-	}
-	// One live object a chunk, plus the three chunk lists and the open
-	// lists, a few more while the profile lags a cycle: nothing that scales
-	// with the orders routed but the chunks.
-	if retained > 16+int64(chunks) {
-		t.Errorf("%d router objects stay live after %d routed orders in %d chunks: the table should retain none per order", retained, runs, chunks)
-	}
+	return router, booking
 }
 
 // under reports whether fn (a function-name suffix) is on the stack.
@@ -166,14 +185,19 @@ func under(stack []uintptr, fn string) bool {
 // TestAdvanceAllocBudget settles N single-leg orders — winners and
 // losers, all terminal after one leg — and requires the advance pass over
 // them to allocate the same handful whatever N is: no id list, no order
-// copies, no error per retired order.
+// copies, no error per retired order. Then it settles N two-leg orders
+// whose losing first legs fail over, and requires each failover to cost
+// the regional booking's own allocations and nothing of the router's: no
+// name slice, no view.
 func TestAdvanceAllocBudget(t *testing.T) {
-	var got []uint64
-	for _, n := range []int{100, 1600} {
+	// advance books N orders over the clusters, settles region a and
+	// returns the mallocs of the advance pass, the orders it retired lost
+	// and the failovers it booked.
+	advance := func(n int, clusters []string) (mallocs uint64, lost, failovers int) {
 		f := fourRegions(t)
 		for i := 0; i < n; i++ {
 			// Limits straddle the clearing price, so the batch splits.
-			if _, err := f.SubmitProduct("team", "batch-compute", 1, []string{"a-r1"}, float64(1+i%40)); err != nil {
+			if _, err := f.SubmitProduct("team", "batch-compute", 1, clusters, float64(1+i%40)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,15 +209,50 @@ func TestAdvanceAllocBudget(t *testing.T) {
 		f.advanceRegion(0)
 		runtime.ReadMemStats(&after)
 		st, rs := f.Stats(), f.RouterStats()
-		if st.Won == 0 || st.Lost == 0 || st.Won+st.Lost != n || rs.Regions[0].Visited != n || rs.Regions[0].OpenIDs != 0 {
-			t.Fatalf("N = %d: advance left %+v %+v; want every order terminal, some won, some lost", n, st, rs)
+		if st.Won == 0 || st.Won+st.Lost+st.Failovers != n || rs.Regions[0].Visited != n || rs.Regions[0].OpenIDs != 0 ||
+			rs.Regions[0].Failovers != st.Failovers {
+			t.Fatalf("N = %d over %v: advance left %+v %+v; want every order visited, some won", n, clusters, st, rs)
 		}
-		got = append(got, after.Mallocs-before.Mallocs)
+		return after.Mallocs - before.Mallocs, st.Lost, st.Failovers
+	}
+
+	var got []uint64
+	for _, n := range []int{100, 1600} {
+		m, lost, failovers := advance(n, []string{"a-r1"})
+		if lost == 0 || failovers != 0 {
+			t.Fatalf("N = %d single-leg orders: %d lost, %d failed over; want some lost, none failed over", n, lost, failovers)
+		}
+		got = append(got, m)
 	}
 	// The count is the process's, so a background allocation or two may
 	// land in the window; one per leg cannot hide.
 	if got[0] > 16 || got[1] > 16 {
 		t.Errorf("advance allocated %d times over 100 legs and %d over 1600; want O(1)", got[0], got[1])
+	}
+
+	// The regional booking's own count, measured on a region alone.
+	r := testRegion(t, "solo", 2, 0.1)
+	if err := r.ex.OpenAccount("team"); err != nil {
+		t.Fatal(err)
+	}
+	row, _ := r.ex.Registry().Row("solo-r1")
+	rows := []resource.PoolRow{row}
+	booking := testing.AllocsPerRun(500, func() {
+		if _, err := r.ex.SubmitProductRows("team", "batch-compute", 1, rows, 40); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Each failover books into region b's book, which grows by doubling:
+	// between two sizes that growth adds only its log₂ steps, so the
+	// allocations a failover adds at the margin are the booking's own.
+	m1, _, k1 := advance(400, []string{"a-r1", "b-r1"})
+	m2, _, k2 := advance(1600, []string{"a-r1", "b-r1"})
+	if k1 == 0 || k2-k1 < 500 {
+		t.Fatalf("the larger batch failed over %d times to the smaller's %d: the margin is too thin to measure", k2, k1)
+	}
+	if per := float64(m2-m1) / float64(k2-k1); per > booking+0.25 {
+		t.Errorf("a failover allocates %.2f times at the margin (%d over %d failovers, %d over %d), the regional booking %.0f: the router allocates per failover",
+			per, m2, k2, m1, k1, booking)
 	}
 }
 
@@ -249,12 +308,12 @@ func TestNarrowedIndicesAreGuarded(t *testing.T) {
 // region: a record may only say Won what the regional book says it won.
 func TestStoreRejectsWonLegTheRegionDenies(t *testing.T) {
 	f := hotCold(t)
-	fo, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 500)
+	id, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Tick()
-	won, _ := f.Order(fo.ID)
+	won, _ := f.Order(id)
 	if won.Status != market.Won {
 		t.Fatalf("order is %s, want won", won.Status)
 	}

@@ -594,14 +594,40 @@ func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []s
 }
 
 // SubmitProductID is SubmitProduct for a caller that keeps only the
-// order's id and polls Outcome — the federation's router, once per leg:
-// the same admission path, without the snapshot.
+// order's id and polls Outcome: the same admission path, without the
+// snapshot.
 func (e *Exchange) SubmitProductID(team, product string, qty float64, clusters []string, limit float64) (int, error) {
 	id, _, err := e.submitProduct(team, product, qty, clusters, limit, false)
 	return id, err
 }
 
+// SubmitProductRows is SubmitProductID for a caller that resolved its
+// clusters to rows of the exchange's registry (Registry.Row) ahead of
+// time — the federation's router, once per cluster when it is built: the
+// same admission path, without hashing a cluster name. A row that names
+// no pool, or a pool outside the registry, is refused.
+func (e *Exchange) SubmitProductRows(team, product string, qty float64, rows []resource.PoolRow, limit float64) (int, error) {
+	id, _, err := e.submitRows(team, product, qty, rows, nil, limit, false)
+	return id, err
+}
+
+// submitProduct resolves the named clusters to registry rows and admits
+// them as submitRows does; an unknown cluster resolves to a row of no
+// pool, which submitRows refuses by name.
 func (e *Exchange) submitProduct(team, product string, qty float64, clusters []string, limit float64, snap bool) (int, *Order, error) {
+	var rowBuf [4]resource.PoolRow
+	rows := rowBuf[:0]
+	for _, cl := range clusters {
+		row, _ := e.reg.Row(cl)
+		rows = append(rows, row)
+	}
+	return e.submitRows(team, product, qty, rows, clusters, limit, snap)
+}
+
+// submitRows is the one admission path of a product order: one bundle per
+// row, each the cover's quantity of the row's pools. names, when not nil,
+// names the rows' clusters for the unknown-cluster error.
+func (e *Exchange) submitRows(team, product string, qty float64, rows []resource.PoolRow, names []string, limit float64, snap bool) (int, *Order, error) {
 	p, err := e.catalog.Lookup(product)
 	if err != nil {
 		return -1, nil, e.rejected(err)
@@ -616,7 +642,7 @@ func (e *Exchange) submitProduct(team, product string, qty float64, clusters []s
 	if math.IsNaN(limit) || math.IsInf(limit, 0) || limit <= 0 {
 		return -1, nil, e.rejected(fmt.Errorf("market: limit must be a positive, finite number, got %g", limit))
 	}
-	if len(clusters) == 0 {
+	if len(rows) == 0 {
 		return -1, nil, e.rejected(errors.New("market: no clusters named"))
 	}
 	// One bundle per cluster, built as (pool, quantity) rows straight
@@ -627,16 +653,23 @@ func (e *Exchange) submitProduct(team, product string, qty float64, clusters []s
 	var poolBuf [12]int32
 	var qtyBuf [12]float64
 	ends, pools, qtys := endBuf[:0], poolBuf[:0], qtyBuf[:0]
-	for _, cl := range clusters {
+	for k, row := range rows {
 		found := false
-		for _, d := range resource.StandardDimensions {
-			if i, ok := e.reg.Index(resource.Pool{Cluster: cl, Dim: d}); ok {
-				pools, qtys = append(pools, int32(i)), append(qtys, cover.Get(d))
-				found = true
+		for d, i := range row {
+			if i < 0 {
+				continue
 			}
+			if int(i) >= e.reg.Len() {
+				return -1, nil, e.rejected(fmt.Errorf("market: cluster row %d names pool %d of %d", k, i, e.reg.Len()))
+			}
+			pools, qtys = append(pools, i), append(qtys, cover.Get(resource.StandardDimensions[d]))
+			found = true
 		}
 		if !found {
-			return -1, nil, e.rejected(fmt.Errorf("market: unknown cluster %q", cl))
+			if names != nil {
+				return -1, nil, e.rejected(fmt.Errorf("market: unknown cluster %q", names[k]))
+			}
+			return -1, nil, e.rejected(fmt.Errorf("market: cluster row %d names no pool", k))
 		}
 		ends = append(ends, len(pools))
 	}

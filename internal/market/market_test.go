@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -1235,5 +1236,92 @@ func TestPreliminaryPricesNonConvergent(t *testing.T) {
 	// Non-binding: the order is still open and nothing settled.
 	if len(e.OpenOrders()) != 1 || len(e.History()) != 0 {
 		t.Error("preliminary run had side effects")
+	}
+}
+
+// TestSubmitProductRowsMatchesNames books one random order stream by
+// cluster name on one exchange and by registry row on an identical one:
+// the two paths share one admission, so ids, booked bids, budget refusals
+// and, after a settlement, balances must agree. Rows no name could give —
+// none, a row of no pool, a pool outside the registry — are refused.
+func TestSubmitProductRowsMatchesNames(t *testing.T) {
+	build := func() *Exchange {
+		f := cluster.NewFleet()
+		for c := 1; c <= 5; c++ {
+			cl := cluster.New(fmt.Sprintf("r%d", c), nil)
+			cl.AddMachines(10, cluster.Usage{CPU: 16, RAM: 64, Disk: 10})
+			if err := f.AddCluster(cl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e, err := NewExchange(f, Config{InitialBudget: 3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, team := range []string{"a", "b"} {
+			if err := e.OpenAccount(team); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	byName, byRow := build(), build()
+	products := []string{"batch-compute", "gfs-storage", "serving-frontend"}
+	rng := rand.New(rand.NewSource(7))
+	refused := 0
+	for i := 0; i < 300; i++ {
+		team, product := []string{"a", "b"}[i%2], products[rng.Intn(len(products))]
+		qty, limit := float64(1+rng.Intn(4)), float64(1+rng.Intn(60))
+		var names []string
+		var rows []resource.PoolRow
+		for _, k := range rng.Perm(5)[:1+rng.Intn(4)] {
+			name := fmt.Sprintf("r%d", k+1)
+			row, ok := byRow.Registry().Row(name)
+			if !ok {
+				t.Fatalf("cluster %s has no row", name)
+			}
+			names, rows = append(names, name), append(rows, row)
+		}
+		idN, errN := byName.SubmitProductID(team, product, qty, names, limit)
+		idR, errR := byRow.SubmitProductRows(team, product, qty, rows, limit)
+		if idN != idR || fmt.Sprint(errN) != fmt.Sprint(errR) {
+			t.Fatalf("order %d: by name %d, %v; by row %d, %v", i, idN, errN, idR, errR)
+		}
+		if errN != nil {
+			refused++
+			continue
+		}
+		on, _ := byName.Order(idN)
+		or, _ := byRow.Order(idR)
+		if !reflect.DeepEqual(on, or) {
+			t.Fatalf("order %d: by name %+v, by row %+v", i, on, or)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no order was refused for budget: the stream never reached the check")
+	}
+	if _, _, err := byName.RunAuction(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := byRow.RunAuction(); err != nil {
+		t.Fatal(err)
+	}
+	for _, team := range []string{"a", "b"} {
+		bn, _ := byName.Balance(team)
+		br, _ := byRow.Balance(team)
+		if math.Float64bits(bn) != math.Float64bits(br) {
+			t.Errorf("team %s settled to %v by name, %v by row", team, bn, br)
+		}
+	}
+
+	row, _ := byRow.Registry().Row("r1")
+	for _, bad := range [][]resource.PoolRow{
+		nil,
+		{{-1, -1, -1}},
+		{row, {row[0], int32(byRow.Registry().Len()), -1}},
+	} {
+		if _, err := byRow.SubmitProductRows("a", "batch-compute", 1, bad, 10); err == nil {
+			t.Errorf("rows %v accepted", bad)
+		}
 	}
 }

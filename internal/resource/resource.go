@@ -181,6 +181,24 @@ func (r *Registry) Index(p Pool) (int, bool) {
 	return i, ok
 }
 
+// PoolRow places one cluster's pools in a registry: the index of its pool
+// of each of the StandardDimensions, in that order, −1 where the cluster
+// has none. A hot path that resolves a cluster name to its row once can
+// then price or book the cluster without hashing the name again.
+type PoolRow [3]int32
+
+// Row returns the cluster's PoolRow; ok is false when the cluster has no
+// pool of a standard dimension.
+func (r *Registry) Row(cluster string) (row PoolRow, ok bool) {
+	for k, d := range StandardDimensions {
+		row[k] = -1
+		if i, found := r.index[Pool{Cluster: cluster, Dim: d}]; found {
+			row[k], ok = int32(i), true
+		}
+	}
+	return row, ok
+}
+
 // MustIndex is like Index but panics on an unregistered pool. It is meant
 // for scenario-construction code where the pool set is static.
 func (r *Registry) MustIndex(p Pool) int {

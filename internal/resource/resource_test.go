@@ -88,6 +88,29 @@ func TestRegistryAddAndIndex(t *testing.T) {
 	}
 }
 
+// TestRegistryRow places a cluster's pools in standard-dimension order
+// whatever order the registry lists them in, −1 for a missing one.
+func TestRegistryRow(t *testing.T) {
+	r := NewRegistry(
+		Pool{Cluster: "b", Dim: Disk}, Pool{Cluster: "a", Dim: RAM},
+		Pool{Cluster: "b", Dim: CPU}, Pool{Cluster: "a", Dim: Network},
+		Pool{Cluster: "a", Dim: CPU},
+	)
+	for _, tc := range []struct {
+		cluster string
+		want    PoolRow
+		ok      bool
+	}{
+		{"a", PoolRow{4, 1, -1}, true},
+		{"b", PoolRow{2, -1, 0}, true},
+		{"zz", PoolRow{-1, -1, -1}, false},
+	} {
+		if row, ok := r.Row(tc.cluster); row != tc.want || ok != tc.ok {
+			t.Errorf("Row(%q) = %v, %t; want %v, %t", tc.cluster, row, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestRegistryMustIndexPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

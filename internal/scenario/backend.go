@@ -380,19 +380,19 @@ func (b *Backend) OpenAccount(team string) error { return b.fed.OpenAccount(team
 
 // SubmitProduct routes one product order and returns its router ID.
 func (b *Backend) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (int, error) {
-	var fo *federation.FedOrder
+	var id int
 	// The router's fault seam fails routing before any state moves, and a
 	// degraded market's submit rolls its stripe slot back, so the replayed
 	// call is operation-identical — which is what lets a partition that
 	// heals leave no fingerprint.
 	err := b.retryFaults(b.markets, func() (err error) {
-		fo, err = b.fed.SubmitProduct(team, product, qty, clusters, limit)
+		id, err = b.fed.SubmitProduct(team, product, qty, clusters, limit)
 		return err
 	})
 	if err != nil {
 		return 0, err
 	}
-	return fo.ID, nil
+	return id, nil
 }
 
 // SubmitBid books a raw clock bid into the market holding the cluster —

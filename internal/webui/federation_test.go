@@ -129,7 +129,7 @@ func TestFedRegionDrillDown(t *testing.T) {
 // orders advance and prices gossip.
 func TestFedManualSettle(t *testing.T) {
 	fed, ts := fedFixture(t)
-	fo, err := fed.SubmitProduct("search", "batch-compute", 2, []string{"hot-r1", "cold-r1"}, 500)
+	id, err := fed.SubmitProduct("search", "batch-compute", 2, []string{"hot-r1", "cold-r1"}, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestFedManualSettle(t *testing.T) {
 	if resp.StatusCode != 200 { // after following the 303 back to the region page
 		t.Fatalf("settle status = %d", resp.StatusCode)
 	}
-	got, _ := fed.Order(fo.ID)
+	got, _ := fed.Order(id)
 	if got.Status.String() != "won" || got.Region != "cold" {
 		t.Fatalf("order = %s in %q after manual settle", got.Status, got.Region)
 	}
