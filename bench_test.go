@@ -2,8 +2,9 @@ package clustermarket_test
 
 // Layer benchmarks: the stages of an order's life that the end-to-end
 // suite in benchmark/ does not time on their own — the production clock
-// against its dense oracle core.ReferenceRun, admission at R = 192, the
-// auction build from a booked book, and what the book retains an order.
+// against its dense oracle core.ReferenceRun, admission at R = 192 and
+// contended admission at R = 39, the auction build from a booked book,
+// and what the book retains an order.
 // The paper figures are regenerated by `marketsim figures` and their shapes
 // asserted by internal/sim's tests. Run with:
 //
@@ -18,6 +19,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"clustermarket/internal/cluster"
@@ -331,6 +333,74 @@ func BenchmarkSubmitProductWide(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSubmitProductParallel is contended admission: GOMAXPROCS
+// goroutines submit at once to one exchange at R = 39 — 13 clusters of
+// three machines, the end-to-end suite's planet — for 16 funded teams, so
+// that submits meet on the account and order stripes as the web tier's
+// do. Each order names a window of four of the clusters. Each goroutine
+// puts a fresh exchange on the same fleet in place every 4096 of its own
+// orders, so memory stays flat at any -benchtime; building it is timed,
+// and costs a few microseconds against 4096 submits.
+func BenchmarkSubmitProductParallel(b *testing.B) {
+	const teams, clusters = 16, 13
+	f := cluster.NewFleet()
+	names := make([]string, clusters)
+	for c := range names {
+		names[c] = "p" + strconv.Itoa(c)
+		cl := cluster.New(names[c], nil)
+		cl.AddMachines(3, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+		if err := f.AddCluster(cl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	windows := make([][]string, clusters)
+	for c := range windows {
+		for j := 0; j < 4; j++ {
+			windows[c] = append(windows[c], names[(c+j)%clusters])
+		}
+	}
+	team := make([]string, teams)
+	for i := range team {
+		team[i] = "team" + strconv.Itoa(i)
+	}
+	book := func() (*market.Exchange, error) {
+		ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e12})
+		for i := 0; err == nil && i < teams; i++ {
+			err = ex.OpenAccount(team[i])
+		}
+		return ex, err
+	}
+	var cur atomic.Pointer[market.Exchange]
+	ex, err := book()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if r := ex.Registry().Len(); r != 3*clusters {
+		b.Fatalf("R = %d, want %d", r, 3*clusters)
+	}
+	cur.Store(ex)
+	var workers atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := int(workers.Add(1))
+		for k := w * 7; pb.Next(); k++ {
+			if (k-w*7+1)%wideBook == 0 {
+				ex, err := book()
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				cur.Store(ex)
+			}
+			if _, err := cur.Load().SubmitProductID(team[k%teams], "batch-compute", 1, windows[k%clusters], float64(5+k%60)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkNewAuctionFromBook is the stage between the book and round 0

@@ -32,6 +32,13 @@
 // single exchange's root wal under -regions ≥ 2, or a federation's fed/
 // under -regions 0.
 //
+// With -pprof ADDR, marketd also serves the Go runtime's profiles
+// (net/http/pprof: /debug/pprof/, CPU and heap profiles, goroutine dumps)
+// on a listener of their own at ADDR, which must be a loopback address:
+// a profile exposes the process's memory and code.
+//
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
+//
 // marketd shuts down cleanly on SIGINT/SIGTERM: the epoch loops are
 // cancelled, the HTTP server drains in-flight requests, and the journal
 // is flushed, fsynced, and unlocked before exit.
@@ -47,6 +54,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -84,9 +92,15 @@ func main() {
 		"journal group-commit window: fsync the WAL after every N appended records")
 	lockWait := flag.Duration("lock-wait", 0,
 		"how long to retry opening a journal directory locked by another live process (0 fails immediately); covers the restart race where the previous marketd is still draining")
+	pprofAddr := flag.String("pprof", "",
+		"serve net/http/pprof on this loopback address, e.g. 127.0.0.1:6060 (empty disables it)")
 	flag.Parse()
 
-	if err := validateFlags(*clusters, *machines, *regions, *shards, *fsyncEvery, *budget, *epoch, *lockWait); err != nil {
+	err := validateFlags(*clusters, *machines, *regions, *shards, *fsyncEvery, *budget, *epoch, *lockWait)
+	if err == nil && *pprofAddr != "" {
+		err = checkLoopback(*pprofAddr)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "marketd: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -94,6 +108,19 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+
+	if *pprofAddr != "" {
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			log.Fatal("marketd: pprof: ", err)
+		}
+		go func() {
+			if err := serveListener(ctx, ln, pprofHandler()); err != nil {
+				log.Printf("marketd: pprof: %v", err)
+			}
+		}()
+		log.Printf("marketd: serving pprof on %s", ln.Addr())
+	}
 
 	// Every exchange and the federation router publish to one firehose,
 	// so /metrics and the /api/events live feed see the whole process.
@@ -204,6 +231,30 @@ func serveListener(ctx context.Context, ln net.Listener, handler http.Handler) e
 		return err
 	}
 	return nil
+}
+
+// checkLoopback refuses a -pprof address whose host is not a loopback
+// IP or "localhost": an empty host listens on every interface.
+func checkLoopback(addr string) error {
+	host, _, err := net.SplitHostPort(addr)
+	if err != nil {
+		return fmt.Errorf("-pprof: %w", err)
+	}
+	if ip := net.ParseIP(host); host != "localhost" && (ip == nil || !ip.IsLoopback()) {
+		return fmt.Errorf("-pprof must be a loopback address such as 127.0.0.1:6060, got %q", addr)
+	}
+	return nil
+}
+
+// pprofHandler serves the runtime profiles under /debug/pprof/.
+func pprofHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // healthCheckInterval is the /healthz invariant-check cadence when no

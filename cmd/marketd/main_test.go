@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -435,5 +436,47 @@ func TestLockWaitRetries(t *testing.T) {
 	defer closer2()
 	if got := len(ex2.Teams()); got != len(demoTeams) {
 		t.Errorf("recovered %d teams, want %d", got, len(demoTeams))
+	}
+}
+
+// TestPprofLoopbackOnly pins -pprof: an address that is not loopback —
+// an empty host listens on every interface — is refused, and on loopback
+// the profile index answers.
+func TestPprofLoopbackOnly(t *testing.T) {
+	for _, addr := range []string{":6060", "0.0.0.0:6060", "[::]:6060", "192.0.2.1:6060", "example.com:6060", "127.0.0.1"} {
+		if err := checkLoopback(addr); err == nil {
+			t.Errorf("-pprof %s accepted", addr)
+		}
+	}
+	for _, addr := range []string{"127.0.0.1:6060", "[::1]:6060", "localhost:6060"} {
+		if err := checkLoopback(addr); err != nil {
+			t.Errorf("-pprof %s refused: %v", addr, err)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- serveListener(ctx, ln, pprofHandler()) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("pprof server: %v", err)
+		}
+	}()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+		t.Fatalf("/debug/pprof/: %s\n%s", resp.Status, body)
 	}
 }

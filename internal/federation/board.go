@@ -2,6 +2,7 @@ package federation
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -28,6 +29,29 @@ type Quote struct {
 	Tick int
 }
 
+// boardView is the price board as one immutable value: each region's
+// latest quote by registration index — Region is "" for a region never
+// quoted — and the gossip clock. The federation publishes a fresh view
+// behind an atomic pointer for every change to either, under f.mu, so a
+// router reads a consistent board and clock from one load without the
+// lock.
+type boardView struct {
+	tick   int
+	quotes []Quote
+}
+
+// publishLocked publishes the board with the gossip clock at tick and,
+// when q is not nil, region ri's quote replaced by *q. Callers hold f.mu.
+func (f *Federation) publishLocked(tick, ri int, q *Quote) {
+	cur := f.board.Load()
+	next := &boardView{tick: tick, quotes: cur.quotes}
+	if q != nil {
+		next.quotes = slices.Clone(cur.quotes)
+		next.quotes[ri] = *q
+	}
+	f.board.Store(next)
+}
+
 // Gossip refreshes the price board from every region — the periodic
 // exchange of "last clearing / preliminary prices" that lets the router
 // order cross-region legs cheapest-first without a global price oracle.
@@ -35,8 +59,8 @@ type Quote struct {
 // It returns the new gossip tick.
 func (f *Federation) Gossip() int {
 	f.mu.Lock()
-	tick := f.gossipTick + 1
-	f.gossipTick = tick
+	tick := f.board.Load().tick + 1
+	f.publishLocked(tick, 0, nil)
 	if f.materializingLocked() {
 		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick})
 	}
@@ -47,14 +71,15 @@ func (f *Federation) Gossip() int {
 	// concurrent SettleRegion may have gossiped a region at a newer tick
 	// while this pass was reading — never regress the board to the older
 	// quote.
-	for _, r := range f.regions {
+	for ri, r := range f.regions {
 		q, err := r.quote(tick)
 		if err != nil {
 			continue
 		}
 		f.mu.Lock()
-		if cur, ok := f.board[r.name]; !ok || cur.Tick <= tick {
-			f.board[r.name] = q
+		b := f.board.Load()
+		if cur := &b.quotes[ri]; cur.Region == "" || cur.Tick <= tick {
+			f.publishLocked(b.tick, ri, &q)
 			// Journaled after the fact it was accepted: replay re-applies
 			// exactly the board updates that happened, in order.
 			if f.materializingLocked() {
@@ -66,42 +91,53 @@ func (f *Federation) Gossip() int {
 	return tick
 }
 
-// gossipRegionLocked refreshes one region's quote. Callers must hold
-// f.mu; the region read itself is lock-ordered safe (f.mu is never taken
-// inside exchange locks).
-func (f *Federation) gossipRegionLocked(r *Region) {
-	q, err := r.quote(f.gossipTick)
+// gossipRegionLocked refreshes region ri's quote at the current gossip
+// tick. Callers must hold f.mu; the region read itself is lock-ordered
+// safe (f.mu is never taken inside exchange locks).
+func (f *Federation) gossipRegionLocked(ri int) {
+	tick := f.board.Load().tick
+	q, err := f.regions[ri].quote(tick)
 	if err != nil {
 		return
 	}
-	f.board[r.name] = q
+	f.publishLocked(tick, ri, &q)
 	if f.materializingLocked() {
-		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: f.gossipTick, Quote: &q})
+		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick, Quote: &q})
 	}
 }
 
-// Board returns a snapshot of the price board sorted by region name.
-func (f *Federation) Board() []Quote {
+// quoteLegs returns the board with every leg's region quoted, gossiping
+// on demand, under f.mu, each region the board has never seen. A region
+// whose quote cannot be computed stays unquoted.
+func (f *Federation) quoteLegs(legs []legDraft) *boardView {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]Quote, 0, len(f.board))
-	for _, q := range f.board {
-		c := q
-		c.Prices = append([]float64(nil), q.Prices...)
-		out = append(out, c)
+	for i := range legs {
+		if ri := int(legs[i].region); f.board.Load().quotes[ri].Region == "" {
+			f.gossipRegionLocked(ri)
+		}
+	}
+	return f.board.Load()
+}
+
+// Board returns a copy of the price board sorted by region name.
+func (f *Federation) Board() []Quote {
+	return f.board.Load().sorted()
+}
+
+// sorted copies the view's quotes, sorted by region name.
+func (b *boardView) sorted() []Quote {
+	out := make([]Quote, 0, len(b.quotes))
+	for _, q := range b.quotes {
+		if q.Region != "" {
+			q.Prices = slices.Clone(q.Prices)
+			out = append(out, q)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Region < out[j].Region })
 	return out
 }
 
-// quoteLocked returns the board entry for a region, gossiping it on
-// demand when the board has never seen the region. Callers must hold
-// f.mu.
-func (f *Federation) quoteLocked(r *Region) (Quote, bool) {
-	if q, ok := f.board[r.name]; ok {
-		return q, true
-	}
-	f.gossipRegionLocked(r)
-	q, ok := f.board[r.name]
-	return q, ok
-}
+// GossipTick returns the current gossip clock — a monotonic counter of
+// price-board refresh passes, exposed for /metrics.
+func (f *Federation) GossipTick() int { return f.board.Load().tick }

@@ -131,12 +131,16 @@ func (f *Federation) applyEvent(ev *FedEvent) error {
 		f.stats = *ev.Stats
 		return nil
 	case EvFedGossip:
-		if ev.Tick > f.gossipTick {
-			f.gossipTick = ev.Tick
+		tick := max(ev.Tick, f.board.Load().tick)
+		if ev.Quote == nil {
+			f.publishLocked(tick, 0, nil)
+			return nil
 		}
-		if ev.Quote != nil {
-			f.board[ev.Quote.Region] = *ev.Quote
+		ri, ok := f.table.regionIdx[ev.Quote.Region]
+		if !ok {
+			return fmt.Errorf("federation: replay: quote for unknown region %q", ev.Quote.Region)
 		}
+		f.publishLocked(tick, ri, ev.Quote)
 		return nil
 	default:
 		return fmt.Errorf("federation: unknown event kind %q", ev.Kind)
@@ -162,14 +166,6 @@ func (f *Federation) Telemetry() *telemetry.Firehose {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.fire
-}
-
-// GossipTick returns the current gossip clock — a monotonic counter of
-// price-board refresh passes, exposed for /metrics.
-func (f *Federation) GossipTick() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.gossipTick
 }
 
 // Journal returns the router's attached journal, or nil — the /metrics

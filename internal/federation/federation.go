@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clustermarket/internal/fault"
@@ -130,9 +131,9 @@ type RegionTick struct {
 // substitution bundles intend.
 //
 // All methods are safe for concurrent use. The federation lock (mu)
-// guards only routing state — the order table and price board — and is
-// never held across a regional clock auction, so regions settle fully in
-// parallel.
+// guards only routing state — the order table, and the writers of the
+// price board — and is never held across a regional clock auction, so
+// regions settle fully in parallel.
 type Federation struct {
 	regions []*Region
 	catalog *market.Catalog
@@ -141,10 +142,11 @@ type Federation struct {
 	// table holds every order ever routed and, per region, the ids of the
 	// open ones waiting on it, so advancing a region after its settlement
 	// touches only those.
-	table      table
-	board      map[string]Quote
-	gossipTick int
-	stats      Stats
+	table table
+	// board is the price board and gossip clock as published (board.go):
+	// written under mu, read from one atomic load.
+	board atomic.Pointer[boardView]
+	stats Stats
 	// advanced keeps each region's last advance for RouterStats.
 	advanced []RouterRegion
 
@@ -158,10 +160,10 @@ type Federation struct {
 	snapshotEvery int
 	settleCount   int
 
-	// inj (possibly nil — a nil injector never fires) is the fault seam
-	// on region calls and gossip; breakers tracks per-region health.
-	// Both are attached before traffic and internally synchronized.
-	inj      *fault.Injector
+	// inj (nil — a nil injector never fires — until AttachFaults) is the
+	// fault seam on region calls and gossip; breakers tracks per-region
+	// health. Both are internally synchronized.
+	inj      atomic.Pointer[fault.Injector]
 	breakers *breakerSet
 }
 
@@ -178,7 +180,6 @@ func NewFederation(regions ...*Region) (*Federation, error) {
 	f := &Federation{
 		regions:  regions,
 		catalog:  market.StandardCatalog(),
-		board:    make(map[string]Quote),
 		advanced: make([]RouterRegion, len(regions)),
 		table: table{
 			regions:   regions,
@@ -208,6 +209,7 @@ func NewFederation(regions ...*Region) (*Federation, error) {
 			t.clusterNames, t.clusterRows = append(t.clusterNames, cl), append(t.clusterRows, row)
 		}
 	}
+	f.board.Store(&boardView{quotes: make([]Quote, len(regions))})
 	f.breakers = newBreakerSet(regions)
 	return f, nil
 }
@@ -216,9 +218,7 @@ func NewFederation(regions ...*Region) (*Federation, error) {
 // boundaries: order routing, settlement entry, and gossip. Attach before
 // serving traffic; a nil injector (or none) means no faults.
 func (f *Federation) AttachFaults(inj *fault.Injector) {
-	f.mu.Lock()
-	f.inj = inj
-	f.mu.Unlock()
+	f.inj.Store(inj)
 }
 
 // Regions returns the member regions in registration order.
@@ -282,9 +282,10 @@ func (f *Federation) Teams() []string { return f.regions[0].ex.Teams() }
 //
 // Routing runs outside the federation lock: the regional submit is the
 // expensive step, and holding f.mu across it would serialize order entry
-// federation-wide. The lock is taken only to read the board and to
-// register the order; a settlement racing the registration is
-// reconciled immediately afterwards (see the auction-count check).
+// federation-wide. The legs are priced from the published board, and the
+// lock is taken once, to register the order; a settlement racing the
+// registration is reconciled immediately afterwards (see the
+// auction-count check).
 func (f *Federation) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (int, error) {
 	p, err := f.catalog.Lookup(product)
 	if err != nil {
@@ -340,22 +341,25 @@ grouping:
 	}
 	cover := p.Cover(qty)
 
-	f.mu.Lock()
-	inj := f.inj
+	b := f.board.Load()
+	for i := range legs {
+		if b.quotes[legs[i].region].Region == "" {
+			b = f.quoteLegs(legs)
+			break
+		}
+	}
 	for i := range legs {
 		leg := &legs[i]
-		r := f.regions[leg.region]
-		if q, ok := f.quoteLocked(r); ok {
+		if q := b.quotes[leg.region]; q.Region != "" {
 			leg.est = legCost(q, cover, leg.of(cls), t.clusterRows)
 			// A quote past the staleness bound may be pricing a partition
 			// survivor's last gossip from before the cut: the leg is still
 			// routable, but only after every fresh-quoted leg.
-			if f.gossipTick-q.Tick > staleQuoteBound {
+			if b.tick-q.Tick > staleQuoteBound {
 				leg.status |= suspectBit
 			}
 		}
 	}
-	f.mu.Unlock()
 	// Cheapest region first, with suspect (stale-quoted) legs deprioritized
 	// behind every fresh-quoted one: the price board steers substitutable
 	// demand toward cold regions, but not on numbers a partition may have
@@ -378,7 +382,7 @@ grouping:
 	// before any state has moved, so a caller retry after the partition
 	// heals replays the identical operation. Injected failures feed the
 	// region's breaker; organic rejections below (budget, product) do not.
-	if err := inj.Region(fault.OpRegionOrder, f.regions[legs[0].region].name); err != nil {
+	if err := f.inj.Load().Region(fault.OpRegionOrder, f.regions[legs[0].region].name); err != nil {
 		f.breakers.failure(int(legs[0].region))
 		return -1, err
 	}
@@ -691,9 +695,7 @@ func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
 		return nil, fmt.Errorf("federation: no region %q", name)
 	}
 	r := f.regions[ri]
-	f.mu.Lock()
-	inj := f.inj
-	f.mu.Unlock()
+	inj := f.inj.Load()
 	// Fault seam, before any state moves: a partitioned region fails its
 	// settlement round cleanly (feeding the breaker), so a retry after the
 	// partition heals replays the identical round. The gossip window is
@@ -740,14 +742,15 @@ const (
 func (f *Federation) settled(ri int, g gossipKind) error {
 	if g != gossipDone {
 		f.mu.Lock()
-		f.gossipTick++
+		tick := f.board.Load().tick + 1
+		f.publishLocked(tick, 0, nil)
 		// The bare tick event keeps the recovered gossip clock in step even
 		// when the quote itself cannot be refreshed.
 		if f.materializingLocked() {
-			f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: f.gossipTick})
+			f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick})
 		}
 		if g == gossipQuote {
-			f.gossipRegionLocked(f.regions[ri])
+			f.gossipRegionLocked(ri)
 		}
 		f.mu.Unlock()
 	}

@@ -182,7 +182,7 @@ func TestFailoverAfterLosingLeg(t *testing.T) {
 	f.mu.Lock()
 	hot := f.Region("hot")
 	cheap := hot.ex.Registry().Zero()
-	f.board["hot"] = Quote{Region: "hot", Prices: cheap, Tick: 1}
+	f.publishLocked(f.GossipTick(), f.table.regionIdx["hot"], &Quote{Region: "hot", Prices: cheap, Tick: 1})
 	f.mu.Unlock()
 
 	// limit 12: covers 2 batch-compute workers in the cold region (~5.5

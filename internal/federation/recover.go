@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"clustermarket/internal/journal"
 )
@@ -46,13 +46,8 @@ func (f *Federation) Snapshot() error {
 	if f.journal == nil {
 		return nil
 	}
-	st := &fedState{NextID: f.table.routed(), GossipTick: f.gossipTick, Stats: f.stats}
-	for _, q := range f.board {
-		c := q
-		c.Prices = append([]float64(nil), q.Prices...)
-		st.Board = append(st.Board, c)
-	}
-	sort.Slice(st.Board, func(i, j int) bool { return st.Board[i].Region < st.Board[j].Region })
+	b := f.board.Load()
+	st := &fedState{NextID: f.table.routed(), GossipTick: b.tick, Stats: f.stats, Board: b.sorted()}
 	st.Orders = f.table.views(0)
 	raw, err := json.Marshal(st)
 	if err != nil {
@@ -82,11 +77,16 @@ func (f *Federation) Restore(rec *journal.Recovery) error {
 		if err := json.Unmarshal(rec.Snapshot, &st); err != nil {
 			return fmt.Errorf("federation: decode snapshot: %w", err)
 		}
-		f.gossipTick = st.GossipTick
 		f.stats = st.Stats
+		quotes := slices.Clone(f.board.Load().quotes)
 		for _, q := range st.Board {
-			f.board[q.Region] = q
+			ri, ok := f.table.regionIdx[q.Region]
+			if !ok {
+				return fmt.Errorf("federation: load snapshot at seq %d: quote for unknown region %q", rec.SnapshotSeq, q.Region)
+			}
+			quotes[ri] = q
 		}
+		f.board.Store(&boardView{tick: st.GossipTick, quotes: quotes})
 		if st.NextID != len(st.Orders) {
 			return fmt.Errorf("federation: load snapshot at seq %d: %w: next id %d over %d orders",
 				rec.SnapshotSeq, ErrCorruptRoute, st.NextID, len(st.Orders))

@@ -21,7 +21,7 @@ const submitAllocBudget = 4
 // both sizes, and no single allocation of 8·R bytes or more anywhere
 // under SubmitProduct, which is what an R-length vector costs — aside
 // from what is not per order: the stripe slices' amortized doubling in
-// bookOrderLocked and the account's label map in labelLocked. Sizes come
+// bookOrderLocked and the account's product users in userLocked. Sizes come
 // from the runtime's memory profile with every allocation sampled.
 func TestSubmitAllocBudget(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
@@ -370,5 +370,5 @@ func under(stack []uintptr, fn string) bool {
 func underSubmitProduct(stack []uintptr) bool {
 	return under(stack, "market.(*Exchange).SubmitProduct") &&
 		!under(stack, "market.(*Exchange).bookOrderLocked") &&
-		!under(stack, "market.(*accountShard).labelLocked")
+		!under(stack, "market.(*account).userLocked")
 }

@@ -95,10 +95,10 @@ func (e *Exchange) applyAccountOpened(ev *Event) error {
 	as := e.accountShardFor(ev.Team)
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if _, ok := as.balances[ev.Team]; ok {
+	if as.accounts[ev.Team] != nil {
 		return fmt.Errorf("market: replay: account %q exists", ev.Team)
 	}
-	as.balances[ev.Team] = ev.Balance
+	as.accounts[ev.Team] = &account{team: ev.Team, balance: ev.Balance}
 	return nil
 }
 
@@ -137,12 +137,14 @@ func (e *Exchange) applyOrderSubmitted(ev *Event) error {
 			o.ID, len(os.slots))
 	}
 	as.mu.Lock()
-	if _, ok := as.balances[o.Team]; !ok {
+	a := as.accounts[o.Team]
+	if a == nil {
 		as.mu.Unlock()
 		os.mu.Unlock()
 		return &ReplayedOrderError{OrderID: o.ID, Team: o.Team, Err: fmt.Errorf("market: no account %q", o.Team)}
 	}
-	e.bookOrderLocked(os, as, o)
+	o.Team = a.team
+	e.bookOrderLocked(os, a, o)
 	as.mu.Unlock()
 	os.mu.Unlock()
 	// Each live submit consumed one round-robin slot; advancing the
@@ -152,14 +154,14 @@ func (e *Exchange) applyOrderSubmitted(ev *Event) error {
 }
 
 // bookOrderLocked enters an open order into its stripe and commits its
-// buy-side budget exposure. Both the order-stripe and account-stripe
-// locks must be held (in that order — account stripes are always the
-// inner lock).
+// buy-side budget exposure to the team's account a. Both the order
+// stripe's and a's account stripe's locks must be held (in that order —
+// account stripes are always the inner lock).
 //
 //marketlint:allocfree
-func (e *Exchange) bookOrderLocked(os *orderShard, as *accountShard, o *Order) {
+func (e *Exchange) bookOrderLocked(os *orderShard, a *account, o *Order) {
 	if exp := o.Bid.MaxLimit(); exp > 0 {
-		as.openBuy[o.Team] += exp
+		a.openBuy += exp
 	}
 	os.bookLocked(o)
 	os.open = append(os.open, o)

@@ -459,6 +459,7 @@ func TestRestoreRejectsCorruptImage(t *testing.T) {
 		{"an auction record without prices", func(st map[string]any) { st["history"].([]any)[0].(map[string]any)["Prices"] = nil }},
 		{"ledger sequence out of step", func(st map[string]any) { st["ledger"].([]any)[2].(map[string]any)["Seq"] = 9 }},
 		{"ledger auction past the record", func(st map[string]any) { st["ledger"].([]any)[0].(map[string]any)["Auction"] = 1 << 40 }},
+		{"a commitment without an account", func(st map[string]any) { st["open_buy"] = map[string]any{"ghost": 5} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := jsonObject(t, rec.Snapshot)

@@ -8,8 +8,11 @@ package market_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"clustermarket/internal/cluster"
@@ -69,6 +72,80 @@ func TestLedgerConservationRandomized(t *testing.T) {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
 		invariant.RequireExchange(t, fmt.Sprintf("epoch %d", epoch), ex)
+	}
+}
+
+// TestRecheckRefusesOvercommit races two submits of a team funded for
+// exactly one of them (run with -race). Each passes the budget pre-check
+// before the other commits; they take consecutive stripe slots, so they
+// book under different order-stripe locks, and only the re-check nested
+// under each — on the account record the pre-check resolved — stands
+// between them and an overcommitted account.
+func TestRecheckRefusesOvercommit(t *testing.T) {
+	fleet := cluster.NewFleet()
+	c := cluster.New("c1", nil)
+	c.AddMachines(4, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+	if err := fleet.AddCluster(c); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 10
+	ex, err := market.NewExchange(fleet, market.Config{InitialBudget: limit, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.OpenAccount("team"); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 1000; round++ {
+		var done sync.WaitGroup
+		var ready atomic.Int32
+		ids := make([]int, 2)
+		for k := range ids {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				// Both leave the barrier together: the later arrival at
+				// once, the earlier as soon as it sees it.
+				for ready.Add(1); ready.Load() < 2; {
+					runtime.Gosched()
+				}
+				var err error
+				if ids[k], err = ex.SubmitProductID("team", "batch-compute", 1, []string{"c1"}, limit); err != nil {
+					ids[k] = -1
+				}
+			}()
+		}
+		done.Wait()
+		booked := -1
+		for _, id := range ids {
+			if id < 0 {
+				continue
+			}
+			if booked >= 0 {
+				t.Fatalf("round %d: both submits booked (orders %d and %d) against one order's budget", round, booked, id)
+			}
+			booked = id
+		}
+		if booked < 0 {
+			t.Fatalf("round %d: neither submit was booked", round)
+		}
+		scan := map[string]float64{}
+		for _, o := range ex.OpenOrders() {
+			scan[o.Team] += o.Bid.MaxLimit()
+		}
+		if got := ex.BuyCommitments(); !maps.Equal(got, scan) {
+			t.Fatalf("round %d: commitments %v, a scan of the book says %v", round, got, scan)
+		}
+		// The kernel reads the whole book, which grows by an order a
+		// round; every 50th round keeps the test linear.
+		if round%50 == 0 {
+			if vs := invariant.CheckExchange(ex); len(vs) > 0 {
+				t.Fatalf("round %d: %v", round, vs)
+			}
+		}
+		if err := ex.Cancel(booked); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -363,12 +363,9 @@ func NewExchange(fleet *cluster.Fleet, cfg Config) (*Exchange, error) {
 		e.orderShards[i].width = int32(reg.Len())
 	}
 	for i := range e.accountShards {
-		e.accountShards[i].balances = make(map[string]float64)
-		e.accountShards[i].openBuy = make(map[string]float64)
-		e.accountShards[i].labels = make(map[labelKey]orderLabel)
+		e.accountShards[i].accounts = make(map[string]*account)
 	}
-	op := e.accountShardFor(OperatorAccount)
-	op.balances[OperatorAccount] = 0
+	e.accountShardFor(OperatorAccount).accountLocked(OperatorAccount)
 	e.journal = cfg.Journal
 	e.fire = cfg.Telemetry
 	return e, nil
@@ -400,7 +397,7 @@ func (e *Exchange) OpenAccount(team string) error {
 	as := e.accountShardFor(team)
 	as.mu.Lock()
 	defer as.mu.Unlock()
-	if _, ok := as.balances[team]; ok {
+	if as.accounts[team] != nil {
 		return fmt.Errorf("market: account %q exists", team)
 	}
 	// The event captures the granted balance, so replay is independent of
@@ -410,20 +407,20 @@ func (e *Exchange) OpenAccount(team string) error {
 			return err
 		}
 	}
-	as.balances[team] = e.cfg.InitialBudget
+	as.accounts[team] = &account{team: team, balance: e.cfg.InitialBudget}
 	return nil
 }
 
 // Balance returns the team's budget balance.
 func (e *Exchange) Balance(team string) (float64, error) {
 	as := e.accountShardFor(team)
-	as.mu.RLock()
-	defer as.mu.RUnlock()
-	b, ok := as.balances[team]
-	if !ok {
+	as.mu.Lock()
+	defer as.mu.Unlock()
+	a := as.accounts[team]
+	if a == nil {
 		return 0, fmt.Errorf("market: no account %q", team)
 	}
-	return b, nil
+	return a.balance, nil
 }
 
 // Submit places an order for team with the given bid. Buy-side limits
@@ -462,29 +459,25 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool)
 	// Limit, or the largest per-bundle limit for vector-π bids. Checking
 	// here keeps a rejected submit from advancing the round-robin stripe
 	// pointer, so serial traffic reproduces the unsharded book's ID
-	// sequence exactly.
+	// sequence exactly; and it keeps the account stripe out of the order
+	// stripe's critical section for a refused bid. The account record it
+	// resolves is the one the re-check below reads: records are never
+	// deleted.
 	as := e.accountShardFor(team)
 	exp := b.MaxLimit()
-	budgetOK := func() error {
-		bal, ok := as.balances[team]
-		if !ok {
-			return fmt.Errorf("market: no account %q", team)
-		}
-		if exp > 0 {
-			// Negated so that a NaN balance refuses every bid.
-			if committed := as.openBuy[team]; !(exp+committed <= bal) {
-				return fmt.Errorf("market: %q limit %.2f exceeds available budget %.2f",
-					team, exp, bal-committed)
-			}
-		}
-		return nil
-	}
 	as.mu.Lock()
-	team, user := as.labelLocked(team, product)
-	budgetErr := budgetOK()
+	a := as.accounts[team]
+	budgetErr := fundsLocked(a, team, exp)
+	if a != nil {
+		team = a.team
+		if b.User == "" {
+			b.User = a.userLocked(product)
+		}
+	}
 	as.mu.Unlock()
 	if b.User == "" {
-		b.User = user
+		// No account: the bid is refused, but named as a funded one is.
+		b.User = bidUser(team, product)
 	}
 	// A malformed bid is reported before an unfunded one.
 	if err := b.Validate(e.reg.Len()); err != nil {
@@ -507,7 +500,7 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool)
 	os := &e.orderShards[sIdx]
 	os.mu.Lock()
 	as.mu.Lock()
-	err := budgetOK()
+	err := fundsLocked(a, team, exp)
 	if err == nil && len(os.slots) >= maxStripeOrders {
 		err = fmt.Errorf("market: order stripe %d is full", sIdx)
 	}
@@ -533,7 +526,7 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool)
 			return -1, nil, err
 		}
 	}
-	e.bookOrderLocked(os, as, o)
+	e.bookOrderLocked(os, a, o)
 	as.mu.Unlock()
 	id := o.ID
 	var out *Order
@@ -553,7 +546,9 @@ func (e *Exchange) releaseCommitment(o *Order) {
 	if exp := o.Bid.MaxLimit(); exp > 0 {
 		as := e.accountShardFor(o.Team)
 		as.mu.Lock()
-		as.openBuy[o.Team] -= exp
+		if a := as.accounts[o.Team]; a != nil {
+			a.openBuy -= exp
+		}
 		as.mu.Unlock()
 	}
 }
@@ -566,10 +561,11 @@ func (e *Exchange) releaseCommitment(o *Order) {
 func (e *Exchange) settleWin(o *Order) {
 	as := e.accountShardFor(o.Team)
 	as.mu.Lock()
+	a := as.accountLocked(o.Team)
 	if exp := o.Bid.MaxLimit(); exp > 0 {
-		as.openBuy[o.Team] -= exp
+		a.openBuy -= exp
 	}
-	as.balances[o.Team] -= o.Payment
+	a.balance -= o.Payment
 	as.mu.Unlock()
 }
 
@@ -578,7 +574,7 @@ func (e *Exchange) settleWin(o *Order) {
 func (e *Exchange) creditBalance(team string, amount float64) {
 	as := e.accountShardFor(team)
 	as.mu.Lock()
-	as.balances[team] += amount
+	as.accountLocked(team).balance += amount
 	as.mu.Unlock()
 }
 
@@ -1382,13 +1378,13 @@ func (e *Exchange) BuyCommitments() map[string]float64 {
 	out := make(map[string]float64)
 	for s := range e.accountShards {
 		as := &e.accountShards[s]
-		as.mu.RLock()
-		for team, exp := range as.openBuy {
-			if exp != 0 {
-				out[team] = exp
+		as.mu.Lock()
+		for team, a := range as.accounts {
+			if a.openBuy != 0 {
+				out[team] = a.openBuy
 			}
 		}
-		as.mu.RUnlock()
+		as.mu.Unlock()
 	}
 	return out
 }
@@ -1398,14 +1394,14 @@ func (e *Exchange) Teams() []string {
 	var out []string
 	for s := range e.accountShards {
 		as := &e.accountShards[s]
-		as.mu.RLock()
+		as.mu.Lock()
 		//marketlint:orderfree out is sorted once the shard sweep completes
-		for t := range as.balances {
+		for t := range as.accounts {
 			if t != OperatorAccount {
 				out = append(out, t)
 			}
 		}
-		as.mu.RUnlock()
+		as.mu.Unlock()
 	}
 	sort.Strings(out)
 	return out

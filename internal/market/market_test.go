@@ -90,7 +90,7 @@ func TestNonFiniteMoneyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	as := e.accountShardFor("team-a")
-	as.balances["team-a"] = math.NaN()
+	as.accounts["team-a"].balance = math.NaN()
 	if _, err := e.SubmitProduct("team-a", "batch-compute", 1, []string{"r2"}, 5); err == nil {
 		t.Error("a NaN balance admitted a bid")
 	}
@@ -945,13 +945,13 @@ func TestConcurrentTraffic(t *testing.T) {
 	}
 	for s := range e.accountShards {
 		as := &e.accountShards[s]
-		as.mu.RLock()
-		for team, got := range as.openBuy {
-			if math.Abs(got-scan[team]) > 1e-9 {
-				t.Errorf("openBuy[%s] = %v, scan says %v", team, got, scan[team])
+		as.mu.Lock()
+		for team, a := range as.accounts {
+			if math.Abs(a.openBuy-scan[team]) > 1e-9 {
+				t.Errorf("openBuy[%s] = %v, scan says %v", team, a.openBuy, scan[team])
 			}
 		}
-		as.mu.RUnlock()
+		as.mu.Unlock()
 	}
 }
 

@@ -127,18 +127,18 @@ func (e *Exchange) CommitmentsPerStripe() []float64 {
 	out := make([]float64, len(e.accountShards))
 	for s := range e.accountShards {
 		as := &e.accountShards[s]
-		as.mu.RLock()
-		teams := make([]string, 0, len(as.openBuy))
-		for team := range as.openBuy {
+		as.mu.Lock()
+		teams := make([]string, 0, len(as.accounts))
+		for team := range as.accounts {
 			teams = append(teams, team)
 		}
 		sort.Strings(teams)
 		var sum float64
 		for _, team := range teams {
-			sum += as.openBuy[team]
+			sum += as.accounts[team].openBuy
 		}
 		out[s] = sum
-		as.mu.RUnlock()
+		as.mu.Unlock()
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package market
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -113,39 +114,87 @@ func (os *orderShard) rowLocked(id, j int) OrderRow {
 }
 
 // accountShard is one stripe of the account book, striped by team name.
+// Its lock is a plain mutex: every hot path — a submit's pre-check and
+// its nested re-check, a settlement's debit — writes, and the few reads
+// (Balance, Teams, the commitment scans) gain nothing from sharing.
 type accountShard struct {
-	mu       sync.RWMutex
-	balances map[string]float64
-	// openBuy is each team's summed positive limits over open orders —
-	// maintained incrementally so Submit's budget check is O(1).
-	openBuy map[string]float64
-	// labels holds, per account and product, the one copy of the team
-	// name and of the bid user every order of that pair shares — an order
-	// would otherwise carry two strings of its own.
-	labels map[labelKey]orderLabel
+	mu sync.Mutex
+	// accounts holds one record a team. A record is never deleted or
+	// replaced once the exchange is shared, so a submit resolves it once
+	// and re-reads the same pointer under the nested re-check.
+	accounts map[string]*account
 }
 
-type labelKey struct{ team, product string }
+// account is one team's record: everything a submit reads or writes of
+// the team, behind one map read. The fields are guarded by the stripe's
+// mu.
+type account struct {
+	// team is the one copy of the name every order of the team shares.
+	team    string
+	balance float64
+	// openBuy is the team's summed positive limits over open orders —
+	// maintained incrementally so Submit's budget check is O(1).
+	openBuy float64
+	// users holds, per product, the one copy of the bid user team/product
+	// every order of that pair shares — an order would otherwise carry a
+	// string of its own. Products come from the catalog, so it stays
+	// short.
+	users []productUser
+}
+
+type productUser struct{ product, user string }
 
 type orderLabel struct{ team, user string }
 
-// labelLocked returns the shared team name and bid user — team/product,
-// or the team itself without a product — for an order of the account.
-// Only existing accounts are remembered, so a stream of unknown team
-// names cannot grow the map. The caller holds mu.
-func (as *accountShard) labelLocked(team, product string) (string, string) {
-	key := labelKey{team, product}
-	if l, ok := as.labels[key]; ok {
-		return l.team, l.user
+// userLocked returns the one copy of bidUser(a.team, product) the
+// account's orders share. The caller holds the stripe's mu.
+func (a *account) userLocked(product string) string {
+	if product == "" {
+		return a.team
 	}
-	user := team
-	if product != "" {
-		user = team + "/" + product
+	for i := range a.users {
+		if a.users[i].product == product {
+			return a.users[i].user
+		}
 	}
-	if _, ok := as.balances[team]; ok {
-		as.labels[key] = orderLabel{team, user}
+	user := bidUser(a.team, product)
+	a.users = append(a.users, productUser{product, user})
+	return user
+}
+
+// bidUser names the bid of a team's order: team/product, or the team
+// itself without a product.
+func bidUser(team, product string) string {
+	if product == "" {
+		return team
 	}
-	return team, user
+	return team + "/" + product
+}
+
+// fundsLocked refuses a bid of exposure exp when the team has no
+// account, or when the account cannot commit exp more to open buy
+// orders. The caller holds the stripe's mu.
+func fundsLocked(a *account, team string, exp float64) error {
+	if a == nil {
+		return fmt.Errorf("market: no account %q", team)
+	}
+	// Negated so that a NaN balance refuses every bid.
+	if exp > 0 && !(exp+a.openBuy <= a.balance) {
+		return fmt.Errorf("market: %q limit %.2f exceeds available budget %.2f",
+			team, exp, a.balance-a.openBuy)
+	}
+	return nil
+}
+
+// accountLocked returns the team's record, creating an empty one for a
+// team that has none. The caller holds the stripe's mu.
+func (as *accountShard) accountLocked(team string) *account {
+	a := as.accounts[team]
+	if a == nil {
+		a = &account{team: team}
+		as.accounts[team] = a
+	}
+	return a
 }
 
 // orderShardFor returns the stripe holding order id, or nil for a

@@ -19,7 +19,10 @@ import (
 // TestShardedSerialIDsSequential pins the sharded book's compatibility
 // contract: serial traffic sees exactly the unsharded behavior — IDs
 // assigned 0, 1, 2, … in submission order, Orders() in that order, and
-// O(1) lookup by ID across stripes.
+// O(1) lookup by ID across stripes. Every kind of refused submit sits
+// between the booked ones: a refusal must not advance the stripe
+// rotation, which is what the budget pre-check outside the order stripe
+// is for.
 func TestShardedSerialIDsSequential(t *testing.T) {
 	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6, Shards: 4})
 	if err != nil {
@@ -31,6 +34,25 @@ func TestShardedSerialIDsSequential(t *testing.T) {
 	if err := e.OpenAccount("a"); err != nil {
 		t.Fatal(err)
 	}
+	nan := e.Registry().Zero()
+	nan[0] = math.NaN()
+	refusals := []struct {
+		name   string
+		submit func() (*Order, error)
+	}{
+		{"unknown account", func() (*Order, error) {
+			return e.SubmitProduct("nobody", "batch-compute", 1, []string{"r2"}, 5)
+		}},
+		{"over budget", func() (*Order, error) {
+			return e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 2e6)
+		}},
+		{"NaN component", func() (*Order, error) {
+			return e.Submit("a", &core.Bid{Bundles: []resource.Vector{nan}, Limit: 5})
+		}},
+		{"unknown cluster", func() (*Order, error) {
+			return e.SubmitProduct("a", "batch-compute", 1, []string{"nowhere"}, 5)
+		}},
+	}
 	const n = 11 // not a multiple of the stripe count
 	for i := 0; i < n; i++ {
 		o, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 5)
@@ -39,6 +61,10 @@ func TestShardedSerialIDsSequential(t *testing.T) {
 		}
 		if o.ID != i {
 			t.Fatalf("submit %d got ID %d", i, o.ID)
+		}
+		r := refusals[i%len(refusals)]
+		if o, err := r.submit(); err == nil {
+			t.Fatalf("after submit %d: the %s submit was booked as order %d", i, r.name, o.ID)
 		}
 	}
 	orders := e.Orders()

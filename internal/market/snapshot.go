@@ -191,16 +191,14 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 	d.decode()
 	for s := range e.accountShards {
 		as := &e.accountShards[s]
-		for team, bal := range as.balances {
-			st.Balances[team] = bal
-		}
 		//marketlint:orderfree writes are team-keyed and the nil-check lazy init is idempotent
-		for team, exp := range as.openBuy {
-			if exp != 0 {
+		for team, a := range as.accounts {
+			st.Balances[team] = a.balance
+			if a.openBuy != 0 {
 				if st.OpenBuy == nil {
 					st.OpenBuy = make(map[string]float64)
 				}
-				st.OpenBuy[team] = exp
+				st.OpenBuy[team] = a.openBuy
 			}
 		}
 	}
@@ -291,11 +289,15 @@ func (e *Exchange) restoreState(raw []byte) error {
 	// the booked orders), so the image's money state is authoritative.
 	//marketlint:orderfree each write lands in its own team-keyed stripe slot (accountShardFor is a pure hash)
 	for team, bal := range st.Balances {
-		e.accountShardFor(team).balances[team] = bal
+		e.accountShardFor(team).accountLocked(team).balance = bal
 	}
-	//marketlint:orderfree each write lands in its own team-keyed stripe slot (accountShardFor is a pure hash)
+	//marketlint:orderfree each write lands in its own team's record; an orphan refuses the whole image, whichever is met first
 	for team, exp := range st.OpenBuy {
-		e.accountShardFor(team).openBuy[team] = exp
+		a := e.accountShardFor(team).accounts[team]
+		if a == nil {
+			return fmt.Errorf("open buy commitment for %q, which has no balance", team)
+		}
+		a.openBuy = exp
 	}
 	for i, le := range st.Ledger {
 		if le.Seq != i {
