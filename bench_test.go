@@ -2,11 +2,12 @@ package clustermarket_test
 
 // Layer benchmarks: the stages of an order's life that the end-to-end
 // suite in benchmark/ does not time on their own — the production clock
-// against its dense oracle core.ReferenceRun, admission at R = 192 and
-// contended admission at R = 39, the auction build from a booked book,
-// and what the book retains an order.
+// against its dense oracle core.ReferenceRun, the clock's scaling in
+// users and pools (Section III.C.4), admission at R = 192 and contended
+// admission at R = 39, the auction build from a booked book, and what the
+// book retains an order.
 // The paper figures are regenerated by `marketsim figures` and their shapes
-// asserted by internal/sim's tests. Run with:
+// asserted by internal/scenario's paper-pilot tests. Run with:
 //
 //	make bench
 //
@@ -146,6 +147,116 @@ func benchClockVsReference(b *testing.B, reg *resource.Registry, bids []*core.Bi
 func BenchmarkSparsePlanetEngines(b *testing.B) {
 	reg, bids := sparsePlanetMarket(9, 2048, 256)
 	benchClockVsReference(b, reg, bids, 1)
+}
+
+// syntheticMarket builds a random pure-buyer market over nPools
+// single-dimension pools: each buyer wants 1–20 units of one pool, XOR
+// over 1–3 alternatives, and one operator offers half of the first-choice
+// demand.
+func syntheticMarket(rng *rand.Rand, nUsers, nPools int) (*resource.Registry, []*core.Bid) {
+	reg := resource.NewRegistry()
+	for i := 0; i < nPools; i++ {
+		reg.Add(resource.Pool{Cluster: "c" + strconv.Itoa(i), Dim: resource.CPU})
+	}
+	supply := reg.Zero()
+	bids := make([]*core.Bid, 0, nUsers+1)
+	for u := 0; u < nUsers; u++ {
+		nAlt := rng.Intn(3) + 1
+		bundles := make([]resource.Vector, 0, nAlt)
+		for a := 0; a < nAlt; a++ {
+			v := reg.Zero()
+			v[rng.Intn(nPools)] = float64(rng.Intn(20) + 1)
+			bundles = append(bundles, v)
+		}
+		bids = append(bids, &core.Bid{
+			User:    "u" + strconv.Itoa(u),
+			Bundles: bundles,
+			Limit:   float64(rng.Intn(150) + 25),
+		})
+	}
+	for _, b := range bids {
+		supply.AddInto(b.Bundles[0])
+	}
+	for i := range supply {
+		supply[i] = -supply[i] / 2
+	}
+	bids = append(bids, &core.Bid{User: "op", Limit: -0.001, Bundles: []resource.Vector{supply}})
+	return reg, bids
+}
+
+func TestSyntheticMarketShape(t *testing.T) {
+	reg, bids := syntheticMarket(rand.New(rand.NewSource(1)), 50, 20)
+	if reg.Len() != 20 {
+		t.Errorf("registry = %d pools", reg.Len())
+	}
+	if len(bids) != 51 {
+		t.Fatalf("bids = %d", len(bids))
+	}
+	for _, b := range bids[:50] {
+		if err := b.Validate(reg.Len()); err != nil {
+			t.Errorf("invalid bid: %v", err)
+		}
+	}
+	if bids[50].Bundles[0].PureDirection() != -1 {
+		t.Error("operator bid is not a pure offer")
+	}
+}
+
+// scalingRounds fixes every scaling point's clock length: buyer limits
+// are unbounded, so demand never clears and each point runs exactly this
+// many rounds. The paper's linearity claim is about the work of one round
+// (one proxy sweep over U users × R pools), not the clock's length.
+const scalingRounds = 500
+
+// BenchmarkClockScaling is Section III.C.4's claim that the clock's
+// running time grows linearly in users and in pools: the user sweep at
+// 100 pools and the pool sweep at 100 users, which share their
+// 100 × 100 point. Each point reports ns/op
+// and ns/round, the rounds run and the lane rounds, bundle re-pricings
+// and proxy re-choices of core.ClockStats.
+func BenchmarkClockScaling(b *testing.B) {
+	var points [][2]int
+	for _, u := range []int{25, 50, 100, 200, 400, 800} {
+		points = append(points, [2]int{u, 100})
+	}
+	for _, r := range []int{12, 25, 50, 200, 384} { // 100 pools: above
+		points = append(points, [2]int{100, r})
+	}
+	for _, pt := range points {
+		b.Run("users="+strconv.Itoa(pt[0])+"/pools="+strconv.Itoa(pt[1]), func(b *testing.B) {
+			reg, bids := syntheticMarket(rand.New(rand.NewSource(11)), pt[0], pt[1])
+			for _, bid := range bids {
+				if bid.Class() == core.PureBuyer {
+					bid.Limit = 1e15
+				}
+			}
+			start := reg.Zero()
+			for i := range start {
+				start[i] = 0.5
+			}
+			a, err := core.NewAuction(reg, bids, core.Config{
+				Start:     start,
+				Policy:    core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
+				MaxRounds: scalingRounds,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var res *core.Result
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err = a.RunReusing(res); !errors.Is(err, core.ErrNoConvergence) {
+					b.Fatalf("clock stopped early (%v): the point must run %d rounds", err, scalingRounds)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(res.Rounds*b.N), "ns/round")
+			b.ReportMetric(float64(res.Rounds), "rounds")
+			b.ReportMetric(float64(res.Clock.LaneRounds), "lane-rounds")
+			b.ReportMetric(float64(res.Clock.Repriced), "repriced")
+			b.ReportMetric(float64(res.Clock.Rechosen), "rechosen")
+		})
+	}
 }
 
 // sparseRegionalPlanetMarket is the sparse-planet workload sharded into

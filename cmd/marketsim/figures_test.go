@@ -5,17 +5,10 @@ import (
 	"strings"
 	"testing"
 
-	"clustermarket/internal/sim"
+	"clustermarket/internal/scenario"
 )
 
-func smallCfg() sim.Config {
-	return sim.Config{
-		Seed:               5,
-		Clusters:           6,
-		MachinesPerCluster: 8,
-		Teams:              20,
-	}
-}
+func smallCfg() scenario.Config { return scenario.Config{Seed: 5, Epochs: 2} }
 
 func TestFiguresSingle(t *testing.T) {
 	cases := []struct {
@@ -32,7 +25,7 @@ func TestFiguresSingle(t *testing.T) {
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
-		if err := figures(&buf, c.what, smallCfg(), 2); err != nil {
+		if err := figures(&buf, c.what, smallCfg()); err != nil {
 			t.Fatalf("%s: %v", c.what, err)
 		}
 		if !strings.Contains(buf.String(), c.want) {
@@ -41,45 +34,29 @@ func TestFiguresSingle(t *testing.T) {
 	}
 }
 
-func TestFiguresScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaling sweep")
-	}
-	var buf bytes.Buffer
-	if err := figures(&buf, "scaling", smallCfg(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "linear fit") {
-		t.Error("scaling output missing fit")
-	}
-}
-
 func TestFiguresUnknown(t *testing.T) {
 	var buf bytes.Buffer
-	if err := figures(&buf, "nope", smallCfg(), 1); err == nil {
+	if err := figures(&buf, "nope", smallCfg()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
-// TestFiguresAll also pins that the figures sharing one auction sequence
-// print what each prints alone.
+// TestFiguresAll also pins that the figures sharing one run print what
+// each prints alone.
 func TestFiguresAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite")
-	}
 	var buf bytes.Buffer
-	if err := figures(&buf, "all", smallCfg(), 2); err != nil {
+	if err := figures(&buf, "all", smallCfg()); err != nil {
 		t.Fatal(err)
 	}
 	all := buf.String()
-	for _, want := range []string{"FIG2", "FIG6", "FIG7", "TABLE I", "SCALING", "BASELINE", "MIGRATION", "CLOCK"} {
+	for _, want := range []string{"FIG2", "FIG6", "FIG7", "TABLE I", "BASELINE", "MIGRATION", "CLOCK"} {
 		if !strings.Contains(all, want) {
 			t.Errorf("all output missing %q", want)
 		}
 	}
-	for _, what := range []string{"fig6", "fig7", "table1", "migration"} {
+	for _, what := range []string{"fig6", "fig7", "table1", "baseline", "migration", "clockprog"} {
 		var one bytes.Buffer
-		if err := figures(&one, what, smallCfg(), 2); err != nil {
+		if err := figures(&one, what, smallCfg()); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(all, one.String()) {

@@ -5,46 +5,48 @@ import (
 	"testing"
 
 	"clustermarket/internal/bidlang"
-	"clustermarket/internal/core"
 	"clustermarket/internal/resource"
+	"clustermarket/internal/scenario"
 )
 
 func TestBidTreeRoundTripsThroughParser(t *testing.T) {
 	reg := resource.NewStandardRegistry("r1", "r2")
-	bid := &core.Bid{
-		User:  "team-x/buy",
-		Limit: 123.5,
-		Bundles: []resource.Vector{
-			{10, 20, 1, 0, 0, 0},
-			{0, 0, 0, 10, 20, 1},
-		},
+	at := func(cluster string, cpu, ram, disk float64) []scenario.PoolQty {
+		return []scenario.PoolQty{
+			{Pool: resource.Pool{Cluster: cluster, Dim: resource.CPU}, Qty: cpu},
+			{Pool: resource.Pool{Cluster: cluster, Dim: resource.RAM}, Qty: ram},
+			{Pool: resource.Pool{Cluster: cluster, Dim: resource.Disk}, Qty: disk},
+		}
 	}
-	text := bidTree(reg, bid).String()
+	o := scenario.Trade{User: "team-x/buy", Limit: 123.5, Bundles: [][]scenario.PoolQty{at("r1", 10, 20, 1), at("r2", 10, 20, 1)}}
+	text := bidTree(o).String()
 	parsed, err := bidlang.Parse(text)
 	if err != nil {
 		t.Fatalf("rendered bid does not parse: %v\n%s", err, text)
 	}
-	if parsed.User != bid.User || parsed.Limit != bid.Limit {
+	if parsed.User != o.User || parsed.Limit != o.Limit {
 		t.Errorf("header lost: %+v", parsed)
 	}
 	bundles, err := parsed.Flatten(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bundles) != 2 {
+	want := []resource.Vector{{10, 20, 1, 0, 0, 0}, {0, 0, 0, 10, 20, 1}}
+	if len(bundles) != len(want) {
 		t.Fatalf("bundles = %d", len(bundles))
 	}
 	for i := range bundles {
-		if !bundles[i].Equal(bid.Bundles[i], 0) {
-			t.Errorf("bundle %d differs: %v vs %v", i, bundles[i], bid.Bundles[i])
+		if !bundles[i].Equal(want[i], 0) {
+			t.Errorf("bundle %d differs: %v vs %v", i, bundles[i], want[i])
 		}
 	}
 }
 
 func TestBidTreeSingleBundleHasNoOneof(t *testing.T) {
-	reg := resource.NewStandardRegistry("r1")
-	bid := &core.Bid{User: "s", Limit: -5, Bundles: []resource.Vector{{-3, 0, 0}}}
-	text := bidTree(reg, bid).String()
+	o := scenario.Trade{User: "s", Limit: -5, Bundles: [][]scenario.PoolQty{
+		{{Pool: resource.Pool{Cluster: "r1", Dim: resource.CPU}, Qty: -3}},
+	}}
+	text := bidTree(o).String()
 	if strings.Contains(text, "oneof") {
 		t.Errorf("single-bundle bid rendered with oneof:\n%s", text)
 	}
@@ -53,6 +55,8 @@ func TestBidTreeSingleBundleHasNoOneof(t *testing.T) {
 	}
 }
 
+// TestGenProducesParseableOutput reparses gen's output and requires the
+// population to hold team offers (negative quantities) beside the bids.
 func TestGenProducesParseableOutput(t *testing.T) {
 	var buf strings.Builder
 	if err := gen(&buf, 3, 2); err != nil {
@@ -71,5 +75,14 @@ func TestGenProducesParseableOutput(t *testing.T) {
 	}
 	if len(bids) < 6 {
 		t.Errorf("suspiciously few bids: %d", len(bids))
+	}
+	offers := 0
+	for _, b := range bids {
+		if strings.HasSuffix(b.User, "/offer") && strings.Contains(b.String(), ":-") {
+			offers++
+		}
+	}
+	if offers == 0 {
+		t.Errorf("no offer among %d bids:\n%s", len(bids), buf.String())
 	}
 }

@@ -13,7 +13,6 @@ var determinismCritical = []string{
 	"clustermarket/internal/market",
 	"clustermarket/internal/federation",
 	"clustermarket/internal/scenario",
-	"clustermarket/internal/sim",
 	"clustermarket/internal/invariant",
 	"clustermarket/internal/journal",
 }

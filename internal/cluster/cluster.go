@@ -159,10 +159,10 @@ func (m *Machine) MaxDimUtilization() float64 {
 	return best
 }
 
-// OperatorUnitCost is the operator's real unit cost c(r) in the simulated
-// worlds (the figure generator's and the scenario engine's): the "former
-// fixed prices" that predate the market, the denominators of Figure 6,
-// and the fair value bidders shade their limits over.
+// OperatorUnitCost is the operator's real unit cost c(r) in the scenario
+// engine's world: the "former fixed prices" that predate the market, the
+// denominators of Figure 6, and the fair value bidders shade their limits
+// over.
 var OperatorUnitCost = Usage{CPU: 1, RAM: 0.25, Disk: 2}
 
 // Cluster is a named pool of machines sharing one scheduler.

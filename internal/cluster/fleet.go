@@ -144,8 +144,8 @@ func (f *Fleet) SetTaskSeq(n int) { f.nextTask = n }
 // PlaceAllocationChunked schedules the positive part of a settled
 // allocation — given sparse, as the winning bundle's (pool, quantity)
 // pairs in ascending pool order — onto the fleet as machine-sized chunks.
-// Exchange.PlaceOrder is its one caller, so the figure generator and the
-// scenario engine place won demand alike. Clusters are visited in sorted
+// Exchange.PlaceOrder is its one caller, so every simulated world places
+// won demand alike. Clusters are visited in sorted
 // name order so placement, and therefore future utilization and reserve
 // prices, is a deterministic function of the allocation. onPlace is
 // invoked for every scheduled task (so callers can evict later);

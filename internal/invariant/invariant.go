@@ -9,8 +9,8 @@
 // Federation.
 //
 // The scenario engine (internal/scenario) runs the kernel after every
-// epoch; the conservation and stress tests in internal/market,
-// internal/federation, and internal/sim consume the same functions
+// epoch; the conservation and stress tests in internal/market and
+// internal/federation consume the same functions
 // instead of carrying their own assertion copies. A new invariant added
 // here is immediately enforced by every soak, stress test, and scenario
 // in the repository.

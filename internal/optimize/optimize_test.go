@@ -1,13 +1,13 @@
 package optimize
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"clustermarket/internal/core"
 	"clustermarket/internal/resource"
-	"clustermarket/internal/sim"
 )
 
 func twoPool() *resource.Registry {
@@ -249,6 +249,38 @@ func TestEvaluateWelfareMatchesResults(t *testing.T) {
 	}
 }
 
+// syntheticMarket builds a random pure-buyer market over nPools
+// single-dimension pools: each buyer wants 1–20 units of one pool, XOR
+// over 1–3 alternatives, and one operator offers half of the first-choice
+// demand. (The root package's clock-scaling benchmark draws from the same
+// generator.)
+func syntheticMarket(rng *rand.Rand, nUsers, nPools int) (*resource.Registry, []*core.Bid) {
+	reg := resource.NewRegistry()
+	for i := 0; i < nPools; i++ {
+		reg.Add(resource.Pool{Cluster: fmt.Sprintf("c%d", i), Dim: resource.CPU})
+	}
+	supply := reg.Zero()
+	bids := make([]*core.Bid, 0, nUsers+1)
+	for u := 0; u < nUsers; u++ {
+		nAlt := rng.Intn(3) + 1
+		bundles := make([]resource.Vector, 0, nAlt)
+		for a := 0; a < nAlt; a++ {
+			v := reg.Zero()
+			v[rng.Intn(nPools)] = float64(rng.Intn(20) + 1)
+			bundles = append(bundles, v)
+		}
+		bids = append(bids, &core.Bid{User: fmt.Sprintf("u%d", u), Bundles: bundles, Limit: float64(rng.Intn(150) + 25)})
+	}
+	for _, b := range bids {
+		supply.AddInto(b.Bundles[0])
+	}
+	for i := range supply {
+		supply[i] = -supply[i] / 2
+	}
+	bids = append(bids, &core.Bid{User: "op", Limit: -0.001, Bundles: []resource.Vector{supply}})
+	return reg, bids
+}
+
 // TestOptimizerBeatsClockOnWelfareButNotFairness is the quantitative form
 // of the paper's Section III.C.4 trade-off: the welfare-optimal allocator
 // achieves at least the clock's welfare (the clock "completely ignores
@@ -256,7 +288,7 @@ func TestEvaluateWelfareMatchesResults(t *testing.T) {
 // constraints the clock satisfies by construction.
 func TestOptimizerBeatsClockOnWelfareButNotFairness(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	reg, bids := sim.SyntheticMarket(rng, 14, 6) // small enough for Exact
+	reg, bids := syntheticMarket(rng, 14, 6) // small enough for Exact
 	reserve := reg.Zero()
 	for i := range reserve {
 		reserve[i] = 0.5
@@ -310,7 +342,7 @@ func TestOptimizerBeatsClockOnWelfareButNotFairness(t *testing.T) {
 func TestQuickGreedyAlwaysFeasibleAndExactAtLeastGreedy(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		reg, bids := sim.SyntheticMarket(rng, rng.Intn(10)+3, rng.Intn(4)+2)
+		reg, bids := syntheticMarket(rng, rng.Intn(10)+3, rng.Intn(4)+2)
 		reserve := reg.Zero()
 		for i := range reserve {
 			reserve[i] = 0.25 + rng.Float64()

@@ -189,3 +189,19 @@ func Curve(fn WeightFn, n int) []CurvePoint {
 	}
 	return pts
 }
+
+// NamedCurve is one labelled weighting curve, sampled.
+type NamedCurve struct {
+	Name   string
+	Points []CurvePoint
+}
+
+// Figure2 samples the paper's three example weighting curves, n+1
+// points each: Figure 2.
+func Figure2(n int) []NamedCurve {
+	return []NamedCurve{
+		{Name: "phi1(x) = exp(2(x-0.5))", Points: Curve(ExpSteep, n)},
+		{Name: "phi2(x) = exp(x-0.5)", Points: Curve(ExpMild, n)},
+		{Name: "phi3(x) = 1/(1.5-x)", Points: Curve(Hyperbolic, n)},
+	}
+}

@@ -213,6 +213,23 @@ func TestCurveSampling(t *testing.T) {
 	}
 }
 
+// TestFig2CurvesShape is Figure 2's claim: three curves, each through
+// 1.0 at ψ = 0.5.
+func TestFig2CurvesShape(t *testing.T) {
+	curves := Figure2(100)
+	if len(curves) != 3 {
+		t.Fatalf("curves = %d", len(curves))
+	}
+	for _, c := range curves {
+		if len(c.Points) != 101 {
+			t.Errorf("%s: %d points", c.Name, len(c.Points))
+		}
+		if p := c.Points[50]; p.Utilization != 50 || math.Abs(p.Multiple-1) > 1e-12 {
+			t.Errorf("%s: multiple at %v%% = %v, want 1", c.Name, p.Utilization, p.Multiple)
+		}
+	}
+}
+
 func TestQuickReservePriceMonotoneInUtilization(t *testing.T) {
 	pr := NewPricer(Hyperbolic)
 	pool := resource.Pool{Cluster: "q", Dim: resource.RAM}

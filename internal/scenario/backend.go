@@ -10,10 +10,11 @@
 //
 // The paper's Section V evidence is longitudinal: premiums fall and
 // prices track congestion only across successive auctions with
-// persistent accounts (Table I, Figures 6–7). One-shot worlds cannot
-// exercise that; the scenario engine makes "as many scenarios as you can
-// imagine" a one-line test. See the Catalog for the named scenarios and
-// DESIGN.md for how to add one.
+// persistent accounts (Table I, Figures 6–7). The engine is the
+// repository's one world model: the paper-pilot scenario's teams also
+// sell, and the paper's figures are views of its Report (figures.go).
+// See the Catalog for the named scenarios and DESIGN.md for how to add
+// one.
 package scenario
 
 import (
@@ -478,21 +479,70 @@ func (b *Backend) EpochRecords() []*market.AuctionRecord {
 // scheduled tasks, so settled demand congests future reserve prices.
 // Placement goes through the winning leg's market, so that market's
 // journal carries the placement event and a recovered process
-// re-materializes the same tasks on the same machines.
-func (b *Backend) Place(id int) {
+// re-materializes the same tasks on the same machines. It returns the
+// tasks placed and the allocation by pool.
+func (b *Backend) Place(id int) ([]market.PlacedTask, []PoolQty) {
 	fo, err := b.fed.Order(id)
-	if err != nil {
-		return
+	if err != nil || fo.WonLeg() == nil {
+		return nil, nil
 	}
-	leg := fo.WonLeg()
-	if leg == nil {
-		return
-	}
-	tasks, err := b.fed.Region(leg.Region).Exchange().PlaceOrder(leg.OrderID)
+	_, tasks, got := b.place(b.fed.Region(fo.WonLeg().Region).Exchange(), fo.WonLeg().OrderID)
+	return tasks, got
+}
+
+// PlaceBid is Place for a raw bid booked by SubmitBid: it reports the
+// bid's status and, once it won, places its bought part (a sale has
+// none) and returns its allocation by pool.
+func (b *Backend) PlaceBid(clusterName string, id int) (market.OrderStatus, []market.PlacedTask, []PoolQty) {
+	return b.place(b.marketOf(clusterName), id)
+}
+
+func (b *Backend) place(ex *market.Exchange, id int) (market.OrderStatus, []market.PlacedTask, []PoolQty) {
+	o, err := ex.Order(id)
 	if err != nil {
-		return
+		return market.Unsettled, nil, nil // the book lost it: it will never settle
+	}
+	if o.Status != market.Won {
+		return o.Status, nil, nil
+	}
+	got := poolQty(ex.Registry(), o.Allocation())
+	tasks, err := ex.PlaceOrder(id)
+	if err != nil {
+		return o.Status, nil, got
 	}
 	b.track(tasks)
+	return o.Status, tasks, got
+}
+
+// TaskReq returns a placed task's resources, ok=false once it is gone.
+func (b *Backend) TaskReq(pt market.PlacedTask) (cluster.Usage, bool) {
+	t, _, ok := b.marketOf(pt.Cluster).Fleet().Cluster(pt.Cluster).TaskInfo(pt.TaskID)
+	return t.Req, ok
+}
+
+// ClusterTasks lists the tasks running in a cluster, machine by machine,
+// each machine's in ID order.
+func (b *Backend) ClusterTasks(clusterName string) []market.PlacedTask {
+	var out []market.PlacedTask
+	for _, m := range b.marketOf(clusterName).Fleet().Cluster(clusterName).Machines() {
+		for _, t := range m.Tasks() {
+			out = append(out, market.PlacedTask{Cluster: clusterName, TaskID: t.ID})
+		}
+	}
+	return out
+}
+
+// Evict removes placed tasks through their markets' journaled eviction
+// op — the quota a won sale gave up.
+func (b *Backend) Evict(tasks []market.PlacedTask) {
+	for _, pt := range tasks {
+		// As in evictFraction, a task can only be missing if the scenario
+		// is inconsistent; the invariant kernel would flag the fallout.
+		_ = b.marketOf(pt.Cluster).EvictTask(pt.Cluster, pt.TaskID)
+	}
+	for _, rn := range b.regions {
+		b.placed[rn] = withoutTasks(b.placed[rn], tasks)
+	}
 }
 
 // track appends placed tasks to their regions' eviction queues.
@@ -567,6 +617,44 @@ func (b *Backend) MeanCPUPrice(region string) float64 {
 		return 0
 	}
 	return sum / float64(n)
+}
+
+// PoolState is one pool as the figure views read it around an epoch.
+type PoolState struct {
+	Pool resource.Pool
+	// Cap is the pool's capacity and Cost c(r), its former fixed price.
+	Cap, Cost float64
+	// Util is ψ(r) before the epoch's orders, PostUtil after its sales
+	// were evicted and its purchases placed.
+	Util, PostUtil float64
+	// Reserve is the pool's reserve price before the epoch's orders, and
+	// Price its market's last clearing price after the epoch's
+	// settlement wave (0 before the market's first converged auction).
+	Reserve, Price float64
+}
+
+// Pools reads every pool, in market order: capacity, cost, utilization,
+// reserve and last clearing price. PostUtil is left for the caller.
+func (b *Backend) Pools() ([]PoolState, error) {
+	var out []PoolState
+	for _, m := range b.markets {
+		ex := b.fed.Region(m).Exchange()
+		reg, fleet := ex.Registry(), ex.Fleet()
+		capacity, cost, util := fleet.CapacityVector(reg), fleet.CostVector(reg), fleet.UtilizationVector(reg)
+		reserve, err := ex.ReservePrices()
+		if err != nil {
+			return nil, err
+		}
+		prices := ex.LastClearingPrices()
+		for i := 0; i < reg.Len(); i++ {
+			p := PoolState{Pool: reg.Pool(i), Cap: capacity[i], Cost: cost[i], Util: util[i], Reserve: reserve[i]}
+			if prices != nil {
+				p.Price = prices[i]
+			}
+			out = append(out, p)
+		}
+	}
+	return out, nil
 }
 
 // OpenOrderCount counts orders awaiting settlement across markets.

@@ -8,6 +8,10 @@ import (
 	"clustermarket/internal/fault"
 )
 
+// sellerFraction is paper-pilot's chance that a team in a congested home
+// cluster offers quota back in an epoch (Section V.B).
+const sellerFraction = 0.5
+
 // Catalog returns the named scenarios, sorted by name. Each entry is a
 // fresh value: scenarios carry no state, but callers are free to tweak
 // the returned copies.
@@ -30,6 +34,10 @@ import (
 //	    troughs; prices must track the congestion cycle.
 //	flash-crowd       — a mid-run burst of demand pinned to the hottest
 //	    pool, paying heavy premiums, then subsiding.
+//	paper-pilot       — the paper's pilot (Section V): adaptive bidders
+//	    on the hot-to-cold topology; teams in congested clusters offer
+//	    part of the quota they won back, and from the second epoch trade
+//	    it for the cheapest cluster's. The figures read its report.
 //	partition-storm   — transient region partitions: routing calls and
 //	    settlement rounds fail then heal, gossip stalls; the healed run
 //	    must fingerprint-match the fault-free run.
@@ -198,6 +206,14 @@ func Catalog() []*Scenario {
 				}
 				return nil
 			},
+		},
+		{
+			Name: "paper-pilot",
+			Description: "the paper's pilot: adaptive bidders on the hot-to-cold topology, and teams in congested " +
+				"clusters that sell part of what they won back; Figures 6–7, Table I and migration are views of its report",
+			Epochs:   4,
+			Adaptive: true,
+			Sell:     func(int) float64 { return sellerFraction },
 		},
 		{
 			Name:        "trader-storm",

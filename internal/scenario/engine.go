@@ -127,6 +127,14 @@ type Scenario struct {
 	// fault heals invisibly and the run fingerprint-matches its
 	// fault-free twin.
 	Faults func(epoch int, regions []string) []fault.Window
+	// Sell is the probability that a team whose home cluster is
+	// congested offers part of its holding back this epoch, as a Section
+	// II bid with negative quantities; a sophisticated team may trade its
+	// home quota for the cheapest cluster's instead (see engine.sell). A
+	// selling scenario's first teams start with a holding (endow), and
+	// outlierFraction of its buy orders pay extreme premiums. Nil means
+	// teams only buy.
+	Sell func(epoch int) float64
 }
 
 func (sc *Scenario) intensity(e int) float64 {
@@ -212,6 +220,20 @@ type EpochSummary struct {
 	Dark []string
 	// Violations counts invariant violations detected this epoch.
 	Violations int
+	// Offers and Trades count the sales and quota trades teams booked
+	// this epoch (a selling scenario's; always 0 elsewhere).
+	Offers, Trades int
+
+	// The rest is what the figure views read (figures.go). Fingerprint
+	// does not hash it: it is derived from the same run, and
+	// ReconstructReport does not rebuild it.
+
+	// Pools is every pool, in market order, around this epoch.
+	Pools []PoolState
+	// Records are the epoch's auction records, in market order.
+	Records []*market.AuctionRecord
+	// Orders are the orders the epoch resolved: won, lost or retired.
+	Orders []Trade
 }
 
 // Report is a completed scenario run.
@@ -239,7 +261,13 @@ func (r *Report) Fingerprint() string {
 		for _, p := range s.Prices {
 			fmt.Fprintf(&b, "%s=%s;", p.Region, hexFloat(p.MeanCPU))
 		}
-		fmt.Fprintf(&b, "|%s\n", strings.Join(s.Dark, ","))
+		fmt.Fprintf(&b, "|%s", strings.Join(s.Dark, ","))
+		// Rendered only when set, so a scenario that never sells hashes
+		// exactly as it did before teams could.
+		if s.Offers != 0 || s.Trades != 0 {
+			fmt.Fprintf(&b, "|%d|%d", s.Offers, s.Trades)
+		}
+		b.WriteByte('\n')
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
@@ -258,22 +286,19 @@ type simTeam struct {
 	premium float64
 	// mobility is the probability of offering cross-region alternatives.
 	mobility float64
+	// held lists the tasks placed for the team's won orders, oldest
+	// first: the quota a selling scenario's team can offer back.
+	held []market.PlacedTask
+	// age counts the epochs the team has been in the market.
+	age int
 }
 
 // tracked is one open order the engine is watching.
 type tracked struct {
-	id    int
-	team  *simTeam
-	limit float64
-}
-
-// spotBid is one product order replayed through both clock engines for
-// the equivalence spot check.
-type spotBid struct {
-	clusters []string
-	product  string
-	qty      float64
-	limit    float64
+	id   int
+	team *simTeam
+	// order is the order as the figure views will read it once resolved.
+	order Trade
 }
 
 var products = []string{"batch-compute", "serving-frontend", "bigtable-node", "gfs-storage"}
@@ -291,7 +316,7 @@ func Run(sc *Scenario, b *Backend, cfg Config) (*Report, error) {
 		epochs = 8
 	}
 	// The engine's rng is decorrelated from the backend-construction rng
-	// (same seed, offset stream), as sim.NewWorld does for trace.
+	// (same seed, offset stream).
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
 	rep := &Report{Scenario: sc.Name, Backend: b.Kind(), Seed: cfg.Seed}
@@ -306,6 +331,9 @@ func Run(sc *Scenario, b *Backend, cfg Config) (*Report, error) {
 	e := &engine{cfg: cfg, rng: rng, b: b, clusters: allClusters}
 	if err := e.populate(); err != nil {
 		return nil, err
+	}
+	if sc.Sell != nil {
+		e.endow()
 	}
 
 	for epoch := 0; epoch < epochs; epoch++ {
@@ -328,6 +356,8 @@ type engine struct {
 	teams   []*simTeam
 	teamSeq int
 	open    []tracked
+	// offers are the raw sales and trades still awaiting settlement.
+	offers []offer
 
 	epochViolations []invariant.Violation
 }
@@ -369,15 +399,21 @@ func (e *engine) addTeam(live []string) error {
 }
 
 // fairCost values a product order at the operator's real unit costs —
-// the reference price the team shades its premium over.
-func fairCost(product string, qty float64) (float64, error) {
+// the reference price the team shades its premium over — and returns
+// the resources that cover it.
+func fairCost(product string, qty float64) (float64, cluster.Usage, error) {
 	p, err := market.StandardCatalog().Lookup(product)
 	if err != nil {
-		return 0, err
+		return 0, cluster.Usage{}, err
 	}
 	cover := p.Cover(qty)
+	return unitCost(cover), cover, nil
+}
+
+// unitCost values resources at the operator's real unit costs.
+func unitCost(u cluster.Usage) float64 {
 	c := cluster.OperatorUnitCost
-	return cover.CPU*c.CPU + cover.RAM*c.RAM + cover.Disk*c.Disk, nil
+	return u.CPU*c.CPU + u.RAM*c.RAM + u.Disk*c.Disk
 }
 
 func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
@@ -447,20 +483,37 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 	// consumed (disk faults on an in-memory backend) cannot accumulate.
 	e.cfg.Injector.ArmEpoch(epoch, e.b.Regions(), sc.faults(epoch, e.b.Regions()))
 
-	// 4. Demand generation.
+	// 4. Demand generation. The pools are read first: ψ before any of
+	// the epoch's orders is what sellers react to and the figures plot.
+	// Teams in congested homes offer and trade first, and a team with a
+	// sale open does not also bid to grow: it would buy back the quota it
+	// is selling.
+	pools, err := e.b.Pools()
+	if err != nil {
+		return nil, err
+	}
+	if sc.Sell != nil {
+		e.sell(s, epoch, sc.Sell(epoch), pools, down)
+	}
+	selling := make(map[*simTeam]bool)
+	for _, o := range e.offers {
+		selling[o.team] = true
+	}
 	spotRegion := liveRegions[0]
-	var spots []spotBid
+	// spots are the spot region's product orders, replayed through both
+	// clock engines for the equivalence spot check.
+	var spots []Trade
 	intensity := sc.intensity(epoch)
 	hotFocus := sc.hotFocus(epoch)
 	hotCluster := e.b.ClustersOf(e.b.Regions()[0])[0]
 	hotLive := !down[e.b.Regions()[0]]
 	for _, tm := range e.teams {
-		if e.rng.Float64() > 0.7*intensity {
+		if selling[tm] || e.rng.Float64() > 0.7*intensity {
 			continue
 		}
 		product := products[e.rng.Intn(len(products))]
 		qty := 1 + e.rng.Float64()*2
-		fair, err := fairCost(product, qty)
+		fair, cover, err := fairCost(product, qty)
 		if err != nil {
 			return nil, err
 		}
@@ -484,6 +537,11 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 				}
 			}
 			limit = fair * (1 + tm.premium)
+			if sc.Sell != nil && e.rng.Float64() < outlierFraction {
+				// Figure 7's premium payers: a few teams pay heavily to
+				// avoid re-engineering, whatever they have learnt.
+				limit = fair * (1.5 + 6*tm.premium)
+			}
 		}
 		id, err := e.b.SubmitProduct(tm.name, product, qty, clusters, limit)
 		if err != nil {
@@ -496,9 +554,13 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 			continue
 		}
 		s.Submitted++
-		e.open = append(e.open, tracked{id: id, team: tm, limit: limit})
+		order := Trade{Side: Buy, User: tm.name + "/" + product, Home: tm.home, Limit: limit}
+		for _, cn := range clusters {
+			order.Bundles = append(order.Bundles, coverAt(cn, cover))
+		}
+		e.open = append(e.open, tracked{id: id, team: tm, order: order})
 		if e.regionOfAll(clusters) == spotRegion {
-			spots = append(spots, spotBid{clusters: clusters, product: product, qty: qty, limit: limit})
+			spots = append(spots, order)
 		}
 	}
 
@@ -532,8 +594,10 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 		return nil, err
 	}
 
-	// 8. Outcome scan: place won demand, adapt premiums, drop terminal
-	// orders from tracking.
+	// 8. Outcome scan: evict sold quota, place won demand, adapt
+	// premiums, drop terminal orders from tracking. Sales resolve first,
+	// so what they free is there for the purchases placed after them.
+	e.settleOffers(s)
 	kept := e.open[:0]
 	for _, tr := range e.open {
 		st, err := e.b.Status(tr.id)
@@ -546,7 +610,9 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 			continue
 		case market.Won:
 			s.Won++
-			e.b.Place(tr.id)
+			var tasks []market.PlacedTask
+			tasks, tr.order.Got = e.b.Place(tr.id)
+			tr.team.held = append(tr.team.held, tasks...)
 			if sc.Adaptive {
 				tr.team.premium *= 0.55
 				if tr.team.premium < 0.02 {
@@ -564,6 +630,7 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 		case market.Unsettled:
 			s.Unsettled++
 		}
+		s.Orders = append(s.Orders, tr.order)
 	}
 	e.open = kept
 
@@ -574,9 +641,22 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 		}
 	}
 
+	post, err := e.b.Pools()
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range post {
+		pools[i].PostUtil, pools[i].Price = p.Util, p.Price
+	}
+	s.Pools = pools
+	for _, tm := range e.teams {
+		tm.age++
+	}
+
 	// 10. Epoch record digest.
 	var premiums []float64
-	for _, rec := range e.b.EpochRecords() {
+	s.Records = e.b.EpochRecords()
+	for _, rec := range s.Records {
 		s.Auctions++
 		if rec.Converged {
 			s.Converged++
@@ -722,7 +802,7 @@ func (e *engine) injectTraderPair(region string) (injected bool, err error) {
 // both clock engines from the region's current reserve prices and
 // demands bit-identical results — the scenario-level form of the
 // incremental engine's differential guarantee.
-func (e *engine) spotCheck(region string, spots []spotBid) []invariant.Violation {
+func (e *engine) spotCheck(region string, spots []Trade) []invariant.Violation {
 	if len(spots) < 2 {
 		return nil
 	}
@@ -736,32 +816,16 @@ func (e *engine) spotCheck(region string, spots []spotBid) []invariant.Violation
 	}
 	var bids []*core.Bid
 	for _, sp := range spots {
-		p, err := market.StandardCatalog().Lookup(sp.product)
-		if err != nil {
-			continue
-		}
-		cover := p.Cover(sp.qty)
-		var bundles []resource.Vector
-		for _, cn := range sp.clusters {
+		b := &core.Bid{User: "spot", Limit: sp.Limit}
+		for _, bundle := range sp.Bundles {
 			v := reg.Zero()
-			found := false
-			for _, d := range resource.StandardDimensions {
-				if i, ok := reg.Index(resource.Pool{Cluster: cn, Dim: d}); ok {
-					v[i] = cover.Get(d)
-					found = true
-				}
+			for _, q := range bundle {
+				i, _ := reg.Index(q.Pool) // a spot order names the region's clusters only
+				v[i] = q.Qty
 			}
-			if found {
-				bundles = append(bundles, v)
-			}
+			b.Bundles = append(b.Bundles, v)
 		}
-		if len(bundles) == 0 {
-			continue
-		}
-		bids = append(bids, &core.Bid{User: "spot", Bundles: bundles, Limit: sp.limit})
-	}
-	if len(bids) < 2 {
-		return nil
+		bids = append(bids, b)
 	}
 	return invariant.CheckEngineEquivalence(reg, bids, core.Config{
 		Start:     start,

@@ -85,7 +85,7 @@ func TestSameSeedBitIdentical(t *testing.T) {
 // goldenFingerprints are Report.Fingerprint() of every catalog scenario on
 // both backends at seed 97, captured on amd64 at the commit before the
 // clock's merged/partitioned and dense/incremental modes were collapsed
-// into one production path.
+// into one production path (paper-pilot's when it joined the catalog).
 var goldenFingerprints = []struct{ scenario, kind, fingerprint string }{
 	{"adaptive-learning", "exchange", "fb210b63be26baeb6f17dbb3cd2d4cdbe789a24a0e91150481fc223fe5c136ef"},
 	{"adaptive-learning", "federation", "4f50b54df769574b895e7c13be32b5ce4b5795cd1e13af4524936fca326b1d8f"},
@@ -99,6 +99,8 @@ var goldenFingerprints = []struct{ scenario, kind, fingerprint string }{
 	{"diurnal", "federation", "6dac146795d184bd1ac1c932334ddb133a75ca9f3f3549fe35370f2e8fc318c6"},
 	{"flash-crowd", "exchange", "57980c7d5e3bf1f8dc4a6dcfeb2e5e83b0975331a667e7e1c79e7df8b0434c1a"},
 	{"flash-crowd", "federation", "f7d9f78fd0b948c8e799628a014cdb58be09bd5c465546eb8675169ad086579f"},
+	{"paper-pilot", "exchange", "a6a1eda4b6dcbd4482fd518ab9a651ceaee7611fac15c27363ff16cbadd63ec9"},
+	{"paper-pilot", "federation", "802333d98d7735b8f313994d056b77e90cedf5b18f4ed0553064c37cf03ab0a8"},
 	{"partition-storm", "exchange", "deac9cddb1ca011c4c40e227b581338038e2166b9a067646c6e92fb792626c48"},
 	{"partition-storm", "federation", "6dd7651791ca778ffdc32037610be948f98019f1032c0ec5b33385205ef527a2"},
 	{"region-outage", "exchange", "d0d7039cff15ac952fc66c895b6982284d257a2efcd1161f550fe75a5512e79f"},

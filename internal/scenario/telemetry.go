@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"clustermarket/internal/core"
 	"clustermarket/internal/federation"
 	"clustermarket/internal/market"
 	"clustermarket/internal/stats"
@@ -66,8 +67,9 @@ func stormTeam(team string) bool { return team == "storm-a" || team == "storm-b"
 // The reconstruction reads three sources. Scenario markers delimit
 // epochs and carry the engine-side observations (team population, dark
 // regions, rejections, open orders, prices, violations). Market events
-// supply auction records and the injected storm bids, which enter
-// through a market's book and never reach the router. Fed events supply
+// supply auction records, the injected storm bids and the teams' offers
+// and trades, which enter through a market's book and never reach the
+// router. Fed events supply
 // the product-order lifecycle, whose IDs and terminal states live at the
 // router, not in any one market.
 //
@@ -153,11 +155,18 @@ func ReconstructReport(scenarioName, backendKind string, seed int64, events []te
 				if cur == nil {
 					return nil, fmt.Errorf("scenario: order %d submitted outside any epoch", p.OrderID)
 				}
-				// A non-storm submit is a routed leg of an order the router
-				// already counted.
-				if stormTeam(p.Team) {
+				// A team's raw bid is a sale or a quota trade; any other
+				// non-storm submit is a routed leg of a product order the
+				// router already counted.
+				switch {
+				case stormTeam(p.Team):
 					stormIDs[p.OrderID] = true
 					stormBids++
+				case p.Bid == nil:
+				case p.Bid.Class() == core.PureSeller:
+					cur.Offers++
+				case p.Bid.Class() == core.Trader:
+					cur.Trades++
 				}
 			case market.EvOrderCancelled:
 				// The engine cancels exactly one thing: the booked first leg

@@ -42,13 +42,13 @@ func drainRun(t *testing.T, kind string, sc *Scenario, cfg Config) (*Report, []t
 
 // TestFingerprintReconstructibleFromFirehose is the telemetry pipeline's
 // losslessness proof: for every catalog scenario that exercises a
-// distinct event shape — plain settlement, churn, outages, storm
-// injection with rollbacks — the report rebuilt from the firehose
-// stream alone must fingerprint bit-identically to the live run's, on
-// both backends, with no journal attached (telemetry must not depend on
-// the WAL).
+// distinct event shape — plain settlement, churn, team offers and
+// trades, outages, storm injection with rollbacks — the report rebuilt
+// from the firehose stream alone must fingerprint bit-identically to the
+// live run's, on both backends, with no journal attached (telemetry must
+// not depend on the WAL).
 func TestFingerprintReconstructibleFromFirehose(t *testing.T) {
-	for _, name := range []string{"adaptive-learning", "churn", "region-outage", "trader-storm"} {
+	for _, name := range []string{"adaptive-learning", "churn", "paper-pilot", "region-outage", "trader-storm"} {
 		sc, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
