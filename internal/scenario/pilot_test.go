@@ -289,6 +289,48 @@ func used(e *engine, cn string) cluster.Usage {
 	return u
 }
 
+// TestPaperPilotRoundsEndToEnd is two paper-pilot epochs end to end, on
+// both backend kinds: the first submits orders, converges and settles
+// trades with the invariant kernel clean, and the second auctions off
+// the state the first left.
+func TestPaperPilotRoundsEndToEnd(t *testing.T) {
+	for _, kind := range backendKinds {
+		t.Run(kind, func(t *testing.T) {
+			rep := runNamed(t, "paper-pilot", kind, Config{Seed: 42, Epochs: 2})
+			for _, v := range rep.Violations {
+				t.Errorf("invariant violated: %s", v)
+			}
+			if len(rep.Epochs) != 2 {
+				t.Fatalf("%d epochs, want 2", len(rep.Epochs))
+			}
+			first := rep.Epochs[0]
+			if first.Submitted == 0 || first.Converged == 0 || first.Settled == 0 || first.Won == 0 {
+				t.Fatalf("degenerate first epoch: submitted=%d converged=%d settled=%d won=%d",
+					first.Submitted, first.Converged, first.Settled, first.Won)
+			}
+			if len(first.Records) != first.Auctions {
+				t.Errorf("%d records for %d auctions", len(first.Records), first.Auctions)
+			}
+			for _, r := range first.Records {
+				if !r.Converged || r.Prices == nil {
+					t.Errorf("auction %d: converged %v, prices %v", r.Number, r.Converged, r.Prices)
+				}
+			}
+			last := func(s EpochSummary) int {
+				n := 0
+				for _, r := range s.Records {
+					n = max(n, r.Number)
+				}
+				return n
+			}
+			if second := rep.Epochs[1]; second.Epoch != 1 || second.Submitted == 0 || last(second) <= last(first) {
+				t.Errorf("second epoch %d: submitted %d, auction %d after %d",
+					second.Epoch, second.Submitted, last(second), last(first))
+			}
+		})
+	}
+}
+
 // TestSellPathSettlesThroughExchange is the sell path end to end, on
 // both backend kinds: a won offer evicts exactly the tasks it sold and
 // credits the seller what the exchange charged; a lost offer leaves the
