@@ -24,12 +24,16 @@ race: ## Run the full test suite under the race detector
 vet: ## Run go vet
 	$(GO) vet ./...
 
-# Static analysis: go vet, then staticcheck when installed; the CI lint
-# job pins and caches it, while a bare dev container skips it rather
-# than failing. The repo's own contract analyzers (maporder, replaypure,
+# Static analysis: go vet, gofmt (a file it would rewrite fails the
+# target), then staticcheck when installed; the CI lint job pins and
+# caches staticcheck, while a bare dev container skips it rather than
+# failing. The repo's own contract analyzers (maporder, replaypure,
 # allocfree, lockdiscipline — see DESIGN.md, "Static analysis &
 # contracts") are not here: they run as a test in `make test`.
-lint: vet ## go vet (+ staticcheck when installed)
+lint: vet ## go vet, gofmt -l (+ staticcheck when installed)
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt would rewrite:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \

@@ -1,179 +1,10 @@
 package clustermarket_test
 
 import (
-	"time"
-
-	"strings"
 	"testing"
 
 	cm "clustermarket"
 )
-
-// TestFacadeEndToEnd drives the whole public API surface the way the
-// README's quickstart does: build a fleet, open accounts, submit a product
-// order and a raw textual bid, run the auction, inspect settlement.
-func TestFacadeEndToEnd(t *testing.T) {
-	fleet := cm.NewFleet()
-	for _, name := range []string{"r1", "r2"} {
-		c := cm.NewCluster(name, nil)
-		c.AddMachines(8, cm.Usage{CPU: 16, RAM: 64, Disk: 10})
-		if err := fleet.AddCluster(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ex, err := cm.NewExchange(fleet, cm.ExchangeConfig{InitialBudget: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, team := range []string{"search", "ads"} {
-		if err := ex.OpenAccount(team); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Product path.
-	if _, err := ex.SubmitProduct("search", "bigtable-node", 4, []string{"r1", "r2"}, 300); err != nil {
-		t.Fatal(err)
-	}
-
-	// Textual bidding-language path.
-	parsed, err := cm.ParseBid(`bid "ads" limit 250 {
-	  oneof {
-	    all { r1/cpu:20 r1/ram:40 r1/disk:2 }
-	    all { r2/cpu:20 r2/ram:40 r2/disk:2 }
-	  }
-	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bid, err := cm.CompileBid(parsed, ex.Registry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ex.Submit("ads", bid); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, res, err := ex.RunAuction()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Converged || !res.Converged {
-		t.Fatal("auction did not converge")
-	}
-	if rec.Settled == 0 {
-		t.Fatal("nothing settled")
-	}
-	rows, err := ex.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("summary rows = %d", len(rows))
-	}
-}
-
-func TestFacadeAuctionDirect(t *testing.T) {
-	reg := cm.NewStandardRegistry("a", "b")
-	seller := &cm.Bid{User: "op", Limit: -0.01,
-		Bundles: []cm.Vector{{-50, -50, -50, -50, -50, -50}}}
-	buyer := &cm.Bid{User: "buyer", Limit: 500,
-		Bundles: []cm.Vector{{30, 30, 5, 0, 0, 0}, {0, 0, 0, 30, 30, 5}}}
-
-	start := make(cm.Vector, reg.Len())
-	for i := range start {
-		start[i] = 1
-	}
-	a, err := cm.NewAuction(reg, []*cm.Bid{seller, buyer}, cm.AuctionConfig{
-		Start:  start,
-		Policy: cm.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations := cm.CheckSystem([]*cm.Bid{seller, buyer}, res, 1e-9); len(violations) != 0 {
-		t.Fatalf("SYSTEM violations: %v", violations)
-	}
-	if !res.IsWinner(1) {
-		t.Fatal("buyer lost an uncontested market")
-	}
-	if g := cm.Premium(buyer.Limit, res.Payments[1]); g <= 0 {
-		t.Errorf("premium = %v", g)
-	}
-}
-
-func TestFacadeReservePricing(t *testing.T) {
-	pr := cm.NewReservePricer(cm.Hyperbolic)
-	pool := cm.Pool{Cluster: "x", Dim: cm.CPU}
-	if hot, cold := pr.Price(pool, 0.95, 2), pr.Price(pool, 0.05, 2); hot <= cold {
-		t.Errorf("hot %v not above cold %v", hot, cold)
-	}
-}
-
-func TestFacadeParseBids(t *testing.T) {
-	bids, err := cm.ParseBids(`bid "a" limit 1 { r1/cpu:1 }
-bid "b" limit -2 { r1/ram:-3 }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bids) != 2 {
-		t.Fatalf("bids = %d", len(bids))
-	}
-	if !strings.Contains(bids[0].String(), `bid "a"`) {
-		t.Error("String() round trip broken")
-	}
-}
-
-func TestFacadeScenarioEngine(t *testing.T) {
-	if len(cm.Scenarios()) < 5 {
-		t.Fatalf("catalog = %d scenarios", len(cm.Scenarios()))
-	}
-	sc, err := cm.LookupScenario("adaptive-learning")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cm.ScenarioConfig{Seed: 5, Epochs: 3}
-	b, err := cm.NewScenarioBackend("federation", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cm.RunScenario(sc, b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Epochs) != 3 {
-		t.Fatalf("epochs = %d", len(rep.Epochs))
-	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("violations: %v", rep.Violations)
-	}
-	if rep.Fingerprint() == "" {
-		t.Fatal("empty fingerprint")
-	}
-}
-
-func TestFacadeInvariantKernel(t *testing.T) {
-	fleet := cm.NewFleet()
-	c := cm.NewCluster("r1", nil)
-	c.AddMachines(4, cm.Usage{CPU: 32, RAM: 128, Disk: 20})
-	if err := fleet.AddCluster(c); err != nil {
-		t.Fatal(err)
-	}
-	ex, err := cm.NewExchange(fleet, cm.ExchangeConfig{InitialBudget: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.OpenAccount("team"); err != nil {
-		t.Fatal(err)
-	}
-	if vs := cm.CheckMarketInvariants(ex); len(vs) != 0 {
-		t.Fatalf("fresh exchange violates invariants: %v", vs)
-	}
-}
 
 // TestFacadeJournalRecovery drives the durability surface end to end
 // through the facade: journaled exchange, a settled auction, process
@@ -247,55 +78,5 @@ func TestFacadeJournalRecovery(t *testing.T) {
 	}
 	if got != wantBalance {
 		t.Fatalf("recovered balance %v, want %v", got, wantBalance)
-	}
-}
-
-// TestFacadeTelemetry drives the re-exported streaming-telemetry
-// surface: firehose pub/sub on a live exchange, stream reconstruction
-// of a scenario run, health probing, and the Prometheus exposition
-// builder.
-func TestFacadeTelemetry(t *testing.T) {
-	fire := cm.NewFirehose()
-	sub := fire.Subscribe(1 << 12)
-
-	sc, err := cm.LookupScenario("churn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cm.ScenarioConfig{Seed: 11, Epochs: 3, Telemetry: fire}
-	b, err := cm.NewScenarioBackend("exchange", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := cm.RunScenario(sc, b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub.Close()
-	var events []cm.TelemetryEvent
-	for ev := range sub.C {
-		events = append(events, ev)
-	}
-	if sub.Dropped() != 0 {
-		t.Fatalf("dropped %d events", sub.Dropped())
-	}
-	rec, err := cm.ReconstructScenarioReport("churn", "exchange", 11, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Fingerprint() != rep.Fingerprint() {
-		t.Fatalf("stream reconstruction fingerprint %s, run %s", rec.Fingerprint(), rep.Fingerprint())
-	}
-
-	h := cm.NewHealth(time.Now())
-	h.RecordCheck(time.Now(), nil)
-	if snap := h.Snapshot(time.Now()); !snap.Healthy || snap.ChecksTotal != 1 {
-		t.Fatalf("health snapshot = %+v", snap)
-	}
-
-	var e cm.Exposition
-	e.Counter("facade_events_total", "Events seen by the facade test.", float64(len(events)))
-	if out := e.String(); !strings.Contains(out, "facade_events_total") {
-		t.Fatalf("exposition = %q", out)
 	}
 }

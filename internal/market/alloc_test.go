@@ -22,7 +22,8 @@ const submitAllocBudget = 4
 // under SubmitProduct, which is what an R-length vector costs — aside
 // from what is not per order: the stripe slices' amortized doubling in
 // bookOrderLocked and the account's product users in userLocked. Sizes come
-// from the runtime's memory profile with every allocation sampled.
+// from the runtime's memory profile with every allocation sampled, less
+// what it held before the runs.
 func TestSubmitAllocBudget(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
@@ -46,6 +47,7 @@ func TestSubmitAllocBudget(t *testing.T) {
 		}
 		r := ex.Registry().Len()
 		xor := []string{"w0c", "w5c", "w9c"} // nine non-zero components
+		before := profileBySite(t)
 		allocs := testing.AllocsPerRun(runs, func() {
 			if _, err := ex.SubmitProduct("team", "batch-compute", 2, xor, 40); err != nil {
 				t.Fatal(err)
@@ -57,6 +59,10 @@ func TestSubmitAllocBudget(t *testing.T) {
 
 		var seen int64
 		for _, rec := range memProfile(t) {
+			// The profile is the process's: count these runs' share.
+			was := before[siteOf(rec)]
+			rec.AllocObjects -= was.AllocObjects
+			rec.AllocBytes -= was.AllocBytes
 			if rec.AllocObjects == 0 || !underSubmitProduct(rec.Stack()) {
 				continue
 			}

@@ -41,20 +41,6 @@ func Named(name string) (WeightFn, error) {
 	return nil, fmt.Errorf("reserve: unknown weighting function %q", name)
 }
 
-// Power returns a polynomial weighting curve φ(x) = lo + (hi−lo)·xᵏ,
-// useful for exploring alternatives to the paper's three curves.
-func Power(lo, hi, k float64) WeightFn {
-	return func(x float64) float64 {
-		if x < 0 {
-			x = 0
-		}
-		if x > 1 {
-			x = 1
-		}
-		return lo + (hi-lo)*math.Pow(x, k)
-	}
-}
-
 // Properties reports how a weighting function fares against the five
 // criteria of Section IV.A, evaluated on a dense grid.
 type Properties struct {

@@ -116,19 +116,6 @@ func TestNamed(t *testing.T) {
 	}
 }
 
-func TestPowerCurveClamps(t *testing.T) {
-	fn := Power(0.5, 2.5, 2)
-	if got := fn(-1); got != 0.5 {
-		t.Errorf("fn(-1) = %v", got)
-	}
-	if got := fn(2); got != 2.5 {
-		t.Errorf("fn(2) = %v", got)
-	}
-	if got := fn(0.5); math.Abs(got-1.0) > 1e-12 {
-		t.Errorf("fn(0.5) = %v", got)
-	}
-}
-
 func TestPricerPrice(t *testing.T) {
 	pr := NewPricer(ExpSteep)
 	pool := resource.Pool{Cluster: "r1", Dim: resource.CPU}

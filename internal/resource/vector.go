@@ -10,9 +10,6 @@ import (
 // quantities offered, matching the bundle encoding of Section II.
 type Vector []float64
 
-// NewVector returns a zero vector of length r.
-func NewVector(r int) Vector { return make(Vector, r) }
-
 // Clone returns an independent copy of v.
 func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))

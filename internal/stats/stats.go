@@ -1,8 +1,6 @@
 // Package stats provides the small statistical toolkit the experiments
-// need: quantiles, five-number/boxplot summaries (Figure 7), dispersion
-// metrics for the shortage/surplus comparison, histograms, and an ordinary
-// least-squares linear fit used to verify the paper's claim that clock
-// auction runtime scales linearly in the number of users and resources.
+// need: quantiles, boxplot summaries (Figure 7), dispersion metrics for
+// the shortage/surplus comparison, histograms, and percentile ranks.
 package stats
 
 import (
@@ -91,37 +89,6 @@ func MinMax(xs []float64) (lo, hi float64, err error) {
 	return lo, hi, nil
 }
 
-// Summary bundles the descriptive statistics printed by the experiment
-// harness for each data series.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Q1     float64
-	Median float64
-	Q3     float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	lo, hi, _ := MinMax(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    lo,
-		Q1:     Quantile(xs, 0.25),
-		Median: Median(xs),
-		Q3:     Quantile(xs, 0.75),
-		Max:    hi,
-	}, nil
-}
-
 // Boxplot holds the Tukey boxplot statistics used to render Figure 7:
 // quartiles, whiskers at the most extreme data points within 1.5·IQR of
 // the box, and the outliers beyond them.
@@ -168,41 +135,6 @@ func NewBoxplot(xs []float64) (Boxplot, error) {
 
 // IQR returns the interquartile range of the boxplot.
 func (b Boxplot) IQR() float64 { return b.Q3 - b.Q1 }
-
-// LinearFit is an ordinary least-squares fit y ≈ Slope·x + Intercept with
-// the coefficient of determination R².
-type LinearFit struct {
-	Slope, Intercept, R2 float64
-}
-
-// FitLinear computes the least-squares line through (xs[i], ys[i]).
-func FitLinear(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, errors.New("stats: x/y length mismatch")
-	}
-	if len(xs) < 2 {
-		return LinearFit{}, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, errors.New("stats: degenerate x values")
-	}
-	f := LinearFit{Slope: sxy / sxx}
-	f.Intercept = my - f.Slope*mx
-	if syy == 0 {
-		f.R2 = 1
-	} else {
-		f.R2 = (sxy * sxy) / (sxx * syy)
-	}
-	return f, nil
-}
 
 // Histogram counts xs into n equal-width bins between lo and hi. Values
 // outside [lo, hi] are clamped into the first/last bin.
@@ -252,32 +184,6 @@ func CoefficientOfVariation(xs []float64) float64 {
 		return 0
 	}
 	return StdDev(xs) / m
-}
-
-// Gini returns the Gini coefficient of the non-negative values xs, a
-// standard inequality measure: 0 is perfectly even, values near 1 are
-// maximally concentrated. Negative inputs are clamped to 0.
-func Gini(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	for i, x := range xs {
-		if x > 0 {
-			s[i] = x
-		}
-	}
-	sort.Float64s(s)
-	var cum, total float64
-	for i, x := range s {
-		cum += float64(i+1) * x
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	n := float64(len(s))
-	return (2*cum)/(n*total) - (n+1)/n
 }
 
 // PercentileRank returns the fraction (0–100) of values in population that

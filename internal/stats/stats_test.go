@@ -77,19 +77,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("Summary = %+v", s)
-	}
-	if _, err := Summarize(nil); err != ErrEmpty {
-		t.Errorf("Summarize(nil) err = %v", err)
-	}
-}
-
 func TestBoxplotBasic(t *testing.T) {
 	// 1..9 plus an extreme outlier.
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 100}
@@ -127,50 +114,6 @@ func TestBoxplotDegenerate(t *testing.T) {
 	}
 }
 
-func TestFitLinearExact(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{3, 5, 7, 9} // y = 2x + 1
-	f, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(f.Slope, 2, 1e-12) || !almost(f.Intercept, 1, 1e-12) || !almost(f.R2, 1, 1e-12) {
-		t.Errorf("fit = %+v", f)
-	}
-}
-
-func TestFitLinearNoise(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	var xs, ys []float64
-	for i := 0; i < 200; i++ {
-		x := float64(i)
-		xs = append(xs, x)
-		ys = append(ys, 0.5*x+10+r.NormFloat64())
-	}
-	f, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(f.Slope, 0.5, 0.02) {
-		t.Errorf("Slope = %v", f.Slope)
-	}
-	if f.R2 < 0.99 {
-		t.Errorf("R2 = %v", f.R2)
-	}
-}
-
-func TestFitLinearErrors(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point accepted")
-	}
-	if _, err := FitLinear([]float64{2, 2}, []float64{1, 5}); err == nil {
-		t.Error("degenerate x accepted")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h, err := NewHistogram([]float64{0.1, 0.2, 0.9, -5, 99}, 4, 0, 1)
 	if err != nil {
@@ -202,19 +145,6 @@ func TestCoefficientOfVariation(t *testing.T) {
 	}
 	if got := CoefficientOfVariation([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almost(got, 0.4, 1e-12) {
 		t.Errorf("CV = %v", got)
-	}
-}
-
-func TestGini(t *testing.T) {
-	if got := Gini([]float64{1, 1, 1, 1}); !almost(got, 0, 1e-12) {
-		t.Errorf("Gini(even) = %v", got)
-	}
-	// One holder has everything among n=4: Gini = (n-1)/n = 0.75.
-	if got := Gini([]float64{0, 0, 0, 10}); !almost(got, 0.75, 1e-12) {
-		t.Errorf("Gini(concentrated) = %v", got)
-	}
-	if Gini(nil) != 0 || Gini([]float64{0, 0}) != 0 {
-		t.Error("Gini degenerate cases")
 	}
 }
 
@@ -286,22 +216,6 @@ func TestQuickBoxplotOrdering(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickGiniRange(t *testing.T) {
-	prop := func(seed int64, n uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := int(n%40) + 1
-		xs := make([]float64, m)
-		for i := range xs {
-			xs[i] = r.Float64() * 100
-		}
-		g := Gini(xs)
-		return g >= -1e-9 && g <= 1
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

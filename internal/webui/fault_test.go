@@ -63,10 +63,10 @@ func degrade(t *testing.T, ex *market.Exchange, inj *fault.Injector) {
 }
 
 type healthzBody struct {
-	Healthy         bool                        `json:"healthy"`
-	Degraded        *market.DegradedStatus      `json:"degraded"`
-	DegradedRegions []string                    `json:"degraded_regions"`
-	Breakers        []federation.BreakerStatus  `json:"breakers"`
+	Healthy         bool                       `json:"healthy"`
+	Degraded        *market.DegradedStatus     `json:"degraded"`
+	DegradedRegions []string                   `json:"degraded_regions"`
+	Breakers        []federation.BreakerStatus `json:"breakers"`
 }
 
 func getHealthz(t *testing.T, ts *httptest.Server) (int, healthzBody) {
