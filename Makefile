@@ -21,8 +21,11 @@ test: ## Run the full test suite
 race: ## Run the full test suite under the race detector
 	$(GO) test -race ./...
 
-vet: ## Run go vet
+# benchmark/ is its own module: vetting it here makes `make all` fail on
+# a core API change that stops the end-to-end suite from compiling.
+vet: ## Run go vet (the module and benchmark/)
 	$(GO) vet ./...
+	$(GO) vet -C benchmark .
 
 # Static analysis: go vet, gofmt (a file it would rewrite fails the
 # target), then staticcheck when installed; the CI lint job pins and
@@ -54,8 +57,8 @@ bench: ## One pass over the layer benchmarks (a smoke check, not a gate)
 # The end-to-end suite in benchmark/ (its own module; see
 # benchmark/README.md): five workloads, ~1 min, results as JSON for
 # `go run -C benchmark . -compare`. The path is relative to benchmark/.
-# CI runs the suite's 1/50-size smoke (`go test -C benchmark .`) instead,
-# so a core API change that stops it compiling fails there.
+# CI runs the suite's 1/50-size smoke (`go test -C benchmark .`) instead;
+# `make vet` already fails on a core API change that stops it compiling.
 BENCH_SUITE_OUT ?= out/suite.json
 bench-suite: ## Run the five-workload end-to-end benchmark, JSON to benchmark/$(BENCH_SUITE_OUT)
 	mkdir -p benchmark/out

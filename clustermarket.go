@@ -91,16 +91,13 @@ type (
 	Cluster = cluster.Cluster
 	// Usage is a quantity across CPU/RAM/Disk.
 	Usage = cluster.Usage
-	// Scheduler places tasks on machines.
-	Scheduler = cluster.Scheduler
 )
 
 // NewFleet returns an empty fleet.
 func NewFleet() *Fleet { return cluster.NewFleet() }
 
-// NewCluster returns an empty cluster with the given scheduler (nil
-// selects first-fit).
-func NewCluster(name string, s Scheduler) *Cluster { return cluster.New(name, s) }
+// NewCluster returns an empty cluster that places tasks first-fit.
+func NewCluster(name string) *Cluster { return cluster.New(name, nil) }
 
 // Trading platform (Section V).
 type (

@@ -14,7 +14,7 @@ func TestFacadeJournalRecovery(t *testing.T) {
 	buildFleet := func() *cm.Fleet {
 		fleet := cm.NewFleet()
 		for _, name := range []string{"r1", "r2"} {
-			c := cm.NewCluster(name, nil)
+			c := cm.NewCluster(name)
 			c.AddMachines(8, cm.Usage{CPU: 16, RAM: 64, Disk: 10})
 			if err := fleet.AddCluster(c); err != nil {
 				t.Fatal(err)

@@ -15,18 +15,12 @@
 // /region/<name>/. The first region runs hot so cross-region bids
 // visibly route toward the cheaper regions.
 //
-// -shards sets the number of stripes each exchange's order and account
-// books are split into (0 selects the library default): order entry in
-// different stripes never shares a lock, so the web tier's submit path
-// scales with CPUs.
-//
 // With -journal-dir set, every settlement-relevant state change is
-// journaled to a durable WAL before it takes effect (-fsync-every sets
-// the group-commit window). Restarting marketd against the same
-// directory — with the same world flags (-clusters, -machines, -seed,
-// -budget, -regions) — recovers the books exactly where the previous
-// process left them, verifying the shared invariant kernel before
-// serving. A directory already held by a live process is refused at
+// journaled to a durable WAL, and fsynced, before it takes effect.
+// Restarting marketd against the same directory — with the same world
+// flags (-clusters, -machines, -seed, -budget, -regions) — recovers the
+// books exactly where the previous process left them, verifying the
+// shared invariant kernel before serving. A directory already held by a live process is refused at
 // startup (the journal's lockfile), so two marketds cannot interleave
 // writes to one WAL. So is a directory written in the other mode: a
 // single exchange's root wal under -regions ≥ 2, or a federation's fed/
@@ -84,19 +78,15 @@ func main() {
 		"auction epoch: settle accumulated orders every interval (0 disables the loop)")
 	regions := flag.Int("regions", 0,
 		"number of federated regions (0 = single exchange, ≥2 = federated market)")
-	shards := flag.Int("shards", 0,
-		"order/account book stripes per exchange (0 selects the default); submits in different stripes never share a lock")
 	journalDir := flag.String("journal-dir", "",
 		"durable journal directory: state changes hit the WAL before taking effect, and a restart recovers the books (world flags must match the previous run)")
-	fsyncEvery := flag.Int("fsync-every", 1,
-		"journal group-commit window: fsync the WAL after every N appended records")
 	lockWait := flag.Duration("lock-wait", 0,
 		"how long to retry opening a journal directory locked by another live process (0 fails immediately); covers the restart race where the previous marketd is still draining")
 	pprofAddr := flag.String("pprof", "",
 		"serve net/http/pprof on this loopback address, e.g. 127.0.0.1:6060 (empty disables it)")
 	flag.Parse()
 
-	err := validateFlags(*clusters, *machines, *regions, *shards, *fsyncEvery, *budget, *epoch, *lockWait)
+	err := validateFlags(*clusters, *machines, *regions, *budget, *epoch, *lockWait)
 	if err == nil && *pprofAddr != "" {
 		err = checkLoopback(*pprofAddr)
 	}
@@ -133,7 +123,7 @@ func main() {
 	// HTTP server has drained — the durability half of graceful shutdown.
 	closeJournal := func() error { return nil }
 	if *regions > 0 {
-		fed, closer, err := buildFederatedDemo(*regions, *clusters, *machines, *seed, *budget, *shards, *journalDir, *fsyncEvery, *lockWait, fire)
+		fed, closer, err := buildFederatedDemo(*regions, *clusters, *machines, *seed, *budget, *journalDir, *lockWait, fire)
 		if err != nil {
 			log.Fatal("marketd: ", err)
 		}
@@ -157,7 +147,7 @@ func main() {
 		handler = s
 		log.Printf("marketd: serving federated market (%d regions) on %s", *regions, *addr)
 	} else {
-		ex, closer, err := buildDemo(*clusters, *machines, *seed, *budget, *shards, *journalDir, *fsyncEvery, *lockWait, fire)
+		ex, closer, err := buildDemo(*clusters, *machines, *seed, *budget, *journalDir, *lockWait, fire)
 		if err != nil {
 			log.Fatal("marketd: ", err)
 		}
@@ -305,7 +295,7 @@ func healthLoop(ctx context.Context, health *telemetry.Health, every time.Durati
 
 // validateFlags rejects demo-world parameters that would panic or build
 // a silently broken market.
-func validateFlags(clusters, machines, regions, shards, fsyncEvery int, budget float64, epoch, lockWait time.Duration) error {
+func validateFlags(clusters, machines, regions int, budget float64, epoch, lockWait time.Duration) error {
 	if clusters < 1 {
 		return fmt.Errorf("-clusters must be at least 1, got %d", clusters)
 	}
@@ -323,12 +313,6 @@ func validateFlags(clusters, machines, regions, shards, fsyncEvery int, budget f
 	}
 	if regions == 1 {
 		return errors.New("-regions needs at least 2 regions to federate (use 0 for a single exchange)")
-	}
-	if shards < 0 {
-		return fmt.Errorf("-shards must not be negative, got %d", shards)
-	}
-	if fsyncEvery < 1 {
-		return fmt.Errorf("-fsync-every must be at least 1, got %d", fsyncEvery)
 	}
 	if lockWait < 0 {
 		return fmt.Errorf("-lock-wait must not be negative, got %s", lockWait)
@@ -441,13 +425,13 @@ func noClose() error { return nil }
 // is rebuilt deterministically from the seed, not journaled). Recovery
 // runs the shared invariant kernel before serving. The returned closer
 // flushes and unlocks the journal on shutdown.
-func buildDemo(clusters, machines int, seed int64, budget float64, shards int, journalDir string, fsyncEvery int, lockWait time.Duration, fire *telemetry.Firehose) (*market.Exchange, func() error, error) {
+func buildDemo(clusters, machines int, seed int64, budget float64, journalDir string, lockWait time.Duration, fire *telemetry.Firehose) (*market.Exchange, func() error, error) {
 	rng := rand.New(rand.NewSource(seed))
 	fleet, err := buildRegionFleet(rng, "", clusters, machines, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := market.Config{InitialBudget: budget, Shards: shards, Telemetry: fire}
+	cfg := market.Config{InitialBudget: budget, Telemetry: fire}
 	if journalDir == "" {
 		ex, err := market.NewExchange(fleet, cfg)
 		if err != nil {
@@ -462,7 +446,7 @@ func buildDemo(clusters, machines int, seed int64, budget float64, shards int, j
 	// fails rather than interleaving two processes' writes in one WAL.
 	// -lock-wait bounds a retry loop over exactly that refusal, for the
 	// restart race where the old process is still draining.
-	j, rec, err := openJournal(journalDir, journal.Options{FsyncEvery: fsyncEvery}, lockWait)
+	j, rec, err := openJournal(journalDir, journal.Options{}, lockWait)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -473,7 +457,7 @@ func buildDemo(clusters, machines int, seed int64, budget float64, shards int, j
 			j.Close()
 			return nil, nil, err
 		}
-		log.Printf("marketd: journaling to %s (fsync every %d records)", journalDir, fsyncEvery)
+		log.Printf("marketd: journaling to %s", journalDir)
 		if err := openDemoAccounts(ex.OpenAccount); err != nil {
 			j.Close()
 			return nil, nil, err
@@ -541,7 +525,7 @@ func checkJournalMode(dir string, federated bool) error {
 // journalDir/fed; a directory holding a previous run recovers every
 // member to the same cut — all-or-nothing, since a half-recovered
 // federation would desynchronize routing state from the regional books.
-func buildFederatedDemo(regions, clusters, machines int, seed int64, budget float64, shards int, journalDir string, fsyncEvery int, lockWait time.Duration, fire *telemetry.Firehose) (*federation.Federation, func() error, error) {
+func buildFederatedDemo(regions, clusters, machines int, seed int64, budget float64, journalDir string, lockWait time.Duration, fire *telemetry.Firehose) (*federation.Federation, func() error, error) {
 	rng := rand.New(rand.NewSource(seed))
 	rs := make([]*federation.Region, 0, regions)
 	var journals []*journal.Journal
@@ -567,11 +551,11 @@ func buildFederatedDemo(regions, clusters, machines int, seed int64, budget floa
 			closeAll()
 			return nil, nil, err
 		}
-		cfg := market.Config{InitialBudget: budget, Shards: shards, Telemetry: fire}
+		cfg := market.Config{InitialBudget: budget, Telemetry: fire}
 		var rec *journal.Recovery
 		if journalDir != "" {
 			var j *journal.Journal
-			j, rec, err = openJournal(filepath.Join(journalDir, name), journal.Options{FsyncEvery: fsyncEvery}, lockWait)
+			j, rec, err = openJournal(filepath.Join(journalDir, name), journal.Options{}, lockWait)
 			if err != nil {
 				closeAll()
 				return nil, nil, err
@@ -599,7 +583,7 @@ func buildFederatedDemo(regions, clusters, machines int, seed int64, budget floa
 	}
 	fed.AttachTelemetry(fire)
 	if journalDir != "" {
-		fj, frec, err := openJournal(filepath.Join(journalDir, fedJournalDir), journal.Options{FsyncEvery: fsyncEvery}, lockWait)
+		fj, frec, err := openJournal(filepath.Join(journalDir, fedJournalDir), journal.Options{}, lockWait)
 		if err != nil {
 			closeAll()
 			return nil, nil, err

@@ -20,7 +20,7 @@ import (
 )
 
 func TestBuildDemo(t *testing.T) {
-	ex, _, err := buildDemo(4, 6, 42, 5000, 0, "", 1, 0, nil)
+	ex, _, err := buildDemo(4, 6, 42, 5000, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,49 +69,46 @@ func TestBuildDemo(t *testing.T) {
 
 func TestBuildDemoBadInputs(t *testing.T) {
 	// Zero clusters yields an exchange error (no pools).
-	if _, _, err := buildDemo(0, 4, 1, 100, 0, "", 1, 0, nil); err == nil {
+	if _, _, err := buildDemo(0, 4, 1, 100, "", 0, nil); err == nil {
 		t.Error("zero clusters accepted")
 	}
 }
 
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(8, 20, 0, 0, 1, 10000, 30*time.Second, 0); err != nil {
+	if err := validateFlags(8, 20, 0, 10000, 30*time.Second, 0); err != nil {
 		t.Errorf("default flags rejected: %v", err)
 	}
-	if err := validateFlags(4, 10, 3, 4, 64, 5000, 0, 2*time.Second); err != nil {
+	if err := validateFlags(4, 10, 3, 5000, 0, 2*time.Second); err != nil {
 		t.Errorf("federated flags rejected: %v", err)
 	}
 	bad := []struct {
-		name                                            string
-		clusters, machines, regions, shards, fsyncEvery int
-		budget                                          float64
-		epoch                                           time.Duration
-		lockWait                                        time.Duration
+		name                        string
+		clusters, machines, regions int
+		budget                      float64
+		epoch                       time.Duration
+		lockWait                    time.Duration
 	}{
-		{"zero clusters", 0, 20, 0, 0, 1, 10000, time.Second, 0},
-		{"negative clusters", -3, 20, 0, 0, 1, 10000, time.Second, 0},
-		{"zero machines", 8, 0, 0, 0, 1, 10000, time.Second, 0},
-		{"zero budget", 8, 20, 0, 0, 1, 0, time.Second, 0},
-		{"negative budget", 8, 20, 0, 0, 1, -5, time.Second, 0},
-		{"NaN budget", 8, 20, 0, 0, 1, math.NaN(), time.Second, 0},
-		{"+Inf budget", 8, 20, 0, 0, 1, math.Inf(1), time.Second, 0},
-		{"negative epoch", 8, 20, 0, 0, 1, 10000, -time.Second, 0},
-		{"negative regions", 8, 20, -1, 0, 1, 10000, time.Second, 0},
-		{"one region", 8, 20, 1, 0, 1, 10000, time.Second, 0},
-		{"negative shards", 8, 20, 0, -2, 1, 10000, time.Second, 0},
-		{"negative lock-wait", 8, 20, 0, 0, 1, 10000, time.Second, -time.Second},
-		{"zero fsync-every", 8, 20, 0, 0, 0, 10000, time.Second, 0},
-		{"negative fsync-every", 8, 20, 0, 0, -4, 10000, time.Second, 0},
+		{"zero clusters", 0, 20, 0, 10000, time.Second, 0},
+		{"negative clusters", -3, 20, 0, 10000, time.Second, 0},
+		{"zero machines", 8, 0, 0, 10000, time.Second, 0},
+		{"zero budget", 8, 20, 0, 0, time.Second, 0},
+		{"negative budget", 8, 20, 0, -5, time.Second, 0},
+		{"NaN budget", 8, 20, 0, math.NaN(), time.Second, 0},
+		{"+Inf budget", 8, 20, 0, math.Inf(1), time.Second, 0},
+		{"negative epoch", 8, 20, 0, 10000, -time.Second, 0},
+		{"negative regions", 8, 20, -1, 10000, time.Second, 0},
+		{"one region", 8, 20, 1, 10000, time.Second, 0},
+		{"negative lock-wait", 8, 20, 0, 10000, time.Second, -time.Second},
 	}
 	for _, tc := range bad {
-		if err := validateFlags(tc.clusters, tc.machines, tc.regions, tc.shards, tc.fsyncEvery, tc.budget, tc.epoch, tc.lockWait); err == nil {
+		if err := validateFlags(tc.clusters, tc.machines, tc.regions, tc.budget, tc.epoch, tc.lockWait); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
 }
 
 func TestBuildFederatedDemo(t *testing.T) {
-	fed, _, err := buildFederatedDemo(3, 2, 6, 42, 5000, 2, "", 1, 0, nil)
+	fed, _, err := buildFederatedDemo(3, 2, 6, 42, 5000, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +154,7 @@ func TestBuildFederatedDemo(t *testing.T) {
 // accepts traffic, then drains cleanly once the context is cancelled —
 // the SIGINT/SIGTERM flow without the signal.
 func TestServeGracefulShutdown(t *testing.T) {
-	ex, _, err := buildDemo(2, 4, 7, 1000, 0, "", 1, 0, nil)
+	ex, _, err := buildDemo(2, 4, 7, 1000, "", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +195,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 func TestJournaledDemoRecovers(t *testing.T) {
 	dir := t.TempDir()
-	ex, closer, err := buildDemo(3, 6, 11, 8000, 0, dir, 1, 0, nil)
+	ex, closer, err := buildDemo(3, 6, 11, 8000, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +215,7 @@ func TestJournaledDemoRecovers(t *testing.T) {
 	}
 
 	// While the first process holds the directory, a second must refuse.
-	if _, _, err := buildDemo(3, 6, 11, 8000, 0, dir, 1, 0, nil); err == nil {
+	if _, _, err := buildDemo(3, 6, 11, 8000, dir, 0, nil); err == nil {
 		t.Fatal("second marketd opened a locked journal dir")
 	}
 
@@ -226,7 +223,7 @@ func TestJournaledDemoRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ex2, closer2, err := buildDemo(3, 6, 11, 8000, 0, dir, 1, 0, nil)
+	ex2, closer2, err := buildDemo(3, 6, 11, 8000, dir, 0, nil)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -250,7 +247,7 @@ func TestJournaledDemoRecovers(t *testing.T) {
 // demo: every region and the router recover to the same cut.
 func TestJournaledFederatedDemoRecovers(t *testing.T) {
 	dir := t.TempDir()
-	fed, closer, err := buildFederatedDemo(2, 2, 6, 11, 8000, 0, dir, 1, 0, nil)
+	fed, closer, err := buildFederatedDemo(2, 2, 6, 11, 8000, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +261,7 @@ func TestJournaledFederatedDemoRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fed2, closer2, err := buildFederatedDemo(2, 2, 6, 11, 8000, 0, dir, 1, 0, nil)
+	fed2, closer2, err := buildFederatedDemo(2, 2, 6, 11, 8000, dir, 0, nil)
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -283,7 +280,7 @@ func TestJournaledFederatedDemoRecovers(t *testing.T) {
 // with and creates nothing, and a matching restart still recovers.
 func TestFederatedRefusesSingleJournal(t *testing.T) {
 	dir := t.TempDir()
-	ex, closer, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	ex, closer, err := buildDemo(2, 4, 7, 1000, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +291,7 @@ func TestFederatedRefusesSingleJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = buildFederatedDemo(2, 2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	_, _, err = buildFederatedDemo(2, 2, 4, 7, 1000, dir, 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "-regions 0") {
 		t.Fatalf("federated open of a single-exchange journal = %v, want a refusal naming -regions 0", err)
 	}
@@ -304,7 +301,7 @@ func TestFederatedRefusesSingleJournal(t *testing.T) {
 		}
 	}
 
-	ex2, closer2, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	ex2, closer2, err := buildDemo(2, 4, 7, 1000, dir, 0, nil)
 	if err != nil {
 		t.Fatalf("matching restart: %v", err)
 	}
@@ -319,7 +316,7 @@ func TestFederatedRefusesSingleJournal(t *testing.T) {
 // restart, and a matching federated restart still recovers.
 func TestSingleRefusesFederatedJournal(t *testing.T) {
 	dir := t.TempDir()
-	fed, closer, err := buildFederatedDemo(2, 2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	fed, closer, err := buildFederatedDemo(2, 2, 4, 7, 1000, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +327,7 @@ func TestSingleRefusesFederatedJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	_, _, err = buildDemo(2, 4, 7, 1000, dir, 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "federated") {
 		t.Fatalf("single-exchange open of a federated journal = %v, want a refusal naming the federated mode", err)
 	}
@@ -338,7 +335,7 @@ func TestSingleRefusesFederatedJournal(t *testing.T) {
 		t.Error("refused start created a root wal")
 	}
 
-	fed2, closer2, err := buildFederatedDemo(2, 2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	fed2, closer2, err := buildFederatedDemo(2, 2, 4, 7, 1000, dir, 0, nil)
 	if err != nil {
 		t.Fatalf("matching restart: %v", err)
 	}
@@ -354,7 +351,7 @@ func TestSingleRefusesFederatedJournal(t *testing.T) {
 // /api/events — the same wiring main() performs.
 func TestDemoOpsEndpoints(t *testing.T) {
 	fire := telemetry.NewFirehose()
-	ex, _, err := buildDemo(2, 4, 7, 5000, 0, "", 1, 0, fire)
+	ex, _, err := buildDemo(2, 4, 7, 5000, "", 0, fire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,13 +410,13 @@ func TestDemoOpsEndpoints(t *testing.T) {
 // the holder releases it.
 func TestLockWaitRetries(t *testing.T) {
 	dir := t.TempDir()
-	_, closer, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil)
+	_, closer, err := buildDemo(2, 4, 7, 1000, dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Without a wait budget the held lock is a hard startup failure.
-	if _, _, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 0, nil); !errors.Is(err, journal.ErrLocked) {
+	if _, _, err := buildDemo(2, 4, 7, 1000, dir, 0, nil); !errors.Is(err, journal.ErrLocked) {
 		t.Fatalf("locked open without wait = %v, want ErrLocked", err)
 	}
 
@@ -429,7 +426,7 @@ func TestLockWaitRetries(t *testing.T) {
 		time.Sleep(150 * time.Millisecond)
 		closer()
 	}()
-	ex2, closer2, err := buildDemo(2, 4, 7, 1000, 0, dir, 1, 5*time.Second, nil)
+	ex2, closer2, err := buildDemo(2, 4, 7, 1000, dir, 5*time.Second, nil)
 	if err != nil {
 		t.Fatalf("open with lock-wait: %v", err)
 	}

@@ -14,7 +14,7 @@ func Example() {
 	// 1. Build the physical substrate: two clusters of identical machines.
 	fleet := cm.NewFleet()
 	for _, name := range []string{"r1", "r2"} {
-		c := cm.NewCluster(name, nil)
+		c := cm.NewCluster(name)
 		c.AddMachines(8, cm.Usage{CPU: 16, RAM: 64, Disk: 10})
 		if err := fleet.AddCluster(c); err != nil {
 			log.Fatal(err)
@@ -108,7 +108,7 @@ func Example_migration() {
 		{"hot", cm.Usage{CPU: 0.85, RAM: 0.85, Disk: 0.8}},
 		{"cold", cm.Usage{CPU: 0.15, RAM: 0.15, Disk: 0.1}},
 	} {
-		c := cm.NewCluster(spec.name, nil)
+		c := cm.NewCluster(spec.name)
 		c.AddMachines(20, cm.Usage{CPU: 32, RAM: 128, Disk: 20})
 		if err := fleet.AddCluster(c); err != nil {
 			log.Fatal(err)
@@ -208,7 +208,7 @@ func Example_arbitrage() {
 		{"pricey", cm.Usage{CPU: 0.88, RAM: 0.85, Disk: 0.85}},
 		{"cheap", cm.Usage{CPU: 0.2, RAM: 0.2, Disk: 0.15}},
 	} {
-		c := cm.NewCluster(spec.name, nil)
+		c := cm.NewCluster(spec.name)
 		c.AddMachines(25, cm.Usage{CPU: 32, RAM: 128, Disk: 20})
 		if err := fleet.AddCluster(c); err != nil {
 			log.Fatal(err)

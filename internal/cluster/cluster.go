@@ -140,25 +140,6 @@ func (m *Machine) Tasks() []Task {
 	return out
 }
 
-// MaxDimUtilization returns the machine's most-utilized dimension as a
-// fraction of capacity, used by the stranding metric.
-func (m *Machine) MaxDimUtilization() float64 {
-	frac := func(used, capacity float64) float64 {
-		if capacity <= 0 {
-			return 0
-		}
-		return used / capacity
-	}
-	best := frac(m.used.CPU, m.Cap.CPU)
-	if f := frac(m.used.RAM, m.Cap.RAM); f > best {
-		best = f
-	}
-	if f := frac(m.used.Disk, m.Cap.Disk); f > best {
-		best = f
-	}
-	return best
-}
-
 // OperatorUnitCost is the operator's real unit cost c(r) in the scenario
 // engine's world: the "former fixed prices" that predate the market, the
 // denominators of Figure 6, and the fair value bidders shade their limits
@@ -331,33 +312,6 @@ func (c *Cluster) Utilization() Usage {
 	}
 }
 
-// Stranding returns, per dimension, the fraction of the cluster's *free*
-// capacity that sits on machines whose most-utilized dimension is ≥ 95%:
-// capacity that exists on paper but cannot host a balanced task because
-// another dimension is exhausted. Improving this number is the paper's
-// "improves the overall bin-packing of system clusters" motivation.
-func (c *Cluster) Stranding() Usage {
-	var strandedFree, totalFree Usage
-	for _, m := range c.machines {
-		free := m.Free()
-		totalFree = totalFree.Add(free)
-		if m.MaxDimUtilization() >= 0.95 {
-			strandedFree = strandedFree.Add(free)
-		}
-	}
-	frac := func(s, t float64) float64 {
-		if t <= 0 {
-			return 0
-		}
-		return s / t
-	}
-	return Usage{
-		CPU:  frac(strandedFree.CPU, totalFree.CPU),
-		RAM:  frac(strandedFree.RAM, totalFree.RAM),
-		Disk: frac(strandedFree.Disk, totalFree.Disk),
-	}
-}
-
 // TeamUsage sums the requirements of every placed task per team,
 // machine by machine and each machine's tasks in ID order, so the float
 // sums do not depend on map iteration order.
@@ -373,15 +327,11 @@ func (c *Cluster) TeamUsage() map[string]Usage {
 
 // Scheduler picks a machine for a request, or nil when none fits.
 type Scheduler interface {
-	Name() string
 	Pick(machines []*Machine, req Usage) *Machine
 }
 
-// FirstFit returns the first machine with room — the fastest policy.
+// FirstFit returns the first machine with room: the one built-in policy.
 type FirstFit struct{}
-
-// Name implements Scheduler.
-func (FirstFit) Name() string { return "first-fit" }
 
 // Pick implements Scheduler.
 func (FirstFit) Pick(machines []*Machine, req Usage) *Machine {
@@ -391,69 +341,4 @@ func (FirstFit) Pick(machines []*Machine, req Usage) *Machine {
 		}
 	}
 	return nil
-}
-
-// BestFit returns the fitting machine with the least remaining slack,
-// packing machines tightly.
-type BestFit struct{}
-
-// Name implements Scheduler.
-func (BestFit) Name() string { return "best-fit" }
-
-// Pick implements Scheduler.
-func (BestFit) Pick(machines []*Machine, req Usage) *Machine {
-	var best *Machine
-	bestSlack := 0.0
-	for _, m := range machines {
-		if !m.Fits(req) {
-			continue
-		}
-		free := m.Free().Sub(req)
-		slack := free.CPU + free.RAM + free.Disk
-		if best == nil || slack < bestSlack {
-			best, bestSlack = m, slack
-		}
-	}
-	return best
-}
-
-// WorstFit returns the fitting machine with the most remaining slack,
-// spreading load evenly.
-type WorstFit struct{}
-
-// Name implements Scheduler.
-func (WorstFit) Name() string { return "worst-fit" }
-
-// Pick implements Scheduler.
-func (WorstFit) Pick(machines []*Machine, req Usage) *Machine {
-	var best *Machine
-	bestSlack := -1.0
-	for _, m := range machines {
-		if !m.Fits(req) {
-			continue
-		}
-		free := m.Free().Sub(req)
-		slack := free.CPU + free.RAM + free.Disk
-		if slack > bestSlack {
-			best, bestSlack = m, slack
-		}
-	}
-	return best
-}
-
-// Schedulers lists the available scheduling policies in a stable order.
-func Schedulers() []Scheduler {
-	return []Scheduler{FirstFit{}, BestFit{}, WorstFit{}}
-}
-
-// SortedTeams returns the cluster's teams in lexical order (handy for
-// deterministic reports).
-func (c *Cluster) SortedTeams() []string {
-	usage := c.TeamUsage()
-	teams := make([]string, 0, len(usage))
-	for t := range usage {
-		teams = append(teams, t)
-	}
-	sort.Strings(teams)
-	return teams
 }

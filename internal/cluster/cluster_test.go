@@ -127,9 +127,6 @@ func TestEmptyClusterMetrics(t *testing.T) {
 	if u := c.Utilization(); !u.IsZero() {
 		t.Errorf("Utilization = %v", u)
 	}
-	if s := c.Stranding(); !s.IsZero() {
-		t.Errorf("Stranding = %v", s)
-	}
 }
 
 func TestSchedulerPolicies(t *testing.T) {
@@ -145,47 +142,9 @@ func TestSchedulerPolicies(t *testing.T) {
 	if m := (FirstFit{}).Pick(mk(), req); m.ID != 0 {
 		t.Errorf("FirstFit picked %d", m.ID)
 	}
-	if m := (BestFit{}).Pick(mk(), req); m.ID != 0 {
-		t.Errorf("BestFit picked %d (wants the fuller machine)", m.ID)
-	}
-	if m := (WorstFit{}).Pick(mk(), req); m.ID != 1 {
-		t.Errorf("WorstFit picked %d (wants the emptier machine)", m.ID)
-	}
 	// Nothing fits.
 	if m := (FirstFit{}).Pick(mk(), Usage{CPU: 20}); m != nil {
 		t.Error("FirstFit found impossible fit")
-	}
-	if m := (BestFit{}).Pick(mk(), Usage{CPU: 20}); m != nil {
-		t.Error("BestFit found impossible fit")
-	}
-	if m := (WorstFit{}).Pick(mk(), Usage{CPU: 20}); m != nil {
-		t.Error("WorstFit found impossible fit")
-	}
-	if len(Schedulers()) != 3 {
-		t.Error("Schedulers() wrong")
-	}
-	for _, s := range Schedulers() {
-		if s.Name() == "" {
-			t.Error("unnamed scheduler")
-		}
-	}
-}
-
-func TestStranding(t *testing.T) {
-	c := New("r1", nil)
-	c.AddMachines(2, Usage{CPU: 10, RAM: 10, Disk: 10})
-	// Fill machine 0's CPU completely, leaving RAM/Disk stranded there.
-	if err := c.Place(Task{ID: "cpu-hog", Team: "x", Req: Usage{CPU: 10, RAM: 1, Disk: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stranding()
-	// Machine 0 has 9 RAM free of 19 total free RAM.
-	want := 9.0 / 19.0
-	if s.RAM < want-1e-9 || s.RAM > want+1e-9 {
-		t.Errorf("RAM stranding = %v, want %v", s.RAM, want)
-	}
-	if s.CPU != 0 {
-		t.Errorf("CPU stranding = %v (no free CPU is stranded)", s.CPU)
 	}
 }
 
@@ -208,7 +167,7 @@ func TestTeamUsageBitsStable(t *testing.T) {
 	}
 }
 
-func TestTeamUsageAndSortedTeams(t *testing.T) {
+func TestTeamUsage(t *testing.T) {
 	c := New("r1", nil)
 	c.AddMachines(1, Usage{CPU: 100, RAM: 100, Disk: 100})
 	c.Place(Task{ID: "1", Team: "beta", Req: Usage{CPU: 1}})
@@ -218,31 +177,25 @@ func TestTeamUsageAndSortedTeams(t *testing.T) {
 	if u["alpha"].CPU != 5 || u["beta"].CPU != 1 {
 		t.Errorf("TeamUsage = %v", u)
 	}
-	teams := c.SortedTeams()
-	if len(teams) != 2 || teams[0] != "alpha" || teams[1] != "beta" {
-		t.Errorf("SortedTeams = %v", teams)
-	}
 }
 
 func TestQuickPlacementNeverOvercommits(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		for _, sched := range Schedulers() {
-			c := New("q", sched)
-			c.AddMachines(rng.Intn(4)+1, Usage{CPU: 16, RAM: 64, Disk: 8})
-			for i := 0; i < 50; i++ {
-				req := Usage{
-					CPU:  rng.Float64() * 8,
-					RAM:  rng.Float64() * 32,
-					Disk: rng.Float64() * 4,
-				}
-				// Errors are fine; overcommit is not.
-				_, _ = i, c.Place(Task{ID: strings.Repeat("x", i+1), Team: "t", Req: req})
+		c := New("q", nil)
+		c.AddMachines(rng.Intn(4)+1, Usage{CPU: 16, RAM: 64, Disk: 8})
+		for i := 0; i < 50; i++ {
+			req := Usage{
+				CPU:  rng.Float64() * 8,
+				RAM:  rng.Float64() * 32,
+				Disk: rng.Float64() * 4,
 			}
-			for _, m := range c.Machines() {
-				if !m.Used().FitsWithin(m.Cap) {
-					return false
-				}
+			// Errors are fine; overcommit is not.
+			_, _ = i, c.Place(Task{ID: strings.Repeat("x", i+1), Team: "t", Req: req})
+		}
+		for _, m := range c.Machines() {
+			if !m.Used().FitsWithin(m.Cap) {
+				return false
 			}
 		}
 		return true

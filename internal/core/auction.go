@@ -20,11 +20,6 @@ type Config struct {
 	// Policy is the price update function g(x, p). The zero value selects
 	// DefaultPolicy.
 	Policy Capped
-	// Epsilon is the tolerance for the stopping test z(t) ≤ ε. Markets
-	// with divisible supply rarely clear exactly; a small positive ε
-	// mirrors the paper's observation that supplies and demands rarely
-	// "align" perfectly.
-	Epsilon float64
 	// MaxRounds bounds the clock. Zero selects a generous default.
 	MaxRounds int
 	// RecordHistory retains per-round snapshots in Result.History.
@@ -95,29 +90,6 @@ func (r *Result) Allocation(i int) resource.Vector {
 	return r.bids[i].Bundle(r.ChosenBundle[i])
 }
 
-// TotalTraded returns the sum over winners of the positive parts of their
-// allocations: the gross quantity of resources that changed hands (the
-// "total value of trade" numerator in Section III.B, in units). It is nil
-// when nobody won.
-func (r *Result) TotalTraded() resource.Vector {
-	var out resource.Vector
-	for i, c := range r.ChosenBundle {
-		if c < 0 {
-			continue
-		}
-		if out == nil {
-			out = make(resource.Vector, len(r.Prices))
-		}
-		pools, qty := r.bids[i].Row(c)
-		for k, pool := range pools {
-			if qty[k] > 0 {
-				out[pool] += qty[k]
-			}
-		}
-	}
-	return out
-}
-
 // Auction couples a registry, the sealed bids, and a configuration.
 //
 // An Auction may be run repeatedly, but its runs must not overlap: the
@@ -161,9 +133,6 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 	}
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = DefaultMaxRounds
-	}
-	if cfg.Epsilon < 0 {
-		return nil, errors.New("core: negative epsilon")
 	}
 	if len(cfg.Start) != reg.Len() {
 		return nil, fmt.Errorf("core: start prices have %d components, registry has %d pools", len(cfg.Start), reg.Len())

@@ -264,7 +264,6 @@ func TestNewAuctionValidation(t *testing.T) {
 		{"no bids", reg, nil, Config{Start: resource.Vector{1}}},
 		{"bad start length", reg, okBid, Config{Start: resource.Vector{1, 2}}},
 		{"negative start", reg, okBid, Config{Start: resource.Vector{-1}}},
-		{"negative epsilon", reg, okBid, Config{Start: resource.Vector{1}, Epsilon: -1}},
 		{"invalid bid", reg, []*Bid{{User: "", Limit: 1, Bundles: []resource.Vector{{1}}}}, Config{Start: resource.Vector{1}}},
 		{"bad policy", reg, okBid, Config{Start: resource.Vector{1}, Policy: Capped{Alpha: -1, Delta: 1}}},
 	}
@@ -318,25 +317,6 @@ func TestAuctionParallelMatchesSerial(t *testing.T) {
 		return res
 	}
 	mustEqualResults(t, "serial vs fan-out", run(1), run(4))
-}
-
-func TestTotalTraded(t *testing.T) {
-	reg := onePool()
-	bids := []*Bid{
-		{User: "s", Limit: -1, Bundles: []resource.Vector{{-20}}},
-		{User: "b", Limit: 100, Bundles: []resource.Vector{{10}}},
-	}
-	a, err := NewAuction(reg, bids, Config{Start: resource.Vector{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.TotalTraded(); got[0] != 10 {
-		t.Errorf("TotalTraded = %v", got)
-	}
 }
 
 // randomPureMarket builds a random market of pure buyers plus one operator

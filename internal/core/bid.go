@@ -386,18 +386,6 @@ func (px *Proxy) Demand(p resource.Vector) resource.Vector {
 // call, or −1 when the proxy demanded nothing.
 func (px *Proxy) ChosenBundle() int { return px.lastChoice }
 
-// CheapestCost returns min_{q∈Q_u} qᵀp, the left side of the winner/loser
-// conditions (4) and (5) in SYSTEM.
-func (b *Bid) CheapestCost(p resource.Vector) float64 {
-	cost := math.Inf(1)
-	for i, n := 0, b.NumBundles(); i < n; i++ {
-		if c := b.Cost(i, p); c < cost {
-			cost = c
-		}
-	}
-	return cost
-}
-
 // Cost returns q_iᵀp for bundle i — for a booked bid the sum over its
 // row in ascending pool order, the arithmetic settlement's payment is.
 func (b *Bid) Cost(i int, p resource.Vector) float64 {

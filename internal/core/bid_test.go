@@ -117,16 +117,6 @@ func TestProxySellerPicksHighestRevenue(t *testing.T) {
 	}
 }
 
-func TestCheapestCost(t *testing.T) {
-	b := &Bid{User: "u", Limit: 100, Bundles: []resource.Vector{{5, 0}, {0, 4}}}
-	if got := b.CheapestCost(resource.Vector{2, 3}); got != 10 {
-		t.Errorf("CheapestCost = %v", got)
-	}
-	if got := b.CheapestCost(resource.Vector{3, 2}); got != 8 {
-		t.Errorf("CheapestCost = %v", got)
-	}
-}
-
 func TestPremium(t *testing.T) {
 	if got := Premium(110, 100); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("Premium = %v", got)

@@ -178,7 +178,6 @@ func mixedCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
 			Delta:   0.2 + rng.Float64(),
 			MinStep: 0.005,
 		},
-		Epsilon:       float64(rng.Intn(2)) * 0.01,
 		MaxRounds:     300,
 		RecordHistory: true,
 	}

@@ -52,12 +52,12 @@ type kernel struct {
 }
 
 // ClockStats counts the work of one Run's round loops, summed over its
-// lanes (capped re-runs included): whether the incremental reductions
-// engaged is read off these, not inferred from timings.
+// lanes: whether the incremental reductions engaged is read off these,
+// not inferred from timings.
 type ClockStats struct {
-	// Lanes is the number of component lanes, Reruns how many of them
-	// were replayed to the stop round, LaneRounds the rounds they ran.
-	Lanes, Reruns, LaneRounds int
+	// Lanes is the number of component lanes, LaneRounds the rounds
+	// they ran.
+	Lanes, LaneRounds int
 	// Repriced bundles and Rechosen proxies past round 0, and how many of
 	// those proxies Switched bundle.
 	Repriced, Rechosen, Switched int
@@ -71,7 +71,6 @@ type ClockStats struct {
 //marketlint:allocfree
 func (s *ClockStats) Add(o ClockStats) {
 	s.Lanes += o.Lanes
-	s.Reruns += o.Reruns
 	s.LaneRounds += o.LaneRounds
 	s.Repriced += o.Repriced
 	s.Rechosen += o.Rechosen
@@ -101,8 +100,7 @@ func (a *Auction) newLane(pools, bids, local []int32, cfg Config) *lane {
 	i32 := make([]int32, 6*nP+3*nB+2*nnz+5*r+3)
 	f64 := make([]float64, 2*nnz+2*nB+3*r)
 	flags := make([]bool, 2*nP)
-	// cleared grows a bit a round; most clocks fit the first kilobyte.
-	c := &lane{pools: pools, bids: bids, cfg: cfg, cleared: make([]bool, 0, 1024)}
+	c := &lane{pools: pools, bids: bids, cfg: cfg}
 	c.first, c.row, c.at = carve(&i32, nP+1), carve(&i32, nB+1), carve(&i32, r+1)
 	c.idx, c.liveB = carve(&i32, nnz), carve(&i32, nnz)
 	c.owner, c.bundleMark = carve(&i32, nB), carve(&i32, nB)
@@ -141,11 +139,11 @@ func (a *Auction) newLane(pools, bids, local []int32, cfg Config) *lane {
 }
 
 // reset readies the scratch for a run from the reserve prices: nobody
-// retired, and the pool→bundle index laid out whole — pool r's list
-// liveB/liveV[at[r]:liveEnd[r]] holds the bundles touching r with their
-// quantity there, filled bundle by bundle so each list is ascending. The
-// epoch-stamped marks survive across runs (a mark below the current epoch
-// reads as "unseen").
+// retired, no history or counters, and the pool→bundle index laid out
+// whole — pool r's list liveB/liveV[at[r]:liveEnd[r]] holds the bundles
+// touching r with their quantity there, filled bundle by bundle so each
+// list is ascending. The epoch-stamped marks survive across runs (a
+// mark below the current epoch reads as "unseen").
 //
 //marketlint:allocfree
 func (c *lane) reset() {
@@ -167,7 +165,7 @@ func (c *lane) reset() {
 	for k := range c.liveP {
 		c.liveP[k] = int32(k)
 	}
-	c.hist = c.hist[:0]
+	c.hist, c.stats = c.hist[:0], ClockStats{}
 	// Guard the epoch stamps against int32 wraparound across very many
 	// reuses: restart the epoch clock with cleared marks.
 	if c.epoch > 1<<30 {

@@ -133,8 +133,9 @@ func TestKernelEdgeCases(t *testing.T) {
 		},
 		{
 			// Pool 0 has buyers and no seller: every one of them retires,
-			// the lane freezes cleared with nobody listed, and pool 1's
-			// lane runs on well past that.
+			// the lane clears with nobody listed, and pool 1's lane runs
+			// on well past that while pool 0's price holds still — the
+			// property that lets each lane stop at its own cleared round.
 			name: "EveryBuyerOfALaneRetires", pools: 2, lanes: 2,
 			bids: []*Bid{
 				{User: "x", Limit: 15, Bundles: []resource.Vector{vec(2, 0, 10)}},
@@ -143,10 +144,23 @@ func TestKernelEdgeCases(t *testing.T) {
 				{User: "p", Limit: 400, Bundles: []resource.Vector{vec(2, 1, 10)}},
 				{User: "q", Limit: 300, Bundles: []resource.Vector{vec(2, 1, 10)}},
 			},
-			cfg: Config{Start: resource.Vector{1, 1}, Policy: capped, Epsilon: 0.01, RecordHistory: true},
+			cfg: Config{Start: resource.Vector{1, 1}, Policy: capped, RecordHistory: true},
 			check: func(t *testing.T, res *Result) {
 				if res.IsWinner(0) || res.IsWinner(1) || res.DropRound[1] >= res.Rounds-1 {
 					t.Errorf("pool 0's buyers: winners %v, last drop %d of %d rounds", res.Winners, res.DropRound[1], res.Rounds)
+				}
+				cleared := 0
+				for cleared < len(res.History) && res.History[cleared].ExcessDemand[0] > 0 {
+					cleared++
+				}
+				if cleared >= res.Rounds-1 {
+					t.Fatalf("pool 0's lane cleared at round %d of %d, want before the last", cleared, res.Rounds)
+				}
+				for _, r := range res.History[cleared:] {
+					if r.Prices[0] != res.History[cleared].Prices[0] {
+						t.Fatalf("pool 0's price moved to %v at round %d after its lane cleared at round %d at %v",
+							r.Prices[0], r.T, cleared, res.History[cleared].Prices[0])
+					}
 				}
 			},
 		},
@@ -323,16 +337,14 @@ func TestClockBuildAllocBudget(t *testing.T) {
 				t.Fatalf("%d components, want 8", a.Components())
 			}
 		}))
-		// The lane's cleared bits are presized for 1024 rounds; a longer
-		// clock would add growth steps that are per round, not per bid.
-		if res.Rounds > 1024 || len(res.Winners) < 8 {
-			t.Fatalf("n = %d: %d rounds, %d winners; want a clock under 1024 rounds with real winners", n, res.Rounds, len(res.Winners))
+		if len(res.Winners) < 8 {
+			t.Fatalf("n = %d: %d winners; want a clock with real winners", n, len(res.Winners))
 		}
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("NewAuction + Run allocates %.0f objects at 500 bids and %.0f at 4000, want the same", counts[0], counts[1])
 	}
-	if perLane := counts[0] / 8; perLane > 16 {
+	if perLane := counts[0] / 8; perLane > 11 {
 		t.Errorf("%.0f allocations for 8 lanes (%.1f a lane)", counts[0], perLane)
 	}
 
@@ -396,8 +408,8 @@ func (s *fuzzSource) Int63() int64 {
 // choosing the market: the production clock and ReferenceRun must agree
 // bit for bit on every Result field and on the error, over buyers,
 // sellers and traders, one to four bundles a bid, scalar and vector
-// limits, ε = 0 and ε > 0 and random Capped steps. The corpus
-// starts from the 2 × 120 seeds the differential tests pin.
+// limits and random Capped steps. The corpus starts from the 2 × 120
+// seeds the differential tests pin.
 func FuzzClockMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 120; seed++ {
 		f.Add(seed, false, []byte{})

@@ -36,20 +36,16 @@ import (
 // cross-lane coupling is control flow, which the driver (runLanes) alone
 // decides:
 //
-//   - The stopping test z(t) ≤ ε is a global conjunction. With ε > 0 a
-//     lane can be cleared (z ≤ ε) yet unfrozen (z ∈ (0, ε] still steps
-//     while some other lane keeps the clock running), so each lane runs
-//     until its step vector is zero ("frozen", after which its state is
-//     constant) while recording a per-round cleared bit; the stop round T
-//     is the first round at which every lane was cleared, and any lane
-//     whose scratch ran past T is deterministically re-run capped at
-//     exactly T — the same arithmetic replayed, stopping pre-step as
-//     Algorithm 1 does. A sole lane is the whole conjunction, so it stops
-//     at its first cleared round and never pays a re-run.
-//   - The stall test (a zero step with positive excess demand) is a
-//     global vector test: the whole step is zero exactly when every lane
-//     has frozen, so a market whose lanes all freeze without a common
-//     cleared round stalls at the last lane's freeze round.
+//   - The stopping test z(t) ≤ 0 is a global conjunction. A lane whose
+//     pools all clear takes a zero step (prices only rise on positive
+//     excess demand), so its state is constant from that round on; the
+//     same holds for a lane whose step underflows to zero. Each lane
+//     therefore runs once, to its own end — cleared, stalled, or out of
+//     rounds — and the market's outcome is the latest lane ending: every
+//     lane cleared converges at the last lane's cleared round; otherwise,
+//     with no lane out of rounds, the whole step vector is first zero at
+//     the last lane's end, where the clock stalls; and a lane out of
+//     rounds runs the whole clock out.
 //
 // Settlement scatters the lanes' prices and choices into the Result; a
 // payment is the chosen bundle's dot over its lane's prices — the same
@@ -99,17 +95,22 @@ type lane struct {
 
 	// hist holds the lane's per-round history snapshots.
 	hist []Round
-	// cleared[t] records whether the lane's excess demand passed z ≤ ε
-	// at round t of the autonomous run.
-	cleared []bool
-	// end is the round whose state the scratch holds pre-step — the
-	// freeze round, a sole lane's cleared round, or a re-run's cap — or
-	// MaxRounds when the clock ran out (post-step state).
-	end int
-	// frozen reports that the autonomous run ended with a zero step, so
-	// the lane's state is constant from round end onward.
-	frozen bool
+	// end is the round whose state the scratch holds: pre-step when the
+	// lane cleared or stalled there, post-step at MaxRounds when it ran
+	// out; ended says which.
+	end   int
+	ended laneEnd
 }
+
+// laneEnd is how a lane's clock ended, ordered so that the market's
+// ending is the max over its lanes.
+type laneEnd uint8
+
+const (
+	laneCleared laneEnd = iota // z ≤ 0: the lane's state is constant from here
+	laneStalled                // a zero step with positive excess demand
+	laneOut                    // MaxRounds ran out
+)
 
 // unionFind is a union-find forest over global pool ids with path
 // halving; union keeps the smaller root so a component's representative
@@ -253,28 +254,20 @@ func (a *Auction) buildLanes() []*lane {
 
 // runClock is the production round loop: Algorithm 1 with incremental
 // demand revelation (see incremental.go) on one lane's kernel. Its
-// arithmetic is the reference loop's, round for round; what it leaves to
-// the driver is the global control flow:
+// arithmetic is the reference loop's, round for round; it runs the lane
+// to its own end and records which (see laneEnd), leaving the market's
+// ending to the driver:
 //
-//   - a lane that is not the sole one does not stop on its local z ≤ ε
-//     test (a cleared lane can keep stepping while the clock runs for
-//     others); it stops when the step vector is zero — frozen, state
-//     constant from round t onward — returning (t, true). A sole lane's
-//     test is the global one, so it stops there: (t, false);
-//   - a zero step is not an error here: whether the clock stalls is a
-//     global question the driver answers;
-//   - with capT ≥ 0 it stops at exactly round capT right after the
-//     round's demand revelation, pre-step — where Algorithm 1 stands
-//     when the global stopping test passes at capT;
-//   - when the rounds run out it returns (MaxRounds, false) with the
-//     scratch holding the post-step prices and the final round's choices,
-//     Algorithm 1's non-convergent settle state.
-//
-// Per-round cleared bits and history are recorded only on uncapped runs
-// (a capped re-run replays a prefix already recorded).
+//   - cleared: it stops at the first round with z ≤ 0, pre-step, where
+//     Algorithm 1 stops;
+//   - stalled: a zero step with positive excess demand is not an error
+//     here, since whether the clock stalls is a global question;
+//   - out: when the rounds run out the scratch holds the post-step prices
+//     and the final round's choices, Algorithm 1's non-convergent settle
+//     state.
 //
 //marketlint:allocfree
-func (c *lane) runClock(capT int, sole bool) (int, bool) {
+func (c *lane) runClock() {
 	c.reset()
 	active := c.open()
 	for t := 0; t < c.cfg.MaxRounds; t++ {
@@ -282,23 +275,17 @@ func (c *lane) runClock(capT int, sole bool) (int, bool) {
 			active = c.advance(t, active)
 		}
 		c.stats.LaneRounds++
-		if capT < 0 {
-			if c.cfg.RecordHistory {
-				c.hist = appendRound(c.hist, t, c.p, c.z, active)
-			}
-			cleared := c.z.AllNonPositive(c.cfg.Epsilon)
-			//marketlint:allow allocfree cleared-bit scratch is cached on the lane; growth is amortized across runs
-			c.cleared = append(c.cleared, cleared)
-			if cleared && sole {
-				return t, false
-			}
+		if c.cfg.RecordHistory {
+			c.hist = appendRound(c.hist, t, c.p, c.z, active)
 		}
-		if t == capT {
-			return t, false
+		if c.z.AllNonPositive(0) {
+			c.end, c.ended = t, laneCleared
+			return
 		}
 		c.cfg.Policy.StepInto(c.step, c.z)
 		if c.step.MaxAbs() == 0 {
-			return t, true
+			c.end, c.ended = t, laneStalled
+			return
 		}
 		c.p.AddInto(c.step)
 		// The dirty pools for next round's re-evaluation are exactly the
@@ -310,27 +297,7 @@ func (c *lane) runClock(capT int, sole bool) (int, bool) {
 			}
 		}
 	}
-	return c.cfg.MaxRounds, false
-}
-
-// runAutonomous runs the lane clock to its natural end — frozen, out of
-// rounds, or (sole) cleared — recording cleared bits for the driver's
-// stop-round scan.
-//
-//marketlint:allocfree
-func (c *lane) runAutonomous(sole bool) {
-	c.cleared, c.stats = c.cleared[:0], ClockStats{}
-	c.end, c.frozen = c.runClock(-1, sole)
-}
-
-// rerunCapped deterministically replays the lane clock to exactly round
-// capT: identical arithmetic, so identical states, with the scratch left
-// holding round capT's prices and choices pre-step.
-//
-//marketlint:allocfree
-func (c *lane) rerunCapped(capT int) {
-	c.stats.Reruns++
-	c.end, c.frozen = c.runClock(capT, false)
+	c.end, c.ended = c.cfg.MaxRounds, laneOut
 }
 
 // sweep drives every lane clock. Lanes share no state at all, so with
@@ -341,7 +308,7 @@ func (c *lane) rerunCapped(capT int) {
 func sweep(lanes []*lane) {
 	if len(lanes) < 2 || runtime.GOMAXPROCS(0) < 2 {
 		for _, c := range lanes {
-			c.runAutonomous(len(lanes) == 1)
+			c.runClock()
 		}
 		return
 	}
@@ -367,45 +334,11 @@ func sweepParallel(lanes []*lane) {
 				if i >= len(lanes) {
 					return
 				}
-				lanes[i].runAutonomous(false)
+				lanes[i].runClock()
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// findStopRound computes T, the clock's stop round: the first round at
-// which every lane's excess demand passed z ≤ ε. A frozen lane's state —
-// and so its cleared bit — is constant beyond its freeze round, which
-// the min-index clamp encodes. The scan is bounded by the longest lane
-// run, past which no state changes; ok is false when no common cleared
-// round exists (the clock stalls or runs out of rounds).
-//
-//marketlint:allocfree
-func findStopRound(lanes []*lane) (int, bool) {
-	limit := 0
-	for _, c := range lanes {
-		if len(c.cleared) > limit {
-			limit = len(c.cleared)
-		}
-	}
-	for t := 0; t < limit; t++ {
-		all := true
-		for _, c := range lanes {
-			i := t
-			if i >= len(c.cleared) {
-				i = len(c.cleared) - 1
-			}
-			if !c.cleared[i] {
-				all = false
-				break
-			}
-		}
-		if all {
-			return t, true
-		}
-	}
-	return 0, false
 }
 
 // scatterState writes the global settle state from the lanes into res:
@@ -435,7 +368,7 @@ func scatterState(lanes []*lane, res *Result) {
 
 // mergeHistory assembles the per-round history from the lane histories,
 // in global pool order: round t scatters each lane's round min(t, end)
-// snapshot — frozen lanes repeat their final state — over the reserve
+// snapshot — ended lanes repeat their final state — over the reserve
 // prices and a zero excess-demand vector, summing active-bidder counts.
 //
 //marketlint:allocfree
@@ -479,55 +412,39 @@ func appendMergedRound(h []Round, lanes []*lane, t int, start resource.Vector) [
 	return h
 }
 
-// runLanes is the driver: autonomous lane clocks, then the global
-// outcome — the stop-round scan, capped re-runs for lanes that ran past
-// it, the stall and out-of-rounds endings — and the in-order merge.
+// runLanes is the driver: lane clocks, then the market's ending — the
+// latest lane ending (see laneEnd) at the last lane's end round — and
+// the in-order merge.
 //
 //marketlint:allocfree
 func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 	sweep(lanes)
-	T, ok := findStopRound(lanes)
-	if !ok {
-		last, allFrozen := 0, true
-		for _, c := range lanes {
-			allFrozen = allFrozen && c.frozen
-			if c.end > last {
-				last = c.end
-			}
-		}
-		if allFrozen {
-			// Every lane froze but no round has them all cleared: the
-			// whole step vector is zero from the last freeze round on,
-			// with positive excess demand. Without progress the clock
-			// would spin forever.
-			//marketlint:allow allocfree error path; the run is abandoned
-			return nil, fmt.Errorf("core: clock stalled with positive excess demand at round %d", last)
-		}
-		// At least one lane stepped through every round and the global
-		// stopping test never passed: the clock runs out of rounds and
-		// settles its post-step state.
-		if a.cfg.RecordHistory {
-			a.mergeHistory(lanes, res, a.cfg.MaxRounds)
-		}
-		res.Converged = false
-		res.Rounds = a.cfg.MaxRounds
-		scatterState(lanes, res)
-		a.settle(res)
-		return res, ErrNoConvergence
+	ended, last := laneCleared, 0
+	for _, c := range lanes {
+		ended, last = max(ended, c.ended), max(last, c.end)
+	}
+	switch ended {
+	case laneStalled:
+		// No lane ran out, so the whole step vector is zero from the last
+		// lane's end on, with positive excess demand. Without progress
+		// the clock would spin forever.
+		//marketlint:allow allocfree error path; the run is abandoned
+		return nil, fmt.Errorf("core: clock stalled with positive excess demand at round %d", last)
+	case laneOut:
+		// A lane stepped through every round and the stopping test never
+		// passed: the clock runs out of rounds and settles its post-step
+		// state.
+		res.Converged, res.Rounds = false, a.cfg.MaxRounds
+	default:
+		res.Converged, res.Rounds = true, last+1
 	}
 	if a.cfg.RecordHistory {
-		a.mergeHistory(lanes, res, T+1)
+		a.mergeHistory(lanes, res, res.Rounds)
 	}
-	for _, c := range lanes {
-		if c.end > T {
-			// The lane's scratch holds a later state than the clock ever
-			// reached. Replay it to exactly round T.
-			c.rerunCapped(T)
-		}
-	}
-	res.Converged = true
-	res.Rounds = T + 1
 	scatterState(lanes, res)
 	a.settle(res)
+	if !res.Converged {
+		return res, ErrNoConvergence
+	}
 	return res, nil
 }

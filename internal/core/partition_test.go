@@ -101,7 +101,7 @@ func withProcs(t *testing.T, n int) {
 // TestPartitionedMatchesMergedDifferential is the lane driver's
 // determinism contract: over randomized regional markets — multiple
 // connected components, random Capped steps, scalar and vector
-// limits, ε = 0 and ε > 0, converging and non-converging clocks — the
+// limits, converging and non-converging clocks — the
 // production run's results are bit-identical to ReferenceRun's merged
 // single clock, on the serial sweep and on the fan-out (GOMAXPROCS raised
 // so a 1-CPU runner exercises, and races, it too). Exact float equality
@@ -128,7 +128,7 @@ func TestPartitionedMatchesMergedDifferential(t *testing.T) {
 }
 
 // regionalCase draws one case of the differential above — a regional
-// market, a random Capped step, ε = 0 or ε > 0 — from rng;
+// market and a random Capped step — from rng;
 // FuzzClockMatchesReference draws its cases the same way.
 func regionalCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
 	registry, bids := randomRegionalMarket(rng, rng.Intn(5)+2)
@@ -139,7 +139,6 @@ func regionalCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
 	return registry, bids, Config{
 		Start:         start,
 		Policy:        randomPartitionPolicy(rng),
-		Epsilon:       float64(rng.Intn(2)) * 0.01,
 		MaxRounds:     300,
 		RecordHistory: true,
 	}
@@ -237,8 +236,8 @@ func TestPartitionComponents(t *testing.T) {
 }
 
 // TestLaneErrorsMatchReference pins the clock's one error ending, the
-// stall, which is global (every lane frozen, no common cleared round,
-// reported at the last freeze round), on several lanes and on a sole
+// stall, which is global (no lane out of rounds, at least one stalled,
+// reported at the last lane's end), on several lanes and on a sole
 // one. Error text and round must be the reference's.
 func TestLaneErrorsMatchReference(t *testing.T) {
 	registry := resource.NewRegistry(
@@ -257,9 +256,9 @@ func TestLaneErrorsMatchReference(t *testing.T) {
 
 	t.Run("MultiLaneStall", func(t *testing.T) {
 		// α is the smallest denormal: against 0.5 units of unsupplied
-		// demand the step α·z underflows to 0, so lane a freezes
-		// uncleared at round 0. Lane b steps once (α·2 is representable),
-		// prices its limit-0 buyer out and freezes cleared at round 1 —
+		// demand the step α·z underflows to 0, so lane a stalls at
+		// round 0. Lane b steps once (α·2 is representable), prices its
+		// limit-0 buyer out and clears at round 1 —
 		// the round the whole step vector is first zero.
 		bids := []*Bid{
 			{User: "stuck", Limit: 100, Bundles: []resource.Vector{{0.5, 0}}},

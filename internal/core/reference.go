@@ -59,7 +59,7 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 		if a.cfg.RecordHistory {
 			res.History = appendRound(res.History, t, p, z, active)
 		}
-		if z.AllNonPositive(a.cfg.Epsilon) {
+		if z.AllNonPositive(0) {
 			res.Converged = true
 			res.Rounds = t + 1
 			settle()

@@ -246,15 +246,16 @@ func (l *ledgerBook) postLocked(auction int, team string, amount float64, kind u
 	*r = ledgerRec{amount: amount, auction: int32(auction), team: id, arg: arg, kind: kind}
 }
 
-// entriesLocked materialises entries [lo, hi).
-func (l *ledgerBook) entriesLocked(lo, hi int) []LedgerEntry {
-	if hi <= lo {
+// entriesLocked materialises every entry, nil when there are none.
+func (l *ledgerBook) entriesLocked() []LedgerEntry {
+	n := l.recs.Len(recChunk)
+	if n == 0 {
 		return nil
 	}
-	out := make([]LedgerEntry, hi-lo)
+	out := make([]LedgerEntry, n)
 	for i := range out {
-		r := l.recs.At(lo+i, recChunk)
-		out[i] = LedgerEntry{Seq: lo + i, Auction: int(r.auction), Team: l.text[r.team], Amount: r.amount}
+		r := l.recs.At(i, recChunk)
+		out[i] = LedgerEntry{Seq: i, Auction: int(r.auction), Team: l.text[r.team], Amount: r.amount}
 		if r.kind == memoText {
 			out[i].Memo = l.text[r.arg]
 		} else {

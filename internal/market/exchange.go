@@ -181,28 +181,10 @@ func (a *AuctionRecord) PremiumMedian() float64 { return stats.Median(a.Premiums
 // PremiumMean returns the mean of γ_u for the auction.
 func (a *AuctionRecord) PremiumMean() float64 { return stats.Mean(a.Premiums) }
 
-// SettledFraction returns the fraction of submitted orders that settled.
-func (a *AuctionRecord) SettledFraction() float64 {
-	if a.Submitted == 0 {
-		return 0
-	}
-	return float64(a.Settled) / float64(a.Submitted)
-}
-
 // Config parameterizes an Exchange.
 type Config struct {
 	// InitialBudget is granted to each newly opened account.
 	InitialBudget float64
-	// Weight is the reserve-pricing curve (default reserve.ExpSteep).
-	Weight reserve.WeightFn
-	// MarketableFraction is the share of each pool's *free* capacity the
-	// operator offers for sale each auction (default 0.8).
-	MarketableFraction float64
-	// MaxAuctionAttempts is how many non-convergent clocks an open order
-	// survives before it is retired as Unsettled (default 3). The cap
-	// keeps one cycling trader pair from rejoining every epoch and
-	// livelocking the market.
-	MaxAuctionAttempts int
 	// Shards is the number of stripes the order and account books are
 	// split into (default DefaultShards). Submits, cancels, and reads in
 	// different stripes never share a lock, so order entry scales with
@@ -226,18 +208,18 @@ type Config struct {
 	Telemetry *telemetry.Firehose
 }
 
+// marketableFraction is the share of each pool's *free* capacity the
+// operator offers for sale each auction.
+const marketableFraction = 0.8
+
+// maxAuctionAttempts is how many non-convergent clocks an open order
+// survives before it is retired as Unsettled. The cap keeps one cycling
+// trader pair from rejoining every epoch and livelocking the market.
+const maxAuctionAttempts = 3
+
 func (c *Config) applyDefaults() {
-	if c.Weight == nil {
-		c.Weight = reserve.ExpSteep
-	}
-	if c.MarketableFraction == 0 {
-		c.MarketableFraction = 0.8
-	}
 	if c.InitialBudget == 0 {
 		c.InitialBudget = 10000
-	}
-	if c.MaxAuctionAttempts <= 0 {
-		c.MaxAuctionAttempts = 3
 	}
 	if c.Shards <= 0 {
 		c.Shards = DefaultShards
@@ -355,7 +337,7 @@ func NewExchange(fleet *cluster.Fleet, cfg Config) (*Exchange, error) {
 		fleet:         fleet,
 		reg:           reg,
 		catalog:       StandardCatalog(),
-		pricer:        reserve.NewPricer(cfg.Weight),
+		pricer:        reserve.NewPricer(reserve.ExpSteep),
 		orderShards:   make([]orderShard, cfg.Shards),
 		accountShards: make([]accountShard, cfg.Shards),
 	}
@@ -947,23 +929,10 @@ func (t *orderTail) rank(s, j int) int {
 }
 
 // Ledger materialises the billing entries — the full-dump path.
-// Display pollers should prefer LedgerTail.
 func (e *Exchange) Ledger() []LedgerEntry {
 	e.ledger.mu.RLock()
 	defer e.ledger.mu.RUnlock()
-	return e.ledger.entriesLocked(0, e.ledger.recs.Len(recChunk))
-}
-
-// LedgerTail returns the most recent limit billing entries, oldest
-// first. A non-positive limit returns nil.
-func (e *Exchange) LedgerTail(limit int) []LedgerEntry {
-	if limit <= 0 {
-		return nil
-	}
-	e.ledger.mu.RLock()
-	defer e.ledger.mu.RUnlock()
-	n := e.ledger.recs.Len(recChunk)
-	return e.ledger.entriesLocked(max(n-limit, 0), n)
+	return e.ledger.entriesLocked()
 }
 
 // History returns the settled auction records — the full-dump path.
@@ -1041,7 +1010,7 @@ func (e *Exchange) operatorSupply() []*core.Bid {
 	for _, cluster := range e.reg.Clusters() {
 		pools, supply = pools[:0], supply[:0]
 		for _, i := range e.reg.ClusterPools(cluster) {
-			if q := free[i] * e.cfg.MarketableFraction; q > 0 {
+			if q := free[i] * marketableFraction; q > 0 {
 				pools, supply = append(pools, int32(i)), append(supply, -q)
 			}
 		}
@@ -1256,11 +1225,11 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		// Failed clock: the final prices are not clearing prices, so
 		// settling them would move money at arbitrary levels. Record the
 		// attempt and leave the batch open — but retire orders whose
-		// batch has now failed MaxAuctionAttempts times, so a cycling
+		// batch has now failed maxAuctionAttempts times, so a cycling
 		// trader pair cannot livelock every future epoch.
 		for i, o := range open {
 			var ev *Event
-			if o.Attempts+1 >= e.cfg.MaxAuctionAttempts {
+			if o.Attempts+1 >= maxAuctionAttempts {
 				ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num,
 					Status: Unsettled, Attempts: o.Attempts + 1}
 				e.metrics.unsettled.Add(1)

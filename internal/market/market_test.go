@@ -339,9 +339,6 @@ func TestRunAuctionSettlement(t *testing.T) {
 	if rec.PremiumMedian() != rec.Premiums[0] || rec.PremiumMean() != rec.Premiums[0] {
 		t.Error("premium stats wrong")
 	}
-	if got := rec.SettledFraction(); got != 0.5 {
-		t.Errorf("SettledFraction = %v", got)
-	}
 }
 
 func TestRunAuctionNoOrders(t *testing.T) {
@@ -543,7 +540,7 @@ func TestOrderStatusString(t *testing.T) {
 
 func TestOperatorSupplyRespectsMarketableFraction(t *testing.T) {
 	f := testFleet(t)
-	e, err := NewExchange(f, Config{MarketableFraction: 0.5})
+	e, err := NewExchange(f, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +576,7 @@ func TestOperatorSupplyRespectsMarketableFraction(t *testing.T) {
 	}
 	free := f.FreeVector(reg)
 	for i := range free {
-		want := -free[i] * 0.5
+		want := -free[i] * marketableFraction
 		if free[i] <= 0 {
 			want = 0
 		}
@@ -663,7 +660,7 @@ func TestRunAuctionNonConvergenceDoesNotSettle(t *testing.T) {
 		}
 	}
 	// The attempt is still visible in history with nothing settled.
-	if rec.Settled != 0 || rec.SettledFraction() != 0 {
+	if rec.Settled != 0 {
 		t.Errorf("record settled = %d", rec.Settled)
 	}
 	if hist := e.History(); len(hist) != 1 || hist[0].Converged {
@@ -672,11 +669,11 @@ func TestRunAuctionNonConvergenceDoesNotSettle(t *testing.T) {
 }
 
 // TestNonConvergentBatchRetires pins the livelock guard: a batch that
-// fails MaxAuctionAttempts consecutive clocks is retired as Unsettled —
+// fails maxAuctionAttempts consecutive clocks is retired as Unsettled —
 // without settling anything — so it stops poisoning future epochs.
 func TestNonConvergentBatchRetires(t *testing.T) {
-	e := nonConvergentExchange(t) // default MaxAuctionAttempts = 3
-	for i := 0; i < 3; i++ {
+	e := nonConvergentExchange(t)
+	for i := 0; i < maxAuctionAttempts; i++ {
 		if _, _, err := e.RunAuction(); !errors.Is(err, core.ErrNoConvergence) {
 			t.Fatalf("attempt %d: err = %v, want ErrNoConvergence", i+1, err)
 		}

@@ -105,8 +105,8 @@ func TestShardedSerialIDsSequential(t *testing.T) {
 	}
 }
 
-// TestTailAccessors pins the bounded read paths: OrdersTail, LedgerTail,
-// and HistoryTail return the most recent entries in order, and degenerate
+// TestTailAccessors pins the bounded read paths: OrdersTail and
+// HistoryTail return the most recent entries in order, and degenerate
 // limits behave.
 func TestTailAccessors(t *testing.T) {
 	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6, Shards: 3})
@@ -147,15 +147,7 @@ func TestTailAccessors(t *testing.T) {
 	if got := e.HistoryTail(2); len(got) != 2 || got[0].Number != 2 || got[1].Number != 3 {
 		t.Fatalf("HistoryTail(2) = %+v", got)
 	}
-	full := e.Ledger()
-	if len(full) == 0 {
-		t.Fatal("no ledger entries")
-	}
-	lt := e.LedgerTail(2)
-	if len(lt) != 2 || lt[1].Seq != full[len(full)-1].Seq || lt[0].Seq != full[len(full)-2].Seq {
-		t.Fatalf("LedgerTail(2) = %+v, full tail = %+v", lt, full[len(full)-2:])
-	}
-	if e.HistoryTail(0) != nil || e.LedgerTail(0) != nil {
+	if e.HistoryTail(0) != nil {
 		t.Error("non-positive tail limit returned entries")
 	}
 }
@@ -447,7 +439,7 @@ func TestClaimMergeMatchesSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{InitialBudget: 1e15, MaxRounds: 100, MaxAuctionAttempts: 5, Shards: 5, SnapshotEvery: -1}
+		cfg := Config{InitialBudget: 1e15, MaxRounds: 100, Shards: 5, SnapshotEvery: -1}
 		cfg.Journal = j
 		e, err := NewExchange(testFleet(t), cfg)
 		if err != nil {

@@ -202,7 +202,7 @@ func (e *Exchange) buildStateLocked() (*exchangeState, error) {
 			}
 		}
 	}
-	st.Ledger = e.ledger.entriesLocked(0, e.ledger.recs.Len(recChunk))
+	st.Ledger = e.ledger.entriesLocked()
 	st.History = append([]*AuctionRecord(nil), e.history...)
 	for _, g := range e.fleet.Quotas().Grants() {
 		if g.Quota.IsZero() {

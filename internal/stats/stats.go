@@ -72,23 +72,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// MinMax returns the smallest and largest values of xs.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
 // Boxplot holds the Tukey boxplot statistics used to render Figure 7:
 // quartiles, whiskers at the most extreme data points within 1.5·IQR of
 // the box, and the outliers beyond them.

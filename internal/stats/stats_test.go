@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -64,16 +65,6 @@ func TestMedianOddEven(t *testing.T) {
 	}
 	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
 		t.Errorf("even Median = %v", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -2, 7, 0})
-	if err != nil || lo != -2 || hi != 7 {
-		t.Errorf("MinMax = %v,%v,%v", lo, hi, err)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Errorf("MinMax(nil) err = %v", err)
 	}
 }
 
@@ -180,8 +171,7 @@ func TestQuickQuantileMonotone(t *testing.T) {
 			}
 			prev = v
 		}
-		lo, hi, _ := MinMax(xs)
-		return Quantile(xs, 0) == lo && Quantile(xs, 1) == hi
+		return Quantile(xs, 0) == slices.Min(xs) && Quantile(xs, 1) == slices.Max(xs)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

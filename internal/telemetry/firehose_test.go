@@ -210,17 +210,18 @@ func TestHistogramBucketsAndSnapshot(t *testing.T) {
 
 func TestExpositionFormat(t *testing.T) {
 	var e Exposition
-	e.Counter("m_total", "A counter.", 42)
-	e.Gauge("m_open", "A gauge.", 3)
-	e.LabeledMap("m_by_pool", "gauge", "Per pool.", "pool", map[string]float64{
-		"r2/cpu": 2.5, "r1/cpu": 1.5,
+	e.LabeledSeries("m_total", "counter", "A counter.", []LabeledValue{{Value: 42}})
+	e.LabeledSeries("m_open", "gauge", "A gauge.", []LabeledValue{{Value: 3}})
+	e.LabeledSeries("m_by_pool", "gauge", "Per pool.", []LabeledValue{
+		{Labels: []string{"pool", "r1/cpu"}, Value: 1.5},
+		{Labels: []string{"pool", "r2/cpu"}, Value: 2.5},
 	})
-	e.Histogram("m_lat_seconds", "Latency.", HistogramSnapshot{
+	e.HistogramSeries("m_lat_seconds", "Latency.", []LabeledHistogram{{Snap: HistogramSnapshot{
 		Bounds: []float64{0.001, 0.01},
 		Counts: []uint64{3, 2},
 		Inf:    1,
 		Sum:    0.25,
-	})
+	}}})
 	out := e.String()
 	for _, want := range []string{
 		"# HELP m_total A counter.\n# TYPE m_total counter\nm_total 42\n",

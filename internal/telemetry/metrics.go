@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -57,18 +56,6 @@ func (e *Exposition) sample(name string, labels []string, v float64) {
 	e.b.WriteByte('\n')
 }
 
-// Counter writes one unlabeled counter with its headers.
-func (e *Exposition) Counter(name, help string, v float64) {
-	e.header(name, "counter", help)
-	e.sample(name, nil, v)
-}
-
-// Gauge writes one unlabeled gauge with its headers.
-func (e *Exposition) Gauge(name, help string, v float64) {
-	e.header(name, "gauge", help)
-	e.sample(name, nil, v)
-}
-
 // LabeledSeries writes headers for one metric followed by one sample
 // per entry. Each entry's labels are alternating key/value pairs.
 func (e *Exposition) LabeledSeries(name, typ, help string, entries []LabeledValue) {
@@ -83,28 +70,6 @@ func (e *Exposition) LabeledSeries(name, typ, help string, entries []LabeledValu
 type LabeledValue struct {
 	Labels []string
 	Value  float64
-}
-
-// LabeledMap is a convenience for a metric with a single label
-// dimension: map keys become the label's values, emitted in sorted
-// order so scrapes are deterministic.
-func (e *Exposition) LabeledMap(name, typ, help, label string, m map[string]float64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	entries := make([]LabeledValue, 0, len(keys))
-	for _, k := range keys {
-		entries = append(entries, LabeledValue{Labels: []string{label, k}, Value: m[k]})
-	}
-	e.LabeledSeries(name, typ, help, entries)
-}
-
-// Histogram writes one histogram family (cumulative _bucket samples,
-// then _sum and _count) from a snapshot.
-func (e *Exposition) Histogram(name, help string, h HistogramSnapshot) {
-	e.HistogramSeries(name, help, []LabeledHistogram{{Snap: h}})
 }
 
 // LabeledHistogram is one labeled member of a histogram family.
