@@ -15,8 +15,12 @@ help: ## List targets
 build: ## Compile every package
 	$(GO) build ./...
 
-test: ## Run the full test suite
+# The benchmark's 1/50-size smoke runs each workload's own checks
+# (lost_acks, bands, replay agreement), so a change that breaks a
+# workload fails here and not only in CI.
+test: ## Run the full test suite and the benchmark smoke
 	$(GO) test ./...
+	$(GO) test -C benchmark .
 
 race: ## Run the full test suite under the race detector
 	$(GO) test -race ./...
@@ -57,8 +61,7 @@ bench: ## One pass over the layer benchmarks (a smoke check, not a gate)
 # The end-to-end suite in benchmark/ (its own module; see
 # benchmark/README.md): five workloads, ~1 min, results as JSON for
 # `go run -C benchmark . -compare`. The path is relative to benchmark/.
-# CI runs the suite's 1/50-size smoke (`go test -C benchmark .`) instead;
-# `make vet` already fails on a core API change that stops it compiling.
+# `make test` and CI run the suite's 1/50-size smoke instead.
 BENCH_SUITE_OUT ?= out/suite.json
 bench-suite: ## Run the five-workload end-to-end benchmark, JSON to benchmark/$(BENCH_SUITE_OUT)
 	mkdir -p benchmark/out

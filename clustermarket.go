@@ -17,7 +17,7 @@
 //
 // Example is the minimal flow; Example_migration, Example_arbitrage and
 // Example_optimizer reproduce Sections V.B, V.C and III.C.4. DESIGN.md
-// maps the paper's sections to the implementation.
+// describes the implementation layer by layer.
 package clustermarket
 
 import (
@@ -102,8 +102,8 @@ func NewCluster(name string) *Cluster { return cluster.New(name, nil) }
 // Trading platform (Section V).
 type (
 	// Exchange is the trading platform. All methods are safe for
-	// concurrent use; Exchange.Serve settles the book in one clock
-	// auction per epoch.
+	// concurrent use; RunAuction settles the open book in one clock
+	// auction.
 	Exchange = market.Exchange
 	// ExchangeConfig parameterizes it.
 	ExchangeConfig = market.Config

@@ -1,7 +1,7 @@
 package main
 
 // marketsim figures regenerates every table and figure from the paper's
-// evaluation (see DESIGN.md for the experiment index):
+// evaluation (see DESIGN.md, "Experiment index"):
 //
 //	marketsim figures -run all
 //	marketsim figures -run fig2

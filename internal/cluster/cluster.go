@@ -4,7 +4,7 @@
 // the utilization metric ψ(r) that Section IV's reserve pricing consumes.
 //
 // The paper ran against Google's production cluster-management stack; this
-// simulator is the substitution documented in DESIGN.md. It reproduces
+// simulator stands in for it (DESIGN.md's paper-to-code map). It reproduces
 // the properties the market cares about — finite capacity, multi-
 // dimensional packing (including stranding), heterogeneous load — without
 // the proprietary substrate.
@@ -126,9 +126,6 @@ func (m *Machine) remove(id string) bool {
 	delete(m.tasks, id)
 	return true
 }
-
-// TaskCount returns the number of tasks on the machine.
-func (m *Machine) TaskCount() int { return len(m.tasks) }
 
 // Tasks returns the machine's tasks sorted by ID.
 func (m *Machine) Tasks() []Task {
@@ -273,9 +270,6 @@ func (c *Cluster) Evict(id string) bool {
 	delete(c.taskHome, id)
 	return true
 }
-
-// TaskCount returns the number of placed tasks.
-func (c *Cluster) TaskCount() int { return len(c.taskHome) }
 
 // Capacity returns the summed machine capacity.
 func (c *Cluster) Capacity() Usage {

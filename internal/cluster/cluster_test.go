@@ -59,8 +59,8 @@ func TestMachinePlaceRemove(t *testing.T) {
 		t.Fatal("task should fit")
 	}
 	m.place(task)
-	if m.Used() != task.Req || m.TaskCount() != 1 {
-		t.Errorf("Used = %v, count = %d", m.Used(), m.TaskCount())
+	if m.Used() != task.Req || len(m.Tasks()) != 1 {
+		t.Errorf("Used = %v, tasks = %v", m.Used(), m.Tasks())
 	}
 	if m.Fits(Usage{CPU: 7}) {
 		t.Error("overcommit accepted")
@@ -96,8 +96,12 @@ func TestClusterPlaceEvict(t *testing.T) {
 	if err := c.Place(Task{ID: "neg", Team: "x", Req: Usage{CPU: -1}}); err == nil {
 		t.Fatal("negative req accepted")
 	}
-	if c.TaskCount() != 2 {
-		t.Errorf("TaskCount = %d", c.TaskCount())
+	placed := 0
+	for _, m := range c.Machines() {
+		placed += len(m.Tasks())
+	}
+	if placed != 2 {
+		t.Errorf("placed tasks = %d, want 2", placed)
 	}
 	if !c.Evict("a") || c.Evict("a") {
 		t.Error("Evict semantics wrong")

@@ -281,18 +281,6 @@ func (l *QuotaLedger) Granted(team, cluster string) Usage {
 	return l.grants[team][cluster]
 }
 
-// Teams lists teams holding any quota, sorted.
-func (l *QuotaLedger) Teams() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.grants))
-	for t := range l.grants {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // GrantRow is one (team, cluster, quota) entry of the ledger.
 type GrantRow struct {
 	Team    string

@@ -118,9 +118,9 @@ func TestQuotaLedger(t *testing.T) {
 		t.Errorf("unknown team = %v", got)
 	}
 	l.Grant("b", "r1", Usage{Disk: 3})
-	teams := l.Teams()
-	if len(teams) != 2 || teams[0] != "a" || teams[1] != "b" {
-		t.Errorf("Teams = %v", teams)
+	rows := l.Grants()
+	if len(rows) != 2 || rows[0].Team != "a" || rows[1].Team != "b" {
+		t.Errorf("Grants = %v", rows)
 	}
 }
 

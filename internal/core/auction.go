@@ -164,9 +164,6 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 	return a, nil
 }
 
-// Bids returns the auction's bids in input order.
-func (a *Auction) Bids() []*Bid { return a.bids }
-
 // Classes tallies the bidder classes, used to predict convergence per
 // Section III.C.3.
 func (a *Auction) Classes() (buyers, sellers, traders int) {

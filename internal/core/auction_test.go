@@ -245,8 +245,8 @@ func TestAuctionClasses(t *testing.T) {
 	if !a.ConvergenceGuaranteed() {
 		t.Error("pure market not guaranteed")
 	}
-	if len(a.Bids()) != 2 {
-		t.Error("Bids() wrong")
+	if len(a.bids) != 2 {
+		t.Error("bids wrong")
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // paper's preferred Equation (3), g = min(α·z⁺, δ·e), where e is the
 // all-ones vector, so no price moves by more than δ per round. A MinStep
 // floor guarantees progress when excess demand is tiny. Section III.C.2
-// discusses other choices; DESIGN.md, Section III, records the
-// measurement that kept only this one.
+// discusses other choices; DESIGN.md, "The clock against the exact
+// optimum", records the measurement that kept only this one.
 //
 // The zero Capped selects DefaultPolicy in a Config.
 type Capped struct {

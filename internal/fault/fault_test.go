@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"syscall"
@@ -201,8 +202,9 @@ func TestFaultFS(t *testing.T) {
 }
 
 // TestFaultFSJournalHeals proves the end-to-end heal loop: a journal
-// under a fault FS survives an ENOSPC burst via its append rollback,
-// and a Probe after the burst leaves it fully appendable.
+// under a fault FS heals a one-shot ENOSPC inside Append, survives a
+// burst that outlasts the loop via its append rollback, and a Probe
+// after the burst leaves it fully appendable.
 func TestFaultFSJournalHeals(t *testing.T) {
 	dir := t.TempDir()
 	inj := New()
@@ -218,13 +220,18 @@ func TestFaultFSJournalHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj.Arm([]Window{{Op: OpDiskWrite, Kind: ENOSPC, Count: 1}})
-	if _, err := j.Append([]byte(`{"k":"b"}`)); !errors.Is(err, ErrInjected) {
-		t.Fatalf("faulted append = %v", err)
+	if _, err := j.Append([]byte(`{"k":"b"}`)); err != nil {
+		t.Fatalf("append over a one-shot ENOSPC = %v, want healed", err)
+	}
+	// One fault per attempt: the first append and its four retries.
+	inj.Arm([]Window{{Op: OpDiskWrite, Kind: ENOSPC, Count: 5}})
+	if _, err := j.Append([]byte(`{"k":"c"}`)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append faulted past the heal loop = %v", err)
 	}
 	if err := j.Probe(); err != nil {
 		t.Fatalf("probe after heal = %v", err)
 	}
-	if _, err := j.Append([]byte(`{"k":"b"}`)); err != nil {
+	if _, err := j.Append([]byte(`{"k":"c"}`)); err != nil {
 		t.Fatalf("append after heal = %v", err)
 	}
 	j.Close()
@@ -234,8 +241,8 @@ func TestFaultFSJournalHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if len(rec2.Records) != 2 || rec2.Truncated {
-		t.Errorf("recovered %d records (truncated=%v), want 2 clean", len(rec2.Records), rec2.Truncated)
+	if got := fmt.Sprintf("%s", rec2.Records); got != `[{"k":"a"} {"k":"b"} {"k":"c"}]` || rec2.Truncated {
+		t.Errorf("recovered %s (truncated=%v), want a, b and c once each", got, rec2.Truncated)
 	}
 }
 

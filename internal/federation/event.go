@@ -3,7 +3,6 @@ package federation
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"clustermarket/internal/journal"
 	"clustermarket/internal/telemetry"
@@ -50,21 +49,13 @@ type FedEvent struct {
 	Breaker *BreakerChange `json:"breaker,omitempty"`
 }
 
-// Bounded inline heal loop for routing appends, mirroring the market
-// exchange's: each retry follows a journal Probe (torn-tail repair plus
-// an fsync round trip) and doubling backoff, so a transient disk fault
-// burst heals invisibly before the sticky journalErr latch trips.
-const (
-	fedAppendRetries   = 4
-	fedAppendRetryBase = time.Millisecond
-)
-
 // emitLocked materializes the event to the routing journal (when one
 // is attached) and the telemetry firehose (when a subscriber is
 // listening). Callers hold f.mu, so journal order matches mutation
-// order. Append failures are retried inline (the journal rolls failed
-// appends back, so a retry reproduces the identical frame); failures
-// that survive the retries are sticky (journalErr) and surfaced by the
+// order. The journal heals a transient append failure inside Append
+// (it rolls failed attempts back, so a retry reproduces the identical
+// frame), briefly holding up routing under f.mu; failures that survive
+// its retries are sticky (journalErr) and surfaced by the
 // next SettleRegion/SubmitProduct/Cancel — advance paths deep in the
 // router have no error return to thread one through; an event that
 // failed to journal is still published, since the mutation it
@@ -74,32 +65,11 @@ func (f *Federation) emitLocked(ev *FedEvent) {
 		raw, err := json.Marshal(ev)
 		if err != nil {
 			f.journalErr = fmt.Errorf("federation: encode %s event: %w", ev.Kind, err)
-		} else if err := f.appendRetryLocked(raw); err != nil {
+		} else if _, err := f.journal.Append(raw); err != nil {
 			f.journalErr = fmt.Errorf("federation: journal %s event: %w", ev.Kind, err)
 		}
 	}
 	f.fire.Publish(EventSource, ev.Kind, ev)
-}
-
-// appendRetryLocked appends with the bounded heal loop. It runs under
-// f.mu — the backoff sleeps (single-digit milliseconds, fault paths
-// only) briefly hold up routing, which is the correct trade against
-// latching journalErr for a fault that would have healed.
-func (f *Federation) appendRetryLocked(raw []byte) error {
-	_, err := f.journal.Append(raw)
-	if err == nil {
-		return nil
-	}
-	backoff := fedAppendRetryBase
-	for attempt := 0; attempt < fedAppendRetries; attempt++ {
-		time.Sleep(backoff)
-		backoff *= 2
-		_ = f.journal.Probe()
-		if _, err = f.journal.Append(raw); err == nil {
-			return nil
-		}
-	}
-	return err
 }
 
 // materializingLocked reports whether events are worth building at

@@ -257,19 +257,6 @@ func (f *Federation) OpenAccount(team string) error {
 	return nil
 }
 
-// Balance sums the team's balances across regions.
-func (f *Federation) Balance(team string) (float64, error) {
-	var total float64
-	for _, r := range f.regions {
-		b, err := r.ex.Balance(team)
-		if err != nil {
-			return 0, err
-		}
-		total += b
-	}
-	return total, nil
-}
-
 // Teams lists the non-operator accounts (identical in every region).
 func (f *Federation) Teams() []string { return f.regions[0].ex.Teams() }
 
@@ -874,51 +861,4 @@ func (f *Federation) Summary() ([]RegionSummary, error) {
 		out = append(out, rs)
 	}
 	return out, nil
-}
-
-// History returns every region's auction records, keyed by region name.
-func (f *Federation) History() map[string][]*market.AuctionRecord {
-	out := make(map[string][]*market.AuctionRecord, len(f.regions))
-	for _, r := range f.regions {
-		out[r.name] = r.ex.History()
-	}
-	return out
-}
-
-// RegionLedgerEntry tags a billing record with its region.
-type RegionLedgerEntry struct {
-	Region string
-	market.LedgerEntry
-}
-
-// Ledger concatenates every region's billing ledger in region order.
-func (f *Federation) Ledger() []RegionLedgerEntry {
-	var out []RegionLedgerEntry
-	for _, r := range f.regions {
-		for _, le := range r.ex.Ledger() {
-			out = append(out, RegionLedgerEntry{Region: r.name, LedgerEntry: le})
-		}
-	}
-	return out
-}
-
-// LedgerBalanced reports whether every region's ledger sums to zero —
-// money is conserved within each region, so it is conserved globally.
-func (f *Federation) LedgerBalanced(eps float64) bool {
-	for _, r := range f.regions {
-		if !r.ex.LedgerBalanced(eps) {
-			return false
-		}
-	}
-	return true
-}
-
-// PriceHistory returns one pool's settlement prices in its owning
-// region, oldest first.
-func (f *Federation) PriceHistory(pool resource.Pool) []float64 {
-	ref, ok := f.table.cluster[pool.Cluster]
-	if !ok {
-		return nil
-	}
-	return f.regions[ref.region].ex.PriceHistory(pool)
 }

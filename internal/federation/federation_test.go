@@ -17,6 +17,34 @@ func poolOf(cluster string) resource.Pool {
 	return resource.Pool{Cluster: cluster, Dim: resource.CPU}
 }
 
+// ledgerBalanced reports whether every region's billing ledger sums to
+// zero: money is conserved within each region, so it is conserved
+// globally.
+func ledgerBalanced(f *Federation, eps float64) bool {
+	for _, r := range f.regions {
+		var sum float64
+		for _, le := range r.ex.Ledger() {
+			sum += le.Amount
+		}
+		if sum >= eps || sum <= -eps {
+			return false
+		}
+	}
+	return true
+}
+
+// regionNamed returns the member region called name.
+func regionNamed(t *testing.T, f *Federation, name string) *Region {
+	t.Helper()
+	for _, r := range f.regions {
+		if r.name == name {
+			return r
+		}
+	}
+	t.Fatalf("no region %q", name)
+	return nil
+}
+
 // testRegion builds a region of `clusters` uniform clusters filled to the
 // given utilization, with clusters named "<name>-r1", "<name>-r2", ….
 func testRegion(t testing.TB, name string, clusters int, util float64) *Region {
@@ -121,7 +149,7 @@ func TestRegionLocalRouting(t *testing.T) {
 	if got.Payment <= 0 {
 		t.Errorf("payment = %g", got.Payment)
 	}
-	if !f.LedgerBalanced(1e-9) {
+	if !ledgerBalanced(f, 1e-9) {
 		t.Error("ledger unbalanced")
 	}
 }
@@ -336,9 +364,13 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestAccountsAndBalances(t *testing.T) {
 	f := hotCold(t)
-	bal, err := f.Balance("team")
-	if err != nil {
-		t.Fatal(err)
+	var bal float64
+	for _, r := range f.regions {
+		b, err := r.ex.Balance("team")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bal += b
 	}
 	if bal != 2e6 { // 1e6 per region
 		t.Errorf("balance = %g, want 2e6", bal)
@@ -386,18 +418,15 @@ func TestSummaryAndHistoryAggregation(t *testing.T) {
 	if hot.MeanCPUPrice <= cold.MeanCPUPrice {
 		t.Errorf("hot CPU price %g not above cold %g", hot.MeanCPUPrice, cold.MeanCPUPrice)
 	}
-	hist := f.History()
-	if len(hist["cold"]) != 1 || len(hist["hot"]) != 0 {
-		t.Errorf("history = %d cold, %d hot", len(hist["cold"]), len(hist["hot"]))
+	coldEx, hotEx := regionNamed(t, f, "cold").ex, regionNamed(t, f, "hot").ex
+	if len(coldEx.History()) != 1 || len(hotEx.History()) != 0 {
+		t.Errorf("history = %d cold, %d hot", len(coldEx.History()), len(hotEx.History()))
 	}
-	if led := f.Ledger(); len(led) == 0 {
-		t.Error("empty federated ledger after a settlement")
+	if len(coldEx.Ledger()) == 0 {
+		t.Error("empty cold ledger after a settlement")
 	}
-	if ph := f.PriceHistory(poolOf("cold-r1")); len(ph) != 1 {
+	if ph := coldEx.PriceHistory(poolOf("cold-r1")); len(ph) != 1 {
 		t.Errorf("price history = %v", ph)
-	}
-	if ph := f.PriceHistory(poolOf("mars-r1")); ph != nil {
-		t.Error("price history for unknown cluster")
 	}
 }
 
@@ -438,7 +467,7 @@ func TestServeSettlesConcurrently(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		f.Tick()
 	}
-	if !f.LedgerBalanced(1e-6) {
+	if !ledgerBalanced(f, 1e-6) {
 		t.Error("federated ledger unbalanced")
 	}
 	for _, fo := range f.Orders() {

@@ -59,7 +59,7 @@ func TestLegCostRowsMatchNames(t *testing.T) {
 			}
 			got, want := legCost(q, cover, clusters, rows), nameCost(reg, q, cover, leg)
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("registry %v, leg %v: row-priced %v, name-priced %v", reg.Pools(), leg, got, want)
+				t.Fatalf("registry %v, leg %v: row-priced %v, name-priced %v", reg, leg, got, want)
 			}
 		}
 	}

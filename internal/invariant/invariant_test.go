@@ -284,7 +284,7 @@ func TestCheckExchangeCleanMarket(t *testing.T) {
 		}
 		RequireExchange(t, "epoch", ex)
 	}
-	if err := ex.Disburse(market.EqualShares, 500); err != nil {
+	if err := ex.Disburse(500); err != nil {
 		t.Fatal(err)
 	}
 	RequireExchange(t, "after disbursement", ex)

@@ -4,9 +4,10 @@ package journal
 // with an in-package flaky filesystem (internal/fault wraps this seam
 // from outside; it cannot be imported here without a cycle). Pins the
 // rollback contract — a failed append leaves the WAL byte-identical to
-// never having tried, so the retry writes identical bytes — plus the
-// Probe heal path, rename-failure rotation safety, and the ErrLocked
-// sentinel and torn-tail frame metadata marketd reports at startup.
+// never having tried, so the retry writes identical bytes — the heal
+// loop that retries inside Append and Snapshot, the Probe heal path,
+// rename-failure rotation safety, and the ErrLocked sentinel and
+// torn-tail frame metadata marketd reports at startup.
 
 import (
 	"errors"
@@ -22,12 +23,20 @@ type flakyFS struct {
 	failWrites   int    // whole-write EIO
 	shortWrites  int    // write half the buffer, then EIO
 	failSyncs    int    // fsync EIO
-	failRenameTo string // base name of a rename target to fail once
+	failRenameTo string // base name of a rename target to fail
+	failRenames  int    // renames onto failRenameTo to fail
 }
 
+// Faults that outlast the heal loop: one per attempt, and for fsync
+// one more per Probe between attempts.
+const (
+	outlastWrites = 1 + healRetries
+	outlastSyncs  = 1 + 2*healRetries
+)
+
 func (f *flakyFS) Rename(oldpath, newpath string) error {
-	if f.failRenameTo != "" && filepath.Base(newpath) == f.failRenameTo {
-		f.failRenameTo = ""
+	if f.failRenames > 0 && filepath.Base(newpath) == f.failRenameTo {
+		f.failRenames--
 		return syscall.EIO
 	}
 	return f.FS.Rename(oldpath, newpath)
@@ -110,28 +119,37 @@ func TestTornTailNamesFrameAndKind(t *testing.T) {
 	}
 }
 
-// TestAppendRollbackRetryClean: a failed append (write EIO, short write,
-// or fsync EIO) rolls the WAL back to its pre-append length, so the
-// retry lands as the one and only copy of the record.
+// appendFaults are the three ways an append attempt fails.
+var appendFaults = []struct {
+	name string
+	set  func(fs *flakyFS, n int)
+	// outlast is how many faults outlast the heal loop.
+	outlast int
+}{
+	{"write-eio", func(fs *flakyFS, n int) { fs.failWrites = n }, outlastWrites},
+	{"short-write", func(fs *flakyFS, n int) { fs.shortWrites = n }, outlastWrites},
+	{"fsync-eio", func(fs *flakyFS, n int) { fs.failSyncs = n }, outlastSyncs},
+}
+
+// TestAppendRollbackRetryClean: an append whose every attempt fails
+// (write EIO, short write, or fsync EIO) rolls the WAL back to its
+// pre-append length after each, so the caller's own retry lands as the
+// one and only copy of the record.
 func TestAppendRollbackRetryClean(t *testing.T) {
-	arm := []struct {
-		name string
-		set  func(fs *flakyFS)
-	}{
-		{"write-eio", func(fs *flakyFS) { fs.failWrites = 1 }},
-		{"short-write", func(fs *flakyFS) { fs.shortWrites = 1 }},
-		{"fsync-eio", func(fs *flakyFS) { fs.failSyncs = 1 }},
-	}
-	for _, tc := range arm {
+	for _, tc := range appendFaults {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			fs := &flakyFS{FS: OSFS()}
 			j, _ := mustOpen(t, dir, Options{FS: fs, FsyncEvery: 1})
 			appendAll(t, j, `{"k":"a"}`)
 
-			tc.set(fs)
+			tc.set(fs, tc.outlast)
 			if _, err := j.Append([]byte(`{"k":"b"}`)); err == nil {
-				t.Fatal("faulted append succeeded")
+				t.Fatal("append faulted past the heal loop succeeded")
+			}
+			// The loop made every attempt, with a Probe between each.
+			if left := fs.failWrites + fs.shortWrites + fs.failSyncs; left != 0 {
+				t.Fatalf("%d armed faults left unconsumed by the heal loop", left)
 			}
 			if _, err := j.Append([]byte(`{"k":"b"}`)); err != nil {
 				t.Fatalf("retried append: %v", err)
@@ -146,6 +164,31 @@ func TestAppendRollbackRetryClean(t *testing.T) {
 			}
 			if rec.Truncated {
 				t.Error("rollback left a torn tail for recovery to repair")
+			}
+		})
+	}
+}
+
+// TestAppendHealsOneShotFault: a one-shot fault heals inside Append,
+// and recovery shows the record exactly once.
+func TestAppendHealsOneShotFault(t *testing.T) {
+	for _, tc := range appendFaults {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs := &flakyFS{FS: OSFS()}
+			j, _ := mustOpen(t, dir, Options{FS: fs, FsyncEvery: 1})
+			appendAll(t, j, `{"k":"a"}`)
+
+			tc.set(fs, 1)
+			if seq, err := j.Append([]byte(`{"k":"b"}`)); err != nil || seq != 2 {
+				t.Fatalf("append over a one-shot fault = %d, %v; want seq 2 healed", seq, err)
+			}
+			j.Close()
+
+			j2, rec := mustOpen(t, dir, Options{})
+			defer j2.Close()
+			if got := recordsAsStrings(rec); len(got) != 2 || got[0] != `{"k":"a"}` || got[1] != `{"k":"b"}` || rec.Truncated {
+				t.Errorf("recovered %v (truncated %v), want exactly [a b]", got, rec.Truncated)
 			}
 		})
 	}
@@ -167,10 +210,10 @@ func TestProbeHealsSickDisk(t *testing.T) {
 	}
 }
 
-// TestSnapshotRenameFailureIsSafe: a failed rename during snapshot
-// install or WAL rotation must leave the journal appendable and every
-// record recoverable — the old WAL is never displaced until its
-// replacement is fully durable.
+// TestSnapshotRenameFailureIsSafe: a rename that fails on every heal
+// attempt during snapshot install or WAL rotation must leave the
+// journal appendable and every record recoverable — the old WAL is
+// never displaced until its replacement is fully durable.
 func TestSnapshotRenameFailureIsSafe(t *testing.T) {
 	for _, target := range []string{"snapshot.json", "wal"} {
 		t.Run(target, func(t *testing.T) {
@@ -179,9 +222,9 @@ func TestSnapshotRenameFailureIsSafe(t *testing.T) {
 			j, _ := mustOpen(t, dir, Options{FS: fs, FsyncEvery: 1})
 			appendAll(t, j, `{"k":"a"}`, `{"k":"b"}`)
 
-			fs.failRenameTo = target
+			fs.failRenameTo, fs.failRenames = target, outlastWrites
 			if err := j.Snapshot([]byte(`{"state":1}`), j.Seq()); err == nil {
-				t.Fatal("snapshot with failed rename succeeded")
+				t.Fatal("snapshot with a rename failed past the heal loop succeeded")
 			}
 			appendAll(t, j, `{"k":"c"}`)
 			j.Close()
@@ -215,6 +258,33 @@ func TestSnapshotRenameFailureIsSafe(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("recovered %v, want %v", got, want)
 				}
+			}
+		})
+	}
+}
+
+// TestSnapshotHealsOneShotFault: a one-shot rename failure during
+// snapshot install or WAL rotation heals inside Snapshot; recovery is
+// the snapshot plus each later record exactly once.
+func TestSnapshotHealsOneShotFault(t *testing.T) {
+	for _, target := range []string{"snapshot.json", "wal"} {
+		t.Run(target, func(t *testing.T) {
+			dir := t.TempDir()
+			fs := &flakyFS{FS: OSFS()}
+			j, _ := mustOpen(t, dir, Options{FS: fs, FsyncEvery: 1})
+			appendAll(t, j, `{"k":"a"}`, `{"k":"b"}`)
+
+			fs.failRenameTo, fs.failRenames = target, 1
+			if err := j.Snapshot([]byte(`{"state":1}`), j.Seq()); err != nil {
+				t.Fatalf("snapshot over a one-shot rename failure: %v", err)
+			}
+			appendAll(t, j, `{"k":"c"}`)
+			j.Close()
+
+			j2, rec := mustOpen(t, dir, Options{})
+			defer j2.Close()
+			if got := recordsAsStrings(rec); rec.SnapshotSeq != 2 || len(got) != 1 || got[0] != `{"k":"c"}` || rec.Truncated {
+				t.Errorf("recovered snapshot at %d + %v (truncated %v), want 2 + [c]", rec.SnapshotSeq, got, rec.Truncated)
 			}
 		})
 	}

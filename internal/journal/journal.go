@@ -30,10 +30,13 @@
 // Disk faults at runtime are first-class, not just crash artifacts:
 // every disk operation goes through the Options.FS seam, and a failed
 // append (write error, short write, or a failed group-commit fsync)
-// rolls the WAL back to its pre-append length before the error is
-// returned — no partial frame is ever readable, a retried append
-// reproduces the identical byte stream, and Probe lets a degraded
-// caller test whether the disk has healed.
+// rolls the WAL back to its pre-append length — no partial frame is
+// ever readable and a retried append reproduces the identical byte
+// stream. Append and Snapshot heal a transient fault burst themselves:
+// a failed attempt is retried a bounded number of times, each after a
+// doubling backoff and a Probe. Only a fault that outlasts the loop
+// reaches the caller, and Probe lets a degraded caller test whether the
+// disk has healed since.
 package journal
 
 import (
@@ -119,9 +122,6 @@ type Recovery struct {
 // Empty reports whether the directory held no durable state at all —
 // the fresh-start case callers use to decide whether to seed a world.
 func (r *Recovery) Empty() bool { return r.SnapshotSeq == 0 && len(r.Records) == 0 }
-
-// LastSeq returns the sequence number of the last recovered record.
-func (r *Recovery) LastSeq() uint64 { return r.SnapshotSeq + uint64(len(r.Records)) }
 
 // Journal is an open WAL + snapshot directory. All methods are safe for
 // concurrent use; Append order defines the global sequence order.
@@ -443,34 +443,45 @@ func (j *Journal) Seq() uint64 {
 	return j.seq
 }
 
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
+// The bounded heal loop behind Append, AppendBatch and Snapshot: a
+// failed attempt is retried healRetries times, each after a doubling
+// backoff from healBase and a Probe, so a transient burst of
+// ENOSPC/EIO costs the caller at most ~15 ms instead of an error.
+const (
+	healRetries = 4
+	healBase    = time.Millisecond
+)
+
+// heal runs op, which takes j.mu itself, and retries it after a
+// failure. Nothing holds j.mu across the sleeps. The Probe's own error
+// is not decisive: the retried op is the verdict. A closed journal
+// fails at once.
+func (j *Journal) heal(op func() error) error {
+	err := op()
+	for attempt, backoff := 0, healBase; err != nil && !errors.Is(err, ErrClosed) && attempt < healRetries; attempt++ {
+		time.Sleep(backoff)
+		backoff *= 2
+		_ = j.Probe()
+		err = op()
+	}
+	return err
+}
 
 // Append writes one framed record to the WAL and returns its sequence
 // number. The record hits the file descriptor before Append returns (a
 // process crash cannot lose it); it is fsynced per Options.FsyncEvery
-// (power loss is bounded by the group-commit window). On failure the
-// WAL is rolled back to its pre-append length: the failed record is
-// never readable, the sequence number is not consumed, and an
-// identical retry is safe.
+// (power loss is bounded by the group-commit window). A failed attempt
+// rolls the WAL back to its pre-append length, so the failed record is
+// never readable and the heal loop's retry writes the identical frame;
+// an error means every attempt failed and no sequence was consumed.
 func (j *Journal) Append(payload []byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appendLocked(payload)
+	return j.appendFrames(appendFrame(make([]byte, 0, 8+len(payload)), payload), 1)
 }
 
 // AppendBatch writes records as one write(2) and returns the sequence
 // of the last. The batch counts as len(payloads) records toward the
-// group-commit window. Failure rolls back the whole batch.
+// group-commit window. A failed attempt rolls back the whole batch.
 func (j *Journal) AppendBatch(payloads [][]byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead {
-		return 0, ErrClosed
-	}
-	if err := j.repairIfTornLocked(); err != nil {
-		return 0, err
-	}
 	size := 0
 	for _, p := range payloads {
 		size += 8 + len(p)
@@ -479,24 +490,28 @@ func (j *Journal) AppendBatch(payloads [][]byte) (uint64, error) {
 	for _, p := range payloads {
 		buf = appendFrame(buf, p)
 	}
-	if err := j.writeFramesLocked(buf, len(payloads)); err != nil {
-		return 0, err
-	}
-	return j.seq, nil
+	return j.appendFrames(buf, len(payloads))
 }
 
-func (j *Journal) appendLocked(payload []byte) (uint64, error) {
-	if j.dead {
-		return 0, ErrClosed
-	}
-	if err := j.repairIfTornLocked(); err != nil {
-		return 0, err
-	}
-	buf := appendFrame(make([]byte, 0, 8+len(payload)), payload)
-	if err := j.writeFramesLocked(buf, 1); err != nil {
-		return 0, err
-	}
-	return j.seq, nil
+// appendFrames appends a framed buffer carrying n records through the
+// heal loop and returns the sequence of the last.
+func (j *Journal) appendFrames(buf []byte, n int) (seq uint64, err error) {
+	err = j.heal(func() error {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if j.dead {
+			return ErrClosed
+		}
+		if err := j.repairIfTornLocked(); err != nil {
+			return err
+		}
+		if err := j.writeFramesLocked(buf, n); err != nil {
+			return err
+		}
+		seq = j.seq
+		return nil
+	})
+	return seq, err
 }
 
 // writeFramesLocked writes one fully framed buffer carrying n records
@@ -623,10 +638,15 @@ func (j *Journal) Sync() error {
 //
 // The rotation is failure-safe: the current WAL file and descriptor
 // are not touched until the replacement is durably written and renamed
-// into place, so a Snapshot that fails at any step leaves the journal
-// appendable with every record past at still in its WAL, and the caller
-// may simply retry with the same state and stamp.
+// into place, so an attempt that fails at any step leaves the journal
+// appendable with every record past at still in its WAL, and the heal
+// loop retries with the same state and stamp. An error means every
+// attempt failed.
 func (j *Journal) Snapshot(state []byte, at uint64) error {
+	return j.heal(func() error { return j.snapshotOnce(state, at) })
+}
+
+func (j *Journal) snapshotOnce(state []byte, at uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.dead {

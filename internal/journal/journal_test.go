@@ -205,8 +205,8 @@ func TestSnapshotRotatesWAL(t *testing.T) {
 	if got, want := fmt.Sprint(recordsAsStrings(rec)), "[c]"; got != want {
 		t.Fatalf("replay tail %s, want %s (pre-snapshot records must be rotated out)", got, want)
 	}
-	if rec.LastSeq() != 3 {
-		t.Fatalf("LastSeq = %d, want 3", rec.LastSeq())
+	if last := rec.SnapshotSeq + uint64(len(rec.Records)); last != 3 {
+		t.Fatalf("last seq = %d, want 3", last)
 	}
 }
 
@@ -247,8 +247,8 @@ func TestSnapshotCarriesRecordsPastItsStamp(t *testing.T) {
 	if got, want := fmt.Sprint(recordsAsStrings(rec)), "[c d e]"; got != want {
 		t.Fatalf("replay tail %s, want %s: records past the stamp were acknowledged", got, want)
 	}
-	if rec.LastSeq() != 5 {
-		t.Fatalf("LastSeq = %d, want 5", rec.LastSeq())
+	if last := rec.SnapshotSeq + uint64(len(rec.Records)); last != 5 {
+		t.Fatalf("last seq = %d, want 5", last)
 	}
 }
 
@@ -451,8 +451,8 @@ func TestTornTailAfterSnapshot(t *testing.T) {
 	if got, want := fmt.Sprint(recordsAsStrings(rec)), "[c]"; got != want {
 		t.Fatalf("tail %s, want %s", got, want)
 	}
-	if rec.LastSeq() != 3 {
-		t.Fatalf("LastSeq = %d, want 3", rec.LastSeq())
+	if last := rec.SnapshotSeq + uint64(len(rec.Records)); last != 3 {
+		t.Fatalf("last seq = %d, want 3", last)
 	}
 	if !rec.Truncated {
 		t.Fatal("torn tail not reported")

@@ -240,7 +240,7 @@ func (r *seamRun) money() {
 		"order 4294967296 settlement", "order -1 settlement", "order 7 settlement ", "goodwill"}
 	auction := r.e.AuctionCount()
 	if r.rng.Intn(3) == 0 {
-		if err := r.e.Disburse(market.EqualShares, 90); err != nil {
+		if err := r.e.Disburse(90); err != nil {
 			r.t.Fatal(err)
 		}
 		for _, team := range r.teams { // sorted, as Teams() is

@@ -24,10 +24,10 @@ import (
 //     settled, the remainder of the claimed batch is released back to
 //     Open, and the auction record is not written — replaying the
 //     journal prefix reproduces the live books bit-for-bit.
-//   - Each failed append is retried inline a bounded number of times
-//     with exponential backoff (appendWithRetry), with a journal Probe
-//     — torn-tail repair plus an fsync round trip — between attempts,
-//     so a transient burst of ENOSPC/EIO heals invisibly and only a
+//   - The journal retries each failed append and snapshot itself, a
+//     bounded number of times with exponential backoff and a Probe —
+//     torn-tail repair plus an fsync round trip — between attempts, so
+//     a transient burst of ENOSPC/EIO heals invisibly and only a
 //     persistently sick disk quiesces the exchange.
 //   - Recovery is automatic: RunAuction probes on entry (subject to the
 //     same exponential backoff) and TryResume(true) forces a probe, so
@@ -38,12 +38,6 @@ import (
 var ErrDegraded = errors.New("market: degraded — journal unavailable, retry later")
 
 const (
-	// maxAppendRetries bounds the inline append retries before the
-	// exchange gives up and quiesces; with the doubling backoff below the
-	// worst case adds ~15ms to the failing call.
-	maxAppendRetries = 4
-	appendRetryBase  = time.Millisecond
-
 	// Resume probes back off exponentially from base to cap while the
 	// disk stays sick, so a dead volume costs one fsync attempt per
 	// backoff window, not per rejected request.
@@ -127,30 +121,6 @@ func (e *Exchange) TryResume(force bool) error {
 		e.fire.Publish(EventSource, EvDegradedExited, &Event{Kind: EvDegradedExited})
 	}
 	return nil
-}
-
-// appendWithRetry is the bounded inline heal loop under emitEvent: a
-// failed journal append (already rolled back by the journal) is retried
-// after a Probe — repair plus fsync — with doubling backoff, so a
-// transient fault burst delays the operation by milliseconds instead of
-// failing it. The final error, if any, is the last append's.
-func (e *Exchange) appendWithRetry(raw []byte) error {
-	_, err := e.journal.Append(raw)
-	if err == nil {
-		return nil
-	}
-	backoff := appendRetryBase
-	for attempt := 0; attempt < maxAppendRetries; attempt++ {
-		time.Sleep(backoff)
-		backoff *= 2
-		// Probe repairs any torn tail and tests the disk; its error is
-		// not decisive — the retried append below is the real verdict.
-		_ = e.journal.Probe()
-		if _, err = e.journal.Append(raw); err == nil {
-			return nil
-		}
-	}
-	return err
 }
 
 // degradeState carries the quiesce lifecycle. flag is the hot-path

@@ -86,7 +86,7 @@ var degradeSites = []struct {
 	}},
 	{"disburse", func(t *testing.T, e *market.Exchange) func() error {
 		openTeams(t, e)
-		return func() error { return e.Disburse(market.ProportionalToQuota, 5000) }
+		return func() error { return e.Disburse(5000) }
 	}},
 	{"credit", func(t *testing.T, e *market.Exchange) func() error {
 		openTeams(t, e)

@@ -113,10 +113,11 @@ func (e *Exchange) emitEvent(ev *Event) error {
 		if err != nil {
 			return fmt.Errorf("market: encode %s event: %w", ev.Kind, err)
 		}
-		if err := e.appendWithRetry(raw); err != nil {
-			// The journal has rolled its WAL back to the pre-append
-			// length, so nothing of this event is readable; quiesce so
-			// no further state is acknowledged until the disk heals.
+		if _, err := e.journal.Append(raw); err != nil {
+			// Every heal attempt failed and the journal has rolled its
+			// WAL back to the pre-append length, so nothing of this event
+			// is readable; quiesce so no further state is acknowledged
+			// until the disk heals.
 			e.enterDegraded(err)
 			return fmt.Errorf("market: journal %s event: %w", ev.Kind, err)
 		}

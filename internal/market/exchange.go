@@ -241,8 +241,8 @@ func (c *Config) applyDefaults() {
 //     status polls, and balance reads in different stripes never touch
 //     the same lock, and every stripe's critical section is O(1).
 //   - The billing ledger and the auction history each have their own
-//     lock; a ledger pair is posted in one critical section, so
-//     LedgerBalanced holds at every observable instant.
+//     lock; a ledger pair is posted in one critical section, so the
+//     ledger sums to zero at every observable instant.
 //   - An order is a Go object only while it is open. The stripe lock
 //     that flips it terminal also copies it into the stripe's
 //     pointer-free archive (archive.go); from then on Order, Orders and
@@ -275,10 +275,12 @@ type Exchange struct {
 
 	// auctionMu serializes RunAuction: one auctioneer at a time.
 	auctionMu sync.Mutex
-	// settleMu excludes budget disbursement from the settlement phase
-	// only (Disburse's weight scan reads the quota ledger that settlement
-	// writes). RunAuction takes it after the clock completes, so a
-	// disbursement waits out a settlement — not an entire clock run.
+	// settleMu keeps racing writers out between the log and the apply
+	// of every settlement-phase event (apply.go): the settlement wave,
+	// Disburse, Credit, PlaceOrder, EvictTask, and snapshots, which
+	// must never stamp an event without its effects. RunAuction takes
+	// it after the clock completes, so the others wait out a
+	// settlement — not an entire clock run.
 	// Lock order: auctionMu before settleMu; shard locks are leaves.
 	settleMu sync.Mutex
 
@@ -313,7 +315,7 @@ type Exchange struct {
 	metrics exchangeMetrics
 	delta   fleetDelta
 	// degraded is the journal-failure quiesce state machine (degrade.go):
-	// set when an append exhausts its inline retries, cleared when a
+	// set when an append exhausts the journal's retries, cleared when a
 	// journal Probe succeeds again.
 	degraded degradeState
 }
@@ -366,9 +368,6 @@ func (e *Exchange) Catalog() *Catalog { return e.catalog }
 
 // Fleet returns the underlying fleet.
 func (e *Exchange) Fleet() *cluster.Fleet { return e.fleet }
-
-// Shards returns the stripe count of the order and account books.
-func (e *Exchange) Shards() int { return len(e.orderShards) }
 
 // OpenAccount creates a team account with the configured initial budget
 // ("engineering teams were given budget dollars", Section V).
@@ -1198,7 +1197,7 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		return nil, nil, runErr
 	}
 
-	// The clock is done; only the settlement phase excludes Disburse.
+	// The clock is done; only the settlement phase takes settleMu.
 	e.settleMu.Lock()
 	defer e.settleMu.Unlock()
 
@@ -1268,8 +1267,8 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	// Settle orders (indices in `bids` match `open` for i < len(open)).
 	// Every order in the batch is still Open: the in-auction mark blocks
 	// cancellation while the clock runs. Each winner's ledger pair is
-	// posted atomically by the applier, so LedgerBalanced holds at every
-	// observable instant.
+	// posted atomically by the applier, so the ledger sums to zero at
+	// every observable instant.
 	// The events' bundle indices point into one copy a wave, not one
 	// allocation a winner (and not into res, which the caller gets).
 	bundles := append([]int(nil), res.ChosenBundle[:len(open)]...)
@@ -1319,22 +1318,6 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		return rec, res, err
 	}
 	return rec, res, runErr
-}
-
-// LedgerBalanced reports whether all ledger entries sum to zero (every
-// debit has a matching credit). It reads the records in place.
-//
-//marketlint:allocfree
-func (e *Exchange) LedgerBalanced(eps float64) bool {
-	e.ledger.mu.RLock()
-	defer e.ledger.mu.RUnlock()
-	var s float64
-	for _, chunk := range e.ledger.recs.Chunks() {
-		for i := range chunk {
-			s += chunk[i].amount
-		}
-	}
-	return s < eps && s > -eps
 }
 
 // BuyCommitments returns a snapshot of every team's running buy-side

@@ -3,10 +3,7 @@ package market
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
-
-	"clustermarket/internal/core"
 )
 
 // Loop drives epoch-batched settlement: orders accumulate in the book
@@ -22,26 +19,6 @@ type Loop struct {
 	// with the auction outcome (rec may be non-nil even when err is
 	// core.ErrNoConvergence). Idle ticks (empty book) are not reported.
 	OnTick func(rec *AuctionRecord, err error)
-
-	mu    sync.Mutex
-	stats LoopStats
-}
-
-// LoopStats counts what the loop has done so far.
-type LoopStats struct {
-	// Ticks is the number of timer fires handled.
-	Ticks int
-	// Auctions counts binding auctions that settled (clock converged).
-	Auctions int
-	// SettledOrders sums the orders settled as Won across auctions.
-	SettledOrders int
-	// Idle counts ticks skipped because the book was empty.
-	Idle int
-	// NoConvergence counts clocks that hit the round limit (batch left
-	// open for the next epoch).
-	NoConvergence int
-	// Errors counts other auction failures.
-	Errors int
 }
 
 // NewLoop builds an epoch loop over the exchange. Epoch must be
@@ -58,7 +35,7 @@ func NewLoop(ex *Exchange, epoch time.Duration) (*Loop, error) {
 
 // Run ticks until ctx is cancelled, settling the accumulated batch once
 // per epoch. It returns ctx.Err(). Auction failures do not stop the
-// loop; they are counted in Stats and surfaced through OnTick.
+// loop; they are surfaced through OnTick.
 func (l *Loop) Run(ctx context.Context) error {
 	t := time.NewTicker(l.epoch)
 	defer t.Stop()
@@ -78,45 +55,11 @@ func (l *Loop) Run(ctx context.Context) error {
 // error for a periodically settling market.
 func (l *Loop) Tick() (*AuctionRecord, error) {
 	rec, _, err := l.ex.RunAuction()
-
-	l.mu.Lock()
-	l.stats.Ticks++
-	switch {
-	case errors.Is(err, ErrNoOpenOrders):
-		l.stats.Idle++
-		l.mu.Unlock()
+	if errors.Is(err, ErrNoOpenOrders) {
 		return nil, nil
-	case errors.Is(err, core.ErrNoConvergence):
-		l.stats.NoConvergence++
-	case err != nil:
-		l.stats.Errors++
-	default:
-		l.stats.Auctions++
-		l.stats.SettledOrders += rec.Settled
 	}
-	l.mu.Unlock()
-
 	if l.OnTick != nil {
 		l.OnTick(rec, err)
 	}
 	return rec, err
-}
-
-// Stats returns a snapshot of the loop counters.
-func (l *Loop) Stats() LoopStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
-}
-
-// Serve runs an epoch-batched auction loop over the exchange until ctx
-// is cancelled: every epoch, the orders accumulated during the epoch are
-// settled in one clock auction. It returns ctx.Err() (or an immediate
-// error for a non-positive epoch).
-func (e *Exchange) Serve(ctx context.Context, epoch time.Duration) error {
-	l, err := NewLoop(e, epoch)
-	if err != nil {
-		return err
-	}
-	return l.Run(ctx)
 }

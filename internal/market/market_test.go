@@ -45,6 +45,16 @@ func newTestExchange(t *testing.T) *Exchange {
 	return e
 }
 
+// ledgerBalanced reports whether the exchange's billing ledger sums to
+// zero within eps: every debit has a matching credit.
+func ledgerBalanced(e *Exchange, eps float64) bool {
+	var sum float64
+	for _, le := range e.Ledger() {
+		sum += le.Amount
+	}
+	return sum < eps && sum > -eps
+}
+
 func TestNewExchangeValidation(t *testing.T) {
 	bad := []struct {
 		name  string
@@ -74,14 +84,14 @@ func TestNonFiniteMoneyRejected(t *testing.T) {
 		if err := e.OpenAccount("team-a"); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Disburse(EqualShares, amount); err == nil {
+		if err := e.Disburse(amount); err == nil {
 			t.Errorf("Disburse(%v) accepted", amount)
 		}
 		if err := e.Credit("team-a", amount, "grant"); err == nil {
 			t.Errorf("Credit(%v) accepted", amount)
 		}
-		if b, _ := e.Balance("team-a"); b != 1000 || !e.LedgerBalanced(1e-9) {
-			t.Errorf("after a rejected %v: balance %v, ledger balanced %v", amount, b, e.LedgerBalanced(1e-9))
+		if b, _ := e.Balance("team-a"); b != 1000 || !ledgerBalanced(e, 1e-9) {
+			t.Errorf("after a rejected %v: balance %v, ledger balanced %v", amount, b, ledgerBalanced(e, 1e-9))
 		}
 	}
 
@@ -324,7 +334,7 @@ func TestRunAuctionSettlement(t *testing.T) {
 	if poorBal != 1000 {
 		t.Errorf("poor balance = %v, expected untouched", poorBal)
 	}
-	if !e.LedgerBalanced(1e-9) {
+	if !ledgerBalanced(e, 1e-9) {
 		t.Error("ledger unbalanced")
 	}
 	// Quota granted to the winner.
@@ -413,7 +423,7 @@ func TestSellerReceivesPayment(t *testing.T) {
 	if buyerBal >= 1000 {
 		t.Errorf("buyer balance = %v, expected payment", buyerBal)
 	}
-	if !e.LedgerBalanced(1e-9) {
+	if !ledgerBalanced(e, 1e-9) {
 		t.Error("ledger unbalanced")
 	}
 	// Seller quota reduced (clamped at 0 since none was granted).
@@ -842,7 +852,7 @@ func TestReadPathsReturnSnapshots(t *testing.T) {
 		t.Fatal("no ledger entries")
 	}
 	led[0].Amount += 1e9
-	if !e.LedgerBalanced(1e-9) {
+	if !ledgerBalanced(e, 1e-9) {
 		t.Error("ledger corrupted through snapshot")
 	}
 }
@@ -907,7 +917,7 @@ func TestConcurrentTraffic(t *testing.T) {
 				if i%8 == 0 {
 					// Disburse reads the quota ledger that the settling
 					// auction writes; it must hold the book lock.
-					if err := e.Disburse(ProportionalToQuota, 10); err != nil {
+					if err := e.Disburse(10); err != nil {
 						t.Errorf("disburse: %v", err)
 					}
 				}
@@ -923,7 +933,7 @@ func TestConcurrentTraffic(t *testing.T) {
 	if _, _, err := e.RunAuction(); err != nil && !errors.Is(err, ErrNoOpenOrders) {
 		t.Fatal(err)
 	}
-	if !e.LedgerBalanced(1e-6) {
+	if !ledgerBalanced(e, 1e-6) {
 		t.Error("ledger unbalanced after concurrent traffic")
 	}
 	for _, o := range e.Orders() {

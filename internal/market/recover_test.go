@@ -88,7 +88,7 @@ func driveMarket(t testing.TB, e *market.Exchange) {
 	if err := e.EvictTask(placed[0].Cluster, placed[0].TaskID); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Disburse(market.ProportionalToQuota, 5000); err != nil {
+	if err := e.Disburse(5000); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Credit("maps", 250, "goodwill refund"); err != nil {
@@ -106,7 +106,7 @@ func driveMarketMore(t *testing.T, e *market.Exchange) {
 	if _, _, err := e.RunAuction(); err != nil {
 		t.Fatalf("auction 2: %v", err)
 	}
-	if err := e.Disburse(market.EqualShares, 1000); err != nil {
+	if err := e.Disburse(1000); err != nil {
 		t.Fatal(err)
 	}
 }

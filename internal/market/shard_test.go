@@ -28,8 +28,8 @@ func TestShardedSerialIDsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", e.Shards())
+	if len(e.orderShards) != 4 {
+		t.Fatalf("stripes = %d, want 4", len(e.orderShards))
 	}
 	if err := e.OpenAccount("a"); err != nil {
 		t.Fatal(err)
@@ -155,8 +155,8 @@ func TestTailAccessors(t *testing.T) {
 // TestShardsDefaultApplied pins the default stripe count.
 func TestShardsDefaultApplied(t *testing.T) {
 	e := newTestExchange(t)
-	if e.Shards() != DefaultShards {
-		t.Fatalf("default Shards = %d, want %d", e.Shards(), DefaultShards)
+	if len(e.orderShards) != DefaultShards {
+		t.Fatalf("default stripes = %d, want %d", len(e.orderShards), DefaultShards)
 	}
 }
 

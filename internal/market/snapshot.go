@@ -3,7 +3,6 @@ package market
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"clustermarket/internal/cluster"
 	"clustermarket/internal/core"
@@ -82,7 +81,7 @@ func (e *Exchange) Snapshot() error {
 
 // maybeSnapshotLocked snapshots on the configured auction cadence.
 // Callers hold settleMu. A cadence snapshot that still fails after the
-// inline retries is *skipped*, not fatal: the journal's rotation is
+// journal's retries is *skipped*, not fatal: the journal's rotation is
 // failure-safe (the old WAL stays attached and appendable), so the
 // auction that triggered it stands, replay just runs a longer tail, and
 // the next cadence point tries again — but the exchange quiesces so the
@@ -131,21 +130,7 @@ func (e *Exchange) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("market: encode snapshot: %w", err)
 	}
-	// Same bounded heal loop as event appends: rotation is failure-safe,
-	// so each retry starts from an intact WAL.
-	if err = e.journal.Snapshot(raw, at); err == nil {
-		return nil
-	}
-	backoff := appendRetryBase
-	for attempt := 0; attempt < maxAppendRetries; attempt++ {
-		time.Sleep(backoff)
-		backoff *= 2
-		_ = e.journal.Probe()
-		if err = e.journal.Snapshot(raw, at); err == nil {
-			return nil
-		}
-	}
-	return err
+	return e.journal.Snapshot(raw, at)
 }
 
 func (e *Exchange) buildStateLocked() (*exchangeState, error) {

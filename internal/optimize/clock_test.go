@@ -17,8 +17,9 @@ import (
 // seeded markets of the shape the catalog scenarios clear, this measures
 // what welfare the clock gives up against Exact at the same reserve, how
 // many rounds it takes, what premium its winners keep, and whether each
-// side's outcome is fair at its own prices. DESIGN.md, Section III, holds
-// the measured table; TestClockVsExact -v regenerates its Capped rows.
+// side's outcome is fair at its own prices. DESIGN.md, "The clock
+// against the exact optimum", holds the measured table; TestClockVsExact
+// -v regenerates it.
 
 // The operator's unit costs and the per-unit (CPU, RAM) shapes of the
 // catalog's batch-compute and serving-frontend products, as the scenario

@@ -27,20 +27,6 @@ var (
 	Hyperbolic WeightFn = func(x float64) float64 { return 1 / (1.5 - x) }
 )
 
-// Named returns the weighting function registered under name
-// ("exp-steep", "exp-mild", or "hyperbolic").
-func Named(name string) (WeightFn, error) {
-	switch name {
-	case "exp-steep", "phi1":
-		return ExpSteep, nil
-	case "exp-mild", "phi2":
-		return ExpMild, nil
-	case "hyperbolic", "phi3":
-		return Hyperbolic, nil
-	}
-	return nil, fmt.Errorf("reserve: unknown weighting function %q", name)
-}
-
 // Properties reports how a weighting function fares against the five
 // criteria of Section IV.A, evaluated on a dense grid.
 type Properties struct {

@@ -104,18 +104,6 @@ func TestCheckPropertiesRejectsBadCurves(t *testing.T) {
 	}
 }
 
-func TestNamed(t *testing.T) {
-	for _, name := range []string{"exp-steep", "phi1", "exp-mild", "phi2", "hyperbolic", "phi3"} {
-		fn, err := Named(name)
-		if err != nil || fn == nil {
-			t.Errorf("Named(%q) = %v", name, err)
-		}
-	}
-	if _, err := Named("bogus"); err == nil {
-		t.Error("Named(bogus) accepted")
-	}
-}
-
 func TestPricerPrice(t *testing.T) {
 	pr := NewPricer(ExpSteep)
 	pool := resource.Pool{Cluster: "r1", Dim: resource.CPU}

@@ -50,23 +50,6 @@ func (d Dimension) String() string {
 	}
 }
 
-// Unit returns the human-readable unit used when displaying quantities of
-// the dimension on the trading platform.
-func (d Dimension) Unit() string {
-	switch d {
-	case CPU:
-		return "cores"
-	case RAM:
-		return "GB"
-	case Disk:
-		return "TB"
-	case Network:
-		return "Gbps"
-	default:
-		return "units"
-	}
-}
-
 // ParseDimension converts a case-insensitive dimension name into a
 // Dimension value.
 func ParseDimension(s string) (Dimension, error) {
@@ -214,13 +197,6 @@ func (r *Registry) Pool(i int) Pool { return r.pools[i] }
 
 // Len returns R, the number of registered pools.
 func (r *Registry) Len() int { return len(r.pools) }
-
-// Pools returns a copy of the registered pools in index order.
-func (r *Registry) Pools() []Pool {
-	out := make([]Pool, len(r.pools))
-	copy(out, r.pools)
-	return out
-}
 
 // Clusters returns the distinct cluster names in first-seen order.
 func (r *Registry) Clusters() []string {

@@ -43,20 +43,14 @@ func TestParseDimension(t *testing.T) {
 	}
 }
 
-func TestDimensionStringAndUnit(t *testing.T) {
+func TestDimensionString(t *testing.T) {
 	for _, d := range Dimensions {
 		if d.String() == "" || strings.HasPrefix(d.String(), "Dimension(") {
 			t.Errorf("dimension %d has no name", int(d))
 		}
-		if d.Unit() == "" {
-			t.Errorf("dimension %v has no unit", d)
-		}
 	}
 	if got := Dimension(99).String(); got != "Dimension(99)" {
 		t.Errorf("unknown dimension String() = %q", got)
-	}
-	if got := Dimension(99).Unit(); got != "units" {
-		t.Errorf("unknown dimension Unit() = %q", got)
 	}
 }
 
@@ -177,15 +171,6 @@ func TestRegistryZeroAndFormat(t *testing.T) {
 	got := r.Format(v)
 	if !strings.Contains(got, "r1/CPU:+40") || !strings.Contains(got, "r1/Disk:-2") {
 		t.Errorf("Format = %q", got)
-	}
-}
-
-func TestPoolsReturnsCopy(t *testing.T) {
-	r := NewStandardRegistry("r1")
-	pools := r.Pools()
-	pools[0] = Pool{Cluster: "mutated", Dim: Disk}
-	if r.Pool(0).Cluster == "mutated" {
-		t.Fatal("Pools() exposed internal slice")
 	}
 }
 

@@ -187,26 +187,6 @@ func (v Vector) Sum() float64 {
 	return s
 }
 
-// Min returns the componentwise minimum of v and w.
-func (v Vector) Min(w Vector) Vector {
-	mustSameLen(v, w)
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = math.Min(v[i], w[i])
-	}
-	return out
-}
-
-// Max returns the componentwise maximum of v and w.
-func (v Vector) Max(w Vector) Vector {
-	mustSameLen(v, w)
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = math.Max(v[i], w[i])
-	}
-	return out
-}
-
 // Equal reports whether v and w agree componentwise within tolerance eps.
 func (v Vector) Equal(w Vector, eps float64) bool {
 	if len(v) != len(w) {

@@ -77,17 +77,6 @@ func TestVectorPredicates(t *testing.T) {
 	}
 }
 
-func TestVectorMinMax(t *testing.T) {
-	v := Vector{1, 5}
-	w := Vector{3, 2}
-	if got := v.Min(w); !got.Equal(Vector{1, 2}, 0) {
-		t.Errorf("Min = %v", got)
-	}
-	if got := v.Max(w); !got.Equal(Vector{3, 5}, 0) {
-		t.Errorf("Max = %v", got)
-	}
-}
-
 func TestPureDirection(t *testing.T) {
 	cases := []struct {
 		v    Vector

@@ -13,8 +13,8 @@
 // persistent accounts (Table I, Figures 6–7). The engine is the
 // repository's one world model: the paper-pilot scenario's teams also
 // sell, and the paper's figures are views of its Report (figures.go).
-// See the Catalog for the named scenarios and DESIGN.md for how to add
-// one.
+// See the Catalog for the named scenarios and DESIGN.md, "Adding a
+// scenario", for how to add one.
 package scenario
 
 import (
@@ -571,7 +571,7 @@ func (b *Backend) Disburse(total float64) error {
 		ex := b.fed.Region(m).Exchange()
 		// Disburse is one event, so a journal-failure abort leaves nothing
 		// to undo and the whole operation retries cleanly.
-		err := b.retryFaults([]string{m}, func() error { return ex.Disburse(market.EqualShares, share) })
+		err := b.retryFaults([]string{m}, func() error { return ex.Disburse(share) })
 		if err != nil {
 			return err
 		}

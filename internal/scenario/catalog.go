@@ -16,7 +16,8 @@ const sellerFraction = 0.5
 // fresh value: scenarios carry no state, but callers are free to tweak
 // the returned copies.
 //
-// The catalog (see DESIGN.md for the how-to-add guide):
+// The catalog (see DESIGN.md, "Adding a scenario", for the how-to-add
+// guide):
 //
 //	adaptive-learning — static demand, adaptive premium shading; the
 //	    Table I learning curve: median premiums fall epoch over epoch.

@@ -116,48 +116,6 @@ func NewBoxplot(xs []float64) (Boxplot, error) {
 	return b, nil
 }
 
-// IQR returns the interquartile range of the boxplot.
-func (b Boxplot) IQR() float64 { return b.Q3 - b.Q1 }
-
-// Histogram counts xs into n equal-width bins between lo and hi. Values
-// outside [lo, hi] are clamped into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds an n-bin histogram of xs over [lo, hi].
-func NewHistogram(xs []float64, n int, lo, hi float64) (Histogram, error) {
-	if n <= 0 {
-		return Histogram{}, errors.New("stats: histogram needs n > 0 bins")
-	}
-	if hi <= lo {
-		return Histogram{}, errors.New("stats: histogram needs hi > lo")
-	}
-	h := Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		h.Counts[i]++
-	}
-	return h, nil
-}
-
-// Total returns the number of observations in the histogram.
-func (h Histogram) Total() int {
-	var t int
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
 // CoefficientOfVariation returns StdDev/Mean, the dimensionless dispersion
 // measure used to compare utilization imbalance across allocators. It
 // returns 0 when the mean is 0.

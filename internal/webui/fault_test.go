@@ -311,8 +311,8 @@ func TestEventsSSEFaultKinds(t *testing.T) {
 	}()
 
 	// The persistent burst injects one fault per append attempt (initial
-	// + maxAppendRetries = 5) before the quiesce, then one entered and
-	// one exited event: 7 frames total on the filtered stream.
+	// + the journal's healRetries = 5) before the quiesce, then one
+	// entered and one exited event: 7 frames total on the filtered stream.
 	kinds := strings.Join([]string{fault.EvFaultInjected, market.EvDegradedEntered, market.EvDegradedExited}, ",")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

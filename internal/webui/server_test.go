@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"clustermarket/internal/cluster"
+	"clustermarket/internal/invariant"
 	"clustermarket/internal/market"
 )
 
@@ -507,7 +508,11 @@ func TestParallelTrafficWithEpochLoop(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	loopDone := make(chan struct{})
-	go func() { defer close(loopDone); ex.Serve(ctx, time.Millisecond) }()
+	loop, err := market.NewLoop(ex, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { defer close(loopDone); loop.Run(ctx) }()
 
 	const workers = 12
 	var wg sync.WaitGroup
@@ -558,8 +563,8 @@ func TestParallelTrafficWithEpochLoop(t *testing.T) {
 	cancel()
 	<-loopDone
 
-	if !ex.LedgerBalanced(1e-6) {
-		t.Error("ledger unbalanced after parallel traffic")
+	if vs := invariant.CheckLedgerBalanced(ex.Ledger(), 1e-6); len(vs) != 0 {
+		t.Errorf("ledger unbalanced after parallel traffic: %v", vs)
 	}
 }
 
