@@ -1,11 +1,11 @@
 # clustermarket build entry points. `make help` lists the targets;
 # `make all` is the local pre-push gate (lint + build + test), and the
-# remaining targets are the CI legs (race, soaks, coverage, fuzz,
+# remaining targets are the CI legs (race, soak, coverage, fuzz,
 # layer benchmarks) runnable individually.
 GO ?= go
 
 .PHONY: all build test race vet lint vulncheck help bench bench-suite \
-	soak soak-race soak-crash soak-telemetry soak-chaos cover cover-update fuzz
+	soak soak-race cover cover-update fuzz
 
 all: lint build test ## Lint, build, and test: the local pre-push gate
 
@@ -22,6 +22,9 @@ test: ## Run the full test suite and the benchmark smoke
 	$(GO) test ./...
 	$(GO) test -C benchmark .
 
+# The race run carries the scenario tables too: journaled = in-memory,
+# crash recovery, same-seed chaos and stream reconstruction, on every
+# catalog scenario and both backends (internal/scenario).
 race: ## Run the full test suite under the race detector
 	$(GO) test -race ./...
 
@@ -70,39 +73,14 @@ bench-suite: ## Run the five-workload end-to-end benchmark, JSON to benchmark/$(
 # Scenario soak: every catalog scenario on both backends, with the
 # shared invariant kernel checked after every epoch. Exit code 2 means
 # an invariant broke. soak-race runs the same under the race detector —
-# the CI smoke configuration.
+# the CI smoke configuration. The journaled, crash, chaos and
+# stream-reconstruction checks on these runs are tests in
+# internal/scenario, run by `make test` and `make race`.
 SOAK_FLAGS ?= -scenario all -backend both -seed 42
 soak: ## Soak every catalog scenario on both backends (exit 2: an invariant broke)
 	$(GO) run ./cmd/marketsim soak $(SOAK_FLAGS)
 soak-race: ## The scenario soak for 6 epochs under the race detector (the CI smoke)
 	$(GO) run -race ./cmd/marketsim soak $(SOAK_FLAGS) -epochs 6
-
-# Crash-recovery soak: the crash-recovery scenario on both backends,
-# journaled, killed without flushing before epoch 4's settlement wave,
-# and resurrected from the WAL — exit code 3 if the recovered run's
-# fingerprint diverges from the in-memory baseline by even one bit.
-SOAK_CRASH_FLAGS ?= -scenario crash-recovery -backend both -seed 42 -crash-epoch 4
-soak-crash: ## Kill-and-resurrect soak under -race (exit 3: the recovered run diverged)
-	$(GO) run -race ./cmd/marketsim soak $(SOAK_CRASH_FLAGS) -journal-dir "$$(mktemp -d)"
-
-# Chaos soak: every catalog scenario on both backends, journaled, each
-# with two extra legs under a seeded-random fault schedule (disk faults,
-# region partitions, gossip loss) — exit code 2 if any invariant breaks
-# under fire, exit code 3 if the two same-seed chaos legs are not
-# bit-identical. The scripted disk-fault and partition-storm scenarios
-# additionally verify faults-heal fingerprint identity against the
-# fault-free baseline on every soak run.
-SOAK_CHAOS_FLAGS ?= -scenario all -backend both -seed 42 -chaos -chaos-seed 7
-soak-chaos: ## Seeded fault-storm soak under -race (exit 2: invariant, 3: legs diverged)
-	$(GO) run -race ./cmd/marketsim soak $(SOAK_CHAOS_FLAGS) -epochs 6 -journal-dir "$$(mktemp -d)"
-
-# Telemetry soak: every catalog scenario on both backends with a
-# firehose subscriber attached, requiring each run's report to be
-# reconstructible bit-identically from the event stream alone — exit
-# code 3 if the stream reconstruction's fingerprint diverges.
-SOAK_TELEMETRY_FLAGS ?= -scenario all -backend both -seed 42 -telemetry
-soak-telemetry: ## Event-stream reconstruction soak under -race (exit 3: stream diverged)
-	$(GO) run -race ./cmd/marketsim soak $(SOAK_TELEMETRY_FLAGS) -epochs 6
 
 # Coverage with a checked-in floor (COVERAGE_FLOOR) and per-package
 # deltas against COVERAGE_baseline.txt. cover-update rewrites the

@@ -11,8 +11,8 @@
 //	marketsim gen -seed 7 | marketsim clear
 //
 // Each subcommand's -h lists its flags. A missing or unknown subcommand,
-// a bad flag or a failed run exits 1; soak adds its own exit codes 2
-// (an invariant broke) and 3 (a run diverged from its baseline).
+// a bad flag or a failed run exits 1; soak adds its own exit code 2
+// (an invariant broke).
 package main
 
 import (
@@ -25,13 +25,12 @@ const (
 	exitOK        = 0
 	exitUsage     = 1
 	exitInvariant = 2
-	exitDiverged  = 3
 )
 
 const usage = `usage: marketsim <subcommand> [flags]
 
 subcommands:
-  soak     soak the market through the scenario catalog (exit 2: invariant broken, 3: diverged)
+  soak     soak the market through the scenario catalog (exit 2: invariant broken)
   figures  regenerate the paper's figures and tables
   clear    run one clock auction over bid-language bids (a file, or stdin)
   gen      emit a synthetic bid population in the bid language

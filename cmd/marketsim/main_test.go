@@ -25,6 +25,7 @@ func TestUsageExitCodes(t *testing.T) {
 		{"gen removed flag", []string{"gen", "-clusters", "4"}, "flag provided but not defined"},
 		{"clear removed flag", []string{"clear", "-alpha", "0.1"}, "flag provided but not defined"},
 		{"soak removed flag", []string{"soak", "-regions", "4"}, "flag provided but not defined"},
+		{"soak negative epochs", []string{"soak", "-epochs", "-3"}, "-epochs must not be negative"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

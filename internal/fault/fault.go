@@ -1,10 +1,9 @@
 // Package fault is a deterministic, seed-driven fault injector for the
-// repo's three I/O boundaries: journal disk operations (through the
-// journal.FS seam), federation region calls and gossip, and telemetry
-// subscriber stalls. It exists so the degradation machinery — the
-// exchange's degraded quiesce, the federation's circuit breaker, the
-// journal's append rollback — is exercised by scripted, reproducible
-// schedules instead of hope.
+// repo's I/O boundaries: journal disk operations (through the journal.FS
+// seam) and federation region calls and gossip. It exists so the
+// degradation machinery — the exchange's degraded quiesce, the
+// federation's circuit breaker, the journal's append rollback — is
+// exercised by scripted, reproducible schedules instead of hope.
 //
 // The model is a finite set of armed Windows: each names an operation
 // boundary (Op), an optional scope (a path substring for disk ops, a
@@ -284,13 +283,4 @@ func (i *Injector) Region(op Op, region string) error {
 		return nil
 	}
 	return fmt.Errorf("fault: %s %s: %w", op, region, ErrUnreachable)
-}
-
-// Stall attaches a deliberately never-drained one-slot subscriber to
-// the firehose: the telemetry-stall fault. The firehose's drop-oldest
-// contract keeps publishers non-blocking regardless; the returned
-// subscription's Dropped() measures what a stalled consumer would have
-// lost. Close it to detach.
-func Stall(f *telemetry.Firehose) *telemetry.Subscription {
-	return f.Subscribe(1)
 }

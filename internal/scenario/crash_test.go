@@ -1,6 +1,10 @@
 package scenario
 
-import "testing"
+import (
+	"testing"
+
+	"clustermarket/internal/telemetry"
+)
 
 // TestCrashRecoveryFingerprintMatch is the durability acceptance test:
 // on both backends, the crash-recovery scenario must produce the same
@@ -55,21 +59,48 @@ func TestCrashRecoveryFingerprintMatch(t *testing.T) {
 	}
 }
 
-// TestCrashEpochRequiresJournal pins the failure mode: a scripted crash
-// on a backend with nothing on disk must fail the run loudly, not limp
-// on with an empty market.
+// TestCrashEpochRequiresJournal pins the failure modes of a scripted
+// crash that cannot happen: with nothing on disk to recover from, or at
+// an epoch the run never reaches (epochs count from 0), the run must
+// fail loudly before epoch 0 — not limp on with an empty market, nor
+// pass a crash check with no crash in it.
 func TestCrashEpochRequiresJournal(t *testing.T) {
 	sc, err := Lookup("crash-recovery")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Seed: 7, CrashEpoch: 2}
-	b, err := NewBackend("exchange", cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		cfg     Config
+		journal bool
+	}{
+		{"no journal", Config{CrashEpoch: 2}, false},
+		{"at the default length", Config{CrashEpoch: sc.Epochs}, true},
+		{"far past the end", Config{CrashEpoch: 20}, true},
+		{"at an Epochs override", Config{Epochs: 4, CrashEpoch: 4}, true},
 	}
-	defer b.Close()
-	if _, err := Run(sc, b, cfg); err == nil {
-		t.Fatal("CrashEpoch without JournalDir did not fail the run")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Seed = 7
+			if tc.journal {
+				cfg.JournalDir = t.TempDir()
+			}
+			// A subscriber makes the firehose count what the run publishes.
+			cfg.Telemetry = telemetry.NewFirehose()
+			defer cfg.Telemetry.Subscribe(1).Close()
+			b, err := NewBackend("exchange", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			before := cfg.Telemetry.Published()
+			if _, err := Run(sc, b, cfg); err == nil {
+				t.Fatalf("CrashEpoch %d did not fail the run", cfg.CrashEpoch)
+			}
+			if n := cfg.Telemetry.Published() - before; n != 0 {
+				t.Errorf("the run published %d events before failing; want it refused before epoch 0", n)
+			}
+		})
 	}
 }

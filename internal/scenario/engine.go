@@ -62,7 +62,8 @@ type Config struct {
 	// CrashEpoch, when positive, kills the journaled backend without
 	// flushing just before that epoch's settlement wave and resurrects it
 	// from disk — the run must continue bit-identically (the crash-recovery
-	// scenario's fingerprint check enforces it). Requires JournalDir.
+	// scenario's fingerprint check enforces it). Requires JournalDir and
+	// an epoch the run reaches: Run refuses either miss before epoch 0.
 	CrashEpoch int
 	// Telemetry, when non-nil, streams the run onto the firehose: the
 	// backend's markets and its router publish their event streams, and
@@ -314,6 +315,15 @@ func Run(sc *Scenario, b *Backend, cfg Config) (*Report, error) {
 	}
 	if epochs <= 0 {
 		epochs = 8
+	}
+	// A scripted crash needs a journal to recover from and an epoch the
+	// run reaches: refuse either miss up front, rather than fail mid-run
+	// or pass a crash check with no crash in it.
+	if cfg.CrashEpoch > 0 && cfg.JournalDir == "" {
+		return nil, fmt.Errorf("scenario %s: CrashEpoch %d without a JournalDir", sc.Name, cfg.CrashEpoch)
+	}
+	if cfg.CrashEpoch >= epochs {
+		return nil, fmt.Errorf("scenario %s: CrashEpoch %d is past the run's last epoch %d", sc.Name, cfg.CrashEpoch, epochs-1)
 	}
 	// The engine's rng is decorrelated from the backend-construction rng
 	// (same seed, offset stream).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clustermarket/internal/fault"
+	"clustermarket/internal/telemetry"
 )
 
 // runFaulted drives one scenario on a journaled backend with the given
@@ -26,82 +27,105 @@ func runFaulted(t *testing.T, name, kind string, cfg Config) *Report {
 	return rep
 }
 
-// TestFaultScenariosFingerprintMatchFaultFree is the tentpole
-// acceptance gate: disk-fault and partition-storm, with their scripted
-// fault schedules actually injected under a journaled backend, must
-// fingerprint-match the fault-free in-memory run bit for bit — every
-// scripted burst stays within the bounded inline retries, so faults
-// that heal are invisible to market outcomes — with the invariant
-// kernel clean after every epoch.
+// TestFaultScenariosFingerprintMatchFaultFree is the journaled-rerun
+// and faults-heal gate, on every catalog scenario and both backends:
+// the run journaled, with a fault injector armed so the scripted
+// schedules of disk-fault and partition-storm actually fire, must
+// fingerprint-match the fault-free in-memory run bit for bit, with the
+// invariant kernel clean after every epoch. Every scripted burst stays
+// within the bounded inline retries, so faults that heal are invisible
+// to market outcomes, and journaling alone changes nothing.
 func TestFaultScenariosFingerprintMatchFaultFree(t *testing.T) {
-	cases := []struct {
-		scenario string
-		kind     string
-		// seam reports whether this kind exposes a seam for the
-		// scenario's scripted ops: the exchange kind's one market is
-		// named outside r1…rN, so partition-storm's region-scoped windows
-		// never reach it and partition-storm/exchange must inject nothing.
-		seam bool
-	}{
-		{"disk-fault", "exchange", true},
-		{"disk-fault", "federation", true},
-		{"partition-storm", "exchange", false},
-		{"partition-storm", "federation", true},
+	// The rows whose backend exposes a seam for the scenario's scripted
+	// ops. The exchange kind's one market is named outside r1…rN, so
+	// partition-storm's region-scoped windows never reach it; scenarios
+	// with no schedule inject nothing anywhere.
+	seams := map[string]bool{
+		"disk-fault/exchange":        true,
+		"disk-fault/federation":      true,
+		"partition-storm/federation": true,
 	}
-	for _, tc := range cases {
-		t.Run(tc.scenario+"/"+tc.kind, func(t *testing.T) {
-			base := runNamed(t, tc.scenario, tc.kind, Config{Seed: 42})
-			inj := fault.New()
-			cfg := Config{Seed: 42, JournalDir: t.TempDir(), Injector: inj}
-			rep := runFaulted(t, tc.scenario, tc.kind, cfg)
-			for _, v := range rep.Violations {
-				t.Errorf("invariant violated: %s", v)
-			}
-			if got, want := rep.Fingerprint(), base.Fingerprint(); got != want {
-				t.Errorf("faulted run fingerprint %s, fault-free baseline %s", got[:16], want[:16])
-			}
-			if tc.seam && inj.Injected() == 0 {
-				t.Error("scripted fault schedule injected nothing — the seam is not wired")
-			}
-			if !tc.seam && inj.Injected() != 0 {
-				t.Errorf("injected %d faults on a backend with no seam for them", inj.Injected())
+	for _, sc := range Catalog() {
+		for _, kind := range backendKinds {
+			row := sc.Name + "/" + kind
+			t.Run(row, func(t *testing.T) {
+				t.Parallel() // journaled runs wait on fsync
+				base := runNamed(t, sc.Name, kind, Config{Seed: 42})
+				inj := fault.New()
+				cfg := Config{Seed: 42, JournalDir: t.TempDir(), Injector: inj}
+				rep := runFaulted(t, sc.Name, kind, cfg)
+				for _, v := range rep.Violations {
+					t.Errorf("invariant violated: %s", v)
+				}
+				if got, want := rep.Fingerprint(), base.Fingerprint(); got != want {
+					t.Errorf("faulted run fingerprint %s, fault-free baseline %s", got[:16], want[:16])
+				}
+				if seams[row] && inj.Injected() == 0 {
+					t.Error("scripted fault schedule injected nothing — the seam is not wired")
+				}
+				if !seams[row] && inj.Injected() != 0 {
+					t.Errorf("injected %d faults on a row with no seam for them", inj.Injected())
+				}
+				t.Logf("%s fingerprint %s", t.Name(), rep.Fingerprint()[:16])
+			})
+		}
+	}
+}
+
+// TestChaosSameSeedBitIdentical pins the chaos-mode determinism
+// contract on every catalog scenario and both backends: two journaled
+// runs under the same seeded-random fault schedule must fingerprint-match
+// each other and keep the invariant kernel clean. A chaos schedule may
+// change outcomes relative to the fault-free run (lost gossip quotes,
+// opened breakers), but it must do so identically on every rerun. Each
+// leg also carries a never-drained one-slot telemetry subscriber: the
+// run must finish with it dropping events, because publishers never
+// block on a stalled consumer.
+func TestChaosSameSeedBitIdentical(t *testing.T) {
+	for _, kind := range backendKinds {
+		t.Run(kind, func(t *testing.T) {
+			chaosLegs(t, "churn", kind, 99, 0)
+			for _, sc := range Catalog() {
+				t.Run(sc.Name, func(t *testing.T) {
+					t.Parallel() // journaled runs wait on fsync
+					chaosLegs(t, sc.Name, kind, 7, 6)
+				})
 			}
 		})
 	}
 }
 
-// TestChaosSameSeedBitIdentical pins the chaos-mode determinism
-// contract: two runs under the same seeded-random fault schedule must
-// fingerprint-match each other. A chaos schedule may change outcomes
-// relative to the fault-free run (lost gossip quotes, opened breakers),
-// but it must do so identically on every rerun.
-func TestChaosSameSeedBitIdentical(t *testing.T) {
-	for _, kind := range backendKinds {
-		t.Run(kind, func(t *testing.T) {
-			var prints [2]string
-			var injected [2]uint64
-			for i := 0; i < 2; i++ {
-				inj := fault.NewChaos(99)
-				cfg := Config{Seed: 42, JournalDir: t.TempDir(), Injector: inj}
-				rep := runFaulted(t, "churn", kind, cfg)
-				for _, v := range rep.Violations {
-					t.Errorf("leg %d: invariant violated: %s", i, v)
-				}
-				prints[i] = rep.Fingerprint()
-				injected[i] = inj.Injected()
-			}
-			if prints[0] != prints[1] {
-				t.Errorf("chaos legs diverged: %s vs %s", prints[0][:16], prints[1][:16])
-			}
-			if injected[0] != injected[1] {
-				t.Errorf("chaos legs injected %d vs %d faults", injected[0], injected[1])
-			}
-			// The federation kind has a seam for every op the chaos
-			// schedule can arm, so a whole run without one injection means
-			// the schedule is not firing.
-			if kind == "federation" && injected[0] == 0 {
-				t.Error("chaos schedule injected nothing")
-			}
-		})
+// chaosLegs runs one chaos row: the scenario twice, journaled, for
+// epochs epochs (0: its default) under fault.NewChaos(chaosSeed).
+func chaosLegs(t *testing.T, name, kind string, chaosSeed int64, epochs int) {
+	t.Helper()
+	var prints [2]string
+	var injected [2]uint64
+	for i := range prints {
+		inj := fault.NewChaos(chaosSeed)
+		fire := telemetry.NewFirehose()
+		inj.AttachTelemetry(fire)
+		stalled := fire.Subscribe(1)
+		cfg := Config{Seed: 42, Epochs: epochs, JournalDir: t.TempDir(), Injector: inj, Telemetry: fire}
+		rep := runFaulted(t, name, kind, cfg)
+		stalled.Close()
+		for _, v := range rep.Violations {
+			t.Errorf("leg %d: invariant violated: %s", i, v)
+		}
+		if stalled.Dropped() == 0 {
+			t.Errorf("leg %d: the stalled subscriber dropped nothing", i)
+		}
+		prints[i] = rep.Fingerprint()
+		injected[i] = inj.Injected()
 	}
+	if prints[0] != prints[1] {
+		t.Errorf("chaos legs diverged: %s vs %s", prints[0][:16], prints[1][:16])
+	}
+	if injected[0] != injected[1] {
+		t.Errorf("chaos legs injected %d vs %d faults", injected[0], injected[1])
+	}
+	if injected[0] == 0 {
+		t.Error("chaos schedule injected nothing")
+	}
+	t.Logf("%s chaos seed %d fingerprint %s", t.Name(), chaosSeed, prints[0][:16])
 }
