@@ -91,9 +91,6 @@ func clearBids(w io.Writer, stdin io.Reader, history bool, args []string) error 
 	}
 
 	res, runErr := a.Run()
-	if runErr != nil && res == nil {
-		return runErr
-	}
 	if runErr != nil {
 		fmt.Fprintf(w, "WARNING: %v (stopping after %d rounds)\n", runErr, res.Rounds)
 	} else {

@@ -7,8 +7,9 @@ import (
 	"clustermarket/internal/resource"
 )
 
-// ErrNoConvergence is returned when the clock exceeds Config.MaxRounds.
-// Section III.C.3 shows markets with traders can cycle forever; the guard
+// ErrNoConvergence is returned, together with the Result, when a lane
+// ran out of Config.MaxRounds (its bids are in Result.Held). Section
+// III.C.3 shows markets with traders can cycle forever; the guard
 // converts that theoretical hazard into a reportable error.
 var ErrNoConvergence = errors.New("core: clock auction did not converge")
 
@@ -42,8 +43,10 @@ type Round struct {
 // that won — the allocation x_u is that bundle of the bid's own rows — so
 // the outcome holds nothing that grows with the registry but Prices.
 type Result struct {
-	// Converged is false only when MaxRounds was hit; in that case the
-	// remaining fields describe the state at the final round.
+	// Converged is false only when a lane ran out of MaxRounds, i.e.
+	// Held is non-empty; the held bids' fields then describe their lane's
+	// state at the final round, and every other bid's its own lane's
+	// clearing state.
 	Converged bool
 	Rounds    int
 	// Prices is the final price vector p.
@@ -54,6 +57,10 @@ type Result struct {
 	// Winners and Losers are bid indices, in input order.
 	Winners []int
 	Losers  []int
+	// Held lists, ascending, the bids whose lane ran out of rounds. A
+	// lane shares no pool and no bid with another, so the other lanes'
+	// outcomes stand on their own.
+	Held []int
 	// ChosenBundle[i] is the index of bids[i]'s settled bundle — x_u is
 	// that bundle (Bid.Row sparse, Bid.Bundle dense) — or −1 when the bid
 	// lost. Premium statistics for vector-limit bids must be computed
@@ -106,6 +113,8 @@ type Auction struct {
 	// least one, derived from the frozen bid set, built on first use and
 	// shared across Run calls. Each owns its kernel and round-loop scratch.
 	lanes []*lane
+	// laneOf[i] is bid i's lane, nil when the market is one whole lane.
+	laneOf []int32
 }
 
 // rowsOf returns the rows of bid i: a booked bid's own, read in place, or
@@ -190,11 +199,12 @@ func (a *Auction) ConvergenceGuaranteed() bool {
 }
 
 // Run executes Algorithm 1: collect proxy demands, stop when excess
-// demand is nonpositive, otherwise raise prices and repeat. On
-// non-convergence it returns ErrNoConvergence together with the partial
-// Result for diagnosis. The market is clocked as independent component
-// lanes (see partition.go), each on the incremental round loop (see
-// incremental.go); the outcome is bit-identical to ReferenceRun's.
+// demand is nonpositive, otherwise raise prices and repeat. It always
+// returns a Result; when a lane ran out of rounds the error is
+// ErrNoConvergence and that lane's bids are in Result.Held. The market
+// is clocked as independent component lanes (see partition.go), each on
+// the incremental round loop (see incremental.go); the outcome is
+// bit-identical to ReferenceRun's.
 func (a *Auction) Run() (*Result, error) { return a.RunReusing(nil) }
 
 // RunReusing is Run with Result recycling: when res is non-nil (typically
@@ -239,6 +249,7 @@ func (a *Auction) resetResult(res *Result) *Result {
 	res.Rounds = 0
 	res.Winners = res.Winners[:0]
 	res.Losers = res.Losers[:0]
+	res.Held = res.Held[:0]
 	res.History = res.History[:0]
 	res.Clock = ClockStats{}
 	return res

@@ -274,23 +274,6 @@ func TestNewAuctionValidation(t *testing.T) {
 	}
 }
 
-// stallPolicy is a valid Capped whose step underflows: α is the smallest
-// denormal and MinStep 0, so against less than half a unit of excess
-// demand α·z rounds to 0 and the clock cannot move.
-var stallPolicy = Capped{Alpha: 5e-324, Delta: 1}
-
-func TestAuctionDetectsStalledPolicy(t *testing.T) {
-	reg := onePool()
-	bids := []*Bid{{User: "b", Limit: 100, Bundles: []resource.Vector{{0.25}}}}
-	a, err := NewAuction(reg, bids, Config{Start: resource.Vector{1}, Policy: stallPolicy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Run(); err == nil {
-		t.Fatal("stalled policy not detected")
-	}
-}
-
 // TestAuctionParallelMatchesSerial runs one multi-lane market on the
 // driver's serial sweep (GOMAXPROCS 1) and on its worker fan-out
 // (GOMAXPROCS 4): the lanes share no state, so the outcomes are

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"clustermarket/internal/resource"
@@ -121,9 +123,11 @@ func mustEqualResults(t *testing.T, tag string, ref, got *Result) {
 
 // mustMatchReference runs one market through the production clock and
 // through ReferenceRun and requires bit-identical outcomes: every Result
-// field, error presence and error text. It returns the production
-// auction's lane count.
-func mustMatchReference(t *testing.T, tag string, reg *resource.Registry, bids []*Bid, cfg Config) int {
+// field, error presence and error text. Held, which ReferenceRun leaves
+// empty, is checked lane by lane: a lane's bids are held exactly when
+// ReferenceRun on that lane's bids alone runs out of rounds. It returns
+// the production Result.
+func mustMatchReference(t *testing.T, tag string, reg *resource.Registry, bids []*Bid, cfg Config) *Result {
 	t.Helper()
 	a, err := NewAuction(reg, bids, cfg)
 	if err != nil {
@@ -134,13 +138,30 @@ func mustMatchReference(t *testing.T, tag string, reg *resource.Registry, bids [
 	if (refErr == nil) != (gotErr == nil) || gotErr != nil && gotErr.Error() != refErr.Error() {
 		t.Fatalf("%s: errors differ: reference=%v production=%v", tag, refErr, gotErr)
 	}
-	if (ref == nil) != (got == nil) {
-		t.Fatalf("%s: nil result mismatch: reference=%v production=%v", tag, refErr, gotErr)
+	mustEqualResults(t, tag, ref, got)
+	held := map[int]bool{}
+	for _, i := range got.Held {
+		held[i] = true
 	}
-	if ref != nil {
-		mustEqualResults(t, tag, ref, got)
+	for _, c := range a.laneList() {
+		var own []*Bid
+		for _, i := range c.bids {
+			own = append(own, bids[i])
+		}
+		_, err := ReferenceRun(reg, own, cfg)
+		for _, i := range c.bids {
+			if held[int(i)] != errors.Is(err, ErrNoConvergence) {
+				t.Fatalf("%s: bid %d held=%v, its lane alone: %v", tag, i, held[int(i)], err)
+			}
+		}
 	}
-	return a.Components()
+	if !sort.IntsAreSorted(got.Held) || len(held) != len(got.Held) {
+		t.Fatalf("%s: Held %v is not ascending and distinct", tag, got.Held)
+	}
+	if (got.Clock.Held == 0) != got.Converged {
+		t.Fatalf("%s: %d lanes held, converged %v", tag, got.Clock.Held, got.Converged)
+	}
+	return got
 }
 
 // TestIncrementalMatchesDenseDifferential is the determinism contract of

@@ -9,15 +9,17 @@ import (
 // Capped is the clock's price update function g(x, p) of Algorithm 1: the
 // paper's preferred Equation (3), g = min(α·z⁺, δ·e), where e is the
 // all-ones vector, so no price moves by more than δ per round. A MinStep
-// floor guarantees progress when excess demand is tiny. Section III.C.2
+// floor guarantees progress when excess demand is tiny, so a clock with
+// positive excess demand never takes a zero step. Section III.C.2
 // discusses other choices; DESIGN.md, "The clock against the exact
 // optimum", records the measurement that kept only this one.
 //
 // The zero Capped selects DefaultPolicy in a Config.
 type Capped struct {
 	Alpha, Delta float64
-	// MinStep, when positive, is the smallest increment applied to a pool
-	// with positive excess demand. It bounds the number of rounds.
+	// MinStep, which must be positive, is the smallest increment applied
+	// to a pool with positive excess demand. It bounds the number of
+	// rounds.
 	MinStep float64
 }
 
@@ -57,8 +59,8 @@ func validatePolicy(c Capped) error {
 	if !(c.Alpha > 0) || !(c.Delta > 0) {
 		return errors.New("core: Capped.Alpha and Delta must be positive")
 	}
-	if !(c.MinStep >= 0) || c.MinStep > c.Delta {
-		return errors.New("core: Capped.MinStep must be in [0, Delta]")
+	if !(c.MinStep > 0) || c.MinStep > c.Delta {
+		return errors.New("core: Capped.MinStep must be in (0, Delta]")
 	}
 	return nil
 }

@@ -36,6 +36,11 @@ func TestValidatePolicy(t *testing.T) {
 		{Alpha: 1, Delta: 1, MinStep: -1},
 		{Alpha: math.NaN(), Delta: 1},
 		{Alpha: 1, Delta: 1, MinStep: math.NaN()},
+		// MinStep 0: a step could be zero against positive excess demand.
+		{Alpha: 1, Delta: 1},
+		// The smallest denormal α, so against under half a unit of
+		// excess demand α·z would round to a zero step.
+		{Alpha: 5e-324, Delta: 1},
 	}
 	for i, p := range bad {
 		if err := validatePolicy(p); err == nil {
@@ -45,7 +50,6 @@ func TestValidatePolicy(t *testing.T) {
 	good := []Capped{
 		{Alpha: 0.1, Delta: 1, MinStep: 0.5},
 		DefaultPolicy(),
-		stallPolicy, // valid; Run detects the stall its underflow causes
 	}
 	for i, p := range good {
 		if err := validatePolicy(p); err != nil {

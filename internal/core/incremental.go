@@ -56,8 +56,8 @@ type kernel struct {
 // not inferred from timings.
 type ClockStats struct {
 	// Lanes is the number of component lanes, LaneRounds the rounds
-	// they ran.
-	Lanes, LaneRounds int
+	// they ran, and Held how many of them ran out of rounds.
+	Lanes, LaneRounds, Held int
 	// Repriced bundles and Rechosen proxies past round 0, and how many of
 	// those proxies Switched bundle.
 	Repriced, Rechosen, Switched int
@@ -72,6 +72,7 @@ type ClockStats struct {
 func (s *ClockStats) Add(o ClockStats) {
 	s.Lanes += o.Lanes
 	s.LaneRounds += o.LaneRounds
+	s.Held += o.Held
 	s.Repriced += o.Repriced
 	s.Rechosen += o.Rechosen
 	s.Switched += o.Switched

@@ -188,7 +188,7 @@ func TestKernelEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := cpuRegistry(tc.pools)
-			if got := mustMatchReference(t, tc.name, reg, tc.bids, tc.cfg); got != tc.lanes {
+			if got := mustMatchReference(t, tc.name, reg, tc.bids, tc.cfg).Clock.Lanes; got != tc.lanes {
 				t.Fatalf("Components = %d, want %d", got, tc.lanes)
 			}
 			a, err := NewAuction(reg, tc.bids, tc.cfg)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -38,14 +37,13 @@ import (
 //
 //   - The stopping test z(t) ≤ 0 is a global conjunction. A lane whose
 //     pools all clear takes a zero step (prices only rise on positive
-//     excess demand), so its state is constant from that round on; the
-//     same holds for a lane whose step underflows to zero. Each lane
-//     therefore runs once, to its own end — cleared, stalled, or out of
-//     rounds — and the market's outcome is the latest lane ending: every
-//     lane cleared converges at the last lane's cleared round; otherwise,
-//     with no lane out of rounds, the whole step vector is first zero at
-//     the last lane's end, where the clock stalls; and a lane out of
-//     rounds runs the whole clock out.
+//     excess demand), so its state is constant from that round on. A lane
+//     with positive excess demand always moves (Capped.MinStep > 0), so
+//     each lane runs once, to one of two ends — cleared, or out of rounds
+//     — and the market converges, at the last lane's cleared round, only
+//     when every lane cleared. A lane out of rounds runs the whole clock
+//     out, and its bids are held (Result.Held); every other lane's
+//     outcome is its own cleared state, whatever the held lane did.
 //
 // Settlement scatters the lanes' prices and choices into the Result; a
 // payment is the chosen bundle's dot over its lane's prices — the same
@@ -95,22 +93,12 @@ type lane struct {
 
 	// hist holds the lane's per-round history snapshots.
 	hist []Round
-	// end is the round whose state the scratch holds: pre-step when the
-	// lane cleared or stalled there, post-step at MaxRounds when it ran
-	// out; ended says which.
-	end   int
-	ended laneEnd
+	// rounds is how many rounds the lane ran, and out whether it ran out
+	// of them: the scratch then holds the post-step state at MaxRounds,
+	// otherwise the pre-step state of the round the lane cleared.
+	rounds int
+	out    bool
 }
-
-// laneEnd is how a lane's clock ended, ordered so that the market's
-// ending is the max over its lanes.
-type laneEnd uint8
-
-const (
-	laneCleared laneEnd = iota // z ≤ 0: the lane's state is constant from here
-	laneStalled                // a zero step with positive excess demand
-	laneOut                    // MaxRounds ran out
-)
 
 // unionFind is a union-find forest over global pool ids with path
 // halving; union keeps the smaller root so a component's representative
@@ -232,6 +220,7 @@ func (a *Auction) buildLanes() []*lane {
 		of[i] = compOf[uf.find(a.rowsOf(i).idx[0])]
 		count[of[i]]++
 	}
+	a.laneOf = of
 	bids := make([][]int32, len(pools))
 	for c := range bids {
 		bids[c] = make([]int32, 0, count[c])
@@ -255,13 +244,10 @@ func (a *Auction) buildLanes() []*lane {
 // runClock is the production round loop: Algorithm 1 with incremental
 // demand revelation (see incremental.go) on one lane's kernel. Its
 // arithmetic is the reference loop's, round for round; it runs the lane
-// to its own end and records which (see laneEnd), leaving the market's
-// ending to the driver:
+// to one of its two ends, leaving the market's ending to the driver:
 //
 //   - cleared: it stops at the first round with z ≤ 0, pre-step, where
 //     Algorithm 1 stops;
-//   - stalled: a zero step with positive excess demand is not an error
-//     here, since whether the clock stalls is a global question;
 //   - out: when the rounds run out the scratch holds the post-step prices
 //     and the final round's choices, Algorithm 1's non-convergent settle
 //     state.
@@ -279,14 +265,10 @@ func (c *lane) runClock() {
 			c.hist = appendRound(c.hist, t, c.p, c.z, active)
 		}
 		if c.z.AllNonPositive(0) {
-			c.end, c.ended = t, laneCleared
+			c.rounds, c.out = t+1, false
 			return
 		}
 		c.cfg.Policy.StepInto(c.step, c.z)
-		if c.step.MaxAbs() == 0 {
-			c.end, c.ended = t, laneStalled
-			return
-		}
 		c.p.AddInto(c.step)
 		// The dirty pools for next round's re-evaluation are exactly the
 		// components the step moved.
@@ -297,7 +279,7 @@ func (c *lane) runClock() {
 			}
 		}
 	}
-	c.end, c.ended = c.cfg.MaxRounds, laneOut
+	c.rounds, c.out = c.cfg.MaxRounds, true
 }
 
 // sweep drives every lane clock. Lanes share no state at all, so with
@@ -352,6 +334,9 @@ func sweepParallel(lanes []*lane) {
 func scatterState(lanes []*lane, res *Result) {
 	res.Clock.Lanes = len(lanes)
 	for _, c := range lanes {
+		if c.out {
+			res.Clock.Held++
+		}
 		for j, g := range c.pools {
 			res.Prices[g] = c.p[j]
 		}
@@ -412,31 +397,17 @@ func appendMergedRound(h []Round, lanes []*lane, t int, start resource.Vector) [
 	return h
 }
 
-// runLanes is the driver: lane clocks, then the market's ending — the
-// latest lane ending (see laneEnd) at the last lane's end round — and
-// the in-order merge.
+// runLanes is the driver: lane clocks, then the market's ending — it
+// converges when no lane ran out, after the longest lane's rounds (every
+// round there is when one did) — the held bids and the in-order merge.
 //
 //marketlint:allocfree
 func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 	sweep(lanes)
-	ended, last := laneCleared, 0
+	res.Converged = true
 	for _, c := range lanes {
-		ended, last = max(ended, c.ended), max(last, c.end)
-	}
-	switch ended {
-	case laneStalled:
-		// No lane ran out, so the whole step vector is zero from the last
-		// lane's end on, with positive excess demand. Without progress
-		// the clock would spin forever.
-		//marketlint:allow allocfree error path; the run is abandoned
-		return nil, fmt.Errorf("core: clock stalled with positive excess demand at round %d", last)
-	case laneOut:
-		// A lane stepped through every round and the stopping test never
-		// passed: the clock runs out of rounds and settles its post-step
-		// state.
-		res.Converged, res.Rounds = false, a.cfg.MaxRounds
-	default:
-		res.Converged, res.Rounds = true, last+1
+		res.Converged = res.Converged && !c.out
+		res.Rounds = max(res.Rounds, c.rounds)
 	}
 	if a.cfg.RecordHistory {
 		a.mergeHistory(lanes, res, res.Rounds)
@@ -444,7 +415,20 @@ func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 	scatterState(lanes, res)
 	a.settle(res)
 	if !res.Converged {
+		a.hold(lanes, res)
 		return res, ErrNoConvergence
 	}
 	return res, nil
+}
+
+// hold lists the bids of the lanes that ran out in res.Held, in input
+// order.
+//
+//marketlint:allocfree
+func (a *Auction) hold(lanes []*lane, res *Result) {
+	for i := range a.bids {
+		if a.laneOf == nil || lanes[a.laneOf[i]].out {
+			res.Held = append(res.Held, i)
+		}
+	}
 }

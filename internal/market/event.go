@@ -22,8 +22,8 @@ const (
 	// EvOrderCancelled withdraws an open order and releases its
 	// commitment.
 	EvOrderCancelled = "order-cancelled"
-	// EvOrderAttempted records an order surviving a non-convergent clock
-	// (Attempts carries the new count).
+	// EvOrderAttempted records an order held open because its lane ran
+	// out of rounds (Attempts carries the new count).
 	EvOrderAttempted = "order-attempted"
 	// EvOrderSettled moves an order to a terminal status. Won carries the
 	// index of the winning bundle — the allocation is that bundle of the

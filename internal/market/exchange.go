@@ -72,8 +72,8 @@ type Order struct {
 	// Auction is the auction number that settled the order (−1 while
 	// open).
 	Auction int
-	// Attempts counts non-convergent clock runs the order survived
-	// while open.
+	// Attempts counts the auctions that held the order open because
+	// its lane ran out of rounds.
 	Attempts int
 	// Bundle is the index of the bundle that won — the order's allocation
 	// is that bundle of its own bid, read with Grant (sparse) or Allocation
@@ -1140,9 +1140,6 @@ func (e *Exchange) PreliminaryPrices() (prices resource.Vector, converged bool, 
 		return nil, false, err
 	}
 	res, err := a.Run()
-	if res == nil {
-		return nil, false, err
-	}
 	return res.Prices, res.Converged, err
 }
 
@@ -1159,10 +1156,13 @@ func (e *Exchange) PreliminaryPrices() (prices resource.Vector, converged bool, 
 // the Exchange doc comment for the (per-account atomic) consistency
 // model readers observe mid-settlement.
 //
-// A clock that fails to converge (core.ErrNoConvergence) stopped at
-// non-clearing prices, so nothing settles: orders stay Open for the next
-// epoch, no money moves, and the appended record shows Converged=false
-// with zero settled orders.
+// Settlement is per lane. A lane that ran out of rounds
+// (core.ErrNoConvergence; its bids are core.Result.Held) stopped at
+// non-clearing prices, so its orders do not settle: they stay Open for
+// the next epoch, and retire Unsettled once they have been held
+// maxAuctionAttempts times. Every other order settles Won or Lost at its
+// own lane's clearing prices, and the appended record shows
+// Converged=false when any lane was held.
 func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	// A degraded exchange probes the journal on entry (rate-limited by
 	// the resume backoff schedule) and refuses to run the clock while the
@@ -1192,10 +1192,6 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		return nil, nil, err
 	}
 	res, runErr := a.Run()
-	if runErr != nil && res == nil {
-		e.releaseBatch(open)
-		return nil, nil, runErr
-	}
 
 	// The clock is done; only the settlement phase takes settleMu.
 	e.settleMu.Lock()
@@ -1220,50 +1216,6 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	// simply shows a partially settled batch — per-order events are
 	// self-contained — and the next process's clock reuses the auction
 	// number the interrupted settlement never published.
-	if runErr != nil {
-		// Failed clock: the final prices are not clearing prices, so
-		// settling them would move money at arbitrary levels. Record the
-		// attempt and leave the batch open — but retire orders whose
-		// batch has now failed maxAuctionAttempts times, so a cycling
-		// trader pair cannot livelock every future epoch.
-		for i, o := range open {
-			var ev *Event
-			if o.Attempts+1 >= maxAuctionAttempts {
-				ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num,
-					Status: Unsettled, Attempts: o.Attempts + 1}
-				e.metrics.unsettled.Add(1)
-			} else {
-				ev = &Event{Kind: EvOrderAttempted, OrderID: o.ID, Auction: num,
-					Attempts: o.Attempts + 1}
-			}
-			if err := e.emitEvent(ev); err != nil {
-				// Orders before i had their events journaled and applied (so
-				// their in-auction marks are already cleared); releasing the
-				// unprocessed tail leaves the books exactly as a replay of
-				// the durable prefix would — the crash-consistency contract,
-				// reached without crashing. The auction record is never
-				// appended, so the number is reused by the next clock.
-				e.releaseBatch(open[i:])
-				return nil, nil, err
-			}
-			if err := e.applyEvent(ev); err != nil {
-				return nil, nil, err
-			}
-		}
-		recEv := &Event{Kind: EvAuctionCleared, Record: rec}
-		if err := e.emitEvent(recEv); err != nil {
-			return nil, nil, err
-		}
-		if err := e.applyEvent(recEv); err != nil {
-			return nil, nil, err
-		}
-		e.metrics.auctionRun(res)
-		e.metrics.noConvergence.Add(1)
-		if err := e.maybeSnapshotLocked(num); err != nil {
-			return rec, res, err
-		}
-		return rec, res, runErr
-	}
 	// Settle orders (indices in `bids` match `open` for i < len(open)).
 	// Every order in the batch is still Open: the in-auction mark blocks
 	// cancellation while the clock runs. Each winner's ledger pair is
@@ -1272,9 +1224,25 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	// The events' bundle indices point into one copy a wave, not one
 	// allocation a winner (and not into res, which the caller gets).
 	bundles := append([]int(nil), res.ChosenBundle[:len(open)]...)
+	held := res.Held // ascending, walked alongside open
 	for i, o := range open {
 		var ev *Event
-		if res.IsWinner(i) {
+		switch {
+		case len(held) > 0 && held[0] == i:
+			// Its lane ran out at non-clearing prices: record the attempt
+			// and leave the order open — but retire it once it has been
+			// held maxAuctionAttempts times, so a cycling trader pair
+			// cannot livelock its lane's every future epoch.
+			held = held[1:]
+			if o.Attempts+1 >= maxAuctionAttempts {
+				ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num,
+					Status: Unsettled, Attempts: o.Attempts + 1}
+				e.metrics.unsettled.Add(1)
+			} else {
+				ev = &Event{Kind: EvOrderAttempted, OrderID: o.ID, Auction: num,
+					Attempts: o.Attempts + 1}
+			}
+		case res.IsWinner(i):
 			bundle := bundles[i]
 			ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Won,
 				Bundle: &bundles[i], Payment: res.Payments[i]}
@@ -1284,15 +1252,17 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 			// bundle: for vector-limit bids the scalar Limit is ignored by the
 			// proxy, so using it here would corrupt the Table I statistics.
 			rec.Premiums = append(rec.Premiums, core.Premium(o.Bid.LimitFor(bundle), res.Payments[i]))
-		} else {
+		default:
 			ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Lost}
 			e.metrics.lost.Add(1)
 		}
 		if err := e.emitEvent(ev); err != nil {
-			// Same contract as the non-convergent branch: the settled
-			// prefix open[:i] is durable and applied, the rest of the
-			// batch returns to Open, and the auction record is not
-			// written — replaying the journal reproduces this exact book.
+			// The settled prefix open[:i] is durable and applied (so its
+			// in-auction marks are already cleared), the rest of the batch
+			// returns to Open, and the auction record is not written —
+			// replaying the journal reproduces this exact book, the
+			// crash-consistency contract reached without crashing. The
+			// next clock reuses the auction number.
 			e.releaseBatch(open[i:])
 			return nil, nil, err
 		}
@@ -1313,7 +1283,6 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		return nil, nil, err
 	}
 	e.metrics.auctionRun(res)
-	e.metrics.converged.Add(1)
 	if err := e.maybeSnapshotLocked(num); err != nil {
 		return rec, res, err
 	}

@@ -36,6 +36,11 @@ type exchangeMetrics struct {
 // auctionRun counts one binding clock run and what its round loops did.
 func (m *exchangeMetrics) auctionRun(res *core.Result) {
 	m.auctions.Add(1)
+	if res.Converged {
+		m.converged.Add(1)
+	} else {
+		m.noConvergence.Add(1)
+	}
 	m.rounds.Add(uint64(res.Rounds))
 	m.clockMu.Lock()
 	m.clock.Add(res.Clock)
@@ -59,8 +64,8 @@ type Metrics struct {
 	// Clock auctions: total runs, convergence split, and the cumulative
 	// round count (rate(Rounds)/rate(Auctions) is the mean clock length).
 	Auctions, Converged, NoConvergence, Rounds uint64
-	// Clock is the round loops' work over those auctions — lanes, rounds
-	// per lane, bundles re-priced, proxies re-chosen, full rebuilds against
+	// Clock is the round loops' work over those auctions — lanes and
+	// the held ones among them, rounds per lane, bundles re-priced, proxies re-chosen, full rebuilds against
 	// single-pool re-sums — which shows whether the incremental
 	// reductions engaged.
 	Clock core.ClockStats

@@ -46,7 +46,8 @@ const sellerFraction = 0.5
 //	    waiting on it settle after the rejoin.
 //	trader-storm      — hostile cycling trader pairs drive clock
 //	    non-convergence storms mid-run; the livelock guard must retire
-//	    the poisoned batches and every invariant must hold throughout.
+//	    the poisoned lanes' orders, the other lanes settle, and every
+//	    invariant must hold throughout.
 func Catalog() []*Scenario {
 	list := []*Scenario{
 		{

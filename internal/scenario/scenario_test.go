@@ -247,6 +247,41 @@ func TestTraderStormForcesNonConvergenceAndRecovers(t *testing.T) {
 	}
 }
 
+// TestHeldLaneLeavesOtherLanesSettling pins per-lane settlement on
+// catalog runs: in each row, some auction holds a lane that ran out of
+// rounds (its record says Converged=false) and still settles winners in
+// its other lanes, with the invariant kernel clean on every run. Each
+// row is a run range known to hold such an auction.
+func TestHeldLaneLeavesOtherLanesSettling(t *testing.T) {
+	for _, row := range []struct {
+		scenario, kind string
+		first, last    int64
+	}{
+		{"trader-storm", "exchange", 1, 16}, // seeds 3 and 10
+		{"flash-crowd", "federation", 16, 16},
+	} {
+		t.Run(row.scenario+"/"+row.kind, func(t *testing.T) {
+			hits := 0
+			for seed := row.first; seed <= row.last; seed++ {
+				rep := runNamed(t, row.scenario, row.kind, Config{Seed: seed})
+				for _, v := range rep.Violations {
+					t.Errorf("seed %d: invariant violated: %s", seed, v)
+				}
+				for _, s := range rep.Epochs {
+					for _, rec := range s.Records {
+						if !rec.Converged && rec.Settled > 0 {
+							hits++
+						}
+					}
+				}
+			}
+			if hits == 0 {
+				t.Errorf("seeds %d–%d: no auction held a lane and settled others", row.first, row.last)
+			}
+		})
+	}
+}
+
 // TestChurnKeepsMarketLiquid asserts a quarter of the population being
 // new every epoch (with budget refresh cycles) never starves the market:
 // every epoch still settles trades.

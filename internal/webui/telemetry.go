@@ -111,6 +111,7 @@ func collectExchange(m *families, ex *market.Exchange, region string) {
 		v          int
 	}{
 		{"lanes", "Component lanes clocked.", mt.Clock.Lanes},
+		{"lanes_held", "Lanes that ran out of rounds; their orders were held open.", mt.Clock.Held},
 		{"lane_rounds", "Rounds run, summed over lanes.", mt.Clock.LaneRounds},
 		{"bundles_repriced", "Bundles re-priced past round 0 (they touch a moved pool).", mt.Clock.Repriced},
 		{"proxies_rechosen", "Proxies re-scored past round 0.", mt.Clock.Rechosen},

@@ -116,6 +116,7 @@ func TestMetricsExposition(t *testing.T) {
 		`market_orders_settled_total{outcome="won"}`,
 		"market_auctions_total 1",
 		"# TYPE market_clock_lanes_total counter",
+		"market_clock_lanes_held_total 0",
 		"market_clock_bundles_repriced_total",
 		"market_clock_z_rebuilds_total",
 		`market_book_orders{state="live"} 0`,
