@@ -55,7 +55,8 @@ vulncheck: ## govulncheck against the checked-in ignore list
 
 # The layer benchmarks in bench_test.go, one pass each: the clock
 # against its reference, admission and the auction build at R = 192,
-# and what the book retains an order. No baseline, no comparison — the
+# what the book retains an order, and the federated tick with its
+# settlement wave. No baseline, no comparison — the
 # pass is a smoke check of each benchmark's own shape assertions. Speed
 # claims come from bench-suite.
 bench: ## One pass over the layer benchmarks (a smoke check, not a gate)

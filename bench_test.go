@@ -4,8 +4,8 @@ package clustermarket_test
 // suite in benchmark/ does not time on their own — the production clock
 // against its dense oracle core.ReferenceRun, the clock's scaling in
 // users and pools (Section III.C.4), admission at R = 192 and contended
-// admission at R = 39, the auction build from a booked book, and what the
-// book retains an order.
+// admission at R = 39, the auction build from a booked book, what the
+// book retains an order, and the federated tick with its settlement wave.
 // The paper figures are regenerated by `marketsim figures` and their shapes
 // asserted by internal/scenario's paper-pilot tests. Run with:
 //
@@ -25,6 +25,7 @@ import (
 
 	"clustermarket/internal/cluster"
 	"clustermarket/internal/core"
+	"clustermarket/internal/federation"
 	"clustermarket/internal/market"
 	"clustermarket/internal/resource"
 	"clustermarket/internal/telemetry"
@@ -555,6 +556,79 @@ func BenchmarkNewAuctionFromBook(b *testing.B) {
 			b.Fatalf("decomposed into %d components, want %d", a.Components(), wideRegions)
 		}
 	}
+}
+
+// BenchmarkFederationTick is the federated epoch, the layer the
+// settlement wave lives in: one federation.Tick over four regions of
+// three three-machine clusters, filled to 0.8, 0.5, 0.3 and 0.1, after
+// 512 cross-region orders (untimed) — each an XOR over two to four
+// regions, limit 5..64 — so that legs lose in hot regions and fail over.
+// Legs booked by one tick's wave settle in the next, so the book reaches
+// a steady state. It reports failovers/op and fails without any.
+func BenchmarkFederationTick(b *testing.B) {
+	const regions, clusters, orders, teams = 4, 3, 512, 16
+	utils := [regions]float64{0.8, 0.5, 0.3, 0.1}
+	rng := rand.New(rand.NewSource(7))
+	members := make([]*federation.Region, regions)
+	names := make([][]string, regions)
+	for r := range members {
+		fleet := cluster.NewFleet()
+		for c := 0; c < clusters; c++ {
+			name := "f" + strconv.Itoa(r) + "c" + strconv.Itoa(c)
+			cl := cluster.New(name, nil)
+			cl.AddMachines(3, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+			if err := fleet.AddCluster(cl); err != nil {
+				b.Fatal(err)
+			}
+			u := utils[r]
+			if err := fleet.FillToUtilization(rng, name, cluster.Usage{CPU: u, RAM: u, Disk: u}); err != nil {
+				b.Fatal(err)
+			}
+			names[r] = append(names[r], name)
+		}
+		var err error
+		if members[r], err = federation.NewRegion("fr"+strconv.Itoa(r), fleet, market.Config{InitialBudget: 1e12}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fed, err := federation.NewFederation(members...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < teams; i++ {
+		if err := fed.OpenAccount("team" + strconv.Itoa(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	submit := func() {
+		for k := 0; k < orders; k++ {
+			var cs []string
+			for _, r := range rng.Perm(regions)[:2+rng.Intn(regions-1)] {
+				cs = append(cs, names[r][rng.Intn(clusters)])
+			}
+			if _, err := fed.SubmitProduct("team"+strconv.Itoa(k%teams), "batch-compute", 1, cs, float64(5+rng.Intn(60))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		submit()
+		b.StartTimer()
+		for _, t := range fed.Tick() {
+			if t.Err != nil {
+				b.Fatalf("region %s: %v", t.Region, t.Err)
+			}
+		}
+	}
+	b.StopTimer()
+	failovers := fed.Stats().Failovers
+	if failovers == 0 {
+		b.Fatal("no leg failed over: the wave booked nothing")
+	}
+	b.ReportMetric(float64(failovers)/float64(b.N), "failovers/op")
 }
 
 // BenchmarkBookRetention is what the append-only book keeps of an order:

@@ -93,10 +93,9 @@ type Stats struct {
 	Won, Lost, Unsettled int
 }
 
-// RouterStats are gauges of the router's table and of its last advance
-// pass (the serial step after a region settles). They describe this
-// process, not the market: they are not journaled and start from what
-// recovery rebuilt.
+// RouterStats are gauges of the router's table and of each region's last
+// settlement wave (wave.go). They describe this process, not the market:
+// they are not journaled and start from what recovery rebuilt.
 type RouterStats struct {
 	// Routes and Legs are the table's record counts; Bytes is what its
 	// slabs hold, the empty tails of their last chunks included.
@@ -109,11 +108,16 @@ type RouterStats struct {
 type RouterRegion struct {
 	Region string
 	// OpenIDs is the length of the region's open-order list, stale ids
-	// included until its next advance drops them.
+	// included until its next wave drops them.
 	OpenIDs int
-	// Visited and Failovers count the legs the region's last advance read
-	// an outcome for and the failover legs it booked.
+	// Visited counts the legs the region's last wave as a source read an
+	// outcome for: those waiting on it when the wave began. A leg the same
+	// wave booked into it waits for its next. Failovers counts the legs
+	// that wave booked elsewhere for orders that lost here.
 	Visited, Failovers int
+	// Refused counts the failover legs the region refused (budget, open
+	// breaker) in the last wave it took part in, as source or target.
+	Refused int
 }
 
 // RegionTick is one region's outcome from a federation-wide Tick.
@@ -147,8 +151,10 @@ type Federation struct {
 	// written under mu, read from one atomic load.
 	board atomic.Pointer[boardView]
 	stats Stats
-	// advanced keeps each region's last advance for RouterStats.
+	// advanced keeps each region's last wave for RouterStats; spare is the
+	// wave whose buffers the next one reuses (nil while a wave runs).
 	advanced []RouterRegion
+	spare    *wave
 
 	// journal, when attached, receives every routing state change as an
 	// event (see event.go); the regions journal their own books
@@ -437,10 +443,10 @@ grouping:
 	}
 
 	// Reconcile the submit/settle race: if the region settled while the
-	// order was being registered, the normal OnTick advance ran too early
-	// to see it — run it again now that the order is visible.
+	// order was being registered, that settlement's wave ran too early to
+	// see it — run one again now that the order is visible.
 	if target.ex.AuctionCount() != auctionsBefore {
-		f.advanceRegion(int(legs[active].region))
+		f.advance(int(legs[active].region))
 	}
 	return id, nil
 }
@@ -449,10 +455,6 @@ grouping:
 // breaker is open: an organic rejection of another leg outranks it as the
 // error a caller sees.
 var errBreakerOpen = errors.New("open")
-
-// errNoLegLeft is a sentinel so that retiring an order whose last leg lost
-// allocates nothing.
-var errNoLegLeft = errors.New("federation: no leg to submit")
 
 // legErrText is what Leg.Err keeps of a leg's booking failure.
 func legErrText(err error) string {
@@ -484,116 +486,6 @@ func (f *Federation) bookLeg(leg *routeLeg, rows []resource.PoolRow, team, produ
 	return nil
 }
 
-// submitNextLegLocked books the next unsubmitted leg after the active
-// one, skipping legs whose regional submission is rejected, and lists the
-// order under the new leg's region. It returns an error only when no leg
-// could be booked. Callers must hold f.mu.
-func (f *Federation) submitNextLegLocked(id int) error {
-	t := &f.table
-	rt := t.routeAt(id)
-	var lastErr error
-	var rowBuf [8]resource.PoolRow
-	off := t.clOff(rt, int(rt.active)+1)
-	for next := int(rt.active) + 1; next < int(rt.legN); next++ {
-		k := rt.legOff + uint32(next)
-		leg := t.legAt(k)
-		rows := t.appendRows(rowBuf[:0], off, leg.clN)
-		off += uint32(leg.clN)
-		if err := f.bookLeg(leg, rows, t.names[rt.team], t.names[rt.product], rt.qty, rt.limit); err != nil {
-			t.setErr(k, legErrText(err))
-			if lastErr == nil || !errors.Is(err, errBreakerOpen) {
-				lastErr = err
-			}
-			continue
-		}
-		rt.active = int16(next)
-		t.track(id)
-		return nil
-	}
-	if lastErr == nil {
-		lastErr = errNoLegLeft
-	}
-	return lastErr
-}
-
-// advanceRegion reconciles routing state after region ri settled an
-// auction: winning legs conclude their orders, losing legs fail over to
-// the next-cheapest region. Only orders whose active leg is in the region
-// are visited, from its open list — sorted first, so in ascending order
-// ID whatever order the ids were listed in: failover submissions book
-// orders into the next region's book, so the visit order decides both the
-// IDs those legs get and which legs a near-exhausted budget can still
-// cover. That makes a settlement wave a deterministic function of the
-// routing state, which the scenario engine's seed-reproducibility
-// contract depends on. Ids the list still holds for orders that are no
-// longer waiting here are dropped unvisited.
-func (f *Federation) advanceRegion(ri int) {
-	r := f.regions[ri]
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	t := &f.table
-	ids := t.open[ri]
-	// A failover lists its order under another region, never this one (an
-	// order has one leg a region); whatever is listed here meanwhile is
-	// kept behind the survivors.
-	t.open[ri] = nil
-	slices.Sort(ids)
-	kept, visited, failovers := 0, 0, 0
-	for i, id32 := range ids {
-		if i > 0 && id32 == ids[i-1] || t.waitingIn(id32) != ri {
-			continue
-		}
-		id := int(id32)
-		rt := t.routeAt(id)
-		leg := t.legAt(rt.legOff + uint32(rt.active))
-		status, payment, ok := r.ex.Outcome(int(leg.order))
-		if !ok {
-			ids[kept] = id32
-			kept++
-			continue
-		}
-		visited++
-		leg.setState(status)
-		switch status {
-		case market.Open:
-			// The region's clock did not converge; the leg stays booked
-			// for the region's next epoch. Nothing moved, so nothing is
-			// journaled.
-			ids[kept] = id32
-			kept++
-			continue
-		case market.Won:
-			rt.status, rt.active = uint8(market.Won), -1
-			rt.won, rt.payment = uint8(ri), payment
-			f.stats.Won++
-		case market.Lost, market.Unsettled:
-			if err := f.submitNextLegLocked(id); err != nil {
-				rt.status, rt.active = uint8(status), -1
-				if status == market.Lost {
-					f.stats.Lost++
-				} else {
-					f.stats.Unsettled++
-				}
-			} else {
-				f.stats.Failovers++
-				failovers++
-			}
-		case market.Cancelled:
-			rt.status, rt.active = uint8(market.Cancelled), -1
-		}
-		if f.materializingLocked() {
-			// The event carries the wholesale post-advance order state (a
-			// failover's new leg booking included) plus the absolute router
-			// counters, so replay reproduces this advance without touching
-			// the region.
-			stats := f.stats
-			f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: t.view(id), Stats: &stats})
-		}
-	}
-	t.open[ri] = append(ids[:kept], t.open[ri]...)
-	f.advanced[ri].Visited, f.advanced[ri].Failovers = visited, failovers
-}
-
 // Cancel withdraws a federated order by cancelling its active leg. Like
 // Exchange.Cancel, an order whose leg is in a settling auction cannot be
 // withdrawn.
@@ -612,7 +504,7 @@ func (f *Federation) Cancel(id int) error {
 	if err := f.regions[leg.region].ex.Cancel(int(leg.order)); err != nil {
 		return err
 	}
-	// The id stays on the region's open list until its next advance.
+	// The id stays on the region's open list until its next wave.
 	leg.setState(market.Cancelled)
 	rt.status, rt.active = uint8(market.Cancelled), -1
 	if f.materializingLocked() {
@@ -672,8 +564,8 @@ func (f *Federation) RouterStats() RouterStats {
 }
 
 // SettleRegion runs one binding auction in the named region, then
-// gossips its prices and advances any cross-region orders waiting on it
-// — the manual-settlement counterpart of one Serve tick. Settling a
+// gossips its prices and runs the settlement wave over it — the
+// manual-settlement counterpart of one Serve tick. Settling a
 // region through its Exchange directly would bypass the router, so
 // federated front ends must settle through this method (or Tick/Serve).
 func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
@@ -695,57 +587,58 @@ func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
 		return nil, err
 	}
 	f.breakers.success(ri)
-	g := gossipQuote
-	if inj.Region(fault.OpRegionGossip, name) != nil {
-		g = gossipTick
-	}
+	quote := inj.Region(fault.OpRegionGossip, name) == nil
 
 	rec, _, err := r.ex.RunAuction()
-	if serr := f.settled(ri, g); serr != nil {
+	// An idle settlement (an empty book) still gossips and runs its wave,
+	// but like an idle Tick or Serve tick does not count toward the cadence.
+	n := 1
+	if errors.Is(err, market.ErrNoOpenOrders) {
+		n = 0
+	}
+	if serr := f.settled(ri, quote, n); serr != nil {
 		return rec, serr
 	}
 	return rec, err
 }
 
-// gossipKind is how much of a gossip pass settled runs for its region.
-type gossipKind uint8
+// settled is the router's side of region ri's settlement under
+// SettleRegion and Serve: it gossips the region, runs the wave over it and
+// counts n settlements (0 for an idle one) toward the snapshot cadence.
+func (f *Federation) settled(ri int, quote bool, n int) error {
+	f.gossipSettled(ri, quote)
+	f.advance(ri)
+	return f.countSettled(n)
+}
 
-const (
-	// gossipDone: the caller has gossiped already (Tick's whole-board pass).
-	gossipDone gossipKind = iota
-	// gossipTick: advance the gossip clock only; the region's quote is lost.
-	gossipTick
-	// gossipQuote: advance the gossip clock and refresh the region's quote.
-	gossipQuote
-)
-
-// settled is the router's side of one regional settlement, the one tail
-// of SettleRegion, Tick and Serve: it gossips as g says, advances the
-// orders waiting on region ri, counts the settlement and, with a journal
-// attached, writes a router snapshot every snapshotEvery settlements, so
-// that the router's WAL and its recovery replay stay bounded whichever
-// of them settles. It returns the router's latched journal error, else the
-// snapshot's.
-func (f *Federation) settled(ri int, g gossipKind) error {
-	if g != gossipDone {
-		f.mu.Lock()
-		tick := f.board.Load().tick + 1
-		f.publishLocked(tick, 0, nil)
-		// The bare tick event keeps the recovered gossip clock in step even
-		// when the quote itself cannot be refreshed.
-		if f.materializingLocked() {
-			f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick})
-		}
-		if g == gossipQuote {
-			f.gossipRegionLocked(ri)
-		}
-		f.mu.Unlock()
-	}
-	f.advanceRegion(ri)
-
+// gossipSettled advances the gossip clock and, when quote is set,
+// refreshes region ri's quote.
+func (f *Federation) gossipSettled(ri int, quote bool) {
 	f.mu.Lock()
-	f.settleCount++
-	snapshotDue := f.journal != nil && f.snapshotEvery > 0 && f.settleCount%f.snapshotEvery == 0
+	defer f.mu.Unlock()
+	tick := f.board.Load().tick + 1
+	f.publishLocked(tick, 0, nil)
+	// The bare tick event keeps the recovered gossip clock in step even
+	// when the quote itself cannot be refreshed.
+	if f.materializingLocked() {
+		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick})
+	}
+	if quote {
+		f.gossipRegionLocked(ri)
+	}
+}
+
+// countSettled counts n settlements and, with a journal attached, writes
+// a router snapshot when the count passes a multiple of snapshotEvery, so
+// that the router's WAL and its recovery replay stay bounded whichever of
+// SettleRegion, Tick and Serve settles. One snapshot covers a wave however
+// many multiples it passes. It returns the router's latched journal error, else the
+// snapshot's.
+func (f *Federation) countSettled(n int) error {
+	f.mu.Lock()
+	before := f.settleCount
+	f.settleCount += n
+	snapshotDue := f.journal != nil && f.snapshotEvery > 0 && f.settleCount/f.snapshotEvery > before/f.snapshotEvery
 	logErr := f.journalErr
 	f.mu.Unlock()
 	if logErr != nil {
@@ -758,14 +651,17 @@ func (f *Federation) settled(ri int, g gossipKind) error {
 }
 
 // Tick settles every region's accumulated batch concurrently — one clock
-// auction per region, run in parallel — then gossips prices and advances
-// cross-region routing. Idle regions (empty books) report a nil record
-// and nil error, and like Serve's idle ticks do not count toward the
-// snapshot cadence; a region's Err also carries the router's journal or
-// snapshot error from its advance.
+// auction per region, run in parallel, each followed on its goroutine by
+// the region's decide phase — then gossips prices and books the wave over
+// every region. Idle regions (empty books) report a nil record and nil
+// error, and like Serve's idle ticks do not count toward the snapshot
+// cadence; a settled region's Err also carries the router's journal or
+// snapshot error.
 func (f *Federation) Tick() []RegionTick {
 	out := make([]RegionTick, len(f.regions))
-	idle := make([]bool, len(f.regions))
+	f.mu.Lock()
+	w := f.takeWaveLocked()
+	f.mu.Unlock()
 	var wg sync.WaitGroup
 	for i, r := range f.regions {
 		wg.Add(1)
@@ -773,20 +669,30 @@ func (f *Federation) Tick() []RegionTick {
 			defer wg.Done()
 			rec, _, err := r.ex.RunAuction()
 			if errors.Is(err, market.ErrNoOpenOrders) {
-				rec, err, idle[i] = nil, nil, true
+				rec, err = nil, nil
 			}
 			out[i] = RegionTick{Region: r.name, Record: rec, Err: err}
+			f.mu.Lock()
+			f.decideLocked(w, i)
+			f.mu.Unlock()
 		}(i, r)
 	}
 	wg.Wait()
 	f.Gossip()
-	for ri := range f.regions {
-		if idle[ri] {
-			f.advanceRegion(ri)
-			continue
+	f.mu.Lock()
+	f.bookLocked(w)
+	f.mu.Unlock()
+	ran := 0
+	for _, rt := range out {
+		if rt.Record != nil || rt.Err != nil { // an idle region reports neither
+			ran++
 		}
-		if err := f.settled(ri, gossipDone); err != nil && out[ri].Err == nil {
-			out[ri].Err = err
+	}
+	if err := f.countSettled(ran); err != nil {
+		for i := range out {
+			if out[i].Record != nil && out[i].Err == nil {
+				out[i].Err = err
+			}
 		}
 	}
 	return out
@@ -795,8 +701,8 @@ func (f *Federation) Tick() []RegionTick {
 // Serve runs one epoch loop per region until ctx is cancelled. The loops
 // are independent goroutines, so regional auctions settle concurrently;
 // after each regional settlement (an idle tick is none) the federation
-// gossips that region's prices, advances any cross-region orders waiting
-// on it and keeps the journal's snapshot cadence. It returns ctx.Err().
+// gossips that region's prices, runs the wave over it and keeps the
+// journal's snapshot cadence. It returns ctx.Err().
 func (f *Federation) Serve(ctx context.Context, epoch time.Duration) error {
 	if epoch <= 0 {
 		return errors.New("federation: epoch must be positive")
@@ -811,7 +717,7 @@ func (f *Federation) Serve(ctx context.Context, epoch time.Duration) error {
 			// A journal error stays latched for the next SubmitProduct or
 			// Cancel to return; a failed snapshot leaves the WAL whole, and
 			// the next one due retries.
-			_ = f.settled(ri, gossipQuote)
+			_ = f.settled(ri, true, 1)
 		}
 		wg.Add(1)
 		go func() {

@@ -49,6 +49,12 @@ func regionNamed(t *testing.T, f *Federation, name string) *Region {
 // given utilization, with clusters named "<name>-r1", "<name>-r2", ….
 func testRegion(t testing.TB, name string, clusters int, util float64) *Region {
 	t.Helper()
+	return configuredRegion(t, name, clusters, util, market.Config{InitialBudget: 1e6})
+}
+
+// configuredRegion is testRegion with the region's market.Config.
+func configuredRegion(t testing.TB, name string, clusters int, util float64, cfg market.Config) *Region {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	fleet := cluster.NewFleet()
 	for i := 1; i <= clusters; i++ {
@@ -64,7 +70,7 @@ func testRegion(t testing.TB, name string, clusters int, util float64) *Region {
 			}
 		}
 	}
-	r, err := NewRegion(name, fleet, market.Config{InitialBudget: 1e6})
+	r, err := NewRegion(name, fleet, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -434,6 +434,40 @@ func TestTickKeepsSnapshotCadence(t *testing.T) {
 	}
 }
 
+// TestSettleRegionKeepsSnapshotCadence is the cadence under SettleRegion,
+// as the scenario engine settles: every market every epoch, most of them
+// idle. An idle settlement gossips and runs its wave but does not count,
+// so idle rounds write no router snapshot of an unchanged table.
+func TestSettleRegionKeepsSnapshotCadence(t *testing.T) {
+	w := openSeamWorld(t, t.TempDir(), 2)
+	defer w.close()
+	f, fj := w.fed, w.journals[len(w.journals)-1]
+	for i := 0; i < 6; i++ {
+		if _, err := f.SettleRegion(seamTopology[i%len(seamTopology)].name); !errors.Is(err, market.ErrNoOpenOrders) {
+			t.Fatalf("idle settlement returned %v, want ErrNoOpenOrders", err)
+		}
+	}
+	if n := fj.Metrics().Snapshots; n != 0 {
+		t.Fatalf("six idle settlements wrote %d router snapshots, want none", n)
+	}
+	if tick := f.GossipTick(); tick != 6 {
+		t.Fatalf("gossip tick = %d after six settlements, want 6: an idle one still gossips", tick)
+	}
+	for _, c := range []string{"hot-r1", "cold-r1"} {
+		if _, err := f.SubmitProduct(seamTeams[0], "batch-compute", 1, []string{c}, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []string{"hot", "cold"} {
+		if _, err := f.SettleRegion(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := fj.Metrics().Snapshots; n != 1 {
+		t.Fatalf("two settlements that ran (every 2) wrote %d router snapshots, want 1", n)
+	}
+}
+
 func openIDs(orders []*federation.FedOrder) []int {
 	var ids []int
 	for _, fo := range orders {

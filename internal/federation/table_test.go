@@ -183,15 +183,15 @@ func under(stack []uintptr, fn string) bool {
 }
 
 // TestAdvanceAllocBudget settles N single-leg orders — winners and
-// losers, all terminal after one leg — and requires the advance pass over
-// them to allocate the same handful whatever N is: no id list, no order
+// losers, all terminal after one leg — and requires the settlement wave
+// over them to allocate the same handful whatever N is: no id list, no order
 // copies, no error per retired order. Then it settles N two-leg orders
 // whose losing first legs fail over, and requires each failover to cost
 // the regional booking's own allocations and nothing of the router's: no
 // name slice, no view.
 func TestAdvanceAllocBudget(t *testing.T) {
 	// advance books N orders over the clusters, settles region a and
-	// returns the mallocs of the advance pass, the orders it retired lost
+	// returns the mallocs of its wave, the orders it retired lost
 	// and the failovers it booked.
 	advance := func(n int, clusters []string) (mallocs uint64, lost, failovers int) {
 		f := fourRegions(t)
@@ -206,7 +206,7 @@ func TestAdvanceAllocBudget(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		f.advanceRegion(0)
+		f.advance(0)
 		runtime.ReadMemStats(&after)
 		st, rs := f.Stats(), f.RouterStats()
 		if st.Won == 0 || st.Won+st.Lost+st.Failovers != n || rs.Regions[0].Visited != n || rs.Regions[0].OpenIDs != 0 ||

@@ -433,10 +433,12 @@ func (b *Backend) Status(id int) (market.OrderStatus, error) {
 	return fo.Status, nil
 }
 
-// Settle runs one settlement wave. Markets settle sequentially in
-// registration order — the deterministic counterpart of
-// Federation.Tick's concurrent wave — and a dark market is skipped
-// entirely: its book, clock and gossip go silent until it rejoins. The
+// Settle runs one epoch's settlements. Markets settle sequentially in
+// registration order through SettleRegion, each followed by its own
+// settlement wave, and a dark market is skipped entirely: its book, clock
+// and gossip go silent until it rejoins. This is not Federation.Tick's
+// order: a failover leg a market's wave books into a market later in the
+// order is auctioned in the same epoch, where under Tick it waits a tick. The
 // exchange kind's one market is never dark; a dark region there only
 // means no new demand names its clusters. Non-convergence and empty books
 // are normal epoch outcomes, not errors. An injected settlement fault

@@ -248,10 +248,12 @@ func (s *FedServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, rr := range rs.Regions {
 		m.add("fed_router_open_ids", "gauge", "Ids on the region's open-order list (stale ones until its next advance).",
 			labels("region", rr.Region), float64(rr.OpenIDs))
-		m.add("fed_router_last_advance_visited", "gauge", "Legs the region's last advance pass read an outcome for.",
+		m.add("fed_router_last_advance_visited", "gauge", "Legs waiting on the region whose outcome its last settlement wave read; a leg the same wave booked there waits for the next.",
 			labels("region", rr.Region), float64(rr.Visited))
-		m.add("fed_router_last_advance_failovers", "gauge", "Failover legs the region's last advance pass booked.",
+		m.add("fed_router_last_advance_failovers", "gauge", "Failover legs the region's last settlement wave booked for orders that lost there.",
 			labels("region", rr.Region), float64(rr.Failovers))
+		m.add("fed_router_last_advance_refused", "gauge", "Failover legs the region refused in the last settlement wave it took part in.",
+			labels("region", rr.Region), float64(rr.Refused))
 	}
 	for _, bs := range s.fed.BreakerStates() {
 		m.add("fed_breaker_state", "gauge", "Region circuit-breaker state (0 closed, 1 half-open, 2 open).",

@@ -166,6 +166,10 @@ func TestFedMetricsExposition(t *testing.T) {
 		"fed_router_legs 2",
 		"# TYPE fed_router_bytes gauge",
 		"# TYPE fed_router_last_advance_visited gauge",
+		`fed_router_last_advance_visited{region="cold"} 1`,
+		`fed_router_last_advance_failovers{region="cold"} 0`,
+		"# TYPE fed_router_last_advance_refused gauge",
+		`fed_router_last_advance_refused{region="hot"} 0`,
 		`fed_router_open_ids{region="hot"}`,
 		`fed_router_open_ids{region="cold"}`,
 	} {
