@@ -10,21 +10,24 @@
 // at any time (and is the only way to settle when -epoch is 0).
 //
 // With -regions N (N ≥ 2), marketd builds a federated world instead: N
-// regional markets, each with its own fleet and epoch loop, fronted by
-// the global market view at / with per-region drill-downs under
-// /region/<name>/. The first region runs hot so cross-region bids
-// visibly route toward the cheaper regions.
+// regional markets, each with its own fleet, settled together once an
+// epoch and fronted by the global market view at / with per-region
+// drill-downs under /region/<name>/. The first region runs hot so
+// cross-region bids visibly route toward the cheaper regions.
 //
 // With -journal-dir set, every settlement-relevant state change is
 // journaled to a durable WAL, and fsynced, before it takes effect.
 // Restarting marketd against the same directory — with the same world
 // flags (-clusters, -machines, -seed, -budget, -regions) — recovers the
 // books exactly where the previous process left them, verifying the
-// shared invariant kernel before serving. A directory already held by a live process is refused at
+// shared invariant kernel before serving. A federated directory recovers
+// whole or not at all: one whose journals do not match -regions is
+// refused. A directory already held by a live process is refused at
 // startup (the journal's lockfile), so two marketds cannot interleave
 // writes to one WAL. So is a directory written in the other mode: a
 // single exchange's root wal under -regions ≥ 2, or a federation's fed/
-// under -regions 0.
+// under -regions 0. Every journal's recovery notes (an ignored snapshot,
+// a torn tail cut back) are logged.
 //
 // With -pprof ADDR, marketd also serves the Go runtime's profiles
 // (net/http/pprof: /debug/pprof/, CPU and heap profiles, goroutine dumps)
@@ -33,7 +36,7 @@
 //
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
 //
-// marketd shuts down cleanly on SIGINT/SIGTERM: the epoch loops are
+// marketd shuts down cleanly on SIGINT/SIGTERM: the epoch loop is
 // cancelled, the HTTP server drains in-flight requests, and the journal
 // is flushed, fsynced, and unlocked before exit.
 package main
@@ -130,12 +133,12 @@ func main() {
 		closeJournal = closer
 		if *epoch > 0 {
 			go fed.Serve(ctx, *epoch)
-			log.Printf("marketd: %d region epoch loops settling every %s", *regions, *epoch)
+			log.Printf("marketd: federation ticking every %s, its %d regions settling concurrently", *epoch, *regions)
 		} else {
-			log.Printf("marketd: epoch loops disabled; settle per region via POST /region/<name>/auction/run")
+			log.Printf("marketd: epoch loop disabled; settle per region via POST /region/<name>/auction/run")
 		}
-		// The federation's epoch loops live inside Serve, so health checks
-		// run on their own clock rather than a per-tick hook.
+		// Serve ticks inside the federation, so health checks run on their
+		// own clock rather than a per-tick hook.
 		exs := make([]*market.Exchange, 0, *regions)
 		for _, r := range fed.Regions() {
 			exs = append(exs, r.Exchange())
@@ -328,22 +331,17 @@ const (
 	lockRetryCap  = time.Second
 )
 
-// openJournal opens dir's journal, retrying for up to wait while
-// another live process holds the directory flock — the
-// restart-under-supervisor race where the previous marketd is still
+// openJournal runs open, which opens the journal(s) under dir, retrying
+// for up to wait while another live process holds a directory flock —
+// the restart-under-supervisor race where the previous marketd is still
 // draining its journal. Any other error, or wait 0, fails immediately.
-// On success it surfaces torn-tail truncation details in the log.
-func openJournal(dir string, opts journal.Options, wait time.Duration) (*journal.Journal, *journal.Recovery, error) {
+func openJournal(dir string, wait time.Duration, open func() error) error {
 	deadline := time.Now().Add(wait)
 	backoff := lockRetryBase
 	for {
-		j, rec, err := journal.Open(dir, opts)
-		if err == nil {
-			logRecoveryTruncation(dir, rec)
-			return j, rec, nil
-		}
+		err := open()
 		if !errors.Is(err, journal.ErrLocked) || wait <= 0 || time.Now().After(deadline) {
-			return nil, nil, err
+			return err
 		}
 		log.Printf("marketd: journal %s held by another process; retrying in %s", dir, backoff)
 		time.Sleep(backoff)
@@ -351,22 +349,6 @@ func openJournal(dir string, opts journal.Options, wait time.Duration) (*journal
 			backoff = lockRetryCap
 		}
 	}
-}
-
-// logRecoveryTruncation reports what a torn-tail truncation lost —
-// the frame index and (best-effort) event kind of the first discarded
-// record — so an operator learns *what* the crash cost, not just that
-// bytes were cut.
-func logRecoveryTruncation(dir string, rec *journal.Recovery) {
-	if rec == nil || !rec.Truncated {
-		return
-	}
-	kind := rec.TruncKind
-	if kind == "" {
-		kind = "undecodable"
-	}
-	log.Printf("marketd: journal %s: torn tail truncated (%s): discarded frame %d, %s event",
-		dir, rec.TruncReason, rec.TruncFrame, kind)
 }
 
 // regionNames is the palette of demo region names; beyond it, regions
@@ -446,30 +428,34 @@ func buildDemo(clusters, machines int, seed int64, budget float64, journalDir st
 	// fails rather than interleaving two processes' writes in one WAL.
 	// -lock-wait bounds a retry loop over exactly that refusal, for the
 	// restart race where the old process is still draining.
-	j, rec, err := openJournal(journalDir, journal.Options{}, lockWait)
+	var j *journal.Journal
+	var rec *journal.Recovery
+	err = openJournal(journalDir, lockWait, func() (err error) {
+		j, rec, err = journal.Open(journalDir, journal.Options{})
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
+	for _, n := range rec.Notes {
+		log.Printf("marketd: journal %s: %s", journalDir, n)
+	}
 	cfg.Journal = j
+	// An empty recovery replays to a fresh exchange. The demo accounts were
+	// journaled when they were first opened, so a recovery replays them —
+	// opening them again would double-book.
+	ex, err := market.Recover(fleet, cfg, rec)
+	if err != nil {
+		j.Close()
+		return nil, nil, fmt.Errorf("recovering %s: %w", journalDir, err)
+	}
 	if rec.Empty() {
-		ex, err := market.NewExchange(fleet, cfg)
-		if err != nil {
-			j.Close()
-			return nil, nil, err
-		}
 		log.Printf("marketd: journaling to %s", journalDir)
 		if err := openDemoAccounts(ex.OpenAccount); err != nil {
 			j.Close()
 			return nil, nil, err
 		}
 		return ex, j.Close, nil
-	}
-	// The demo accounts were journaled when they were first opened, so
-	// recovery replays them — opening them again would double-book.
-	ex, err := market.Recover(fleet, cfg, rec)
-	if err != nil {
-		j.Close()
-		return nil, nil, fmt.Errorf("recovering %s: %w", journalDir, err)
 	}
 	if vs := invariant.CheckExchange(ex); len(vs) > 0 {
 		j.Close()
@@ -490,13 +476,6 @@ func openDemoAccounts(open func(team string) error) error {
 	return nil
 }
 
-// fedSnapshotEvery is the router journal's snapshot cadence (in
-// settlements) for the federated demo.
-const fedSnapshotEvery = 64
-
-// fedJournalDir is the router journal's subdirectory of -journal-dir.
-const fedJournalDir = "fed"
-
 // checkJournalMode refuses a journal directory written in the other
 // mode. A single exchange journals to the directory itself (wal,
 // snapshot.json); a federation journals each region and the router to
@@ -511,8 +490,8 @@ func checkJournalMode(dir string, federated bool) error {
 		}
 		return nil
 	}
-	if _, err := os.Stat(filepath.Join(dir, fedJournalDir)); err == nil {
-		return fmt.Errorf("journal dir %s holds %s/, written by a federated market (-regions >= 2); refusing to start a single exchange on it", dir, fedJournalDir)
+	if _, err := os.Stat(filepath.Join(dir, federation.RouterDir)); err == nil {
+		return fmt.Errorf("journal dir %s holds %s/, written by a federated market (-regions >= 2); refusing to start a single exchange on it", dir, federation.RouterDir)
 	}
 	return nil
 }
@@ -520,103 +499,55 @@ func checkJournalMode(dir string, federated bool) error {
 // buildFederatedDemo assembles N regional markets behind one federation.
 // The first region runs hot and the rest cold, so the global view shows
 // price contrast between regions and cross-region bids route away from
-// the hot region. With journalDir set, each region journals its book to
-// journalDir/<region> and the router journals routing state to
-// journalDir/fed; a directory holding a previous run recovers every
-// member to the same cut — all-or-nothing, since a half-recovered
-// federation would desynchronize routing state from the regional books.
+// the hot region. With journalDir set, federation.Open journals each
+// region and the router under it, and recovers a directory holding a
+// previous run whole or refuses it.
 func buildFederatedDemo(regions, clusters, machines int, seed int64, budget float64, journalDir string, lockWait time.Duration, fire *telemetry.Firehose) (*federation.Federation, func() error, error) {
-	rng := rand.New(rand.NewSource(seed))
-	rs := make([]*federation.Region, 0, regions)
-	var journals []*journal.Journal
-	closeAll := func() error {
-		var first error
-		for _, j := range journals {
-			if err := j.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	if journalDir != "" {
 		if err := checkJournalMode(journalDir, true); err != nil {
 			return nil, nil, err
 		}
 	}
-	recovered := 0
-	for i := 0; i < regions; i++ {
-		name := regionName(i)
-		fleet, err := buildRegionFleet(rng, name+"-", clusters, machines, i == 0)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		cfg := market.Config{InitialBudget: budget, Telemetry: fire}
-		var rec *journal.Recovery
-		if journalDir != "" {
-			var j *journal.Journal
-			j, rec, err = openJournal(filepath.Join(journalDir, name), journal.Options{}, lockWait)
+	var fed *federation.Federation
+	var op federation.Opened
+	err := openJournal(journalDir, lockWait, func() error {
+		// Recovery replays placements onto the fleets, so every attempt
+		// builds them afresh from the seed.
+		rng := rand.New(rand.NewSource(seed))
+		members := make([]federation.Member, regions)
+		for i := range members {
+			name := regionName(i)
+			fleet, err := buildRegionFleet(rng, name+"-", clusters, machines, i == 0)
 			if err != nil {
-				closeAll()
-				return nil, nil, err
+				return err
 			}
-			journals = append(journals, j)
-			cfg.Journal = j
+			members[i] = federation.Member{Name: name, Fleet: fleet}
 		}
-		var r *federation.Region
-		if rec != nil && !rec.Empty() {
-			r, err = federation.RecoverRegion(name, fleet, cfg, rec)
-			recovered++
-		} else {
-			r, err = federation.NewRegion(name, fleet, cfg)
-		}
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		rs = append(rs, r)
-	}
-	fed, err := federation.NewFederation(rs...)
+		var err error
+		fed, op, err = federation.Open(journalDir, journal.Options{}, market.Config{InitialBudget: budget, Telemetry: fire}, members...)
+		return err
+	})
 	if err != nil {
-		closeAll()
 		return nil, nil, err
 	}
-	fed.AttachTelemetry(fire)
-	if journalDir != "" {
-		fj, frec, err := openJournal(filepath.Join(journalDir, fedJournalDir), journal.Options{}, lockWait)
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		journals = append(journals, fj)
-		if !frec.Empty() {
-			if err := fed.Restore(frec); err != nil {
-				closeAll()
-				return nil, nil, err
-			}
-			recovered++
-		}
-		fed.AttachJournal(fj, fedSnapshotEvery)
+	for _, n := range op.Notes {
+		log.Printf("marketd: journal %s", n)
 	}
-	if recovered > 0 && recovered != regions+1 {
-		closeAll()
-		return nil, nil, fmt.Errorf("partial journal state in %s: %d of %d journals hold history (refusing a half-recovered federation)",
-			journalDir, recovered, regions+1)
-	}
-	if recovered > 0 {
+	if op.Recovered {
 		if vs := invariant.CheckFederation(fed); len(vs) > 0 {
-			closeAll()
+			fed.Close()
 			return nil, nil, fmt.Errorf("recovered federation fails invariants (refusing to serve): %s", vs[0])
 		}
+		// The demo accounts were journaled when they were first opened.
 		log.Printf("marketd: recovered %d regions and routing state from %s", regions, journalDir)
-		return fed, closeAll, nil
+		return fed, fed.Close, nil
 	}
 	if err := openDemoAccounts(fed.OpenAccount); err != nil {
-		closeAll()
+		fed.Close()
 		return nil, nil, err
 	}
 	if journalDir != "" {
 		log.Printf("marketd: journaling %d regions and routing state under %s", regions, journalDir)
 	}
-	return fed, closeAll, nil
+	return fed, fed.Close, nil
 }

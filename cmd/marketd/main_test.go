@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"log"
 	"math"
 	"net"
 	"net/http"
@@ -14,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"clustermarket/internal/federation"
 	"clustermarket/internal/journal"
 	"clustermarket/internal/telemetry"
 	"clustermarket/internal/webui"
@@ -295,7 +299,7 @@ func TestFederatedRefusesSingleJournal(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-regions 0") {
 		t.Fatalf("federated open of a single-exchange journal = %v, want a refusal naming -regions 0", err)
 	}
-	for _, sub := range []string{"us", fedJournalDir} {
+	for _, sub := range []string{"us", federation.RouterDir} {
 		if _, err := os.Stat(filepath.Join(dir, sub)); err == nil {
 			t.Errorf("refused start created %s/", sub)
 		}
@@ -475,5 +479,108 @@ func TestPprofLoopbackOnly(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
 		t.Fatalf("/debug/pprof/: %s\n%s", resp.Status, body)
+	}
+}
+
+// TestFederatedRestartRule pins what a journaled federated demo restarts
+// from. An idle one, whose router never routed an order, recovers its
+// teams without opening their accounts again; a directory whose journals
+// do not match -regions is refused, naming the journal missing or extra.
+func TestFederatedRestartRule(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		regions int    // the restart's -regions; the first run has 3
+		remove  string // a journal removed before the restart
+		want    string // in the refusal; "" means the restart recovers
+	}{
+		{"idle", 3, "", ""},
+		{"fewer regions", 2, "", "extra asia"},
+		{"more regions", 4, "", "missing sam"},
+		{"router removed", 3, federation.RouterDir, "missing fed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			_, closer, err := buildFederatedDemo(3, 2, 4, 7, 1000, dir, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := closer(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.remove != "" {
+				if err := os.RemoveAll(filepath.Join(dir, tc.remove)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fed, closer, err := buildFederatedDemo(tc.regions, 2, 4, 7, 1000, dir, 0, nil)
+			if tc.want != "" {
+				if err == nil {
+					closer()
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("restart = %v, want a refusal naming %q", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer closer()
+			for _, r := range fed.Regions() {
+				ex := r.Exchange()
+				if got := len(ex.Teams()); got != len(demoTeams) {
+					t.Errorf("%s recovered %d teams, want %d", r.Name(), got, len(demoTeams))
+				}
+				for _, team := range demoTeams {
+					if b, err := ex.Balance(team); err != nil || b != 1000 {
+						t.Errorf("%s: %s balance %v (%v), want one opening of 1000", r.Name(), team, b, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRecoveryNotesLogged corrupts a journal's snapshot.json in each
+// mode. The WAL is whole, so recovery ignores the snapshot, and marketd
+// logs the journal's note prefixed by its directory.
+func TestRecoveryNotesLogged(t *testing.T) {
+	for _, regions := range []int{0, 2} {
+		t.Run(fmt.Sprintf("regions=%d", regions), func(t *testing.T) {
+			dir := t.TempDir()
+			build := func() (func() error, error) {
+				if regions == 0 {
+					_, closer, err := buildDemo(2, 4, 7, 1000, dir, 0, nil)
+					return closer, err
+				}
+				_, closer, err := buildFederatedDemo(regions, 2, 4, 7, 1000, dir, 0, nil)
+				return closer, err
+			}
+			closer, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := closer(); err != nil {
+				t.Fatal(err)
+			}
+			jdir := dir
+			if regions > 0 {
+				jdir = filepath.Join(dir, "eu")
+			}
+			if err := os.WriteFile(filepath.Join(jdir, "snapshot.json"), []byte("{torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			defer log.SetOutput(log.Writer())
+			log.SetOutput(&buf)
+			closer, err = build()
+			if err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer closer()
+			if want := "marketd: journal " + jdir + ": snapshot "; !strings.Contains(buf.String(), want) {
+				t.Errorf("log lacks %q:\n%s", want, buf.String())
+			}
+		})
 	}
 }

@@ -17,6 +17,11 @@ func TestingRegion(t testing.TB, name string, clusters int, util float64) *Regio
 	return testRegion(t, name, clusters, util)
 }
 
+// TestingRecoverRegion exposes recoverRegion to the external test
+// package, for a world whose regions do not share the one config Open
+// gives them all.
+var TestingRecoverRegion = recoverRegion
+
 // TestingApplyEvent decodes one journal record and replays it, as Restore
 // does for each record of the WAL tail.
 func TestingApplyEvent(f *Federation, raw []byte) error {

@@ -565,9 +565,9 @@ func (f *Federation) RouterStats() RouterStats {
 
 // SettleRegion runs one binding auction in the named region, then
 // gossips its prices and runs the settlement wave over it — the
-// manual-settlement counterpart of one Serve tick. Settling a
-// region through its Exchange directly would bypass the router, so
-// federated front ends must settle through this method (or Tick/Serve).
+// one-region counterpart of Tick. Settling a region through its Exchange
+// directly would bypass the router, so federated front ends must settle
+// through this method (or Tick/Serve).
 func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
 	ri, ok := f.table.regionIdx[name]
 	if !ok {
@@ -590,25 +590,18 @@ func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
 	quote := inj.Region(fault.OpRegionGossip, name) == nil
 
 	rec, _, err := r.ex.RunAuction()
+	f.gossipSettled(ri, quote)
+	f.advance(ri)
 	// An idle settlement (an empty book) still gossips and runs its wave,
-	// but like an idle Tick or Serve tick does not count toward the cadence.
+	// but like an idle Tick does not count toward the cadence.
 	n := 1
 	if errors.Is(err, market.ErrNoOpenOrders) {
 		n = 0
 	}
-	if serr := f.settled(ri, quote, n); serr != nil {
+	if serr := f.countSettled(n); serr != nil {
 		return rec, serr
 	}
 	return rec, err
-}
-
-// settled is the router's side of region ri's settlement under
-// SettleRegion and Serve: it gossips the region, runs the wave over it and
-// counts n settlements (0 for an idle one) toward the snapshot cadence.
-func (f *Federation) settled(ri int, quote bool, n int) error {
-	f.gossipSettled(ri, quote)
-	f.advance(ri)
-	return f.countSettled(n)
 }
 
 // gossipSettled advances the gossip clock and, when quote is set,
@@ -630,10 +623,10 @@ func (f *Federation) gossipSettled(ri int, quote bool) {
 
 // countSettled counts n settlements and, with a journal attached, writes
 // a router snapshot when the count passes a multiple of snapshotEvery, so
-// that the router's WAL and its recovery replay stay bounded whichever of
-// SettleRegion, Tick and Serve settles. One snapshot covers a wave however
-// many multiples it passes. It returns the router's latched journal error, else the
-// snapshot's.
+// that the router's WAL and its recovery replay stay bounded whether
+// SettleRegion or Tick settles. One snapshot covers a wave however many
+// multiples it passes. It returns the router's latched journal error,
+// else the snapshot's.
 func (f *Federation) countSettled(n int) error {
 	f.mu.Lock()
 	before := f.settleCount
@@ -654,9 +647,8 @@ func (f *Federation) countSettled(n int) error {
 // auction per region, run in parallel, each followed on its goroutine by
 // the region's decide phase — then gossips prices and books the wave over
 // every region. Idle regions (empty books) report a nil record and nil
-// error, and like Serve's idle ticks do not count toward the snapshot
-// cadence; a settled region's Err also carries the router's journal or
-// snapshot error.
+// error and do not count toward the snapshot cadence; a settled region's
+// Err also carries the router's journal or snapshot error.
 func (f *Federation) Tick() []RegionTick {
 	out := make([]RegionTick, len(f.regions))
 	f.mu.Lock()
@@ -698,35 +690,24 @@ func (f *Federation) Tick() []RegionTick {
 	return out
 }
 
-// Serve runs one epoch loop per region until ctx is cancelled. The loops
-// are independent goroutines, so regional auctions settle concurrently;
-// after each regional settlement (an idle tick is none) the federation
-// gossips that region's prices, runs the wave over it and keeps the
-// journal's snapshot cadence. It returns ctx.Err().
+// Serve calls Tick once an epoch until ctx is cancelled, and returns
+// ctx.Err(). A journal error stays latched for the next SubmitProduct or
+// Cancel to return; a failed snapshot leaves the WAL whole, and the next
+// one due retries.
 func (f *Federation) Serve(ctx context.Context, epoch time.Duration) error {
 	if epoch <= 0 {
 		return errors.New("federation: epoch must be positive")
 	}
-	var wg sync.WaitGroup
-	for ri, r := range f.regions {
-		loop, err := market.NewLoop(r.ex, epoch)
-		if err != nil {
-			return err
+	t := time.NewTicker(epoch)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-t.C:
+			f.Tick()
 		}
-		loop.OnTick = func(*market.AuctionRecord, error) {
-			// A journal error stays latched for the next SubmitProduct or
-			// Cancel to return; a failed snapshot leaves the WAL whole, and
-			// the next one due retries.
-			_ = f.settled(ri, true, 1)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			loop.Run(ctx)
-		}()
 	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // RegionSummary aggregates one region for the global market view.

@@ -431,7 +431,7 @@ func TestSummaryAndHistoryAggregation(t *testing.T) {
 	if len(coldEx.Ledger()) == 0 {
 		t.Error("empty cold ledger after a settlement")
 	}
-	if ph := coldEx.PriceHistory(poolOf("cold-r1")); len(ph) != 1 {
+	if ph := coldEx.PriceHistoryTail(poolOf("cold-r1"), 10); len(ph) != 1 {
 		t.Errorf("price history = %v", ph)
 	}
 }
@@ -442,8 +442,8 @@ func TestServeSettlesConcurrently(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- f.Serve(ctx, 2*time.Millisecond) }()
 
-	// Hammer the router from several goroutines while both region loops
-	// settle: region-local and cross-region orders interleaved.
+	// Hammer the router from several goroutines while Serve ticks both
+	// regions: region-local and cross-region orders interleaved.
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -52,8 +51,35 @@ var fedTopology = []struct {
 	{"cold", 2, 0.1},
 }
 
-func regionConfig(j *journal.Journal) market.Config {
-	return market.Config{InitialBudget: 1e6, Journal: j, SnapshotEvery: 4}
+// fedConfig is every region's config; Open gives the router the same
+// snapshot cadence.
+var fedConfig = market.Config{InitialBudget: 1e6, SnapshotEvery: 3}
+
+// fedMembers builds the topology's regions as Open takes them.
+func fedMembers(t *testing.T) []federation.Member {
+	t.Helper()
+	var members []federation.Member
+	for _, tp := range fedTopology {
+		members = append(members, federation.Member{Name: tp.name, Fleet: recoverFleet(t, tp.name, tp.clusters, tp.util)})
+	}
+	return members
+}
+
+// openFed opens the topology through Open under dir (in memory when dir
+// is ""), funding the team's account when it starts fresh.
+func openFed(t *testing.T, dir string) (*federation.Federation, federation.Opened) {
+	t.Helper()
+	f, op, err := federation.Open(dir, journal.Options{}, fedConfig, fedMembers(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	if !op.Recovered {
+		if err := f.OpenAccount("team"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f, op
 }
 
 func settleIgnoringIdle(t *testing.T, f *federation.Federation, region string) {
@@ -145,18 +171,6 @@ func imageOf(t *testing.T, f *federation.Federation) fedImage {
 	return img
 }
 
-func buildFed(t *testing.T, regions []*federation.Region) *federation.Federation {
-	t.Helper()
-	f, err := federation.NewFederation(regions...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.OpenAccount("team"); err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // TestFederationCrashRecover kills a fully journaled federation (router
 // journal plus one journal per region) mid-run and rebuilds it from disk,
 // requiring the recovered process to match a never-crashed golden twin
@@ -168,82 +182,31 @@ func TestFederationCrashRecover(t *testing.T) {
 	dir := t.TempDir()
 
 	// Golden twin: identical topology and drive, no journal.
-	var goldenRegions []*federation.Region
-	for _, tp := range fedTopology {
-		r, err := federation.NewRegion(tp.name, recoverFleet(t, tp.name, tp.clusters, tp.util), regionConfig(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldenRegions = append(goldenRegions, r)
-	}
-	golden := buildFed(t, goldenRegions)
+	golden, _ := openFed(t, "")
 	driveFed(t, golden)
 
 	// Journaled federation, same topology.
-	journals := make([]*journal.Journal, 0, len(fedTopology)+1)
-	var liveRegions []*federation.Region
-	for _, tp := range fedTopology {
-		j, rec, err := journal.Open(filepath.Join(dir, tp.name), journal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rec.Empty() {
-			t.Fatalf("fresh region journal %s not empty", tp.name)
-		}
-		journals = append(journals, j)
-		r, err := federation.NewRegion(tp.name, recoverFleet(t, tp.name, tp.clusters, tp.util), regionConfig(j))
-		if err != nil {
-			t.Fatal(err)
-		}
-		liveRegions = append(liveRegions, r)
+	live, op := openFed(t, dir)
+	if op.Recovered {
+		t.Fatal("a fresh directory recovered")
 	}
-	fj, frec, err := journal.Open(filepath.Join(dir, "fed"), journal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !frec.Empty() {
-		t.Fatal("fresh federation journal not empty")
-	}
-	journals = append(journals, fj)
-	live := buildFed(t, liveRegions)
-	live.AttachJournal(fj, 3)
 	driveFed(t, live)
 
 	crashedImage := imageOf(t, live)
 
 	// Crash every journal without flushing, then resurrect from disk.
-	for _, j := range journals {
-		j.Crash()
+	for _, r := range live.Regions() {
+		r.Exchange().Journal().Crash()
 	}
+	live.Journal().Crash()
 
-	var recRegions []*federation.Region
-	for _, tp := range fedTopology {
-		j, rec, err := journal.Open(filepath.Join(dir, tp.name), journal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer j.Close()
-		cfg := regionConfig(j)
-		r, err := federation.RecoverRegion(tp.name, recoverFleet(t, tp.name, tp.clusters, tp.util), cfg, rec)
-		if err != nil {
-			t.Fatalf("recover region %s: %v", tp.name, err)
-		}
-		invariant.Require(t, "recovered region "+tp.name, invariant.CheckExchange(r.Exchange()))
-		recRegions = append(recRegions, r)
+	recovered, op := openFed(t, dir)
+	if !op.Recovered {
+		t.Fatal("the crashed directory started fresh")
 	}
-	fj2, frec2, err := journal.Open(filepath.Join(dir, "fed"), journal.Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range recovered.Regions() {
+		invariant.Require(t, "recovered region "+r.Name(), invariant.CheckExchange(r.Exchange()))
 	}
-	defer fj2.Close()
-	recovered, err := federation.NewFederation(recRegions...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := recovered.Restore(frec2); err != nil {
-		t.Fatalf("restore federation: %v", err)
-	}
-	recovered.AttachJournal(fj2, 3)
 	invariant.Require(t, "recovered federation", invariant.CheckFederation(recovered))
 
 	recoveredImage := imageOf(t, recovered)
@@ -269,15 +232,7 @@ func TestFederationCrashRecover(t *testing.T) {
 // Restore refuses a federation that already has routing state, rather
 // than silently merging two histories.
 func TestFederationRestoreRejectsNonEmpty(t *testing.T) {
-	var regions []*federation.Region
-	for _, tp := range fedTopology {
-		r, err := federation.NewRegion(tp.name, recoverFleet(t, tp.name, tp.clusters, tp.util), regionConfig(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		regions = append(regions, r)
-	}
-	f := buildFed(t, regions)
+	f, _ := openFed(t, "")
 	if _, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 500); err != nil {
 		t.Fatal(err)
 	}

@@ -40,24 +40,15 @@ type Region struct {
 // pipeline is itself contention-free under the federation router's
 // concurrent leg routing.
 func NewRegion(name string, fleet *cluster.Fleet, cfg market.Config) (*Region, error) {
-	if name == "" {
-		return nil, errors.New("federation: empty region name")
-	}
-	ex, err := market.NewExchange(fleet, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("federation: region %q: %w", name, err)
-	}
-	return &Region{name: name, ex: ex}, nil
+	return recoverRegion(name, fleet, cfg, &journal.Recovery{})
 }
 
-// RecoverRegion rebuilds a crashed region from its journal recovery: the
-// fleet must be reconstructed to its as-built state by the caller (it is
-// not journaled), and cfg must match the crashed process's configuration.
-// The recovery's snapshot and WAL tail are replayed through the region
-// exchange's deterministic apply layer; cfg.Journal (if set) is attached
-// only after replay completes. Callers should run
-// invariant.CheckExchange on the recovered exchange before serving.
-func RecoverRegion(name string, fleet *cluster.Fleet, cfg market.Config, rec *journal.Recovery) (*Region, error) {
+// recoverRegion is NewRegion over a journal recovery, whose snapshot and
+// WAL tail are replayed through the exchange's deterministic apply layer
+// before cfg.Journal is attached; an empty recovery builds the region
+// fresh. The fleet must be rebuilt to its as-built state (it is not
+// journaled), and cfg must match the crashed process's.
+func recoverRegion(name string, fleet *cluster.Fleet, cfg market.Config, rec *journal.Recovery) (*Region, error) {
 	if name == "" {
 		return nil, errors.New("federation: empty region name")
 	}

@@ -80,6 +80,8 @@ func (w *seamWorld) close() {
 var seamTeams = []string{"alpha", "beta"}
 
 // openSeamWorld opens (or, from a copied directory, recovers) the world.
+// It assembles the world itself rather than through Open: the stuck
+// region has its own MaxRounds, and the router its own snapshot cadence.
 func openSeamWorld(t *testing.T, dir string, snapshotEvery int) *seamWorld {
 	t.Helper()
 	w := &seamWorld{}
@@ -99,7 +101,7 @@ func openSeamWorld(t *testing.T, dir string, snapshotEvery int) *seamWorld {
 			r, err = federation.NewRegion(tp.name, fleet, cfg)
 		} else {
 			fresh = false
-			r, err = federation.RecoverRegion(tp.name, fleet, cfg, rec)
+			r, err = federation.TestingRecoverRegion(tp.name, fleet, cfg, rec)
 		}
 		if err != nil {
 			t.Fatalf("region %s: %v", tp.name, err)
@@ -366,8 +368,8 @@ func TestFederationSnapshotHoldsItsCut(t *testing.T) {
 }
 
 // TestServeKeepsSnapshotCadence runs a journaled federation the way
-// marketd -regions N -journal-dir does, settled by Serve's per-region
-// loops, with a router snapshot due every two settlements: the router
+// marketd -regions N -journal-dir does, settled by Serve's ticks, with a
+// router snapshot due every two settlements: the router
 // journal must write one, and the federation restored from it and its
 // tail must be the live one and pass the invariant kernel.
 func TestServeKeepsSnapshotCadence(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 )
 
 // The settlement wave: the router's side of one or more regional
-// settlements, the one advance path of Tick, SettleRegion, Serve and
-// SubmitProduct's settle-race reconciliation. It has two phases.
+// settlements, the one advance path of Tick (and so Serve), SettleRegion
+// and SubmitProduct's settle-race reconciliation. It has two phases.
 //
 //   - Decide. Under f.mu, each source region reads the outcomes of the
 //     legs waiting on it, in ascending federated id. Inside Tick this runs

@@ -198,7 +198,8 @@ type Config struct {
 	// pure in-memory behavior with zero hot-path cost.
 	Journal *journal.Journal
 	// SnapshotEvery is the auction interval between journal snapshots
-	// (default 64; negative disables snapshots). Ignored without Journal.
+	// (default DefaultSnapshotEvery; negative disables snapshots). Ignored
+	// without Journal.
 	SnapshotEvery int
 	// Telemetry, when non-nil, receives every state-change event the
 	// journal would — whether or not a journal is attached — published
@@ -217,6 +218,10 @@ const marketableFraction = 0.8
 // trader pair from rejoining every epoch and livelocking the market.
 const maxAuctionAttempts = 3
 
+// DefaultSnapshotEvery is the journal snapshot cadence, in auctions, an
+// Exchange uses when Config.SnapshotEvery is zero.
+const DefaultSnapshotEvery = 64
+
 func (c *Config) applyDefaults() {
 	if c.InitialBudget == 0 {
 		c.InitialBudget = 10000
@@ -225,7 +230,7 @@ func (c *Config) applyDefaults() {
 		c.Shards = DefaultShards
 	}
 	if c.SnapshotEvery == 0 {
-		c.SnapshotEvery = 64
+		c.SnapshotEvery = DefaultSnapshotEvery
 	}
 }
 

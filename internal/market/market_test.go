@@ -477,7 +477,7 @@ func TestPriceHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := resource.Pool{Cluster: "r2", Dim: resource.CPU}
-	if got := e.PriceHistory(pool); len(got) != 0 {
+	if got := e.PriceHistoryTail(pool, 10); len(got) != 0 {
 		t.Errorf("history before auctions = %v", got)
 	}
 	for i := 0; i < 2; i++ {
@@ -488,19 +488,15 @@ func TestPriceHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := e.PriceHistory(pool)
-	if len(h) != 2 {
-		t.Fatalf("history = %v", h)
+	// The tail returns the most recent clearing prices, oldest first.
+	i, _ := e.Registry().Index(pool)
+	hist := e.History()
+	h := e.PriceHistoryTail(pool, 10)
+	if len(h) != 2 || h[0] != hist[0].Prices[i] || h[1] != hist[1].Prices[i] {
+		t.Fatalf("PriceHistoryTail(10) = %v, want the two auctions' prices", h)
 	}
-	if e.PriceHistory(resource.Pool{Cluster: "zz", Dim: resource.CPU}) != nil {
-		t.Error("unknown pool returned history")
-	}
-	// The bounded tail returns the most recent clearing prices in order.
 	if ht := e.PriceHistoryTail(pool, 1); len(ht) != 1 || ht[0] != h[1] {
 		t.Errorf("PriceHistoryTail(1) = %v, want %v", ht, h[1:])
-	}
-	if ht := e.PriceHistoryTail(pool, 10); len(ht) != 2 || ht[0] != h[0] || ht[1] != h[1] {
-		t.Errorf("PriceHistoryTail(10) = %v, want %v", ht, h)
 	}
 	if e.PriceHistoryTail(pool, 0) != nil {
 		t.Error("non-positive tail limit returned prices")
@@ -788,8 +784,8 @@ func TestSubmitDoesNotMutateCallerBid(t *testing.T) {
 }
 
 // TestFailedClockPricesNotDisplayed pins that a non-convergent clock's
-// final prices never surface as market prices: Summary and PriceHistory
-// must skip records with Converged=false.
+// final prices never surface as market prices: Summary and
+// PriceHistoryTail must skip records with Converged=false.
 func TestFailedClockPricesNotDisplayed(t *testing.T) {
 	e := nonConvergentExchange(t)
 	if _, _, err := e.RunAuction(); !errors.Is(err, core.ErrNoConvergence) {
@@ -802,8 +798,8 @@ func TestFailedClockPricesNotDisplayed(t *testing.T) {
 		t.Errorf("LastClearingPrices = %v after failed clock, want nil", p)
 	}
 	pool := resource.Pool{Cluster: "r1", Dim: resource.CPU}
-	if h := e.PriceHistory(pool); len(h) != 0 {
-		t.Errorf("PriceHistory includes non-clearing prices: %v", h)
+	if h := e.PriceHistoryTail(pool, 10); len(h) != 0 {
+		t.Errorf("PriceHistoryTail includes non-clearing prices: %v", h)
 	}
 	// Summary falls back to reserve prices, which for a failed 100-round
 	// clock are far below the runaway clock prices.

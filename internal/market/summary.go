@@ -82,31 +82,11 @@ func (e *Exchange) Summary() ([]ClusterSummary, error) {
 	return out, nil
 }
 
-// PriceHistory returns the settlement price of one pool across
-// converged auctions, oldest first (the sparkline data on the market
-// front end). Failed clocks stopped at non-clearing prices and are
-// excluded.
-func (e *Exchange) PriceHistory(pool resource.Pool) []float64 {
-	i, ok := e.reg.Index(pool)
-	if !ok {
-		return nil
-	}
-	e.histMu.RLock()
-	defer e.histMu.RUnlock()
-	out := make([]float64, 0, len(e.history))
-	for _, rec := range e.history {
-		if !rec.Converged {
-			continue
-		}
-		out = append(out, rec.Prices[i])
-	}
-	return out
-}
-
-// PriceHistoryTail is the bounded form of PriceHistory for display
-// pollers: the pool's most recent `limit` clearing prices, oldest
-// first. It scans the history backwards and stops at the bound, so a
-// poll of a long-lived market costs O(limit), not O(total auctions). A
+// PriceHistoryTail returns one pool's most recent `limit` settlement
+// prices, oldest first: the sparkline data on the market front end.
+// Failed clocks stopped at non-clearing prices and are excluded. It
+// scans the history backwards and stops at the bound, so a poll of a
+// long-lived market costs O(limit), not O(total auctions). A
 // non-positive limit or an unknown pool returns nil.
 func (e *Exchange) PriceHistoryTail(pool resource.Pool, limit int) []float64 {
 	if limit <= 0 {

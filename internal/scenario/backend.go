@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 
 	"clustermarket/internal/cluster"
 	"clustermarket/internal/core"
@@ -57,21 +56,14 @@ type Backend struct {
 	owner    map[string]string              // cluster → region
 	seen     map[string]int                 // market → auction records already reported
 	placed   map[string][]market.PlacedTask // region → placed tasks, oldest first
-	// cfg backs CrashRecover's deterministic rebuild;
-	// journals maps each market, and fedJournalName the router, to its
-	// journal on a durable backend.
-	cfg      Config
-	journals map[string]*journal.Journal
+	// cfg backs CrashRecover's deterministic rebuild.
+	cfg Config
 }
 
 // planetMarket names the exchange kind's one market. It is no scenario
 // region, so region-scoped fault windows and dark-region sets never
 // reach it.
 const planetMarket = "planet"
-
-// fedJournalName names the router journal's subdirectory under
-// Config.JournalDir.
-const fedJournalName = "fed"
 
 // NewBackend builds the named backend kind ("exchange" or "federation")
 // for the config.
@@ -212,91 +204,41 @@ func (b *Backend) retryFaults(markets []string, op func() error) error {
 	return err
 }
 
-// openJournal opens the named journal under cfg.JournalDir. A fresh
-// build refuses a directory that already holds one: scenario backends
-// always build fresh worlds, and recovery goes through CrashRecover
-// against the same directory.
-func openJournal(cfg Config, name string, recovering bool) (*journal.Journal, *journal.Recovery, error) {
-	dir := filepath.Join(cfg.JournalDir, name)
-	j, rec, err := journal.Open(dir, journal.Options{FS: faultFS(cfg)})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !recovering && !rec.Empty() {
-		j.Close()
-		return nil, nil, fmt.Errorf("scenario: journal dir %s already holds a journal", dir)
-	}
-	return j, rec, nil
-}
-
-// open assembles the markets behind one router. Fresh, it builds them
-// new; recovering, it rebuilds the crashed world from the journals under
-// cfg.JournalDir — the same fleets from the same seed, then each
-// market's snapshot load and WAL replay, then the router's — and runs the
-// invariant kernel before serving resumes.
+// open assembles the markets behind one router through federation.Open:
+// the same fleets from the same seed and, under cfg.JournalDir, one
+// journal a market plus the router's. A fresh build refuses a directory
+// that already holds them, since recovery goes only through
+// CrashRecover; a recovering one runs the invariant kernel before
+// serving resumes.
 func (b *Backend) open(cfg Config, recovering bool) error {
 	fleets, err := b.fleets(cfg)
 	if err != nil {
 		return err
 	}
-	journals := make(map[string]*journal.Journal)
-	fail := func(err error) error {
-		//marketlint:orderfree each journal is closed exactly once; close order is immaterial
-		for _, j := range journals {
-			j.Close()
-		}
+	members := make([]federation.Member, len(b.markets))
+	for i, name := range b.markets {
+		members[i] = federation.Member{Name: name, Fleet: fleets[i]}
+	}
+	fed, op, err := federation.Open(cfg.JournalDir, journal.Options{FS: faultFS(cfg)}, marketConfig(cfg), members...)
+	if err != nil {
 		return err
 	}
-	members := make([]*federation.Region, len(b.markets))
-	for i, name := range b.markets {
-		mcfg := marketConfig(cfg)
-		var rec *journal.Recovery
-		if cfg.JournalDir != "" {
-			j, r, err := openJournal(cfg, name, recovering)
-			if err != nil {
-				return fail(err)
-			}
-			journals[name], mcfg.Journal, rec = j, j, r
-		}
-		if recovering {
-			members[i], err = federation.RecoverRegion(name, fleets[i], mcfg, rec)
-		} else {
-			members[i], err = federation.NewRegion(name, fleets[i], mcfg)
-		}
-		if err != nil {
-			return fail(err)
-		}
-	}
-	fed, err := federation.NewFederation(members...)
-	if err != nil {
-		return fail(err)
-	}
-	if cfg.JournalDir != "" {
-		fj, frec, err := openJournal(cfg, fedJournalName, recovering)
-		if err != nil {
-			return fail(err)
-		}
-		journals[fedJournalName] = fj
-		if recovering {
-			if err := fed.Restore(frec); err != nil {
-				return fail(err)
-			}
-		}
-		fed.AttachJournal(fj, snapshotEvery)
-	}
-	// The router publishes its routing events to the same firehose the
-	// markets got through marketConfig, so one subscription sees the whole
-	// stream. Replay published nothing (recovery dispatches straight to
-	// applyEvent): a resurrected router rejoins the live stream here — and
-	// the fault seam, which a partition may still be arming.
-	fed.AttachTelemetry(cfg.Telemetry)
-	fed.AttachFaults(cfg.Injector)
-	if recovering {
+	switch {
+	case op.Recovered && !recovering:
+		err = fmt.Errorf("scenario: journal dir %s already holds a journal", cfg.JournalDir)
+	case recovering:
 		if vs := invariant.CheckFederation(fed); len(vs) > 0 {
-			return fail(fmt.Errorf("scenario: recovered federation fails invariants: %s", vs[0]))
+			err = fmt.Errorf("scenario: recovered federation fails invariants: %s", vs[0])
 		}
 	}
-	b.fed, b.journals = fed, journals
+	if err != nil {
+		fed.Close()
+		return err
+	}
+	// Open attached the router to the markets' firehose; it rejoins the
+	// fault seam here, which a partition may still be arming.
+	fed.AttachFaults(cfg.Injector)
+	b.fed = fed
 	return nil
 }
 
@@ -306,13 +248,13 @@ func (b *Backend) open(cfg Config, recovering bool) error {
 // invariant kernel before serving resumes. It errors on an un-journaled
 // backend.
 func (b *Backend) CrashRecover() error {
-	if len(b.journals) == 0 {
+	if b.cfg.JournalDir == "" {
 		return errors.New("scenario: backend has no journal to recover from")
 	}
-	//marketlint:orderfree each journal is crashed exactly once; crash order is immaterial
-	for _, j := range b.journals {
-		j.Crash()
+	for _, r := range b.fed.Regions() {
+		r.Exchange().Journal().Crash()
 	}
+	b.fed.Journal().Crash()
 	if err := b.open(b.cfg, true); err != nil {
 		return err
 	}
@@ -326,16 +268,7 @@ func (b *Backend) CrashRecover() error {
 }
 
 // Close releases the backend's journals (and their directory locks).
-func (b *Backend) Close() error {
-	var first error
-	//marketlint:orderfree map order only picks which close error is surfaced; callers check err != nil
-	for _, j := range b.journals {
-		if err := j.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+func (b *Backend) Close() error { return b.fed.Close() }
 
 // Kind names the backend ("exchange" or "federation").
 func (b *Backend) Kind() string { return b.kind }

@@ -53,11 +53,12 @@ type Config struct {
 	Seed int64
 	// Epochs overrides the scenario's default epoch count when positive.
 	Epochs int
-	// JournalDir, when non-empty, makes the backend durable: each market
-	// journals to JournalDir/<market> (JournalDir/planet on the exchange
-	// kind, JournalDir/rK on the federation kind) and the router to
-	// JournalDir/fed. The directory must hold no prior journal — scenarios
-	// always build fresh worlds and recover only through CrashRecover.
+	// JournalDir, when non-empty, makes the backend durable through
+	// federation.Open: each market journals to JournalDir/<market>
+	// (JournalDir/planet on the exchange kind, JournalDir/rK on the
+	// federation kind) and the router to JournalDir/fed. NewBackend
+	// refuses a directory with any subdirectory — scenarios always build
+	// fresh worlds and recover only through CrashRecover.
 	JournalDir string
 	// CrashEpoch, when positive, kills the journaled backend without
 	// flushing just before that epoch's settlement wave and resurrects it

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"clustermarket/internal/core"
+	"clustermarket/internal/federation"
 	"clustermarket/internal/resource"
 )
 
@@ -397,7 +398,7 @@ func TestExchangeKindIsOneMarket(t *testing.T) {
 				t.Errorf("federation markets %v, want one per region %v", want, b.Regions())
 			}
 		}
-		for _, name := range append(want, fedJournalName) {
+		for _, name := range append(want, federation.RouterDir) {
 			if _, err := os.Stat(filepath.Join(cfg.JournalDir, name, "wal")); err != nil {
 				t.Errorf("%s: no journal for %s: %v", kind, name, err)
 			}

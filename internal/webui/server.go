@@ -207,9 +207,9 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 }
 
 // sparklineWindow bounds the price points behind each summary-page
-// sparkline: the glyph row is only this wide anyway, and an unbounded
-// PriceHistory walk would make the landing page O(total auctions) per
-// poll in a long-lived market.
+// sparkline: the glyph row is only this wide anyway, and walking the
+// whole auction history would make the landing page O(total auctions)
+// per poll in a long-lived market.
 const sparklineWindow = 48
 
 // sparkline renders values as unicode block characters.
