@@ -23,8 +23,11 @@
 package lockdiscipline
 
 import (
+	"cmp"
 	"go/ast"
 	"go/types"
+	"slices"
+	"strings"
 
 	"clustermarket/internal/analysis"
 )
@@ -267,11 +270,9 @@ func hierarchyDoc(ranks map[string]int) string {
 	for t, r := range ranks {
 		ents = append(ents, ent{t, r})
 	}
-	for i := 1; i < len(ents); i++ {
-		for j := i; j > 0 && (ents[j-1].rank > ents[j].rank || (ents[j-1].rank == ents[j].rank && ents[j-1].tok > ents[j].tok)); j-- {
-			ents[j-1], ents[j] = ents[j], ents[j-1]
-		}
-	}
+	slices.SortFunc(ents, func(a, b ent) int {
+		return cmp.Or(cmp.Compare(a.rank, b.rank), strings.Compare(a.tok, b.tok))
+	})
 	out := ""
 	for i, e := range ents {
 		if i > 0 {

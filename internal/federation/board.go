@@ -55,12 +55,19 @@ func (f *Federation) publishLocked(tick, ri int, q *Quote) {
 // Gossip refreshes the price board from every region — the periodic
 // exchange of "last clearing / preliminary prices" that lets the router
 // order cross-region legs cheapest-first without a global price oracle.
-// Regions whose quote cannot be computed keep their previous entry.
+// It is the quote pass every settlement runs, over every region. Regions
+// whose quote cannot be computed keep their previous entry.
 // It returns the new gossip tick.
-func (f *Federation) Gossip() int {
+func (f *Federation) Gossip() int { return f.gossip(f.every()) }
+
+// gossip advances the gossip clock once and quotes the listed regions at
+// the new tick: the one quote pass, run by every settlement and Gossip.
+func (f *Federation) gossip(regions []int) int {
 	f.mu.Lock()
 	tick := f.board.Load().tick + 1
 	f.publishLocked(tick, 0, nil)
+	// The bare tick event keeps the recovered gossip clock in step even
+	// when no quote can be refreshed.
 	if f.materializingLocked() {
 		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick})
 	}
@@ -68,53 +75,49 @@ func (f *Federation) Gossip() int {
 
 	// Quotes read region exchanges without holding f.mu: gossip must not
 	// block routing, and region reads are themselves synchronized. A
-	// concurrent SettleRegion may have gossiped a region at a newer tick
+	// concurrent settlement may have gossiped a region at a newer tick
 	// while this pass was reading — never regress the board to the older
 	// quote.
-	for ri, r := range f.regions {
-		q, err := r.quote(tick)
+	for _, ri := range regions {
+		q, err := f.regions[ri].quote(tick)
 		if err != nil {
 			continue
 		}
 		f.mu.Lock()
-		b := f.board.Load()
-		if cur := &b.quotes[ri]; cur.Region == "" || cur.Tick <= tick {
-			f.publishLocked(b.tick, ri, &q)
-			// Journaled after the fact it was accepted: replay re-applies
-			// exactly the board updates that happened, in order.
-			if f.materializingLocked() {
-				f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick, Quote: &q})
-			}
+		if cur := &f.board.Load().quotes[ri]; cur.Region == "" || cur.Tick <= tick {
+			f.acceptQuoteLocked(ri, &q)
 		}
 		f.mu.Unlock()
 	}
 	return tick
 }
 
-// gossipRegionLocked refreshes region ri's quote at the current gossip
-// tick. Callers must hold f.mu; the region read itself is lock-ordered
-// safe (f.mu is never taken inside exchange locks).
-func (f *Federation) gossipRegionLocked(ri int) {
-	tick := f.board.Load().tick
-	q, err := f.regions[ri].quote(tick)
-	if err != nil {
-		return
-	}
-	f.publishLocked(tick, ri, &q)
+// acceptQuoteLocked publishes q as region ri's quote, keeping the gossip
+// clock, and journals it after the fact it was accepted, so replay
+// re-applies exactly the board updates that happened, in order. Callers
+// hold f.mu.
+func (f *Federation) acceptQuoteLocked(ri int, q *Quote) {
+	f.publishLocked(f.board.Load().tick, ri, q)
 	if f.materializingLocked() {
-		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick, Quote: &q})
+		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: q.Tick, Quote: q})
 	}
 }
 
-// quoteLegs returns the board with every leg's region quoted, gossiping
-// on demand, under f.mu, each region the board has never seen. A region
-// whose quote cannot be computed stays unquoted.
+// quoteLegs returns the board with every leg's region quoted, quoting on
+// demand, under f.mu and at the current gossip tick, each region the
+// board has never seen. A region whose quote cannot be computed stays
+// unquoted. The region read is lock-ordered safe: f.mu is never taken
+// inside exchange locks.
 func (f *Federation) quoteLegs(legs []legDraft) *boardView {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i := range legs {
-		if ri := int(legs[i].region); f.board.Load().quotes[ri].Region == "" {
-			f.gossipRegionLocked(ri)
+		ri, b := int(legs[i].region), f.board.Load()
+		if b.quotes[ri].Region != "" {
+			continue
+		}
+		if q, err := f.regions[ri].quote(b.tick); err == nil {
+			f.acceptQuoteLocked(ri, &q)
 		}
 	}
 	return f.board.Load()

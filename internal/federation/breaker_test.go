@@ -108,48 +108,122 @@ func TestQuotaDeterministicJitter(t *testing.T) {
 }
 
 // TestSettleFaultFeedsBreaker: consecutive injected settlement failures
-// open the region's breaker; the first healthy settlement closes it.
+// open the region's breaker; the first healthy settlement closes it. Both
+// drivers run the one settlement driver: under Tick the failing region
+// runs no clock and keeps its orders Open while the other region settles.
 func TestSettleFaultFeedsBreaker(t *testing.T) {
-	f := hotCold(t)
-	inj := fault.New()
-	f.AttachFaults(inj)
+	for _, drive := range []string{"settle-region", "tick"} {
+		t.Run(drive, func(t *testing.T) {
+			f := hotCold(t)
+			inj := fault.New()
+			f.AttachFaults(inj)
+			hotEx, coldEx := f.Region("hot").Exchange(), f.Region("cold").Exchange()
+			var hotID int
+			if drive == "tick" {
+				var err error
+				if hotID, err = f.SubmitProduct("team", "batch-compute", 1, []string{"hot-r1"}, 1000); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 1000); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	inj.Arm([]fault.Window{{Op: fault.OpRegionSettle, Scope: "hot", Kind: fault.Unreachable, Count: breakerThreshold}})
-	for n := 0; n < breakerThreshold; n++ {
-		if _, err := f.SettleRegion("hot"); !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("settle %d = %v, want injected failure", n, err)
-		}
-	}
-	hot := breakerOf(t, f, "hot")
-	if hot.State != BreakerOpen || hot.Fails != breakerThreshold || hot.Opens != 1 {
-		t.Fatalf("hot breaker = %+v, want open after %d failures", hot, breakerThreshold)
-	}
-	if cold := breakerOf(t, f, "cold"); cold.State != BreakerClosed {
-		t.Fatalf("cold breaker = %+v, want closed", cold)
-	}
+			inj.Arm([]fault.Window{{Op: fault.OpRegionSettle, Scope: "hot", Kind: fault.Unreachable, Count: breakerThreshold}})
+			for n := 0; n < breakerThreshold; n++ {
+				if drive == "settle-region" {
+					if _, err := f.SettleRegion("hot"); !errors.Is(err, fault.ErrInjected) {
+						t.Fatalf("settle %d = %v, want injected failure", n, err)
+					}
+					continue
+				}
+				ticks := f.Tick()
+				if hot := ticks[0]; hot.Region != "hot" || hot.Record != nil || !errors.Is(hot.Err, fault.ErrUnreachable) {
+					t.Fatalf("tick %d: hot = %+v, want the injected failure", n, hot)
+				}
+				if cold := ticks[1]; cold.Err != nil || (n == 0) != (cold.Record != nil) {
+					t.Fatalf("tick %d: cold = %+v, want it settled once, then idle", n, cold)
+				}
+			}
+			if drive == "tick" {
+				if n := hotEx.AuctionCount(); n != 0 {
+					t.Fatalf("hot ran %d auctions behind a failed settlement seam", n)
+				}
+				if fo, _ := f.Order(hotID); fo.Status != market.Open || hotEx.OpenOrderCount() != 1 {
+					t.Fatalf("hot's order = %s with %d open in its book, want it still Open", fo.Status, hotEx.OpenOrderCount())
+				}
+				if n := coldEx.AuctionCount(); n != 1 {
+					t.Fatalf("cold ran %d auctions, want 1", n)
+				}
+			}
+			hot := breakerOf(t, f, "hot")
+			if hot.State != BreakerOpen || hot.Fails != breakerThreshold || hot.Opens != 1 {
+				t.Fatalf("hot breaker = %+v, want open after %d failures", hot, breakerThreshold)
+			}
+			if cold := breakerOf(t, f, "cold"); cold.State != BreakerClosed {
+				t.Fatalf("cold breaker = %+v, want closed", cold)
+			}
 
-	// Settlement is not gated by the breaker (it is the health probe the
-	// partition heals through): the next clean round closes it.
-	settleTolerant(t, f, "hot")
-	if hot = breakerOf(t, f, "hot"); hot.State != BreakerClosed || hot.Fails != 0 {
-		t.Fatalf("hot breaker after healthy settle = %+v", hot)
+			// Settlement is not gated by the breaker (it is the health probe the
+			// partition heals through): the next clean round closes it.
+			if drive == "settle-region" {
+				settleTolerant(t, f, "hot")
+			} else if hot := f.Tick()[0]; hot.Record == nil || errors.Is(hot.Err, fault.ErrInjected) {
+				t.Fatalf("clean tick: hot = %+v, want its auction run", hot)
+			}
+			if hot = breakerOf(t, f, "hot"); hot.State != BreakerClosed || hot.Fails != 0 {
+				t.Fatalf("hot breaker after healthy settle = %+v", hot)
+			}
+		})
 	}
 }
 
-// TestGossipFaultDoesNotFeedBreaker: a lost gossip round degrades the
-// price board, not region health.
-func TestGossipFaultDoesNotFeedBreaker(t *testing.T) {
-	f := hotCold(t)
-	inj := fault.New()
-	f.AttachFaults(inj)
-
-	inj.Arm([]fault.Window{{Op: fault.OpRegionGossip, Scope: "hot", Kind: fault.Unreachable, Count: 1}})
-	settleTolerant(t, f, "hot")
-	if inj.Injected() != 1 {
-		t.Fatalf("gossip window not consumed: injected %d", inj.Injected())
+// quoteTick returns the gossip tick of the region's board quote.
+func quoteTick(t *testing.T, f *Federation, region string) int {
+	t.Helper()
+	for _, q := range f.Board() {
+		if q.Region == region {
+			return q.Tick
+		}
 	}
-	if hot := breakerOf(t, f, "hot"); hot.State != BreakerClosed || hot.Fails != 0 {
-		t.Fatalf("lost gossip fed the breaker: %+v", hot)
+	t.Fatalf("no quote for region %q", region)
+	return 0
+}
+
+// TestGossipFaultDoesNotFeedBreaker: a lost gossip round degrades the
+// price board, not region health. The region keeps its old quote; under
+// Tick the other region's quote advances.
+func TestGossipFaultDoesNotFeedBreaker(t *testing.T) {
+	for _, drive := range []string{"settle-region", "tick"} {
+		t.Run(drive, func(t *testing.T) {
+			f := hotCold(t)
+			inj := fault.New()
+			f.AttachFaults(inj)
+			before := f.Gossip()
+
+			inj.Arm([]fault.Window{{Op: fault.OpRegionGossip, Scope: "hot", Kind: fault.Unreachable, Count: 1}})
+			if drive == "settle-region" {
+				settleTolerant(t, f, "hot")
+			} else {
+				for _, rt := range f.Tick() {
+					if rt.Err != nil {
+						t.Fatalf("tick: %s = %v", rt.Region, rt.Err)
+					}
+				}
+				if got := quoteTick(t, f, "cold"); got != before+1 {
+					t.Fatalf("cold's quote at tick %d, want %d", got, before+1)
+				}
+			}
+			if inj.Injected() != 1 {
+				t.Fatalf("gossip window not consumed once: injected %d", inj.Injected())
+			}
+			if got := quoteTick(t, f, "hot"); got != before || f.GossipTick() != before+1 {
+				t.Fatalf("hot's quote at tick %d on a clock at %d, want it left at %d", got, f.GossipTick(), before)
+			}
+			if hot := breakerOf(t, f, "hot"); hot.State != BreakerClosed || hot.Fails != 0 {
+				t.Fatalf("lost gossip fed the breaker: %+v", hot)
+			}
+		})
 	}
 }
 

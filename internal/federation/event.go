@@ -56,7 +56,7 @@ type FedEvent struct {
 // (it rolls failed attempts back, so a retry reproduces the identical
 // frame), briefly holding up routing under f.mu; failures that survive
 // its retries are sticky (journalErr) and surfaced by the
-// next SettleRegion/SubmitProduct/Cancel — advance paths deep in the
+// next settlement, SubmitProduct or Cancel — advance paths deep in the
 // router have no error return to thread one through; an event that
 // failed to journal is still published, since the mutation it
 // describes did happen.

@@ -563,131 +563,129 @@ func (f *Federation) RouterStats() RouterStats {
 	return rs
 }
 
-// SettleRegion runs one binding auction in the named region, then
-// gossips its prices and runs the settlement wave over it — the
-// one-region counterpart of Tick. Settling a region through its Exchange
-// directly would bypass the router, so federated front ends must settle
-// through this method (or Tick/Serve).
+// SettleRegion runs one binding auction in the named region, then gossips
+// its prices and runs the settlement wave over it: it is Tick over one
+// region. Settling a region through its Exchange directly would bypass
+// the router, so federated front ends must settle through this method (or
+// Tick/Serve). An injected settlement fault is returned before any state
+// moves; otherwise the router's journal or snapshot error, latched even
+// on an idle round, outranks the clock's.
 func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
 	ri, ok := f.table.regionIdx[name]
 	if !ok {
 		return nil, fmt.Errorf("federation: no region %q", name)
 	}
-	r := f.regions[ri]
-	inj := f.inj.Load()
-	// Fault seam, before any state moves: a partitioned region fails its
-	// settlement round cleanly (feeding the breaker), so a retry after the
-	// partition heals replays the identical round. The gossip window is
-	// consumed here too — an Unreachable gossip fault loses this round's
-	// quote (the board goes stale) without failing the settlement, and
-	// deliberately does not feed the breaker: stale prices degrade routing
-	// quality, not region health.
-	if err := inj.Region(fault.OpRegionSettle, name); err != nil {
-		f.breakers.failure(ri)
-		return nil, err
+	out, err := f.settle([]int{ri})
+	if err == nil {
+		err = out[0].Err
 	}
-	f.breakers.success(ri)
-	quote := inj.Region(fault.OpRegionGossip, name) == nil
-
-	rec, _, err := r.ex.RunAuction()
-	f.gossipSettled(ri, quote)
-	f.advance(ri)
-	// An idle settlement (an empty book) still gossips and runs its wave,
-	// but like an idle Tick does not count toward the cadence.
-	n := 1
-	if errors.Is(err, market.ErrNoOpenOrders) {
-		n = 0
-	}
-	if serr := f.countSettled(n); serr != nil {
-		return rec, serr
-	}
-	return rec, err
+	return out[0].Record, err
 }
 
-// gossipSettled advances the gossip clock and, when quote is set,
-// refreshes region ri's quote.
-func (f *Federation) gossipSettled(ri int, quote bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	tick := f.board.Load().tick + 1
-	f.publishLocked(tick, 0, nil)
-	// The bare tick event keeps the recovered gossip clock in step even
-	// when the quote itself cannot be refreshed.
-	if f.materializingLocked() {
-		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick})
-	}
-	if quote {
-		f.gossipRegionLocked(ri)
-	}
-}
-
-// countSettled counts n settlements and, with a journal attached, writes
-// a router snapshot when the count passes a multiple of snapshotEvery, so
-// that the router's WAL and its recovery replay stay bounded whether
-// SettleRegion or Tick settles. One snapshot covers a wave however many
-// multiples it passes. It returns the router's latched journal error,
-// else the snapshot's.
-func (f *Federation) countSettled(n int) error {
-	f.mu.Lock()
-	before := f.settleCount
-	f.settleCount += n
-	snapshotDue := f.journal != nil && f.snapshotEvery > 0 && f.settleCount/f.snapshotEvery > before/f.snapshotEvery
-	logErr := f.journalErr
-	f.mu.Unlock()
-	if logErr != nil {
-		return logErr
-	}
-	if snapshotDue {
-		return f.Snapshot()
-	}
-	return nil
-}
-
-// Tick settles every region's accumulated batch concurrently — one clock
-// auction per region, run in parallel, each followed on its goroutine by
-// the region's decide phase — then gossips prices and books the wave over
-// every region. Idle regions (empty books) report a nil record and nil
-// error and do not count toward the snapshot cadence; a settled region's
-// Err also carries the router's journal or snapshot error.
+// Tick settles every region's accumulated batch concurrently: it is
+// settle over every region. Idle regions (empty books) report a nil
+// record and nil error; a settled region's Err also carries the router's
+// journal or snapshot error, and a region that failed its settlement
+// fault seam carries the injected error.
 func (f *Federation) Tick() []RegionTick {
-	out := make([]RegionTick, len(f.regions))
-	f.mu.Lock()
-	w := f.takeWaveLocked()
-	f.mu.Unlock()
-	var wg sync.WaitGroup
-	for i, r := range f.regions {
-		wg.Add(1)
-		go func(i int, r *Region) {
-			defer wg.Done()
-			rec, _, err := r.ex.RunAuction()
-			if errors.Is(err, market.ErrNoOpenOrders) {
-				rec, err = nil, nil
-			}
-			out[i] = RegionTick{Region: r.name, Record: rec, Err: err}
-			f.mu.Lock()
-			f.decideLocked(w, i)
-			f.mu.Unlock()
-		}(i, r)
-	}
-	wg.Wait()
-	f.Gossip()
-	f.mu.Lock()
-	f.bookLocked(w)
-	f.mu.Unlock()
-	ran := 0
-	for _, rt := range out {
-		if rt.Record != nil || rt.Err != nil { // an idle region reports neither
-			ran++
-		}
-	}
-	if err := f.countSettled(ran); err != nil {
-		for i := range out {
-			if out[i].Record != nil && out[i].Err == nil {
-				out[i].Err = err
-			}
+	out, err := f.settle(f.every())
+	for i := range out {
+		switch {
+		case errors.Is(out[i].Err, market.ErrNoOpenOrders):
+			out[i].Record, out[i].Err = nil, nil
+		case err != nil && out[i].Record != nil && out[i].Err == nil:
+			out[i].Err = err
 		}
 	}
 	return out
+}
+
+// every lists every region's index, in registration order.
+func (f *Federation) every() []int {
+	all := make([]int, len(f.regions))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// settle is the one settlement driver: the listed regions' clocks, then
+// one gossip pass and one wave over them; out holds each region's record
+// and error.
+//
+// Fault seams run first, serially in the listed order, before
+// any state moves: a region failing its settlement seam feeds its breaker,
+// gets the injected error and runs no clock, so a retry after the
+// partition heals replays the identical round; one that passes reports
+// success to its breaker (settlement is the probe a partition heals
+// through) and consumes its gossip window. A lost gossip leaves the
+// region's quote stale and does not feed the breaker: stale prices degrade
+// routing, not region health. Each passed region runs its clock and its
+// decide phase (wave.go) on its own goroutine; then the gossip clock
+// advances once, the passed regions with a clear gossip window are
+// quoted, the wave is booked, and each auction that ran (an empty book's
+// did not) counts toward the router's snapshot cadence, which keeps its
+// WAL and recovery replay bounded. settle returns the router's latched
+// journal error, else the snapshot's.
+func (f *Federation) settle(regions []int) ([]RegionTick, error) {
+	out := make([]RegionTick, len(regions))
+	inj := f.inj.Load()
+	passed, quoted := make([]int, 0, len(regions)), make([]int, 0, len(regions))
+	for k, ri := range regions {
+		name := f.regions[ri].name
+		out[k].Region = name
+		if err := inj.Region(fault.OpRegionSettle, name); err != nil {
+			f.breakers.failure(ri)
+			out[k].Err = err
+			continue
+		}
+		f.breakers.success(ri)
+		passed = append(passed, k)
+		if inj.Region(fault.OpRegionGossip, name) == nil {
+			quoted = append(quoted, ri)
+		}
+	}
+	if len(passed) == 0 {
+		return out, nil
+	}
+
+	f.mu.Lock()
+	w := f.takeWaveLocked()
+	f.mu.Unlock()
+	clock := func(k int) {
+		out[k].Record, _, out[k].Err = f.regions[regions[k]].ex.RunAuction()
+		f.mu.Lock()
+		f.decideLocked(w, regions[k])
+		f.mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for _, k := range passed[:len(passed)-1] { // the last on this goroutine
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			clock(k)
+		}()
+	}
+	clock(passed[len(passed)-1])
+	wg.Wait()
+
+	f.gossip(quoted)
+	f.mu.Lock()
+	f.bookLocked(w)
+	before := f.settleCount
+	for _, k := range passed {
+		if !errors.Is(out[k].Err, market.ErrNoOpenOrders) {
+			f.settleCount++
+		}
+	}
+	// One snapshot covers a wave however many multiples it passes.
+	snapshotDue := f.journal != nil && f.snapshotEvery > 0 && f.settleCount/f.snapshotEvery > before/f.snapshotEvery
+	logErr := f.journalErr
+	f.mu.Unlock()
+	if logErr == nil && snapshotDue {
+		logErr = f.Snapshot()
+	}
+	return out, logErr
 }
 
 // Serve calls Tick once an epoch until ctx is cancelled, and returns

@@ -23,7 +23,7 @@ type fedState struct {
 }
 
 // AttachJournal attaches the routing journal. Every subsequent routing
-// state change is logged as a FedEvent before SettleRegion returns, and
+// state change is logged as a FedEvent before its settlement returns, and
 // a snapshot is written every snapshotEvery settlements (non-positive
 // disables the cadence; Snapshot can still be called explicitly). When
 // recovering, call Restore first so replayed events are not re-journaled

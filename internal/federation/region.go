@@ -72,17 +72,11 @@ func (r *Region) Clusters() []string { return r.ex.Fleet().ClusterNames() }
 // last clearing prices when an auction has converged, otherwise the live
 // reserve prices.
 func (r *Region) quote(tick int) (Quote, error) {
-	q := Quote{Region: r.name, Tick: tick}
-	if p := r.ex.LastClearingPrices(); p != nil {
-		q.Prices, q.Clearing = p, true
-		return q, nil
-	}
-	p, err := r.ex.ReservePrices()
+	p, clearing, err := r.ex.CurrentPrices()
 	if err != nil {
 		return Quote{}, err
 	}
-	q.Prices = p
-	return q, nil
+	return Quote{Region: r.name, Prices: p, Clearing: clearing, Tick: tick}, nil
 }
 
 // legCost prices a product cover at a region's quoted prices: the

@@ -9,15 +9,16 @@ import (
 )
 
 // The settlement wave: the router's side of one or more regional
-// settlements, the one advance path of Tick (and so Serve), SettleRegion
-// and SubmitProduct's settle-race reconciliation. It has two phases.
+// settlements, the one advance path of settle (and so of Tick, Serve and
+// SettleRegion) and of SubmitProduct's settle-race reconciliation. It has
+// two phases.
 //
 //   - Decide. Under f.mu, each source region reads the outcomes of the
-//     legs waiting on it, in ascending federated id. Inside Tick this runs
-//     on the region's own goroutine right after its clock, overlapping the
-//     slower regions' clocks. Nothing is booked and the table is not
-//     written: the decided orders leave the region's open list and wait in
-//     the wave.
+//     legs waiting on it, in ascending federated id. Inside settle this
+//     runs on the region's own goroutine right after its clock,
+//     overlapping the slower regions' clocks. Nothing is booked and the
+//     table is not written: the decided orders leave the region's open
+//     list and wait in the wave.
 //   - Book. Under f.mu, held by one goroutine throughout, every order that
 //     lost or went unsettled queues its next leg for that leg's region, and
 //     each target region books its queue on its own goroutine. A queue is in

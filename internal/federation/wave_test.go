@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"clustermarket/internal/fault"
 	"clustermarket/internal/market"
 	"clustermarket/internal/resource"
 	"clustermarket/internal/telemetry"
@@ -106,7 +107,7 @@ func serialTick(f *Federation) {
 // serialSettleRegion is SettleRegion over the serial advance.
 func serialSettleRegion(f *Federation, ri int) {
 	_, _, _ = f.regions[ri].ex.RunAuction()
-	f.gossipSettled(ri, true)
+	f.gossip([]int{ri})
 	f.serialAdvance(ri)
 }
 
@@ -379,6 +380,13 @@ func TestWaveRefusedLegBooksNextPass(t *testing.T) {
 						}
 					}
 					row.refuse(f)
+					if row.name == "breaker" && drive == "tick" {
+						// Tick settles b too, and a clean round closes its
+						// breaker before the wave: b's settlement fails.
+						inj := fault.New()
+						inj.Arm([]fault.Window{{Op: fault.OpRegionSettle, Scope: "b", Kind: fault.Unreachable, Count: 1}})
+						f.AttachFaults(inj)
+					}
 					if drive == "tick" {
 						f.Tick()
 					} else if _, err := f.SettleRegion("a"); err != nil {

@@ -801,6 +801,18 @@ func (e *Exchange) lastClearingPrices() resource.Vector {
 // converged auction, or nil before the first one.
 func (e *Exchange) LastClearingPrices() resource.Vector { return e.lastClearingPrices() }
 
+// CurrentPrices returns the market's price index: the settlement prices of
+// the most recent converged auction (clearing is true), else, before the
+// first one, the live reserve prices. A failed clock's prices are not
+// clearing prices.
+func (e *Exchange) CurrentPrices() (prices resource.Vector, clearing bool, err error) {
+	if p := e.lastClearingPrices(); p != nil {
+		return p, true, nil
+	}
+	prices, err = e.ReservePrices()
+	return prices, false, err
+}
+
 // Orders returns snapshots of every order ever submitted, in ID order —
 // the full-dump path used by tests and batch consumers. Interactive
 // pollers should prefer OrdersTail, which bounds the copy.

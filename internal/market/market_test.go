@@ -818,6 +818,37 @@ func TestFailedClockPricesNotDisplayed(t *testing.T) {
 	}
 }
 
+// TestCurrentPrices pins the price index every display and the price
+// board read: reserve prices before the first converged auction, even
+// after a failed clock, and the last clearing prices after it.
+func TestCurrentPrices(t *testing.T) {
+	failed := nonConvergentExchange(t)
+	if _, _, err := failed.RunAuction(); !errors.Is(err, core.ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence", err)
+	}
+	e := newTestExchange(t)
+	for _, ex := range []*Exchange{failed, e} {
+		prices, clearing, err := ex.CurrentPrices()
+		reserve, rerr := ex.ReservePrices()
+		if err != nil || rerr != nil || clearing || !reflect.DeepEqual(prices, reserve) {
+			t.Fatalf("CurrentPrices = %v, %v, %v before a converged auction, want the reserve prices %v", prices, clearing, err, reserve)
+		}
+	}
+	if err := e.OpenAccount("a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 50); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.RunAuction(); err != nil {
+		t.Fatal(err)
+	}
+	prices, clearing, err := e.CurrentPrices()
+	if err != nil || !clearing || !reflect.DeepEqual(prices, e.LastClearingPrices()) {
+		t.Fatalf("CurrentPrices = %v, %v, %v after a converged auction, want the clearing prices", prices, clearing, err)
+	}
+}
+
 // TestReadPathsReturnSnapshots pins the snapshot contract: mutating what
 // the accessors return must not corrupt exchange state.
 func TestReadPathsReturnSnapshots(t *testing.T) {

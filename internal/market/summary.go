@@ -21,7 +21,10 @@ type ClusterSummary struct {
 // Prices come from the most recent auction, falling back to current
 // reserve prices before the first auction.
 func (e *Exchange) Summary() ([]ClusterSummary, error) {
-	prices := e.lastClearingPrices()
+	prices, _, err := e.CurrentPrices()
+	if err != nil {
+		return nil, err
+	}
 	// Count open interest per cluster, stripe by stripe, over the bids'
 	// rows: O(non-zero components), not O(R), under each stripe's read
 	// lock. Bids are frozen at submit time, so reading them is safe.
@@ -56,14 +59,6 @@ func (e *Exchange) Summary() ([]ClusterSummary, error) {
 			}
 		}
 		os.mu.RUnlock()
-	}
-
-	if prices == nil {
-		var err error
-		prices, err = e.ReservePrices()
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	var out []ClusterSummary

@@ -367,7 +367,8 @@ func (b *Backend) Status(id int) (market.OrderStatus, error) {
 }
 
 // Settle runs one epoch's settlements. Markets settle sequentially in
-// registration order through SettleRegion, each followed by its own
+// registration order through SettleRegion (Tick over one region: the
+// fault seams and breakers Serve runs), each followed by its own
 // settlement wave, and a dark market is skipped entirely: its book, clock
 // and gossip go silent until it rejoins. This is not Federation.Tick's
 // order: a failover leg a market's wave books into a market later in the
@@ -532,13 +533,9 @@ func (b *Backend) MeanCPUPrice(region string) float64 {
 		return 0
 	}
 	reg := ex.Registry()
-	prices := ex.LastClearingPrices()
-	if prices == nil {
-		var err error
-		prices, err = ex.ReservePrices()
-		if err != nil {
-			return 0
-		}
+	prices, _, err := ex.CurrentPrices()
+	if err != nil {
+		return 0
 	}
 	var sum float64
 	n := 0

@@ -318,3 +318,19 @@ func TestFirehoseSubscribeUnsubscribeChurn(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%d", f.Published())
 }
+
+// TestSendOnClosedSubscription: a publisher that reaches a subscription
+// after Close (the race Close's flag guards) neither panics on the closed
+// channel nor delivers or counts a drop.
+func TestSendOnClosedSubscription(t *testing.T) {
+	f := NewFirehose()
+	sub := f.Subscribe(1)
+	sub.Close()
+	sub.send(Event{Kind: "late"})
+	if _, ok := <-sub.C; ok {
+		t.Fatal("a closed subscription delivered an event")
+	}
+	if sub.Dropped() != 0 || f.Dropped() != 0 {
+		t.Fatalf("dropped = %d (firehose %d), want none", sub.Dropped(), f.Dropped())
+	}
+}

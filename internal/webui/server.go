@@ -285,7 +285,7 @@ func (s *Server) handleBidPreview(w http.ResponseWriter, r *http.Request) {
 		s.redirectErr(w, r, err.Error())
 		return
 	}
-	prices, err := s.currentPrices()
+	prices, _, err := s.ex.CurrentPrices()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -515,16 +515,6 @@ func (s *Server) handleHistoryJSON(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, hist)
-}
-
-// currentPrices returns the best available price vector for display: the
-// last converged settlement when one exists (a failed clock's prices are
-// not clearing prices), otherwise the live reserve prices.
-func (s *Server) currentPrices() (resource.Vector, error) {
-	if p := s.ex.LastClearingPrices(); p != nil {
-		return p, nil
-	}
-	return s.ex.ReservePrices()
 }
 
 // auctionView is the wire form of a settled auction record.

@@ -144,12 +144,9 @@ func collectExchange(m *families, ex *market.Exchange, region string) {
 	// Per-pool price index: clearing prices once an auction has
 	// converged, reserve prices before — the same series the paper's
 	// Figures 6–7 plot over time.
-	prices := ex.LastClearingPrices()
-	if prices == nil {
-		var err error
-		if prices, err = ex.ReservePrices(); err != nil {
-			prices = nil
-		}
+	prices, _, err := ex.CurrentPrices()
+	if err != nil {
+		prices = nil
 	}
 	reg := ex.Registry()
 	for i := 0; i < reg.Len() && i < len(prices); i++ {
