@@ -2,8 +2,9 @@
 // repo's I/O boundaries: journal disk operations (through the journal.FS
 // seam) and federation region calls and gossip. It exists so the
 // degradation machinery — the exchange's degraded quiesce, the
-// federation's circuit breaker, the journal's append rollback — is
-// exercised by scripted, reproducible schedules instead of hope.
+// federation's skipped settlements and stale quotes, the journal's
+// append rollback — is exercised by scripted, reproducible schedules
+// instead of hope.
 //
 // The model is a finite set of armed Windows: each names an operation
 // boundary (Op), an optional scope (a path substring for disk ops, a

@@ -44,9 +44,6 @@ type FedEvent struct {
 	Stats *Stats    `json:"stats,omitempty"`
 	Tick  int       `json:"tick,omitempty"`
 	Quote *Quote    `json:"quote,omitempty"`
-	// Breaker carries a circuit-breaker transition (EvFedBreaker events
-	// only — telemetry-only, never journaled).
-	Breaker *BreakerChange `json:"breaker,omitempty"`
 }
 
 // emitLocked materializes the event to the routing journal (when one
@@ -126,9 +123,6 @@ func (f *Federation) AttachTelemetry(fire *telemetry.Firehose) {
 	f.mu.Lock()
 	f.fire = fire
 	f.mu.Unlock()
-	// Breaker transitions publish to the same stream; the breaker set
-	// keeps its own reference because transitions happen outside f.mu.
-	f.breakers.setFire(fire)
 }
 
 // Telemetry returns the attached firehose, or nil.

@@ -35,7 +35,7 @@ type Leg struct {
 	OrderID int
 	// Status mirrors the regional order's status once submitted.
 	Status market.OrderStatus
-	// Err records why a leg submission failed (budget, unknown product);
+	// Err records why a leg submission failed (budget, degraded region);
 	// the router then falls through to the next-cheapest leg.
 	Err string
 }
@@ -115,8 +115,9 @@ type RouterRegion struct {
 	// wave booked into it waits for its next. Failovers counts the legs
 	// that wave booked elsewhere for orders that lost here.
 	Visited, Failovers int
-	// Refused counts the failover legs the region refused (budget, open
-	// breaker) in the last wave it took part in, as source or target.
+	// Refused counts the failover legs the region refused (budget,
+	// degraded quiesce) in the last wave it took part in, as source or
+	// target.
 	Refused int
 }
 
@@ -167,10 +168,8 @@ type Federation struct {
 	settleCount   int
 
 	// inj (nil — a nil injector never fires — until AttachFaults) is the
-	// fault seam on region calls and gossip; breakers tracks per-region
-	// health. Both are internally synchronized.
-	inj      atomic.Pointer[fault.Injector]
-	breakers *breakerSet
+	// fault seam on region calls and gossip.
+	inj atomic.Pointer[fault.Injector]
 }
 
 // NewFederation assembles regions into one federated market. Region
@@ -216,7 +215,6 @@ func NewFederation(regions ...*Region) (*Federation, error) {
 		}
 	}
 	f.board.Store(&boardView{quotes: make([]Quote, len(regions))})
-	f.breakers = newBreakerSet(regions)
 	return f, nil
 }
 
@@ -373,16 +371,14 @@ grouping:
 
 	// Fault seam: a partitioned target region fails the routing call here,
 	// before any state has moved, so a caller retry after the partition
-	// heals replays the identical operation. Injected failures feed the
-	// region's breaker; organic rejections below (budget, product) do not.
+	// heals replays the identical operation.
 	if err := f.inj.Load().Region(fault.OpRegionOrder, f.regions[legs[0].region].name); err != nil {
-		f.breakers.failure(int(legs[0].region))
 		return -1, err
 	}
 
-	// Book the first acceptable leg, lock-free. Regions whose breaker is
-	// open are skipped — the same at-most-one-leg failover that handles a
-	// lost leg handles a partitioned region. auctionsBefore snapshots
+	// Book the first acceptable leg, lock-free: a refused leg (budget,
+	// degraded region) falls through to the next, the same at-most-one-leg
+	// failover that handles a lost leg. auctionsBefore snapshots
 	// the target region's settlement count so a clock completing between
 	// this submit and the registration below cannot strand the order.
 	active := -1
@@ -400,10 +396,8 @@ grouping:
 			if errs == nil {
 				errs = make([]string, len(legs))
 			}
-			errs[i] = legErrText(err)
-			if lastErr == nil || !errors.Is(err, errBreakerOpen) {
-				lastErr = err
-			}
+			errs[i] = err.Error()
+			lastErr = err
 			continue
 		}
 		active = i
@@ -413,7 +407,6 @@ grouping:
 		return -1, lastErr
 	}
 	target := f.regions[legs[active].region]
-	f.breakers.success(int(legs[active].region))
 
 	f.mu.Lock()
 	id, err := t.add(route{qty: qty, limit: limit, active: int16(active), status: uint8(market.Open), won: noRegion},
@@ -451,27 +444,11 @@ grouping:
 	return id, nil
 }
 
-// errBreakerOpen ends the error of a leg skipped because its region's
-// breaker is open: an organic rejection of another leg outranks it as the
-// error a caller sees.
-var errBreakerOpen = errors.New("open")
-
-// legErrText is what Leg.Err keeps of a leg's booking failure.
-func legErrText(err error) string {
-	if errors.Is(err, errBreakerOpen) {
-		return "federation: region breaker open"
-	}
-	return err.Error()
-}
-
 // bookLeg submits one leg, over the clusters whose pool rows it is given,
 // to its region and records the regional order in it. It reads no routing
 // state, so the first leg is booked without f.mu.
 func (f *Federation) bookLeg(leg *routeLeg, rows []resource.PoolRow, team, product string, qty, limit float64) error {
 	r := f.regions[leg.region]
-	if !f.breakers.allow(int(leg.region)) {
-		return fmt.Errorf("federation: region %q breaker %w", r.name, errBreakerOpen)
-	}
 	id, err := r.ex.SubmitProductRows(team, product, qty, rows, limit)
 	if err == nil && id > math.MaxInt32 {
 		// The record cannot hold the id; withdraw the order rather than wrap.
@@ -613,15 +590,13 @@ func (f *Federation) every() []int {
 // one gossip pass and one wave over them; out holds each region's record
 // and error.
 //
-// Fault seams run first, serially in the listed order, before
-// any state moves: a region failing its settlement seam feeds its breaker,
-// gets the injected error and runs no clock, so a retry after the
-// partition heals replays the identical round; one that passes reports
-// success to its breaker (settlement is the probe a partition heals
-// through) and consumes its gossip window. A lost gossip leaves the
-// region's quote stale and does not feed the breaker: stale prices degrade
-// routing, not region health. Each passed region runs its clock and its
-// decide phase (wave.go) on its own goroutine; then the gossip clock
+// Fault seams run first, serially in the listed order, before any state
+// moves: a region failing its settlement seam gets the injected error and
+// runs no clock, so a retry after the partition heals replays the
+// identical round; one that passes consumes its gossip window. A lost
+// gossip leaves the region's quote stale, which the router deprioritizes
+// once it passes the staleness bound. Each passed region runs its clock
+// and its decide phase (wave.go) on its own goroutine; then the gossip clock
 // advances once, the passed regions with a clear gossip window are
 // quoted, the wave is booked, and each auction that ran (an empty book's
 // did not) counts toward the router's snapshot cadence, which keeps its
@@ -635,11 +610,9 @@ func (f *Federation) settle(regions []int) ([]RegionTick, error) {
 		name := f.regions[ri].name
 		out[k].Region = name
 		if err := inj.Region(fault.OpRegionSettle, name); err != nil {
-			f.breakers.failure(ri)
 			out[k].Err = err
 			continue
 		}
-		f.breakers.success(ri)
 		passed = append(passed, k)
 		if inj.Region(fault.OpRegionGossip, name) == nil {
 			quoted = append(quoted, ri)

@@ -25,7 +25,7 @@ import (
 //     (source region, federated id) order, the sequence a serial loop over
 //     the sources would book in, so a region's ids and which legs a team's
 //     budget there covers depend on the routing state, not the schedule. A
-//     leg its region refuses (budget, open breaker) queues the order's
+//     leg its region refuses (budget, degraded quiesce) queues the order's
 //     following leg for the next pass. After the last pass the outcomes are
 //     applied to the table, Stats and the event stream, in (source, id)
 //     order.
@@ -167,7 +167,7 @@ func (f *Federation) bookLocked(w *wave) {
 			}
 			rt := t.routeAt(int(o.id))
 			k := rt.legOff + uint32(o.leg)
-			t.setErr(k, legErrText(o.err))
+			t.setErr(k, o.err.Error())
 			w.regions[t.legAt(k).region].refused++
 			if o.leg++; int(o.leg) == int(rt.legN) {
 				o.leg, o.booking = -1, false

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"clustermarket/internal/fault"
+	"clustermarket/internal/journal"
 	"clustermarket/internal/market"
 	"clustermarket/internal/resource"
 	"clustermarket/internal/telemetry"
@@ -82,7 +83,7 @@ func (f *Federation) serialBookNextLocked(id int) bool {
 		rows := t.appendRows(rowBuf[:0], off, leg.clN)
 		off += uint32(leg.clN)
 		if err := f.bookLeg(leg, rows, t.names[rt.team], t.names[rt.product], rt.qty, rt.limit); err != nil {
-			t.setErr(k, legErrText(err))
+			t.setErr(k, err.Error())
 			continue
 		}
 		rt.active = int16(next)
@@ -345,25 +346,41 @@ func openOrders(t *testing.T, f *Federation) []*FedOrder {
 func TestWaveRefusedLegBooksNextPass(t *testing.T) {
 	rows := []struct {
 		name string
-		// b builds region b; refuse readies it to refuse legs.
-		b       func(t *testing.T) *Region
-		refuse  func(f *Federation)
+		// b builds region b and a func that readies it to refuse legs.
+		b       func(t *testing.T) (*Region, func())
 		errText string
 	}{
-		{"budget", func(t *testing.T) *Region {
-			return configuredRegion(t, "b", 1, 0.1, market.Config{InitialBudget: 1e-9})
-		}, func(*Federation) {}, "exceeds available budget"},
-		{"breaker", func(t *testing.T) *Region { return testRegion(t, "b", 1, 0.1) }, func(f *Federation) {
-			for i := 0; i < breakerThreshold; i++ {
-				f.breakers.failure(1)
+		{"budget", func(t *testing.T) (*Region, func()) {
+			return configuredRegion(t, "b", 1, 0.1, market.Config{InitialBudget: 1e-9}), func() {}
+		}, "exceeds available budget"},
+		{"degraded", func(t *testing.T) (*Region, func()) {
+			// b journals on a disk that stops persisting: it quiesces and
+			// refuses legs. A sick fsync keeps the probe of b's own clock
+			// (under Tick) from resuming it before the wave.
+			inj := fault.New()
+			j, _, err := journal.Open(t.TempDir(), journal.Options{FS: fault.NewFS(inj, nil), FsyncEvery: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}, "federation: region breaker open"},
+			t.Cleanup(func() { j.Close() })
+			b := configuredRegion(t, "b", 1, 0.1, market.Config{InitialBudget: 1e6, Journal: j})
+			return b, func() {
+				inj.Arm([]fault.Window{
+					{Op: fault.OpDiskWrite, Kind: fault.EIO, Count: 100000},
+					{Op: fault.OpDiskFsync, Kind: fault.EIO, Count: 100000},
+				})
+				if _, err := b.ex.SubmitProduct("team", "batch-compute", 1, []string{"b-r1"}, 1); err == nil || !b.ex.Degraded() {
+					t.Fatalf("submit on a sick disk = %v, want b quiesced", err)
+				}
+			}
+		}, market.ErrDegraded.Error()},
 	}
 	for _, row := range rows {
 		for _, drive := range []string{"tick", "settle-region"} {
 			t.Run(row.name+"/"+drive, func(t *testing.T) {
 				run := func() (*Federation, []string) {
-					f, err := NewFederation(testRegion(t, "a", 1, 0.1), row.b(t), testRegion(t, "c", 1, 0.1))
+					b, refuse := row.b(t)
+					f, err := NewFederation(testRegion(t, "a", 1, 0.1), b, testRegion(t, "c", 1, 0.1))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -379,14 +396,7 @@ func TestWaveRefusedLegBooksNextPass(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					row.refuse(f)
-					if row.name == "breaker" && drive == "tick" {
-						// Tick settles b too, and a clean round closes its
-						// breaker before the wave: b's settlement fails.
-						inj := fault.New()
-						inj.Arm([]fault.Window{{Op: fault.OpRegionSettle, Scope: "b", Kind: fault.Unreachable, Count: 1}})
-						f.AttachFaults(inj)
-					}
+					refuse()
 					if drive == "tick" {
 						f.Tick()
 					} else if _, err := f.SettleRegion("a"); err != nil {

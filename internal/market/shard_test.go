@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"clustermarket/internal/core"
@@ -102,6 +104,41 @@ func TestShardedSerialIDsSequential(t *testing.T) {
 	}
 	if got := len(e.OpenOrders()); got != n-4 {
 		t.Fatalf("OpenOrders after cancels = %d, want %d", got, n-4)
+	}
+}
+
+// TestSubmitRecheckRefusesDrainedBudget: a submit that passed its budget
+// pre-check is refused when another order drains the account before it
+// holds its order stripe. The test holds that stripe so the drain lands
+// in the gap every time.
+func TestSubmitRecheckRefusesDrainedBudget(t *testing.T) {
+	e, err := NewExchange(testFleet(t), Config{InitialBudget: 100, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.OpenAccount("a"); err != nil {
+		t.Fatal(err)
+	}
+	seq := e.submitSeq.Load()
+	os := &e.orderShards[int(seq)%len(e.orderShards)]
+	os.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 60)
+		done <- err
+	}()
+	for e.submitSeq.Load() == seq { // past its pre-check, waiting on os
+		runtime.Gosched()
+	}
+	if _, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 60); err != nil {
+		t.Fatalf("draining submit: %v", err)
+	}
+	os.mu.Unlock()
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "exceeds available budget") {
+		t.Fatalf("submit after the drain = %v, want a budget refusal", err)
+	}
+	if got := len(e.OpenOrders()); got != 1 {
+		t.Fatalf("%d open orders, want only the draining one", got)
 	}
 }
 

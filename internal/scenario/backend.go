@@ -368,7 +368,7 @@ func (b *Backend) Status(id int) (market.OrderStatus, error) {
 
 // Settle runs one epoch's settlements. Markets settle sequentially in
 // registration order through SettleRegion (Tick over one region: the
-// fault seams and breakers Serve runs), each followed by its own
+// fault seams Serve runs), each followed by its own
 // settlement wave, and a dark market is skipped entirely: its book, clock
 // and gossip go silent until it rejoins. This is not Federation.Tick's
 // order: a failover leg a market's wave books into a market later in the

@@ -184,9 +184,9 @@ func Catalog() []*Scenario {
 			Description: "transient region partitions: routing calls and settlement rounds fail then heal, " +
 				"gossip stalls; the healed run must fingerprint-match the fault-free run",
 			Epochs: 9,
-			// Counts stay ≤2 — under both the backend retry budget and the
-			// breaker threshold (3), so scripted partitions heal invisibly
-			// and the breaker opens only in chaos runs and unit tests.
+			// Counts stay ≤2, under the backend's retry budget
+			// (faultRetries), so scripted partitions heal invisibly: every
+			// failed call is retried until it goes through.
 			Faults: func(epoch int, regions []string) []fault.Window {
 				if len(regions) < 2 {
 					return nil

@@ -77,7 +77,7 @@ func TestFaultScenariosFingerprintMatchFaultFree(t *testing.T) {
 // runs under the same seeded-random fault schedule must fingerprint-match
 // each other and keep the invariant kernel clean. A chaos schedule may
 // change outcomes relative to the fault-free run (lost gossip quotes,
-// opened breakers), but it must do so identically on every rerun. Each
+// skipped settlements), but it must do so identically on every rerun. Each
 // leg also carries a never-drained one-slot telemetry subscriber: the
 // run must finish with it dropping events, because publishers never
 // block on a stalled consumer.

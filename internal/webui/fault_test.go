@@ -1,9 +1,9 @@
 package webui
 
 // Ops-surface regressions for the fault subsystem: /healthz flips
-// 200→503→200 around degraded quiesce and open breakers, /metrics
-// exposes the degraded and breaker series, and the SSE feed delivers
-// the fault-injected / degraded-entered / breaker-state-changed kinds.
+// 200→503→200 around degraded quiesce and stays 200 once a region
+// partition has healed, /metrics exposes the degraded series, and the
+// SSE feed delivers the fault-injected / degraded-entered kinds.
 
 import (
 	"context"
@@ -63,10 +63,9 @@ func degrade(t *testing.T, ex *market.Exchange, inj *fault.Injector) {
 }
 
 type healthzBody struct {
-	Healthy         bool                       `json:"healthy"`
-	Degraded        *market.DegradedStatus     `json:"degraded"`
-	DegradedRegions []string                   `json:"degraded_regions"`
-	Breakers        []federation.BreakerStatus `json:"breakers"`
+	Healthy         bool                   `json:"healthy"`
+	Degraded        *market.DegradedStatus `json:"degraded"`
+	DegradedRegions []string               `json:"degraded_regions"`
 }
 
 func getHealthz(t *testing.T, ts *httptest.Server) (int, healthzBody) {
@@ -159,42 +158,21 @@ func fedFaultFixture(t *testing.T) (*federation.Federation, *fault.Injector, *ht
 	return fed, inj, ts
 }
 
-func TestFedHealthzOpenBreaker(t *testing.T) {
+// TestFedHealthzHealedPartition: a settlement partition that has
+// stopped firing leaves the federated probe healthy. The router keeps no
+// per-region health of its own, so nothing outlives the fault.
+func TestFedHealthzHealedPartition(t *testing.T) {
 	fed, inj, ts := fedFaultFixture(t)
 
-	code, hb := getHealthz(t, ts)
-	if code != http.StatusOK || !hb.Healthy {
-		t.Fatalf("healthy probe = %d %+v", code, hb)
-	}
-
-	// Partition hot away until its breaker opens.
-	inj.Arm([]fault.Window{{Op: fault.OpRegionSettle, Scope: "hot", Kind: fault.Unreachable, Count: 3}})
+	inj.Arm([]fault.Window{{Op: fault.OpRegionSettle, Scope: "cold", Kind: fault.Unreachable, Count: 3}})
 	for n := 0; n < 3; n++ {
-		if _, err := fed.SettleRegion("hot"); err == nil {
+		if _, err := fed.SettleRegion("cold"); err == nil {
 			t.Fatal("injected settle succeeded")
 		}
 	}
 	inj.Arm(nil)
-	code, hb = getHealthz(t, ts)
-	if code != http.StatusServiceUnavailable || hb.Healthy {
-		t.Fatalf("open-breaker probe = %d %+v, want 503", code, hb)
-	}
-	found := false
-	for _, bs := range hb.Breakers {
-		if bs.Region == "hot" && bs.State == federation.BreakerOpen {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("breakers body = %+v, want hot open", hb.Breakers)
-	}
-
-	// A clean settlement round closes the breaker (the empty-book error
-	// is organic; the breaker seam runs before the clock).
-	fed.SettleRegion("hot")
-	code, hb = getHealthz(t, ts)
-	if code != http.StatusOK || !hb.Healthy {
-		t.Fatalf("healed probe = %d %+v, want 200", code, hb)
+	if code, hb := getHealthz(t, ts); code != http.StatusOK || !hb.Healthy {
+		t.Fatalf("probe after the partition healed = %d %+v, want 200", code, hb)
 	}
 }
 
@@ -267,31 +245,6 @@ func TestMetricsDegradedSeries(t *testing.T) {
 	}
 }
 
-func TestFedMetricsBreakerSeries(t *testing.T) {
-	fed, inj, ts := fedFaultFixture(t)
-
-	inj.Arm([]fault.Window{{Op: fault.OpRegionSettle, Scope: "hot", Kind: fault.Unreachable, Count: 3}})
-	for n := 0; n < 3; n++ {
-		fed.SettleRegion("hot")
-	}
-	inj.Arm(nil)
-
-	code, text := get(t, ts, "/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
-	}
-	for _, want := range []string{
-		"# TYPE fed_breaker_state gauge",
-		`fed_breaker_state{region="hot"} 2`,
-		`fed_breaker_state{region="cold"} 0`,
-		`fed_breaker_opens_total{region="hot"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-}
-
 // TestEventsSSEFaultKinds: the new operational event kinds ride the
 // same SSE feed as the market stream.
 func TestEventsSSEFaultKinds(t *testing.T) {
@@ -340,46 +293,5 @@ func TestEventsSSEFaultKinds(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("SSE feed missing kind %q", want)
 		}
-	}
-}
-
-// TestFedEventsSSEBreakerKind: breaker transitions reach the federated
-// SSE feed.
-func TestFedEventsSSEBreakerKind(t *testing.T) {
-	fed, inj, fts := fedFaultFixture(t)
-	// The event feed reads the federation's firehose dynamically, so
-	// attaching after the server is built is fine.
-	fire := telemetry.NewFirehose()
-	fed.AttachTelemetry(fire)
-
-	go func() {
-		for fire.Subscribers() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		inj.Arm([]fault.Window{{Op: fault.OpRegionSettle, Scope: "hot", Kind: fault.Unreachable, Count: 3}})
-		for n := 0; n < 3; n++ {
-			fed.SettleRegion("hot")
-		}
-		inj.Arm(nil)
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fts.URL+"/api/events?kinds="+federation.EvFedBreaker+"&max=1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := fts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	events := readSSE(t, resp.Body, 1)
-	if len(events) != 1 || events[0].env.Kind != federation.EvFedBreaker {
-		t.Fatalf("breaker SSE = %+v", events)
-	}
-	if events[0].env.Source != federation.EventSource {
-		t.Errorf("breaker event source = %q", events[0].env.Source)
 	}
 }

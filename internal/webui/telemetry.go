@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"clustermarket/internal/federation"
 	"clustermarket/internal/market"
 	"clustermarket/internal/telemetry"
 )
@@ -175,20 +174,6 @@ func collectExchange(m *families, ex *market.Exchange, region string) {
 	m.add("market_degraded_seconds_total", "counter", "Cumulative seconds spent in degraded quiesce.", labels("region", region), ds.SecondsTotal)
 }
 
-// breakerStateValue encodes a circuit-breaker state for the gauge:
-// closed scrapes as 0, half-open as 1, open as 2, so alerting can
-// threshold on >= 1.
-func breakerStateValue(state string) float64 {
-	switch state {
-	case federation.BreakerHalfOpen:
-		return 1
-	case federation.BreakerOpen:
-		return 2
-	default:
-		return 0
-	}
-}
-
 // collectFirehose adds the firehose's own gauges — published volume,
 // attached subscribers, total drop count — so the observability
 // pipeline observes itself.
@@ -252,12 +237,6 @@ func (s *FedServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m.add("fed_router_last_advance_refused", "gauge", "Failover legs the region refused in the last settlement wave it took part in.",
 			labels("region", rr.Region), float64(rr.Refused))
 	}
-	for _, bs := range s.fed.BreakerStates() {
-		m.add("fed_breaker_state", "gauge", "Region circuit-breaker state (0 closed, 1 half-open, 2 open).",
-			labels("region", bs.Region), breakerStateValue(bs.State))
-		m.add("fed_breaker_opens_total", "counter", "Times the region's circuit breaker has opened.",
-			labels("region", bs.Region), float64(bs.Opens))
-	}
 	if j := s.fed.Journal(); j != nil {
 		jm := j.Metrics()
 		m.add("fed_journal_appends_total", "counter", "Routing events appended to the router WAL.", nil, float64(jm.Appends))
@@ -282,15 +261,14 @@ func (s *FedServer) SetHealth(h *telemetry.Health) { s.health = h }
 
 // healthView is the /healthz payload: the invariant-probe snapshot plus
 // the fault-tolerance overlay — degraded-quiesce state on the exchange
-// probe, per-region degradation and breaker states on the federation
-// probe. Any overlay condition (degraded exchange, degraded region,
-// non-closed breaker) forces Healthy false and a 503, so readiness
-// gates drain traffic while the market is rejecting or rerouting it.
+// probe, per-region degradation on the federation probe. Either overlay
+// condition (degraded exchange, degraded region) forces Healthy false
+// and a 503, so readiness gates drain traffic while the market is
+// rejecting or rerouting it.
 type healthView struct {
 	telemetry.HealthSnapshot
-	Degraded        *market.DegradedStatus     `json:"degraded,omitempty"`
-	DegradedRegions []string                   `json:"degraded_regions,omitempty"`
-	Breakers        []federation.BreakerStatus `json:"breakers,omitempty"`
+	Degraded        *market.DegradedStatus `json:"degraded,omitempty"`
+	DegradedRegions []string               `json:"degraded_regions,omitempty"`
 }
 
 // writeHealthz writes the probe payload: 200 when healthy, 503
@@ -329,13 +307,6 @@ func (s *FedServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if reg.Exchange().Degraded() {
 			view.DegradedRegions = append(view.DegradedRegions, reg.Name())
 			view.Healthy = false
-		}
-	}
-	for _, bs := range s.fed.BreakerStates() {
-		if bs.State != federation.BreakerClosed {
-			view.Breakers = s.fed.BreakerStates()
-			view.Healthy = false
-			break
 		}
 	}
 	writeHealthz(w, view)
