@@ -101,6 +101,7 @@ cover-update: ## Rewrite COVERAGE_baseline.txt after an intentional change
 FUZZTIME ?= 10s
 fuzz: ## Run every native fuzz target for FUZZTIME each, as in CI
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run 'xxx' ./internal/bidlang
+	$(GO) test -fuzz FuzzRegistryRow -fuzztime $(FUZZTIME) -run 'xxx' ./internal/resource
 	$(GO) test -fuzz 'FuzzQueryParams$$' -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzEventsQueryParams -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui
 	$(GO) test -fuzz FuzzBidSubmit -fuzztime $(FUZZTIME) -run 'xxx' ./internal/webui

@@ -507,7 +507,7 @@ func BenchmarkSubmitProductParallel(b *testing.B) {
 				}
 				cur.Store(ex)
 			}
-			if _, err := cur.Load().SubmitProductID(team[k%teams], "batch-compute", 1, windows[k%clusters], float64(5+k%60)); err != nil {
+			if _, err := cur.Load().SubmitProduct(team[k%teams], "batch-compute", 1, windows[k%clusters], float64(5+k%60)); err != nil {
 				b.Error(err)
 				return
 			}

@@ -12,9 +12,11 @@ import (
 )
 
 // submitAllocBudget is what one SubmitProduct may allocate, whatever the
-// planet's size: the order co-allocated with its bid, the bid's index
-// slab and value slab, and the snapshot handed back to the caller.
-const submitAllocBudget = 4
+// planet's size: the order co-allocated with its bid, and the bid's index
+// slab and value slab. The registry's cluster index, which resolves the
+// names, is built once a registry, not once an order: the tests below
+// build it before they profile.
+const submitAllocBudget = 3
 
 // TestSubmitAllocBudget gates the admission path's allocations exactly —
 // they are deterministic — at R = 39 and R = 192: the same small count at
@@ -47,6 +49,7 @@ func TestSubmitAllocBudget(t *testing.T) {
 		}
 		r := ex.Registry().Len()
 		xor := []string{"w0c", "w5c", "w9c"} // nine non-zero components
+		ex.Registry().Row(xor[0])            // builds the cluster index
 		before := profileBySite(t)
 		allocs := testing.AllocsPerRun(runs, func() {
 			if _, err := ex.SubmitProduct("team", "batch-compute", 2, xor, 40); err != nil {
@@ -228,6 +231,7 @@ func TestSettledOrderRetainedCeiling(t *testing.T) {
 		if err := ex.OpenAccount("team"); err != nil {
 			t.Fatal(err)
 		}
+		ex.Registry().Row("") // builds the cluster index
 		before := profileBySite(t)
 		for w := 0; w < waves; w++ {
 			for k := 0; k < perWave; k++ {

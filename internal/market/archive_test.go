@@ -70,7 +70,10 @@ func (r *seamRun) submit() {
 		if rng.Intn(2) == 0 {
 			clusters = clusters[rng.Intn(2):][:1]
 		}
-		o, err = e.SubmitProduct(team, "batch-compute", float64(2+rng.Intn(20)), clusters, float64(20+rng.Intn(400)))
+		var id int
+		if id, err = e.SubmitProduct(team, "batch-compute", float64(2+rng.Intn(20)), clusters, float64(20+rng.Intn(400))); err == nil {
+			o, err = e.Order(id)
+		}
 	case kind < 7: // vector π
 		o, err = e.Submit(team, &core.Bid{Bundles: []resource.Vector{vec(1), vec(1), vec(1)},
 			BundleLimits: []float64{float64(30 + rng.Intn(200)), float64(30 + rng.Intn(200)), float64(30 + rng.Intn(200))}})
@@ -527,13 +530,11 @@ func raceSubmitIntoSnapshot(t *testing.T) bool {
 	late := make(chan int, 1)
 	go func() {
 		<-failed // the image is built, its locks released, its first write refused
-		o, err := e.SubmitProduct("ads", "batch-compute", 1, []string{"beta"}, 123)
+		id, err := e.SubmitProduct("ads", "batch-compute", 1, []string{"beta"}, 123)
 		if err != nil {
 			t.Error(err)
-			late <- -1
-		} else {
-			late <- o.ID
 		}
+		late <- id
 		acked.Store(true)
 	}()
 	err = e.Snapshot()
@@ -592,14 +593,14 @@ func TestSubmitRacesSnapshot(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
-				o, err := e.SubmitProduct(team, "batch-compute", 1, []string{"alpha", "beta"}, float64(5+i%50))
+				id, err := e.SubmitProduct(team, "batch-compute", 1, []string{"alpha", "beta"}, float64(5+i%50))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				acked[g] = append(acked[g], o.ID)
+				acked[g] = append(acked[g], id)
 				if i%7 == 0 {
-					_ = e.Cancel(o.ID)
+					_ = e.Cancel(id)
 				}
 			}
 		}()
@@ -662,10 +663,10 @@ func TestArchiveBytesPerOrder(t *testing.T) {
 	}{
 		{"planet 4-cluster product order", 100, func(e *market.Exchange, k int) (int, error) {
 			window := []string{fmt.Sprintf("p%d", k%12), fmt.Sprintf("p%d", (k+1)%12), fmt.Sprintf("p%d", (k+2)%12), fmt.Sprintf("p%d", (k+3)%12)}
-			return e.SubmitProductID("team", "batch-compute", 1, window, float64(5+k%60))
+			return e.SubmitProduct("team", "batch-compute", 1, window, float64(5+k%60))
 		}},
 		{"1-cluster federation leg", 88, func(e *market.Exchange, k int) (int, error) {
-			return e.SubmitProductID("team", "batch-compute", 1, []string{fmt.Sprintf("p%d", k%12)}, float64(5+k%60))
+			return e.SubmitProduct("team", "batch-compute", 1, []string{fmt.Sprintf("p%d", k%12)}, float64(5+k%60))
 		}},
 		{"vector-π seller", 100, func(e *market.Exchange, k int) (int, error) {
 			reg := e.Registry()

@@ -110,7 +110,7 @@ func TestRecheckRefusesOvercommit(t *testing.T) {
 					runtime.Gosched()
 				}
 				var err error
-				if ids[k], err = ex.SubmitProductID("team", "batch-compute", 1, []string{"c1"}, limit); err != nil {
+				if ids[k], err = ex.SubmitProduct("team", "batch-compute", 1, []string{"c1"}, limit); err != nil {
 					ids[k] = -1
 				}
 			}()
@@ -212,7 +212,7 @@ func TestShardedPipelineStressConservation(t *testing.T) {
 				for _, pi := range rng.Perm(len(clusters))[:n] {
 					cs = append(cs, clusters[pi])
 				}
-				o, err := ex.SubmitProduct(team, "batch-compute", 1+rng.Float64()*2, cs, 2+rng.Float64()*60)
+				id, err := ex.SubmitProduct(team, "batch-compute", 1+rng.Float64()*2, cs, 2+rng.Float64()*60)
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
@@ -220,9 +220,9 @@ func TestShardedPipelineStressConservation(t *testing.T) {
 				switch i % 4 {
 				case 0:
 					// Cancel may legitimately lose the race with the clock.
-					_ = ex.Cancel(o.ID)
+					_ = ex.Cancel(id)
 				case 1:
-					if got, err := ex.Order(o.ID); err != nil || got.ID != o.ID {
+					if got, err := ex.Order(id); err != nil || got.ID != id {
 						t.Errorf("order poll: %+v, %v", got, err)
 						return
 					}

@@ -59,11 +59,11 @@ var degradeSites = []struct {
 	}},
 	{"cancel", func(t *testing.T, e *market.Exchange) func() error {
 		openTeams(t, e)
-		o, err := e.SubmitProduct("ads", "batch-compute", 1, []string{"alpha"}, 500)
+		id, err := e.SubmitProduct("ads", "batch-compute", 1, []string{"alpha"}, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return func() error { return e.Cancel(o.ID) }
+		return func() error { return e.Cancel(id) }
 	}},
 	{"auction-settlement", func(t *testing.T, e *market.Exchange) func() error {
 		submitPair(t, e)
@@ -220,7 +220,7 @@ func TestBoundedFaultBurstHealsInvisibly(t *testing.T) {
 	openTeams(t, ex)
 
 	inj.Arm([]fault.Window{{Op: fault.OpDiskWrite, Kind: fault.ENOSPC, Count: 3}})
-	o, err := ex.SubmitProduct("ads", "batch-compute", 1, []string{"alpha"}, 500)
+	id, err := ex.SubmitProduct("ads", "batch-compute", 1, []string{"alpha"}, 500)
 	if err != nil {
 		t.Fatalf("submit under bounded burst: %v", err)
 	}
@@ -244,7 +244,7 @@ func TestBoundedFaultBurstHealsInvisibly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	ro, err := recovered.Order(o.ID)
+	ro, err := recovered.Order(id)
 	if err != nil || ro.Status != market.Open {
 		t.Fatalf("burst-healed order not durable: %+v, %v", ro, err)
 	}

@@ -569,63 +569,48 @@ func (e *Exchange) creditBalance(team string, amount float64) {
 // clusters (XOR), with a limit price. The order's bid is user
 // team/product with one bundle per named cluster, held as rows: what an
 // order costs in time and memory depends on the clusters it names, not on
-// the size of the planet.
-func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (*Order, error) {
-	_, snap, err := e.submitProduct(team, product, qty, clusters, limit, true)
-	return snap, err
-}
-
-// SubmitProductID is SubmitProduct for a caller that keeps only the
-// order's id and polls Outcome: the same admission path, without the
-// snapshot.
-func (e *Exchange) SubmitProductID(team, product string, qty float64, clusters []string, limit float64) (int, error) {
-	id, _, err := e.submitProduct(team, product, qty, clusters, limit, false)
-	return id, err
-}
-
-// SubmitProductRows is SubmitProductID for a caller that resolved its
-// clusters to rows of the exchange's registry (Registry.Row) ahead of
-// time — the federation's router, once per cluster when it is built: the
-// same admission path, without hashing a cluster name. A row that names
-// no pool, or a pool outside the registry, is refused.
-func (e *Exchange) SubmitProductRows(team, product string, qty float64, rows []resource.PoolRow, limit float64) (int, error) {
-	id, _, err := e.submitRows(team, product, qty, rows, nil, limit, false)
-	return id, err
-}
-
-// submitProduct resolves the named clusters to registry rows and admits
-// them as submitRows does; an unknown cluster resolves to a row of no
-// pool, which submitRows refuses by name.
-func (e *Exchange) submitProduct(team, product string, qty float64, clusters []string, limit float64, snap bool) (int, *Order, error) {
+// the size of the planet. It returns the booked order's id; read the
+// order with Order, or poll Outcome. Each name is hashed once
+// (Registry.Row); an unknown cluster is refused by name.
+func (e *Exchange) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (int, error) {
 	var rowBuf [4]resource.PoolRow
 	rows := rowBuf[:0]
 	for _, cl := range clusters {
 		row, _ := e.reg.Row(cl)
 		rows = append(rows, row)
 	}
-	return e.submitRows(team, product, qty, rows, clusters, limit, snap)
+	return e.submitRows(team, product, qty, rows, clusters, limit)
+}
+
+// SubmitProductRows is SubmitProduct for a caller that resolved its
+// clusters to rows of the exchange's registry (Registry.Row) ahead of
+// time — the federation's router, once per cluster when it is built: the
+// same admission path, without hashing a cluster name. A row that names
+// no pool, or a pool outside the registry, is refused.
+func (e *Exchange) SubmitProductRows(team, product string, qty float64, rows []resource.PoolRow, limit float64) (int, error) {
+	return e.submitRows(team, product, qty, rows, nil, limit)
 }
 
 // submitRows is the one admission path of a product order: one bundle per
 // row, each the cover's quantity of the row's pools. names, when not nil,
 // names the rows' clusters for the unknown-cluster error.
-func (e *Exchange) submitRows(team, product string, qty float64, rows []resource.PoolRow, names []string, limit float64, snap bool) (int, *Order, error) {
+func (e *Exchange) submitRows(team, product string, qty float64, rows []resource.PoolRow, names []string, limit float64) (int, error) {
 	p, err := e.catalog.Lookup(product)
 	if err != nil {
-		return -1, nil, e.rejected(err)
+		return -1, e.rejected(err)
 	}
 	// qty <= 0 alone would wave NaN through (every comparison with NaN
 	// is false) and let it poison the cover vector; a non-positive or
 	// non-finite limit would book an order that can never win but still
 	// sits in every clock.
 	if math.IsNaN(qty) || math.IsInf(qty, 0) || qty <= 0 {
-		return -1, nil, e.rejected(fmt.Errorf("market: quantity must be positive, got %g", qty))
+		return -1, e.rejected(fmt.Errorf("market: quantity must be positive, got %g", qty))
 	}
 	if math.IsNaN(limit) || math.IsInf(limit, 0) || limit <= 0 {
-		return -1, nil, e.rejected(fmt.Errorf("market: limit must be a positive, finite number, got %g", limit))
+		return -1, e.rejected(fmt.Errorf("market: limit must be a positive, finite number, got %g", limit))
 	}
 	if len(rows) == 0 {
-		return -1, nil, e.rejected(errors.New("market: no clusters named"))
+		return -1, e.rejected(errors.New("market: no clusters named"))
 	}
 	// One bundle per cluster, built as (pool, quantity) rows straight
 	// from the registry indices: no R-length vector exists at any point.
@@ -642,25 +627,26 @@ func (e *Exchange) submitRows(team, product string, qty float64, rows []resource
 				continue
 			}
 			if int(i) >= e.reg.Len() {
-				return -1, nil, e.rejected(fmt.Errorf("market: cluster row %d names pool %d of %d", k, i, e.reg.Len()))
+				return -1, e.rejected(fmt.Errorf("market: cluster row %d names pool %d of %d", k, i, e.reg.Len()))
 			}
 			pools, qtys = append(pools, i), append(qtys, cover.Get(resource.StandardDimensions[d]))
 			found = true
 		}
 		if !found {
 			if names != nil {
-				return -1, nil, e.rejected(fmt.Errorf("market: unknown cluster %q", names[k]))
+				return -1, e.rejected(fmt.Errorf("market: unknown cluster %q", names[k]))
 			}
-			return -1, nil, e.rejected(fmt.Errorf("market: cluster row %d names no pool", k))
+			return -1, e.rejected(fmt.Errorf("market: cluster row %d names no pool", k))
 		}
 		ends = append(ends, len(pools))
 	}
 	if err := e.rejectIfDegraded(); err != nil {
-		return -1, nil, e.rejected(err)
+		return -1, e.rejected(err)
 	}
 	bo := newBookedOrder(Order{}, &core.Bid{Limit: limit})
 	bo.bid.PackSparse(e.reg.Len(), ends, pools, qtys)
-	return e.submitOwned(team, product, bo, snap)
+	id, _, err := e.submitOwned(team, product, bo, false)
+	return id, err
 }
 
 // Cancel withdraws an open order. An order whose batch is currently

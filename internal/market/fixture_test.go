@@ -61,7 +61,7 @@ func fixtureScript(t *testing.T, e *market.Exchange) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Cancel(late.ID); err != nil {
+	if err := e.Cancel(late); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.SubmitProduct("maps", "batch-compute", 1, []string{"alpha", "beta"}, 150); err != nil {

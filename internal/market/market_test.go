@@ -195,7 +195,11 @@ func TestSubmitProductTwoStep(t *testing.T) {
 	if err := e.OpenAccount("storage-team"); err != nil {
 		t.Fatal(err)
 	}
-	o, err := e.SubmitProduct("storage-team", "gfs-storage", 10, []string{"r1", "r2"}, 500)
+	id, err := e.SubmitProduct("storage-team", "gfs-storage", 10, []string{"r1", "r2"}, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := e.Order(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +239,7 @@ func TestCancelRejectedDuringAuction(t *testing.T) {
 	if err := e.OpenAccount("a"); err != nil {
 		t.Fatal(err)
 	}
-	o, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 50)
+	id, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +247,11 @@ func TestCancelRejectedDuringAuction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Cancel(o.ID); err == nil {
+	if err := e.Cancel(id); err == nil {
 		t.Error("cancel accepted while batch is settling")
 	}
 	e.releaseBatch(open)
-	if err := e.Cancel(o.ID); err != nil {
+	if err := e.Cancel(id); err != nil {
 		t.Errorf("cancel after batch release: %v", err)
 	}
 }
@@ -257,14 +261,14 @@ func TestCancel(t *testing.T) {
 	if err := e.OpenAccount("a"); err != nil {
 		t.Fatal(err)
 	}
-	o, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 50)
+	id, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Cancel(o.ID); err != nil {
+	if err := e.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Cancel(o.ID); err == nil {
+	if err := e.Cancel(id); err == nil {
 		t.Error("double cancel accepted")
 	}
 	if err := e.Cancel(999); err == nil {
@@ -856,11 +860,15 @@ func TestReadPathsReturnSnapshots(t *testing.T) {
 	if err := e.OpenAccount("a"); err != nil {
 		t.Fatal(err)
 	}
-	o, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 50)
+	id, err := e.SubmitProduct("a", "batch-compute", 1, []string{"r2"}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Scribbling on the returned order must not affect the book.
+	o, err := e.Order(id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	o.Status = Cancelled
 	if got := e.OpenOrders(); len(got) != 1 {
 		t.Fatalf("open orders = %d after mutating a snapshot", len(got))
@@ -921,7 +929,7 @@ func TestConcurrentTraffic(t *testing.T) {
 		go func(team string) {
 			defer traders.Done()
 			for i := 0; i < 40; i++ {
-				o, err := e.SubmitProduct(team, "batch-compute", 1, []string{"r2"}, 3)
+				id, err := e.SubmitProduct(team, "batch-compute", 1, []string{"r2"}, 3)
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
@@ -929,7 +937,7 @@ func TestConcurrentTraffic(t *testing.T) {
 				if i%4 == 0 {
 					// Cancel may legitimately lose the race with the
 					// settling auction.
-					_ = e.Cancel(o.ID)
+					_ = e.Cancel(id)
 				}
 				if _, err := e.Balance(team); err != nil {
 					t.Errorf("balance: %v", err)
@@ -1062,15 +1070,18 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 			// One bid value and one vector, reused for every Submit.
 			mine := &core.Bid{Bundles: []resource.Vector{reg.Zero()}, BundleLimits: []float64{0}}
 			for i := 0; i < perTrader; i++ {
-				var o *Order
+				var id int
 				var err error
 				qty := 0.0
 				if i%2 == 0 {
-					o, err = e.SubmitProduct(team, "batch-compute", 1, []string{"r1", "r2"}[:1+i%4/2], float64(2+(i+g)%7))
+					id, err = e.SubmitProduct(team, "batch-compute", 1, []string{"r1", "r2"}[:1+i%4/2], float64(2+(i+g)%7))
 				} else {
 					qty = float64(1 + i%5)
 					mine.Bundles[0][r2cpu], mine.BundleLimits[0] = qty, float64(2+(i+g)%7)
-					o, err = e.Submit(team, mine)
+					var o *Order
+					if o, err = e.Submit(team, mine); err == nil {
+						id = o.ID
+					}
 					if mine.User != "" || len(mine.Bundles) != 1 || mine.NumBundles() != 1 || mine.Bundles[0][r2cpu] != qty {
 						t.Errorf("Submit wrote the caller's bid: %+v", mine)
 					}
@@ -1080,10 +1091,10 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 					return
 				}
 				mu.Lock()
-				wantCPU[o.ID] = qty
+				wantCPU[id] = qty
 				mu.Unlock()
 				if i%3 == 0 {
-					_ = e.Cancel(o.ID) // may lose the race with a settling clock
+					_ = e.Cancel(id) // may lose the race with a settling clock
 				}
 			}
 		}(g)
@@ -1101,7 +1112,7 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	open, terminal := 0, 0
-	for id := 0; id <= last.ID; id++ {
+	for id := 0; id <= last; id++ {
 		o, err := e.Order(id) // terminal orders exist only as records: read the view
 		if err != nil {
 			t.Fatal(err)
@@ -1316,7 +1327,7 @@ func TestSubmitProductRowsMatchesNames(t *testing.T) {
 			}
 			names, rows = append(names, name), append(rows, row)
 		}
-		idN, errN := byName.SubmitProductID(team, product, qty, names, limit)
+		idN, errN := byName.SubmitProduct(team, product, qty, names, limit)
 		idR, errR := byRow.SubmitProductRows(team, product, qty, rows, limit)
 		if idN != idR || fmt.Sprint(errN) != fmt.Sprint(errR) {
 			t.Fatalf("order %d: by name %d, %v; by row %d, %v", i, idN, errN, idR, errR)

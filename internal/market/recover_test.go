@@ -54,17 +54,17 @@ func driveMarket(t testing.TB, e *market.Exchange) {
 			t.Fatal(err)
 		}
 	}
-	submit := func(team string, qty float64, clusters []string, limit float64) *market.Order {
-		o, err := e.SubmitProduct(team, "batch-compute", qty, clusters, limit)
+	submit := func(team string, qty float64, clusters []string, limit float64) int {
+		id, err := e.SubmitProduct(team, "batch-compute", qty, clusters, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return o
+		return id
 	}
 	submit("ads", 2, []string{"alpha"}, 600)
 	submit("maps", 1, []string{"alpha", "beta"}, 400)
 	victim := submit("search", 1, []string{"beta"}, 300)
-	if err := e.Cancel(victim.ID); err != nil {
+	if err := e.Cancel(victim); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := e.RunAuction(); err != nil {

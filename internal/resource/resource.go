@@ -90,10 +90,11 @@ type Registry struct {
 }
 
 // clusterIndex lists the distinct cluster names in first-seen order and,
-// beside each, the indices of its pools, ascending.
+// beside each, the indices of its pools, ascending, and its PoolRow.
 type clusterIndex struct {
 	names  []string
 	pools  [][]int
+	rows   []PoolRow
 	byName map[string]int
 }
 
@@ -112,8 +113,14 @@ func (r *Registry) byCluster() *clusterIndex {
 			ix.byName[p.Cluster] = k
 			ix.names = append(ix.names, p.Cluster)
 			ix.pools = append(ix.pools, nil)
+			ix.rows = append(ix.rows, noRow)
 		}
 		ix.pools[k] = append(ix.pools[k], i)
+		for s, d := range StandardDimensions {
+			if p.Dim == d {
+				ix.rows[k][s] = int32(i)
+			}
+		}
 	}
 	r.clusters.Store(ix)
 	return ix
@@ -170,16 +177,19 @@ func (r *Registry) Index(p Pool) (int, bool) {
 // then price or book the cluster without hashing the name again.
 type PoolRow [3]int32
 
+// noRow is the PoolRow of a cluster with no standard-dimension pool.
+var noRow = PoolRow{-1, -1, -1}
+
 // Row returns the cluster's PoolRow; ok is false when the cluster has no
-// pool of a standard dimension.
+// pool of a standard dimension. It hashes the name once, in the cluster
+// index, which the first lookup after an Add builds.
 func (r *Registry) Row(cluster string) (row PoolRow, ok bool) {
-	for k, d := range StandardDimensions {
-		row[k] = -1
-		if i, found := r.index[Pool{Cluster: cluster, Dim: d}]; found {
-			row[k], ok = int32(i), true
-		}
+	ix := r.byCluster()
+	k, found := ix.byName[cluster]
+	if !found {
+		return noRow, false
 	}
-	return row, ok
+	return ix.rows[k], ix.rows[k] != noRow
 }
 
 // MustIndex is like Index but panics on an unregistered pool. It is meant

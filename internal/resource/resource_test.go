@@ -105,6 +105,70 @@ func TestRegistryRow(t *testing.T) {
 	}
 }
 
+// indexRow is Row's definition, one Index lookup a standard dimension.
+func indexRow(r *Registry, cluster string) (row PoolRow, ok bool) {
+	for k, d := range StandardDimensions {
+		row[k] = -1
+		if i, found := r.Index(Pool{Cluster: cluster, Dim: d}); found {
+			row[k], ok = int32(i), true
+		}
+	}
+	return row, ok
+}
+
+// TestRegistryRowMatchesIndex holds Row, which reads the cluster index,
+// to the per-dimension Index lookups it replaces.
+func TestRegistryRowMatchesIndex(t *testing.T) {
+	r := NewRegistry(
+		Pool{Cluster: "a", Dim: Disk}, Pool{Cluster: "a", Dim: CPU},
+		Pool{Cluster: "net", Dim: Network}, Pool{Cluster: "a", Dim: RAM},
+	)
+	check := func(when string, clusters ...string) {
+		t.Helper()
+		for _, cl := range clusters {
+			row, ok := r.Row(cl)
+			want, wantOK := indexRow(r, cl)
+			if row != want || ok != wantOK {
+				t.Errorf("%s: Row(%q) = %v, %t; Index gives %v, %t", when, cl, row, ok, want, wantOK)
+			}
+		}
+	}
+	check("built", "a", "net", "nope", "")
+	// Add drops the index Row built: the new cluster, and a standard pool
+	// of the Network-only one, are seen.
+	r.Add(Pool{Cluster: "late", Dim: RAM})
+	r.Add(Pool{Cluster: "net", Dim: CPU})
+	check("after Add", "a", "net", "late", "nope")
+}
+
+// FuzzRegistryRow registers pools from byte pairs (cluster, dimension),
+// resolving a name after every pair whose cluster byte is odd so the
+// index is built and dropped mid-way, and holds Row to indexRow for
+// every cluster and the fuzzed name.
+func FuzzRegistryRow(f *testing.F) {
+	f.Add([]byte{0, 2, 0, 0, 1, 3, 2, 1}, "c0")
+	f.Add([]byte{5, 3, 5, 3}, "c5")
+	f.Add([]byte{}, "")
+	f.Fuzz(func(t *testing.T, pairs []byte, name string) {
+		var r Registry
+		names := []string{name}
+		for i := 0; i+1 < len(pairs); i += 2 {
+			cl := "c" + string(rune('0'+pairs[i]%8))
+			r.Add(Pool{Cluster: cl, Dim: Dimension(pairs[i+1] % byte(numDimensions))})
+			names = append(names, cl)
+			if pairs[i]%2 == 1 {
+				r.Row(name)
+			}
+		}
+		for _, cl := range names {
+			row, ok := r.Row(cl)
+			if want, wantOK := indexRow(&r, cl); row != want || ok != wantOK {
+				t.Fatalf("Row(%q) = %v, %t; Index gives %v, %t", cl, row, ok, want, wantOK)
+			}
+		}
+	})
+}
+
 func TestRegistryMustIndexPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -86,3 +86,25 @@ func TestOrdersJSONAllocBudget(t *testing.T) {
 		t.Fatalf("/api/orders.json?limit=50 allocates %.1f per request, budget %d", got, budget)
 	}
 }
+
+// TestFedBidSubmitAllocBudget is TestBidSubmitAllocBudget for the
+// federated front end's /bid/submit, which routes a two-region XOR
+// order: 10 allocations, 11 under the race detector. The cluster list is
+// split into a stack buffer, as on the single-market form; splitting it
+// onto the heap made 12.
+func TestFedBidSubmitAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation count")
+	}
+	fed, _ := fedFixture(t)
+	const budget = 11
+	got := allocsNetOfHarness(NewFederated(fed), "POST", "/bid/submit",
+		"team=search&product=batch-compute&qty=1&clusters=hot-r1,cold-r1&limit=50")
+	if n := len(fed.Orders()); n < 200 {
+		t.Fatalf("only %d bids routed: the runs were not accepted submits", n)
+	}
+	t.Logf("federated /bid/submit: %.1f allocations net of the harness", got)
+	if got > budget {
+		t.Fatalf("federated /bid/submit allocates %.1f per request, budget %d", got, budget)
+	}
+}

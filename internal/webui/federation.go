@@ -167,7 +167,8 @@ func (s *FedServer) handleGlobalBid(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "limit must be a positive, finite number", http.StatusBadRequest)
 		return
 	}
-	if _, err := s.fed.SubmitProduct(team, f.product, qty, splitCSV(nil, f.clusters), limit); err != nil {
+	var clusters [8]string
+	if _, err := s.fed.SubmitProduct(team, f.product, qty, splitCSV(clusters[:0], f.clusters), limit); err != nil {
 		fail(err.Error())
 		return
 	}

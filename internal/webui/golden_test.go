@@ -96,7 +96,7 @@ func frontDoorScript(t *testing.T, prefix string) []goldenResponse {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ex.Cancel(late.ID); err != nil {
+	if err := ex.Cancel(late); err != nil {
 		t.Fatal(err)
 	}
 	do(s, "GET", "/api/orders.json?limit=50", nil)

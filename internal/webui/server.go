@@ -295,17 +295,18 @@ func (s *Server) handleBidPreview(w http.ResponseWriter, r *http.Request) {
 	var options []bidOption
 	suggested := 0.0
 	for _, cl := range clusters {
-		cost := 0.0
-		found := false
-		for _, d := range resource.StandardDimensions {
-			if i, ok := reg.Index(resource.Pool{Cluster: cl, Dim: d}); ok {
-				cost += cover.Get(d) * prices[i]
-				found = true
-			}
-		}
-		if !found {
+		// The submit resolves the name the same way, so the two agree on
+		// what an unknown cluster is.
+		row, ok := reg.Row(cl)
+		if !ok {
 			s.redirectErr(w, r, fmt.Sprintf("unknown cluster %q", cl))
 			return
+		}
+		cost := 0.0
+		for k, i := range row {
+			if i >= 0 {
+				cost += cover.Get(resource.StandardDimensions[k]) * prices[i]
+			}
 		}
 		options = append(options, bidOption{Cluster: cl, Cover: cover, Cost: cost})
 		if suggested == 0 || cost < suggested {
@@ -348,7 +349,7 @@ func (s *Server) handleBidSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var clusters [8]string
-	id, err := s.ex.SubmitProductID(team, f.product, qty, splitCSV(clusters[:0], f.clusters), limit)
+	id, err := s.ex.SubmitProduct(team, f.product, qty, splitCSV(clusters[:0], f.clusters), limit)
 	if err != nil {
 		s.redirectErr(w, r, err.Error())
 		return
