@@ -122,6 +122,8 @@ func main() {
 	health.SetJournal(*journalDir, *journalDir != "")
 
 	var handler http.Handler
+	// exs are the markets the health loop checks.
+	var exs []*market.Exchange
 	// closeJournal flushes, fsyncs, and unlocks the journal(s) after the
 	// HTTP server has drained — the durability half of graceful shutdown.
 	closeJournal := func() error { return nil }
@@ -137,14 +139,9 @@ func main() {
 		} else {
 			log.Printf("marketd: epoch loop disabled; settle per region via POST /region/<name>/auction/run")
 		}
-		// Serve ticks inside the federation, so health checks run on their
-		// own clock rather than a per-tick hook.
-		exs := make([]*market.Exchange, 0, *regions)
 		for _, r := range fed.Regions() {
 			exs = append(exs, r.Exchange())
 		}
-		health.RecordCheck(time.Now(), liveViolations(exs...))
-		go healthLoop(ctx, health, *epoch, exs...)
 		s := webui.NewFederated(fed)
 		s.SetHealth(health)
 		handler = s
@@ -155,14 +152,13 @@ func main() {
 			log.Fatal("marketd: ", err)
 		}
 		closeJournal = closer
-		health.RecordCheck(time.Now(), liveViolations(ex))
+		exs = []*market.Exchange{ex}
 		if *epoch > 0 {
 			loop, err := market.NewLoop(ex, *epoch)
 			if err != nil {
 				log.Fatal("marketd: ", err)
 			}
 			loop.OnTick = func(rec *market.AuctionRecord, err error) {
-				health.RecordCheck(time.Now(), liveViolations(ex))
 				if err != nil {
 					log.Printf("marketd: epoch auction: %v", err)
 					return
@@ -173,7 +169,6 @@ func main() {
 			go loop.Run(ctx)
 			log.Printf("marketd: epoch auction loop settling every %s", *epoch)
 		} else {
-			go healthLoop(ctx, health, 0, ex)
 			log.Printf("marketd: epoch loop disabled; settle via POST /auction/run")
 		}
 		s := webui.New(ex)
@@ -181,6 +176,10 @@ func main() {
 		handler = s
 		log.Printf("marketd: serving trading platform on %s", *addr)
 	}
+	// The invariant checks run on their own clock, once an epoch, in
+	// both modes: the first before serving, so /healthz answers from it.
+	health.RecordCheck(time.Now(), liveViolations(exs...))
+	go healthLoop(ctx, health, *epoch, exs...)
 
 	if err := serve(ctx, *addr, handler); err != nil {
 		closeJournal()
@@ -250,8 +249,8 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
-// healthCheckInterval is the /healthz invariant-check cadence when no
-// epoch loop exists to hook.
+// healthCheckInterval is the /healthz invariant-check cadence when the
+// epoch loop is disabled.
 const healthCheckInterval = 30 * time.Second
 
 // liveViolations runs the invariant checks that are valid while

@@ -62,7 +62,7 @@ func (r *seamRun) submit() {
 		}
 		return q
 	}
-	var o *market.Order
+	var id int
 	var err error
 	switch kind := rng.Intn(12); {
 	case kind < 5:
@@ -70,19 +70,16 @@ func (r *seamRun) submit() {
 		if rng.Intn(2) == 0 {
 			clusters = clusters[rng.Intn(2):][:1]
 		}
-		var id int
-		if id, err = e.SubmitProduct(team, "batch-compute", float64(2+rng.Intn(20)), clusters, float64(20+rng.Intn(400))); err == nil {
-			o, err = e.Order(id)
-		}
+		id, err = e.SubmitProduct(team, "batch-compute", float64(2+rng.Intn(20)), clusters, float64(20+rng.Intn(400)))
 	case kind < 7: // vector π
-		o, err = e.Submit(team, &core.Bid{Bundles: []resource.Vector{vec(1), vec(1), vec(1)},
+		id, err = e.Submit(team, &core.Bid{Bundles: []resource.Vector{vec(1), vec(1), vec(1)},
 			BundleLimits: []float64{float64(30 + rng.Intn(200)), float64(30 + rng.Intn(200)), float64(30 + rng.Intn(200))}})
 	case kind < 8: // seller
-		o, err = e.Submit(team, &core.Bid{User: team + "/resale", Bundles: []resource.Vector{vec(-1)}, Limit: -float64(1 + rng.Intn(5))})
+		id, err = e.Submit(team, &core.Bid{User: team + "/resale", Bundles: []resource.Vector{vec(-1)}, Limit: -float64(1 + rng.Intn(5))})
 	case kind < 9: // trader: buys one pool, sells another
 		q := reg.Zero()
 		q[0], q[reg.Len()-1] = float64(1+rng.Intn(3)), -float64(1+rng.Intn(3))
-		o, err = e.Submit(team, &core.Bid{Bundles: []resource.Vector{q}, Limit: float64(rng.Intn(40))})
+		id, err = e.Submit(team, &core.Bid{Bundles: []resource.Vector{q}, Limit: float64(rng.Intn(40))})
 	case kind < 11: // a −0 component is booked as absent
 		q := vec(1)
 		for i := range q {
@@ -91,7 +88,7 @@ func (r *seamRun) submit() {
 				break
 			}
 		}
-		o, err = e.Submit(team, &core.Bid{Bundles: []resource.Vector{q}, Limit: float64(20 + rng.Intn(300))})
+		id, err = e.Submit(team, &core.Bid{Bundles: []resource.Vector{q}, Limit: float64(20 + rng.Intn(300))})
 	default: // 900 bundles of up to six pools: far wider than one row chunk
 		wide := make([]resource.Vector, 900)
 		for i := range wide {
@@ -100,12 +97,12 @@ func (r *seamRun) submit() {
 				wide[i][p] = float64(1 + (i+p)%7)
 			}
 		}
-		o, err = e.Submit(team, &core.Bid{Bundles: wide, Limit: float64(50 + rng.Intn(100))})
+		id, err = e.Submit(team, &core.Bid{Bundles: wide, Limit: float64(50 + rng.Intn(100))})
 	}
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	r.open[o.ID] = true
+	r.open[id] = true
 }
 
 // cancel withdraws one open order and holds the archived view to the
@@ -676,12 +673,8 @@ func TestArchiveBytesPerOrder(t *testing.T) {
 				v[reg.MustIndex(resource.Pool{Cluster: fmt.Sprintf("p%d", c), Dim: resource.RAM})] = -32
 				return v
 			}
-			o, err := e.Submit("team", &core.Bid{Bundles: []resource.Vector{offer(k % 12), offer((k + 5) % 12)},
+			return e.Submit("team", &core.Bid{Bundles: []resource.Vector{offer(k % 12), offer((k + 5) % 12)},
 				BundleLimits: []float64{-float64(1 + k%9), -float64(2 + k%7)}})
-			if err != nil {
-				return 0, err
-			}
-			return o.ID, nil
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

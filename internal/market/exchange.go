@@ -413,21 +413,19 @@ func (e *Exchange) Balance(team string) (float64, error) {
 // must be covered by the team's balance. The bid and its vectors are
 // only read: the booked order carries the bundles' packed rows (a −0
 // component is booked as absent), built here, so the caller is free to
-// reuse both once Submit returns. The returned Order is a snapshot —
-// its Bid has no Bundles; read them with Bid.Bundle or Bid.Row — poll
-// Order/Orders for settlement status.
-func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
+// reuse both once Submit returns. It returns the order's id (-1 on a
+// refusal); poll Order/Orders for settlement status.
+func (e *Exchange) Submit(team string, bid *core.Bid) (int, error) {
 	if err := e.rejectIfDegraded(); err != nil {
-		return nil, e.rejected(err)
+		return -1, e.rejected(err)
 	}
 	if bid == nil {
-		return nil, e.rejected(errors.New("market: nil bid"))
+		return -1, e.rejected(errors.New("market: nil bid"))
 	}
 	bo := newBookedOrder(Order{}, bid)
 	bo.bid.Pack() // packing is the defensive copy of the vectors
 	bo.bid.BundleLimits = append([]float64(nil), bid.BundleLimits...)
-	_, snap, err := e.submitOwned(team, "", bo, true)
-	return snap, err
+	return e.submitOwned(team, "", bo)
 }
 
 // submitOwned books an order whose bid the exchange owns outright and
@@ -435,9 +433,8 @@ func (e *Exchange) Submit(team string, bid *core.Bid) (*Order, error) {
 // here to the archive — validation, every clock, the partition remap,
 // events and snapshots all read it. A bid without a user is named after
 // the team, or team/product when product is set. It returns the booked
-// order's id and, when snap is set, a snapshot taken under the stripe lock
-// that booked it.
-func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool) (int, *Order, error) {
+// order's id.
+func (e *Exchange) submitOwned(team, product string, bo *bookedOrder) (int, error) {
 	b := &bo.bid
 
 	// Budget pre-check on the team's account stripe, without committing.
@@ -467,10 +464,10 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool)
 	}
 	// A malformed bid is reported before an unfunded one.
 	if err := b.Validate(e.reg.Len()); err != nil {
-		return -1, nil, e.rejected(err)
+		return -1, e.rejected(err)
 	}
 	if budgetErr != nil {
-		return -1, nil, e.rejected(budgetErr)
+		return -1, e.rejected(budgetErr)
 	}
 
 	// Book the order into the next stripe round-robin. The ID is
@@ -496,7 +493,7 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool)
 		// (IDs derive from stripe lengths, not the rotation counter).
 		as.mu.Unlock()
 		os.mu.Unlock()
-		return -1, nil, e.rejected(err)
+		return -1, e.rejected(err)
 	}
 	bo.Order = Order{ID: len(os.slots)*n + sIdx, Team: team, Bid: b, Status: Open, Auction: -1, Bundle: -1}
 	o := &bo.Order
@@ -509,19 +506,15 @@ func (e *Exchange) submitOwned(team, product string, bo *bookedOrder, snap bool)
 			e.submitSeq.Add(^uint64(0))
 			as.mu.Unlock()
 			os.mu.Unlock()
-			return -1, nil, err
+			return -1, err
 		}
 	}
 	e.bookOrderLocked(os, a, o)
 	as.mu.Unlock()
 	id := o.ID
-	var out *Order
-	if snap {
-		out = o.snapshot()
-	}
 	os.mu.Unlock()
 	e.metrics.submitted.Add(1)
-	return id, out, nil
+	return id, nil
 }
 
 // releaseCommitment removes an order leaving the Open state from its
@@ -645,8 +638,7 @@ func (e *Exchange) submitRows(team, product string, qty float64, rows []resource
 	}
 	bo := newBookedOrder(Order{}, &core.Bid{Limit: limit})
 	bo.bid.PackSparse(e.reg.Len(), ends, pools, qtys)
-	id, _, err := e.submitOwned(team, product, bo, false)
-	return id, err
+	return e.submitOwned(team, product, bo)
 }
 
 // Cancel withdraws an open order. An order whose batch is currently

@@ -173,11 +173,11 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := e.Submit("a", mk(2000)); err == nil {
 		t.Error("limit above budget accepted")
 	}
-	o, err := e.Submit("a", mk(600))
+	id, err := e.Submit("a", mk(600))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Status != Open || o.Side() != +1 {
+	if o, _ := e.Order(id); o.Status != Open || o.Side() != +1 {
 		t.Errorf("order = %+v", o)
 	}
 	// A second order may not overcommit the budget across open orders.
@@ -730,7 +730,7 @@ func TestCommitmentReleasedOnSettle(t *testing.T) {
 		v[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 5
 		return &core.Bid{Bundles: []resource.Vector{v}, Limit: limit}
 	}
-	o, err := e.Submit("a", mk(900))
+	id, err := e.Submit("a", mk(900))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -738,7 +738,7 @@ func TestCommitmentReleasedOnSettle(t *testing.T) {
 		t.Fatal("overcommit accepted")
 	}
 	// Cancelling releases the commitment.
-	if err := e.Cancel(o.ID); err != nil {
+	if err := e.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Submit("a", mk(900)); err != nil {
@@ -766,7 +766,11 @@ func TestSubmitDoesNotMutateCallerBid(t *testing.T) {
 	v := reg.Zero()
 	v[0] = 5
 	caller := &core.Bid{Bundles: []resource.Vector{v}, Limit: 10}
-	o, err := e.Submit("a", caller)
+	id, err := e.Submit("a", caller)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := e.Order(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,7 +786,7 @@ func TestSubmitDoesNotMutateCallerBid(t *testing.T) {
 	// The clone must be deep: the caller may reuse its vectors after
 	// Submit returns while the clock reads the booked bid lock-free.
 	v[0] = 999
-	if got, _ := e.Order(o.ID); got.Bid.Bundle(0)[0] != 5 {
+	if got, _ := e.Order(id); got.Bid.Bundle(0)[0] != 5 {
 		t.Errorf("booked bundle aliases caller's vector: %v", got.Bid.Bundle(0))
 	}
 }
@@ -1078,10 +1082,7 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 				} else {
 					qty = float64(1 + i%5)
 					mine.Bundles[0][r2cpu], mine.BundleLimits[0] = qty, float64(2+(i+g)%7)
-					var o *Order
-					if o, err = e.Submit(team, mine); err == nil {
-						id = o.ID
-					}
+					id, err = e.Submit(team, mine)
 					if mine.User != "" || len(mine.Bundles) != 1 || mine.NumBundles() != 1 || mine.Bundles[0][r2cpu] != qty {
 						t.Errorf("Submit wrote the caller's bid: %+v", mine)
 					}

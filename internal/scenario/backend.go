@@ -340,11 +340,7 @@ func (b *Backend) SubmitBid(clusterName, team string, bid *core.Bid) (int, error
 	if ex == nil {
 		return 0, fmt.Errorf("scenario: no market holds cluster %q", clusterName)
 	}
-	o, err := ex.Submit(team, bid)
-	if err != nil {
-		return 0, err
-	}
-	return o.ID, nil
+	return ex.Submit(team, bid)
 }
 
 // CancelBid withdraws a raw bid booked by SubmitBid, so a partially

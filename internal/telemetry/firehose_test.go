@@ -210,18 +210,16 @@ func TestHistogramBucketsAndSnapshot(t *testing.T) {
 
 func TestExpositionFormat(t *testing.T) {
 	var e Exposition
-	e.LabeledSeries("m_total", "counter", "A counter.", []LabeledValue{{Value: 42}})
-	e.LabeledSeries("m_open", "gauge", "A gauge.", []LabeledValue{{Value: 3}})
-	e.LabeledSeries("m_by_pool", "gauge", "Per pool.", []LabeledValue{
-		{Labels: []string{"pool", "r1/cpu"}, Value: 1.5},
-		{Labels: []string{"pool", "r2/cpu"}, Value: 2.5},
-	})
-	e.HistogramSeries("m_lat_seconds", "Latency.", []LabeledHistogram{{Snap: HistogramSnapshot{
+	e.Add("m_total", "counter", "A counter.", nil, 42)
+	e.Add("m_open", "gauge", "A gauge.", nil, 3)
+	e.Add("m_by_pool", "gauge", "Per pool.", []string{"pool", "r1/cpu"}, 1.5)
+	e.Add("m_by_pool", "gauge", "Per pool.", []string{"pool", "r2/cpu"}, 2.5)
+	e.AddHistogram("m_lat_seconds", "Latency.", nil, HistogramSnapshot{
 		Bounds: []float64{0.001, 0.01},
 		Counts: []uint64{3, 2},
 		Inf:    1,
 		Sum:    0.25,
-	}}})
+	})
 	out := e.String()
 	for _, want := range []string{
 		"# HELP m_total A counter.\n# TYPE m_total counter\nm_total 42\n",
@@ -243,12 +241,38 @@ func TestExpositionFormat(t *testing.T) {
 
 func TestExpositionLabelEscaping(t *testing.T) {
 	var e Exposition
-	e.LabeledSeries("m", "gauge", "Escapes.", []LabeledValue{
-		{Labels: []string{"k", `a"b\c` + "\nd"}, Value: 1},
-	})
+	e.Add("m", "gauge", "Escapes.", []string{"k", `a"b\c` + "\nd"}, 1)
 	want := `m{k="a\"b\\c\nd"} 1` + "\n"
 	if !strings.Contains(e.String(), want) {
 		t.Fatalf("escaped sample missing %q in:\n%s", want, e.String())
+	}
+}
+
+// TestExpositionOneHeaderPerFamily: two markets (regions) adding to the
+// same families, interleaved as a federated scrape adds them, get one
+// header per family; the members stay grouped under it in add order and
+// the families in first-add order.
+func TestExpositionOneHeaderPerFamily(t *testing.T) {
+	var e Exposition
+	lat := HistogramSnapshot{Bounds: []float64{0.001}, Counts: []uint64{1}, Sum: 0.0005}
+	for _, region := range []string{"hot", "cold"} {
+		e.Add("m_orders_total", "counter", "Orders.", []string{"region", region}, 1)
+		e.Add("m_open", "gauge", "Open.", []string{"region", region}, 2)
+		e.AddHistogram("m_fsync_seconds", "Fsync.", []string{"region", region}, lat)
+	}
+	want := "# HELP m_orders_total Orders.\n# TYPE m_orders_total counter\n" +
+		"m_orders_total{region=\"hot\"} 1\nm_orders_total{region=\"cold\"} 1\n" +
+		"# HELP m_open Open.\n# TYPE m_open gauge\n" +
+		"m_open{region=\"hot\"} 2\nm_open{region=\"cold\"} 2\n" +
+		"# HELP m_fsync_seconds Fsync.\n# TYPE m_fsync_seconds histogram\n" +
+		"m_fsync_seconds_bucket{region=\"hot\",le=\"0.001\"} 1\n" +
+		"m_fsync_seconds_bucket{region=\"hot\",le=\"+Inf\"} 1\n" +
+		"m_fsync_seconds_sum{region=\"hot\"} 0.0005\nm_fsync_seconds_count{region=\"hot\"} 1\n" +
+		"m_fsync_seconds_bucket{region=\"cold\",le=\"0.001\"} 1\n" +
+		"m_fsync_seconds_bucket{region=\"cold\",le=\"+Inf\"} 1\n" +
+		"m_fsync_seconds_sum{region=\"cold\"} 0.0005\nm_fsync_seconds_count{region=\"cold\"} 1\n"
+	if got := e.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 

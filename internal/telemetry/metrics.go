@@ -12,10 +12,58 @@ import (
 // (version 0.0.4: "# HELP"/"# TYPE" headers, then name{labels} value
 // samples). It is hand-rolled — the repo takes no external
 // dependencies — and covers exactly the subset the market exposes:
-// counters, gauges, and fixed-bucket histograms. Not safe for
-// concurrent use; build one per scrape.
+// counters, gauges, and fixed-bucket histograms. Samples are collected
+// by family, so several markets (one per region on a federated scrape)
+// can add to one family and it is still written once, with one header;
+// families render in first-add order, keeping scrapes deterministic and
+// diffable. The zero value is ready to use. Not safe for concurrent use;
+// build one per scrape.
 type Exposition struct {
-	b strings.Builder
+	order []*family
+	fams  map[string]*family
+}
+
+type family struct {
+	name, typ, help string
+	members         []member
+}
+
+// member is one labeled sample, or one labeled histogram in a
+// histogram family. Labels are alternating key/value pairs.
+type member struct {
+	labels []string
+	value  float64
+	hist   HistogramSnapshot
+}
+
+func (e *Exposition) family(name, typ, help string) *family {
+	f, ok := e.fams[name]
+	if !ok {
+		if e.fams == nil {
+			e.fams = make(map[string]*family)
+		}
+		f = &family{name: name, typ: typ, help: help}
+		e.fams[name] = f
+		e.order = append(e.order, f)
+	}
+	return f
+}
+
+// Add appends one sample to the named counter or gauge family; labels
+// are alternating key/value pairs. The first Add of a family fixes its
+// type and help text.
+func (e *Exposition) Add(name, typ, help string, labels []string, v float64) {
+	f := e.family(name, typ, help)
+	f.members = append(f.members, member{labels: labels, value: v})
+}
+
+// AddHistogram appends one labeled member to the named histogram family
+// (e.g. per-region fsync latency): its cumulative _bucket samples carry
+// the member labels plus le, and its _sum and _count the member labels
+// alone.
+func (e *Exposition) AddHistogram(name, help string, labels []string, snap HistogramSnapshot) {
+	f := e.family(name, "histogram", help)
+	f.members = append(f.members, member{labels: labels, hist: snap})
 }
 
 // escapeLabel escapes a label value per the exposition format.
@@ -32,74 +80,50 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func (e *Exposition) header(name, typ, help string) {
-	fmt.Fprintf(&e.b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func (e *Exposition) sample(name string, labels []string, v float64) {
-	e.b.WriteString(name)
+func writeSample(b *strings.Builder, name string, labels []string, v float64) {
+	b.WriteString(name)
 	if len(labels) > 0 {
-		e.b.WriteByte('{')
+		b.WriteByte('{')
 		for i := 0; i+1 < len(labels); i += 2 {
 			if i > 0 {
-				e.b.WriteByte(',')
+				b.WriteByte(',')
 			}
-			e.b.WriteString(labels[i])
-			e.b.WriteString(`="`)
-			e.b.WriteString(escapeLabel(labels[i+1]))
-			e.b.WriteByte('"')
+			b.WriteString(labels[i])
+			b.WriteString(`="`)
+			b.WriteString(escapeLabel(labels[i+1]))
+			b.WriteByte('"')
 		}
-		e.b.WriteByte('}')
+		b.WriteByte('}')
 	}
-	e.b.WriteByte(' ')
-	e.b.WriteString(formatValue(v))
-	e.b.WriteByte('\n')
+	b.WriteByte(' ')
+	b.WriteString(formatValue(v))
+	b.WriteByte('\n')
 }
 
-// LabeledSeries writes headers for one metric followed by one sample
-// per entry. Each entry's labels are alternating key/value pairs.
-func (e *Exposition) LabeledSeries(name, typ, help string, entries []LabeledValue) {
-	e.header(name, typ, help)
-	for _, ent := range entries {
-		e.sample(name, ent.Labels, ent.Value)
-	}
-}
-
-// LabeledValue is one sample of a labeled metric: alternating
-// key/value label pairs plus the value.
-type LabeledValue struct {
-	Labels []string
-	Value  float64
-}
-
-// LabeledHistogram is one labeled member of a histogram family.
-type LabeledHistogram struct {
-	Labels []string
-	Snap   HistogramSnapshot
-}
-
-// HistogramSeries writes one histogram family with one labeled member
-// per entry (e.g. per-region fsync latency): each member's cumulative
-// _bucket samples carry the member labels plus le, and its _sum and
-// _count carry the member labels alone.
-func (e *Exposition) HistogramSeries(name, help string, entries []LabeledHistogram) {
-	e.header(name, "histogram", help)
-	for _, ent := range entries {
-		h := ent.Snap
-		cum := uint64(0)
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
-			e.sample(name+"_bucket", append(append([]string(nil), ent.Labels...), "le", formatValue(bound)), float64(cum))
+// String renders the accumulated families.
+func (e *Exposition) String() string {
+	var b strings.Builder
+	for _, f := range e.order {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for _, m := range f.members {
+			if f.typ != "histogram" {
+				writeSample(&b, f.name, m.labels, m.value)
+				continue
+			}
+			h := m.hist
+			cum := uint64(0)
+			for i, bound := range h.Bounds {
+				cum += h.Counts[i]
+				writeSample(&b, f.name+"_bucket", append(append([]string(nil), m.labels...), "le", formatValue(bound)), float64(cum))
+			}
+			cum += h.Inf
+			writeSample(&b, f.name+"_bucket", append(append([]string(nil), m.labels...), "le", "+Inf"), float64(cum))
+			writeSample(&b, f.name+"_sum", m.labels, h.Sum)
+			writeSample(&b, f.name+"_count", m.labels, float64(cum))
 		}
-		cum += h.Inf
-		e.sample(name+"_bucket", append(append([]string(nil), ent.Labels...), "le", "+Inf"), float64(cum))
-		e.sample(name+"_sum", ent.Labels, h.Sum)
-		e.sample(name+"_count", ent.Labels, float64(cum))
 	}
+	return b.String()
 }
-
-// String returns the accumulated exposition text.
-func (e *Exposition) String() string { return e.b.String() }
 
 // ContentType is the exposition format's content type.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"

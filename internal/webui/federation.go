@@ -4,26 +4,26 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"clustermarket/internal/federation"
-	"clustermarket/internal/telemetry"
 )
 
 // FedServer is the federation's global front end: a planet-wide market
 // summary ranking the regions by price, the router's cross-region order
-// table, and the gossip price board — with every region's full trading
-// platform mounted for drill-down under /region/<name>/.
+// table, and the gossip price board — with every region's market pages
+// mounted for drill-down under /region/<name>/.
 type FedServer struct {
+	// ops serves /metrics, /healthz and /api/events over every region and
+	// the router.
+	ops
 	fed    *federation.Federation
 	mux    *http.ServeMux
 	global *template.Template
-	// health backs /healthz; nil serves a bare always-healthy snapshot.
-	health *telemetry.Health
 }
 
-// NewFederated builds the global front end over a federation.
+// NewFederated builds the global front end over a federation. The
+// federation's firehose feeds /api/events, so attach it first.
 func NewFederated(f *federation.Federation) *FedServer {
 	funcs := template.FuncMap{
 		"pct": func(x float64) float64 { return 100 * x },
@@ -36,10 +36,10 @@ func NewFederated(f *federation.Federation) *FedServer {
 	s.mux.HandleFunc("/", s.handleGlobal)
 	s.mux.HandleFunc("/bid/submit", s.handleGlobalBid)
 	s.mux.HandleFunc("/api/federation.json", s.handleFederationJSON)
-	s.mux.HandleFunc("/api/events", s.handleEvents)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	s.ops = ops{router: f, fire: f.Telemetry()}
+	s.route(s.mux)
 	for _, r := range f.Regions() {
+		s.markets = append(s.markets, opsMarket{name: r.Name(), ex: r.Exchange()})
 		prefix := "/region/" + r.Name()
 		s.mux.Handle(prefix+"/", http.StripPrefix(prefix, NewWithPrefix(r.Exchange(), prefix)))
 		// Manual settlement must go through the federation so the price
@@ -150,26 +150,13 @@ func (s *FedServer) handleGlobal(w http.ResponseWriter, r *http.Request) {
 // acceptable clusters may span regions, in which case the order becomes
 // cheapest-first cross-region legs (visible in the Routed orders table).
 func (s *FedServer) handleGlobalBid(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+	var buf [8]string
+	f, clusters, ok := readProductForm(w, r, buf[:0])
+	if !ok {
 		return
 	}
-	fail := func(msg string) { errRedirect(w, r, "/", msg) }
-	f := readBidForm(r)
-	team := strings.TrimSpace(f.team)
-	qty, err := strconv.ParseFloat(f.qty, 64)
-	if err != nil || !finitePositive(qty) {
-		http.Error(w, "quantity must be a positive, finite number", http.StatusBadRequest)
-		return
-	}
-	limit, err := strconv.ParseFloat(f.limit, 64)
-	if err != nil || !finitePositive(limit) {
-		http.Error(w, "limit must be a positive, finite number", http.StatusBadRequest)
-		return
-	}
-	var clusters [8]string
-	if _, err := s.fed.SubmitProduct(team, f.product, qty, splitCSV(clusters[:0], f.clusters), limit); err != nil {
-		fail(err.Error())
+	if _, err := s.fed.SubmitProduct(f.team, f.product, f.qty, clusters, f.limit); err != nil {
+		errRedirect(w, r, "/", err.Error())
 		return
 	}
 	http.Redirect(w, r, "/", http.StatusSeeOther)

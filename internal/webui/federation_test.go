@@ -13,11 +13,22 @@ import (
 	"clustermarket/internal/cluster"
 	"clustermarket/internal/federation"
 	"clustermarket/internal/market"
+	"clustermarket/internal/telemetry"
 )
 
 // fedFixture builds a hot+cold two-region federation with one team and
 // its global front end.
 func fedFixture(t *testing.T) (*federation.Federation, *httptest.Server) {
+	t.Helper()
+	fed := newFedWorld(t, nil)
+	ts := httptest.NewServer(NewFederated(fed))
+	t.Cleanup(ts.Close)
+	return fed, ts
+}
+
+// newFedWorld builds fedFixture's federation. A non-nil fire is the one
+// firehose both regions and the router publish to, as in marketd.
+func newFedWorld(t *testing.T, fire *telemetry.Firehose) *federation.Federation {
 	t.Helper()
 	mk := func(name string, util float64) *federation.Region {
 		rng := rand.New(rand.NewSource(5))
@@ -33,7 +44,7 @@ func fedFixture(t *testing.T) (*federation.Federation, *httptest.Server) {
 				t.Fatal(err)
 			}
 		}
-		r, err := federation.NewRegion(name, fleet, market.Config{InitialBudget: 1e6})
+		r, err := federation.NewRegion(name, fleet, market.Config{InitialBudget: 1e6, Telemetry: fire})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,12 +54,11 @@ func fedFixture(t *testing.T) (*federation.Federation, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fed.AttachTelemetry(fire)
 	if err := fed.OpenAccount("search"); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewFederated(fed))
-	t.Cleanup(ts.Close)
-	return fed, ts
+	return fed
 }
 
 func TestFedGlobalSummary(t *testing.T) {

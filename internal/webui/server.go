@@ -20,7 +20,6 @@ import (
 	"clustermarket/internal/cluster"
 	"clustermarket/internal/market"
 	"clustermarket/internal/resource"
-	"clustermarket/internal/telemetry"
 )
 
 // Server exposes one Exchange over HTTP. The Exchange is safe for
@@ -28,6 +27,9 @@ import (
 // serializes requests, and the epoch auction loop can settle while
 // traffic is in flight.
 type Server struct {
+	// ops serves /metrics, /healthz and /api/events on a root Server
+	// (New); a prefixed one leaves it empty and unrouted.
+	ops
 	ex *market.Exchange
 	// prefix is prepended to every generated link and redirect, so the
 	// same server can be mounted at a sub-path (a region drill-down under
@@ -49,9 +51,6 @@ type Server struct {
 	pricesAt         time.Time
 	pricesBody       []byte
 	pricesRefreshing bool
-
-	// health backs /healthz; nil serves a bare always-healthy snapshot.
-	health *telemetry.Health
 }
 
 // pricesView is the wire form of /api/prices.json: the preliminary
@@ -98,13 +97,19 @@ var pages = sync.OnceValue(func() *pageSet {
 	}
 })
 
-// New builds a Server around the exchange, serving from the root path.
-func New(ex *market.Exchange) *Server { return NewWithPrefix(ex, "") }
+// New builds a Server around the exchange, serving from the root path:
+// the market pages and the process's ops endpoints over the exchange.
+func New(ex *market.Exchange) *Server {
+	s := NewWithPrefix(ex, "")
+	s.ops = ops{markets: []opsMarket{{ex: ex}}, fire: ex.Telemetry()}
+	s.route(s.mux)
+	return s
+}
 
-// NewWithPrefix builds a Server whose generated links and redirects are
-// rooted at prefix (e.g. "/region/eu"). Mount it behind
-// http.StripPrefix(prefix, s) so incoming paths still match the bare
-// routes. It panics if the bid acknowledgement cannot be split into
+// NewWithPrefix builds a Server of market pages only, whose generated
+// links and redirects are rooted at prefix (e.g. "/region/eu"). Mount it
+// behind http.StripPrefix(prefix, s) so incoming paths still match the
+// bare routes. It panics if the bid acknowledgement cannot be split into
 // fragments, as it would on a template that fails to parse.
 func NewWithPrefix(ex *market.Exchange, prefix string) *Server {
 	ps := pages()
@@ -125,9 +130,6 @@ func NewWithPrefix(ex *market.Exchange, prefix string) *Server {
 	s.mux.HandleFunc("/api/history.json", s.handleHistoryJSON)
 	s.mux.HandleFunc("/api/auctions.json", s.handleAuctionsJSON)
 	s.mux.HandleFunc("/api/orders.json", s.handleOrdersJSON)
-	s.mux.HandleFunc("/api/events", s.handleEvents)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	return s
 }
 
@@ -331,31 +333,50 @@ func (s *Server) handleBidPreview(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBidSubmit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+	var buf [8]string
+	f, clusters, ok := readProductForm(w, r, buf[:0])
+	if !ok {
 		return
 	}
-
-	f := readBidForm(r)
-	team := strings.TrimSpace(f.team)
-	qty, err := strconv.ParseFloat(f.qty, 64)
-	if err != nil || !finitePositive(qty) {
-		http.Error(w, "quantity must be a positive, finite number", http.StatusBadRequest)
-		return
-	}
-	limit, err := strconv.ParseFloat(f.limit, 64)
-	if err != nil || !finitePositive(limit) {
-		http.Error(w, "limit must be a positive, finite number", http.StatusBadRequest)
-		return
-	}
-	var clusters [8]string
-	id, err := s.ex.SubmitProduct(team, f.product, qty, splitCSV(clusters[:0], f.clusters), limit)
+	id, err := s.ex.SubmitProduct(f.team, f.product, f.qty, clusters, f.limit)
 	if err != nil {
 		s.redirectErr(w, r, err.Error())
 		return
 	}
 	bp := getBuf()
-	writeBody(w, htmlType, bp, s.ack.appendTo(*bp, id, team, limit))
+	writeBody(w, htmlType, bp, s.ack.appendTo(*bp, id, f.team, f.limit))
+}
+
+// productForm is a /bid/submit form, read and checked: the order both
+// front ends' submit handlers book, less its clusters.
+type productForm struct {
+	team, product string
+	qty, limit    float64
+}
+
+// readProductForm reads the /bid/submit form of r, splitting its cluster
+// list into buf. On a wrong method, or a quantity or limit that is not a
+// positive, finite number, it answers the request itself and returns
+// false. The clusters come back apart from the form so that a caller's
+// stack buffer stays on the stack: escape analysis tracks a struct as
+// one value, and the form's strings escape into the book.
+func readProductForm(w http.ResponseWriter, r *http.Request, buf []string) (productForm, []string, bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return productForm{}, nil, false
+	}
+	f := readBidForm(r)
+	qty, err := strconv.ParseFloat(f.qty, 64)
+	if err != nil || !finitePositive(qty) {
+		http.Error(w, "quantity must be a positive, finite number", http.StatusBadRequest)
+		return productForm{}, nil, false
+	}
+	limit, err := strconv.ParseFloat(f.limit, 64)
+	if err != nil || !finitePositive(limit) {
+		http.Error(w, "limit must be a positive, finite number", http.StatusBadRequest)
+		return productForm{}, nil, false
+	}
+	return productForm{strings.TrimSpace(f.team), f.product, qty, limit}, splitCSV(buf, f.clusters), true
 }
 
 func (s *Server) handleOrders(w http.ResponseWriter, r *http.Request) {

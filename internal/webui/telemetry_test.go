@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"clustermarket/internal/cluster"
+	"clustermarket/internal/federation"
 	"clustermarket/internal/market"
 	"clustermarket/internal/telemetry"
 )
@@ -180,6 +182,93 @@ func TestFedMetricsExposition(t *testing.T) {
 	// Two regions share each market family under one header.
 	if n := strings.Count(text, "# TYPE market_orders_submitted_total counter"); n != 1 {
 		t.Errorf("market_orders_submitted_total headers = %d, want 1", n)
+	}
+}
+
+// TestFedOpsServedAtRootOnly: a federated process has one ops surface,
+// at the root. A region's drill-down serves market pages only, because
+// the firehose and the health record are the process's: a regional
+// probe answered healthy while the root answered 503, a regional feed
+// streamed the other region's and the router's events, and a regional
+// scrape counted the whole process's telemetry under no region label.
+// The root probe and feed answer for all of it.
+func TestFedOpsServedAtRootOnly(t *testing.T) {
+	fire := telemetry.NewFirehose()
+	fed := newFedWorld(t, fire)
+	s := NewFederated(fed)
+	h := telemetry.NewHealth(time.Now())
+	h.RecordCheck(time.Now(), []string{"ledger unbalanced: drift 0.02"})
+	s.SetHealth(h)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	// status reads only the status line, so a regional feed that streams
+	// fails the check instead of blocking it.
+	status := func(path string) int {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, region := range []string{"hot", "cold"} {
+		for _, path := range []string{"/metrics", "/healthz", "/api/events"} {
+			if code := status("/region/" + region + path); code != http.StatusNotFound {
+				t.Errorf("GET /region/%s%s = %d, want 404", region, path, code)
+			}
+		}
+	}
+	if code := status("/healthz"); code != http.StatusServiceUnavailable {
+		t.Errorf("GET /healthz = %d, want 503 on a failed invariant check", code)
+	}
+
+	// One account opened on each region alone, and one order routed to
+	// cold: the root feed carries both regions' events and the router's.
+	go func() {
+		for fire.Subscribers() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		fed.Region("hot").Exchange().OpenAccount("hot-team")
+		fed.Region("cold").Exchange().OpenAccount("cold-team")
+		fed.SubmitProduct("search", "batch-compute", 1, []string{"cold-r1"}, 50)
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	kinds := market.EvAccountOpened + "," + market.EvOrderSubmitted + "," + federation.EvFedOrderSubmitted
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/events?max=4&kinds="+kinds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	seen := map[string]bool{}
+	for _, ev := range readSSE(t, resp.Body, 4) {
+		key := ev.env.Source + "/" + ev.env.Kind
+		if p, ok := ev.env.Payload.(map[string]any); ok && ev.env.Kind == market.EvAccountOpened {
+			key += "/" + fmt.Sprint(p["team"])
+		}
+		seen[key] = true
+	}
+	for _, want := range []string{
+		market.EventSource + "/" + market.EvAccountOpened + "/hot-team",
+		market.EventSource + "/" + market.EvAccountOpened + "/cold-team",
+		market.EventSource + "/" + market.EvOrderSubmitted,
+		federation.EventSource + "/" + federation.EvFedOrderSubmitted,
+	} {
+		if !seen[want] {
+			t.Errorf("root feed missing %s; saw %v", want, seen)
+		}
 	}
 }
 
