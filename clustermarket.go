@@ -122,10 +122,10 @@ func NewExchange(f *Fleet, cfg ExchangeConfig) (*Exchange, error) {
 // RecoverExchange deterministically replays it into a fresh exchange.
 type (
 	// Journal is the append-only write-ahead log: CRC-framed records in
-	// segment files, group-commit fsync, snapshot-and-truncate.
+	// one wal file, fsynced every append, rotated behind each snapshot.
 	Journal = journal.Journal
-	// JournalOptions tunes a journal, chiefly the group-commit window
-	// (FsyncEvery: how many appended batches may share one fsync).
+	// JournalOptions tunes a journal: its filesystem seam, and FsyncEvery,
+	// the records one fsync may cover (1, the default, fsyncs each append).
 	JournalOptions = journal.Options
 	// JournalRecovery is everything that survived on disk: the newest
 	// intact snapshot and the record tail appended after it.

@@ -1,10 +1,9 @@
 // Package fault is a deterministic, seed-driven fault injector for the
 // repo's I/O boundaries: journal disk operations (through the journal.FS
 // seam) and federation region calls and gossip. It exists so the
-// degradation machinery — the exchange's degraded quiesce, the
-// federation's skipped settlements and stale quotes, the journal's
-// append rollback — is exercised by scripted, reproducible schedules
-// instead of hope.
+// degradation machinery — the journal's heal loop and append rollback,
+// the federation's skipped settlements and stale quotes — is exercised
+// by scripted, reproducible schedules instead of hope.
 //
 // The model is a finite set of armed Windows: each names an operation
 // boundary (Op), an optional scope (a path substring for disk ops, a

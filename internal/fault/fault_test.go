@@ -203,8 +203,8 @@ func TestFaultFS(t *testing.T) {
 
 // TestFaultFSJournalHeals proves the end-to-end heal loop: a journal
 // under a fault FS heals a one-shot ENOSPC inside Append, survives a
-// burst that outlasts the loop via its append rollback, and a Probe
-// after the burst leaves it fully appendable.
+// burst that outlasts the loop via its append rollback, and appends
+// again, with nothing called in between, once the burst is spent.
 func TestFaultFSJournalHeals(t *testing.T) {
 	dir := t.TempDir()
 	inj := New()
@@ -228,11 +228,14 @@ func TestFaultFSJournalHeals(t *testing.T) {
 	if _, err := j.Append([]byte(`{"k":"c"}`)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append faulted past the heal loop = %v", err)
 	}
-	if err := j.Probe(); err != nil {
-		t.Fatalf("probe after heal = %v", err)
+	if !j.Failing() {
+		t.Fatal("journal past its heal loop does not report failing")
 	}
 	if _, err := j.Append([]byte(`{"k":"c"}`)); err != nil {
 		t.Fatalf("append after heal = %v", err)
+	}
+	if j.Failing() {
+		t.Fatal("journal still failing after an append succeeded")
 	}
 	j.Close()
 

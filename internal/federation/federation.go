@@ -35,8 +35,8 @@ type Leg struct {
 	OrderID int
 	// Status mirrors the regional order's status once submitted.
 	Status market.OrderStatus
-	// Err records why a leg submission failed (budget, degraded region);
-	// the router then falls through to the next-cheapest leg.
+	// Err records why a leg submission failed (budget, a failed journal
+	// write); the router then falls through to the next-cheapest leg.
 	Err string
 }
 
@@ -115,8 +115,8 @@ type RouterRegion struct {
 	// wave booked into it waits for its next. Failovers counts the legs
 	// that wave booked elsewhere for orders that lost here.
 	Visited, Failovers int
-	// Refused counts the failover legs the region refused (budget,
-	// degraded quiesce) in the last wave it took part in, as source or
+	// Refused counts the failover legs the region refused (budget, a
+	// failed journal write) in the last wave it took part in, as source or
 	// target.
 	Refused int
 }
@@ -376,8 +376,8 @@ grouping:
 		return -1, err
 	}
 
-	// Book the first acceptable leg, lock-free: a refused leg (budget,
-	// degraded region) falls through to the next, the same at-most-one-leg
+	// Book the first acceptable leg, lock-free: a refused leg (budget, a
+	// failed journal write) falls through to the next, the same at-most-one-leg
 	// failover that handles a lost leg. auctionsBefore snapshots
 	// the target region's settlement count so a clock completing between
 	// this submit and the registration below cannot strand the order.

@@ -2,13 +2,16 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"clustermarket/internal/cluster"
+	"clustermarket/internal/core"
 	"clustermarket/internal/market"
 	"clustermarket/internal/resource"
 )
@@ -75,6 +78,73 @@ func configuredRegion(t testing.TB, name string, clusters int, util float64, cfg
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestCancelRefusedByRegion: a leg its region settled behind the
+// router's back (through the Exchange, not the router) makes the
+// region refuse the cancel; the router passes the refusal on, changes
+// nothing, and its next wave over the region reads the outcome.
+func TestCancelRefusedByRegion(t *testing.T) {
+	f := hotCold(t)
+	id, err := f.SubmitProduct("team", "batch-compute", 1, []string{"cold-r1"}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.Region("cold").Exchange().RunAuction(); err != nil {
+		t.Fatal(err)
+	}
+	regional, err := f.Region("cold").Exchange().Order(0)
+	if err != nil || (regional.Status != market.Won && regional.Status != market.Lost) {
+		t.Fatalf("regional order = %+v, %v; want it settled", regional, err)
+	}
+	want := fmt.Sprintf("order 0 is %s", regional.Status)
+	if err := f.Cancel(id); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("cancel of a regionally settled leg = %v, want %q", err, want)
+	}
+	if fo, _ := f.Order(id); fo.Status != market.Open || fo.Active != 0 || fo.Legs[0].Status != market.Open {
+		t.Fatalf("order after the refused cancel = %s, active %d, leg %s; want unchanged", fo.Status, fo.Active, fo.Legs[0].Status)
+	}
+	if _, err := f.SettleRegion("cold"); !errors.Is(err, market.ErrNoOpenOrders) {
+		t.Fatalf("settle of the emptied book = %v, want ErrNoOpenOrders", err)
+	}
+	if fo, _ := f.Order(id); fo.Status != regional.Status {
+		t.Fatalf("order after the next wave = %s, want %s", fo.Status, regional.Status)
+	}
+}
+
+// TestOneLegHeldRetiresUnsettled: a one-leg order whose lane runs out of
+// rounds is held open by its region, and retired Unsettled on the
+// third hold; with no leg to fail over to, the router retires it
+// Unsettled too.
+func TestOneLegHeldRetiresUnsettled(t *testing.T) {
+	tight := configuredRegion(t, "tight", 1, 0.5, market.Config{InitialBudget: 1e6, MaxRounds: 1})
+	f, err := NewFederation(tight, testRegion(t, "cold", 1, 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.OpenAccount("team"); err != nil {
+		t.Fatal(err)
+	}
+	// Demand far above the cluster's supply: one round cannot clear it.
+	id, err := f.SubmitProduct("team", "batch-compute", 1000, []string{"tight-r1"}, 1e5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 1; epoch <= 3; epoch++ {
+		if _, err := f.SettleRegion("tight"); err != nil && !errors.Is(err, core.ErrNoConvergence) {
+			t.Fatal(err)
+		}
+		fo, _ := f.Order(id)
+		if epoch < 3 && (fo.Status != market.Open || fo.Active != 0) {
+			t.Fatalf("epoch %d: order = %s, active %d; want held open", epoch, fo.Status, fo.Active)
+		}
+		if epoch == 3 && (fo.Status != market.Unsettled || fo.Active != -1 || fo.Legs[0].Status != market.Unsettled) {
+			t.Fatalf("epoch 3: order = %s, active %d, leg %s; want retired Unsettled", fo.Status, fo.Active, fo.Legs[0].Status)
+		}
+	}
+	if st := f.Stats(); st.Unsettled != 1 || st.Failovers != 0 || st.Won+st.Lost != 0 {
+		t.Fatalf("stats = %+v, want 1 unsettled and no failover", st)
+	}
 }
 
 // hotCold builds the canonical two-region federation: "hot" congested,

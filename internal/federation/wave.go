@@ -25,10 +25,10 @@ import (
 //     (source region, federated id) order, the sequence a serial loop over
 //     the sources would book in, so a region's ids and which legs a team's
 //     budget there covers depend on the routing state, not the schedule. A
-//     leg its region refuses (budget, degraded quiesce) queues the order's
-//     following leg for the next pass. After the last pass the outcomes are
-//     applied to the table, Stats and the event stream, in (source, id)
-//     order.
+//     leg its region refuses (budget, a failed journal write) queues the
+//     order's following leg for the next pass. After the last pass the
+//     outcomes are applied to the table, Stats and the event stream, in
+//     (source, id) order.
 //
 // When no leg is refused, the table, Stats, the events and every regional
 // book come out exactly as a serial loop that books each failover as it

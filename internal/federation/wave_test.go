@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -346,19 +348,25 @@ func openOrders(t *testing.T, f *Federation) []*FedOrder {
 func TestWaveRefusedLegBooksNextPass(t *testing.T) {
 	rows := []struct {
 		name string
-		// b builds region b and a func that readies it to refuse legs.
-		b       func(t *testing.T) (*Region, func())
+		// b builds region b, journaling to dir if at all, and a func that
+		// readies it to refuse legs.
+		b       func(t *testing.T, dir string) (*Region, func())
 		errText string
 	}{
-		{"budget", func(t *testing.T) (*Region, func()) {
+		{"budget", func(t *testing.T, dir string) (*Region, func()) {
 			return configuredRegion(t, "b", 1, 0.1, market.Config{InitialBudget: 1e-9}), func() {}
 		}, "exceeds available budget"},
-		{"degraded", func(t *testing.T) (*Region, func()) {
-			// b journals on a disk that stops persisting: it quiesces and
-			// refuses legs. A sick fsync keeps the probe of b's own clock
-			// (under Tick) from resuming it before the wave.
+		{"degraded", func(t *testing.T, dir string) (*Region, func()) {
+			// b journals on a disk that stops persisting: every leg's
+			// journal write fails, so b refuses it. b's own clock (under
+			// Tick) has an empty book and writes nothing. The refusal's
+			// text names the WAL, so both runs of the row journal to one
+			// directory, emptied for the second.
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
 			inj := fault.New()
-			j, _, err := journal.Open(t.TempDir(), journal.Options{FS: fault.NewFS(inj, nil), FsyncEvery: 1})
+			j, _, err := journal.Open(dir, journal.Options{FS: fault.NewFS(inj, nil), FsyncEvery: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,17 +377,18 @@ func TestWaveRefusedLegBooksNextPass(t *testing.T) {
 					{Op: fault.OpDiskWrite, Kind: fault.EIO, Count: 100000},
 					{Op: fault.OpDiskFsync, Kind: fault.EIO, Count: 100000},
 				})
-				if _, err := b.ex.SubmitProduct("team", "batch-compute", 1, []string{"b-r1"}, 1); err == nil || !b.ex.Degraded() {
-					t.Fatalf("submit on a sick disk = %v, want b quiesced", err)
+				if _, err := b.ex.SubmitProduct("team", "batch-compute", 1, []string{"b-r1"}, 1); err == nil || !j.Failing() {
+					t.Fatalf("submit on a sick disk = %v, want b's journal failing", err)
 				}
 			}
-		}, market.ErrDegraded.Error()},
+		}, "journal order-submitted event"},
 	}
 	for _, row := range rows {
 		for _, drive := range []string{"tick", "settle-region"} {
 			t.Run(row.name+"/"+drive, func(t *testing.T) {
+				dir := filepath.Join(t.TempDir(), "b")
 				run := func() (*Federation, []string) {
-					b, refuse := row.b(t)
+					b, refuse := row.b(t, dir)
 					f, err := NewFederation(testRegion(t, "a", 1, 0.1), b, testRegion(t, "c", 1, 0.1))
 					if err != nil {
 						t.Fatal(err)

@@ -5,7 +5,8 @@ package journal
 // from outside; it cannot be imported here without a cycle). Pins the
 // rollback contract — a failed append leaves the WAL byte-identical to
 // never having tried, so the retry writes identical bytes — the heal
-// loop that retries inside Append and Snapshot, the Probe heal path,
+// loop that retries inside Append and Snapshot, the probe it runs
+// between attempts, the failing state a fault past the loop leaves,
 // rename-failure rotation safety, and the ErrLocked sentinel and
 // torn-tail frame metadata marketd reports at startup.
 
@@ -194,7 +195,7 @@ func TestAppendHealsOneShotFault(t *testing.T) {
 	}
 }
 
-// TestProbeHealsSickDisk: Probe fails while fsync fails and succeeds
+// TestProbeHealsSickDisk: probe fails while fsync fails and succeeds
 // once the disk heals, without disturbing the WAL.
 func TestProbeHealsSickDisk(t *testing.T) {
 	fs := &flakyFS{FS: OSFS()}
@@ -202,11 +203,69 @@ func TestProbeHealsSickDisk(t *testing.T) {
 	defer j.Close()
 	appendAll(t, j, `{"k":"a"}`)
 	fs.failSyncs = 1
-	if err := j.Probe(); err == nil {
+	if err := j.probe(); err == nil {
 		t.Fatal("probe on sick disk succeeded")
 	}
-	if err := j.Probe(); err != nil {
+	if err := j.probe(); err != nil {
 		t.Fatalf("probe on healed disk: %v", err)
+	}
+}
+
+// TestFailingJournalTriesOnce: a fault that outlasts the heal loop
+// leaves the journal failing; while it is, each call makes one attempt,
+// with no probe and so no backoff sleep between retries; the first
+// call that succeeds clears it.
+func TestFailingJournalTriesOnce(t *testing.T) {
+	fs := &flakyFS{FS: OSFS()}
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir, Options{FS: fs, FsyncEvery: 1})
+	appendAll(t, j, `{"k":"a"}`)
+	if j.Failing() {
+		t.Fatal("healthy journal reports failing")
+	}
+
+	fs.failWrites = outlastWrites
+	if _, err := j.Append([]byte(`{"k":"b"}`)); err == nil {
+		t.Fatal("append faulted past the heal loop succeeded")
+	}
+	if m := j.Metrics(); !j.Failing() || !m.Failing || m.Failures != 1 {
+		t.Fatalf("after the loop: Failing %v, metrics %+v; want failing, 1 failure", j.Failing(), m)
+	}
+
+	for call := 0; call < 3; call++ {
+		fs.failWrites = 2
+		fsyncs := j.Metrics().Fsyncs
+		if _, err := j.Append([]byte(`{"k":"b"}`)); err == nil {
+			t.Fatal("append on a sick disk succeeded")
+		}
+		if fs.failWrites != 1 {
+			t.Fatalf("a failing journal's call consumed %d faults, want one attempt", 2-fs.failWrites)
+		}
+		if got := j.Metrics().Fsyncs; got != fsyncs {
+			t.Fatalf("a failing journal probed between attempts: fsyncs %d -> %d", fsyncs, got)
+		}
+		if err := j.Snapshot([]byte(`{"state":1}`), j.Seq()); err == nil {
+			t.Fatal("snapshot on a sick disk succeeded")
+		}
+		if fs.failWrites != 0 {
+			t.Fatalf("a failing journal's snapshot left %d faults, want one attempt", fs.failWrites)
+		}
+	}
+	if m := j.Metrics(); !m.Failing || m.Failures != 7 {
+		t.Fatalf("metrics %+v, want failing with 7 failures", m)
+	}
+
+	if seq, err := j.Append([]byte(`{"k":"b"}`)); err != nil || seq != 2 {
+		t.Fatalf("append on the healed disk = %d, %v; want seq 2", seq, err)
+	}
+	if m := j.Metrics(); j.Failing() || m.Failing || m.Failures != 7 {
+		t.Fatalf("after a success: Failing %v, metrics %+v; want cleared, 7 failures kept", j.Failing(), m)
+	}
+	j.Close()
+	j2, rec := mustOpen(t, dir, Options{})
+	defer j2.Close()
+	if got := recordsAsStrings(rec); len(got) != 2 || got[1] != `{"k":"b"}` || rec.Truncated {
+		t.Errorf("recovered %v (truncated %v), want exactly [a b]", got, rec.Truncated)
 	}
 }
 

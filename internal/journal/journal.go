@@ -34,9 +34,10 @@
 // ever readable and a retried append reproduces the identical byte
 // stream. Append and Snapshot heal a transient fault burst themselves:
 // a failed attempt is retried a bounded number of times, each after a
-// doubling backoff and a Probe. Only a fault that outlasts the loop
-// reaches the caller, and Probe lets a degraded caller test whether the
-// disk has healed since.
+// doubling backoff and a probe. Only a fault that outlasts the loop
+// reaches the caller; the journal is then failing (Failing) until its
+// next call succeeds, and makes each call in between one attempt, so a
+// dead disk costs a caller one write, not the loop's sleeps.
 package journal
 
 import (
@@ -148,6 +149,11 @@ type Journal struct {
 	fsyncs    atomic.Uint64
 	snapshots atomic.Uint64
 	fsyncLat  *telemetry.Histogram
+	// failing is set when a call's error outlasts the heal loop and
+	// cleared by the next call that succeeds; failures counts the calls
+	// that set it.
+	failing  atomic.Bool
+	failures atomic.Uint64
 }
 
 // Metrics is a point-in-time copy of the journal's operational
@@ -162,6 +168,10 @@ type Metrics struct {
 	// rotations.
 	Fsyncs, Snapshots uint64
 	FsyncLatency      telemetry.HistogramSnapshot
+	// Failing reports that the last Append, AppendBatch or Snapshot
+	// failed past the heal loop; Failures counts such calls.
+	Failing  bool
+	Failures uint64
 }
 
 // Metrics snapshots the counters without taking the journal lock.
@@ -172,8 +182,14 @@ func (j *Journal) Metrics() Metrics {
 		Fsyncs:       j.fsyncs.Load(),
 		Snapshots:    j.snapshots.Load(),
 		FsyncLatency: j.fsyncLat.Snapshot(),
+		Failing:      j.failing.Load(),
+		Failures:     j.failures.Load(),
 	}
 }
+
+// Failing reports whether the last Append, AppendBatch or Snapshot
+// failed past the heal loop: the disk has not accepted a write since.
+func (j *Journal) Failing() bool { return j.failing.Load() }
 
 // syncWALLocked is the single timed fsync path: every WAL fsync goes
 // through here so the latency histogram and counter see them all.
@@ -445,7 +461,7 @@ func (j *Journal) Seq() uint64 {
 
 // The bounded heal loop behind Append, AppendBatch and Snapshot: a
 // failed attempt is retried healRetries times, each after a doubling
-// backoff from healBase and a Probe, so a transient burst of
+// backoff from healBase and a probe, so a transient burst of
 // ENOSPC/EIO costs the caller at most ~15 ms instead of an error.
 const (
 	healRetries = 4
@@ -453,16 +469,32 @@ const (
 )
 
 // heal runs op, which takes j.mu itself, and retries it after a
-// failure. Nothing holds j.mu across the sleeps. The Probe's own error
+// failure. Nothing holds j.mu across the sleeps. The probe's own error
 // is not decisive: the retried op is the verdict. A closed journal
-// fails at once.
+// fails at once. A failing journal makes one attempt and no retry: the
+// loop already outlasted this disk's fault, and its sleeps would run
+// under the caller's locks. The verdict sets or clears failing.
 func (j *Journal) heal(op func() error) error {
+	failing := j.failing.Load()
+	retries := healRetries
+	if failing {
+		retries = 0
+	}
 	err := op()
-	for attempt, backoff := 0, healBase; err != nil && !errors.Is(err, ErrClosed) && attempt < healRetries; attempt++ {
+	for attempt, backoff := 0, healBase; err != nil && !errors.Is(err, ErrClosed) && attempt < retries; attempt++ {
 		time.Sleep(backoff)
 		backoff *= 2
-		_ = j.Probe()
+		_ = j.probe()
 		err = op()
+	}
+	switch {
+	case err == nil:
+		if failing {
+			j.failing.Store(false)
+		}
+	case !errors.Is(err, ErrClosed):
+		j.failing.Store(true)
+		j.failures.Add(1)
 	}
 	return err
 }
@@ -570,12 +602,10 @@ func (j *Journal) repairIfTornLocked() error {
 	return nil
 }
 
-// Probe checks whether the journal can currently persist: it repairs
+// probe checks whether the journal can currently persist: it repairs
 // any torn tail left behind by a failed append, then forces an fsync
-// round trip of the WAL. A nil return means the disk accepted a full
-// write path and appends may resume — the health check degraded
-// callers use to decide when to exit quiesce.
-func (j *Journal) Probe() error {
+// round trip of the WAL. The heal loop runs it before each retry.
+func (j *Journal) probe() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.dead {

@@ -47,13 +47,6 @@ const (
 	EvOrderPlaced = "order-placed"
 	// EvTaskEvicted removes one placed task from the fleet.
 	EvTaskEvicted = "task-evicted"
-
-	// EvDegradedEntered and EvDegradedExited mark the exchange entering
-	// and leaving degraded quiesce after a journal failure. They are
-	// telemetry-only: never journaled (replay must not see operational
-	// weather), published directly by the degrade machinery.
-	EvDegradedEntered = "degraded-entered"
-	EvDegradedExited  = "degraded-exited"
 )
 
 // Credit is one team's share of a disbursement.
@@ -116,9 +109,7 @@ func (e *Exchange) emitEvent(ev *Event) error {
 		if _, err := e.journal.Append(raw); err != nil {
 			// Every heal attempt failed and the journal has rolled its
 			// WAL back to the pre-append length, so nothing of this event
-			// is readable; quiesce so no further state is acknowledged
-			// until the disk heals.
-			e.enterDegraded(err)
+			// is readable, and the caller applies none of it.
 			return fmt.Errorf("market: journal %s event: %w", ev.Kind, err)
 		}
 	}

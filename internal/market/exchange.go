@@ -319,10 +319,6 @@ type Exchange struct {
 	// counters — the standard Prometheus counter-reset contract.
 	metrics exchangeMetrics
 	delta   fleetDelta
-	// degraded is the journal-failure quiesce state machine (degrade.go):
-	// set when an append exhausts the journal's retries, cleared when a
-	// journal Probe succeeds again.
-	degraded degradeState
 }
 
 // NewExchange wires an exchange to a fleet. The registry is derived from
@@ -416,9 +412,6 @@ func (e *Exchange) Balance(team string) (float64, error) {
 // reuse both once Submit returns. It returns the order's id (-1 on a
 // refusal); poll Order/Orders for settlement status.
 func (e *Exchange) Submit(team string, bid *core.Bid) (int, error) {
-	if err := e.rejectIfDegraded(); err != nil {
-		return -1, e.rejected(err)
-	}
 	if bid == nil {
 		return -1, e.rejected(errors.New("market: nil bid"))
 	}
@@ -632,9 +625,6 @@ func (e *Exchange) submitRows(team, product string, qty float64, rows []resource
 			return -1, e.rejected(fmt.Errorf("market: cluster row %d names no pool", k))
 		}
 		ends = append(ends, len(pools))
-	}
-	if err := e.rejectIfDegraded(); err != nil {
-		return -1, e.rejected(err)
 	}
 	bo := newBookedOrder(Order{}, &core.Bid{Limit: limit})
 	bo.bid.PackSparse(e.reg.Len(), ends, pools, qtys)
@@ -1159,16 +1149,6 @@ func (e *Exchange) PreliminaryPrices() (prices resource.Vector, converged bool, 
 // own lane's clearing prices, and the appended record shows
 // Converged=false when any lane was held.
 func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
-	// A degraded exchange probes the journal on entry (rate-limited by
-	// the resume backoff schedule) and refuses to run the clock while the
-	// disk is sick: an auction whose settlement events cannot be
-	// journaled would either abort mid-batch or acknowledge unpersisted
-	// state, and quiescing is cheaper than both.
-	if e.Degraded() {
-		if err := e.TryResume(false); err != nil {
-			return nil, nil, ErrDegraded
-		}
-	}
 	e.auctionMu.Lock()
 	defer e.auctionMu.Unlock()
 
@@ -1222,6 +1202,7 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 	held := res.Held // ascending, walked alongside open
 	for i, o := range open {
 		var ev *Event
+		var outcome *atomic.Uint64 // counted once the event is journaled
 		switch {
 		case len(held) > 0 && held[0] == i:
 			// Its lane ran out at non-clearing prices: record the attempt
@@ -1232,7 +1213,7 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 			if o.Attempts+1 >= maxAuctionAttempts {
 				ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num,
 					Status: Unsettled, Attempts: o.Attempts + 1}
-				e.metrics.unsettled.Add(1)
+				outcome = &e.metrics.unsettled
 			} else {
 				ev = &Event{Kind: EvOrderAttempted, OrderID: o.ID, Auction: num,
 					Attempts: o.Attempts + 1}
@@ -1242,14 +1223,14 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 			ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Won,
 				Bundle: &bundles[i], Payment: res.Payments[i]}
 			rec.Settled++
-			e.metrics.won.Add(1)
+			outcome = &e.metrics.won
 			// γ_u is measured against the limit that governed the *winning*
 			// bundle: for vector-limit bids the scalar Limit is ignored by the
 			// proxy, so using it here would corrupt the Table I statistics.
 			rec.Premiums = append(rec.Premiums, core.Premium(o.Bid.LimitFor(bundle), res.Payments[i]))
 		default:
 			ev = &Event{Kind: EvOrderSettled, OrderID: o.ID, Auction: num, Status: Lost}
-			e.metrics.lost.Add(1)
+			outcome = &e.metrics.lost
 		}
 		if err := e.emitEvent(ev); err != nil {
 			// The settled prefix open[:i] is durable and applied (so its
@@ -1260,6 +1241,9 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 			// next clock reuses the auction number.
 			e.releaseBatch(open[i:])
 			return nil, nil, err
+		}
+		if outcome != nil {
+			outcome.Add(1)
 		}
 		if err := e.applyEvent(ev); err != nil {
 			return nil, nil, err
@@ -1278,9 +1262,7 @@ func (e *Exchange) RunAuction() (*AuctionRecord, *core.Result, error) {
 		return nil, nil, err
 	}
 	e.metrics.auctionRun(res)
-	if err := e.maybeSnapshotLocked(num); err != nil {
-		return rec, res, err
-	}
+	e.maybeSnapshotLocked(num)
 	return rec, res, runErr
 }
 

@@ -176,29 +176,18 @@ func faultFS(cfg Config) journal.FS {
 	return fault.NewFS(cfg.Injector, nil)
 }
 
-// faultRetries bounds the backend-level force-resume-and-retry loops: a
-// fault burst deep enough to outlast the exchanges' bounded inline
-// retries (chaos schedules, hostile unit tests) quiesces the exchange;
-// the backend forces a resume probe and replays the operation, which the
-// entry-point fault seams keep side-effect-free on failure.
+// faultRetries bounds the backend-level retry loops: an injected fault
+// deep enough to outlast the region seams' single shot or the journals'
+// bounded inline retries (chaos schedules, hostile unit tests) fails the
+// operation, and the backend replays it, which the entry-point fault
+// seams and the journal's rollback keep side-effect-free on failure.
 const faultRetries = 8
 
-// faultRetryable reports whether the error is the fault machinery
-// speaking — an injected fault surfacing at an entry seam, or the
-// degraded-quiesce rejection — rather than an organic failure.
-func faultRetryable(err error) bool {
-	return errors.Is(err, market.ErrDegraded) || errors.Is(err, fault.ErrInjected)
-}
-
-// retryFaults runs op and, while it fails with the fault machinery
-// speaking, force-probes the named markets out of degraded quiesce and
-// replays it, at most faultRetries times.
-func (b *Backend) retryFaults(markets []string, op func() error) error {
+// retryFaults runs op and, while it fails with an injected fault, replays
+// it, at most faultRetries times.
+func retryFaults(op func() error) error {
 	err := op()
-	for attempt := 0; attempt < faultRetries && err != nil && faultRetryable(err); attempt++ {
-		for _, m := range markets {
-			_ = b.fed.Region(m).Exchange().TryResume(true)
-		}
+	for attempt := 0; attempt < faultRetries && errors.Is(err, fault.ErrInjected); attempt++ {
 		err = op()
 	}
 	return err
@@ -316,10 +305,10 @@ func (b *Backend) OpenAccount(team string) error { return b.fed.OpenAccount(team
 func (b *Backend) SubmitProduct(team, product string, qty float64, clusters []string, limit float64) (int, error) {
 	var id int
 	// The router's fault seam fails routing before any state moves, and a
-	// degraded market's submit rolls its stripe slot back, so the replayed
-	// call is operation-identical — which is what lets a partition that
-	// heals leave no fingerprint.
-	err := b.retryFaults(b.markets, func() (err error) {
+	// market's submit whose journal write fails rolls its stripe slot
+	// back, so the replayed call is operation-identical — which is what
+	// lets a partition that heals leave no fingerprint.
+	err := retryFaults(func() (err error) {
 		id, err = b.fed.SubmitProduct(team, product, qty, clusters, limit)
 		return err
 	})
@@ -379,7 +368,7 @@ func (b *Backend) Settle(down map[string]bool) error {
 		if down[m] {
 			continue
 		}
-		err := b.retryFaults([]string{m}, func() error {
+		err := retryFaults(func() error {
 			_, err := b.fed.SettleRegion(m)
 			if errors.Is(err, market.ErrNoOpenOrders) || errors.Is(err, core.ErrNoConvergence) {
 				return nil
@@ -503,7 +492,7 @@ func (b *Backend) Disburse(total float64) error {
 		ex := b.fed.Region(m).Exchange()
 		// Disburse is one event, so a journal-failure abort leaves nothing
 		// to undo and the whole operation retries cleanly.
-		err := b.retryFaults([]string{m}, func() error { return ex.Disburse(share) })
+		err := retryFaults(func() error { return ex.Disburse(share) })
 		if err != nil {
 			return err
 		}

@@ -1,9 +1,11 @@
 package webui
 
 // Ops-surface regressions for the fault subsystem: /healthz flips
-// 200→503→200 around degraded quiesce and stays 200 once a region
-// partition has healed, /metrics exposes the degraded series, and the
-// SSE feed delivers the fault-injected / degraded-entered kinds.
+// 200→503→200 around a journal that fails past its heal loop and then
+// heals, names each failing journal (a region's, the router's), stays
+// 200 once a region partition has healed, /metrics exposes the
+// journal's failing series, and the SSE feed delivers the
+// fault-injected kind.
 
 import (
 	"context"
@@ -12,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,8 +28,8 @@ import (
 )
 
 // degradableFixture is telemetryFixture with the exchange journaled on
-// a fault FS, so tests can quiesce and heal it at will.
-func degradableFixture(t *testing.T, fire *telemetry.Firehose) (*Server, *market.Exchange, *fault.Injector) {
+// a fault FS, so tests can fail and heal its disk at will.
+func degradableFixture(t *testing.T, fire *telemetry.Firehose, snapshotEvery int) (*Server, *market.Exchange, *fault.Injector) {
 	t.Helper()
 	f := cluster.NewFleet()
 	c := cluster.New("r1", nil)
@@ -40,7 +43,7 @@ func degradableFixture(t *testing.T, fire *telemetry.Firehose) (*Server, *market
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { j.Close() })
-	ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e6, Journal: j, Telemetry: fire})
+	ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e6, Journal: j, Telemetry: fire, SnapshotEvery: snapshotEvery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,22 +53,19 @@ func degradableFixture(t *testing.T, fire *telemetry.Firehose) (*Server, *market
 	return New(ex), ex, inj
 }
 
-// degrade quiesces the exchange via a persistent injected disk fault.
+// degrade fails a submit past the journal's heal loop with a persistent
+// injected disk fault.
 func degrade(t *testing.T, ex *market.Exchange, inj *fault.Injector) {
 	t.Helper()
 	inj.Arm([]fault.Window{{Op: fault.OpDiskWrite, Kind: fault.ENOSPC, Count: 100000}})
 	if _, err := ex.SubmitProduct("web-team", "batch-compute", 1, []string{"r1"}, 500); err == nil {
 		t.Fatal("submit under persistent fault succeeded")
 	}
-	if !ex.Degraded() {
-		t.Fatal("exchange did not quiesce")
-	}
 }
 
 type healthzBody struct {
-	Healthy         bool                   `json:"healthy"`
-	Degraded        *market.DegradedStatus `json:"degraded"`
-	DegradedRegions []string               `json:"degraded_regions"`
+	Healthy         bool     `json:"healthy"`
+	FailingJournals []string `json:"failing_journals"`
 }
 
 func getHealthz(t *testing.T, ts *httptest.Server) (int, healthzBody) {
@@ -78,36 +78,58 @@ func getHealthz(t *testing.T, ts *httptest.Server) (int, healthzBody) {
 	return code, hb
 }
 
+// TestDiskHealsWithoutResume: once a disk that failed past the heal
+// loop heals, the next submit is accepted and the probe answers 200,
+// with nothing called in between.
+func TestDiskHealsWithoutResume(t *testing.T) {
+	s, ex, inj := degradableFixture(t, nil, 0)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	degrade(t, ex, inj)
+	if code, hb := getHealthz(t, ts); code != http.StatusServiceUnavailable || hb.Healthy {
+		t.Fatalf("probe on a failed disk = %d %+v, want 503", code, hb)
+	}
+	inj.Arm(nil)
+	if _, err := ex.SubmitProduct("web-team", "batch-compute", 1, []string{"r1"}, 500); err != nil {
+		t.Fatalf("submit on the healed disk: %v", err)
+	}
+	if code, hb := getHealthz(t, ts); code != http.StatusOK || !hb.Healthy || hb.FailingJournals != nil {
+		t.Fatalf("probe on the healed disk = %d %+v, want bare 200", code, hb)
+	}
+}
+
+// TestHealthzDegradedTransitions: a cadence snapshot that fails past the
+// heal loop leaves its auction standing and the probe 503, naming the
+// market's journal; any later write on the healed disk clears it.
 func TestHealthzDegradedTransitions(t *testing.T) {
-	s, ex, inj := degradableFixture(t, nil)
+	s, ex, inj := degradableFixture(t, nil, 1)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
 	code, hb := getHealthz(t, ts)
-	if code != http.StatusOK || !hb.Healthy || hb.Degraded != nil {
+	if code != http.StatusOK || !hb.Healthy || hb.FailingJournals != nil {
 		t.Fatalf("healthy probe = %d %+v, want bare 200", code, hb)
 	}
 
-	degrade(t, ex, inj)
-	code, hb = getHealthz(t, ts)
-	if code != http.StatusServiceUnavailable || hb.Healthy {
-		t.Fatalf("degraded probe = %d %+v, want 503", code, hb)
+	if _, err := ex.SubmitProduct("web-team", "batch-compute", 1, []string{"r1"}, 500); err != nil {
+		t.Fatal(err)
 	}
-	if hb.Degraded == nil || !hb.Degraded.Degraded || hb.Degraded.Cause == "" {
-		t.Fatalf("degraded body = %+v, want cause", hb.Degraded)
+	inj.Arm([]fault.Window{{Op: fault.OpDiskRename, Kind: fault.EIO, Count: 100000}})
+	if _, _, err := ex.RunAuction(); err != nil {
+		t.Fatalf("auction with a failing cadence snapshot = %v, want it to stand", err)
+	}
+	code, hb = getHealthz(t, ts)
+	if code != http.StatusServiceUnavailable || hb.Healthy || !slices.Equal(hb.FailingJournals, []string{"market"}) {
+		t.Fatalf("probe after the failed snapshot = %d %+v, want 503 naming market", code, hb)
 	}
 
 	inj.Arm(nil)
-	if err := ex.TryResume(true); err != nil {
+	if err := ex.OpenAccount("late-team"); err != nil {
 		t.Fatal(err)
 	}
-	code, hb = getHealthz(t, ts)
-	if code != http.StatusOK || !hb.Healthy {
-		t.Fatalf("healed probe = %d %+v, want 200", code, hb)
-	}
-	// The past episode stays visible for operators without failing the probe.
-	if hb.Degraded == nil || hb.Degraded.Degraded || hb.Degraded.Exited != 1 {
-		t.Fatalf("healed body = %+v, want exited episode record", hb.Degraded)
+	if code, hb = getHealthz(t, ts); code != http.StatusOK || !hb.Healthy || hb.FailingJournals != nil {
+		t.Fatalf("healed probe = %d %+v, want bare 200", code, hb)
 	}
 }
 
@@ -176,43 +198,62 @@ func TestFedHealthzHealedPartition(t *testing.T) {
 	}
 }
 
+// TestFedHealthzDegradedRegion: a region whose journal fails past its
+// heal loop turns the federated probe 503, naming the region, until a
+// write to it succeeds on the healed disk.
 func TestFedHealthzDegradedRegion(t *testing.T) {
 	fed, inj, ts := fedFaultFixture(t)
 
-	// Quiesce hot's regional exchange through its journaled disk.
 	inj.Arm([]fault.Window{{Op: fault.OpDiskWrite, Kind: fault.EIO, Count: 100000}})
 	if _, err := fed.SubmitProduct("search", "batch-compute", 1, []string{"hot-r1"}, 500); err == nil {
 		t.Fatal("submit under persistent disk fault succeeded")
 	}
-	hot := fed.Region("hot").Exchange()
-	if !hot.Degraded() {
-		t.Fatal("hot region did not quiesce")
-	}
 	code, hb := getHealthz(t, ts)
-	if code != http.StatusServiceUnavailable || hb.Healthy {
-		t.Fatalf("degraded-region probe = %d %+v, want 503", code, hb)
-	}
-	hasHot := false
-	for _, r := range hb.DegradedRegions {
-		if r == "hot" {
-			hasHot = true
-		}
-	}
-	if !hasHot {
-		t.Fatalf("degraded_regions = %v, want hot", hb.DegradedRegions)
+	if code != http.StatusServiceUnavailable || hb.Healthy || !slices.Equal(hb.FailingJournals, []string{"hot"}) {
+		t.Fatalf("failing-region probe = %d %+v, want 503 naming hot", code, hb)
 	}
 
 	inj.Arm(nil)
-	if err := hot.TryResume(true); err != nil {
-		t.Fatal(err)
+	if _, err := fed.SubmitProduct("search", "batch-compute", 1, []string{"hot-r1"}, 500); err != nil {
+		t.Fatalf("submit on the healed disk: %v", err)
 	}
 	if code, hb = getHealthz(t, ts); code != http.StatusOK || !hb.Healthy {
 		t.Fatalf("healed probe = %d %+v, want 200", code, hb)
 	}
 }
 
+// TestFedHealthzFailingRouterJournal: a router whose WAL fails past its
+// heal loop latches the error, so every routed write fails from then
+// on; the probe answers 503 naming it "fed", and the scrape shows it.
+func TestFedHealthzFailingRouterJournal(t *testing.T) {
+	fed, inj, ts := fedFaultFixture(t)
+	j, _, err := journal.Open(t.TempDir(), journal.Options{FS: fault.NewFS(inj, nil), FsyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	fed.AttachJournal(j, 0)
+
+	// The cold region is not journaled, so the router's WAL is the one
+	// write the fault meets.
+	inj.Arm([]fault.Window{{Op: fault.OpDiskWrite, Kind: fault.EIO, Count: 100000}})
+	if _, err := fed.SubmitProduct("search", "batch-compute", 1, []string{"cold-r1"}, 500); err == nil {
+		t.Fatal("routed submit with a failing router WAL succeeded")
+	}
+	code, hb := getHealthz(t, ts)
+	if code != http.StatusServiceUnavailable || hb.Healthy || !slices.Equal(hb.FailingJournals, []string{"fed"}) {
+		t.Fatalf("probe with a failing router WAL = %d %+v, want 503 naming fed", code, hb)
+	}
+	_, text := get(t, ts, "/metrics")
+	for _, want := range []string{"fed_journal_failing 1", "fed_journal_failures_total 1"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 func TestMetricsDegradedSeries(t *testing.T) {
-	s, ex, inj := degradableFixture(t, nil)
+	s, ex, inj := degradableFixture(t, nil, 0)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -222,11 +263,10 @@ func TestMetricsDegradedSeries(t *testing.T) {
 		t.Fatalf("metrics = %d", code)
 	}
 	for _, want := range []string{
-		"# TYPE market_degraded gauge",
-		"market_degraded 1",
-		"market_degraded_entered_total 1",
-		"market_degraded_exited_total 0",
-		"market_degraded_seconds_total",
+		"# TYPE market_journal_failing gauge",
+		"market_journal_failing 1",
+		"# TYPE market_journal_failures_total counter",
+		"market_journal_failures_total 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -234,22 +274,22 @@ func TestMetricsDegradedSeries(t *testing.T) {
 	}
 
 	inj.Arm(nil)
-	if err := ex.TryResume(true); err != nil {
+	if _, err := ex.SubmitProduct("web-team", "batch-compute", 1, []string{"r1"}, 500); err != nil {
 		t.Fatal(err)
 	}
 	_, text = get(t, ts, "/metrics")
-	for _, want := range []string{"market_degraded 0", "market_degraded_exited_total 1"} {
+	for _, want := range []string{"market_journal_failing 0", "market_journal_failures_total 1"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("healed exposition missing %q", want)
 		}
 	}
 }
 
-// TestEventsSSEFaultKinds: the new operational event kinds ride the
-// same SSE feed as the market stream.
+// TestEventsSSEFaultKinds: the injector's operational event kind rides
+// the same SSE feed as the market stream.
 func TestEventsSSEFaultKinds(t *testing.T) {
 	fire := telemetry.NewFirehose()
-	s, ex, inj := degradableFixture(t, fire)
+	s, ex, inj := degradableFixture(t, fire, 0)
 	inj.AttachTelemetry(fire)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -260,16 +300,14 @@ func TestEventsSSEFaultKinds(t *testing.T) {
 		}
 		degrade(t, ex, inj)
 		inj.Arm(nil)
-		ex.TryResume(true)
 	}()
 
-	// The persistent burst injects one fault per append attempt (initial
-	// + the journal's healRetries = 5) before the quiesce, then one
-	// entered and one exited event: 7 frames total on the filtered stream.
-	kinds := strings.Join([]string{fault.EvFaultInjected, market.EvDegradedEntered, market.EvDegradedExited}, ",")
+	// The persistent burst injects one fault per append attempt: the
+	// first and the journal's healRetries = 4, 5 frames on the filtered
+	// stream.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/events?kinds="+kinds+"&max=7", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/events?kinds="+fault.EvFaultInjected+"&max=5", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,20 +316,13 @@ func TestEventsSSEFaultKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	events := readSSE(t, resp.Body, 7)
-	if len(events) != 7 {
-		t.Fatalf("got %d events, want 7", len(events))
+	events := readSSE(t, resp.Body, 5)
+	if len(events) != 5 {
+		t.Fatalf("got %d events, want 5", len(events))
 	}
-	if events[0].env.Source != fault.EventSource || events[0].env.Kind != fault.EvFaultInjected {
-		t.Errorf("first event = %s/%s, want fault injection", events[0].env.Source, events[0].env.Kind)
-	}
-	seen := map[string]bool{}
 	for _, ev := range events {
-		seen[ev.env.Kind] = true
-	}
-	for _, want := range []string{fault.EvFaultInjected, market.EvDegradedEntered, market.EvDegradedExited} {
-		if !seen[want] {
-			t.Errorf("SSE feed missing kind %q", want)
+		if ev.env.Source != fault.EventSource || ev.env.Kind != fault.EvFaultInjected {
+			t.Errorf("event = %s/%s, want fault injection", ev.env.Source, ev.env.Kind)
 		}
 	}
 }

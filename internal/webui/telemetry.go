@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"clustermarket/internal/federation"
+	"clustermarket/internal/journal"
 	"clustermarket/internal/market"
 	"clustermarket/internal/telemetry"
 )
@@ -141,19 +142,17 @@ func collectExchange(m *telemetry.Exposition, ex *market.Exchange, region string
 		m.Add("market_journal_fsyncs_total", "counter", "WAL fsync batches.", labels("region", region), float64(jm.Fsyncs))
 		m.Add("market_journal_snapshots_total", "counter", "Snapshots written (WAL rotations).", labels("region", region), float64(jm.Snapshots))
 		m.AddHistogram("market_journal_fsync_latency_seconds", "WAL fsync latency.", labels("region", region), jm.FsyncLatency)
+		m.Add("market_journal_failing", "gauge", "1 while the WAL's last write failed past its heal loop, else 0.", labels("region", region), gauge(jm.Failing))
+		m.Add("market_journal_failures_total", "counter", "WAL writes and snapshots that failed past the heal loop.", labels("region", region), float64(jm.Failures))
 	}
-	// Degraded-quiesce lifecycle: the gauge flips while the exchange is
-	// rejecting new orders on journal failure; the counters and the
-	// seconds total survive resume, so dashboards see past episodes.
-	ds := ex.DegradedStatus()
-	degraded := 0.0
-	if ds.Degraded {
-		degraded = 1
+}
+
+// gauge is a boolean's 0/1 sample value.
+func gauge(b bool) float64 {
+	if b {
+		return 1
 	}
-	m.Add("market_degraded", "gauge", "1 while the exchange is quiesced on journal failure, else 0.", labels("region", region), degraded)
-	m.Add("market_degraded_entered_total", "counter", "Degraded-quiesce episodes entered.", labels("region", region), float64(ds.Entered))
-	m.Add("market_degraded_exited_total", "counter", "Degraded-quiesce episodes resumed from.", labels("region", region), float64(ds.Exited))
-	m.Add("market_degraded_seconds_total", "counter", "Cumulative seconds spent in degraded quiesce.", labels("region", region), ds.SecondsTotal)
+	return 0
 }
 
 // collectFirehose adds the firehose's own gauges — published volume,
@@ -219,6 +218,8 @@ func collectRouter(m *telemetry.Exposition, fed *federation.Federation) {
 		m.Add("fed_journal_appends_total", "counter", "Routing events appended to the router WAL.", nil, float64(jm.Appends))
 		m.Add("fed_journal_fsyncs_total", "counter", "Router WAL fsync batches.", nil, float64(jm.Fsyncs))
 		m.AddHistogram("fed_journal_fsync_latency_seconds", "Router WAL fsync latency.", nil, jm.FsyncLatency)
+		m.Add("fed_journal_failing", "gauge", "1 while the router WAL's last write failed past its heal loop, else 0.", nil, gauge(jm.Failing))
+		m.Add("fed_journal_failures_total", "counter", "Router WAL writes and snapshots that failed past the heal loop.", nil, float64(jm.Failures))
 	}
 }
 
@@ -227,41 +228,42 @@ func collectRouter(m *telemetry.Exposition, fed *federation.Federation) {
 // ---------------------------------------------------------------------
 
 // healthView is the /healthz payload: the invariant-probe snapshot plus
-// the fault-tolerance overlay — degraded-quiesce state on the exchange
-// probe, per-region degradation on the federation probe. Either overlay
-// condition (degraded exchange, degraded region) forces Healthy false
-// and a 503, so readiness gates drain traffic while the market is
-// rejecting or rerouting it.
+// the journals that are failing, by name: a region's by its name, the
+// single exchange's as "market", the router's as "fed". A failing
+// journal forces Healthy false and a 503, so readiness gates drain
+// traffic while its market refuses every write.
 type healthView struct {
 	telemetry.HealthSnapshot
-	Degraded        *market.DegradedStatus `json:"degraded,omitempty"`
-	DegradedRegions []string               `json:"degraded_regions,omitempty"`
+	FailingJournals []string `json:"failing_journals,omitempty"`
 }
 
-// handleHealthz reports the health record with the markets' degraded
-// states laid over it: the single exchange's quiesce status in full, a
-// federation's degraded regions by name. It answers 200 when healthy and
-// 503 otherwise, so a load balancer or readiness gate can act on book
-// corruption or degraded quiesce without parsing logs.
+// handleHealthz reports the health record with every journal the
+// process holds laid over it. It answers 200 when healthy and 503
+// otherwise, so a load balancer or readiness gate can act on book
+// corruption or a dead disk without parsing logs. A journal is failing
+// from a write that outlasts its heal loop until its next write
+// succeeds, so the probe is healthy again once the disk is.
 func (o *ops) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
 	view := healthView{HealthSnapshot: o.health.Snapshot(time.Now())}
-	for _, mk := range o.markets {
-		ds := mk.ex.DegradedStatus()
-		switch {
-		case mk.name != "":
-			if ds.Degraded {
-				view.DegradedRegions = append(view.DegradedRegions, mk.name)
-			}
-		case ds.Degraded || ds.Entered > 0:
-			view.Degraded = &ds
-		}
-		if ds.Degraded {
+	failing := func(name string, j *journal.Journal) {
+		if j != nil && j.Failing() {
+			view.FailingJournals = append(view.FailingJournals, name)
 			view.Healthy = false
 		}
+	}
+	for _, mk := range o.markets {
+		name := mk.name
+		if name == "" {
+			name = "market"
+		}
+		failing(name, mk.ex.Journal())
+	}
+	if o.router != nil {
+		failing(federation.RouterDir, o.router.Journal())
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if !view.Healthy {
