@@ -69,7 +69,7 @@ func (f *Federation) gossip(regions []int) int {
 	// The bare tick event keeps the recovered gossip clock in step even
 	// when no quote can be refreshed.
 	if f.materializingLocked() {
-		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick})
+		_ = f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: tick})
 	}
 	f.mu.Unlock()
 
@@ -99,7 +99,7 @@ func (f *Federation) gossip(regions []int) int {
 func (f *Federation) acceptQuoteLocked(ri int, q *Quote) {
 	f.publishLocked(f.board.Load().tick, ri, q)
 	if f.materializingLocked() {
-		f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: q.Tick, Quote: q})
+		_ = f.emitLocked(&FedEvent{Kind: EvFedGossip, Tick: q.Tick, Quote: q})
 	}
 }
 

@@ -48,36 +48,35 @@ type FedEvent struct {
 
 // emitLocked materializes the event to the routing journal (when one
 // is attached) and the telemetry firehose (when a subscriber is
-// listening). Callers hold f.mu, so journal order matches mutation
-// order. The journal heals a transient append failure inside Append
-// (it rolls failed attempts back, so a retry reproduces the identical
-// frame), briefly holding up routing under f.mu; failures that survive
-// its retries are sticky (journalErr) and surfaced by the
-// next settlement, SubmitProduct or Cancel — advance paths deep in the
-// router have no error return to thread one through; an event that
-// failed to journal is still published, since the mutation it
-// describes did happen.
-func (f *Federation) emitLocked(ev *FedEvent) {
-	if f.journal != nil && f.journalErr == nil {
-		raw, err := json.Marshal(ev)
-		if err != nil {
-			f.journalErr = fmt.Errorf("federation: encode %s event: %w", ev.Kind, err)
-		} else if _, err := f.journal.Append(raw); err != nil {
-			f.journalErr = fmt.Errorf("federation: journal %s event: %w", ev.Kind, err)
+// listening), and returns this event's journal error. Callers hold f.mu
+// and mutate before they emit, so journal order matches mutation order.
+// While the journal is Failing (a write outlasted its heal loop), each
+// emit writes a snapshot instead of a record: the image covers every
+// mutation so far, a record that failed included, and the first write
+// that lands clears the state. Gossip and the wave, with no caller to
+// answer, drop the error; the event is still published either way.
+func (f *Federation) emitLocked(ev *FedEvent) (err error) {
+	if f.journal != nil && f.journal.Failing() {
+		err = f.snapshotLocked()
+	} else if f.journal != nil {
+		if raw, jerr := json.Marshal(ev); jerr != nil {
+			err = fmt.Errorf("federation: encode %s event: %w", ev.Kind, jerr)
+		} else if _, jerr = f.journal.Append(raw); jerr != nil {
+			err = fmt.Errorf("federation: journal %s event: %w", ev.Kind, jerr)
 		}
 	}
 	f.fire.Publish(EventSource, ev.Kind, ev)
+	return err
 }
 
 // materializingLocked reports whether events are worth building at
-// all: a journal is attached (and healthy) or a firehose subscriber is
-// listening. Call sites check it before building a FedEvent so that
-// the unwatched in-memory federation pays two branches on its hot
-// paths — not an order view, a stats copy, and an event allocation
-// that emitLocked would immediately discard. Callers must
-// hold f.mu.
+// all: a journal is attached or a firehose subscriber is listening.
+// Call sites check it before building a FedEvent so that the unwatched
+// in-memory federation pays two branches on its hot paths — not an
+// order view, a stats copy, and an event allocation that emitLocked
+// would immediately discard. Callers must hold f.mu.
 func (f *Federation) materializingLocked() bool {
-	return (f.journal != nil && f.journalErr == nil) || f.fire.Active()
+	return f.journal != nil || f.fire.Active()
 }
 
 // applyEvent is the deterministic mutator replay dispatches through.

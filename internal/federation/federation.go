@@ -121,7 +121,7 @@ type RouterRegion struct {
 	Refused int
 }
 
-// RegionTick is one region's outcome from a federation-wide Tick.
+// RegionTick is one region's outcome from a federation-wide Tick; Err is its own.
 type RegionTick struct {
 	Region string
 	Record *market.AuctionRecord
@@ -162,7 +162,6 @@ type Federation struct {
 	// separately. fire (possibly nil) receives the same events for live
 	// subscribers. All guarded by mu.
 	journal       *journal.Journal
-	journalErr    error
 	fire          *telemetry.Firehose
 	snapshotEvery int
 	settleCount   int
@@ -427,19 +426,22 @@ grouping:
 	}
 	if f.materializingLocked() {
 		stats := f.stats
-		f.emitLocked(&FedEvent{Kind: EvFedOrderSubmitted, Order: t.view(id), Stats: &stats})
+		if err = f.emitLocked(&FedEvent{Kind: EvFedOrderSubmitted, Order: t.view(id), Stats: &stats}); err != nil {
+			// Withdraw the unjournaled order, so a retry cannot duplicate
+			// it; a leg a clock already holds is left to settle, as above.
+			_ = f.withdrawLocked(id)
+		}
 	}
-	logErr := f.journalErr
 	f.mu.Unlock()
-	if logErr != nil {
-		return -1, logErr
-	}
 
 	// Reconcile the submit/settle race: if the region settled while the
 	// order was being registered, that settlement's wave ran too early to
 	// see it — run one again now that the order is visible.
 	if target.ex.AuctionCount() != auctionsBefore {
 		f.advance(int(legs[active].region))
+	}
+	if err != nil {
+		return -1, err
 	}
 	return id, nil
 }
@@ -465,10 +467,15 @@ func (f *Federation) bookLeg(leg *routeLeg, rows []resource.PoolRow, team, produ
 
 // Cancel withdraws a federated order by cancelling its active leg. Like
 // Exchange.Cancel, an order whose leg is in a settling auction cannot be
-// withdrawn.
+// withdrawn. A journal error is this cancellation's own record's.
 func (f *Federation) Cancel(id int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	return f.withdrawLocked(id)
+}
+
+// withdrawLocked is Cancel under f.mu.
+func (f *Federation) withdrawLocked(id int) error {
 	t := &f.table
 	if id < 0 || id >= t.routed() {
 		return fmt.Errorf("federation: no order %d", id)
@@ -484,11 +491,11 @@ func (f *Federation) Cancel(id int) error {
 	// The id stays on the region's open list until its next wave.
 	leg.setState(market.Cancelled)
 	rt.status, rt.active = uint8(market.Cancelled), -1
-	if f.materializingLocked() {
-		stats := f.stats
-		f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: t.view(id), Stats: &stats})
+	if !f.materializingLocked() {
+		return nil
 	}
-	return f.journalErr
+	stats := f.stats
+	return f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: t.view(id), Stats: &stats})
 }
 
 // Order returns a view of one federated order.
@@ -544,34 +551,26 @@ func (f *Federation) RouterStats() RouterStats {
 // its prices and runs the settlement wave over it: it is Tick over one
 // region. Settling a region through its Exchange directly would bypass
 // the router, so federated front ends must settle through this method (or
-// Tick/Serve). An injected settlement fault is returned before any state
-// moves; otherwise the router's journal or snapshot error, latched even
-// on an idle round, outranks the clock's.
+// Tick/Serve). The error is the region's own: an injected settlement
+// fault, returned before any state moves, else the clock's.
 func (f *Federation) SettleRegion(name string) (*market.AuctionRecord, error) {
 	ri, ok := f.table.regionIdx[name]
 	if !ok {
 		return nil, fmt.Errorf("federation: no region %q", name)
 	}
-	out, err := f.settle([]int{ri})
-	if err == nil {
-		err = out[0].Err
-	}
-	return out[0].Record, err
+	out := f.settle([]int{ri})
+	return out[0].Record, out[0].Err
 }
 
 // Tick settles every region's accumulated batch concurrently: it is
 // settle over every region. Idle regions (empty books) report a nil
-// record and nil error; a settled region's Err also carries the router's
-// journal or snapshot error, and a region that failed its settlement
-// fault seam carries the injected error.
+// record and nil error; a region that failed its settlement fault seam
+// carries the injected error, and a settled one its clock's.
 func (f *Federation) Tick() []RegionTick {
-	out, err := f.settle(f.every())
+	out := f.settle(f.every())
 	for i := range out {
-		switch {
-		case errors.Is(out[i].Err, market.ErrNoOpenOrders):
+		if errors.Is(out[i].Err, market.ErrNoOpenOrders) {
 			out[i].Record, out[i].Err = nil, nil
-		case err != nil && out[i].Record != nil && out[i].Err == nil:
-			out[i].Err = err
 		}
 	}
 	return out
@@ -600,9 +599,9 @@ func (f *Federation) every() []int {
 // advances once, the passed regions with a clear gossip window are
 // quoted, the wave is booked, and each auction that ran (an empty book's
 // did not) counts toward the router's snapshot cadence, which keeps its
-// WAL and recovery replay bounded. settle returns the router's latched
-// journal error, else the snapshot's.
-func (f *Federation) settle(regions []int) ([]RegionTick, error) {
+// WAL and recovery replay bounded. That snapshot is best effort, and
+// settle returns no router error: the journal's Failing state says it.
+func (f *Federation) settle(regions []int) []RegionTick {
 	out := make([]RegionTick, len(regions))
 	inj := f.inj.Load()
 	passed, quoted := make([]int, 0, len(regions)), make([]int, 0, len(regions))
@@ -619,7 +618,7 @@ func (f *Federation) settle(regions []int) ([]RegionTick, error) {
 		}
 	}
 	if len(passed) == 0 {
-		return out, nil
+		return out
 	}
 
 	f.mu.Lock()
@@ -652,19 +651,15 @@ func (f *Federation) settle(regions []int) ([]RegionTick, error) {
 		}
 	}
 	// One snapshot covers a wave however many multiples it passes.
-	snapshotDue := f.journal != nil && f.snapshotEvery > 0 && f.settleCount/f.snapshotEvery > before/f.snapshotEvery
-	logErr := f.journalErr
-	f.mu.Unlock()
-	if logErr == nil && snapshotDue {
-		logErr = f.Snapshot()
+	if f.journal != nil && f.snapshotEvery > 0 && f.settleCount/f.snapshotEvery > before/f.snapshotEvery {
+		_ = f.snapshotLocked()
 	}
-	return out, logErr
+	f.mu.Unlock()
+	return out
 }
 
 // Serve calls Tick once an epoch until ctx is cancelled, and returns
-// ctx.Err(). A journal error stays latched for the next SubmitProduct or
-// Cancel to return; a failed snapshot leaves the WAL whole, and the next
-// one due retries.
+// ctx.Err(). The router's next journal write heals a failed one.
 func (f *Federation) Serve(ctx context.Context, epoch time.Duration) error {
 	if epoch <= 0 {
 		return errors.New("federation: epoch must be positive")

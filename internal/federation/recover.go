@@ -23,8 +23,9 @@ type fedState struct {
 }
 
 // AttachJournal attaches the routing journal. Every subsequent routing
-// state change is logged as a FedEvent before its settlement returns, and
-// a snapshot is written every snapshotEvery settlements (non-positive
+// state change is logged as a FedEvent (or a snapshot: see emitLocked)
+// before its call returns, and a snapshot is written every snapshotEvery
+// settlements (non-positive
 // disables the cadence; Snapshot can still be called explicitly). When
 // recovering, call Restore first so replayed events are not re-journaled
 // as new ones.
@@ -36,9 +37,7 @@ func (f *Federation) AttachJournal(j *journal.Journal, snapshotEvery int) {
 }
 
 // Snapshot writes a consistent snapshot of the routing state to the
-// attached journal and rotates its WAL, bounding recovery replay. Every
-// routing mutation and its event append happen under f.mu, so the image
-// built here corresponds exactly to the journal's sequence number. It is
+// attached journal and rotates its WAL, bounding recovery replay. It is
 // a no-op without a journal.
 func (f *Federation) Snapshot() error {
 	f.mu.Lock()
@@ -46,6 +45,12 @@ func (f *Federation) Snapshot() error {
 	if f.journal == nil {
 		return nil
 	}
+	return f.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot under f.mu, under which every routing
+// mutation and its event happen: the image matches the journal's Seq.
+func (f *Federation) snapshotLocked() error {
 	b := f.board.Load()
 	st := &fedState{NextID: f.table.routed(), GossipTick: b.tick, Stats: f.stats, Board: b.sorted()}
 	st.Orders = f.table.views(0)

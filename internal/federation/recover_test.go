@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"clustermarket/internal/cluster"
+	"clustermarket/internal/fault"
 	"clustermarket/internal/federation"
 	"clustermarket/internal/invariant"
 	"clustermarket/internal/journal"
@@ -238,5 +239,56 @@ func TestFederationRestoreRejectsNonEmpty(t *testing.T) {
 	}
 	if err := f.Restore(&journal.Recovery{}); err == nil {
 		t.Fatal("Restore accepted a federation with existing routing state")
+	}
+}
+
+// TestRouterJournalHealsAfterFailedAppend: router writes that fail past
+// the journal's heal loop leave no hole in what it recovers. While the
+// disk fails, a routed submit is refused and a settle still runs; once it
+// heals, routed traffic and settles continue, and a crash then recovers
+// the live router record for record.
+func TestRouterJournalHealsAfterFailedAppend(t *testing.T) {
+	dir := t.TempDir()
+	inj := fault.New()
+	live, _, err := federation.Open(dir, journal.Options{FS: fault.NewFS(inj, nil)}, fedConfig, fedMembers(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { live.Close() })
+	if err := live.OpenAccount("team"); err != nil {
+		t.Fatal(err)
+	}
+	driveFed(t, live)
+
+	inj.Arm([]fault.Window{{Op: fault.OpDiskWrite, Scope: "/" + federation.RouterDir + "/", Kind: fault.EIO, Count: 100000}})
+	xor := []string{"hot-r1", "hot-r2", "cold-r1", "cold-r2"}
+	if _, err := live.SubmitProduct("team", "batch-compute", 2, xor, 3000); err == nil {
+		t.Fatal("routed submit with a failing router WAL succeeded")
+	}
+	if !live.Journal().Failing() {
+		t.Fatal("the router WAL is not failing")
+	}
+	settleIgnoringIdle(t, live, "hot")
+	inj.Arm(nil)
+	driveFedMore(t, live)
+	if live.Journal().Failing() {
+		t.Fatal("the router WAL is still failing after the disk healed")
+	}
+	want, wantImage := federation.TestingTableImage(live), imageOf(t, live)
+
+	for _, r := range live.Regions() {
+		r.Exchange().Journal().Crash()
+	}
+	live.Journal().Crash()
+	recovered, op := openFed(t, dir)
+	if !op.Recovered {
+		t.Fatal("the crashed directory started fresh")
+	}
+	invariant.Require(t, "recovered federation", invariant.CheckFederation(recovered))
+	if got := federation.TestingTableImage(recovered); !reflect.DeepEqual(want, got) {
+		t.Fatalf("recovered router table diverges from the live one:\nlive:      %+v\nrecovered: %+v", want, got)
+	}
+	if got := imageOf(t, recovered); !reflect.DeepEqual(wantImage, got) {
+		t.Fatalf("recovered federation diverges from the live one:\nlive:      %+v\nrecovered: %+v", wantImage, got)
 	}
 }

@@ -231,7 +231,7 @@ func (f *Federation) applyLocked(w *wave, o *waveOrder) {
 		// counters, so replay reproduces this wave without touching the
 		// regions.
 		stats := f.stats
-		f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: t.view(id), Stats: &stats})
+		_ = f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: t.view(id), Stats: &stats})
 	}
 }
 

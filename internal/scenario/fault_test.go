@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"clustermarket/internal/fault"
+	"clustermarket/internal/federation"
 	"clustermarket/internal/telemetry"
 )
 
@@ -128,4 +129,49 @@ func chaosLegs(t *testing.T, name, kind string, chaosSeed int64, epochs int) {
 		t.Error("chaos schedule injected nothing")
 	}
 	t.Logf("%s chaos seed %d fingerprint %s", t.Name(), chaosSeed, prints[0][:16])
+}
+
+// TestSettleOutlastsRouterWALFault: router-WAL faults that outlast the
+// journal's heal loop during one Settle do not fail it, and each market
+// runs exactly one auction that epoch. The router's failed writes are
+// its journal's to heal; they are no reason to replay a settlement that
+// ran.
+func TestSettleOutlastsRouterWALFault(t *testing.T) {
+	inj := fault.New()
+	b, err := NewBackend("federation", Config{Seed: 42, JournalDir: t.TempDir(), Injector: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.OpenAccount("team"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range b.Regions() {
+		if _, err := b.SubmitProduct("team", "batch-compute", 1, b.ClustersOf(r)[:1], 500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	auctions := func() []int {
+		var n []int
+		for _, m := range b.markets {
+			n = append(n, b.fed.Region(m).Exchange().AuctionCount())
+		}
+		return n
+	}
+	before := auctions()
+	inj.Arm([]fault.Window{{Op: fault.OpDiskWrite, Scope: "/" + federation.RouterDir + "/", Kind: fault.EIO, Count: 12}})
+	if err := b.Settle(nil); err != nil {
+		t.Fatalf("Settle with a failing router WAL: %v", err)
+	}
+	if m := b.fed.Journal().Metrics(); m.Failures == 0 {
+		t.Fatal("the router WAL never failed past its heal loop")
+	}
+	for i, n := range auctions() {
+		if n != before[i]+1 {
+			t.Errorf("market %s ran %d auctions this epoch, want 1", b.markets[i], n-before[i])
+		}
+	}
+	for _, v := range b.Check() {
+		t.Errorf("invariant violated: %s", v)
+	}
 }

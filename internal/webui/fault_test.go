@@ -223,8 +223,10 @@ func TestFedHealthzDegradedRegion(t *testing.T) {
 }
 
 // TestFedHealthzFailingRouterJournal: a router whose WAL fails past its
-// heal loop latches the error, so every routed write fails from then
-// on; the probe answers 503 naming it "fed", and the scrape shows it.
+// heal loop is failing until its next write lands: the probe answers 503
+// naming it "fed", and the scrape shows it. The submit whose record did
+// not persist is withdrawn from the router and the region; once the disk
+// heals, the next routed submit succeeds and the probe is healthy again.
 func TestFedHealthzFailingRouterJournal(t *testing.T) {
 	fed, inj, ts := fedFaultFixture(t)
 	j, _, err := journal.Open(t.TempDir(), journal.Options{FS: fault.NewFS(inj, nil), FsyncEvery: 1})
@@ -244,10 +246,41 @@ func TestFedHealthzFailingRouterJournal(t *testing.T) {
 	if code != http.StatusServiceUnavailable || hb.Healthy || !slices.Equal(hb.FailingJournals, []string{"fed"}) {
 		t.Fatalf("probe with a failing router WAL = %d %+v, want 503 naming fed", code, hb)
 	}
+	// Every write tried while the disk fails counts: the record of the
+	// quote the submit fetched on demand, then the snapshots the submit
+	// and its withdrawal wrote in place of their records.
 	_, text := get(t, ts, "/metrics")
-	for _, want := range []string{"fed_journal_failing 1", "fed_journal_failures_total 1"} {
+	for _, want := range []string{"fed_journal_failing 1", "fed_journal_failures_total 3"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+
+	inj.Arm(nil)
+	if _, err := fed.SubmitProduct("search", "batch-compute", 1, []string{"cold-r1"}, 500); err != nil {
+		t.Fatalf("routed submit after the disk healed: %v", err)
+	}
+	if code, hb := getHealthz(t, ts); code != http.StatusOK || !hb.Healthy || len(hb.FailingJournals) != 0 {
+		t.Fatalf("probe after the disk healed = %d %+v, want 200", code, hb)
+	}
+	_, text = get(t, ts, "/metrics")
+	for _, want := range []string{"fed_journal_failing 0", "fed_journal_failures_total 3"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("healed exposition missing %q", want)
+		}
+	}
+	cold := fed.Region("cold").Exchange()
+	for i, want := range []market.OrderStatus{market.Cancelled, market.Open} {
+		fo, err := fed.Order(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := cold.Order(fo.Legs[0].OrderID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fo.Status != want || o.Status != want {
+			t.Errorf("submit %d: router %s, region %s; want %s in both", i, fo.Status, o.Status, want)
 		}
 	}
 }
