@@ -124,8 +124,8 @@ type (
 	// Journal is the append-only write-ahead log: CRC-framed records in
 	// one wal file, fsynced every append, rotated behind each snapshot.
 	Journal = journal.Journal
-	// JournalOptions tunes a journal: its filesystem seam, and FsyncEvery,
-	// the records one fsync may cover (1, the default, fsyncs each append).
+	// JournalOptions names a journal's filesystem seam. Every append is
+	// fsynced before it returns; an FsyncEvery above 1 is refused.
 	JournalOptions = journal.Options
 	// JournalRecovery is everything that survived on disk: the newest
 	// intact snapshot and the record tail appended after it.

@@ -476,20 +476,16 @@ func openDemoAccounts(open func(team string) error) error {
 }
 
 // checkJournalMode refuses a journal directory written in the other
-// mode. A single exchange journals to the directory itself (wal,
-// snapshot.json); a federation journals each region and the router to
-// subdirectories. Opening one as the other would silently start fresh
-// books beside the old ones.
+// mode. A single exchange journals to the directory itself; a
+// federation journals each region and the router to subdirectories.
+// Opening one as the other would silently start fresh books beside the
+// old ones.
 func checkJournalMode(dir string, federated bool) error {
-	if federated {
-		for _, name := range []string{"wal", "snapshot.json"} {
-			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-				return fmt.Errorf("journal dir %s holds %s, written by a single exchange (-regions 0); refusing to start a federated market on it", dir, name)
-			}
-		}
-		return nil
-	}
-	if _, err := os.Stat(filepath.Join(dir, federation.RouterDir)); err == nil {
+	_, err := os.Stat(filepath.Join(dir, federation.RouterDir))
+	switch {
+	case federated && journal.Exists(dir):
+		return fmt.Errorf("journal dir %s holds a journal written by a single exchange (-regions 0); refusing to start a federated market on it", dir)
+	case !federated && err == nil:
 		return fmt.Errorf("journal dir %s holds %s/, written by a federated market (-regions >= 2); refusing to start a single exchange on it", dir, federation.RouterDir)
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,45 @@ func TestDocumentSizes(t *testing.T) {
 		}
 		if fi.Size() > doc.max {
 			t.Errorf("%s is %d bytes, over its %d-byte bar", doc.name, fi.Size(), doc.max)
+		}
+	}
+}
+
+// TestEventTableListsEveryKind holds DESIGN.md's event table ("Event log
+// & durability") to the code: each stream's row lists exactly the Ev*
+// kinds its event.go defines, so adding or deleting a kind cannot leave
+// the table stale.
+func TestEventTableListsEveryKind(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(design), "\n## Event log & durability\n")
+	section, _, _ = strings.Cut(section, "\n## ")
+	note := regexp.MustCompile(` \([^)]*\)`)
+	kind := regexp.MustCompile(`(?m)^\s*Ev\w+\s*=\s*"([^"]+)"`)
+	for stream, src := range map[string]string{
+		"market":     "internal/market/event.go",
+		"federation": "internal/federation/event.go",
+	} {
+		row := regexp.MustCompile(`(?m)^\| ` + stream + ` \| (.+) \|$`).FindStringSubmatch(section)
+		if row == nil {
+			t.Errorf("DESIGN.md's event table has no %s row", stream)
+			continue
+		}
+		listed := strings.Split(note.ReplaceAllString(row[1], ""), ", ")
+		code, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var defined []string
+		for _, m := range kind.FindAllStringSubmatch(string(code), -1) {
+			defined = append(defined, m[1])
+		}
+		slices.Sort(listed)
+		slices.Sort(defined)
+		if !slices.Equal(listed, defined) {
+			t.Errorf("DESIGN.md lists %s events %v; %s defines %v", stream, listed, src, defined)
 		}
 	}
 }

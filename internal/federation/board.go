@@ -58,7 +58,13 @@ func (f *Federation) publishLocked(tick, ri int, q *Quote) {
 // It is the quote pass every settlement runs, over every region. Regions
 // whose quote cannot be computed keep their previous entry.
 // It returns the new gossip tick.
-func (f *Federation) Gossip() int { return f.gossip(f.every()) }
+func (f *Federation) Gossip() int {
+	tick := f.gossip(f.every())
+	f.mu.Lock()
+	_ = f.catchUpLocked()
+	f.mu.Unlock()
+	return tick
+}
 
 // gossip advances the gossip clock once and quotes the listed regions at
 // the new tick: the one quote pass, run by every settlement and Gossip.

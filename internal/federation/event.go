@@ -50,15 +50,11 @@ type FedEvent struct {
 // is attached) and the telemetry firehose (when a subscriber is
 // listening), and returns this event's journal error. Callers hold f.mu
 // and mutate before they emit, so journal order matches mutation order.
-// While the journal is Failing (a write outlasted its heal loop), each
-// emit writes a snapshot instead of a record: the image covers every
-// mutation so far, a record that failed included, and the first write
-// that lands clears the state. Gossip and the wave, with no caller to
-// answer, drop the error; the event is still published either way.
+// While the journal is Failing (a write outlasted its heal loop), the
+// event is published but not written: catchUpLocked then covers it with
+// a snapshot. The event is published either way.
 func (f *Federation) emitLocked(ev *FedEvent) (err error) {
-	if f.journal != nil && f.journal.Failing() {
-		err = f.snapshotLocked()
-	} else if f.journal != nil {
+	if f.journal != nil && !f.journal.Failing() {
 		if raw, jerr := json.Marshal(ev); jerr != nil {
 			err = fmt.Errorf("federation: encode %s event: %w", ev.Kind, jerr)
 		} else if _, jerr = f.journal.Append(raw); jerr != nil {
@@ -67,6 +63,19 @@ func (f *Federation) emitLocked(ev *FedEvent) (err error) {
 	}
 	f.fire.Publish(EventSource, ev.Kind, ev)
 	return err
+}
+
+// catchUpLocked makes, while the journal is Failing, the one snapshot
+// attempt that covers every mutation so far, a record that failed
+// included; the first write that lands clears the state. A submit or a
+// cancel makes it after its own event, a gossip pass or a settlement
+// wave after its last mutation, so an outage costs a pass one image,
+// not one an order.
+func (f *Federation) catchUpLocked() error {
+	if f.journal == nil || !f.journal.Failing() {
+		return nil
+	}
+	return f.snapshotLocked()
 }
 
 // materializingLocked reports whether events are worth building at

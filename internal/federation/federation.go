@@ -36,7 +36,7 @@ type Leg struct {
 	// Status mirrors the regional order's status once submitted.
 	Status market.OrderStatus
 	// Err records why a leg submission failed (budget, a failed journal
-	// write); the router then falls through to the next-cheapest leg.
+	// write by event kind); the router then falls through to the next leg.
 	Err string
 }
 
@@ -395,7 +395,7 @@ grouping:
 			if errs == nil {
 				errs = make([]string, len(legs))
 			}
-			errs[i] = err.Error()
+			errs[i] = legErr(err)
 			lastErr = err
 			continue
 		}
@@ -426,7 +426,10 @@ grouping:
 	}
 	if f.materializingLocked() {
 		stats := f.stats
-		if err = f.emitLocked(&FedEvent{Kind: EvFedOrderSubmitted, Order: t.view(id), Stats: &stats}); err != nil {
+		if err = f.emitLocked(&FedEvent{Kind: EvFedOrderSubmitted, Order: t.view(id), Stats: &stats}); err == nil {
+			err = f.catchUpLocked()
+		}
+		if err != nil {
 			// Withdraw the unjournaled order, so a retry cannot duplicate
 			// it; a leg a clock already holds is left to settle, as above.
 			_ = f.withdrawLocked(id)
@@ -444,6 +447,15 @@ grouping:
 		return -1, err
 	}
 	return id, nil
+}
+
+// legErr is Leg.Err's text for err; a journal failure's omits the WAL.
+func legErr(err error) string {
+	var je *market.JournalError
+	if errors.As(err, &je) {
+		return "market: journal " + je.Kind + " event failed"
+	}
+	return err.Error()
 }
 
 // bookLeg submits one leg, over the clusters whose pool rows it is given,
@@ -495,7 +507,10 @@ func (f *Federation) withdrawLocked(id int) error {
 		return nil
 	}
 	stats := f.stats
-	return f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: t.view(id), Stats: &stats})
+	if err := f.emitLocked(&FedEvent{Kind: EvFedOrderUpdated, Order: t.view(id), Stats: &stats}); err != nil {
+		return err
+	}
+	return f.catchUpLocked()
 }
 
 // Order returns a view of one federated order.
@@ -650,8 +665,8 @@ func (f *Federation) settle(regions []int) []RegionTick {
 			f.settleCount++
 		}
 	}
-	// One snapshot covers a wave however many multiples it passes.
-	if f.journal != nil && f.snapshotEvery > 0 && f.settleCount/f.snapshotEvery > before/f.snapshotEvery {
+	// One snapshot covers any cadence multiples and an outage's events.
+	if f.journal != nil && (f.journal.Failing() || f.snapshotEvery > 0 && f.settleCount/f.snapshotEvery > before/f.snapshotEvery) {
 		_ = f.snapshotLocked()
 	}
 	f.mu.Unlock()

@@ -274,8 +274,15 @@ func TestRouterJournalHealsAfterFailedAppend(t *testing.T) {
 	if live.Journal().Failing() {
 		t.Fatal("the router WAL is still failing after the disk healed")
 	}
-	want, wantImage := federation.TestingTableImage(live), imageOf(t, live)
+	requireCrashRecoversLive(t, dir, live)
+}
 
+// requireCrashRecoversLive crashes every journal of live, journaled under
+// dir, and requires the federation recovered from dir to be the live one:
+// its router table record for record, and its orders, board and books.
+func requireCrashRecoversLive(t *testing.T, dir string, live *federation.Federation) {
+	t.Helper()
+	want, wantImage := federation.TestingTableImage(live), imageOf(t, live)
 	for _, r := range live.Regions() {
 		r.Exchange().Journal().Crash()
 	}
@@ -291,4 +298,48 @@ func TestRouterJournalHealsAfterFailedAppend(t *testing.T) {
 	if got := imageOf(t, recovered); !reflect.DeepEqual(wantImage, got) {
 		t.Fatalf("recovered federation diverges from the live one:\nlive:      %+v\nrecovered: %+v", wantImage, got)
 	}
+}
+
+// TestRouterOutageCostsOneImageATick: while the router WAL is failing, a
+// Tick's gossip pass and settlement wave publish their events without an
+// image each and end in one snapshot attempt, so the Tick costs the
+// journal one failure however many orders its wave decides. Once the disk
+// heals, a crash recovers the live router.
+func TestRouterOutageCostsOneImageATick(t *testing.T) {
+	dir := t.TempDir()
+	inj := fault.New()
+	live, _, err := federation.Open(dir, journal.Options{FS: fault.NewFS(inj, nil)}, fedConfig, fedMembers(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { live.Close() })
+	if err := live.OpenAccount("team"); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []float64{2500, 3000, 3500, 4000} {
+		if _, err := live.SubmitProduct("team", "batch-compute", 4, []string{"hot-r1", "cold-r1"}, limit); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	inj.Arm([]fault.Window{{Op: fault.OpDiskWrite, Scope: "/" + federation.RouterDir + "/", Kind: fault.EIO, Count: 100000}})
+	if _, err := live.SubmitProduct("team", "batch-compute", 1, []string{"cold-r2"}, 500); err == nil || !live.Journal().Failing() {
+		t.Fatalf("routed submit with a failing router WAL = %v, want refused and the WAL failing", err)
+	}
+	stats, failures := live.Stats(), live.Journal().Metrics().Failures
+	live.Tick()
+	after := live.Stats()
+	if decided := after.Won + after.Lost + after.Unsettled + after.Failovers - stats.Won - stats.Lost - stats.Unsettled - stats.Failovers; decided < 3 {
+		t.Fatalf("the wave decided %d orders, want at least 3 (stats %+v)", decided, after)
+	}
+	if got := live.Journal().Metrics().Failures - failures; got != 1 {
+		t.Errorf("a Tick during the outage cost the router journal %d failures, want 1", got)
+	}
+
+	inj.Arm(nil)
+	driveFedMore(t, live)
+	if live.Journal().Failing() {
+		t.Fatal("the router WAL is still failing after the disk healed")
+	}
+	requireCrashRecoversLive(t, dir, live)
 }

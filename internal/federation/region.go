@@ -35,8 +35,8 @@ type Region struct {
 
 // NewRegion wires a regional exchange to its fleet. The region name must
 // be non-empty; the fleet must have at least one cluster. The
-// market.Config applies to the region's exchange verbatim — including
-// the book stripe count (Config.Shards), so every regional intake
+// market.Config applies to the region's exchange verbatim. Every
+// regional book is striped like any exchange's, so each regional intake
 // pipeline is itself contention-free under the federation router's
 // concurrent leg routing.
 func NewRegion(name string, fleet *cluster.Fleet, cfg market.Config) (*Region, error) {

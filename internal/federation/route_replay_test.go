@@ -85,7 +85,7 @@ var seamTeams = []string{"alpha", "beta"}
 func openSeamWorld(t *testing.T, dir string, snapshotEvery int) *seamWorld {
 	t.Helper()
 	w := &seamWorld{}
-	opts := journal.Options{FsyncEvery: 1 << 20}
+	opts := journal.Options{}
 	var regions []*federation.Region
 	fresh := true
 	for _, tp := range seamTopology {

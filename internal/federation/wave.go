@@ -94,6 +94,7 @@ func (f *Federation) advance(ri int) {
 	w := f.takeWaveLocked()
 	f.decideLocked(w, ri)
 	f.bookLocked(w)
+	_ = f.catchUpLocked()
 }
 
 // decideLocked is region ri's decide phase. Only orders whose active leg
@@ -167,7 +168,7 @@ func (f *Federation) bookLocked(w *wave) {
 			}
 			rt := t.routeAt(int(o.id))
 			k := rt.legOff + uint32(o.leg)
-			t.setErr(k, o.err.Error())
+			t.setErr(k, legErr(o.err))
 			w.regions[t.legAt(k).region].refused++
 			if o.leg++; int(o.leg) == int(rt.legN) {
 				o.leg, o.booking = -1, false

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -359,12 +357,9 @@ func TestWaveRefusedLegBooksNextPass(t *testing.T) {
 		{"degraded", func(t *testing.T, dir string) (*Region, func()) {
 			// b journals on a disk that stops persisting: every leg's
 			// journal write fails, so b refuses it. b's own clock (under
-			// Tick) has an empty book and writes nothing. The refusal's
-			// text names the WAL, so both runs of the row journal to one
-			// directory, emptied for the second.
-			if err := os.RemoveAll(dir); err != nil {
-				t.Fatal(err)
-			}
+			// Tick) has an empty book and writes nothing. Each run
+			// journals to its own directory: the refusal's text must not
+			// name it.
 			inj := fault.New()
 			j, _, err := journal.Open(dir, journal.Options{FS: fault.NewFS(inj, nil), FsyncEvery: 1})
 			if err != nil {
@@ -386,9 +381,8 @@ func TestWaveRefusedLegBooksNextPass(t *testing.T) {
 	for _, row := range rows {
 		for _, drive := range []string{"tick", "settle-region"} {
 			t.Run(row.name+"/"+drive, func(t *testing.T) {
-				dir := filepath.Join(t.TempDir(), "b")
 				run := func() (*Federation, []string) {
-					b, refuse := row.b(t, dir)
+					b, refuse := row.b(t, t.TempDir())
 					f, err := NewFederation(testRegion(t, "a", 1, 0.1), b, testRegion(t, "c", 1, 0.1))
 					if err != nil {
 						t.Fatal(err)

@@ -10,10 +10,9 @@
 //   - wal — the write-ahead log: a 14-byte header (magic "JRNL1\n" plus
 //     the little-endian sequence number of the first record) followed by
 //     length+CRC framed records: [uint32 len][uint32 crc32(payload)]
-//     [payload]. Appends write() straight to the file descriptor — there
-//     is no userspace buffer — so a process kill loses nothing that was
-//     appended; an fsync policy (Options.FsyncEvery) bounds what power
-//     loss can take.
+//     [payload]. Every append is written and fsynced before it returns,
+//     so neither a process kill nor power loss takes an acknowledged
+//     record.
 //   - snapshot.json — {"seq": N, "state": …}: the caller's full state at
 //     sequence N, written tmp+rename+dir-fsync so it is atomically either
 //     the old or the new snapshot. After a durable snapshot the WAL is
@@ -29,7 +28,7 @@
 //
 // Disk faults at runtime are first-class, not just crash artifacts:
 // every disk operation goes through the Options.FS seam, and a failed
-// append (write error, short write, or a failed group-commit fsync)
+// append (write error, short write, or a failed fsync)
 // rolls the WAL back to its pre-append length — no partial frame is
 // ever readable and a retried append reproduces the identical byte
 // stream. Append and Snapshot heal a transient fault burst themselves:
@@ -81,11 +80,9 @@ var ErrCorruptWAL = errors.New("journal: corrupt wal")
 
 // Options tunes a Journal.
 type Options struct {
-	// FsyncEvery is the group-commit window: the WAL is fsynced after
-	// every FsyncEvery appended records. 1 (the default) fsyncs each
-	// append — full power-loss durability at full latency cost; larger
-	// windows amortize the fsync across a batch, bounding power loss to
-	// the window while a plain process crash still loses nothing.
+	// FsyncEvery is not a window: every append is fsynced before it
+	// returns. Open refuses a value above 1 rather than acknowledge
+	// records that power loss could take.
 	FsyncEvery int
 	// FS is the filesystem the journal operates through; nil means the
 	// real one (OSFS). Tests and internal/fault substitute an injecting
@@ -127,21 +124,19 @@ func (r *Recovery) Empty() bool { return r.SnapshotSeq == 0 && len(r.Records) ==
 // Journal is an open WAL + snapshot directory. All methods are safe for
 // concurrent use; Append order defines the global sequence order.
 type Journal struct {
-	mu       sync.Mutex
-	dir      string
-	opts     Options
-	fs       FS
-	wal      File
-	lock     *os.File
-	seq      uint64 // last assigned sequence number
-	first    uint64 // sequence number of the attached WAL's first record
-	unsynced int    // appends since the last fsync
-	good     int64  // byte length of the fully-framed WAL prefix
-	torn     bool   // a failed write left a tail past good that must be cut
-	dead     bool
+	mu    sync.Mutex
+	dir   string
+	fs    FS
+	wal   File
+	lock  *os.File
+	seq   uint64 // last assigned sequence number
+	first uint64 // sequence number of the attached WAL's first record
+	good  int64  // byte length of the fully-framed WAL prefix
+	torn  bool   // a failed write left a tail past good that must be cut
+	dead  bool
 
 	// Operational counters behind /metrics. Atomic so Metrics never
-	// takes j.mu (a scrape must not contend with group commit); the
+	// takes j.mu (a scrape must not contend with an append); the
 	// fsync-latency histogram wraps the wal.Sync calls, which run under
 	// j.mu and so time exactly the commit path a writer waits on.
 	appends   atomic.Uint64
@@ -163,7 +158,7 @@ type Metrics struct {
 	// acknowledged to the WAL (headers included); rolled-back appends
 	// are not counted.
 	Appends, Bytes uint64
-	// Fsyncs counts group-commit fsyncs of the WAL; FsyncLatency is
+	// Fsyncs counts fsyncs of the WAL; FsyncLatency is
 	// their latency distribution. Snapshots counts durable snapshot
 	// rotations.
 	Fsyncs, Snapshots uint64
@@ -211,8 +206,8 @@ type snapshotFile struct {
 // recovered prefix. A second Open of the same directory by a live
 // process fails with an error wrapping ErrLocked.
 func Open(dir string, opts Options) (*Journal, *Recovery, error) {
-	if opts.FsyncEvery <= 0 {
-		opts.FsyncEvery = 1
+	if opts.FsyncEvery > 1 {
+		return nil, nil, fmt.Errorf("journal: FsyncEvery %d refused: every append is fsynced, there is no window", opts.FsyncEvery)
 	}
 	fs := opts.FS
 	if fs == nil {
@@ -225,7 +220,7 @@ func Open(dir string, opts Options) (*Journal, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	j := &Journal{dir: dir, opts: opts, fs: fs, lock: lock, fsyncLat: telemetry.NewFsyncHistogram()}
+	j := &Journal{dir: dir, fs: fs, lock: lock, fsyncLat: telemetry.NewFsyncHistogram()}
 	rec, err := j.recover()
 	if err != nil {
 		lock.Close()
@@ -250,8 +245,22 @@ func acquireLock(dir string) (*os.File, error) {
 	return f, nil
 }
 
-func (j *Journal) walPath() string  { return filepath.Join(j.dir, "wal") }
-func (j *Journal) snapPath() string { return filepath.Join(j.dir, "snapshot.json") }
+// The journal's two files in its directory; no other package names them.
+const (
+	walName  = "wal"
+	snapName = "snapshot.json"
+)
+
+func (j *Journal) walPath() string  { return filepath.Join(j.dir, walName) }
+func (j *Journal) snapPath() string { return filepath.Join(j.dir, snapName) }
+
+// Exists reports whether dir holds a journal's WAL or snapshot, without
+// opening, and so locking or creating, anything in it.
+func Exists(dir string) bool {
+	_, werr := os.Stat(filepath.Join(dir, walName))
+	_, serr := os.Stat(filepath.Join(dir, snapName))
+	return werr == nil || serr == nil
+}
 
 // recover loads the snapshot and WAL tail, repairing a torn tail, and
 // leaves j.wal open for appends.
@@ -500,9 +509,8 @@ func (j *Journal) heal(op func() error) error {
 }
 
 // Append writes one framed record to the WAL and returns its sequence
-// number. The record hits the file descriptor before Append returns (a
-// process crash cannot lose it); it is fsynced per Options.FsyncEvery
-// (power loss is bounded by the group-commit window). A failed attempt
+// number. The record is written and fsynced before Append returns, so
+// neither a process crash nor power loss can lose it. A failed attempt
 // rolls the WAL back to its pre-append length, so the failed record is
 // never readable and the heal loop's retry writes the identical frame;
 // an error means every attempt failed and no sequence was consumed.
@@ -511,8 +519,7 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 }
 
 // AppendBatch writes records as one write(2) and returns the sequence
-// of the last. The batch counts as len(payloads) records toward the
-// group-commit window. A failed attempt rolls back the whole batch.
+// of the last, fsynced once. A failed attempt rolls back the whole batch.
 func (j *Journal) AppendBatch(payloads [][]byte) (uint64, error) {
 	size := 0
 	for _, p := range payloads {
@@ -547,9 +554,9 @@ func (j *Journal) appendFrames(buf []byte, n int) (seq uint64, err error) {
 }
 
 // writeFramesLocked writes one fully framed buffer carrying n records
-// and advances the sequence, rolling the WAL back to its pre-write
-// length on any failure — write error, short write, or a failed
-// group-commit fsync — so an unacknowledged record never becomes
+// and fsyncs it, then advances the sequence. Any failure — write error,
+// short write, or a failed fsync — rolls the WAL back to its pre-write
+// length, so an unacknowledged record never becomes
 // readable and a retry reproduces the identical byte stream.
 func (j *Journal) writeFramesLocked(buf []byte, n int) error {
 	start := j.good
@@ -561,18 +568,15 @@ func (j *Journal) writeFramesLocked(buf []byte, n int) error {
 		j.retractLocked(start)
 		return fmt.Errorf("journal: append: %w", werr)
 	}
-	j.good += int64(len(buf))
-	j.seq += uint64(n)
-	j.unsynced += n
-	if err := j.maybeSyncLocked(); err != nil {
+	if err := j.syncWALLocked(); err != nil {
 		// The frames hit the fd but their durability is unknown; retract
 		// them so the acknowledged prefix and the file agree and the
 		// caller's retry cannot duplicate them.
-		j.seq -= uint64(n)
-		j.unsynced -= n
 		j.retractLocked(start)
-		return err
+		return fmt.Errorf("journal: fsync: %w", err)
 	}
+	j.good += int64(len(buf))
+	j.seq += uint64(n)
 	j.appends.Add(uint64(n))
 	j.bytes.Add(uint64(len(buf)))
 	return nil
@@ -617,7 +621,6 @@ func (j *Journal) probe() error {
 	if err := j.syncWALLocked(); err != nil {
 		return fmt.Errorf("journal: probe fsync: %w", err)
 	}
-	j.unsynced = 0
 	return nil
 }
 
@@ -627,35 +630,6 @@ func appendFrame(buf, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
-}
-
-func (j *Journal) maybeSyncLocked() error {
-	if j.unsynced < j.opts.FsyncEvery {
-		return nil
-	}
-	if err := j.syncWALLocked(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	j.unsynced = 0
-	return nil
-}
-
-// Sync flushes any unsynced tail of the group-commit window to stable
-// storage.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead {
-		return ErrClosed
-	}
-	if j.unsynced == 0 {
-		return nil
-	}
-	if err := j.syncWALLocked(); err != nil {
-		return fmt.Errorf("journal: fsync: %w", err)
-	}
-	j.unsynced = 0
-	return nil
 }
 
 // Snapshot durably stores state as covering every record up to and
@@ -759,7 +733,6 @@ func (j *Journal) snapshotOnce(state []byte, at uint64) error {
 	j.good = int64(len(head))
 	j.first = at + 1
 	j.torn = false
-	j.unsynced = 0
 	old.Close()
 	j.snapshots.Add(1)
 	return j.syncDir()
@@ -795,7 +768,8 @@ func (j *Journal) tailAfterLocked(at uint64) ([]byte, error) {
 	return data[off:j.good], nil
 }
 
-// Close fsyncs and closes the journal, releasing the directory lock.
+// Close closes the journal, releasing the directory lock. Every
+// append was fsynced when it returned, so there is nothing to flush.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -803,32 +777,10 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.dead = true
-	var first error
-	if j.unsynced > 0 {
-		if err := j.syncWALLocked(); err != nil && first == nil {
-			first = fmt.Errorf("journal: fsync on close: %w", err)
-		}
-	}
-	if err := j.wal.Close(); err != nil && first == nil {
-		first = err
-	}
-	if err := j.lock.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
+	return errors.Join(j.wal.Close(), j.lock.Close())
 }
 
-// Crash closes the file descriptors without the final fsync — the
-// moral equivalent of SIGKILL, for crash-recovery tests and scenarios.
-// Appended records survive (they were written, and the OS page cache
-// outlives the process); only the flock is released.
-func (j *Journal) Crash() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.dead {
-		return
-	}
-	j.dead = true
-	j.wal.Close()
-	j.lock.Close()
-}
+// Crash is Close with its error dropped — the moral equivalent of
+// SIGKILL, for crash-recovery tests and scenarios: every append was
+// fsynced when it returned, so a kill only releases the flock.
+func (j *Journal) Crash() { _ = j.Close() }

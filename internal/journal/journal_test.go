@@ -69,9 +69,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 
 func TestCrashPreservesAppendedRecords(t *testing.T) {
 	dir := t.TempDir()
-	// A huge group-commit window: nothing is fsynced, yet a process
-	// crash (not power loss) must still lose no appended record.
-	j, _ := mustOpen(t, dir, Options{FsyncEvery: 1 << 20})
+	// A process crash must lose no appended record.
+	j, _ := mustOpen(t, dir, Options{})
 	appendAll(t, j, "a", "b", "c")
 	j.Crash()
 
@@ -218,7 +217,7 @@ func TestSnapshotRotatesWAL(t *testing.T) {
 // already rotated once, and for stamps the journal cannot honour.
 func TestSnapshotCarriesRecordsPastItsStamp(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Options{FsyncEvery: 4})
+	j, _ := mustOpen(t, dir, Options{})
 	appendAll(t, j, "a", "b")
 	at := j.Seq()
 	appendAll(t, j, "c", "d")
@@ -337,9 +336,6 @@ func TestClosedJournalErrors(t *testing.T) {
 	if _, err := j.Append([]byte("x")); err != ErrClosed {
 		t.Fatalf("Append after Close: %v, want ErrClosed", err)
 	}
-	if err := j.Sync(); err != ErrClosed {
-		t.Fatalf("Sync after Close: %v, want ErrClosed", err)
-	}
 	if err := j.Snapshot(nil, j.Seq()); err != ErrClosed {
 		t.Fatalf("Snapshot after Close: %v, want ErrClosed", err)
 	}
@@ -350,10 +346,13 @@ func TestClosedJournalErrors(t *testing.T) {
 
 func TestAppendBatch(t *testing.T) {
 	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Options{FsyncEvery: 2})
+	j, _ := mustOpen(t, dir, Options{})
 	seq, err := j.AppendBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")})
 	if err != nil || seq != 3 {
 		t.Fatalf("AppendBatch: seq=%d err=%v, want 3", seq, err)
+	}
+	if got := j.Metrics().Fsyncs; got != 1 {
+		t.Fatalf("AppendBatch took %d fsyncs, want 1", got)
 	}
 	j.Crash()
 	_, rec := mustOpen(t, dir, Options{})
@@ -367,49 +366,32 @@ func TestAppendBatch(t *testing.T) {
 // touches the heap.
 const appendAllocBudget = 1
 
-// TestAppendAllocBudget gates Append's allocations exactly, with the
-// fsync taken on every record (the durable default) and with it
-// deferred to a group-commit window.
+// TestAppendAllocBudget gates Append's allocations exactly, fsync
+// included.
 func TestAppendAllocBudget(t *testing.T) {
 	payload := make([]byte, 256)
-	for _, every := range []int{1, 64} {
-		j, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: every})
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := j.Append(payload); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != appendAllocBudget {
-			t.Errorf("FsyncEvery %d: Append allocates %.0f times a record, budget %d", every, allocs, appendAllocBudget)
-		}
-		if err := j.Close(); err != nil {
+	j, _ := mustOpen(t, t.TempDir(), Options{})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := j.Append(payload); err != nil {
 			t.Fatal(err)
 		}
+	})
+	if allocs != appendAllocBudget {
+		t.Errorf("Append allocates %.0f times a record, budget %d", allocs, appendAllocBudget)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestGroupCommitSyncOnDemand(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Options{FsyncEvery: 64})
-	appendAll(t, j, "a")
-	if err := j.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	// A second Sync with nothing unsynced is a no-op.
-	if err := j.Sync(); err != nil {
-		t.Fatalf("idempotent Sync: %v", err)
-	}
-	j.Close()
-}
-
-// TestCloseFsyncIsCounted: the flush Close issues for records still
-// inside the group-commit window goes through the one timed fsync path,
-// so Metrics sees it — counter and latency histogram both.
-func TestCloseFsyncIsCounted(t *testing.T) {
-	j, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: 64})
+// TestEveryAppendFsyncIsCounted: each append is fsynced before it
+// returns, through the one timed fsync path, so Metrics sees every
+// fsync — counter and latency histogram both — and Close adds none.
+func TestEveryAppendFsyncIsCounted(t *testing.T) {
+	j, _ := mustOpen(t, t.TempDir(), Options{FsyncEvery: 1})
 	appendAll(t, j, "a", "b")
-	if got := j.Metrics().Fsyncs; got != 0 {
-		t.Fatalf("Fsyncs before Close = %d, want 0 (window not reached)", got)
+	if got := j.Metrics().Fsyncs; got != 2 {
+		t.Fatalf("Fsyncs after two appends = %d, want 2", got)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -419,9 +401,22 @@ func TestCloseFsyncIsCounted(t *testing.T) {
 	for _, c := range m.FsyncLatency.Counts {
 		samples += c
 	}
-	if m.Fsyncs != 1 || samples != 1 {
-		t.Fatalf("after Close: Fsyncs = %d, latency samples = %d, want 1 and 1", m.Fsyncs, samples)
+	if m.Fsyncs != 2 || samples != 2 {
+		t.Fatalf("after Close: Fsyncs = %d, latency samples = %d, want 2 and 2", m.Fsyncs, samples)
 	}
+}
+
+// TestOpenRefusesFsyncWindow: every append is fsynced, so a window
+// larger than one record is refused by name rather than ignored.
+func TestOpenRefusesFsyncWindow(t *testing.T) {
+	dir := t.TempDir()
+	_, _, err := Open(dir, Options{FsyncEvery: 64})
+	if err == nil || !strings.Contains(err.Error(), "FsyncEvery 64") {
+		t.Fatalf("Open with FsyncEvery 64: %v, want a refusal naming FsyncEvery", err)
+	}
+	// The refusal holds no lock: the directory opens at once.
+	j, _ := mustOpen(t, dir, Options{FsyncEvery: 1})
+	j.Close()
 }
 
 // TestTornTailAfterSnapshot combines both repair paths: snapshot intact,
@@ -476,5 +471,22 @@ func TestSeqEncodingIsLittleEndian(t *testing.T) {
 	}
 	if got := binary.LittleEndian.Uint64(data[len(walMagic):walHeaderSize]); got != 4 {
 		t.Fatalf("rotated wal firstSeq = %d, want 4", got)
+	}
+}
+
+// TestExists: a directory holds a journal once Open has written its WAL,
+// and not before; nothing but the journal's own files counts.
+func TestExists(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if Exists(dir) {
+		t.Fatal("a directory with no journal reports one")
+	}
+	j, _ := mustOpen(t, dir, Options{})
+	j.Close()
+	if !Exists(dir) {
+		t.Fatal("an opened journal's directory reports none")
 	}
 }

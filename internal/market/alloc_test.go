@@ -205,8 +205,8 @@ func retained(t *testing.T, before map[profileSite]runtime.MemProfileRecord) (by
 // TestSettledOrderRetainedCeiling measures what TestSettleAllocBudget
 // cannot see — allocations that run once a chunk, not once a winner: the
 // whole of what 4 800 settled orders (eight waves of the same 600) leave
-// live at the sites that built the book, on one stripe so a half-empty
-// chunk tail is paid once. It must be under the ceiling, the same at
+// live at the sites that built the book, half-empty chunk tails of the
+// eight stripes included. It must be under the ceiling, the same at
 // R = 39 and R = 192, and chunks, not orders: the order objects, their row
 // slabs and the ledger memos are gone.
 func TestSettledOrderRetainedCeiling(t *testing.T) {
@@ -224,7 +224,7 @@ func TestSettledOrderRetainedCeiling(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e12, Shards: 1})
+		ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,50 +277,68 @@ func TestSettledOrderRetainedCeiling(t *testing.T) {
 // TestCancelAllocBudget is the budget for the third way out of the book.
 // A cancel archives, as a settlement does: it may allocate a chunk now
 // and then — nothing per order — and once the claim list is compacted
-// the cancelled orders' objects and row slabs are gone.
+// the cancelled orders' objects and row slabs are gone. A book of one
+// order a stripe pays every stripe's first chunks; what 600 more
+// cancelled orders retain beyond that book is held to the ceiling.
 func TestCancelAllocBudget(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 
 	const orders = 600
-	ex, err := market.NewExchange(recoverFleet(t), market.Config{InitialBudget: 1e12, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ex.OpenAccount("team"); err != nil {
-		t.Fatal(err)
-	}
-	before := profileBySite(t)
-	for k := 0; k <= orders; k++ {
-		if _, err := ex.SubmitProduct("team", "batch-compute", 1, []string{"alpha", "beta"}[:1+k%2], float64(5+k%60)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(orders-1, func() { // and one warm-up run
-		if err := ex.Cancel(next); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	})
-	if allocs != 0 {
-		t.Errorf("Cancel allocates %.0f times an order, want only the occasional chunk", allocs)
-	}
-	if err := ex.Cancel(orders); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ex.RunAuction(); !errors.Is(err, market.ErrNoOpenOrders) {
-		t.Fatalf("the book should be empty: %v", err)
-	}
-	bytes, objects := retained(t, before)
-	runtime.KeepAlive(ex)
-	t.Logf("%d bytes and %d objects retained for %d cancelled orders", bytes, objects, orders)
+	baseBytes, baseObjects := cancelledBook(t, 0)
+	bytes, objects := cancelledBook(t, orders)
+	bytes, objects = bytes-baseBytes, objects-baseObjects
+	t.Logf("%d bytes and %d objects retained for %d cancelled orders beyond one a stripe", bytes, objects, orders)
 	if per := bytes / orders; per > retainedPerOrderCeiling {
 		t.Errorf("%d bytes retained a cancelled order, ceiling %d", per, retainedPerOrderCeiling)
 	}
 	if objects*8 > orders {
 		t.Errorf("%d objects retained for %d cancelled orders: orders are still objects", objects, orders)
 	}
+}
+
+// cancelledBook books one order a stripe and extra more on a fresh
+// exchange, cancels them all, and returns what the sites that built the
+// book retain once the claim list is compacted. Past each stripe's first
+// cancel, which may open its archive chunks, Cancel allocates nothing an
+// order.
+func cancelledBook(t *testing.T, extra int) (bytes, objects int64) {
+	t.Helper()
+	ex, err := market.NewExchange(recoverFleet(t), market.Config{InitialBudget: 1e12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.OpenAccount("team"); err != nil {
+		t.Fatal(err)
+	}
+	stripes := len(ex.OpenOrdersPerStripe())
+	before := profileBySite(t)
+	for k := 0; k < stripes+extra; k++ {
+		if _, err := ex.SubmitProduct("team", "batch-compute", 1, []string{"alpha", "beta"}[:1+k%2], float64(5+k%60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	cancel := func() {
+		if err := ex.Cancel(next); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < stripes { // IDs are dealt round-robin: one a stripe
+		cancel()
+	}
+	if extra > 0 {
+		if allocs := testing.AllocsPerRun(extra-1, cancel); allocs != 0 { // and one warm-up run
+			t.Errorf("Cancel allocates %.0f times an order, want only the occasional chunk", allocs)
+		}
+	}
+	if _, _, err := ex.RunAuction(); !errors.Is(err, market.ErrNoOpenOrders) {
+		t.Fatalf("the book should be empty: %v", err)
+	}
+	bytes, objects = retained(t, before)
+	runtime.KeepAlive(ex)
+	return bytes, objects
 }
 
 // profileBySite is the memory profile as a baseline to subtract: the

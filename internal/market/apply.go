@@ -50,10 +50,10 @@ func (e *ReplayedOrderError) Unwrap() error { return e.Err }
 // separated safely:
 //
 //   - Settlement-phase events (order-attempted, order-settled,
-//     auction-cleared, balance-credited, disbursed, order-placed,
-//     task-evicted) are logged and then applied via applyEvent. The
-//     in-auction claim (settlement) or settleMu (the rest) keeps any
-//     racing writer out between the log and the apply.
+//     auction-cleared, disbursed, order-placed, task-evicted) are logged
+//     and then applied via applyEvent. The in-auction claim (settlement)
+//     or settleMu (the rest) keeps any racing writer out between the log
+//     and the apply.
 //   - Book-entry events (account-opened, order-submitted,
 //     order-cancelled) must mutate inside the same stripe critical
 //     section that made the decision — releasing the lock between log
@@ -77,8 +77,6 @@ func (e *Exchange) applyEvent(ev *Event) error {
 		return e.applyOrderSettled(ev)
 	case EvAuctionCleared:
 		return e.applyAuctionCleared(ev)
-	case EvBalanceCredited:
-		return e.applyBalanceCredited(ev)
 	case EvDisbursed:
 		return e.applyDisbursed(ev)
 	case EvOrderPlaced:
@@ -288,16 +286,6 @@ func (e *Exchange) applyAuctionCleared(ev *Event) error {
 		return fmt.Errorf("market: replay: auction-cleared event has no record")
 	}
 	e.appendHistory(ev.Record)
-	return nil
-}
-
-func (e *Exchange) applyBalanceCredited(ev *Event) error {
-	if err := fitsLedger(ev.Auction); err != nil {
-		return err
-	}
-	e.creditBalance(ev.Team, ev.Amount)
-	e.creditBalance(OperatorAccount, -ev.Amount)
-	e.postCredit(ev.Auction, ev.Team, ev.Amount, ev.Memo, "counterparty for credit to "+ev.Team)
 	return nil
 }
 

@@ -233,27 +233,17 @@ func (r *seamRun) auction(race bool) {
 	}
 }
 
-// money posts a credit whose memo reads like settlement's own, or a
-// disbursement.
+// money disburses a random budget across the teams. Ledger memos that
+// read like settlement's own are the checked-in fixture's (fixture_test.go).
 func (r *seamRun) money() {
-	memos := []string{"order 7 settlement", "counterparty for order 7", "order 007 settlement",
-		"order 4294967296 settlement", "order -1 settlement", "order 7 settlement ", "goodwill"}
-	auction := r.e.AuctionCount()
-	if r.rng.Intn(3) == 0 {
-		if err := r.e.Disburse(90); err != nil {
-			r.t.Fatal(err)
-		}
-		for _, team := range r.teams { // sorted, as Teams() is
-			r.post(auction, team, 90*1/float64(len(r.teams)),
-				"budget disbursement (equal-shares)", "budget disbursement to "+team)
-		}
-		return
-	}
-	team, memo, amount := r.teams[r.rng.Intn(len(r.teams))], memos[r.rng.Intn(len(memos))], float64(1+r.rng.Intn(9))
-	if err := r.e.Credit(team, amount, memo); err != nil {
+	auction, amount := r.e.AuctionCount(), float64(30*(1+r.rng.Intn(3)))
+	if err := r.e.Disburse(amount); err != nil {
 		r.t.Fatal(err)
 	}
-	r.post(auction, team, amount, memo, "counterparty for credit to "+team)
+	for _, team := range r.teams { // sorted, as Teams() is
+		r.post(auction, team, amount/float64(len(r.teams)),
+			"budget disbursement (equal-shares)", "budget disbursement to "+team)
+	}
 }
 
 // check holds the three read paths to each other and the ledger to the
@@ -301,11 +291,11 @@ func TestArchiveViewDifferential(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed %d", tc.name, seed), func(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), "wal")
-				j, _, err := journal.Open(dir, journal.Options{FsyncEvery: 64})
+				j, _, err := journal.Open(dir, journal.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := market.Config{InitialBudget: 1e6, MaxRounds: tc.maxRounds, Shards: 3, Journal: j, SnapshotEvery: -1}
+				cfg := market.Config{InitialBudget: 1e6, MaxRounds: tc.maxRounds, Journal: j, SnapshotEvery: -1}
 				e, err := market.NewExchange(recoverFleet(t), cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -569,7 +559,7 @@ func raceSubmitIntoSnapshot(t *testing.T) bool {
 // order present after recovery.
 func TestSubmitRacesSnapshot(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
-	j, _, err := journal.Open(dir, journal.Options{FsyncEvery: 1 << 20})
+	j, _, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +631,7 @@ func TestSubmitRacesSnapshot(t *testing.T) {
 // TestArchiveBytesPerOrder is the archive's retention budget, read off the
 // gauge an operator watches — Metrics().ArchiveBytes / ArchivedOrders: an
 // order's record, its run and its share of the chunks' slack — over 2 048
-// orders of one shape on one stripe. The planet's 4-cluster product order
+// orders of one shape, 256 a stripe. The planet's 4-cluster product order
 // is a 48-byte record and a 42-byte run: within 100 bytes, slot included.
 func TestArchiveBytesPerOrder(t *testing.T) {
 	const orders = 2048
@@ -678,7 +668,7 @@ func TestArchiveBytesPerOrder(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := market.NewExchange(f, market.Config{InitialBudget: 1e12, Shards: 1})
+			e, err := market.NewExchange(f, market.Config{InitialBudget: 1e12})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,7 +89,7 @@ func TestRecheckRefusesOvercommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	const limit = 10
-	ex, err := market.NewExchange(fleet, market.Config{InitialBudget: limit, Shards: 4})
+	ex, err := market.NewExchange(fleet, market.Config{InitialBudget: limit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestShardedPipelineStressConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ex, err := market.NewExchange(fleet, market.Config{InitialBudget: 1e6, Shards: 4})
+	ex, err := market.NewExchange(fleet, market.Config{InitialBudget: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}

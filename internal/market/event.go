@@ -35,9 +35,6 @@ const (
 	// EvAuctionCleared appends the completed AuctionRecord to history —
 	// always after the batch's per-order settlement events.
 	EvAuctionCleared = "auction-cleared"
-	// EvBalanceCredited posts one off-auction credit to a team against
-	// the operator account, with a ledger pair.
-	EvBalanceCredited = "balance-credited"
 	// EvDisbursed posts one budget disbursement: a list of per-team
 	// credits against the operator account, with ledger pairs.
 	EvDisbursed = "disbursed"
@@ -75,9 +72,7 @@ type Event struct {
 	// absent, never zero.
 	Bundle  *int           `json:"bundle,omitempty"`
 	Payment float64        `json:"payment,omitempty"`
-	Amount  float64        `json:"amount,omitempty"`
 	Balance float64        `json:"balance,omitempty"`
-	Memo    string         `json:"memo,omitempty"`
 	Record  *AuctionRecord `json:"record,omitempty"`
 	Policy  string         `json:"policy,omitempty"`
 	Credits []Credit       `json:"credits,omitempty"`
@@ -110,12 +105,25 @@ func (e *Exchange) emitEvent(ev *Event) error {
 			// Every heal attempt failed and the journal has rolled its
 			// WAL back to the pre-append length, so nothing of this event
 			// is readable, and the caller applies none of it.
-			return fmt.Errorf("market: journal %s event: %w", ev.Kind, err)
+			return &JournalError{Kind: ev.Kind, Err: err}
 		}
 	}
 	e.fire.Publish(EventSource, ev.Kind, ev)
 	return nil
 }
+
+// JournalError is a change the exchange refused because its journal
+// could not persist the event of kind Kind; Err, the disk's, names the WAL.
+type JournalError struct {
+	Kind string
+	Err  error
+}
+
+func (e *JournalError) Error() string {
+	return "market: journal " + e.Kind + " event: " + e.Err.Error()
+}
+
+func (e *JournalError) Unwrap() error { return e.Err }
 
 // materializing reports whether events have anywhere to go: a journal,
 // a firehose subscriber, or both. The hot paths whose events exist

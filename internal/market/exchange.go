@@ -185,11 +185,6 @@ func (a *AuctionRecord) PremiumMean() float64 { return stats.Mean(a.Premiums) }
 type Config struct {
 	// InitialBudget is granted to each newly opened account.
 	InitialBudget float64
-	// Shards is the number of stripes the order and account books are
-	// split into (default DefaultShards). Submits, cancels, and reads in
-	// different stripes never share a lock, so order entry scales with
-	// CPUs instead of serializing on one book mutex.
-	Shards int
 	// MaxRounds bounds each clock; zero selects core.DefaultMaxRounds.
 	MaxRounds int
 	// Journal, when non-nil, makes the exchange durable: every state
@@ -226,9 +221,6 @@ func (c *Config) applyDefaults() {
 	if c.InitialBudget == 0 {
 		c.InitialBudget = 10000
 	}
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards
-	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = DefaultSnapshotEvery
 	}
@@ -241,7 +233,7 @@ func (c *Config) applyDefaults() {
 // order pipeline is contention-free (the paper's one-auctioneer,
 // many-traders split, scaled out):
 //
-//   - The order book is split into Config.Shards stripes keyed by order
+//   - The order book is split into shardCount stripes keyed by order
 //     ID, the account book into stripes keyed by team. Submits, cancels,
 //     status polls, and balance reads in different stripes never touch
 //     the same lock, and every stripe's critical section is O(1).
@@ -282,7 +274,7 @@ type Exchange struct {
 	auctionMu sync.Mutex
 	// settleMu keeps racing writers out between the log and the apply
 	// of every settlement-phase event (apply.go): the settlement wave,
-	// Disburse, Credit, PlaceOrder, EvictTask, and snapshots, which
+	// Disburse, PlaceOrder, EvictTask, and snapshots, which
 	// must never stamp an event without its effects. RunAuction takes
 	// it after the clock completes, so the others wait out a
 	// settlement — not an entire clock run.
@@ -293,8 +285,8 @@ type Exchange struct {
 	// for serial traffic this reproduces the unsharded book's sequential
 	// ID assignment exactly.
 	submitSeq     atomic.Uint64
-	orderShards   []orderShard
-	accountShards []accountShard
+	orderShards   [shardCount]orderShard
+	accountShards [shardCount]accountShard
 
 	// ledger is the billing ledger, pointer-free records behind its own
 	// lock (archive.go).
@@ -336,13 +328,11 @@ func NewExchange(fleet *cluster.Fleet, cfg Config) (*Exchange, error) {
 		return nil, errors.New("market: fleet has no clusters")
 	}
 	e := &Exchange{
-		cfg:           cfg,
-		fleet:         fleet,
-		reg:           reg,
-		catalog:       StandardCatalog(),
-		pricer:        reserve.NewPricer(reserve.ExpSteep),
-		orderShards:   make([]orderShard, cfg.Shards),
-		accountShards: make([]accountShard, cfg.Shards),
+		cfg:     cfg,
+		fleet:   fleet,
+		reg:     reg,
+		catalog: StandardCatalog(),
+		pricer:  reserve.NewPricer(reserve.ExpSteep),
 	}
 	for i := range e.orderShards {
 		e.orderShards[i].width = int32(reg.Len())
@@ -799,8 +789,7 @@ func (e *Exchange) OrdersTail(limit int) []*Order {
 	if limit <= 0 {
 		return nil
 	}
-	var scratch [2 * DefaultShards]int
-	t := e.planTail(limit, scratch[:0])
+	t := e.planTail(limit)
 	out := make([]*Order, t.total)
 	d := rowDecode{views: make([]pendingRows, 0, t.total)}
 	e.readTail(&t, func(os *orderShard, at, id, j int) { out[at] = os.viewLocked(id, j, &d) })
@@ -828,8 +817,7 @@ func (e *Exchange) AppendOrderRows(dst []OrderRow, limit int) []OrderRow {
 	if limit <= 0 {
 		return dst
 	}
-	var scratch [2 * DefaultShards]int
-	t := e.planTail(limit, scratch[:0])
+	t := e.planTail(limit)
 	base := len(dst)
 	dst = slices.Grow(dst, t.total)[:base+t.total]
 	rows := dst[base:]
@@ -840,7 +828,7 @@ func (e *Exchange) AppendOrderRows(dst []OrderRow, limit int) []OrderRow {
 // orderTail is a read of the limit highest-ID orders: stripe s's share is
 // its slots [from[s], size[s]).
 type orderTail struct {
-	size, from []int
+	size, from [shardCount]int
 	total      int
 }
 
@@ -849,15 +837,10 @@ type orderTail struct {
 // lengths alone: walk down from the highest booked ID counting each
 // stripe's share of the tail. A stripe can only trail its neighbours by a
 // rejected submit's slot, so the walk visits O(limit) IDs and touches no
-// order. scratch, when large enough, holds the plan's counts.
-func (e *Exchange) planTail(limit int, scratch []int) orderTail {
+// order.
+func (e *Exchange) planTail(limit int) orderTail {
 	n := len(e.orderShards)
-	if cap(scratch) < 2*n {
-		scratch = make([]int, 0, 2*n)
-	}
-	counts := scratch[:2*n]
-	clear(counts)
-	t := orderTail{size: counts[:n], from: counts[n:]}
+	var t orderTail
 	top := -1
 	for s := range e.orderShards {
 		os := &e.orderShards[s]
@@ -868,7 +851,7 @@ func (e *Exchange) planTail(limit int, scratch []int) orderTail {
 			top = max(top, (t.size[s]-1)*n+s)
 		}
 	}
-	copy(t.from, t.size)
+	t.from = t.size
 	for id := top; id >= 0 && t.total < limit; id-- {
 		if s := id % n; id/n < t.size[s] {
 			t.from[s]--

@@ -33,8 +33,10 @@ func fixtureScript(t *testing.T, e *market.Exchange) {
 	driveMarket(t, e)
 	reg := e.Registry()
 	pool := func(cl string, d resource.Dimension) int { return reg.MustIndex(resource.Pool{Cluster: cl, Dim: d}) }
-	// A vector-π bid, a seller, and credit memos that read like the
-	// settlement's own.
+	// A vector-π bid and a seller. The checked-in snapshot also holds
+	// ledger rows whose memos read like the settlement's own, posted by an
+	// off-auction credit its writer had and later commits do not: a
+	// regenerated fixture lacks them, so keep the checked-in one.
 	a, b := reg.Zero(), reg.Zero()
 	a[pool("alpha", resource.CPU)], b[pool("beta", resource.CPU)] = 2, 3
 	if _, err := e.Submit("maps", &core.Bid{Bundles: []resource.Vector{a, b}, BundleLimits: []float64{90, 120}}); err != nil {
@@ -44,11 +46,6 @@ func fixtureScript(t *testing.T, e *market.Exchange) {
 	s[pool("beta", resource.RAM)] = -4
 	if _, err := e.Submit("ads", &core.Bid{User: "ads/reseller", Bundles: []resource.Vector{s}, Limit: -1}); err != nil {
 		t.Fatal(err)
-	}
-	for _, memo := range []string{"order 7 settlement", "counterparty for order 2", "order 007 settlement"} {
-		if err := e.Credit("search", 10, memo); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if _, _, err := e.RunAuction(); err != nil {
 		t.Fatalf("auction: %v", err)

@@ -27,7 +27,7 @@ import (
 func FuzzSettledEventReplay(f *testing.F) {
 	const limit = 300
 	dir := filepath.Join(f.TempDir(), "wal")
-	j, _, err := journal.Open(dir, journal.Options{FsyncEvery: 8})
+	j, _, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func FuzzSettledEventReplay(f *testing.F) {
 		}
 	}
 	j.Crash()
-	j2, base, err := journal.Open(dir, journal.Options{FsyncEvery: 8})
+	j2, base, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package market
 
 import (
-	"errors"
 	"fmt"
 )
 
@@ -61,26 +60,4 @@ func (e *Exchange) PlacedTasks() []PlacedTask {
 		out[i] = PlacedTask{Cluster: ref.Cluster, TaskID: ref.TaskID}
 	}
 	return out
-}
-
-// Credit posts an off-auction credit (grant, refund, manual adjustment)
-// to a team against the operator account, with a balanced ledger pair.
-func (e *Exchange) Credit(team string, amount float64, memo string) error {
-	if !positiveFinite(amount) {
-		return fmt.Errorf("market: credit must be positive and finite, got %g", amount)
-	}
-	if team == OperatorAccount {
-		return errors.New("market: cannot credit the operator account")
-	}
-	if _, err := e.Balance(team); err != nil {
-		return err
-	}
-	e.settleMu.Lock()
-	defer e.settleMu.Unlock()
-	ev := &Event{Kind: EvBalanceCredited, Team: team, Amount: amount,
-		Auction: e.AuctionCount(), Memo: memo}
-	if err := e.emitEvent(ev); err != nil {
-		return err
-	}
-	return e.applyBalanceCredited(ev)
 }

@@ -91,7 +91,7 @@ func driveMarket(t testing.TB, e *market.Exchange) {
 	if err := e.Disburse(5000); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Credit("maps", 250, "goodwill refund"); err != nil {
+	if err := e.Disburse(250); err != nil {
 		t.Fatal(err)
 	}
 	submit("search", 1, []string{"beta"}, 350)
@@ -175,7 +175,7 @@ func testCrashRecoverMarket(t *testing.T, snapEvery int, snapshotMidway bool) {
 
 	// Journaled run, killed without warning.
 	dir := filepath.Join(t.TempDir(), "wal")
-	j, rec, err := journal.Open(dir, journal.Options{FsyncEvery: 8})
+	j, rec, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func testCrashRecoverMarket(t *testing.T, snapEvery int, snapshotMidway bool) {
 	j.Crash()
 
 	// Resurrect.
-	j2, rec2, err := journal.Open(dir, journal.Options{FsyncEvery: 8})
+	j2, rec2, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestJournalNilIsInert(t *testing.T) {
 func recoveryOf(t testing.TB, snapshot bool) *journal.Recovery {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "wal")
-	j, _, err := journal.Open(dir, journal.Options{FsyncEvery: 8})
+	j, _, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func recoveryOf(t testing.TB, snapshot bool) *journal.Recovery {
 		}
 	}
 	j.Crash()
-	j2, rec, err := journal.Open(dir, journal.Options{FsyncEvery: 8})
+	j2, rec, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,18 +8,19 @@ import (
 	"clustermarket/internal/slab"
 )
 
-// DefaultShards is the stripe count an Exchange uses when Config.Shards
-// is zero. Eight stripes keep lock contention negligible up to the
+// shardCount is the number of stripes the order and account books are
+// split into. Eight stripes keep lock contention negligible up to the
 // mid-size multicore boxes the web tier runs on while costing nothing on
-// small machines; larger fleets can raise Config.Shards.
-const DefaultShards = 8
+// small machines. It is fixed, not a setting: replay books order k at
+// stripe k mod shardCount, so the count is part of the WAL's contract.
+const shardCount = 8
 
-// orderShard is one stripe of the order book. Orders are striped by ID:
-// the order with ID k lives in shard k % nshards at slot k / nshards, so
-// lookups are O(1) and submits in different stripes never contend.
+// orderShard is one stripe of the order book: the order with ID k lives
+// in stripe k % shardCount at slot k / shardCount, so lookups are O(1)
+// and submits in different stripes never contend.
 type orderShard struct {
 	mu sync.RWMutex
-	// slots[j] names the order with ID j*nshards + shardIndex: an index
+	// slots[j] names the order with ID j*shardCount + shardIndex: an index
 	// into live while it is open, archivedBit and a position in recs once
 	// it is terminal. IDs are allocated under mu from the append position,
 	// so slots are dense.

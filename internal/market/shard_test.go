@@ -26,12 +26,9 @@ import (
 // rotation, which is what the budget pre-check outside the order stripe
 // is for.
 func TestShardedSerialIDsSequential(t *testing.T) {
-	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6, Shards: 4})
+	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(e.orderShards) != 4 {
-		t.Fatalf("stripes = %d, want 4", len(e.orderShards))
 	}
 	if err := e.OpenAccount("a"); err != nil {
 		t.Fatal(err)
@@ -116,7 +113,7 @@ func TestShardedSerialIDsSequential(t *testing.T) {
 // holds its order stripe. The test holds that stripe so the drain lands
 // in the gap every time.
 func TestSubmitRecheckRefusesDrainedBudget(t *testing.T) {
-	e, err := NewExchange(testFleet(t), Config{InitialBudget: 100, Shards: 2})
+	e, err := NewExchange(testFleet(t), Config{InitialBudget: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +147,7 @@ func TestSubmitRecheckRefusesDrainedBudget(t *testing.T) {
 // HistoryTail return the most recent entries in order, and degenerate
 // limits behave.
 func TestTailAccessors(t *testing.T) {
-	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6, Shards: 3})
+	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +190,14 @@ func TestTailAccessors(t *testing.T) {
 	}
 }
 
-// TestShardsDefaultApplied pins the default stripe count.
+// TestShardsDefaultApplied pins the stripe count. It is part of the WAL's
+// contract — replay books order k at stripe k mod shardCount — and the
+// checked-in parent journal was written under eight, so a change here is
+// a change of the on-disk format, not a tuning knob.
 func TestShardsDefaultApplied(t *testing.T) {
 	e := newTestExchange(t)
-	if len(e.orderShards) != DefaultShards {
-		t.Fatalf("default stripes = %d, want %d", len(e.orderShards), DefaultShards)
+	if len(e.orderShards) != 8 || len(e.accountShards) != 8 {
+		t.Fatalf("stripes = %d orders, %d accounts, want 8 and 8", len(e.orderShards), len(e.accountShards))
 	}
 }
 
@@ -205,7 +205,7 @@ func TestShardsDefaultApplied(t *testing.T) {
 // over many stripes still reads back in global ID order after a mix of
 // settlements and new submissions.
 func TestOrdersSortedAcrossShards(t *testing.T) {
-	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e9, Shards: 5})
+	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +265,11 @@ func TestBookArchiveIsPointerFree(t *testing.T) {
 	}
 }
 
-// unevenBook books ten orders on four stripes of lengths 5, 2, 0 and 3 —
-// IDs 0 4 8 12 16 | 1 5 | - | 3 7 11 — and cancels 4 and 11.
+// unevenBook books ten orders on the first four stripes, of lengths 5, 2,
+// 0 and 3 — IDs 0 8 16 24 32 | 1 9 | - | 3 11 19 — and cancels 8 and 19.
 func unevenBook(t *testing.T) *Exchange {
 	t.Helper()
-	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6, Shards: 4})
+	e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func unevenBook(t *testing.T) *Exchange {
 		t.Fatal(err)
 	}
 	reg := e.Registry()
-	for _, id := range []int{0, 1, 3, 4, 5, 7, 8, 11, 12, 16} {
+	for _, id := range []int{0, 1, 3, 8, 9, 11, 16, 19, 24, 32} {
 		v := reg.Zero()
 		v[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 1
 		ev := &Event{Kind: EvOrderSubmitted, OrderID: id, Team: "a",
@@ -286,7 +286,7 @@ func unevenBook(t *testing.T) *Exchange {
 			t.Fatalf("book %d: %v", id, err)
 		}
 	}
-	for _, id := range []int{4, 11} {
+	for _, id := range []int{8, 19} {
 		if err := e.Cancel(id); err != nil {
 			t.Fatal(err)
 		}
@@ -329,8 +329,7 @@ func TestOrderRowsMatchOrdersTail(t *testing.T) {
 	vectors := 0
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		shards := []int{1, 3, 4, 8}[seed%4]
-		e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6, Shards: shards})
+		e, err := NewExchange(testFleet(t), Config{InitialBudget: 1e6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +380,7 @@ func TestOrderRowsMatchOrdersTail(t *testing.T) {
 			seen[o.Status]++
 		}
 		limits := []int{-1, 0, 1, len(all) - 1, len(all), len(all) + 1, len(all) + 50}
-		for m := shards; m <= len(all)+shards; m += shards {
+		for m := shardCount; m <= len(all)+shardCount; m += shardCount {
 			limits = append(limits, m-1, m, m+1)
 		}
 		head := OrderRow{ID: -7, Team: "kept"}
@@ -480,7 +479,7 @@ func TestClaimMergeMatchesSort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{InitialBudget: 1e15, MaxRounds: 100, Shards: 5, SnapshotEvery: -1}
+		cfg := Config{InitialBudget: 1e15, MaxRounds: 100, SnapshotEvery: -1}
 		cfg.Journal = j
 		e, err := NewExchange(testFleet(t), cfg)
 		if err != nil {
@@ -515,7 +514,7 @@ func TestClaimMergeMatchesSort(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		requireClaimInIDOrder(t, "13 orders on 5 stripes, 2 cancelled", e)
+		requireClaimInIDOrder(t, "13 orders, 2 cancelled", e)
 
 		if _, _, err := e.RunAuction(); !errors.Is(err, core.ErrNoConvergence) {
 			t.Fatalf("RunAuction = %v, want ErrNoConvergence", err)

@@ -40,7 +40,7 @@ func TestBidSubmitAllocBudget(t *testing.T) {
 		t.Skip("allocation count")
 	}
 	s, ex := newTestServer(t)
-	if err := ex.Credit("web-team", 1e12, "allocation budget"); err != nil {
+	if err := ex.Disburse(1e12); err != nil {
 		t.Fatal(err)
 	}
 	const budget = 12
@@ -66,7 +66,7 @@ func TestOrdersJSONAllocBudget(t *testing.T) {
 		t.Skip("allocation count")
 	}
 	_, ex := newTestServer(t)
-	if err := ex.Credit("web-team", 1e12, "allocation budget"); err != nil {
+	if err := ex.Disburse(1e12); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 120; i++ {

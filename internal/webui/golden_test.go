@@ -43,8 +43,9 @@ func frontDoorScript(t *testing.T, prefix string) []goldenResponse {
 	if err := ex.OpenAccount(oddTeam); err != nil {
 		t.Fatal(err)
 	}
-	// Room for a limit JSON spells in exponent form.
-	if err := ex.Credit("web-team", 1e22, "golden fixture"); err != nil {
+	// Room for a limit JSON spells in exponent form: 1e22 for each of
+	// the two teams.
+	if err := ex.Disburse(2e22); err != nil {
 		t.Fatal(err)
 	}
 	s := NewWithPrefix(ex, prefix)
