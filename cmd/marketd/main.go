@@ -119,7 +119,7 @@ func main() {
 	// so /metrics and the /api/events live feed see the whole process.
 	fire := telemetry.NewFirehose()
 	health := telemetry.NewHealth(time.Now())
-	health.SetJournal(*journalDir, *journalDir != "")
+	health.SetJournal(*journalDir)
 
 	var handler http.Handler
 	// exs are the markets the health loop checks.
@@ -178,7 +178,7 @@ func main() {
 	}
 	// The invariant checks run on their own clock, once an epoch, in
 	// both modes: the first before serving, so /healthz answers from it.
-	health.RecordCheck(time.Now(), liveViolations(exs...))
+	recordLiveCheck(health, exs...)
 	go healthLoop(ctx, health, *epoch, exs...)
 
 	if err := serve(ctx, *addr, handler); err != nil {
@@ -253,27 +253,17 @@ func pprofHandler() http.Handler {
 // epoch loop is disabled.
 const healthCheckInterval = 30 * time.Second
 
-// liveViolations runs the invariant checks that are valid while
-// settlements are in flight — conservation of money in the ledger and
-// non-negative balances. The commitment/exposure cross-check is
-// quiescent-only (it false-positives mid-auction), so the probe skips
-// it.
-func liveViolations(exs ...*market.Exchange) []string {
+// recordLiveCheck runs invariant.CheckLive, the kernel's checks that
+// hold while settlements are in flight, over every exchange and records
+// the outcome for /healthz.
+func recordLiveCheck(health *telemetry.Health, exs ...*market.Exchange) {
 	var out []string
 	for _, ex := range exs {
-		vs := invariant.CheckLedgerBalanced(ex.Ledger(), invariant.Eps)
-		balances := make(map[string]float64)
-		for _, team := range ex.Teams() {
-			if b, err := ex.Balance(team); err == nil {
-				balances[team] = b
-			}
-		}
-		vs = append(vs, invariant.CheckBalancesNonNegative(balances, invariant.Eps)...)
-		for _, v := range vs {
+		for _, v := range invariant.CheckLive(ex) {
 			out = append(out, v.String())
 		}
 	}
-	return out
+	health.RecordCheck(time.Now(), out)
 }
 
 // healthLoop re-runs the live-safe invariant checks on a timer until
@@ -290,7 +280,7 @@ func healthLoop(ctx context.Context, health *telemetry.Health, every time.Durati
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			health.RecordCheck(time.Now(), liveViolations(exs...))
+			recordLiveCheck(health, exs...)
 		}
 	}
 }

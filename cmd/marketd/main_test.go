@@ -360,7 +360,7 @@ func TestDemoOpsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	health := telemetry.NewHealth(time.Now())
-	health.RecordCheck(time.Now(), liveViolations(ex))
+	recordLiveCheck(health, ex)
 	s := webui.New(ex)
 	s.SetHealth(health)
 	ts := httptest.NewServer(s)

@@ -1,7 +1,6 @@
 package bidlang
 
 import (
-	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -288,51 +287,6 @@ func TestStringRoundTrip(t *testing.T) {
 	for i := range b1 {
 		if !b1[i].Equal(b2[i], 0) {
 			t.Errorf("bundle %d differs", i)
-		}
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	orig, err := Parse(sampleBid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Bid
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.User != orig.User || back.Limit != orig.Limit {
-		t.Fatalf("header lost: %+v", back)
-	}
-	reg := resource.NewStandardRegistry("r1", "r2")
-	b1, _ := orig.Flatten(reg)
-	b2, err := back.Flatten(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b1) != len(b2) {
-		t.Fatalf("bundles differ: %d vs %d", len(b1), len(b2))
-	}
-}
-
-func TestJSONErrors(t *testing.T) {
-	cases := []string{
-		`{"user":"x","limit":1,"node":{}}`,                                                        // nothing populated
-		`{"user":"x","limit":1,"node":{"pool":"r1/cpu"}}`,                                         // zero qty
-		`{"user":"x","limit":1,"node":{"pool":"r1cpu","qty":1}}`,                                  // no slash
-		`{"user":"x","limit":1,"node":{"pool":"r1/gpu","qty":1}}`,                                 // bad dim
-		`{"user":"x","limit":1,"node":{"all":[{}]}}`,                                              // bad child
-		`{"user":"x","limit":1,"node":{"pool":"a/cpu","qty":1,"all":[{"pool":"a/ram","qty":1}]}}`, // two shapes
-		`not json`,
-	}
-	for _, c := range cases {
-		var b Bid
-		if err := json.Unmarshal([]byte(c), &b); err == nil {
-			t.Errorf("accepted %s", c)
 		}
 	}
 }

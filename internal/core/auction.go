@@ -174,7 +174,8 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 }
 
 // Classes tallies the bidder classes, used to predict convergence per
-// Section III.C.3.
+// Section III.C.3: with no traders (every participant a pure buyer or a
+// pure seller) the clock is guaranteed to converge.
 func (a *Auction) Classes() (buyers, sellers, traders int) {
 	var few [4]sparseBundle
 	for i := range a.bids {
@@ -189,13 +190,6 @@ func (a *Auction) Classes() (buyers, sellers, traders int) {
 		}
 	}
 	return
-}
-
-// ConvergenceGuaranteed reports whether the Section III.C.3 sufficient
-// condition holds: every participant is a pure buyer or a pure seller.
-func (a *Auction) ConvergenceGuaranteed() bool {
-	_, _, traders := a.Classes()
-	return traders == 0
 }
 
 // Run executes Algorithm 1: collect proxy demands, stop when excess

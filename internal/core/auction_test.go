@@ -213,7 +213,7 @@ func TestAuctionNonConvergenceGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.ConvergenceGuaranteed() {
+	if _, _, traders := a.Classes(); traders == 0 {
 		t.Error("trader market reported guaranteed convergence")
 	}
 	res, err := a.Run()
@@ -241,9 +241,6 @@ func TestAuctionClasses(t *testing.T) {
 	buyers, sellers, traders := a.Classes()
 	if buyers != 1 || sellers != 1 || traders != 0 {
 		t.Errorf("Classes = %d/%d/%d", buyers, sellers, traders)
-	}
-	if !a.ConvergenceGuaranteed() {
-		t.Error("pure market not guaranteed")
 	}
 	if len(a.bids) != 2 {
 		t.Error("bids wrong")
@@ -353,7 +350,7 @@ func TestQuickPureMarketsConvergeAndSatisfySystem(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !a.ConvergenceGuaranteed() {
+		if _, _, traders := a.Classes(); traders != 0 {
 			return false
 		}
 		res, err := a.Run()

@@ -15,11 +15,12 @@
 // here is immediately enforced by every soak, stress test, and scenario
 // in the repository.
 //
-// All checks assume a quiescent market: no auction mid-settlement, no
-// in-flight submissions. Mid-settlement reads can legitimately observe
-// one order Won while its batchmate is still Open (see the Exchange doc
-// comment); run the kernel between settlement waves, as the stress tests
-// do after draining traffic.
+// Every check except CheckLive assumes a quiescent market: no auction
+// mid-settlement, no in-flight submissions. Mid-settlement reads can
+// legitimately observe one order Won while its batchmate is still Open
+// (see the Exchange doc comment); run the kernel between settlement
+// waves, as the stress tests do after draining traffic. CheckLive is the
+// subset a serving process may run at any time.
 package invariant
 
 import (
@@ -371,21 +372,31 @@ func vectorsEqual(a, b resource.Vector) bool {
 // Object-level wrappers.
 // ---------------------------------------------------------------------
 
-// CheckExchange runs the full exchange-level kernel over a quiescent
-// exchange. The balance scan covers team accounts only: the operator's
-// balance is the market's net position and legitimately goes negative
-// when budget disbursements (which debit it) outrun settlement revenue.
-func CheckExchange(ex *market.Exchange) []Violation {
-	var vs []Violation
-	orders := ex.Orders()
-	vs = append(vs, CheckLedgerBalanced(ex.Ledger(), Eps)...)
-	balances := make(map[string]float64, len(ex.Teams()))
-	for _, team := range ex.Teams() {
+// CheckLive runs the part of the exchange-level kernel that holds while
+// settlements are in flight: the ledger balances and no team balance is
+// negative. The rest of CheckExchange is quiescent-only (a settling
+// batch can show one order Won while its batchmate is still Open), so a
+// health probe on a serving exchange runs this subset. The balance scan
+// covers team accounts only: the operator's balance is the market's net
+// position and legitimately goes negative when budget disbursements
+// (which debit it) outrun settlement revenue.
+func CheckLive(ex *market.Exchange) []Violation {
+	vs := CheckLedgerBalanced(ex.Ledger(), Eps)
+	teams := ex.Teams()
+	balances := make(map[string]float64, len(teams))
+	for _, team := range teams {
 		if bal, err := ex.Balance(team); err == nil {
 			balances[team] = bal
 		}
 	}
-	vs = append(vs, CheckBalancesNonNegative(balances, Eps)...)
+	return append(vs, CheckBalancesNonNegative(balances, Eps)...)
+}
+
+// CheckExchange runs the full exchange-level kernel over a quiescent
+// exchange: CheckLive first, then the quiescent-only checks.
+func CheckExchange(ex *market.Exchange) []Violation {
+	vs := CheckLive(ex)
+	orders := ex.Orders()
 	vs = append(vs, CheckCommitmentsMatchExposure(ex.BuyCommitments(), orders, Eps)...)
 	vs = append(vs, CheckWinsWithinCapacity(ex.Registry(), ex.Fleet().CapacityVector(ex.Registry()), orders, Eps)...)
 	history := ex.History()

@@ -88,40 +88,29 @@ func (p Properties) Satisfied() bool {
 
 // Pricer computes per-pool reserve prices from utilization and cost.
 type Pricer struct {
-	// Weight is the default weighting function applied to every pool.
+	// Weight is the weighting function φ applied to every pool.
 	Weight WeightFn
-	// PerDimension optionally overrides the weighting function for
-	// specific dimensions (the paper allows φ_r to differ per pool).
-	PerDimension map[resource.Dimension]WeightFn
 	// Floor is a lower bound applied to every reserve price, keeping the
 	// clock auction's starting point strictly positive.
 	Floor float64
 }
 
-// NewPricer returns a Pricer with the given default weighting function and
+// NewPricer returns a Pricer with the given weighting function and
 // a small positive floor.
 func NewPricer(fn WeightFn) *Pricer {
 	return &Pricer{Weight: fn, Floor: 1e-6}
 }
 
-// weightFor picks the weighting function for pool p.
-func (pr *Pricer) weightFor(p resource.Pool) WeightFn {
-	if fn, ok := pr.PerDimension[p.Dim]; ok && fn != nil {
-		return fn
-	}
-	return pr.Weight
-}
-
 // Price returns the reserve price p̃ = φ(ψ)·c for one pool, clamped to the
 // floor. Utilization is clamped into [0, 1].
-func (pr *Pricer) Price(p resource.Pool, utilization, cost float64) float64 {
+func (pr *Pricer) Price(utilization, cost float64) float64 {
 	if utilization < 0 {
 		utilization = 0
 	}
 	if utilization > 1 {
 		utilization = 1
 	}
-	v := pr.weightFor(p)(utilization) * cost
+	v := pr.Weight(utilization) * cost
 	if v < pr.Floor {
 		v = pr.Floor
 	}
@@ -137,7 +126,7 @@ func (pr *Pricer) Prices(reg *resource.Registry, utilization, cost resource.Vect
 	}
 	out := reg.Zero()
 	for i := 0; i < reg.Len(); i++ {
-		out[i] = pr.Price(reg.Pool(i), utilization[i], cost[i])
+		out[i] = pr.Price(utilization[i], cost[i])
 	}
 	return out, nil
 }

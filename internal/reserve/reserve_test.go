@@ -106,42 +106,25 @@ func TestCheckPropertiesRejectsBadCurves(t *testing.T) {
 
 func TestPricerPrice(t *testing.T) {
 	pr := NewPricer(ExpSteep)
-	pool := resource.Pool{Cluster: "r1", Dim: resource.CPU}
 
 	// At 50% utilization the multiple is exactly 1, so price = cost.
-	if got := pr.Price(pool, 0.5, 10); math.Abs(got-10) > 1e-9 {
+	if got := pr.Price(0.5, 10); math.Abs(got-10) > 1e-9 {
 		t.Errorf("price at 50%% = %v", got)
 	}
 	// Congested pools cost more than idle ones.
-	if pr.Price(pool, 0.95, 10) <= pr.Price(pool, 0.10, 10) {
+	if pr.Price(0.95, 10) <= pr.Price(0.10, 10) {
 		t.Error("congested price not above idle price")
 	}
 	// Utilization clamps.
-	if got := pr.Price(pool, -3, 10); math.Abs(got-pr.Price(pool, 0, 10)) > 1e-12 {
+	if got := pr.Price(-3, 10); math.Abs(got-pr.Price(0, 10)) > 1e-12 {
 		t.Errorf("negative utilization not clamped: %v", got)
 	}
-	if got := pr.Price(pool, 7, 10); math.Abs(got-pr.Price(pool, 1, 10)) > 1e-12 {
+	if got := pr.Price(7, 10); math.Abs(got-pr.Price(1, 10)) > 1e-12 {
 		t.Errorf("excess utilization not clamped: %v", got)
 	}
 	// Floor applies with zero cost.
-	if got := pr.Price(pool, 0.5, 0); got != pr.Floor {
+	if got := pr.Price(0.5, 0); got != pr.Floor {
 		t.Errorf("floor not applied: %v", got)
-	}
-}
-
-func TestPricerPerDimensionOverride(t *testing.T) {
-	pr := NewPricer(ExpMild)
-	pr.PerDimension = map[resource.Dimension]WeightFn{
-		resource.Disk: Hyperbolic,
-	}
-	cpu := resource.Pool{Cluster: "r1", Dim: resource.CPU}
-	disk := resource.Pool{Cluster: "r1", Dim: resource.Disk}
-	// At full utilization ExpMild gives e^0.5 ≈ 1.65, Hyperbolic gives 2.
-	if got := pr.Price(cpu, 1, 1); math.Abs(got-math.Exp(0.5)) > 1e-9 {
-		t.Errorf("cpu price = %v", got)
-	}
-	if got := pr.Price(disk, 1, 1); math.Abs(got-2) > 1e-9 {
-		t.Errorf("disk price = %v", got)
 	}
 }
 
@@ -207,14 +190,13 @@ func TestFig2CurvesShape(t *testing.T) {
 
 func TestQuickReservePriceMonotoneInUtilization(t *testing.T) {
 	pr := NewPricer(Hyperbolic)
-	pool := resource.Pool{Cluster: "q", Dim: resource.RAM}
 	prop := func(a, b uint8) bool {
 		x := float64(a) / 255
 		y := float64(b) / 255
 		if x > y {
 			x, y = y, x
 		}
-		return pr.Price(pool, x, 7) <= pr.Price(pool, y, 7)+1e-12
+		return pr.Price(x, 7) <= pr.Price(y, 7)+1e-12
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -224,12 +206,11 @@ func TestQuickReservePriceMonotoneInUtilization(t *testing.T) {
 func TestQuickReservePriceLinearInCost(t *testing.T) {
 	pr := NewPricer(ExpMild)
 	pr.Floor = 0
-	pool := resource.Pool{Cluster: "q", Dim: resource.CPU}
 	prop := func(a uint8, c uint8) bool {
 		x := float64(a) / 255
 		cost := float64(c)
-		got := pr.Price(pool, x, 2*cost)
-		want := 2 * pr.Price(pool, x, cost)
+		got := pr.Price(x, 2*cost)
+		want := 2 * pr.Price(x, cost)
 		return math.Abs(got-want) < 1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 
+	"clustermarket/internal/market"
 	"clustermarket/internal/telemetry"
 )
 
@@ -85,6 +87,76 @@ func TestFirehoseCoexistsWithJournal(t *testing.T) {
 			}
 			if got, want := rec.Fingerprint(), rep.Fingerprint(); got != want {
 				t.Errorf("reconstructed fingerprint diverges across a crash\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
+// TestReconstructReportHandBuiltStreams feeds ReconstructReport streams
+// no catalog run produces (no run refuses a submission), so the reject
+// and storm-rollback branches and the malformed-stream errors are
+// reached: a rejected product order, a storm pair whose second leg is
+// refused and whose booked first leg is cancelled, and streams whose
+// epoch markers do not nest.
+func TestReconstructReportHandBuiltStreams(t *testing.T) {
+	start := func(epoch int) telemetry.Event {
+		return telemetry.Event{Source: EventSource, Kind: EvEpochStart, Payload: &EpochStartEvent{Epoch: epoch, Teams: 3}}
+	}
+	end := func(epoch int) telemetry.Event {
+		return telemetry.Event{Source: EventSource, Kind: EvEpochEnd, Payload: &EpochEndEvent{Epoch: epoch}}
+	}
+	reject := func(kind string) telemetry.Event {
+		return telemetry.Event{Source: EventSource, Kind: EvSubmitRejected, Payload: &RejectEvent{Epoch: 0, Kind: kind}}
+	}
+	book := func(team string, id int) telemetry.Event {
+		return telemetry.Event{Source: market.EventSource, Kind: market.EvOrderSubmitted,
+			Payload: &market.Event{Kind: market.EvOrderSubmitted, Team: team, OrderID: id}}
+	}
+	cancel := func(id int) telemetry.Event {
+		return telemetry.Event{Source: market.EventSource, Kind: market.EvOrderCancelled,
+			Payload: &market.Event{Kind: market.EvOrderCancelled, OrderID: id}}
+	}
+	cases := []struct {
+		name                    string
+		events                  []telemetry.Event
+		wantRejected, wantStorm int
+		wantErr                 string
+	}{
+		{name: "rejected product order",
+			events:       []telemetry.Event{start(0), reject("product"), end(0)},
+			wantRejected: 1},
+		// One pair books both legs; the next books storm-a's leg, is refused
+		// storm-b's and withdraws the first, as injectTraderPair does.
+		{name: "storm pair rolled back",
+			events: []telemetry.Event{start(0),
+				book("storm-a", 1), book("storm-b", 2),
+				book("storm-a", 3), cancel(3), reject("storm"),
+				end(0)},
+			wantRejected: 1, wantStorm: 2},
+		{name: "epoch starts inside an open epoch",
+			events:  []telemetry.Event{start(0), start(1), end(1)},
+			wantErr: "epoch 1 started before epoch 0 ended"},
+		{name: "epoch ends without a start",
+			events:  []telemetry.Event{end(0)},
+			wantErr: "epoch-end for epoch 0 without matching start"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := ReconstructReport("hand-built", "exchange", 1, tc.events)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Epochs) != 1 {
+				t.Fatalf("reconstructed %d epochs, want 1", len(rep.Epochs))
+			}
+			if got := rep.Epochs[0]; got.Rejected != tc.wantRejected || got.StormBids != tc.wantStorm {
+				t.Errorf("Rejected/StormBids = %d/%d, want %d/%d", got.Rejected, got.StormBids, tc.wantRejected, tc.wantStorm)
 			}
 		})
 	}

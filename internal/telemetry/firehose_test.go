@@ -279,7 +279,7 @@ func TestExpositionOneHeaderPerFamily(t *testing.T) {
 func TestHealthSnapshot(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	h := NewHealth(t0)
-	h.SetJournal("/tmp/j", true)
+	h.SetJournal("/tmp/j")
 	s := h.Snapshot(t0.Add(5 * time.Second))
 	if !s.Healthy || !s.JournalLocked || s.JournalDir != "/tmp/j" {
 		t.Fatalf("initial snapshot = %+v", s)
@@ -307,7 +307,7 @@ func TestHealthSnapshot(t *testing.T) {
 	}
 
 	var nilH *Health
-	nilH.SetJournal("x", true)
+	nilH.SetJournal("x")
 	nilH.RecordCheck(t0, nil)
 	if got := nilH.Snapshot(t0); !got.Healthy {
 		t.Fatal("nil health not healthy")

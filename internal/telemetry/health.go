@@ -14,8 +14,7 @@ import (
 type Health struct {
 	mu         sync.Mutex
 	start      time.Time
-	journalDir string
-	journaled  bool
+	journalDir string // "" when no journal is attached
 	checks     uint64
 	failures   uint64
 	lastCheck  time.Time
@@ -27,14 +26,14 @@ func NewHealth(start time.Time) *Health {
 	return &Health{start: start}
 }
 
-// SetJournal records whether a journal is attached (holding its
-// directory flock) and where.
-func (h *Health) SetJournal(dir string, attached bool) {
+// SetJournal records where a journal is attached (holding its
+// directory flock); "" means none is.
+func (h *Health) SetJournal(dir string) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
-	h.journalDir, h.journaled = dir, attached
+	h.journalDir = dir
 	h.mu.Unlock()
 }
 
@@ -83,7 +82,7 @@ func (h *Health) Snapshot(now time.Time) HealthSnapshot {
 	s := HealthSnapshot{
 		Healthy:       len(h.lastBad) == 0,
 		JournalDir:    h.journalDir,
-		JournalLocked: h.journaled,
+		JournalLocked: h.journalDir != "",
 		ChecksTotal:   h.checks,
 		CheckFailures: h.failures,
 		Violations:    h.lastBad,

@@ -291,7 +291,7 @@ func TestHealthzProbe(t *testing.T) {
 	}
 
 	h := telemetry.NewHealth(time.Now().Add(-time.Minute))
-	h.SetJournal("/tmp/wal", true)
+	h.SetJournal("/tmp/wal")
 	h.RecordCheck(time.Now(), nil)
 	s.SetHealth(h)
 	code, body = get(t, ts, "/healthz")
