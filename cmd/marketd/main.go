@@ -122,8 +122,8 @@ func main() {
 	health.SetJournal(*journalDir)
 
 	var handler http.Handler
-	// exs are the markets the health loop checks.
-	var exs []*market.Exchange
+	// markets are what the health loop checks.
+	var markets []checkedMarket
 	// closeJournal flushes, fsyncs, and unlocks the journal(s) after the
 	// HTTP server has drained — the durability half of graceful shutdown.
 	closeJournal := func() error { return nil }
@@ -140,7 +140,7 @@ func main() {
 			log.Printf("marketd: epoch loop disabled; settle per region via POST /region/<name>/auction/run")
 		}
 		for _, r := range fed.Regions() {
-			exs = append(exs, r.Exchange())
+			markets = append(markets, checkedMarket{r.Name(), r.Exchange()})
 		}
 		s := webui.NewFederated(fed)
 		s.SetHealth(health)
@@ -152,7 +152,7 @@ func main() {
 			log.Fatal("marketd: ", err)
 		}
 		closeJournal = closer
-		exs = []*market.Exchange{ex}
+		markets = []checkedMarket{{"", ex}}
 		if *epoch > 0 {
 			loop, err := market.NewLoop(ex, *epoch)
 			if err != nil {
@@ -178,8 +178,8 @@ func main() {
 	}
 	// The invariant checks run on their own clock, once an epoch, in
 	// both modes: the first before serving, so /healthz answers from it.
-	recordLiveCheck(health, exs...)
-	go healthLoop(ctx, health, *epoch, exs...)
+	recordLiveCheck(health, markets...)
+	go healthLoop(ctx, health, *epoch, markets...)
 
 	if err := serve(ctx, *addr, handler); err != nil {
 		closeJournal()
@@ -200,11 +200,21 @@ func serve(ctx context.Context, addr string, handler http.Handler) error {
 	return serveListener(ctx, ln, handler)
 }
 
+// A client must send a request's headers within readHeaderTimeout of
+// opening it, and a kept-alive connection with no request closes after
+// idleTimeout: a half-sent request holds a goroutine and a descriptor
+// no longer. There is no write timeout: /api/events streams for as long
+// as its subscriber reads.
+const (
+	readHeaderTimeout = 3 * time.Second
+	idleTimeout       = 10 * time.Second
+)
+
 // serveListener runs an HTTP server on ln until ctx is cancelled
 // (SIGINT/SIGTERM), then drains in-flight requests for up to
 // shutdownTimeout. A nil return means a clean shutdown.
 func serveListener(ctx context.Context, ln net.Listener, handler http.Handler) error {
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -253,14 +263,25 @@ func pprofHandler() http.Handler {
 // epoch loop is disabled.
 const healthCheckInterval = 30 * time.Second
 
+// A checkedMarket is one exchange the health loop checks, and the
+// region it serves: "" for the single-exchange demo.
+type checkedMarket struct {
+	region string
+	ex     *market.Exchange
+}
+
 // recordLiveCheck runs invariant.CheckLive, the kernel's checks that
-// hold while settlements are in flight, over every exchange and records
-// the outcome for /healthz.
-func recordLiveCheck(health *telemetry.Health, exs ...*market.Exchange) {
+// hold while settlements are in flight, over every market and records
+// the outcome for /healthz, each violation prefixed with its region.
+func recordLiveCheck(health *telemetry.Health, markets ...checkedMarket) {
 	var out []string
-	for _, ex := range exs {
-		for _, v := range invariant.CheckLive(ex) {
-			out = append(out, v.String())
+	for _, m := range markets {
+		for _, v := range invariant.CheckLive(m.ex) {
+			line := v.String()
+			if m.region != "" {
+				line = "region " + m.region + ": " + line
+			}
+			out = append(out, line)
 		}
 	}
 	health.RecordCheck(time.Now(), out)
@@ -269,7 +290,7 @@ func recordLiveCheck(health *telemetry.Health, exs ...*market.Exchange) {
 // healthLoop re-runs the live-safe invariant checks on a timer until
 // ctx is cancelled, feeding /healthz. every <= 0 selects the default
 // cadence.
-func healthLoop(ctx context.Context, health *telemetry.Health, every time.Duration, exs ...*market.Exchange) {
+func healthLoop(ctx context.Context, health *telemetry.Health, every time.Duration, markets ...checkedMarket) {
 	if every <= 0 {
 		every = healthCheckInterval
 	}
@@ -280,7 +301,7 @@ func healthLoop(ctx context.Context, health *telemetry.Health, every time.Durati
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			recordLiveCheck(health, exs...)
+			recordLiveCheck(health, markets...)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,8 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"clustermarket/internal/cluster"
 	"clustermarket/internal/federation"
 	"clustermarket/internal/journal"
+	"clustermarket/internal/market"
 	"clustermarket/internal/telemetry"
 	"clustermarket/internal/webui"
 )
@@ -126,7 +129,7 @@ func TestBuildFederatedDemo(t *testing.T) {
 	if got := fed.RegionOf("eu-r1"); got != "eu" {
 		t.Errorf("eu-r1 owned by %q", got)
 	}
-	if got := len(fed.Teams()); got != 5 {
+	if got := len(fed.Region("us").Exchange().Teams()); got != 5 {
 		t.Errorf("teams = %d", got)
 	}
 
@@ -195,6 +198,102 @@ func TestServeGracefulShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("serve did not drain after cancel")
 	}
+}
+
+// TestStalledHeaderClosed sends a request line and one header, then
+// nothing: the server must close the connection within
+// readHeaderTimeout, not hold it for as long as the client likes.
+func TestStalledHeaderClosed(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- serveListener(ctx, ln, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: marketd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 2 * time.Second
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + slack))
+	n, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("a stalled request was still open after %s", time.Since(start).Round(time.Millisecond))
+	}
+	if err != nil || n != 0 {
+		t.Fatalf("stalled request: read %d bytes, %v; want the connection closed", n, err)
+	}
+}
+
+// TestLiveCheckNamesRegion corrupts one region of a two-region demo and
+// reads what /healthz reports: each violation names its region.
+func TestLiveCheckNamesRegion(t *testing.T) {
+	fed, closer, err := buildFederatedDemo(2, 2, 4, 7, 1000, "", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer()
+	var markets []checkedMarket
+	for _, r := range fed.Regions() {
+		markets = append(markets, checkedMarket{r.Name(), r.Exchange()})
+	}
+	markets[1].ex = corruptExchange(t)
+	health := telemetry.NewHealth(time.Now())
+	recordLiveCheck(health, markets...)
+	got := health.Snapshot(time.Now()).Violations
+	want := []string{"region eu: ledger-balanced", "region eu: ledger-balanced", "region eu: non-negative-balance"}
+	if len(got) != len(want) {
+		t.Fatalf("violations = %q, want %d lines opening %q", got, len(want), want)
+	}
+	for i, line := range got {
+		if !strings.HasPrefix(line, want[i]+": ") {
+			t.Errorf("violation %d = %q, want it to open with %q", i, line, want[i])
+		}
+	}
+}
+
+// corruptExchange recovers an exchange from a fabricated snapshot whose
+// ledger does not balance by auction and whose account "a" is
+// overdrawn: a snapshot's money state is taken verbatim.
+func corruptExchange(t *testing.T) *market.Exchange {
+	t.Helper()
+	raw, err := json.Marshal(map[string]any{
+		"balances": map[string]float64{"a": -0.5, "b": 12.5},
+		"ledger": []market.LedgerEntry{
+			{Seq: 0, Auction: 1, Team: "a", Amount: -10},
+			{Seq: 1, Auction: 1, Team: market.OperatorAccount, Amount: 7},
+			{Seq: 2, Auction: 2, Team: "b", Amount: -4},
+			{Seq: 3, Auction: 2, Team: market.OperatorAccount, Amount: 7},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := cluster.NewFleet()
+	c := cluster.New("c1", nil)
+	c.AddMachines(2, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+	if err := fleet.AddCluster(c); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := market.Recover(fleet, market.Config{InitialBudget: 1e5}, &journal.Recovery{SnapshotSeq: 1, Snapshot: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ex
 }
 
 func TestJournaledDemoRecovers(t *testing.T) {
@@ -360,7 +459,7 @@ func TestDemoOpsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	health := telemetry.NewHealth(time.Now())
-	recordLiveCheck(health, ex)
+	recordLiveCheck(health, checkedMarket{"", ex})
 	s := webui.New(ex)
 	s.SetHealth(health)
 	ts := httptest.NewServer(s)

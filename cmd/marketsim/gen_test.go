@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestBidTreeRoundTripsThroughParser(t *testing.T) {
 		t.Fatalf("bundles = %d", len(bundles))
 	}
 	for i := range bundles {
-		if !bundles[i].Equal(want[i], 0) {
+		if !slices.Equal(bundles[i], want[i]) {
 			t.Errorf("bundle %d differs: %v vs %v", i, bundles[i], want[i])
 		}
 	}

@@ -133,8 +133,14 @@ func Example_migration() {
 		log.Fatal(err)
 	}
 	reg := ex.Registry()
-	hotCPU := reg.MustIndex(cm.Pool{Cluster: "hot", Dim: cm.CPU})
-	coldCPU := reg.MustIndex(cm.Pool{Cluster: "cold", Dim: cm.CPU})
+	index := func(cluster string, d cm.Dimension) int {
+		i, ok := reg.Index(cm.Pool{Cluster: cluster, Dim: d})
+		if !ok {
+			log.Fatalf("no pool %s/%v", cluster, d)
+		}
+		return i
+	}
+	hotCPU, coldCPU := index("hot", cm.CPU), index("cold", cm.CPU)
 	fmt.Printf("reserve prices: hot/CPU=%.3f cold/CPU=%.3f (congestion-weighted, Section IV)\n",
 		reserve[hotCPU], reserve[coldCPU])
 
@@ -143,9 +149,9 @@ func Example_migration() {
 	// price premium).
 	bundle := func(cluster string, cpu, ram, disk float64) cm.Vector {
 		v := reg.Zero()
-		v[reg.MustIndex(cm.Pool{Cluster: cluster, Dim: cm.CPU})] = cpu
-		v[reg.MustIndex(cm.Pool{Cluster: cluster, Dim: cm.RAM})] = ram
-		v[reg.MustIndex(cm.Pool{Cluster: cluster, Dim: cm.Disk})] = disk
+		v[index(cluster, cm.CPU)] = cpu
+		v[index(cluster, cm.RAM)] = ram
+		v[index(cluster, cm.Disk)] = disk
 		return v
 	}
 	mobile := &cm.Bid{
@@ -228,7 +234,11 @@ func Example_arbitrage() {
 	}
 	reg := ex.Registry()
 	set := func(v cm.Vector, cluster string, d cm.Dimension, q float64) {
-		v[reg.MustIndex(cm.Pool{Cluster: cluster, Dim: d})] += q
+		i, ok := reg.Index(cm.Pool{Cluster: cluster, Dim: d})
+		if !ok {
+			log.Fatalf("no pool %s/%v", cluster, d)
+		}
+		v[i] += q
 	}
 
 	// The trader owns 40 CPU / 100 RAM / 5 Disk in the pricey cluster

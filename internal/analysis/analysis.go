@@ -4,7 +4,8 @@
 // library alone: `go list -export` supplies export data, go/parser and
 // go/types load each package (load.go), and RunAnalyzers runs the
 // analyzers over the loaded packages. The contracts test in this
-// directory runs them over the whole module inside `go test ./...`.
+// directory runs them over the whole module inside `go test ./...`, and
+// the program gate (reach_test.go) shares its load.
 //
 // An Analyzer inspects one type-checked package at a time and reports
 // diagnostics. Annotations carry intent across package boundaries: a

@@ -54,7 +54,12 @@ func Run(t *testing.T, dir, importPath string, analyzers []*analysis.Analyzer) {
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
+	Match(t, fixture, diags)
+}
 
+// Match enforces the fixture's want comments against diags.
+func Match(t *testing.T, fixture *analysis.Package, diags []analysis.Diagnostic) {
+	t.Helper()
 	wants := collectWants(t, fixture.Fset, fixture.Files)
 
 	// Set-match per line: every diagnostic needs a matching want on its

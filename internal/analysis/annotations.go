@@ -15,6 +15,12 @@ import (
 //	    zero-allocation hot path; allocfree checks its body.
 //	//marketlint:allow <analyzer> <reason> — suppress one analyzer's
 //	    findings within the annotated statement or declaration.
+//	//marketlint:oracle <TestName>...  — this function is test support
+//	    that tests of other packages share: no program reaches it, and
+//	    each named test exists. TestEveryFunctionHasAProgram checks both,
+//	    from the roots main, init, package-level initializers and the
+//	    facade's exported functions; packages named *test and
+//	    internal/analysis itself are exempt.
 //
 // Annotations are ordinary line comments beginning exactly with
 // "//marketlint:" (no space, mirroring //go:build), placed in a
@@ -25,7 +31,7 @@ const AnnotationPrefix = "//marketlint:"
 
 // An Annotation is one parsed //marketlint: directive.
 type Annotation struct {
-	Name string // e.g. "orderfree", "allocfree", "allow"
+	Name string // e.g. "orderfree", "allocfree", "allow", "oracle"
 	Args string // remainder of the line, trimmed; the reason text
 }
 

@@ -13,7 +13,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // A Package is one parsed and type-checked package.
@@ -23,36 +25,51 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// TestFiles are the paths of the package's _test.go files, which
+	// are not parsed into Files.
+	TestFiles []string
 }
 
 // listed is the part of a `go list -json` record the loader reads.
 type listed struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	Standard   bool
+	ImportPath   string
+	Dir          string
+	GoFiles      []string
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Export       string
+	Module       *struct{ Main bool }
 }
 
 // Load lists patterns with `go list -export -deps`, run in dir, and
-// returns every listed package outside the standard library, parsed
-// from source (test files excluded) and type-checked against the
-// compiler's export data for its imports.
+// returns every listed package of dir's module, parsed from source
+// (test files excluded) and type-checked against the compiler's export
+// data for its imports; another module's packages, the standard
+// library's among them, are known by their export data alone.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	pkgs, _, err := load(token.NewFileSet(), dir, patterns)
 	return pkgs, err
 }
 
 // LoadFixture parses the .go files in dir and type-checks them as
-// package importPath, the way Load checks a listed package. It also
-// returns the non-standard packages the fixture imports, loaded as
-// Load loads them, so their functions' annotations are known.
+// package importPath, the way Load checks a listed package: its
+// _test.go files are only its TestFiles. It also returns the module's
+// packages the fixture imports, loaded as Load loads them, so their
+// functions' annotations are known.
 func LoadFixture(dir, importPath string) (fixture *Package, deps []*Package, err error) {
 	fset := token.NewFileSet()
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, nil, err
 	}
+	var tests []string
+	names = slices.DeleteFunc(names, func(name string) bool {
+		if strings.HasSuffix(name, "_test.go") {
+			tests = append(tests, name)
+			return true
+		}
+		return false
+	})
 	files, err := parseFiles(fset, names)
 	if err != nil {
 		return nil, nil, err
@@ -68,8 +85,11 @@ func LoadFixture(dir, importPath string) (fixture *Package, deps []*Package, err
 	if err != nil {
 		return nil, nil, err
 	}
-	fixture, err = check(fset, importPath, files, imp)
-	return fixture, deps, err
+	if fixture, err = check(fset, importPath, files, imp); err != nil {
+		return nil, nil, err
+	}
+	fixture.TestFiles = tests
+	return fixture, deps, nil
 }
 
 // load runs `go list` over patterns and checks every non-standard
@@ -85,7 +105,7 @@ func load(fset *token.FileSet, dir string, patterns []string) ([]*Package, types
 		return os.Open(file)
 	})
 	cmd := exec.Command("go", append([]string{"list", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,Standard"}, patterns...)...)
+		"-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Export,Module"}, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -100,14 +120,17 @@ func load(fset *token.FileSet, dir string, patterns []string) ([]*Package, types
 			return nil, nil, fmt.Errorf("go list: %v", err)
 		}
 		exports[lp.ImportPath] = lp.Export
-		if lp.Standard {
+		if lp.Module == nil || !lp.Module.Main {
 			continue
 		}
-		names := make([]string, len(lp.GoFiles))
-		for i, name := range lp.GoFiles {
-			names[i] = filepath.Join(lp.Dir, name)
+		in := func(names []string) []string {
+			paths := make([]string, len(names))
+			for i, name := range names {
+				paths[i] = filepath.Join(lp.Dir, name)
+			}
+			return paths
 		}
-		files, err := parseFiles(fset, names)
+		files, err := parseFiles(fset, in(lp.GoFiles))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -115,6 +138,7 @@ func load(fset *token.FileSet, dir string, patterns []string) ([]*Package, types
 		if err != nil {
 			return nil, nil, err
 		}
+		pkg.TestFiles = in(slices.Concat(lp.TestGoFiles, lp.XTestGoFiles))
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, imp, nil
@@ -139,6 +163,7 @@ func check(fset *token.FileSet, path string, files []*ast.File, imp types.Import
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)

@@ -1,7 +1,9 @@
 package bidlang
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,11 +59,11 @@ func TestFlattenSample(t *testing.T) {
 	if len(bundles) != 2 {
 		t.Fatalf("bundles = %d", len(bundles))
 	}
-	i1 := reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.RAM})
+	i1 := mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.RAM})
 	if bundles[0][i1] != 96 {
 		t.Errorf("bundle 0 r1/RAM = %v", bundles[0][i1])
 	}
-	i2 := reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.RAM})
+	i2 := mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.RAM})
 	if bundles[1][i2] != 96 {
 		t.Errorf("bundle 1 r2/RAM = %v", bundles[1][i2])
 	}
@@ -103,7 +105,7 @@ func TestFlattenMergesDuplicateLeaves(t *testing.T) {
 	if len(bundles) != 1 {
 		t.Fatalf("bundles = %d", len(bundles))
 	}
-	if got := bundles[0][reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})]; got != 3 {
+	if got := bundles[0][mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.CPU})]; got != 3 {
 		t.Errorf("merged qty = %v", got)
 	}
 }
@@ -285,7 +287,7 @@ func TestStringRoundTrip(t *testing.T) {
 		t.Fatalf("bundle counts differ: %d vs %d", len(b1), len(b2))
 	}
 	for i := range b1 {
-		if !b1[i].Equal(b2[i], 0) {
+		if !slices.Equal(b1[i], b2[i]) {
 			t.Errorf("bundle %d differs", i)
 		}
 	}
@@ -318,7 +320,7 @@ func TestQuickGeneratedBidRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range b1 {
-			if !b1[i].Equal(b2[i], 0) {
+			if !slices.Equal(b1[i], b2[i]) {
 				return false
 			}
 		}
@@ -354,4 +356,13 @@ func genNode(r *rand.Rand, depth int) Node {
 		return All{Children: children}
 	}
 	return OneOf{Children: children}
+}
+
+// mustIndex is reg's index of pool p, which the test registered.
+func mustIndex(reg *resource.Registry, p resource.Pool) int {
+	i, ok := reg.Index(p)
+	if !ok {
+		panic(fmt.Sprintf("pool %v not registered", p))
+	}
+	return i
 }

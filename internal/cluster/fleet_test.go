@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -46,7 +47,7 @@ func TestFleetVectors(t *testing.T) {
 	}
 
 	capVec := f.CapacityVector(reg)
-	i := reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})
+	i := mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.CPU})
 	if capVec[i] != 40 {
 		t.Errorf("capacity r1/CPU = %v", capVec[i])
 	}
@@ -63,7 +64,7 @@ func TestFleetVectors(t *testing.T) {
 		t.Errorf("cost r1/CPU = %v", cost[i])
 	}
 	// r2 untouched.
-	j := reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})
+	j := mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.CPU})
 	if util[j] != 0 {
 		t.Errorf("utilization r2/CPU = %v", util[j])
 	}
@@ -128,9 +129,9 @@ func TestApplyAllocation(t *testing.T) {
 	f := newTestFleet(t)
 	reg := f.Registry()
 	pools := []int32{
-		int32(reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})),
-		int32(reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.RAM})),
-		int32(reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.Disk})),
+		int32(mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.CPU})),
+		int32(mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.RAM})),
+		int32(mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.Disk})),
 	}
 
 	l := f.Quotas()
@@ -169,4 +170,13 @@ func TestFillToUtilization(t *testing.T) {
 	if err := f.FillToUtilization(rng, "zz", Usage{}); err == nil {
 		t.Error("unknown cluster accepted")
 	}
+}
+
+// mustIndex is reg's index of pool p, which the test registered.
+func mustIndex(reg *resource.Registry, p resource.Pool) int {
+	i, ok := reg.Index(p)
+	if !ok {
+		panic(fmt.Sprintf("pool %v not registered", p))
+	}
+	return i
 }

@@ -293,32 +293,3 @@ func (a *Auction) settle(res *Result) {
 		}
 	}
 }
-
-// PriceCeiling returns, for a market of pure buyers and sellers, an upper
-// bound on any pool's final price: the largest per-unit price any buyer
-// can afford at its smallest bundle, plus the starting price. It is the
-// constructive form of the Section III.C.3 convergence argument and is
-// used by the property tests to bound round counts.
-func PriceCeiling(bids []*Bid, start resource.Vector) float64 {
-	ceiling := 0.0
-	for _, b := range bids {
-		if b.Class() != PureBuyer {
-			continue
-		}
-		rw := b.view()
-		for i := 0; i < int(rw.n); i++ {
-			minQty := 0.0
-			for _, x := range rw.bundle(i).val {
-				if x > 0 && (minQty == 0 || x < minQty) {
-					minQty = x
-				}
-			}
-			if minQty > 0 {
-				if c := b.LimitFor(i) / minQty; c > ceiling {
-					ceiling = c
-				}
-			}
-		}
-	}
-	return ceiling + start.MaxAbs()
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -361,7 +362,7 @@ func TestQuickPureMarketsConvergeAndSatisfySystem(t *testing.T) {
 			return false
 		}
 		// Final prices must respect the pure-buyer price ceiling.
-		if res.Prices.MaxAbs() > PriceCeiling(bids, start)+1 {
+		if maxAbs(res.Prices) > PriceCeiling(bids, start)+1 {
 			return false
 		}
 		return len(CheckSystem(bids, res, 1e-6)) == 0
@@ -389,4 +390,42 @@ func TestPriceCeiling(t *testing.T) {
 	if got := PriceCeiling(bids, start); got != 31 {
 		t.Errorf("PriceCeiling with bundle limits = %v, want 31", got)
 	}
+}
+
+// PriceCeiling returns, for a market of pure buyers and sellers, an upper
+// bound on any pool's final price: the largest per-unit price any buyer
+// can afford at its smallest bundle, plus the starting price. It is the
+// constructive form of the Section III.C.3 convergence argument, the
+// property tests' bound on final prices.
+func PriceCeiling(bids []*Bid, start resource.Vector) float64 {
+	ceiling := 0.0
+	for _, b := range bids {
+		if b.Class() != PureBuyer {
+			continue
+		}
+		rw := b.view()
+		for i := 0; i < int(rw.n); i++ {
+			minQty := 0.0
+			for _, x := range rw.bundle(i).val {
+				if x > 0 && (minQty == 0 || x < minQty) {
+					minQty = x
+				}
+			}
+			if minQty > 0 {
+				if c := b.LimitFor(i) / minQty; c > ceiling {
+					ceiling = c
+				}
+			}
+		}
+	}
+	return ceiling + maxAbs(start)
+}
+
+// maxAbs is v's largest absolute component (its L∞ norm).
+func maxAbs(v resource.Vector) float64 {
+	var m float64
+	for _, x := range v {
+		m = math.Max(m, math.Abs(x))
+	}
+	return m
 }

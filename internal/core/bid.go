@@ -333,15 +333,12 @@ func (b *Bid) BestAffordable(p resource.Vector) (idx int, ok bool) {
 type Proxy struct {
 	bid    *Bid
 	sparse []sparseBundle
-	// lastChoice caches the chosen bundle index for diagnostics; −1 when
-	// the proxy has dropped out.
-	lastChoice int
 }
 
 // NewProxy wraps a bid.
 func NewProxy(b *Bid) *Proxy {
 	rw := b.view()
-	return &Proxy{bid: b, lastChoice: -1, sparse: rw.appendBundles(nil)}
+	return &Proxy{bid: b, sparse: rw.appendBundles(nil)}
 }
 
 // choose returns the index of the bundle the proxy demands at prices p,
@@ -365,26 +362,6 @@ func (px *Proxy) choose(p resource.Vector) int {
 	}
 	return best
 }
-
-// Bid returns the wrapped bid.
-func (px *Proxy) Bid() *Bid { return px.bid }
-
-// Demand evaluates G_u(p): the cheapest bundle q̂ ∈ Q_u at prices p if its
-// cost q̂ᵀp is within the limit π_u, otherwise nil (the user demands
-// nothing). Ties break toward the lowest bundle index so the auction is
-// deterministic. With vector limits (BundleLimits) the proxy demands the
-// affordable bundle with the largest surplus instead.
-func (px *Proxy) Demand(p resource.Vector) resource.Vector {
-	px.lastChoice = px.choose(p)
-	if px.lastChoice >= 0 {
-		return px.bid.Bundle(px.lastChoice)
-	}
-	return nil
-}
-
-// ChosenBundle returns the index into Bundles selected by the last Demand
-// call, or −1 when the proxy demanded nothing.
-func (px *Proxy) ChosenBundle() int { return px.lastChoice }
 
 // Cost returns q_iᵀp for bundle i — for a booked bid the sum over its
 // row in ascending pool order, the arithmetic settlement's payment is.

@@ -57,36 +57,45 @@ func TestBidValidate(t *testing.T) {
 	}
 }
 
+// demand is G_u(p): the bundle the proxy chooses at prices p, or nil
+// when it demands nothing.
+func demand(px *Proxy, p resource.Vector) resource.Vector {
+	if i := px.choose(p); i >= 0 {
+		return px.bid.Bundle(i)
+	}
+	return nil
+}
+
 func TestProxyDemandBuyer(t *testing.T) {
 	// Buyer indifferent between pools 0 and 1, limit 10.
 	b := &Bid{User: "u", Limit: 10, Bundles: []resource.Vector{{5, 0}, {0, 5}}}
 	px := NewProxy(b)
 
 	// Pool 1 cheaper: chooses bundle 1.
-	d := px.Demand(resource.Vector{2, 1})
+	d := demand(px, resource.Vector{2, 1})
 	if d == nil || d[1] != 5 {
 		t.Fatalf("demand = %v", d)
 	}
-	if px.ChosenBundle() != 1 {
-		t.Errorf("ChosenBundle = %d", px.ChosenBundle())
+	if c := px.choose(resource.Vector{2, 1}); c != 1 {
+		t.Errorf("choice = %d", c)
 	}
 
 	// Equal prices: ties break to the lowest index.
-	d = px.Demand(resource.Vector{1, 1})
-	if px.ChosenBundle() != 0 {
-		t.Errorf("tie ChosenBundle = %d", px.ChosenBundle())
+	d = demand(px, resource.Vector{1, 1})
+	if c := px.choose(resource.Vector{1, 1}); c != 0 {
+		t.Errorf("tie choice = %d", c)
 	}
 	if d == nil || d[0] != 5 {
 		t.Fatalf("tie demand = %v", d)
 	}
 
 	// Priced out: cheapest bundle costs 5·3 = 15 > 10.
-	d = px.Demand(resource.Vector{3, 3})
+	d = demand(px, resource.Vector{3, 3})
 	if d != nil {
 		t.Fatalf("priced-out demand = %v", d)
 	}
-	if px.ChosenBundle() != -1 {
-		t.Errorf("priced-out ChosenBundle = %d", px.ChosenBundle())
+	if c := px.choose(resource.Vector{3, 3}); c != -1 {
+		t.Errorf("priced-out choice = %d", c)
 	}
 }
 
@@ -97,11 +106,11 @@ func TestProxyDemandSeller(t *testing.T) {
 	px := NewProxy(b)
 
 	// p = 1: revenue 10 ≥ 5, so the seller is in.
-	if d := px.Demand(resource.Vector{1}); d == nil {
+	if d := demand(px, resource.Vector{1}); d == nil {
 		t.Fatal("seller dropped despite sufficient revenue")
 	}
 	// p = 0.4: revenue 4 < 5, seller stays out.
-	if d := px.Demand(resource.Vector{0.4}); d != nil {
+	if d := demand(px, resource.Vector{0.4}); d != nil {
 		t.Fatalf("seller active below reserve revenue: %v", d)
 	}
 }
@@ -111,7 +120,7 @@ func TestProxySellerPicksHighestRevenue(t *testing.T) {
 	// qᵀp maximizes revenue.
 	b := &Bid{User: "s", Limit: -1, Bundles: []resource.Vector{{-10, 0}, {0, -10}}}
 	px := NewProxy(b)
-	d := px.Demand(resource.Vector{2, 3})
+	d := demand(px, resource.Vector{2, 3})
 	if d == nil || d[1] != -10 {
 		t.Fatalf("seller chose %v, want offer in the pricier pool 1", d)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +24,7 @@ func TestCappedStep(t *testing.T) {
 	// 100·0.1=10 capped at 0.5; 1·0.1=0.1; 0.1·0.1=0.01 floored to 0.05;
 	// negative excess leaves the price alone.
 	want := resource.Vector{0.5, 0.1, 0.05, 0}
-	if !got.Equal(want, 1e-12) {
+	if !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Abs(a-b) <= 1e-12 }) {
 		t.Errorf("Step = %v, want %v", got, want)
 	}
 }
@@ -97,7 +98,7 @@ func TestStepIntoOverwritesScratch(t *testing.T) {
 	z := resource.Vector{5, -5, 0}
 	dst := resource.Vector{99, 99, 99} // poisoned scratch
 	pol.StepInto(dst, z)
-	if want := step(pol, z); !dst.Equal(want, 0) {
+	if want := step(pol, z); !slices.Equal(dst, want) {
 		t.Errorf("StepInto over poisoned scratch = %v, want %v", dst, want)
 	}
 	if dst[1] != 0 || dst[2] != 0 {

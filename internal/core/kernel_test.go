@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"clustermarket/internal/resource"
@@ -369,19 +370,23 @@ func TestClockBuildAllocBudget(t *testing.T) {
 	scan(reflect.TypeOf(lane{}))
 }
 
-// TestProxyChooseIsPure pins the split between the oracle's scan and the
-// diagnostic: choose leaves the proxy as it was, Demand records what it
-// chose.
+// TestProxyChooseIsPure pins that the clock's demand oracle leaves the
+// proxy as it was: the same prices give the same choice every round.
 func TestProxyChooseIsPure(t *testing.T) {
 	px := NewProxy(&Bid{User: "u", Limit: 10, Bundles: []resource.Vector{{1, 0}, {0, 1}}})
-	if got := px.choose(resource.Vector{5, 2}); got != 1 || px.ChosenBundle() != -1 {
-		t.Fatalf("choose = %d, ChosenBundle after it = %d; want 1 and still -1", got, px.ChosenBundle())
+	before := *px
+	before.sparse = slices.Clone(px.sparse)
+	for _, p := range []resource.Vector{{5, 2}, {50, 20}, {5, 2}} {
+		want := 1
+		if p[0] == 50 {
+			want = -1
+		}
+		if got := px.choose(p); got != want {
+			t.Fatalf("choose(%v) = %d, want %d", p, got, want)
+		}
 	}
-	if px.Demand(resource.Vector{5, 2}) == nil || px.ChosenBundle() != 1 {
-		t.Fatalf("ChosenBundle after Demand = %d, want 1", px.ChosenBundle())
-	}
-	if px.Demand(resource.Vector{50, 20}) != nil || px.ChosenBundle() != -1 {
-		t.Fatalf("ChosenBundle after a priced-out Demand = %d, want -1", px.ChosenBundle())
+	if !reflect.DeepEqual(*px, before) {
+		t.Fatalf("choose changed the proxy: %+v, was %+v", *px, before)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,7 +25,7 @@ func TestSparseBundlePacking(t *testing.T) {
 	}
 	z := make(resource.Vector, 5)
 	s.addInto(z)
-	if !z.Equal(q, 0) {
+	if !slices.Equal(z, q) {
 		t.Errorf("addInto = %v", z)
 	}
 }
@@ -62,7 +63,7 @@ func TestQuickSparseMatchesDense(t *testing.T) {
 		}
 		z1 := make(resource.Vector, r)
 		s.addInto(z1)
-		if !z1.Equal(q, 0) {
+		if !slices.Equal(z1, q) {
 			return false
 		}
 		return true

@@ -133,16 +133,22 @@ type Injector struct {
 }
 
 // New returns an injector with no windows armed.
+//
+//marketlint:oracle TestFaultScenariosFingerprintMatchFaultFree TestSettleFaultSkipsRegion
 func New() *Injector { return &Injector{} }
 
 // NewChaos returns an injector that, in addition to any scripted
 // windows, arms seeded-random windows on each ArmEpoch call. The same
 // seed yields the same schedule.
+//
+//marketlint:oracle TestChaosSameSeedBitIdentical
 func NewChaos(seed int64) *Injector {
 	return &Injector{rng: rand.New(rand.NewSource(seed))}
 }
 
 // AttachTelemetry publishes every injection to the firehose.
+//
+//marketlint:oracle TestInjectionPublishedToFirehose TestEventsSSEFaultKinds
 func (i *Injector) AttachTelemetry(f *telemetry.Firehose) {
 	if i == nil {
 		return
@@ -152,10 +158,9 @@ func (i *Injector) AttachTelemetry(f *telemetry.Firehose) {
 	i.mu.Unlock()
 }
 
-// Chaos reports whether the injector arms random windows.
-func (i *Injector) Chaos() bool { return i != nil && i.rng != nil }
-
 // Arm replaces the armed windows.
+//
+//marketlint:oracle TestFaultScenariosFingerprintMatchFaultFree TestSettleFaultSkipsRegion
 func (i *Injector) Arm(ws []Window) {
 	if i == nil {
 		return
@@ -203,6 +208,8 @@ func (i *Injector) ArmEpoch(epoch int, regions []string, scripted []Window) {
 }
 
 // Injected returns how many faults have fired so far.
+//
+//marketlint:oracle TestWindowCountConsumes TestChaosSameSeedBitIdentical
 func (i *Injector) Injected() uint64 {
 	if i == nil {
 		return 0
@@ -210,20 +217,6 @@ func (i *Injector) Injected() uint64 {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.injected
-}
-
-// Pending returns the total remaining count across armed windows.
-func (i *Injector) Pending() int {
-	if i == nil {
-		return 0
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	n := 0
-	for _, w := range i.windows {
-		n += w.Count
-	}
-	return n
 }
 
 // take consumes one matching window count, if any. The telemetry

@@ -248,3 +248,20 @@ func TestFaultFSJournalHeals(t *testing.T) {
 		t.Errorf("recovered %s (truncated=%v), want a, b and c once each", got, rec2.Truncated)
 	}
 }
+
+// Chaos reports whether the injector arms random windows.
+func (i *Injector) Chaos() bool { return i != nil && i.rng != nil }
+
+// Pending returns the total remaining count across armed windows.
+func (i *Injector) Pending() int {
+	if i == nil {
+		return 0
+	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	n := 0
+	for _, w := range i.windows {
+		n += w.Count
+	}
+	return n
+}

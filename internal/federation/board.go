@@ -52,22 +52,8 @@ func (f *Federation) publishLocked(tick, ri int, q *Quote) {
 	f.board.Store(next)
 }
 
-// Gossip refreshes the price board from every region — the periodic
-// exchange of "last clearing / preliminary prices" that lets the router
-// order cross-region legs cheapest-first without a global price oracle.
-// It is the quote pass every settlement runs, over every region. Regions
-// whose quote cannot be computed keep their previous entry.
-// It returns the new gossip tick.
-func (f *Federation) Gossip() int {
-	tick := f.gossip(f.every())
-	f.mu.Lock()
-	_ = f.catchUpLocked()
-	f.mu.Unlock()
-	return tick
-}
-
 // gossip advances the gossip clock once and quotes the listed regions at
-// the new tick: the one quote pass, run by every settlement and Gossip.
+// the new tick: the one quote pass, run by every settlement.
 func (f *Federation) gossip(regions []int) int {
 	f.mu.Lock()
 	tick := f.board.Load().tick + 1

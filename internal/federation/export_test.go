@@ -96,3 +96,44 @@ func TestingRestoreViews(f *Federation) error {
 	}
 	return nil
 }
+
+// The three methods below are test support: no program cancels a
+// federated order, gossips outside a settlement or forces a routing
+// snapshot. They drive withdrawLocked (a submit whose record failed
+// runs it), the quote pass and the snapshot writer, which programs do
+// run.
+
+// Cancel withdraws a federated order by cancelling its active leg. Like
+// Exchange.Cancel, an order whose leg is in a settling auction cannot be
+// withdrawn. A journal error is this cancellation's own record's.
+func (f *Federation) Cancel(id int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.withdrawLocked(id)
+}
+
+// Gossip refreshes the price board from every region — the periodic
+// exchange of "last clearing / preliminary prices" that lets the router
+// order cross-region legs cheapest-first without a global price oracle.
+// It is the quote pass every settlement runs, over every region. Regions
+// whose quote cannot be computed keep their previous entry.
+// It returns the new gossip tick.
+func (f *Federation) Gossip() int {
+	tick := f.gossip(f.every())
+	f.mu.Lock()
+	_ = f.catchUpLocked()
+	f.mu.Unlock()
+	return tick
+}
+
+// Snapshot writes a consistent snapshot of the routing state to the
+// attached journal and rotates its WAL, bounding recovery replay. It is
+// a no-op without a journal.
+func (f *Federation) Snapshot() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.journal == nil {
+		return nil
+	}
+	return f.snapshotLocked()
+}

@@ -260,9 +260,6 @@ func (f *Federation) OpenAccount(team string) error {
 	return nil
 }
 
-// Teams lists the non-operator accounts (identical in every region).
-func (f *Federation) Teams() []string { return f.regions[0].ex.Teams() }
-
 // SubmitProduct routes one product order and returns its id. Clusters
 // from a single region go straight to that region's book; clusters
 // spanning regions are split into per-region legs, ordered cheapest-first
@@ -477,16 +474,8 @@ func (f *Federation) bookLeg(leg *routeLeg, rows []resource.PoolRow, team, produ
 	return nil
 }
 
-// Cancel withdraws a federated order by cancelling its active leg. Like
-// Exchange.Cancel, an order whose leg is in a settling auction cannot be
-// withdrawn. A journal error is this cancellation's own record's.
-func (f *Federation) Cancel(id int) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.withdrawLocked(id)
-}
-
-// withdrawLocked is Cancel under f.mu.
+// withdrawLocked cancels order id's active leg, under f.mu: a submit
+// whose record failed withdraws itself.
 func (f *Federation) withdrawLocked(id int) error {
 	t := &f.table
 	if id < 0 || id >= t.routed() {

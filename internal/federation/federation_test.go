@@ -454,9 +454,10 @@ func TestAccountsAndBalances(t *testing.T) {
 	if err := f.OpenAccount("team"); err == nil {
 		t.Error("duplicate account accepted")
 	}
-	teams := f.Teams()
-	if len(teams) != 1 || teams[0] != "team" {
-		t.Errorf("teams = %v", teams)
+	for _, r := range f.regions {
+		if teams := r.ex.Teams(); len(teams) != 1 || teams[0] != "team" {
+			t.Errorf("%s teams = %v", r.Name(), teams)
+		}
 	}
 	if f.RegionOf("cold-r1") != "cold" || f.RegionOf("nowhere") != "" {
 		t.Error("RegionOf wrong")

@@ -36,20 +36,10 @@ func (f *Federation) AttachJournal(j *journal.Journal, snapshotEvery int) {
 	f.snapshotEvery = snapshotEvery
 }
 
-// Snapshot writes a consistent snapshot of the routing state to the
-// attached journal and rotates its WAL, bounding recovery replay. It is
-// a no-op without a journal.
-func (f *Federation) Snapshot() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.journal == nil {
-		return nil
-	}
-	return f.snapshotLocked()
-}
-
-// snapshotLocked is Snapshot under f.mu, under which every routing
-// mutation and its event happen: the image matches the journal's Seq.
+// snapshotLocked writes a consistent snapshot of the routing state to
+// the attached journal and rotates its WAL, bounding recovery replay. It
+// runs under f.mu, under which every routing mutation and its event
+// happen: the image matches the journal's Seq.
 func (f *Federation) snapshotLocked() error {
 	b := f.board.Load()
 	st := &fedState{NextID: f.table.routed(), GossipTick: b.tick, Stats: f.stats, Board: b.sorted()}

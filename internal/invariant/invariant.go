@@ -61,6 +61,8 @@ type Reporter interface {
 }
 
 // Require reports every violation through t, prefixed with label.
+//
+//marketlint:oracle TestRequireForwardsViolations
 func Require(t Reporter, label string, vs []Violation) {
 	t.Helper()
 	for _, v := range vs {
@@ -450,12 +452,16 @@ func CheckFederation(f *federation.Federation) []Violation {
 }
 
 // RequireExchange runs CheckExchange and reports violations through t.
+//
+//marketlint:oracle TestLedgerConservationRandomized
 func RequireExchange(t Reporter, label string, ex *market.Exchange) {
 	t.Helper()
 	Require(t, label, CheckExchange(ex))
 }
 
 // RequireFederation runs CheckFederation and reports violations through t.
+//
+//marketlint:oracle TestFederatedLedgerConservation
 func RequireFederation(t Reporter, label string, f *federation.Federation) {
 	t.Helper()
 	Require(t, label, CheckFederation(f))

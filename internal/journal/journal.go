@@ -163,7 +163,7 @@ type Metrics struct {
 	// rotations.
 	Fsyncs, Snapshots uint64
 	FsyncLatency      telemetry.HistogramSnapshot
-	// Failing reports that the last Append, AppendBatch or Snapshot
+	// Failing reports that the last Append or Snapshot
 	// failed past the heal loop; Failures counts such calls.
 	Failing  bool
 	Failures uint64
@@ -182,7 +182,7 @@ func (j *Journal) Metrics() Metrics {
 	}
 }
 
-// Failing reports whether the last Append, AppendBatch or Snapshot
+// Failing reports whether the last Append or Snapshot
 // failed past the heal loop: the disk has not accepted a write since.
 func (j *Journal) Failing() bool { return j.failing.Load() }
 
@@ -468,7 +468,7 @@ func (j *Journal) Seq() uint64 {
 	return j.seq
 }
 
-// The bounded heal loop behind Append, AppendBatch and Snapshot: a
+// The bounded heal loop behind Append and Snapshot: a
 // failed attempt is retried healRetries times, each after a doubling
 // backoff from healBase and a probe, so a transient burst of
 // ENOSPC/EIO costs the caller at most ~15 ms instead of an error.
@@ -514,27 +514,8 @@ func (j *Journal) heal(op func() error) error {
 // rolls the WAL back to its pre-append length, so the failed record is
 // never readable and the heal loop's retry writes the identical frame;
 // an error means every attempt failed and no sequence was consumed.
-func (j *Journal) Append(payload []byte) (uint64, error) {
-	return j.appendFrames(appendFrame(make([]byte, 0, 8+len(payload)), payload), 1)
-}
-
-// AppendBatch writes records as one write(2) and returns the sequence
-// of the last, fsynced once. A failed attempt rolls back the whole batch.
-func (j *Journal) AppendBatch(payloads [][]byte) (uint64, error) {
-	size := 0
-	for _, p := range payloads {
-		size += 8 + len(p)
-	}
-	buf := make([]byte, 0, size)
-	for _, p := range payloads {
-		buf = appendFrame(buf, p)
-	}
-	return j.appendFrames(buf, len(payloads))
-}
-
-// appendFrames appends a framed buffer carrying n records through the
-// heal loop and returns the sequence of the last.
-func (j *Journal) appendFrames(buf []byte, n int) (seq uint64, err error) {
+func (j *Journal) Append(payload []byte) (seq uint64, err error) {
+	buf := appendFrame(make([]byte, 0, 8+len(payload)), payload)
 	err = j.heal(func() error {
 		j.mu.Lock()
 		defer j.mu.Unlock()
@@ -544,7 +525,7 @@ func (j *Journal) appendFrames(buf []byte, n int) (seq uint64, err error) {
 		if err := j.repairIfTornLocked(); err != nil {
 			return err
 		}
-		if err := j.writeFramesLocked(buf, n); err != nil {
+		if err := j.writeFrameLocked(buf); err != nil {
 			return err
 		}
 		seq = j.seq
@@ -553,12 +534,12 @@ func (j *Journal) appendFrames(buf []byte, n int) (seq uint64, err error) {
 	return seq, err
 }
 
-// writeFramesLocked writes one fully framed buffer carrying n records
-// and fsyncs it, then advances the sequence. Any failure — write error,
+// writeFrameLocked writes one framed record and fsyncs it, then
+// advances the sequence. Any failure — write error,
 // short write, or a failed fsync — rolls the WAL back to its pre-write
 // length, so an unacknowledged record never becomes
 // readable and a retry reproduces the identical byte stream.
-func (j *Journal) writeFramesLocked(buf []byte, n int) error {
+func (j *Journal) writeFrameLocked(buf []byte) error {
 	start := j.good
 	wrote, werr := j.wal.Write(buf)
 	if werr != nil || wrote != len(buf) {
@@ -576,8 +557,8 @@ func (j *Journal) writeFramesLocked(buf []byte, n int) error {
 		return fmt.Errorf("journal: fsync: %w", err)
 	}
 	j.good += int64(len(buf))
-	j.seq += uint64(n)
-	j.appends.Add(uint64(n))
+	j.seq++
+	j.appends.Add(1)
 	j.bytes.Add(uint64(len(buf)))
 	return nil
 }

@@ -344,23 +344,6 @@ func TestClosedJournalErrors(t *testing.T) {
 	}
 }
 
-func TestAppendBatch(t *testing.T) {
-	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Options{})
-	seq, err := j.AppendBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")})
-	if err != nil || seq != 3 {
-		t.Fatalf("AppendBatch: seq=%d err=%v, want 3", seq, err)
-	}
-	if got := j.Metrics().Fsyncs; got != 1 {
-		t.Fatalf("AppendBatch took %d fsyncs, want 1", got)
-	}
-	j.Crash()
-	_, rec := mustOpen(t, dir, Options{})
-	if got, want := fmt.Sprint(recordsAsStrings(rec)), "[a b c]"; got != want {
-		t.Fatalf("recovered %s, want %s", got, want)
-	}
-}
-
 // appendAllocBudget is what one Append may allocate: the framed buffer
 // handed to write(2). Nothing else on the write, fsync and metrics path
 // touches the heap.

@@ -659,8 +659,8 @@ func TestArchiveBytesPerOrder(t *testing.T) {
 			reg := e.Registry()
 			offer := func(c int) resource.Vector {
 				v := reg.Zero()
-				v[reg.MustIndex(resource.Pool{Cluster: fmt.Sprintf("p%d", c), Dim: resource.CPU})] = -8
-				v[reg.MustIndex(resource.Pool{Cluster: fmt.Sprintf("p%d", c), Dim: resource.RAM})] = -32
+				v[mustIndex(reg, resource.Pool{Cluster: fmt.Sprintf("p%d", c), Dim: resource.CPU})] = -8
+				v[mustIndex(reg, resource.Pool{Cluster: fmt.Sprintf("p%d", c), Dim: resource.RAM})] = -32
 				return v
 			}
 			return e.Submit("team", &core.Bid{Bundles: []resource.Vector{offer(k % 12), offer((k + 5) % 12)},

@@ -13,6 +13,7 @@ package market_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,7 +33,7 @@ func fixtureScript(t *testing.T, e *market.Exchange) {
 	t.Helper()
 	driveMarket(t, e)
 	reg := e.Registry()
-	pool := func(cl string, d resource.Dimension) int { return reg.MustIndex(resource.Pool{Cluster: cl, Dim: d}) }
+	pool := func(cl string, d resource.Dimension) int { return mustIndex(reg, resource.Pool{Cluster: cl, Dim: d}) }
 	// A vector-π bid and a seller. The checked-in snapshot also holds
 	// ledger rows whose memos read like the settlement's own, posted by an
 	// off-auction credit its writer had and later commits do not: a
@@ -146,4 +147,13 @@ func writeFixture(t *testing.T, out string) {
 		t.Fatal(err)
 	}
 	_ = os.Remove(filepath.Join(out, "LOCK"))
+}
+
+// mustIndex is reg's index of pool p, which the test registered.
+func mustIndex(reg *resource.Registry, p resource.Pool) int {
+	i, ok := reg.Index(p)
+	if !ok {
+		panic(fmt.Sprintf("pool %v not registered", p))
+	}
+	return i
 }

@@ -46,7 +46,7 @@ func twoLaneBook(t *testing.T, j *journal.Journal) *market.Exchange {
 	cpu := func(qty map[string]float64) resource.Vector {
 		v := reg.Zero()
 		for cl, q := range qty {
-			v[reg.MustIndex(resource.Pool{Cluster: cl, Dim: resource.CPU})] = q
+			v[mustIndex(reg, resource.Pool{Cluster: cl, Dim: resource.CPU})] = q
 		}
 		return v
 	}

@@ -136,8 +136,8 @@ func TestReservePricesReflectCongestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := e.Registry()
-	hot := p[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})]
-	cold := p[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})]
+	hot := p[mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.CPU})]
+	cold := p[mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.CPU})]
 	if hot <= cold {
 		t.Errorf("congested reserve %v not above idle %v", hot, cold)
 	}
@@ -206,10 +206,10 @@ func TestSubmitProductTwoStep(t *testing.T) {
 	reg := e.Registry()
 	// 10 TB of gfs-storage covers 2 CPU, 5 RAM, 30 Disk.
 	b := o.Bid.Bundle(0)
-	if got := b[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.Disk})]; got != 30 {
+	if got := b[mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.Disk})]; got != 30 {
 		t.Errorf("disk covering = %v", got)
 	}
-	if got := b[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})]; got != 2 {
+	if got := b[mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.CPU})]; got != 2 {
 		t.Errorf("cpu covering = %v", got)
 	}
 
@@ -289,8 +289,8 @@ func TestRunAuctionSettlement(t *testing.T) {
 	reg := e.Registry()
 	mk := func(user string, limit float64) *core.Bid {
 		v := reg.Zero()
-		v[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 50
-		v[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.RAM})] = 50
+		v[mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 50
+		v[mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.RAM})] = 50
 		return &core.Bid{User: user, Bundles: []resource.Vector{v}, Limit: limit}
 	}
 	if _, err := e.Submit("rich", mk("rich", 900)); err != nil {
@@ -403,12 +403,12 @@ func TestSellerReceivesPayment(t *testing.T) {
 	// is willing to pay a lot. Operator supply in r1 is small because the
 	// cluster is nearly full.
 	offer := reg.Zero()
-	offer[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})] = -50
+	offer[mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.CPU})] = -50
 	if _, err := e.Submit("seller", &core.Bid{User: "seller", Bundles: []resource.Vector{offer}, Limit: -10}); err != nil {
 		t.Fatal(err)
 	}
 	want := reg.Zero()
-	want[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})] = 60
+	want[mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.CPU})] = 60
 	if _, err := e.Submit("buyer", &core.Bid{User: "buyer", Bundles: []resource.Vector{want}, Limit: 900}); err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestSummary(t *testing.T) {
 	}
 	reg := e.Registry()
 	offer := reg.Zero()
-	offer[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.RAM})] = -10
+	offer[mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.RAM})] = -10
 	if _, err := e.Submit("a", &core.Bid{User: "a/offer", Bundles: []resource.Vector{offer}, Limit: -1}); err != nil {
 		t.Fatal(err)
 	}
@@ -609,8 +609,8 @@ func nonConvergentExchange(t *testing.T) *Exchange {
 	reg := e.Registry()
 	mk := func(buyCluster, sellCluster string) *core.Bid {
 		v := reg.Zero()
-		v[reg.MustIndex(resource.Pool{Cluster: buyCluster, Dim: resource.CPU})] = 2000
-		v[reg.MustIndex(resource.Pool{Cluster: sellCluster, Dim: resource.CPU})] = -1000
+		v[mustIndex(reg, resource.Pool{Cluster: buyCluster, Dim: resource.CPU})] = 2000
+		v[mustIndex(reg, resource.Pool{Cluster: sellCluster, Dim: resource.CPU})] = -1000
 		return &core.Bid{User: buyCluster + "-trader", Bundles: []resource.Vector{v}, Limit: 1e12}
 	}
 	if _, err := e.Submit("t1", mk("r1", "r2")); err != nil {
@@ -707,7 +707,7 @@ func TestNonConvergentBatchRetires(t *testing.T) {
 	// Retired buy commitment is released: the team can bid again.
 	reg := e.Registry()
 	v := reg.Zero()
-	v[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 5
+	v[mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 5
 	if _, err := e.Submit("t1", &core.Bid{Bundles: []resource.Vector{v}, Limit: 9e14}); err != nil {
 		t.Errorf("post-retirement submit rejected: %v", err)
 	}
@@ -724,7 +724,7 @@ func TestCommitmentReleasedOnSettle(t *testing.T) {
 	reg := e.Registry()
 	mk := func(limit float64) *core.Bid {
 		v := reg.Zero()
-		v[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 5
+		v[mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 5
 		return &core.Bid{Bundles: []resource.Vector{v}, Limit: limit}
 	}
 	id, err := e.Submit("a", mk(900))
@@ -817,7 +817,7 @@ func TestFailedClockPricesNotDisplayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := e.Registry()
-	i := reg.MustIndex(pool)
+	i := mustIndex(reg, pool)
 	if got := rows[0].Price.CPU; math.Abs(got-reserve[i]) > 1e-9 {
 		t.Errorf("summary price = %v, want reserve %v", got, reserve[i])
 	}
@@ -1059,7 +1059,7 @@ func TestPackedFormUnderConcurrentClocks(t *testing.T) {
 		_, err = a.Run()
 		return err
 	})
-	r2cpu := reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})
+	r2cpu := mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.CPU})
 	// wantCPU[id] is the r2/CPU quantity order id was submitted with.
 	var mu sync.Mutex
 	wantCPU := map[int]float64{}
@@ -1145,9 +1145,9 @@ func TestVectorPiBidBudgetEnforced(t *testing.T) {
 	reg := e.Registry()
 	mk := func(lim1, lim2 float64) *core.Bid {
 		b1 := reg.Zero()
-		b1[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})] = 5
+		b1[mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.CPU})] = 5
 		b2 := reg.Zero()
-		b2[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 5
+		b2[mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 5
 		return &core.Bid{Bundles: []resource.Vector{b1, b2}, BundleLimits: []float64{lim1, lim2}}
 	}
 	// Exposure 5000 > balance 1000 even though scalar Limit is zero.
@@ -1173,9 +1173,9 @@ func TestSubmitVectorPiBid(t *testing.T) {
 	}
 	reg := e.Registry()
 	b1 := reg.Zero()
-	b1[reg.MustIndex(resource.Pool{Cluster: "r1", Dim: resource.CPU})] = 10
+	b1[mustIndex(reg, resource.Pool{Cluster: "r1", Dim: resource.CPU})] = 10
 	b2 := reg.Zero()
-	b2[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 10
+	b2[mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 10
 	bid := &core.Bid{
 		User:         "vp",
 		Bundles:      []resource.Vector{b1, b2},

@@ -256,7 +256,9 @@ func TestBookArchiveIsPointerFree(t *testing.T) {
 	walk("orderRec", reflect.TypeOf(orderRec{}))
 	walk("ledgerRec", reflect.TypeOf(ledgerRec{}))
 	walk("slot", reflect.TypeOf(orderShard{}.slots).Elem())
-	walk("rowRun", reflect.TypeOf(new(orderShard).rows.Chunks()).Elem().Elem())
+	rows, _ := reflect.TypeOf(orderShard{}).FieldByName("rows")
+	chunks, _ := rows.Type.FieldByName("chunks")
+	walk("rowRun", chunks.Type.Elem().Elem())
 	if got := reflect.TypeOf(orderRec{}).Size(); got > 48 {
 		t.Errorf("orderRec is %d bytes, was 48", got)
 	}
@@ -279,7 +281,7 @@ func unevenBook(t *testing.T) *Exchange {
 	reg := e.Registry()
 	for _, id := range []int{0, 1, 3, 8, 9, 11, 16, 19, 24, 32} {
 		v := reg.Zero()
-		v[reg.MustIndex(resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 1
+		v[mustIndex(reg, resource.Pool{Cluster: "r2", Dim: resource.CPU})] = 1
 		ev := &Event{Kind: EvOrderSubmitted, OrderID: id, Team: "a",
 			Bid: &core.Bid{User: "a/x", Bundles: []resource.Vector{v}, Limit: float64(1 + id)}}
 		if err := e.applyEvent(ev); err != nil {
@@ -340,7 +342,7 @@ func TestOrderRowsMatchOrdersTail(t *testing.T) {
 			}
 		}
 		reg := e.Registry()
-		cpu := func(cl string) int { return reg.MustIndex(resource.Pool{Cluster: cl, Dim: resource.CPU}) }
+		cpu := func(cl string) int { return mustIndex(reg, resource.Pool{Cluster: cl, Dim: resource.CPU}) }
 		price := func() float64 { return float64(1+rng.Intn(90)) + 0.25*float64(rng.Intn(4)) }
 		for round := 0; round < 4; round++ {
 			for k := 0; k < 8+rng.Intn(24); k++ {
@@ -503,8 +505,8 @@ func TestClaimMergeMatchesSort(t *testing.T) {
 		reg := e.Registry()
 		for _, tr := range [][3]string{{"t1", "r1", "r2"}, {"t2", "r2", "r1"}} {
 			v := reg.Zero()
-			v[reg.MustIndex(resource.Pool{Cluster: tr[1], Dim: resource.CPU})] = 2000
-			v[reg.MustIndex(resource.Pool{Cluster: tr[2], Dim: resource.CPU})] = -1000
+			v[mustIndex(reg, resource.Pool{Cluster: tr[1], Dim: resource.CPU})] = 2000
+			v[mustIndex(reg, resource.Pool{Cluster: tr[2], Dim: resource.CPU})] = -1000
 			if _, err := e.Submit(tr[0], &core.Bid{Bundles: []resource.Vector{v}, Limit: 1e12}); err != nil {
 				t.Fatal(err)
 			}
@@ -545,4 +547,13 @@ func TestClaimMergeMatchesSort(t *testing.T) {
 		}
 		requireClaimInIDOrder(t, "recovered", recovered)
 	})
+}
+
+// mustIndex is reg's index of pool p, which the test registered.
+func mustIndex(reg *resource.Registry, p resource.Pool) int {
+	i, ok := reg.Index(p)
+	if !ok {
+		panic(fmt.Sprintf("pool %v not registered", p))
+	}
+	return i
 }

@@ -67,18 +67,6 @@ type placedState struct {
 	Machine int           `json:"machine"`
 }
 
-// Snapshot writes a consistent snapshot of the exchange to its journal
-// and rotates the WAL, bounding recovery replay. It is a no-op without
-// a journal.
-func (e *Exchange) Snapshot() error {
-	if e.journal == nil {
-		return nil
-	}
-	e.settleMu.Lock()
-	defer e.settleMu.Unlock()
-	return e.snapshotLocked()
-}
-
 // maybeSnapshotLocked snapshots on the configured auction cadence.
 // Callers hold settleMu. A cadence snapshot that still fails after the
 // journal's retries is skipped, not fatal: the journal's rotation is

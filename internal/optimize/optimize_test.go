@@ -3,6 +3,8 @@ package optimize
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -182,7 +184,7 @@ func TestExactRespectsXOR(t *testing.T) {
 	// The granted allocation must equal exactly one bundle.
 	matches := 0
 	for _, q := range bids[1].Bundles {
-		if q.Equal(e.Allocations[1], 0) {
+		if slices.Equal(q, e.Allocations[1]) {
 			matches++
 		}
 	}
@@ -368,5 +370,138 @@ func TestQuickGreedyAlwaysFeasibleAndExactAtLeastGreedy(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// sortedBy returns a sorted copy (stable) of the candidates.
+func sortedBy(cands []candidate, less func(a, b candidate) bool) []candidate {
+	out := append([]candidate(nil), cands...)
+	sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
+	return out
+}
+
+// Greedy computes a welfare-oriented allocation: sellers with nonnegative
+// surplus are accepted first (adding supply), then buyers in descending
+// density while supply lasts. The allocation always satisfies Σx ≤ 0.
+func Greedy(reg *resource.Registry, bids []*core.Bid, reserve resource.Vector, obj Objective) (*Result, error) {
+	if err := validate(reg, bids, reserve); err != nil {
+		return nil, err
+	}
+	// Keep every bundle as a candidate: if a bid's best bundle does not
+	// fit the remaining supply, a substitute bundle still can — the same
+	// substitution flexibility the clock auction exploits.
+	cands := buildCandidates(bids, reserve, obj, true)
+
+	// Headroom h = −Σx: available supply per pool.
+	h := reg.Zero()
+	res := newResult(len(bids))
+	accept := func(c candidate) {
+		q := bids[c.bid].Bundles[c.bundle]
+		for k, v := range q {
+			h[k] -= v
+		}
+		res.Allocations[c.bid] = q.Clone()
+		res.ChosenBundle[c.bid] = c.bundle
+		res.Payments[c.bid] = q.Dot(reserve)
+		res.Welfare += c.value
+		res.Accepted = append(res.Accepted, c.bid)
+	}
+
+	// Phase 1: sellers (pure offers only) with nonnegative surplus, one
+	// bundle per bid (XOR).
+	for _, c := range sortedBy(cands, func(a, b candidate) bool { return a.surplus > b.surplus }) {
+		if res.Allocations[c.bid] != nil {
+			continue
+		}
+		q := bids[c.bid].Bundles[c.bundle]
+		if q.PureDirection() == -1 && c.surplus >= 0 {
+			accept(c)
+		}
+	}
+	// Phase 2: buyers and traders by density.
+	for _, c := range sortedBy(cands, func(a, b candidate) bool { return a.density > b.density }) {
+		if res.Allocations[c.bid] != nil {
+			continue
+		}
+		q := bids[c.bid].Bundles[c.bundle]
+		if q.PureDirection() == -1 {
+			continue
+		}
+		if c.value <= 0 {
+			continue
+		}
+		fits := true
+		for k, v := range q {
+			if v > h[k]+1e-12 {
+				fits = false
+				break
+			}
+		}
+		if fits {
+			accept(c)
+		}
+	}
+	sort.Ints(res.Accepted)
+	return res, nil
+}
+
+// buildCandidates expands every bid × bundle pair, keeping the best
+// bundle per bid per the objective (XOR semantics are enforced during
+// search as well, but pre-picking reduces the greedy's choice set for
+// buyers; for Exact all bundles are kept).
+func buildCandidates(bids []*core.Bid, reserve resource.Vector, obj Objective, keepAll bool) []candidate {
+	var out []candidate
+	for i, b := range bids {
+		bestPer := candidate{bid: -1}
+		for j, q := range b.Bundles {
+			lim := b.Limit
+			if len(b.BundleLimits) > 0 {
+				lim = b.BundleLimits[j]
+			}
+			surplus := lim - q.Dot(reserve)
+			c := candidate{
+				bid:     i,
+				bundle:  j,
+				surplus: surplus,
+				value:   bundleValue(obj, surplus, q, reserve),
+			}
+			size := q.PositivePart().Sum()
+			if size > 0 {
+				c.density = c.value / size
+			} else {
+				c.density = c.value
+			}
+			if keepAll {
+				out = append(out, c)
+				continue
+			}
+			if bestPer.bid < 0 || c.value > bestPer.value {
+				bestPer = c
+			}
+		}
+		if !keepAll && bestPer.bid >= 0 {
+			out = append(out, bestPer)
+		}
+	}
+	return out
+}
+
+// candidate is one (bid, bundle) pair under consideration.
+type candidate struct {
+	bid     int
+	bundle  int
+	surplus float64 // π − p̃ᵀq
+	value   float64 // objective contribution
+	density float64 // value per unit of demanded quantity
+}
+
+func (o Objective) String() string {
+	switch o {
+	case TotalSurplus:
+		return "total-surplus"
+	case TotalTradeValue:
+		return "total-trade-value"
+	default:
+		return fmt.Sprintf("Objective(%d)", int(o))
 	}
 }

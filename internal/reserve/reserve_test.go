@@ -1,6 +1,7 @@
 package reserve
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -216,4 +217,63 @@ func TestQuickReservePriceLinearInCost(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Properties reports how a weighting function fares against the five
+// criteria of Section IV.A, evaluated on a dense grid.
+type Properties struct {
+	Monotonic          bool    // (1) non-decreasing on [0,1]
+	AboveOneWhenOver   bool    // (2) φ > 1 for over-utilized pools (x > 0.5)
+	AtMostOneWhenUnder bool    // (3) φ ≤ 1 for under-utilized pools (x ≤ 0.5)
+	CongestionConvex   bool    // (4) slope at high utilization ≫ slope at low
+	BoundedRatio       float64 // (5) k = φ(1)/φ(0)
+}
+
+// overUtilized is the normalized utilization above which a pool counts as
+// over-utilized for properties (2) and (3). The paper pivots its curves at
+// the midpoint (all three example curves cross 1.0 at x = 0.5).
+const overUtilized = 0.5
+
+// CheckProperties evaluates fn on a grid of n+1 points and reports the
+// Section IV.A properties. n must be at least 4.
+func CheckProperties(fn WeightFn, n int) (Properties, error) {
+	if n < 4 {
+		return Properties{}, errors.New("reserve: need at least 4 grid points")
+	}
+	p := Properties{Monotonic: true, AboveOneWhenOver: true, AtMostOneWhenUnder: true}
+	prev := math.Inf(-1)
+	const tol = 1e-9
+	for i := 0; i <= n; i++ {
+		x := float64(i) / float64(n)
+		v := fn(x)
+		if v < prev-tol {
+			p.Monotonic = false
+		}
+		prev = v
+		if x > overUtilized && v <= 1 {
+			p.AboveOneWhenOver = false
+		}
+		if x <= overUtilized && v > 1+tol {
+			p.AtMostOneWhenUnder = false
+		}
+	}
+	// Property 4: the cost difference between 99% and 80% utilization must
+	// significantly exceed the difference between 40% and 15%.
+	highDiff := fn(0.99) - fn(0.80)
+	lowDiff := fn(0.40) - fn(0.15)
+	p.CongestionConvex = highDiff > lowDiff
+	// Property 5: φ(100%) = k·φ(0%) for a finite constant k.
+	if f0 := fn(0); f0 > 0 {
+		p.BoundedRatio = fn(1) / f0
+	} else {
+		p.BoundedRatio = math.Inf(1)
+	}
+	return p, nil
+}
+
+// Satisfied reports whether all boolean properties hold and the ratio k is
+// finite.
+func (p Properties) Satisfied() bool {
+	return p.Monotonic && p.AboveOneWhenOver && p.AtMostOneWhenUnder &&
+		p.CongestionConvex && !math.IsInf(p.BoundedRatio, 0) && p.BoundedRatio > 1
 }

@@ -192,16 +192,6 @@ func (r *Registry) Row(cluster string) (row PoolRow, ok bool) {
 	return ix.rows[k], ix.rows[k] != noRow
 }
 
-// MustIndex is like Index but panics on an unregistered pool. It is meant
-// for scenario-construction code where the pool set is static.
-func (r *Registry) MustIndex(p Pool) int {
-	i, ok := r.index[p]
-	if !ok {
-		panic(fmt.Sprintf("resource: pool %v not registered", p))
-	}
-	return i
-}
-
 // Pool returns the pool at index i.
 func (r *Registry) Pool(i int) Pool { return r.pools[i] }
 
@@ -226,12 +216,6 @@ func (r *Registry) ClusterPools(cluster string) []int {
 
 // Zero returns a zero vector sized for this registry.
 func (r *Registry) Zero() Vector { return make(Vector, len(r.pools)) }
-
-// String renders a compact description such as
-// "Registry(6 pools, 2 clusters)".
-func (r *Registry) String() string {
-	return fmt.Sprintf("Registry(%d pools, %d clusters)", r.Len(), len(r.byCluster().names))
-}
 
 // Format renders a non-zero vector against this registry as a sorted,
 // human-readable list like "r1/CPU:+40 r1/RAM:+96".

@@ -169,15 +169,6 @@ func FuzzRegistryRow(f *testing.F) {
 	})
 }
 
-func TestRegistryMustIndexPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustIndex on missing pool did not panic")
-		}
-	}()
-	(&Registry{}).MustIndex(Pool{Cluster: "nope", Dim: CPU})
-}
-
 func TestNewStandardRegistry(t *testing.T) {
 	r := NewStandardRegistry("r1", "r2")
 	if r.Len() != 6 {
@@ -230,17 +221,10 @@ func TestRegistryZeroAndFormat(t *testing.T) {
 	if got := r.Format(v); got != "(empty)" {
 		t.Errorf("Format(zero) = %q", got)
 	}
-	v[r.MustIndex(Pool{"r1", CPU})] = 40
-	v[r.MustIndex(Pool{"r1", Disk})] = -2
+	v[r.index[Pool{"r1", CPU}]] = 40
+	v[r.index[Pool{"r1", Disk}]] = -2
 	got := r.Format(v)
 	if !strings.Contains(got, "r1/CPU:+40") || !strings.Contains(got, "r1/Disk:-2") {
 		t.Errorf("Format = %q", got)
-	}
-}
-
-func TestRegistryString(t *testing.T) {
-	r := NewStandardRegistry("a", "b", "c")
-	if got := r.String(); got != "Registry(9 pools, 3 clusters)" {
-		t.Errorf("String = %q", got)
 	}
 }

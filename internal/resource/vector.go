@@ -165,19 +165,6 @@ func (v Vector) IsZero() bool {
 	return true
 }
 
-// MaxAbs returns the largest absolute component value (L∞ norm).
-//
-//marketlint:allocfree
-func (v Vector) MaxAbs() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of all components.
 func (v Vector) Sum() float64 {
 	var s float64
@@ -185,19 +172,6 @@ func (v Vector) Sum() float64 {
 		s += x
 	}
 	return s
-}
-
-// Equal reports whether v and w agree componentwise within tolerance eps.
-func (v Vector) Equal(w Vector, eps float64) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if math.Abs(v[i]-w[i]) > eps {
-			return false
-		}
-	}
-	return true
 }
 
 // PureDirection classifies a bundle per Section III.C.3: +1 when all

@@ -83,9 +83,3 @@ func (s *Slab[T]) Len(chunk int) int {
 //
 //marketlint:allocfree
 func (s *Slab[T]) Held() int { return s.held }
-
-// Chunks returns the chunks themselves, each holding its filled entries,
-// for a caller that reads every entry in place.
-//
-//marketlint:allocfree
-func (s *Slab[T]) Chunks() [][]T { return s.chunks }

@@ -99,10 +99,10 @@ func TestDiskHealsWithoutResume(t *testing.T) {
 	}
 }
 
-// TestHealthzDegradedTransitions: a cadence snapshot that fails past the
+// TestHealthzFailingSnapshotClearsOnNextWrite: a cadence snapshot that fails past the
 // heal loop leaves its auction standing and the probe 503, naming the
 // market's journal; any later write on the healed disk clears it.
-func TestHealthzDegradedTransitions(t *testing.T) {
+func TestHealthzFailingSnapshotClearsOnNextWrite(t *testing.T) {
 	s, ex, inj := degradableFixture(t, nil, 1)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -198,10 +198,10 @@ func TestFedHealthzHealedPartition(t *testing.T) {
 	}
 }
 
-// TestFedHealthzDegradedRegion: a region whose journal fails past its
+// TestFedHealthzFailingRegionJournal: a region whose journal fails past its
 // heal loop turns the federated probe 503, naming the region, until a
 // write to it succeeds on the healed disk.
-func TestFedHealthzDegradedRegion(t *testing.T) {
+func TestFedHealthzFailingRegionJournal(t *testing.T) {
 	fed, inj, ts := fedFaultFixture(t)
 
 	inj.Arm([]fault.Window{{Op: fault.OpDiskWrite, Kind: fault.EIO, Count: 100000}})
