@@ -21,10 +21,11 @@ func TestBidTreeRoundTripsThroughParser(t *testing.T) {
 	}
 	o := scenario.Trade{User: "team-x/buy", Limit: 123.5, Bundles: [][]scenario.PoolQty{at("r1", 10, 20, 1), at("r2", 10, 20, 1)}}
 	text := bidTree(o).String()
-	parsed, err := bidlang.Parse(text)
-	if err != nil {
-		t.Fatalf("rendered bid does not parse: %v\n%s", err, text)
+	bids, err := bidlang.ParseAll(text)
+	if err != nil || len(bids) != 1 {
+		t.Fatalf("rendered bid does not parse as one bid: %d bids, %v\n%s", len(bids), err, text)
 	}
+	parsed := bids[0]
 	if parsed.User != o.User || parsed.Limit != o.Limit {
 		t.Errorf("header lost: %+v", parsed)
 	}
@@ -51,8 +52,8 @@ func TestBidTreeSingleBundleHasNoOneof(t *testing.T) {
 	if strings.Contains(text, "oneof") {
 		t.Errorf("single-bundle bid rendered with oneof:\n%s", text)
 	}
-	if _, err := bidlang.Parse(text); err != nil {
-		t.Fatalf("parse: %v\n%s", err, text)
+	if bids, err := bidlang.ParseAll(text); err != nil || len(bids) != 1 {
+		t.Fatalf("parse: %d bids, %v\n%s", len(bids), err, text)
 	}
 }
 

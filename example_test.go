@@ -5,24 +5,28 @@ import (
 	"log"
 	"math/rand"
 
-	cm "clustermarket"
+	"clustermarket/internal/bidlang"
+	"clustermarket/internal/cluster"
+	"clustermarket/internal/core"
+	"clustermarket/internal/market"
+	"clustermarket/internal/resource"
 )
 
 // Example is the smallest complete market: two clusters, two teams, one
 // clock auction.
 func Example() {
 	// 1. Build the physical substrate: two clusters of identical machines.
-	fleet := cm.NewFleet()
+	fleet := cluster.NewFleet()
 	for _, name := range []string{"r1", "r2"} {
-		c := cm.NewCluster(name)
-		c.AddMachines(8, cm.Usage{CPU: 16, RAM: 64, Disk: 10})
+		c := cluster.New(name, nil)
+		c.AddMachines(8, cluster.Usage{CPU: 16, RAM: 64, Disk: 10})
 		if err := fleet.AddCluster(c); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	// 2. Open the exchange and give each team budget dollars.
-	ex, err := cm.NewExchange(fleet, cm.ExchangeConfig{InitialBudget: 2000})
+	ex, err := market.NewExchange(fleet, market.Config{InitialBudget: 2000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +41,7 @@ func Example() {
 	if _, err := ex.SubmitProduct("search", "bigtable-node", 4, []string{"r1", "r2"}, 300); err != nil {
 		log.Fatal(err)
 	}
-	parsed, err := cm.ParseBid(`bid "ads" limit 250 {
+	parsed, err := bidlang.ParseAll(`bid "ads" limit 250 {
 	  oneof {
 	    all { r1/cpu:20 r1/ram:40 r1/disk:2 }
 	    all { r2/cpu:20 r2/ram:40 r2/disk:2 }
@@ -46,11 +50,12 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bid, err := cm.CompileBid(parsed, ex.Registry())
+	ads := parsed[0]
+	bundles, err := ads.Flatten(ex.Registry())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := ex.Submit("ads", bid); err != nil {
+	if _, err := ex.Submit("ads", &core.Bid{User: ads.User, Bundles: bundles, Limit: ads.Limit}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -99,17 +104,17 @@ func Example() {
 // the congestion premium to stay.
 func Example_migration() {
 	// Cluster "hot" starts ~85% utilized, "cold" ~15%.
-	fleet := cm.NewFleet()
+	fleet := cluster.NewFleet()
 	rng := rand.New(rand.NewSource(7))
 	for _, spec := range []struct {
 		name   string
-		target cm.Usage
+		target cluster.Usage
 	}{
-		{"hot", cm.Usage{CPU: 0.85, RAM: 0.85, Disk: 0.8}},
-		{"cold", cm.Usage{CPU: 0.15, RAM: 0.15, Disk: 0.1}},
+		{"hot", cluster.Usage{CPU: 0.85, RAM: 0.85, Disk: 0.8}},
+		{"cold", cluster.Usage{CPU: 0.15, RAM: 0.15, Disk: 0.1}},
 	} {
-		c := cm.NewCluster(spec.name)
-		c.AddMachines(20, cm.Usage{CPU: 32, RAM: 128, Disk: 20})
+		c := cluster.New(spec.name, nil)
+		c.AddMachines(20, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
 		if err := fleet.AddCluster(c); err != nil {
 			log.Fatal(err)
 		}
@@ -118,7 +123,7 @@ func Example_migration() {
 		}
 	}
 
-	ex, err := cm.NewExchange(fleet, cm.ExchangeConfig{InitialBudget: 5000})
+	ex, err := market.NewExchange(fleet, market.Config{InitialBudget: 5000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -133,36 +138,36 @@ func Example_migration() {
 		log.Fatal(err)
 	}
 	reg := ex.Registry()
-	index := func(cluster string, d cm.Dimension) int {
-		i, ok := reg.Index(cm.Pool{Cluster: cluster, Dim: d})
+	index := func(cluster string, d resource.Dimension) int {
+		i, ok := reg.Index(resource.Pool{Cluster: cluster, Dim: d})
 		if !ok {
 			log.Fatalf("no pool %s/%v", cluster, d)
 		}
 		return i
 	}
-	hotCPU, coldCPU := index("hot", cm.CPU), index("cold", cm.CPU)
+	hotCPU, coldCPU := index("hot", resource.CPU), index("cold", resource.CPU)
 	fmt.Printf("reserve prices: hot/CPU=%.3f cold/CPU=%.3f (congestion-weighted, Section IV)\n",
 		reserve[hotCPU], reserve[coldCPU])
 
 	// The mobile team is indifferent between clusters; the anchored team
 	// insists on "hot" (reengineering its stack would cost more than the
 	// price premium).
-	bundle := func(cluster string, cpu, ram, disk float64) cm.Vector {
+	bundle := func(cluster string, cpu, ram, disk float64) resource.Vector {
 		v := reg.Zero()
-		v[index(cluster, cm.CPU)] = cpu
-		v[index(cluster, cm.RAM)] = ram
-		v[index(cluster, cm.Disk)] = disk
+		v[index(cluster, resource.CPU)] = cpu
+		v[index(cluster, resource.RAM)] = ram
+		v[index(cluster, resource.Disk)] = disk
 		return v
 	}
-	mobile := &cm.Bid{
+	mobile := &core.Bid{
 		User:    "mobile",
 		Limit:   2000,
-		Bundles: []cm.Vector{bundle("hot", 60, 200, 10), bundle("cold", 60, 200, 10)},
+		Bundles: []resource.Vector{bundle("hot", 60, 200, 10), bundle("cold", 60, 200, 10)},
 	}
-	anchored := &cm.Bid{
+	anchored := &core.Bid{
 		User:    "anchored",
 		Limit:   3000,
-		Bundles: []cm.Vector{bundle("hot", 60, 200, 10)},
+		Bundles: []resource.Vector{bundle("hot", 60, 200, 10)},
 	}
 	if _, err := ex.Submit("mobile", mobile); err != nil {
 		log.Fatal(err)
@@ -205,17 +210,17 @@ func Example_migration() {
 // selling holdings where the market is expensive and rebuying where it is
 // cheap, pocketing the spread.
 func Example_arbitrage() {
-	fleet := cm.NewFleet()
+	fleet := cluster.NewFleet()
 	rng := rand.New(rand.NewSource(11))
 	for _, spec := range []struct {
 		name   string
-		target cm.Usage
+		target cluster.Usage
 	}{
-		{"pricey", cm.Usage{CPU: 0.88, RAM: 0.85, Disk: 0.85}},
-		{"cheap", cm.Usage{CPU: 0.2, RAM: 0.2, Disk: 0.15}},
+		{"pricey", cluster.Usage{CPU: 0.88, RAM: 0.85, Disk: 0.85}},
+		{"cheap", cluster.Usage{CPU: 0.2, RAM: 0.2, Disk: 0.15}},
 	} {
-		c := cm.NewCluster(spec.name)
-		c.AddMachines(25, cm.Usage{CPU: 32, RAM: 128, Disk: 20})
+		c := cluster.New(spec.name, nil)
+		c.AddMachines(25, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
 		if err := fleet.AddCluster(c); err != nil {
 			log.Fatal(err)
 		}
@@ -223,7 +228,7 @@ func Example_arbitrage() {
 			log.Fatal(err)
 		}
 	}
-	ex, err := cm.NewExchange(fleet, cm.ExchangeConfig{InitialBudget: 3000})
+	ex, err := market.NewExchange(fleet, market.Config{InitialBudget: 3000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -233,8 +238,8 @@ func Example_arbitrage() {
 		}
 	}
 	reg := ex.Registry()
-	set := func(v cm.Vector, cluster string, d cm.Dimension, q float64) {
-		i, ok := reg.Index(cm.Pool{Cluster: cluster, Dim: d})
+	set := func(v resource.Vector, cluster string, d resource.Dimension, q float64) {
+		i, ok := reg.Index(resource.Pool{Cluster: cluster, Dim: d})
 		if !ok {
 			log.Fatalf("no pool %s/%v", cluster, d)
 		}
@@ -245,15 +250,15 @@ func Example_arbitrage() {
 	// (given as quota) and places a single trade bundle: sell there, buy
 	// the equivalent in the cheap cluster. Its limit of −100 says "only
 	// if the swap nets me at least 100 dollars".
-	fleet.Quotas().Grant("trader", "pricey", cm.Usage{CPU: 40, RAM: 100, Disk: 5})
+	fleet.Quotas().Grant("trader", "pricey", cluster.Usage{CPU: 40, RAM: 100, Disk: 5})
 	swap := reg.Zero()
-	set(swap, "pricey", cm.CPU, -40)
-	set(swap, "pricey", cm.RAM, -100)
-	set(swap, "pricey", cm.Disk, -5)
-	set(swap, "cheap", cm.CPU, 40)
-	set(swap, "cheap", cm.RAM, 100)
-	set(swap, "cheap", cm.Disk, 5)
-	trade := &cm.Bid{User: "trader/swap", Bundles: []cm.Vector{swap}, Limit: -100}
+	set(swap, "pricey", resource.CPU, -40)
+	set(swap, "pricey", resource.RAM, -100)
+	set(swap, "pricey", resource.Disk, -5)
+	set(swap, "cheap", resource.CPU, 40)
+	set(swap, "cheap", resource.RAM, 100)
+	set(swap, "cheap", resource.Disk, 5)
+	trade := &core.Bid{User: "trader/swap", Bundles: []resource.Vector{swap}, Limit: -100}
 	if _, err := ex.Submit("trader", trade); err != nil {
 		log.Fatal(err)
 	}
@@ -261,10 +266,10 @@ func Example_arbitrage() {
 	// A growing team bids for capacity in the pricey cluster: it is the
 	// demand that makes the trader's sale valuable.
 	grow := reg.Zero()
-	set(grow, "pricey", cm.CPU, 50)
-	set(grow, "pricey", cm.RAM, 120)
-	set(grow, "pricey", cm.Disk, 6)
-	if _, err := ex.Submit("grower", &cm.Bid{User: "grower", Bundles: []cm.Vector{grow}, Limit: 2500}); err != nil {
+	set(grow, "pricey", resource.CPU, 50)
+	set(grow, "pricey", resource.RAM, 120)
+	set(grow, "pricey", resource.Disk, 6)
+	if _, err := ex.Submit("grower", &core.Bid{User: "grower", Bundles: []resource.Vector{grow}, Limit: 2500}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -293,76 +298,4 @@ func Example_arbitrage() {
 	// trader balance: 3000.00 -> 3217.85 (profit 217.85 from the cluster price spread)
 	// trader quota after swap: pricey=cpu=0 ram=0 disk=0 cheap=cpu=40 ram=100 disk=5
 	// "an increasing sophistication towards arbitrage opportunities" (Section V.C)
-}
-
-// Example_optimizer contrasts the paper's clock auction with the
-// explicitly optimizing allocator it discusses as future work (Sections
-// III.C.4 and VI). The optimizer squeezes out more total surplus, but its
-// outcome cannot be supported by fair uniform prices, which is why the
-// production system runs the clock.
-func Example_optimizer() {
-	reg := cm.NewRegistry(
-		cm.Pool{Cluster: "east", Dim: cm.CPU},
-		cm.Pool{Cluster: "west", Dim: cm.CPU},
-	)
-	reserve := cm.Vector{1, 1}
-
-	// Supply: the operator sells 100 cores per cluster. Demand: a whale
-	// that takes a whole cluster, and a school of small teams whose
-	// combined value exceeds the whale's.
-	bids := []*cm.Bid{
-		{User: "operator", Limit: -0.01, Bundles: []cm.Vector{{-100, -100}}},
-		{User: "whale", Limit: 260, Bundles: []cm.Vector{{100, 0}, {0, 100}}},
-	}
-	for i := 0; i < 5; i++ {
-		bids = append(bids, &cm.Bid{
-			User:    fmt.Sprintf("small-%d", i),
-			Limit:   90,
-			Bundles: []cm.Vector{{40, 0}, {0, 40}},
-		})
-	}
-
-	// Path 1: the clock auction (the paper's choice).
-	a, err := cm.NewAuction(reg, bids, cm.AuctionConfig{
-		Start:  reserve,
-		Policy: cm.Capped{Alpha: 0.01, Delta: 0.1, MinStep: 0.01},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	clock, err := a.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	clockWelfare, err := cm.EvaluateWelfare(bids, clock.ChosenBundle, reserve, cm.TotalSurplus)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("clock auction:   %d rounds, prices [%.3f %.3f]\n", clock.Rounds, clock.Prices[0], clock.Prices[1])
-	fmt.Printf("  winners %v, total surplus %.2f\n", clock.Winners, clockWelfare)
-	if v := cm.CheckSystem(bids, clock, 1e-9); len(v) == 0 {
-		fmt.Println("  SYSTEM fairness constraints: all satisfied (uniform prices separate winners from losers)")
-	}
-
-	// Path 2: the exact optimizer over the same bids.
-	opt, err := cm.OptimizeExact(reg, bids, reserve, cm.TotalSurplus)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nexact optimizer: total surplus %.2f (accepted bids %v)\n", opt.Welfare, opt.Accepted)
-	fmt.Printf("  surplus gained over clock: %.2f\n", opt.Welfare-clockWelfare)
-	fmt.Printf("  fairness violations at reserve prices: %d\n", cm.UnfairnessReport(bids, opt, reserve))
-	fmt.Println("\nthe paper's point: the clock \"completely ignores the objective function\"")
-	fmt.Println("but yields clear, fair, uniform price signals — the optimizer does not.")
-	// Output:
-	// clock auction:   27 rounds, prices [2.300 2.300]
-	//   winners [0 1], total surplus 359.99
-	//   SYSTEM fairness constraints: all satisfied (uniform prices separate winners from losers)
-	//
-	// exact optimizer: total surplus 459.99 (accepted bids [0 1 5 6])
-	//   surplus gained over clock: 100.00
-	//   fairness violations at reserve prices: 3
-	//
-	// the paper's point: the clock "completely ignores the objective function"
-	// but yields clear, fair, uniform price signals — the optimizer does not.
 }

@@ -18,9 +18,8 @@ import (
 //	//marketlint:oracle <TestName>...  — this function is test support
 //	    that tests of other packages share: no program reaches it, and
 //	    each named test exists. TestEveryFunctionHasAProgram checks both,
-//	    from the roots main, init, package-level initializers and the
-//	    facade's exported functions; packages named *test and
-//	    internal/analysis itself are exempt.
+//	    from the roots main, init and package-level initializers;
+//	    packages named *test and internal/analysis itself are exempt.
 //
 // Annotations are ordinary line comments beginning exactly with
 // "//marketlint:" (no space, mirroring //go:build), placed in a

@@ -69,8 +69,8 @@ func TestContracts(t *testing.T) {
 }
 
 // TestEveryFunctionHasAProgram fails on each function that neither
-// marketd, marketsim, the benchmark nor the facade reaches, unless it
-// is a test oracle that names its test. The benchmark is a module of
+// marketd, marketsim nor the benchmark reaches, unless it is a test
+// oracle that names its test. The benchmark is a module of
 // its own: its package is loaded from source, and the root module's
 // packages it imports are matched to the module's by full name. The
 // analyzers are the lint, which only TestContracts runs.
@@ -79,7 +79,7 @@ func TestEveryFunctionHasAProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Unreached(slices.Concat(loadModule(t), bench), "clustermarket")
+	diags, err := analysis.Unreached(slices.Concat(loadModule(t), bench))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestUnreachedFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.Unreached([]*analysis.Package{fixture}, "")
+	diags, err := analysis.Unreached([]*analysis.Package{fixture})
 	if err != nil {
 		t.Fatal(err)
 	}

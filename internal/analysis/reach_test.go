@@ -20,9 +20,8 @@ import (
 // of pkgs that no program reaches, and each //marketlint:oracle
 // annotation that names no test or that a program makes stale.
 //
-// The roots are main in every main package, every package's init
-// functions and package-level initializers, and the exported functions
-// of the facade package. Reached code reaches what it references,
+// The roots are main in every main package and every package's init
+// functions and package-level initializers. Reached code reaches what it references,
 // called or taken as a value (generic code through its origin), and
 // the methods of each type it converts to an interface, at a call
 // argument, assignment, return, composite-literal element or send: the
@@ -39,7 +38,7 @@ import (
 // and it is a root only after the program's own reach is known. A
 // package whose name ends in "test" is test support and is not
 // reported.
-func Unreached(pkgs []*Package, facade string) ([]Diagnostic, error) {
+func Unreached(pkgs []*Package) ([]Diagnostic, error) {
 	r := &reacher{
 		decls:    map[string]funcSite{},
 		reached:  map[string]bool{},
@@ -96,9 +95,7 @@ func Unreached(pkgs []*Package, facade string) ([]Diagnostic, error) {
 						oracles = append(oracles, oracle{site, strings.Fields(a.Args)})
 					}
 				}
-				main := fd.Recv == nil && fd.Name.Name == "main" && pkg.Types.Name() == "main"
-				api := pkg.Path == facade && fd.Recv == nil && fd.Name.IsExported()
-				if main || api {
+				if fd.Recv == nil && fd.Name.Name == "main" && pkg.Types.Name() == "main" {
 					roots = append(roots, site)
 				}
 			}

@@ -21,6 +21,18 @@ bid "team-storage" limit 120.5 {
 }
 `
 
+// Parse reads exactly one bid, as the tests write most of theirs.
+func Parse(src string) (*Bid, error) {
+	bids, err := ParseAll(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(bids) != 1 {
+		return nil, fmt.Errorf("bidlang: expected exactly 1 bid, found %d", len(bids))
+	}
+	return bids[0], nil
+}
+
 func TestParseSample(t *testing.T) {
 	b, err := Parse(sampleBid)
 	if err != nil {

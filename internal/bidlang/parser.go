@@ -9,7 +9,7 @@ import (
 	"clustermarket/internal/resource"
 )
 
-// Parse reads one bid in the canonical text syntax:
+// ParseAll reads every bid in src, each in the canonical text syntax:
 //
 //	bid "team-storage" limit 120.5 {
 //	  oneof {
@@ -19,19 +19,7 @@ import (
 //	}
 //
 // Quantities may be negative (offers). Comments run from '#' to end of
-// line. ParseAll reads a sequence of such bids.
-func Parse(src string) (*Bid, error) {
-	bids, err := ParseAll(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(bids) != 1 {
-		return nil, fmt.Errorf("bidlang: expected exactly 1 bid, found %d", len(bids))
-	}
-	return bids[0], nil
-}
-
-// ParseAll reads every bid in src.
+// line.
 func ParseAll(src string) ([]*Bid, error) {
 	toks, err := lex(src)
 	if err != nil {

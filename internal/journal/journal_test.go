@@ -297,6 +297,56 @@ func TestTornWALHeaderRebuilds(t *testing.T) {
 	j2.Close()
 }
 
+// TestTornWALHeaderKeepsLaterAppends: a WAL torn inside its header is
+// rebuilt to start right after the snapshot, so a record appended after
+// the rebuild is recovered, and a snapshot stamped behind the sequence
+// carries the right tail.
+func TestTornWALHeaderKeepsLaterAppends(t *testing.T) {
+	tornAt2 := func(t *testing.T) (string, *Journal) {
+		dir := t.TempDir()
+		j, _ := mustOpen(t, dir, Options{})
+		appendAll(t, j, "a", "b")
+		if err := j.Snapshot([]byte(`{"n":2}`), j.Seq()); err != nil {
+			t.Fatal(err)
+		}
+		j.Crash()
+		if err := os.Truncate(filepath.Join(dir, "wal"), 2); err != nil {
+			t.Fatal(err)
+		}
+		j2, rec := mustOpen(t, dir, Options{})
+		if !rec.Truncated || rec.SnapshotSeq != 2 || len(rec.Records) != 0 {
+			t.Fatalf("recovery = snap %d + %d records (truncated %v), want the torn header rebuilt after snap 2",
+				rec.SnapshotSeq, len(rec.Records), rec.Truncated)
+		}
+		return dir, j2
+	}
+	for _, tc := range []struct {
+		name   string
+		append []string
+		stamp  uint64 // 0: no snapshot after the rebuild
+		want   string
+	}{
+		{"append", []string{"c"}, 0, "2 [c]"},
+		{"snapshot behind the sequence", []string{"c", "d"}, 3, "3 [d]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, j := tornAt2(t)
+			appendAll(t, j, tc.append...)
+			if tc.stamp > 0 {
+				if err := j.Snapshot([]byte(`{"n":3}`), tc.stamp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j.Crash()
+			j2, rec := mustOpen(t, dir, Options{})
+			defer j2.Close()
+			if got := fmt.Sprint(rec.SnapshotSeq, " ", recordsAsStrings(rec)); got != tc.want {
+				t.Fatalf("recovered snap and tail %s, want %s: every appended record was acknowledged", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestForeignWALRejected(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "wal"), []byte("NOTJRNLxxxxxxxxxxxx"), 0o644); err != nil {

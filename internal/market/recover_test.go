@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -369,6 +370,45 @@ func TestRecoverRejectsCorruptWonEvent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecoverRejectsSkippedOrderID replays a submit whose order id skips
+// ahead in a stripe that is not full: the book files order k at slot
+// k/stripes of stripe k%stripes, so the record is refused as out of
+// sequence rather than misfiled.
+func TestRecoverRejectsSkippedOrderID(t *testing.T) {
+	rec := recoveryOf(t, false)
+	e, err := market.NewExchange(recoverFleet(t), marketCfg(nil, -1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripes := len(e.OpenOrdersPerStripe())
+	for i, raw := range rec.Records {
+		ev := jsonObject(t, raw)
+		if ev["k"] != market.EvOrderSubmitted {
+			continue
+		}
+		id := 0 // omitempty drops order 0
+		if n, ok := ev["order"].(json.Number); ok {
+			v, err := n.Int64()
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = int(v)
+		}
+		skipped := id + stripes
+		ev["order"] = skipped
+		doctored := *rec
+		doctored.Records = append([][]byte(nil), rec.Records...)
+		doctored.Records[i] = jsonBytes(t, ev)
+		_, err := market.Recover(recoverFleet(t), marketCfg(nil, -1), &doctored)
+		want := fmt.Sprintf("order %d out of sequence", skipped)
+		if !errors.Is(err, market.ErrCorruptRecord) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Recover = %v, want ErrCorruptRecord naming %q", err, want)
+		}
+		return
+	}
+	t.Fatal("no order-submitted event in the WAL")
 }
 
 // TestRecoverRejectsCorruptWonSnapshot does the same to a Won order of a

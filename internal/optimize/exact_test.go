@@ -3,7 +3,9 @@
 // the "alternative algorithms, based explicitly on optimization" of
 // Sections III.C.4 and VI. The paper's clock auction deliberately trades
 // optimality for uniform prices, fairness, and tractability; this package
-// provides the comparison point.
+// provides the comparison point. No program runs it: the package is test
+// files only, an oracle that TestClockVsExact and FuzzClockVsExact hold
+// the clock against.
 //
 // Two objectives from Section III.B are supported:
 //

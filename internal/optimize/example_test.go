@@ -1,0 +1,81 @@
+package optimize
+
+import (
+	"fmt"
+	"log"
+
+	"clustermarket/internal/core"
+	"clustermarket/internal/resource"
+)
+
+// Example_optimizer contrasts the paper's clock auction with the
+// explicitly optimizing allocator it discusses as future work (Sections
+// III.C.4 and VI). The optimizer squeezes out more total surplus, but its
+// outcome cannot be supported by fair uniform prices, which is why the
+// production system runs the clock.
+func Example_optimizer() {
+	reg := resource.NewRegistry(
+		resource.Pool{Cluster: "east", Dim: resource.CPU},
+		resource.Pool{Cluster: "west", Dim: resource.CPU},
+	)
+	reserve := resource.Vector{1, 1}
+
+	// Supply: the operator sells 100 cores per cluster. Demand: a whale
+	// that takes a whole cluster, and a school of small teams whose
+	// combined value exceeds the whale's.
+	bids := []*core.Bid{
+		{User: "operator", Limit: -0.01, Bundles: []resource.Vector{{-100, -100}}},
+		{User: "whale", Limit: 260, Bundles: []resource.Vector{{100, 0}, {0, 100}}},
+	}
+	for i := 0; i < 5; i++ {
+		bids = append(bids, &core.Bid{
+			User:    fmt.Sprintf("small-%d", i),
+			Limit:   90,
+			Bundles: []resource.Vector{{40, 0}, {0, 40}},
+		})
+	}
+
+	// Path 1: the clock auction (the paper's choice).
+	a, err := core.NewAuction(reg, bids, core.Config{
+		Start:  reserve,
+		Policy: core.Capped{Alpha: 0.01, Delta: 0.1, MinStep: 0.01},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	clock, err := a.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	clockWelfare, err := EvaluateWelfare(bids, clock.ChosenBundle, reserve, TotalSurplus)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("clock auction:   %d rounds, prices [%.3f %.3f]\n", clock.Rounds, clock.Prices[0], clock.Prices[1])
+	fmt.Printf("  winners %v, total surplus %.2f\n", clock.Winners, clockWelfare)
+	if v := core.CheckSystem(bids, clock, 1e-9); len(v) == 0 {
+		fmt.Println("  SYSTEM fairness constraints: all satisfied (uniform prices separate winners from losers)")
+	}
+
+	// Path 2: the exact optimizer over the same bids.
+	opt, err := Exact(reg, bids, reserve, TotalSurplus)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nexact optimizer: total surplus %.2f (accepted bids %v)\n", opt.Welfare, opt.Accepted)
+	fmt.Printf("  surplus gained over clock: %.2f\n", opt.Welfare-clockWelfare)
+	fmt.Printf("  fairness violations at reserve prices: %d\n", UnfairnessReport(bids, opt, reserve))
+	fmt.Println("\nthe paper's point: the clock \"completely ignores the objective function\"")
+	fmt.Println("but yields clear, fair, uniform price signals — the optimizer does not.")
+	// Output:
+	// clock auction:   27 rounds, prices [2.300 2.300]
+	//   winners [0 1], total surplus 359.99
+	//   SYSTEM fairness constraints: all satisfied (uniform prices separate winners from losers)
+	//
+	// exact optimizer: total surplus 459.99 (accepted bids [0 1 5 6])
+	//   surplus gained over clock: 100.00
+	//   fairness violations at reserve prices: 3
+	//
+	// the paper's point: the clock "completely ignores the objective function"
+	// but yields clear, fair, uniform price signals — the optimizer does not.
+}

@@ -118,6 +118,12 @@ func TestVectorEqualDifferentLengths(t *testing.T) {
 	}
 }
 
+func TestVectorEqualRefusesNaN(t *testing.T) {
+	if (Vector{1, math.NaN()}).Equal(Vector{1, math.NaN()}, 1) {
+		t.Error("a NaN component must make Equal false")
+	}
+}
+
 func TestCloneIsIndependent(t *testing.T) {
 	v := Vector{1, 2}
 	c := v.Clone()
@@ -202,7 +208,7 @@ func (v Vector) Equal(w Vector, eps float64) bool {
 		return false
 	}
 	for i := range v {
-		if math.Abs(v[i]-w[i]) > eps {
+		if !(math.Abs(v[i]-w[i]) <= eps) { // a NaN component is unequal
 			return false
 		}
 	}

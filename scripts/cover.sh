@@ -4,7 +4,8 @@
 # Runs the full test suite with a coverage profile, prints each package's
 # statement coverage next to the checked-in baseline (COVERAGE_baseline.txt)
 # with the delta, and fails when the repo-wide total drops below the floor
-# in COVERAGE_FLOOR. Per-package deltas are informational; only the total
+# in COVERAGE_FLOOR. A baseline package missing from the profile prints
+# as gone. Per-package deltas are informational; only the total
 # gates, so a refactor can move statements between packages freely as long
 # as overall coverage holds.
 #
@@ -47,8 +48,9 @@ if [ "$1" = "-update" ]; then
     exit 0
 fi
 
+CURRENT=$(perpkg)
 echo "package coverage (vs COVERAGE_baseline.txt):"
-perpkg | while read -r pkg pct; do
+echo "$CURRENT" | while read -r pkg pct; do
     base=$(awk -v p="$pkg" '$1 == p { print $2 }' COVERAGE_baseline.txt)
     if [ -n "$base" ]; then
         delta=$(awk -v a="$pct" -v b="$base" 'BEGIN { printf "%+.1f", a - b }')
@@ -57,6 +59,10 @@ perpkg | while read -r pkg pct; do
         printf '  %-40s %6s%%  (new package)\n' "$pkg" "$pct"
     fi
 done
+# A baseline package the profile no longer holds was deleted or lost its
+# last statement: report it rather than drop its row silently.
+echo "$CURRENT" | awk 'NR == FNR { seen[$1] = 1; next }
+    !($1 in seen) { printf "  %-40s  (gone)  (baseline %s%%)\n", $1, $2 }' - COVERAGE_baseline.txt
 
 echo "total: ${TOTAL}% (floor: ${FLOOR}%)"
 PASS=$(awk -v t="$TOTAL" -v f="$FLOOR" 'BEGIN { print (t >= f) ? "yes" : "no" }')
