@@ -2,7 +2,8 @@ package clustermarket_test
 
 // Layer benchmarks: the stages of an order's life that the end-to-end
 // suite in benchmark/ does not time on their own — the production clock
-// against its dense oracle core.ReferenceRun, the clock's scaling in
+// against its dense oracle core.ReferenceRun on bundles that share no
+// rows and on catalog bids that mostly do, the clock's scaling in
 // users and pools (Section III.C.4), admission at R = 192 and contended
 // admission at R = 39, the auction build from a booked book, what the
 // book retains an order, and the federated tick with its settlement wave.
@@ -213,8 +214,8 @@ const scalingRounds = 500
 // running time grows linearly in users and in pools: the user sweep at
 // 100 pools and the pool sweep at 100 users, which share their
 // 100 × 100 point. Each point reports ns/op
-// and ns/round, the rounds run and the lane rounds, bundle re-pricings
-// and proxy re-choices of core.ClockStats.
+// and ns/round, the rounds run and the lane rounds, bundle re-pricings,
+// dot products, dropped bundles and proxy re-choices of core.ClockStats.
 func BenchmarkClockScaling(b *testing.B) {
 	var points [][2]int
 	for _, u := range []int{25, 50, 100, 200, 400, 800} {
@@ -255,6 +256,8 @@ func BenchmarkClockScaling(b *testing.B) {
 			b.ReportMetric(float64(res.Rounds), "rounds")
 			b.ReportMetric(float64(res.Clock.LaneRounds), "lane-rounds")
 			b.ReportMetric(float64(res.Clock.Repriced), "repriced")
+			b.ReportMetric(float64(res.Clock.Priced), "priced")
+			b.ReportMetric(float64(res.Clock.Dropped), "dropped")
 			b.ReportMetric(float64(res.Clock.Rechosen), "rechosen")
 		})
 	}
@@ -515,13 +518,11 @@ func BenchmarkSubmitProductParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkNewAuctionFromBook is the stage between the book and round 0
-// of the clock: core.NewAuction over 4096 already-booked bids plus the
-// operator's 64 supply bids at R = 192 (validate every bid, build the
-// proxies), then Components, which forces the sub-market decomposition
-// and its pool remap.
-func BenchmarkNewAuctionFromBook(b *testing.B) {
-	b.ReportAllocs()
+// wideBids books the wide orders on a wide exchange and returns its
+// registry, the booked bids plus the operator's 64 supply bids at R = 192,
+// and the exchange's reserve prices: an epoch's auction input as the
+// exchange assembles it.
+func wideBids(b *testing.B) (*resource.Registry, []*core.Bid, resource.Vector) {
 	ex := wideExchange(b)
 	clusters, limits := wideOrders()
 	for k := range clusters {
@@ -546,6 +547,29 @@ func BenchmarkNewAuctionFromBook(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return reg, bids, start
+}
+
+// BenchmarkCatalogPlanetEngines is the production clock against the
+// reference on catalog bids: the wide book's 4096 batch-compute orders,
+// one to three clusters of one region each, and the operator's supply,
+// as the exchange books them. A lane's bundles are then a few dozen
+// distinct row sets, which the clock prices once a round each
+// (incremental.go's shapes), where BenchmarkSparsePlanetEngines' bundles
+// mostly share no rows and are priced one by one.
+func BenchmarkCatalogPlanetEngines(b *testing.B) {
+	reg, bids, _ := wideBids(b)
+	benchClockVsReference(b, reg, bids, wideRegions)
+}
+
+// BenchmarkNewAuctionFromBook is the stage between the book and round 0
+// of the clock: core.NewAuction over 4096 already-booked bids plus the
+// operator's 64 supply bids at R = 192 (validate every bid, build the
+// proxies), then Components, which forces the sub-market decomposition,
+// its pool remap and each lane's shape index.
+func BenchmarkNewAuctionFromBook(b *testing.B) {
+	b.ReportAllocs()
+	reg, bids, start := wideBids(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := core.NewAuction(reg, bids, core.Config{Start: start})

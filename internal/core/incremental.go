@@ -15,12 +15,21 @@ import "math"
 // and refreshes only the excess-demand components those owners' old and
 // new bundles touch.
 //
+// Catalog bids repeat rows: many bundles of a lane ask for the same
+// product on the same cluster. Bundles with bit-identical rows form a
+// shape, found when the lane is built; a round prices a moved shape once
+// and copies the cost to its members. A bundle no other bundle shares
+// rows with stays a singleton on the per-pool walk, so a market whose
+// bundles share nothing does the work it did before shapes.
+//
 // Determinism contract: results are bit-identical to ReferenceRun.
 //
 //   - A cached cost is the same from-zero dot over the bundle's ascending
 //     rows the reference computes, at prices that have not changed on any
 //     of those rows since; the choice scan over the cached costs is the
 //     reference's (cost > limit skipped, strictly larger surplus wins).
+//     A shape's members share one dot over one member's rows: the same
+//     pool ids and quantity bits, so the same sum, bit for bit.
 //   - Excess demand is never updated by adding/subtracting deltas —
 //     floating point addition is not associative, so delta updates would
 //     drift in the low bits. Each stale pool's component is re-summed from
@@ -30,12 +39,19 @@ import "math"
 //     eighth of the pools are stale the whole vector is rebuilt in proxy
 //     order, which is the reference order itself; untouched components
 //     carry over, which is what the reference re-sum would reproduce.
-//   - A priced-out pure buyer is retired: price steps are nonnegative and
-//     its bundle costs nondecreasing in prices, so it can never re-enter
-//     and its choice is −1 forever — it contributes to no sum. Its entries
-//     are dropped, order preserved, from the pool lists and the proxy list
-//     by the walk that meets them. Sellers and traders carry negative components (rising
-//     prices improve their receipts), so they stay listed and evaluated.
+//   - A pure buyer's costs are monotone: price steps are nonnegative and
+//     its quantities positive, so each product, and each partial sum
+//     added in a fixed order, is nondecreasing under round-to-nearest.
+//     A priced-out pure buyer is therefore retired — it can never
+//     re-enter and its choice is −1 forever, so it contributes to no sum.
+//     Its entries are dropped, order preserved, from the walk lists and
+//     the proxy list by the loop that meets them. Likewise a pure
+//     buyer's shape member whose cost exceeds its limit is dropped from
+//     its shape for good: the choice scan skips it at its cached cost,
+//     as it would at any later one. A shape with no member left leaves
+//     the walk lists. Sellers and traders carry negative components
+//     (rising prices improve their receipts), so they stay listed and
+//     evaluated.
 
 // kernel is the immutable, bids-derived half of a lane, built once
 // (bids are frozen after NewAuction) and shared by every run. Bundles are
@@ -48,7 +64,17 @@ type kernel struct {
 	lim   []float64 // bundle → its limit (Bid.LimitFor, resolved once)
 	owner []int32   // bundle → proxy
 	buyer []bool    // proxy → pure buyer
-	at    []int32   // pool r's list of bundles starts at at[r], ends before at[r+1]
+	// Pool r's bundles are poolB[at[r]:at[r+1]], ascending, with their
+	// quantity there in poolV: the lists every excess-demand re-sum walks.
+	at, poolB []int32
+	poolV     []float64
+	// shape[b] is bundle b's shape, −1 when no other bundle of the lane
+	// has its rows; shape s has members mAt[s] .. mAt[s+1]-1 of the live
+	// member list.
+	shape, mAt []int32
+	// Pool r's walk lists, its shapes' and then its singleton bundles',
+	// start at walkAt[r] and soloAt[r] and end before walkAt[r+1].
+	walkAt, soloAt []int32
 }
 
 // ClockStats counts the work of one Run's round loops, summed over its
@@ -61,6 +87,10 @@ type ClockStats struct {
 	// Repriced bundles and Rechosen proxies past round 0, and how many of
 	// those proxies Switched bundle.
 	Repriced, Rechosen, Switched int
+	// Priced counts the dot products past round 0, one for a shape
+	// however many members it re-prices, and Dropped the pure buyers'
+	// shape members retired because they cost more than their limit.
+	Priced, Dropped int
 	// Rebuilds counts rounds that rebuilt z whole, Resums single pools
 	// re-summed in the other rounds.
 	Rebuilds, Resums int
@@ -76,6 +106,8 @@ func (s *ClockStats) Add(o ClockStats) {
 	s.Repriced += o.Repriced
 	s.Rechosen += o.Rechosen
 	s.Switched += o.Switched
+	s.Priced += o.Priced
+	s.Dropped += o.Dropped
 	s.Rebuilds += o.Rebuilds
 	s.Resums += o.Resums
 }
@@ -87,33 +119,33 @@ func carve[T any](slab *[]T, n int) []T {
 	return s
 }
 
-// newLane builds the lane of bids (ascending global indices) over pools
-// (ascending global ids; local maps a global id back to its position):
-// the kernel in one pass over the bids' rows, and every scratch vector of
-// the round loop, carved from one slab per element type.
-func (a *Auction) newLane(pools, bids, local []int32, cfg Config) *lane {
-	nP, nB, nnz, r := len(bids), 0, 0, len(pools)
-	for _, bi := range bids {
-		rw := a.rowsOf(int(bi))
-		nB += int(rw.n)
-		nnz += len(rw.val)
-	}
-	i32 := make([]int32, 6*nP+3*nB+2*nnz+5*r+3)
-	f64 := make([]float64, 2*nnz+2*nB+3*r)
+// newLane builds the lane of bids (ascending global indices; nB bundles
+// and nnz rows in all) over pools (ascending global ids; local maps a
+// global id back to its position): the kernel in one pass over the bids'
+// rows, and every scratch vector of the round loop, carved from one slab
+// per element type; then the shape index (see index).
+func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32) *lane {
+	nP, r := len(bids), len(pools)
+	i32 := make([]int32, 6*nP+4*nB+2*nnz+4*r+3)
+	f64 := make([]float64, 2*nnz+2*nB+4*r)
 	flags := make([]bool, 2*nP)
-	c := &lane{pools: pools, bids: bids, cfg: cfg}
+	c := &lane{pools: pools, bids: bids, cfg: a.cfg}
 	c.first, c.row, c.at = carve(&i32, nP+1), carve(&i32, nB+1), carve(&i32, r+1)
-	c.idx, c.liveB = carve(&i32, nnz), carve(&i32, nnz)
-	c.owner, c.bundleMark = carve(&i32, nB), carve(&i32, nB)
+	c.idx, c.poolB = carve(&i32, nnz), carve(&i32, nnz)
+	c.owner, c.bundleMark, c.shape = carve(&i32, nB), carve(&i32, nB), carve(&i32, nB)
 	c.chosen, c.drop, c.liveP = carve(&i32, nP), carve(&i32, nP), carve(&i32, nP)
 	c.proxyMark, c.affected = carve(&i32, nP), carve(&i32, nP)[:0]
-	c.liveEnd, c.poolMark = carve(&i32, r), carve(&i32, r)
+	c.poolMark = carve(&i32, r)
 	c.stale, c.dirty = carve(&i32, r)[:0], carve(&i32, r)[:0]
-	c.val, c.liveV = carve(&f64, nnz), carve(&f64, nnz)
+	c.val, c.poolV = carve(&f64, nnz), carve(&f64, nnz)
 	c.lim, c.cost = carve(&f64, nB), carve(&f64, nB)
 	c.p, c.z, c.step = carve(&f64, r), carve(&f64, r), carve(&f64, r)
+	c.cfg.Start = carve(&f64, r)
 	c.buyer, c.retired = carve(&flags, nP), carve(&flags, nP)
 
+	for j, g := range pools {
+		c.cfg.Start[j] = a.cfg.Start[g]
+	}
 	b, j := int32(0), int32(0)
 	for k, bi := range bids {
 		bid, rw := a.bids[bi], a.rowsOf(int(bi))
@@ -136,15 +168,149 @@ func (a *Auction) newLane(pools, bids, local []int32, cfg Config) *lane {
 	for g := 0; g < r; g++ {
 		c.at[g+1] += c.at[g]
 	}
+	// Fill the pool lists bundle by bundle, so each is ascending; the
+	// pool marks, unused until the first round, serve as the cursors.
+	next := c.poolMark
+	copy(next, c.at)
+	for b := range c.owner {
+		for j := c.row[b]; j < c.row[b+1]; j++ {
+			e := next[c.idx[j]]
+			c.poolB[e], c.poolV[e] = int32(b), c.val[j]
+			next[c.idx[j]]++
+		}
+	}
+	clear(next)
+	c.index(table)
 	return c
 }
 
+// shapeTable returns the open-addressed table a lane of up to
+// maxBundles bundles is grouped into shapes with (see group): one table,
+// sized for the largest lane, serves every lane of an auction in turn.
+func shapeTable(maxBundles int) []int32 {
+	n := 1
+	for n < 2*maxBundles {
+		n <<= 1
+	}
+	return make([]int32, n)
+}
+
+// rowHash hashes bundle b's pool ids and quantity bits.
+func (c *lane) rowHash(b int) uint64 {
+	lo, hi := c.row[b], c.row[b+1]
+	h := uint64(14695981039346656037)
+	for j, r := range c.idx[lo:hi] {
+		h = (h ^ uint64(r)) * 1099511628211
+		h = (h ^ math.Float64bits(c.val[int(lo)+j])) * 1099511628211
+	}
+	return (h ^ h>>29) * 0x9e3779b97f4a7c15
+}
+
+// sameRows reports whether bundles x and y have bit-identical rows: the
+// same pool ids and the same quantity bits, so the same dot at any prices.
+func (c *lane) sameRows(x, y int32) bool {
+	xl, xh, yl := c.row[x], c.row[x+1], c.row[y]
+	if xh-xl != c.row[y+1]-yl {
+		return false
+	}
+	for j := int32(0); j < xh-xl; j++ {
+		if c.idx[xl+j] != c.idx[yl+j] || math.Float64bits(c.val[xl+j]) != math.Float64bits(c.val[yl+j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// group groups the lane's bundles by their rows, hashing them into table.
+// It leaves in c.shape, for bundle b, b itself when no other bundle of the
+// lane has b's rows, ^b when b is the first of several that do, and that
+// first bundle otherwise. It returns how many shapes (row sets several
+// bundles share) there are, how many members they have, and the rows of
+// the per-pool walk: a singleton's rows and one copy of each shape's.
+func (c *lane) group(table []int32) (shapes, members, walks int) {
+	n, shift := 1, uint(64)
+	for n < 2*len(c.owner) {
+		n, shift = n<<1, shift-1
+	}
+	slot, rep := table[:n], c.shape
+	for i := range slot {
+		slot[i] = -1
+	}
+	for b := range rep {
+		for h := c.rowHash(b) >> shift; ; h = (h + 1) & uint64(n-1) {
+			f := slot[h]
+			if f < 0 {
+				slot[h], rep[b] = int32(b), int32(b)
+				walks += int(c.row[b+1] - c.row[b])
+				break
+			}
+			if !c.sameRows(f, int32(b)) {
+				continue
+			}
+			rep[b] = f
+			if rep[f] == f {
+				rep[f] = ^f
+				shapes, members = shapes+1, members+1
+			}
+			members++
+			break
+		}
+	}
+	return shapes, members, walks
+}
+
+// index builds the lane's shape index, the rest in one more slab sized by
+// group: each bundle's shape, numbered by first member; each shape's
+// member range; and each pool's walk ranges.
+func (c *lane) index(table []int32) {
+	shapes, members, walks := c.group(table)
+	r := len(c.at) - 1
+	i32 := make([]int32, 3*shapes+1+members+walks+4*r+1)
+	c.mAt = carve(&i32, shapes+1)
+	c.mEnd, c.shapeMark, c.liveM = carve(&i32, shapes), carve(&i32, shapes), carve(&i32, members)
+	c.walk, c.walkAt, c.soloAt = carve(&i32, walks), carve(&i32, r+1), carve(&i32, r)
+	c.shapeEnd, c.soloEnd = carve(&i32, r), carve(&i32, r)
+	next := int32(0)
+	for b := range c.shape {
+		// A shape's first member numbers it and walks its rows; a later
+		// member takes the number of its first, an earlier bundle.
+		f, walked := c.shape[b], true
+		switch {
+		case f == int32(b):
+			c.shape[b] = -1
+		case f < 0:
+			c.shape[b], next = next, next+1
+		default:
+			c.shape[b], walked = c.shape[f], false
+		}
+		if s := c.shape[b]; s >= 0 {
+			c.mAt[s+1]++
+		}
+		if walked {
+			for _, r := range c.idx[c.row[b]:c.row[b+1]] {
+				c.walkAt[r+1]++
+				if c.shape[b] >= 0 {
+					c.soloAt[r]++ // counts the pool's shapes until the sums below
+				}
+			}
+		}
+	}
+	for g := 0; g < r; g++ {
+		c.walkAt[g+1] += c.walkAt[g]
+		c.soloAt[g] += c.walkAt[g]
+	}
+	for s := 0; s < shapes; s++ {
+		c.mAt[s+1] += c.mAt[s]
+	}
+}
+
 // reset readies the scratch for a run from the reserve prices: nobody
-// retired, no history or counters, and the pool→bundle index laid out
-// whole — pool r's list liveB/liveV[at[r]:liveEnd[r]] holds the bundles
-// touching r with their quantity there, filled bundle by bundle so each
-// list is ascending. The epoch-stamped marks survive across runs (a
-// mark below the current epoch reads as "unseen").
+// retired, no history or counters, and the lists the rounds shrink laid
+// out whole, bundle by bundle so each is ascending — shape s's
+// liveM[mAt[s]:mEnd[s]] its members, and pool r's walk[walkAt[r]:shapeEnd[r]]
+// and walk[soloAt[r]:soloEnd[r]] its shapes and singleton bundles. The
+// epoch-stamped marks survive across runs (a mark below the current
+// epoch reads as "unseen").
 //
 //marketlint:allocfree
 func (c *lane) reset() {
@@ -154,12 +320,25 @@ func (c *lane) reset() {
 	for k := range c.drop {
 		c.drop[k] = -1
 	}
-	copy(c.liveEnd, c.at)
+	copy(c.shapeEnd, c.walkAt)
+	copy(c.soloEnd, c.soloAt)
+	copy(c.mEnd, c.mAt)
 	for b := range c.owner {
-		for j := c.row[b]; j < c.row[b+1]; j++ {
-			e := c.liveEnd[c.idx[j]]
-			c.liveB[e], c.liveV[e] = int32(b), c.val[j]
-			c.liveEnd[c.idx[j]]++
+		s, first := c.shape[b], true
+		if s >= 0 {
+			first = c.mEnd[s] == c.mAt[s]
+			c.liveM[c.mEnd[s]] = int32(b)
+			c.mEnd[s]++
+		}
+		for _, r := range c.idx[c.row[b]:c.row[b+1]] {
+			switch {
+			case s < 0:
+				c.walk[c.soloEnd[r]] = int32(b)
+				c.soloEnd[r]++
+			case first:
+				c.walk[c.shapeEnd[r]] = s
+				c.shapeEnd[r]++
+			}
 		}
 	}
 	c.liveP = c.liveP[:cap(c.liveP)]
@@ -172,6 +351,7 @@ func (c *lane) reset() {
 	if c.epoch > 1<<30 {
 		c.epoch = 0
 		clear(c.bundleMark)
+		clear(c.shapeMark)
 		clear(c.proxyMark)
 		clear(c.poolMark)
 	}
@@ -261,25 +441,82 @@ func (c *lane) markStale(b int32) bool {
 	return len(c.stale)*8 > len(c.at)-1
 }
 
+// reprice refreshes shape s, whose pools moved: one dot over the rows of
+// its first live member, copied into every live member's cost slot, and
+// each member's owner listed for re-choosing. A retired buyer's member
+// leaves the shape, and so does a pure buyer's member priced over its
+// limit: its cost can never come back down.
+//
+//marketlint:allocfree
+func (c *lane) reprice(s int32) {
+	lo, w := c.mAt[s], int32(0)
+	list := c.liveM[lo:c.mEnd[s]]
+	cost, priced := 0.0, false
+	for i, b := range list {
+		k := c.owner[b]
+		if c.retired[k] {
+			continue
+		}
+		if !priced {
+			cost, priced = c.price(b), true
+			c.stats.Priced++
+		}
+		c.cost[b] = cost
+		c.stats.Repriced++
+		if c.proxyMark[k] != c.epoch {
+			c.proxyMark[k] = c.epoch
+			c.affected = append(c.affected, k)
+		}
+		if c.buyer[k] && cost > c.lim[b] {
+			c.stats.Dropped++
+			continue
+		}
+		if w < int32(i) {
+			list[w] = b
+		}
+		w++
+	}
+	c.mEnd[s] = lo + w
+}
+
 // advance applies one round of incremental demand revelation at round t:
-// re-price the live bundles on a dirty pool, re-choose their owners, and
-// recompute the excess-demand components the changed choices touch. It
-// returns the updated active-bidder count.
+// re-price the live bundles and shapes on a dirty pool, re-choose their
+// owners, and recompute the excess-demand components the changed choices
+// touch. It returns the updated active-bidder count.
 //
 //marketlint:allocfree
 func (c *lane) advance(t, active int) int {
 	c.epoch++
 	c.affected = c.affected[:0]
 	for _, r := range c.dirty {
-		lo, w := c.at[r], 0
-		list, qty := c.liveB[lo:c.liveEnd[r]], c.liveV[lo:c.liveEnd[r]]
-		for e, b := range list {
+		// The pool's shapes, then its singletons: two loops, so the walk
+		// never branches on an entry's kind.
+		lo := c.walkAt[r]
+		list, w := c.walk[lo:c.shapeEnd[r]], 0
+		for i, s := range list {
+			if c.shapeMark[s] != c.epoch {
+				c.shapeMark[s] = c.epoch
+				c.reprice(s)
+			}
+			if c.mEnd[s] == c.mAt[s] {
+				continue // no live member left: the shape leaves the list
+			}
+			if w < i {
+				list[w] = s
+			}
+			w++
+		}
+		c.shapeEnd[r] = lo + int32(w)
+		lo = c.soloAt[r]
+		list, w = c.walk[lo:c.soloEnd[r]], 0
+		priced := 0
+		for i, b := range list {
 			k := c.owner[b]
 			if c.retired[k] {
 				continue // dropped from the list: w stays behind
 			}
-			if w < e {
-				list[w], qty[w] = b, qty[e]
+			if w < i {
+				list[w] = b
 			}
 			w++
 			if c.bundleMark[b] == c.epoch {
@@ -287,13 +524,15 @@ func (c *lane) advance(t, active int) int {
 			}
 			c.bundleMark[b] = c.epoch
 			c.cost[b] = c.price(b)
-			c.stats.Repriced++
+			priced++
 			if c.proxyMark[k] != c.epoch {
 				c.proxyMark[k] = c.epoch
 				c.affected = append(c.affected, k)
 			}
 		}
-		c.liveEnd[r] = lo + int32(w)
+		c.soloEnd[r] = lo + int32(w)
+		c.stats.Priced += priced
+		c.stats.Repriced += priced
 	}
 
 	// Stale pools are listed only until the whole-rebuild rule is met:
@@ -350,9 +589,9 @@ func (c *lane) advance(t, active int) int {
 	c.stats.Resums += len(c.stale)
 	for _, r := range c.stale {
 		var sum float64
-		for e := c.at[r]; e < c.liveEnd[r]; e++ {
-			if b := c.liveB[e]; c.chosen[c.owner[b]] == b {
-				sum += c.liveV[e]
+		for e := c.at[r]; e < c.at[r+1]; e++ {
+			if b := c.poolB[e]; c.chosen[c.owner[b]] == b {
+				sum += c.poolV[e]
 			}
 		}
 		c.z[r] = sum

@@ -237,7 +237,6 @@ func TestPoolIndexListsEveryBundle(t *testing.T) {
 		t.Fatalf("%d lanes, want 1", len(lanes))
 	}
 	c := lanes[0]
-	c.reset()
 	type entry struct {
 		bundle int32
 		qty    float64
@@ -245,8 +244,8 @@ func TestPoolIndexListsEveryBundle(t *testing.T) {
 	want := [][]entry{{{0, 4}, {1, 8}, {3, -3}}, {{1, 1}, {2, 2}, {3, -5}}}
 	for r, list := range want {
 		var got []entry
-		for e := c.at[r]; e < c.liveEnd[r]; e++ {
-			got = append(got, entry{c.liveB[e], c.liveV[e]})
+		for e := c.at[r]; e < c.at[r+1]; e++ {
+			got = append(got, entry{c.poolB[e], c.poolV[e]})
 		}
 		if !reflect.DeepEqual(got, list) {
 			t.Errorf("pool %d lists %v, want %v", r, got, list)
@@ -274,7 +273,7 @@ func TestClockCountersShowTheReductions(t *testing.T) {
 	}
 	c := res.Clock
 	if c.Lanes != 8 || c.LaneRounds < res.Rounds || c.Rebuilds+c.Resums == 0 || c.Rebuilds > c.LaneRounds ||
-		c.Switched > c.Rechosen || c.Rechosen > c.Repriced {
+		c.Switched > c.Rechosen || c.Rechosen > c.Repriced || c.Priced > c.Repriced {
 		t.Fatalf("implausible counters %+v for %d rounds", c, res.Rounds)
 	}
 	bundles := 0
@@ -409,21 +408,26 @@ func (s *fuzzSource) Int63() int64 {
 	return int64(v >> 1)
 }
 
-// FuzzClockMatchesReference is the two differentials with the fuzzer
+// FuzzClockMatchesReference is the three differentials with the fuzzer
 // choosing the market: the production clock and ReferenceRun must agree
 // bit for bit on every Result field and on the error, over buyers,
 // sellers and traders, one to four bundles a bid, scalar and vector
-// limits and random Capped steps. The corpus starts from the 2 × 120
-// seeds the differential tests pin.
+// limits, bundles that repeat another's rows and random Capped steps. A
+// negative seed draws a catalog-shaped market, whatever regional says.
+// The corpus starts from the 3 × 120 seeds the differential tests pin.
 func FuzzClockMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 120; seed++ {
 		f.Add(seed, false, []byte{})
 		f.Add(9000+seed, true, []byte{})
+		f.Add(-1-seed, false, []byte{})
 	}
 	f.Fuzz(func(t *testing.T, seed int64, regional bool, shape []byte) {
 		rng := rand.New(&fuzzSource{data: shape, rest: rand.NewSource(seed)})
 		draw := mixedCase
-		if regional {
+		switch {
+		case seed < 0:
+			draw = catalogCase
+		case regional:
 			draw = regionalCase
 		}
 		reg, bids, cfg := draw(rng)

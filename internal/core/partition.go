@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -75,17 +76,18 @@ type lane struct {
 	chosen     []int32
 	drop       []int32
 	retired    []bool
-	// The pool→bundle index, live: pool r's list liveB/liveV[at[r]:liveEnd[r]]
-	// holds the bundles touching r, ascending, with their quantity at r,
-	// and liveP the proxies, ascending — both without retired buyers.
-	liveB   []int32
-	liveV   []float64
-	liveEnd []int32
-	liveP   []int32
+	// liveP lists the proxies, ascending, without retired buyers.
+	liveP []int32
+	// The re-pricing index, live: pool r's walk[walkAt[r]:shapeEnd[r]]
+	// lists its shapes with a live member and walk[soloAt[r]:soloEnd[r]]
+	// its singleton bundles, and shape s's liveM[mAt[s]:mEnd[s]] its
+	// members still in the running.
+	walk, shapeEnd, soloEnd []int32
+	liveM, mEnd             []int32
 	// Epoch-stamped dedup marks: a mark equal to the current epoch means
 	// "already gathered this round", so clearing between rounds is O(1).
-	epoch                           int32
-	bundleMark, proxyMark, poolMark []int32
+	epoch                                      int32
+	bundleMark, shapeMark, proxyMark, poolMark []int32
 	// Gather buffers: the proxies to re-choose, the pools to re-sum, and
 	// the pools the last step moved.
 	affected, stale, dirty []int32
@@ -140,11 +142,11 @@ func (a *Auction) laneList() []*lane {
 // decomposition keeps whole (a single component, a −0 reserve price).
 func (a *Auction) Components() int { return len(a.laneList()) }
 
-// wholeLane is the one-lane list of a market that is not decomposed: the
-// same kernel build through identity pool and bid maps, on the auction's
-// own start prices, so the lane's clock is Algorithm 1 on the whole
-// market.
-func (a *Auction) wholeLane() []*lane {
+// wholeLane is the one-lane list of a market (nB bundles, nnz rows) that
+// is not decomposed: the same kernel build through identity pool and bid
+// maps, on the auction's own start prices, so the lane's clock is
+// Algorithm 1 on the whole market.
+func (a *Auction) wholeLane(nB, nnz int) []*lane {
 	pools, bids := make([]int32, len(a.cfg.Start)), make([]int32, len(a.bids))
 	for g := range pools {
 		pools[g] = int32(g)
@@ -152,7 +154,7 @@ func (a *Auction) wholeLane() []*lane {
 	for i := range bids {
 		bids[i] = int32(i)
 	}
-	return []*lane{a.newLane(pools, bids, pools, a.cfg)}
+	return []*lane{a.newLane(pools, bids, pools, nB, nnz, shapeTable(nB))}
 }
 
 // buildLanes computes the connected components of the bidder–pool graph
@@ -164,24 +166,24 @@ func (a *Auction) wholeLane() []*lane {
 // fingerprints).
 func (a *Auction) buildLanes() []*lane {
 	r := len(a.cfg.Start)
-	for _, v := range a.cfg.Start {
-		if v == 0 && math.Signbit(v) {
-			return a.wholeLane()
-		}
-	}
-
 	// Union the pools of each bid across all its bundles: an XOR set
 	// bridges every pool set it mentions, whichever bundle wins.
 	uf := make(unionFind, r)
 	for g := range uf {
 		uf[g] = int32(g)
 	}
-	touched := make([]bool, r)
+	touched, nB, nnz := make([]bool, r), 0, 0
 	for i := range a.bids {
 		rw := a.rowsOf(i)
+		nB, nnz = nB+int(rw.n), nnz+len(rw.val)
 		for _, g := range rw.idx[:len(rw.val)] {
 			touched[g] = true
 			uf.union(rw.idx[0], g)
+		}
+	}
+	for _, v := range a.cfg.Start {
+		if v == 0 && math.Signbit(v) {
+			return a.wholeLane(nB, nnz)
 		}
 	}
 
@@ -207,18 +209,24 @@ func (a *Auction) buildLanes() []*lane {
 		pools[c] = append(pools[c], int32(g))
 	}
 	if len(pools) < 2 {
-		return a.wholeLane()
+		return a.wholeLane(nB, nnz)
 	}
 
 	// Every validated bid has a non-empty first bundle, so its component
 	// is the one owning that bundle's first pool. Visiting bids in input
 	// order keeps each lane's bid list ascending — the order that
 	// preserves the whole-market run's per-pool float addition sequence.
-	// Counted first, so each list is one exact allocation.
-	of, count := make([]int32, len(a.bids)), make([]int, len(pools))
+	// Counted first, so each list is one exact allocation; so are each
+	// lane's bundles and rows, which size its slabs and the one shape
+	// table every lane is grouped in.
+	of, count := make([]int32, len(a.bids)), make([]int, 3*len(pools))
+	count, bundles, rows := count[:len(pools)], count[len(pools):2*len(pools)], count[2*len(pools):]
 	for i := range a.bids {
-		of[i] = compOf[uf.find(a.rowsOf(i).idx[0])]
+		rw := a.rowsOf(i)
+		of[i] = compOf[uf.find(rw.idx[0])]
 		count[of[i]]++
+		bundles[of[i]] += int(rw.n)
+		rows[of[i]] += len(rw.val)
 	}
 	a.laneOf = of
 	bids := make([][]int32, len(pools))
@@ -229,14 +237,10 @@ func (a *Auction) buildLanes() []*lane {
 		bids[c] = append(bids[c], int32(i))
 	}
 
+	table := shapeTable(slices.Max(bundles))
 	lanes := make([]*lane, len(pools))
 	for c := range lanes {
-		cfg := a.cfg
-		cfg.Start = make(resource.Vector, len(pools[c]))
-		for j, g := range pools[c] {
-			cfg.Start[j] = a.cfg.Start[g]
-		}
-		lanes[c] = a.newLane(pools[c], bids[c], local, cfg)
+		lanes[c] = a.newLane(pools[c], bids[c], local, bundles[c], rows[c], table)
 	}
 	return lanes
 }

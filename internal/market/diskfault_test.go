@@ -125,12 +125,12 @@ func wonOrder(t *testing.T, e *market.Exchange) int {
 	return 0
 }
 
-// TestDegradedQuiesceAtEveryWriteSite: each write site under each
+// TestDiskFaultAtEveryWriteSite: each write site under each
 // persistent disk fault kind fails, fails again on the sick disk with one
 // attempt, succeeds once the disk heals, and leaves a journal that
 // recovers to a state identical to the live exchange, both while the
 // disk is sick and after it heals.
-func TestDegradedQuiesceAtEveryWriteSite(t *testing.T) {
+func TestDiskFaultAtEveryWriteSite(t *testing.T) {
 	kinds := []struct {
 		name   string
 		window fault.Window

@@ -96,6 +96,8 @@ func collectExchange(m *telemetry.Exposition, ex *market.Exchange, region string
 		{"lanes_held", "Lanes that ran out of rounds; their orders were held open.", mt.Clock.Held},
 		{"lane_rounds", "Rounds run, summed over lanes.", mt.Clock.LaneRounds},
 		{"bundles_repriced", "Bundles re-priced past round 0 (they touch a moved pool).", mt.Clock.Repriced},
+		{"bundles_priced", "Dot products past round 0: one per moved shape of identical bundles, one per other moved bundle.", mt.Clock.Priced},
+		{"bundles_dropped", "Pure buyers' shared bundles retired as priced over their limit.", mt.Clock.Dropped},
 		{"proxies_rechosen", "Proxies re-scored past round 0.", mt.Clock.Rechosen},
 		{"choices_switched", "Re-scored proxies that changed bundle.", mt.Clock.Switched},
 		{"z_rebuilds", "Rounds that rebuilt excess demand whole.", mt.Clock.Rebuilds},

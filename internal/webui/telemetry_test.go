@@ -120,6 +120,8 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE market_clock_lanes_total counter",
 		"market_clock_lanes_held_total 0",
 		"market_clock_bundles_repriced_total",
+		"market_clock_bundles_priced_total",
+		"market_clock_bundles_dropped_total",
 		"market_clock_z_rebuilds_total",
 		`market_book_orders{state="live"} 0`,
 		`market_book_orders{state="archived"} 1`,
