@@ -89,12 +89,12 @@ func sparsePlanetMarket(seed int64, users, pools int) (*resource.Registry, []*co
 }
 
 // benchClockVsReference times one market on the production clock — a
-// prebuilt auction re-run through RunReusing, so after the warm-up that
-// sizes its scratch and the recycled Result allocs/op must read 0 on the
-// serial sweep (the fan-out taken with ≥ 2 lanes at -cpu ≥ 2 spawns its
-// workers per run) — and on core.ReferenceRun, which validates and builds
-// its auction inside every call. The two run the identical number of
-// rounds by construction, so ns/round is the comparison metric.
+// prebuilt auction re-run, so after the warm-up that builds its lanes
+// allocs/op reads the fresh Result's 7 on the serial sweep (the fan-out
+// taken with ≥ 2 lanes at -cpu ≥ 2 spawns its workers per run) — and on
+// core.ReferenceRun, which validates and builds its auction inside every
+// call. The two run the identical number of rounds by construction, so
+// ns/round is the comparison metric.
 func benchClockVsReference(b *testing.B, reg *resource.Registry, bids []*core.Bid, wantLanes int) {
 	start := reg.Zero()
 	for i := range start {
@@ -116,13 +116,13 @@ func benchClockVsReference(b *testing.B, reg *resource.Registry, bids []*core.Bi
 		if a.Components() != wantLanes {
 			b.Fatalf("decomposed into %d components, want %d", a.Components(), wantLanes)
 		}
-		res, err := a.Run() // warm-up: scratch + Result sized here
+		res, err := a.Run() // warm-up: the lanes' scratch is sized here
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res, err = a.RunReusing(res); err != nil {
+			if res, err = a.Run(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -244,10 +244,11 @@ func BenchmarkClockScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			a.Components() // builds the lanes, so the loop times only the clock
 			var res *core.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if res, err = a.RunReusing(res); !errors.Is(err, core.ErrNoConvergence) {
+				if res, err = a.Run(); !errors.Is(err, core.ErrNoConvergence) {
 					b.Fatalf("clock stopped early (%v): the point must run %d rounds", err, scalingRounds)
 				}
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"clustermarket/internal/resource"
 )
@@ -100,30 +101,20 @@ func (r *Result) Allocation(i int) resource.Vector {
 // Auction couples a registry, the sealed bids, and a configuration.
 //
 // An Auction may be run repeatedly, but its runs must not overlap: the
-// clock's working vectors live in per-lane scratch buffers (allocated
-// with the lane, reused afterwards) so a steady-state round performs zero
-// heap allocations. Concurrent auctions each need their own Auction.
+// clock's working vectors live in per-lane scratch buffers, allocated
+// with the lane and reused afterwards, so a round performs zero heap
+// allocations. Concurrent auctions each need their own Auction.
 type Auction struct {
+	// bids are the sealed bids in packed form: a booked bid itself, or a
+	// private packed copy of one that still carries Bundles.
 	bids []*Bid
 	cfg  Config
-	// priv[i] is the private packing of a bid that still carries Bundles
-	// (bids are never written); nil when every bid is booked.
-	priv []bidRows
 	// lanes caches the component lanes Run clocks (see partition.go): at
 	// least one, derived from the frozen bid set, built on first use and
 	// shared across Run calls. Each owns its kernel and round-loop scratch.
 	lanes []*lane
 	// laneOf[i] is bid i's lane, nil when the market is one whole lane.
 	laneOf []int32
-}
-
-// rowsOf returns the rows of bid i: a booked bid's own, read in place, or
-// the packing NewAuction made of its Bundles.
-func (a *Auction) rowsOf(i int) bidRows {
-	if a.priv != nil && len(a.bids[i].Bundles) > 0 {
-		return a.priv[i]
-	}
-	return a.bids[i].rows
 }
 
 // NewAuction validates the inputs. Bids are held by reference; they must not be mutated during Run.
@@ -153,20 +144,21 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 		return nil, errors.New("core: start prices must be nonnegative")
 	}
 	// A booked bid's rows are validated and read in place; a bid that
-	// still carries Bundles is packed privately, once — bids are never
-	// written. Nothing else is built here: the lanes copy the rows into
-	// their kernels on first use.
+	// still carries Bundles is packed into a private copy, once — bids
+	// are never written. Nothing else is built here: the lanes copy the
+	// rows into their kernels on first use.
 	a := &Auction{bids: bids, cfg: cfg}
 	var few [4]sparseBundle // keeps the usual few-cluster XOR off the heap
 	for i, b := range bids {
-		rw := b.view()
 		if len(b.Bundles) > 0 {
-			if a.priv == nil {
-				a.priv = make([]bidRows, len(bids))
+			if &a.bids[0] == &bids[0] { // the first copy: stop aliasing the caller's slice
+				a.bids = slices.Clone(bids)
 			}
-			a.priv[i] = rw
+			cp := *b
+			cp.Pack()
+			b, a.bids[i] = &cp, &cp
 		}
-		if err := b.validate(reg.Len(), &rw, rw.appendBundles(few[:0])); err != nil {
+		if err := b.validate(reg.Len(), &b.rows, b.rows.appendBundles(few[:0])); err != nil {
 			return nil, err
 		}
 	}
@@ -178,9 +170,8 @@ func NewAuction(reg *resource.Registry, bids []*Bid, cfg Config) (*Auction, erro
 // pure seller) the clock is guaranteed to converge.
 func (a *Auction) Classes() (buyers, sellers, traders int) {
 	var few [4]sparseBundle
-	for i := range a.bids {
-		rw := a.rowsOf(i)
-		switch classOf(rw.appendBundles(few[:0])) {
+	for _, b := range a.bids {
+		switch classOf(b.rows.appendBundles(few[:0])) {
 		case PureBuyer:
 			buyers++
 		case PureSeller:
@@ -194,75 +185,37 @@ func (a *Auction) Classes() (buyers, sellers, traders int) {
 
 // Run executes Algorithm 1: collect proxy demands, stop when excess
 // demand is nonpositive, otherwise raise prices and repeat. It always
-// returns a Result; when a lane ran out of rounds the error is
+// returns a fresh Result; when a lane ran out of rounds the error is
 // ErrNoConvergence and that lane's bids are in Result.Held. The market
 // is clocked as independent component lanes (see partition.go), each on
 // the incremental round loop (see incremental.go); the outcome is
 // bit-identical to ReferenceRun's.
-func (a *Auction) Run() (*Result, error) { return a.RunReusing(nil) }
+func (a *Auction) Run() (*Result, error) { return a.runLanes(a.laneList(), a.newResult()) }
 
-// RunReusing is Run with Result recycling: when res is non-nil (typically
-// the outcome of an earlier run of this auction), its slices — including
-// recorded history rounds — are overwritten in place instead of
-// reallocated, so a steady-state re-run performs zero heap allocations.
-// The returned Result is res itself; the previous outcome it carried is
-// destroyed. Pass nil for a fresh Result.
-//
-//marketlint:allocfree
-func (a *Auction) RunReusing(res *Result) (*Result, error) {
-	return a.runLanes(a.laneList(), a.resetResult(res))
-}
-
-// resetResult prepares res for (re)use: the per-bid slices sized in place
-// with capacity kept, prices at the reserve, drop rounds and the rest
-// reset. The clock writes its outcome straight into them, so a settled
-// Result never aliases the auction's scratch.
-//
-//marketlint:allocfree
-func (a *Auction) resetResult(res *Result) *Result {
-	if res == nil {
-		res = &Result{}
-	}
+// newResult returns a Result for the auction's bids, each slice sized
+// exactly: prices at the reserve and no bid dropped.
+// The clock writes its outcome straight into it, so a settled Result
+// never aliases the auction's scratch.
+func (a *Auction) newResult() *Result {
 	n := len(a.bids)
-	if cap(res.DropRound) < n {
-		res.DropRound = make([]int, n)
+	res := &Result{
+		Prices:       a.cfg.Start.Clone(),
+		Payments:     make([]float64, n),
+		ChosenBundle: make([]int, n),
+		DropRound:    make([]int, n),
+		bids:         a.bids,
 	}
-	if cap(res.ChosenBundle) < n {
-		res.ChosenBundle = make([]int, n)
-	}
-	if cap(res.Payments) < n {
-		res.Payments = make([]float64, n)
-	}
-	res.DropRound, res.ChosenBundle, res.Payments = res.DropRound[:n], res.ChosenBundle[:n], res.Payments[:n]
 	for i := range res.DropRound {
 		res.DropRound[i] = -1
 	}
-	res.Prices = res.Prices.CopyFrom(a.cfg.Start)
-	res.bids = a.bids
-	res.Converged = false
-	res.Rounds = 0
-	res.Winners = res.Winners[:0]
-	res.Losers = res.Losers[:0]
-	res.Held = res.Held[:0]
-	res.History = res.History[:0]
-	res.Clock = ClockStats{}
 	return res
 }
 
-// appendRound records one history snapshot, reusing the vectors of a
-// recycled Round beyond len(h) when RunReusing supplied one.
+// appendRound records one history snapshot.
 //
 //marketlint:allocfree
 func appendRound(h []Round, t int, p, z resource.Vector, active int) []Round {
-	if len(h) < cap(h) {
-		h = h[:len(h)+1]
-		r := &h[len(h)-1]
-		r.T, r.ActiveBidders = t, active
-		r.Prices = r.Prices.CopyFrom(p)
-		r.ExcessDemand = r.ExcessDemand.CopyFrom(z)
-		return h
-	}
-	//marketlint:allow allocfree history growth: runs once per new history depth, then the rounds above are recycled
+	//marketlint:allow allocfree history is recorded only when Config.RecordHistory asks for it
 	return append(h, Round{T: t, Prices: p.Clone(), ExcessDemand: z.Clone(), ActiveBidders: active})
 }
 
@@ -270,8 +223,6 @@ func appendRound(h []Round, t int, p, z resource.Vector, active int) []Round {
 // each bid's chosen bundle (a win is recorded as the bundle's index, never
 // copied out of the bid) and its payment — by listing winners and losers
 // in input order, each list sized exactly.
-//
-//marketlint:allocfree
 func (a *Auction) settle(res *Result) {
 	won := 0
 	for _, c := range res.ChosenBundle {
@@ -279,10 +230,10 @@ func (a *Auction) settle(res *Result) {
 			won++
 		}
 	}
-	if cap(res.Winners) < won {
+	if won > 0 {
 		res.Winners = make([]int, 0, won)
 	}
-	if lost := len(a.bids) - won; cap(res.Losers) < lost {
+	if lost := len(a.bids) - won; lost > 0 {
 		res.Losers = make([]int, 0, lost)
 	}
 	for i, c := range res.ChosenBundle {

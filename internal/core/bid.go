@@ -311,48 +311,26 @@ func (b *Bid) validate(r int, rw *bidRows, bundles []sparseBundle) error {
 // limit this is exactly the paper's Equations (1)–(2): the cheapest
 // bundle, if affordable. ok is false when every bundle is priced out.
 func (b *Bid) BestAffordable(p resource.Vector) (idx int, ok bool) {
-	best := -1
-	bestSurplus := math.Inf(-1)
-	for i, n := 0, b.NumBundles(); i < n; i++ {
-		cost := b.Cost(i, p)
-		lim := b.LimitFor(i)
-		if cost > lim {
-			continue
-		}
-		if s := lim - cost; s > bestSurplus {
-			best, bestSurplus = i, s
-		}
-	}
-	return best, best >= 0
-}
-
-// Proxy is the automated bidder proxy of Section III.C: it maps the
-// current clock prices to the user's revealed demand via Equations (1)
-// and (2). It reads the bid's rows (Bid.view) so each round costs
-// O(non-zero components) instead of O(R) per bundle.
-type Proxy struct {
-	bid    *Bid
-	sparse []sparseBundle
-}
-
-// NewProxy wraps a bid.
-func NewProxy(b *Bid) *Proxy {
 	rw := b.view()
-	return &Proxy{bid: b, sparse: rw.appendBundles(nil)}
+	var few [4]sparseBundle
+	idx = b.bestAffordable(rw.appendBundles(few[:0]), p)
+	return idx, idx >= 0
 }
 
-// choose returns the index of the bundle the proxy demands at prices p,
-// or −1 when priced out — the sparse fast path of Bid.BestAffordable. It
-// is pure; the production clock runs the same scan over cached costs
-// (lane.choose).
+// bestAffordable is the automated bidder proxy of Section III.C, G_u(p)
+// of Equations (1) and (2), over the bid's bundle views: the index of
+// the bundle it demands at prices p, or −1 when priced out. Each cost is
+// a dot over the bundle's non-zero components. It is pure; ReferenceRun
+// calls it for every bid every round, and the production clock runs the
+// same scan over cached costs (lane.choose).
 //
 //marketlint:allocfree
-func (px *Proxy) choose(p resource.Vector) int {
+func (b *Bid) bestAffordable(bundles []sparseBundle, p resource.Vector) int {
 	best := -1
 	bestSurplus := math.Inf(-1)
-	for i, sb := range px.sparse {
+	for i, sb := range bundles {
 		cost := sb.dot(p)
-		lim := px.bid.LimitFor(i)
+		lim := b.LimitFor(i)
 		if cost > lim {
 			continue
 		}

@@ -57,11 +57,18 @@ func TestBidValidate(t *testing.T) {
 	}
 }
 
+// choice is the index of the bundle the proxy demands at prices p, or
+// −1: the shared demand scan over the bid's bundle views.
+func choice(b *Bid, p resource.Vector) int {
+	rw := b.view()
+	return b.bestAffordable(rw.appendBundles(nil), p)
+}
+
 // demand is G_u(p): the bundle the proxy chooses at prices p, or nil
 // when it demands nothing.
-func demand(px *Proxy, p resource.Vector) resource.Vector {
-	if i := px.choose(p); i >= 0 {
-		return px.bid.Bundle(i)
+func demand(b *Bid, p resource.Vector) resource.Vector {
+	if i := choice(b, p); i >= 0 {
+		return b.Bundle(i)
 	}
 	return nil
 }
@@ -69,20 +76,19 @@ func demand(px *Proxy, p resource.Vector) resource.Vector {
 func TestProxyDemandBuyer(t *testing.T) {
 	// Buyer indifferent between pools 0 and 1, limit 10.
 	b := &Bid{User: "u", Limit: 10, Bundles: []resource.Vector{{5, 0}, {0, 5}}}
-	px := NewProxy(b)
 
 	// Pool 1 cheaper: chooses bundle 1.
-	d := demand(px, resource.Vector{2, 1})
+	d := demand(b, resource.Vector{2, 1})
 	if d == nil || d[1] != 5 {
 		t.Fatalf("demand = %v", d)
 	}
-	if c := px.choose(resource.Vector{2, 1}); c != 1 {
+	if c := choice(b, resource.Vector{2, 1}); c != 1 {
 		t.Errorf("choice = %d", c)
 	}
 
 	// Equal prices: ties break to the lowest index.
-	d = demand(px, resource.Vector{1, 1})
-	if c := px.choose(resource.Vector{1, 1}); c != 0 {
+	d = demand(b, resource.Vector{1, 1})
+	if c := choice(b, resource.Vector{1, 1}); c != 0 {
 		t.Errorf("tie choice = %d", c)
 	}
 	if d == nil || d[0] != 5 {
@@ -90,11 +96,11 @@ func TestProxyDemandBuyer(t *testing.T) {
 	}
 
 	// Priced out: cheapest bundle costs 5·3 = 15 > 10.
-	d = demand(px, resource.Vector{3, 3})
+	d = demand(b, resource.Vector{3, 3})
 	if d != nil {
 		t.Fatalf("priced-out demand = %v", d)
 	}
-	if c := px.choose(resource.Vector{3, 3}); c != -1 {
+	if c := choice(b, resource.Vector{3, 3}); c != -1 {
 		t.Errorf("priced-out choice = %d", c)
 	}
 }
@@ -103,14 +109,13 @@ func TestProxyDemandSeller(t *testing.T) {
 	// Seller offers 10 units, requires at least 5 in revenue
 	// (Limit = −5). Revenue = −(qᵀp) = 10·p.
 	b := &Bid{User: "s", Limit: -5, Bundles: []resource.Vector{{-10}}}
-	px := NewProxy(b)
 
 	// p = 1: revenue 10 ≥ 5, so the seller is in.
-	if d := demand(px, resource.Vector{1}); d == nil {
+	if d := demand(b, resource.Vector{1}); d == nil {
 		t.Fatal("seller dropped despite sufficient revenue")
 	}
 	// p = 0.4: revenue 4 < 5, seller stays out.
-	if d := demand(px, resource.Vector{0.4}); d != nil {
+	if d := demand(b, resource.Vector{0.4}); d != nil {
 		t.Fatalf("seller active below reserve revenue: %v", d)
 	}
 }
@@ -119,8 +124,7 @@ func TestProxySellerPicksHighestRevenue(t *testing.T) {
 	// Seller indifferent between offering in pool 0 or pool 1; argmin of
 	// qᵀp maximizes revenue.
 	b := &Bid{User: "s", Limit: -1, Bundles: []resource.Vector{{-10, 0}, {0, -10}}}
-	px := NewProxy(b)
-	d := demand(px, resource.Vector{2, 3})
+	d := demand(b, resource.Vector{2, 3})
 	if d == nil || d[1] != -10 {
 		t.Fatalf("seller chose %v, want offer in the pricier pool 1", d)
 	}

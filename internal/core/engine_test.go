@@ -286,10 +286,10 @@ func TestPureBuyerRetirementIsFinal(t *testing.T) {
 	}
 }
 
-// TestRunReusingMatchesFreshRun pins RunReusing's recycling contract:
-// re-running an auction into a recycled Result — with and without
-// history — yields outcomes bit-identical to a fresh Run.
-func TestRunReusingMatchesFreshRun(t *testing.T) {
+// TestRerunMatchesFirstRun pins that an Auction is re-runnable: its
+// cached lanes reset their scratch, so running it again — with and
+// without history — yields a fresh Result bit-identical to the first.
+func TestRerunMatchesFirstRun(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		pools := make([]resource.Pool, rng.Intn(5)+2)
@@ -311,28 +311,69 @@ func TestRunReusingMatchesFreshRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		fresh, freshErr := a.Run()
-		if fresh == nil {
-			t.Fatalf("seed %d: nil result (%v)", seed, freshErr)
+		first, firstErr := a.Run()
+		if first == nil {
+			t.Fatalf("seed %d: nil result (%v)", seed, firstErr)
 		}
-		// Recycle twice: the second pass exercises fully warmed scratch.
-		reused, reusedErr := a.RunReusing(&Result{})
+		// Twice: the second pass runs on fully warmed scratch.
 		for pass := 0; pass < 2; pass++ {
-			if (freshErr == nil) != (reusedErr == nil) {
-				t.Fatalf("seed %d: errors differ: %v vs %v", seed, freshErr, reusedErr)
+			again, againErr := a.Run()
+			if (firstErr == nil) != (againErr == nil) {
+				t.Fatalf("seed %d: errors differ: %v vs %v", seed, firstErr, againErr)
 			}
-			mustEqualResults(t, fmt.Sprintf("seed %d pass %d", seed, pass), fresh, reused)
-			reused, reusedErr = a.RunReusing(reused)
+			mustEqualResults(t, fmt.Sprintf("seed %d pass %d", seed, pass), first, again)
 		}
 	}
 }
 
-// TestSteadyStateRoundsAllocationFree pins the zero-allocation contract
-// of the round loop: once an auction's scratch buffers are warm,
-// re-running it through RunReusing performs no heap allocations at all,
-// with and without history recording. testing.AllocsPerRun pins
-// GOMAXPROCS to 1 while it measures, so should this market split into
-// lanes it is still the driver's serial sweep that is counted.
+// resultAllocs is what one run allocates besides its rounds: the Result
+// and its six slices (prices, payments, chosen bundles, drop rounds,
+// winners, losers).
+const resultAllocs = 7
+
+// mustAllocateOnlyResult pins the zero-allocation contract of the round
+// loop on one market: with history off, a re-run of an auction whose
+// lanes are built allocates its Result and nothing that grows with the
+// rounds — the same count under the tests' coarse step and under one ten
+// times finer, which clocks many times more rounds. testing.AllocsPerRun
+// pins GOMAXPROCS to 1 while it measures, so it is the driver's serial
+// sweep that is counted; the fan-out taken at GOMAXPROCS ≥ 2 spawns its
+// workers per run, the one marketlint:allow in sweep.
+func mustAllocateOnlyResult(t *testing.T, reg *resource.Registry, bids []*Bid, start resource.Vector) {
+	t.Helper()
+	var rounds [2]int
+	var allocs [2]float64
+	for i, policy := range []Capped{
+		{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
+		{Alpha: 0.005, Delta: 0.05, MinStep: 0.001},
+	} {
+		a, err := NewAuction(reg, bids, Config{Start: start, Policy: policy, MaxRounds: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Run() // builds the lanes
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds[i] = res.Rounds
+		allocs[i] = testing.AllocsPerRun(10, func() {
+			if _, err := a.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if rounds[1] < 4*rounds[0] {
+		t.Fatalf("the fine step clocked %d rounds, the coarse %d: too few to tell", rounds[1], rounds[0])
+	}
+	t.Logf("%.0f and %.0f allocs a run over %d and %d rounds", allocs[0], allocs[1], rounds[0], rounds[1])
+	if allocs[0] != allocs[1] || allocs[0] > resultAllocs {
+		t.Errorf("%.1f allocs a run over %d rounds, %.1f over %d: want the same, at most %d",
+			allocs[0], rounds[0], allocs[1], rounds[1], resultAllocs)
+	}
+}
+
+// TestSteadyStateRoundsAllocationFree pins that a round of a one-lane
+// market allocates nothing (see mustAllocateOnlyResult).
 func TestSteadyStateRoundsAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	reg := resource.NewRegistry(
@@ -340,27 +381,5 @@ func TestSteadyStateRoundsAllocationFree(t *testing.T) {
 		resource.Pool{Cluster: "c1", Dim: resource.CPU},
 		resource.Pool{Cluster: "c2", Dim: resource.CPU},
 	)
-	bids := randomMixedMarket(rng, reg)
-	start := resource.Vector{0.5, 0.5, 0.5}
-	for _, history := range []bool{false, true} {
-		a, err := NewAuction(reg, bids, Config{
-			Start:         start,
-			Policy:        Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-			MaxRounds:     300,
-			RecordHistory: history,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := a.Run() // warm the scratch and the Result
-		if res == nil {
-			t.Fatalf("nil result (%v)", err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			res, _ = a.RunReusing(res)
-		})
-		if allocs != 0 {
-			t.Errorf("history=%v: %.1f allocs per steady-state run, want 0", history, allocs)
-		}
-	}
+	mustAllocateOnlyResult(t, reg, randomMixedMarket(rng, reg), resource.Vector{0.5, 0.5, 0.5})
 }

@@ -148,7 +148,8 @@ func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32
 	}
 	b, j := int32(0), int32(0)
 	for k, bi := range bids {
-		bid, rw := a.bids[bi], a.rowsOf(int(bi))
+		bid := a.bids[bi]
+		rw := &bid.rows
 		c.first[k], c.buyer[k] = b, true
 		for i := 0; i < int(rw.n); i++ {
 			sb := rw.bundle(i)
@@ -382,7 +383,7 @@ func (c *lane) demand(b int32) {
 }
 
 // choose returns the bundle proxy k demands at the cached costs, or −1
-// when priced out: Proxy.choose's scan, bundle for bundle.
+// when priced out: Bid.bestAffordable's scan, bundle for bundle.
 //
 //marketlint:allocfree
 func (c *lane) choose(k int32) int32 {

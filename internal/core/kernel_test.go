@@ -204,7 +204,7 @@ func TestKernelEdgeCases(t *testing.T) {
 			if c := first.Clock; c.Lanes != tc.lanes || c.LaneRounds < first.Rounds {
 				t.Errorf("clock counters %+v for %d lanes, %d rounds", c, tc.lanes, first.Rounds)
 			}
-			again, err := a.RunReusing(nil)
+			again, err := a.Run()
 			for pass := 0; pass < 2; pass++ {
 				if err != nil {
 					t.Fatal(err)
@@ -213,7 +213,7 @@ func TestKernelEdgeCases(t *testing.T) {
 				if again.Clock != first.Clock {
 					t.Errorf("re-run %d did different work: %+v, first %+v", pass, again.Clock, first.Clock)
 				}
-				again, err = a.RunReusing(again)
+				again, err = a.Run()
 			}
 		})
 	}
@@ -369,23 +369,26 @@ func TestClockBuildAllocBudget(t *testing.T) {
 	scan(reflect.TypeOf(lane{}))
 }
 
-// TestProxyChooseIsPure pins that the clock's demand oracle leaves the
-// proxy as it was: the same prices give the same choice every round.
+// TestProxyChooseIsPure pins that the clock's demand oracle, the scan
+// ReferenceRun calls for every bid every round, leaves the bid and its
+// views as they were: the same prices give the same choice every round.
 func TestProxyChooseIsPure(t *testing.T) {
-	px := NewProxy(&Bid{User: "u", Limit: 10, Bundles: []resource.Vector{{1, 0}, {0, 1}}})
-	before := *px
-	before.sparse = slices.Clone(px.sparse)
+	b := &Bid{User: "u", Limit: 10, Bundles: []resource.Vector{{1, 0}, {0, 1}}}
+	b.Pack()
+	views := b.rows.appendBundles(nil)
+	before := *b
+	before.rows.idx, before.rows.val = slices.Clone(b.rows.idx), slices.Clone(b.rows.val)
 	for _, p := range []resource.Vector{{5, 2}, {50, 20}, {5, 2}} {
 		want := 1
 		if p[0] == 50 {
 			want = -1
 		}
-		if got := px.choose(p); got != want {
-			t.Fatalf("choose(%v) = %d, want %d", p, got, want)
+		if got := b.bestAffordable(views, p); got != want {
+			t.Fatalf("bestAffordable(%v) = %d, want %d", p, got, want)
 		}
 	}
-	if !reflect.DeepEqual(*px, before) {
-		t.Fatalf("choose changed the proxy: %+v, was %+v", *px, before)
+	if !reflect.DeepEqual(*b, before) || !reflect.DeepEqual(views, before.rows.appendBundles(nil)) {
+		t.Fatalf("the scan changed the bid: %+v, was %+v", *b, before)
 	}
 }
 

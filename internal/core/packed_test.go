@@ -279,9 +279,6 @@ func TestPackedFormLifecycle(t *testing.T) {
 	if pools, qty := caller.Row(1); !reflect.DeepEqual(pools, []int32{0}) || !reflect.DeepEqual(qty, []float64{4}) {
 		t.Errorf("Row(1) of the dense bid = %v %v", pools, qty)
 	}
-	if px := NewProxy(&b); &px.sparse[0].val[0] != &b.rows.val[0] {
-		t.Error("NewProxy re-packed a booked bid")
-	}
 
 	// Pairs in any order, a zero quantity among them: same rows as Pack.
 	var s Bid
@@ -303,11 +300,18 @@ func TestPackedFormLifecycle(t *testing.T) {
 	reg := resource.NewStandardRegistry("c")
 	reg.Add(resource.Pool{Cluster: "d", Dim: resource.CPU})
 	before, beforeCaller := b, *caller
-	if _, err := NewAuction(reg, []*Bid{&b, caller}, Config{Start: reg.Zero()}); err != nil {
+	a, err := NewAuction(reg, []*Bid{&b, caller}, Config{Start: reg.Zero()})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before, b) || !reflect.DeepEqual(beforeCaller, *caller) {
 		t.Error("NewAuction wrote into a bid it was handed")
+	}
+	if a.bids[0] != &b {
+		t.Error("NewAuction copied a booked bid")
+	}
+	if p := a.bids[1]; p == caller || p.Bundles != nil || !reflect.DeepEqual(p.rows, b.rows) {
+		t.Errorf("NewAuction's copy of the dense bid is not packed: %+v", p)
 	}
 
 	// A copy of a booked bid that is given Bundles again is read from them.
@@ -317,7 +321,11 @@ func TestPackedFormLifecycle(t *testing.T) {
 	if got := again.Class(); got != PureSeller {
 		t.Errorf("booked rows trusted over Bundles: Class = %v, want seller", got)
 	}
-	if px := NewProxy(&again); len(px.sparse) != 1 || px.sparse[0].val[0] != -1 {
-		t.Errorf("booked rows trusted over Bundles by NewProxy: %+v", px.sparse)
+	a, err = NewAuction(reg, []*Bid{&again}, Config{Start: reg.Zero()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rw := a.bids[0].rows; rw.n != 1 || rw.val[0] != -1 {
+		t.Errorf("booked rows trusted over Bundles by NewAuction: %+v", rw)
 	}
 }

@@ -174,7 +174,7 @@ func (a *Auction) buildLanes() []*lane {
 	}
 	touched, nB, nnz := make([]bool, r), 0, 0
 	for i := range a.bids {
-		rw := a.rowsOf(i)
+		rw := &a.bids[i].rows
 		nB, nnz = nB+int(rw.n), nnz+len(rw.val)
 		for _, g := range rw.idx[:len(rw.val)] {
 			touched[g] = true
@@ -222,7 +222,7 @@ func (a *Auction) buildLanes() []*lane {
 	of, count := make([]int32, len(a.bids)), make([]int, 3*len(pools))
 	count, bundles, rows := count[:len(pools)], count[len(pools):2*len(pools)], count[2*len(pools):]
 	for i := range a.bids {
-		rw := a.rowsOf(i)
+		rw := &a.bids[i].rows
 		of[i] = compOf[uf.find(rw.idx[0])]
 		count[of[i]]++
 		bundles[of[i]] += int(rw.n)
@@ -359,53 +359,25 @@ func scatterState(lanes []*lane, res *Result) {
 // in global pool order: round t scatters each lane's round min(t, end)
 // snapshot — ended lanes repeat their final state — over the reserve
 // prices and a zero excess-demand vector, summing active-bidder counts.
-//
-//marketlint:allocfree
-func (a *Auction) mergeHistory(lanes []*lane, res *Result, rounds int) {
-	for t := 0; t < rounds; t++ {
-		res.History = appendMergedRound(res.History, lanes, t, a.cfg.Start)
-	}
-}
-
-// appendMergedRound records one merged history snapshot, recycling the
-// vectors of a Round beyond len(h) when RunReusing supplied one — the
-// scatter form of appendRound.
-//
-//marketlint:allocfree
-func appendMergedRound(h []Round, lanes []*lane, t int, start resource.Vector) []Round {
-	if len(h) < cap(h) {
-		h = h[:len(h)+1]
-	} else {
-		//marketlint:allow allocfree history growth: runs once per new history depth, then the rounds above are recycled
-		h = append(h, Round{})
-	}
-	r := &h[len(h)-1]
-	r.T = t
-	r.Prices = r.Prices.CopyFrom(start)
-	r.ExcessDemand = r.ExcessDemand.Resize(len(start))
-	r.ExcessDemand.SetZero()
-	active := 0
-	for _, c := range lanes {
-		i := t
-		if i >= len(c.hist) {
-			i = len(c.hist) - 1
+func (a *Auction) mergeHistory(lanes []*lane, res *Result) {
+	res.History = make([]Round, res.Rounds)
+	for t := range res.History {
+		r := &res.History[t]
+		r.T, r.Prices, r.ExcessDemand = t, a.cfg.Start.Clone(), make(resource.Vector, len(a.cfg.Start))
+		for _, c := range lanes {
+			src := &c.hist[min(t, len(c.hist)-1)]
+			for j, g := range c.pools {
+				r.Prices[g] = src.Prices[j]
+				r.ExcessDemand[g] = src.ExcessDemand[j]
+			}
+			r.ActiveBidders += src.ActiveBidders
 		}
-		src := &c.hist[i]
-		for j, g := range c.pools {
-			r.Prices[g] = src.Prices[j]
-			r.ExcessDemand[g] = src.ExcessDemand[j]
-		}
-		active += src.ActiveBidders
 	}
-	r.ActiveBidders = active
-	return h
 }
 
 // runLanes is the driver: lane clocks, then the market's ending — it
 // converges when no lane ran out, after the longest lane's rounds (every
 // round there is when one did) — the held bids and the in-order merge.
-//
-//marketlint:allocfree
 func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 	sweep(lanes)
 	res.Converged = true
@@ -414,7 +386,7 @@ func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 		res.Rounds = max(res.Rounds, c.rounds)
 	}
 	if a.cfg.RecordHistory {
-		a.mergeHistory(lanes, res, res.Rounds)
+		a.mergeHistory(lanes, res)
 	}
 	scatterState(lanes, res)
 	a.settle(res)
@@ -427,8 +399,6 @@ func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 
 // hold lists the bids of the lanes that ran out in res.Held, in input
 // order.
-//
-//marketlint:allocfree
 func (a *Auction) hold(lanes []*lane, res *Result) {
 	for i := range a.bids {
 		if a.laneOf == nil || lanes[a.laneOf[i]].out {

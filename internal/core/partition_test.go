@@ -277,12 +277,7 @@ func TestPartitionedReEntryMidClock(t *testing.T) {
 }
 
 // TestPartitionedSteadyStateAllocationFree extends the zero-allocation
-// contract to a multi-lane auction: once its scratch — per-lane private
-// auctions included — is warm, RunReusing performs no heap allocations,
-// with and without history. What is measured is the driver's serial
-// sweep: testing.AllocsPerRun pins GOMAXPROCS to 1, and the fan-out
-// taken at GOMAXPROCS ≥ 2 spawns its workers per run (4 allocations),
-// the one marketlint:allow in sweep.
+// contract to a multi-lane auction (see mustAllocateOnlyResult).
 func TestPartitionedSteadyStateAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	registry, bids := randomRegionalMarket(rng, 4)
@@ -290,28 +285,12 @@ func TestPartitionedSteadyStateAllocationFree(t *testing.T) {
 	for i := range start {
 		start[i] = 0.5
 	}
-	for _, history := range []bool{false, true} {
-		a, err := NewAuction(registry, bids, Config{
-			Start:         start,
-			Policy:        Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-			MaxRounds:     300,
-			RecordHistory: history,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Components() < 2 {
-			t.Fatalf("market did not decompose: %d components", a.Components())
-		}
-		res, err := a.Run() // warm the scratch and the Result
-		if res == nil {
-			t.Fatalf("nil result (%v)", err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			res, _ = a.RunReusing(res)
-		})
-		if allocs != 0 {
-			t.Errorf("history=%v: %.1f allocs per steady-state multi-lane run, want 0", history, allocs)
-		}
+	a, err := NewAuction(registry, bids, Config{Start: start})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if a.Components() < 2 {
+		t.Fatalf("market did not decompose: %d components", a.Components())
+	}
+	mustAllocateOnlyResult(t, registry, bids, start)
 }

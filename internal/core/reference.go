@@ -16,22 +16,23 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	// Its own proxies and vectors: the oracle shares nothing with the
-	// production clock but validation and the Result's bookkeeping. It
-	// clocks res.Prices (reset to the reserve) and res.ChosenBundle —
-	// the bundle each proxy demands this round, −1 when priced out —
-	// in place.
-	proxies := make([]*Proxy, len(bids))
-	for i, b := range bids {
-		proxies[i] = NewProxy(b)
+	// Its own views and vectors: the oracle shares nothing with the
+	// production clock but validation, the demand scan of
+	// Bid.BestAffordable and the Result's bookkeeping. Each bid's bundle
+	// views are cut once; it clocks res.Prices (at the reserve) and
+	// res.ChosenBundle — the bundle each proxy demands this round, −1
+	// when priced out — in place.
+	views := make([][]sparseBundle, len(a.bids))
+	for i, b := range a.bids {
+		views[i] = b.rows.appendBundles(nil)
 	}
-	res := a.resetResult(nil)
+	res := a.newResult()
 	p, choices := res.Prices, res.ChosenBundle
 	z, step := make(resource.Vector, len(p)), make(resource.Vector, len(p))
 	settle := func() {
 		for i, c := range choices {
 			if c >= 0 {
-				res.Payments[i] = proxies[i].sparse[c].dot(p)
+				res.Payments[i] = views[i][c].dot(p)
 			}
 		}
 		a.settle(res)
@@ -40,12 +41,12 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 	for t := 0; t < a.cfg.MaxRounds; t++ {
 		active := 0
 		z.SetZero()
-		for i, px := range proxies {
-			c := px.choose(p)
+		for i, b := range a.bids {
+			c := b.bestAffordable(views[i], p)
 			choices[i] = c
 			if c >= 0 {
 				active++
-				px.sparse[c].addInto(z)
+				views[i][c].addInto(z)
 				// An active bidder is not dropped — clear any stale drop
 				// round from an earlier priced-out stretch (sellers and
 				// traders re-enter as prices rise).

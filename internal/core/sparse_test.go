@@ -72,38 +72,3 @@ func TestQuickSparseMatchesDense(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestQuickProxyChooseMatchesBestAffordable: the sparse proxy choice must
-// agree with the public dense Bid.BestAffordable on random bids.
-func TestQuickProxyChooseMatchesBestAffordable(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := rng.Intn(6) + 2
-		nb := rng.Intn(4) + 1
-		b := &Bid{User: "q", Limit: float64(rng.Intn(100) + 1)}
-		for j := 0; j < nb; j++ {
-			q := make(resource.Vector, r)
-			q[rng.Intn(r)] = float64(rng.Intn(10) + 1)
-			b.Bundles = append(b.Bundles, q)
-		}
-		if rng.Intn(2) == 0 {
-			for range b.Bundles {
-				b.BundleLimits = append(b.BundleLimits, float64(rng.Intn(100)+1))
-			}
-		}
-		p := make(resource.Vector, r)
-		for i := range p {
-			p[i] = rng.Float64() * 20
-		}
-		px := NewProxy(b)
-		got := px.choose(p)
-		want, ok := b.BestAffordable(p)
-		if !ok {
-			want = -1
-		}
-		return got == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}

@@ -57,21 +57,20 @@ func TestVectorPiProxyPicksMaxSurplus(t *testing.T) {
 		Bundles:      []resource.Vector{{5, 0}, {0, 5}},
 		BundleLimits: []float64{6, 20},
 	}
-	px := NewProxy(b)
-	d := demand(px, resource.Vector{1, 2}) // costs: 5 and 10; surpluses: 1 and 10
+	d := demand(b, resource.Vector{1, 2}) // costs: 5 and 10; surpluses: 1 and 10
 	if d == nil || d[1] != 5 {
 		t.Fatalf("demand = %v, want bundle 1", d)
 	}
-	if c := px.choose(resource.Vector{1, 2}); c != 1 {
+	if c := choice(b, resource.Vector{1, 2}); c != 1 {
 		t.Errorf("choice = %d", c)
 	}
 	// Raise prices so only bundle 0 stays affordable.
-	d = demand(px, resource.Vector{1, 5}) // costs: 5 and 25; bundle 1 over its 20 limit
+	d = demand(b, resource.Vector{1, 5}) // costs: 5 and 25; bundle 1 over its 20 limit
 	if d == nil || d[0] != 5 {
 		t.Fatalf("demand = %v, want bundle 0", d)
 	}
 	// Price both out.
-	if d := demand(px, resource.Vector{2, 10}); d != nil {
+	if d := demand(b, resource.Vector{2, 10}); d != nil {
 		t.Fatalf("demand = %v, want nil", d)
 	}
 }

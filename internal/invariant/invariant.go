@@ -421,6 +421,20 @@ func CheckFederation(f *federation.Federation) []Violation {
 	}
 	orders := f.Orders()
 	vs = append(vs, CheckLegsAtMostOneWin(orders)...)
+	return append(vs, CheckWinningLegs(orders, func(name string) *market.Exchange {
+		if r := f.Region(name); r != nil {
+			return r.Exchange()
+		}
+		return nil
+	})...)
+}
+
+// CheckWinningLegs verifies that every Won order agrees with the regional
+// book its winning leg names: exchange returns that region's book (nil
+// for a region the federation does not have), which must hold the leg's
+// order as Won, paid the order's payment.
+func CheckWinningLegs(orders []*federation.FedOrder, exchange func(region string) *market.Exchange) []Violation {
+	var vs []Violation
 	for _, fo := range orders {
 		if fo.Status != market.Won {
 			continue
@@ -429,13 +443,13 @@ func CheckFederation(f *federation.Federation) []Violation {
 			if l.Status != market.Won {
 				continue
 			}
-			r := f.Region(l.Region)
-			if r == nil {
+			ex := exchange(l.Region)
+			if ex == nil {
 				vs = append(vs, violatef("winning-leg-consistent",
 					"order %d won in unknown region %q", fo.ID, l.Region))
 				continue
 			}
-			o, err := r.Exchange().Order(l.OrderID)
+			o, err := ex.Order(l.OrderID)
 			if err != nil {
 				vs = append(vs, violatef("winning-leg-consistent",
 					"order %d winning leg %d missing from region %q book: %v", fo.ID, l.OrderID, l.Region, err))

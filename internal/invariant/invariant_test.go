@@ -111,6 +111,26 @@ func TestCheckWinsWithinCapacity(t *testing.T) {
 	wantViolation(t, vs, "wins-within-capacity")
 }
 
+// TestWinsAtExactCapacity: a pool sold to exactly its capacity is clean,
+// at zero tolerance and at the kernel's, and one ulp more is flagged at
+// zero tolerance.
+func TestWinsAtExactCapacity(t *testing.T) {
+	reg := resource.NewStandardRegistry("c1")
+	capacity := reg.Zero()
+	capacity[0] = 100
+	won := func(q float64) []*market.Order {
+		v := reg.Zero()
+		v[0] = q
+		return []*market.Order{{Status: market.Won, Auction: 1, Bid: &core.Bid{Bundles: []resource.Vector{v}}}}
+	}
+	for _, eps := range []float64{0, Eps} {
+		if vs := CheckWinsWithinCapacity(reg, capacity, won(100), eps); len(vs) != 0 {
+			t.Errorf("eps %g: a pool sold to exactly its capacity flagged: %v", eps, vs)
+		}
+	}
+	wantViolation(t, CheckWinsWithinCapacity(reg, capacity, won(math.Nextafter(100, 200)), 0), "wins-within-capacity")
+}
+
 func TestCheckClearingAboveReserve(t *testing.T) {
 	recs := []*market.AuctionRecord{
 		{Number: 1, Converged: true, Reserve: resource.Vector{1, 2}, Prices: resource.Vector{1, 3}},
@@ -178,6 +198,22 @@ func TestCheckSettlementEconomics(t *testing.T) {
 		"payment-at-clearing-prices")
 }
 
+// TestPaymentAtExactLimit: a winner charged exactly its limit is clean,
+// at zero tolerance and at the kernel's, and one ulp more is flagged at
+// zero tolerance.
+func TestPaymentAtExactLimit(t *testing.T) {
+	bid := &core.Bid{Bundles: []resource.Vector{{4}}, Limit: 10}
+	won := func(payment float64) []*market.Order {
+		return []*market.Order{{Status: market.Won, Auction: 1, Bid: bid, Bundle: 0, Payment: payment}}
+	}
+	for _, eps := range []float64{0, Eps} {
+		if vs := CheckSettlementEconomics(won(10), nil, eps); len(vs) != 0 {
+			t.Errorf("eps %g: a winner charged exactly its limit flagged: %v", eps, vs)
+		}
+	}
+	wantViolation(t, CheckSettlementEconomics(won(math.Nextafter(10, 20)), nil, 0), "payment-within-limit")
+}
+
 func TestCheckOpenCount(t *testing.T) {
 	orders := []*market.Order{
 		{Status: market.Open}, {Status: market.Won}, {Status: market.Open},
@@ -238,6 +274,18 @@ func TestCheckEngineEquivalence(t *testing.T) {
 	}
 	if vs := CheckEngineEquivalence(reg, bids, core.Config{Start: start}); len(vs) != 0 {
 		t.Errorf("engines disagree on a plain market: %v", vs)
+	}
+	// Both engines run out of rounds at the same state, and both refuse a
+	// market with no bids: neither is a disagreement.
+	held := core.Config{Start: start, MaxRounds: 2}
+	if _, err := core.ReferenceRun(reg, bids, held); !errors.Is(err, core.ErrNoConvergence) {
+		t.Fatalf("the held market converged (%v)", err)
+	}
+	if vs := CheckEngineEquivalence(reg, bids, held); len(vs) != 0 {
+		t.Errorf("engines disagree on a held market: %v", vs)
+	}
+	if vs := CheckEngineEquivalence(reg, nil, core.Config{Start: start}); len(vs) != 0 {
+		t.Errorf("engines disagree on a refused market: %v", vs)
 	}
 }
 
@@ -339,6 +387,71 @@ func TestCheckFederationCleanMarket(t *testing.T) {
 			}
 		}
 		RequireFederation(t, "epoch", f)
+	}
+	won := 0
+	for _, fo := range f.Orders() {
+		if fo.Status == market.Won {
+			won++
+		}
+	}
+	if won == 0 {
+		t.Fatal("no order won: the winning-leg check had nothing to check")
+	}
+}
+
+// TestCheckWinningLegs: a Won order is flagged when its winning leg's
+// regional order is not Won, even at the payment the order shows, when
+// that regional order is Won but was paid a different amount, and when
+// the leg names a region or an order the federation does not have.
+func TestCheckWinningLegs(t *testing.T) {
+	ex := testExchange(t)
+	if err := ex.OpenAccount("alpha"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.SubmitProduct("alpha", "batch-compute", 1, []string{"c1"}, 150); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ex.RunAuction(); err != nil {
+		t.Fatal(err)
+	}
+	won, err := ex.Order(0)
+	if err != nil || won.Status != market.Won {
+		t.Fatalf("order 0 = %+v (%v), want Won", won, err)
+	}
+	openID, err := ex.SubmitProduct("alpha", "batch-compute", 1, []string{"c1"}, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	books := func(region string) *market.Exchange {
+		if region == "a" {
+			return ex
+		}
+		return nil
+	}
+	route := func(doctor func(fo *federation.FedOrder, l *federation.Leg)) []*federation.FedOrder {
+		l := &federation.Leg{Region: "a", OrderID: won.ID, Status: market.Won}
+		fo := &federation.FedOrder{ID: 0, Status: market.Won, Active: -1, Region: "a", Payment: won.Payment,
+			Legs: []*federation.Leg{{Region: "b", OrderID: 9, Status: market.Lost}, l}}
+		doctor(fo, l)
+		return []*federation.FedOrder{fo}
+	}
+	if vs := CheckWinningLegs(route(func(*federation.FedOrder, *federation.Leg) {}), books); len(vs) != 0 {
+		t.Fatalf("a route that agrees with its book flagged: %v", vs)
+	}
+	for _, tc := range []struct {
+		name   string
+		doctor func(fo *federation.FedOrder, l *federation.Leg)
+	}{
+		{"regional order not Won", func(fo *federation.FedOrder, l *federation.Leg) { l.OrderID, fo.Payment = openID, 0 }},
+		{"paid a different amount", func(fo *federation.FedOrder, _ *federation.Leg) {
+			fo.Payment = math.Nextafter(fo.Payment, math.Inf(1))
+		}},
+		{"unknown region", func(_ *federation.FedOrder, l *federation.Leg) { l.Region = "z" }},
+		{"missing regional order", func(_ *federation.FedOrder, l *federation.Leg) { l.OrderID = 99 }},
+	} {
+		if vs := CheckWinningLegs(route(tc.doctor), books); len(vs) != 1 || vs[0].Invariant != "winning-leg-consistent" {
+			t.Errorf("%s: violations %v, want exactly one winning-leg-consistent", tc.name, vs)
+		}
 	}
 }
 

@@ -11,7 +11,9 @@ package journal
 // torn-tail frame metadata marketd reports at startup.
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"syscall"
@@ -23,6 +25,7 @@ type flakyFS struct {
 	FS
 	failWrites   int    // whole-write EIO
 	shortWrites  int    // write half the buffer, then EIO
+	quietShorts  int    // write half the buffer and report it, with no error
 	failSyncs    int    // fsync EIO
 	failRenameTo string // base name of a rename target to fail
 	failRenames  int    // renames onto failRenameTo to fail
@@ -67,6 +70,10 @@ func (fl *flakyFile) Write(p []byte) (int, error) {
 		fl.fs.shortWrites--
 		n, _ := fl.File.Write(p[:len(p)/2])
 		return n, syscall.EIO
+	}
+	if fl.fs.quietShorts > 0 {
+		fl.fs.quietShorts--
+		return fl.File.Write(p[:len(p)/2])
 	}
 	return fl.File.Write(p)
 }
@@ -167,6 +174,46 @@ func TestAppendRollbackRetryClean(t *testing.T) {
 				t.Error("rollback left a torn tail for recovery to repair")
 			}
 		})
+	}
+}
+
+// TestQuietShortWriteFailsAppend: a Write that stores half the frame and
+// reports that count with no error fails the append with
+// io.ErrShortWrite, the WAL is cut back to its pre-append bytes, and the
+// caller's retry writes exactly the bytes a clean journal writes.
+func TestQuietShortWriteFailsAppend(t *testing.T) {
+	dir := t.TempDir()
+	fs := &flakyFS{FS: OSFS()}
+	j, _ := mustOpen(t, dir, Options{FS: fs, FsyncEvery: 1})
+	appendAll(t, j, `{"k":"a"}`)
+	wal := filepath.Join(dir, "wal")
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.quietShorts = outlastWrites
+	if _, err := j.Append([]byte(`{"k":"b"}`)); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("append over quiet short writes = %v, want io.ErrShortWrite", err)
+	}
+	if fs.quietShorts != 0 {
+		t.Fatalf("%d short writes left unconsumed by the heal loop", fs.quietShorts)
+	}
+	if after, _ := os.ReadFile(wal); !bytes.Equal(after, before) {
+		t.Fatalf("WAL is %d bytes after the failed append, want its %d from before", len(after), len(before))
+	}
+	if seq, err := j.Append([]byte(`{"k":"b"}`)); err != nil || seq != 2 {
+		t.Fatalf("retried append = seq %d, %v; want seq 2", seq, err)
+	}
+	j.Close()
+
+	clean := t.TempDir()
+	c, _ := mustOpen(t, clean, Options{})
+	appendAll(t, c, `{"k":"a"}`, `{"k":"b"}`)
+	c.Close()
+	got, _ := os.ReadFile(wal)
+	want, _ := os.ReadFile(filepath.Join(clean, "wal"))
+	if !bytes.Equal(got, want) {
+		t.Errorf("WAL after the retry differs from a clean journal's:\n%q\n%q", got, want)
 	}
 }
 

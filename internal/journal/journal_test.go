@@ -209,6 +209,32 @@ func TestSnapshotRotatesWAL(t *testing.T) {
 	}
 }
 
+// TestEmptyWALAfterSnapshotResumesSequence: a WAL that a snapshot rotated
+// and nothing was appended to recovers at the snapshot's sequence, so
+// the next append is numbered right after the snapshot.
+func TestEmptyWALAfterSnapshotResumesSequence(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir, Options{})
+	appendAll(t, j, "a", "b")
+	if err := j.Snapshot([]byte(`{"n":2}`), j.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2, rec := mustOpen(t, dir, Options{})
+	if rec.SnapshotSeq != 2 || len(rec.Records) != 0 {
+		t.Fatalf("recovered snap %d + %d records, want snap 2 and an empty WAL", rec.SnapshotSeq, len(rec.Records))
+	}
+	if seq, err := j2.Append([]byte("c")); err != nil || seq != 3 {
+		t.Fatalf("first append after recovery = seq %d, %v; want seq 3", seq, err)
+	}
+	j2.Close()
+	j3, rec := mustOpen(t, dir, Options{})
+	defer j3.Close()
+	if got := fmt.Sprint(rec.SnapshotSeq, " ", recordsAsStrings(rec)); got != "2 [c]" || j3.Seq() != 3 {
+		t.Fatalf("recovered %s at seq %d, want 2 [c] at seq 3", got, j3.Seq())
+	}
+}
+
 // TestSnapshotCarriesRecordsPastItsStamp: a caller builds its image, notes
 // the sequence, lets go of its locks, and only then snapshots. Records
 // appended in between were acknowledged and are not in the image, so the

@@ -17,33 +17,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// CopyFrom resizes v to len(src), copies src into it, and returns the
-// result, reusing v's backing array whenever capacity allows. It is the
-// allocation-free form of src.Clone() used by the clock's scratch
-// buffers; calling it on a nil vector behaves exactly like Clone.
-//
-//marketlint:allocfree
-func (v Vector) CopyFrom(src Vector) Vector {
-	if cap(v) < len(src) {
-		v = make(Vector, len(src))
-	}
-	v = v[:len(src)]
-	copy(v, src)
-	return v
-}
-
-// Resize returns v with length n, reusing the backing array when
-// capacity allows. The contents are unspecified — callers must
-// overwrite every component (scratch buffers on the auction hot path).
-//
-//marketlint:allocfree
-func (v Vector) Resize(n int) Vector {
-	if cap(v) < n {
-		return make(Vector, n)
-	}
-	return v[:n]
-}
-
 // SetZero clears every component in place, the reuse form of
 // Registry.Zero for scratch vectors on the auction hot path.
 //

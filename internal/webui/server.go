@@ -387,8 +387,8 @@ func (s *Server) handleOrders(w http.ResponseWriter, r *http.Request) {
 	}
 	view := struct {
 		Prefix string
-		Orders []*market.Order
-	}{Prefix: s.prefix, Orders: s.ex.OrdersTail(limit)}
+		Orders []market.OrderRow
+	}{Prefix: s.prefix, Orders: s.ex.AppendOrderRows(nil, limit)}
 	render(w, s.pages.orders, view)
 }
 

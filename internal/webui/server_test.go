@@ -15,8 +15,10 @@ import (
 	"time"
 
 	"clustermarket/internal/cluster"
+	"clustermarket/internal/core"
 	"clustermarket/internal/invariant"
 	"clustermarket/internal/market"
+	"clustermarket/internal/resource"
 )
 
 func newTestServer(t *testing.T) (*Server, *market.Exchange) {
@@ -610,6 +612,30 @@ func TestPricesJSONNonConverged(t *testing.T) {
 	}
 	if len(pv.Prices) != ex.Registry().Len() {
 		t.Errorf("prices = %d entries, want %d", len(pv.Prices), ex.Registry().Len())
+	}
+}
+
+// TestOrdersPageShowsGoverningLimit: the orders page reads the rows
+// /api/orders.json does, so a vector-π order, whose scalar Limit the
+// proxy ignores, shows the largest of its bundle limits on both.
+func TestOrdersPageShowsGoverningLimit(t *testing.T) {
+	s, ex := newTestServer(t)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	reg := ex.Registry()
+	a, b := reg.Zero(), reg.Zero()
+	a[0], b[reg.Len()-1] = 1, 1
+	if _, err := ex.Submit("web-team", &core.Bid{User: "web-team/vector", Bundles: []resource.Vector{a, b},
+		BundleLimits: []float64{12.5, 37.25}}); err != nil {
+		t.Fatal(err)
+	}
+	_, body := get(t, ts, "/api/orders.json")
+	if !strings.Contains(body, `"limit":37.25`) {
+		t.Fatalf("orders.json does not show the governing limit:\n%s", body)
+	}
+	code, body := get(t, ts, "/orders")
+	if code != http.StatusOK || !strings.Contains(body, "<td>37.25</td>") || !strings.Contains(body, "web-team/vector") {
+		t.Fatalf("orders page = %d, want the user and limit 37.25:\n%s", code, body)
 	}
 }
 

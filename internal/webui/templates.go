@@ -96,8 +96,8 @@ const ordersTmpl = `<!DOCTYPE html>
 <table>
 <tr><th>ID</th><th class="name">Team</th><th class="name">User</th><th>Limit</th><th class="name">Status</th><th>Auction</th><th>Payment</th></tr>
 {{range .Orders}}
-<tr><td>{{.ID}}</td><td class="name">{{.Team}}</td><td class="name">{{.Bid.User}}</td>
-<td>{{printf "%.2f" .Bid.Limit}}</td><td class="name">{{.Status}}</td>
+<tr><td>{{.ID}}</td><td class="name">{{.Team}}</td><td class="name">{{.User}}</td>
+<td>{{printf "%.2f" .MaxLimit}}</td><td class="name">{{.Status}}</td>
 <td>{{if ge .Auction 0}}{{.Auction}}{{else}}-{{end}}</td>
 <td>{{printf "%.2f" .Payment}}</td></tr>
 {{end}}
