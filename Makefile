@@ -4,8 +4,8 @@
 # layer benchmarks) runnable individually.
 GO ?= go
 
-.PHONY: all build test race vet lint vulncheck help bench bench-suite \
-	soak soak-race cover cover-update fuzz
+.PHONY: all build test race vet lint vulncheck help bench bench-clock \
+	bench-suite soak soak-race cover cover-update fuzz
 
 all: lint build test ## Lint, build, and test: the local pre-push gate
 
@@ -61,6 +61,17 @@ vulncheck: ## govulncheck against the checked-in ignore list
 # claims come from bench-suite.
 bench: ## One pass over the layer benchmarks (a smoke check, not a gate)
 	$(GO) test -run 'xxx' -bench . -benchtime 1x ./...
+
+# The clock's layer benchmarks on one CPU, ten runs each, for comparing a
+# clock change against its parent run for run: BenchmarkSparseEpochClock
+# (clock-sparse's first epoch), BenchmarkClockScaling and the production
+# side of the three *PlanetEngines benchmarks. The end-to-end suite's
+# clock-sparse epoch spreads 11-16% between runs of one commit, so it
+# cannot resolve a clock change smaller than that.
+BENCH_CLOCK_COUNT ?= 10
+bench-clock: ## The clock layer benchmarks at GOMAXPROCS=1, BENCH_CLOCK_COUNT runs each
+	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'SparseEpochClock|ClockScaling' -count $(BENCH_CLOCK_COUNT) .
+	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'PlanetEngines/production' -count $(BENCH_CLOCK_COUNT) .
 
 # The end-to-end suite in benchmark/ (its own module; see
 # benchmark/README.md): five workloads, ~1 min, results as JSON for

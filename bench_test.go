@@ -519,15 +519,19 @@ func BenchmarkSubmitProductParallel(b *testing.B) {
 	})
 }
 
-// wideBids books the wide orders on a wide exchange and returns its
-// registry, the booked bids plus the operator's 64 supply bids at R = 192,
-// and the exchange's reserve prices: an epoch's auction input as the
-// exchange assembles it.
-func wideBids(b *testing.B) (*resource.Registry, []*core.Bid, resource.Vector) {
+// wideBids books orders on a wide exchange — order k wants qty[k]
+// workers (one when qty is nil) on an XOR of clusters[k] at limits[k] —
+// and returns its registry, the booked bids plus the operator's 64 supply
+// bids at R = 192, and the exchange's reserve prices: an epoch's auction
+// input as the exchange assembles it.
+func wideBids(b *testing.B, clusters [][]string, qty, limits []float64) (*resource.Registry, []*core.Bid, resource.Vector) {
 	ex := wideExchange(b)
-	clusters, limits := wideOrders()
 	for k := range clusters {
-		if _, err := ex.SubmitProduct("wide", "batch-compute", 1, clusters[k], limits[k]); err != nil {
+		q := 1.0
+		if qty != nil {
+			q = qty[k]
+		}
+		if _, err := ex.SubmitProduct("wide", "batch-compute", q, clusters[k], limits[k]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -559,7 +563,8 @@ func wideBids(b *testing.B) (*resource.Registry, []*core.Bid, resource.Vector) {
 // (incremental.go's shapes), where BenchmarkSparsePlanetEngines' bundles
 // mostly share no rows and are priced one by one.
 func BenchmarkCatalogPlanetEngines(b *testing.B) {
-	reg, bids, _ := wideBids(b)
+	clusters, limits := wideOrders()
+	reg, bids, _ := wideBids(b, clusters, nil, limits)
 	benchClockVsReference(b, reg, bids, wideRegions)
 }
 
@@ -570,7 +575,8 @@ func BenchmarkCatalogPlanetEngines(b *testing.B) {
 // its pool remap and each lane's shape index.
 func BenchmarkNewAuctionFromBook(b *testing.B) {
 	b.ReportAllocs()
-	reg, bids, start := wideBids(b)
+	clusters, limits := wideOrders()
+	reg, bids, start := wideBids(b, clusters, nil, limits)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := core.NewAuction(reg, bids, core.Config{Start: start})
@@ -581,6 +587,90 @@ func BenchmarkNewAuctionFromBook(b *testing.B) {
 			b.Fatalf("decomposed into %d components, want %d", a.Components(), wideRegions)
 		}
 	}
+}
+
+// sparseEpochOrders draws the first epoch of the benchmark/ suite's
+// clock-sparse workload at seed 1, draw for draw, on the wide planet: 15
+// in 16 orders want 1–4 workers on an XOR of 1–3 clusters of one region
+// at a limit of 5..64, and 1 in 16 is a hot contender on its region's
+// cluster 0 at 200..599, whose price war keeps that cluster climbing for
+// some 1 500 rounds after its region's other clusters cleared.
+func sparseEpochOrders() (clusters [][]string, qty, limits []float64) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < wideBook; i++ {
+		region := rng.Intn(wideRegions)
+		rng.Intn(16) // the workload's team draw
+		qty = append(qty, float64(1+rng.Intn(4)))
+		if i%16 == 15 {
+			clusters = append(clusters, []string{wideCluster(region, 0)})
+			limits = append(limits, float64(200+rng.Intn(400)))
+			continue
+		}
+		k, first := 1+rng.Intn(3), rng.Intn(wideClusters)
+		cs := make([]string, k)
+		for j := range cs {
+			cs[j] = wideCluster(region, (first+j)%wideClusters)
+		}
+		clusters = append(clusters, cs)
+		limits = append(limits, float64(5+rng.Intn(60)))
+	}
+	return clusters, qty, limits
+}
+
+// BenchmarkSparseEpochClock is the clock layer of a clock-sparse epoch:
+// "run" times Auction.Run with the lanes built, reporting ns per
+// lane-round and core.ClockStats' counts, and "build" times NewAuction
+// plus the lane build (Components). Its book must decompose into the
+// eight regions and run at least 1 500 rounds, the long single-cluster
+// tails the round loop's quiet-round and limit-order paths are for.
+// `make bench-clock` repeats it pinned to one CPU.
+func BenchmarkSparseEpochClock(b *testing.B) {
+	clusters, qty, limits := sparseEpochOrders()
+	reg, bids, start := wideBids(b, clusters, qty, limits)
+	cfg := core.Config{Start: start}
+	build := func(b *testing.B) *core.Auction {
+		a, err := core.NewAuction(reg, bids, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if a.Components() != wideRegions {
+			b.Fatalf("decomposed into %d components, want %d", a.Components(), wideRegions)
+		}
+		return a
+	}
+	b.Run("run", func(b *testing.B) {
+		b.ReportAllocs()
+		a := build(b)
+		res, err := a.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Rounds < 1500 {
+			b.Fatalf("%d rounds, want at least 1500", res.Rounds)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res, err = a.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		c := res.Clock
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.LaneRounds*b.N), "ns/lane-round")
+		b.ReportMetric(float64(res.Rounds), "rounds")
+		b.ReportMetric(float64(c.LaneRounds), "lane-rounds")
+		b.ReportMetric(float64(c.Repriced), "repriced")
+		b.ReportMetric(float64(c.Rechosen), "rechosen")
+		b.ReportMetric(float64(c.Switched), "switched")
+		b.ReportMetric(float64(c.Dropped), "dropped")
+		b.ReportMetric(float64(c.Reused), "reused")
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			build(b)
+		}
+	})
 }
 
 // BenchmarkFederationTick is the federated epoch, the layer the

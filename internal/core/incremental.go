@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // This file implements incremental demand revelation, what makes the
 // production round loop (runClock, partition.go) the planet-scale fast
@@ -52,6 +56,16 @@ import "math"
 //     the walk lists. Sellers and traders carry negative components
 //     (rising prices improve their receipts), so they stay listed and
 //     evaluated.
+//   - A one-bundle pure buyer demands its bundle exactly while the
+//     bundle's cost is within its limit, and that cost never falls. So a
+//     shape keeps such members apart, ordered by limit, and a round pops
+//     only those its one dot now prices over their limits; the rest keep
+//     a stale cached cost and are neither re-costed nor re-chosen, their
+//     choice being the one the reference scan would make.
+//   - A round in which no choice switched leaves z as it was, so the step
+//     and the moved pools are last round's: the loop adds that step on
+//     those pools again. Adding a +0 step elsewhere would change no
+//     price, round 0's full add having already turned any −0 into +0.
 
 // kernel is the immutable, bids-derived half of a lane, built once
 // (bids are frozen after NewAuction) and shared by every run. Bundles are
@@ -69,9 +83,10 @@ type kernel struct {
 	at, poolB []int32
 	poolV     []float64
 	// shape[b] is bundle b's shape, −1 when no other bundle of the lane
-	// has its rows; shape s has members mAt[s] .. mAt[s+1]-1 of the live
-	// member list.
-	shape, mAt []int32
+	// has its rows; shape s has members mAt[s] .. mAt[s+1]-1 of the
+	// member list liveM: first the others, then, from ordAt[s], its
+	// one-bundle pure buyers' members in ascending limit order.
+	shape, mAt, ordAt []int32
 	// Pool r's walk lists, its shapes' and then its singleton bundles',
 	// start at walkAt[r] and soloAt[r] and end before walkAt[r+1].
 	walkAt, soloAt []int32
@@ -84,16 +99,22 @@ type ClockStats struct {
 	// Lanes is the number of component lanes, LaneRounds the rounds
 	// they ran, and Held how many of them ran out of rounds.
 	Lanes, LaneRounds, Held int
-	// Repriced bundles and Rechosen proxies past round 0, and how many of
-	// those proxies Switched bundle.
+	// Repriced counts the cost slots refreshed past round 0: a moved
+	// singleton bundle, a moved shape's members other than one-bundle
+	// pure buyers', and those of its one-bundle pure buyers' members it
+	// prices over their limits. Rechosen counts the proxies re-scored
+	// past round 0, the owners of those slots, and Switched how many of
+	// them changed bundle.
 	Repriced, Rechosen, Switched int
 	// Priced counts the dot products past round 0, one for a shape
-	// however many members it re-prices, and Dropped the pure buyers'
-	// shape members retired because they cost more than their limit.
+	// however many members it re-prices, none or all. Dropped counts the
+	// pure buyers' shape members retired because they cost more than
+	// their limit.
 	Priced, Dropped int
 	// Rebuilds counts rounds that rebuilt z whole, Resums single pools
-	// re-summed in the other rounds.
-	Rebuilds, Resums int
+	// re-summed in the other rounds, and Reused the rounds that switched
+	// no choice and so added last round's step again.
+	Rebuilds, Resums, Reused int
 }
 
 // Add accumulates another run's (or lane's) counters.
@@ -110,6 +131,7 @@ func (s *ClockStats) Add(o ClockStats) {
 	s.Dropped += o.Dropped
 	s.Rebuilds += o.Rebuilds
 	s.Resums += o.Resums
+	s.Reused += o.Reused
 }
 
 // carve cuts the next n elements off a slab.
@@ -146,24 +168,28 @@ func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32
 	for j, g := range pools {
 		c.cfg.Start[j] = a.cfg.Start[g]
 	}
+	// A bid's rows are packed contiguously, its bundle ends after them:
+	// they are copied whole, and the ends become the bundles' row starts.
 	b, j := int32(0), int32(0)
 	for k, bi := range bids {
 		bid := a.bids[bi]
 		rw := &bid.rows
+		nnz := len(rw.val)
 		c.first[k], c.buyer[k] = b, true
-		for i := 0; i < int(rw.n); i++ {
-			sb := rw.bundle(i)
-			c.row[b], c.lim[b], c.owner[b] = j, bid.LimitFor(i), int32(k)
-			for x, g := range sb.idx {
-				c.idx[j], c.val[j] = local[g], sb.val[x]
-				c.at[local[g]+1]++
-				if sb.val[x] < 0 {
-					c.buyer[k] = false
-				}
-				j++
+		for x, g := range rw.idx[:nnz] {
+			c.idx[int(j)+x], c.val[int(j)+x] = local[g], rw.val[x]
+			c.at[local[g]+1]++
+			if rw.val[x] < 0 {
+				c.buyer[k] = false
 			}
+		}
+		lo := j
+		for i, end := range rw.idx[nnz : nnz+int(rw.n)] {
+			c.row[b], c.lim[b], c.owner[b] = lo, bid.LimitFor(i), int32(k)
+			lo = j + end
 			b++
 		}
+		j += int32(nnz)
 	}
 	c.first[nP], c.row[nB] = b, j
 	for g := 0; g < r; g++ {
@@ -262,12 +288,13 @@ func (c *lane) group(table []int32) (shapes, members, walks int) {
 
 // index builds the lane's shape index, the rest in one more slab sized by
 // group: each bundle's shape, numbered by first member; each shape's
-// member range; and each pool's walk ranges.
+// member range, its one-bundle pure buyers' members laid out at its end
+// by ascending limit; and each pool's walk ranges.
 func (c *lane) index(table []int32) {
 	shapes, members, walks := c.group(table)
 	r := len(c.at) - 1
-	i32 := make([]int32, 3*shapes+1+members+walks+4*r+1)
-	c.mAt = carve(&i32, shapes+1)
+	i32 := make([]int32, 5*shapes+1+members+walks+4*r+1)
+	c.mAt, c.ordAt, c.ordLo = carve(&i32, shapes+1), carve(&i32, shapes), carve(&i32, shapes)
 	c.mEnd, c.shapeMark, c.liveM = carve(&i32, shapes), carve(&i32, shapes), carve(&i32, members)
 	c.walk, c.walkAt, c.soloAt = carve(&i32, walks), carve(&i32, r+1), carve(&i32, r)
 	c.shapeEnd, c.soloEnd = carve(&i32, r), carve(&i32, r)
@@ -303,15 +330,40 @@ func (c *lane) index(table []int32) {
 	for s := 0; s < shapes; s++ {
 		c.mAt[s+1] += c.mAt[s]
 	}
+	// The one-bundle buyers' members end their shape's range, placed from
+	// its end in bundle order, then ordered by limit. reset leaves them in
+	// place; it lays out the other members every run.
+	copy(c.ordAt, c.mAt[1:])
+	for k := len(c.buyer) - 1; k >= 0; k-- {
+		b := c.first[k]
+		if s := c.shape[b]; s >= 0 && c.oneBundleBuyer(int32(k)) {
+			c.ordAt[s]--
+			c.liveM[c.ordAt[s]] = b
+		}
+	}
+	byLimit := func(x, y int32) int { return cmp.Compare(c.lim[x], c.lim[y]) }
+	for s := 0; s < shapes; s++ {
+		slices.SortStableFunc(c.liveM[c.ordAt[s]:c.mAt[s+1]], byLimit)
+	}
+}
+
+// oneBundleBuyer reports whether proxy k is a pure buyer of one bundle:
+// it demands that bundle exactly while the bundle's cost, which never
+// falls, is within its limit.
+//
+//marketlint:allocfree
+func (c *lane) oneBundleBuyer(k int32) bool {
+	return c.buyer[k] && c.first[k+1]-c.first[k] == 1
 }
 
 // reset readies the scratch for a run from the reserve prices: nobody
 // retired, no history or counters, and the lists the rounds shrink laid
 // out whole, bundle by bundle so each is ascending — shape s's
-// liveM[mAt[s]:mEnd[s]] its members, and pool r's walk[walkAt[r]:shapeEnd[r]]
-// and walk[soloAt[r]:soloEnd[r]] its shapes and singleton bundles. The
-// epoch-stamped marks survive across runs (a mark below the current
-// epoch reads as "unseen").
+// liveM[mAt[s]:mEnd[s]] its members but the one-bundle buyers', whose
+// liveM[ordLo[s]:mAt[s+1]] is its whole ordered list again, and pool r's
+// walk[walkAt[r]:shapeEnd[r]] and walk[soloAt[r]:soloEnd[r]] its shapes
+// and singleton bundles. The epoch-stamped marks survive across runs (a
+// mark below the current epoch reads as "unseen").
 //
 //marketlint:allocfree
 func (c *lane) reset() {
@@ -324,12 +376,19 @@ func (c *lane) reset() {
 	copy(c.shapeEnd, c.walkAt)
 	copy(c.soloEnd, c.soloAt)
 	copy(c.mEnd, c.mAt)
+	copy(c.ordLo, c.ordAt)
+	seen := int32(0) // shapes are numbered by first member
 	for b := range c.owner {
 		s, first := c.shape[b], true
 		if s >= 0 {
-			first = c.mEnd[s] == c.mAt[s]
-			c.liveM[c.mEnd[s]] = int32(b)
-			c.mEnd[s]++
+			first = s == seen
+			if first {
+				seen++
+			}
+			if !c.oneBundleBuyer(c.owner[b]) {
+				c.liveM[c.mEnd[s]] = int32(b)
+				c.mEnd[s]++
+			}
 		}
 		for _, r := range c.idx[c.row[b]:c.row[b+1]] {
 			switch {
@@ -443,10 +502,13 @@ func (c *lane) markStale(b int32) bool {
 }
 
 // reprice refreshes shape s, whose pools moved: one dot over the rows of
-// its first live member, copied into every live member's cost slot, and
-// each member's owner listed for re-choosing. A retired buyer's member
-// leaves the shape, and so does a pure buyer's member priced over its
-// limit: its cost can never come back down.
+// a live member, copied into the cost slot of each member but the
+// one-bundle buyers', and each such member's owner listed for
+// re-choosing. A retired buyer's member leaves the shape, and so does a
+// pure buyer's member priced over its limit: its cost can never come back
+// down. Of the one-bundle buyers' members, only those the dot prices over
+// their limits are visited: popped off the front of the limit order, they
+// are re-costed and their owners listed, unless retired at round 0.
 //
 //marketlint:allocfree
 func (c *lane) reprice(s int32) {
@@ -478,16 +540,47 @@ func (c *lane) reprice(s int32) {
 		w++
 	}
 	c.mEnd[s] = lo + w
+
+	ord := c.liveM[c.ordLo[s]:c.mAt[s+1]]
+	if len(ord) == 0 {
+		return
+	}
+	if !priced {
+		cost = c.price(ord[0])
+		c.stats.Priced++
+	}
+	n := 0
+	for ; n < len(ord) && cost > c.lim[ord[n]]; n++ {
+		b := ord[n]
+		k := c.owner[b]
+		if c.retired[k] {
+			continue
+		}
+		c.cost[b] = cost
+		c.stats.Repriced++
+		c.stats.Dropped++
+		c.affected = append(c.affected, k) // its only bundle: listed once
+	}
+	c.ordLo[s] += int32(n)
+}
+
+// emptied reports whether shape s has no live member left.
+//
+//marketlint:allocfree
+func (c *lane) emptied(s int32) bool {
+	return c.mEnd[s] == c.mAt[s] && c.ordLo[s] == c.mAt[s+1]
 }
 
 // advance applies one round of incremental demand revelation at round t:
 // re-price the live bundles and shapes on a dirty pool, re-choose their
 // owners, and recompute the excess-demand components the changed choices
-// touch. It returns the updated active-bidder count.
+// touch. It returns the updated active-bidder count and whether any
+// choice switched: when none did, z is untouched.
 //
 //marketlint:allocfree
-func (c *lane) advance(t, active int) int {
+func (c *lane) advance(t, active int) (int, bool) {
 	c.epoch++
+	switched := c.stats.Switched
 	c.affected = c.affected[:0]
 	for _, r := range c.dirty {
 		// The pool's shapes, then its singletons: two loops, so the walk
@@ -499,8 +592,8 @@ func (c *lane) advance(t, active int) int {
 				c.shapeMark[s] = c.epoch
 				c.reprice(s)
 			}
-			if c.mEnd[s] == c.mAt[s] {
-				continue // no live member left: the shape leaves the list
+			if c.emptied(s) {
+				continue // the shape leaves the list
 			}
 			if w < i {
 				list[w] = s
@@ -585,7 +678,7 @@ func (c *lane) advance(t, active int) int {
 			}
 		}
 		c.liveP = live[:w]
-		return active
+		return active, true
 	}
 	c.stats.Resums += len(c.stale)
 	for _, r := range c.stale {
@@ -597,5 +690,5 @@ func (c *lane) advance(t, active int) int {
 		}
 		c.z[r] = sum
 	}
-	return active
+	return active, c.stats.Switched != switched
 }

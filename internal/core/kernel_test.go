@@ -260,7 +260,11 @@ func TestPoolIndexListsEveryBundle(t *testing.T) {
 // counters on a regional market with a long tail: the lanes re-price and
 // re-choose well under what scoring every bundle and proxy every round —
 // the reference's work — comes to, and the counters are consistent with
-// each other.
+// each other. Keeping one-bundle buyers in limit order and re-adding the
+// step in quiet rounds remove visits, not outcomes: the switches, drops,
+// rebuilds and re-sums are the ones counted before either (7 058, 1 080,
+// 1 093 and 0), while re-pricings and re-choices fall below the 152 302
+// and 81 505 counted then.
 func TestClockCountersShowTheReductions(t *testing.T) {
 	reg, bids, cfg := budgetMarket(600)
 	a, err := NewAuction(reg, bids, cfg)
@@ -273,8 +277,14 @@ func TestClockCountersShowTheReductions(t *testing.T) {
 	}
 	c := res.Clock
 	if c.Lanes != 8 || c.LaneRounds < res.Rounds || c.Rebuilds+c.Resums == 0 || c.Rebuilds > c.LaneRounds ||
-		c.Switched > c.Rechosen || c.Rechosen > c.Repriced || c.Priced > c.Repriced {
+		c.Switched > c.Rechosen || c.Rechosen > c.Repriced || c.Priced > c.Repriced || c.Reused+c.Rebuilds > c.LaneRounds {
 		t.Fatalf("implausible counters %+v for %d rounds", c, res.Rounds)
+	}
+	if c.Switched != 7058 || c.Dropped != 1080 || c.Rebuilds != 1093 || c.Resums != 0 {
+		t.Errorf("switched %d, dropped %d, rebuilt %d, re-summed %d; want 7058, 1080, 1093, 0", c.Switched, c.Dropped, c.Rebuilds, c.Resums)
+	}
+	if c.Reused == 0 || c.Repriced >= 152302 || c.Rechosen >= 81505 {
+		t.Errorf("%d rounds re-used their step, %d re-pricings, %d re-choices: a shortcut did not engage", c.Reused, c.Repriced, c.Rechosen)
 	}
 	bundles := 0
 	for _, b := range bids {
@@ -411,23 +421,27 @@ func (s *fuzzSource) Int63() int64 {
 	return int64(v >> 1)
 }
 
-// FuzzClockMatchesReference is the three differentials with the fuzzer
+// FuzzClockMatchesReference is the four differentials with the fuzzer
 // choosing the market: the production clock and ReferenceRun must agree
 // bit for bit on every Result field and on the error, over buyers,
 // sellers and traders, one to four bundles a bid, scalar and vector
 // limits, bundles that repeat another's rows and random Capped steps. A
-// negative seed draws a catalog-shaped market, whatever regional says.
-// The corpus starts from the 3 × 120 seeds the differential tests pin.
+// negative seed draws a catalog-shaped market, or with regional set a
+// oneBundleCase market. The corpus starts from the 4 × 120 seeds the
+// differential tests pin.
 func FuzzClockMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 120; seed++ {
 		f.Add(seed, false, []byte{})
 		f.Add(9000+seed, true, []byte{})
 		f.Add(-1-seed, false, []byte{})
+		f.Add(-1-seed, true, []byte{})
 	}
 	f.Fuzz(func(t *testing.T, seed int64, regional bool, shape []byte) {
 		rng := rand.New(&fuzzSource{data: shape, rest: rand.NewSource(seed)})
 		draw := mixedCase
 		switch {
+		case seed < 0 && regional:
+			draw = oneBundleCase
 		case seed < 0:
 			draw = catalogCase
 		case regional:

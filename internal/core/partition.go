@@ -80,10 +80,10 @@ type lane struct {
 	liveP []int32
 	// The re-pricing index, live: pool r's walk[walkAt[r]:shapeEnd[r]]
 	// lists its shapes with a live member and walk[soloAt[r]:soloEnd[r]]
-	// its singleton bundles, and shape s's liveM[mAt[s]:mEnd[s]] its
-	// members still in the running.
+	// its singleton bundles, and shape s's liveM[mAt[s]:mEnd[s]] and
+	// liveM[ordLo[s]:mAt[s+1]] its members still in the running.
 	walk, shapeEnd, soloEnd []int32
-	liveM, mEnd             []int32
+	liveM, mEnd, ordLo      []int32
 	// Epoch-stamped dedup marks: a mark equal to the current epoch means
 	// "already gathered this round", so clearing between rounds is O(1).
 	epoch                                      int32
@@ -256,17 +256,28 @@ func (a *Auction) buildLanes() []*lane {
 //     and the final round's choices, Algorithm 1's non-convergent settle
 //     state.
 //
+// A round past 0 that switched no choice has last round's z, so it adds
+// last round's step on last round's dirty pools again (incremental.go).
+//
 //marketlint:allocfree
 func (c *lane) runClock() {
 	c.reset()
 	active := c.open()
 	for t := 0; t < c.cfg.MaxRounds; t++ {
+		switched := true
 		if t > 0 {
-			active = c.advance(t, active)
+			active, switched = c.advance(t, active)
 		}
 		c.stats.LaneRounds++
 		if c.cfg.RecordHistory {
 			c.hist = appendRound(c.hist, t, c.p, c.z, active)
+		}
+		if !switched {
+			c.stats.Reused++
+			for _, r := range c.dirty {
+				c.p[r] += c.step[r]
+			}
+			continue
 		}
 		if c.z.AllNonPositive(0) {
 			c.rounds, c.out = t+1, false

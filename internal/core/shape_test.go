@@ -103,7 +103,9 @@ func TestCatalogMatchesReference(t *testing.T) {
 // TestShapeRowsOneULPApart pins what a shape is: bundles whose rows are
 // bit-identical. Two rows on the same pools whose quantities differ in
 // the last bit are two shapes, each priced over its own rows: every live
-// bundle's cached cost is its own dot at the final prices.
+// bundle's cached cost is its own dot at the final prices, but a
+// one-bundle buyer's shape member's, which is re-costed only when it is
+// priced over its limit; its own dot is within that limit.
 func TestShapeRowsOneULPApart(t *testing.T) {
 	reg := cpuRegistry(2)
 	near := math.Nextafter(3, 4)
@@ -130,8 +132,15 @@ func TestShapeRowsOneULPApart(t *testing.T) {
 		t.Fatalf("shapes of a, b | c, d | e's two = %v, want [0 0] [1 1] [0 1]", got)
 	}
 	for b := range c.owner {
-		if k := c.owner[b]; !c.retired[k] && !(c.buyer[k] && c.cost[b] > c.lim[b]) && c.cost[b] != c.price(int32(b)) {
-			t.Errorf("bundle %d caches cost %v, its own rows price it at %v", b, c.cost[b], c.price(int32(b)))
+		k, own := c.owner[b], c.price(int32(b))
+		switch {
+		case c.retired[k] || c.buyer[k] && c.cost[b] > c.lim[b]:
+		case c.shape[b] >= 0 && c.oneBundleBuyer(k):
+			if own > c.lim[b] {
+				t.Errorf("bundle %d is live at cost %v over its limit %v", b, own, c.lim[b])
+			}
+		case c.cost[b] != own:
+			t.Errorf("bundle %d caches cost %v, its own rows price it at %v", b, c.cost[b], own)
 		}
 	}
 }
@@ -139,7 +148,8 @@ func TestShapeRowsOneULPApart(t *testing.T) {
 // TestEmptyShapeLeavesWalkLists: when every member of a shape has been
 // dropped, the shape leaves the walk lists of its pools, so a pool that
 // keeps moving stops visiting it. Here three poor buyers with one row
-// set drop out early while a rich buyer keeps pool 0 climbing.
+// set drop out early while a rich buyer keeps pool 0 climbing; all are
+// one-bundle buyers, so both shapes hold only limit-ordered members.
 func TestEmptyShapeLeavesWalkLists(t *testing.T) {
 	reg := cpuRegistry(1)
 	bids := []*Bid{
@@ -163,8 +173,8 @@ func TestEmptyShapeLeavesWalkLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := a.laneList()[0]
-	if len(c.mEnd) != 2 || c.mEnd[0] != c.mAt[0] {
-		t.Fatalf("shapes %v..%v: want two, the first emptied", c.mAt, c.mEnd)
+	if len(c.mEnd) != 2 || !c.emptied(0) || c.emptied(1) {
+		t.Fatalf("shapes %v, live from %v: want two, the first emptied", c.mAt, c.ordLo)
 	}
 	if list := c.walk[c.walkAt[0]:c.shapeEnd[0]]; slices.Contains(list, 0) {
 		t.Errorf("pool 0's walk list %v still holds the emptied shape", list)

@@ -95,13 +95,14 @@ func collectExchange(m *telemetry.Exposition, ex *market.Exchange, region string
 		{"lanes", "Component lanes clocked.", mt.Clock.Lanes},
 		{"lanes_held", "Lanes that ran out of rounds; their orders were held open.", mt.Clock.Held},
 		{"lane_rounds", "Rounds run, summed over lanes.", mt.Clock.LaneRounds},
-		{"bundles_repriced", "Bundles re-priced past round 0 (they touch a moved pool).", mt.Clock.Repriced},
+		{"bundles_repriced", "Cost slots refreshed past round 0: bundles on a moved pool, but a one-bundle buyer's shared bundle only once priced over its limit.", mt.Clock.Repriced},
 		{"bundles_priced", "Dot products past round 0: one per moved shape of identical bundles, one per other moved bundle.", mt.Clock.Priced},
 		{"bundles_dropped", "Pure buyers' shared bundles retired as priced over their limit.", mt.Clock.Dropped},
 		{"proxies_rechosen", "Proxies re-scored past round 0.", mt.Clock.Rechosen},
 		{"choices_switched", "Re-scored proxies that changed bundle.", mt.Clock.Switched},
 		{"z_rebuilds", "Rounds that rebuilt excess demand whole.", mt.Clock.Rebuilds},
 		{"pool_resums", "Single pools re-summed in the other rounds.", mt.Clock.Resums},
+		{"steps_reused", "Rounds that switched no choice and added the last step again.", mt.Clock.Reused},
 	} {
 		m.Add("market_clock_"+ck.name+"_total", "counter", ck.help, labels("region", region), float64(ck.v))
 	}

@@ -123,6 +123,7 @@ func TestMetricsExposition(t *testing.T) {
 		"market_clock_bundles_priced_total",
 		"market_clock_bundles_dropped_total",
 		"market_clock_z_rebuilds_total",
+		"market_clock_steps_reused_total",
 		`market_book_orders{state="live"} 0`,
 		`market_book_orders{state="archived"} 1`,
 		"# TYPE market_book_archive_bytes gauge",
