@@ -68,10 +68,9 @@ bench: ## One pass over the layer benchmarks (a smoke check, not a gate)
 # side of the three *PlanetEngines benchmarks. The end-to-end suite's
 # clock-sparse epoch spreads 11-16% between runs of one commit, so it
 # cannot resolve a clock change smaller than that.
-BENCH_CLOCK_COUNT ?= 10
-bench-clock: ## The clock layer benchmarks at GOMAXPROCS=1, BENCH_CLOCK_COUNT runs each
-	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'SparseEpochClock|ClockScaling' -count $(BENCH_CLOCK_COUNT) .
-	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'PlanetEngines/production' -count $(BENCH_CLOCK_COUNT) .
+bench-clock: ## The clock layer benchmarks at GOMAXPROCS=1, ten runs each
+	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'SparseEpochClock|ClockScaling' -count 10 .
+	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'PlanetEngines/production' -count 10 .
 
 # The end-to-end suite in benchmark/ (its own module; see
 # benchmark/README.md): five workloads, ~1 min, results as JSON for
