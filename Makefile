@@ -69,7 +69,7 @@ bench: ## One pass over the layer benchmarks (a smoke check, not a gate)
 # clock-sparse epoch spreads 11-16% between runs of one commit, so it
 # cannot resolve a clock change smaller than that.
 bench-clock: ## The clock layer benchmarks at GOMAXPROCS=1, ten runs each
-	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'SparseEpochClock|ClockScaling' -count 10 .
+	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'SparseEpochClock|WeldedEpochClock|ClockScaling' -count 10 .
 	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'PlanetEngines/production' -count 10 .
 
 # The end-to-end suite in benchmark/ (its own module; see

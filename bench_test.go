@@ -594,10 +594,13 @@ func BenchmarkNewAuctionFromBook(b *testing.B) {
 // in 16 orders want 1–4 workers on an XOR of 1–3 clusters of one region
 // at a limit of 5..64, and 1 in 16 is a hot contender on its region's
 // cluster 0 at 200..599, whose price war keeps that cluster climbing for
-// some 1 500 rounds after its region's other clusters cleared.
-func sparseEpochOrders() (clusters [][]string, qty, limits []float64) {
+// some 1 500 rounds after its region's other clusters cleared. It draws
+// n orders; welded, an XOR that runs past its region's last cluster
+// goes on into the next region's first, so the regions chain into one
+// component.
+func sparseEpochOrders(n int, welded bool) (clusters [][]string, qty, limits []float64) {
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < wideBook; i++ {
+	for i := 0; i < n; i++ {
 		region := rng.Intn(wideRegions)
 		rng.Intn(16) // the workload's team draw
 		qty = append(qty, float64(1+rng.Intn(4)))
@@ -609,7 +612,11 @@ func sparseEpochOrders() (clusters [][]string, qty, limits []float64) {
 		k, first := 1+rng.Intn(3), rng.Intn(wideClusters)
 		cs := make([]string, k)
 		for j := range cs {
-			cs[j] = wideCluster(region, (first+j)%wideClusters)
+			r, c := region, first+j
+			if welded {
+				r = (region + c/wideClusters) % wideRegions
+			}
+			cs[j] = wideCluster(r, c%wideClusters)
 		}
 		clusters = append(clusters, cs)
 		limits = append(limits, float64(5+rng.Intn(60)))
@@ -625,7 +632,7 @@ func sparseEpochOrders() (clusters [][]string, qty, limits []float64) {
 // tails the round loop's quiet-round and limit-order paths are for.
 // `make bench-clock` repeats it pinned to one CPU.
 func BenchmarkSparseEpochClock(b *testing.B) {
-	clusters, qty, limits := sparseEpochOrders()
+	clusters, qty, limits := sparseEpochOrders(wideBook, false)
 	reg, bids, start := wideBids(b, clusters, qty, limits)
 	cfg := core.Config{Start: start}
 	build := func(b *testing.B) *core.Auction {
@@ -638,39 +645,68 @@ func BenchmarkSparseEpochClock(b *testing.B) {
 		}
 		return a
 	}
-	b.Run("run", func(b *testing.B) {
-		b.ReportAllocs()
-		a := build(b)
-		res, err := a.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Rounds < 1500 {
-			b.Fatalf("%d rounds, want at least 1500", res.Rounds)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if res, err = a.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		c := res.Clock
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.LaneRounds*b.N), "ns/lane-round")
-		b.ReportMetric(float64(res.Rounds), "rounds")
-		b.ReportMetric(float64(c.LaneRounds), "lane-rounds")
-		b.ReportMetric(float64(c.Repriced), "repriced")
-		b.ReportMetric(float64(c.Rechosen), "rechosen")
-		b.ReportMetric(float64(c.Switched), "switched")
-		b.ReportMetric(float64(c.Dropped), "dropped")
-		b.ReportMetric(float64(c.Reused), "reused")
-	})
+	b.Run("run", func(b *testing.B) { benchEpochClock(b, build(b)) })
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			build(b)
 		}
 	})
+}
+
+// BenchmarkWeldedEpochClock is BenchmarkSparseEpochClock's "run" on a
+// welded book of 4 096 and of 16 384 orders (see sparseEpochOrders): the
+// 64 clusters form one lane, so a round that switched a choice rebuilds
+// excess demand over the whole book's live proxies, where each of the
+// unwelded book's eight regional lanes rebuilds only its own. It is the
+// case where that rebuild costs most.
+// `make bench-clock` repeats it pinned to one CPU.
+func BenchmarkWeldedEpochClock(b *testing.B) {
+	for _, n := range []int{4096, 16384} {
+		clusters, qty, limits := sparseEpochOrders(n, true)
+		reg, bids, start := wideBids(b, clusters, qty, limits)
+		b.Run("orders="+strconv.Itoa(n), func(b *testing.B) {
+			a, err := core.NewAuction(reg, bids, core.Config{Start: start})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if a.Components() != 1 {
+				b.Fatalf("decomposed into %d components, want 1", a.Components())
+			}
+			benchEpochClock(b, a)
+		})
+	}
+}
+
+// benchEpochClock times a's Run with the lanes built, after an untimed
+// run that must clock at least 1 500 rounds, and reports ns per
+// lane-round and core.ClockStats' counts.
+func benchEpochClock(b *testing.B, a *core.Auction) {
+	b.ReportAllocs()
+	res, err := a.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Rounds < 1500 {
+		b.Fatalf("%d rounds, want at least 1500", res.Rounds)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = a.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	c := res.Clock
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(c.LaneRounds*b.N), "ns/lane-round")
+	b.ReportMetric(float64(res.Rounds), "rounds")
+	b.ReportMetric(float64(c.LaneRounds), "lane-rounds")
+	b.ReportMetric(float64(c.Repriced), "repriced")
+	b.ReportMetric(float64(c.Rechosen), "rechosen")
+	b.ReportMetric(float64(c.Switched), "switched")
+	b.ReportMetric(float64(c.Dropped), "dropped")
+	b.ReportMetric(float64(c.Rebuilds), "rebuilds")
+	b.ReportMetric(float64(c.Reused), "reused")
 }
 
 // BenchmarkFederationTick is the federated epoch, the layer the

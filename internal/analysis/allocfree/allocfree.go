@@ -269,7 +269,7 @@ func (c *checker) call(call *ast.CallExpr, guarded bool) {
 // markScratchAppend recognizes `s = append(s, ...)` where s is rooted
 // in a parameter or the receiver: growth then lands in the caller's
 // amortized scratch (reset-and-reuse across runs), not a fresh
-// allocation per call — the settle/markStalePool idiom. The matched
+// allocation per call — the lane gather-buffer idiom. The matched
 // call is vouched; its operand expressions are still checked.
 func (c *checker) markScratchAppend(s *ast.AssignStmt) {
 	if len(s.Lhs) != 1 || len(s.Rhs) != 1 || (s.Tok != token.ASSIGN && s.Tok != token.DEFINE) {

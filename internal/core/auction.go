@@ -55,9 +55,6 @@ type Result struct {
 	// Payments[i] is x_uᵀp; negative values are amounts received by
 	// sellers. Zero for losers.
 	Payments []float64
-	// Winners and Losers are bid indices, in input order.
-	Winners []int
-	Losers  []int
 	// Held lists, ascending, the bids whose lane ran out of rounds. A
 	// lane shares no pool and no bid with another, so the other lanes'
 	// outcomes stand on their own.
@@ -217,30 +214,4 @@ func (a *Auction) newResult() *Result {
 func appendRound(h []Round, t int, p, z resource.Vector, active int) []Round {
 	//marketlint:allow allocfree history is recorded only when Config.RecordHistory asks for it
 	return append(h, Round{T: t, Prices: p.Clone(), ExcessDemand: z.Clone(), ActiveBidders: active})
-}
-
-// settle freezes the outcome the clock wrote into res — final prices,
-// each bid's chosen bundle (a win is recorded as the bundle's index, never
-// copied out of the bid) and its payment — by listing winners and losers
-// in input order, each list sized exactly.
-func (a *Auction) settle(res *Result) {
-	won := 0
-	for _, c := range res.ChosenBundle {
-		if c >= 0 {
-			won++
-		}
-	}
-	if won > 0 {
-		res.Winners = make([]int, 0, won)
-	}
-	if lost := len(a.bids) - won; lost > 0 {
-		res.Losers = make([]int, 0, lost)
-	}
-	for i, c := range res.ChosenBundle {
-		if c < 0 {
-			res.Losers = append(res.Losers, i)
-		} else {
-			res.Winners = append(res.Winners, i)
-		}
-	}
 }

@@ -89,8 +89,8 @@ func TestAuctionImmediateClear(t *testing.T) {
 	if res.Prices[0] != 2 {
 		t.Errorf("price moved to %v", res.Prices[0])
 	}
-	if len(res.Winners) != 2 {
-		t.Errorf("winners = %v", res.Winners)
+	if !res.IsWinner(0) || !res.IsWinner(1) {
+		t.Errorf("chosen bundles = %v", res.ChosenBundle)
 	}
 }
 

@@ -91,8 +91,6 @@ func mustEqualResults(t *testing.T, tag string, ref, got *Result) {
 			}
 		}
 	}
-	exactInts("winners", ref.Winners, got.Winners)
-	exactInts("losers", ref.Losers, got.Losers)
 	exactInts("chosenBundle", ref.ChosenBundle, got.ChosenBundle)
 	exactInts("dropRound", ref.DropRound, got.DropRound)
 	for i := range ref.Payments {
@@ -229,7 +227,7 @@ func TestDropRoundClearedOnReEntry(t *testing.T) {
 			t.Fatalf("%v: did not converge", clk.name)
 		}
 		if !res.IsWinner(0) || !res.IsWinner(1) {
-			t.Fatalf("%v: winners = %v", clk.name, res.Winners)
+			t.Fatalf("%v: chosen bundles = %v", clk.name, res.ChosenBundle)
 		}
 		// The seller was inactive in round 0 (one active bidder) and
 		// active at the end — DropRound must agree with the history.
@@ -327,9 +325,8 @@ func TestRerunMatchesFirstRun(t *testing.T) {
 }
 
 // resultAllocs is what one run allocates besides its rounds: the Result
-// and its six slices (prices, payments, chosen bundles, drop rounds,
-// winners, losers).
-const resultAllocs = 7
+// and its four slices (prices, payments, chosen bundles, drop rounds).
+const resultAllocs = 5
 
 // mustAllocateOnlyResult pins the zero-allocation contract of the round
 // loop on one market: with history off, a re-run of an auction whose

@@ -18,8 +18,6 @@ func feasibleFixture() ([]*Bid, *Result) {
 		Prices:       resource.Vector{2},
 		ChosenBundle: []int{0, -1, 0},
 		Payments:     []float64{20, 0, -20},
-		Winners:      []int{0, 2},
-		Losers:       []int{1},
 	}
 	return bids, res
 }

@@ -13,11 +13,10 @@ import (
 // the over-demanded pools: a bundle touching no raised pool costs exactly
 // what it did, and a proxy none of whose bundles was re-priced provably
 // repeats its previous choice. Each lane therefore owns a flat,
-// pointer-free kernel — its bids' rows copied once, pool ids remapped,
-// plus a pool→bundle index — and on it a round re-prices only the bundles
-// on a moved pool, re-chooses only their owners from the cached costs,
-// and refreshes only the excess-demand components those owners' old and
-// new bundles touch.
+// pointer-free kernel — its bids' rows copied once, pool ids remapped —
+// and on it a round re-prices only the bundles on a moved pool and
+// re-chooses only their owners from the cached costs. Excess demand is
+// rebuilt only in a round where a choice switched.
 //
 // Catalog bids repeat rows: many bundles of a lane ask for the same
 // product on the same cluster. Bundles with bit-identical rows form a
@@ -36,13 +35,10 @@ import (
 //     pool ids and quantity bits, so the same sum, bit for bit.
 //   - Excess demand is never updated by adding/subtracting deltas —
 //     floating point addition is not associative, so delta updates would
-//     drift in the low bits. Each stale pool's component is re-summed from
-//     zero over the pool's bundle list, which is in ascending proxy order
-//     and adds a proxy's value only for its chosen bundle: the exact
-//     addition sequence of the reference rebuild for that pool. When an
-//     eighth of the pools are stale the whole vector is rebuilt in proxy
-//     order, which is the reference order itself; untouched components
-//     carry over, which is what the reference re-sum would reproduce.
+//     drift in the low bits. A round that switched a choice rebuilds z
+//     from zero over the live proxies in ascending order, the reference's
+//     own addition sequence; a round that switched none keeps last
+//     round's z, which is what that rebuild would reproduce.
 //   - A pure buyer's costs are monotone: price steps are nonnegative and
 //     its quantities positive, so each product, and each partial sum
 //     added in a fixed order, is nondecreasing under round-to-nearest.
@@ -78,10 +74,6 @@ type kernel struct {
 	lim   []float64 // bundle → its limit (Bid.LimitFor, resolved once)
 	owner []int32   // bundle → proxy
 	buyer []bool    // proxy → pure buyer
-	// Pool r's bundles are poolB[at[r]:at[r+1]], ascending, with their
-	// quantity there in poolV: the lists every excess-demand re-sum walks.
-	at, poolB []int32
-	poolV     []float64
 	// shape[b] is bundle b's shape, −1 when no other bundle of the lane
 	// has its rows; shape s has members mAt[s] .. mAt[s+1]-1 of the
 	// member list liveM: first the others, then, from ordAt[s], its
@@ -111,10 +103,10 @@ type ClockStats struct {
 	// pure buyers' shape members retired because they cost more than
 	// their limit.
 	Priced, Dropped int
-	// Rebuilds counts rounds that rebuilt z whole, Resums single pools
-	// re-summed in the other rounds, and Reused the rounds that switched
-	// no choice and so added last round's step again.
-	Rebuilds, Resums, Reused int
+	// Rebuilds counts the rounds past 0 that switched a choice and so
+	// rebuilt z, and Reused those that switched none and so added last
+	// round's step again.
+	Rebuilds, Reused int
 }
 
 // Add accumulates another run's (or lane's) counters.
@@ -130,7 +122,6 @@ func (s *ClockStats) Add(o ClockStats) {
 	s.Priced += o.Priced
 	s.Dropped += o.Dropped
 	s.Rebuilds += o.Rebuilds
-	s.Resums += o.Resums
 	s.Reused += o.Reused
 }
 
@@ -148,18 +139,16 @@ func carve[T any](slab *[]T, n int) []T {
 // per element type; then the shape index (see index).
 func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32) *lane {
 	nP, r := len(bids), len(pools)
-	i32 := make([]int32, 6*nP+4*nB+2*nnz+4*r+3)
-	f64 := make([]float64, 2*nnz+2*nB+4*r)
+	i32 := make([]int32, 6*nP+4*nB+nnz+r+2)
+	f64 := make([]float64, nnz+2*nB+4*r)
 	flags := make([]bool, 2*nP)
 	c := &lane{pools: pools, bids: bids, cfg: a.cfg}
-	c.first, c.row, c.at = carve(&i32, nP+1), carve(&i32, nB+1), carve(&i32, r+1)
-	c.idx, c.poolB = carve(&i32, nnz), carve(&i32, nnz)
+	c.first, c.row, c.idx = carve(&i32, nP+1), carve(&i32, nB+1), carve(&i32, nnz)
 	c.owner, c.bundleMark, c.shape = carve(&i32, nB), carve(&i32, nB), carve(&i32, nB)
 	c.chosen, c.drop, c.liveP = carve(&i32, nP), carve(&i32, nP), carve(&i32, nP)
 	c.proxyMark, c.affected = carve(&i32, nP), carve(&i32, nP)[:0]
-	c.poolMark = carve(&i32, r)
-	c.stale, c.dirty = carve(&i32, r)[:0], carve(&i32, r)[:0]
-	c.val, c.poolV = carve(&f64, nnz), carve(&f64, nnz)
+	c.dirty = carve(&i32, r)[:0]
+	c.val = carve(&f64, nnz)
 	c.lim, c.cost = carve(&f64, nB), carve(&f64, nB)
 	c.p, c.z, c.step = carve(&f64, r), carve(&f64, r), carve(&f64, r)
 	c.cfg.Start = carve(&f64, r)
@@ -178,7 +167,6 @@ func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32
 		c.first[k], c.buyer[k] = b, true
 		for x, g := range rw.idx[:nnz] {
 			c.idx[int(j)+x], c.val[int(j)+x] = local[g], rw.val[x]
-			c.at[local[g]+1]++
 			if rw.val[x] < 0 {
 				c.buyer[k] = false
 			}
@@ -192,21 +180,6 @@ func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32
 		j += int32(nnz)
 	}
 	c.first[nP], c.row[nB] = b, j
-	for g := 0; g < r; g++ {
-		c.at[g+1] += c.at[g]
-	}
-	// Fill the pool lists bundle by bundle, so each is ascending; the
-	// pool marks, unused until the first round, serve as the cursors.
-	next := c.poolMark
-	copy(next, c.at)
-	for b := range c.owner {
-		for j := c.row[b]; j < c.row[b+1]; j++ {
-			e := next[c.idx[j]]
-			c.poolB[e], c.poolV[e] = int32(b), c.val[j]
-			next[c.idx[j]]++
-		}
-	}
-	clear(next)
 	c.index(table)
 	return c
 }
@@ -292,7 +265,7 @@ func (c *lane) group(table []int32) (shapes, members, walks int) {
 // by ascending limit; and each pool's walk ranges.
 func (c *lane) index(table []int32) {
 	shapes, members, walks := c.group(table)
-	r := len(c.at) - 1
+	r := len(c.pools)
 	i32 := make([]int32, 5*shapes+1+members+walks+4*r+1)
 	c.mAt, c.ordAt, c.ordLo = carve(&i32, shapes+1), carve(&i32, shapes), carve(&i32, shapes)
 	c.mEnd, c.shapeMark, c.liveM = carve(&i32, shapes), carve(&i32, shapes), carve(&i32, members)
@@ -413,7 +386,6 @@ func (c *lane) reset() {
 		clear(c.bundleMark)
 		clear(c.shapeMark)
 		clear(c.proxyMark)
-		clear(c.poolMark)
 	}
 }
 
@@ -482,23 +454,6 @@ func (c *lane) open() int {
 		}
 	}
 	return active
-}
-
-// markStale records the pools of bundle b (none when b is −1) for
-// excess-demand recomputation, each at most once per round, and reports
-// whether enough are stale that the round rebuilds z whole.
-//
-//marketlint:allocfree
-func (c *lane) markStale(b int32) bool {
-	if b >= 0 {
-		for _, r := range c.idx[c.row[b]:c.row[b+1]] {
-			if c.poolMark[r] != c.epoch {
-				c.poolMark[r] = c.epoch
-				c.stale = append(c.stale, r)
-			}
-		}
-	}
-	return len(c.stale)*8 > len(c.at)-1
 }
 
 // reprice refreshes shape s, whose pools moved: one dot over the rows of
@@ -573,9 +528,9 @@ func (c *lane) emptied(s int32) bool {
 
 // advance applies one round of incremental demand revelation at round t:
 // re-price the live bundles and shapes on a dirty pool, re-choose their
-// owners, and recompute the excess-demand components the changed choices
-// touch. It returns the updated active-bidder count and whether any
-// choice switched: when none did, z is untouched.
+// owners, and, when any choice switched, rebuild z. It returns the
+// updated active-bidder count and whether any choice switched: when none
+// did, z is untouched.
 //
 //marketlint:allocfree
 func (c *lane) advance(t, active int) (int, bool) {
@@ -629,11 +584,7 @@ func (c *lane) advance(t, active int) (int, bool) {
 		c.stats.Repriced += priced
 	}
 
-	// Stale pools are listed only until the whole-rebuild rule is met:
-	// the count only grows, so stopping there decides the same branch.
-	c.stale = c.stale[:0]
 	c.stats.Rechosen += len(c.affected)
-	rebuild := false
 	for _, k := range c.affected {
 		old, b := c.chosen[k], c.choose(k)
 		if b == old {
@@ -641,7 +592,6 @@ func (c *lane) advance(t, active int) (int, bool) {
 		}
 		c.chosen[k] = b
 		c.stats.Switched++
-		rebuild = rebuild || c.markStale(old) || c.markStale(b)
 		switch {
 		case b < 0:
 			// Dropped out this round.
@@ -656,39 +606,27 @@ func (c *lane) advance(t, active int) (int, bool) {
 			c.drop[k] = -1
 		}
 	}
+	if c.stats.Switched == switched {
+		return active, false
+	}
 
-	// When a large share of the pools went stale (the clock's opening
-	// rounds, before demand localizes), a full rebuild in proxy order is
-	// cheaper than per-pool re-summation — and is trivially bit-identical,
-	// being the reference order itself.
-	if rebuild {
-		c.stats.Rebuilds++
-		c.z.SetZero()
-		live, w := c.liveP, 0
-		for i, k := range live {
-			if c.retired[k] {
-				continue
-			}
-			if w < i {
-				live[w] = k
-			}
-			w++
-			if b := c.chosen[k]; b >= 0 {
-				c.demand(b)
-			}
+	// Rebuild z from zero in proxy order, the reference order itself,
+	// dropping the retired buyers from the proxy list on the way.
+	c.stats.Rebuilds++
+	c.z.SetZero()
+	live, w := c.liveP, 0
+	for i, k := range live {
+		if c.retired[k] {
+			continue
 		}
-		c.liveP = live[:w]
-		return active, true
-	}
-	c.stats.Resums += len(c.stale)
-	for _, r := range c.stale {
-		var sum float64
-		for e := c.at[r]; e < c.at[r+1]; e++ {
-			if b := c.poolB[e]; c.chosen[c.owner[b]] == b {
-				sum += c.poolV[e]
-			}
+		if w < i {
+			live[w] = k
 		}
-		c.z[r] = sum
+		w++
+		if b := c.chosen[k]; b >= 0 {
+			c.demand(b)
+		}
 	}
-	return active, c.stats.Switched != switched
+	c.liveP = live[:w]
+	return active, true
 }

@@ -204,7 +204,7 @@ func TestRetiredAtRoundZeroNeverRechosen(t *testing.T) {
 	cfg := Config{Start: resource.Vector{1}, Policy: Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.05}, RecordHistory: true}
 	res := mustMatchReference(t, "retired at round 0", reg, bids, cfg)
 	if res.DropRound[1] != 0 || !res.IsWinner(2) || res.IsWinner(3) || res.IsWinner(4) {
-		t.Fatalf("drop rounds %v, winners %v; want broke out at round 0 and a the only buyer winning", res.DropRound, res.Winners)
+		t.Fatalf("drop rounds %v, chosen bundles %v; want broke out at round 0 and a the only buyer winning", res.DropRound, res.ChosenBundle)
 	}
 	if c := res.Clock; c.Dropped != 2 || c.Switched != 2 || c.Rechosen != res.Rounds-1+2 {
 		t.Errorf("%d dropped, %d switched, %d re-chosen over %d rounds; want b and rival only, beside the seller every round past 0",

@@ -86,12 +86,12 @@ type lane struct {
 	liveM, mEnd, ordLo      []int32
 	// Epoch-stamped dedup marks: a mark equal to the current epoch means
 	// "already gathered this round", so clearing between rounds is O(1).
-	epoch                                      int32
-	bundleMark, shapeMark, proxyMark, poolMark []int32
-	// Gather buffers: the proxies to re-choose, the pools to re-sum, and
-	// the pools the last step moved.
-	affected, stale, dirty []int32
-	stats                  ClockStats
+	epoch                            int32
+	bundleMark, shapeMark, proxyMark []int32
+	// Gather buffers: the proxies to re-choose and the pools the last
+	// step moved.
+	affected, dirty []int32
+	stats           ClockStats
 
 	// hist holds the lane's per-round history snapshots.
 	hist []Round
@@ -400,7 +400,6 @@ func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 		a.mergeHistory(lanes, res)
 	}
 	scatterState(lanes, res)
-	a.settle(res)
 	if !res.Converged {
 		a.hold(lanes, res)
 		return res, ErrNoConvergence

@@ -29,13 +29,12 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 	res := a.newResult()
 	p, choices := res.Prices, res.ChosenBundle
 	z, step := make(resource.Vector, len(p)), make(resource.Vector, len(p))
-	settle := func() {
+	pay := func() {
 		for i, c := range choices {
 			if c >= 0 {
 				res.Payments[i] = views[i][c].dot(p)
 			}
 		}
-		a.settle(res)
 	}
 
 	for t := 0; t < a.cfg.MaxRounds; t++ {
@@ -61,7 +60,7 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 		if z.AllNonPositive(0) {
 			res.Converged = true
 			res.Rounds = t + 1
-			settle()
+			pay()
 			return res, nil
 		}
 		a.cfg.Policy.StepInto(step, z)
@@ -70,6 +69,6 @@ func ReferenceRun(reg *resource.Registry, bids []*Bid, cfg Config) (*Result, err
 
 	res.Converged = false
 	res.Rounds = a.cfg.MaxRounds
-	settle()
+	pay()
 	return res, ErrNoConvergence
 }

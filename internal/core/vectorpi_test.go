@@ -130,7 +130,6 @@ func TestVectorPiCheckSystemCatchesWrongChoice(t *testing.T) {
 		Prices:       resource.Vector{1, 1},
 		ChosenBundle: []int{0},
 		Payments:     []float64{5},
-		Winners:      []int{0},
 	}
 	var found bool
 	for _, v := range CheckSystem(bids, res, 1e-9) {
@@ -155,7 +154,6 @@ func TestVectorPiCheckSystemLoserPerBundleLimits(t *testing.T) {
 		Prices:       resource.Vector{1, 1},
 		ChosenBundle: []int{-1},
 		Payments:     []float64{0},
-		Losers:       []int{0},
 	}
 	var found bool
 	for _, v := range CheckSystem(bids, res, 1e-9) {

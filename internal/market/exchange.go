@@ -593,9 +593,9 @@ func (e *Exchange) submitRows(team, product string, qty float64, rows []resource
 	// The buffers cover a four-cluster XOR without touching the heap.
 	cover := p.Cover(qty)
 	var endBuf [4]int
-	var poolBuf [12]int32
+	var idBuf [12]int32
 	var qtyBuf [12]float64
-	ends, pools, qtys := endBuf[:0], poolBuf[:0], qtyBuf[:0]
+	ends, pools, qtys := endBuf[:0], idBuf[:0], qtyBuf[:0]
 	for k, row := range rows {
 		found := false
 		for d, i := range row {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -1191,7 +1192,7 @@ func TestSubmitVectorPiBid(t *testing.T) {
 	if !rec.Converged {
 		t.Fatal("did not converge")
 	}
-	if len(res.Winners) == 0 {
+	if slices.Max(res.ChosenBundle) < 0 {
 		t.Fatal("vector-pi bid lost an uncontested market")
 	}
 }

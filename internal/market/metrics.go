@@ -65,9 +65,9 @@ type Metrics struct {
 	// round count (rate(Rounds)/rate(Auctions) is the mean clock length).
 	Auctions, Converged, NoConvergence, Rounds uint64
 	// Clock is the round loops' work over those auctions — lanes and
-	// the held ones among them, rounds per lane, bundles re-priced, proxies re-chosen, full rebuilds against
-	// single-pool re-sums — which shows whether the incremental
-	// reductions engaged.
+	// the held ones among them, rounds per lane, bundles re-priced,
+	// proxies re-chosen, excess-demand rebuilds against quiet rounds —
+	// which shows whether the incremental reductions engaged.
 	Clock core.ClockStats
 	// The book's size right now — gauges, the slope an operator watches on
 	// a long-running daemon: orders that are still objects (open), orders

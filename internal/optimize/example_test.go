@@ -51,8 +51,14 @@ func Example_optimizer() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	var winners []int
+	for i := range bids {
+		if clock.IsWinner(i) {
+			winners = append(winners, i)
+		}
+	}
 	fmt.Printf("clock auction:   %d rounds, prices [%.3f %.3f]\n", clock.Rounds, clock.Prices[0], clock.Prices[1])
-	fmt.Printf("  winners %v, total surplus %.2f\n", clock.Winners, clockWelfare)
+	fmt.Printf("  winners %v, total surplus %.2f\n", winners, clockWelfare)
 	if v := core.CheckSystem(bids, clock, 1e-9); len(v) == 0 {
 		fmt.Println("  SYSTEM fairness constraints: all satisfied (uniform prices separate winners from losers)")
 	}

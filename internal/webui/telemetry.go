@@ -101,7 +101,6 @@ func collectExchange(m *telemetry.Exposition, ex *market.Exchange, region string
 		{"proxies_rechosen", "Proxies re-scored past round 0.", mt.Clock.Rechosen},
 		{"choices_switched", "Re-scored proxies that changed bundle.", mt.Clock.Switched},
 		{"z_rebuilds", "Rounds that rebuilt excess demand whole.", mt.Clock.Rebuilds},
-		{"pool_resums", "Single pools re-summed in the other rounds.", mt.Clock.Resums},
 		{"steps_reused", "Rounds that switched no choice and added the last step again.", mt.Clock.Reused},
 	} {
 		m.Add("market_clock_"+ck.name+"_total", "counter", ck.help, labels("region", region), float64(ck.v))
