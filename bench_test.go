@@ -96,11 +96,7 @@ func sparsePlanetMarket(seed int64, users, pools int) (*resource.Registry, []*co
 // call. The two run the identical number of rounds by construction, so
 // ns/round is the comparison metric.
 func benchClockVsReference(b *testing.B, reg *resource.Registry, bids []*core.Bid, wantLanes int) {
-	start := reg.Zero()
-	for i := range start {
-		start[i] = 0.5
-	}
-	cfg := core.Config{Start: start, Policy: core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01}}
+	cfg := planetConfig(reg)
 	report := func(b *testing.B, rounds, lanes int) {
 		b.StopTimer()
 		b.ReportMetric(float64(rounds), "rounds")
@@ -139,6 +135,16 @@ func benchClockVsReference(b *testing.B, reg *resource.Registry, bids []*core.Bi
 		}
 		report(b, res.Rounds, 1)
 	})
+}
+
+// planetConfig is the clock of the *PlanetEngines books: every pool's
+// reserve price at 0.5 and a 5% step.
+func planetConfig(reg *resource.Registry) core.Config {
+	start := reg.Zero()
+	for i := range start {
+		start[i] = 0.5
+	}
+	return core.Config{Start: start, Policy: core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01}}
 }
 
 // BenchmarkSparsePlanetEngines is the per-round cost of the production
@@ -217,30 +223,10 @@ const scalingRounds = 500
 // and ns/round, the rounds run and the lane rounds, bundle re-pricings,
 // dot products, dropped bundles and proxy re-choices of core.ClockStats.
 func BenchmarkClockScaling(b *testing.B) {
-	var points [][2]int
-	for _, u := range []int{25, 50, 100, 200, 400, 800} {
-		points = append(points, [2]int{u, 100})
-	}
-	for _, r := range []int{12, 25, 50, 200, 384} { // 100 pools: above
-		points = append(points, [2]int{100, r})
-	}
-	for _, pt := range points {
-		b.Run("users="+strconv.Itoa(pt[0])+"/pools="+strconv.Itoa(pt[1]), func(b *testing.B) {
-			reg, bids := syntheticMarket(rand.New(rand.NewSource(11)), pt[0], pt[1])
-			for _, bid := range bids {
-				if bid.Class() == core.PureBuyer {
-					bid.Limit = 1e15
-				}
-			}
-			start := reg.Zero()
-			for i := range start {
-				start[i] = 0.5
-			}
-			a, err := core.NewAuction(reg, bids, core.Config{
-				Start:     start,
-				Policy:    core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-				MaxRounds: scalingRounds,
-			})
+	for _, pt := range scalingPoints {
+		b.Run(scalingName(pt), func(b *testing.B) {
+			reg, bids, cfg := scalingBook(pt)
+			a, err := core.NewAuction(reg, bids, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -261,6 +247,38 @@ func BenchmarkClockScaling(b *testing.B) {
 			b.ReportMetric(float64(res.Clock.Dropped), "dropped")
 			b.ReportMetric(float64(res.Clock.Rechosen), "rechosen")
 		})
+	}
+}
+
+// scalingPoints are BenchmarkClockScaling's users × pools: the user
+// sweep at 100 pools and the pool sweep at 100 users.
+var scalingPoints = [][2]int{
+	{25, 100}, {50, 100}, {100, 100}, {200, 100}, {400, 100}, {800, 100},
+	{100, 12}, {100, 25}, {100, 50}, {100, 200}, {100, 384},
+}
+
+func scalingName(pt [2]int) string {
+	return "users=" + strconv.Itoa(pt[0]) + "/pools=" + strconv.Itoa(pt[1])
+}
+
+// scalingBook builds the scaling point of pt[0] users over pt[1] pools:
+// syntheticMarket at seed 11 with unbounded buyer limits, clocked for
+// scalingRounds rounds.
+func scalingBook(pt [2]int) (*resource.Registry, []*core.Bid, core.Config) {
+	reg, bids := syntheticMarket(rand.New(rand.NewSource(11)), pt[0], pt[1])
+	for _, bid := range bids {
+		if bid.Class() == core.PureBuyer {
+			bid.Limit = 1e15
+		}
+	}
+	start := reg.Zero()
+	for i := range start {
+		start[i] = 0.5
+	}
+	return reg, bids, core.Config{
+		Start:     start,
+		Policy:    core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
+		MaxRounds: scalingRounds,
 	}
 }
 
@@ -392,24 +410,24 @@ const (
 // wideCluster names cluster c of region r on the wide planet.
 func wideCluster(r, c int) string { return "w" + strconv.Itoa(r) + "c" + strconv.Itoa(c) }
 
-func wideExchange(b *testing.B) *market.Exchange {
-	b.Helper()
+func wideExchange(tb testing.TB) *market.Exchange {
+	tb.Helper()
 	f := cluster.NewFleet()
 	for r := 0; r < wideRegions; r++ {
 		for c := 0; c < wideClusters; c++ {
 			cl := cluster.New(wideCluster(r, c), nil)
 			cl.AddMachines(1, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
 			if err := f.AddCluster(cl); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
 	ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e12})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := ex.OpenAccount("wide"); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return ex
 }
@@ -524,15 +542,15 @@ func BenchmarkSubmitProductParallel(b *testing.B) {
 // and returns its registry, the booked bids plus the operator's 64 supply
 // bids at R = 192, and the exchange's reserve prices: an epoch's auction
 // input as the exchange assembles it.
-func wideBids(b *testing.B, clusters [][]string, qty, limits []float64) (*resource.Registry, []*core.Bid, resource.Vector) {
-	ex := wideExchange(b)
+func wideBids(tb testing.TB, clusters [][]string, qty, limits []float64) (*resource.Registry, []*core.Bid, resource.Vector) {
+	ex := wideExchange(tb)
 	for k := range clusters {
 		q := 1.0
 		if qty != nil {
 			q = qty[k]
 		}
 		if _, err := ex.SubmitProduct("wide", "batch-compute", q, clusters[k], limits[k]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	reg := ex.Registry()
@@ -550,7 +568,7 @@ func wideBids(b *testing.B, clusters [][]string, qty, limits []float64) (*resour
 	}
 	start, err := ex.ReservePrices()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return reg, bids, start
 }
@@ -624,6 +642,15 @@ func sparseEpochOrders(n int, welded bool) (clusters [][]string, qty, limits []f
 	return clusters, qty, limits
 }
 
+// epochBook books sparseEpochOrders(n, welded) on the wide planet, at
+// the exchange's reserve prices: the auction of BenchmarkSparseEpochClock
+// and BenchmarkWeldedEpochClock.
+func epochBook(tb testing.TB, n int, welded bool) (*resource.Registry, []*core.Bid, core.Config) {
+	clusters, qty, limits := sparseEpochOrders(n, welded)
+	reg, bids, start := wideBids(tb, clusters, qty, limits)
+	return reg, bids, core.Config{Start: start}
+}
+
 // BenchmarkSparseEpochClock is the clock layer of a clock-sparse epoch:
 // "run" times Auction.Run with the lanes built, reporting ns per
 // lane-round and core.ClockStats' counts, and "build" times NewAuction
@@ -632,9 +659,7 @@ func sparseEpochOrders(n int, welded bool) (clusters [][]string, qty, limits []f
 // tails the round loop's quiet-round and limit-order paths are for.
 // `make bench-clock` repeats it pinned to one CPU.
 func BenchmarkSparseEpochClock(b *testing.B) {
-	clusters, qty, limits := sparseEpochOrders(wideBook, false)
-	reg, bids, start := wideBids(b, clusters, qty, limits)
-	cfg := core.Config{Start: start}
+	reg, bids, cfg := epochBook(b, wideBook, false)
 	build := func(b *testing.B) *core.Auction {
 		a, err := core.NewAuction(reg, bids, cfg)
 		if err != nil {
@@ -663,10 +688,9 @@ func BenchmarkSparseEpochClock(b *testing.B) {
 // `make bench-clock` repeats it pinned to one CPU.
 func BenchmarkWeldedEpochClock(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
-		clusters, qty, limits := sparseEpochOrders(n, true)
-		reg, bids, start := wideBids(b, clusters, qty, limits)
+		reg, bids, cfg := epochBook(b, n, true)
 		b.Run("orders="+strconv.Itoa(n), func(b *testing.B) {
-			a, err := core.NewAuction(reg, bids, core.Config{Start: start})
+			a, err := core.NewAuction(reg, bids, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -702,6 +726,7 @@ func benchEpochClock(b *testing.B, a *core.Auction) {
 	b.ReportMetric(float64(res.Rounds), "rounds")
 	b.ReportMetric(float64(c.LaneRounds), "lane-rounds")
 	b.ReportMetric(float64(c.Repriced), "repriced")
+	b.ReportMetric(float64(c.Priced), "priced")
 	b.ReportMetric(float64(c.Rechosen), "rechosen")
 	b.ReportMetric(float64(c.Switched), "switched")
 	b.ReportMetric(float64(c.Dropped), "dropped")
