@@ -20,19 +20,18 @@ import (
 //
 // Catalog bids repeat rows: many bundles of a lane ask for the same
 // product on the same cluster. Bundles with bit-identical rows form a
-// shape, found when the lane is built; a round prices a moved shape once
-// and copies the cost to its members. A bundle no other bundle shares
-// rows with stays a singleton on the per-pool walk, so a market whose
-// bundles share nothing does the work it did before shapes.
+// shape, found when the lane is built, and a bundle no other shares rows
+// with is a shape of one. The cost lives on the shape: a round prices a
+// moved shape once, and every member reads that one slot.
 //
 // Determinism contract: results are bit-identical to ReferenceRun.
 //
-//   - A cached cost is the same from-zero dot over the bundle's ascending
-//     rows the reference computes, at prices that have not changed on any
-//     of those rows since; the choice scan over the cached costs is the
-//     reference's (cost > limit skipped, strictly larger surplus wins).
-//     A shape's members share one dot over one member's rows: the same
-//     pool ids and quantity bits, so the same sum, bit for bit.
+//   - A shape's cached cost is the same from-zero dot over a member's
+//     ascending rows the reference computes, at prices that have not
+//     changed on any of those rows since; its members have the same pool
+//     ids and quantity bits, so each member's dot is that one, bit for
+//     bit. The choice scan over the cached costs is the reference's
+//     (cost > limit skipped, strictly larger surplus wins).
 //   - Excess demand is never updated by adding/subtracting deltas —
 //     floating point addition is not associative, so delta updates would
 //     drift in the low bits. A round that switched a choice rebuilds z
@@ -44,20 +43,21 @@ import (
 //     added in a fixed order, is nondecreasing under round-to-nearest.
 //     A priced-out pure buyer is therefore retired — it can never
 //     re-enter and its choice is −1 forever, so it contributes to no sum.
-//     Its entries are dropped, order preserved, from the walk lists and
+//     Its members are dropped, order preserved, from their shapes and
 //     the proxy list by the loop that meets them. Likewise a pure
-//     buyer's shape member whose cost exceeds its limit is dropped from
-//     its shape for good: the choice scan skips it at its cached cost,
-//     as it would at any later one. A shape with no member left leaves
-//     the walk lists. Sellers and traders carry negative components
+//     buyer's member whose cost exceeds its limit is dropped from its
+//     shape for good: the choice scan skips it at the shape's cost, as it
+//     would at any later one. A shape with no member left leaves the walk
+//     lists, its cost no longer refreshed: every member's owner is
+//     retired or skips it. Sellers and traders carry negative components
 //     (rising prices improve their receipts), so they stay listed and
 //     evaluated.
 //   - A one-bundle pure buyer demands its bundle exactly while the
 //     bundle's cost is within its limit, and that cost never falls. So a
 //     shape keeps such members apart, ordered by limit, and a round pops
-//     only those its one dot now prices over their limits; the rest keep
-//     a stale cached cost and are neither re-costed nor re-chosen, their
-//     choice being the one the reference scan would make.
+//     only those its one dot now prices over their limits; the rest are
+//     not re-chosen, their choice being the one the reference scan would
+//     make.
 //   - A round in which no choice switched leaves z as it was, so the step
 //     and the moved pools are last round's: the loop adds that step on
 //     those pools again. Adding a +0 step elsewhere would change no
@@ -74,15 +74,32 @@ type kernel struct {
 	lim   []float64 // bundle → its limit (Bid.LimitFor, resolved once)
 	owner []int32   // bundle → proxy
 	buyer []bool    // proxy → pure buyer
-	// shape[b] is bundle b's shape, −1 when no other bundle of the lane
-	// has its rows; shape s has members mAt[s] .. mAt[s+1]-1 of the
-	// member list liveM: first the others, then, from ordAt[s], its
-	// one-bundle pure buyers' members in ascending limit order.
-	shape, mAt, ordAt []int32
-	// Pool r's walk lists, its shapes' and then its singleton bundles',
-	// start at walkAt[r] and soloAt[r] and end before walkAt[r+1].
-	walkAt, soloAt []int32
+	// shape[b] is bundle b's shape, the bundles with its rows, numbered
+	// by first member (see rec for a shape's own fields).
+	shape []int32
+	// Pool r's walk list, of the shapes on it, starts at walkAt[r] and
+	// ends before walkAt[r+1].
+	walkAt []int32
 }
+
+// A shape's record, shape s's fields being recs[s*recLen+f]: fixed at
+// build, its rows idx[row:rowEnd] (its first member's) and its members
+// liveM[lo:hi], first the others and then, from ordAt, its one-bundle
+// pure buyers' in ascending limit order; then one run's state, the others
+// still in the running being liveM[lo:end], the one-bundle buyers'
+// liveM[ord:hi], and mark the epoch it was last priced in. Packed, a
+// round's visit to a shape reads one record.
+const (
+	shRow = iota
+	shRowEnd
+	shLo
+	shOrdAt
+	shHi
+	shEnd
+	shOrd
+	shMark
+	recLen
+)
 
 // ClockStats counts the work of one Run's round loops, summed over its
 // lanes: whether the incremental reductions engaged is read off these,
@@ -91,17 +108,16 @@ type ClockStats struct {
 	// Lanes is the number of component lanes, LaneRounds the rounds
 	// they ran, and Held how many of them ran out of rounds.
 	Lanes, LaneRounds, Held int
-	// Repriced counts the cost slots refreshed past round 0: a moved
-	// singleton bundle, a moved shape's members other than one-bundle
-	// pure buyers', and those of its one-bundle pure buyers' members it
-	// prices over their limits. Rechosen counts the proxies re-scored
-	// past round 0, the owners of those slots, and Switched how many of
-	// them changed bundle.
+	// Repriced counts the live members a moved shape visits past round
+	// 0: those other than one-bundle pure buyers', and the one-bundle
+	// pure buyers' it prices over their limits. Rechosen counts the
+	// proxies re-scored past round 0, the owners of those members, and
+	// Switched how many of them changed bundle.
 	Repriced, Rechosen, Switched int
-	// Priced counts the dot products past round 0, one for a shape
-	// however many members it re-prices, none or all. Dropped counts the
-	// pure buyers' shape members retired because they cost more than
-	// their limit.
+	// Priced counts the dot products past round 0, one for a moved shape
+	// however many members it visits, none or all. Dropped counts the
+	// pure buyers' members retired from their shapes because they cost
+	// more than their limit.
 	Priced, Dropped int
 	// Rebuilds counts the rounds past 0 that switched a choice and so
 	// rebuilt z, and Reused those that switched none and so added last
@@ -139,17 +155,17 @@ func carve[T any](slab *[]T, n int) []T {
 // per element type; then the shape index (see index).
 func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32) *lane {
 	nP, r := len(bids), len(pools)
-	i32 := make([]int32, 6*nP+4*nB+nnz+r+2)
+	i32 := make([]int32, 6*nP+3*nB+nnz+r+2)
 	f64 := make([]float64, nnz+2*nB+4*r)
 	flags := make([]bool, 2*nP)
 	c := &lane{pools: pools, bids: bids, cfg: a.cfg}
 	c.first, c.row, c.idx = carve(&i32, nP+1), carve(&i32, nB+1), carve(&i32, nnz)
-	c.owner, c.bundleMark, c.shape = carve(&i32, nB), carve(&i32, nB), carve(&i32, nB)
+	c.owner, c.shape = carve(&i32, nB), carve(&i32, nB)
 	c.chosen, c.drop, c.liveP = carve(&i32, nP), carve(&i32, nP), carve(&i32, nP)
 	c.proxyMark, c.affected = carve(&i32, nP), carve(&i32, nP)[:0]
 	c.dirty = carve(&i32, r)[:0]
-	c.val = carve(&f64, nnz)
-	c.lim, c.cost = carve(&f64, nB), carve(&f64, nB)
+	// A lane has at most a shape a bundle: index trims cost to its shapes.
+	c.val, c.lim, c.cost = carve(&f64, nnz), carve(&f64, nB), carve(&f64, nB)
 	c.p, c.z, c.step = carve(&f64, r), carve(&f64, r), carve(&f64, r)
 	c.cfg.Start = carve(&f64, r)
 	c.buyer, c.retired = carve(&flags, nP), carve(&flags, nP)
@@ -221,103 +237,92 @@ func (c *lane) sameRows(x, y int32) bool {
 	return true
 }
 
-// group groups the lane's bundles by their rows, hashing them into table.
-// It leaves in c.shape, for bundle b, b itself when no other bundle of the
-// lane has b's rows, ^b when b is the first of several that do, and that
-// first bundle otherwise. It returns how many shapes (row sets several
-// bundles share) there are, how many members they have, and the rows of
-// the per-pool walk: a singleton's rows and one copy of each shape's.
-func (c *lane) group(table []int32) (shapes, members, walks int) {
+// group numbers the lane's shapes, hashing its bundles by their rows
+// into table: bundle b takes the shape of the first bundle with its rows,
+// and when it is that first bundle, the next number. It returns how many
+// shapes there are and the rows of their walk lists, one copy of each
+// shape's.
+func (c *lane) group(table []int32) (shapes, walks int) {
 	n, shift := 1, uint(64)
 	for n < 2*len(c.owner) {
 		n, shift = n<<1, shift-1
 	}
-	slot, rep := table[:n], c.shape
+	slot := table[:n]
 	for i := range slot {
 		slot[i] = -1
 	}
-	for b := range rep {
+	for b := range c.shape {
 		for h := c.rowHash(b) >> shift; ; h = (h + 1) & uint64(n-1) {
 			f := slot[h]
 			if f < 0 {
-				slot[h], rep[b] = int32(b), int32(b)
-				walks += int(c.row[b+1] - c.row[b])
+				slot[h], c.shape[b] = int32(b), int32(shapes)
+				shapes, walks = shapes+1, walks+int(c.row[b+1]-c.row[b])
 				break
 			}
-			if !c.sameRows(f, int32(b)) {
-				continue
+			if c.sameRows(f, int32(b)) {
+				c.shape[b] = c.shape[f]
+				break
 			}
-			rep[b] = f
-			if rep[f] == f {
-				rep[f] = ^f
-				shapes, members = shapes+1, members+1
-			}
-			members++
-			break
 		}
 	}
-	return shapes, members, walks
+	return shapes, walks
 }
 
-// index builds the lane's shape index, the rest in one more slab sized by
-// group: each bundle's shape, numbered by first member; each shape's
-// member range, its one-bundle pure buyers' members laid out at its end
-// by ascending limit; and each pool's walk ranges.
+// index builds the lane's shape index, in one more slab sized by group:
+// each shape's record, with its one-bundle pure buyers' members laid out
+// at the end of its member range by ascending limit, and each pool's
+// walk range.
 func (c *lane) index(table []int32) {
-	shapes, members, walks := c.group(table)
+	shapes, walks := c.group(table)
 	r := len(c.pools)
-	i32 := make([]int32, 5*shapes+1+members+walks+4*r+1)
-	c.mAt, c.ordAt, c.ordLo = carve(&i32, shapes+1), carve(&i32, shapes), carve(&i32, shapes)
-	c.mEnd, c.shapeMark, c.liveM = carve(&i32, shapes), carve(&i32, shapes), carve(&i32, members)
-	c.walk, c.walkAt, c.soloAt = carve(&i32, walks), carve(&i32, r+1), carve(&i32, r)
-	c.shapeEnd, c.soloEnd = carve(&i32, r), carve(&i32, r)
+	i32 := make([]int32, recLen*shapes+len(c.shape)+walks+2*r+1)
+	c.recs, c.liveM = carve(&i32, recLen*shapes), carve(&i32, len(c.shape))
+	c.walk, c.walkAt, c.walkEnd = carve(&i32, walks), carve(&i32, r+1), carve(&i32, r)
+	c.cost = c.cost[:shapes]
 	next := int32(0)
-	for b := range c.shape {
-		// A shape's first member numbers it and walks its rows; a later
-		// member takes the number of its first, an earlier bundle.
-		f, walked := c.shape[b], true
-		switch {
-		case f == int32(b):
-			c.shape[b] = -1
-		case f < 0:
-			c.shape[b], next = next, next+1
-		default:
-			c.shape[b], walked = c.shape[f], false
-		}
-		if s := c.shape[b]; s >= 0 {
-			c.mAt[s+1]++
-		}
-		if walked {
+	for b, s := range c.shape {
+		sh := c.rec(s)
+		sh[shHi]++ // counts the members until the sums below
+		if s == next {
+			// A shape's first member walks its rows.
+			next++
+			sh[shRow], sh[shRowEnd] = c.row[b], c.row[b+1]
 			for _, r := range c.idx[c.row[b]:c.row[b+1]] {
 				c.walkAt[r+1]++
-				if c.shape[b] >= 0 {
-					c.soloAt[r]++ // counts the pool's shapes until the sums below
-				}
 			}
 		}
 	}
 	for g := 0; g < r; g++ {
 		c.walkAt[g+1] += c.walkAt[g]
-		c.soloAt[g] += c.walkAt[g]
 	}
-	for s := 0; s < shapes; s++ {
-		c.mAt[s+1] += c.mAt[s]
+	at := int32(0)
+	for s := range c.cost {
+		sh := c.rec(int32(s))
+		sh[shLo], sh[shHi] = at, at+sh[shHi]
+		sh[shOrdAt], at = sh[shHi], sh[shHi]
 	}
 	// The one-bundle buyers' members end their shape's range, placed from
 	// its end in bundle order, then ordered by limit. reset leaves them in
 	// place; it lays out the other members every run.
-	copy(c.ordAt, c.mAt[1:])
 	for k := len(c.buyer) - 1; k >= 0; k-- {
-		b := c.first[k]
-		if s := c.shape[b]; s >= 0 && c.oneBundleBuyer(int32(k)) {
-			c.ordAt[s]--
-			c.liveM[c.ordAt[s]] = b
+		if b := c.first[k]; c.oneBundleBuyer(int32(k)) {
+			sh := c.rec(c.shape[b])
+			sh[shOrdAt]--
+			c.liveM[sh[shOrdAt]] = b
 		}
 	}
 	byLimit := func(x, y int32) int { return cmp.Compare(c.lim[x], c.lim[y]) }
-	for s := 0; s < shapes; s++ {
-		slices.SortStableFunc(c.liveM[c.ordAt[s]:c.mAt[s+1]], byLimit)
+	for s := range c.cost {
+		sh := c.rec(int32(s))
+		slices.SortStableFunc(c.liveM[sh[shOrdAt]:sh[shHi]], byLimit)
 	}
+}
+
+// rec returns shape s's record.
+//
+//marketlint:allocfree
+func (c *lane) rec(s int32) []int32 {
+	return c.recs[int(s)*recLen:][:recLen]
 }
 
 // oneBundleBuyer reports whether proxy k is a pure buyer of one bundle:
@@ -331,12 +336,11 @@ func (c *lane) oneBundleBuyer(k int32) bool {
 
 // reset readies the scratch for a run from the reserve prices: nobody
 // retired, no history or counters, and the lists the rounds shrink laid
-// out whole, bundle by bundle so each is ascending — shape s's
-// liveM[mAt[s]:mEnd[s]] its members but the one-bundle buyers', whose
-// liveM[ordLo[s]:mAt[s+1]] is its whole ordered list again, and pool r's
-// walk[walkAt[r]:shapeEnd[r]] and walk[soloAt[r]:soloEnd[r]] its shapes
-// and singleton bundles. The epoch-stamped marks survive across runs (a
-// mark below the current epoch reads as "unseen").
+// out whole, bundle by bundle so each is ascending — a shape's members
+// but the one-bundle buyers' from its lo, whose ordered list is whole
+// again, and pool r's walk[walkAt[r]:walkEnd[r]] its shapes. The
+// epoch-stamped marks survive across runs (a mark below the current epoch
+// reads as "unseen").
 //
 //marketlint:allocfree
 func (c *lane) reset() {
@@ -346,31 +350,23 @@ func (c *lane) reset() {
 	for k := range c.drop {
 		c.drop[k] = -1
 	}
-	copy(c.shapeEnd, c.walkAt)
-	copy(c.soloEnd, c.soloAt)
-	copy(c.mEnd, c.mAt)
-	copy(c.ordLo, c.ordAt)
-	seen := int32(0) // shapes are numbered by first member
-	for b := range c.owner {
-		s, first := c.shape[b], true
-		if s >= 0 {
-			first = s == seen
-			if first {
-				seen++
-			}
-			if !c.oneBundleBuyer(c.owner[b]) {
-				c.liveM[c.mEnd[s]] = int32(b)
-				c.mEnd[s]++
-			}
+	copy(c.walkEnd, c.walkAt)
+	for s := range c.cost {
+		sh := c.rec(int32(s))
+		sh[shEnd], sh[shOrd] = sh[shLo], sh[shOrdAt]
+	}
+	next := int32(0) // shapes are numbered by first member
+	for b, s := range c.shape {
+		if !c.oneBundleBuyer(c.owner[b]) {
+			sh := c.rec(s)
+			c.liveM[sh[shEnd]] = int32(b)
+			sh[shEnd]++
 		}
-		for _, r := range c.idx[c.row[b]:c.row[b+1]] {
-			switch {
-			case s < 0:
-				c.walk[c.soloEnd[r]] = int32(b)
-				c.soloEnd[r]++
-			case first:
-				c.walk[c.shapeEnd[r]] = s
-				c.shapeEnd[r]++
+		if s == next {
+			next++
+			for _, r := range c.idx[c.row[b]:c.row[b+1]] {
+				c.walk[c.walkEnd[r]] = s
+				c.walkEnd[r]++
 			}
 		}
 	}
@@ -383,19 +379,26 @@ func (c *lane) reset() {
 	// reuses: restart the epoch clock with cleared marks.
 	if c.epoch > 1<<30 {
 		c.epoch = 0
-		clear(c.bundleMark)
-		clear(c.shapeMark)
+		for s := range c.cost {
+			c.rec(int32(s))[shMark] = 0
+		}
 		clear(c.proxyMark)
 	}
 }
 
-// price computes bundle b's cost qᵀp from zero over its ascending rows —
-// sparseBundle.dot's arithmetic on the lane's slabs.
+// price computes bundle b's cost qᵀp at the lane's prices.
 //
 //marketlint:allocfree
 func (c *lane) price(b int32) float64 {
-	lo, hi, p := c.row[b], c.row[b+1], c.p
-	val, sum := c.val[lo:hi], 0.0
+	return c.dot(c.row[b], c.row[b+1])
+}
+
+// dot computes qᵀp from zero over the ascending rows lo .. hi-1 —
+// sparseBundle.dot's arithmetic on the lane's slabs.
+//
+//marketlint:allocfree
+func (c *lane) dot(lo, hi int32) float64 {
+	p, val, sum := c.p, c.val[lo:hi], 0.0
 	for j, r := range c.idx[lo:hi] {
 		sum += val[j] * p[r]
 	}
@@ -420,7 +423,7 @@ func (c *lane) demand(b int32) {
 func (c *lane) choose(k int32) int32 {
 	best, bestSurplus := int32(-1), math.Inf(-1)
 	for b, hi := c.first[k], c.first[k+1]; b < hi; b++ {
-		cost, lim := c.cost[b], c.lim[b]
+		cost, lim := c.cost[c.shape[b]], c.lim[b]
 		if cost > lim {
 			continue
 		}
@@ -431,15 +434,16 @@ func (c *lane) choose(k int32) int32 {
 	return best
 }
 
-// open is round 0, a full evaluation: every bundle is priced at the
+// open is round 0, a full evaluation: every shape is priced at the
 // reserve prices, every proxy chooses, and z is built from scratch in
 // proxy order, exactly as the reference round does. It returns the
 // active-bidder count.
 //
 //marketlint:allocfree
 func (c *lane) open() int {
-	for b := range c.cost {
-		c.cost[b] = c.price(int32(b))
+	for s := range c.cost {
+		sh := c.rec(int32(s))
+		c.cost[s] = c.dot(sh[shRow], sh[shRowEnd])
 	}
 	active := 0
 	for k := range c.chosen {
@@ -456,30 +460,26 @@ func (c *lane) open() int {
 	return active
 }
 
-// reprice refreshes shape s, whose pools moved: one dot over the rows of
-// a live member, copied into the cost slot of each member but the
-// one-bundle buyers', and each such member's owner listed for
-// re-choosing. A retired buyer's member leaves the shape, and so does a
-// pure buyer's member priced over its limit: its cost can never come back
-// down. Of the one-bundle buyers' members, only those the dot prices over
-// their limits are visited: popped off the front of the limit order, they
-// are re-costed and their owners listed, unless retired at round 0.
+// reprice refreshes shape s, whose pools moved and which has a live
+// member, from its record sh: one dot into its cost slot, and each member
+// but the one-bundle buyers' visited, its owner listed for re-choosing. A
+// retired buyer's member leaves the shape, and so does a pure buyer's
+// member priced over its limit: its cost can never come back down. Of the
+// one-bundle buyers' members, only those the dot prices over their
+// limits are visited: popped off the front of the limit order, their
+// owners are listed, unless retired at round 0.
 //
 //marketlint:allocfree
-func (c *lane) reprice(s int32) {
-	lo, w := c.mAt[s], int32(0)
-	list := c.liveM[lo:c.mEnd[s]]
-	cost, priced := 0.0, false
-	for i, b := range list {
+func (c *lane) reprice(s int32, sh []int32) {
+	cost := c.dot(sh[shRow], sh[shRowEnd])
+	c.cost[s] = cost
+	c.stats.Priced++
+	w := sh[shLo]
+	for _, b := range c.liveM[w:sh[shEnd]] {
 		k := c.owner[b]
 		if c.retired[k] {
 			continue
 		}
-		if !priced {
-			cost, priced = c.price(b), true
-			c.stats.Priced++
-		}
-		c.cost[b] = cost
 		c.stats.Repriced++
 		if c.proxyMark[k] != c.epoch {
 			c.proxyMark[k] = c.epoch
@@ -489,48 +489,37 @@ func (c *lane) reprice(s int32) {
 			c.stats.Dropped++
 			continue
 		}
-		if w < int32(i) {
-			list[w] = b
-		}
+		c.liveM[w] = b
 		w++
 	}
-	c.mEnd[s] = lo + w
+	sh[shEnd] = w
 
-	ord := c.liveM[c.ordLo[s]:c.mAt[s+1]]
-	if len(ord) == 0 {
-		return
-	}
-	if !priced {
-		cost = c.price(ord[0])
-		c.stats.Priced++
-	}
+	ord := c.liveM[sh[shOrd]:sh[shHi]]
 	n := 0
 	for ; n < len(ord) && cost > c.lim[ord[n]]; n++ {
-		b := ord[n]
-		k := c.owner[b]
+		k := c.owner[ord[n]]
 		if c.retired[k] {
 			continue
 		}
-		c.cost[b] = cost
 		c.stats.Repriced++
 		c.stats.Dropped++
 		c.affected = append(c.affected, k) // its only bundle: listed once
 	}
-	c.ordLo[s] += int32(n)
+	sh[shOrd] += int32(n)
 }
 
-// emptied reports whether shape s has no live member left.
+// emptied reports whether the shape of record sh has no live member left.
 //
 //marketlint:allocfree
-func (c *lane) emptied(s int32) bool {
-	return c.mEnd[s] == c.mAt[s] && c.ordLo[s] == c.mAt[s+1]
+func emptied(sh []int32) bool {
+	return sh[shEnd] == sh[shLo] && sh[shOrd] == sh[shHi]
 }
 
 // advance applies one round of incremental demand revelation at round t:
-// re-price the live bundles and shapes on a dirty pool, re-choose their
-// owners, and, when any choice switched, rebuild z. It returns the
-// updated active-bidder count and whether any choice switched: when none
-// did, z is untouched.
+// re-price the shapes on a dirty pool, re-choose their members' owners,
+// and, when any choice switched, rebuild z. It returns the updated
+// active-bidder count and whether any choice switched: when none did, z
+// is untouched.
 //
 //marketlint:allocfree
 func (c *lane) advance(t, active int) (int, bool) {
@@ -538,16 +527,15 @@ func (c *lane) advance(t, active int) (int, bool) {
 	switched := c.stats.Switched
 	c.affected = c.affected[:0]
 	for _, r := range c.dirty {
-		// The pool's shapes, then its singletons: two loops, so the walk
-		// never branches on an entry's kind.
 		lo := c.walkAt[r]
-		list, w := c.walk[lo:c.shapeEnd[r]], 0
+		list, w := c.walk[lo:c.walkEnd[r]], 0
 		for i, s := range list {
-			if c.shapeMark[s] != c.epoch {
-				c.shapeMark[s] = c.epoch
-				c.reprice(s)
+			sh := c.rec(s)
+			if sh[shMark] != c.epoch && !emptied(sh) {
+				sh[shMark] = c.epoch
+				c.reprice(s, sh)
 			}
-			if c.emptied(s) {
+			if emptied(sh) {
 				continue // the shape leaves the list
 			}
 			if w < i {
@@ -555,33 +543,7 @@ func (c *lane) advance(t, active int) (int, bool) {
 			}
 			w++
 		}
-		c.shapeEnd[r] = lo + int32(w)
-		lo = c.soloAt[r]
-		list, w = c.walk[lo:c.soloEnd[r]], 0
-		priced := 0
-		for i, b := range list {
-			k := c.owner[b]
-			if c.retired[k] {
-				continue // dropped from the list: w stays behind
-			}
-			if w < i {
-				list[w] = b
-			}
-			w++
-			if c.bundleMark[b] == c.epoch {
-				continue
-			}
-			c.bundleMark[b] = c.epoch
-			c.cost[b] = c.price(b)
-			priced++
-			if c.proxyMark[k] != c.epoch {
-				c.proxyMark[k] = c.epoch
-				c.affected = append(c.affected, k)
-			}
-		}
-		c.soloEnd[r] = lo + int32(w)
-		c.stats.Priced += priced
-		c.stats.Repriced += priced
+		c.walkEnd[r] = lo + int32(w)
 	}
 
 	c.stats.Rechosen += len(c.affected)

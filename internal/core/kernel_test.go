@@ -262,19 +262,12 @@ func TestClockCountersShowTheReductions(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := res.Clock
-	// A lane takes at most one dot a round past 0 for each shape and each
-	// singleton bundle. Priced may pass Repriced: a shape whose live
-	// members are all one-bundle buyers within their limits is priced and
-	// re-costs none of them.
+	// A lane takes at most one dot a round past 0 for each shape. Priced
+	// may pass Repriced: a shape whose live members are all one-bundle
+	// buyers within their limits is priced and visits none of them.
 	dots := 0
 	for _, l := range a.lanes {
-		units := len(l.mAt) - 1
-		for _, s := range l.shape {
-			if s < 0 {
-				units++
-			}
-		}
-		dots += (l.stats.LaneRounds - 1) * units
+		dots += (l.stats.LaneRounds - 1) * len(l.cost)
 	}
 	if c.Lanes != 8 || c.LaneRounds < res.Rounds || c.Rebuilds == 0 || c.Rebuilds+c.Reused+c.Lanes != c.LaneRounds ||
 		c.Switched > c.Rechosen || c.Rechosen > c.Repriced || c.Priced == 0 || c.Priced > dots {

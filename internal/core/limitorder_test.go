@@ -107,10 +107,11 @@ func oneBundleCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
 // others'.
 func limitOrders(a *Auction) (popped, kept, mixed int) {
 	for _, c := range a.laneList() {
-		for s := range c.ordAt {
-			popped += int(c.ordLo[s] - c.ordAt[s])
-			kept += int(c.mAt[s+1] - c.ordLo[s])
-			if c.mAt[s] < c.ordAt[s] && c.ordAt[s] < c.mAt[s+1] {
+		for s := range c.cost {
+			sh := c.rec(int32(s))
+			popped += int(sh[shOrd] - sh[shOrdAt])
+			kept += int(sh[shHi] - sh[shOrd])
+			if sh[shLo] < sh[shOrdAt] && sh[shOrdAt] < sh[shHi] {
 				mixed++
 			}
 		}
@@ -240,5 +241,52 @@ func TestHeldLaneQuietRoundsEndPostStep(t *testing.T) {
 	}
 	if _, err := a.Run(); !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("Run: %v, want ErrNoConvergence", err)
+	}
+}
+
+// TestSingletonBuyerWithinLimitNotRechosen: a one-bundle pure buyer whose
+// rows no other bundle has is a shape of one in limit order, like any
+// other: while its pool climbs within its limit it is not re-chosen. Only
+// the seller is, every round past 0, and the two buyers of one row set as
+// the price passes their limits.
+func TestSingletonBuyerWithinLimitNotRechosen(t *testing.T) {
+	reg := cpuRegistry(1)
+	bids := []*Bid{
+		{User: "op", Limit: -0.000001, Bundles: []resource.Vector{{-10}}},
+		{User: "solo", Limit: 1e6, Bundles: []resource.Vector{{3}}},
+		{User: "a", Limit: 300, Bundles: []resource.Vector{{9}}},
+		{User: "b", Limit: 200, Bundles: []resource.Vector{{9}}},
+	}
+	cfg := Config{Start: resource.Vector{1}, Policy: Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.05}, RecordHistory: true}
+	res := mustMatchReference(t, "singleton buyer", reg, bids, cfg)
+	if !res.IsWinner(1) || res.IsWinner(2) || res.IsWinner(3) {
+		t.Fatalf("chosen bundles %v; want solo the only buyer winning", res.ChosenBundle)
+	}
+	if c := res.Clock; c.Rechosen != res.Rounds-1+2 || c.Dropped != 2 {
+		t.Errorf("%d re-chosen over %d rounds, %d dropped; want the seller every round past 0 plus a and b, who are dropped",
+			c.Rechosen, res.Rounds, c.Dropped)
+	}
+}
+
+// TestSingletonBundleOverLimitDropped: a pure buyer's bundle whose rows
+// no other bundle has is dropped from its shape of one once it is priced
+// over its limit, as a shared member is; the bid stays live and wins on
+// its other bundle. Two buyers of one row set keep that pool climbing,
+// and the poorer one is dropped too.
+func TestSingletonBundleOverLimitDropped(t *testing.T) {
+	reg := cpuRegistry(2)
+	bids := []*Bid{
+		{User: "op", Limit: -0.000001, Bundles: []resource.Vector{{-10, -10}}},
+		{User: "two", BundleLimits: []float64{40, 500}, Bundles: []resource.Vector{{4, 0}, {0, 5}}},
+		{User: "r1", Limit: 900, Bundles: []resource.Vector{{8, 0}}},
+		{User: "r2", Limit: 700, Bundles: []resource.Vector{{8, 0}}},
+	}
+	cfg := Config{Start: resource.Vector{1, 1}, Policy: Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.05}, RecordHistory: true}
+	res := mustMatchReference(t, "singleton over its limit", reg, bids, cfg)
+	if res.ChosenBundle[1] != 1 || !res.IsWinner(2) || res.IsWinner(3) {
+		t.Fatalf("chosen bundles %v; want two on its second bundle and r1 winning", res.ChosenBundle)
+	}
+	if res.Clock.Dropped != 2 {
+		t.Errorf("%d dropped; want two's first bundle and r2's", res.Clock.Dropped)
 	}
 }

@@ -69,7 +69,7 @@ type lane struct {
 	kernel
 
 	// One run's state (see incremental.go): prices, excess demand and
-	// step; each bundle's cached cost; each proxy's demanded bundle (−1
+	// step; each shape's cached cost; each proxy's demanded bundle (−1
 	// when priced out), drop round and retirement flag.
 	p, z, step resource.Vector
 	cost       []float64
@@ -78,16 +78,14 @@ type lane struct {
 	retired    []bool
 	// liveP lists the proxies, ascending, without retired buyers.
 	liveP []int32
-	// The re-pricing index, live: pool r's walk[walkAt[r]:shapeEnd[r]]
-	// lists its shapes with a live member and walk[soloAt[r]:soloEnd[r]]
-	// its singleton bundles, and shape s's liveM[mAt[s]:mEnd[s]] and
-	// liveM[ordLo[s]:mAt[s+1]] its members still in the running.
-	walk, shapeEnd, soloEnd []int32
-	liveM, mEnd, ordLo      []int32
+	// The re-pricing index, live: pool r's walk[walkAt[r]:walkEnd[r]]
+	// lists its shapes with a live member, and the shapes' records (see
+	// rec) their members in liveM still in the running.
+	walk, walkEnd, recs, liveM []int32
 	// Epoch-stamped dedup marks: a mark equal to the current epoch means
 	// "already gathered this round", so clearing between rounds is O(1).
-	epoch                            int32
-	bundleMark, shapeMark, proxyMark []int32
+	epoch     int32
+	proxyMark []int32
 	// Gather buffers: the proxies to re-choose and the pools the last
 	// step moved.
 	affected, dirty []int32

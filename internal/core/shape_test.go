@@ -102,10 +102,10 @@ func TestCatalogMatchesReference(t *testing.T) {
 
 // TestShapeRowsOneULPApart pins what a shape is: bundles whose rows are
 // bit-identical. Two rows on the same pools whose quantities differ in
-// the last bit are two shapes, each priced over its own rows: every live
-// bundle's cached cost is its own dot at the final prices, but a
-// one-bundle buyer's shape member's, which is re-costed only when it is
-// priced over its limit; its own dot is within that limit.
+// the last bit are two shapes, each priced over its own rows: the cost
+// of every shape with a live member is each member's own dot at the
+// final prices. The seller's bundle, whose rows no other bundle has, is a
+// shape of one, numbered first as its first bundle.
 func TestShapeRowsOneULPApart(t *testing.T) {
 	reg := cpuRegistry(2)
 	near := math.Nextafter(3, 4)
@@ -127,20 +127,16 @@ func TestShapeRowsOneULPApart(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := a.laneList()[0]
-	if got := [][]int32{c.shape[1:3], c.shape[3:5], c.shape[5:7]}; !slices.Equal(got[0], []int32{0, 0}) ||
-		!slices.Equal(got[1], []int32{1, 1}) || !slices.Equal(got[2], []int32{0, 1}) {
-		t.Fatalf("shapes of a, b | c, d | e's two = %v, want [0 0] [1 1] [0 1]", got)
+	if got := [][]int32{c.shape[:1], c.shape[1:3], c.shape[3:5], c.shape[5:7]}; !slices.Equal(got[0], []int32{0}) ||
+		!slices.Equal(got[1], []int32{1, 1}) || !slices.Equal(got[2], []int32{2, 2}) || !slices.Equal(got[3], []int32{1, 2}) {
+		t.Fatalf("shapes of op | a, b | c, d | e's two = %v, want [0] [1 1] [2 2] [1 2]", got)
 	}
-	for b := range c.owner {
-		k, own := c.owner[b], c.price(int32(b))
-		switch {
-		case c.retired[k] || c.buyer[k] && c.cost[b] > c.lim[b]:
-		case c.shape[b] >= 0 && c.oneBundleBuyer(k):
-			if own > c.lim[b] {
-				t.Errorf("bundle %d is live at cost %v over its limit %v", b, own, c.lim[b])
-			}
-		case c.cost[b] != own:
-			t.Errorf("bundle %d caches cost %v, its own rows price it at %v", b, c.cost[b], own)
+	if len(c.cost) != 3 {
+		t.Fatalf("%d cost slots, want one a shape", len(c.cost))
+	}
+	for b, s := range c.shape {
+		if own := c.price(int32(b)); !emptied(c.rec(s)) && c.cost[s] != own {
+			t.Errorf("bundle %d's shape %d caches cost %v, its own rows price it at %v", b, s, c.cost[s], own)
 		}
 	}
 }
@@ -149,7 +145,8 @@ func TestShapeRowsOneULPApart(t *testing.T) {
 // dropped, the shape leaves the walk lists of its pools, so a pool that
 // keeps moving stops visiting it. Here three poor buyers with one row
 // set drop out early while a rich buyer keeps pool 0 climbing; all are
-// one-bundle buyers, so both shapes hold only limit-ordered members.
+// one-bundle buyers, so the buyers' two shapes hold only limit-ordered
+// members. The seller's bundle is shape 0, which never empties.
 func TestEmptyShapeLeavesWalkLists(t *testing.T) {
 	reg := cpuRegistry(1)
 	bids := []*Bid{
@@ -173,11 +170,11 @@ func TestEmptyShapeLeavesWalkLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := a.laneList()[0]
-	if len(c.mEnd) != 2 || !c.emptied(0) || c.emptied(1) {
-		t.Fatalf("shapes %v, live from %v: want two, the first emptied", c.mAt, c.ordLo)
+	if len(c.cost) != 3 || emptied(c.rec(0)) || !emptied(c.rec(1)) || emptied(c.rec(2)) {
+		t.Fatalf("shape records %v: want three, the second emptied", c.recs)
 	}
-	if list := c.walk[c.walkAt[0]:c.shapeEnd[0]]; slices.Contains(list, 0) {
-		t.Errorf("pool 0's walk list %v still holds the emptied shape", list)
+	if list := c.walk[c.walkAt[0]:c.walkEnd[0]]; !slices.Equal(list, []int32{0, 2}) {
+		t.Errorf("pool 0's walk list %v, want [0 2]: the emptied shape left it", list)
 	}
 }
 

@@ -95,9 +95,9 @@ func collectExchange(m *telemetry.Exposition, ex *market.Exchange, region string
 		{"lanes", "Component lanes clocked.", mt.Clock.Lanes},
 		{"lanes_held", "Lanes that ran out of rounds; their orders were held open.", mt.Clock.Held},
 		{"lane_rounds", "Rounds run, summed over lanes.", mt.Clock.LaneRounds},
-		{"bundles_repriced", "Cost slots refreshed past round 0: bundles on a moved pool, but a one-bundle buyer's shared bundle only once priced over its limit.", mt.Clock.Repriced},
-		{"bundles_priced", "Dot products past round 0: one per moved shape of identical bundles, one per other moved bundle.", mt.Clock.Priced},
-		{"bundles_dropped", "Pure buyers' shared bundles retired as priced over their limit.", mt.Clock.Dropped},
+		{"bundles_repriced", "Live members a moved shape visits past round 0; a one-bundle buyer's bundle only once priced over its limit.", mt.Clock.Repriced},
+		{"bundles_priced", "Dot products past round 0: one per moved shape of identical bundles.", mt.Clock.Priced},
+		{"bundles_dropped", "Pure buyers' bundles retired from their shapes as priced over their limit.", mt.Clock.Dropped},
 		{"proxies_rechosen", "Proxies re-scored past round 0.", mt.Clock.Rechosen},
 		{"choices_switched", "Re-scored proxies that changed bundle.", mt.Clock.Switched},
 		{"z_rebuilds", "Rounds that rebuilt excess demand whole.", mt.Clock.Rebuilds},
