@@ -4,8 +4,8 @@
 # layer benchmarks) runnable individually.
 GO ?= go
 
-.PHONY: all build test race vet lint vulncheck help bench bench-clock \
-	bench-suite soak soak-race cover cover-update fuzz
+.PHONY: all build test race vet lint vulncheck fma-check help bench \
+	bench-clock bench-suite soak soak-race cover cover-update fuzz
 
 all: lint build test ## Lint, build, and test: the local pre-push gate
 
@@ -53,6 +53,13 @@ lint: vet ## go vet, gofmt -l (+ staticcheck when installed)
 vulncheck: ## govulncheck against the checked-in ignore list
 	./scripts/vulncheck.sh
 
+# Fused multiply-adds would let arm64, ppc64le and riscv64 round a cost
+# differently from amd64: cross-compile marketd and marketsim for those
+# three, disassemble them, and fail on any fused op in a clustermarket/
+# function (offline; ~45 s, most of it compiling the standard library).
+fma-check: ## Fail on a fused multiply-add in the daemons' arm64/ppc64le/riscv64 code
+	./scripts/fma-check.sh
+
 # The layer benchmarks in bench_test.go, one pass each: the clock
 # against its reference, admission and the auction build at R = 192,
 # what the book retains an order, and the federated tick with its
@@ -67,7 +74,8 @@ bench: ## One pass over the layer benchmarks (a smoke check, not a gate)
 # (clock-sparse's first epoch), BenchmarkClockScaling and the production
 # side of the three *PlanetEngines benchmarks. The end-to-end suite's
 # clock-sparse epoch spreads 11-16% between runs of one commit, so it
-# cannot resolve a clock change smaller than that.
+# cannot resolve a clock change smaller than that. The books' counted
+# work is pinned in testdata/clockwork.txt (TestClockwork, tier-1).
 bench-clock: ## The clock layer benchmarks at GOMAXPROCS=1, ten runs each
 	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'SparseEpochClock|WeldedEpochClock|ClockScaling' -count 10 .
 	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'PlanetEngines/production' -count 10 .

@@ -218,13 +218,13 @@ func (f *Fleet) FillToUtilization(rng *rand.Rand, clusterName string, target Usa
 		}
 		req := Usage{}
 		if need.CPU > 0 {
-			req.CPU = 1 + rng.Float64()*3
+			req.CPU = 1 + float64(rng.Float64()*3) // rounded before the add (make fma-check)
 		}
 		if need.RAM > 0 {
-			req.RAM = 2 + rng.Float64()*6
+			req.RAM = 2 + float64(rng.Float64()*6)
 		}
 		if need.Disk > 0 {
-			req.Disk = 0.5 + rng.Float64()*1.5
+			req.Disk = 0.5 + float64(rng.Float64()*1.5)
 		}
 		if req.IsZero() {
 			return nil

@@ -400,7 +400,7 @@ func (c *lane) price(b int32) float64 {
 func (c *lane) dot(lo, hi int32) float64 {
 	p, val, sum := c.p, c.val[lo:hi], 0.0
 	for j, r := range c.idx[lo:hi] {
-		sum += val[j] * p[r]
+		sum += float64(val[j] * p[r]) // rounded before the add (make fma-check)
 	}
 	return sum
 }

@@ -121,7 +121,7 @@ func (s sparseBundle) scatter(z resource.Vector) {
 func (s sparseBundle) dot(p resource.Vector) float64 {
 	var sum float64
 	for k, i := range s.idx {
-		sum += s.val[k] * p[i]
+		sum += float64(s.val[k] * p[i]) // rounded before the add (make fma-check)
 	}
 	return sum
 }

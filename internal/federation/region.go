@@ -90,7 +90,7 @@ func legCost(q Quote, cover cluster.Usage, clusters []uint32, rows []resource.Po
 		cost, found := 0.0, false
 		for d, i := range rows[c] {
 			if i >= 0 && int(i) < len(q.Prices) {
-				cost += cover.Get(resource.StandardDimensions[d]) * q.Prices[i]
+				cost += float64(cover.Get(resource.StandardDimensions[d]) * q.Prices[i]) // rounded before the add (make fma-check)
 				found = true
 			}
 		}

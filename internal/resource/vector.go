@@ -76,7 +76,7 @@ func (v Vector) Dot(w Vector) float64 {
 	mustSameLen(v, w)
 	var s float64
 	for i := range v {
-		s += v[i] * w[i]
+		s += float64(v[i] * w[i]) // rounded before the add (make fma-check)
 	}
 	return s
 }

@@ -124,7 +124,7 @@ func buildFleet(rng *rand.Rand, region string, util float64) (*cluster.Fleet, er
 // regionUtil picks region k's starting utilization: r1 hot, the rest
 // cooling linearly — the skew the paper's Figure 6 worlds start from.
 func regionUtil(k int) float64 {
-	return 0.78 - 0.6*float64(k)/float64(numRegions-1)
+	return 0.78 - float64(0.6*float64(k)/float64(numRegions-1)) // rounded before the add (make fma-check)
 }
 
 // fleets builds each market's fleet, in market order, drawing every

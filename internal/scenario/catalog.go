@@ -56,7 +56,7 @@ func Catalog() []*Scenario {
 			Epochs:      10,
 			Intensity: func(epoch int) float64 {
 				// Period-8 wave between 0.3 and 1.5.
-				return 0.9 + 0.6*math.Sin(2*math.Pi*float64(epoch)/8)
+				return 0.9 + float64(0.6*math.Sin(2*math.Pi*float64(epoch)/8)) // rounded before the add (make fma-check)
 			},
 			Evict: func(epoch int) float64 {
 				// The ebb: drop placed demand while the wave is low.

@@ -398,7 +398,7 @@ func (e *engine) addTeam(live []string) error {
 	t := &simTeam{
 		name:     fmt.Sprintf("team-%03d", e.teamSeq),
 		home:     pool[e.rng.Intn(len(pool))],
-		premium:  0.4 + e.rng.Float64()*1.4,
+		premium:  0.4 + float64(e.rng.Float64()*1.4), // rounded before the add (make fma-check)
 		mobility: e.rng.Float64(),
 	}
 	e.teamSeq++
@@ -424,7 +424,7 @@ func fairCost(product string, qty float64) (float64, cluster.Usage, error) {
 // unitCost values resources at the operator's real unit costs.
 func unitCost(u cluster.Usage) float64 {
 	c := cluster.OperatorUnitCost
-	return u.CPU*c.CPU + u.RAM*c.RAM + u.Disk*c.Disk
+	return float64(u.CPU*c.CPU) + float64(u.RAM*c.RAM) + float64(u.Disk*c.Disk) // rounded before the adds (make fma-check)
 }
 
 func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
@@ -523,7 +523,10 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 			continue
 		}
 		product := products[e.rng.Intn(len(products))]
-		qty := 1 + e.rng.Float64()*2
+		// The draw, rand's multiply by 2⁻⁶³, and its product are each
+		// rounded before the add (make fma-check).
+		draw := float64(e.rng.Float64())
+		qty := 1 + float64(draw*2)
 		fair, cover, err := fairCost(product, qty)
 		if err != nil {
 			return nil, err
@@ -551,7 +554,7 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 			if sc.Sell != nil && e.rng.Float64() < outlierFraction {
 				// Figure 7's premium payers: a few teams pay heavily to
 				// avoid re-engineering, whatever they have learnt.
-				limit = fair * (1.5 + 6*tm.premium)
+				limit = fair * (1.5 + float64(6*tm.premium)) // rounded before the add (make fma-check)
 			}
 		}
 		id, err := e.b.SubmitProduct(tm.name, product, qty, clusters, limit)
@@ -633,7 +636,7 @@ func (e *engine) runEpoch(sc *Scenario, epoch int) (*EpochSummary, error) {
 		case market.Lost:
 			s.Lost++
 			if sc.Adaptive {
-				tr.team.premium = tr.team.premium*1.25 + 0.08
+				tr.team.premium = float64(tr.team.premium*1.25) + 0.08 // rounded before the add (make fma-check)
 				if tr.team.premium > 3 {
 					tr.team.premium = 3
 				}

@@ -141,8 +141,9 @@ func (e *engine) sell(s *EpochSummary, epoch int, p float64, pools []PoolState, 
 			if e.rng.Float64() >= p {
 				continue
 			}
-			share = 0.2 + e.rng.Float64()*0.5
-			ask = math.Min(0.05+e.rng.Float64()*0.45+0.4*soph, 0.95)
+			// Each product is rounded before the add (make fma-check).
+			share = 0.2 + float64(e.rng.Float64()*0.5)
+			ask = math.Min(0.05+float64(e.rng.Float64()*0.45)+float64(0.4*soph), 0.95)
 		}
 		e.book(s, epoch, tm, target, home[:int(math.Ceil(share*float64(len(home))))], ask)
 	}

@@ -33,7 +33,7 @@ func Variance(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d) // rounded before the add (make fma-check)
 	}
 	return s / float64(len(xs))
 }
@@ -62,14 +62,15 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(s) == 1 {
 		return s[0]
 	}
-	pos := q * float64(len(s)-1)
+	// Each product is rounded before the add (make fma-check).
+	pos := float64(q * float64(len(s)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Boxplot holds the Tukey boxplot statistics used to render Figure 7:
@@ -92,8 +93,8 @@ func NewBoxplot(xs []float64) (Boxplot, error) {
 		Q3:     Quantile(xs, 0.75),
 	}
 	iqr := b.Q3 - b.Q1
-	loFence := b.Q1 - 1.5*iqr
-	hiFence := b.Q3 + 1.5*iqr
+	loFence := b.Q1 - float64(1.5*iqr) // rounded before the add (make fma-check)
+	hiFence := b.Q3 + float64(1.5*iqr)
 	b.LowWhisker, b.HighWhisker = math.Inf(1), math.Inf(-1)
 	for _, x := range xs {
 		if x < loFence || x > hiFence {

@@ -307,7 +307,7 @@ func (s *Server) handleBidPreview(w http.ResponseWriter, r *http.Request) {
 		cost := 0.0
 		for k, i := range row {
 			if i >= 0 {
-				cost += cover.Get(resource.StandardDimensions[k]) * prices[i]
+				cost += float64(cover.Get(resource.StandardDimensions[k]) * prices[i]) // rounded before the add (make fma-check)
 			}
 		}
 		options = append(options, bidOption{Cluster: cl, Cover: cover, Cost: cost})
