@@ -262,8 +262,8 @@ func scalingName(pt [2]int) string {
 }
 
 // scalingBook builds the scaling point of pt[0] users over pt[1] pools:
-// syntheticMarket at seed 11 with unbounded buyer limits, clocked for
-// scalingRounds rounds.
+// syntheticMarket at seed 11 with unbounded buyer limits, on the planet
+// clock for scalingRounds rounds.
 func scalingBook(pt [2]int) (*resource.Registry, []*core.Bid, core.Config) {
 	reg, bids := syntheticMarket(rand.New(rand.NewSource(11)), pt[0], pt[1])
 	for _, bid := range bids {
@@ -271,15 +271,9 @@ func scalingBook(pt [2]int) (*resource.Registry, []*core.Bid, core.Config) {
 			bid.Limit = 1e15
 		}
 	}
-	start := reg.Zero()
-	for i := range start {
-		start[i] = 0.5
-	}
-	return reg, bids, core.Config{
-		Start:     start,
-		Policy:    core.Capped{Alpha: 0.05, Delta: 0.5, MinStep: 0.01},
-		MaxRounds: scalingRounds,
-	}
+	cfg := planetConfig(reg)
+	cfg.MaxRounds = scalingRounds
+	return reg, bids, cfg
 }
 
 // sparseRegionalPlanetMarket is the sparse-planet workload sharded into

@@ -279,27 +279,24 @@ func (c *lane) index(table []int32) {
 	c.recs, c.liveM = carve(&i32, recLen*shapes), carve(&i32, len(c.shape))
 	c.walk, c.walkAt, c.walkEnd = carve(&i32, walks), carve(&i32, r+1), carve(&i32, r)
 	c.cost = c.cost[:shapes]
-	next := int32(0)
 	for b, s := range c.shape {
 		sh := c.rec(s)
-		sh[shHi]++ // counts the members until the sums below
-		if s == next {
-			// A shape's first member walks its rows.
-			next++
+		if sh[shHi] == 0 { // its first member: the shape's rows are its
 			sh[shRow], sh[shRowEnd] = c.row[b], c.row[b+1]
-			for _, r := range c.idx[c.row[b]:c.row[b+1]] {
-				c.walkAt[r+1]++
-			}
 		}
-	}
-	for g := 0; g < r; g++ {
-		c.walkAt[g+1] += c.walkAt[g]
+		sh[shHi]++ // counts the members until the sums below
 	}
 	at := int32(0)
 	for s := range c.cost {
 		sh := c.rec(int32(s))
+		for _, r := range c.idx[sh[shRow]:sh[shRowEnd]] {
+			c.walkAt[r+1]++
+		}
 		sh[shLo], sh[shHi] = at, at+sh[shHi]
 		sh[shOrdAt], at = sh[shHi], sh[shHi]
+	}
+	for g := 0; g < r; g++ {
+		c.walkAt[g+1] += c.walkAt[g]
 	}
 	// The one-bundle buyers' members end their shape's range, placed from
 	// its end in bundle order, then ordered by limit. reset leaves them in
@@ -336,11 +333,10 @@ func (c *lane) oneBundleBuyer(k int32) bool {
 
 // reset readies the scratch for a run from the reserve prices: nobody
 // retired, no history or counters, and the lists the rounds shrink laid
-// out whole, bundle by bundle so each is ascending — a shape's members
-// but the one-bundle buyers' from its lo, whose ordered list is whole
-// again, and pool r's walk[walkAt[r]:walkEnd[r]] its shapes. The
-// epoch-stamped marks survive across runs (a mark below the current epoch
-// reads as "unseen").
+// out whole and ascending — pool r's walk[walkAt[r]:walkEnd[r]] its
+// shapes, and a shape's members but the one-bundle buyers' from its lo,
+// whose ordered list is whole again. The epoch-stamped marks survive
+// across runs (a mark below the current epoch reads as "unseen").
 //
 //marketlint:allocfree
 func (c *lane) reset() {
@@ -354,20 +350,16 @@ func (c *lane) reset() {
 	for s := range c.cost {
 		sh := c.rec(int32(s))
 		sh[shEnd], sh[shOrd] = sh[shLo], sh[shOrdAt]
+		for _, r := range c.idx[sh[shRow]:sh[shRowEnd]] {
+			c.walk[c.walkEnd[r]] = int32(s)
+			c.walkEnd[r]++
+		}
 	}
-	next := int32(0) // shapes are numbered by first member
 	for b, s := range c.shape {
 		if !c.oneBundleBuyer(c.owner[b]) {
 			sh := c.rec(s)
 			c.liveM[sh[shEnd]] = int32(b)
 			sh[shEnd]++
-		}
-		if s == next {
-			next++
-			for _, r := range c.idx[c.row[b]:c.row[b+1]] {
-				c.walk[c.walkEnd[r]] = s
-				c.walkEnd[r]++
-			}
 		}
 	}
 	c.liveP = c.liveP[:cap(c.liveP)]
