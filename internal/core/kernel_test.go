@@ -241,6 +241,35 @@ func TestKernelListsOwnersAndBuyers(t *testing.T) {
 	}
 }
 
+// TestEpochWrapClearsMarks: past 1<<30 rounds of reuse, reset restarts a
+// lane's epoch clock and clears every shape's and proxy's mark. A run
+// leaves marks 1, 2, ... on what it priced and listed; the rerun counts
+// its epochs from 1 again, so a mark left standing would read as "done
+// this round" and skip the shape or the owner. On twenty of
+// oneBundleCase's markets, both runs must match the reference.
+func TestEpochWrapClearsMarks(t *testing.T) {
+	for seed := int64(-1); seed >= -20; seed-- {
+		reg, bids, cfg := oneBundleCase(rand.New(rand.NewSource(seed)))
+		tag := fmt.Sprintf("seed %d", seed)
+		first := mustMatchReference(t, tag, reg, bids, cfg)
+		a, err := NewAuction(reg, bids, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Run()
+		for _, c := range a.laneList() {
+			c.epoch = 1<<30 + 1
+		}
+		again, _ := a.Run()
+		mustEqualResults(t, tag+" after the wrap", first, again)
+		for _, c := range a.laneList() {
+			if c.epoch > int32(again.Rounds) {
+				t.Fatalf("%s: epoch %d after a %d-round rerun: the clock did not restart", tag, c.epoch, again.Rounds)
+			}
+		}
+	}
+}
+
 // TestClockCountersShowTheReductions reads the fast paths off the
 // counters on a regional market with a long tail: the lanes re-price and
 // re-choose well under what scoring every bundle and proxy every round —

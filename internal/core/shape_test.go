@@ -104,8 +104,9 @@ func TestCatalogMatchesReference(t *testing.T) {
 // bit-identical. Two rows on the same pools whose quantities differ in
 // the last bit are two shapes, each priced over its own rows: the cost
 // of every shape with a live member is each member's own dot at the
-// final prices. The seller's bundle, whose rows no other bundle has, is a
-// shape of one, numbered first as its first bundle.
+// final prices, and within the limit of every one-bundle buyer still in
+// its limit order. The seller's bundle, whose rows no other bundle has,
+// is a shape of one, numbered first as its first bundle.
 func TestShapeRowsOneULPApart(t *testing.T) {
 	reg := cpuRegistry(2)
 	near := math.Nextafter(3, 4)
@@ -138,6 +139,22 @@ func TestShapeRowsOneULPApart(t *testing.T) {
 		if own := c.price(int32(b)); !emptied(c.rec(s)) && c.cost[s] != own {
 			t.Errorf("bundle %d's shape %d caches cost %v, its own rows price it at %v", b, s, c.cost[s], own)
 		}
+	}
+	kept := 0
+	for s := range c.cost {
+		sh := c.rec(int32(s))
+		for _, b := range c.liveM[sh[shOrd]:sh[shHi]] {
+			if c.retired[c.owner[b]] {
+				continue
+			}
+			kept++
+			if c.cost[s] > c.lim[b] {
+				t.Errorf("bundle %d is live in limit order at cost %v over its limit %v", b, c.cost[s], c.lim[b])
+			}
+		}
+	}
+	if kept == 0 {
+		t.Error("no one-bundle buyer's member is left in limit order")
 	}
 }
 

@@ -19,18 +19,29 @@ for arch in arm64 ppc64le riscv64; do
     for cmd in marketd marketsim; do
         bin="$OUT/$cmd-$arch"
         GOOS=linux GOARCH="$arch" "$GO" build -o "$bin" "./cmd/$cmd"
+        # A file, not a pipe: set -e then stops on objdump's failure.
+        "$GO" tool objdump "$bin" > "$bin.s"
         # objdump prints "TEXT <symbol> <file>" before each function and
-        # "<file:line> <pc> <bytes> <op> <args>" for each instruction.
-        if ! "$GO" tool objdump "$bin" | awk -v bin="$cmd/$arch" '
+        # "<file:line> <pc> <bytes> <op> <args>" for each instruction. No
+        # FMUL read as op in clustermarket/ code means that layout moved,
+        # and no fused op could match either: exit 2.
+        rc=0
+        awk -v bin="$cmd/$arch" '
             /^TEXT / { fn = $2; next }
-            fn ~ /^clustermarket\// && $4 ~ /^FN?M(ADD|SUB)/ { print bin ": " fn " " $1 ": " $4; n++ }
-            END { exit n > 0 }'; then
+            fn !~ /^clustermarket\// { next }
+            $4 ~ /^FMUL/ { muls++ }
+            $4 ~ /^FN?M(ADD|SUB)/ { print bin ": " fn " " $1 ": " $4; n++ }
+            END {
+                if (!muls) { print bin ": no FMUL read in clustermarket/ code; has objdump'"'"'s layout changed?"; exit 2 }
+                exit n > 0
+            }' "$bin.s" || rc=$?
+        if [ "$rc" -ne 0 ]; then
             status=1
         fi
     done
 done
 if [ "$status" -ne 0 ]; then
-    echo "fma-check: fused multiply-adds above; round each product with float64(x*y)"
+    echo "fma-check: failed; round each fused product above with float64(x*y)"
     exit 1
 fi
 echo "fma-check: no fused multiply-add in clustermarket/ on arm64, ppc64le, riscv64"
