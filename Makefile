@@ -71,13 +71,14 @@ bench: ## One pass over the layer benchmarks (a smoke check, not a gate)
 
 # The clock's layer benchmarks on one CPU, ten runs each, for comparing a
 # clock change against its parent run for run: BenchmarkSparseEpochClock
-# (clock-sparse's first epoch), BenchmarkClockScaling and the production
-# side of the three *PlanetEngines benchmarks. The end-to-end suite's
+# (clock-sparse's first epoch), BenchmarkPlanetEpochClock (mem-planet's),
+# BenchmarkClockScaling and the production side of the three
+# *PlanetEngines benchmarks. The end-to-end suite's
 # clock-sparse epoch spreads 11-16% between runs of one commit, so it
 # cannot resolve a clock change smaller than that. The books' counted
 # work is pinned in testdata/clockwork.txt (TestClockwork, tier-1).
 bench-clock: ## The clock layer benchmarks at GOMAXPROCS=1, ten runs each
-	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'SparseEpochClock|WeldedEpochClock|ClockScaling' -count 10 .
+	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'SparseEpochClock|PlanetEpochClock|WeldedEpochClock|ClockScaling' -count 10 .
 	GOMAXPROCS=1 $(GO) test -run 'xxx' -bench 'PlanetEngines/production' -count 10 .
 
 # The end-to-end suite in benchmark/ (its own module; see

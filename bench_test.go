@@ -537,13 +537,20 @@ func BenchmarkSubmitProductParallel(b *testing.B) {
 // bids at R = 192, and the exchange's reserve prices: an epoch's auction
 // input as the exchange assembles it.
 func wideBids(tb testing.TB, clusters [][]string, qty, limits []float64) (*resource.Registry, []*core.Bid, resource.Vector) {
-	ex := wideExchange(tb)
+	return bookedBids(tb, wideExchange(tb), "wide", clusters, qty, limits)
+}
+
+// bookedBids books, as team on ex, one batch-compute order a k — qty[k]
+// workers (one when qty is nil) on an XOR of clusters[k] at limits[k] —
+// and returns ex's registry, the booked bids plus one operator supply bid
+// a cluster with free capacity (0.8 of it), and ex's reserve prices.
+func bookedBids(tb testing.TB, ex *market.Exchange, team string, clusters [][]string, qty, limits []float64) (*resource.Registry, []*core.Bid, resource.Vector) {
 	for k := range clusters {
 		q := 1.0
 		if qty != nil {
 			q = qty[k]
 		}
-		if _, err := ex.SubmitProduct("wide", "batch-compute", q, clusters[k], limits[k]); err != nil {
+		if _, err := ex.SubmitProduct(team, "batch-compute", q, clusters[k], limits[k]); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -554,11 +561,18 @@ func wideBids(tb testing.TB, clusters [][]string, qty, limits []float64) (*resou
 	}
 	free := ex.Fleet().FreeVector(reg)
 	for _, cl := range reg.Clusters() {
-		supply := reg.Zero()
+		var supply resource.Vector
 		for _, i := range reg.ClusterPools(cl) {
-			supply[i] = -free[i] * 0.8
+			if q := free[i] * 0.8; q > 0 {
+				if supply == nil {
+					supply = reg.Zero()
+				}
+				supply[i] = -q
+			}
 		}
-		bids = append(bids, &core.Bid{User: market.OperatorAccount, Bundles: []resource.Vector{supply}, Limit: -0.000001})
+		if supply != nil {
+			bids = append(bids, &core.Bid{User: market.OperatorAccount, Bundles: []resource.Vector{supply}, Limit: -0.000001})
+		}
 	}
 	start, err := ex.ReservePrices()
 	if err != nil {
@@ -664,7 +678,7 @@ func BenchmarkSparseEpochClock(b *testing.B) {
 		}
 		return a
 	}
-	b.Run("run", func(b *testing.B) { benchEpochClock(b, build(b)) })
+	b.Run("run", func(b *testing.B) { benchEpochClock(b, build(b), 1500) })
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -691,22 +705,88 @@ func BenchmarkWeldedEpochClock(b *testing.B) {
 			if a.Components() != 1 {
 				b.Fatalf("decomposed into %d components, want 1", a.Components())
 			}
-			benchEpochClock(b, a)
+			benchEpochClock(b, a, 1500)
 		})
 	}
 }
 
+// The mem-planet workload's planet (benchmark/world.go): twelve cold
+// clusters p1..p12 and a hot one, h1, filled to 0.8, three machines each;
+// an epoch is 512 one-worker batch-compute orders, order i on the XOR of
+// the four cold clusters from p(i mod 12 + 1) on, at a limit of 5..64.
+const (
+	planetCold   = 12
+	planetOrders = 512
+)
+
+// planetBook books the first epoch of mem-planet at seed 1 (team draw,
+// then limit draw, an order) at the exchange's reserve prices: the
+// auction of BenchmarkPlanetEpochClock. Its windows chain every cold
+// cluster into one lane, and h1's supply is a lane of its own.
+func planetBook(tb testing.TB) (*resource.Registry, []*core.Bid, core.Config) {
+	f := cluster.NewFleet()
+	add := func(name string) {
+		cl := cluster.New(name, nil)
+		cl.AddMachines(3, cluster.Usage{CPU: 32, RAM: 128, Disk: 20})
+		if err := f.AddCluster(cl); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cold := func(i int) string { return "p" + strconv.Itoa(i%planetCold+1) }
+	for i := 0; i < planetCold; i++ {
+		add(cold(i))
+	}
+	add("h1")
+	if err := f.FillToUtilization(rand.New(rand.NewSource(12)), "h1", cluster.Usage{CPU: 0.8, RAM: 0.8, Disk: 0.8}); err != nil {
+		tb.Fatal(err)
+	}
+	ex, err := market.NewExchange(f, market.Config{InitialBudget: 1e12})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := ex.OpenAccount("planet"); err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var clusters [][]string
+	var limits []float64
+	for i := 0; i < planetOrders; i++ {
+		rng.Intn(16) // the workload's team draw
+		clusters = append(clusters, []string{cold(i), cold(i + 1), cold(i + 2), cold(i + 3)})
+		limits = append(limits, float64(5+rng.Intn(60)))
+	}
+	reg, bids, start := bookedBids(tb, ex, "planet", clusters, nil, limits)
+	return reg, bids, core.Config{Start: start}
+}
+
+// BenchmarkPlanetEpochClock is the clock layer of a mem-planet epoch:
+// Auction.Run on planetBook's two lanes, built untimed, reporting ns per
+// lane-round and core.ClockStats' counts. Its 512 buyers are a dozen
+// repeated bids: the twelve windows at any limit.
+// `make bench-clock` repeats it pinned to one CPU.
+func BenchmarkPlanetEpochClock(b *testing.B) {
+	reg, bids, cfg := planetBook(b)
+	a, err := core.NewAuction(reg, bids, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if a.Components() != 2 {
+		b.Fatalf("decomposed into %d components, want 2", a.Components())
+	}
+	benchEpochClock(b, a, 100)
+}
+
 // benchEpochClock times a's Run with the lanes built, after an untimed
-// run that must clock at least 1 500 rounds, and reports ns per
+// run that must clock at least minRounds rounds, and reports ns per
 // lane-round and core.ClockStats' counts.
-func benchEpochClock(b *testing.B, a *core.Auction) {
+func benchEpochClock(b *testing.B, a *core.Auction, minRounds int) {
 	b.ReportAllocs()
 	res, err := a.Run()
 	if err != nil {
 		b.Fatal(err)
 	}
-	if res.Rounds < 1500 {
-		b.Fatalf("%d rounds, want at least 1500", res.Rounds)
+	if res.Rounds < minRounds {
+		b.Fatalf("%d rounds, want at least %d", res.Rounds, minRounds)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

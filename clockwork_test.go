@@ -32,7 +32,7 @@ type clockBook struct {
 
 // clockBooks lists the books of BenchmarkSparsePlanetEngines,
 // BenchmarkPartitionedPlanetEngines and BenchmarkCatalogPlanetEngines
-// (production sides), BenchmarkSparseEpochClock, both
+// (production sides), BenchmarkSparseEpochClock, BenchmarkPlanetEpochClock, both
 // BenchmarkWeldedEpochClock books and every BenchmarkClockScaling point.
 func clockBooks() []clockBook {
 	planet := func(reg *resource.Registry, bids []*core.Bid) (*resource.Registry, []*core.Bid, core.Config) {
@@ -54,6 +54,7 @@ func clockBooks() []clockBook {
 			return epochBook(tb, wideBook, false)
 		}},
 	}
+	books = append(books, clockBook{"PlanetEpochClock", planetBook})
 	for _, n := range []int{4096, 16384} {
 		books = append(books, clockBook{fmt.Sprintf("WeldedEpochClock/orders=%d", n), func(tb testing.TB) (*resource.Registry, []*core.Bid, core.Config) {
 			return epochBook(tb, n, true)
