@@ -369,6 +369,31 @@ func mustAllocateOnlyResult(t *testing.T, reg *resource.Registry, bids []*Bid, s
 	}
 }
 
+// TestHeldRunAllocatesHeldOnce: a re-run that holds a lane allocates its
+// Result and one list of the held bids, however many there are.
+func TestHeldRunAllocatesHeldOnce(t *testing.T) {
+	reg := cpuRegistry(2)
+	bids := []*Bid{
+		{User: "op", Limit: -0.000001, Bundles: []resource.Vector{{-1, 0}}},
+		{User: "op2", Limit: -0.000001, Bundles: []resource.Vector{{0, -5}}},
+		{User: "z", Limit: 50, Bundles: []resource.Vector{{0, 3}}},
+	}
+	for i := 0; i < 40; i++ {
+		bids = append(bids, &Bid{User: fmt.Sprintf("x%d", i), Limit: 1e6, Bundles: []resource.Vector{{1, 0}}})
+	}
+	a, err := NewAuction(reg, bids, Config{Start: resource.Vector{1, 1}, Policy: Capped{Alpha: 0.25, Delta: 0.5, MinStep: 0.25}, MaxRounds: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := a.Run()
+	if !errors.Is(err, ErrNoConvergence) || len(res.Held) != 41 {
+		t.Fatalf("Run: %v, %d held; want ErrNoConvergence and the op's lane of 41 held", err, len(res.Held))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.Run() }); allocs != resultAllocs+1 {
+		t.Errorf("a held run allocates %.1f objects, want %d: the Result and one Held list", allocs, resultAllocs+1)
+	}
+}
+
 // TestSteadyStateRoundsAllocationFree pins that a round of a one-lane
 // market allocates nothing (see mustAllocateOnlyResult).
 func TestSteadyStateRoundsAllocationFree(t *testing.T) {
