@@ -20,18 +20,25 @@ import (
 //
 // Catalog bids repeat rows: many bundles of a lane ask for the same
 // product on the same cluster. Bundles with bit-identical rows form a
-// shape, found when the lane is built, and a bundle no other shares rows
-// with is a shape of one. The cost lives on the shape: a round prices a
-// moved shape once, and every member reads that one slot.
+// shape, found when the lane is built; the cost lives on the shape, so a
+// round prices a moved shape once. Catalog bids repeat whole bids too
+// (paper Section III: a proxy's choice depends on its bundles and limit
+// alone), so pure buyers of one limit with the same shape sequence form
+// a demand class, which a shape lists once and a round re-scores once.
 //
 // Determinism contract: results are bit-identical to ReferenceRun.
 //
-//   - A shape's cached cost is the same from-zero dot over a member's
-//     ascending rows the reference computes, at prices that have not
-//     changed on any of those rows since; its members have the same pool
-//     ids and quantity bits, so each member's dot is that one, bit for
-//     bit. The choice scan over the cached costs is the reference's
-//     (cost > limit skipped, strictly larger surplus wins).
+//   - A shape's cached cost is the reference's from-zero dot over its
+//     rows at prices unchanged on them since, bit for bit the dot of each
+//     of its bundles. A class re-scores at the cached costs for all its
+//     members, which are in ascending limit order: those whose limit L the
+//     cheapest cost (first on ties) passes are priced out, and the rest
+//     take that bundle, the reference scan's choice, as rounding is
+//     monotone in L − cost. The tie rule: costs under an ulp of L apart
+//     can round to one surplus, where the scan keeps the earlier, dearer
+//     bundle; so when a bundle before the cheapest costs within 2 ulp of
+//     max(|largest L|, |cheapest|) of it, each member scans on its own.
+//     Sellers, traders and bids of several limits always do.
 //   - Excess demand is never updated by adding/subtracting deltas —
 //     floating point addition is not associative, so delta updates would
 //     drift in the low bits. A round that switched a choice rebuilds z
@@ -41,23 +48,11 @@ import (
 //   - A pure buyer's costs are monotone: price steps are nonnegative and
 //     its quantities positive, so each product, and each partial sum
 //     added in a fixed order, is nondecreasing under round-to-nearest.
-//     A priced-out pure buyer is therefore retired — it can never
-//     re-enter and its choice is −1 forever, so it contributes to no sum.
-//     Its members are dropped, order preserved, from their shapes and
-//     the proxy list by the loop that meets them. Likewise a pure
-//     buyer's member whose cost exceeds its limit is dropped from its
-//     shape for good: the choice scan skips it at the shape's cost, as it
-//     would at any later one. A shape with no member left leaves the walk
-//     lists, its cost no longer refreshed: every member's owner is
-//     retired or skips it. Sellers and traders carry negative components
-//     (rising prices improve their receipts), so they stay listed and
-//     evaluated.
-//   - A one-bundle pure buyer demands its bundle exactly while the
-//     bundle's cost is within its limit, and that cost never falls. So a
-//     shape keeps such members apart, ordered by limit, and a round pops
-//     only those its one dot now prices over their limits; the rest are
-//     not re-chosen, their choice being the one the reference scan would
-//     make.
+//     A priced-out pure buyer is therefore retired for good, and so is a
+//     bundle priced over its limit (a class's largest): it leaves its
+//     shape, and a class its members priced out. A shape with nothing
+//     left leaves the walk lists. A chosen one-bundle seller's cost only
+//     falls, so it leaves its shape too.
 //   - A round in which no choice switched leaves z as it was, so the step
 //     and the moved pools are last round's: the loop adds that step on
 //     those pools again. Adding a +0 step elsewhere would change no
@@ -67,38 +62,55 @@ import (
 // (bids are frozen after NewAuction) and shared by every run. Bundles are
 // numbered proxy-major, so ascending bundle order is ascending bid order.
 type kernel struct {
-	first []int32   // proxy k owns bundles first[k] .. first[k+1]-1
-	row   []int32   // bundle b owns rows row[b] .. row[b+1]-1
-	idx   []int32   // row → lane-local pool, ascending within a bundle
-	val   []float64 // row → quantity
-	lim   []float64 // bundle → its limit (Bid.LimitFor, resolved once)
-	owner []int32   // bundle → proxy
-	buyer []bool    // proxy → pure buyer
+	first  []int32   // proxy k owns bundles first[k] .. first[k+1]-1
+	row    []int32   // bundle b owns rows row[b] .. row[b+1]-1
+	idx    []int32   // row → lane-local pool, ascending within a bundle
+	val    []float64 // row → quantity
+	lim    []float64 // bundle → its limit (Bid.LimitFor, resolved once)
+	owner  []int32   // bundle → proxy
+	buyer  []bool    // proxy → pure buyer
+	seller []bool    // proxy → pure seller of one bundle
 	// shape[b] is bundle b's shape, the bundles with its rows, numbered
 	// by first member (see rec for a shape's own fields).
 	shape []int32
+	// class[k] is k's demand class (see crec) when k is its last member,
+	// of the largest limit, who stands for it in the shapes; −2 for its
+	// other members; −1 for a proxy on its own scan.
+	class, members []int32
+	classes        int32
 	// Pool r's walk list, of the shapes on it, starts at walkAt[r] and
 	// ends before walkAt[r+1].
 	walkAt []int32
 }
 
 // A shape's record, shape s's fields being recs[s*recLen+f]: fixed at
-// build, its rows idx[row:rowEnd] (its first member's) and its members
-// liveM[lo:hi], first the others and then, from ordAt, its one-bundle
-// pure buyers' in ascending limit order; then one run's state, the others
-// still in the running being liveM[lo:end], the one-bundle buyers'
-// liveM[ord:hi], and mark the epoch it was last priced in. Packed, a
-// round's visit to a shape reads one record.
+// build, its rows idx[row:rowEnd] (its first member's) and its listed
+// bundles liveM[lo:hi] (see listed); then one run's state, those still
+// listed being liveM[lo:end], one its one-bundle class while that has a
+// live member (else −1) and front that member's bundle, whose limit
+// the shape's cost is held to, and mark the epoch it was last priced in.
+// Packed, a round's visit to a shape reads one record.
 const (
 	shRow = iota
 	shRowEnd
 	shLo
-	shOrdAt
 	shHi
 	shEnd
-	shOrd
+	shOne
+	shFront
 	shMark
 	recLen
+)
+
+// A class's record, class c's fields being crecs[c*crecLen+f]: its
+// members members[lo:hi], sorted by limit; in a run, the live ones
+// members[ord:hi] and pick, the bundle offset they all chose (or −1).
+const (
+	cLo = iota
+	cHi
+	cOrd
+	cPick
+	crecLen
 )
 
 // ClockStats counts the work of one Run's round loops, summed over its
@@ -108,16 +120,14 @@ type ClockStats struct {
 	// Lanes is the number of component lanes, LaneRounds the rounds
 	// they ran, and Held how many of them ran out of rounds.
 	Lanes, LaneRounds, Held int
-	// Repriced counts the live members a moved shape visits past round
-	// 0: those other than one-bundle pure buyers', and the one-bundle
-	// pure buyers' it prices over their limits. Rechosen counts the
-	// proxies re-scored past round 0, the owners of those members, and
-	// Switched how many of them changed bundle.
+	// Repriced counts the listed bundles and classes a moved shape visits
+	// past round 0, Rechosen the classes re-scored (a proxy on its own
+	// scan counting as one), and Switched how many proxies changed bundle.
 	Repriced, Rechosen, Switched int
 	// Priced counts the dot products past round 0, one for a moved shape
-	// however many members it visits, none or all. Dropped counts the
-	// pure buyers' members retired from their shapes because they cost
-	// more than their limit.
+	// however many it visits. Dropped counts the class members priced
+	// out, and the bundles of proxies on their own scans dropped from
+	// their shapes for costing more than their limits.
 	Priced, Dropped int
 	// Rebuilds counts the rounds past 0 that switched a choice and so
 	// rebuilt z, and Reused those that switched none and so added last
@@ -152,15 +162,16 @@ func carve[T any](slab *[]T, n int) []T {
 // and nnz rows in all) over pools (ascending global ids; local maps a
 // global id back to its position): the kernel in one pass over the bids'
 // rows, and every scratch vector of the round loop, carved from one slab
-// per element type; then the shape index (see index).
+// per element type; then the shape and class index (see index).
 func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32) *lane {
 	nP, r := len(bids), len(pools)
-	i32 := make([]int32, 6*nP+3*nB+nnz+r+2)
+	i32 := make([]int32, 8*nP+3*nB+nnz+r+2)
 	f64 := make([]float64, nnz+2*nB+4*r)
-	flags := make([]bool, 2*nP)
+	flags := make([]bool, 3*nP)
 	c := &lane{pools: pools, bids: bids, cfg: a.cfg}
 	c.first, c.row, c.idx = carve(&i32, nP+1), carve(&i32, nB+1), carve(&i32, nnz)
 	c.owner, c.shape = carve(&i32, nB), carve(&i32, nB)
+	c.class, c.members = carve(&i32, nP), carve(&i32, nP)
 	c.chosen, c.drop, c.liveP = carve(&i32, nP), carve(&i32, nP), carve(&i32, nP)
 	c.proxyMark, c.affected = carve(&i32, nP), carve(&i32, nP)[:0]
 	c.dirty = carve(&i32, r)[:0]
@@ -168,7 +179,7 @@ func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32
 	c.val, c.lim, c.cost = carve(&f64, nnz), carve(&f64, nB), carve(&f64, nB)
 	c.p, c.z, c.step = carve(&f64, r), carve(&f64, r), carve(&f64, r)
 	c.cfg.Start = carve(&f64, r)
-	c.buyer, c.retired = carve(&flags, nP), carve(&flags, nP)
+	c.buyer, c.seller, c.retired = carve(&flags, nP), carve(&flags, nP), carve(&flags, nP)
 
 	for j, g := range pools {
 		c.cfg.Start[j] = a.cfg.Start[g]
@@ -187,9 +198,14 @@ func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32
 				c.buyer[k] = false
 			}
 		}
+		c.seller[k] = rw.n == 1 && !c.buyer[k] && slices.Max(rw.val) <= 0
 		lo := j
+		c.class[k] = 0 // its own, unless group finds it several limits
 		for i, end := range rw.idx[nnz : nnz+int(rw.n)] {
 			c.row[b], c.lim[b], c.owner[b] = lo, bid.LimitFor(i), int32(k)
+			if !c.buyer[k] || c.lim[b] != c.lim[c.first[k]] {
+				c.class[k] = -1
+			}
 			lo = j + end
 			b++
 		}
@@ -201,8 +217,9 @@ func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32
 }
 
 // shapeTable returns the open-addressed table a lane of up to
-// maxBundles bundles is grouped into shapes with (see group): one table,
-// sized for the largest lane, serves every lane of an auction in turn.
+// maxBundles bundles is grouped into shapes and classes with (see
+// group): one table, sized for the largest lane, serves every lane of an
+// auction in turn.
 func shapeTable(maxBundles int) []int32 {
 	n := 1
 	for n < 2*maxBundles {
@@ -237,81 +254,149 @@ func (c *lane) sameRows(x, y int32) bool {
 	return true
 }
 
+// shapesHash hashes proxy k's shape sequence.
+func (c *lane) shapesHash(k int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range c.shape[c.first[k]:c.first[k+1]] {
+		h = (h ^ uint64(s)) * 1099511628211
+	}
+	return (h ^ h>>29) * 0x9e3779b97f4a7c15
+}
+
+// sameShapes reports whether proxies x and y have the same shape
+// sequence, so the same costs at any prices.
+func (c *lane) sameShapes(x, y int32) bool {
+	return slices.Equal(c.shape[c.first[x]:c.first[x+1]], c.shape[c.first[y]:c.first[y+1]])
+}
+
+// intern returns the first key from slot h on (a power-of-two table of
+// keys + 1, 0 for empty) that same equates to key, entering key if none.
+func intern(slot []int32, h uint64, key int32, same func(x, y int32) bool) int32 {
+	for mask := uint64(len(slot) - 1); ; h = (h + 1) & mask {
+		f := slot[h] - 1
+		if f < 0 {
+			slot[h] = key + 1
+			return key
+		}
+		if same(f, key) {
+			return f
+		}
+	}
+}
+
 // group numbers the lane's shapes, hashing its bundles by their rows
 // into table: bundle b takes the shape of the first bundle with its rows,
-// and when it is that first bundle, the next number. It returns how many
-// shapes there are and the rows of their walk lists, one copy of each
-// shape's.
-func (c *lane) group(table []int32) (shapes, walks int) {
+// and when it is that first bundle, the next number. It groups the pure
+// buyers of one limit into classes the same way, by shape sequence, but
+// for a lone bid of several bundles, which scans on its own, and lays
+// out each class's members in proxy order. It returns the shapes, the
+// classes, the walk lists' rows (one copy of each shape's) and the
+// listed bundles.
+func (c *lane) group(table []int32) (shapes, walks, listed int) {
 	n, shift := 1, uint(64)
 	for n < 2*len(c.owner) {
 		n, shift = n<<1, shift-1
 	}
 	slot := table[:n]
-	for i := range slot {
-		slot[i] = -1
-	}
+	clear(slot)
 	for b := range c.shape {
-		for h := c.rowHash(b) >> shift; ; h = (h + 1) & uint64(n-1) {
-			f := slot[h]
-			if f < 0 {
-				slot[h], c.shape[b] = int32(b), int32(shapes)
-				shapes, walks = shapes+1, walks+int(c.row[b+1]-c.row[b])
-				break
-			}
-			if c.sameRows(f, int32(b)) {
-				c.shape[b] = c.shape[f]
-				break
-			}
+		if f := intern(slot, c.rowHash(b)>>shift, int32(b), c.sameRows); f != int32(b) {
+			c.shape[b] = c.shape[f]
+			continue
+		}
+		c.shape[b] = int32(shapes)
+		shapes, walks = shapes+1, walks+int(c.row[b+1]-c.row[b])
+	}
+	// Until numbered, a class is its first member f, chosen[f] its number
+	// and drop[f] its size, then the end of its members: reset and open
+	// rewrite both.
+	clear(slot)
+	for k, f := range c.class {
+		if f >= 0 {
+			f = intern(slot, c.shapesHash(k)>>shift, int32(k), c.sameShapes)
+			c.class[k] = f
+			c.drop[f]++
 		}
 	}
-	return shapes, walks
+	at := int32(0)
+	for k, f := range c.class {
+		n := int(c.first[k+1] - c.first[k])
+		switch {
+		case f < 0:
+			listed += n
+			continue
+		case f == int32(k) && c.drop[k] == 1 && n > 1:
+			c.class[k], listed = -1, listed+n
+			continue
+		case f == int32(k):
+			c.chosen[k], c.classes = c.classes, c.classes+1
+			c.drop[k], at = at, at+c.drop[k]
+			if n > 1 {
+				listed += n // its last member's
+			}
+		}
+		c.class[k] = c.chosen[f]
+		c.members[c.drop[f]] = int32(k)
+		c.drop[f]++
+	}
+	c.members = c.members[:at]
+	return shapes, walks, listed
 }
 
-// index builds the lane's shape index, in one more slab sized by group:
-// each shape's record, with its one-bundle pure buyers' members laid out
-// at the end of its member range by ascending limit, and each pool's
-// walk range.
+// index builds the lane's shape and class records, in one more slab
+// sized by group, and each pool's walk range.
 func (c *lane) index(table []int32) {
-	shapes, walks := c.group(table)
+	shapes, walks, listed := c.group(table)
 	r := len(c.pools)
-	i32 := make([]int32, recLen*shapes+len(c.shape)+walks+2*r+1)
-	c.recs, c.liveM = carve(&i32, recLen*shapes), carve(&i32, len(c.shape))
+	i32 := make([]int32, recLen*shapes+listed+walks+2*r+1+crecLen*int(c.classes))
+	c.recs, c.liveM, c.crecs = carve(&i32, recLen*shapes), carve(&i32, listed), carve(&i32, crecLen*int(c.classes))
 	c.walk, c.walkAt, c.walkEnd = carve(&i32, walks), carve(&i32, r+1), carve(&i32, r)
+	// cost holds each proxy's limit, the members' sort key, until trimmed
+	// to the shapes.
+	lims := c.cost
+	for k := range c.class {
+		lims[k] = c.lim[c.first[k]]
+	}
+	at := int32(0)
+	for cl := range c.classes {
+		cr := c.crec(int32(cl))
+		cr[cLo], cr[cHi] = at, c.drop[c.members[at]] // its first member's end
+		ks := c.members[cr[cLo]:cr[cHi]]
+		at = cr[cHi]
+		if len(ks) > 16 {
+			slices.SortStableFunc(ks, func(x, y int32) int { return cmp.Compare(lims[x], lims[y]) })
+		}
+		for i := 1; i < len(ks) && len(ks) <= 16; i++ { // by insertion, as a rule
+			for j := i; j > 0 && lims[ks[j]] < lims[ks[j-1]]; j-- {
+				ks[j], ks[j-1] = ks[j-1], ks[j]
+			}
+		}
+		for _, k := range ks[:len(ks)-1] {
+			c.class[k] = -2
+		}
+	}
+
 	c.cost = c.cost[:shapes]
 	for b, s := range c.shape {
 		sh := c.rec(s)
-		if sh[shHi] == 0 { // its first member: the shape's rows are its
+		if sh[shRowEnd] == 0 { // its first member: the shape's rows are its
 			sh[shRow], sh[shRowEnd] = c.row[b], c.row[b+1]
 		}
-		sh[shHi]++ // counts the members until the sums below
+		if c.listed(c.owner[b]) {
+			sh[shHi]++ // counts the listed bundles until the sums below
+		}
 	}
-	at := int32(0)
+	at = 0
 	for s := range c.cost {
 		sh := c.rec(int32(s))
 		for _, r := range c.idx[sh[shRow]:sh[shRowEnd]] {
 			c.walkAt[r+1]++
 		}
 		sh[shLo], sh[shHi] = at, at+sh[shHi]
-		sh[shOrdAt], at = sh[shHi], sh[shHi]
+		at = sh[shHi]
 	}
 	for g := 0; g < r; g++ {
 		c.walkAt[g+1] += c.walkAt[g]
-	}
-	// The one-bundle buyers' members end their shape's range, placed from
-	// its end in bundle order, then ordered by limit. reset leaves them in
-	// place; it lays out the other members every run.
-	for k := len(c.buyer) - 1; k >= 0; k-- {
-		if b := c.first[k]; c.oneBundleBuyer(int32(k)) {
-			sh := c.rec(c.shape[b])
-			sh[shOrdAt]--
-			c.liveM[sh[shOrdAt]] = b
-		}
-	}
-	byLimit := func(x, y int32) int { return cmp.Compare(c.lim[x], c.lim[y]) }
-	for s := range c.cost {
-		sh := c.rec(int32(s))
-		slices.SortStableFunc(c.liveM[sh[shOrdAt]:sh[shHi]], byLimit)
 	}
 }
 
@@ -322,21 +407,29 @@ func (c *lane) rec(s int32) []int32 {
 	return c.recs[int(s)*recLen:][:recLen]
 }
 
-// oneBundleBuyer reports whether proxy k is a pure buyer of one bundle:
-// it demands that bundle exactly while the bundle's cost, which never
-// falls, is within its limit.
+// crec returns class cl's record.
 //
 //marketlint:allocfree
-func (c *lane) oneBundleBuyer(k int32) bool {
-	return c.buyer[k] && c.first[k+1]-c.first[k] == 1
+func (c *lane) crec(cl int32) []int32 {
+	return c.crecs[int(cl)*crecLen:][:crecLen]
+}
+
+// listed reports whether the shapes list proxy k's bundles: k is on its
+// own scan, or stands for a class of several bundles. A one-bundle class
+// sits in its shape's record instead.
+//
+//marketlint:allocfree
+func (c *lane) listed(k int32) bool {
+	cl := c.class[k]
+	return cl == -1 || cl >= 0 && c.first[k+1]-c.first[k] > 1
 }
 
 // reset readies the scratch for a run from the reserve prices: nobody
 // retired, no history or counters, and the lists the rounds shrink laid
 // out whole and ascending — pool r's walk[walkAt[r]:walkEnd[r]] its
-// shapes, and a shape's members but the one-bundle buyers' from its lo,
-// whose ordered list is whole again. The epoch-stamped marks survive
-// across runs (a mark below the current epoch reads as "unseen").
+// shapes, a shape's listed bundles (open adds its class). The
+// epoch-stamped marks survive across runs (a mark below the current
+// epoch reads as "unseen").
 //
 //marketlint:allocfree
 func (c *lane) reset() {
@@ -349,14 +442,14 @@ func (c *lane) reset() {
 	copy(c.walkEnd, c.walkAt)
 	for s := range c.cost {
 		sh := c.rec(int32(s))
-		sh[shEnd], sh[shOrd] = sh[shLo], sh[shOrdAt]
+		sh[shEnd], sh[shOne] = sh[shLo], -1
 		for _, r := range c.idx[sh[shRow]:sh[shRowEnd]] {
 			c.walk[c.walkEnd[r]] = int32(s)
 			c.walkEnd[r]++
 		}
 	}
 	for b, s := range c.shape {
-		if !c.oneBundleBuyer(c.owner[b]) {
+		if c.listed(c.owner[b]) {
 			sh := c.rec(s)
 			c.liveM[sh[shEnd]] = int32(b)
 			sh[shEnd]++
@@ -428,8 +521,9 @@ func (c *lane) choose(k int32) int32 {
 
 // open is round 0, a full evaluation: every shape is priced at the
 // reserve prices, every proxy chooses, and z is built from scratch in
-// proxy order, exactly as the reference round does. It returns the
-// active-bidder count.
+// proxy order, exactly as the reference round does; the members priced
+// out lead their classes, which drop them. It returns the active-bidder
+// count.
 //
 //marketlint:allocfree
 func (c *lane) open() int {
@@ -444,28 +538,52 @@ func (c *lane) open() int {
 		if b >= 0 {
 			active++
 			c.demand(b)
+			c.retired[k] = c.seller[k]
 		} else {
 			c.drop[k] = 0
 			c.retired[k] = c.buyer[k]
 		}
 	}
+	for cl := range c.classes {
+		cr := c.crec(cl)
+		cr[cOrd], cr[cPick] = cr[cLo], -1
+		for cr[cOrd] < cr[cHi] && c.retired[c.members[cr[cOrd]]] {
+			cr[cOrd]++
+		}
+		c.settle(cl, cr[cOrd], cr[cHi])
+	}
 	return active
 }
 
+// settle puts one-bundle class cl, whose live members start at lo, on
+// its shape's record with its first live member's bundle, or off it when
+// none is left.
+//
+//marketlint:allocfree
+func (c *lane) settle(cl, lo, hi int32) {
+	if k := c.members[hi-1]; c.first[k+1]-c.first[k] == 1 {
+		sh := c.rec(c.shape[c.first[k]])
+		if sh[shOne] = -1; lo < hi {
+			sh[shOne], sh[shFront] = cl, c.first[c.members[lo]]
+		}
+	}
+}
+
 // reprice refreshes shape s, whose pools moved and which has a live
-// member, from its record sh: one dot into its cost slot, and each member
-// but the one-bundle buyers' visited, its owner listed for re-choosing. A
-// retired buyer's member leaves the shape, and so does a pure buyer's
-// member priced over its limit: its cost can never come back down. Of the
-// one-bundle buyers' members, only those the dot prices over their
-// limits are visited: popped off the front of the limit order, their
-// owners are listed, unless retired at round 0.
+// class, from its record sh: one dot into its cost slot, and each listed
+// bundle's class listed for re-scoring. A retired buyer's bundle leaves
+// the shape, and so does a pure buyer's priced over its limit. The
+// one-bundle class is listed only when the dot prices its first out.
 //
 //marketlint:allocfree
 func (c *lane) reprice(s int32, sh []int32) {
 	cost := c.dot(sh[shRow], sh[shRowEnd])
 	c.cost[s] = cost
 	c.stats.Priced++
+	if one := sh[shOne]; one >= 0 && cost > c.lim[sh[shFront]] {
+		c.stats.Repriced++
+		c.list(c.members[c.crec(one)[cHi]-1])
+	}
 	w := sh[shLo]
 	for _, b := range c.liveM[w:sh[shEnd]] {
 		k := c.owner[b]
@@ -473,43 +591,39 @@ func (c *lane) reprice(s int32, sh []int32) {
 			continue
 		}
 		c.stats.Repriced++
-		if c.proxyMark[k] != c.epoch {
-			c.proxyMark[k] = c.epoch
-			c.affected = append(c.affected, k)
-		}
+		c.list(k)
 		if c.buyer[k] && cost > c.lim[b] {
-			c.stats.Dropped++
+			if c.class[k] < 0 {
+				c.stats.Dropped++ // a class counts its members
+			}
 			continue
 		}
 		c.liveM[w] = b
 		w++
 	}
 	sh[shEnd] = w
-
-	ord := c.liveM[sh[shOrd]:sh[shHi]]
-	n := 0
-	for ; n < len(ord) && cost > c.lim[ord[n]]; n++ {
-		k := c.owner[ord[n]]
-		if c.retired[k] {
-			continue
-		}
-		c.stats.Repriced++
-		c.stats.Dropped++
-		c.affected = append(c.affected, k) // its only bundle: listed once
-	}
-	sh[shOrd] += int32(n)
 }
 
-// emptied reports whether the shape of record sh has no live member left.
+// list adds proxy k, once a round, to those to re-choose.
+//
+//marketlint:allocfree
+func (c *lane) list(k int32) {
+	if c.proxyMark[k] != c.epoch {
+		c.proxyMark[k] = c.epoch
+		c.affected = append(c.affected, k)
+	}
+}
+
+// emptied reports whether the shape of record sh has no live class left.
 //
 //marketlint:allocfree
 func emptied(sh []int32) bool {
-	return sh[shEnd] == sh[shLo] && sh[shOrd] == sh[shHi]
+	return sh[shEnd] == sh[shLo] && sh[shOne] < 0
 }
 
 // advance applies one round of incremental demand revelation at round t:
-// re-price the shapes on a dirty pool, re-choose their members' owners,
-// and, when any choice switched, rebuild z. It returns the updated
+// re-price the shapes on a dirty pool, re-score the classes listed in
+// them, and, when any choice switched, rebuild z. It returns the updated
 // active-bidder count and whether any choice switched: when none did, z
 // is untouched.
 //
@@ -540,24 +654,10 @@ func (c *lane) advance(t, active int) (int, bool) {
 
 	c.stats.Rechosen += len(c.affected)
 	for _, k := range c.affected {
-		old, b := c.chosen[k], c.choose(k)
-		if b == old {
-			continue
-		}
-		c.chosen[k] = b
-		c.stats.Switched++
-		switch {
-		case b < 0:
-			// Dropped out this round.
-			active--
-			c.drop[k] = int32(t)
-			c.retired[k] = c.buyer[k]
-		case old < 0:
-			// Re-entered: rising prices lifted a seller/trader bundle
-			// back over its limit. Clear the stale drop round so the
-			// diagnostic matches History.ActiveBidders.
-			active++
-			c.drop[k] = -1
+		if cl := c.class[k]; cl >= 0 {
+			active = c.rescore(cl, t, active)
+		} else if b := c.choose(k); b != c.chosen[k] {
+			active = c.switchTo(k, b, t, active)
 		}
 	}
 	if c.stats.Switched == switched {
@@ -570,17 +670,86 @@ func (c *lane) advance(t, active int) (int, bool) {
 	c.z.SetZero()
 	live, w := c.liveP, 0
 	for i, k := range live {
-		if c.retired[k] {
+		b := c.chosen[k]
+		if b < 0 && c.retired[k] {
 			continue
 		}
 		if w < i {
 			live[w] = k
 		}
 		w++
-		if b := c.chosen[k]; b >= 0 {
+		if b >= 0 {
 			c.demand(b)
 		}
 	}
 	c.liveP = live[:w]
 	return active, true
+}
+
+// switchTo switches proxy k's choice to bundle b at round t and returns
+// the updated active-bidder count.
+//
+//marketlint:allocfree
+func (c *lane) switchTo(k, b int32, t, active int) int {
+	old := c.chosen[k]
+	c.chosen[k] = b
+	c.stats.Switched++
+	switch {
+	case b < 0:
+		// Dropped out this round.
+		active--
+		c.drop[k] = int32(t)
+		c.retired[k] = c.buyer[k]
+	case old < 0:
+		// Re-entered: rising prices lifted a seller/trader bundle back
+		// over its limit. Clear the stale drop round so the diagnostic
+		// matches History.ActiveBidders.
+		active++
+		c.drop[k] = -1
+		c.retired[k] = c.seller[k]
+	}
+	return active
+}
+
+// rescore re-scores class cl at round t once for its members (see the
+// contract) and returns the updated active-bidder count.
+//
+//marketlint:allocfree
+func (c *lane) rescore(cl int32, t, active int) int {
+	cr := c.crec(cl)
+	lo, hi := cr[cOrd], cr[cHi]
+	rep := c.members[hi-1]
+	first, top := c.first[rep], c.lim[c.first[rep]]
+	pick, low, near := int32(-1), math.Inf(1), math.Inf(1)
+	for i, s := range c.shape[first:c.first[rep+1]] {
+		if cost := c.cost[s]; cost < low {
+			pick, low, near = int32(i), cost, low
+		}
+	}
+	for ; lo < hi && c.lim[c.first[c.members[lo]]] < low; lo++ {
+		active = c.switchTo(c.members[lo], -1, t, active)
+		c.stats.Dropped++
+	}
+	cr[cOrd] = lo
+	if c.settle(cl, lo, hi); lo == hi || c.first[rep+1]-first == 1 {
+		return active // a class of one bundle: its live members have it
+	}
+	x := max(math.Abs(top), math.Abs(low))
+	tie := near <= top && near-low <= 2*(math.Nextafter(x, math.Inf(1))-x)
+	if !tie && cr[cPick] == pick {
+		return active
+	}
+	for _, k := range c.members[lo:hi] {
+		b := c.first[k] + pick
+		if tie {
+			b = c.choose(k)
+		}
+		if b != c.chosen[k] {
+			active = c.switchTo(k, b, t, active)
+		}
+	}
+	if cr[cPick] = pick; tie {
+		cr[cPick] = -1
+	}
+	return active
 }

@@ -101,18 +101,19 @@ func oneBundleCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
 	}
 }
 
-// limitOrders tallies, over an auction's lanes after a run, the
-// one-bundle buyers' shape members popped off their limit order and those
-// still in it, and the shapes whose members mix one-bundle buyers' with
-// others'.
+// limitOrders tallies, over an auction's lanes after a run, the members
+// of one-bundle classes popped off their limit order and those still in
+// it, and the shapes that hold such a class beside listed bundles.
 func limitOrders(a *Auction) (popped, kept, mixed int) {
 	for _, c := range a.laneList() {
-		for s := range c.cost {
-			sh := c.rec(int32(s))
-			popped += int(sh[shOrd] - sh[shOrdAt])
-			kept += int(sh[shHi] - sh[shOrd])
-			if sh[shLo] < sh[shOrdAt] && sh[shOrdAt] < sh[shHi] {
-				mixed++
+		for cl := range c.classes {
+			cr := c.crec(cl)
+			if k := c.members[cr[cLo]]; c.first[k+1]-c.first[k] == 1 {
+				popped += int(cr[cOrd] - cr[cLo])
+				kept += int(cr[cHi] - cr[cOrd])
+				if sh := c.rec(c.shape[c.first[k]]); sh[shHi] > sh[shLo] {
+					mixed++
+				}
 			}
 		}
 	}
@@ -167,8 +168,8 @@ func TestCostAtLimitStaysChosen(t *testing.T) {
 }
 
 // TestEqualLimitsDropTogether: one-bundle buyers of one row set at one
-// limit are popped in the same round, and only they are re-chosen beside
-// the seller, whose singleton bundle is re-priced every round.
+// limit are popped in the same round, by their class's one re-score. The
+// seller, chosen at round 0, left the loop then, and is re-chosen never.
 func TestEqualLimitsDropTogether(t *testing.T) {
 	reg := cpuRegistry(1)
 	bids := []*Bid{
@@ -184,15 +185,14 @@ func TestEqualLimitsDropTogether(t *testing.T) {
 	if d <= 0 || res.DropRound[3] != d || res.DropRound[4] != d || !res.IsWinner(2) {
 		t.Fatalf("drop rounds %v, rich won %v; want a, b and c out in one round", res.DropRound, res.IsWinner(2))
 	}
-	if c := res.Clock; c.Dropped != 3 || c.Rechosen != res.Rounds-1+3 {
-		t.Errorf("%d dropped, %d re-chosen over %d rounds; want 3 and the seller every round past 0 plus a, b and c", c.Dropped, c.Rechosen, res.Rounds)
+	if c := res.Clock; c.Dropped != 3 || c.Rechosen != 1 {
+		t.Errorf("%d dropped, %d re-scored over %d rounds; want 3 and the class once, as it pops a, b and c", c.Dropped, c.Rechosen, res.Rounds)
 	}
 }
 
 // TestRetiredAtRoundZeroNeverRechosen: a one-bundle buyer priced out at
-// the reserve retires at round 0 and stays at the front of its shape's
-// limit order until the first re-price pops it, which must not list its
-// owner again.
+// the reserve retires at round 0, and round 0 pops it off the front of
+// its class's limit order: no later round re-scores the class for it.
 func TestRetiredAtRoundZeroNeverRechosen(t *testing.T) {
 	reg := cpuRegistry(1)
 	bids := []*Bid{
@@ -207,8 +207,8 @@ func TestRetiredAtRoundZeroNeverRechosen(t *testing.T) {
 	if res.DropRound[1] != 0 || !res.IsWinner(2) || res.IsWinner(3) || res.IsWinner(4) {
 		t.Fatalf("drop rounds %v, chosen bundles %v; want broke out at round 0 and a the only buyer winning", res.DropRound, res.ChosenBundle)
 	}
-	if c := res.Clock; c.Dropped != 2 || c.Switched != 2 || c.Rechosen != res.Rounds-1+2 {
-		t.Errorf("%d dropped, %d switched, %d re-chosen over %d rounds; want b and rival only, beside the seller every round past 0",
+	if c := res.Clock; c.Dropped != 2 || c.Switched != 2 || c.Rechosen != 2 {
+		t.Errorf("%d dropped, %d switched, %d re-scored over %d rounds; want b and rival only, the class re-scored as each is priced out",
 			c.Dropped, c.Switched, c.Rechosen, res.Rounds)
 	}
 }
@@ -245,10 +245,10 @@ func TestHeldLaneQuietRoundsEndPostStep(t *testing.T) {
 }
 
 // TestSingletonBuyerWithinLimitNotRechosen: a one-bundle pure buyer whose
-// rows no other bundle has is a shape of one in limit order, like any
-// other: while its pool climbs within its limit it is not re-chosen. Only
-// the seller is, every round past 0, and the two buyers of one row set as
-// the price passes their limits.
+// rows no other bundle has is a class of one in limit order, like any
+// other: while its pool climbs within its limit it is not re-scored. Only
+// the class of the two buyers of one row set is, as the price passes each
+// one's limit; the seller left the loop at round 0.
 func TestSingletonBuyerWithinLimitNotRechosen(t *testing.T) {
 	reg := cpuRegistry(1)
 	bids := []*Bid{
@@ -262,8 +262,8 @@ func TestSingletonBuyerWithinLimitNotRechosen(t *testing.T) {
 	if !res.IsWinner(1) || res.IsWinner(2) || res.IsWinner(3) {
 		t.Fatalf("chosen bundles %v; want solo the only buyer winning", res.ChosenBundle)
 	}
-	if c := res.Clock; c.Rechosen != res.Rounds-1+2 || c.Dropped != 2 {
-		t.Errorf("%d re-chosen over %d rounds, %d dropped; want the seller every round past 0 plus a and b, who are dropped",
+	if c := res.Clock; c.Rechosen != 2 || c.Dropped != 2 {
+		t.Errorf("%d re-scored over %d rounds, %d dropped; want a and b's class twice, as each is dropped",
 			c.Rechosen, res.Rounds, c.Dropped)
 	}
 }
@@ -272,7 +272,7 @@ func TestSingletonBuyerWithinLimitNotRechosen(t *testing.T) {
 // no other bundle has is dropped from its shape of one once it is priced
 // over its limit, as a shared member is; the bid stays live and wins on
 // its other bundle. Two buyers of one row set keep that pool climbing,
-// and the poorer one is dropped too.
+// and the poorer one is popped off their class's limit order.
 func TestSingletonBundleOverLimitDropped(t *testing.T) {
 	reg := cpuRegistry(2)
 	bids := []*Bid{

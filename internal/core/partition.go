@@ -70,7 +70,7 @@ type lane struct {
 
 	// One run's state (see incremental.go): prices, excess demand and
 	// step; each shape's cached cost; each proxy's demanded bundle (−1
-	// when priced out), drop round and retirement flag.
+	// when priced out), drop round and whether that choice is final.
 	p, z, step resource.Vector
 	cost       []float64
 	chosen     []int32
@@ -79,9 +79,10 @@ type lane struct {
 	// liveP lists the proxies, ascending, without retired buyers.
 	liveP []int32
 	// The re-pricing index, live: pool r's walk[walkAt[r]:walkEnd[r]]
-	// lists its shapes with a live member, and the shapes' records (see
-	// rec) their members in liveM still in the running.
-	walk, walkEnd, recs, liveM []int32
+	// lists its shapes with a listed bundle, the shapes' records (see
+	// rec) their bundles in liveM still listed, and the classes' records
+	// (see crec) their live members.
+	walk, walkEnd, recs, liveM, crecs []int32
 	// Epoch-stamped dedup marks: a mark equal to the current epoch means
 	// "already gathered this round", so clearing between rounds is O(1).
 	epoch     int32
@@ -101,7 +102,7 @@ type lane struct {
 }
 
 // unionFind is a union-find forest over global pool ids with path
-// halving; union keeps the smaller root so a component's representative
+// halving; join keeps the smaller root so a component's representative
 // is its smallest pool id.
 type unionFind []int32
 
@@ -113,14 +114,17 @@ func (uf unionFind) find(x int32) int32 {
 	return x
 }
 
-func (uf unionFind) union(a, b int32) {
-	ra, rb := uf.find(a), uf.find(b)
-	switch {
-	case ra < rb:
-		uf[rb] = ra
-	case rb < ra:
-		uf[ra] = rb
+// join merges root's set with x's and returns the merged set's root.
+func (uf unionFind) join(root, x int32) int32 {
+	if uf[x] == root {
+		return root // x's parent: a bid's pools are mostly joined already
 	}
+	rx := uf.find(x)
+	if rx < root {
+		root, rx = rx, root
+	}
+	uf[rx] = root
+	return root
 }
 
 // laneList returns the auction's cached lanes. They are built once per
@@ -174,9 +178,10 @@ func (a *Auction) buildLanes() []*lane {
 	for i := range a.bids {
 		rw := &a.bids[i].rows
 		nB, nnz = nB+int(rw.n), nnz+len(rw.val)
+		root := uf.find(rw.idx[0])
 		for _, g := range rw.idx[:len(rw.val)] {
 			touched[g] = true
-			uf.union(rw.idx[0], g)
+			root = uf.join(root, g)
 		}
 	}
 	for _, v := range a.cfg.Start {
@@ -406,15 +411,9 @@ func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 }
 
 // hold lists the bids of the lanes that ran out in res.Held, in input
-// order, counted first so that the list is one allocation.
+// order, in one allocation.
 func (a *Auction) hold(lanes []*lane, res *Result) {
-	n := 0
-	for _, c := range lanes {
-		if c.out {
-			n += len(c.bids)
-		}
-	}
-	res.Held = make([]int, 0, n)
+	res.Held = make([]int, 0, len(a.bids))
 	for i := range a.bids {
 		if a.laneOf == nil || lanes[a.laneOf[i]].out {
 			res.Held = append(res.Held, i)

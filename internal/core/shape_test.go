@@ -84,19 +84,23 @@ func catalogCase(rng *rand.Rand) (*resource.Registry, []*Bid, Config) {
 }
 
 // TestCatalogMatchesReference is the differential on catalog-shaped
-// markets, where most bundles share their rows with another: the clock
-// prices each moved shape once and drops the pure buyers' members priced
-// over their limits, and still agrees with ReferenceRun bit for bit. The
-// generator must engage both paths. The seeds are negative, as the ones
-// FuzzClockMatchesReference draws catalog markets for.
+// markets, where most bundles share their rows with another and many
+// bids repeat another: the clock prices each moved shape once, drops the
+// pure buyers' entries priced over their limits and re-scores each
+// demand class once for its members, and still agrees with ReferenceRun
+// bit for bit. The generator must engage all three: one dot must serve
+// several entries, and the re-scores must fall under the 89 645 proxies
+// these seeds re-chose one by one before classes (113 466 with classes
+// off). The seeds are negative, as the ones FuzzClockMatchesReference
+// draws catalog markets for.
 func TestCatalogMatchesReference(t *testing.T) {
 	var sum ClockStats
 	for seed := int64(-1); seed >= -120; seed-- {
 		reg, bids, cfg := catalogCase(rand.New(rand.NewSource(seed)))
 		sum.Add(mustMatchReference(t, fmt.Sprintf("seed %d", seed), reg, bids, cfg).Clock)
 	}
-	if sum.Dropped == 0 || sum.Priced >= sum.Repriced {
-		t.Fatalf("shapes barely engaged over 120 catalog markets: %+v", sum)
+	if sum.Dropped == 0 || sum.Priced >= sum.Repriced || sum.Rechosen >= 89645 {
+		t.Fatalf("shapes or classes barely engaged over 120 catalog markets: %+v", sum)
 	}
 }
 
@@ -105,7 +109,7 @@ func TestCatalogMatchesReference(t *testing.T) {
 // the last bit are two shapes, each priced over its own rows: the cost
 // of every shape with a live member is each member's own dot at the
 // final prices, and within the limit of every one-bundle buyer still in
-// its limit order. The seller's bundle, whose rows no other bundle has,
+// its class's limit order. The seller's bundle, whose rows no other bundle has,
 // is a shape of one, numbered first as its first bundle.
 func TestShapeRowsOneULPApart(t *testing.T) {
 	reg := cpuRegistry(2)
@@ -141,29 +145,30 @@ func TestShapeRowsOneULPApart(t *testing.T) {
 		}
 	}
 	kept := 0
-	for s := range c.cost {
-		sh := c.rec(int32(s))
-		for _, b := range c.liveM[sh[shOrd]:sh[shHi]] {
-			if c.retired[c.owner[b]] {
+	for cl := range c.classes {
+		cr := c.crec(cl)
+		for _, k := range c.members[cr[cOrd]:cr[cHi]] {
+			if c.retired[k] {
 				continue
 			}
 			kept++
-			if c.cost[s] > c.lim[b] {
-				t.Errorf("bundle %d is live in limit order at cost %v over its limit %v", b, c.cost[s], c.lim[b])
+			if b := c.first[k]; c.cost[c.shape[b]] > c.lim[b] {
+				t.Errorf("proxy %d is live in limit order at cost %v over its limit %v", k, c.cost[c.shape[b]], c.lim[b])
 			}
 		}
 	}
 	if kept == 0 {
-		t.Error("no one-bundle buyer's member is left in limit order")
+		t.Error("no one-bundle buyer is left in limit order")
 	}
 }
 
-// TestEmptyShapeLeavesWalkLists: when every member of a shape has been
+// TestEmptyShapeLeavesWalkLists: when every bundle a shape lists has been
 // dropped, the shape leaves the walk lists of its pools, so a pool that
 // keeps moving stops visiting it. Here three poor buyers with one row
 // set drop out early while a rich buyer keeps pool 0 climbing; all are
-// one-bundle buyers, so the buyers' two shapes hold only limit-ordered
-// members. The seller's bundle is shape 0, which never empties.
+// one-bundle buyers, so each of the buyers' two shapes lists one class.
+// The seller's bundle is shape 0, which empties too: the seller, chosen
+// at round 0, leaves it at the first re-price.
 func TestEmptyShapeLeavesWalkLists(t *testing.T) {
 	reg := cpuRegistry(1)
 	bids := []*Bid{
@@ -187,11 +192,11 @@ func TestEmptyShapeLeavesWalkLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := a.laneList()[0]
-	if len(c.cost) != 3 || emptied(c.rec(0)) || !emptied(c.rec(1)) || emptied(c.rec(2)) {
-		t.Fatalf("shape records %v: want three, the second emptied", c.recs)
+	if len(c.cost) != 3 || !emptied(c.rec(0)) || !emptied(c.rec(1)) || emptied(c.rec(2)) {
+		t.Fatalf("shape records %v: want three, the first two emptied", c.recs)
 	}
-	if list := c.walk[c.walkAt[0]:c.walkEnd[0]]; !slices.Equal(list, []int32{0, 2}) {
-		t.Errorf("pool 0's walk list %v, want [0 2]: the emptied shape left it", list)
+	if list := c.walk[c.walkAt[0]:c.walkEnd[0]]; !slices.Equal(list, []int32{2}) {
+		t.Errorf("pool 0's walk list %v, want [2]: the emptied shapes left it", list)
 	}
 }
 
