@@ -54,10 +54,11 @@ vulncheck: ## govulncheck against the checked-in ignore list
 	./scripts/vulncheck.sh
 
 # Fused multiply-adds would let arm64, ppc64le and riscv64 round a cost
-# differently from amd64: cross-compile marketd and marketsim for those
-# three, disassemble them, and fail on any fused op in a clustermarket/
-# function (offline; ~45 s, most of it compiling the standard library).
-fma-check: ## Fail on a fused multiply-add in the daemons' arm64/ppc64le/riscv64 code
+# differently from amd64: cross-compile marketd, marketsim and the root
+# and internal/scenario test binaries for those three, disassemble them,
+# and fail on any fused op in a clustermarket function (offline; ~80 s,
+# most of it compiling the standard library).
+fma-check: ## Fail on a fused multiply-add in arm64/ppc64le/riscv64 builds of the daemons and fingerprint tests
 	./scripts/fma-check.sh
 
 # The layer benchmarks in bench_test.go, one pass each: the clock
