@@ -95,11 +95,11 @@ func collectExchange(m *telemetry.Exposition, ex *market.Exchange, region string
 		{"lanes", "Component lanes clocked.", mt.Clock.Lanes},
 		{"lanes_held", "Lanes that ran out of rounds; their orders were held open.", mt.Clock.Held},
 		{"lane_rounds", "Rounds run, summed over lanes.", mt.Clock.LaneRounds},
-		{"bundles_repriced", "Live members a moved shape visits past round 0; a one-bundle buyer's bundle only once priced over its limit.", mt.Clock.Repriced},
+		{"bundles_repriced", "Listed bundles and classes a moved shape visits past round 0; a one-bundle class only once priced past its first limit.", mt.Clock.Repriced},
 		{"bundles_priced", "Dot products past round 0: one per moved shape of identical bundles.", mt.Clock.Priced},
-		{"bundles_dropped", "Pure buyers' bundles retired from their shapes as priced over their limit.", mt.Clock.Dropped},
-		{"proxies_rechosen", "Proxies re-scored past round 0.", mt.Clock.Rechosen},
-		{"choices_switched", "Re-scored proxies that changed bundle.", mt.Clock.Switched},
+		{"bundles_dropped", "Class members priced out, and bundles of proxies on their own scans retired from their shapes as priced over their limit.", mt.Clock.Dropped},
+		{"proxies_rechosen", "Classes re-scored past round 0, a proxy on its own scan counting as one.", mt.Clock.Rechosen},
+		{"choices_switched", "Proxies that changed bundle past round 0.", mt.Clock.Switched},
 		{"z_rebuilds", "Rounds that rebuilt excess demand whole.", mt.Clock.Rebuilds},
 		{"steps_reused", "Rounds that switched no choice and added the last step again.", mt.Clock.Reused},
 	} {
