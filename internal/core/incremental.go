@@ -52,7 +52,8 @@ import (
 //     bundle priced over its limit (a class's largest): it leaves its
 //     shape, and a class its members priced out. A shape with nothing
 //     left leaves the walk lists. A chosen one-bundle seller's cost only
-//     falls, so it leaves its shape too.
+//     falls, so it retires with its choice: it leaves its shape, and the
+//     rebuild still adds it.
 //   - A round in which no choice switched leaves z as it was, so the step
 //     and the moved pools are last round's: the loop adds that step on
 //     those pools again. Adding a +0 step elsewhere would change no
@@ -77,7 +78,7 @@ type kernel struct {
 	// of the largest limit, who stands for it in the shapes; −2 for its
 	// other members; −1 for a proxy on its own scan.
 	class, members []int32
-	classes        int32
+	classes        int32 // how many there are
 	// Pool r's walk list, of the shapes on it, starts at walkAt[r] and
 	// ends before walkAt[r+1].
 	walkAt []int32
@@ -200,7 +201,7 @@ func (a *Auction) newLane(pools, bids, local []int32, nB, nnz int, table []int32
 		}
 		c.seller[k] = rw.n == 1 && !c.buyer[k] && slices.Max(rw.val) <= 0
 		lo := j
-		c.class[k] = 0 // its own, unless group finds it several limits
+		c.class[k] = 0 // a pure buyer of one limit, for group to class
 		for i, end := range rw.idx[nnz : nnz+int(rw.n)] {
 			c.row[b], c.lim[b], c.owner[b] = lo, bid.LimitFor(i), int32(k)
 			if !c.buyer[k] || c.lim[b] != c.lim[c.first[k]] {
