@@ -366,10 +366,11 @@ func (c *lane) index(table []int32) {
 		at = cr[cHi]
 		if len(ks) > 16 {
 			slices.SortStableFunc(ks, func(x, y int32) int { return cmp.Compare(lims[x], lims[y]) })
-		}
-		for i := 1; i < len(ks) && len(ks) <= 16; i++ { // by insertion, as a rule
-			for j := i; j > 0 && lims[ks[j]] < lims[ks[j-1]]; j-- {
-				ks[j], ks[j-1] = ks[j-1], ks[j]
+		} else { // by insertion, cheaper on the few members a class has as a rule
+			for i := 1; i < len(ks); i++ {
+				for j := i; j > 0 && lims[ks[j]] < lims[ks[j-1]]; j-- {
+					ks[j], ks[j-1] = ks[j-1], ks[j]
+				}
 			}
 		}
 		for _, k := range ks[:len(ks)-1] {
@@ -572,7 +573,7 @@ func (c *lane) settle(cl, lo, hi int32) {
 
 // reprice refreshes shape s, whose pools moved and which has a live
 // class, from its record sh: one dot into its cost slot, and each listed
-// bundle's class listed for re-scoring. A retired buyer's bundle leaves
+// bundle's class listed for re-scoring. A retired proxy's bundle leaves
 // the shape, and so does a pure buyer's priced over its limit. The
 // one-bundle class is listed only when the dot prices its first out.
 //
