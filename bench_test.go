@@ -531,11 +531,8 @@ func BenchmarkSubmitProductParallel(b *testing.B) {
 	})
 }
 
-// wideBids books orders on a wide exchange — order k wants qty[k]
-// workers (one when qty is nil) on an XOR of clusters[k] at limits[k] —
-// and returns its registry, the booked bids plus the operator's 64 supply
-// bids at R = 192, and the exchange's reserve prices: an epoch's auction
-// input as the exchange assembles it.
+// wideBids is bookedBids on a fresh wide exchange, whose operator offers
+// 64 supply bids at R = 192.
 func wideBids(tb testing.TB, clusters [][]string, qty, limits []float64) (*resource.Registry, []*core.Bid, resource.Vector) {
 	return bookedBids(tb, wideExchange(tb), "wide", clusters, qty, limits)
 }
@@ -543,7 +540,8 @@ func wideBids(tb testing.TB, clusters [][]string, qty, limits []float64) (*resou
 // bookedBids books, as team on ex, one batch-compute order a k — qty[k]
 // workers (one when qty is nil) on an XOR of clusters[k] at limits[k] —
 // and returns ex's registry, the booked bids plus one operator supply bid
-// a cluster with free capacity (0.8 of it), and ex's reserve prices.
+// a cluster with free capacity (0.8 of it), and ex's reserve prices: an
+// epoch's auction input as the exchange assembles it.
 func bookedBids(tb testing.TB, ex *market.Exchange, team string, clusters [][]string, qty, limits []float64) (*resource.Registry, []*core.Bid, resource.Vector) {
 	for k := range clusters {
 		q := 1.0

@@ -61,25 +61,21 @@ func TestClassTieFallsBack(t *testing.T) {
 	for seed := int64(tieSeeds); seed < tieSeeds+8; seed++ {
 		reg, bids, cfg := tieCase(rand.New(rand.NewSource(seed)))
 		res := mustMatchReference(t, fmt.Sprintf("seed %d", seed), reg, bids, cfg)
+		q := 0.0 // a member's quantity on pool 0
+		for _, b := range bids {
+			if strings.HasPrefix(b.User, "u") {
+				q = b.Bundles[0][0]
+			}
+		}
 		tied := false
 		for _, r := range res.History {
-			first, second := r.Prices[0]*bids[firstMember(bids)].Bundles[0][0], r.Prices[1]
+			first, second := r.Prices[0]*q, r.Prices[1]
 			tied = tied || second < first && first-second < math.Ldexp(1, -40)
 		}
 		if !tied {
 			t.Errorf("seed %d: no round priced the class's two bundles a hair apart", seed)
 		}
 	}
-}
-
-// firstMember returns the index of tieCase's first class member.
-func firstMember(bids []*Bid) int {
-	for i, b := range bids {
-		if strings.HasPrefix(b.User, "u") {
-			return i
-		}
-	}
-	return -1
 }
 
 // TestTieSeedsInFuzzCorpus: TestClassTieFallsBack's markets are in
