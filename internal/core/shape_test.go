@@ -109,8 +109,8 @@ func TestCatalogMatchesReference(t *testing.T) {
 // the last bit are two shapes, each priced over its own rows: the cost
 // of every shape with a live member is each member's own dot at the
 // final prices, and within the limit of every one-bundle buyer still in
-// its class's limit order. The seller's bundle, whose rows no other bundle has,
-// is a shape of one, numbered first as its first bundle.
+// its class's limit order. The seller's bundle, whose rows no other
+// bundle has, is a shape of one, numbered first as its first bundle.
 func TestShapeRowsOneULPApart(t *testing.T) {
 	reg := cpuRegistry(2)
 	near := math.Nextafter(3, 4)
