@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -113,10 +114,14 @@ var goldenFingerprints = []struct{ scenario, kind, fingerprint string }{
 // just run against run: prices, premiums, settlement order and every
 // epoch summary field of every catalog scenario must hash to the recorded
 // value, so a refactor of the clock, the exchange or the federation that
-// changes any settled bit fails here. They hold on every target: no
-// clustermarket code in this test binary fuses a multiply-add on arm64,
-// ppc64le or riscv64 (make fma-check).
+// changes any settled bit fails here. Off amd64 they were never run:
+// make fma-check finds no fused multiply-add in clustermarket code there,
+// but the reserve prices go through the standard library's math.Exp,
+// fused assembly on arm64, so their low bits may differ.
 func TestGoldenFingerprints(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden fingerprints were captured on amd64")
+	}
 	if len(goldenFingerprints) != len(Catalog())*len(backendKinds) {
 		t.Fatalf("%d golden fingerprints for %d scenarios × %d backends", len(goldenFingerprints), len(Catalog()), len(backendKinds))
 	}
