@@ -370,7 +370,8 @@ func mustAllocateOnlyResult(t *testing.T, reg *resource.Registry, bids []*Bid, s
 }
 
 // TestHeldRunAllocatesHeldOnce: a re-run that holds a lane allocates its
-// Result and one list of the held bids, however many there are.
+// Result and one list of the held bids, however many there are, sized to
+// them and not to the whole book.
 func TestHeldRunAllocatesHeldOnce(t *testing.T) {
 	reg := cpuRegistry(2)
 	bids := []*Bid{
@@ -386,8 +387,8 @@ func TestHeldRunAllocatesHeldOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := a.Run()
-	if !errors.Is(err, ErrNoConvergence) || len(res.Held) != 41 {
-		t.Fatalf("Run: %v, %d held; want ErrNoConvergence and the op's lane of 41 held", err, len(res.Held))
+	if !errors.Is(err, ErrNoConvergence) || len(res.Held) != 41 || cap(res.Held) != 41 {
+		t.Fatalf("Run: %v, %d held of room for %d; want ErrNoConvergence and the op's lane of 41 held, sized to them", err, len(res.Held), cap(res.Held))
 	}
 	if allocs := testing.AllocsPerRun(10, func() { a.Run() }); allocs != resultAllocs+1 {
 		t.Errorf("a held run allocates %.1f objects, want %d: the Result and one Held list", allocs, resultAllocs+1)

@@ -411,9 +411,15 @@ func (a *Auction) runLanes(lanes []*lane, res *Result) (*Result, error) {
 }
 
 // hold lists the bids of the lanes that ran out in res.Held, in input
-// order, in one allocation.
+// order, in one allocation of their count.
 func (a *Auction) hold(lanes []*lane, res *Result) {
-	res.Held = make([]int, 0, len(a.bids))
+	n := 0
+	for _, c := range lanes {
+		if c.out {
+			n += len(c.bids)
+		}
+	}
+	res.Held = make([]int, 0, n)
 	for i := range a.bids {
 		if a.laneOf == nil || lanes[a.laneOf[i]].out {
 			res.Held = append(res.Held, i)
