@@ -364,15 +364,7 @@ func (c *lane) index(table []int32) {
 		cr[cLo], cr[cHi] = at, c.drop[c.members[at]] // its first member's end
 		ks := c.members[cr[cLo]:cr[cHi]]
 		at = cr[cHi]
-		if len(ks) > 16 {
-			slices.SortStableFunc(ks, func(x, y int32) int { return cmp.Compare(lims[x], lims[y]) })
-		} else { // by insertion, cheaper on the few members a class has as a rule
-			for i := 1; i < len(ks); i++ {
-				for j := i; j > 0 && lims[ks[j]] < lims[ks[j-1]]; j-- {
-					ks[j], ks[j-1] = ks[j-1], ks[j]
-				}
-			}
-		}
+		slices.SortStableFunc(ks, func(x, y int32) int { return cmp.Compare(lims[x], lims[y]) })
 		for _, k := range ks[:len(ks)-1] {
 			c.class[k] = -2
 		}
