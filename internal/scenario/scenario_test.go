@@ -114,10 +114,10 @@ var goldenFingerprints = []struct{ scenario, kind, fingerprint string }{
 // just run against run: prices, premiums, settlement order and every
 // epoch summary field of every catalog scenario must hash to the recorded
 // value, so a refactor of the clock, the exchange or the federation that
-// changes any settled bit fails here. Off amd64 they were never run:
-// make fma-check finds no fused multiply-add in clustermarket code there,
-// but the reserve prices go through the standard library's math.Exp,
-// fused assembly on arm64, so their low bits may differ.
+// changes any settled bit fails here. They were captured on an amd64 CPU
+// with FMA. The reserve prices go through the standard library's
+// math.Exp, which fuses on arm64 and on such CPUs, and make fma-check
+// covers only clustermarket code: GODEBUG=cpu.fma=off moves 17 of them.
 func TestGoldenFingerprints(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden fingerprints were captured on amd64")
